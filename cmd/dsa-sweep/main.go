@@ -39,8 +39,8 @@
 //
 //	dsa-report -domain D -checkpoint DIR -out results.csv merge
 //
-// after copying the shard dirs' manifest-*.jsonl and task-*.json files
-// together. The shard that finishes last assembles and writes the CSV
+// after copying the shard dirs' manifest-*.jsonl files together (they
+// hold the values; there is nothing else to copy). The shard that finishes last assembles and writes the CSV
 // itself when the dirs are shared.
 //
 // -cache-dir DIR memoises raw scores in a content-addressed store

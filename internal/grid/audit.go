@@ -179,7 +179,6 @@ func (c *Coordinator) grantAuditsLocked(j *gridJob, worker string, room int, now
 			Task: tid, Measure: t.Measure, Lo: t.Lo, Hi: t.Hi,
 			TTLMS: deadline.Sub(now).Milliseconds(),
 		})
-		c.walAppendLocked(false, walRecord{T: walLease, Job: j.id, Task: tid, Worker: worker})
 	}
 	return out
 }
@@ -264,15 +263,20 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 
 	if equalValues(vals, ast.secondVals) {
 		// Two workers agree on a value that contradicts the record:
-		// the recorded producer lied. Fix the record (synchronously —
-		// quarantine verdicts are rare enough to fsync under the
-		// lock), then quarantine.
+		// the recorded producer lied. Fix the record — a tombstone for
+		// the lie, then the corrected line, since a restore keeps a
+		// task's first live entry (synchronously: quarantine verdicts
+		// are rare enough to fsync under the lock), then quarantine.
 		c.workerDoneLocked(up.Worker, elapsed)
 		liar := ast.original
 		j.results[tid] = vals
 		j.doneBy[tid] = ast.second
 		if j.cp != nil {
-			if err := j.cp.Record(st.task, vals, elapsed); err != nil {
+			err := j.cp.Invalidate(st.task)
+			if err == nil {
+				err = j.cp.Record(st.task, vals, elapsed)
+			}
+			if err != nil {
 				c.logf("grid: job %s: task %s corrected value failed to journal: %v", j.id, tid, err)
 			}
 		}
@@ -312,9 +316,9 @@ func (c *Coordinator) markVerifiedLocked(j *gridJob, t job.Task, by string) {
 }
 
 // invalidateTaskLocked drops a done task's recorded value and
-// re-queues it. The on-disk result file is removed first (one unlink +
-// dir sync — cheap enough for this rare path to run under the lock),
-// so a crash in between re-runs the task instead of resurrecting the
+// re-queues it. The checkpoint tombstone is written first (one synced
+// append — cheap enough for this rare path to run under the lock), so
+// a crash in between re-runs the task instead of resurrecting the
 // dropped value. Batch invalidations (quarantine) use the deferred
 // path instead.
 func (c *Coordinator) invalidateTaskLocked(j *gridJob, tid string) {
@@ -340,9 +344,9 @@ func (c *Coordinator) invalidateTaskLocked(j *gridJob, tid string) {
 
 // quarantineLocked bans a worker and expunges its unaudited work:
 // leases revoked, every done-but-unverified task it produced is
-// invalidated (result files deleted in the returned func, which the
-// caller runs after releasing the lock) and re-queued. Verified tasks
-// survive — a second worker vouched for them.
+// invalidated (checkpoint tombstones appended in the returned func,
+// which the caller runs after releasing the lock) and re-queued.
+// Verified tasks survive — a second worker vouched for them.
 func (c *Coordinator) quarantineLocked(name, reason string) func() {
 	if name == "" || c.quarantined[name] {
 		return nil
@@ -404,7 +408,7 @@ func (c *Coordinator) quarantineLocked(name, reason string) func() {
 				continue
 			}
 			// Claim the task like an in-flight ingest so nothing races
-			// the unlocked file deletion.
+			// the unlocked tombstone append.
 			st.recording = true
 			delete(j.audits, tid)
 			invals = append(invals, inval{j: j, st: st})
@@ -416,7 +420,7 @@ func (c *Coordinator) quarantineLocked(name, reason string) func() {
 		return func() {}
 	}
 	return func() {
-		// Disk first: once the result files are gone, a crash anywhere
+		// Disk first: once the tombstones are durable, a crash anywhere
 		// below re-runs the tasks instead of resurrecting the lies.
 		for _, iv := range invals {
 			if iv.j.cp != nil {

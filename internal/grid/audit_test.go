@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -160,7 +161,8 @@ func TestAuditSoleWorkerRelaxes(t *testing.T) {
 // invalidated and re-queued, and honest workers re-verify everything.
 func TestByzantineLiarQuarantined(t *testing.T) {
 	spec := auditSpec(t, 2) // 2 points x 2 measures / chunk 2 = 2 tasks
-	coord := NewCoordinator(CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: time.Minute, AuditRate: 1})
+	dir := t.TempDir()
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, AuditRate: 1})
 	defer coord.Close()
 	now := time.Unix(1000, 0)
 	coord.now = func() time.Time { return now }
@@ -240,6 +242,19 @@ func TestByzantineLiarQuarantined(t *testing.T) {
 		}
 	}
 	coord.mu.Unlock()
+
+	// The checkpoint agrees: behind the overruled and the invalidated
+	// lie sit tombstones, so a restart restores the honest values.
+	cp, err := job.OpenCheckpoint(filepath.Join(dir, id), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	for _, lt := range []LeaseTask{t1, t2} {
+		if got := cp.Completed()[lt.Task]; !equalValues(got, honestVals(lt)) {
+			t.Errorf("checkpoint restores task %s as %v, want the honest %v", lt.Task, got, honestVals(lt))
+		}
+	}
 }
 
 // TestQuarantineOverHTTP pins the wire shape of a quarantine verdict:

@@ -810,12 +810,21 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int) []LeaseTas
 			TTLMS: ttl.Milliseconds(),
 		})
 		granted++
-		c.walAppendLocked(false, walRecord{T: walLease, Job: j.id, Task: tid, Worker: worker})
 	}
 	if c.opts.Hedge && len(tasks) < max {
 		tasks = append(tasks, c.grantHedgesLocked(j, worker, max-len(tasks), now, deadline)...)
 	}
 	if len(tasks) > 0 {
+		// One WAL write per grant, in grant order: audit and pending
+		// leases, then hedges.
+		recs := make([]walRecord, len(tasks))
+		for i, lt := range tasks {
+			recs[i] = walRecord{T: walLease, Job: j.id, Task: lt.Task, Worker: worker}
+			if i >= granted {
+				recs[i].T = walHedge
+			}
+		}
+		c.walAppendLocked(false, recs...)
 		if j.startedAt.IsZero() {
 			j.startedAt = now
 		}

@@ -252,7 +252,6 @@ func (c *Coordinator) grantHedgesLocked(j *gridJob, worker string, room int, now
 			TTLMS: deadline.Sub(now).Milliseconds(),
 		})
 		c.metrics.leaseHedged.Inc()
-		c.walAppendLocked(false, walRecord{T: walHedge, Job: j.id, Task: tid, Worker: worker})
 	}
 	return out
 }

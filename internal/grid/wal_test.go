@@ -10,10 +10,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -152,6 +154,47 @@ func TestWALWriteErrorTyped(t *testing.T) {
 	}
 	if recs[1].T != walExpire {
 		t.Fatalf("surviving records = %+v, the ENOSPC'd ingest must not appear", recs)
+	}
+}
+
+// TestGrantJournalsOneWrite: a lease grant reaches the WAL as one write
+// however many tasks it hands out, and replays as one lease record per
+// task, in grant order.
+func TestGrantJournalsOneWrite(t *testing.T) {
+	dir := t.TempDir()
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir})
+	defer coord.Close()
+	id, err := coord.AddJob(gossipSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int32
+	restore := job.SetWriterSeam(func(path string, w io.Writer) io.Writer {
+		if filepath.Base(path) == walFileName {
+			writes.Add(1)
+		}
+		return w
+	})
+	lease, err := coord.Lease(context.Background(), id, "w1", 3)
+	restore()
+	if err != nil || len(lease.Tasks) != 3 {
+		t.Fatalf("lease = %+v, %v; want 3 tasks", lease, err)
+	}
+	if n := writes.Load(); n != 1 {
+		t.Fatalf("a 3-task grant made %d WAL writes, want 1", n)
+	}
+	_, recs, skipped, err := openWAL(dir)
+	if err != nil || skipped != 0 {
+		t.Fatalf("replay: %v (%d skipped)", err, skipped)
+	}
+	var leased []string
+	for _, r := range recs {
+		if r.T == walLease && r.Job == id && r.Worker == "w1" {
+			leased = append(leased, r.Task)
+		}
+	}
+	if len(leased) != 3 || leased[0] != lease.Tasks[0].Task || leased[1] != lease.Tasks[1].Task || leased[2] != lease.Tasks[2].Task {
+		t.Fatalf("replayed lease records %v, want the granted %+v in order", leased, lease.Tasks)
 	}
 }
 

@@ -323,8 +323,11 @@ func workAny(ctx context.Context, client *http.Client, baseURL, name string, opt
 }
 
 // runLease executes one lease batch: a heartbeat goroutine keeps the
-// outstanding leases alive while job.ExecTasks computes them and the
-// sink uploads each result as it lands.
+// outstanding leases alive while job.ExecTasks computes them, and an
+// uploader goroutine posts each result as it lands, so the simulator
+// never waits for an ack — task n+1 computes while task n's upload is
+// in flight. A task leaves the heartbeat set only on its ack. The first
+// upload error stops the batch and is what runLease returns.
 func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name string, spec job.Spec, lease LeaseResponse, opts WorkerOptions, logf func(string, ...any)) error {
 	tasks := make([]job.Task, len(lease.Tasks))
 	ttl := DefaultLeaseTTL
@@ -387,6 +390,51 @@ func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name str
 	batch := opts.Trace.Start(0, "lease-batch").
 		Str("job", jobID).Int("tasks", int64(len(tasks)))
 	defer batch.End()
+
+	type result struct {
+		task    job.Task
+		values  []float64
+		elapsed time.Duration
+	}
+	upload := func(r result) error {
+		var ack ResultAck
+		var info callInfo
+		span := opts.Trace.Start(batch.ID(), "upload").Str("task", r.task.ID())
+		err := postJSONInfo(ctx, client, apiURL(baseURL, "jobs", jobID, "results"),
+			ResultUpload{Worker: name, Task: r.task.ID(), Values: WireFloats(r.values), ElapsedMS: r.elapsed.Milliseconds()}, &ack, &info)
+		if err != nil {
+			span.Drop()
+			return err
+		}
+		span.Str("rid", info.requestID).Int("attempts", int64(info.attempts)).End()
+		opts.Metrics.ObserveUpload(info.attempts - 1)
+		opts.Trace.CountUploadRetries(info.attempts - 1)
+		mu.Lock()
+		delete(held, r.task.ID())
+		mu.Unlock()
+		if ack.Duplicate {
+			logf("worker %s: task %s was already done (duplicate dropped)", name, r.task.ID())
+		}
+		return nil
+	}
+
+	// The queue holds the whole lease, so the sink never blocks.
+	queue := make(chan result, len(tasks))
+	execCtx, stopExec := context.WithCancel(ctx)
+	defer stopExec()
+	var uploadErr error
+	uploaded := make(chan struct{})
+	go func() {
+		defer close(uploaded)
+		for r := range queue {
+			if uploadErr != nil {
+				continue // the batch already failed; drain
+			}
+			if uploadErr = upload(r); uploadErr != nil {
+				stopExec()
+			}
+		}
+	}()
 	execOpts := job.ExecOptions{
 		Workers: opts.Workers, Cache: opts.Cache,
 		Trace: opts.Trace, TraceParent: batch.ID(),
@@ -394,28 +442,17 @@ func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name str
 			opts.Metrics.ObserveTask(ts.Task.Measure, ts.Elapsed, ts.Simulated, ts.CacheHits)
 		},
 	}
-	return job.ExecTasks(ctx, spec, tasks, execOpts, func(t job.Task, values []float64, elapsed time.Duration) error {
+	err := job.ExecTasks(execCtx, spec, tasks, execOpts, func(t job.Task, values []float64, elapsed time.Duration) error {
 		if opts.Corrupt != nil {
 			values = opts.Corrupt(t, values)
 		}
-		var ack ResultAck
-		var info callInfo
-		upload := opts.Trace.Start(batch.ID(), "upload").Str("task", t.ID())
-		err := postJSONInfo(ctx, client, apiURL(baseURL, "jobs", jobID, "results"),
-			ResultUpload{Worker: name, Task: t.ID(), Values: WireFloats(values), ElapsedMS: elapsed.Milliseconds()}, &ack, &info)
-		if err != nil {
-			upload.Drop()
-			return err
-		}
-		upload.Str("rid", info.requestID).Int("attempts", int64(info.attempts)).End()
-		opts.Metrics.ObserveUpload(info.attempts - 1)
-		opts.Trace.CountUploadRetries(info.attempts - 1)
-		mu.Lock()
-		delete(held, t.ID())
-		mu.Unlock()
-		if ack.Duplicate {
-			logf("worker %s: task %s was already done (duplicate dropped)", name, t.ID())
-		}
+		queue <- result{t, values, elapsed}
 		return nil
 	})
+	close(queue)
+	<-uploaded
+	if uploadErr != nil {
+		return uploadErr
+	}
+	return err
 }

@@ -2,6 +2,7 @@ package job
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,4 +56,53 @@ func BenchmarkExecTasksTraced(b *testing.B) {
 	}
 	defer rec.Close()
 	benchExecTasks(b, rec)
+}
+
+// benchCheckpoint opens a checkpoint for the Record benchmarks and
+// returns a generator of 8-value tasks (Record does not look a task up
+// in the spec, so the benchmark can mint as many as b.N asks for).
+func benchCheckpoint(b *testing.B) (*Checkpoint, func(i int) (Task, []float64)) {
+	b.Helper()
+	spec := Spec{Domain: pra.Domain(), Points: benchPoints(b), Cfg: benchCfg(), Chunk: 8}
+	cp, err := OpenCheckpoint(b.TempDir(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cp.Close() })
+	values := []float64{0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
+	return cp, func(i int) (Task, []float64) {
+		return Task{Measure: "performance", Lo: 8 * i, Hi: 8*i + 8}, values
+	}
+}
+
+// BenchmarkCheckpointRecord is one caller: every Record pays its own
+// fsync.
+func BenchmarkCheckpointRecord(b *testing.B) {
+	cp, task := benchCheckpoint(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, vals := task(i)
+		if err := cp.Record(t, vals, time.Millisecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointRecordParallel is 8 callers per CPU sharing the
+// manifest — the grid coordinator's ingest shape. ns/op against the
+// serial benchmark is the group-commit effect: Records per fsync.
+func BenchmarkCheckpointRecordParallel(b *testing.B) {
+	cp, task := benchCheckpoint(b)
+	var next atomic.Int64
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			t, vals := task(int(next.Add(1)))
+			if err := cp.Record(t, vals, time.Millisecond); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

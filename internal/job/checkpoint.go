@@ -1,7 +1,7 @@
 package job
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 )
 
 // WriteError is the typed failure of a durable write (checkpoint
-// manifest append, atomic result file, grid WAL append): it names the
+// manifest append, atomic spec file, grid WAL append): it names the
 // file and the byte offset of the first unwritten byte, so disk-full
 // and short-write conditions are actionable from a log line instead of
 // a generic wrap. Unwrap exposes the cause (syscall.ENOSPC,
@@ -37,9 +38,9 @@ func (e *WriteError) Error() string {
 func (e *WriteError) Unwrap() error { return e.Err }
 
 // The writer seam lets the chaos harness (internal/chaos.FileFaults)
-// interpose failing writers on every durable append — checkpoint
-// manifests, atomic result files, and the grid coordinator's WAL —
-// without the production code knowing. nil seam = writes untouched.
+// interpose failing writers on every durable write — checkpoint
+// manifests, spec.json, and the grid coordinator's WAL — without the
+// production code knowing. nil seam = writes untouched.
 var (
 	seamMu sync.RWMutex
 	seamFn func(path string, w io.Writer) io.Writer
@@ -80,28 +81,30 @@ func WrapWriter(path string, w io.Writer) io.Writer {
 //	                               written once, verified on every open
 //	                               so a resume can never silently mix
 //	                               incompatible results
-//	manifest-s<I>of<N>.jsonl     — append-only journal, one line per
-//	                               completed task, written by shard I of
-//	                               N; a resumed or re-sharded run opens
-//	                               its own file, and loading always
-//	                               merges every manifest-*.jsonl present
-//	task-<id>.json               — one result file per completed task
-//	                               (the values the manifest line points
-//	                               at), written atomically via rename
+//	manifest-s<I>of<N>.jsonl     — append-only log written by shard I of
+//	                               N, one line per event: a completed
+//	                               task with its values inline, or a
+//	                               tombstone un-recording one. A resumed
+//	                               or re-sharded run opens its own file,
+//	                               and loading always merges every
+//	                               manifest-*.jsonl present
 //
-// A crash can lose at most the in-flight tasks: a torn manifest line or
-// a missing/invalid result file makes that task re-run, never
+// A line counts once it is fsynced, and one fsync covers every line
+// appended before it started: concurrent recorders share the barrier
+// (group commit) instead of paying one each. A crash can lose at most
+// the in-flight tasks: a torn line makes that task re-run, never
 // mis-merge. Shard processes on different machines use separate dirs
-// and the manifests + task files are simply copied together for the
-// merge.
+// and the manifests are simply copied together for the merge.
 
 const specFileName = "spec.json"
 
 // specVersion is the checkpoint spec format written by this engine.
 // Version 1 was the pre-Domain engine (file-swarming only, tasks keyed
 // by pra.ScoreKind); version 2 keys everything by domain name + measure
-// strings + point IDs. Old versions are rejected, never mis-merged.
-const specVersion = 2
+// strings + point IDs, with values in per-task result files; version 3
+// carries the values in the manifest lines themselves. Old versions are
+// rejected, never mis-merged.
+const specVersion = 3
 
 type specJSON struct {
 	Version  int        `json:"version"`
@@ -152,7 +155,7 @@ func specToJSON(s Spec) (specJSON, error) {
 func errSpecVersion(dir string, have int) error {
 	if have < specVersion {
 		return fmt.Errorf("job: checkpoint %s has spec version %d, this engine writes version %d: "+
-			"it was written by an older engine generation (version 1 predates the domain-agnostic sweep API) "+
+			"it was written by an older engine generation (version 1 predates the domain-agnostic sweep API, version 2 kept values in per-task files) "+
 			"and cannot be resumed or merged — re-run the sweep into a fresh directory, or keep the old binary to finish it", dir, have, specVersion)
 	}
 	return fmt.Errorf("job: checkpoint %s has spec version %d, this engine only understands version %d: "+
@@ -213,30 +216,26 @@ func DecodeSpec(raw []byte) (Spec, error) {
 	return specFromJSON("(wire spec)", sj)
 }
 
+// manifestEntry is one manifest line: a completed task with its values
+// (dsa.JSONFloats, so non-finite scores — which a domain may
+// legitimately produce and the CSV codec already round-trips —
+// checkpoint instead of panicking encoding/json), or, with Dead set, a
+// tombstone cancelling every earlier line of that task.
 type manifestEntry struct {
-	Task      string `json:"task"`
-	File      string `json:"file"`
-	ElapsedMS int64  `json:"elapsed_ms"`
+	Task      string         `json:"task"`
+	Values    dsa.JSONFloats `json:"values,omitempty"`
+	ElapsedMS int64          `json:"elapsed_ms,omitempty"`
+	Dead      bool           `json:"dead,omitempty"`
 }
 
-// resultFile carries Values as dsa.JSONFloats so non-finite scores —
-// which a domain may legitimately produce and the CSV codec already
-// round-trips — checkpoint instead of panicking encoding/json.
-type resultFile struct {
-	Task    string         `json:"task"`
-	Measure string         `json:"measure"`
-	Lo      int            `json:"lo"`
-	Hi      int            `json:"hi"`
-	Values  dsa.JSONFloats `json:"values"`
-}
-
-// checkpoint is one process's open handle on a checkpoint directory.
-type checkpoint struct {
-	dir          string
-	mu           sync.Mutex
+// Checkpoint is one process's open handle on a checkpoint directory.
+type Checkpoint struct {
 	manifest     *os.File
 	manifestPath string
-	off          int64                // durable end of the manifest (bytes)
+	mu           sync.Mutex           // serialises appends
+	off          atomic.Int64         // end of the manifest: everything before it is whole lines (written under mu)
+	syncMu       sync.Mutex           // held across one fsync
+	synced       int64                // prefix of the manifest known durable (under syncMu)
 	completed    map[string][]float64 // restored at open
 }
 
@@ -244,14 +243,14 @@ type checkpoint struct {
 // it creates the directory, writes or verifies spec.json, restores
 // every completed task from existing manifests, and opens this shard's
 // manifest for appending.
-func openCheckpoint(dir string, spec Spec, shards, shardIndex int) (*checkpoint, error) {
+func openCheckpoint(dir string, spec Spec, shards, shardIndex int) (*Checkpoint, error) {
 	return openCheckpointNamed(dir, spec, fmt.Sprintf("manifest-s%dof%d.jsonl", shardIndex, shards))
 }
 
 // openCheckpointNamed is openCheckpoint with an explicit manifest file
 // name (every writer appends to its own manifest; loading merges all
 // manifest-*.jsonl present).
-func openCheckpointNamed(dir string, spec Spec, manifestName string) (*checkpoint, error) {
+func openCheckpointNamed(dir string, spec Spec, manifestName string) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("job: checkpoint dir: %w", err)
 	}
@@ -292,7 +291,7 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*checkpoin
 		return nil, err
 	}
 	mfPath := filepath.Join(dir, manifestName)
-	mf, err := os.OpenFile(mfPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	mf, err := os.OpenFile(mfPath, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("job: open manifest: %w", err)
 	}
@@ -301,101 +300,114 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*checkpoin
 		mf.Close()
 		return nil, fmt.Errorf("job: stat manifest: %w", err)
 	}
-	return &checkpoint{dir: dir, manifest: mf, manifestPath: mfPath, off: st.Size(), completed: completed}, nil
-}
-
-// Checkpoint is an exported handle on a checkpoint directory for
-// external ingesters: the grid coordinator records results computed by
-// remote workers through it, so grid runs and local runs share one
-// on-disk format — Load, dsa-report and a local -resume all work on a
-// directory regardless of which engine filled it.
-type Checkpoint struct {
-	cp *checkpoint
+	// What an earlier process appended, it synced or lost.
+	c := &Checkpoint{manifest: mf, manifestPath: mfPath, synced: st.Size(), completed: completed}
+	c.off.Store(st.Size())
+	var last [1]byte
+	if st.Size() == 0 {
+		// A new manifest: its directory entry is synced once, here.
+		if err = syncDir(dir); err != nil {
+			err = &WriteError{Path: mfPath, Op: "sync dir of", Err: err}
+		}
+	} else if _, err = mf.ReadAt(last[:], st.Size()-1); err == nil && last[0] != '\n' {
+		// A tail torn by a crash mid-append: close it with a newline so
+		// the next line cannot fuse with it.
+		err = c.append([]byte("\n"))
+	}
+	if err != nil {
+		mf.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // OpenCheckpoint opens (or creates) dir for spec, writing or verifying
-// spec.json exactly like a local run would. The coordinator appends to
-// its own manifest file (manifest-grid.jsonl), so a directory may mix
-// grid-ingested and shard-run results.
+// spec.json exactly like a local run would, for external ingesters: the
+// grid coordinator records results computed by remote workers through
+// it, so grid runs and local runs share one on-disk format — Load,
+// dsa-report and a local -resume all work on a directory regardless of
+// which engine filled it. The coordinator appends to its own manifest
+// file (manifest-grid.jsonl), so a directory may mix grid-ingested and
+// shard-run results.
 func OpenCheckpoint(dir string, spec Spec) (*Checkpoint, error) {
-	cp, err := openCheckpointNamed(dir, spec, "manifest-grid.jsonl")
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{cp: cp}, nil
+	return openCheckpointNamed(dir, spec, "manifest-grid.jsonl")
 }
 
 // Completed returns the task-ID → values map restored from the
 // directory's manifests at open time. The caller takes ownership.
-func (c *Checkpoint) Completed() map[string][]float64 { return c.cp.completed }
+func (c *Checkpoint) Completed() map[string][]float64 { return c.completed }
 
-// Record persists one finished task (atomic result file, then a synced
-// manifest line). Safe for concurrent use.
+// Record persists one finished task and returns once its manifest line
+// is durable, so a crash right after Record loses nothing. Safe for
+// concurrent use; concurrent calls share fsyncs.
 func (c *Checkpoint) Record(t Task, values []float64, elapsed time.Duration) error {
-	return c.cp.record(t, values, elapsed)
+	return c.append(append(mustJSON(manifestEntry{Task: t.ID(), Values: values, ElapsedMS: elapsed.Milliseconds()}), '\n'))
 }
 
 // Close closes the manifest. Record must not be called after Close.
-func (c *Checkpoint) Close() error { return c.cp.close() }
+func (c *Checkpoint) Close() error { return c.manifest.Close() }
 
-// Invalidate durably un-records a task: it removes the result file the
-// manifest entries point at, so every restore skips the task and it
-// re-runs. The coordinator's audit layer uses this to expunge results
-// produced by a quarantined worker; a crash between Invalidate and the
-// in-memory re-queue is safe because the on-disk state already says
-// "never completed". Re-recording the task later (Record) writes a
-// fresh result file under the same name, which the earliest manifest
-// entry then resolves to — first-entry-wins reads the file, not the
-// line.
+// Invalidate durably un-records a task: it appends a synced tombstone,
+// so every restore drops the lines before it and the task re-runs. The
+// coordinator's audit layer uses this to expunge results produced by a
+// quarantined worker; a crash between Invalidate and the in-memory
+// re-queue is safe because the on-disk state already says "never
+// completed". A later Record of the task lands after the tombstone and
+// counts again.
 func (c *Checkpoint) Invalidate(t Task) error {
-	path := filepath.Join(c.cp.dir, "task-"+t.ID()+".json")
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("job: invalidate %s: %w", path, err)
+	return c.append(append(mustJSON(manifestEntry{Task: t.ID(), Dead: true}), '\n'))
+}
+
+// append writes line at the end of the manifest and makes it durable.
+// The write is serialised; the fsync is shared: whoever holds syncMu
+// syncs everything appended so far, and a caller that finds its bytes
+// inside an fsync that started after its write returns without a
+// second one.
+func (c *Checkpoint) append(line []byte) error {
+	end, err := c.write(line)
+	if err != nil {
+		return err
 	}
-	if err := syncDir(c.cp.dir); err != nil {
-		return fmt.Errorf("job: invalidate %s: %w", path, err)
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
+	if c.synced >= end {
+		return nil
 	}
+	covered := c.off.Load()
+	if err := c.manifest.Sync(); err != nil {
+		return &WriteError{Path: c.manifestPath, Off: c.synced, Op: "sync manifest", Err: err}
+	}
+	c.synced = covered
 	return nil
 }
 
-// record persists one finished task: the result file first (atomic
-// rename), then the manifest line that makes it count, synced so a
-// crash right after record loses nothing.
-func (c *checkpoint) record(t Task, values []float64, elapsed time.Duration) error {
-	rf := resultFile{Task: t.ID(), Measure: t.Measure, Lo: t.Lo, Hi: t.Hi, Values: values}
-	name := "task-" + t.ID() + ".json"
-	if err := writeFileAtomic(filepath.Join(c.dir, name), mustJSON(rf)); err != nil {
-		return err
-	}
-	line := append(mustJSON(manifestEntry{Task: t.ID(), File: name, ElapsedMS: elapsed.Milliseconds()}), '\n')
+// write appends line under the append lock and returns the new end.
+func (c *Checkpoint) write(line []byte) (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	off := c.off.Load()
 	n, err := WrapWriter(c.manifestPath, c.manifest).Write(line)
 	if err == nil && n < len(line) {
 		err = io.ErrShortWrite
 	}
 	if err != nil {
-		// Trim the torn tail so the next append (O_APPEND, so it
-		// lands at the new end) starts on a clean line; if the
-		// truncate itself fails the torn bytes stay and
-		// readCompleted's torn-line tolerance bounds the damage.
-		c.manifest.Truncate(c.off)
-		return &WriteError{Path: c.manifestPath, Off: c.off + int64(n), Op: "append manifest", Err: err}
+		// Trim the torn tail so the next append (O_APPEND, so it lands
+		// at the new end) starts on a clean line. The lock makes the
+		// torn bytes the file's last, so lines other callers appended
+		// earlier — synced yet or not — are untouched. If the truncate
+		// itself fails the torn bytes stay and only the line fused with
+		// them is lost to a later restore.
+		c.manifest.Truncate(off)
+		return 0, &WriteError{Path: c.manifestPath, Off: off + int64(n), Op: "append manifest", Err: err}
 	}
-	c.off += int64(n)
-	if err := c.manifest.Sync(); err != nil {
-		return &WriteError{Path: c.manifestPath, Off: c.off, Op: "sync manifest", Err: err}
-	}
-	return nil
-}
-
-func (c *checkpoint) close() error {
-	return c.manifest.Close()
+	return c.off.Add(int64(n)), nil
 }
 
 // readCompleted merges every manifest in dir into task-ID → values.
-// Entries that are torn, missing their result file, or inconsistent
-// with the spec's task list are skipped — the engine just re-runs those
+// Lines apply in order: the first live entry of a task wins (a
+// re-recorded task carries the same values by determinism), a tombstone
+// cancels what precedes it. Lines that are torn or inconsistent with
+// the spec's task list are skipped — the engine just re-runs those
 // tasks — so a crash mid-write can never corrupt a resumed sweep.
 func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 	valid := make(map[string]Task)
@@ -409,50 +421,37 @@ func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 	slices.Sort(manifests)
 	out := make(map[string][]float64)
 	for _, path := range manifests {
-		f, err := os.Open(path)
+		// Whole-file read: a line holds a task's values, so its length
+		// is the caller's chunk size, not ours to bound.
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("job: read manifest: %w", err)
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		for sc.Scan() {
-			var e manifestEntry
-			if json.Unmarshal(sc.Bytes(), &e) != nil {
-				continue // torn write from a crash
-			}
-			t, ok := valid[e.Task]
-			if !ok {
-				continue
-			}
-			if _, have := out[e.Task]; have {
-				continue
-			}
-			if vals, ok := readResult(filepath.Join(dir, e.File), t); ok {
-				out[e.Task] = vals
-			}
-		}
-		err = sc.Err()
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("job: read manifest %s: %w", path, err)
+		for len(raw) > 0 {
+			line, rest, _ := bytes.Cut(raw, []byte("\n"))
+			applyManifestLine(out, valid, line)
+			raw = rest
 		}
 	}
 	return out, nil
 }
 
-func readResult(path string, t Task) ([]float64, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
+// applyManifestLine folds one manifest line into out. Anything but a
+// well-formed entry for a task of this spec, with exactly the task's
+// number of values, leaves out untouched.
+func applyManifestLine(out map[string][]float64, valid map[string]Task, line []byte) {
+	var e manifestEntry
+	if json.Unmarshal(line, &e) != nil {
+		return // torn write from a crash
 	}
-	var rf resultFile
-	if json.Unmarshal(raw, &rf) != nil {
-		return nil, false
+	t, ok := valid[e.Task]
+	switch {
+	case !ok:
+	case e.Dead:
+		delete(out, e.Task)
+	case out[e.Task] == nil && len(e.Values) == t.Hi-t.Lo:
+		out[e.Task] = e.Values
 	}
-	if rf.Task != t.ID() || rf.Lo != t.Lo || rf.Hi != t.Hi || rf.Measure != t.Measure || len(rf.Values) != t.Hi-t.Lo {
-		return nil, false
-	}
-	return rf.Values, true
 }
 
 // loadCheckpoint reads dir without a target spec: the spec (and through
@@ -483,8 +482,8 @@ func loadCheckpoint(dir string) (Spec, map[string][]float64, error) {
 // shard processes race to write an identical spec.json, and a shared
 // temp path would let one process rename the file away between
 // another's write and rename. The file is fsynced before the rename
-// and the directory after it, so a recorded task survives power loss,
-// not just process crash.
+// and the directory after it, so the spec survives power loss, not
+// just process crash.
 func writeFileAtomic(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {

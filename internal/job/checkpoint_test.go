@@ -1,0 +1,240 @@
+package job
+
+// The manifest is the only file a checkpoint appends to, so its
+// contract is pinned from three sides: a crash at every byte offset
+// restores exactly the lines that were whole, the line decoder is
+// fuzzed, and concurrent recorders — who share fsyncs — each find
+// their task on disk the moment Record returns.
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+)
+
+// sameValues is bit-exact vector equality (NaN equals NaN).
+func sameValues(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameCompleted(got, want map[string][]float64) error {
+	for id, w := range want {
+		if g, ok := got[id]; !ok || !sameValues(g, w) {
+			return fmt.Errorf("task %s restored as %v (present %v), want %v", id, g, ok, w)
+		}
+	}
+	for id, g := range got {
+		if _, ok := want[id]; !ok {
+			return fmt.Errorf("task %s restored as %v, want it absent", id, g)
+		}
+	}
+	return nil
+}
+
+// TestManifestCrashPoints truncates a manifest holding records, a
+// tombstone, a re-record and a trailing tombstone at every byte offset.
+// A restore must see exactly the tasks whose last whole line is live,
+// with that line's values; and a writer reopening the torn file must
+// not lose the next task it records to the torn tail.
+func TestManifestCrashPoints(t *testing.T) {
+	dir := t.TempDir()
+	spec := faultSpec(t)
+	tasks := spec.Tasks()
+	if len(tasks) < 5 {
+		t.Fatalf("spec has %d tasks, the scenario needs 5", len(tasks))
+	}
+	cp, err := OpenCheckpoint(dir, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := filepath.Join(dir, "manifest-grid.jsonl")
+
+	// The oracle is built from the writes, not from the decoder: each
+	// event counts once the prefix reaches its closing brace.
+	type event struct {
+		end    int // bytes of manifest up to and including this line's '}'
+		task   string
+		values []float64 // nil = tombstone
+	}
+	var events []event
+	step := func(task Task, values []float64) {
+		t.Helper()
+		write := cp.Invalidate
+		if values != nil {
+			write = func(task Task) error { return cp.Record(task, values, 0) }
+		}
+		if err := write(task); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(manifestPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, event{end: int(st.Size()) - 1, task: task.ID(), values: values})
+	}
+	step(tasks[0], []float64{0.1, -2.5e-300})
+	step(tasks[1], []float64{math.NaN(), math.Inf(1)})
+	step(tasks[2], []float64{3, 1.0000000000000002})
+	step(tasks[1], nil)
+	step(tasks[1], []float64{7, math.Inf(-1)}) // differs from the dead line on purpose
+	step(tasks[3], []float64{math.Copysign(0, -1), 12345.678901234567})
+	step(tasks[2], nil)
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, freshVals := tasks[4], []float64{41, 42}
+
+	for cut := 0; cut <= len(full); cut++ {
+		want := map[string][]float64{}
+		for _, e := range events {
+			if e.end > cut {
+				break
+			}
+			if e.values == nil {
+				delete(want, e.task)
+			} else if want[e.task] == nil {
+				want[e.task] = e.values
+			}
+		}
+		if err := os.WriteFile(manifestPath, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := loadCheckpoint(dir)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if err := sameCompleted(got, want); err != nil {
+			t.Fatalf("cut %d of %d (%q): %v", cut, len(full), full[max(0, cut-20):cut], err)
+		}
+
+		cp, err := OpenCheckpoint(dir, spec)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if err := sameCompleted(cp.Completed(), want); err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if err := cp.Record(fresh, freshVals, 0); err != nil {
+			t.Fatalf("cut %d: record after reopen: %v", cut, err)
+		}
+		if err := cp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want[fresh.ID()] = freshVals
+		if _, got, err = loadCheckpoint(dir); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if err := sameCompleted(got, want); err != nil {
+			t.Fatalf("cut %d: after reopen + record: %v", cut, err)
+		}
+	}
+}
+
+// FuzzManifestLine feeds the line decoder arbitrary bytes: whatever it
+// makes of them, the restored map only ever holds tasks of the spec
+// with exactly their number of values, and a line it accepts reads
+// back to the same bits when re-encoded.
+func FuzzManifestLine(f *testing.F) {
+	a, b := Task{Measure: "m", Lo: 0, Hi: 2}, Task{Measure: "m", Lo: 2, Hi: 5}
+	valid := map[string]Task{a.ID(): a, b.ID(): b}
+	f.Add([]byte(`{"task":"m-00002-00005","values":[1,"NaN",-0.5],"elapsed_ms":3}`))
+	f.Add([]byte(`{"task":"m-00000-00002","dead":true}`))
+	f.Add([]byte(`{"task":"m-00002-00005","values":[1,2]}`))
+	f.Add([]byte(`{"task":"m-00002-00005","values":[1,"+Inf","-In`))
+	f.Add([]byte(`{"task":"other-00000-00002","values":[1,2]}`))
+	f.Add([]byte(`{"task":"m-00002-00005","values":[1,2,3],"dead":true}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		before := []float64{1, 2}
+		out := map[string][]float64{a.ID(): before}
+		applyManifestLine(out, valid, line)
+		for id, vals := range out {
+			task, ok := valid[id]
+			if !ok || len(vals) != task.Hi-task.Lo {
+				t.Fatalf("line %q restored task %q with %d values", line, id, len(vals))
+			}
+		}
+		if vals, ok := out[a.ID()]; ok && !sameValues(vals, before) {
+			t.Fatalf("line %q overwrote a live entry with %v", line, vals)
+		}
+		if vals, ok := out[b.ID()]; ok {
+			again := map[string][]float64{}
+			applyManifestLine(again, valid, mustJSON(manifestEntry{Task: b.ID(), Values: vals}))
+			if !sameValues(again[b.ID()], vals) {
+				t.Fatalf("line %q decoded to %v, which re-encodes to %v", line, vals, again[b.ID()])
+			}
+		}
+	})
+}
+
+// TestCheckpointConcurrentRecord: recorders sharing fsyncs still each
+// get the Record contract — the task is visible to a fresh restore the
+// moment the call returns — and the manifest stays whole lines.
+func TestCheckpointConcurrentRecord(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{Domain: faultSpec(t).Domain, Points: subset(t), Cfg: tinyCfg(), Chunk: 1}
+	cp, err := OpenCheckpoint(dir, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := spec.Tasks()
+	valuesOf := func(task Task) []float64 { return []float64{float64(task.Lo) + 0.25} }
+	next := make(chan Task)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for task := range next {
+				if err := cp.Record(task, valuesOf(task), 0); err != nil {
+					t.Error(err)
+					continue
+				}
+				_, done, err := loadCheckpoint(dir)
+				if err != nil {
+					t.Error(err)
+				} else if !sameValues(done[task.ID()], valuesOf(task)) {
+					t.Errorf("task %s restored as %v right after Record returned", task.ID(), done[task.ID()])
+				}
+			}
+		}()
+	}
+	for _, task := range tasks {
+		next <- task
+	}
+	close(next)
+	wg.Wait()
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest-grid.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte("\n")); n != len(tasks) || raw[len(raw)-1] != '\n' {
+		t.Fatalf("manifest holds %d lines for %d tasks", n, len(tasks))
+	}
+	_, done, err := loadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != len(tasks) {
+		t.Fatalf("restored %d of %d tasks", len(done), len(tasks))
+	}
+}

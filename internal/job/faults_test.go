@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"syscall"
 	"testing"
 
@@ -140,49 +141,96 @@ func TestCheckpointManifestShortWriteTyped(t *testing.T) {
 	}
 }
 
-// TestCheckpointResultFileFaultTyped: a result-file write that hits
-// disk-full fails before the manifest line is appended, typed with the
-// final (not temp) path — so the task stays un-recorded and simply
-// re-runs.
-func TestCheckpointResultFileFaultTyped(t *testing.T) {
-	dir := t.TempDir()
-	spec := faultSpec(t)
-	cp, err := OpenCheckpoint(dir, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	task := spec.Tasks()[0]
+// TestCheckpointManifestFaultRetry covers the one file a Record or an
+// Invalidate writes: disk-full and torn appends of a value line and of
+// a tombstone are typed with the manifest path and the offset of the
+// first unwritten byte, leave the manifest line-clean, and the retry
+// lands whole — with another goroutine's append landing in between.
+func TestCheckpointManifestFaultRetry(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		short, fail float64
+		cause       error
+		tombstone   bool
+	}{
+		{"enospc/value", 0, 1, syscall.ENOSPC, false},
+		{"enospc/tombstone", 0, 1, syscall.ENOSPC, true},
+		{"short/value", 1, 0, io.ErrShortWrite, false},
+		{"short/tombstone", 1, 0, io.ErrShortWrite, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := faultSpec(t)
+			cp, err := OpenCheckpoint(dir, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cp.Close()
+			tasks := spec.Tasks()
+			if err := cp.Record(tasks[0], []float64{1, 2}, 0); err != nil {
+				t.Fatal(err)
+			}
+			manifestPath := filepath.Join(dir, "manifest-grid.jsonl")
+			before, err := os.Stat(manifestPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op := func() error { return cp.Record(tasks[1], []float64{3, 4}, 0) }
+			if tc.tombstone {
+				op = func() error { return cp.Invalidate(tasks[0]) }
+			}
 
-	faults := chaos.NewFileFaults(3, 0, 1.0, "task-") // every result-file write: ENOSPC
-	restore := SetWriterSeam(faults.Wrap)
-	err = cp.Record(task, []float64{1, 2}, 0)
-	restore()
-	var werr *WriteError
-	if !errors.As(err, &werr) {
-		t.Fatalf("Record under result-file fault: err = %v, want *WriteError", err)
-	}
-	wantPath := filepath.Join(dir, "task-"+task.ID()+".json")
-	if werr.Path != wantPath || werr.Op != "write" {
-		t.Fatalf("WriteError = %+v, want path %s op \"write\"", werr, wantPath)
-	}
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("err = %v, want ENOSPC", err)
-	}
-	// No manifest line, no result file, no leftover temp files: the
-	// failed Record is invisible to every future open.
-	if leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(leftovers) != 0 {
-		t.Fatalf("temp files survived a failed atomic write: %v", leftovers)
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := OpenCheckpoint(dir, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if done := cp2.Completed(); len(done) != 0 {
-		t.Fatalf("completed after failed Record = %v, want empty (task re-runs)", done)
+			restore := SetWriterSeam(chaos.NewFileFaults(4, tc.short, tc.fail, "manifest-grid").Wrap)
+			err = op()
+			restore()
+			var werr *WriteError
+			if !errors.As(err, &werr) {
+				t.Fatalf("err = %v, want *WriteError", err)
+			}
+			if werr.Path != manifestPath || werr.Op != "append manifest" {
+				t.Fatalf("WriteError = %+v, want the manifest path and op \"append manifest\"", werr)
+			}
+			if torn := werr.Off - before.Size(); (tc.short > 0) != (torn > 0) || torn < 0 {
+				t.Fatalf("WriteError.Off = %d with %d bytes durable before the append", werr.Off, before.Size())
+			}
+			if !errors.Is(err, tc.cause) || !errors.Is(err, chaos.ErrInjected) {
+				t.Fatalf("err = %v, want %v via chaos.ErrInjected", err, tc.cause)
+			}
+
+			// Another recorder gets in before the retry.
+			other := make(chan error)
+			go func() { other <- cp.Record(tasks[2], []float64{5, 6}, 0) }()
+			if err := <-other; err != nil {
+				t.Fatal(err)
+			}
+			if err := op(); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+
+			raw, err := os.ReadFile(manifestPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+			if len(lines) != 3 || raw[len(raw)-1] != '\n' {
+				t.Fatalf("manifest after fault + retry:\n%s\nwant three whole lines", raw)
+			}
+			for _, line := range lines {
+				if !json.Valid(line) {
+					t.Fatalf("manifest after fault + retry holds a torn line:\n%s", raw)
+				}
+			}
+			_, done, err := loadCheckpoint(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string][]float64{tasks[0].ID(): {1, 2}, tasks[1].ID(): {3, 4}, tasks[2].ID(): {5, 6}}
+			if tc.tombstone {
+				want = map[string][]float64{tasks[2].ID(): {5, 6}}
+			}
+			if !reflect.DeepEqual(done, want) {
+				t.Fatalf("restored %v, want %v", done, want)
+			}
+		})
 	}
 }

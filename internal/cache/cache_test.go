@@ -15,6 +15,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/linelog"
 )
 
 func key(n int) Key {
@@ -184,6 +187,57 @@ func TestTornTailDropped(t *testing.T) {
 	}
 	if st.Dropped == 0 {
 		t.Fatal("torn record not counted as dropped")
+	}
+}
+
+// TestShortWriteKeepsSegmentAligned: a torn record append is trimmed
+// back, so the records put after it still sit where the index says and
+// on the fixed-size grid the next open scans — the one failed put is
+// dropped, nothing else.
+func TestShortWriteKeepsSegmentAligned(t *testing.T) {
+	dir := t.TempDir()
+	// A one-entry LRU: every Get below is answered by the segment.
+	s, err := Open(Options{Dir: dir, MemEntries: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(key(0), 0)
+	restore := linelog.SetWriterSeam(chaos.NewFileFaults(3, 1.0, 0, "seg-").Wrap) // every segment write: torn
+	s.Put(key(1), 1)
+	restore()
+	const later = 20
+	for i := 2; i < 2+later; i++ {
+		s.Put(key(i), float64(i))
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		for i := 0; i < 2+later; i++ {
+			v, ok := s.Get(key(i))
+			if i == 1 {
+				if ok {
+					t.Fatalf("%s: the torn put is served from disk", when)
+				}
+			} else if !ok || v != float64(i) {
+				t.Fatalf("%s: Get(%d) = %v,%v, want a hit: records after the torn one are misaligned", when, i, v, ok)
+			}
+		}
+	}
+	check(s, "same process")
+	if st := s.Stats(); st.Dropped != 1 || st.Entries != 1+later {
+		t.Fatalf("stats = %+v, want exactly the torn put dropped and %d entries", st, 1+later)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Options{Dir: dir, MemEntries: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2, "after reopen")
+	if st := s2.Stats(); st.Dropped != 0 || st.Entries != 1+later {
+		t.Fatalf("reopened stats = %+v, want a clean segment of %d entries", st, 1+later)
 	}
 }
 

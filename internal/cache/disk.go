@@ -10,7 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"syscall"
+
+	"repro/internal/linelog"
 )
 
 // The persistent layer is an append-only segment log:
@@ -210,7 +211,12 @@ func (d *diskLog) put(k Key, v float64) error {
 	copy(rec[:32], k[:])
 	binary.LittleEndian.PutUint64(rec[32:40], math.Float64bits(v))
 	binary.LittleEndian.PutUint32(rec[40:44], crc32.ChecksumIEEE(rec[:40]))
-	if _, err := d.active.Write(rec[:]); err != nil {
+	// Written at the offset the index is about to record, and trimmed
+	// back on failure: a torn record can never shift the ones after it
+	// off the fixed-size grid scanSegment walks.
+	w := linelog.WrapWriter(d.active.Name(), io.NewOffsetWriter(d.active, d.activeSize))
+	if _, err := w.Write(rec[:]); err != nil {
+		d.active.Truncate(d.activeSize)
 		return fmt.Errorf("cache: append segment: %w", err)
 	}
 	d.index[k] = recordLoc{seg: d.activeSeg, off: d.activeSize}
@@ -250,7 +256,7 @@ func (d *diskLog) rotate() error {
 		}
 		// Make the segment's directory entry durable before any record
 		// lands in it — the same discipline the checkpoint writer uses.
-		if err := syncDir(d.dir); err != nil {
+		if err := linelog.SyncDir(d.dir); err != nil {
 			f.Close()
 			return fmt.Errorf("cache: sync cache dir: %w", err)
 		}
@@ -292,22 +298,4 @@ func (d *diskLog) closeReaders() error {
 		delete(d.readers, n)
 	}
 	return first
-}
-
-// syncDir fsyncs a directory so a just-created file's entry is
-// durable. Filesystems that cannot sync directories report
-// EINVAL/ENOTSUP; those fall back to crash-only durability.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
-		return nil
-	}
-	return err
 }

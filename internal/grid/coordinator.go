@@ -626,18 +626,8 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 	}
 
 	errs := make([]error, len(hits))
-	if j.cp != nil {
-		for i, h := range hits {
-			h := h
-			errs[i] = func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("grid: task %s: checkpoint write panicked: %v", h.st.task.ID(), r)
-					}
-				}()
-				return j.cp.Record(h.st.task, h.vals, 0)
-			}()
-		}
+	for i, h := range hits {
+		errs[i] = recordTask(j.cp, h.st.task, h.vals, 0)
 	}
 
 	c.mu.Lock()
@@ -665,6 +655,23 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 		c.broadcastLocked(j)
 	}
 	c.checkDrainedLocked()
+}
+
+// recordTask journals one finished task through cp (nil: an in-memory
+// job, nothing to write). Callers run it outside the coordinator lock
+// with the task marked recording, so a panicking write comes back as an
+// error: it must not leak recording=true and strand the task (the HTTP
+// handler would otherwise swallow the panic).
+func recordTask(cp *job.Checkpoint, t job.Task, vals []float64, elapsed time.Duration) (err error) {
+	if cp == nil {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("grid: task %s: checkpoint write panicked: %v", t.ID(), r)
+		}
+	}()
+	return cp.Record(t, vals, elapsed)
 }
 
 // Close releases every job's checkpoint handle and the WAL.
@@ -1027,20 +1034,7 @@ func (c *Coordinator) Ingest(ctx context.Context, id string, up ResultUpload) (R
 	cp, task := j.cp, st.task
 	c.mu.Unlock()
 
-	// The journalling runs unlocked; recover any panic so a wedged
-	// write can never leak recording=true and permanently strand the
-	// task (the handler would otherwise swallow the panic).
-	recErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("grid: task %s: checkpoint write panicked: %v", task.ID(), r)
-			}
-		}()
-		if cp == nil {
-			return nil
-		}
-		return cp.Record(task, up.Values, time.Duration(up.ElapsedMS)*time.Millisecond)
-	}()
+	recErr := recordTask(cp, task, up.Values, time.Duration(up.ElapsedMS)*time.Millisecond)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1294,10 +1288,18 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", c.handleListJobs)
 	mux.HandleFunc("POST /v1/jobs", c.authed(c.handleCreateJob))
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleGetJob)
-	mux.HandleFunc("POST /v1/jobs/{id}/lease", c.authed(c.handleLease))
-	mux.HandleFunc("POST /v1/lease", c.authed(c.handleLeaseAny))
-	mux.HandleFunc("POST /v1/jobs/{id}/heartbeat", c.authed(c.handleHeartbeat))
-	mux.HandleFunc("POST /v1/jobs/{id}/results", c.authed(c.handleUpload))
+	mux.HandleFunc("POST /v1/jobs/{id}/lease", c.authed(jsonCall(c, func(r *http.Request, req LeaseRequest) (LeaseResponse, error) {
+		return c.Lease(r.Context(), r.PathValue("id"), req.Worker, req.MaxTasks)
+	})))
+	mux.HandleFunc("POST /v1/lease", c.authed(jsonCall(c, func(r *http.Request, req LeaseRequest) (GlobalLeaseResponse, error) {
+		return c.LeaseAny(r.Context(), req.Worker, req.MaxTasks)
+	})))
+	mux.HandleFunc("POST /v1/jobs/{id}/heartbeat", c.authed(jsonCall(c, func(r *http.Request, req HeartbeatRequest) (HeartbeatResponse, error) {
+		return c.Heartbeat(r.Context(), r.PathValue("id"), req)
+	})))
+	mux.HandleFunc("POST /v1/jobs/{id}/results", c.authed(jsonCall(c, func(r *http.Request, up ResultUpload) (ResultAck, error) {
+		return c.Ingest(r.Context(), r.PathValue("id"), up)
+	})))
 	mux.HandleFunc("GET /v1/jobs/{id}/results", c.handleResults)
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", c.handleProgress)
 	mux.HandleFunc("GET /v1/cache", c.handleCacheStats)
@@ -1574,56 +1576,22 @@ func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, detail)
 }
 
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !c.readBody(w, r, &req) {
-		return
+// jsonCall adapts one typed coordinator call to HTTP: decode the JSON
+// body (readBody answers its own failures), make the call, answer the
+// result or the error.
+func jsonCall[Req, Resp any](c *Coordinator, call func(r *http.Request, req Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !c.readBody(w, r, &req) {
+			return
+		}
+		resp, err := call(r, req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp, err := c.Lease(r.Context(), r.PathValue("id"), req.Worker, req.MaxTasks)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleLeaseAny(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !c.readBody(w, r, &req) {
-		return
-	}
-	resp, err := c.LeaseAny(r.Context(), req.Worker, req.MaxTasks)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !c.readBody(w, r, &req) {
-		return
-	}
-	resp, err := c.Heartbeat(r.Context(), r.PathValue("id"), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
-	var up ResultUpload
-	if !c.readBody(w, r, &up) {
-		return
-	}
-	ack, err := c.Ingest(r.Context(), r.PathValue("id"), up)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
 }
 
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ package grid
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,10 +17,13 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/gridobs"
+	"repro/internal/linelog"
 	"repro/internal/obs"
 )
 
@@ -110,6 +114,50 @@ func TestTraceCollectorRestartTruncatesTornTail(t *testing.T) {
 	}
 	if want := []byte("one\ntwo\nthree\n"); !bytes.Equal(got, want) {
 		t.Fatalf("collected journal after restart = %q, want %q", got, want)
+	}
+}
+
+// TestTraceCollectorFaultedAppend: a chunk whose append meets a full or
+// tearing disk is refused with the typed write error and the acked
+// offset stays put, so the shipper's re-send converges on a verbatim
+// copy of the worker's journal.
+func TestTraceCollectorFaultedAppend(t *testing.T) {
+	journal := []byte("alpha\nbravo\ncharlie\ndelta\n") // the worker's local file
+	for _, tc := range []struct {
+		name        string
+		short, fail float64
+		cause       error
+	}{
+		{"enospc", 0, 1, syscall.ENOSPC},
+		{"short", 1, 0, io.ErrShortWrite},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := newTraceCollector(t.TempDir(), nil)
+			defer col.Close()
+			if _, _, _, err := col.append("", "w1", 0, journal[:12]); err != nil {
+				t.Fatal(err)
+			}
+			path := col.paths("")[0]
+
+			restore := linelog.SetWriterSeam(chaos.NewFileFaults(5, tc.short, tc.fail, "trace-w1").Wrap)
+			_, _, _, err := col.append("", "w1", 12, journal[12:])
+			restore()
+			var werr *linelog.WriteError
+			if !errors.As(err, &werr) || werr.Path != path || werr.Op != "append" || !errors.Is(err, tc.cause) {
+				t.Fatalf("faulted chunk: err = %v, want *linelog.WriteError{Path: %s, Op: append} wrapping %v", err, path, tc.cause)
+			}
+			if ack, _, _, err := col.append("", "w1", 12, nil); err != nil || ack.Have != 12 {
+				t.Fatalf("probe after the fault: ack %+v, %v; want Have still 12", ack, err)
+			}
+
+			ack, spans, _, err := col.append("", "w1", 12, journal[12:])
+			if err != nil || ack.Have != int64(len(journal)) || ack.Accepted != int64(len(journal)-12) || spans != 2 {
+				t.Fatalf("re-sent chunk: ack %+v spans %d, %v", ack, spans, err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, journal) {
+				t.Fatalf("collected journal = %q, want the worker's %q", got, journal)
+			}
+		})
 	}
 }
 

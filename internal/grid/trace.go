@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"repro/internal/gridobs"
+	"repro/internal/linelog"
 	"repro/internal/obs"
 )
 
@@ -180,8 +181,7 @@ type traceKey struct{ job, writer string }
 type traceJournal struct {
 	job    string // "" = fleet scope
 	writer string
-	path   string
-	size   int64 // collected bytes == the uploader's acked offset
+	log    *linelog.Log // its Size is the uploader's acked offset
 }
 
 // traceCollector owns the coordinator's collected journals: one
@@ -246,12 +246,10 @@ func (tc *traceCollector) rootLocked() (string, error) {
 	return tc.root, nil
 }
 
-// journalLocked returns (creating if needed) the collected journal for
-// one (job, writer) stream. On first open of a pre-existing file —
-// coordinator restart — the file is truncated back to its last
-// newline: a crash mid-append could have left a torn tail, and the
-// offset protocol needs the collected size to sit on a record
-// boundary of the worker's journal.
+// journalLocked returns (opening if needed) the collected journal for
+// one (job, writer) stream. linelog's open-time trim is what the offset
+// protocol needs after a coordinator restart: the collected size sits
+// on a record boundary of the worker's journal.
 func (tc *traceCollector) journalLocked(job, writer string) (*traceJournal, error) {
 	key := traceKey{job, writer}
 	if j := tc.journals[key]; j != nil {
@@ -265,61 +263,17 @@ func (tc *traceCollector) journalLocked(job, writer string) (*traceJournal, erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := obs.JournalPath(dir, writer)
-	size, err := truncateToNewline(path)
+	log, err := linelog.Open(obs.JournalPath(dir, writer))
 	if err != nil {
 		return nil, err
 	}
-	j := &traceJournal{job: job, writer: writer, path: path, size: size}
+	j := &traceJournal{job: job, writer: writer, log: log}
 	tc.journals[key] = j
 	return j, nil
 }
 
-// truncateToNewline trims path back to just past its last '\n' and
-// returns the resulting size; a missing file is size 0.
-func truncateToNewline(path string) (int64, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	size := info.Size()
-	buf := make([]byte, 64<<10)
-	var last int64 = -1 // position of the last '\n'
-	var off int64
-	for off < size {
-		n, err := f.ReadAt(buf, off)
-		if n > 0 {
-			if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
-				last = off + int64(i)
-			}
-			off += int64(n)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	keep := last + 1
-	if keep < size {
-		if err := f.Truncate(keep); err != nil {
-			return 0, err
-		}
-	}
-	return keep, nil
-}
-
 // append ingests one upload chunk idempotently: only bytes past the
-// collected size are written (verbatim, synced), so replays and
+// collected size are written (verbatim, durably), so replays and
 // overlaps never duplicate or tear a record. Returns the ack plus the
 // appended byte/span counts for metrics.
 func (tc *traceCollector) append(job, writer string, offset int64, data []byte) (ack TraceAck, spans int64, dup bool, err error) {
@@ -329,7 +283,7 @@ func (tc *traceCollector) append(job, writer string, offset int64, data []byte) 
 	if err != nil {
 		return TraceAck{}, 0, false, err
 	}
-	have := j.size
+	have := j.log.Size()
 	switch {
 	case offset > have:
 		// Gap: the client is ahead of us (collected bytes were lost to
@@ -340,31 +294,11 @@ func (tc *traceCollector) append(job, writer string, offset int64, data []byte) 
 		return TraceAck{Have: have, Duplicate: true}, 0, len(data) > 0, nil
 	}
 	app := data[have-offset:]
-	if err := appendFile(j.path, app); err != nil {
+	if err := j.log.Append(app, true); err != nil {
 		return TraceAck{}, 0, false, err
 	}
-	j.size += int64(len(app))
-	return TraceAck{Have: j.size, Accepted: int64(len(app)), Duplicate: offset < have},
+	return TraceAck{Have: j.log.Size(), Accepted: int64(len(app)), Duplicate: offset < have},
 		int64(bytes.Count(app, []byte{'\n'})), offset < have, nil
-}
-
-// appendFile appends data to path with an fsync — chunks are
-// infrequent (seconds apart per worker), so open/write/sync/close per
-// chunk keeps the collected copy as crash-tolerant as the original.
-func appendFile(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func (tc *traceCollector) setSnapshot(writer string, s gridobs.WorkerSnapshot) {
@@ -389,7 +323,7 @@ func (tc *traceCollector) journalCount() int {
 	defer tc.mu.Unlock()
 	n := 0
 	for _, j := range tc.journals {
-		if j.size > 0 {
+		if j.log.Size() > 0 {
 			n++
 		}
 	}
@@ -398,12 +332,12 @@ func (tc *traceCollector) journalCount() int {
 
 // pathsLocked lists the collected journal files for one scope ("" =
 // every scope), sorted for deterministic merges. Streams that only
-// ever sent stats probes have no file yet and are skipped.
+// ever sent stats probes have an empty file and are skipped.
 func (tc *traceCollector) pathsLocked(job string) []string {
 	var paths []string
 	for _, j := range tc.journals {
-		if j.size > 0 && (job == "" || j.job == job) {
-			paths = append(paths, j.path)
+		if j.log.Size() > 0 && (job == "" || j.job == job) {
+			paths = append(paths, j.log.Path())
 		}
 	}
 	sort.Strings(paths)
@@ -442,7 +376,7 @@ func (tc *traceCollector) bytesLocked(job string) int64 {
 	var total int64
 	for _, j := range tc.journals {
 		if job == "" || j.job == job {
-			total += j.size
+			total += j.log.Size()
 		}
 	}
 	return total
@@ -475,16 +409,25 @@ func (tc *traceCollector) digest(job string) (*obs.Analysis, int, error) {
 	return a, len(paths), nil
 }
 
-// Close removes the lazily created temp root, if any.
+// Close closes the collected journals and removes the lazily created
+// temp root, if any.
 func (tc *traceCollector) Close() error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if tc.temp && tc.root != "" {
-		err := os.RemoveAll(tc.root)
-		tc.root, tc.temp = "", false
-		return err
+	var first error
+	for key, j := range tc.journals {
+		if err := j.log.Close(); err != nil && first == nil {
+			first = err
+		}
+		delete(tc.journals, key)
 	}
-	return nil
+	if tc.temp && tc.root != "" {
+		if err := os.RemoveAll(tc.root); err != nil && first == nil {
+			first = err
+		}
+		tc.root, tc.temp = "", false
+	}
+	return first
 }
 
 // --- Handlers ---

@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
-	"repro/internal/job"
+	"repro/internal/linelog"
 )
 
 // The coordinator WAL journals every scheduling decision that the
@@ -21,14 +19,11 @@ import (
 // fair-scheduling deficits after a kill -9 — the checkpoint makes
 // results durable, the WAL makes the *scheduler* durable.
 //
-// Format: one JSON line per record, `{"crc":<ieee>,"rec":{...}}`, the
-// CRC32 taken over the raw rec bytes — the same torn-tail discipline
-// as the cache segment log. A record with a bad CRC is skipped; an
-// unterminated tail (torn final write) is truncated away on open so
-// appends always start on a clean line. Records are plain appends with
-// no fsync on the hot path: a kill -9 loses nothing that was write()n
-// (the page cache survives process death), and verdict-grade records
-// (quarantine, verify) are fsynced so they also survive power loss.
+// Format: a linelog.Log of JSON lines `{"crc":<ieee>,"rec":{...}}`, the
+// CRC32 taken over the raw rec bytes; replay skips and counts a line
+// whose CRC fails. Only verdict-grade records (quarantine, verify) are
+// appended durably: the rest must survive a kill -9, which a plain
+// write does, not power loss.
 const walFileName = "coordinator.wal"
 
 // walRecord event types.
@@ -56,40 +51,27 @@ type walLine struct {
 	Rec json.RawMessage `json:"rec"`
 }
 
-type wal struct {
-	path string
-	mu   sync.Mutex
-	f    *os.File
-	off  int64 // durable end of the file
-}
+type wal struct{ log *linelog.Log }
 
-// openWAL opens (creating if absent) dir's WAL, replays every intact
-// record, truncates any torn tail, and returns the handle positioned
-// for appending. skipped counts complete-but-corrupt lines left in
-// place (their CRC failed; appends after them are safe).
+// openWAL opens (creating if absent) dir's WAL and replays every intact
+// record. skipped counts corrupt lines left in place (their CRC failed;
+// appends after them are safe).
 func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("grid: wal dir: %w", err)
 	}
-	path := filepath.Join(dir, walFileName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	log, err := linelog.Open(filepath.Join(dir, walFileName))
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("grid: open wal: %w", err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := os.ReadFile(log.Path())
 	if err != nil {
-		f.Close()
+		log.Close()
 		return nil, nil, 0, fmt.Errorf("grid: read wal: %w", err)
 	}
-	var goodEnd int64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // unterminated torn tail: truncated below
-		}
-		line := data[off : off+nl]
-		off += nl + 1
-		goodEnd = int64(off)
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte("\n"))
 		var l walLine
 		var rec walRecord
 		if json.Unmarshal(line, &l) != nil ||
@@ -100,25 +82,10 @@ func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 		}
 		recs = append(recs, rec)
 	}
-	if goodEnd < int64(len(data)) {
-		if err := f.Truncate(goodEnd); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("grid: truncate torn wal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(goodEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("grid: seek wal: %w", err)
-	}
-	return &wal{path: path, f: f, off: goodEnd}, recs, skipped, nil
+	return &wal{log}, recs, skipped, nil
 }
 
-// append journals recs as one write (all-or-nothing for the batch up
-// to a torn tail, which replay tolerates). sync additionally fsyncs —
-// used for verdict-grade records (quarantine, verify) that must
-// survive power loss, not just kill -9. Write failures surface as
-// job.WriteError with path and offset, and the torn tail is trimmed so
-// the next append starts clean.
+// append journals recs as one write, durably when sync is set.
 func (w *wal) append(sync bool, recs ...walRecord) error {
 	var buf []byte
 	for _, r := range recs {
@@ -133,30 +100,7 @@ func (w *wal) append(sync bool, recs ...walRecord) error {
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n, err := job.WrapWriter(w.path, w.f).Write(buf)
-	if err == nil && n < len(buf) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		werr := &job.WriteError{Path: w.path, Off: w.off + int64(n), Op: "append wal", Err: err}
-		if w.f.Truncate(w.off) == nil {
-			w.f.Seek(w.off, io.SeekStart)
-		}
-		return werr
-	}
-	w.off += int64(n)
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			return &job.WriteError{Path: w.path, Off: w.off, Op: "sync wal", Err: err}
-		}
-	}
-	return nil
+	return w.log.Append(buf, sync)
 }
 
-func (w *wal) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
+func (w *wal) Close() error { return w.log.Close() }

@@ -132,8 +132,8 @@ func TestWALWriteErrorTyped(t *testing.T) {
 	if !errors.As(err, &werr) {
 		t.Fatalf("append under disk-full: err = %v, want *job.WriteError", err)
 	}
-	if werr.Path != filepath.Join(dir, walFileName) || werr.Op != "append wal" || werr.Off <= 0 {
-		t.Fatalf("WriteError = %+v, want wal path, op \"append wal\", positive offset", werr)
+	if werr.Path != filepath.Join(dir, walFileName) || werr.Op != "append" || werr.Off <= 0 {
+		t.Fatalf("WriteError = %+v, want wal path, op \"append\", positive offset", werr)
 	}
 	if !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("err = %v, want ENOSPC via chaos.ErrInjected", err)

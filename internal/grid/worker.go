@@ -121,54 +121,77 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if jobID == "" {
-		return workAny(ctx, client, baseURL, name, opts, logf)
+	leaseURL := apiURL(baseURL, "lease")
+	if jobID != "" {
+		leaseURL = apiURL(baseURL, "jobs", jobID, "lease")
 	}
 
 	rc := &reconnector{window: opts.Reconnect}
-	var spec job.Spec
-	for {
-		detail, err := GetJob(ctx, client, baseURL, jobID)
-		if err != nil {
-			if rc.tolerate(err) {
-				logf("worker %s: coordinator unreachable (%v), waiting to reconnect", name, err)
-				if err := sleepPoll(ctx, opts); err != nil {
-					return err
-				}
-				continue
-			}
+	// rideOut waits out a failure worth tolerating (nil: go round again)
+	// and hands back one that is not.
+	rideOut := func(what string, err error) error {
+		if !rc.tolerate(err) {
 			return err
+		}
+		logf("worker %s: %s (%v), waiting to reconnect", name, what, err)
+		return sleepPoll(ctx, opts)
+	}
+	// join returns id's spec, fetched the first time the worker serves
+	// the job. ok is false after a ridden-out outage.
+	specs := map[string]job.Spec{}
+	join := func(id string) (spec job.Spec, ok bool, err error) {
+		if spec, ok = specs[id]; ok {
+			return spec, true, nil
+		}
+		detail, err := GetJob(ctx, client, baseURL, id)
+		if err != nil {
+			return spec, false, rideOut("coordinator unreachable", err)
 		}
 		if spec, err = job.DecodeSpec(detail.Spec); err != nil {
-			return err
+			return spec, false, err
 		}
 		rc.ok()
-		break
+		specs[id] = spec
+		logf("worker %s: joined job %s (%s domain, %d points)", name, id, spec.Domain.Name(), len(spec.Points))
+		return spec, true, nil
 	}
-	logf("worker %s: joined job %s (%s domain, %d points)", name, jobID, spec.Domain.Name(), len(spec.Points))
 
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var lease LeaseResponse
+		if jobID != "" {
+			// A job-bound worker joins before its first lease.
+			if _, ok, err := join(jobID); err != nil {
+				return err
+			} else if !ok {
+				continue
+			}
+		}
+		// Both lease endpoints answer into one shape: the job-bound one
+		// leaves Job empty and reports Complete, the global one names the
+		// job the scheduler picked and reports AllComplete.
+		var lease struct {
+			GlobalLeaseResponse
+			Complete bool `json:"complete"`
+		}
 		var info callInfo
 		leaseSpan := opts.Trace.Start(0, "lease")
-		err := postJSONInfo(ctx, client, apiURL(baseURL, "jobs", jobID, "lease"),
+		err := postJSONInfo(ctx, client, leaseURL,
 			LeaseRequest{Worker: name, MaxTasks: opts.TasksPerLease}, &lease, &info)
 		if err != nil {
 			leaseSpan.Drop()
-			if rc.tolerate(err) {
-				logf("worker %s: coordinator unreachable (%v), waiting to reconnect", name, err)
-				if err := sleepPoll(ctx, opts); err != nil {
-					return err
-				}
-				continue
+			if err = rideOut("coordinator unreachable", err); err != nil {
+				return err
 			}
-			return err
+			continue
 		}
 		rc.ok()
-		leaseSpan.Str("rid", info.requestID).Str("job", jobID).
+		id := jobID
+		if id == "" {
+			id = lease.Job
+		}
+		leaseSpan.Str("rid", info.requestID).Str("job", id).
 			Int("granted", int64(len(lease.Tasks))).End()
 		opts.Metrics.ObserveLease(len(lease.Tasks))
 		if lease.Draining {
@@ -180,26 +203,30 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 				logf("worker %s: job %s complete", name, jobID)
 				return nil
 			}
-			// Everything pending is leased to other workers; wait for
-			// either completion or an expiry to free tasks up.
-			select {
-			case <-time.After(opts.poll()):
-			case <-ctx.Done():
-				return ctx.Err()
+			if lease.AllComplete {
+				logf("worker %s: all jobs complete", name)
+				return nil
+			}
+			// No jobs yet, or everything pending is leased to other
+			// workers; wait for completion or an expiry to free tasks up.
+			if err := sleepPoll(ctx, opts); err != nil {
+				return err
 			}
 			continue
 		}
-		if err := runLease(ctx, client, baseURL, jobID, name, spec, lease, opts, logf); err != nil {
-			if rc.tolerate(err) {
-				// The batch's uploads died mid-outage; the leases expire
-				// and re-queue, so just go back to pulling.
-				logf("worker %s: lease batch failed (%v), waiting to reconnect", name, err)
-				if err := sleepPoll(ctx, opts); err != nil {
-					return err
-				}
-				continue
-			}
+		spec, ok, err := join(id)
+		if err != nil {
 			return err
+		} else if !ok {
+			continue
+		}
+		if err := runLease(ctx, client, baseURL, id, name, spec, lease.Tasks, opts, logf); err != nil {
+			// The batch's uploads died mid-outage; the leases expire and
+			// re-queue, so just go back to pulling.
+			if err = rideOut("lease batch failed", err); err != nil {
+				return err
+			}
+			continue
 		}
 		rc.ok()
 	}
@@ -241,98 +268,17 @@ func sleepPoll(ctx context.Context, opts WorkerOptions) error {
 	}
 }
 
-// workAny is the multi-job worker loop: lease from the global endpoint,
-// lazily fetch and cache each job's spec the first time the scheduler
-// routes a batch from it, and keep pulling until every job is done.
-func workAny(ctx context.Context, client *http.Client, baseURL, name string, opts WorkerOptions, logf func(string, ...any)) error {
-	specs := map[string]job.Spec{}
-	rc := &reconnector{window: opts.Reconnect}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var lease GlobalLeaseResponse
-		var info callInfo
-		leaseSpan := opts.Trace.Start(0, "lease")
-		err := postJSONInfo(ctx, client, apiURL(baseURL, "lease"),
-			LeaseRequest{Worker: name, MaxTasks: opts.TasksPerLease}, &lease, &info)
-		if err != nil {
-			leaseSpan.Drop()
-			if rc.tolerate(err) {
-				logf("worker %s: coordinator unreachable (%v), waiting to reconnect", name, err)
-				if err := sleepPoll(ctx, opts); err != nil {
-					return err
-				}
-				continue
-			}
-			return err
-		}
-		rc.ok()
-		leaseSpan.Str("rid", info.requestID).Str("job", lease.Job).
-			Int("granted", int64(len(lease.Tasks))).End()
-		opts.Metrics.ObserveLease(len(lease.Tasks))
-		if lease.Draining {
-			logf("worker %s: coordinator draining, exiting", name)
-			return nil
-		}
-		if len(lease.Tasks) == 0 {
-			if lease.AllComplete {
-				logf("worker %s: all jobs complete", name)
-				return nil
-			}
-			// No jobs yet, or everything pending is leased elsewhere.
-			select {
-			case <-time.After(opts.poll()):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			continue
-		}
-		spec, ok := specs[lease.Job]
-		if !ok {
-			detail, err := GetJob(ctx, client, baseURL, lease.Job)
-			if err != nil {
-				if rc.tolerate(err) {
-					logf("worker %s: coordinator unreachable (%v), waiting to reconnect", name, err)
-					if err := sleepPoll(ctx, opts); err != nil {
-						return err
-					}
-					continue
-				}
-				return err
-			}
-			if spec, err = job.DecodeSpec(detail.Spec); err != nil {
-				return err
-			}
-			specs[lease.Job] = spec
-			logf("worker %s: joined job %s (%s domain, %d points)", name, lease.Job, spec.Domain.Name(), len(spec.Points))
-		}
-		if err := runLease(ctx, client, baseURL, lease.Job, name, spec,
-			LeaseResponse{Tasks: lease.Tasks}, opts, logf); err != nil {
-			if rc.tolerate(err) {
-				logf("worker %s: lease batch failed (%v), waiting to reconnect", name, err)
-				if err := sleepPoll(ctx, opts); err != nil {
-					return err
-				}
-				continue
-			}
-			return err
-		}
-		rc.ok()
-	}
-}
-
 // runLease executes one lease batch: a heartbeat goroutine keeps the
 // outstanding leases alive while job.ExecTasks computes them, and an
 // uploader goroutine posts each result as it lands, so the simulator
 // never waits for an ack — task n+1 computes while task n's upload is
 // in flight. A task leaves the heartbeat set only on its ack. The first
 // upload error stops the batch and is what runLease returns.
-func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name string, spec job.Spec, lease LeaseResponse, opts WorkerOptions, logf func(string, ...any)) error {
-	tasks := make([]job.Task, len(lease.Tasks))
+func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name string, spec job.Spec, granted []LeaseTask, opts WorkerOptions, logf func(string, ...any)) error {
+	tasks := make([]job.Task, len(granted))
 	ttl := DefaultLeaseTTL
-	held := make(map[string]bool, len(lease.Tasks))
-	for i, lt := range lease.Tasks {
+	held := make(map[string]bool, len(granted))
+	for i, lt := range granted {
 		tasks[i] = job.Task{Measure: lt.Measure, Lo: lt.Lo, Hi: lt.Hi}
 		held[lt.Task] = true
 		if ms := time.Duration(lt.TTLMS) * time.Millisecond; ms > 0 {

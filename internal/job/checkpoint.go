@@ -3,76 +3,30 @@ package job
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dsa"
+	"repro/internal/linelog"
 )
 
-// WriteError is the typed failure of a durable write (checkpoint
-// manifest append, atomic spec file, grid WAL append): it names the
-// file and the byte offset of the first unwritten byte, so disk-full
-// and short-write conditions are actionable from a log line instead of
-// a generic wrap. Unwrap exposes the cause (syscall.ENOSPC,
-// io.ErrShortWrite, ...) for errors.Is.
-type WriteError struct {
-	Path string // file being written
-	Off  int64  // offset of the first byte NOT durably written
-	Op   string // what was being attempted ("append manifest", "sync wal", ...)
-	Err  error
-}
+// WriteError, SetWriterSeam and WrapWriter live in internal/linelog with
+// the rest of the durable-write machinery; these forwarders keep the
+// names the chaos harness and the perf ledger install their seams by.
+type WriteError = linelog.WriteError
 
-func (e *WriteError) Error() string {
-	return fmt.Sprintf("job: %s %s at offset %d: %v", e.Op, e.Path, e.Off, e.Err)
-}
-
-func (e *WriteError) Unwrap() error { return e.Err }
-
-// The writer seam lets the chaos harness (internal/chaos.FileFaults)
-// interpose failing writers on every durable write — checkpoint
-// manifests, spec.json, and the grid coordinator's WAL — without the
-// production code knowing. nil seam = writes untouched.
-var (
-	seamMu sync.RWMutex
-	seamFn func(path string, w io.Writer) io.Writer
-)
-
-// SetWriterSeam installs fn as the durable-write interposer and
-// returns a restore func. Tests install fault schedules here; passing
-// nil removes the seam.
+// SetWriterSeam is linelog.SetWriterSeam.
 func SetWriterSeam(fn func(path string, w io.Writer) io.Writer) (restore func()) {
-	seamMu.Lock()
-	prev := seamFn
-	seamFn = fn
-	seamMu.Unlock()
-	return func() {
-		seamMu.Lock()
-		seamFn = prev
-		seamMu.Unlock()
-	}
+	return linelog.SetWriterSeam(fn)
 }
 
-// WrapWriter routes one durable write for path through the installed
-// seam. Exported so the grid WAL (internal/grid) shares the same
-// fault-injection point as the checkpoint writers.
-func WrapWriter(path string, w io.Writer) io.Writer {
-	seamMu.RLock()
-	fn := seamFn
-	seamMu.RUnlock()
-	if fn == nil {
-		return w
-	}
-	return fn(path, w)
-}
+// WrapWriter is linelog.WrapWriter.
+func WrapWriter(path string, w io.Writer) io.Writer { return linelog.WrapWriter(path, w) }
 
 // Checkpoint layout under one directory:
 //
@@ -89,12 +43,11 @@ func WrapWriter(path string, w io.Writer) io.Writer {
 //	                               and loading always merges every
 //	                               manifest-*.jsonl present
 //
-// A line counts once it is fsynced, and one fsync covers every line
-// appended before it started: concurrent recorders share the barrier
-// (group commit) instead of paying one each. A crash can lose at most
-// the in-flight tasks: a torn line makes that task re-run, never
-// mis-merge. Shard processes on different machines use separate dirs
-// and the manifests are simply copied together for the merge.
+// Each manifest is a linelog.Log and every append to it is durable, so
+// a crash can lose at most the in-flight tasks: a torn line makes that
+// task re-run, never mis-merge. Shard processes on different machines
+// use separate dirs and the manifests are simply copied together for
+// the merge.
 
 const specFileName = "spec.json"
 
@@ -230,13 +183,8 @@ type manifestEntry struct {
 
 // Checkpoint is one process's open handle on a checkpoint directory.
 type Checkpoint struct {
-	manifest     *os.File
-	manifestPath string
-	mu           sync.Mutex           // serialises appends
-	off          atomic.Int64         // end of the manifest: everything before it is whole lines (written under mu)
-	syncMu       sync.Mutex           // held across one fsync
-	synced       int64                // prefix of the manifest known durable (under syncMu)
-	completed    map[string][]float64 // restored at open
+	manifest  *linelog.Log
+	completed map[string][]float64 // restored at open
 }
 
 // openCheckpoint prepares dir for (spec, shard shardIndex of shards):
@@ -290,35 +238,11 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*Checkpoin
 	if err != nil {
 		return nil, err
 	}
-	mfPath := filepath.Join(dir, manifestName)
-	mf, err := os.OpenFile(mfPath, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	manifest, err := linelog.Open(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("job: open manifest: %w", err)
 	}
-	st, err := mf.Stat()
-	if err != nil {
-		mf.Close()
-		return nil, fmt.Errorf("job: stat manifest: %w", err)
-	}
-	// What an earlier process appended, it synced or lost.
-	c := &Checkpoint{manifest: mf, manifestPath: mfPath, synced: st.Size(), completed: completed}
-	c.off.Store(st.Size())
-	var last [1]byte
-	if st.Size() == 0 {
-		// A new manifest: its directory entry is synced once, here.
-		if err = syncDir(dir); err != nil {
-			err = &WriteError{Path: mfPath, Op: "sync dir of", Err: err}
-		}
-	} else if _, err = mf.ReadAt(last[:], st.Size()-1); err == nil && last[0] != '\n' {
-		// A tail torn by a crash mid-append: close it with a newline so
-		// the next line cannot fuse with it.
-		err = c.append([]byte("\n"))
-	}
-	if err != nil {
-		mf.Close()
-		return nil, err
-	}
-	return c, nil
+	return &Checkpoint{manifest: manifest, completed: completed}, nil
 }
 
 // OpenCheckpoint opens (or creates) dir for spec, writing or verifying
@@ -341,7 +265,7 @@ func (c *Checkpoint) Completed() map[string][]float64 { return c.completed }
 // is durable, so a crash right after Record loses nothing. Safe for
 // concurrent use; concurrent calls share fsyncs.
 func (c *Checkpoint) Record(t Task, values []float64, elapsed time.Duration) error {
-	return c.append(append(mustJSON(manifestEntry{Task: t.ID(), Values: values, ElapsedMS: elapsed.Milliseconds()}), '\n'))
+	return c.manifest.Append(append(mustJSON(manifestEntry{Task: t.ID(), Values: values, ElapsedMS: elapsed.Milliseconds()}), '\n'), true)
 }
 
 // Close closes the manifest. Record must not be called after Close.
@@ -355,58 +279,13 @@ func (c *Checkpoint) Close() error { return c.manifest.Close() }
 // completed". A later Record of the task lands after the tombstone and
 // counts again.
 func (c *Checkpoint) Invalidate(t Task) error {
-	return c.append(append(mustJSON(manifestEntry{Task: t.ID(), Dead: true}), '\n'))
-}
-
-// append writes line at the end of the manifest and makes it durable.
-// The write is serialised; the fsync is shared: whoever holds syncMu
-// syncs everything appended so far, and a caller that finds its bytes
-// inside an fsync that started after its write returns without a
-// second one.
-func (c *Checkpoint) append(line []byte) error {
-	end, err := c.write(line)
-	if err != nil {
-		return err
-	}
-	c.syncMu.Lock()
-	defer c.syncMu.Unlock()
-	if c.synced >= end {
-		return nil
-	}
-	covered := c.off.Load()
-	if err := c.manifest.Sync(); err != nil {
-		return &WriteError{Path: c.manifestPath, Off: c.synced, Op: "sync manifest", Err: err}
-	}
-	c.synced = covered
-	return nil
-}
-
-// write appends line under the append lock and returns the new end.
-func (c *Checkpoint) write(line []byte) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	off := c.off.Load()
-	n, err := WrapWriter(c.manifestPath, c.manifest).Write(line)
-	if err == nil && n < len(line) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		// Trim the torn tail so the next append (O_APPEND, so it lands
-		// at the new end) starts on a clean line. The lock makes the
-		// torn bytes the file's last, so lines other callers appended
-		// earlier — synced yet or not — are untouched. If the truncate
-		// itself fails the torn bytes stay and only the line fused with
-		// them is lost to a later restore.
-		c.manifest.Truncate(off)
-		return 0, &WriteError{Path: c.manifestPath, Off: off + int64(n), Op: "append manifest", Err: err}
-	}
-	return c.off.Add(int64(n)), nil
+	return c.manifest.Append(append(mustJSON(manifestEntry{Task: t.ID(), Dead: true}), '\n'), true)
 }
 
 // readCompleted merges every manifest in dir into task-ID → values.
 // Lines apply in order: the first live entry of a task wins (a
 // re-recorded task carries the same values by determinism), a tombstone
-// cancels what precedes it. Lines that are torn or inconsistent with
+// cancels what precedes it. Lines that are corrupt or inconsistent with
 // the spec's task list are skipped — the engine just re-runs those
 // tasks — so a crash mid-write can never corrupt a resumed sweep.
 func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
@@ -427,8 +306,11 @@ func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job: read manifest: %w", err)
 		}
-		for len(raw) > 0 {
-			line, rest, _ := bytes.Cut(raw, []byte("\n"))
+		for {
+			line, rest, whole := bytes.Cut(raw, []byte("\n"))
+			if !whole {
+				break // linelog's rule: no '\n', no record
+			}
 			applyManifestLine(out, valid, line)
 			raw = rest
 		}
@@ -442,7 +324,7 @@ func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 func applyManifestLine(out map[string][]float64, valid map[string]Task, line []byte) {
 	var e manifestEntry
 	if json.Unmarshal(line, &e) != nil {
-		return // torn write from a crash
+		return // corrupt line
 	}
 	t, ok := valid[e.Task]
 	switch {
@@ -515,7 +397,7 @@ func writeFileAtomic(path string, data []byte) error {
 		}
 	}
 	if werr == nil {
-		if werr = syncDir(filepath.Dir(path)); werr != nil {
+		if werr = linelog.SyncDir(filepath.Dir(path)); werr != nil {
 			op, n = "sync dir of", len(data)
 		}
 	}
@@ -524,26 +406,6 @@ func writeFileAtomic(path string, data []byte) error {
 		return &WriteError{Path: path, Off: int64(n), Op: op, Err: werr}
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// is durable. Filesystems that cannot sync directories (some network
-// mounts) report EINVAL/ENOTSUP; those fall back silently to
-// crash-only (not power-loss) durability — the rename itself is still
-// atomic.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
-		return nil
-	}
-	return err
 }
 
 func mustJSON(v any) []byte {

@@ -62,9 +62,9 @@ func TestManifestCrashPoints(t *testing.T) {
 	manifestPath := filepath.Join(dir, "manifest-grid.jsonl")
 
 	// The oracle is built from the writes, not from the decoder: each
-	// event counts once the prefix reaches its closing brace.
+	// event counts once the prefix holds its newline (linelog's rule).
 	type event struct {
-		end    int // bytes of manifest up to and including this line's '}'
+		end    int // bytes of manifest up to and including this line's '\n'
 		task   string
 		values []float64 // nil = tombstone
 	}
@@ -82,7 +82,7 @@ func TestManifestCrashPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events = append(events, event{end: int(st.Size()) - 1, task: task.ID(), values: values})
+		events = append(events, event{end: int(st.Size()), task: task.ID(), values: values})
 	}
 	step(tasks[0], []float64{0.1, -2.5e-300})
 	step(tasks[1], []float64{math.NaN(), math.Inf(1)})

@@ -29,7 +29,7 @@ func faultSpec(t *testing.T) Spec {
 }
 
 // TestCheckpointManifestDiskFullTyped: ENOSPC on the manifest append
-// comes back as *WriteError{Op: "append manifest"} with the manifest
+// comes back as *WriteError{Op: "append"} with the manifest
 // path and durable offset, the root cause unwrappable — and the
 // checkpoint keeps working once space returns.
 func TestCheckpointManifestDiskFullTyped(t *testing.T) {
@@ -61,8 +61,8 @@ func TestCheckpointManifestDiskFullTyped(t *testing.T) {
 		t.Fatalf("Record under disk-full: err = %v, want *WriteError", err)
 	}
 	manifestPath := filepath.Join(dir, "manifest-grid.jsonl")
-	if werr.Path != manifestPath || werr.Op != "append manifest" || werr.Off <= 0 {
-		t.Fatalf("WriteError = %+v, want manifest path, op \"append manifest\", positive offset", werr)
+	if werr.Path != manifestPath || werr.Op != "append" || werr.Off <= 0 {
+		t.Fatalf("WriteError = %+v, want manifest path, op \"append\", positive offset", werr)
 	}
 	if !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("err = %v, want ENOSPC via chaos.ErrInjected", err)
@@ -108,8 +108,8 @@ func TestCheckpointManifestShortWriteTyped(t *testing.T) {
 	if !errors.As(err, &werr) {
 		t.Fatalf("Record under short write: err = %v, want *WriteError", err)
 	}
-	if werr.Op != "append manifest" || werr.Off <= 0 {
-		t.Fatalf("WriteError = %+v, want op \"append manifest\" with the torn offset", werr)
+	if werr.Op != "append" || werr.Off <= 0 {
+		t.Fatalf("WriteError = %+v, want op \"append\" with the torn offset", werr)
 	}
 	if !errors.Is(err, io.ErrShortWrite) || !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("err = %v, want io.ErrShortWrite via chaos.ErrInjected", err)
@@ -187,8 +187,8 @@ func TestCheckpointManifestFaultRetry(t *testing.T) {
 			if !errors.As(err, &werr) {
 				t.Fatalf("err = %v, want *WriteError", err)
 			}
-			if werr.Path != manifestPath || werr.Op != "append manifest" {
-				t.Fatalf("WriteError = %+v, want the manifest path and op \"append manifest\"", werr)
+			if werr.Path != manifestPath || werr.Op != "append" {
+				t.Fatalf("WriteError = %+v, want the manifest path and op \"append\"", werr)
 			}
 			if torn := werr.Off - before.Size(); (tc.short > 0) != (torn > 0) || torn < 0 {
 				t.Fatalf("WriteError.Off = %d with %d bytes durable before the append", werr.Off, before.Size())

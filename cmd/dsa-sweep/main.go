@@ -33,7 +33,8 @@
 // -checkpoint-dir journals every completed task so an interrupted run
 // (Ctrl-C, crash, kill) restarted with -resume skips finished work and
 // produces byte-identical scores. -shards N -shard-index I runs shard I
-// of an N-way split — launch N processes (or machines) with the same
+// of an N-way split (point chunk c, with every measure's task over it,
+// belongs to shard c mod N) — launch N processes (or machines) with the same
 // flags and distinct indices, give each its own checkpoint dir (or
 // share one on a common filesystem), then merge with
 //
@@ -114,7 +115,7 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "", "journal completed work here; survives interruption")
 		resume    = flag.Bool("resume", false, "continue from an existing checkpoint dir, skipping finished tasks")
 		cacheDir  = flag.String("cache-dir", "", "content-addressed score cache; reruns and overlapping sweeps reuse scores")
-		shards    = flag.Int("shards", 1, "total shard processes splitting this sweep")
+		shards    = flag.Int("shards", 1, "total shard processes splitting this sweep (point chunks go round-robin to shards; a chunk's measures stay together)")
 		shardIdx  = flag.Int("shard-index", 0, "this process's shard in [0,shards)")
 		chunk     = flag.Int("chunk", 0, "points per job task (0 = default)")
 		traceDir  = flag.String("trace-dir", "", "append a span journal (trace-s<I>of<N>.jsonl) into DIR; analyze with dsa-report trace")

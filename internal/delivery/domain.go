@@ -172,46 +172,50 @@ func (d domainImpl) pointRuns(pt core.Point, cfg dsa.Config, kind int, stress bo
 	return out, nil
 }
 
+// ScoreSlice is the one-measure case of ScoreSlices.
 func (d domainImpl) ScoreSlice(measure string, pts, opponents []core.Point, cfg dsa.Config) ([]float64, error) {
-	if err := cfg.Validate(); err != nil {
+	out, err := d.ScoreSlices([]string{measure}, pts, opponents, cfg)
+	if err != nil {
 		return nil, err
 	}
-	var value func(nominal []Result, pt core.Point) (float64, error)
+	return out[0], nil
+}
+
+// measureValue returns the function that reads one measure off a
+// point's runs: every measure is a statistic of the nominal runs, and
+// robustness alone also reads the stress runs.
+func measureValue(measure string) (func(nominal, stressed []Result) float64, bool) {
 	switch measure {
 	case MeasureMeanTime:
-		value = func(nominal []Result, _ core.Point) (float64, error) {
+		return func(nominal, _ []Result) float64 {
 			sum := 0.0
 			for _, r := range nominal {
 				sum += float64(r.Seconds)
 			}
-			return sum / float64(len(nominal)), nil
-		}
+			return sum / float64(len(nominal))
+		}, true
 	case MeasureP95Time:
-		value = func(nominal []Result, _ core.Point) (float64, error) {
+		return func(nominal, _ []Result) float64 {
 			times := make([]float64, len(nominal))
 			for i, r := range nominal {
 				times[i] = float64(r.Seconds)
 			}
-			return stats.Quantile(times, 0.95), nil
-		}
+			return stats.Quantile(times, 0.95)
+		}, true
 	case MeasureMirrorOffload:
-		value = func(nominal []Result, _ core.Point) (float64, error) {
+		return func(nominal, _ []Result) float64 {
 			peer, total := 0.0, 0.0
 			for _, r := range nominal {
 				peer += r.PeerKiB
 				total += r.PeerKiB + r.MirrorKiB
 			}
 			if total == 0 {
-				return 0, nil
+				return 0
 			}
-			return peer / total, nil
-		}
+			return peer / total
+		}, true
 	case MeasureRobustness:
-		value = func(nominal []Result, pt core.Point) (float64, error) {
-			stressed, err := d.pointRuns(pt, cfg, seedKindStress, true)
-			if err != nil {
-				return 0, err
-			}
+		return func(nominal, stressed []Result) float64 {
 			nomDone, strDone := 0, 0
 			for _, r := range nominal {
 				if r.Completed {
@@ -226,26 +230,51 @@ func (d domainImpl) ScoreSlice(measure string, pts, opponents []core.Point, cfg 
 			if nomDone == 0 {
 				// A strategy that cannot complete even nominally has
 				// nothing to degrade from.
-				return 0, nil
+				return 0
 			}
-			rb := float64(strDone) / float64(nomDone)
-			if rb > 1 {
-				rb = 1
-			}
-			return rb, nil
-		}
-	default:
-		return nil, fmt.Errorf("delivery: unknown measure %q", measure)
+			return min(float64(strDone)/float64(nomDone), 1)
+		}, true
 	}
-	out := make([]float64, len(pts))
+	return nil, false
+}
+
+// ScoreSlices implements dsa.JointScorer: the four measures are views
+// of one experiment, so a point's PerfRuns nominal downloads run once
+// however many measures are asked for, and its PerfRuns stress
+// downloads run only when robustness is among them — 2·PerfRuns
+// downloads for all four measures of a point, against 5·PerfRuns for
+// four ScoreSlice calls. Run seeds depend on (point ID, run, regime)
+// alone, so each vector is bit-equal to its ScoreSlice.
+func (d domainImpl) ScoreSlices(measures []string, pts, _ []core.Point, cfg dsa.Config) ([][]float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	values := make([]func(nominal, stressed []Result) float64, len(measures))
+	for k, m := range measures {
+		var ok bool
+		if values[k], ok = measureValue(m); !ok {
+			return nil, fmt.Errorf("delivery: unknown measure %q", m)
+		}
+	}
+	needStress := slices.Contains(measures, MeasureRobustness)
+	out := make([][]float64, len(measures))
+	for k := range out {
+		out[k] = make([]float64, len(pts))
+	}
 	errs := make([]error, len(pts))
 	dsa.ParallelFor(len(pts), cfg.Parallelism(), func(i int) {
 		nominal, err := d.pointRuns(pts[i], cfg, seedKindNominal, false)
+		var stressed []Result
+		if err == nil && needStress {
+			stressed, err = d.pointRuns(pts[i], cfg, seedKindStress, true)
+		}
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		out[i], errs[i] = value(nominal, pts[i])
+		for k, value := range values {
+			out[k][i] = value(nominal, stressed)
+		}
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -2,6 +2,7 @@ package delivery_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -192,6 +193,13 @@ func TestScoreSliceErrors(t *testing.T) {
 	}
 	if _, err := d.ScoreSlice(delivery.MeasureMeanTime, []core.Point{{0}}, nil, tinyCfg()); err == nil {
 		t.Fatal("foreign point accepted")
+	}
+	// The joint call rejects an unknown measure before it runs anything:
+	// with a foreign point in the slice too, the measure is what it names.
+	joint := d.(dsa.JointScorer)
+	_, err := joint.ScoreSlices([]string{delivery.MeasureMeanTime, "nope"}, []core.Point{{0}}, nil, tinyCfg())
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("joint call with an unknown measure: err = %v", err)
 	}
 }
 

@@ -18,7 +18,9 @@
 //   - a deterministic ScoreSlice evaluator, the unit the job engine
 //     shards: raw scores of one measure for an arbitrary slice of
 //     points, seeded from point identity so any partition of the work
-//     recombines into byte-identical results,
+//     recombines into byte-identical results (ScoreSlices scores
+//     several measures of a slice at once, sharing their runs where
+//     the domain is a JointScorer),
 //   - an Assemble step for whole-set post-processing (e.g. the paper's
 //     min-max performance normalisation, which needs every value).
 //
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -163,8 +166,11 @@ type Domain interface {
 	Label(p core.Point) string
 
 	// Measures lists the measure kinds of the domain's solution
-	// concept in canonical order. The order is part of the task
-	// enumeration contract: changing it invalidates checkpoints.
+	// concept in canonical order. The list is part of the checkpoint
+	// spec (a directory written under another list is rejected), and
+	// its order is the order of a chunk's tasks in job.Spec.Tasks —
+	// so it is also the order a grid lease hands a chunk's measures
+	// to one worker, which is what lets a JointScorer share their runs.
 	Measures() []string
 
 	// DefaultConfig returns the domain's configuration for a named
@@ -186,6 +192,52 @@ type Domain interface {
 	// any whole-set normalisation. Every measure must be present and
 	// match len(pts).
 	Assemble(pts []core.Point, raw map[string][]float64) (*Scores, error)
+}
+
+// JointScorer is an optional Domain extension, like ScoreVersioned: a
+// domain whose measures are views of the same simulation runs scores
+// several of them in one call and runs each point's shared simulations
+// once, where one ScoreSlice call per measure would repeat them.
+//
+// The contract is ScoreSlice's, per measure: out[k] is bit-equal to
+// ScoreSlice(measures[k], pts, opponents, cfg) for every subset and
+// order of measures (repeats included) and every subset of points —
+// seeds derive from point identity, so whatever grouping a schedule
+// produces recombines exactly. An unknown measure is an error before
+// any simulation runs.
+type JointScorer interface {
+	ScoreSlices(measures []string, pts, opponents []core.Point, cfg Config) ([][]float64, error)
+}
+
+// ScoreSlices scores several measures over one point slice and returns
+// one value vector per measure, aligned with measures: through the
+// domain's JointScorer when it has one, otherwise by one ScoreSlice call
+// per measure. Callers that hold more than one measure of the same
+// points (job.ExecTasks, over a chunk's tasks) call this and get the
+// sharing where the domain offers it.
+func ScoreSlices(d Domain, measures []string, pts, opponents []core.Point, cfg Config) ([][]float64, error) {
+	known := d.Measures()
+	for _, m := range measures {
+		if !slices.Contains(known, m) {
+			return nil, fmt.Errorf("dsa: domain %q has no measure %q (measures: %v)", d.Name(), m, known)
+		}
+	}
+	if j, ok := d.(JointScorer); ok {
+		out, err := j.ScoreSlices(measures, pts, opponents, cfg)
+		if err == nil && len(out) != len(measures) {
+			err = fmt.Errorf("dsa: domain %q scored %d measures, asked for %d", d.Name(), len(out), len(measures))
+		}
+		return out, err
+	}
+	out := make([][]float64, len(measures))
+	for k, m := range measures {
+		vals, err := d.ScoreSlice(m, pts, opponents, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = vals
+	}
+	return out, nil
 }
 
 // registry holds the known domains. Registration normally happens in

@@ -49,6 +49,11 @@ type CoordinatorOptions struct {
 	// its task is re-queued. 0 = DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// MaxLease caps tasks granted per lease call. 0 = DefaultMaxLease.
+	// Pending tasks are granted in job.Spec.Tasks order, chunk by chunk,
+	// so a cap that is a multiple of the domain's measure count hands a
+	// worker whole chunk groups, which its ExecTasks scores jointly when
+	// the domain shares runs between measures; any other cap splits
+	// groups and costs only that sharing.
 	MaxLease int
 	// Logf, if non-nil, receives coordinator event logs.
 	Logf func(format string, args ...any)
@@ -193,7 +198,7 @@ type gridJob struct {
 	spec      job.Spec
 	specRaw   json.RawMessage
 	weight    int      // fair-share priority weight, >= 1
-	order     []string // task IDs in canonical enumeration order
+	order     []string // task IDs in job.Spec.Tasks order (chunk-major): the grant order
 	tasks     map[string]*taskState
 	results   map[string][]float64
 	cp        *job.Checkpoint // nil without a checkpoint dir

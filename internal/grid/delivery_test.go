@@ -8,8 +8,10 @@ package grid
 // that the delivery registration reaches the grid's seam.
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -72,5 +74,81 @@ func TestGridDeliveryTwoWorkersMatchRunSweep(t *testing.T) {
 	}
 	if mustJSON(t, fetched) != mustJSON(t, want) {
 		t.Fatal("delivery scores fetched over HTTP differ from single-process job.Run")
+	}
+}
+
+// TestDefaultLeaseIsOneChunkGroup: grants follow Spec.Tasks, which is
+// chunk-major, so a default-sized lease of a delivery job is the four
+// measures of one chunk — the group a worker's ExecTasks scores in one
+// joint call.
+func TestDefaultLeaseIsOneChunkGroup(t *testing.T) {
+	spec := deliverySpec(t)
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	defer coord.Close()
+	id, err := coord.AddJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := coord.Lease(context.Background(), id, "w1", DefaultMaxLease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var measures []string
+	for _, lt := range lease.Tasks {
+		if lt.Lo != 0 || lt.Hi != spec.Chunk {
+			t.Errorf("leased %s, want only tasks of chunk [0,%d)", lt.Task, spec.Chunk)
+		}
+		measures = append(measures, lt.Measure)
+	}
+	if !slices.Equal(measures, delivery.Domain().Measures()) {
+		t.Fatalf("first lease covers measures %v, want %v", measures, delivery.Domain().Measures())
+	}
+}
+
+// TestGridDeliveryAnyLeaseSizeMatchesRun: a lease cap that splits chunk
+// groups (1, 3) or keeps them whole (4) changes which tasks a worker
+// scores jointly, never the CSV.
+func TestGridDeliveryAnyLeaseSizeMatchesRun(t *testing.T) {
+	spec := deliverySpec(t)
+	csv := func(s *dsa.Scores) string {
+		var buf bytes.Buffer
+		if err := dsa.WriteCSV(&buf, spec.Domain, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := csv(wantScores(t, spec))
+	for _, maxLease := range []int{1, 3, 4} {
+		coord := NewCoordinator(CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: 2 * time.Second, MaxLease: maxLease})
+		id, err := coord.AddJob(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(coord.Handler())
+		ctx := context.Background()
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for w := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[w] = Work(ctx, srv.URL, id, WorkerOptions{Workers: 1, Poll: 20 * time.Millisecond})
+			}()
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("MaxLease %d, worker %d: %v", maxLease, w, err)
+			}
+		}
+		got, err := coord.WaitComplete(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if csv(got) != want {
+			t.Fatalf("MaxLease %d: grid CSV differs from job.Run's", maxLease)
+		}
+		srv.Close()
+		coord.Close()
 	}
 }

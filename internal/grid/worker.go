@@ -271,9 +271,18 @@ func sleepPoll(ctx context.Context, opts WorkerOptions) error {
 // runLease executes one lease batch: a heartbeat goroutine keeps the
 // outstanding leases alive while job.ExecTasks computes them, and an
 // uploader goroutine posts each result as it lands, so the simulator
-// never waits for an ack — task n+1 computes while task n's upload is
-// in flight. A task leaves the heartbeat set only on its ack. The first
-// upload error stops the batch and is what runLease returns.
+// never waits for an ack. What overlaps is one execution unit's uploads
+// with the next unit's compute: where the domain's measures share runs,
+// adjacent tasks over one chunk are a single joint call whose results
+// all land at its end, so a lease that is one such unit — the default
+// four-task lease of a delivery job — computes first and then uploads
+// its results one after another with nothing left to hide them behind.
+// That serial tail is a known cost of sharing the runs (the worker
+// idles through it); a lease spanning several chunks, or a domain
+// without joint scoring, still has unit n+1 computing while unit n's
+// uploads are in flight. A task leaves the heartbeat set only on its
+// ack. The first upload error stops the batch and is what runLease
+// returns.
 func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name string, spec job.Spec, granted []LeaseTask, opts WorkerOptions, logf func(string, ...any)) error {
 	tasks := make([]job.Task, len(granted))
 	ttl := DefaultLeaseTTL

@@ -6,14 +6,16 @@
 //
 // The engine is domain-agnostic: it runs any dsa.Domain. A sweep
 // decomposes into deterministic tasks, one (measure × point chunk)
-// slice each, computed by the domain's ScoreSlice. Seeds derive from
-// point identity (dsa.TaskSeed or an equivalent scheme), so task
-// results are identical regardless of chunk size, shard count, worker
-// count or scheduling order — sharded runs merge to byte-identical
-// Scores.
+// slice each, computed by the domain's ScoreSlice (the tasks of one
+// chunk together, where the domain's measures share runs — see
+// ExecTasks). Seeds derive from point identity (dsa.TaskSeed or an
+// equivalent scheme), so task results are identical regardless of
+// chunk size, shard count, worker count or scheduling order — sharded
+// runs merge to byte-identical Scores.
 //
-// Tasks are distributed round-robin over opts.Shards shard processes;
-// each process executes its share on a bounded worker pool with context
+// Point chunks — each with one task per measure — are distributed
+// round-robin over opts.Shards shard processes; each process executes
+// the tasks of its chunks on a bounded worker pool with context
 // cancellation, checkpointing every completed task as one line of an
 // append-only JSONL manifest (see checkpoint.go). Restarting with the
 // same checkpoint directory skips completed tasks and merges their
@@ -69,12 +71,18 @@ func (s Spec) chunk() int {
 	return DefaultChunk
 }
 
-// Tasks enumerates the sweep's tasks in deterministic order: point
-// chunks of each measure, measures in the domain's canonical order.
+// Tasks enumerates the sweep's tasks in deterministic order: chunk by
+// chunk, and within a chunk one task per measure in the domain's
+// canonical order. Keeping a chunk's measures adjacent is what lets
+// whoever executes a stretch of this list — a pool goroutine of
+// ExecTasks, a shard of Run, a grid worker holding one lease — score
+// them through one dsa.ScoreSlices call. Task IDs do not depend on the
+// order, so checkpoints and WALs written under any order stay valid.
 func (s Spec) Tasks() []Task {
+	measures := s.Domain.Measures()
 	var out []Task
-	for _, m := range s.Domain.Measures() {
-		for lo := 0; lo < len(s.Points); lo += s.chunk() {
+	for lo := 0; lo < len(s.Points); lo += s.chunk() {
+		for _, m := range measures {
 			out = append(out, Task{Measure: m, Lo: lo, Hi: min(lo+s.chunk(), len(s.Points))})
 		}
 	}
@@ -173,13 +181,17 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 		}
 	}
 
-	// Round-robin task ownership: task i belongs to shard i mod shards.
-	// Interleaving (rather than contiguous ranges) spreads the cheap
-	// homogeneous tasks and the expensive tournament tasks evenly, so
-	// equally-sized shards take similar wall time.
+	// Round-robin chunk ownership: chunk c — every measure's task over
+	// it — belongs to shard c mod shards. Whole chunks, so that each
+	// shard's ExecTasks sees a chunk's measures side by side and can
+	// score them jointly (round-robin over task index would deal a
+	// four-measure domain on four shards one measure of every chunk
+	// each); interleaved rather than contiguous, and every shard gets
+	// the same mix of cheap homogeneous and expensive tournament tasks,
+	// so equally-sized shards take similar wall time.
 	var mine []Task
-	for i, t := range tasks {
-		if i%shards != opts.ShardIndex {
+	for _, t := range tasks {
+		if (t.Lo/spec.chunk())%shards != opts.ShardIndex {
 			continue
 		}
 		if _, done := results[t.ID()]; done {
@@ -259,17 +271,23 @@ type ExecOptions struct {
 	// Workers is the pool width; <= 0 falls back to spec.Cfg.Workers,
 	// then GOMAXPROCS.
 	Workers int
-	// Cache, if non-nil, is consulted per point before ScoreSlice runs
-	// and filled with what ScoreSlice computed. A task whose points
+	// Cache, if non-nil, is consulted per point before the domain runs
+	// and filled with what the domain computed. A task whose points
 	// all hit skips simulation entirely; a partial hit simulates only
-	// the missing points (safe because ScoreSlice seeds from point
+	// the missing points (safe because domains seed from point
 	// identity — any subset recombines exactly).
 	Cache dsa.ScoreCache
 	// Trace, if non-nil, records a "task" span per executed task
 	// (measure, point count, cache hits, simulated count) with
 	// cache-lookup and simulate child spans, parented under
 	// TraceParent. The task span covers compute only — sink time
-	// (checkpoint fsync, grid upload) is the caller's to trace.
+	// (checkpoint fsync, grid upload) is the caller's to trace. Tasks
+	// scored together are all in flight until their one joint call
+	// returns, so their spans overlap (each runs from its own cache
+	// lookup to the end of the group's compute) and the group's one
+	// simulate span sits under the first task that missed; elapsed_us
+	// on each task span is its TaskStats.Elapsed share, which is what
+	// sums to the time spent.
 	Trace       *obs.Recorder
 	TraceParent obs.SpanID
 	// OnTask, if non-nil, is called after each task completes, before
@@ -282,20 +300,37 @@ type ExecOptions struct {
 // TaskStats is one completed task's accounting, as delivered to
 // ExecOptions.OnTask.
 type TaskStats struct {
-	Task      Task
-	Elapsed   time.Duration // compute time (cache lookups + simulation)
-	CacheHits int           // points served from the score cache
-	Simulated int           // points computed by ScoreSlice
+	Task Task
+	// Elapsed is the task's compute time (cache lookups + simulation).
+	// Tasks scored together (see ExecTasks) each report an equal share
+	// of their group's time: the group's cost is mostly the shared runs,
+	// which belong to no one measure, and equal shares keep the sum over
+	// tasks equal to the time actually spent.
+	Elapsed   time.Duration
+	CacheHits int // points served from the score cache
+	Simulated int // points computed by the domain
 }
 
 // ExecTasks computes tasks on a bounded worker pool — the execution
 // primitive shared by the local engine (Run) and the grid worker
 // (internal/grid), so both parallelise a task batch identically. Each
-// task's values come from the domain's ScoreSlice (or the cache, see
+// task's values come from the domain (or the cache, see
 // ExecOptions.Cache) and are handed to sink. Sink is called
 // concurrently from the pool's goroutines (so slow sinks — fsyncs,
 // uploads — overlap with computation and each other) and must be safe
 // for concurrent use; the first sink or task error stops the pool.
+//
+// The unit of record is the task; the unit of execution is the point
+// chunk. When the domain is a dsa.JointScorer, a run of consecutive
+// tasks over the same [Lo,Hi) — what Spec.Tasks, a shard of Run and a
+// default grid lease all produce — goes to one pool goroutine, which
+// scores the run's measures in one dsa.ScoreSlices call so they share
+// their simulation runs; every other task is a run of one through the
+// same code. Sink, OnTask and the "task" span still happen once per
+// task, with that task's values and an equal share of the run's time
+// (TaskStats.Elapsed) — so per-measure worker latencies and manifest
+// elapsed_ms of a fused group read alike and sum to the time spent.
+// How a batch happens to be cut into runs changes speed only.
 //
 // Simulator state is pooled underneath this seam: the swarming
 // domain's ScoreSlice runs cyclesim with its shared world pool
@@ -309,6 +344,7 @@ func ExecTasks(ctx context.Context, spec Spec, tasks []Task, opts ExecOptions, s
 	if len(tasks) == 0 {
 		return ctx.Err()
 	}
+	units := fuse(spec.Domain, tasks)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = spec.Cfg.Workers
@@ -316,10 +352,10 @@ func ExecTasks(ctx context.Context, spec Spec, tasks []Task, opts ExecOptions, s
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	poolSize := min(workers, len(tasks))
-	// Parallelism lives at the task level; when there are fewer tasks
-	// than workers, give each task's inner ScoreSlice the spare share
-	// so small sweeps still use the machine. Inner worker count never
+	poolSize := min(workers, len(units))
+	// Parallelism lives at the unit level; when there are fewer units
+	// than workers, give each unit's inner scoring the spare share so
+	// small sweeps still use the machine. Inner worker count never
 	// affects values, only speed.
 	taskCfg := spec.Cfg
 	taskCfg.Workers = max(1, workers/poolSize)
@@ -351,40 +387,16 @@ func ExecTasks(ctx context.Context, spec Spec, tasks []Task, opts ExecOptions, s
 		mu.Unlock()
 		cancel()
 	}
-	next := make(chan Task)
+	next := make(chan []Task)
 	wg.Add(poolSize)
 	for w := 0; w < poolSize; w++ {
 		go func() {
 			defer wg.Done()
-			for t := range next {
+			for unit := range next {
 				if ctx.Err() != nil {
 					return
 				}
-				taskStart := time.Now()
-				span := opts.Trace.Start(opts.TraceParent, "task")
-				vals, hits, err := execTask(spec, t, opponents, taskCfg, keyer, opts.Cache, opts.Trace, span.ID())
-				if err != nil {
-					span.Drop()
-					fail(fmt.Errorf("job: task %s: %w", t.ID(), err))
-					return
-				}
-				elapsed := time.Since(taskStart)
-				simulated := (t.Hi - t.Lo) - hits
-				// End before the sink: the task span measures compute,
-				// not checkpointing or upload.
-				span.Str("task", t.ID()).
-					Str("measure", t.Measure).
-					Int("points", int64(t.Hi-t.Lo)).
-					Int("cache_hits", int64(hits)).
-					Int("simulated", int64(simulated)).
-					End()
-				opts.Trace.CountTask(1)
-				opts.Trace.CountSimulated(simulated)
-				opts.Trace.CountCached(hits)
-				if opts.OnTask != nil {
-					opts.OnTask(TaskStats{Task: t, Elapsed: elapsed, CacheHits: hits, Simulated: simulated})
-				}
-				if err := sink(t, vals, elapsed); err != nil {
+				if err := execUnit(spec, unit, opponents, taskCfg, keyer, opts, sink); err != nil {
 					fail(err)
 					return
 				}
@@ -392,9 +404,9 @@ func ExecTasks(ctx context.Context, spec Spec, tasks []Task, opts ExecOptions, s
 		}()
 	}
 feed:
-	for _, t := range tasks {
+	for _, unit := range units {
 		select {
-		case next <- t:
+		case next <- unit:
 		case <-ctx.Done():
 			break feed
 		}
@@ -407,71 +419,154 @@ feed:
 	return ctx.Err()
 }
 
-// execTask produces one task's values: straight from ScoreSlice
-// without a cache; with one, cached points are read back and only the
-// misses are simulated (as a single ScoreSlice call over the miss
-// subset — point-identity seeding makes the recombination exact), then
-// recorded. Cached and computed values are byte-identical by the
-// domain determinism contract, which the parity tests pin down.
-// Returns the number of points served from the cache alongside the
-// values; rec (nil-safe) gets "cache-lookup" and "simulate" child
-// spans under parent.
-func execTask(spec Spec, t Task, opponents []core.Point, cfg dsa.Config, keyer *dsa.ScoreKeyer, cache dsa.ScoreCache, rec *obs.Recorder, parent obs.SpanID) ([]float64, int, error) {
-	pts := spec.Points[t.Lo:t.Hi]
-	if cache == nil {
-		sim := rec.Start(parent, "simulate").Int("points", int64(len(pts)))
-		vals, err := spec.Domain.ScoreSlice(t.Measure, pts, opponents, cfg)
+// fuse cuts tasks into execution units: maximal runs of consecutive
+// tasks over one point range when the domain can score measures
+// jointly, single tasks otherwise.
+func fuse(d dsa.Domain, tasks []Task) [][]Task {
+	_, joint := d.(dsa.JointScorer)
+	var units [][]Task
+	for lo := 0; lo < len(tasks); {
+		hi := lo + 1
+		for joint && hi < len(tasks) && tasks[hi].Lo == tasks[lo].Lo && tasks[hi].Hi == tasks[lo].Hi {
+			hi++
+		}
+		units = append(units, tasks[lo:hi])
+		lo = hi
+	}
+	return units
+}
+
+// taskRun is one task's state while its unit executes.
+type taskRun struct {
+	span *obs.Span
+	vals []float64
+	keys []dsa.CacheKey // per point; nil without a cache
+	miss []int          // indices into the unit's points the cache did not serve
+}
+
+// execUnit produces the values of every task of one unit (tasks over
+// one point range) and delivers each task: with a cache, each task's
+// cached points are read back first; then one dsa.ScoreSlices call
+// scores the union of the points any task still misses, for the
+// measures of the tasks that miss any — point-identity seeding makes
+// every such recombination exact — and each task takes (and records in
+// the cache) exactly the values it missed. Cached and computed values
+// are byte-identical by the domain determinism contract, which the
+// parity tests pin down. Each task gets a "task" span, from its own
+// "cache-lookup" child to the end of the unit's compute; the unit's one
+// "simulate" span sits under the first task that missed.
+func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, keyer *dsa.ScoreKeyer, opts ExecOptions, sink func(t Task, values []float64, elapsed time.Duration) error) error {
+	start := time.Now()
+	pts := spec.Points[unit[0].Lo:unit[0].Hi]
+	runs := make([]taskRun, len(unit))
+	// abandon fails the unit on behalf of task t, recycling the spans
+	// started so far.
+	abandon := func(t Task, err error) error {
+		for _, r := range runs {
+			r.span.Drop()
+		}
+		return fmt.Errorf("job: task %s: %w", t.ID(), err)
+	}
+
+	var (
+		missed   []int    // indices into unit of the tasks with a miss
+		measures []string // their measures
+	)
+	needed := make([]bool, len(pts)) // union of the tasks' misses
+	for k, t := range unit {
+		r := &runs[k]
+		r.span = opts.Trace.Start(opts.TraceParent, "task")
+		r.vals = make([]float64, len(pts))
+		r.miss = make([]int, 0, len(pts))
+		if opts.Cache == nil {
+			for i := range pts {
+				r.miss = append(r.miss, i)
+			}
+		} else {
+			lookup := opts.Trace.Start(r.span.ID(), "cache-lookup")
+			r.keys = make([]dsa.CacheKey, len(pts))
+			for i, p := range pts {
+				id, err := spec.Domain.PointID(p)
+				if err != nil {
+					lookup.Drop()
+					return abandon(t, err)
+				}
+				r.keys[i] = keyer.Key(t.Measure, id)
+				if v, ok := opts.Cache.Get(r.keys[i]); ok {
+					r.vals[i] = v
+				} else {
+					r.miss = append(r.miss, i)
+				}
+			}
+			lookup.Int("hits", int64(len(pts)-len(r.miss))).Int("misses", int64(len(r.miss))).End()
+		}
+		if len(r.miss) > 0 {
+			missed = append(missed, k)
+			measures = append(measures, t.Measure)
+			for _, i := range r.miss {
+				needed[i] = true
+			}
+		}
+	}
+
+	if len(missed) > 0 {
+		missPts := make([]core.Point, 0, len(pts))
+		pos := make([]int, len(pts)) // index into pts → index into missPts
+		for i, need := range needed {
+			if need {
+				pos[i] = len(missPts)
+				missPts = append(missPts, pts[i])
+			}
+		}
+		sim := opts.Trace.Start(runs[missed[0]].span.ID(), "simulate").
+			Int("points", int64(len(missPts))).Int("measures", int64(len(measures)))
+		computed, err := dsa.ScoreSlices(spec.Domain, measures, missPts, opponents, cfg)
 		if err != nil {
 			sim.Drop()
-			return nil, 0, err
+			return abandon(unit[missed[0]], err)
 		}
 		sim.End()
-		return vals, 0, nil
-	}
-	lookup := rec.Start(parent, "cache-lookup")
-	keys := make([]dsa.CacheKey, len(pts))
-	vals := make([]float64, len(pts))
-	miss := make([]int, 0, len(pts))
-	for i, p := range pts {
-		id, err := spec.Domain.PointID(p)
-		if err != nil {
-			lookup.Drop()
-			return nil, 0, err
-		}
-		keys[i] = keyer.Key(t.Measure, id)
-		if v, ok := cache.Get(keys[i]); ok {
-			vals[i] = v
-		} else {
-			miss = append(miss, i)
+		for j, k := range missed {
+			if len(computed[j]) != len(missPts) {
+				return abandon(unit[k], fmt.Errorf("domain returned %d values for %d points", len(computed[j]), len(missPts)))
+			}
+			r := &runs[k]
+			for _, i := range r.miss {
+				r.vals[i] = computed[j][pos[i]]
+				if r.keys != nil {
+					opts.Cache.Put(r.keys[i], r.vals[i])
+				}
+			}
 		}
 	}
-	hits := len(pts) - len(miss)
-	lookup.Int("hits", int64(hits)).Int("misses", int64(len(miss))).End()
-	if len(miss) == 0 {
-		return vals, hits, nil
+
+	// Every task span ends before any sink runs: the task span measures
+	// compute, not checkpointing or upload.
+	elapsed := time.Since(start) / time.Duration(len(unit))
+	for k, t := range unit {
+		r := &runs[k]
+		r.span.Str("task", t.ID()).
+			Str("measure", t.Measure).
+			Int("points", int64(len(pts))).
+			Int("cache_hits", int64(len(pts)-len(r.miss))).
+			Int("simulated", int64(len(r.miss))).
+			Int("elapsed_us", elapsed.Microseconds()).
+			End()
 	}
-	missPts := pts
-	if len(miss) < len(pts) {
-		missPts = make([]core.Point, len(miss))
-		for j, i := range miss {
-			missPts[j] = pts[i]
+	for k, t := range unit {
+		simulated := len(runs[k].miss)
+		hits := len(pts) - simulated
+		opts.Trace.CountTask(1)
+		opts.Trace.CountSimulated(simulated)
+		opts.Trace.CountCached(hits)
+		if opts.OnTask != nil {
+			opts.OnTask(TaskStats{Task: t, Elapsed: elapsed, CacheHits: hits, Simulated: simulated})
+		}
+		if err := sink(t, runs[k].vals, elapsed); err != nil {
+			return err
 		}
 	}
-	sim := rec.Start(parent, "simulate").Int("points", int64(len(missPts)))
-	computed, err := spec.Domain.ScoreSlice(t.Measure, missPts, opponents, cfg)
-	if err != nil {
-		sim.Drop()
-		return nil, 0, err
-	}
-	sim.End()
-	if len(computed) != len(missPts) {
-		return nil, 0, fmt.Errorf("job: ScoreSlice returned %d values for %d points", len(computed), len(missPts))
-	}
-	for j, i := range miss {
-		vals[i] = computed[j]
-		cache.Put(keys[i], computed[j])
-	}
-	return vals, hits, nil
+	return nil
 }
 
 // AssembleScores stitches per-task value slices (task ID → values)

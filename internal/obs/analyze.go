@@ -15,7 +15,7 @@ type Analysis struct {
 	Records int // journalled spans and events
 
 	Tasks    int           // "task" spans
-	TaskBusy time.Duration // summed task durations across all writers
+	TaskBusy time.Duration // summed task compute time across all writers
 	Wall     time.Duration // widest per-writer window (first start → last end)
 
 	PointsSimulated int64 // summed from task spans
@@ -59,10 +59,10 @@ type WorkerStat struct {
 	Writer string
 	Tasks  int
 
-	Busy   time.Duration // summed task durations
+	Busy   time.Duration // summed task compute time (elapsed_us where a task span has it, else its duration)
 	Window time.Duration // first task start → last task end on this writer
 
-	// Parallelism is Busy/Window: mean concurrent tasks in flight.
+	// Parallelism is Busy/Window: mean pool goroutines computing.
 	Parallelism float64
 
 	Simulated int64
@@ -108,8 +108,15 @@ func Analyze(records []Record) *Analysis {
 	for _, r := range records {
 		switch r.Name {
 		case "task":
+			// Tasks scored in one joint call overlap for its whole
+			// length; elapsed_us is each one's share of that time, so
+			// busy sums stay time spent. Latencies below stay r.Dur().
+			busy := r.Dur()
+			if us := r.AttrInt("elapsed_us"); us > 0 {
+				busy = time.Duration(us) * time.Microsecond
+			}
 			a.Tasks++
-			a.TaskBusy += r.Dur()
+			a.TaskBusy += busy
 			sim := r.AttrInt("simulated")
 			hit := r.AttrInt("cache_hits")
 			a.PointsSimulated += sim
@@ -134,7 +141,7 @@ func Analyze(records []Record) *Analysis {
 				workers[r.Writer] = wa
 			}
 			wa.tasks++
-			wa.busy += r.Dur()
+			wa.busy += busy
 			if !wa.seen || r.Start() < wa.lo {
 				wa.lo = r.Start()
 			}

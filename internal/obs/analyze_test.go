@@ -101,6 +101,28 @@ func TestAnalyzeAggregates(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFusedTasks: task spans of one joint call all cover its
+// whole length; busy time comes from their elapsed_us shares, latency
+// from the spans themselves.
+func TestAnalyzeFusedTasks(t *testing.T) {
+	var recs []Record
+	for i, m := range []string{"a", "b", "c", "d"} {
+		r := mkTask("w1", uint64(i+1), 0, m, 0, 40*time.Millisecond, 0, 8)
+		r.Attrs["elapsed_us"] = float64(10_000)
+		recs = append(recs, r)
+	}
+	a := Analyze(recs)
+	if a.TaskBusy != 40*time.Millisecond {
+		t.Errorf("task busy = %v, want 40ms", a.TaskBusy)
+	}
+	if w := a.Workers[0]; w.Busy != 40*time.Millisecond || w.Parallelism < 0.99 || w.Parallelism > 1.01 {
+		t.Errorf("w1 = %+v, want busy 40ms at parallelism ~1", w)
+	}
+	if m := a.Measures[0]; m.Mean != 40*time.Millisecond {
+		t.Errorf("measure %s mean latency = %v, want 40ms", m.Measure, m.Mean)
+	}
+}
+
 func TestAnalyzeStragglers(t *testing.T) {
 	var recs []Record
 	id := uint64(1)

@@ -14,6 +14,12 @@
 # loop) so the floor cannot be met by trading allocations for time,
 # and reports the swarm run pair (advisory — the swarm is not on the
 # sweep hot path).
+#
+# A second paired floor guards the delivery domain's joint scoring: all
+# four measures through one dsa.ScoreSlices call (6 downloads per point
+# at PerfRuns 3) against four ScoreSlice calls over the same points (15
+# per point) must be at least 2.0x faster — 2.5x by run count, 2.2-2.4x
+# measured (a stress download runs longer than a nominal one). The parity tests in internal/dsa pin the two to equal bits.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,9 +58,28 @@ SRATIO=$(awk -v r="$SREF" -v o="$SOPT" 'BEGIN { if (o != "") printf "%.2f", r / 
 echo "tournament cold sweep: reference ${REF} ns/op, optimized ${OPT} ns/op -> ${RATIO}x (floor ${MIN_SPEEDUP}x)"
 [ -n "$SRATIO" ] && echo "swarm run (advisory):  reference ${SREF} ns/op, optimized ${SOPT} ns/op -> ${SRATIO}x"
 
-if awk -v r="$RATIO" -v m="$MIN_SPEEDUP" 'BEGIN { exit !(r + 0 >= m + 0) }'; then
-  echo "perf_smoke: PASS (${RATIO}x >= ${MIN_SPEEDUP}x)"
-else
-  echo "perf_smoke: FAIL — cold tournament speedup ${RATIO}x is below the ${MIN_SPEEDUP}x floor" >&2
+# floor WHAT RATIO MIN: pass or fail one paired comparison.
+floor() {
+  if awk -v r="$2" -v m="$3" 'BEGIN { exit !(r + 0 >= m + 0) }'; then
+    echo "perf_smoke: PASS (${2}x >= ${3}x)"
+  else
+    echo "perf_smoke: FAIL — $1 speedup ${2}x is below the ${3}x floor" >&2
+    exit 1
+  fi
+}
+floor "cold tournament" "$RATIO" "$MIN_SPEEDUP"
+
+echo "== delivery sweep: four measures jointly vs one ScoreSlice per measure =="
+go test -run '^$' \
+  -bench 'BenchmarkDeliverySweepJoint$|BenchmarkDeliverySweepPerMeasure$' \
+  -benchtime="$BENCHTIME" -count="$COUNT" . | tee "$OUT"
+
+JOINT=$(min_ns BenchmarkDeliverySweepJoint)
+PER=$(min_ns BenchmarkDeliverySweepPerMeasure)
+if [ -z "$JOINT" ] || [ -z "$PER" ]; then
+  echo "perf_smoke: FAILED to parse benchmark output" >&2
   exit 1
 fi
+JRATIO=$(awk -v p="$PER" -v j="$JOINT" 'BEGIN { printf "%.2f", p / j }')
+echo "delivery sweep: per measure ${PER} ns/op, joint ${JOINT} ns/op -> ${JRATIO}x (floor 2.0x)"
+floor "joint delivery scoring" "$JRATIO" 2.0

@@ -115,6 +115,11 @@ func renderTrace(w io.Writer, a *obs.Analysis, journals int) error {
 		tbl.Add("cache lookups (store events)", a.CacheLookups)
 		tbl.Add("  of which hits", a.CacheHits)
 	}
+	if a.Uploads > 0 {
+		tbl.Add("result uploads (requests)", a.Uploads)
+		tbl.Add("  tasks carried", a.UploadTasks)
+		tbl.Add("  upload time per task", round(a.UploadTime/time.Duration(a.UploadTasks)))
+	}
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
@@ -128,6 +133,9 @@ func renderTrace(w io.Writer, a *obs.Analysis, journals int) error {
 			}
 			if t := r.AttrStr("task"); t != "" {
 				label += " " + t
+			}
+			if n := r.AttrInt("tasks"); n > 0 {
+				label += fmt.Sprintf(" (%d tasks)", n)
 			}
 			fmt.Fprintf(w, "  %s%s  %s\n", strings.Repeat("  ", i), label, round(r.Dur()))
 		}

@@ -331,8 +331,7 @@ func (c *Coordinator) invalidateTaskLocked(j *gridJob, tid string) {
 			c.logf("grid: job %s: task %s invalidation: %v", j.id, tid, err)
 		}
 	}
-	st.status = taskPending
-	st.worker = ""
+	j.requeueLocked(st)
 	j.done--
 	delete(j.results, tid)
 	delete(j.doneBy, tid)
@@ -365,8 +364,7 @@ func (c *Coordinator) quarantineLocked(name, reason string) func() {
 		revoked := 0
 		for _, st := range j.tasks {
 			if st.status == taskLeased && st.worker == name {
-				st.status = taskPending
-				st.worker = ""
+				j.requeueLocked(st)
 				j.requeues++
 				revoked++
 			}
@@ -439,8 +437,7 @@ func (c *Coordinator) quarantineLocked(name, reason string) func() {
 			if st.status != taskDone {
 				continue
 			}
-			st.status = taskPending
-			st.worker = ""
+			j.requeueLocked(st)
 			j.done--
 			delete(j.results, tid)
 			delete(j.doneBy, tid)

@@ -40,7 +40,7 @@ func TestUploadChecksumServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt := lease.Tasks[0]
-	body := mustJSON(t, ResultUpload{Worker: "w1", Task: lt.Task, Values: WireFloats(honestVals(lt))})
+	body := mustJSON(t, ResultsUpload{Worker: "w1", Results: []TaskResult{{Task: lt.Task, Values: honestVals(lt)}}})
 	post := func(body, sum string) *http.Response {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs/"+id+"/results", strings.NewReader(body))
@@ -73,7 +73,7 @@ func TestUploadChecksumServerSide(t *testing.T) {
 		t.Fatalf("matching checksum: status %d, want 200", resp.StatusCode)
 	}
 	lt2 := lease.Tasks[1]
-	body2 := mustJSON(t, ResultUpload{Worker: "w1", Task: lt2.Task, Values: WireFloats(honestVals(lt2))})
+	body2 := mustJSON(t, ResultsUpload{Worker: "w1", Results: []TaskResult{{Task: lt2.Task, Values: honestVals(lt2)}}})
 	if resp := post(body2, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("checksum-less upload: status %d, want 200 (header is optional)", resp.StatusCode)
 	}

@@ -104,8 +104,9 @@ func TestHTTPConformance(t *testing.T) {
 		{name: "heartbeat without auth", method: "POST", path: "/v1/jobs/" + id + "/heartbeat", auth: noAuth, body: `{}`, wantStatus: 401, wantErrMsg: true},
 		{name: "heartbeat malformed json", method: "POST", path: "/v1/jobs/" + id + "/heartbeat", auth: good, body: `[`, wantStatus: 400, wantErrMsg: true},
 		{name: "upload without auth", method: "POST", path: "/v1/jobs/" + id + "/results", auth: noAuth, body: `{}`, wantStatus: 401, wantErrMsg: true},
-		{name: "upload unknown task", method: "POST", path: "/v1/jobs/" + id + "/results", auth: good, body: `{"worker":"c","task":"no-such-task","values":[]}`, wantStatus: 404, wantErrMsg: true},
-		{name: "upload unknown job", method: "POST", path: "/v1/jobs/no-such-job/results", auth: good, body: `{"worker":"c","task":"x","values":[]}`, wantStatus: 404, wantErrMsg: true},
+		{name: "upload unknown task", method: "POST", path: "/v1/jobs/" + id + "/results", auth: good, body: `{"worker":"c","results":[{"task":"no-such-task","values":[]}]}`, wantStatus: 404, wantErrMsg: true},
+		{name: "upload without results", method: "POST", path: "/v1/jobs/" + id + "/results", auth: good, body: `{"worker":"c","task":"x","values":[]}`, wantStatus: 400, wantErrMsg: true},
+		{name: "upload unknown job", method: "POST", path: "/v1/jobs/no-such-job/results", auth: good, body: `{"worker":"c","results":[{"task":"x","values":[]}]}`, wantStatus: 404, wantErrMsg: true},
 		{name: "results before complete", method: "GET", path: "/v1/jobs/" + id + "/results", wantStatus: 409, wantErrMsg: true},
 		{name: "results unknown job", method: "GET", path: "/v1/jobs/no-such-job/results", wantStatus: 404, wantErrMsg: true},
 		{name: "progress", method: "GET", path: "/v1/jobs/" + id + "/progress", wantStatus: 200},

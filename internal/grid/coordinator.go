@@ -180,6 +180,7 @@ const (
 
 type taskState struct {
 	task      job.Task
+	idx       int // position in gridJob.order
 	status    taskStatus
 	worker    string
 	deadline  time.Time
@@ -213,6 +214,12 @@ type gridJob struct {
 	scoresErr     error
 	changed       chan struct{} // closed and replaced on every state change
 
+	// next is the grant cursor: no task of order[:next] is pending, so a
+	// grant scans from here, not from 0 (requeueLocked moves it back).
+	// scanned counts the tasks grants have looked at: over a job's life,
+	// its tasks plus what re-queues made them look at again.
+	next, scanned int
+
 	// Score-cache plumbing (nil/zero without CoordinatorOptions.Cache):
 	// the job's key derivation context and per-point IDs, the epoch of
 	// its last cache scan, and how many of its tasks the cache served.
@@ -231,6 +238,14 @@ type gridJob struct {
 	// cache may still hold the bad per-point scores, so the absorb
 	// scan must not serve them back until an honest re-run overwrites.
 	tainted map[string]bool
+}
+
+// requeueLocked returns a task to the pending queue, ahead of the grant
+// cursor if need be.
+func (j *gridJob) requeueLocked(st *taskState) {
+	st.status = taskPending
+	st.worker = ""
+	j.next = min(j.next, st.idx)
 }
 
 // completeLocked is the job-completion predicate: every task done AND
@@ -353,8 +368,7 @@ func (c *Coordinator) applyWALLocked(j *gridJob) {
 		case walExpire:
 			j.requeues++
 			if st != nil && st.status == taskLeased && st.worker == r.Worker {
-				st.status = taskPending
-				st.worker = ""
+				j.requeueLocked(st)
 			}
 		case walIngest:
 			if st == nil {
@@ -366,8 +380,7 @@ func (c *Coordinator) applyWALLocked(j *gridJob) {
 				// The WAL saw the ingest but the checkpoint lost the
 				// value (should not happen: Record syncs first). The
 				// value is gone, so the task must re-run.
-				st.status = taskPending
-				st.worker = ""
+				j.requeueLocked(st)
 			}
 		case walVerify:
 			if st != nil && st.status == taskDone {
@@ -472,9 +485,9 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 		tainted:  map[string]bool{},
 		changed:  make(chan struct{}),
 	}
-	for _, t := range spec.Tasks() {
+	for i, t := range spec.Tasks() {
 		j.order = append(j.order, t.ID())
-		j.tasks[t.ID()] = &taskState{task: t}
+		j.tasks[t.ID()] = &taskState{task: t, idx: i}
 	}
 	if c.opts.Cache != nil {
 		keyer, err := dsa.NewScoreKeyer(spec.Domain, spec.Domain.SampleOpponents(spec.Cfg), spec.Cfg)
@@ -618,10 +631,10 @@ func (c *Coordinator) collectCacheHitsLocked(j *gridJob) []absorbedTask {
 // already holds — journalling each through the checkpoint exactly like
 // an uploaded result, so cache-served and worker-computed tasks are
 // indistinguishable on disk and in the results (determinism makes
-// their values identical by construction). Like Ingest, the journal
-// writes (fsyncs) run outside the coordinator lock: a large absorbed
-// job must not stall every other worker's leases and heartbeats behind
-// a fsync train.
+// their values identical by construction). Like an ingest, the journal
+// append (all hits, one fsync) runs outside the coordinator lock: a
+// large absorbed job must not stall every other worker's leases and
+// heartbeats behind it.
 func (c *Coordinator) absorbCache(j *gridJob) {
 	c.mu.Lock()
 	hits := c.collectCacheHitsLocked(j)
@@ -630,53 +643,53 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 		return
 	}
 
-	errs := make([]error, len(hits))
+	recs := make([]job.Result, len(hits))
 	for i, h := range hits {
-		errs[i] = recordTask(j.cp, h.st.task, h.vals, 0)
+		recs[i] = job.Result{Task: h.st.task, Values: h.vals}
 	}
+	err := recordTasks(j.cp, recs)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	absorbed := 0
-	for i, h := range hits {
+	for _, h := range hits {
 		h.st.recording = false
-		if errs[i] != nil {
-			// Leave the task pending: a worker will compute and
-			// re-upload it, taking the normal ingest error path.
-			c.logf("grid: job %s: task %s cache absorption failed to journal: %v", j.id, h.st.task.ID(), errs[i])
+		if err != nil {
 			continue
 		}
 		h.st.status = taskDone
 		h.st.worker = ""
 		j.results[h.st.task.ID()] = h.vals
 		j.done++
-		absorbed++
 	}
-	if absorbed > 0 {
-		j.cacheServed += absorbed
-		c.metrics.cacheServed.Add(float64(absorbed))
-		c.logf("grid: job %s: %d tasks served from the score cache", j.id, absorbed)
+	if err != nil {
+		// The tasks stay pending: workers will compute and re-upload
+		// them, taking the normal ingest error path.
+		c.logf("grid: job %s: cache absorption of %d tasks failed to journal: %v", j.id, len(hits), err)
+	} else {
+		j.cacheServed += len(hits)
+		c.metrics.cacheServed.Add(float64(len(hits)))
+		c.logf("grid: job %s: %d tasks served from the score cache", j.id, len(hits))
 		c.finishIfCompleteLocked(j)
 		c.broadcastLocked(j)
 	}
 	c.checkDrainedLocked()
 }
 
-// recordTask journals one finished task through cp (nil: an in-memory
-// job, nothing to write). Callers run it outside the coordinator lock
-// with the task marked recording, so a panicking write comes back as an
-// error: it must not leak recording=true and strand the task (the HTTP
-// handler would otherwise swallow the panic).
-func recordTask(cp *job.Checkpoint, t job.Task, vals []float64, elapsed time.Duration) (err error) {
+// recordTasks journals finished tasks through cp with one append (nil:
+// an in-memory job, nothing to write). Callers run it outside the
+// coordinator lock with the tasks marked recording, so a panicking write
+// comes back as an error: it must not leak recording=true and strand the
+// tasks (the HTTP handler would otherwise swallow the panic).
+func recordTasks(cp *job.Checkpoint, recs []job.Result) (err error) {
 	if cp == nil {
 		return nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("grid: task %s: checkpoint write panicked: %v", t.ID(), r)
+			err = fmt.Errorf("grid: job checkpoint write panicked: %v", r)
 		}
 	}()
-	return cp.Record(t, vals, elapsed)
+	return cp.RecordAll(recs)
 }
 
 // Close releases every job's checkpoint handle and the WAL.
@@ -727,8 +740,8 @@ func (c *Coordinator) getJob(id string) (*gridJob, error) {
 // could matter (plus the drain loop's ticks).
 func (c *Coordinator) expireLocked(j *gridJob) {
 	now := c.now()
-	expired := 0
-	for tid, st := range j.tasks {
+	var expired []*taskState
+	for _, st := range j.tasks {
 		if st.status != taskLeased {
 			continue
 		}
@@ -738,29 +751,34 @@ func (c *Coordinator) expireLocked(j *gridJob) {
 			st.hedgeWorker = ""
 			st.hedgeDeadline = time.Time{}
 		}
-		if !st.deadline.Before(now) {
-			continue
+		if st.deadline.Before(now) {
+			expired = append(expired, st)
 		}
+	}
+	// Journalled in grant order, whatever order the map gave, as one write.
+	sort.Slice(expired, func(a, b int) bool { return expired[a].idx < expired[b].idx })
+	var recs []walRecord
+	for _, st := range expired {
+		tid := j.order[st.idx]
 		c.workerFailedLocked(st.worker)
-		c.walAppendLocked(false, walRecord{T: walExpire, Job: j.id, Task: tid, Worker: st.worker})
+		recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: tid, Worker: st.worker})
 		j.requeues++
-		expired++
 		if st.hedgeWorker != "" {
 			// Promote the live hedge: the task never goes back in the
 			// queue, the racer simply becomes the owner.
 			st.worker, st.deadline = st.hedgeWorker, st.hedgeDeadline
 			st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
 			j.leasesGranted++
-			c.walAppendLocked(false, walRecord{T: walLease, Job: j.id, Task: tid, Worker: st.worker})
+			recs = append(recs, walRecord{T: walLease, Job: j.id, Task: tid, Worker: st.worker})
 			continue
 		}
-		st.status = taskPending
-		st.worker = ""
+		j.requeueLocked(st)
 	}
+	c.walAppendLocked(false, recs...)
 	c.auditExpireLocked(j, now)
-	if expired > 0 {
-		c.metrics.requeues.Add(float64(expired))
-		c.logf("grid: job %s: %d leases expired, tasks re-queued", j.id, expired)
+	if len(expired) > 0 {
+		c.metrics.requeues.Add(float64(len(expired)))
+		c.logf("grid: job %s: %d leases expired, tasks re-queued", j.id, len(expired))
 		c.broadcastLocked(j)
 		c.checkDrainedLocked()
 	}
@@ -805,11 +823,10 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int) []LeaseTas
 	deadline := now.Add(ttl)
 	tasks := c.grantAuditsLocked(j, worker, max, now, deadline)
 	granted := len(tasks) // audit + pending grants: what the deficit counts
-	for _, tid := range j.order {
-		if len(tasks) == max {
-			break
-		}
+	for ; j.next < len(j.order) && len(tasks) < max; j.next++ {
+		tid := j.order[j.next]
 		st := j.tasks[tid]
+		j.scanned++
 		if st.status != taskPending {
 			continue
 		}
@@ -983,107 +1000,161 @@ func (c *Coordinator) Heartbeat(ctx context.Context, id string, req HeartbeatReq
 	return resp, nil
 }
 
-// Ingest records one uploaded result. It is idempotent: a duplicate of
-// a done task is acknowledged and dropped (task determinism makes the
-// values equivalent), and an upload from a worker whose lease expired
-// is still accepted if it arrives first. The checkpoint write happens
-// before the task is marked done, so an acknowledged result is always
-// durable — and it runs outside the coordinator lock, so leases,
-// heartbeats and progress are never stalled behind an fsync. A second
-// upload racing a journalling first one is told to move on without
-// waiting for durability; if the first write then fails, the task
-// simply re-queues and re-runs.
+// Ingest records one uploaded result: IngestResults of a one-entry body.
 func (c *Coordinator) Ingest(ctx context.Context, id string, up ResultUpload) (ResultAck, error) {
-	c.mu.Lock()
-	j, err := c.getJob(id)
+	acks, err := c.IngestResults(ctx, id, ResultsUpload{Worker: up.Worker,
+		Results: []TaskResult{{Task: up.Task, Values: up.Values, ElapsedMS: up.ElapsedMS}}})
 	if err != nil {
-		c.mu.Unlock()
 		return ResultAck{}, err
 	}
-	if c.quarantined[up.Worker] {
-		c.mu.Unlock()
-		return ResultAck{}, fmt.Errorf("%w: %s", errQuarantined, up.Worker)
-	}
-	st, ok := j.tasks[up.Task]
-	if !ok {
-		c.mu.Unlock()
-		return ResultAck{}, fmt.Errorf("%w %q in job %s", errUnknownTask, up.Task, id)
-	}
-	if len(up.Values) != st.task.Hi-st.task.Lo {
-		c.mu.Unlock()
-		return ResultAck{}, fmt.Errorf("grid: task %s upload has %d values, want %d",
-			up.Task, len(up.Values), st.task.Hi-st.task.Lo)
-	}
-	if st.status == taskDone && c.auditEnabled() && !st.recording {
-		// Under the audit regime a second upload for a done task is
-		// evidence, not noise: it either verifies the record or opens a
-		// dispute. Any checkpoint invalidations run after unlock.
-		ack, after := c.auditIngestLocked(j, st, up)
-		c.mu.Unlock()
-		if after != nil {
-			after()
-		}
-		return ack, nil
-	}
-	if st.status == taskDone || st.recording {
-		c.metrics.duplicates.Inc()
-		c.touchWorkerLocked(up.Worker)
-		c.mu.Unlock()
-		return ResultAck{Accepted: true, Duplicate: true}, nil
-	}
-	st.recording = true
-	var leaseLatency time.Duration
-	if st.status == taskLeased && !st.leasedAt.IsZero() {
-		leaseLatency = c.now().Sub(st.leasedAt)
-	}
-	cp, task := j.cp, st.task
-	c.mu.Unlock()
+	return acks[0], nil
+}
 
-	recErr := recordTask(cp, task, up.Values, time.Duration(up.ElapsedMS)*time.Millisecond)
+// IngestResults records one upload body and acks each of its entries. It
+// is idempotent per task: a duplicate of a done task is acknowledged and
+// dropped (task determinism makes the values equivalent), and an upload
+// from a worker whose lease expired is still accepted if it arrives
+// first. A malformed body — no entries, an unknown task, a wrong value
+// count — or a quarantined worker is refused before anything is recorded.
+// The body's not-yet-done tasks are checkpointed with one manifest append
+// before any is marked done, so an acknowledged result is always durable
+// — and the append runs outside the coordinator lock, so leases,
+// heartbeats and progress are never stalled behind an fsync; if it fails,
+// nothing is marked done and the tasks stay leased. A second upload
+// racing a journalling first one is told to move on without waiting for
+// durability; if the first write then fails, the task simply re-queues
+// and re-runs.
+func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUpload) ([]ResultAck, error) {
+	acks := make([]ResultAck, 0, len(up.Results))
+	for rest := up.Results; ; {
+		part, err := c.ingestRound(ctx, id, up.Worker, rest)
+		if err != nil {
+			return nil, err
+		}
+		acks = append(acks, part...)
+		if rest = rest[len(part):]; len(rest) == 0 {
+			return acks, nil
+		}
+	}
+}
+
+// ingestRound ingests results up to and including the first entry that
+// ends in a quarantine verdict, and returns their acks: the verdict's
+// re-queues run outside the lock and must land before the entries after
+// it are classified, exactly as they would between two uploads. Without
+// a verdict — every ordinary body — that is all of results.
+func (c *Coordinator) ingestRound(ctx context.Context, id, worker string, results []TaskResult) ([]ResultAck, error) {
+	c.mu.Lock()
+	j, err := c.getJob(id)
+	if err == nil && c.quarantined[worker] {
+		err = fmt.Errorf("%w: %s", errQuarantined, worker)
+	}
+	if err == nil && len(results) == 0 {
+		err = errors.New("grid: upload carries no results")
+	}
+	for i := 0; err == nil && i < len(results); i++ {
+		r := results[i]
+		if st, ok := j.tasks[r.Task]; !ok {
+			err = fmt.Errorf("%w %q in job %s", errUnknownTask, r.Task, id)
+		} else if len(r.Values) != st.task.Hi-st.task.Lo {
+			err = fmt.Errorf("grid: task %s upload has %d values, want %d", r.Task, len(r.Values), st.task.Hi-st.task.Lo)
+		}
+	}
+	if err != nil {
+		c.mu.Unlock()
+		return nil, err
+	}
+	var (
+		acks    = make([]ResultAck, 0, len(results))
+		fresh   []*taskState // tasks to journal; recs are their manifest records
+		recs    []job.Result
+		verdict func()
+		now     = c.now()
+	)
+	for _, r := range results {
+		st := j.tasks[r.Task]
+		ack := ResultAck{Accepted: true}
+		switch {
+		case st.status == taskDone && c.auditEnabled() && !st.recording:
+			// Under the audit regime a second upload for a done task is
+			// evidence, not noise: it either verifies the record or opens a
+			// dispute. Any checkpoint invalidations run after unlock.
+			ack, verdict = c.auditIngestLocked(j, st, ResultUpload{worker, r.Task, r.Values, r.ElapsedMS})
+		case st.status == taskDone || st.recording:
+			c.metrics.duplicates.Inc()
+			c.touchWorkerLocked(worker)
+			ack.Duplicate = true
+		default:
+			st.recording = true
+			fresh = append(fresh, st)
+			recs = append(recs, job.Result{Task: st.task, Values: r.Values, Elapsed: time.Duration(r.ElapsedMS) * time.Millisecond})
+		}
+		if acks = append(acks, ack); verdict != nil {
+			break
+		}
+	}
+	cp := j.cp
+	c.mu.Unlock()
+	if verdict != nil {
+		verdict()
+	}
+	if len(fresh) == 0 {
+		return acks, nil
+	}
+
+	recErr := recordTasks(cp, recs)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st.recording = false
+	for _, st := range fresh {
+		st.recording = false
+	}
 	if recErr != nil {
 		c.checkDrainedLocked()
-		return ResultAck{}, recErr
+		return nil, recErr
 	}
-	st.status = taskDone
-	if st.hedgeWorker != "" {
-		// The losing racer's lease dissolves without a verdict: its
-		// leased count drops, but no failure is scored — it was asked
-		// to race and simply lost.
-		loser := st.hedgeWorker
-		if up.Worker == loser {
-			loser = st.worker
+	walRecs := make([]walRecord, len(fresh))
+	for i, st := range fresh {
+		tid, vals, elapsed := j.order[st.idx], recs[i].Values, recs[i].Elapsed
+		if st.status == taskLeased && !st.leasedAt.IsZero() && now.After(st.leasedAt) {
+			c.metrics.leaseLatency.Observe(now.Sub(st.leasedAt).Seconds())
 		}
-		if ws := c.workers[loser]; ws != nil && ws.leased > 0 {
-			ws.leased--
+		st.status = taskDone
+		if st.hedgeWorker != "" {
+			// The losing racer's lease dissolves without a verdict: its
+			// leased count drops, but no failure is scored — it was asked
+			// to race and simply lost.
+			loser := st.hedgeWorker
+			if worker == loser {
+				loser = st.worker
+			}
+			if ws := c.workers[loser]; ws != nil && ws.leased > 0 {
+				ws.leased--
+			}
+			st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
 		}
-		st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
+		st.worker = ""
+		j.results[tid] = vals
+		j.doneBy[tid] = worker
+		j.done++
+		c.workerDoneLocked(worker, elapsed)
+		walRecs[i] = walRecord{T: walIngest, Job: j.id, Task: tid, Worker: worker, ElapsedMS: elapsed.Milliseconds()}
+		c.metrics.valuesIngested.Add(float64(len(vals)))
+		if c.auditEnabled() && worker != "" && auditSelected(j.id, tid, c.opts.AuditRate) {
+			// Selected tasks feed the cache only once audit-verified.
+			c.openAuditLocked(j, st.task, worker)
+		} else {
+			delete(j.tainted, tid)
+			c.feedCacheLocked(j, st.task, vals)
+		}
 	}
-	st.worker = ""
-	j.results[up.Task] = []float64(up.Values)
-	j.doneBy[up.Task] = up.Worker
-	j.done++
-	c.workerDoneLocked(up.Worker, time.Duration(up.ElapsedMS)*time.Millisecond)
-	c.walAppendLocked(false, walRecord{T: walIngest, Job: j.id, Task: up.Task, Worker: up.Worker, ElapsedMS: up.ElapsedMS})
-	c.metrics.tasksIngested.Inc()
-	c.metrics.valuesIngested.Add(float64(len(up.Values)))
-	if leaseLatency > 0 {
-		c.metrics.leaseLatency.Observe(leaseLatency.Seconds())
-	}
-	if c.auditEnabled() && up.Worker != "" && auditSelected(j.id, up.Task, c.opts.AuditRate) {
-		// Selected tasks feed the cache only once audit-verified.
-		c.openAuditLocked(j, st.task, up.Worker)
-	} else {
-		delete(j.tainted, up.Task)
-		c.feedCacheLocked(j, st.task, []float64(up.Values))
-	}
+	c.walAppendLocked(false, walRecs...)
+	c.metrics.tasksIngested.Add(float64(len(fresh)))
+	c.logfCtx(ctx, "grid: job %s: ingested %d results from %s (%d in the body)", j.id, len(fresh), worker, len(results))
 	c.finishIfCompleteLocked(j)
 	c.broadcastLocked(j)
 	c.checkDrainedLocked()
-	return ResultAck{Accepted: true}, nil
+	return acks, nil
 }
 
 // --- Drain ---
@@ -1302,8 +1373,9 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs/{id}/heartbeat", c.authed(jsonCall(c, func(r *http.Request, req HeartbeatRequest) (HeartbeatResponse, error) {
 		return c.Heartbeat(r.Context(), r.PathValue("id"), req)
 	})))
-	mux.HandleFunc("POST /v1/jobs/{id}/results", c.authed(jsonCall(c, func(r *http.Request, up ResultUpload) (ResultAck, error) {
-		return c.Ingest(r.Context(), r.PathValue("id"), up)
+	mux.HandleFunc("POST /v1/jobs/{id}/results", c.authed(jsonCall(c, func(r *http.Request, up ResultsUpload) (ResultsAck, error) {
+		acks, err := c.IngestResults(r.Context(), r.PathValue("id"), up)
+		return ResultsAck{Acks: acks}, err
 	})))
 	mux.HandleFunc("GET /v1/jobs/{id}/results", c.handleResults)
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", c.handleProgress)

@@ -23,8 +23,9 @@
 // function of the spec and the task identity, so any two honest
 // computations of one task agree byte-for-byte. Result ingest is
 // therefore idempotent — the first upload wins, is journalled through
-// the internal/job checkpoint format (one synced, group-committed
-// manifest line), and later duplicates are acknowledged and dropped.
+// the internal/job checkpoint format (one manifest line per task, the
+// lines of one upload body in one synced, group-committed append), and
+// later duplicates are acknowledged and dropped.
 // A grid checkpoint directory is interchangeable with a local one:
 // job.Load, dsa-report and a local -resume all read it.
 //
@@ -35,7 +36,8 @@
 //	GET  /v1/jobs/{id}             — job detail incl. the spec payload
 //	POST /v1/jobs/{id}/lease       — lease up to MaxTasks tasks
 //	POST /v1/jobs/{id}/heartbeat   — extend leases; learn which were lost
-//	POST /v1/jobs/{id}/results     — upload one task's values (idempotent)
+//	POST /v1/jobs/{id}/results     — upload finished tasks' values, one ack
+//	                                 each (idempotent per task)
 //	GET  /v1/jobs/{id}/results     — assembled scores (JSON or ?format=csv)
 //	GET  /v1/jobs/{id}/progress    — snapshot, or ?stream=1 for NDJSON
 //	                                 snapshots until the job completes
@@ -181,12 +183,37 @@ type HeartbeatResponse struct {
 // byte-for-byte on disk too).
 type WireFloats = dsa.JSONFloats
 
-// ResultUpload is one finished task's values.
-type ResultUpload struct {
-	Worker    string     `json:"worker"`
+// TaskResult is one finished task's values inside a ResultsUpload.
+type TaskResult struct {
 	Task      string     `json:"task"`
 	Values    WireFloats `json:"values"`
 	ElapsedMS int64      `json:"elapsed_ms"`
+}
+
+// ResultsUpload is the body of POST /v1/jobs/{id}/results: the tasks of
+// one execution unit of Worker's lease — the whole lease when it was one
+// joint call — and whatever else landed while an earlier body was in
+// flight. The coordinator checkpoints and journals the body's tasks
+// together and answers one ResultAck per entry, in order; a malformed
+// entry refuses the whole body.
+type ResultsUpload struct {
+	Worker  string       `json:"worker"`
+	Results []TaskResult `json:"results"`
+}
+
+// ResultsAck answers a ResultsUpload: Acks[i] is the verdict on
+// Results[i].
+type ResultsAck struct {
+	Acks []ResultAck `json:"acks"`
+}
+
+// ResultUpload is one task's result from one worker: the argument of
+// Coordinator.Ingest, the one-element form of a ResultsUpload.
+type ResultUpload struct {
+	Worker    string
+	Task      string
+	Values    WireFloats
+	ElapsedMS int64
 }
 
 // ScoresWire is dsa.Scores in grid wire form: the same shape, with
@@ -228,8 +255,8 @@ func (w ScoresWire) scores() *dsa.Scores {
 	return s
 }
 
-// ResultAck acknowledges an upload. Duplicate marks a task that was
-// already done (the upload was dropped; determinism makes it
+// ResultAck acknowledges one uploaded task. Duplicate marks a task that
+// was already done (the upload was dropped; determinism makes it
 // equivalent).
 type ResultAck struct {
 	Accepted  bool `json:"accepted"`

@@ -380,9 +380,9 @@ func TestNonFiniteValuesOverTheWire(t *testing.T) {
 			vals[k] = special[(i+k)%len(special)]
 		}
 		// Through the real HTTP ingest path, not the method.
-		var ack ResultAck
+		var ack ResultsAck
 		err := postJSON(ctx, srv.Client(), apiURL(srv.URL, "jobs", id, "results"),
-			ResultUpload{Worker: "w", Task: lt.Task, Values: vals}, &ack)
+			ResultsUpload{Worker: "w", Results: []TaskResult{{Task: lt.Task, Values: vals}}}, &ack)
 		if err != nil {
 			t.Fatalf("upload of non-finite values: %v", err)
 		}

@@ -1,10 +1,11 @@
 package grid
 
 // The worker uploads from a side goroutine: the simulator moves on to
-// the next task while an ack is outstanding. These tests pin what that
-// must not change — a task stays in the heartbeat set until its own
-// ack, the first failed upload is what Work returns, and a worker that
-// dies holding computed-but-unsent results costs nothing but a re-run.
+// the next task while an ack is outstanding, and what lands meanwhile
+// leaves together in the next body. These tests pin what that must not
+// change — a task stays in the heartbeat set until its own ack, the
+// first failed upload is what Work returns, and a worker that dies
+// holding computed-but-unsent results costs nothing but a re-run.
 
 import (
 	"bytes"
@@ -57,12 +58,14 @@ func TestWorkerUploadsOffComputePath(t *testing.T) {
 
 	// In front of the coordinator: heartbeats are copied to the test,
 	// the first upload waits for release[0] and is then served, the
-	// second waits for release[1] and is refused outright.
+	// second waits for release[1] and is refused outright. Each upload's
+	// size — the results its body carries — is noted.
 	beats := make(chan beat, 1024) // never blocks the handler: the test reads what it needs
 	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
 	arrived := make(chan struct{}, 8) // one token per upload; a lease is 3
 	abandon := make(chan struct{})    // unparks the handlers when the test bails out
 	var uploads, computed atomic.Int32
+	var sizes [2]atomic.Int32
 	inner := coord.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
@@ -75,6 +78,12 @@ func TestWorkerUploadsOffComputePath(t *testing.T) {
 			r.Body = io.NopCloser(bytes.NewReader(body))
 		case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/results"):
 			n := int(uploads.Add(1))
+			body, _ := io.ReadAll(r.Body)
+			var up ResultsUpload
+			if json.Unmarshal(body, &up) == nil && n <= len(sizes) {
+				sizes[n-1].Store(int32(len(up.Results)))
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			arrived <- struct{}{}
 			if n <= len(release) {
 				select {
@@ -143,6 +152,11 @@ func TestWorkerUploadsOffComputePath(t *testing.T) {
 	}
 	if n := uploads.Load(); n != 2 {
 		t.Fatalf("%d uploads were attempted, want the batch to stop at the failed second", n)
+	}
+	// The first task went out alone, as it landed; the two that landed
+	// while its ack was outstanding left together.
+	if a, b := sizes[0].Load(), sizes[1].Load(); a != 1 || b != 2 {
+		t.Fatalf("the uploads carried %d and %d results, want 1 and then the 2 that queued behind it", a, b)
 	}
 	snap, err := coord.Progress(id)
 	if err != nil {

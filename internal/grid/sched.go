@@ -256,12 +256,10 @@ func (c *Coordinator) grantHedgesLocked(j *gridJob, worker string, room int, now
 	return out
 }
 
+// hasPendingLocked walks the grant cursor up to the first pending task.
 func (j *gridJob) hasPendingLocked() bool {
-	if j.done == len(j.order) {
-		return false
-	}
-	for _, st := range j.tasks {
-		if st.status == taskPending {
+	for ; j.next < len(j.order); j.next++ {
+		if j.tasks[j.order[j.next]].status == taskPending {
 			return true
 		}
 	}

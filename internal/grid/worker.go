@@ -269,20 +269,19 @@ func sleepPoll(ctx context.Context, opts WorkerOptions) error {
 }
 
 // runLease executes one lease batch: a heartbeat goroutine keeps the
-// outstanding leases alive while job.ExecTasks computes them, and an
-// uploader goroutine posts each result as it lands, so the simulator
-// never waits for an ack. What overlaps is one execution unit's uploads
-// with the next unit's compute: where the domain's measures share runs,
-// adjacent tasks over one chunk are a single joint call whose results
-// all land at its end, so a lease that is one such unit — the default
-// four-task lease of a delivery job — computes first and then uploads
-// its results one after another with nothing left to hide them behind.
-// That serial tail is a known cost of sharing the runs (the worker
-// idles through it); a lease spanning several chunks, or a domain
-// without joint scoring, still has unit n+1 computing while unit n's
-// uploads are in flight. A task leaves the heartbeat set only on its
-// ack. The first upload error stops the batch and is what runLease
-// returns.
+// outstanding leases alive while job.ExecTasks computes them, and results
+// are posted from a side goroutine, so the simulator never waits for an
+// ack. The unit of upload is the unit of execution: at the end of each
+// one (job.ExecOptions.OnUnit) what has landed leaves as one body — no
+// size, no timer. Where the domain's measures share runs, adjacent tasks
+// over one chunk are a single joint call, so a lease that is one such
+// unit (the default four-task lease of a delivery job) is one upload,
+// one checkpoint append and one ingest WAL write on the coordinator; a
+// task that is its own unit goes out alone. Only one body is in flight
+// at a time: unit n+1 computes under unit n's upload, and whatever lands
+// before that ack leaves together in the next body. A task leaves the
+// heartbeat set only on its ack. The first upload error stops the batch
+// and is what runLease returns.
 func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name string, spec job.Spec, granted []LeaseTask, opts WorkerOptions, logf func(string, ...any)) error {
 	tasks := make([]job.Task, len(granted))
 	ttl := DefaultLeaseTTL
@@ -346,66 +345,89 @@ func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name str
 		Str("job", jobID).Int("tasks", int64(len(tasks)))
 	defer batch.End()
 
-	type result struct {
-		task    job.Task
-		values  []float64
-		elapsed time.Duration
-	}
-	upload := func(r result) error {
-		var ack ResultAck
+	upload := func(rs []TaskResult) error {
+		var ack ResultsAck
 		var info callInfo
-		span := opts.Trace.Start(batch.ID(), "upload").Str("task", r.task.ID())
+		span := opts.Trace.Start(batch.ID(), "upload").Int("tasks", int64(len(rs)))
 		err := postJSONInfo(ctx, client, apiURL(baseURL, "jobs", jobID, "results"),
-			ResultUpload{Worker: name, Task: r.task.ID(), Values: WireFloats(r.values), ElapsedMS: r.elapsed.Milliseconds()}, &ack, &info)
+			ResultsUpload{Worker: name, Results: rs}, &ack, &info)
+		if err == nil && len(ack.Acks) != len(rs) {
+			err = fmt.Errorf("grid: %d acks for %d uploaded results", len(ack.Acks), len(rs))
+		}
 		if err != nil {
 			span.Drop()
 			return err
 		}
 		span.Str("rid", info.requestID).Int("attempts", int64(info.attempts)).End()
-		opts.Metrics.ObserveUpload(info.attempts - 1)
+		opts.Metrics.ObserveUploads(len(rs), info.attempts-1)
 		opts.Trace.CountUploadRetries(info.attempts - 1)
 		mu.Lock()
-		delete(held, r.task.ID())
+		for _, r := range rs {
+			delete(held, r.Task)
+		}
 		mu.Unlock()
-		if ack.Duplicate {
-			logf("worker %s: task %s was already done (duplicate dropped)", name, r.task.ID())
+		for i, a := range ack.Acks {
+			if a.Duplicate {
+				logf("worker %s: task %s was already done (duplicate dropped)", name, rs[i].Task)
+			}
 		}
 		return nil
 	}
 
-	// The queue holds the whole lease, so the sink never blocks.
-	queue := make(chan result, len(tasks))
+	// Uploader state, under mu: results land in pending; flush sends them
+	// off unless a body is in flight, and then its poster takes them along
+	// when the ack arrives.
+	var (
+		pending   []TaskResult
+		posting   bool
+		uploadErr error
+		posts     sync.WaitGroup
+	)
 	execCtx, stopExec := context.WithCancel(ctx)
 	defer stopExec()
-	var uploadErr error
-	uploaded := make(chan struct{})
-	go func() {
-		defer close(uploaded)
-		for r := range queue {
-			if uploadErr != nil {
-				continue // the batch already failed; drain
-			}
-			if uploadErr = upload(r); uploadErr != nil {
+	post := func(body []TaskResult) {
+		defer posts.Done()
+		for len(body) > 0 {
+			err := upload(body)
+			mu.Lock()
+			if err != nil {
+				uploadErr, pending = err, nil // the batch failed: what is pending stays unsent
 				stopExec()
 			}
+			body, pending = pending, nil
+			posting = len(body) > 0
+			mu.Unlock()
 		}
-	}()
+	}
+	flush := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if posting || uploadErr != nil || len(pending) == 0 {
+			return
+		}
+		posting = true
+		posts.Add(1)
+		go post(pending)
+		pending = nil
+	}
 	execOpts := job.ExecOptions{
 		Workers: opts.Workers, Cache: opts.Cache,
 		Trace: opts.Trace, TraceParent: batch.ID(),
 		OnTask: func(ts job.TaskStats) {
 			opts.Metrics.ObserveTask(ts.Task.Measure, ts.Elapsed, ts.Simulated, ts.CacheHits)
 		},
+		OnUnit: flush,
 	}
 	err := job.ExecTasks(execCtx, spec, tasks, execOpts, func(t job.Task, values []float64, elapsed time.Duration) error {
 		if opts.Corrupt != nil {
 			values = opts.Corrupt(t, values)
 		}
-		queue <- result{t, values, elapsed}
+		mu.Lock()
+		pending = append(pending, TaskResult{Task: t.ID(), Values: values, ElapsedMS: elapsed.Milliseconds()})
+		mu.Unlock()
 		return nil
 	})
-	close(queue)
-	<-uploaded
+	posts.Wait()
 	if uploadErr != nil {
 		return uploadErr
 	}

@@ -48,7 +48,7 @@ func NewWorkerMetrics(r *Registry) *WorkerMetrics {
 		leasedTasks: r.NewCounter("worker_leased_tasks_total",
 			"Tasks granted across all lease responses."),
 		uploads: r.NewCounter("worker_uploads_total",
-			"Result uploads acknowledged by the coordinator."),
+			"Task results acknowledged by the coordinator (one upload request may carry several)."),
 		uploadRetries: r.NewCounter("worker_upload_retries_total",
 			"Upload HTTP attempts beyond each call's first."),
 		leasesLost: r.NewCounter("worker_leases_lost_total",
@@ -82,12 +82,17 @@ func (m *WorkerMetrics) ObserveTask(measure string, elapsed time.Duration, simul
 	m.pointsCached.Add(float64(cached))
 }
 
-// ObserveUpload counts one acknowledged upload and the retries it cost.
-func (m *WorkerMetrics) ObserveUpload(retries int) {
+// ObserveUpload counts one acknowledged one-task upload and the retries
+// it cost.
+func (m *WorkerMetrics) ObserveUpload(retries int) { m.ObserveUploads(1, retries) }
+
+// ObserveUploads counts one acknowledged upload body: the tasks it
+// carried and the retries it cost.
+func (m *WorkerMetrics) ObserveUploads(tasks, retries int) {
 	if m == nil {
 		return
 	}
-	m.uploads.Inc()
+	m.uploads.Add(float64(tasks))
 	if retries > 0 {
 		m.uploadRetries.Add(float64(retries))
 	}

@@ -261,11 +261,32 @@ func OpenCheckpoint(dir string, spec Spec) (*Checkpoint, error) {
 // directory's manifests at open time. The caller takes ownership.
 func (c *Checkpoint) Completed() map[string][]float64 { return c.completed }
 
-// Record persists one finished task and returns once its manifest line
-// is durable, so a crash right after Record loses nothing. Safe for
-// concurrent use; concurrent calls share fsyncs.
+// Result is one finished task as the checkpoint records it.
+type Result struct {
+	Task    Task
+	Values  []float64
+	Elapsed time.Duration
+}
+
+// RecordAll persists finished tasks — one manifest line each, appended
+// with a single write — and returns once they are durable, so a crash
+// right after it loses nothing. A crash during it keeps the lines whose
+// '\n' reached the disk (linelog's rule) and those tasks' only; a failed
+// append keeps none. Safe for concurrent use; concurrent calls share
+// fsyncs.
+func (c *Checkpoint) RecordAll(rs []Result) error {
+	var lines []byte
+	for _, r := range rs {
+		lines = append(lines, mustJSON(manifestEntry{Task: r.Task.ID(), Values: r.Values, ElapsedMS: r.Elapsed.Milliseconds()})...)
+		lines = append(lines, '\n')
+	}
+	return c.manifest.Append(lines, true)
+}
+
+// Record is RecordAll of one task: what a local run journals as each
+// task lands.
 func (c *Checkpoint) Record(t Task, values []float64, elapsed time.Duration) error {
-	return c.manifest.Append(append(mustJSON(manifestEntry{Task: t.ID(), Values: values, ElapsedMS: elapsed.Milliseconds()}), '\n'), true)
+	return c.RecordAll([]Result{{t, values, elapsed}})
 }
 
 // Close closes the manifest. Record must not be called after Close.

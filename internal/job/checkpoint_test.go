@@ -9,11 +9,13 @@ package job
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // sameValues is bit-exact vector equality (NaN equals NaN).
@@ -143,6 +145,59 @@ func TestManifestCrashPoints(t *testing.T) {
 		if err := sameCompleted(got, want); err != nil {
 			t.Fatalf("cut %d: after reopen + record: %v", cut, err)
 		}
+	}
+}
+
+// TestRecordAllIsOneWriteOfRecordsLines: RecordAll appends its tasks'
+// lines with a single write, and the lines are byte for byte what Record
+// writes one at a time — a restore cannot tell the two apart.
+func TestRecordAllIsOneWriteOfRecordsLines(t *testing.T) {
+	spec := faultSpec(t)
+	tasks := spec.Tasks()[:3]
+	vals := [][]float64{{0.5, math.NaN()}, {math.Inf(-1), 2}, {3, 1.0000000000000002}}
+	manifests := make([][]byte, 2)
+	for i, together := range []bool{false, true} {
+		dir := t.TempDir()
+		cp, err := OpenCheckpoint(dir, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := 0
+		restore := SetWriterSeam(func(path string, w io.Writer) io.Writer {
+			if filepath.Base(path) == "manifest-grid.jsonl" {
+				writes++
+			}
+			return w
+		})
+		if together {
+			rs := make([]Result, len(tasks))
+			for k, task := range tasks {
+				rs[k] = Result{Task: task, Values: vals[k], Elapsed: time.Duration(k) * time.Millisecond}
+			}
+			err = cp.RecordAll(rs)
+		} else {
+			for k, task := range tasks {
+				if err = cp.Record(task, vals[k], time.Duration(k)*time.Millisecond); err != nil {
+					break
+				}
+			}
+		}
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{false: len(tasks), true: 1}[together]; writes != want {
+			t.Fatalf("together=%v: %d manifest writes, want %d", together, writes, want)
+		}
+		if err := cp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if manifests[i], err = os.ReadFile(filepath.Join(dir, "manifest-grid.jsonl")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(manifests[0], manifests[1]) {
+		t.Fatalf("RecordAll wrote\n%s\nRecord, task by task, wrote\n%s", manifests[1], manifests[0])
 	}
 }
 

@@ -259,6 +259,40 @@ func TestExecTasksFusesOnlyAdjacentEqualRanges(t *testing.T) {
 	}
 }
 
+// TestExecTasksOnUnitFollowsTheUnitsSinks: OnUnit fires once per
+// execution unit, after the last of its sinks — on one pool goroutine
+// the log reads sink×4, unit, sink×4, unit, ... for a joint domain and
+// sink, unit, sink, unit, ... without the capability.
+func TestExecTasksOnUnitFollowsTheUnitsSinks(t *testing.T) {
+	for name, d := range map[string]dsa.Domain{"joint": jointDomain{newPlainDomain(t)}, "plain": newPlainDomain(t)} {
+		spec := fuseSpec(d)
+		perUnit := 1
+		if name == "joint" {
+			perUnit = len(fuseMeasures)
+		}
+		var log []string // one pool goroutine: no lock needed
+		err := ExecTasks(context.Background(), spec, spec.Tasks(), ExecOptions{
+			Workers: 1,
+			OnUnit:  func() { log = append(log, "unit") },
+		}, func(Task, []float64, time.Duration) error {
+			log = append(log, "sink")
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for i := range spec.Tasks() {
+			if want = append(want, "sink"); (i+1)%perUnit == 0 {
+				want = append(want, "unit")
+			}
+		}
+		if !slices.Equal(log, want) {
+			t.Errorf("%s domain: sinks and unit ends arrived as %v, want %v", name, log, want)
+		}
+	}
+}
+
 // TestFusedTaskSpansAreRealIntervals: the task spans of a unit are
 // not carved up to add to its time — each contains its own children
 // (the unit's one simulate span, every cache lookup), and the share

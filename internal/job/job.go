@@ -295,6 +295,12 @@ type ExecOptions struct {
 	// the seam worker metrics hang off. Called concurrently from pool
 	// goroutines; must be safe for concurrent use.
 	OnTask func(TaskStats)
+	// OnUnit, if non-nil, is called after the last sink of each execution
+	// unit (see ExecTasks), from the goroutine that ran it: everything the
+	// unit produced has been handed over. A sink that only collects
+	// results sends them on from here — the grid worker uploads a unit's
+	// tasks as one body. Same concurrency as OnTask.
+	OnUnit func()
 }
 
 // TaskStats is one completed task's accounting, as delivered to
@@ -565,6 +571,9 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 		if err := sink(t, runs[k].vals, elapsed); err != nil {
 			return err
 		}
+	}
+	if opts.OnUnit != nil {
+		opts.OnUnit()
 	}
 	return nil
 }

@@ -23,6 +23,14 @@ type Analysis struct {
 	CacheLookups    int64 // cache-lookup events
 	CacheHits       int64 // cache-lookup events with outcome=hit
 
+	// Grid result uploads ("upload" spans): requests sent, the tasks they
+	// carried (the span's tasks count; 1 in a journal that predates it)
+	// and the time spent in them — UploadTime/UploadTasks is what
+	// uploading cost per task.
+	Uploads     int
+	UploadTasks int64
+	UploadTime  time.Duration
+
 	Measures   []MeasureStat // per-measure task timing, one row per measure
 	Workers    []WorkerStat  // per-writer utilization
 	Stragglers []Straggler   // outlier tasks, slowest first
@@ -151,6 +159,10 @@ func Analyze(records []Record) *Analysis {
 			wa.seen = true
 			wa.simulated += sim
 			wa.hits += hit
+		case "upload":
+			a.Uploads++
+			a.UploadTasks += max(r.AttrInt("tasks"), 1)
+			a.UploadTime += r.Dur()
 		case "cache-lookup":
 			// Instant outcome events from an instrumented cache carry
 			// "outcome"; the job's per-task lookup-phase span does not

@@ -123,6 +123,19 @@ func TestAnalyzeFusedTasks(t *testing.T) {
 	}
 }
 
+// TestAnalyzeUploads: an upload span is one request; its tasks count
+// says how many results it carried, and a span without one (an older
+// journal) carried one.
+func TestAnalyzeUploads(t *testing.T) {
+	a := Analyze([]Record{
+		{Writer: "w1", ID: 1, Name: "upload", DurUS: 800, Attrs: map[string]any{"tasks": float64(4)}},
+		{Writer: "w1", ID: 2, Name: "upload", DurUS: 400, Attrs: map[string]any{"task": "perf:0-8"}},
+	})
+	if a.Uploads != 2 || a.UploadTasks != 5 || a.UploadTime != 1200*time.Microsecond {
+		t.Errorf("uploads = %d carrying %d tasks in %v, want 2 carrying 5 in 1.2ms", a.Uploads, a.UploadTasks, a.UploadTime)
+	}
+}
+
 func TestAnalyzeStragglers(t *testing.T) {
 	var recs []Record
 	id := uint64(1)

@@ -41,23 +41,33 @@
 // Run, so its steady state is engineered to be allocation-free and to
 // avoid O(n²) work that the seed implementation repeated every round:
 //
-//   - Worlds are pooled (see Pool). All O(n²) history slabs survive
-//     across runs; a run reset is O(n) because history validity is
-//     tracked with absolute round stamps rather than cleared buffers —
-//     the round counter keeps increasing across pooled runs (with a
-//     guard gap), so stale stamps from earlier runs can never match.
-//   - Per-round state (planned transfers, zero-byte contacts, current
-//     partner sets) carries a round stamp instead of being cleared:
-//     the seed's three O(n²) clears per round are gone.
-//   - commit visits only the cells actually touched this round
+//   - Worlds are pooled (see Pool). The O(n²) slabs survive across
+//     runs; a run reset is O(n) because history validity is tracked
+//     with absolute round stamps rather than cleared buffers — the
+//     round counter keeps increasing across pooled runs (with a guard
+//     gap), so stale stamps from earlier runs can never match.
+//   - State is laid out the way a round reads it. Everything a
+//     receiver remembers about a giver is one 32-byte cell (a ranking
+//     key, its tiebreak, a Prop Share weight and commit's rotation all
+//     read several fields of one pair); a round's planned transfers
+//     live only in the per-receiver touch lists, amount beside giver,
+//     emptied by zeroing n counts (the seed cleared three O(n²) slabs
+//     per round) and walked front to back by commit; a ranking
+//     comparison reads two adjacent 16-byte scratch records. The world
+//     holds two n² slabs (cells, touch lists); everything else is O(n)
+//     or bitmasks.
+//   - commit visits only the pairs actually touched this round
 //     (O(n·(k+h)) rather than O(n²)), in exactly the seed's
 //     (receiver-ascending, giver-ascending) order so every float
 //     accumulates in the same sequence.
-//   - Partner selection uses an alloc-free partial selection sort over
-//     the candidate scratch slice (the comparison key is a strict
-//     total order, so the top-k prefix is identical to the seed's
-//     sort.SliceStable result) instead of a closure-based stable sort
-//     that allocated on every call.
+//   - Partner selection keeps the best min(k, c) candidates by bounded
+//     insertion (the comparison is a strict total order, so the prefix
+//     is identical to the seed's sort.SliceStable result), and does
+//     not rank at all when every candidate fits in k and the
+//     allocation is not Prop Share — the only reader of selection
+//     order. A Freeride peer whose partner set nothing observes (no
+//     When-needed vacancy count, no RandomRank draw) skips selection
+//     altogether.
 //
 // The contract for all of this is byte-identity: same RNG draw order,
 // same float operation order, bit-equal Results versus the frozen seed
@@ -172,17 +182,69 @@ const maxRound = 1 << 28
 // next one.
 const runGap = 16
 
-// world carries all mutable state of one run. History buffers are flat
-// n×n row-major slices indexed [receiver*n + giver] (except give /
-// giveRound / zeroContact, which are [giver*n + receiver], and
-// partnerRound, which is [selector*n + partner]).
+// cell is everything receiver i remembers about giver j. The history
+// is one n×n row-major slab of these, indexed [receiver*n + giver] —
+// an array of structs, because every access (a ranking key with its
+// tiebreak, a Prop Share weight, commit's window rotation) reads
+// several fields of one pair and none scans one field across pairs.
 //
-// Validity of every history cell is tracked with absolute round stamps
-// rather than by clearing: a cell's value only counts when its stamp
-// matches the window being asked about. The round counter is monotonic
-// across pooled runs (each run starts runGap past the previous run's
-// last round), which is what makes a pooled world's O(n) reset sound —
+// Validity of every field is tracked with absolute round stamps rather
+// than by clearing: a value only counts when its stamp matches the
+// window being asked about. The round counter is monotonic across
+// pooled runs (each run starts runGap past the previous run's last
+// round), which is what makes a pooled world's O(n) reset sound —
 // every stale stamp is simply too old to match.
+type cell struct {
+	// recvLast is the bytes received in round recvLastRound (the
+	// receiver's most recent nonzero round for this giver); recvPrev /
+	// recvPrevRound hold the nonzero round before that. Together they
+	// cover the 2-round candidate window without per-round rotation.
+	recvLast, recvPrev           float64
+	recvLastRound, recvPrevRound int32
+	// streak counts consecutive rounds the receiver got >0 from giver,
+	// as of the end of round recvLastRound (a nonzero round both
+	// rotates the window and extends or restarts the streak, so one
+	// stamp serves both); a gap breaks the chain by leaving the stamp
+	// behind.
+	streak int32
+	// lastContact is the absolute round of the giver's most recent
+	// contact (data or zero-byte) toward the receiver, or never. The
+	// selection tiebreak reads it; candidacy itself runs on the
+	// contact bitmasks of the world.
+	lastContact int32
+}
+
+// transfer is one entry of a receiver's touch list: a giver and the
+// amount it planned this round (0 for a zero-byte contact).
+type transfer struct {
+	amount float64
+	giver  int32
+}
+
+// candidate is one entry of the selection scratch: everything one
+// ranking comparison reads, side by side.
+type candidate struct {
+	key         float64 // ranking key, lower = better
+	lastContact int32
+	idx         int32 // the candidate peer
+}
+
+// before orders candidates by ranking key, then most recent contactor
+// first — the "immediately ... chooses p2" recency of Section 4.4,
+// which also spreads selections uniformly instead of piling onto low
+// indices — then by index for determinism. The index tiebreak makes
+// this a strict total order.
+func (x candidate) before(y candidate) bool {
+	if x.key != y.key {
+		return x.key < y.key
+	}
+	if x.lastContact != y.lastContact {
+		return x.lastContact > y.lastContact
+	}
+	return x.idx < y.idx
+}
+
+// world carries all mutable state of one run.
 type world struct {
 	n     int
 	rng   *rand.Rand
@@ -195,49 +257,20 @@ type world struct {
 	total []float64
 	spent []float64
 
-	// recvLast is the bytes received in round recvLastRound (the
-	// receiver's most recent nonzero round for this giver); recvPrev /
-	// recvPrevRound hold the nonzero round before that. Together they
-	// cover the 2-round candidate window without per-round rotation.
-	recvLast      []float64
-	recvLastRound []int32
-	recvPrev      []float64
-	recvPrevRound []int32
-	// streak counts consecutive rounds the receiver got >0 from giver,
-	// as of the end of round streakRound; a gap breaks the chain by
-	// leaving the stamp behind.
-	streak      []int32
-	streakRound []int32
-	// lastContact is the absolute round of the giver's most recent
-	// contact (data or zero-byte) toward the receiver, or never. The
-	// selection tiebreak reads it; candidacy itself runs on the
-	// contact bitmasks below.
-	//
-	// A pair selected in round r-1 (bit in partnerPrvMask) stays in
-	// the candidate list (at its observed rate, 0 if silent) for up to
-	// stickRounds beyond the candidate window after its last contact,
-	// so a peer with a settled partner rarely goes candidate-less —
-	// the bounded partner-stickiness that lets Sort-S peers "rarely
-	// find themselves without a fully occupied partner set" (Section
-	// 4.4) while still letting persistently silent partners expire,
-	// which keeps large partner sets genuinely hard to sustain
-	// (Figure 3's low-k advantage).
-	lastContact []int32
+	// cells is the pair history, [receiver*n + giver].
+	cells []cell
 
-	// give is the current round's planned transfer matrix
-	// [giver*n + receiver], valid only where giveRound carries the
-	// current round; zeroContact stamps zero-byte contacts the same
-	// way. Neither is ever cleared.
-	give        []float64
-	giveRound   []int32
-	zeroContact []int32
-
-	// touchGiver[r*n : r*n+touchCnt[r]] lists the givers that planned a
-	// transfer or zero-byte contact toward receiver r this round, in
-	// ascending giver order (plan runs givers in index order). commit
-	// walks exactly these cells.
-	touchGiver []int32
-	touchCnt   []int32
+	// touched[r*n : r*n+touchCnt[r]] lists the transfers and zero-byte
+	// contacts planned toward receiver r this round, in ascending giver
+	// order (plan runs givers in index order). It is the round's whole
+	// transfer matrix — nothing else records a planned amount — and
+	// commit walks exactly these entries.
+	touched  []transfer
+	touchCnt []int32
+	// serving has bit j set iff the giver being planned already touched
+	// receiver j this round; plan clears it per giver. Only
+	// contactStrangers reads it.
+	serving []uint64
 
 	// Contact bitmasks, the candidate-list accelerator: cmCur row i has
 	// bit j set iff giver j contacted receiver i this round (written by
@@ -247,6 +280,16 @@ type world struct {
 	// the seed's O(n) row scan is exactly the bits of
 	//
 	//	(m1|..|m_win) | (partnerPrev & (m1|..|m_{win+stick}))
+	//
+	// that is: peers that contacted i within the window, plus pairs
+	// selected in round r-1 (bit in partnerPrvMask) whose last contact
+	// is at most stickRounds older than that. The second term is the
+	// bounded partner-stickiness that lets Sort-S peers "rarely find
+	// themselves without a fully occupied partner set" (Section 4.4)
+	// while still letting persistently silent partners expire, which
+	// keeps large partner sets genuinely hard to sustain (Figure 3's
+	// low-k advantage). A sticky candidate ranks at its observed rate,
+	// 0 if silent.
 	//
 	// churn clears a departed peer's rows and bits, matching the
 	// seed's history wipe. words is the row stride in uint64 words.
@@ -259,9 +302,8 @@ type world struct {
 	round int32
 	base  int32
 
-	// scratch buffers for selection.
-	cand []int
-	keys []float64
+	// cand is the selection scratch.
+	cand []candidate
 }
 
 // Run simulates peers for opt.Rounds rounds and returns per-peer
@@ -326,18 +368,10 @@ func newWorld(peers []PeerSpec, seed int64) *world {
 		asp:            make([]float64, n),
 		total:          make([]float64, n),
 		spent:          make([]float64, n),
-		recvLast:       make([]float64, n*n),
-		recvLastRound:  make([]int32, n*n),
-		recvPrev:       make([]float64, n*n),
-		recvPrevRound:  make([]int32, n*n),
-		streak:         make([]int32, n*n),
-		streakRound:    make([]int32, n*n),
-		lastContact:    make([]int32, n*n),
-		give:           make([]float64, n*n),
-		giveRound:      make([]int32, n*n),
-		zeroContact:    make([]int32, n*n),
-		touchGiver:     make([]int32, n*n),
+		cells:          make([]cell, n*n),
+		touched:        make([]transfer, n*n),
 		touchCnt:       make([]int32, n),
+		serving:        make([]uint64, words),
 		cmCur:          make([]uint64, n*words),
 		cm1:            make([]uint64, n*words),
 		cm2:            make([]uint64, n*words),
@@ -345,29 +379,28 @@ func newWorld(peers []PeerSpec, seed int64) *world {
 		cm4:            make([]uint64, n*words),
 		partnerCurMask: make([]uint64, n*words),
 		partnerPrvMask: make([]uint64, n*words),
-		cand:           make([]int, 0, n),
-		keys:           make([]float64, n),
+		cand:           make([]candidate, 0, n),
 	}
 	for i, p := range peers {
 		w.caps[i] = p.Capacity
 		w.asp[i] = p.Capacity
 	}
-	for _, s := range [][]int32{
-		w.recvLastRound, w.recvPrevRound, w.streakRound,
-		w.lastContact, w.giveRound, w.zeroContact,
-	} {
-		for i := range s {
-			s[i] = never
-		}
+	for i := range w.cells {
+		w.cells[i].forget()
 	}
 	return w
 }
 
-// reset prepares a pooled world for a fresh run. The O(n²) stamp slabs
-// stay as they are — the new run's round range starts runGap past the
-// old one, so every stale stamp fails every check — and only the
-// per-peer accumulators and the (n²/64-bit) contact masks, which carry
-// no stamps, are actually cleared.
+// forget invalidates a cell's history by pushing every stamp to never.
+func (c *cell) forget() {
+	c.recvLastRound, c.recvPrevRound, c.lastContact = never, never, never
+}
+
+// reset prepares a pooled world for a fresh run. The O(n²) slabs stay
+// as they are — the new run's round range starts runGap past the old
+// one, so every stale stamp fails every check — and only the per-peer
+// accumulators and the (n²/64-bit) contact masks, which carry no
+// stamps, are actually cleared.
 func (w *world) reset(peers []PeerSpec, seed int64) {
 	w.rng.Seed(seed)
 	w.base = w.round + runGap
@@ -424,25 +457,29 @@ func (w *world) step() {
 	w.commit()
 }
 
-// touch records that giver i planned a transfer or zero-byte contact
+// touch records that giver i planned amount (0 = a zero-byte contact)
 // toward receiver j this round. plan runs givers in ascending index
-// order and touches each (giver, receiver) cell at most once, so the
-// receiver's list stays giver-sorted — the order commit relies on.
-func (w *world) touch(j, i int) {
-	w.touchGiver[j*w.n+int(w.touchCnt[j])] = int32(i)
+// order and touches each (giver, receiver) pair at most once — the
+// serving mask is what keeps a stranger contact off a peer already
+// served — so the receiver's list stays giver-sorted, the order commit
+// relies on.
+func (w *world) touch(i, j int, amount float64) {
+	w.serving[j>>6] |= 1 << (uint(j) & 63)
+	w.touched[j*w.n+int(w.touchCnt[j])] = transfer{amount: amount, giver: int32(i)}
 	w.touchCnt[j]++
 }
 
-// plan decides peer i's uploads for this round into w.give.
+// plan decides peer i's uploads for this round into the touch lists.
 func (w *world) plan(i int) {
 	p := w.specs[i].Protocol
+	for k := range w.serving {
+		w.serving[k] = 0
+	}
 	ns := slots(p)
 	if ns == 0 {
-		// k=0 and no reserved stranger slots: the peer may still make
-		// zero contacts? No — with no slots nothing is ever sent, and
-		// only DefectStrangers makes zero-byte contacts below when it
-		// has stranger activity. Handle the k=0 Defect case: contacts
-		// still happen (h >= 1), they just carry nothing.
+		// k=0 and no reserved stranger slots: nothing is ever sent, but
+		// the Defect policy's contacts still happen (h >= 1), they just
+		// carry nothing.
 		if p.Stranger == design.DefectStrangers {
 			w.contactStrangers(i, p.H, 0)
 		}
@@ -450,31 +487,43 @@ func (w *world) plan(i int) {
 	}
 	slotBW := w.caps[i] / float64(ns)
 
-	selected := w.selectPartners(i, p)
+	// A selection nothing observes: a Freeride peer gives its partners
+	// nothing, so its partner set feeds only its own next candidate
+	// list — unless the vacancy count steers When-needed contacts or a
+	// RandomRank shuffle draws from the RNG stream.
+	var selected []candidate
+	if p.Allocation != design.Freeride || p.Stranger == design.WhenNeeded || p.Ranking == design.RandomRank {
+		selected = w.selectPartners(i, p)
+	}
 	row := i * w.words
-	for _, j := range selected {
-		w.partnerCurMask[row+j>>6] |= 1 << (uint(j) & 63)
+	for _, c := range selected {
+		w.partnerCurMask[row+int(c.idx)>>6] |= 1 << (uint(c.idx) & 63)
 	}
 
 	// Partner allocation. A planned amount of 0 (zero capacity, or a
 	// zero Prop Share weight) is equivalent to no plan at all — the
 	// seed wrote the 0 into a cleared slab — so only positive amounts
-	// are recorded and touched.
+	// are touched.
 	switch p.Allocation {
 	case design.EqualSplit:
-		for _, j := range selected {
-			w.planGive(i, j, slotBW)
+		if slotBW > 0 {
+			for _, c := range selected {
+				w.touch(i, int(c.idx), slotBW)
+			}
 		}
 	case design.PropShare:
+		win := p.Candidate.Window()
+		cells := w.cells[i*w.n : (i+1)*w.n]
 		var sum float64
-		for _, j := range selected {
-			sum += w.windowRecv(i, j, p.Candidate.Window())
+		for _, c := range selected {
+			sum += w.windowRecv(&cells[c.idx], win)
 		}
 		if sum > 0 {
 			pool := slotBW * float64(len(selected))
-			for _, j := range selected {
-				wgt := w.windowRecv(i, j, p.Candidate.Window())
-				w.planGive(i, j, pool*wgt/sum)
+			for _, c := range selected {
+				if amount := pool * w.windowRecv(&cells[c.idx], win) / sum; amount > 0 {
+					w.touch(i, int(c.idx), amount)
+				}
 			}
 		}
 	case design.Freeride:
@@ -500,21 +549,9 @@ func (w *world) plan(i int) {
 	}
 }
 
-// planGive records a positive planned transfer from giver i to
-// receiver j for this round.
-func (w *world) planGive(i, j int, amount float64) {
-	if amount <= 0 {
-		return
-	}
-	idx := i*w.n + j
-	w.give[idx] = amount
-	w.giveRound[idx] = w.round
-	w.touch(j, i)
-}
-
-// contactStrangers picks up to h distinct peers that i did not already
-// plan an upload to (and are not i) and sends each amount (possibly 0,
-// which still registers as a contact).
+// contactStrangers picks up to h distinct peers that i is not already
+// serving this round (and are not i) and sends each amount (possibly
+// 0, which still registers as a contact).
 func (w *world) contactStrangers(i, h int, amount float64) {
 	n := w.n
 	for s := 0; s < h; s++ {
@@ -524,38 +561,27 @@ func (w *world) contactStrangers(i, h int, amount float64) {
 		ok := false
 		for try := 0; try < n; try++ {
 			j = w.rng.Intn(n)
-			if j == i {
-				continue
+			if j != i && w.serving[j>>6]&(1<<(uint(j)&63)) == 0 {
+				ok = true
+				break
 			}
-			idx := i*n + j
-			if (w.giveRound[idx] == w.round && w.give[idx] > 0) || w.zeroContact[idx] == w.round {
-				continue // already serving this peer this round
-			}
-			ok = true
-			break
 		}
 		if !ok {
 			return
 		}
-		if amount > 0 {
-			w.planGive(i, j, amount)
-		} else {
-			w.zeroContact[i*n+j] = w.round
-			w.touch(j, i)
-		}
+		w.touch(i, j, amount)
 	}
 }
 
 // selectPartners builds peer i's candidate list, ranks it with the
-// protocol's ranking function and returns the top-k peer indices.
-func (w *world) selectPartners(i int, p design.Protocol) []int {
+// protocol's ranking function and returns the top-k candidates — in
+// rank order whenever anything reads the order.
+func (w *world) selectPartners(i int, p design.Protocol) []candidate {
 	if p.K == 0 {
 		return nil
 	}
-	n := w.n
-	w.cand = w.cand[:0]
+	cand := w.cand[:0]
 	win := p.Candidate.Window()
-	row := i * n
 	// Candidates: peers that contacted i within the window, plus
 	// sticky partners — pairs selected last round whose most recent
 	// contact is within win+stickRounds. Both conditions are exact
@@ -573,132 +599,120 @@ func (w *world) selectPartners(i int, p design.Protocol) []int {
 		}
 		m := recent | (w.partnerPrvMask[mrow+wi] & sticky)
 		for m != 0 {
-			j := wi<<6 + bits.TrailingZeros64(m)
+			cand = append(cand, candidate{idx: int32(wi<<6 + bits.TrailingZeros64(m))})
 			m &= m - 1
-			w.cand = append(w.cand, j)
 		}
 	}
-	if len(w.cand) == 0 {
+	if len(cand) == 0 {
 		return nil
 	}
-
-	// Ranking keys: lower key = better rank.
-	switch p.Ranking {
-	case design.Fastest:
-		for _, j := range w.cand {
-			w.keys[j] = -w.windowRate(i, j, win)
-		}
-	case design.Slowest:
-		for _, j := range w.cand {
-			w.keys[j] = w.windowRate(i, j, win)
-		}
-	case design.Proximity:
-		// Birds' distance = |own upload speed - other's upload speed|.
-		// A peer observes others per-pipe, so it compares observed
-		// rates against its own per-slot bandwidth: in a homogeneous
-		// population both sides of the comparison are per-pipe speeds.
-		own := w.caps[i] / float64(slots(p))
-		for _, j := range w.cand {
-			w.keys[j] = math.Abs(w.windowRate(i, j, win) - own)
-		}
-	case design.Adaptive:
-		for _, j := range w.cand {
-			w.keys[j] = math.Abs(w.windowRate(i, j, win) - w.asp[i])
-		}
-	case design.Loyal:
-		for _, j := range w.cand {
-			w.keys[j] = -float64(w.streakVal(row + j))
-		}
-	case design.RandomRank:
-		w.rng.Shuffle(len(w.cand), func(a, b int) {
-			w.cand[a], w.cand[b] = w.cand[b], w.cand[a]
+	// An order nothing reads: when every candidate fits in k, all are
+	// selected whatever their rank, and only Prop Share reads the order
+	// (it sums its weights in selection order) — Equal Split and
+	// Freeride touch one receiver list per partner, and the partner
+	// mask and the vacancy count are sets. RandomRank always shuffles:
+	// its draws are part of the RNG stream.
+	if p.Ranking == design.RandomRank {
+		w.rng.Shuffle(len(cand), func(a, b int) {
+			cand[a], cand[b] = cand[b], cand[a]
 		})
+	} else if len(cand) > p.K || p.Allocation == design.PropShare {
+		w.rank(i, p, cand)
 	}
-	if p.Ranking != design.RandomRank {
-		// Partial selection sort: only the first min(k, len) positions
-		// are needed, and candLess is a strict total order (final
-		// index tiebreak), so this prefix is exactly the prefix the
-		// seed's sort.SliceStable produced — without the per-call
-		// closure and reflection allocations, and in O(k·c) instead of
-		// O(c log c) comparator indirections.
-		limit := len(w.cand)
-		if p.K < limit {
-			limit = p.K
-		}
-		for a := 0; a < limit; a++ {
-			best := a
-			for b := a + 1; b < len(w.cand); b++ {
-				if w.candLess(row, w.cand[b], w.cand[best]) {
-					best = b
-				}
-			}
-			w.cand[a], w.cand[best] = w.cand[best], w.cand[a]
-		}
+	if len(cand) > p.K {
+		cand = cand[:p.K]
 	}
-	if len(w.cand) > p.K {
-		w.cand = w.cand[:p.K]
-	}
-	return w.cand
+	return cand
 }
 
-// candLess orders candidates x, y of the selector whose matrix row
-// starts at row: by ranking key, then most recent contactor first —
-// the "immediately ... chooses p2" recency of Section 4.4, which also
-// spreads selections uniformly instead of piling onto low indices —
-// then by index for determinism. The index tiebreak makes this a
-// strict total order.
-func (w *world) candLess(row, x, y int) bool {
-	kx, ky := w.keys[x], w.keys[y]
-	if kx != ky {
-		return kx < ky
+// rank fills in the candidates' ranking keys (lower = better) and moves
+// the best min(k, len) of them to the front, in order, by bounded
+// insertion. before is a strict total order (final index tiebreak), so
+// this prefix is exactly the prefix the seed's sort.SliceStable
+// produced — without its per-call closure and reflection allocations,
+// and with every comparison inside the contiguous scratch.
+func (w *world) rank(i int, p design.Protocol, cand []candidate) {
+	cells := w.cells[i*w.n : (i+1)*w.n]
+	win := p.Candidate.Window()
+	// Proximity and Adaptive rank by distance from a target rate.
+	// Birds' distance = |own upload speed - other's upload speed|: a
+	// peer observes others per-pipe, so it compares observed rates
+	// against its own per-slot bandwidth — in a homogeneous population
+	// both sides of the comparison are per-pipe speeds.
+	var target float64
+	switch p.Ranking {
+	case design.Proximity:
+		target = w.caps[i] / float64(slots(p))
+	case design.Adaptive:
+		target = w.asp[i]
 	}
-	lx, ly := w.lastContact[row+x], w.lastContact[row+y]
-	if lx != ly {
-		return lx > ly
+	kept := 0
+	for _, c := range cand {
+		h := &cells[c.idx]
+		c.lastContact = h.lastContact
+		switch p.Ranking {
+		case design.Fastest:
+			c.key = -w.windowRate(h, win)
+		case design.Slowest:
+			c.key = w.windowRate(h, win)
+		case design.Proximity, design.Adaptive:
+			c.key = math.Abs(w.windowRate(h, win) - target)
+		case design.Loyal:
+			c.key = -float64(w.streakVal(h))
+		}
+		// cand[:kept] holds the best min(k, seen) so far, in order; c's
+		// own slot is at or past kept, so shifting in place is safe.
+		at := kept
+		if kept < p.K {
+			kept++
+		} else if at = kept - 1; !c.before(cand[at]) {
+			continue // not among the best k
+		}
+		for ; at > 0 && c.before(cand[at-1]); at-- {
+			cand[at] = cand[at-1]
+		}
+		cand[at] = c
 	}
-	return x < y
 }
 
-// streakVal returns the live streak for a history cell: the stored
+// streakVal returns the live streak of a history cell: the stored
 // count only if it was extended through the previous round, else 0 (a
 // silent round broke the chain by leaving the stamp behind).
-func (w *world) streakVal(idx int) int32 {
-	if w.streakRound[idx] == w.round-1 {
-		return w.streak[idx]
+func (w *world) streakVal(c *cell) int32 {
+	if c.recvLastRound == w.round-1 {
+		return c.streak
 	}
 	return 0
 }
 
-// windowRecv returns the bytes i received from j within the window,
-// adding the (at most two) stamped history rounds the window covers in
-// the seed's last-then-previous order.
-func (w *world) windowRecv(i, j, win int) float64 {
-	idx := i*w.n + j
-	lr := w.recvLastRound[idx]
+// windowRecv returns the bytes a receiver got from a giver within the
+// window, adding the (at most two) stamped history rounds the window
+// covers in the seed's last-then-previous order.
+func (w *world) windowRecv(c *cell, win int) float64 {
 	switch {
-	case lr == w.round-1:
-		s := w.recvLast[idx]
-		if win >= 2 && w.recvPrevRound[idx] == w.round-2 {
-			s += w.recvPrev[idx]
+	case c.recvLastRound == w.round-1:
+		s := c.recvLast
+		if win >= 2 && c.recvPrevRound == w.round-2 {
+			s += c.recvPrev
 		}
 		return s
-	case win >= 2 && lr == w.round-2:
-		return w.recvLast[idx]
+	case win >= 2 && c.recvLastRound == w.round-2:
+		return c.recvLast
 	}
 	return 0
 }
 
-// windowRate returns j's observed upload rate toward i over the window.
-func (w *world) windowRate(i, j, win int) float64 {
-	return w.windowRecv(i, j, win) / float64(win)
+// windowRate returns the giver's observed upload rate over the window.
+func (w *world) windowRate(c *cell, win int) float64 {
+	return w.windowRecv(c, win) / float64(win)
 }
 
 // commit applies the planned transfers: updates received/streak
-// history, totals and aspiration levels. It walks only the cells
-// touched this round, receiver-major with givers ascending — the same
-// order the seed's full n×n scan accumulated nonzero amounts in, so
-// every float operation sequence is identical (skipped cells only ever
-// contributed exact +0 terms).
+// history, totals and aspiration levels. It walks only the touch
+// lists, receiver-major with givers ascending — the same order the
+// seed's full n×n scan accumulated nonzero amounts in, so every float
+// operation sequence is identical (skipped cells only ever contributed
+// exact +0 terms).
 func (w *world) commit() {
 	n := w.n
 	for i := 0; i < n; i++ {
@@ -709,33 +723,24 @@ func (w *world) commit() {
 			continue
 		}
 		var got, givers float64
-		row := i * n
-		mrow := i * w.words
-		for _, jg := range w.touchGiver[row : row+cnt] {
-			j := int(jg)
-			gidx := j*n + i
-			var amt float64
-			if w.giveRound[gidx] == w.round {
-				amt = w.give[gidx]
-			}
-			idx := row + j
-			w.lastContact[idx] = w.round
-			w.cmCur[mrow+j>>6] |= 1 << (uint(j) & 63)
-			if amt > 0 {
-				// Rotate this cell's two-round receive window.
-				w.recvPrev[idx] = w.recvLast[idx]
-				w.recvPrevRound[idx] = w.recvLastRound[idx]
-				w.recvLast[idx] = amt
-				w.recvLastRound[idx] = w.round
-				if w.streakRound[idx] == w.round-1 {
-					w.streak[idx]++
+		cells := w.cells[i*n : (i+1)*n]
+		mask := w.cmCur[i*w.words : (i+1)*w.words]
+		for _, t := range w.touched[i*n : i*n+cnt] {
+			c := &cells[t.giver]
+			c.lastContact = w.round
+			mask[t.giver>>6] |= 1 << (uint(t.giver) & 63)
+			if t.amount > 0 {
+				if c.recvLastRound == w.round-1 {
+					c.streak++
 				} else {
-					w.streak[idx] = 1
+					c.streak = 1
 				}
-				w.streakRound[idx] = w.round
-				got += amt
+				// Rotate this cell's two-round receive window.
+				c.recvPrev, c.recvPrevRound = c.recvLast, c.recvLastRound
+				c.recvLast, c.recvLastRound = t.amount, w.round
+				got += t.amount
 				givers++
-				w.spent[j] += amt
+				w.spent[t.giver] += t.amount
 			}
 		}
 		w.total[i] += got
@@ -759,11 +764,8 @@ func (w *world) churn(rate float64, dist *bandwidth.Distribution) {
 		}
 		w.asp[i] = w.caps[i]
 		for j := 0; j < n; j++ {
-			a, b := i*n+j, j*n+i
-			w.recvLastRound[a], w.recvLastRound[b] = never, never
-			w.recvPrevRound[a], w.recvPrevRound[b] = never, never
-			w.streakRound[a], w.streakRound[b] = never, never
-			w.lastContact[a], w.lastContact[b] = never, never
+			w.cells[i*n+j].forget()
+			w.cells[j*n+i].forget()
 		}
 		// Wipe the fresh peer from the contact and partner masks: its
 		// own rows, and its bit in every other peer's rows.

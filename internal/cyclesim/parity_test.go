@@ -124,6 +124,31 @@ func goldenCases() []goldenCase {
 		goldenCase{Name: "mixed/sorts-vs-bt", ProtoIDs: mix(design.SortS(), design.BitTorrent(), 30, 15), Rounds: 150, Seed: 304},
 		goldenCase{Name: "mixed/minority-robust", ProtoIDs: mix(design.MostRobustCandidate(), design.BitTorrent(), 30, 3), Rounds: 150, Seed: 305, Churn: 0.01, Replacement: true},
 	)
+
+	// One case on each boundary of the selection fast paths (ranking is
+	// skipped when every candidate fits in k and nothing reads the
+	// order; selection is skipped for a Freeride peer nothing
+	// observes): with k = 9 in a 10-peer population every candidate
+	// always fits, and Prop Share must still rank where Equal Split
+	// need not; a Freeride peer must still select under When-needed
+	// (vacancy count) and RandomRank (RNG draws) and may not under
+	// Periodic; the 70-peer case runs every bitmask two words wide.
+	propShareK9 := design.Protocol{Stranger: design.Periodic, H: 2, Candidate: design.TF2T, Ranking: design.Fastest, K: 9, Allocation: design.PropShare}
+	equalSplitK9 := propShareK9
+	equalSplitK9.Allocation = design.EqualSplit
+	freeridePeriodic := design.Protocol{Stranger: design.Periodic, H: 1, Candidate: design.TFT, Ranking: design.Fastest, K: 4, Allocation: design.Freeride}
+	freerideWhenNeeded := freeridePeriodic
+	freerideWhenNeeded.Stranger, freerideWhenNeeded.H = design.WhenNeeded, 2
+	freerideRandom := freeridePeriodic
+	freerideRandom.Ranking = design.RandomRank
+	cases = append(cases,
+		goldenCase{Name: "fastpath/propshare-k9", ProtoIDs: uniform(propShareK9, 10), Rounds: 150, Seed: 401},
+		goldenCase{Name: "fastpath/equalsplit-k9", ProtoIDs: uniform(equalSplitK9, 10), Rounds: 150, Seed: 402},
+		goldenCase{Name: "fastpath/freeride-whenneeded", ProtoIDs: uniform(freerideWhenNeeded, 30), Rounds: 150, Seed: 403},
+		goldenCase{Name: "fastpath/freeride-randomrank", ProtoIDs: uniform(freerideRandom, 30), Rounds: 150, Seed: 404},
+		goldenCase{Name: "fastpath/freeride-periodic-vs-bt", ProtoIDs: mix(freeridePeriodic, design.BitTorrent(), 30, 15), Rounds: 150, Seed: 405},
+		goldenCase{Name: "fastpath/wide-mixed-churn", ProtoIDs: mix(design.MostRobustCandidate(), freeridePeriodic, 70, 35), Rounds: 150, Seed: 406, Churn: 0.1, Replacement: true},
+	)
 	return cases
 }
 
@@ -252,7 +277,12 @@ func TestGoldenParity(t *testing.T) {
 // TestRandomizedRefsimParity fuzzes the whole design space against the
 // reference: random protocol pairs, population sizes, churn rates
 // (including the 1.0 edge), round counts and pool sharing. Everything
-// must match bit for bit.
+// must match bit for bit. One trial in five is wider than 64 peers, so
+// every bitmask row spans several words (candidate scan, commit's mask
+// write, churn's row/column wipe, the serving mask); one in four gives
+// a third of the peers zero capacity (a Periodic contact at slot
+// bandwidth 0 is a zero-byte contact, and a zero Equal Split plan must
+// not mark the peer as served).
 func TestRandomizedRefsimParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pool := &cyclesim.Pool{}
@@ -262,6 +292,9 @@ func TestRandomizedRefsimParity(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		n := 4 + rng.Intn(28)
+		if trial%5 == 4 {
+			n = 65 + rng.Intn(136)
+		}
 		a, err := design.ByID(rng.Intn(design.SpaceSize))
 		if err != nil {
 			t.Fatal(err)
@@ -271,11 +304,15 @@ func TestRandomizedRefsimParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		caps := bandwidth.Piatek().Stratified(n)
+		zeroCaps := trial%4 == 3
 		specs := make([]cyclesim.PeerSpec, n)
 		for i := range specs {
 			p := a
 			if i%2 == 1 {
 				p = b
+			}
+			if zeroCaps && rng.Intn(3) == 0 {
+				caps[i] = 0
 			}
 			specs[i] = cyclesim.PeerSpec{Protocol: p, Capacity: caps[i]}
 		}
@@ -285,26 +322,97 @@ func TestRandomizedRefsimParity(t *testing.T) {
 			dist = bandwidth.Piatek()
 		}
 		opt := cyclesim.Options{Rounds: 1 + rng.Intn(80), Seed: rng.Int63(), Churn: churn, Replacement: dist}
-		ref, err := refsim.Run(specs, opt)
-		if err != nil {
-			t.Fatal(err)
+		runPool := pool // alternate the shared default pool and an explicit one
+		if rng.Intn(2) != 0 {
+			runPool = nil
 		}
-		optRun := opt
-		if rng.Intn(2) == 0 {
-			optRun.Pool = pool // alternate the shared default pool and an explicit one
+		if err := matchesRefsim(specs, opt, runPool); err != nil {
+			t.Fatalf("trial %d (n=%d rounds=%d churn=%v zeroCaps=%v a=%d b=%d): %v",
+				trial, n, opt.Rounds, churn, zeroCaps, design.ID(a), design.ID(b), err)
 		}
-		got, err := cyclesim.Run(specs, optRun)
+	}
+}
+
+// matchesRefsim runs specs through the frozen reference and through the
+// optimized Run on each of pools (nil = the shared default pool) and
+// reports the first peer whose Utility or Spent bits differ.
+func matchesRefsim(specs []cyclesim.PeerSpec, opt cyclesim.Options, pools ...*cyclesim.Pool) error {
+	ref, err := refsim.Run(specs, opt)
+	if err != nil {
+		return err
+	}
+	for _, pool := range pools {
+		opt.Pool = pool
+		got, err := cyclesim.Run(specs, opt)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		for i := range ref.Utility {
-			if ref.Utility[i] != got.Utility[i] || ref.Spent[i] != got.Spent[i] {
-				t.Fatalf("trial %d (n=%d rounds=%d churn=%v a=%d b=%d): peer %d diverged: utility %v vs %v, spent %v vs %v",
-					trial, n, opt.Rounds, churn, design.ID(a), design.ID(b), i,
-					got.Utility[i], ref.Utility[i], got.Spent[i], ref.Spent[i])
+			if math.Float64bits(ref.Utility[i]) != math.Float64bits(got.Utility[i]) ||
+				math.Float64bits(ref.Spent[i]) != math.Float64bits(got.Spent[i]) {
+				return fmt.Errorf("peer %d diverged (explicit pool: %v): utility %v vs %v, spent %v vs %v",
+					i, pool != nil, got.Utility[i], ref.Utility[i], got.Spent[i], ref.Spent[i])
 			}
 		}
 	}
+	return nil
+}
+
+// fuzzChurns is what FuzzRunMatchesRefsim's churn selector picks from.
+var fuzzChurns = []float64{0, 0.01, 0.1, 0.5, 1}
+
+// FuzzRunMatchesRefsim lets the fuzzer pick the population — two
+// protocol IDs, size, camp split, round count, churn, which peers have
+// zero capacity, seed — and requires bit-equal Results from refsim and
+// from Run, on the default pool and on an explicit pool shared by every
+// input of the process. The corpus is seeded with the golden matrix.
+func FuzzRunMatchesRefsim(f *testing.F) {
+	for _, c := range goldenCases() {
+		n := len(c.ProtoIDs)
+		nA := 0
+		for nA < n && c.ProtoIDs[nA] == c.ProtoIDs[0] {
+			nA++
+		}
+		churnSel := 0
+		for i, churn := range fuzzChurns {
+			if churn == c.Churn {
+				churnSel = i
+			}
+		}
+		f.Add(uint16(c.ProtoIDs[0]), uint16(c.ProtoIDs[n-1]), uint8(n-2), uint8(nA), uint8(c.Rounds-1), uint8(churnSel), uint8(0), c.Seed)
+	}
+	pool := &cyclesim.Pool{}
+	f.Fuzz(func(t *testing.T, idA, idB uint16, size, split, rounds, churnSel, zeroEvery uint8, seed int64) {
+		a, err := design.ByID(int(idA) % design.SpaceSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := design.ByID(int(idB) % design.SpaceSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 2 + int(size)%199 // up to 200 peers: four mask words
+		caps := bandwidth.Piatek().Stratified(n)
+		specs := make([]cyclesim.PeerSpec, n)
+		for i := range specs {
+			p := b
+			if i < int(split) {
+				p = a
+			}
+			if zeroEvery >= 2 && i%int(zeroEvery) == 0 {
+				caps[i] = 0
+			}
+			specs[i] = cyclesim.PeerSpec{Protocol: p, Capacity: caps[i]}
+		}
+		opt := cyclesim.Options{Rounds: 1 + int(rounds), Seed: seed, Churn: fuzzChurns[int(churnSel)%len(fuzzChurns)]}
+		if int(churnSel)/len(fuzzChurns)%2 == 0 {
+			opt.Replacement = bandwidth.Piatek()
+		}
+		if err := matchesRefsim(specs, opt, nil, pool); err != nil {
+			t.Fatalf("a=%v b=%v n=%d split=%d rounds=%d churn=%v zeroEvery=%d seed=%d: %v",
+				a, b, n, split, opt.Rounds, opt.Churn, zeroEvery, seed, err)
+		}
+	})
 }
 
 // TestChurnValidation pins the PR 5 bugfix: churn outside [0,1] and

@@ -212,12 +212,20 @@ func PerformanceSweep(ps []design.Protocol, cfg Config) ([]float64, error) {
 	return out, nil
 }
 
-// Encounter runs one mixed-population simulation and returns the camp
-// means for a and b. frac is the fraction of the population running a.
-func Encounter(a, b design.Protocol, frac float64, cfg Config, seed int64) (meanA, meanB float64, err error) {
-	if err := cfg.validate(); err != nil {
-		return 0, 0, err
-	}
+// encounter is the mixed population of one (a, b, frac) pairing. It is
+// a function of the pair, the population size and the fraction only,
+// so a tournament builds it once and plays all EncounterRuns seeds on
+// it.
+type encounter struct {
+	specs []cyclesim.PeerSpec
+	mask  []bool // true = the peer runs a
+	nA    int
+	dist  *bandwidth.Distribution
+}
+
+// newEncounter builds the population in which a fraction frac of
+// cfg.Peers (at least one peer, at most all but one) runs a.
+func newEncounter(a, b design.Protocol, frac float64, cfg Config) encounter {
 	nA := int(frac*float64(cfg.Peers) + 0.5)
 	if nA < 1 {
 		nA = 1
@@ -227,19 +235,40 @@ func Encounter(a, b design.Protocol, frac float64, cfg Config, seed int64) (mean
 	}
 	dist := cfg.dist()
 	specs, mask := EncounterSpecs(a, b, cfg.Peers, nA, dist)
-	res, err := cyclesim.Run(specs, cyclesim.Options{
+	return encounter{specs: specs, mask: mask, nA: nA, dist: dist}
+}
+
+// run simulates the population once and returns both camps' mean
+// utility.
+func (e encounter) run(cfg Config, seed int64) (meanA, meanB float64, err error) {
+	res, err := cyclesim.Run(e.specs, cyclesim.Options{
 		Rounds:      cfg.Rounds,
 		Seed:        seed,
 		Churn:       cfg.Churn,
-		Replacement: dist,
+		Replacement: e.dist,
 		Pool:        cfg.Pool,
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	meanA = res.GroupMean(func(i int) bool { return mask[i] })
-	meanB = res.GroupMean(func(i int) bool { return !mask[i] })
-	return meanA, meanB, nil
+	var sumA, sumB float64
+	for i, u := range res.Utility {
+		if e.mask[i] {
+			sumA += u
+		} else {
+			sumB += u
+		}
+	}
+	return sumA / float64(e.nA), sumB / float64(len(e.mask)-e.nA), nil
+}
+
+// Encounter runs one mixed-population simulation and returns the camp
+// means for a and b. frac is the fraction of the population running a.
+func Encounter(a, b design.Protocol, frac float64, cfg Config, seed int64) (meanA, meanB float64, err error) {
+	if err := cfg.validate(); err != nil {
+		return 0, 0, err
+	}
+	return newEncounter(a, b, frac, cfg).run(cfg, seed)
 }
 
 // SampleOpponents returns the fixed opponent panel used by reduced
@@ -271,9 +300,9 @@ func TournamentScores(ps, opponents []design.Protocol, frac float64, cfg Config)
 			if idA == idB {
 				continue
 			}
+			enc := newEncounter(ps[i], opp, frac, cfg)
 			for r := 0; r < cfg.EncounterRuns; r++ {
-				seed := runSeed(cfg.Seed, idA, idB, r, kind)
-				meanA, meanB, err := Encounter(ps[i], opp, frac, cfg, seed)
+				meanA, meanB, err := enc.run(cfg, runSeed(cfg.Seed, idA, idB, r, kind))
 				if err != nil {
 					errs[i] = err
 					return

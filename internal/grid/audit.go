@@ -3,9 +3,8 @@ package grid
 import (
 	"hash/fnv"
 	"math"
+	"sort"
 	"time"
-
-	"repro/internal/job"
 )
 
 // Result audit + quarantine: the BAR-tolerance layer. The determinism
@@ -32,28 +31,23 @@ import (
 // wedge a small grid — at the documented cost that a sole surviving
 // worker can confirm its own results.
 
-type auditPhase int
-
-const (
-	auditPending auditPhase = iota // waiting for a second opinion
-	auditLeased                    // second opinion computing
-	arbPending                     // values split; waiting for a tiebreaker
-	arbLeased                      // tiebreaker computing
-)
-
-// auditState tracks one task's open audit. Entries live in
-// gridJob.audits, keyed by task ID, and gate job completion: a job is
-// complete only when every task is done AND every audit is settled.
+// auditState is one done task's open audit, on its task record. Open
+// audits gate job completion: a job is complete only when every task is
+// done AND every audit is settled. Where it stands is read off two
+// fields: auditor set means a re-check is computing, second set means
+// the values split and the re-check is a tiebreak. That an audit is open
+// follows from the journal (ingest opens, verify and invalidation
+// close); how far it got does not: a restart re-opens it as a plain
+// re-check anyone eligible may take.
 type auditState struct {
-	task       job.Task
-	original   string // producer of the recorded value ("" if unknown)
-	phase      auditPhase
-	auditor    string    // worker currently re-computing (audit or arb lease)
+	original   string    // producer of the recorded value ("" if unknown)
+	auditor    string    // worker currently re-computing (audit or arbitration lease)
 	deadline   time.Time // auditor's lease deadline
 	relaxAt    time.Time // when worker-exclusion constraints loosen
-	giveUpAt   time.Time // arb only: when an unresolvable split re-queues instead
-	second     string    // the mismatching second worker (arb phases)
+	giveUpAt   time.Time // arbitration only: when an unresolvable split re-queues instead
+	second     string    // the mismatching second worker (arbitration)
 	secondVals []float64
+	secondMS   int64 // what the second worker said its run took; scored if it is upheld
 }
 
 // auditSelected is the deterministic sampling decision: a pure
@@ -76,111 +70,22 @@ func auditSelected(jobID, taskID string, rate float64) bool {
 
 func (c *Coordinator) auditEnabled() bool { return c.opts.AuditRate > 0 }
 
-// openAuditLocked opens (idempotently) the audit entry for a completed
-// task whose recorded value came from original.
-func (c *Coordinator) openAuditLocked(j *gridJob, t job.Task, original string) {
-	tid := t.ID()
-	if _, ok := j.audits[tid]; ok || j.verified[tid] {
-		return
-	}
-	j.audits[tid] = &auditState{
-		task: t, original: original,
-		relaxAt: c.now().Add(c.opts.leaseTTL()),
-	}
-	c.metrics.auditsOpened.Inc()
-}
-
-// auditRenewLocked extends an audit/arbitration lease held by worker,
-// so heartbeats keep re-checks alive exactly like ordinary leases.
-func (c *Coordinator) auditRenewLocked(j *gridJob, tid, worker string, deadline time.Time) bool {
-	ast, ok := j.audits[tid]
-	if !ok || worker == "" || ast.auditor != worker {
+// auditGrantable reports whether worker may take st's open audit
+// as a lease now.
+func auditGrantable(st *taskState, worker string, now time.Time) bool {
+	ast := st.audit
+	if ast == nil || ast.auditor != "" {
 		return false
 	}
-	if ast.phase != auditLeased && ast.phase != arbLeased {
-		return false
+	if ast.second != "" {
+		// The producer may never arbitrate its own dispute (a
+		// deterministic liar would confirm itself); the second
+		// claimant re-computing is equally useless.
+		return worker != ast.original && worker != ast.second
 	}
-	ast.deadline = deadline
-	return true
-}
-
-// auditExpireLocked lazily expires audit leases whose holder went
-// silent (back to pending, scored against the holder) and re-queues
-// arbitrations that ran out of road (no third worker ever arrived).
-// Runs from expireLocked, so every API call that looks at task state
-// keeps audits live too.
-func (c *Coordinator) auditExpireLocked(j *gridJob, now time.Time) {
-	for tid, ast := range j.audits {
-		if (ast.phase == auditLeased || ast.phase == arbLeased) && ast.deadline.Before(now) {
-			c.workerFailedLocked(ast.auditor)
-			ast.auditor = ""
-			ast.relaxAt = now.Add(c.opts.leaseTTL())
-			if ast.phase == auditLeased {
-				ast.phase = auditPending
-			} else {
-				ast.phase = arbPending
-			}
-		}
-		if ast.phase == arbPending && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
-			// Unresolvable split (e.g. both claimants quarantine-proof
-			// in a 2-worker grid): discard both claims and re-run.
-			c.logf("grid: job %s: task %s audit split unresolved (%q vs %q), re-queueing",
-				j.id, tid, ast.original, ast.second)
-			c.invalidateTaskLocked(j, tid)
-			delete(j.audits, tid)
-		}
-	}
-}
-
-// grantAuditsLocked fills up to room lease slots with audit re-leases
-// worker is eligible for. Audits are granted before pending work: a
-// handful of re-checks catching a liar early is worth more than the
-// same slots of fresh work it would poison.
-func (c *Coordinator) grantAuditsLocked(j *gridJob, worker string, room int, now time.Time, deadline time.Time) []LeaseTask {
-	if worker == "" || room <= 0 || len(j.audits) == 0 {
-		return nil
-	}
-	var out []LeaseTask
-	for _, tid := range j.order {
-		if len(out) == room {
-			break
-		}
-		ast, ok := j.audits[tid]
-		if !ok {
-			continue
-		}
-		relaxed := !now.Before(ast.relaxAt)
-		switch ast.phase {
-		case auditPending:
-			// Prefer a different worker than the producer; relax so a
-			// sole surviving worker cannot wedge the job.
-			if worker == ast.original && !relaxed {
-				continue
-			}
-		case arbPending:
-			// The producer may never arbitrate its own dispute (a
-			// deterministic liar would confirm itself); the second
-			// claimant re-computing is equally useless.
-			if worker == ast.original || worker == ast.second {
-				continue
-			}
-		default:
-			continue
-		}
-		if ast.phase == auditPending {
-			ast.phase = auditLeased
-		} else {
-			ast.phase = arbLeased
-		}
-		ast.auditor = worker
-		ast.deadline = deadline
-		t := ast.task
-		out = append(out, LeaseTask{
-			Task: tid, Measure: t.Measure, Lo: t.Lo, Hi: t.Hi,
-			TTLMS: deadline.Sub(now).Milliseconds(),
-		})
-	}
-	return out
+	// Prefer a different worker than the producer; relax so a sole
+	// surviving worker cannot wedge the job.
+	return worker != ast.original || !now.Before(ast.relaxAt)
 }
 
 // equalValues is the audit comparison: bit-exact, NaN-tolerant (a
@@ -199,66 +104,67 @@ func equalValues(a, b []float64) bool {
 }
 
 // auditIngestLocked consumes an upload for an already-done task under
-// the audit regime and returns the ack plus work to run after the
-// coordinator lock is released (checkpoint invalidations from a
-// quarantine). Value-voting:
+// the audit regime. Value-voting:
 //
 //	upload == recorded            → verified (two workers agree)
 //	first mismatch                → escalate to arbitration
 //	upload == second claim        → recorded was the lie: fix the
 //	                                 record, quarantine its producer
 //	third distinct value          → determinism broken: re-run, loudly
-func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUpload) (ResultAck, func()) {
-	tid := up.Task
-	recorded := j.results[tid]
-	ast := j.audits[tid]
+//
+// A worker's run is scored when a journalled record says so: the verify
+// of an agreeing upload, the ingest that puts an upheld second claim on
+// record. A dissent on its own scores nothing — it is a sign of life.
+func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUpload) ResultAck {
+	ast := st.audit
 	vals := []float64(up.Values)
-	elapsed := time.Duration(up.ElapsedMS) * time.Millisecond
+	now := c.now()
+	dup := ResultAck{Accepted: true, Duplicate: true}
+	verify := walRecord{T: walVerify, Job: j.id, Task: st.id, Worker: up.Worker, ElapsedMS: up.ElapsedMS}
 
 	// Uploads that carry no audit information: the producer re-sending
-	// its own value, or anything after verification settled.
-	if up.Worker == "" || j.verified[tid] || (up.Worker == j.doneBy[tid] && ast == nil) {
+	// its own value, or anything after verification settled. (A producer
+	// re-sending while its audit is open is weighed below as agreeing
+	// evidence: a lost-response retry self-verifies. Known; the fault
+	// harness of ROADMAP 1(c) is to find it.)
+	if up.Worker == "" || st.verified || (up.Worker == st.producer && ast == nil) {
 		c.metrics.duplicates.Inc()
-		c.touchWorkerLocked(up.Worker)
-		return ResultAck{Accepted: true, Duplicate: true}, nil
+		c.touchWorker(up.Worker, now)
+		return dup
 	}
 
-	if equalValues(vals, recorded) {
+	if equalValues(vals, st.values) {
 		// Agreement with the record verifies it — whether this upload
 		// was the assigned auditor, a hedge loser, or a stray retry.
-		c.workerDoneLocked(up.Worker, elapsed)
-		c.markVerifiedLocked(j, st.task, up.Worker)
-		return ResultAck{Accepted: true, Duplicate: true}, nil
+		c.settleVerifiedLocked(j, st, now, verify)
+		return dup
 	}
 
 	// Mismatch against the record.
 	c.metrics.auditMismatches.Inc()
-	now := c.now()
+	c.touchWorker(up.Worker, now)
 	if ast == nil || ast.second == "" {
-		// First dissent: open (or escalate) to arbitration.
-		c.workerDoneLocked(up.Worker, elapsed)
+		// First dissent: open (or escalate) to arbitration. The re-check
+		// lease, whoever held it, is spent.
 		if ast == nil {
-			ast = &auditState{task: st.task, original: j.doneBy[tid]}
-			j.audits[tid] = ast
+			ast = &auditState{original: st.producer}
+			j.setAudit(st, ast)
 			c.metrics.auditsOpened.Inc()
 		}
-		ast.phase = arbPending
 		ast.auditor = ""
-		ast.second = up.Worker
-		ast.secondVals = vals
+		ast.second, ast.secondVals, ast.secondMS = up.Worker, vals, up.ElapsedMS
 		ast.relaxAt = now.Add(c.opts.leaseTTL())
 		ast.giveUpAt = now.Add(4 * c.opts.leaseTTL())
 		c.logf("grid: job %s: task %s AUDIT MISMATCH: %q disagrees with recorded value from %q, arbitrating",
-			j.id, tid, up.Worker, ast.original)
+			j.id, st.id, up.Worker, ast.original)
 		c.broadcastLocked(j)
-		return ResultAck{Accepted: true, Duplicate: true}, nil
+		return dup
 	}
 
 	if up.Worker == ast.second {
 		// The dissenter repeating itself adds no information.
 		c.metrics.duplicates.Inc()
-		c.touchWorkerLocked(up.Worker)
-		return ResultAck{Accepted: true, Duplicate: true}, nil
+		return dup
 	}
 
 	if equalValues(vals, ast.secondVals) {
@@ -266,203 +172,119 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 		// the recorded producer lied. Fix the record — a tombstone for
 		// the lie, then the corrected line, since a restore keeps a
 		// task's first live entry (synchronously: quarantine verdicts
-		// are rare enough to fsync under the lock), then quarantine.
-		c.workerDoneLocked(up.Worker, elapsed)
+		// are rare enough to fsync under the lock) — journal the second
+		// claimant as its producer, then quarantine.
 		liar := ast.original
-		j.results[tid] = vals
-		j.doneBy[tid] = ast.second
+		st.values = vals
 		if j.cp != nil {
 			err := j.cp.Invalidate(st.task)
 			if err == nil {
-				err = j.cp.Record(st.task, vals, elapsed)
+				err = j.cp.Record(st.task, vals, time.Duration(up.ElapsedMS)*time.Millisecond)
 			}
 			if err != nil {
-				c.logf("grid: job %s: task %s corrected value failed to journal: %v", j.id, tid, err)
+				c.logf("grid: job %s: task %s corrected value failed to journal: %v", j.id, st.id, err)
 			}
 		}
-		c.markVerifiedLocked(j, st.task, up.Worker)
-		after := c.quarantineLocked(liar, "audit of task "+tid+" overruled its value")
-		return ResultAck{Accepted: true}, after
+		c.settleVerifiedLocked(j, st, now,
+			walRecord{T: walIngest, Job: j.id, Task: st.id, Worker: ast.second, ElapsedMS: ast.secondMS}, verify)
+		c.quarantineLocked(liar, "audit of task "+st.id+" overruled its value")
+		return ResultAck{Accepted: true}
 	}
 
 	// Three distinct values for one deterministic task: the
 	// determinism contract is broken (or two liars collide). Re-run.
-	c.workerDoneLocked(up.Worker, elapsed)
 	c.logf("grid: job %s: task %s has THREE distinct claimed values (%q, %q, %q) — determinism violation, re-queueing",
-		j.id, tid, ast.original, ast.second, up.Worker)
-	c.invalidateTaskLocked(j, tid)
-	delete(j.audits, tid)
+		j.id, st.id, ast.original, ast.second, up.Worker)
+	c.invalidateTaskLocked(j, st)
 	c.broadcastLocked(j)
-	return ResultAck{Accepted: true, Duplicate: true}, nil
+	return dup
 }
 
-// markVerifiedLocked settles a task's audit as confirmed: the verify
-// record hits the WAL (fsynced — a verdict must not be re-litigated
-// after a power loss), the deferred cache feed happens, and completion
-// is re-checked.
-func (c *Coordinator) markVerifiedLocked(j *gridJob, t job.Task, by string) {
-	tid := t.ID()
-	if j.verified[tid] {
-		return
+// settleVerifiedLocked journals a verdict that confirms st's record —
+// recs end in its verify — fsynced (a verdict must not be re-litigated
+// after a power loss), then makes the deferred cache feed and re-checks
+// completion.
+func (c *Coordinator) settleVerifiedLocked(j *gridJob, st *taskState, now time.Time, recs ...walRecord) {
+	for _, r := range recs {
+		c.apply(j, r, now)
 	}
-	j.verified[tid] = true
-	delete(j.audits, tid)
-	delete(j.tainted, tid)
+	c.walAppendLocked(true, recs...)
 	c.metrics.auditsPassed.Inc()
-	c.walAppendLocked(true, walRecord{T: walVerify, Job: j.id, Task: tid, Worker: by})
-	c.feedCacheLocked(j, t, j.results[tid])
+	c.feedCacheLocked(j, st.task, st.values)
 	c.finishIfCompleteLocked(j)
 	c.broadcastLocked(j)
 }
 
-// invalidateTaskLocked drops a done task's recorded value and
-// re-queues it. The checkpoint tombstone is written first (one synced
-// append — cheap enough for this rare path to run under the lock), so
-// a crash in between re-runs the task instead of resurrecting the
-// dropped value. Batch invalidations (quarantine) use the deferred
-// path instead.
-func (c *Coordinator) invalidateTaskLocked(j *gridJob, tid string) {
-	st, ok := j.tasks[tid]
-	if !ok || st.status != taskDone {
+// tombstoneLocked durably un-records st's value (one synced append —
+// cheap enough for these rare paths to run under the lock).
+func (c *Coordinator) tombstoneLocked(j *gridJob, st *taskState) {
+	if j.cp == nil {
 		return
 	}
-	if j.cp != nil {
-		if err := j.cp.Invalidate(st.task); err != nil {
-			c.logf("grid: job %s: task %s invalidation: %v", j.id, tid, err)
-		}
+	if err := j.cp.Invalidate(st.task); err != nil {
+		c.logf("grid: job %s: task %s invalidation: %v", j.id, st.id, err)
 	}
-	j.requeueLocked(st)
-	j.done--
-	delete(j.results, tid)
-	delete(j.doneBy, tid)
-	delete(j.verified, tid)
-	j.tainted[tid] = true
-	j.scores, j.scoresErr = nil, nil
+}
+
+// invalidateTaskLocked drops a done task's recorded value and
+// re-queues it. The tombstone is written first, so a crash in between
+// re-runs the task instead of resurrecting the dropped value.
+func (c *Coordinator) invalidateTaskLocked(j *gridJob, st *taskState) {
+	c.tombstoneLocked(j, st)
+	j.invalidate(st)
 	c.metrics.invalidated.Inc()
 }
 
-// quarantineLocked bans a worker and expunges its unaudited work:
-// leases revoked, every done-but-unverified task it produced is
-// invalidated (checkpoint tombstones appended in the returned func,
-// which the caller runs after releasing the lock) and re-queued.
-// Verified tasks survive — a second worker vouched for them.
-func (c *Coordinator) quarantineLocked(name, reason string) func() {
+// quarantineLocked bans a worker and expunges its unaudited work: the
+// verdict, and the revocation of every lease the worker holds — the
+// expiries they are — leave as one fsynced append, then every
+// done-but-unverified task it produced is tombstoned in its manifest
+// (a crash in between is finished by the restart: reconcileLocked).
+// Jobs are walked in ID order and tasks in grant order, so the same
+// verdict writes the same bytes.
+func (c *Coordinator) quarantineLocked(name, reason string) {
 	if name == "" || c.quarantined[name] {
-		return nil
+		return
 	}
-	c.quarantined[name] = true
-	c.metrics.quarantines.Inc()
-	c.walAppendLocked(true, walRecord{T: walQuarantine, Worker: name})
-	c.logf("grid: worker %s QUARANTINED: %s", name, reason)
-
-	type inval struct {
-		j  *gridJob
-		st *taskState
-	}
-	var invals []inval
-	for _, j := range c.jobs {
-		revoked := 0
+	now := c.now()
+	jobs := c.jobsLocked()
+	recs := []walRecord{{T: walQuarantine, Worker: name}}
+	voided := make([][]*taskState, len(jobs))
+	for i, j := range jobs {
+		recs = append(recs, j.revocations(func(w string) bool { return w == name })...)
 		for _, st := range j.tasks {
-			if st.status == taskLeased && st.worker == name {
-				j.requeueLocked(st)
-				j.requeues++
-				revoked++
-			}
-			if st.hedgeWorker == name {
-				st.hedgeWorker = ""
-				st.hedgeDeadline = time.Time{}
+			if st.unauditedBy(name) {
+				voided[i] = append(voided[i], st)
 			}
 		}
-		if revoked > 0 {
-			c.metrics.requeues.Add(float64(revoked))
+	}
+	c.apply(nil, recs[0], now)
+	for _, r := range recs[1:] {
+		c.apply(c.jobs[r.Job], r, now)
+	}
+	c.walAppendLocked(true, recs...)
+	c.metrics.quarantines.Inc()
+	c.metrics.requeues.Add(float64(len(recs) - 1))
+	c.logf("grid: worker %s QUARANTINED: %s (%d leases revoked)", name, reason, len(recs)-1)
+	for i, j := range jobs {
+		for _, st := range voided[i] {
+			c.tombstoneLocked(j, st)
 		}
-		for _, ast := range j.audits {
-			// Audits the liar was computing go back to the pool; a
-			// dispute the liar raised dissolves (its claim is void).
-			if ast.auditor == name {
-				ast.auditor = ""
-				if ast.phase == auditLeased {
-					ast.phase = auditPending
-				} else if ast.phase == arbLeased {
-					ast.phase = arbPending
-				}
-			}
-			if ast.second == name {
-				ast.second = ""
-				ast.secondVals = nil
-				ast.giveUpAt = time.Time{}
-				if ast.phase == arbPending || ast.phase == arbLeased {
-					ast.phase = auditPending
-					ast.auditor = ""
-				}
-			}
-		}
-		for tid, by := range j.doneBy {
-			if by != name || j.verified[tid] {
-				continue
-			}
-			st := j.tasks[tid]
-			if st == nil || st.status != taskDone || st.recording {
-				continue
-			}
-			// Claim the task like an in-flight ingest so nothing races
-			// the unlocked tombstone append.
-			st.recording = true
-			delete(j.audits, tid)
-			invals = append(invals, inval{j: j, st: st})
+		if n := len(voided[i]); n > 0 {
+			c.metrics.invalidated.Add(float64(n))
+			c.logf("grid: job %s: %d unaudited tasks from %s invalidated and re-queued", j.id, n, name)
 		}
 		c.broadcastLocked(j)
 	}
-
-	if len(invals) == 0 {
-		return func() {}
-	}
-	return func() {
-		// Disk first: once the tombstones are durable, a crash anywhere
-		// below re-runs the tasks instead of resurrecting the lies.
-		for _, iv := range invals {
-			if iv.j.cp != nil {
-				if err := iv.j.cp.Invalidate(iv.st.task); err != nil {
-					c.logf("grid: job %s: task %s invalidation: %v", iv.j.id, iv.st.task.ID(), err)
-				}
-			}
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		byJob := map[*gridJob]int{}
-		for _, iv := range invals {
-			j, st := iv.j, iv.st
-			tid := st.task.ID()
-			st.recording = false
-			if st.status != taskDone {
-				continue
-			}
-			j.requeueLocked(st)
-			j.done--
-			delete(j.results, tid)
-			delete(j.doneBy, tid)
-			j.tainted[tid] = true
-			j.scores, j.scoresErr = nil, nil
-			byJob[j]++
-		}
-		for j, n := range byJob {
-			c.metrics.invalidated.Add(float64(n))
-			c.logf("grid: job %s: %d unaudited tasks from %s invalidated and re-queued", j.id, n, name)
-			c.broadcastLocked(j)
-		}
-		c.checkDrainedLocked()
-	}
+	c.checkDrainedLocked()
 }
 
 // Quarantine bans a worker by operator decision: same mechanics as an
 // audit verdict (429'd leases and uploads, unaudited work re-queued).
 func (c *Coordinator) Quarantine(name string) {
 	c.mu.Lock()
-	after := c.quarantineLocked(name, "operator request")
-	c.mu.Unlock()
-	if after != nil {
-		after()
-	}
+	defer c.mu.Unlock()
+	c.quarantineLocked(name, "operator request")
 }
 
 // Quarantined lists quarantined workers (for the dashboard and tests).
@@ -473,5 +295,6 @@ func (c *Coordinator) Quarantined() []string {
 	for name := range c.quarantined {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }

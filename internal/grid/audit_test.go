@@ -50,7 +50,7 @@ func auditSpec(t *testing.T, points int) job.Spec {
 	return job.Spec{Domain: gossip.Domain(), Points: all[:points], Cfg: tinyGossipCfg(), Chunk: 2}
 }
 
-func mustLease(t *testing.T, c *Coordinator, id, worker string, wantTasks int) LeaseResponse {
+func mustLease(t testing.TB, c *Coordinator, id, worker string, wantTasks int) LeaseResponse {
 	t.Helper()
 	resp, err := c.Lease(context.Background(), id, worker, 10)
 	if err != nil {
@@ -74,7 +74,7 @@ func mustIngest(t *testing.T, c *Coordinator, id, worker string, lt LeaseTask, v
 	return ack
 }
 
-func mustProgress(t *testing.T, c *Coordinator, id string) ProgressSnapshot {
+func mustProgress(t testing.TB, c *Coordinator, id string) ProgressSnapshot {
 	t.Helper()
 	snap, err := c.Progress(id)
 	if err != nil {
@@ -205,8 +205,8 @@ func TestByzantineLiarQuarantined(t *testing.T) {
 	// The corrected record carries the honest value and producer.
 	coord.mu.Lock()
 	j := coord.jobs[id]
-	if !equalValues(j.results[t1.Task], honestVals(t1)) || j.doneBy[t1.Task] != "good1" {
-		t.Errorf("task %s record = %v by %q, want good1's honest value", t1.Task, j.results[t1.Task], j.doneBy[t1.Task])
+	if st := j.task(t1.Task); !equalValues(st.values, honestVals(t1)) || st.producer != "good1" {
+		t.Errorf("task %s record = %v by %q, want good1's honest value", t1.Task, st.values, st.producer)
 	}
 	coord.mu.Unlock()
 
@@ -233,12 +233,12 @@ func TestByzantineLiarQuarantined(t *testing.T) {
 		t.Fatalf("final state: %+v, want complete with audits settled", snap)
 	}
 	coord.mu.Lock()
-	for _, tid := range j.order {
-		if !j.verified[tid] {
-			t.Errorf("task %s completed unverified", tid)
+	for _, st := range j.tasks {
+		if !st.verified {
+			t.Errorf("task %s completed unverified", st.id)
 		}
-		if by := j.doneBy[tid]; by == "liar" {
-			t.Errorf("task %s still attributed to the quarantined liar", tid)
+		if by := st.producer; by == "liar" {
+			t.Errorf("task %s still attributed to the quarantined liar", st.id)
 		}
 	}
 	coord.mu.Unlock()
@@ -317,7 +317,7 @@ func TestHedgedLease(t *testing.T) {
 	coord.mu.Lock()
 	j := coord.jobs[id]
 	for _, lt := range lease.Tasks {
-		if st := j.tasks[lt.Task]; st.hedgeWorker != "fast" || st.worker != "slow" {
+		if st := j.task(lt.Task); st.hedgeWorker != "fast" || st.worker != "slow" {
 			t.Fatalf("hedge state for %s = %q racing %q, want fast racing slow", lt.Task, st.hedgeWorker, st.worker)
 		}
 	}
@@ -366,7 +366,7 @@ func TestHedgePromotion(t *testing.T) {
 	}
 	coord.mu.Lock()
 	for _, lt := range lease.Tasks {
-		if st := coord.jobs[id].tasks[lt.Task]; st.worker != "fast" || st.hedgeWorker != "" {
+		if st := coord.jobs[id].task(lt.Task); st.worker != "fast" || st.hedgeWorker != "" {
 			t.Fatalf("promotion of %s: owner %q hedge %q, want fast owning with no hedge", lt.Task, st.worker, st.hedgeWorker)
 		}
 	}

@@ -65,7 +65,7 @@ func results(lts []LeaseTask, vals func(LeaseTask) []float64) []TaskResult {
 	return rs
 }
 
-func csvOf(t *testing.T, d dsa.Domain, s *dsa.Scores) string {
+func csvOf(t testing.TB, d dsa.Domain, s *dsa.Scores) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := dsa.WriteCSV(&buf, d, s); err != nil {
@@ -75,7 +75,7 @@ func csvOf(t *testing.T, d dsa.Domain, s *dsa.Scores) string {
 }
 
 // walMultiset is dir's WAL as a sorted list of records.
-func walMultiset(t *testing.T, dir string) []string {
+func walMultiset(t testing.TB, dir string) []string {
 	t.Helper()
 	w, recs, skipped, err := openWAL(dir)
 	if err != nil || skipped != 0 {
@@ -92,6 +92,7 @@ func walMultiset(t *testing.T, dir string) []string {
 
 // outcome is everything a stream of uploads leaves behind.
 type outcome struct {
+	dir      string   // the coordinator's directory, closed
 	acks     []string // one per uploaded entry, in stream order
 	state    string   // every task's scheduling state, audits, quarantines
 	wal      []string
@@ -107,10 +108,45 @@ type outcome struct {
 // state after every stream see the same scenario.
 func driveUploads(t *testing.T, seed uint64, submit func(c *Coordinator, id, worker string, rs []TaskResult) []string) outcome {
 	t.Helper()
+	return scenario{seed: seed, submit: submit}.run(t)
+}
+
+// scenario is driveUploads with its knobs out: what an honest worker
+// answers (nil: honestVals; the liar is off by one from it), and a hook
+// after every Lease (the submit strategy can call it after its own
+// calls).
+type scenario struct {
+	seed      uint64
+	submit    func(c *Coordinator, id, worker string, rs []TaskResult) []string
+	honest    func(LeaseTask) []float64
+	afterCall func(c *Coordinator, id string)
+}
+
+func scenarioSpec(t testing.TB) job.Spec {
 	spec := gossipSpec(t)
 	spec.Chunk = 1 // 36 tasks
+	return spec
+}
+
+var scenarioOptions = CoordinatorOptions{LeaseTTL: time.Minute, AuditRate: 1, Hedge: true}
+
+func (sc scenario) run(t testing.TB) outcome {
+	t.Helper()
+	seed, submit := sc.seed, sc.submit
+	honest := sc.honest
+	if honest == nil {
+		honest = honestVals
+	}
+	lying := func(lt LeaseTask) []float64 {
+		out := slices.Clone(honest(lt))
+		out[0]++
+		return out
+	}
+	spec := scenarioSpec(t)
 	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, AuditRate: 1, Hedge: true})
+	opts := scenarioOptions
+	opts.Dir = dir
+	coord := NewCoordinator(opts)
 	now := time.Unix(1000, 0)
 	coord.now = func() time.Time { return now }
 	id, err := coord.AddJob(spec)
@@ -131,6 +167,9 @@ func driveUploads(t *testing.T, seed uint64, submit func(c *Coordinator, id, wor
 		now = now.Add(time.Second)
 		w := workers[rng.IntN(len(workers))]
 		lease, err := coord.Lease(ctx, id, w, 1+rng.IntN(4))
+		if sc.afterCall != nil {
+			sc.afterCall(coord, id)
+		}
 		if errors.Is(err, errQuarantined) {
 			delete(held, w)
 			continue
@@ -155,19 +194,18 @@ func driveUploads(t *testing.T, seed uint64, submit func(c *Coordinator, id, wor
 		if len(held[w]) == 0 || rng.IntN(4) == 0 {
 			continue // sit on the results a little longer
 		}
-		vals := honestVals
+		vals := honest
 		if w == "liar" {
-			vals = lyingVals
+			vals = lying
 		}
 		stream := results(held[w], vals)
 		delete(held, w)
 		// Now and then re-send a settled task: a plain duplicate.
 		coord.mu.Lock()
 		j := coord.jobs[id]
-		if tid := j.order[rng.IntN(len(j.order))]; j.verified[tid] && w != "liar" &&
-			!slices.ContainsFunc(stream, func(r TaskResult) bool { return r.Task == tid }) {
-			st := j.tasks[tid].task
-			stream = append(stream, results([]LeaseTask{{Task: tid, Lo: st.Lo, Hi: st.Hi}}, honestVals)...)
+		if st := j.tasks[rng.IntN(len(j.tasks))]; st.verified && w != "liar" &&
+			!slices.ContainsFunc(stream, func(r TaskResult) bool { return r.Task == st.id }) {
+			stream = append(stream, results([]LeaseTask{{Task: st.id, Lo: st.task.Lo, Hi: st.task.Hi}}, honest)...)
 		}
 		coord.mu.Unlock()
 		for i, ack := range submit(coord, id, w, stream) {
@@ -183,10 +221,9 @@ func driveUploads(t *testing.T, seed uint64, submit func(c *Coordinator, id, wor
 	coord.mu.Lock()
 	j := coord.jobs[id]
 	var sb strings.Builder
-	for _, tid := range j.order {
-		st := j.tasks[tid]
+	for _, st := range j.tasks {
 		fmt.Fprintf(&sb, "%s status=%d worker=%q hedge=%q by=%q verified=%v tainted=%v\n",
-			tid, st.status, st.worker, st.hedgeWorker, j.doneBy[tid], j.verified[tid], j.tainted[tid])
+			st.id, st.status, st.worker, st.hedgeWorker, st.producer, st.verified, st.tainted)
 	}
 	var quarantined []string
 	for name := range coord.quarantined {
@@ -194,12 +231,13 @@ func driveUploads(t *testing.T, seed uint64, submit func(c *Coordinator, id, wor
 	}
 	sort.Strings(quarantined)
 	fmt.Fprintf(&sb, "done=%d requeues=%d granted=%d audits=%d quarantined=%v\n",
-		j.done, j.requeues, j.leasesGranted, len(j.audits), quarantined)
+		j.done, j.requeues, j.leasesGranted, j.audits, quarantined)
 	out.state = sb.String()
 	coord.mu.Unlock()
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
+	out.dir = dir
 	out.wal = walMultiset(t, dir)
 	cp, err := job.OpenCheckpoint(filepath.Join(dir, id), spec)
 	if err != nil {
@@ -380,7 +418,7 @@ func TestBatchAppendCrashPoints(t *testing.T) {
 		}
 		c2.mu.Lock()
 		for i, lt := range lease.Tasks {
-			if got := c2.jobs[id].results[lt.Task]; (got != nil) != (i < whole) || (got != nil && !equalValues(got, honest[lt.Task])) {
+			if got := c2.jobs[id].task(lt.Task).values; (got != nil) != (i < whole) || (got != nil && !equalValues(got, honest[lt.Task])) {
 				t.Fatalf("cut %d: task %s (line %d of the batch) restored as %v with %d whole lines", cut, lt.Task, i, got, whole)
 			}
 		}
@@ -713,7 +751,10 @@ func TestGrantCursor(t *testing.T) {
 	}
 	coord.mu.Lock()
 	j := coord.jobs[id]
-	order := slices.Clone(j.order)
+	order := make([]string, len(j.tasks))
+	for i, st := range j.tasks {
+		order[i] = st.id
+	}
 	coord.mu.Unlock()
 	if len(order) < 4096 {
 		t.Fatalf("job has %d tasks, the test wants at least 4096", len(order))

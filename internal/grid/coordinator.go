@@ -152,9 +152,10 @@ type Coordinator struct {
 	// wal journals scheduling state (nil without Dir, or after an open
 	// failure — the grid then runs, loudly, without crash recovery).
 	wal *wal
-	// walRecs holds replayed per-job WAL records until AddJob
-	// registers the matching job and consumes them.
-	walRecs map[string][]walRecord
+	// walRecs holds the WAL's records, in the order they were written,
+	// until AddJob registers the job they name and replays them (a
+	// quarantine names none, and stays for every job to come).
+	walRecs []walRecord
 	// cacheEpoch counts cache-feeding events (ingests, checkpoint
 	// restores). Each job remembers the epoch it last scanned the
 	// cache at, so the pending-task rescan in Lease runs only when
@@ -178,44 +179,65 @@ const (
 	taskDone
 )
 
+// taskState is everything the coordinator knows about one task: where it
+// is in the lease machine, who holds it, and — once done — the value on
+// record, who produced it and how far its audit got. What of this a
+// restart gets back, and from which file, is DESIGN.md's "one rule".
 type taskState struct {
 	task      job.Task
-	idx       int // position in gridJob.order
+	id        string // task.ID()
+	idx       int    // position in gridJob.tasks
 	status    taskStatus
-	worker    string
+	worker    string // holder while leased
 	deadline  time.Time
 	leasedAt  time.Time // last lease grant, for the lease-latency histogram
-	recording bool      // an Ingest is journalling this task outside the lock
+	recording bool      // a manifest append for this task is running outside the lock
 
 	// Speculative duplicate lease (CoordinatorOptions.Hedge): a second
 	// worker racing the straggling primary. First ingest wins; a dead
 	// primary promotes the hedge instead of re-queueing.
 	hedgeWorker   string
 	hedgeDeadline time.Time
+
+	// While done: the recorded value (the manifest holds the durable
+	// copy), the worker it came from, and whether a second worker has
+	// confirmed it. producer is kept regardless of AuditRate — it is what
+	// a later quarantine sweeps.
+	values   []float64
+	producer string
+	verified bool
+	audit    *auditState // open audit (audit.go); nil once settled or never selected
+	// tainted marks a task whose recorded value was invalidated: the
+	// cache may still hold the bad per-point scores, so the absorb scan
+	// must not serve them back until an honest re-run overwrites.
+	tainted bool
 }
 
 type gridJob struct {
-	id        string
-	spec      job.Spec
-	specRaw   json.RawMessage
-	weight    int      // fair-share priority weight, >= 1
-	order     []string // task IDs in job.Spec.Tasks order (chunk-major): the grant order
-	tasks     map[string]*taskState
-	results   map[string][]float64
+	id      string
+	spec    job.Spec
+	specRaw json.RawMessage
+	weight  int // fair-share priority weight, >= 1
+	// tasks is the task table in job.Spec.Tasks order (chunk-major) — the
+	// grant order, and the order of every scan; index finds a task by ID.
+	tasks     []*taskState
+	index     map[string]int
 	cp        *job.Checkpoint // nil without a checkpoint dir
 	done      int
-	requeues  int
+	audits    int       // open audits (setAudit); gates completion
+	requeues  int       // expire records: leases of any kind that ended without a result
 	restored  int       // tasks restored from checkpoint at registration
 	startedAt time.Time // first lease grant; anchors the ETA estimate
-	// leasesGranted counts tasks handed out on leases (re-leases
-	// included) — the fair scheduler's deficit measure.
+	// leasesGranted counts lease records — tasks and audits handed out,
+	// re-leases and promotions included, hedges not — the fair
+	// scheduler's deficit measure.
 	leasesGranted int
 	scores        *dsa.Scores // assembled once complete
 	scoresErr     error
 	changed       chan struct{} // closed and replaced on every state change
 
-	// next is the grant cursor: no task of order[:next] is pending, so a
-	// grant scans from here, not from 0 (requeueLocked moves it back).
+	// next is the grant cursor: no task of tasks[:next] is pending, so a
+	// grant scans from here, not from 0 (requeue moves it back).
 	// scanned counts the tasks grants have looked at: over a job's life,
 	// its tasks plus what re-queues made them look at again.
 	next, scanned int
@@ -227,31 +249,12 @@ type gridJob struct {
 	ids           []int // stable point IDs aligned with spec.Points
 	absorbedEpoch uint64
 	cacheServed   int
-
-	// Audit bookkeeping (audit.go). doneBy is maintained regardless of
-	// AuditRate — it is what the WAL replays and what a later
-	// quarantine sweeps.
-	doneBy   map[string]string      // task ID -> worker whose value is on record
-	verified map[string]bool        // task ID -> audit-confirmed
-	audits   map[string]*auditState // open audits, gate job completion
-	// tainted marks tasks whose recorded value was invalidated: the
-	// cache may still hold the bad per-point scores, so the absorb
-	// scan must not serve them back until an honest re-run overwrites.
-	tainted map[string]bool
-}
-
-// requeueLocked returns a task to the pending queue, ahead of the grant
-// cursor if need be.
-func (j *gridJob) requeueLocked(st *taskState) {
-	st.status = taskPending
-	st.worker = ""
-	j.next = min(j.next, st.idx)
 }
 
 // completeLocked is the job-completion predicate: every task done AND
 // every audit settled — a job with open audits may still re-queue work.
 func (j *gridJob) completeLocked() bool {
-	return j.done == len(j.order) && len(j.audits) == 0
+	return j.done == len(j.tasks) && j.audits == 0
 }
 
 // NewCoordinator returns an empty coordinator.
@@ -265,7 +268,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		jobs:        map[string]*gridJob{},
 		workers:     map[string]*workerStats{},
 		quarantined: map[string]bool{},
-		walRecs:     map[string][]walRecord{},
 		cacheEpoch:  1,
 		drainDone:   make(chan struct{}),
 	}
@@ -280,46 +282,22 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 			c.logf("grid: WAL unavailable, coordinator runs WITHOUT crash recovery: %v", err)
 		} else {
 			c.wal = w
-			c.replayWAL(recs)
+			// A quarantine stands from now on; what it and the other
+			// records did to a job waits for AddJob to register it.
+			c.walRecs = recs
+			for _, r := range recs {
+				if r.T == walQuarantine {
+					c.apply(nil, r, c.now())
+				}
+			}
 			if len(recs) > 0 || skipped > 0 {
 				c.logf("grid: wal: replayed %d records (%d corrupt lines skipped)", len(recs), skipped)
 			}
 			c.metrics.walReplayed.Set(float64(len(recs)))
+			c.metrics.quarantines.Add(float64(len(c.quarantined)))
 		}
 	}
 	return c
-}
-
-// replayWAL applies the global (worker-level) effect of every record
-// at construction time and stashes job-level records for AddJob to
-// consume when the matching job registers. Runs before the coordinator
-// is published, so no lock is needed (the *Locked helpers it calls
-// only assert state, not the mutex).
-func (c *Coordinator) replayWAL(recs []walRecord) {
-	for _, r := range recs {
-		switch r.T {
-		case walQuarantine:
-			c.quarantined[r.Worker] = true
-			continue
-		case walLease:
-			if ws := c.touchWorkerLocked(r.Worker); ws != nil {
-				ws.leased++
-			}
-		case walExpire:
-			c.workerFailedLocked(r.Worker)
-		case walIngest, walVerify:
-			c.workerDoneLocked(r.Worker, time.Duration(r.ElapsedMS)*time.Millisecond)
-		case walHedge:
-			// Informational: hedges re-arm live if still warranted.
-			continue
-		}
-		if r.Job != "" {
-			c.walRecs[r.Job] = append(c.walRecs[r.Job], r)
-		}
-	}
-	if n := len(c.quarantined); n > 0 {
-		c.metrics.quarantines.Add(float64(n))
-	}
 }
 
 // walAppendLocked journals records, logging (never failing the caller)
@@ -334,69 +312,6 @@ func (c *Coordinator) walAppendLocked(sync bool, recs ...walRecord) {
 		return
 	}
 	c.metrics.walRecords.Add(float64(len(recs)))
-}
-
-// applyWALLocked replays j's stashed WAL records onto its freshly
-// restored task table: checkpoint restore has already marked done
-// tasks (values are the checkpoint's job), so this pass rebuilds the
-// scheduler's view — outstanding leases (re-armed with a fresh TTL
-// from *this* coordinator's clock), fair-share deficits, requeue
-// counts, priority, producer attribution and audit verdicts.
-func (c *Coordinator) applyWALLocked(j *gridJob) {
-	recs := c.walRecs[j.id]
-	if len(recs) == 0 {
-		return
-	}
-	delete(c.walRecs, j.id)
-	now := c.now()
-	deadline := now.Add(c.opts.leaseTTL())
-	for _, r := range recs {
-		st := j.tasks[r.Task]
-		switch r.T {
-		case walPriority:
-			if r.Weight >= 1 {
-				j.weight = r.Weight
-			}
-		case walLease:
-			j.leasesGranted++
-			if st != nil && st.status == taskPending && !c.quarantined[r.Worker] {
-				st.status = taskLeased
-				st.worker = r.Worker
-				st.leasedAt = now
-				st.deadline = deadline
-			}
-		case walExpire:
-			j.requeues++
-			if st != nil && st.status == taskLeased && st.worker == r.Worker {
-				j.requeueLocked(st)
-			}
-		case walIngest:
-			if st == nil {
-				continue
-			}
-			if st.status == taskDone {
-				j.doneBy[r.Task] = r.Worker
-			} else if st.status == taskLeased && st.worker == r.Worker {
-				// The WAL saw the ingest but the checkpoint lost the
-				// value (should not happen: Record syncs first). The
-				// value is gone, so the task must re-run.
-				j.requeueLocked(st)
-			}
-		case walVerify:
-			if st != nil && st.status == taskDone {
-				j.verified[r.Task] = true
-			}
-		}
-	}
-	c.logf("grid: job %s: wal replay applied %d records (priority %d, %d leases outstanding re-armed)",
-		j.id, len(recs), j.weight, func() (n int) {
-			for _, st := range j.tasks {
-				if st.status == taskLeased {
-					n++
-				}
-			}
-			return
-		}())
 }
 
 // Metrics exposes the coordinator's registry — what GET /metrics
@@ -461,45 +376,55 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 	id := jobID(spec.Domain.Name(), specRaw)
 
 	c.mu.Lock()
+	j, err := c.registerLocked(id, spec, specRaw, priority)
+	c.mu.Unlock()
+	if err != nil {
+		return "", err
+	}
+	if j != nil {
+		// Registration is visible before the absorb scan; a concurrent
+		// Lease absorbing the same job is harmless (the epoch gate and
+		// recording flags keep the work single-shot).
+		c.absorbCache(j)
+	}
+	return id, nil
+}
+
+// registerLocked adds the job, restored from its checkpoint and the WAL;
+// for one already registered it only updates the priority and returns
+// nil.
+func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, priority int) (*gridJob, error) {
+	now := c.now()
 	if j, ok := c.jobs[id]; ok {
 		if j.weight != priority {
-			j.weight = priority
-			c.walAppendLocked(false, walRecord{T: walPriority, Job: id, Weight: priority})
-			c.mu.Unlock()
+			rec := walRecord{T: walPriority, Job: id, Weight: priority}
+			c.apply(j, rec, now)
+			c.walAppendLocked(false, rec)
 			c.logf("grid: job %s priority set to %d", id, priority)
-			return id, nil
 		}
-		c.mu.Unlock()
-		return id, nil
+		return nil, nil
 	}
 	j := &gridJob{
-		id:       id,
-		spec:     spec,
-		specRaw:  specRaw,
-		weight:   priority,
-		tasks:    map[string]*taskState{},
-		results:  map[string][]float64{},
-		doneBy:   map[string]string{},
-		verified: map[string]bool{},
-		audits:   map[string]*auditState{},
-		tainted:  map[string]bool{},
-		changed:  make(chan struct{}),
+		id:      id,
+		spec:    spec,
+		specRaw: specRaw,
+		weight:  priority,
+		index:   map[string]int{},
+		changed: make(chan struct{}),
 	}
 	for i, t := range spec.Tasks() {
-		j.order = append(j.order, t.ID())
-		j.tasks[t.ID()] = &taskState{task: t, idx: i}
+		j.tasks = append(j.tasks, &taskState{task: t, id: t.ID(), idx: i})
+		j.index[t.ID()] = i
 	}
 	if c.opts.Cache != nil {
 		keyer, err := dsa.NewScoreKeyer(spec.Domain, spec.Domain.SampleOpponents(spec.Cfg), spec.Cfg)
 		if err != nil {
-			c.mu.Unlock()
-			return "", err
+			return nil, err
 		}
 		ids := make([]int, len(spec.Points))
 		for i, p := range spec.Points {
 			if ids[i], err = spec.Domain.PointID(p); err != nil {
-				c.mu.Unlock()
-				return "", err
+				return nil, err
 			}
 		}
 		j.keyer, j.ids = keyer, ids
@@ -507,43 +432,26 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 	if c.opts.Dir != "" {
 		cp, err := job.OpenCheckpoint(filepath.Join(c.opts.Dir, id), spec)
 		if err != nil {
-			c.mu.Unlock()
-			return "", err
+			return nil, err
 		}
 		j.cp = cp
-		for tid, vals := range cp.Completed() {
-			st, ok := j.tasks[tid]
-			if !ok || st.status == taskDone {
-				continue
-			}
-			st.status = taskDone
-			j.results[tid] = vals
-			j.done++
+	}
+	// Replay: the journalled records that name this job, and the
+	// quarantines between them, through the live transitions in the order
+	// they were written. Leases re-arm with a fresh TTL from *this*
+	// coordinator's clock.
+	replayed, rest := 0, c.walRecs[:0]
+	for _, r := range c.walRecs {
+		if r.Job == id || r.T == walQuarantine {
+			c.apply(j, r, now)
+			replayed++
+		}
+		if r.Job != id {
+			rest = append(rest, r)
 		}
 	}
-	// WAL replay must see the restored task table (it re-arms leases
-	// only on still-pending tasks) and must run before the cache feed
-	// (it supplies the verified set and producer attribution the feed
-	// policy consults).
-	c.applyWALLocked(j)
-	if c.opts.Dir != "" {
-		for tid, vals := range j.results {
-			st := j.tasks[tid]
-			if c.quarantined[j.doneBy[tid]] && !j.verified[tid] {
-				// A quarantine raced the crash: the on-disk expunge of
-				// this liar's results did not finish. Finish it.
-				c.invalidateTaskLocked(j, tid)
-				continue
-			}
-			if c.auditEnabled() && !j.verified[tid] && auditSelected(j.id, tid, c.opts.AuditRate) {
-				// Re-arm the audit instead of feeding the cache: with
-				// auditing on, selected values feed only once verified.
-				c.openAuditLocked(j, st.task, j.doneBy[tid])
-				continue
-			}
-			c.feedCacheLocked(j, st.task, vals)
-		}
-	}
+	c.walRecs = rest
+	c.reconcileLocked(j, now)
 	j.restored = j.done
 	// A restored job's own results never complete its own tasks, but
 	// they must still trigger a scan of *this* job against what other
@@ -551,14 +459,59 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 	j.absorbedEpoch = 0
 	c.finishIfCompleteLocked(j)
 	c.jobs[id] = j
-	restored := j.done
-	c.mu.Unlock()
-	c.logf("grid: job %s registered: %d tasks (%d restored from checkpoint), priority %d", id, len(j.order), restored, priority)
-	// Registration is visible before the absorb scan; a concurrent
-	// Lease absorbing the same job is harmless (the epoch gate and
-	// recording flags keep the work single-shot).
-	c.absorbCache(j)
-	return id, nil
+	c.logf("grid: job %s registered: %d tasks (%d restored from checkpoint, %d wal records replayed), priority %d",
+		id, len(j.tasks), j.restored, replayed, j.weight)
+	return j, nil
+}
+
+// reconcileLocked is where the two journals meet after a replay: the
+// WAL has said who and when, the manifest says which values stand. A
+// task is done exactly if the manifest holds its value; then, in task
+// order, what a crash interrupted is finished — a quarantine whose
+// revocations or tombstones did not all reach the disk, an audit the WAL
+// never saw opened — and the cache is fed with everything that stands.
+func (c *Coordinator) reconcileLocked(j *gridJob, now time.Time) {
+	var restored map[string][]float64
+	if j.cp != nil {
+		restored = j.cp.Completed()
+	}
+	revoked := j.revocations(func(w string) bool { return c.quarantined[w] })
+	for _, r := range revoked {
+		c.apply(j, r, now)
+	}
+	c.walAppendLocked(false, revoked...)
+	for _, st := range j.tasks {
+		st.values = restored[st.id]
+		switch {
+		case st.values == nil:
+			if st.status == taskDone {
+				// The WAL saw the ingest, the manifest holds a tombstone
+				// behind it or lost the line: the task re-runs.
+				j.invalidate(st)
+			}
+			continue
+		case st.tainted:
+			// The WAL saw the value voided; the tombstone did not land.
+			c.tombstoneLocked(j, st)
+			st.values = nil
+			continue
+		case st.status != taskDone:
+			// Done with no ingest on record (cache-served, or the crash
+			// fell between the manifest and the WAL): producer unknown.
+			c.applyIngest(j, st, "", 0, now)
+		}
+		switch {
+		case st.unauditedBy(st.producer) && c.quarantined[st.producer]:
+			c.invalidateTaskLocked(j, st)
+		case st.audit != nil:
+			// With auditing on, selected values feed only once verified.
+		case c.auditEnabled() && !st.verified && auditSelected(j.id, st.id, c.opts.AuditRate):
+			j.setAudit(st, &auditState{original: st.producer, relaxAt: now.Add(c.opts.leaseTTL())})
+		default:
+			c.feedCacheLocked(j, st.task, st.values)
+		}
+	}
+	c.metrics.auditsOpened.Add(float64(j.audits))
 }
 
 // feedCacheLocked records one finished task's per-point scores in the
@@ -597,15 +550,14 @@ func (c *Coordinator) collectCacheHitsLocked(j *gridJob) []absorbedTask {
 		return nil
 	}
 	j.absorbedEpoch = c.cacheEpoch
-	if j.done == len(j.order) {
+	if j.done == len(j.tasks) {
 		return nil
 	}
 	var hits []absorbedTask
-	for _, tid := range j.order {
-		st := j.tasks[tid]
+	for _, st := range j.tasks {
 		// A tainted task's cached per-point scores may be the very lie
 		// that was just invalidated — only an honest re-compute clears it.
-		if st.status == taskDone || st.recording || j.tainted[tid] {
+		if st.status == taskDone || st.recording || st.tainted {
 			continue
 		}
 		t := st.task
@@ -651,15 +603,16 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := c.now()
 	for _, h := range hits {
 		h.st.recording = false
 		if err != nil {
 			continue
 		}
-		h.st.status = taskDone
-		h.st.worker = ""
-		j.results[h.st.task.ID()] = h.vals
-		j.done++
+		// An ingest from nobody, and not journalled: the manifest line is
+		// all a restart needs to see the task done.
+		h.st.values = h.vals
+		c.applyIngest(j, h.st, "", 0, now)
 	}
 	if err != nil {
 		// The tasks stay pending: workers will compute and re-upload
@@ -732,56 +685,65 @@ func (c *Coordinator) getJob(id string) (*gridJob, error) {
 	return j, nil
 }
 
-// expireLocked requeues every lease whose deadline has passed, scoring
-// the expiry against the worker that went silent. A task with a live
-// hedge promotes the hedge to primary instead of re-queueing (the
-// expiry still counts). Expiry is lazy: it runs at the top of every
-// API call that looks at task state, which is the only time staleness
-// could matter (plus the drain loop's ticks).
+// expireLocked ends every lease of j whose deadline has passed —
+// primary, hedge or audit — scoring the expiry against the worker that
+// went silent. A task with a live hedge promotes the hedge to primary
+// instead of re-queueing (the expiry still counts), and an arbitration
+// that ran out of road (no third worker ever arrived) re-queues its
+// task. Tasks are walked in grant order and the records leave as one
+// write. Expiry is lazy: it runs at the top of every API call that
+// looks at task state, which is the only time staleness could matter
+// (plus the drain loop's ticks).
 func (c *Coordinator) expireLocked(j *gridJob) {
 	now := c.now()
-	var expired []*taskState
+	var recs []walRecord
+	promoted := 0
+	journal := func(t string, st *taskState, worker string) {
+		r := walRecord{T: t, Job: j.id, Task: st.id, Worker: worker}
+		c.apply(j, r, now)
+		recs = append(recs, r)
+	}
 	for _, st := range j.tasks {
-		if st.status != taskLeased {
+		if st.status == taskLeased {
+			// A dead hedge clears: the primary still owns the task.
+			if st.hedgeWorker != "" && st.hedgeDeadline.Before(now) {
+				journal(walExpire, st, st.hedgeWorker)
+			}
+			if st.deadline.Before(now) {
+				hedge := st.hedgeWorker
+				journal(walExpire, st, st.worker)
+				if hedge != "" {
+					// Promote the live hedge: the task never reaches the
+					// queue, the racer simply becomes the owner.
+					journal(walLease, st, hedge)
+					promoted++
+				}
+			}
+		}
+		ast := st.audit
+		if ast == nil {
 			continue
 		}
-		// A dead hedge clears quietly: the primary still owns the task.
-		if st.hedgeWorker != "" && st.hedgeDeadline.Before(now) {
-			c.workerFailedLocked(st.hedgeWorker)
-			st.hedgeWorker = ""
-			st.hedgeDeadline = time.Time{}
+		if ast.auditor != "" && ast.deadline.Before(now) {
+			journal(walExpire, st, ast.auditor)
 		}
-		if st.deadline.Before(now) {
-			expired = append(expired, st)
+		if ast.auditor == "" && ast.second != "" && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
+			// Unresolvable split (e.g. both claimants quarantine-proof
+			// in a 2-worker grid): discard both claims and re-run.
+			c.logf("grid: job %s: task %s audit split unresolved (%q vs %q), re-queueing",
+				j.id, st.id, ast.original, ast.second)
+			c.invalidateTaskLocked(j, st)
 		}
 	}
-	// Journalled in grant order, whatever order the map gave, as one write.
-	sort.Slice(expired, func(a, b int) bool { return expired[a].idx < expired[b].idx })
-	var recs []walRecord
-	for _, st := range expired {
-		tid := j.order[st.idx]
-		c.workerFailedLocked(st.worker)
-		recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: tid, Worker: st.worker})
-		j.requeues++
-		if st.hedgeWorker != "" {
-			// Promote the live hedge: the task never goes back in the
-			// queue, the racer simply becomes the owner.
-			st.worker, st.deadline = st.hedgeWorker, st.hedgeDeadline
-			st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
-			j.leasesGranted++
-			recs = append(recs, walRecord{T: walLease, Job: j.id, Task: tid, Worker: st.worker})
-			continue
-		}
-		j.requeueLocked(st)
+	if len(recs) == 0 {
+		return
 	}
 	c.walAppendLocked(false, recs...)
-	c.auditExpireLocked(j, now)
-	if len(expired) > 0 {
-		c.metrics.requeues.Add(float64(len(expired)))
-		c.logf("grid: job %s: %d leases expired, tasks re-queued", j.id, len(expired))
-		c.broadcastLocked(j)
-		c.checkDrainedLocked()
-	}
+	expired := len(recs) - promoted
+	c.metrics.requeues.Add(float64(expired))
+	c.logf("grid: job %s: %d leases expired, tasks re-queued", j.id, expired)
+	c.broadcastLocked(j)
+	c.checkDrainedLocked()
 }
 
 func (c *Coordinator) broadcastLocked(j *gridJob) {
@@ -796,11 +758,15 @@ func (c *Coordinator) finishIfCompleteLocked(j *gridJob) {
 	if !j.completeLocked() || j.scores != nil || j.scoresErr != nil {
 		return
 	}
-	j.scores, j.scoresErr = j.spec.AssembleScores(j.results)
+	results := make(map[string][]float64, len(j.tasks))
+	for _, st := range j.tasks {
+		results[st.id] = st.values
+	}
+	j.scores, j.scoresErr = j.spec.AssembleScores(results)
 	if j.scoresErr != nil {
 		c.logf("grid: job %s: assembly failed: %v", j.id, j.scoresErr)
 	} else {
-		c.logf("grid: job %s complete: %d tasks, %d requeues", j.id, len(j.order), j.requeues)
+		c.logf("grid: job %s complete: %d tasks, %d requeues", j.id, len(j.tasks), j.requeues)
 	}
 	c.broadcastLocked(j)
 }
@@ -809,101 +775,111 @@ func (c *Coordinator) finishIfCompleteLocked(j *gridJob) {
 // the worker's score first. Grant order: audit re-leases (a few
 // re-checks catch a liar before it poisons more), then pending tasks,
 // then — with hedging on and capacity to spare — speculative
-// duplicates of straggling leases.
+// duplicates of straggling leases. One WAL write per grant, in grant
+// order.
 func (c *Coordinator) grantLocked(j *gridJob, worker string, max int) []LeaseTask {
-	if c.quarantined[worker] {
-		return nil
-	}
 	if max <= 0 || max > c.opts.maxLease() {
 		max = c.opts.maxLease()
 	}
 	max = c.grantCapLocked(worker, max)
-	ttl := c.opts.leaseTTL()
-	now := c.now()
-	deadline := now.Add(ttl)
-	tasks := c.grantAuditsLocked(j, worker, max, now, deadline)
-	granted := len(tasks) // audit + pending grants: what the deficit counts
-	for ; j.next < len(j.order) && len(tasks) < max; j.next++ {
-		tid := j.order[j.next]
-		st := j.tasks[tid]
-		j.scanned++
-		if st.status != taskPending {
-			continue
-		}
-		st.status = taskLeased
-		st.worker = worker
-		st.deadline = deadline
-		st.leasedAt = now
-		tasks = append(tasks, LeaseTask{
-			Task: tid, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi,
-			TTLMS: ttl.Milliseconds(),
-		})
-		granted++
+	now, ttl := c.now(), c.opts.leaseTTL()
+	var recs []walRecord
+	var tasks []LeaseTask
+	journal := func(t string, st *taskState) {
+		r := walRecord{T: t, Job: j.id, Task: st.id, Worker: worker}
+		c.apply(j, r, now)
+		recs = append(recs, r)
+		tasks = append(tasks, LeaseTask{Task: st.id, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi, TTLMS: ttl.Milliseconds()})
 	}
-	if c.opts.Hedge && len(tasks) < max {
-		tasks = append(tasks, c.grantHedgesLocked(j, worker, max-len(tasks), now, deadline)...)
-	}
-	if len(tasks) > 0 {
-		// One WAL write per grant, in grant order: audit and pending
-		// leases, then hedges.
-		recs := make([]walRecord, len(tasks))
-		for i, lt := range tasks {
-			recs[i] = walRecord{T: walLease, Job: j.id, Task: lt.Task, Worker: worker}
-			if i >= granted {
-				recs[i].T = walHedge
+	if worker != "" && j.audits > 0 {
+		for _, st := range j.tasks {
+			if len(recs) == max {
+				break
+			}
+			if auditGrantable(st, worker, now) {
+				journal(walLease, st)
+				st.audit.auditor, st.audit.deadline = worker, now.Add(ttl)
 			}
 		}
-		c.walAppendLocked(false, recs...)
-		if j.startedAt.IsZero() {
-			j.startedAt = now
-		}
-		j.leasesGranted += granted
-		c.metrics.leasesGranted.Add(float64(granted))
-		if ws := c.touchWorkerLocked(worker); ws != nil {
-			ws.leased += len(tasks)
-		}
-		c.broadcastLocked(j)
-	} else if worker != "" {
-		// An empty grant is still a sign of life.
-		c.touchWorkerLocked(worker)
 	}
+	for ; j.next < len(j.tasks) && len(recs) < max; j.next++ {
+		j.scanned++
+		if st := j.tasks[j.next]; st.status == taskPending {
+			journal(walLease, st)
+		}
+	}
+	granted := len(recs) // audit + pending grants: what the deficit counts
+	for _, st := range c.stragglersLocked(j, worker, max-granted, now) {
+		journal(walHedge, st)
+	}
+	if len(recs) == 0 {
+		// An empty grant is still a sign of life.
+		c.touchWorker(worker, now)
+		return nil
+	}
+	c.walAppendLocked(false, recs...)
+	if j.startedAt.IsZero() {
+		j.startedAt = now
+	}
+	c.metrics.leasesGranted.Add(float64(granted))
+	c.metrics.leaseHedged.Add(float64(len(recs) - granted))
+	c.broadcastLocked(j)
 	return tasks
+}
+
+// lockAndLease is Lease and LeaseAny behind their one prologue: count the
+// call, serve what the cache already knows before handing out leases
+// (overlapping jobs ingested since the last scan may have made whole
+// pending tasks free, and an absorbed job may complete without ever
+// dispatching work), refuse the quarantined, grant nothing while
+// draining. id "" leaves the job to the fair scheduler (nil: nothing is
+// eligible). It returns with c.mu held, whatever it returns.
+func (c *Coordinator) lockAndLease(id, worker string, max int) (j *gridJob, tasks []LeaseTask, err error) {
+	c.metrics.leaseRequests.Inc()
+	c.mu.Lock()
+	jobs := c.jobsLocked()
+	if id != "" {
+		if j, err = c.getJob(id); err != nil {
+			return nil, nil, err
+		}
+		jobs = []*gridJob{j}
+	}
+	c.mu.Unlock()
+	for _, each := range jobs {
+		c.absorbCache(each)
+	}
+	c.mu.Lock()
+	if c.quarantined[worker] {
+		return nil, nil, fmt.Errorf("%w: %s", errQuarantined, worker)
+	}
+	if j != nil {
+		c.expireLocked(j)
+	}
+	if c.draining {
+		c.touchWorker(worker, c.now())
+		return j, nil, nil
+	}
+	if j == nil {
+		if j = c.pickJobLocked(worker); j == nil {
+			c.touchWorker(worker, c.now())
+			return nil, nil, nil
+		}
+	}
+	return j, c.grantLocked(j, worker, max), nil
 }
 
 // Lease grants up to max pending tasks of one job to worker. While the
 // coordinator drains, no tasks are granted and the response says so.
 func (c *Coordinator) Lease(ctx context.Context, id, worker string, max int) (LeaseResponse, error) {
-	c.metrics.leaseRequests.Inc()
-	c.mu.Lock()
-	j, err := c.getJob(id)
+	j, tasks, err := c.lockAndLease(id, worker, max)
+	defer c.mu.Unlock()
 	if err != nil {
-		c.mu.Unlock()
 		return LeaseResponse{}, err
 	}
-	c.mu.Unlock()
-	// Serve what the cache already knows before handing out leases:
-	// overlapping jobs ingested since the last scan may have made
-	// whole pending tasks free.
-	c.absorbCache(j)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.quarantined[worker] {
-		return LeaseResponse{}, fmt.Errorf("%w: %s", errQuarantined, worker)
+	if len(tasks) > 0 {
+		c.logfCtx(ctx, "grid: job %s: leased %d tasks to %s", j.id, len(tasks), worker)
 	}
-	c.expireLocked(j)
-	var resp LeaseResponse
-	if c.draining {
-		c.touchWorkerLocked(worker)
-		resp.Draining = true
-		resp.Complete = j.completeLocked()
-		return resp, nil
-	}
-	resp.Tasks = c.grantLocked(j, worker, max)
-	resp.Complete = j.completeLocked()
-	if len(resp.Tasks) > 0 {
-		c.logfCtx(ctx, "grid: job %s: leased %d tasks to %s", j.id, len(resp.Tasks), worker)
-	}
-	return resp, nil
+	return LeaseResponse{Tasks: tasks, Complete: j.completeLocked(), Draining: c.draining}, nil
 }
 
 // LeaseAny grants up to max pending tasks from whichever job the fair
@@ -911,45 +887,19 @@ func (c *Coordinator) Lease(ctx context.Context, id, worker string, max int) (Le
 // share (see pickJobLocked). One call serves one job, so the worker
 // always computes a batch against a single spec.
 func (c *Coordinator) LeaseAny(ctx context.Context, worker string, max int) (GlobalLeaseResponse, error) {
-	c.metrics.leaseRequests.Inc()
-	// Absorb pending cache hits for every job first — an absorbed job
-	// may complete without ever dispatching work, which changes both
-	// eligibility and the AllComplete answer.
-	c.mu.Lock()
-	jobs := make([]*gridJob, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		jobs = append(jobs, j)
-	}
-	c.mu.Unlock()
-	for _, j := range jobs {
-		c.absorbCache(j)
-	}
-
-	c.mu.Lock()
+	j, tasks, err := c.lockAndLease("", worker, max)
 	defer c.mu.Unlock()
-	if c.quarantined[worker] {
-		return GlobalLeaseResponse{}, fmt.Errorf("%w: %s", errQuarantined, worker)
+	if err != nil {
+		return GlobalLeaseResponse{}, err
 	}
-	var resp GlobalLeaseResponse
-	if c.draining {
-		c.touchWorkerLocked(worker)
-		resp.Draining = true
-		resp.AllComplete = c.allCompleteLocked()
-		return resp, nil
-	}
-	j := c.pickJobLocked()
 	if j == nil {
-		c.touchWorkerLocked(worker)
-		resp.AllComplete = c.allCompleteLocked()
-		return resp, nil
+		return GlobalLeaseResponse{Draining: c.draining, AllComplete: c.allCompleteLocked()}, nil
 	}
-	resp.Job = j.id
-	resp.Tasks = c.grantLocked(j, worker, max)
-	if len(resp.Tasks) > 0 {
+	if len(tasks) > 0 {
 		c.logfCtx(ctx, "grid: job %s: leased %d tasks to %s (fair share %d/%d)",
-			j.id, len(resp.Tasks), worker, j.leasesGranted, j.weight)
+			j.id, len(tasks), worker, j.leasesGranted, j.weight)
 	}
-	return resp, nil
+	return GlobalLeaseResponse{Job: j.id, Tasks: tasks}, nil
 }
 
 // allCompleteLocked reports whether at least one job exists and every
@@ -979,23 +929,28 @@ func (c *Coordinator) Heartbeat(ctx context.Context, id string, req HeartbeatReq
 		return HeartbeatResponse{}, fmt.Errorf("%w: %s", errQuarantined, req.Worker)
 	}
 	c.expireLocked(j)
-	c.touchWorkerLocked(req.Worker)
+	c.touchWorker(req.Worker, c.now())
 	deadline := c.now().Add(c.opts.leaseTTL())
 	var resp HeartbeatResponse
 	for _, tid := range req.Tasks {
-		st, ok := j.tasks[tid]
+		// Whichever kind of lease the worker holds on the task — primary,
+		// hedge or audit re-check — a heartbeat keeps it alive.
+		st := j.task(tid)
 		switch {
-		case ok && st.status == taskLeased && st.worker == req.Worker:
+		case st == nil:
+			resp.Lost = append(resp.Lost, tid)
+			continue
+		case st.status == taskLeased && st.worker == req.Worker:
 			st.deadline = deadline
-			resp.Renewed = append(resp.Renewed, tid)
-		case ok && st.status == taskLeased && st.hedgeWorker == req.Worker:
+		case st.status == taskLeased && st.hedgeWorker == req.Worker:
 			st.hedgeDeadline = deadline
-			resp.Renewed = append(resp.Renewed, tid)
-		case ok && c.auditRenewLocked(j, tid, req.Worker, deadline):
-			resp.Renewed = append(resp.Renewed, tid)
+		case st.audit != nil && req.Worker != "" && st.audit.auditor == req.Worker:
+			st.audit.deadline = deadline
 		default:
 			resp.Lost = append(resp.Lost, tid)
+			continue
 		}
+		resp.Renewed = append(resp.Renewed, tid)
 	}
 	return resp, nil
 }
@@ -1025,25 +980,7 @@ func (c *Coordinator) Ingest(ctx context.Context, id string, up ResultUpload) (R
 // durability; if the first write then fails, the task simply re-queues
 // and re-runs.
 func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUpload) ([]ResultAck, error) {
-	acks := make([]ResultAck, 0, len(up.Results))
-	for rest := up.Results; ; {
-		part, err := c.ingestRound(ctx, id, up.Worker, rest)
-		if err != nil {
-			return nil, err
-		}
-		acks = append(acks, part...)
-		if rest = rest[len(part):]; len(rest) == 0 {
-			return acks, nil
-		}
-	}
-}
-
-// ingestRound ingests results up to and including the first entry that
-// ends in a quarantine verdict, and returns their acks: the verdict's
-// re-queues run outside the lock and must land before the entries after
-// it are classified, exactly as they would between two uploads. Without
-// a verdict — every ordinary body — that is all of results.
-func (c *Coordinator) ingestRound(ctx context.Context, id, worker string, results []TaskResult) ([]ResultAck, error) {
+	worker, results := up.Worker, up.Results
 	c.mu.Lock()
 	j, err := c.getJob(id)
 	if err == nil && c.quarantined[worker] {
@@ -1054,7 +991,7 @@ func (c *Coordinator) ingestRound(ctx context.Context, id, worker string, result
 	}
 	for i := 0; err == nil && i < len(results); i++ {
 		r := results[i]
-		if st, ok := j.tasks[r.Task]; !ok {
+		if st := j.task(r.Task); st == nil {
 			err = fmt.Errorf("%w %q in job %s", errUnknownTask, r.Task, id)
 		} else if len(r.Values) != st.task.Hi-st.task.Lo {
 			err = fmt.Errorf("grid: task %s upload has %d values, want %d", r.Task, len(r.Values), st.task.Hi-st.task.Lo)
@@ -1065,39 +1002,35 @@ func (c *Coordinator) ingestRound(ctx context.Context, id, worker string, result
 		return nil, err
 	}
 	var (
-		acks    = make([]ResultAck, 0, len(results))
-		fresh   []*taskState // tasks to journal; recs are their manifest records
-		recs    []job.Result
-		verdict func()
-		now     = c.now()
+		acks  = make([]ResultAck, 0, len(results))
+		fresh []*taskState // tasks to journal; recs are their manifest records
+		recs  []job.Result
+		now   = c.now()
 	)
 	for _, r := range results {
-		st := j.tasks[r.Task]
+		st := j.task(r.Task)
 		ack := ResultAck{Accepted: true}
 		switch {
-		case st.status == taskDone && c.auditEnabled() && !st.recording:
+		case st.status == taskDone && c.auditEnabled():
 			// Under the audit regime a second upload for a done task is
 			// evidence, not noise: it either verifies the record or opens a
-			// dispute. Any checkpoint invalidations run after unlock.
-			ack, verdict = c.auditIngestLocked(j, st, ResultUpload{worker, r.Task, r.Values, r.ElapsedMS})
+			// dispute. A quarantine verdict lands, re-queues and all, before
+			// the entries after it are classified, exactly as it would
+			// between two uploads.
+			ack = c.auditIngestLocked(j, st, ResultUpload{worker, r.Task, r.Values, r.ElapsedMS})
 		case st.status == taskDone || st.recording:
 			c.metrics.duplicates.Inc()
-			c.touchWorkerLocked(worker)
+			c.touchWorker(worker, now)
 			ack.Duplicate = true
 		default:
 			st.recording = true
 			fresh = append(fresh, st)
 			recs = append(recs, job.Result{Task: st.task, Values: r.Values, Elapsed: time.Duration(r.ElapsedMS) * time.Millisecond})
 		}
-		if acks = append(acks, ack); verdict != nil {
-			break
-		}
+		acks = append(acks, ack)
 	}
 	cp := j.cp
 	c.mu.Unlock()
-	if verdict != nil {
-		verdict()
-	}
 	if len(fresh) == 0 {
 		return acks, nil
 	}
@@ -1115,37 +1048,19 @@ func (c *Coordinator) ingestRound(ctx context.Context, id, worker string, result
 	}
 	walRecs := make([]walRecord, len(fresh))
 	for i, st := range fresh {
-		tid, vals, elapsed := j.order[st.idx], recs[i].Values, recs[i].Elapsed
 		if st.status == taskLeased && !st.leasedAt.IsZero() && now.After(st.leasedAt) {
 			c.metrics.leaseLatency.Observe(now.Sub(st.leasedAt).Seconds())
 		}
-		st.status = taskDone
-		if st.hedgeWorker != "" {
-			// The losing racer's lease dissolves without a verdict: its
-			// leased count drops, but no failure is scored — it was asked
-			// to race and simply lost.
-			loser := st.hedgeWorker
-			if worker == loser {
-				loser = st.worker
-			}
-			if ws := c.workers[loser]; ws != nil && ws.leased > 0 {
-				ws.leased--
-			}
-			st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
-		}
-		st.worker = ""
-		j.results[tid] = vals
-		j.doneBy[tid] = worker
-		j.done++
-		c.workerDoneLocked(worker, elapsed)
-		walRecs[i] = walRecord{T: walIngest, Job: j.id, Task: tid, Worker: worker, ElapsedMS: elapsed.Milliseconds()}
-		c.metrics.valuesIngested.Add(float64(len(vals)))
-		if c.auditEnabled() && worker != "" && auditSelected(j.id, tid, c.opts.AuditRate) {
+		// The value goes on the task; the record says whose it is.
+		st.values = recs[i].Values
+		walRecs[i] = walRecord{T: walIngest, Job: j.id, Task: st.id, Worker: worker, ElapsedMS: recs[i].Elapsed.Milliseconds()}
+		c.apply(j, walRecs[i], now)
+		c.metrics.valuesIngested.Add(float64(len(st.values)))
+		if st.audit != nil {
 			// Selected tasks feed the cache only once audit-verified.
-			c.openAuditLocked(j, st.task, worker)
+			c.metrics.auditsOpened.Inc()
 		} else {
-			delete(j.tainted, tid)
-			c.feedCacheLocked(j, st.task, vals)
+			c.feedCacheLocked(j, st.task, st.values)
 		}
 	}
 	c.walAppendLocked(false, walRecs...)
@@ -1172,16 +1087,10 @@ func (c *Coordinator) Drain(ctx context.Context) {
 		return
 	}
 	c.draining = true
-	inflight := 0
 	for _, j := range c.jobs {
-		for _, st := range j.tasks {
-			if st.status == taskLeased || st.recording {
-				inflight++
-			}
-		}
 		c.broadcastLocked(j)
 	}
-	c.logfCtx(ctx, "grid: draining: no new leases; %d in-flight tasks to settle", inflight)
+	c.logfCtx(ctx, "grid: draining: no new leases; %d in-flight tasks to settle", c.inflightLocked())
 	c.checkDrainedLocked()
 	c.mu.Unlock()
 	go c.drainLoop()
@@ -1198,18 +1107,24 @@ func (c *Coordinator) Draining() bool {
 // settled (it never closes if Drain is never called).
 func (c *Coordinator) Drained() <-chan struct{} { return c.drainDone }
 
-// checkDrainedLocked closes the drain-complete channel once draining
-// and nothing is in flight anywhere.
-func (c *Coordinator) checkDrainedLocked() {
-	if !c.draining || c.drainClosed {
-		return
-	}
+// inflightLocked counts what a drain waits for: tasks on lease, and
+// tasks whose manifest append is running.
+func (c *Coordinator) inflightLocked() (n int) {
 	for _, j := range c.jobs {
 		for _, st := range j.tasks {
 			if st.status == taskLeased || st.recording {
-				return
+				n++
 			}
 		}
+	}
+	return n
+}
+
+// checkDrainedLocked closes the drain-complete channel once draining
+// and nothing is in flight anywhere.
+func (c *Coordinator) checkDrainedLocked() {
+	if !c.draining || c.drainClosed || c.inflightLocked() > 0 {
+		return
 	}
 	c.drainClosed = true
 	close(c.drainDone)
@@ -1230,7 +1145,7 @@ func (c *Coordinator) drainLoop() {
 		case <-tick.C:
 		}
 		c.mu.Lock()
-		for _, j := range c.jobs {
+		for _, j := range c.jobsLocked() {
 			c.expireLocked(j)
 		}
 		c.checkDrainedLocked()
@@ -1272,7 +1187,7 @@ func (c *Coordinator) Progress(id string) (ProgressSnapshot, error) {
 
 func (c *Coordinator) snapshotLocked(j *gridJob) ProgressSnapshot {
 	snap := ProgressSnapshot{
-		JobID: j.id, Total: len(j.order), Done: j.done, Requeues: j.requeues,
+		JobID: j.id, Total: len(j.tasks), Done: j.done, Requeues: j.requeues,
 		CacheTasks: j.cacheServed, LeasesGranted: j.leasesGranted, Priority: j.weight,
 	}
 	workers := map[string]bool{}
@@ -1286,7 +1201,7 @@ func (c *Coordinator) snapshotLocked(j *gridJob) ProgressSnapshot {
 		}
 	}
 	snap.Workers = len(workers)
-	snap.Audits = len(j.audits)
+	snap.Audits = j.audits
 	snap.Complete = j.completeLocked()
 	return snap
 }
@@ -1346,7 +1261,7 @@ func (c *Coordinator) Summaries() []JobSummary {
 func (c *Coordinator) summaryLocked(j *gridJob) JobSummary {
 	return JobSummary{
 		ID: j.id, Domain: j.spec.Domain.Name(),
-		TotalTasks: len(j.order), DoneTasks: j.done,
+		TotalTasks: len(j.tasks), DoneTasks: j.done,
 		Priority: j.weight,
 		Complete: j.completeLocked(),
 	}
@@ -1526,14 +1441,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	c.Drain(r.Context())
 	c.mu.Lock()
-	inflight := 0
-	for _, j := range c.jobs {
-		for _, st := range j.tasks {
-			if st.status == taskLeased || st.recording {
-				inflight++
-			}
-		}
-	}
+	inflight := c.inflightLocked()
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, DrainResponse{Draining: true, InFlight: inflight})
 }

@@ -101,17 +101,11 @@ func (c *Coordinator) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		AuthOn:    c.opts.AuthToken != "",
 		RateLimit: c.opts.RateLimit,
 	}
-	ids := make([]string, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		j := c.jobs[id]
+	for _, j := range c.jobsLocked() {
 		c.expireLocked(j)
 		snap := c.snapshotLocked(j)
 		dj := dashboardJob{
-			ID: id, Domain: j.spec.Domain.Name(), Priority: j.weight,
+			ID: j.id, Domain: j.spec.Domain.Name(), Priority: j.weight,
 			Done: snap.Done, Total: snap.Total, Pending: snap.Pending,
 			Leased: snap.Leased, Requeues: snap.Requeues, Cached: snap.CacheTasks,
 			Granted: snap.LeasesGranted, Audits: snap.Audits, Complete: snap.Complete,
@@ -143,6 +137,7 @@ func (c *Coordinator) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(names)
 	cutoff := now.Add(-livenessTTLs * c.opts.leaseTTL())
+	leased := c.leasedByLocked()
 	for _, name := range names {
 		ws := c.workers[name]
 		if ws == nil {
@@ -152,7 +147,7 @@ func (c *Coordinator) handleDashboard(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		dw := dashboardWorker{
-			Name: name, Live: ws.lastSeen.After(cutoff), Leased: ws.leased,
+			Name: name, Live: ws.lastSeen.After(cutoff), Leased: leased[name],
 			Quarantined: c.quarantined[name],
 			Done:        ws.done, Failures: ws.failures,
 			LastSeen: now.Sub(ws.lastSeen).Round(time.Second).String() + " ago",

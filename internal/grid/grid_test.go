@@ -31,7 +31,7 @@ func tinyGossipCfg() dsa.Config {
 }
 
 // gossipSubset strides the 216-point gossip space down to 18 points.
-func gossipSubset(t *testing.T) []core.Point {
+func gossipSubset(t testing.TB) []core.Point {
 	t.Helper()
 	all := gossip.Domain().Space().Enumerate()
 	var pts []core.Point
@@ -41,12 +41,12 @@ func gossipSubset(t *testing.T) []core.Point {
 	return pts
 }
 
-func gossipSpec(t *testing.T) job.Spec {
+func gossipSpec(t testing.TB) job.Spec {
 	return job.Spec{Domain: gossip.Domain(), Points: gossipSubset(t), Cfg: tinyGossipCfg(), Chunk: 2}
 }
 
 // wantScores is the single-process reference result.
-func wantScores(t *testing.T, spec job.Spec) *dsa.Scores {
+func wantScores(t testing.TB, spec job.Spec) *dsa.Scores {
 	t.Helper()
 	s, err := job.Run(context.Background(), spec.Domain, spec.Points, spec.Cfg, job.Options{Chunk: spec.Chunk})
 	if err != nil {

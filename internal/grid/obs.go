@@ -155,7 +155,8 @@ func (c *Coordinator) collectGauges(m *gridMetrics) {
 	m.jobETA.Reset()
 	m.jobPriority.Reset()
 	complete := 0
-	for id, j := range c.jobs {
+	for _, j := range c.jobsLocked() {
+		id := j.id
 		c.expireLocked(j)
 		snap := c.snapshotLocked(j)
 		m.jobTasks.With(id, "pending").Set(float64(snap.Pending))
@@ -246,7 +247,7 @@ func (c *Coordinator) collectFederated(m *gridMetrics) {
 // restores don't count — they were free). NaN before any progress, 0
 // once complete.
 func (c *Coordinator) etaLocked(j *gridJob, now time.Time) float64 {
-	if j.done == len(j.order) {
+	if j.done == len(j.tasks) {
 		return 0
 	}
 	progressed := j.done - j.restored
@@ -258,7 +259,7 @@ func (c *Coordinator) etaLocked(j *gridJob, now time.Time) float64 {
 		return math.NaN()
 	}
 	rate := float64(progressed) / elapsed
-	return float64(len(j.order)-j.done) / rate
+	return float64(len(j.tasks)-j.done) / rate
 }
 
 // onRequestDone is the access-log + HTTP-metrics sink wired into

@@ -44,46 +44,43 @@ const (
 	livenessTTLs = 3
 )
 
-// workerStats is the coordinator's per-worker scorecard, updated on
-// every lease, ingest and expiry under the coordinator lock.
+// workerStats is the coordinator's per-worker scorecard, updated by the
+// lease, ingest, verify and expire transitions under the coordinator
+// lock. What a worker holds right now is not kept here: the task table
+// says (leasedByLocked).
 type workerStats struct {
 	name      string
 	firstSeen time.Time
 	lastSeen  time.Time
-	leased    int     // tasks currently on lease to this worker
 	done      uint64  // tasks successfully ingested
 	failures  uint64  // leases lost to expiry
 	latEWMA   float64 // seconds per task, EWMA over uploads
 	failEWMA  float64 // 0..1, EWMA of expiry-vs-completion outcomes
 }
 
-// touchWorkerLocked returns (creating if needed) the stats row for a
-// worker and stamps it live. Anonymous workers are not tracked.
-func (c *Coordinator) touchWorkerLocked(name string) *workerStats {
+// touchWorker returns (creating if needed) the stats row for a worker
+// and stamps it live. Anonymous workers are not tracked.
+func (c *Coordinator) touchWorker(name string, now time.Time) *workerStats {
 	if name == "" {
 		return nil
 	}
 	ws, ok := c.workers[name]
 	if !ok {
-		now := c.now()
 		ws = &workerStats{name: name, firstSeen: now}
 		c.workers[name] = ws
 	}
-	ws.lastSeen = c.now()
+	ws.lastSeen = now
 	return ws
 }
 
-// workerDoneLocked scores one successful task: latency joins the EWMA,
-// the failure EWMA decays toward zero.
-func (c *Coordinator) workerDoneLocked(name string, elapsed time.Duration) {
-	ws := c.touchWorkerLocked(name)
+// workerDone scores one successful task: latency joins the EWMA, the
+// failure EWMA decays toward zero.
+func (c *Coordinator) workerDone(name string, elapsed time.Duration, now time.Time) {
+	ws := c.touchWorker(name, now)
 	if ws == nil {
 		return
 	}
 	ws.done++
-	if ws.leased > 0 {
-		ws.leased--
-	}
 	ws.failEWMA *= 1 - ewmaAlpha
 	if elapsed > 0 {
 		obs := elapsed.Seconds()
@@ -95,22 +92,43 @@ func (c *Coordinator) workerDoneLocked(name string, elapsed time.Duration) {
 	}
 }
 
-// workerFailedLocked scores one expired lease against its holder. It
-// does not stamp lastSeen — the whole point is that the worker went
-// silent.
-func (c *Coordinator) workerFailedLocked(name string) {
-	if name == "" {
-		return
-	}
+// workerFailed scores one lost lease against its holder. It does not
+// stamp lastSeen — the whole point is that the worker went silent.
+func (c *Coordinator) workerFailed(name string) {
 	ws, ok := c.workers[name]
 	if !ok {
 		return
 	}
 	ws.failures++
-	if ws.leased > 0 {
-		ws.leased--
-	}
 	ws.failEWMA = (1-ewmaAlpha)*ws.failEWMA + ewmaAlpha
+}
+
+// fleetLatencyLocked is the mean task-latency EWMA over the n workers
+// that have completed anything — what "slow" is measured against.
+func (c *Coordinator) fleetLatencyLocked() (mean float64, n int) {
+	var sum float64
+	for _, ws := range c.workers {
+		if ws.done > 0 && ws.latEWMA > 0 {
+			sum += ws.latEWMA
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return sum / float64(n), n
+}
+
+// leasedByLocked counts the leases of every kind — primary, hedge,
+// audit — each worker holds, from the task table.
+func (c *Coordinator) leasedByLocked() map[string]int {
+	held := map[string]int{}
+	for _, j := range c.jobs {
+		for _, r := range j.revocations(func(string) bool { return true }) {
+			held[r.Worker]++
+		}
+	}
+	return held
 }
 
 // grantCapLocked is the routing decision: how many tasks this worker's
@@ -125,17 +143,8 @@ func (c *Coordinator) grantCapLocked(name string, max int) int {
 	if grant < 1 {
 		grant = 1
 	}
-	// Latency shaping needs a fleet to compare against: the mean task
-	// latency over workers that have completed anything.
-	var sum float64
-	var n int
-	for _, other := range c.workers {
-		if other.done > 0 && other.latEWMA > 0 {
-			sum += other.latEWMA
-			n++
-		}
-	}
-	if n > 1 && ws.latEWMA > 0 && ws.latEWMA > slowFactor*(sum/float64(n)) && grant > 1 {
+	// Latency shaping needs a fleet to compare against.
+	if mean, n := c.fleetLatencyLocked(); n > 1 && ws.latEWMA > slowFactor*mean && grant > 1 {
 		grant = (grant + 1) / 2
 	}
 	return grant
@@ -154,24 +163,29 @@ func (c *Coordinator) liveWorkersLocked() int {
 	return n
 }
 
+// jobsLocked lists the jobs in ID order: the order every walk that can
+// reach a journal or a log takes, so a schedule replays byte for byte.
+func (c *Coordinator) jobsLocked() []*gridJob {
+	jobs := make([]*gridJob, 0, len(c.jobs))
+	for _, j := range c.jobs {
+		jobs = append(jobs, j)
+	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].id < jobs[b].id })
+	return jobs
+}
+
 // pickJobLocked chooses which job a pulling worker serves next: among
 // eligible jobs (pending tasks after lazy expiry, open audits, or —
-// with hedging on — a straggling lease worth racing), the one with the
+// with hedging on — a straggling lease worker could race), the one with the
 // lowest granted-per-weight ratio; ties break by job ID so the
 // schedule is deterministic. Returns nil when nothing is eligible.
-func (c *Coordinator) pickJobLocked() *gridJob {
+func (c *Coordinator) pickJobLocked(worker string) *gridJob {
 	var best *gridJob
 	var bestShare float64
-	ids := make([]string, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	now := c.now()
-	for _, id := range ids {
-		j := c.jobs[id]
+	for _, j := range c.jobsLocked() {
 		c.expireLocked(j)
-		if !j.hasPendingLocked() && len(j.audits) == 0 && !c.hedgeableLocked(j, now) {
+		if !j.hasPendingLocked() && j.audits == 0 && len(c.stragglersLocked(j, worker, 1, now)) == 0 {
 			continue
 		}
 		share := float64(j.leasesGranted) / float64(j.weight)
@@ -189,77 +203,37 @@ func (c *Coordinator) pickJobLocked() *gridJob {
 // floored at half the lease TTL so a fleet of fast workers does not
 // hedge everything the moment it goes idle.
 func (c *Coordinator) hedgeThresholdLocked() time.Duration {
-	floor := c.opts.leaseTTL() / 2
-	var sum float64
-	var n int
-	for _, ws := range c.workers {
-		if ws.done > 0 && ws.latEWMA > 0 {
-			sum += ws.latEWMA
-			n++
-		}
-	}
-	if n == 0 {
-		return floor
-	}
-	th := time.Duration(slowFactor * sum / float64(n) * float64(time.Second))
-	if th < floor {
-		return floor
-	}
-	return th
+	mean, _ := c.fleetLatencyLocked()
+	return max(c.opts.leaseTTL()/2, time.Duration(slowFactor*mean*float64(time.Second)))
 }
 
-// hedgeableLocked reports whether j holds a straggling lease with no
-// hedge yet — job eligibility for the fair scheduler.
-func (c *Coordinator) hedgeableLocked(j *gridJob, now time.Time) bool {
-	if !c.opts.Hedge {
-		return false
-	}
-	th := c.hedgeThresholdLocked()
-	for _, st := range j.tasks {
-		if st.status == taskLeased && st.hedgeWorker == "" &&
-			!st.leasedAt.IsZero() && now.Sub(st.leasedAt) >= th {
-			return true
-		}
-	}
-	return false
-}
-
-// grantHedgesLocked fills up to room lease slots with speculative
-// duplicates of straggling leases. The hedge is an ordinary-looking
-// lease to its holder; first idempotent ingest wins, the loser's
-// upload is absorbed as a duplicate (or as audit evidence). Hedges are
-// deliberately excluded from the fair-share deficit — they are
-// insurance the scheduler buys, not demand the job generated.
-func (c *Coordinator) grantHedgesLocked(j *gridJob, worker string, room int, now, deadline time.Time) []LeaseTask {
-	if worker == "" || room <= 0 {
+// stragglersLocked lists j's straggling leases with no hedge yet that
+// worker could race, in grant order, at most room of them. The hedge is
+// an ordinary-looking lease to its holder; first idempotent ingest
+// wins, the loser's upload is absorbed as a duplicate (or as audit
+// evidence).
+func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now time.Time) []*taskState {
+	if !c.opts.Hedge || worker == "" {
 		return nil
 	}
 	th := c.hedgeThresholdLocked()
-	var out []LeaseTask
-	for _, tid := range j.order {
+	var out []*taskState
+	for _, st := range j.tasks {
 		if len(out) == room {
 			break
 		}
-		st := j.tasks[tid]
-		if st.status != taskLeased || st.worker == worker || st.hedgeWorker != "" ||
-			st.leasedAt.IsZero() || now.Sub(st.leasedAt) < th {
-			continue
+		if st.status == taskLeased && st.hedgeWorker == "" && st.worker != worker &&
+			!st.leasedAt.IsZero() && now.Sub(st.leasedAt) >= th {
+			out = append(out, st)
 		}
-		st.hedgeWorker = worker
-		st.hedgeDeadline = deadline
-		out = append(out, LeaseTask{
-			Task: tid, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi,
-			TTLMS: deadline.Sub(now).Milliseconds(),
-		})
-		c.metrics.leaseHedged.Inc()
 	}
 	return out
 }
 
 // hasPendingLocked walks the grant cursor up to the first pending task.
 func (j *gridJob) hasPendingLocked() bool {
-	for ; j.next < len(j.order); j.next++ {
-		if j.tasks[j.order[j.next]].status == taskPending {
+	for ; j.next < len(j.tasks); j.next++ {
+		if j.tasks[j.next].status == taskPending {
 			return true
 		}
 	}

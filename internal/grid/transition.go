@@ -1,0 +1,222 @@
+package grid
+
+import "time"
+
+// The scheduler's state changes, one function per journal record type.
+// A walRecord is the event; apply is what it does to memory — the task,
+// the job's counters and the worker's score row together. The live paths
+// decide, build their records, pass each through apply and append them
+// in one write; a restart passes the journalled records through the same
+// functions, in the order they were written, and then takes the values
+// from the checkpoint (reconcileLocked). Nothing here reads a clock,
+// touches a file, a metric or a log, or looks at a value, so what a
+// record does cannot depend on which of the two is running it. The
+// functions assert state, not the mutex: replay runs them before the job
+// is published.
+//
+// Counters are per record, not per effect: every lease record is one
+// grant against the job's fair share and every expire record is one
+// requeue and one failure against its worker, whether or not the task
+// still looks the way it did when the record was written.
+
+// apply performs r's in-memory change on j. A record that names no job
+// (quarantine) acts on j, or with j nil on every registered job; any
+// other needs its job.
+func (c *Coordinator) apply(j *gridJob, r walRecord, now time.Time) {
+	if r.T == walQuarantine {
+		c.applyQuarantine(j, r.Worker)
+		return
+	}
+	if j == nil {
+		return
+	}
+	if r.T == walPriority {
+		if r.Weight >= 1 {
+			j.weight = r.Weight
+		}
+		return
+	}
+	st := j.task(r.Task)
+	if st == nil {
+		return
+	}
+	elapsed := time.Duration(r.ElapsedMS) * time.Millisecond
+	switch r.T {
+	case walLease:
+		c.applyLease(j, st, r.Worker, now)
+	case walHedge:
+		c.applyHedge(st, r.Worker, now)
+	case walExpire:
+		c.applyExpire(j, st, r.Worker, now)
+	case walIngest:
+		c.applyIngest(j, st, r.Worker, elapsed, now)
+	case walVerify:
+		c.applyVerify(j, st, r.Worker, elapsed, now)
+	}
+}
+
+// applyLease hands st to worker: a pending task becomes its lease. A
+// pending task the worker was already racing is a promotion — the racer
+// inherits the task with the deadline it has been heartbeating. On a
+// done task the record is an audit re-check: it counts, and who holds
+// the re-check is the grant's to note, not the journal's (auditState).
+func (c *Coordinator) applyLease(j *gridJob, st *taskState, worker string, now time.Time) {
+	j.leasesGranted++
+	c.touchWorker(worker, now)
+	switch {
+	case st.status == taskPending && worker != "" && st.hedgeWorker == worker:
+		st.status, st.worker, st.deadline = taskLeased, worker, st.hedgeDeadline
+		st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
+	case st.status == taskPending:
+		st.status, st.worker, st.deadline, st.leasedAt = taskLeased, worker, now.Add(c.opts.leaseTTL()), now
+	}
+}
+
+// applyHedge lets worker race the holder of a leased task. Hedges stay
+// out of the fair-share deficit — they are insurance the scheduler
+// buys, not demand the job generated.
+func (c *Coordinator) applyHedge(st *taskState, worker string, now time.Time) {
+	c.touchWorker(worker, now)
+	if st.status == taskLeased && st.hedgeWorker == "" && st.worker != worker {
+		st.hedgeWorker, st.hedgeDeadline = worker, now.Add(c.opts.leaseTTL())
+	}
+}
+
+// applyExpire ends worker's lease on st without a result, whichever kind
+// it holds: the task goes back in the queue (a live hedge stays on it —
+// the lease record that follows promotes it), the hedge clears, or the
+// audit returns to the pool. It does not stamp the worker live — the
+// whole point is that it went silent, or was banned.
+func (c *Coordinator) applyExpire(j *gridJob, st *taskState, worker string, now time.Time) {
+	j.requeues++
+	c.workerFailed(worker)
+	switch {
+	case st.status == taskLeased && st.worker == worker:
+		j.requeue(st)
+	case worker == "":
+	case st.status == taskLeased && st.hedgeWorker == worker:
+		st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
+	case st.audit != nil && st.audit.auditor == worker:
+		st.audit.auditor = ""
+		st.audit.relaxAt = now.Add(c.opts.leaseTTL())
+	}
+}
+
+// applyIngest puts worker's result for st on record: whatever lease
+// stood dissolves (a hedge's losing racer is not scored: it was asked to
+// race and simply lost), and the task's audit, if it is selected for
+// one, opens. The value itself is not in the WAL: the upload puts it on
+// the task, a restart takes it from the manifest.
+func (c *Coordinator) applyIngest(j *gridJob, st *taskState, worker string, elapsed time.Duration, now time.Time) {
+	c.workerDone(worker, elapsed, now)
+	st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
+	if st.status != taskDone {
+		st.status = taskDone
+		j.done++
+	}
+	st.worker, st.producer, st.verified, st.tainted = "", worker, false, false
+	j.setAudit(st, nil)
+	if c.auditEnabled() && worker != "" && auditSelected(j.id, st.id, c.opts.AuditRate) {
+		j.setAudit(st, &auditState{original: worker, relaxAt: now.Add(c.opts.leaseTTL())})
+	}
+}
+
+// applyVerify settles st's audit: worker reproduced the recorded value.
+func (c *Coordinator) applyVerify(j *gridJob, st *taskState, worker string, elapsed time.Duration, now time.Time) {
+	c.workerDone(worker, elapsed, now)
+	if st.status == taskDone {
+		st.verified = true
+		j.setAudit(st, nil)
+	}
+}
+
+// applyQuarantine bans worker and voids its say: a dispute it raised
+// dissolves (the audit goes back to a plain re-check), and every
+// done-but-unverified task it produced is invalidated. Verified tasks
+// survive — a second worker vouched for them. Its leases end by the
+// expire records that follow in the same append.
+func (c *Coordinator) applyQuarantine(j *gridJob, worker string) {
+	c.quarantined[worker] = true
+	if j == nil {
+		for _, each := range c.jobs {
+			c.applyQuarantine(each, worker)
+		}
+		return
+	}
+	for _, st := range j.tasks {
+		if ast := st.audit; ast != nil && ast.second == worker {
+			ast.second, ast.secondVals, ast.secondMS, ast.giveUpAt = "", nil, 0, time.Time{}
+		}
+		if st.unauditedBy(worker) {
+			j.invalidate(st)
+		}
+	}
+}
+
+// unauditedBy reports whether st holds a value worker produced that no
+// second worker has confirmed: what its quarantine invalidates.
+func (st *taskState) unauditedBy(worker string) bool {
+	return st.status == taskDone && st.producer == worker && !st.verified
+}
+
+// requeue returns a task to the pending queue, ahead of the grant cursor
+// if need be.
+func (j *gridJob) requeue(st *taskState) {
+	st.status = taskPending
+	st.worker = ""
+	j.next = min(j.next, st.idx)
+}
+
+// invalidate drops a done task's recorded value from memory and
+// re-queues it; the manifest tombstone is the live caller's. The task is
+// tainted: the cache may still hold the dropped per-point scores, so the
+// absorb scan must not serve them back until an honest re-run
+// overwrites them.
+func (j *gridJob) invalidate(st *taskState) {
+	j.requeue(st)
+	j.done--
+	st.values, st.producer, st.verified, st.tainted = nil, "", false, true
+	j.setAudit(st, nil)
+	j.scores, j.scoresErr = nil, nil
+}
+
+// setAudit opens (ast non-nil) or closes st's audit, keeping the job's
+// count of open audits — its completion gate — in step.
+func (j *gridJob) setAudit(st *taskState, ast *auditState) {
+	if st.audit != nil {
+		j.audits--
+	}
+	if ast != nil {
+		j.audits++
+	}
+	st.audit = ast
+}
+
+// task looks a task up by ID; nil if the job has none such.
+func (j *gridJob) task(id string) *taskState {
+	if i, ok := j.index[id]; ok {
+		return j.tasks[i]
+	}
+	return nil
+}
+
+// revocations is the expire record of every lease — primary, hedge or
+// audit — held by a worker revoked names, in grant order.
+func (j *gridJob) revocations(revoked func(worker string) bool) []walRecord {
+	var recs []walRecord
+	expire := func(st *taskState, worker string) {
+		if worker != "" && revoked(worker) {
+			recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: st.id, Worker: worker})
+		}
+	}
+	for _, st := range j.tasks {
+		if st.status == taskLeased {
+			expire(st, st.worker)
+			expire(st, st.hedgeWorker)
+		}
+		if st.audit != nil {
+			expire(st, st.audit.auditor)
+		}
+	}
+	return recs
+}

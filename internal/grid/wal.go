@@ -11,13 +11,14 @@ import (
 	"repro/internal/linelog"
 )
 
-// The coordinator WAL journals every scheduling decision that the
-// checkpoint (which only stores completed values) cannot reconstruct:
-// lease grants, lease expirations, ingest acks (who computed what, how
-// fast), priority changes, audit verdicts and quarantines. Replayed on
-// startup, it restores exact task states, per-worker EWMA scores and
-// fair-scheduling deficits after a kill -9 — the checkpoint makes
-// results durable, the WAL makes the *scheduler* durable.
+// The coordinator WAL journals what the checkpoint (which only stores
+// completed values and their tombstones) cannot reconstruct: who was
+// handed what and when it ended — lease grants, hedges, expiries and
+// revocations, ingest acks (who computed what, how fast), priority
+// changes, audit verdicts and quarantines. A record is the argument of
+// the transition that made its change live (transition.go); a restart
+// passes the records through the same transitions, so the checkpoint
+// makes results durable and the WAL makes the *scheduler* durable.
 //
 // Format: a linelog.Log of JSON lines `{"crc":<ieee>,"rec":{...}}`, the
 // CRC32 taken over the raw rec bytes; replay skips and counts a line

@@ -254,7 +254,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		t.Errorf("replayed deficit: leasesGranted %d requeues %d, want 4 and 0", j.leasesGranted, j.requeues)
 	}
 	ws := coord2.workers["first-life"]
-	if ws == nil || ws.done != 3 || ws.leased != 1 {
+	if ws == nil || ws.done != 3 || coord2.leasedByLocked()["first-life"] != 1 {
 		t.Errorf("replayed worker score row = %+v, want done 3 with 1 still leased", ws)
 	}
 	coord2.mu.Unlock()

@@ -131,8 +131,13 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$drain_url/v1/drain")
 if [ "$code" != "401" ]; then
   echo "unauthenticated drain answered $code (want 401)" >&2; exit 1
 fi
-curl -sf -X POST -H "Authorization: Bearer $token" "$drain_url/v1/drain" \
-  | grep -q '"draining":true' || { echo "drain response malformed" >&2; exit 1; }
+# Read the response whole before matching it: under pipefail, grep -q
+# closing the pipe early fails curl and with it the step.
+drain_resp=$(curl -sf -X POST -H "Authorization: Bearer $token" "$drain_url/v1/drain")
+case "$drain_resp" in
+  *'"draining":true'*) ;;
+  *) echo "drain response malformed: $drain_resp" >&2; exit 1 ;;
+esac
 drain_rc=0
 wait "$drain_pid" || drain_rc=$?
 if [ "$drain_rc" -ne 0 ]; then

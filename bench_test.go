@@ -500,6 +500,7 @@ func BenchmarkDeliveryRun(b *testing.B) {
 		Racing: delivery.RaceWithFallback, Timeout: delivery.TimeoutAdaptive}
 	opt := delivery.DefaultOptions()
 	opt.Peers = 16
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.Seed = int64(i)

@@ -38,8 +38,12 @@ type Distribution struct {
 // Piatek returns the default distribution, a synthetic stand-in for the
 // measured BitTorrent upload-capacity distribution of Piatek et al.
 // (NSDI'07) used by the paper: mostly cable/DSL-class uploaders with a
-// long heavy tail of high-capacity peers.
-func Piatek() *Distribution {
+// long heavy tail of high-capacity peers. Every call returns the same
+// value: a Distribution has no mutators, so it is built once and shared,
+// also between goroutines.
+func Piatek() *Distribution { return piatek }
+
+var piatek = func() *Distribution {
 	d, err := New([]Point{
 		{0.00, 4},
 		{0.10, 10},
@@ -55,7 +59,7 @@ func Piatek() *Distribution {
 		panic("bandwidth: invalid built-in distribution: " + err.Error())
 	}
 	return d
-}
+}()
 
 // Uniform returns a degenerate distribution where every peer has the
 // same capacity, useful for isolating incentive effects from

@@ -3,8 +3,10 @@ package bandwidth
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +28,51 @@ func TestPiatekShape(t *testing.T) {
 	xs := d.Stratified(10000)
 	if mean := stats.Mean(xs); mean < 2*d.Median() {
 		t.Errorf("mean %v should exceed 2×median %v (heavy tail)", mean, d.Median())
+	}
+}
+
+// TestPiatekIsShared pins what lets Piatek hand out one value: calls
+// agree knot for knot, and goroutines sampling it concurrently (every
+// delivery download and every pra slice does) neither race — this
+// package is on CI's -race list — nor disturb the knots.
+func TestPiatekIsShared(t *testing.T) {
+	a, b := Piatek(), Piatek()
+	if len(a.points) != 9 || len(b.points) != len(a.points) {
+		t.Fatalf("knots: %d and %d, want 9 and 9", len(a.points), len(b.points))
+	}
+	before := slices.Clone(a.points)
+	for i := range before {
+		if b.points[i] != before[i] {
+			t.Fatalf("knot %d: %v from one call, %v from the next", i, before[i], b.points[i])
+		}
+	}
+	strat := a.Stratified(64)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			d := Piatek()
+			rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for k := 0; k < 2000; k++ {
+				if got, want := d.Sample(rng), d.SampleQ(ref.Float64()); got != want {
+					t.Errorf("seed %d, draw %d: Sample %v, inverse CDF %v", seed, k, got, want)
+					return
+				}
+			}
+			for i, v := range d.Stratified(64) {
+				if v != strat[i] {
+					t.Errorf("seed %d: Stratified[%d] = %v, want %v", seed, i, v, strat[i])
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	for i, p := range Piatek().points {
+		if p != before[i] {
+			t.Fatalf("knot %d changed under sampling: %v, was %v", i, p, before[i])
+		}
 	}
 }
 

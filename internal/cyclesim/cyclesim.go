@@ -85,6 +85,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/design"
+	"repro/internal/gorand"
 )
 
 // PeerSpec describes one peer: the protocol it executes and its upload
@@ -362,7 +363,7 @@ func newWorld(peers []PeerSpec, seed int64) *world {
 	w := &world{
 		n:              n,
 		words:          words,
-		rng:            rand.New(rand.NewSource(seed)),
+		rng:            rand.New(gorand.New(seed)),
 		specs:          peers,
 		caps:           make([]float64, n),
 		asp:            make([]float64, n),

@@ -47,15 +47,52 @@
 // transfer loop iterates chunks in index order. The domain layer
 // derives per-run seeds from the point's stable ID via dsa.TaskSeed,
 // so any sharding of a sweep recombines byte-identically.
+//
+// # Performance model
+//
+// A download is short — tens of simulated seconds over a dozen peers
+// and twenty chunks, ~10 µs — and a sweep runs millions, so what a run
+// costs before and around its model is held at nothing:
+//
+//   - Seeding. The generator is internal/gorand's source inside the
+//     standard rand.Rand: math/rand's stream for the seed, bit for bit,
+//     seeded in under 2 µs where the library's own seeding takes ~10 µs.
+//   - Pooled run state. Generator, peers and chunks live in a runState
+//     recycled through a sync.Pool; run re-seeds and rewrites every
+//     peer and chunk it is going to read, so steady-state Run allocates
+//     nothing and a state's history is invisible to its next download.
+//     The default capacity distribution is bandwidth.Piatek's shared
+//     value.
+//   - The live window. Chunks are started lowest index first, so at any
+//     second every chunk below lo is done and none at or above hi was
+//     ever started; only chunks[lo:hi] can be active, carry a rate or
+//     make progress. The per-second passes (active count, assignment,
+//     mirror count, rates, downlink scaling, progress) walk that window
+//     instead of the file. They walk it in the same ascending order and
+//     skip only chunks whose iteration did nothing — an inactive chunk
+//     neither draws from the generator nor adds a term to a float sum
+//     — so draw order and float operation order are those of a walk
+//     over the whole file.
+//
+// All of it is inside the byte-identical contract of DESIGN.md's
+// "Performance model": no score-version bump, same cache keys. Held by
+// testdata/golden.json (recorded before any of the above existed:
+// TestGolden through Run, TestGoldenOnReusedState on one deliberately
+// dirty state, TestGoldenConcurrent across goroutines), TestRunAllocFree
+// (0 allocations per download), internal/gorand's parity tests and fuzz
+// target, and bench/golden's CSV digests.
 package delivery
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"repro/internal/bandwidth"
 	"repro/internal/core"
+	"repro/internal/gorand"
 	"repro/internal/swarm"
 )
 
@@ -403,9 +440,22 @@ type chunkState struct {
 	active      bool
 	src         int // peer index, or -1 for the mirror
 	progress    float64
+	rate        float64 // this second's transfer rate; written before it is read
 	started     int
 	forceMirror bool // Race fallback: a timed-out chunk re-issues to the mirror
 }
+
+// runState is everything a download allocates. It is recycled through
+// statePool, so a sweep's steady state allocates nothing per download;
+// run re-seeds the generator and rewrites every peer and chunk before
+// it reads one, so nothing of the previous download is visible.
+type runState struct {
+	rng    *rand.Rand
+	peers  []peerState
+	chunks []chunkState
+}
+
+var statePool = sync.Pool{New: func() any { return &runState{rng: rand.New(gorand.New(0))} }}
 
 // Run simulates one download of strategy s under opt.
 func Run(s Strategy, opt Options) (Result, error) {
@@ -415,7 +465,10 @@ func Run(s Strategy, opt Options) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}
-	return run(s, opt), nil
+	st := statePool.Get().(*runState)
+	res := st.run(s, opt)
+	statePool.Put(st)
+	return res, nil
 }
 
 // spawn initialises (or re-rolls, on identity churn) one peer.
@@ -440,20 +493,23 @@ func spawn(p *peerState, s Strategy, dist *bandwidth.Distribution, rng *rand.Ran
 	}
 }
 
-func run(s Strategy, opt Options) Result {
-	rng := rand.New(rand.NewSource(opt.Seed))
+func (st *runState) run(s Strategy, opt Options) Result {
+	rng := st.rng
+	rng.Seed(opt.Seed)
 	dist := opt.Dist
 	if dist == nil {
 		dist = bandwidth.Piatek()
 	}
-	peers := make([]peerState, opt.Peers)
+	st.peers = slices.Grow(st.peers[:0], opt.Peers)[:opt.Peers]
+	peers := st.peers
 	for i := range peers {
 		spawn(&peers[i], s, dist, rng)
 	}
 	nChunks := (opt.FileKiB + opt.ChunkKiB - 1) / opt.ChunkKiB
-	chunks := make([]chunkState, nChunks)
+	st.chunks = slices.Grow(st.chunks[:0], nChunks)[:nChunks]
+	chunks := st.chunks
 	for i := range chunks {
-		chunks[i].src = -1
+		chunks[i] = chunkState{src: -1}
 	}
 	chunkKiB := float64(opt.ChunkKiB)
 
@@ -463,7 +519,6 @@ func run(s Strategy, opt Options) Result {
 	}
 
 	var res Result
-	doneChunks := 0
 	// ewmaChunkS is the client's running estimate of a chunk's transfer
 	// time, seeding the adaptive timeouts; initialised from the
 	// distribution's median capacity.
@@ -487,7 +542,9 @@ func run(s Strategy, opt Options) Result {
 		res.Restarts++
 	}
 
-	rates := make([]float64, nChunks)
+	// The live window: every chunk below lo is done and none at or
+	// above hi was ever started, so only chunks[lo:hi] can be active.
+	lo, hi := 0, 0
 	for sec := 0; sec < opt.MaxSeconds; sec++ {
 		// 1. Churn and stress departures, peers in index order.
 		for i := range peers {
@@ -512,14 +569,15 @@ func run(s Strategy, opt Options) Result {
 			}
 		}
 
-		// 2. Assignment: top up to Fanout in-flight chunks.
+		// 2. Assignment: top up to Fanout in-flight chunks, lowest
+		// unfinished chunk first.
 		active := 0
-		for i := range chunks {
+		for i := lo; i < hi; i++ {
 			if chunks[i].active {
 				active++
 			}
 		}
-		for next := 0; active < s.Fanout && next < nChunks; next++ {
+		for next := lo; active < s.Fanout && next < nChunks; next++ {
 			c := &chunks[next]
 			if c.done || c.active {
 				continue
@@ -545,25 +603,27 @@ func run(s Strategy, opt Options) Result {
 			c.progress = 0
 			c.started = sec
 			active++
+			hi = max(hi, next+1)
 		}
+		live := chunks[lo:hi]
 
 		// 3. Transfer: nominal per-source rates, scaled down together
 		// if they exceed the client's downlink.
 		mirrorFetches := 0
-		for i := range chunks {
-			if chunks[i].active && chunks[i].src < 0 {
+		for i := range live {
+			if live[i].active && live[i].src < 0 {
 				mirrorFetches++
 			}
 		}
 		total := 0.0
-		for i := range chunks {
-			c := &chunks[i]
-			rates[i] = 0
+		for i := range live {
+			c := &live[i]
+			c.rate = 0
 			if !c.active {
 				continue
 			}
 			if c.src < 0 {
-				rates[i] = mirrorKBps / float64(mirrorFetches)
+				c.rate = mirrorKBps / float64(mirrorFetches)
 			} else {
 				p := &peers[c.src]
 				r := p.deliverRate()
@@ -571,29 +631,28 @@ func run(s Strategy, opt Options) Result {
 					// Request latency eats into the first second.
 					r *= math.Max(0, 1-p.latS)
 				}
-				rates[i] = r
+				c.rate = r
 			}
-			total += rates[i]
+			total += c.rate
 		}
 		if total > opt.ClientDownKBps {
 			scale := opt.ClientDownKBps / total
-			for i := range rates {
-				rates[i] *= scale
+			for i := range live {
+				live[i].rate *= scale
 			}
 		}
 
 		// 4. Progress, completions and timeouts, chunks in index order.
-		for i := range chunks {
-			c := &chunks[i]
+		for i := range live {
+			c := &live[i]
 			if !c.active {
 				continue
 			}
-			c.progress += rates[i]
+			c.progress += c.rate
 			elapsed := float64(sec - c.started + 1)
 			if c.progress >= chunkKiB {
 				c.done = true
 				c.active = false
-				doneChunks++
 				if c.src >= 0 {
 					p := &peers[c.src]
 					p.serving = -1
@@ -626,7 +685,10 @@ func run(s Strategy, opt Options) Result {
 			}
 		}
 
-		if doneChunks == nChunks {
+		for lo < nChunks && chunks[lo].done {
+			lo++
+		}
+		if lo == nChunks {
 			res.Completed = true
 			res.Seconds = sec + 1
 			return res

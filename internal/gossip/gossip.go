@@ -25,6 +25,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/gorand"
 )
 
 // Selection is the partner-selection actualization of Section 3.1.
@@ -269,7 +270,7 @@ type node struct {
 
 func run(protocols []Protocol, opt Options) Result {
 	n := len(protocols)
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(gorand.New(opt.Seed))
 	maxRumours := opt.Rounds*opt.RumourRate + 1
 	nodes := make([]*node, n)
 	for i := range nodes {

@@ -56,6 +56,7 @@ import (
 	"math/rand"
 
 	"repro/internal/bandwidth"
+	"repro/internal/gorand"
 )
 
 // Client identifies a choke-algorithm variant.
@@ -388,7 +389,7 @@ func newState(clients []Client, cfg Config) *state {
 	nP := cfg.pieces()
 	s := &state{
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(gorand.New(cfg.Seed)),
 		peers:   make([]*peer, n),
 		nLeech:  nL,
 		nPieces: nP,

@@ -29,8 +29,8 @@ import (
 
 // benchCfg is the reduced PRA configuration shared by the figure
 // benchmarks.
-func benchCfg() pra.Config {
-	return pra.Config{Peers: 16, Rounds: 60, PerfRuns: 1, EncounterRuns: 1, Opponents: 8, Seed: 1}
+func benchCfg() dsa.Config {
+	return dsa.Config{Peers: 16, Rounds: 60, PerfRuns: 1, EncounterRuns: 1, Opponents: 8, Seed: 1}
 }
 
 // benchProtocols is a small representative protocol set.
@@ -300,7 +300,7 @@ func BenchmarkSwarmRun(b *testing.B) {
 // reference ratio measures the simulator, not the scheduler). "Cold"
 // means every score is simulated — no PR 4 cache — which is the
 // regime that bounds sweeps of new design-space regions.
-func tournamentBench() (ps, opponents []design.Protocol, cfg pra.Config) {
+func tournamentBench() (ps, opponents []design.Protocol, cfg dsa.Config) {
 	ps = []design.Protocol{
 		design.BitTorrent(), design.SortS(), design.MostRobustCandidate(), design.Freerider(),
 	}
@@ -308,7 +308,7 @@ func tournamentBench() (ps, opponents []design.Protocol, cfg pra.Config) {
 		design.BitTorrent(), design.Birds(), design.SortS(),
 		design.LoyalWhenNeeded(), design.SortRandom(), design.Freerider(),
 	}
-	cfg = pra.Config{Peers: 30, Rounds: 200, PerfRuns: 1, EncounterRuns: 1, Seed: 1, Workers: 1}
+	cfg = dsa.Config{Peers: 30, Rounds: 200, PerfRuns: 1, EncounterRuns: 1, Seed: 1, Workers: 1}
 	return ps, opponents, cfg
 }
 

@@ -3,7 +3,10 @@
 // from a dsa-sweep CSV (Figures 2-8 and Table 3) or by running the
 // extra simulations they need (90-10 validation, churn sensitivity);
 // for every other domain it renders the generic reports (top, scatter)
-// from the domain CSV.
+// from the domain CSV. It also carries the paper's two sweep-free
+// analyses: the Section 2 game-theoretic model (nash) and the Section 5
+// piece-level swarm validation (fig9a|fig9b|fig9c|fig10, fig9 = the
+// three Figure 9 panels).
 //
 // Usage:
 //
@@ -17,6 +20,11 @@
 //	dsa-report -cache-dir DIR cache
 //	dsa-report -coordinator http://host:8437 cache
 //	dsa-report trace DIR|URL [-job ID] [-merged out.jsonl]
+//	dsa-report nash [-na 20] [-nb 15] [-nc 15] [-ur 4] [-f 100] [-s 20]
+//	dsa-report fig9a|fig9b|fig9c|fig10|fig9 [-leechers 50] [-runs 10] [-seed 1]
+//
+// The global flags above come before the report name; nash and the
+// Figure 9/10 reports take their own flags after it.
 //
 // -checkpoint reads the scores straight out of a dsa-sweep checkpoint
 // directory (the merged manifests of one or more shard processes)
@@ -55,9 +63,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -99,90 +110,116 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
-		log.Fatal("usage: dsa-report [flags] fig2|fig3|fig4|fig5|fig6|fig7|fig8|table3|top|merge|validate|churn (swarming), top|scatter|merge (-domain others), cache, or trace DIR")
+		log.Fatal("usage: dsa-report [flags] fig2|fig3|fig4|fig5|fig6|fig7|fig8|table3|top|merge|validate|churn (swarming), top|scatter|merge (-domain others), cache, trace DIR, nash [flags], or fig9a|fig9b|fig9c|fig10|fig9 [flags]")
 	}
-	what := flag.Arg(0)
+	what, args := flag.Arg(0), flag.Args()[1:]
 	stopProf, profErr := profiling.Start(*cpuProf, *memProf)
 	if profErr != nil {
 		log.Fatal(profErr)
 	}
 	defer stopProf()
 
-	if what == "trace" {
-		if flag.NArg() != 2 {
+	var err error
+	switch {
+	case what == "trace":
+		if len(args) != 1 {
 			log.Fatal("usage: dsa-report trace DIR|URL (a -trace-dir holding trace-*.jsonl journals, or a coordinator URL collecting shipped traces)")
 		}
-		runTrace(flag.Arg(1), *jobID, *merged)
-		return
-	}
-	if flag.NArg() != 1 {
-		log.Fatalf("report %q takes no argument", what)
-	}
-
-	if what == "cache" {
-		runCacheReport(*cacheD, *coord)
-		return
-	}
-
-	if *domain != pra.DomainName {
-		d, err := dsa.Get(*domain)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runGeneric(d, what, *in, *ckpt, *coord, *jobID, *out)
-		return
-	}
-
-	switch what {
-	case "validate", "churn":
-		runSimBacked(what, *preset, *stride, *seed)
-		return
-	}
-
-	var res *exp.SweepResult
-	var err error
-	if *coord != "" {
-		var s *dsa.Scores
-		if s, err = fetchGrid(*coord, *jobID, pra.Domain()); err == nil {
-			var typed *pra.Scores
-			if typed, err = pra.ScoresFromGeneric(s); err == nil {
-				res = &exp.SweepResult{Protocols: typed.Protocols, Scores: typed}
-			}
-		}
-	} else if *ckpt != "" {
-		res, err = exp.LoadCheckpoint(*ckpt)
-	} else if what == "merge" {
-		err = fmt.Errorf("merge needs -checkpoint or -coordinator")
-	} else {
-		res, err = load(*in)
+		runTrace(args[0], *jobID, *merged)
+	case what == "nash":
+		err = runNash(os.Stdout, args)
+	case what == "fig10" || strings.HasPrefix(what, "fig9"):
+		err = runSwarm(os.Stdout, what, args)
+	case len(args) != 0:
+		err = fmt.Errorf("report %q takes no argument", what)
+	case what == "cache":
+		err = runCacheReport(os.Stdout, *cacheD, *coord)
+	case *domain == pra.DomainName && (what == "validate" || what == "churn"):
+		err = runSimBacked(os.Stdout, what, *preset, *stride, *seed)
+	default:
+		err = runScores(os.Stdout, what, *domain, *in, *ckpt, *coord, *jobID, *out)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := os.Stdout
-	switch what {
-	case "merge":
-		f, err := os.Create(*out)
+}
+
+// runScores handles every report over assembled scores: it loads them
+// once, for any domain, and hands them to merge, to the paper's
+// figure/table renderers (swarming) or to the generic renderers.
+func runScores(w io.Writer, what, domain, in, ckpt, coord, jobID, out string) error {
+	d, err := dsa.Get(domain)
+	if err != nil {
+		return err
+	}
+	if what == "merge" && ckpt == "" && coord == "" {
+		return errors.New("merge needs -checkpoint or -coordinator")
+	}
+	s, err := loadScores(d, in, ckpt, coord, jobID)
+	if err != nil {
+		return err
+	}
+	switch {
+	case what == "merge":
+		return merge(d, s, cmp.Or(coord, ckpt), out)
+	case d.Name() == pra.DomainName:
+		res, err := exp.NewSweepResult(s)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := res.WriteCSV(f); err != nil {
-			log.Fatal(err)
+		return renderSwarming(w, what, res)
+	}
+	return renderGeneric(w, what, d, s)
+}
+
+// loadScores reads a domain's assembled scores from a coordinator's
+// results API, a checkpoint directory or a CSV — whichever of
+// -coordinator, -checkpoint and -in is set, in that order.
+func loadScores(d dsa.Domain, in, ckpt, coord, jobID string) (*dsa.Scores, error) {
+	switch {
+	case coord != "":
+		return fetchGrid(coord, jobID, d)
+	case ckpt != "":
+		s, err := job.Load(ckpt)
+		if err == nil && s.Domain != d.Name() {
+			err = fmt.Errorf("checkpoint %s holds a %q sweep, not %q", ckpt, s.Domain, d.Name())
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		src := *ckpt
-		if *coord != "" {
-			src = *coord
-		}
-		log.Printf("merged %s into %s (%d rows)", src, *out, len(res.Protocols))
+		return s, err
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return exp.ReadDomainCSV(f, d)
+}
+
+// merge writes the scores loaded from src (a checkpoint or a
+// coordinator) to the domain's canonical CSV.
+func merge(d dsa.Domain, s *dsa.Scores, src, out string) error {
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := exp.WriteDomainCSV(f, d, s); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	log.Printf("merged %s into %s (%d rows)", src, out, len(s.Points))
+	return nil
+}
+
+// renderSwarming renders the paper's CSV-backed reports: Figures 2-8,
+// Table 3 and the protocol ranking.
+func renderSwarming(w io.Writer, what string, res *exp.SweepResult) error {
+	switch what {
 	case "fig2":
 		xs, ys := res.Fig2()
 		fmt.Fprintf(w, "Figure 2: Robustness vs Performance, %d protocols\n", len(xs))
-		if err := report.Scatter(w, xs, ys, 72, 24, "Robustness", "Performance"); err != nil {
-			log.Fatal(err)
-		}
+		return report.Scatter(w, xs, ys, 72, 24, "Robustness", "Performance")
 	case "fig3", "fig4":
 		const bins = 10
 		h := res.Fig3(bins)
@@ -192,12 +229,9 @@ func main() {
 			label = "Robustness"
 		}
 		fmt.Fprintf(w, "Figure %s: %s histograms by partner count (columns k=0..9)\n", what[3:], label)
-		err := report.Heat(w, h.RowNormalized, bins, design.MaxPartners+1, func(b int) string {
+		return report.Heat(w, h.RowNormalized, bins, design.MaxPartners+1, func(b int) string {
 			return fmt.Sprintf("%.1f-%.1f", float64(b)/bins, float64(b+1)/bins)
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
 	case "fig5":
 		curves := res.Fig5()
 		fmt.Fprintln(w, "Figure 5: CCDF of Robustness by stranger policy")
@@ -212,6 +246,7 @@ func main() {
 				fmt.Fprintf(w, "  P(R > %.3f) = %.3f\n", pt.X, pt.P)
 			}
 		}
+		return nil
 	case "fig6", "fig7":
 		pts := res.Fig6()
 		title := "allocation policy"
@@ -220,21 +255,18 @@ func main() {
 			title = "ranking function"
 		}
 		fmt.Fprintf(w, "Figure %s: Robustness by %s (mean / max)\n", what[3:], title)
-		renderGroups(w, pts)
+		return renderGroups(w, pts)
 	case "fig8":
-		_, _, pearson, err := res.Fig8()
+		xs, ys, pearson, err := res.Fig8()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		xs, ys, _, _ := res.Fig8()
 		fmt.Fprintf(w, "Figure 8: Robustness vs Aggressiveness, Pearson r = %.3f (paper: 0.96)\n", pearson)
-		if err := report.Scatter(w, xs, ys, 72, 24, "Robustness", "Aggressiveness"); err != nil {
-			log.Fatal(err)
-		}
+		return report.Scatter(w, xs, ys, 72, 24, "Robustness", "Aggressiveness")
 	case "table3":
 		perf, rob, agg, err := res.Table3()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(w, "Table 3: OLS over %d protocols (adj R²: P=%.2f R=%.2f A=%.2f)\n",
 			len(res.Protocols), perf.AdjR2, rob.AdjR2, agg.AdjR2)
@@ -246,14 +278,12 @@ func main() {
 				rc.Estimate, rc.TValue, sig(rc.Significant(0.001)),
 				ac.Estimate, ac.TValue, sig(ac.Significant(0.001)))
 		}
-		if err := tbl.Render(w); err != nil {
-			log.Fatal(err)
-		}
+		return tbl.Render(w)
 	case "top":
 		renderTop(w, res)
-	default:
-		log.Fatalf("unknown report %q", what)
+		return nil
 	}
+	return fmt.Errorf("unknown report %q", what)
 }
 
 func sig(ok bool) string {
@@ -261,16 +291,6 @@ func sig(ok bool) string {
 		return "OK"
 	}
 	return "-"
-}
-
-// load parses a dsa-sweep CSV back into a SweepResult.
-func load(path string) (*exp.SweepResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return exp.ReadCSV(f)
 }
 
 func thin(pts []stats.CCDFPoint, n int) []stats.CCDFPoint {
@@ -284,7 +304,7 @@ func thin(pts []stats.CCDFPoint, n int) []stats.CCDFPoint {
 	return out
 }
 
-func renderGroups(w *os.File, pts []exp.GroupPoint) {
+func renderGroups(w io.Writer, pts []exp.GroupPoint) error {
 	sums := map[string]float64{}
 	maxs := map[string]float64{}
 	counts := map[string]int{}
@@ -304,20 +324,19 @@ func renderGroups(w *os.File, pts []exp.GroupPoint) {
 	for _, n := range names {
 		tbl.Add(n, counts[n], sums[n]/float64(counts[n]), maxs[n])
 	}
-	if err := tbl.Render(w); err != nil {
-		log.Fatal(err)
-	}
+	return tbl.Render(w)
 }
 
-func renderTop(w *os.File, res *exp.SweepResult) {
+func renderTop(w io.Writer, res *exp.SweepResult) {
 	type row struct {
 		p    design.Protocol
 		perf float64
 		rob  float64
 	}
+	perf, rob := res.Scores.Measure(pra.MeasurePerformance), res.Scores.Measure(pra.MeasureRobustness)
 	rows := make([]row, len(res.Protocols))
 	for i, p := range res.Protocols {
-		rows[i] = row{p, res.Scores.Performance[i], res.Scores.Robustness[i]}
+		rows[i] = row{p, perf[i], rob[i]}
 	}
 	byPerf := append([]row(nil), rows...)
 	sort.Slice(byPerf, func(a, b int) bool { return byPerf[a].perf > byPerf[b].perf })
@@ -333,54 +352,45 @@ func renderTop(w *os.File, res *exp.SweepResult) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // runCacheReport renders the cache stats view: the live counters of a
 // coordinator's cross-job cache, or the on-disk state of a local
 // cache directory (opening claims no write segment until a first Put,
 // which a stats view never issues, so it is safe against a cache in
 // active use).
-func runCacheReport(cacheDir, coord string) {
-	w := os.Stdout
+func runCacheReport(w io.Writer, cacheDir, coord string) error {
 	switch {
 	case coord != "":
 		resp, err := grid.FetchCacheStats(context.Background(), nil, coord)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if !resp.Enabled {
 			fmt.Fprintf(w, "coordinator %s runs without a score cache (start dsa-grid serve with -cache-dir)\n", coord)
-			return
+			return nil
 		}
 		fmt.Fprintf(w, "score cache at %s:\n", coord)
-		printCacheStats(w, resp.CacheStats)
+		return printCacheStats(w, resp.CacheStats)
 	case cacheDir != "":
 		// Stat before Open: Open would create a missing directory, and
 		// a stats view of a mistyped path must fail loudly rather than
 		// report a healthy empty cache.
 		if info, err := os.Stat(cacheDir); err != nil {
-			log.Fatalf("cache dir: %v", err)
+			return fmt.Errorf("cache dir: %v", err)
 		} else if !info.IsDir() {
-			log.Fatalf("cache dir %s is not a directory", cacheDir)
+			return fmt.Errorf("cache dir %s is not a directory", cacheDir)
 		}
 		store, err := cache.Open(cache.Options{Dir: cacheDir})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer store.Close()
 		fmt.Fprintf(w, "score cache %s:\n", cacheDir)
-		printCacheStats(w, store.Stats())
-	default:
-		log.Fatal("cache needs -cache-dir or -coordinator")
+		return printCacheStats(w, store.Stats())
 	}
+	return errors.New("cache needs -cache-dir or -coordinator")
 }
 
-func printCacheStats(w *os.File, st dsa.CacheStats) {
+func printCacheStats(w io.Writer, st dsa.CacheStats) error {
 	tbl := report.NewTable("metric", "value")
 	tbl.Add("entries", st.Entries)
 	tbl.Add("bytes on disk", st.Bytes)
@@ -391,9 +401,7 @@ func printCacheStats(w *os.File, st dsa.CacheStats) {
 	tbl.Add("lru evictions", st.Evictions)
 	tbl.Add("records dropped", st.Dropped)
 	tbl.Add("computations deduplicated", st.FlightWait)
-	if err := tbl.Render(w); err != nil {
-		log.Fatal(err)
-	}
+	return tbl.Render(w)
 }
 
 // fetchGrid pulls assembled scores from a dsa-grid coordinator's
@@ -435,128 +443,78 @@ func fetchGrid(baseURL, jobID string, d dsa.Domain) (*dsa.Scores, error) {
 	return s, nil
 }
 
-// runGeneric renders the domain-agnostic reports: merge (checkpoint or
-// coordinator → CSV), top (best points per measure) and scatter
-// (second measure vs first). It never touches any file-swarming code
-// path — every fact it needs comes through the dsa.Domain interface.
-func runGeneric(d dsa.Domain, what, in, ckpt, coord, jobID, out string) {
-	var s *dsa.Scores
-	var err error
-	switch {
-	case coord != "":
-		s, err = fetchGrid(coord, jobID, d)
-	case ckpt != "":
-		s, err = job.Load(ckpt)
-		if err == nil && s.Domain != d.Name() {
-			err = fmt.Errorf("checkpoint %s holds a %q sweep, not %q", ckpt, s.Domain, d.Name())
-		}
-	case what == "merge":
-		err = fmt.Errorf("merge needs -checkpoint or -coordinator")
-	default:
-		var f *os.File
-		if f, err = os.Open(in); err == nil {
-			s, err = dsa.ReadCSV(f, d)
-			f.Close()
-		}
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+// renderGeneric renders the domain-agnostic reports: top (best points
+// per measure) and scatter (second measure vs first). Every fact it
+// needs comes through the dsa.Domain interface.
+func renderGeneric(w io.Writer, what string, d dsa.Domain, s *dsa.Scores) error {
+	ms := d.Measures()
 	switch what {
-	case "merge":
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := dsa.WriteCSV(f, d, s); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		src := ckpt
-		if coord != "" {
-			src = coord
-		}
-		log.Printf("merged %s into %s (%d rows)", src, out, len(s.Points))
 	case "top":
-		for _, m := range d.Measures() {
+		for _, m := range ms {
 			vals := s.Measure(m)
 			order := make([]int, len(s.Points))
 			for i := range order {
 				order[i] = i
 			}
 			sort.SliceStable(order, func(a, b int) bool { return vals[order[a]] > vals[order[b]] })
-			fmt.Printf("Top 10 by %s:\n", m)
+			fmt.Fprintf(w, "Top 10 by %s:\n", m)
 			for _, i := range order[:min(10, len(order))] {
-				fmt.Printf("  ")
-				for _, mm := range d.Measures() {
-					fmt.Printf("%s=%.4f ", mm, s.Measure(mm)[i])
+				fmt.Fprintf(w, "  ")
+				for _, mm := range ms {
+					fmt.Fprintf(w, "%s=%.4f ", mm, s.Measure(mm)[i])
 				}
-				fmt.Printf(" %s\n", d.Label(s.Points[i]))
+				fmt.Fprintf(w, " %s\n", d.Label(s.Points[i]))
 			}
 		}
+		return nil
 	case "scatter":
-		ms := d.Measures()
 		if len(ms) < 2 {
-			log.Fatalf("domain %q has a single measure; nothing to scatter", d.Name())
+			return fmt.Errorf("domain %q has a single measure; nothing to scatter", d.Name())
 		}
 		xs, ys := s.Measure(ms[1]), s.Measure(ms[0])
-		fmt.Printf("%s vs %s, %d %s points\n", ms[1], ms[0], len(xs), d.Name())
-		if err := report.Scatter(os.Stdout, xs, ys, 72, 24, ms[1], ms[0]); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("report %q is not available for domain %q (generic reports: top, scatter, merge)", what, d.Name())
+		fmt.Fprintf(w, "%s vs %s, %d %s points\n", ms[1], ms[0], len(xs), d.Name())
+		return report.Scatter(w, xs, ys, 72, 24, ms[1], ms[0])
 	}
+	return fmt.Errorf("report %q is not available for domain %q (generic reports: top, scatter, merge)", what, d.Name())
 }
 
 // runSimBacked handles the reports that need fresh simulation: the
 // 90-10 robustness validation and the churn sensitivity check.
-func runSimBacked(what, preset string, stride int, seed int64) {
-	var cfg pra.Config
-	switch preset {
-	case "quick":
-		cfg = pra.Quick()
-	case "paper":
-		cfg = pra.Paper()
-	default:
-		log.Fatalf("unknown preset %q", preset)
+func runSimBacked(w io.Writer, what, preset string, stride int, seed int64) error {
+	cfg, err := pra.Domain().DefaultConfig(preset)
+	if err != nil {
+		return err
 	}
 	cfg.Seed = seed
-	all := design.Enumerate()
-	var protos []design.Protocol
-	for i := 0; i < len(all); i += stride {
-		protos = append(protos, all[i])
+	protos, err := pra.Protocols(dsa.StridePoints(pra.Domain(), stride))
+	if err != nil {
+		return err
 	}
-	switch what {
-	case "validate":
+	if what == "validate" {
 		res, err := exp.Sweep(protos, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		_, _, pearson, err := res.Validate9010(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("50-50 vs 90-10 robustness over %d protocols: Pearson r = %.3f (paper: 0.97)\n",
+		fmt.Fprintf(w, "50-50 vs 90-10 robustness over %d protocols: Pearson r = %.3f (paper: 0.97)\n",
 			len(protos), pearson)
-	case "churn":
-		pts, err := exp.ChurnSweep(protos, []float64{0, 0.01, 0.1}, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tbl := report.NewTable("churn", "k=0", "k=1", "k=2", "k=3", "k=4", "k=5", "k=6", "k=7", "k=8", "k=9")
-		for _, pt := range pts {
-			cells := []interface{}{pt.Churn}
-			for _, v := range pt.MeanPerfK {
-				cells = append(cells, v)
-			}
-			tbl.Add(cells...)
-		}
-		fmt.Println("Mean normalised performance by partner count under churn (§4.4):")
-		if err := tbl.Render(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		return nil
 	}
+	pts, err := exp.ChurnSweep(protos, []float64{0, 0.01, 0.1}, cfg)
+	if err != nil {
+		return err
+	}
+	tbl := report.NewTable("churn", "k=0", "k=1", "k=2", "k=3", "k=4", "k=5", "k=6", "k=7", "k=8", "k=9")
+	for _, pt := range pts {
+		cells := []interface{}{pt.Churn}
+		for _, v := range pt.MeanPerfK {
+			cells = append(cells, v)
+		}
+		tbl.Add(cells...)
+	}
+	fmt.Fprintln(w, "Mean normalised performance by partner count under churn (§4.4):")
+	return tbl.Render(w)
 }

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/dsa"
+	"repro/internal/pra"
 )
 
 // TestUnknownDomainErrorListsRegistered pins the report CLI's failure
@@ -20,5 +24,79 @@ func TestUnknownDomainErrorListsRegistered(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %s", err, want)
 		}
+	}
+}
+
+// golden compares a report's text with testdata/<name>.txt, which holds
+// the output of the binaries built at the commit before the typed
+// swarming layer was folded into the generic one.
+func golden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from testdata/%s.txt:\n%s", name, name, got)
+	}
+}
+
+// TestSwarmingReportsGolden re-renders every CSV-backed paper report
+// over testdata/swarming.csv (dsa-sweep -stride 100 -opponents 8 -peers
+// 16 -rounds 60 -perfruns 1 -encruns 1) through the same path the CLI
+// takes, and the merge of those scores back into the CSV itself.
+func TestSwarmingReportsGolden(t *testing.T) {
+	in := filepath.Join("testdata", "swarming.csv")
+	for _, what := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table3", "top"} {
+		var buf bytes.Buffer
+		if err := runScores(&buf, what, pra.DomainName, in, "", "", "", ""); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		golden(t, what, buf.Bytes())
+	}
+	if err := runScores(&bytes.Buffer{}, "fig11", pra.DomainName, in, "", "", "", ""); err == nil {
+		t.Error("unknown report rendered")
+	}
+
+	s, err := loadScores(pra.Domain(), in, "", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "merged.csv")
+	if err := merge(pra.Domain(), s, in, out); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(out)
+	want, _ := os.ReadFile(in)
+	if !bytes.Equal(got, want) {
+		t.Error("merge of the loaded scores is not the CSV they were read from")
+	}
+}
+
+// TestSweepFreeReportsGolden drives the two folded commands (nash,
+// swarm-bench) as subcommands with their own flags, at tiny scale.
+func TestSweepFreeReportsGolden(t *testing.T) {
+	tiny := []string{"-leechers", "8", "-runs", "1"}
+	cases := []struct {
+		golden string
+		run    func(*bytes.Buffer) error
+	}{
+		{"nash", func(b *bytes.Buffer) error { return runNash(b, nil) }},
+		{"nash_na10_s30", func(b *bytes.Buffer) error { return runNash(b, []string{"-na", "10", "-s", "30"}) }},
+		{"fig9a", func(b *bytes.Buffer) error { return runSwarm(b, "fig9a", tiny) }},
+		{"fig9b", func(b *bytes.Buffer) error { return runSwarm(b, "fig9b", append(tiny, "-seed", "3")) }},
+		{"fig9c", func(b *bytes.Buffer) error { return runSwarm(b, "fig9c", tiny) }},
+		{"fig9", func(b *bytes.Buffer) error { return runSwarm(b, "fig9", tiny) }},
+		{"fig10", func(b *bytes.Buffer) error { return runSwarm(b, "fig10", []string{"-leechers", "8", "-runs", "2"}) }},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.run(&buf); err != nil {
+			t.Fatalf("%s: %v", c.golden, err)
+		}
+		golden(t, c.golden, buf.Bytes())
+	}
+	if err := runSwarm(&bytes.Buffer{}, "fig9z", tiny); err == nil {
+		t.Error("unknown experiment rendered")
 	}
 }

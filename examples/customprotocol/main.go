@@ -49,10 +49,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	perf := res.Scores.Measure(pra.MeasurePerformance)
+	rob := res.Scores.Measure(pra.MeasureRobustness)
+	agg := res.Scores.Measure(pra.MeasureAggressiveness)
 	fmt.Printf("%-16s %11s %11s %15s\n", "protocol", "Performance", "Robustness", "Aggressiveness")
 	for i, l := range labels {
-		fmt.Printf("%-16s %11.3f %11.3f %15.3f\n",
-			l, res.Scores.Performance[i], res.Scores.Robustness[i], res.Scores.Aggressiveness[i])
+		fmt.Printf("%-16s %11.3f %11.3f %15.3f\n", l, perf[i], rob[i], agg[i])
 	}
 
 	// Where does the custom protocol sit in the tournament against the

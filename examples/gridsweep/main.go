@@ -36,7 +36,7 @@ func main() {
 	for i := 0; i < len(all); i += 6 {
 		pts = append(pts, all[i])
 	}
-	cfg := repro.SweepConfig{Peers: 10, Rounds: 60, PerfRuns: 1, EncounterRuns: 1, Opponents: 6, Seed: 11}
+	cfg := repro.Config{Peers: 10, Rounds: 60, PerfRuns: 1, EncounterRuns: 1, Opponents: 6, Seed: 11}
 
 	fmt.Printf("single-process reference sweep: %d points...\n", len(pts))
 	want, err := repro.RunSweepContext(context.Background(), domain, pts, cfg, repro.SweepOptions{Chunk: 3})
@@ -48,7 +48,7 @@ func main() {
 	ctx := context.Background()
 	addrC := make(chan string, 1)
 	type result struct {
-		scores *repro.DomainScores
+		scores *repro.Scores
 		err    error
 	}
 	served := make(chan result, 1)

@@ -36,14 +36,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	s := res.Scores
 	fmt.Println("PRA quantification (quick preset):")
 	fmt.Printf("%-16s %-22s %12s %11s %11s %15s\n",
 		"name", "protocol", "raw KiB/s", "Performance", "Robustness", "Aggressiveness")
 	for i, name := range names {
 		fmt.Printf("%-16s %-22s %12.1f %11.3f %11.3f %15.3f\n",
 			name, protocols[i].String(),
-			res.Scores.RawPerformance[i], res.Scores.Performance[i],
-			res.Scores.Robustness[i], res.Scores.Aggressiveness[i])
+			s.Raw["performance"][i], s.Measure("performance")[i],
+			s.Measure("robustness")[i], s.Measure("aggressiveness")[i])
 	}
 
 	// The Robustness/Aggressiveness correlation of Figure 8.

@@ -46,13 +46,8 @@ func formatScore(v float64) string {
 // WriteCSV serialises assembled scores in the generic domain CSV
 // format.
 func WriteCSV(w io.Writer, d Domain, s *Scores) error {
-	if s.Domain != d.Name() {
-		return fmt.Errorf("dsa: scores are for domain %q, not %q", s.Domain, d.Name())
-	}
-	for _, m := range d.Measures() {
-		if len(s.Raw[m]) != len(s.Points) || len(s.Values[m]) != len(s.Points) {
-			return fmt.Errorf("dsa: measure %q has %d/%d values for %d points", m, len(s.Raw[m]), len(s.Values[m]), len(s.Points))
-		}
+	if err := s.Check(d); err != nil {
+		return err
 	}
 	space := d.Space()
 	header := []string{"domain", "id", "point"}

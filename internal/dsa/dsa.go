@@ -144,6 +144,22 @@ type Scores struct {
 // the measure is unknown).
 func (s *Scores) Measure(name string) []float64 { return s.Values[name] }
 
+// Check reports whether s is a complete result of d: d's scores, with a
+// raw and an assembled value of every measure for every point. Code
+// that indexes the vectors by point (the CSV writers, the figure
+// extractors) checks once and then indexes freely.
+func (s *Scores) Check(d Domain) error {
+	if s.Domain != d.Name() {
+		return fmt.Errorf("dsa: scores are for domain %q, not %q", s.Domain, d.Name())
+	}
+	for _, m := range d.Measures() {
+		if len(s.Raw[m]) != len(s.Points) || len(s.Values[m]) != len(s.Points) {
+			return fmt.Errorf("dsa: measure %q has %d/%d values for %d points", m, len(s.Raw[m]), len(s.Values[m]), len(s.Points))
+		}
+	}
+	return nil
+}
+
 // Domain packages one design space and its solution concept for the
 // generic engine layers. Implementations must be safe for concurrent
 // use: the job engine calls ScoreSlice from many workers at once.

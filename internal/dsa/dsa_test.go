@@ -217,6 +217,30 @@ func TestExplorersOnGossipDomain(t *testing.T) {
 	}
 }
 
+// TestConfigValidate pins the scale knobs every domain's sweep is
+// checked against before any simulation (the churn range has its own
+// test below).
+func TestConfigValidate(t *testing.T) {
+	ok := dsa.Config{Peers: 10, Rounds: 10, PerfRuns: 1, EncounterRuns: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	bad := map[string]func(*dsa.Config){
+		"one peer":           func(c *dsa.Config) { c.Peers = 1 },
+		"no rounds":          func(c *dsa.Config) { c.Rounds = 0 },
+		"no perf runs":       func(c *dsa.Config) { c.PerfRuns = 0 },
+		"no encounter runs":  func(c *dsa.Config) { c.EncounterRuns = 0 },
+		"negative opponents": func(c *dsa.Config) { c.Opponents = -1 },
+	}
+	for name, mutate := range bad {
+		c := ok
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted, want error", name)
+		}
+	}
+}
+
 func TestConfigValidateChurnRange(t *testing.T) {
 	ok := dsa.Config{Peers: 4, Rounds: 5, PerfRuns: 1, EncounterRuns: 1}
 	for _, churn := range []float64{0, 0.01, 0.5, 1} {

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"repro/internal/design"
@@ -13,21 +14,32 @@ import (
 
 // WriteDomainCSV writes assembled generic scores in the domain's
 // canonical CSV layout: the swarming domain keeps the original
-// dsa-sweep column set (ReadCSV and the figure/table extractors parse
-// it), every other domain uses the generic dsa layout. Every tool —
-// dsa-sweep, dsa-grid, the grid results API — goes through this one
-// function, so a domain's CSV is interchangeable regardless of which
-// engine produced it.
+// dsa-sweep column set (the figure/table extractors' input), every
+// other domain uses the generic dsa layout. Every tool — dsa-sweep,
+// dsa-grid, dsa-report merge, the grid results API — goes through this
+// one function, so a domain's CSV is interchangeable regardless of
+// which engine produced it.
 func WriteDomainCSV(w io.Writer, d dsa.Domain, s *dsa.Scores) error {
 	if d.Name() != pra.DomainName {
 		return dsa.WriteCSV(w, d, s)
 	}
-	typed, err := pra.ScoresFromGeneric(s)
+	res, err := NewSweepResult(s)
 	if err != nil {
 		return err
 	}
-	res := &SweepResult{Protocols: typed.Protocols, Scores: typed}
 	return res.WriteCSV(w)
+}
+
+// ReadDomainCSV is the inverse of WriteDomainCSV.
+func ReadDomainCSV(r io.Reader, d dsa.Domain) (*dsa.Scores, error) {
+	if d.Name() != pra.DomainName {
+		return dsa.ReadCSV(r, d)
+	}
+	res, err := ReadCSV(r)
+	if err != nil {
+		return nil, err
+	}
+	return res.Scores, nil
 }
 
 // csvHeader is the column layout shared by WriteCSV and ReadCSV (and
@@ -43,15 +55,17 @@ func (r *SweepResult) WriteCSV(w io.Writer) error {
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
+	raw := r.Scores.Raw[pra.MeasurePerformance]
+	perf, rob, agg := r.performance(), r.robustness(), r.aggressiveness()
 	for i, p := range r.Protocols {
 		row := []string{
 			strconv.Itoa(design.ID(p)), p.String(), p.Stranger.String(),
 			strconv.Itoa(p.H), p.Candidate.String(), p.Ranking.String(),
 			strconv.Itoa(p.K), p.Allocation.String(),
-			fmt.Sprintf("%.6f", r.Scores.RawPerformance[i]),
-			fmt.Sprintf("%.6f", r.Scores.Performance[i]),
-			fmt.Sprintf("%.6f", r.Scores.Robustness[i]),
-			fmt.Sprintf("%.6f", r.Scores.Aggressiveness[i]),
+			fmt.Sprintf("%.6f", raw[i]),
+			fmt.Sprintf("%.6f", perf[i]),
+			fmt.Sprintf("%.6f", rob[i]),
+			fmt.Sprintf("%.6f", agg[i]),
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -62,47 +76,55 @@ func (r *SweepResult) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a dsa-sweep CSV back into a SweepResult. Columns are
-// located by header name, so extra columns and reordering are fine.
+// located by header name, so extra columns and reordering are fine. The
+// layout has one robustness and one aggressiveness column, which are
+// both the raw and the assembled value; a header-only file (an empty
+// evaluated panel) is a valid round trip, as in dsa.ReadCSV.
 func ReadCSV(r io.Reader) (*SweepResult, error) {
 	rows, err := csv.NewReader(r).ReadAll()
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) < 2 {
-		return nil, fmt.Errorf("exp: CSV has no data rows")
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("exp: CSV has no header row")
 	}
 	col := map[string]int{}
 	for i, h := range rows[0] {
 		col[h] = i
 	}
-	for _, need := range []string{"protocol", "raw_kbps", "performance", "robustness", "aggressiveness"} {
+	cols := []string{"raw_kbps", "performance", "robustness", "aggressiveness"}
+	for _, need := range append([]string{"protocol"}, cols...) {
 		if _, ok := col[need]; !ok {
 			return nil, fmt.Errorf("exp: CSV column %q missing", need)
 		}
 	}
-	res := &SweepResult{Scores: &pra.Scores{}}
-	for rowIdx, row := range rows[1:] {
-		p, err := design.Parse(row[col["protocol"]])
-		if err != nil {
-			return nil, fmt.Errorf("exp: row %d: %w", rowIdx+2, err)
+	protos := make([]design.Protocol, len(rows)-1)
+	vals := map[string][]float64{}
+	for _, c := range cols {
+		vals[c] = make([]float64, len(protos))
+	}
+	for i, row := range rows[1:] {
+		if protos[i], err = design.Parse(row[col["protocol"]]); err != nil {
+			return nil, fmt.Errorf("exp: row %d: %w", i+2, err)
 		}
-		res.Protocols = append(res.Protocols, p)
-		for _, c := range []struct {
-			name string
-			dst  *[]float64
-		}{
-			{"raw_kbps", &res.Scores.RawPerformance},
-			{"performance", &res.Scores.Performance},
-			{"robustness", &res.Scores.Robustness},
-			{"aggressiveness", &res.Scores.Aggressiveness},
-		} {
-			v, err := strconv.ParseFloat(row[col[c.name]], 64)
-			if err != nil {
-				return nil, fmt.Errorf("exp: row %d: bad %s: %w", rowIdx+2, c.name, err)
+		for _, c := range cols {
+			if vals[c][i], err = strconv.ParseFloat(row[col[c]], 64); err != nil {
+				return nil, fmt.Errorf("exp: row %d: bad %s: %w", i+2, c, err)
 			}
-			*c.dst = append(*c.dst, v)
 		}
 	}
-	res.Scores.Protocols = res.Protocols
-	return res, nil
+	return NewSweepResult(&dsa.Scores{
+		Domain: pra.DomainName,
+		Points: pra.Points(protos),
+		Raw: map[string][]float64{
+			pra.MeasurePerformance:    vals["raw_kbps"],
+			pra.MeasureRobustness:     slices.Clone(vals["robustness"]),
+			pra.MeasureAggressiveness: slices.Clone(vals["aggressiveness"]),
+		},
+		Values: map[string][]float64{
+			pra.MeasurePerformance:    vals["performance"],
+			pra.MeasureRobustness:     vals["robustness"],
+			pra.MeasureAggressiveness: vals["aggressiveness"],
+		},
+	})
 }

@@ -1,8 +1,14 @@
 package exp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/design"
+	"repro/internal/dsa"
+	"repro/internal/pra"
 )
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -22,12 +28,23 @@ func TestCSVRoundTrip(t *testing.T) {
 		if back.Protocols[i] != r.Protocols[i] {
 			t.Fatalf("protocol %d changed", i)
 		}
-		if diff(back.Scores.Performance[i], r.Scores.Performance[i]) > 1e-6 ||
-			diff(back.Scores.Robustness[i], r.Scores.Robustness[i]) > 1e-6 ||
-			diff(back.Scores.Aggressiveness[i], r.Scores.Aggressiveness[i]) > 1e-6 ||
-			diff(back.Scores.RawPerformance[i], r.Scores.RawPerformance[i]) > 1e-4 {
-			t.Fatalf("scores %d changed", i)
+	}
+	for _, m := range pra.Domain().Measures() {
+		for i := range r.Protocols {
+			if diff(back.Scores.Measure(m)[i], r.Scores.Measure(m)[i]) > 1e-6 ||
+				diff(back.Scores.Raw[m][i], r.Scores.Raw[m][i]) > 1e-4 {
+				t.Fatalf("%s %d changed", m, i)
+			}
 		}
+	}
+	// A re-read file re-writes to the same bytes: the CSV is the
+	// layout's fixed point, whichever engine produced the scores.
+	var again bytes.Buffer
+	if err := WriteDomainCSV(&again, pra.Domain(), back.Scores); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != sb.String() {
+		t.Fatal("write → read → write changed the CSV")
 	}
 }
 
@@ -36,6 +53,74 @@ func diff(a, b float64) float64 {
 		return a - b
 	}
 	return b - a
+}
+
+// TestCSVEmptyPanelRoundTrip: a header-only file (an empty evaluated
+// panel) is a valid round trip, as it is for every other domain's CSV.
+func TestCSVEmptyPanelRoundTrip(t *testing.T) {
+	empty, err := pra.Domain().Assemble(nil, map[string][]float64{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteDomainCSV(&buf, pra.Domain(), empty); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), strings.Join(csvHeader, ",")+"\n"; got != want {
+		t.Fatalf("empty panel wrote %q, want the header only", got)
+	}
+	back, err := ReadDomainCSV(&buf, pra.Domain())
+	if err != nil {
+		t.Fatalf("header-only CSV refused: %v", err)
+	}
+	if len(back.Points) != 0 {
+		t.Fatalf("header-only CSV read back %d points", len(back.Points))
+	}
+	for _, m := range pra.Domain().Measures() {
+		if back.Measure(m) == nil || back.Raw[m] == nil {
+			t.Errorf("measure %q missing after an empty round trip", m)
+		}
+	}
+}
+
+// TestWriteDomainCSVChecksVectors: scores whose measure vectors do not
+// cover every point are an error, never an index out of range.
+func TestWriteDomainCSVChecksVectors(t *testing.T) {
+	pts := pra.Points([]design.Protocol{design.BitTorrent(), design.Birds()})
+	full := func() map[string][]float64 {
+		return map[string][]float64{
+			pra.MeasurePerformance: {1, 2}, pra.MeasureRobustness: {1, 2}, pra.MeasureAggressiveness: {1, 2},
+		}
+	}
+	short := full()
+	short[pra.MeasureRobustness] = []float64{1}
+	cases := map[string]*dsa.Scores{
+		"no vectors":   {Domain: pra.DomainName, Points: pts},
+		"raw only":     {Domain: pra.DomainName, Points: pts, Raw: full()},
+		"short values": {Domain: pra.DomainName, Points: pts, Raw: full(), Values: short},
+		"short raw":    {Domain: pra.DomainName, Points: pts, Raw: short, Values: full()},
+	}
+	for name, s := range cases {
+		err := WriteDomainCSV(&bytes.Buffer{}, pra.Domain(), s)
+		if err == nil || !strings.Contains(err.Error(), "values for 2 points") {
+			t.Errorf("%s: err = %v, want a measure-length error", name, err)
+		}
+	}
+	if err := WriteDomainCSV(&bytes.Buffer{}, pra.Domain(), &dsa.Scores{Domain: pra.DomainName, Points: pts, Raw: full(), Values: full()}); err != nil {
+		t.Errorf("complete scores refused: %v", err)
+	}
+	// Another domain's scores, and a point outside the space.
+	if _, err := NewSweepResult(&dsa.Scores{Domain: "gossip"}); err == nil {
+		t.Error("gossip scores accepted as swarming")
+	}
+	bad := &dsa.Scores{Domain: pra.DomainName, Points: []core.Point{{9, 9, 9}},
+		Raw: map[string][]float64{}, Values: map[string][]float64{}}
+	for _, m := range pra.Domain().Measures() {
+		bad.Raw[m], bad.Values[m] = []float64{0}, []float64{0}
+	}
+	if _, err := NewSweepResult(bad); err == nil {
+		t.Error("a point outside the space accepted")
+	}
 }
 
 func TestReadCSVErrors(t *testing.T) {
@@ -59,7 +144,8 @@ func TestReadCSVTolerantToExtraColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Protocols) != 1 || res.Scores.Robustness[0] != 0.25 {
+	if len(res.Protocols) != 1 || res.Scores.Measure(pra.MeasureRobustness)[0] != 0.25 ||
+		res.Scores.Raw[pra.MeasurePerformance][0] != 100 {
 		t.Fatalf("parsed %+v", res.Scores)
 	}
 }

@@ -10,26 +10,43 @@ import (
 	"math"
 
 	"repro/internal/analytic"
-	"repro/internal/core"
 	"repro/internal/design"
+	"repro/internal/dsa"
 	"repro/internal/job"
 	"repro/internal/pra"
 	"repro/internal/stats"
 	"repro/internal/swarm"
 )
 
-// SweepResult bundles the PRA scores of a protocol set — the raw
-// material of Figures 2-8 and Table 3.
+// SweepResult is the assembled swarming scores of a protocol set — the
+// raw material of Figures 2-8 and Table 3 — with the points decoded
+// into the typed protocols the extractors group by.
 type SweepResult struct {
-	Protocols []design.Protocol
-	Scores    *pra.Scores
+	Scores    *dsa.Scores
+	Protocols []design.Protocol // Scores.Points, decoded
+}
+
+// NewSweepResult wraps assembled swarming scores, however they were
+// obtained (a sweep, a checkpoint, a CSV, a coordinator). It refuses
+// another domain's scores and measure vectors that do not cover every
+// point (dsa.Scores.Check), so the extractors and WriteCSV index
+// without checking.
+func NewSweepResult(s *dsa.Scores) (*SweepResult, error) {
+	if err := s.Check(pra.Domain()); err != nil {
+		return nil, err
+	}
+	ps, err := pra.Protocols(s.Points)
+	if err != nil {
+		return nil, err
+	}
+	return &SweepResult{Scores: s, Protocols: ps}, nil
 }
 
 // Sweep runs the PRA quantification over the given protocols (nil =
 // the whole 3270-protocol space). It is a thin wrapper over the job
 // engine with sharding and checkpointing off; use SweepJob for
 // paper-scale runs that need either.
-func Sweep(protos []design.Protocol, cfg pra.Config) (*SweepResult, error) {
+func Sweep(protos []design.Protocol, cfg dsa.Config) (*SweepResult, error) {
 	return SweepJob(context.Background(), protos, cfg, job.Options{})
 }
 
@@ -39,81 +56,53 @@ func Sweep(protos []design.Protocol, cfg pra.Config) (*SweepResult, error) {
 // tasks are journalled to opts.Dir, and a cancelled or killed run
 // resumes where it left off. The engine itself is domain-agnostic
 // (package job runs any dsa.Domain); this wrapper binds it to the
-// file-swarming domain and the typed Scores. If other shards still own
-// outstanding tasks it returns job.ErrIncomplete.
-func SweepJob(ctx context.Context, protos []design.Protocol, cfg pra.Config, opts job.Options) (*SweepResult, error) {
+// file-swarming domain. If other shards still own outstanding tasks it
+// returns job.ErrIncomplete.
+func SweepJob(ctx context.Context, protos []design.Protocol, cfg dsa.Config, opts job.Options) (*SweepResult, error) {
 	if protos == nil {
 		protos = design.Enumerate()
 	}
-	if cfg.Dist != nil {
-		// A custom bandwidth distribution cannot cross the generic
-		// Domain boundary (it is not serialisable into a checkpoint
-		// spec), so this path runs the quantification in-process.
-		// Options.Workers still applies; Options.Progress does not
-		// fire (there are no engine tasks to report on).
-		if opts.Dir != "" || opts.Shards > 1 {
-			return nil, fmt.Errorf("exp: sweeps with a custom bandwidth distribution cannot be checkpointed or sharded")
-		}
-		if shards := max(opts.Shards, 1); opts.ShardIndex < 0 || opts.ShardIndex >= shards {
-			return nil, fmt.Errorf("exp: shard index %d out of range [0,%d)", opts.ShardIndex, shards)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if opts.Workers > 0 {
-			cfg.Workers = opts.Workers
-		}
-		scores, err := pra.Run(protos, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &SweepResult{Protocols: protos, Scores: scores}, nil
-	}
-	points := make([]core.Point, len(protos))
-	for i, p := range protos {
-		points[i] = core.ProtocolPoint(p)
-	}
-	generic, err := job.Run(ctx, pra.Domain(), points, cfg.Generic(), opts)
+	s, err := job.Run(ctx, pra.Domain(), pra.Points(protos), cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	scores, err := pra.ScoresFromGeneric(generic)
-	if err != nil {
-		return nil, err
-	}
-	return &SweepResult{Protocols: protos, Scores: scores}, nil
+	return NewSweepResult(s)
 }
 
 // LoadCheckpoint reassembles a checkpointed file-swarming sweep —
 // possibly written by several shard processes whose manifests were
 // merged into dir — without running any simulation.
 func LoadCheckpoint(dir string) (*SweepResult, error) {
-	generic, err := job.Load(dir)
+	s, err := job.Load(dir)
 	if err != nil {
 		return nil, err
 	}
-	scores, err := pra.ScoresFromGeneric(generic)
-	if err != nil {
-		return nil, err
-	}
-	return &SweepResult{Protocols: scores.Protocols, Scores: scores}, nil
+	return NewSweepResult(s)
+}
+
+// performance, robustness and aggressiveness are the assembled value
+// vectors the extractors read, aligned with Protocols.
+func (r *SweepResult) performance() []float64 { return r.Scores.Measure(pra.MeasurePerformance) }
+func (r *SweepResult) robustness() []float64  { return r.Scores.Measure(pra.MeasureRobustness) }
+func (r *SweepResult) aggressiveness() []float64 {
+	return r.Scores.Measure(pra.MeasureAggressiveness)
 }
 
 // Fig2 returns the Robustness (x) and Performance (y) coordinates of
 // every protocol — the scatter of Figure 2.
 func (r *SweepResult) Fig2() (xs, ys []float64) {
-	return r.Scores.Robustness, r.Scores.Performance
+	return r.robustness(), r.performance()
 }
 
 // Fig3 returns the Figure 3 heat data: for each partner count k (0-9),
 // a histogram of normalised Performance over `bins` intervals.
 func (r *SweepResult) Fig3(bins int) *stats.Hist2D {
-	return r.heatByK(r.Scores.Performance, bins)
+	return r.heatByK(r.performance(), bins)
 }
 
 // Fig4 returns the Figure 4 heat data: Robustness by partner count.
 func (r *SweepResult) Fig4(bins int) *stats.Hist2D {
-	return r.heatByK(r.Scores.Robustness, bins)
+	return r.heatByK(r.robustness(), bins)
 }
 
 func (r *SweepResult) heatByK(values []float64, bins int) *stats.Hist2D {
@@ -130,7 +119,7 @@ func (r *SweepResult) heatByK(values []float64, bins int) *stats.Hist2D {
 func (r *SweepResult) Fig5() map[string][]stats.CCDFPoint {
 	groups := map[string][]float64{}
 	for i, p := range r.Protocols {
-		groups[p.Stranger.String()] = append(groups[p.Stranger.String()], r.Scores.Robustness[i])
+		groups[p.Stranger.String()] = append(groups[p.Stranger.String()], r.robustness()[i])
 	}
 	out := make(map[string][]stats.CCDFPoint, len(groups))
 	for name, vals := range groups {
@@ -152,7 +141,7 @@ type GroupPoint struct {
 func (r *SweepResult) Fig6() []GroupPoint {
 	out := make([]GroupPoint, len(r.Protocols))
 	for i, p := range r.Protocols {
-		out[i] = GroupPoint{p.Allocation.String(), r.Scores.Robustness[i], r.Scores.Performance[i]}
+		out[i] = GroupPoint{p.Allocation.String(), r.robustness()[i], r.performance()[i]}
 	}
 	return out
 }
@@ -161,7 +150,7 @@ func (r *SweepResult) Fig6() []GroupPoint {
 func (r *SweepResult) Fig7() []GroupPoint {
 	out := make([]GroupPoint, len(r.Protocols))
 	for i, p := range r.Protocols {
-		out[i] = GroupPoint{p.Ranking.String(), r.Scores.Robustness[i], r.Scores.Performance[i]}
+		out[i] = GroupPoint{p.Ranking.String(), r.robustness()[i], r.performance()[i]}
 	}
 	return out
 }
@@ -169,7 +158,7 @@ func (r *SweepResult) Fig7() []GroupPoint {
 // Fig8 returns the Robustness/Aggressiveness scatter and their Pearson
 // correlation (the paper reports r = 0.96).
 func (r *SweepResult) Fig8() (xs, ys []float64, pearson float64, err error) {
-	xs, ys = r.Scores.Robustness, r.Scores.Aggressiveness
+	xs, ys = r.robustness(), r.aggressiveness()
 	pearson, err = stats.Pearson(xs, ys)
 	return xs, ys, pearson, err
 }
@@ -212,13 +201,13 @@ func (r *SweepResult) Table3() (performance, robustness, aggressiveness *stats.O
 		}
 		return b.Fit()
 	}
-	if performance, err = fit(r.Scores.Performance); err != nil {
+	if performance, err = fit(r.performance()); err != nil {
 		return nil, nil, nil, fmt.Errorf("exp: Table3 performance: %w", err)
 	}
-	if robustness, err = fit(r.Scores.Robustness); err != nil {
+	if robustness, err = fit(r.robustness()); err != nil {
 		return nil, nil, nil, fmt.Errorf("exp: Table3 robustness: %w", err)
 	}
-	if aggressiveness, err = fit(r.Scores.Aggressiveness); err != nil {
+	if aggressiveness, err = fit(r.aggressiveness()); err != nil {
 		return nil, nil, nil, fmt.Errorf("exp: Table3 aggressiveness: %w", err)
 	}
 	return performance, robustness, aggressiveness, nil
@@ -235,17 +224,17 @@ func dummy(b bool) float64 {
 // under test at 90% of the population (invaders at 10%) and returns
 // both robustness vectors and their Pearson correlation — the paper's
 // §4.3.2 validation (r = 0.97).
-func (r *SweepResult) Validate9010(cfg pra.Config) (rob5050, rob9010 []float64, pearson float64, err error) {
+func (r *SweepResult) Validate9010(cfg dsa.Config) (rob5050, rob9010 []float64, pearson float64, err error) {
 	opponents := pra.SampleOpponents(cfg)
 	rob9010, err = pra.TournamentScores(r.Protocols, opponents, 0.9, cfg)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	pearson, err = stats.Pearson(r.Scores.Robustness, rob9010)
+	pearson, err = stats.Pearson(r.robustness(), rob9010)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return r.Scores.Robustness, rob9010, pearson, nil
+	return r.robustness(), rob9010, pearson, nil
 }
 
 // ChurnPoint reports mean normalised performance per partner count at
@@ -258,7 +247,7 @@ type ChurnPoint struct {
 // ChurnSweep measures homogeneous performance across the protocol set
 // at the given churn rates and aggregates mean normalised performance
 // per partner count. The paper's claim: low-k protocols stay on top.
-func ChurnSweep(protos []design.Protocol, rates []float64, cfg pra.Config) ([]ChurnPoint, error) {
+func ChurnSweep(protos []design.Protocol, rates []float64, cfg dsa.Config) ([]ChurnPoint, error) {
 	if protos == nil {
 		protos = design.Enumerate()
 	}

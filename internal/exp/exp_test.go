@@ -7,14 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/design"
+	"repro/internal/dsa"
 	"repro/internal/job"
-	"repro/internal/pra"
 	"repro/internal/swarm"
 )
 
 // tinyCfg is small enough for unit tests while exercising every path.
-func tinyCfg() pra.Config {
-	return pra.Config{Peers: 14, Rounds: 50, PerfRuns: 1, EncounterRuns: 1, Opponents: 6, Seed: 3}
+func tinyCfg() dsa.Config {
+	return dsa.Config{Peers: 14, Rounds: 50, PerfRuns: 1, EncounterRuns: 1, Opponents: 6, Seed: 3}
 }
 
 // subset returns a representative protocol subset including the named

@@ -8,7 +8,6 @@ package pra
 import (
 	"testing"
 
-	"repro/internal/cyclesim"
 	"repro/internal/design"
 )
 
@@ -21,7 +20,6 @@ func TestTournamentAllocsIndependentOfEncounterRuns(t *testing.T) {
 	const games = 5 // 2×3 pairings, one of them self-play
 	cfg := tiny()
 	cfg.Workers = 1
-	cfg.Pool = &cyclesim.Pool{}
 	allocs := func(encounterRuns int) float64 {
 		cfg.EncounterRuns = encounterRuns
 		return testing.AllocsPerRun(5, func() {

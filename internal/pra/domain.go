@@ -7,17 +7,30 @@ import (
 	"repro/internal/core"
 	"repro/internal/design"
 	"repro/internal/dsa"
+	"repro/internal/stats"
 )
 
 // DomainName is the file-swarming domain's registry name.
 const DomainName = "swarming"
 
+// The three PRA measures, in canonical order. A full quantification is
+// their cross product with the protocol set; because every simulation
+// seed derives from protocol identity (runSeed), the work can be cut
+// into arbitrary protocol slices and recombined without changing a
+// single value.
+const (
+	MeasurePerformance    = "performance"
+	MeasureRobustness     = "robustness"
+	MeasureAggressiveness = "aggressiveness"
+)
+
 func init() { dsa.Register(Domain()) }
 
 // Domain returns the file-swarming design space of Section 4 as a
-// dsa.Domain: the exported quantification primitives of this package
-// (ScoreSlice, Assemble, SampleOpponents) behind the generic interface,
-// which is what the sharded job engine and the CLIs run against.
+// dsa.Domain: the quantification primitives of this package
+// (PerformanceSweep, TournamentScores, SampleOpponents) behind the
+// generic interface, which is what the sharded job engine, the CLIs and
+// the figure drivers of package exp all run against.
 func Domain() dsa.Domain { return swarmingDomain{} }
 
 type swarmingDomain struct{}
@@ -54,55 +67,68 @@ func (swarmingDomain) Label(p core.Point) string {
 }
 
 func (swarmingDomain) Measures() []string {
-	out := make([]string, len(Kinds))
-	for i, k := range Kinds {
-		out[i] = k.String()
-	}
-	return out
+	return []string{MeasurePerformance, MeasureRobustness, MeasureAggressiveness}
 }
 
 func (swarmingDomain) DefaultConfig(preset string) (dsa.Config, error) {
 	switch preset {
 	case "quick":
-		return Quick().Generic(), nil
+		return Quick(), nil
 	case "paper":
-		return Paper().Generic(), nil
+		return Paper(), nil
 	}
 	return dsa.Config{}, fmt.Errorf("pra: unknown preset %q (want quick or paper)", preset)
 }
 
 func (swarmingDomain) SampleOpponents(cfg dsa.Config) []core.Point {
-	return protocolsToPoints(SampleOpponents(FromGeneric(cfg)))
+	return Points(SampleOpponents(cfg))
 }
 
+// ScoreSlice computes the raw scores of one measure for pts, a slice
+// of a (possibly larger) point set. Robustness and aggressiveness play
+// against the given opponent panel (see SampleOpponents); performance
+// ignores it. Seeds derive from protocol identity, not position, so
+// concatenating slice results equals a single full-set call — this is
+// the primitive the job engine shards over.
+//
+// Performance values are raw KiB/s: the paper's min-max normalisation
+// needs the whole set, so it happens in Assemble after merging.
 func (swarmingDomain) ScoreSlice(measure string, pts, opponents []core.Point, cfg dsa.Config) ([]float64, error) {
-	kind, err := ParseScoreKind(measure)
+	var frac float64
+	switch measure {
+	case MeasurePerformance:
+	case MeasureRobustness:
+		frac = 0.5
+	case MeasureAggressiveness:
+		frac = 0.1
+	default:
+		return nil, fmt.Errorf("pra: unknown measure %q", measure)
+	}
+	ps, err := Protocols(pts)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := pointsToProtocols(pts)
+	if measure == MeasurePerformance {
+		return PerformanceSweep(ps, cfg)
+	}
+	opps, err := Protocols(opponents)
 	if err != nil {
 		return nil, err
 	}
-	opps, err := pointsToProtocols(opponents)
-	if err != nil {
-		return nil, err
-	}
-	return ScoreSlice(kind, ps, opps, FromGeneric(cfg))
+	return TournamentScores(ps, opps, frac, cfg)
 }
 
-func (swarmingDomain) Assemble(pts []core.Point, raw map[string][]float64) (*dsa.Scores, error) {
-	ps, err := pointsToProtocols(pts)
-	if err != nil {
+// Assemble bundles per-measure raw score vectors into Scores, applying
+// the paper's min-max normalisation of performance over the evaluated
+// set. Every measure must be present and match len(pts).
+func (d swarmingDomain) Assemble(pts []core.Point, raw map[string][]float64) (*dsa.Scores, error) {
+	if _, err := Protocols(pts); err != nil {
 		return nil, err
 	}
-	byKind := make(map[ScoreKind][]float64, len(Kinds))
-	for _, k := range Kinds {
-		byKind[k] = raw[k.String()]
-	}
-	scores, err := Assemble(ps, byKind)
-	if err != nil {
-		return nil, err
+	for _, m := range d.Measures() {
+		if len(raw[m]) != len(pts) {
+			return nil, fmt.Errorf("pra: %s has %d values, want %d", m, len(raw[m]), len(pts))
+		}
 	}
 	// Raw and Values get distinct backing slices so a caller mutating
 	// one view cannot silently corrupt the other (or the engine's
@@ -111,65 +137,21 @@ func (swarmingDomain) Assemble(pts []core.Point, raw map[string][]float64) (*dsa
 		Domain: DomainName,
 		Points: pts,
 		Raw: map[string][]float64{
-			KindPerformance.String():    slices.Clone(scores.RawPerformance),
-			KindRobustness.String():     slices.Clone(scores.Robustness),
-			KindAggressiveness.String(): slices.Clone(scores.Aggressiveness),
+			MeasurePerformance:    slices.Clone(raw[MeasurePerformance]),
+			MeasureRobustness:     slices.Clone(raw[MeasureRobustness]),
+			MeasureAggressiveness: slices.Clone(raw[MeasureAggressiveness]),
 		},
 		Values: map[string][]float64{
-			KindPerformance.String():    slices.Clone(scores.Performance),
-			KindRobustness.String():     slices.Clone(scores.Robustness),
-			KindAggressiveness.String(): slices.Clone(scores.Aggressiveness),
+			MeasurePerformance:    stats.MinMaxNormalize(raw[MeasurePerformance]),
+			MeasureRobustness:     slices.Clone(raw[MeasureRobustness]),
+			MeasureAggressiveness: slices.Clone(raw[MeasureAggressiveness]),
 		},
 	}, nil
 }
 
-// Generic maps the result-affecting knobs onto the domain-independent
-// config. A custom Dist cannot cross the generic boundary (it is not
-// serialisable into a checkpoint spec), and neither can a Pool (it
-// affects nothing a result is a function of — engine-driven sweeps
-// pool simulator state through cyclesim's shared default pool
-// instead); callers needing either use this package directly.
-func (c Config) Generic() dsa.Config {
-	return dsa.Config{
-		Peers: c.Peers, Rounds: c.Rounds,
-		PerfRuns: c.PerfRuns, EncounterRuns: c.EncounterRuns,
-		Opponents: c.Opponents, Seed: c.Seed, Churn: c.Churn,
-		Workers: c.Workers,
-	}
-}
-
-// FromGeneric is the inverse of Config.Generic (with the default
-// bandwidth distribution).
-func FromGeneric(g dsa.Config) Config {
-	return Config{
-		Peers: g.Peers, Rounds: g.Rounds,
-		PerfRuns: g.PerfRuns, EncounterRuns: g.EncounterRuns,
-		Opponents: g.Opponents, Seed: g.Seed, Churn: g.Churn,
-		Workers: g.Workers,
-	}
-}
-
-// ScoresFromGeneric converts assembled generic scores of the swarming
-// domain back into the typed Scores used by the figure and table
-// extractors.
-func ScoresFromGeneric(s *dsa.Scores) (*Scores, error) {
-	if s.Domain != DomainName {
-		return nil, fmt.Errorf("pra: scores are for domain %q, not %q", s.Domain, DomainName)
-	}
-	ps, err := pointsToProtocols(s.Points)
-	if err != nil {
-		return nil, err
-	}
-	return &Scores{
-		Protocols:      ps,
-		RawPerformance: s.Raw[KindPerformance.String()],
-		Performance:    s.Values[KindPerformance.String()],
-		Robustness:     s.Values[KindRobustness.String()],
-		Aggressiveness: s.Values[KindAggressiveness.String()],
-	}, nil
-}
-
-func pointsToProtocols(pts []core.Point) ([]design.Protocol, error) {
+// Protocols decodes swarming points into the design package's typed
+// protocols; a point outside the space is an error.
+func Protocols(pts []core.Point) ([]design.Protocol, error) {
 	out := make([]design.Protocol, len(pts))
 	for i, p := range pts {
 		proto, err := core.PointProtocol(p)
@@ -181,7 +163,8 @@ func pointsToProtocols(pts []core.Point) ([]design.Protocol, error) {
 	return out, nil
 }
 
-func protocolsToPoints(ps []design.Protocol) []core.Point {
+// Points is the inverse of Protocols.
+func Points(ps []design.Protocol) []core.Point {
 	out := make([]core.Point, len(ps))
 	for i, p := range ps {
 		out[i] = core.ProtocolPoint(p)

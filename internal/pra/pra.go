@@ -18,85 +18,25 @@
 package pra
 
 import (
-	"fmt"
-	"math"
-	"runtime"
-
 	"repro/internal/bandwidth"
 	"repro/internal/cyclesim"
 	"repro/internal/design"
 	"repro/internal/dsa"
 )
 
-// Config scales the quantification. The zero value is not valid; start
-// from Paper() or Quick().
-type Config struct {
-	Peers         int     // population size per run (paper: 50)
-	Rounds        int     // rounds per run (paper: 500)
-	PerfRuns      int     // runs averaged per performance value (paper: 100)
-	EncounterRuns int     // runs per encounter (paper: 10)
-	Opponents     int     // opponents sampled per tournament; 0 = every other protocol
-	Seed          int64   // master seed
-	Churn         float64 // per-round churn rate (0 in the main experiments)
-	Workers       int     // parallel workers; 0 = GOMAXPROCS
-	// Dist supplies peer capacities (stratified per run). nil = Piatek.
-	Dist *bandwidth.Distribution
-	// Pool supplies reusable simulator state to every run of this
-	// quantification (cyclesim worlds are pooled either way — nil uses
-	// the simulator's shared pool — but an explicit Pool isolates a
-	// sweep's worlds from other workloads in the process). Like Dist
-	// it cannot cross the generic Domain boundary: it affects nothing
-	// a score is a function of, so Generic()/FromGeneric drop it and
-	// cache keys never see it.
-	Pool *cyclesim.Pool
-}
-
 // Paper returns the full-scale configuration of Section 4.3: 50 peers,
 // 500 rounds, 100 performance runs, 10 runs per encounter, full
 // round-robin. Running it over all 3270 protocols is the paper's
 // 107-million-run, 25-cluster-hour experiment — budget accordingly.
-func Paper() Config {
-	return Config{Peers: 50, Rounds: 500, PerfRuns: 100, EncounterRuns: 10, Seed: 1}
+func Paper() dsa.Config {
+	return dsa.Config{Peers: 50, Rounds: 500, PerfRuns: 100, EncounterRuns: 10, Seed: 1}
 }
 
 // Quick returns a reduced configuration that preserves the shape of the
 // results at a small fraction of the cost: fewer peers, rounds and runs,
 // and a fixed 60-opponent sample per tournament.
-func Quick() Config {
-	return Config{Peers: 30, Rounds: 150, PerfRuns: 3, EncounterRuns: 1, Opponents: 60, Seed: 1}
-}
-
-func (c Config) validate() error {
-	if c.Peers < 2 {
-		return fmt.Errorf("pra: need at least 2 peers, got %d", c.Peers)
-	}
-	if c.Rounds < 1 {
-		return fmt.Errorf("pra: need at least 1 round, got %d", c.Rounds)
-	}
-	if c.PerfRuns < 1 || c.EncounterRuns < 1 {
-		return fmt.Errorf("pra: PerfRuns and EncounterRuns must be >= 1")
-	}
-	if c.Opponents < 0 {
-		return fmt.Errorf("pra: Opponents must be >= 0, got %d", c.Opponents)
-	}
-	if math.IsNaN(c.Churn) || c.Churn < 0 || c.Churn > 1 {
-		return fmt.Errorf("pra: Churn must be in [0,1], got %v", c.Churn)
-	}
-	return nil
-}
-
-func (c Config) dist() *bandwidth.Distribution {
-	if c.Dist != nil {
-		return c.Dist
-	}
-	return bandwidth.Piatek()
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+func Quick() dsa.Config {
+	return dsa.Config{Peers: 30, Rounds: 150, PerfRuns: 3, EncounterRuns: 1, Opponents: 60, Seed: 1}
 }
 
 // runSeed derives independent run seeds from task coordinates, keeping
@@ -107,10 +47,10 @@ func runSeed(master int64, a, b, run, kind int) int64 {
 	return dsa.TaskSeed(master, a, b, run, kind)
 }
 
-// homogeneousSpecs builds an all-Π population with stratified
+// homogeneousSpecs builds an all-Π population with stratified Piatek
 // capacities.
-func homogeneousSpecs(p design.Protocol, n int, dist *bandwidth.Distribution) []cyclesim.PeerSpec {
-	caps := dist.Stratified(n)
+func homogeneousSpecs(p design.Protocol, n int) []cyclesim.PeerSpec {
+	caps := bandwidth.Piatek().Stratified(n)
 	specs := make([]cyclesim.PeerSpec, n)
 	for i := range specs {
 		specs[i] = cyclesim.PeerSpec{Protocol: p, Capacity: caps[i]}
@@ -178,23 +118,21 @@ func EncounterSpecs(a, b design.Protocol, n, nA int, dist *bandwidth.Distributio
 // PerformanceSweep measures raw homogeneous performance (population
 // mean throughput in KiB/s, averaged over PerfRuns runs) for every
 // protocol. Use stats.MinMaxNormalize for the paper's normalisation.
-func PerformanceSweep(ps []design.Protocol, cfg Config) ([]float64, error) {
-	if err := cfg.validate(); err != nil {
+func PerformanceSweep(ps []design.Protocol, cfg dsa.Config) ([]float64, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dist := cfg.dist()
 	out := make([]float64, len(ps))
 	errs := make([]error, len(ps))
-	dsa.ParallelFor(len(ps), cfg.workers(), func(i int) {
-		specs := homogeneousSpecs(ps[i], cfg.Peers, dist)
+	dsa.ParallelFor(len(ps), cfg.Parallelism(), func(i int) {
+		specs := homogeneousSpecs(ps[i], cfg.Peers)
 		var sum float64
 		for r := 0; r < cfg.PerfRuns; r++ {
 			res, err := cyclesim.Run(specs, cyclesim.Options{
 				Rounds:      cfg.Rounds,
 				Seed:        runSeed(cfg.Seed, design.ID(ps[i]), 0, r, 1),
 				Churn:       cfg.Churn,
-				Replacement: dist,
-				Pool:        cfg.Pool,
+				Replacement: bandwidth.Piatek(),
 			})
 			if err != nil {
 				errs[i] = err
@@ -220,12 +158,11 @@ type encounter struct {
 	specs []cyclesim.PeerSpec
 	mask  []bool // true = the peer runs a
 	nA    int
-	dist  *bandwidth.Distribution
 }
 
 // newEncounter builds the population in which a fraction frac of
 // cfg.Peers (at least one peer, at most all but one) runs a.
-func newEncounter(a, b design.Protocol, frac float64, cfg Config) encounter {
+func newEncounter(a, b design.Protocol, frac float64, cfg dsa.Config) encounter {
 	nA := int(frac*float64(cfg.Peers) + 0.5)
 	if nA < 1 {
 		nA = 1
@@ -233,20 +170,18 @@ func newEncounter(a, b design.Protocol, frac float64, cfg Config) encounter {
 	if nA >= cfg.Peers {
 		nA = cfg.Peers - 1
 	}
-	dist := cfg.dist()
-	specs, mask := EncounterSpecs(a, b, cfg.Peers, nA, dist)
-	return encounter{specs: specs, mask: mask, nA: nA, dist: dist}
+	specs, mask := EncounterSpecs(a, b, cfg.Peers, nA, bandwidth.Piatek())
+	return encounter{specs: specs, mask: mask, nA: nA}
 }
 
 // run simulates the population once and returns both camps' mean
 // utility.
-func (e encounter) run(cfg Config, seed int64) (meanA, meanB float64, err error) {
+func (e encounter) run(cfg dsa.Config, seed int64) (meanA, meanB float64, err error) {
 	res, err := cyclesim.Run(e.specs, cyclesim.Options{
 		Rounds:      cfg.Rounds,
 		Seed:        seed,
 		Churn:       cfg.Churn,
-		Replacement: e.dist,
-		Pool:        cfg.Pool,
+		Replacement: bandwidth.Piatek(),
 	})
 	if err != nil {
 		return 0, 0, err
@@ -264,8 +199,8 @@ func (e encounter) run(cfg Config, seed int64) (meanA, meanB float64, err error)
 
 // Encounter runs one mixed-population simulation and returns the camp
 // means for a and b. frac is the fraction of the population running a.
-func Encounter(a, b design.Protocol, frac float64, cfg Config, seed int64) (meanA, meanB float64, err error) {
-	if err := cfg.validate(); err != nil {
+func Encounter(a, b design.Protocol, frac float64, cfg dsa.Config, seed int64) (meanA, meanB float64, err error) {
+	if err := cfg.Validate(); err != nil {
 		return 0, 0, err
 	}
 	return newEncounter(a, b, frac, cfg).run(cfg, seed)
@@ -276,7 +211,7 @@ func Encounter(a, b design.Protocol, frac float64, cfg Config, seed int64) (mean
 // evenly from the full space (or the whole space when Opponents is 0 or
 // exceeds it) by dsa.SamplePanel. Every tournament uses the same panel,
 // keeping scores comparable across protocols.
-func SampleOpponents(cfg Config) []design.Protocol {
+func SampleOpponents(cfg dsa.Config) []design.Protocol {
 	return dsa.SamplePanel(design.Enumerate(), cfg.Opponents, cfg.Seed)
 }
 
@@ -285,15 +220,15 @@ func SampleOpponents(cfg Config) []design.Protocol {
 // Aggressiveness, 0.9 for the 90-10 validation) and returns each
 // protocol's win fraction in [0,1]. Encounters against an identical
 // protocol are skipped.
-func TournamentScores(ps, opponents []design.Protocol, frac float64, cfg Config) ([]float64, error) {
-	if err := cfg.validate(); err != nil {
+func TournamentScores(ps, opponents []design.Protocol, frac float64, cfg dsa.Config) ([]float64, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	wins := make([]int, len(ps))
 	games := make([]int, len(ps))
 	errs := make([]error, len(ps))
 	kind := int(frac * 1000)
-	dsa.ParallelFor(len(ps), cfg.workers(), func(i int) {
+	dsa.ParallelFor(len(ps), cfg.Parallelism(), func(i int) {
 		idA := design.ID(ps[i])
 		for _, opp := range opponents {
 			idB := design.ID(opp)
@@ -326,33 +261,4 @@ func TournamentScores(ps, opponents []design.Protocol, frac float64, cfg Config)
 		}
 	}
 	return out, nil
-}
-
-// Scores holds the full PRA quantification for a set of protocols.
-type Scores struct {
-	Protocols      []design.Protocol
-	RawPerformance []float64 // KiB/s population means
-	Performance    []float64 // normalised to [0,1] over the evaluated set
-	Robustness     []float64 // win fraction at 50/50
-	Aggressiveness []float64 // win fraction at 10/90
-}
-
-// Run computes the PRA quantification for every protocol in ps using
-// the opponent panel from SampleOpponents. It is the single-process,
-// unsharded composition of the ScoreSlice primitives; internal/job
-// shards the same primitives across workers, processes and restarts.
-func Run(ps []design.Protocol, cfg Config) (*Scores, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	opponents := SampleOpponents(cfg)
-	raw := make(map[ScoreKind][]float64, len(Kinds))
-	for _, k := range Kinds {
-		vals, err := ScoreSlice(k, ps, opponents, cfg)
-		if err != nil {
-			return nil, err
-		}
-		raw[k] = vals
-	}
-	return Assemble(ps, raw)
 }

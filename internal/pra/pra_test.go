@@ -1,42 +1,16 @@
 package pra
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/cyclesim"
 	"repro/internal/design"
 	"repro/internal/dsa"
 	"repro/internal/stats"
 )
 
 // tiny returns a fast test configuration.
-func tiny() Config {
-	return Config{Peers: 16, Rounds: 60, PerfRuns: 1, EncounterRuns: 1, Opponents: 8, Seed: 5}
-}
-
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Peers: 1, Rounds: 10, PerfRuns: 1, EncounterRuns: 1},
-		{Peers: 10, Rounds: 0, PerfRuns: 1, EncounterRuns: 1},
-		{Peers: 10, Rounds: 10, PerfRuns: 0, EncounterRuns: 1},
-		{Peers: 10, Rounds: 10, PerfRuns: 1, EncounterRuns: 0},
-		{Peers: 10, Rounds: 10, PerfRuns: 1, EncounterRuns: 1, Opponents: -1},
-		{Peers: 10, Rounds: 10, PerfRuns: 1, EncounterRuns: 1, Churn: -0.1},
-		{Peers: 10, Rounds: 10, PerfRuns: 1, EncounterRuns: 1, Churn: 1.5},
-		{Peers: 10, Rounds: 10, PerfRuns: 1, EncounterRuns: 1, Churn: math.NaN()},
-	}
-	for i, c := range bad {
-		if err := c.validate(); err == nil {
-			t.Errorf("case %d should fail validation", i)
-		}
-	}
-	if err := Paper().validate(); err != nil {
-		t.Errorf("Paper config invalid: %v", err)
-	}
-	if err := Quick().validate(); err != nil {
-		t.Errorf("Quick config invalid: %v", err)
-	}
+func tiny() dsa.Config {
+	return dsa.Config{Peers: 16, Rounds: 60, PerfRuns: 1, EncounterRuns: 1, Opponents: 8, Seed: 5}
 }
 
 func TestPaperConfigMatchesSection43(t *testing.T) {
@@ -46,6 +20,11 @@ func TestPaperConfigMatchesSection43(t *testing.T) {
 	}
 	if p.Opponents != 0 {
 		t.Error("Paper() must use the full round-robin")
+	}
+	for name, cfg := range map[string]dsa.Config{"Paper": Paper(), "Quick": Quick()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s config invalid: %v", name, err)
+		}
 	}
 }
 
@@ -221,30 +200,50 @@ func TestTournamentSkipsSelfPlay(t *testing.T) {
 	}
 }
 
+// TestRunPRAEndToEnd runs the whole quantification the way every
+// engine does: one Domain().ScoreSlice per measure over the sampled
+// panel, then Assemble.
 func TestRunPRAEndToEnd(t *testing.T) {
 	cfg := tiny()
 	cfg.Opponents = 6
 	ps := []design.Protocol{
 		design.BitTorrent(), design.Freerider(), design.SortS(), design.MostRobustCandidate(),
 	}
-	scores, err := Run(ps, cfg)
+	d, pts := Domain(), Points(ps)
+	opponents := d.SampleOpponents(cfg)
+	raw := map[string][]float64{}
+	for _, m := range d.Measures() {
+		vals, err := d.ScoreSlice(m, pts, opponents, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[m] = vals
+	}
+	scores, err := d.Assemble(pts, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scores.Performance) != len(ps) || len(scores.Robustness) != len(ps) || len(scores.Aggressiveness) != len(ps) {
-		t.Fatal("score lengths mismatch")
-	}
-	for i := range ps {
-		for _, v := range []float64{scores.Performance[i], scores.Robustness[i], scores.Aggressiveness[i]} {
+	for _, m := range d.Measures() {
+		if len(scores.Measure(m)) != len(ps) || len(scores.Raw[m]) != len(ps) {
+			t.Fatalf("%s: score lengths mismatch", m)
+		}
+		for i, v := range scores.Measure(m) {
 			if v < 0 || v > 1 {
-				t.Errorf("%s: score %v outside [0,1]", ps[i], v)
+				t.Errorf("%s: %s %v outside [0,1]", ps[i], m, v)
 			}
 		}
 	}
 	// The freerider must be at the bottom of performance.
-	frIdx := 1
-	if scores.Performance[frIdx] != 0 {
-		t.Errorf("freerider performance = %v, want 0", scores.Performance[frIdx])
+	if got := scores.Measure(MeasurePerformance)[1]; got != 0 {
+		t.Errorf("freerider performance = %v, want 0", got)
+	}
+	// The measure vocabulary is closed, and a missing vector is refused.
+	if _, err := d.ScoreSlice("throughput", pts, opponents, cfg); err == nil {
+		t.Error("unknown measure scored")
+	}
+	delete(raw, MeasureAggressiveness)
+	if _, err := d.Assemble(pts, raw); err == nil {
+		t.Error("Assemble accepted a missing measure")
 	}
 }
 
@@ -283,29 +282,4 @@ func TestParallelForCoversAll(t *testing.T) {
 	}
 	// n < workers and n == 0 edge cases.
 	dsa.ParallelFor(0, 4, func(int) { t.Fatal("should not run") })
-}
-
-func TestExplicitPoolMatchesDefault(t *testing.T) {
-	// Threading a dedicated cyclesim.Pool through the quantification
-	// must not change a single value versus the shared default pool —
-	// pooling is a pure allocation optimisation.
-	ps := []design.Protocol{design.BitTorrent(), design.SortS(), design.Freerider()}
-	cfg := tiny()
-	cfg.Opponents = 4
-	base, err := Run(ps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Pool = &cyclesim.Pool{}
-	pooled, err := Run(ps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ps {
-		if base.RawPerformance[i] != pooled.RawPerformance[i] ||
-			base.Robustness[i] != pooled.Robustness[i] ||
-			base.Aggressiveness[i] != pooled.Aggressiveness[i] {
-			t.Fatalf("protocol %d: pooled quantification diverged", i)
-		}
-	}
 }

@@ -73,13 +73,18 @@ import (
 // Protocol is one point in the file-swarming design space.
 type Protocol = design.Protocol
 
-// Config scales the PRA quantification.
-type Config = pra.Config
+// Config is the domain-independent sweep scale; each domain reads the
+// knobs in its own terms (QuickConfig and PaperConfig are the
+// file-swarming presets, Domain.DefaultConfig any domain's).
+type Config = dsa.Config
 
-// Scores holds Performance, Robustness and Aggressiveness per protocol.
-type Scores = pra.Scores
+// Scores is the assembled result of a sweep: per-measure value vectors
+// aligned with the swept points.
+type Scores = dsa.Scores
 
-// SweepResult bundles PRA scores with figure/table extractors.
+// SweepResult is the file-swarming Scores with the points decoded into
+// Protocols, plus the figure/table extractors of Figures 2-8 and
+// Table 3.
 type SweepResult = exp.SweepResult
 
 // SwarmConfig describes a Section 5 swarm experiment.
@@ -112,7 +117,8 @@ func QuickConfig() Config { return pra.Quick() }
 // round-robin — the paper's 25-cluster-hour experiment).
 func PaperConfig() Config { return pra.Paper() }
 
-// RunPRA quantifies the given protocols (nil = whole space).
+// RunPRA quantifies the given protocols (nil = whole space): RunSweep
+// on the file-swarming domain, returned with its extractors.
 func RunPRA(protocols []Protocol, cfg Config) (*SweepResult, error) {
 	return exp.Sweep(protocols, cfg)
 }
@@ -123,16 +129,9 @@ func RunPRA(protocols []Protocol, cfg Config) (*SweepResult, error) {
 // new domain sharding, checkpointing, resume and the CLIs for free.
 type Domain = dsa.Domain
 
-// SweepConfig is the domain-independent sweep scale.
-type SweepConfig = dsa.Config
-
 // SweepOptions controls sharding, checkpointing and progress reporting
 // of a generic sweep.
 type SweepOptions = job.Options
-
-// DomainScores is the assembled result of a generic sweep: per-measure
-// value vectors aligned with the swept points.
-type DomainScores = dsa.Scores
 
 // SweepProgress is the snapshot passed to SweepOptions.Progress after
 // every completed task.
@@ -160,7 +159,7 @@ func DomainByName(name string) (Domain, error) { return dsa.Get(name) }
 // RunSweep runs the full quantification of a domain (nil points =
 // whole space semantics: every valid point) through the sharded,
 // checkpointed job engine and returns the assembled scores.
-func RunSweep(d Domain, cfg SweepConfig, opts SweepOptions) (*DomainScores, error) {
+func RunSweep(d Domain, cfg Config, opts SweepOptions) (*Scores, error) {
 	return RunSweepContext(context.Background(), d, nil, cfg, opts)
 }
 
@@ -168,13 +167,13 @@ func RunSweep(d Domain, cfg SweepConfig, opts SweepOptions) (*DomainScores, erro
 // = the whole space): cancelling the context stops the sweep after the
 // in-flight tasks drain, and a checkpointed run resumes where it left
 // off.
-func RunSweepContext(ctx context.Context, d Domain, points []SpacePoint, cfg SweepConfig, opts SweepOptions) (*DomainScores, error) {
+func RunSweepContext(ctx context.Context, d Domain, points []SpacePoint, cfg Config, opts SweepOptions) (*Scores, error) {
 	return job.Run(ctx, d, points, cfg, opts)
 }
 
 // LoadSweep reassembles a checkpointed sweep of any registered domain
 // without running any simulation.
-func LoadSweep(dir string) (*DomainScores, error) { return job.Load(dir) }
+func LoadSweep(dir string) (*Scores, error) { return job.Load(dir) }
 
 // ScoreCache memoises raw (measure, point) scores across sweeps,
 // explorers and grid jobs. Plug one into SweepOptions.Cache (or the
@@ -225,7 +224,7 @@ type GridOptions struct {
 // or until ctx is cancelled. Workers join with GridSweep or
 // `dsa-grid work -coordinator http://<addr>`; any of them may die
 // mid-sweep, their expired leases are re-run elsewhere.
-func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, cfg SweepConfig, opts GridOptions) (*DomainScores, error) {
+func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, cfg Config, opts GridOptions) (*Scores, error) {
 	coordOpts := grid.CoordinatorOptions{
 		Dir: opts.Dir, LeaseTTL: opts.LeaseTTL, Logf: opts.Logf, CSV: exp.WriteDomainCSV,
 		AuthToken: opts.AuthToken, RateLimit: opts.RateLimit, RateBurst: opts.RateBurst,
@@ -248,7 +247,7 @@ func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- coord.Serve(ctx, addr, opts.OnListen) }()
 	type waitResult struct {
-		scores *DomainScores
+		scores *Scores
 		err    error
 	}
 	waited := make(chan waitResult, 1)
@@ -290,7 +289,7 @@ func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, 
 // (0 = all cores) and uploading results — until the coordinator's
 // first incomplete job completes (or, if every job is already done,
 // the first job), then fetches and returns its assembled scores.
-func GridSweep(ctx context.Context, coordinatorURL string, workers int) (*DomainScores, error) {
+func GridSweep(ctx context.Context, coordinatorURL string, workers int) (*Scores, error) {
 	jobs, err := grid.ListJobs(ctx, nil, coordinatorURL)
 	if err != nil {
 		return nil, err

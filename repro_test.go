@@ -25,10 +25,11 @@ func TestFacadePRA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Scores.Performance) != 2 {
+	perf := res.Scores.Measure("performance")
+	if len(perf) != 2 {
 		t.Fatal("scores missing")
 	}
-	if res.Scores.Performance[1] >= res.Scores.Performance[0] {
+	if perf[1] >= perf[0] {
 		t.Error("freerider should underperform BitTorrent")
 	}
 }
@@ -56,7 +57,7 @@ func TestFacadeGenericSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SweepConfig{Peers: 6, Rounds: 20, PerfRuns: 1, EncounterRuns: 1, Opponents: 2, Seed: 3}
+	cfg := Config{Peers: 6, Rounds: 20, PerfRuns: 1, EncounterRuns: 1, Opponents: 2, Seed: 3}
 	pts := d.Space().Enumerate()[:8]
 	dir := t.TempDir()
 	scores, err := RunSweepContext(context.Background(), d, pts, cfg, SweepOptions{Dir: dir})
@@ -86,7 +87,7 @@ func TestFacadeGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SweepConfig{Peers: 6, Rounds: 20, PerfRuns: 1, EncounterRuns: 1, Opponents: 2, Seed: 3}
+	cfg := Config{Peers: 6, Rounds: 20, PerfRuns: 1, EncounterRuns: 1, Opponents: 2, Seed: 3}
 	pts := d.Space().Enumerate()[:8]
 	ctx := context.Background()
 	want, err := RunSweepContext(ctx, d, pts, cfg, SweepOptions{Chunk: 2})
@@ -96,7 +97,7 @@ func TestFacadeGrid(t *testing.T) {
 
 	addrC := make(chan string, 1)
 	type result struct {
-		scores *DomainScores
+		scores *Scores
 		err    error
 	}
 	served := make(chan result, 1)

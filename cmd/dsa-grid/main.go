@@ -102,7 +102,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -144,16 +143,7 @@ func runServe(sigCtx context.Context, args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
 		addr      = fs.String("addr", ":8437", "HTTP listen address")
-		domain    = fs.String("domain", pra.DomainName, "design space to sweep, one of: "+strings.Join(dsa.Names(), ", "))
-		preset    = fs.String("preset", "quick", "quick or paper")
-		stride    = fs.Int("stride", 1, "evaluate every Nth point of the space")
-		opponents = fs.Int("opponents", -1, "opponent panel size (0 = full round-robin)")
-		peers     = fs.Int("peers", 0, "population size override")
-		rounds    = fs.Int("rounds", 0, "rounds per run override")
-		perfRuns  = fs.Int("perfruns", 0, "performance runs override")
-		encRuns   = fs.Int("encruns", 0, "encounter runs override")
-		seed      = fs.Int64("seed", 1, "master seed")
-		chunk     = fs.Int("chunk", 0, "points per task (0 = default)")
+		sweep     = job.RegisterSweepFlags(fs, pra.DomainName)
 		ckptDir   = fs.String("checkpoint-dir", "", "journal results under DIR/<job-id>; survives coordinator restarts")
 		cacheDir  = fs.String("cache-dir", "", "cross-job score cache; known scores are served without dispatching work")
 		leaseTTL  = fs.Duration("lease-ttl", grid.DefaultLeaseTTL, "task lease duration; unheartbeated leases expire and re-queue")
@@ -172,28 +162,14 @@ func runServe(sigCtx context.Context, args []string) {
 	if *auditRate < 0 || *auditRate > 1 {
 		log.Fatalf("audit-rate must be in [0,1], got %g", *auditRate)
 	}
-	if *stride < 1 {
-		log.Fatal("stride must be >= 1")
-	}
-	if *chunk < 0 {
-		log.Fatalf("chunk must be >= 0, got %d", *chunk)
-	}
 	if *leaseTTL <= 0 {
 		log.Fatal("lease-ttl must be positive")
 	}
-	d, err := dsa.Get(*domain)
+	spec, err := sweep.Spec()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, err := d.DefaultConfig(*preset)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Shared flag→spec mapping with dsa-sweep: identical flags must
-	// mean identical specs or the byte-identical guarantee (and the
-	// smoke test's cmp) breaks.
-	cfg = dsa.ApplyOverrides(cfg, *seed, *opponents, *peers, *rounds, *perfRuns, *encRuns)
-	points := dsa.StridePoints(d, *stride)
+	d, points := spec.Domain, spec.Points
 
 	coordOpts := grid.CoordinatorOptions{
 		Dir: *ckptDir, LeaseTTL: *leaseTTL, Logf: log.Printf, CSV: exp.WriteDomainCSV,
@@ -212,12 +188,12 @@ func runServe(sigCtx context.Context, args []string) {
 	}
 	coord := grid.NewCoordinator(coordOpts)
 	defer coord.Close()
-	id, err := coord.AddJobPriority(job.Spec{Domain: d, Points: points, Cfg: cfg, Chunk: *chunk}, *priority)
+	id, err := coord.AddJobPriority(spec, *priority)
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("job %s: %d %s points (%s preset); workers join with: dsa-grid work -coordinator http://<host>%s",
-		id, len(points), d.Name(), *preset, *addr)
+		id, len(points), d.Name(), sweep.Preset, *addr)
 
 	// The serve context governs the API's lifetime; the first signal
 	// does not cancel it but starts a graceful drain (workers are told

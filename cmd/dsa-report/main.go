@@ -93,8 +93,16 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dsa-report: ")
+	// The sweep-shaping flags this tool has: -domain for every report,
+	// the other three for the fresh swarming sweeps of validate and
+	// churn. The scale overrides it does not have stay at "keep the
+	// preset", which for -opponents is -1, not 0.
+	sweep := job.SweepFlags{Opponents: -1}
+	flag.StringVar(&sweep.Domain, "domain", pra.DomainName, "design space the input covers, one of: "+strings.Join(dsa.Names(), ", "))
+	flag.StringVar(&sweep.Preset, "preset", "quick", "quick or paper (validate/churn)")
+	flag.IntVar(&sweep.Stride, "stride", 30, "protocol stride for validate/churn")
+	flag.Int64Var(&sweep.Seed, "seed", 1, "master seed for validate/churn")
 	var (
-		domain  = flag.String("domain", pra.DomainName, "design space the input covers, one of: "+strings.Join(dsa.Names(), ", "))
 		in      = flag.String("in", "results.csv", "CSV produced by dsa-sweep")
 		ckpt    = flag.String("checkpoint", "", "dsa-sweep checkpoint dir to read instead of -in")
 		coord   = flag.String("coordinator", "", "dsa-grid coordinator URL to fetch scores from instead of -in")
@@ -102,9 +110,6 @@ func main() {
 		jobID   = flag.String("job", "", "coordinator job ID (default: the first job of -domain)")
 		out     = flag.String("out", "results.csv", "output CSV path (merge)")
 		merged  = flag.String("merged", "", "also write the canonically merged journal (JSONL) to this path (trace report)")
-		preset  = flag.String("preset", "quick", "quick or paper (validate/churn)")
-		stride  = flag.Int("stride", 30, "protocol stride for validate/churn")
-		seed    = flag.Int64("seed", 1, "master seed for validate/churn")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of this report to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on completion")
 	)
@@ -134,10 +139,10 @@ func main() {
 		err = fmt.Errorf("report %q takes no argument", what)
 	case what == "cache":
 		err = runCacheReport(os.Stdout, *cacheD, *coord)
-	case *domain == pra.DomainName && (what == "validate" || what == "churn"):
-		err = runSimBacked(os.Stdout, what, *preset, *stride, *seed)
+	case sweep.Domain == pra.DomainName && (what == "validate" || what == "churn"):
+		err = runSimBacked(os.Stdout, what, &sweep)
 	default:
-		err = runScores(os.Stdout, what, *domain, *in, *ckpt, *coord, *jobID, *out)
+		err = runScores(os.Stdout, what, sweep.Domain, *in, *ckpt, *coord, *jobID, *out)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -480,13 +485,13 @@ func renderGeneric(w io.Writer, what string, d dsa.Domain, s *dsa.Scores) error 
 
 // runSimBacked handles the reports that need fresh simulation: the
 // 90-10 robustness validation and the churn sensitivity check.
-func runSimBacked(w io.Writer, what, preset string, stride int, seed int64) error {
-	cfg, err := pra.Domain().DefaultConfig(preset)
+func runSimBacked(w io.Writer, what string, sweep *job.SweepFlags) error {
+	spec, err := sweep.Spec()
 	if err != nil {
 		return err
 	}
-	cfg.Seed = seed
-	protos, err := pra.Protocols(dsa.StridePoints(pra.Domain(), stride))
+	cfg := spec.Cfg
+	protos, err := pra.Protocols(spec.Points)
 	if err != nil {
 		return err
 	}

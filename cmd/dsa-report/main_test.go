@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dsa"
+	"repro/internal/job"
 	"repro/internal/pra"
 )
 
@@ -98,5 +99,22 @@ func TestSweepFreeReportsGolden(t *testing.T) {
 	}
 	if err := runSwarm(&bytes.Buffer{}, "fig9z", tiny); err == nil {
 		t.Error("unknown experiment rendered")
+	}
+}
+
+// TestSimBackedRejectsStrideBelowOne: validate and churn used to hang
+// on -stride 0 (a stride loop that never advanced); they refuse it with
+// the one-line error dsa-sweep and dsa-grid serve give, before any
+// simulation.
+func TestSimBackedRejectsStrideBelowOne(t *testing.T) {
+	for _, stride := range []int{0, -2} {
+		for _, what := range []string{"validate", "churn"} {
+			flags := &job.SweepFlags{Domain: pra.DomainName, Preset: "quick", Stride: stride, Seed: 1, Opponents: -1}
+			var buf bytes.Buffer
+			err := runSimBacked(&buf, what, flags)
+			if err == nil || err.Error() != "stride must be >= 1" || buf.Len() != 0 {
+				t.Errorf("%s -stride %d: err = %v, output %q", what, stride, err, buf.String())
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ package main
 // stragglers, cache-hit attribution and per-worker utilization.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -49,34 +48,30 @@ func runTrace(src, jobID, mergedPath string) {
 	}
 }
 
-// runTraceRemote fetches the merged journal a coordinator collected
-// (GET /v1/trace) plus its digest for the journal count, and renders
-// the same report as the directory mode.
+// runTraceRemote renders the analysis a coordinator serves of the
+// journals it collected (GET /v1/trace?format=digest) — the same
+// obs.Analysis the directory mode computes, so the same report — and
+// fetches the merged journal itself only to write it out.
 func runTraceRemote(baseURL, jobID, mergedPath string) {
 	ctx := context.Background()
 	digest, err := grid.FetchTraceDigest(ctx, nil, baseURL, jobID)
 	if err != nil {
 		log.Fatal(err)
 	}
-	raw, err := grid.FetchTrace(ctx, nil, baseURL, jobID)
-	if err != nil {
-		log.Fatal(err)
+	if digest.Analysis.Records == 0 {
+		log.Fatalf("coordinator %s has collected no trace spans (start workers with -ship-traces)", baseURL)
 	}
 	if mergedPath != "" {
+		raw, err := grid.FetchTrace(ctx, nil, baseURL, jobID)
+		if err != nil {
+			log.Fatal(err)
+		}
 		writeMerged(mergedPath, func(w io.Writer) error {
 			_, err := w.Write(raw)
 			return err
 		})
 	}
-	recs, err := obs.LoadReader(bytes.NewReader(raw))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(recs) == 0 {
-		log.Fatalf("coordinator %s has collected no trace spans (start workers with -ship-traces)", baseURL)
-	}
-	a := obs.Analyze(recs)
-	if err := renderTrace(os.Stdout, a, digest.Journals); err != nil {
+	if err := renderTrace(os.Stdout, &digest.Analysis, digest.Journals); err != nil {
 		log.Fatal(err)
 	}
 }

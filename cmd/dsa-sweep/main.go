@@ -78,7 +78,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -101,38 +100,28 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dsa-sweep: ")
 	var (
-		domain    = flag.String("domain", pra.DomainName, "design space to sweep, one of: "+strings.Join(dsa.Names(), ", "))
-		preset    = flag.String("preset", "quick", "quick or paper")
-		stride    = flag.Int("stride", 1, "evaluate every Nth point of the space")
-		opponents = flag.Int("opponents", -1, "opponent panel size (0 = full round-robin)")
-		peers     = flag.Int("peers", 0, "population size override")
-		rounds    = flag.Int("rounds", 0, "rounds per run override")
-		perfRuns  = flag.Int("perfruns", 0, "performance runs override")
-		encRuns   = flag.Int("encruns", 0, "encounter runs override")
-		seed      = flag.Int64("seed", 1, "master seed")
-		out       = flag.String("out", "results.csv", "output CSV path")
-		explore   = flag.Bool("explore", false, "also run the heuristic explorers")
-		ckptDir   = flag.String("checkpoint-dir", "", "journal completed work here; survives interruption")
-		resume    = flag.Bool("resume", false, "continue from an existing checkpoint dir, skipping finished tasks")
-		cacheDir  = flag.String("cache-dir", "", "content-addressed score cache; reruns and overlapping sweeps reuse scores")
-		shards    = flag.Int("shards", 1, "total shard processes splitting this sweep (point chunks go round-robin to shards; a chunk's measures stay together)")
-		shardIdx  = flag.Int("shard-index", 0, "this process's shard in [0,shards)")
-		chunk     = flag.Int("chunk", 0, "points per job task (0 = default)")
-		traceDir  = flag.String("trace-dir", "", "append a span journal (trace-s<I>of<N>.jsonl) into DIR; analyze with dsa-report trace")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on completion")
+		sweep    = job.RegisterSweepFlags(flag.CommandLine, pra.DomainName)
+		out      = flag.String("out", "results.csv", "output CSV path")
+		explore  = flag.Bool("explore", false, "also run the heuristic explorers")
+		ckptDir  = flag.String("checkpoint-dir", "", "journal completed work here; survives interruption")
+		resume   = flag.Bool("resume", false, "continue from an existing checkpoint dir, skipping finished tasks")
+		cacheDir = flag.String("cache-dir", "", "content-addressed score cache; reruns and overlapping sweeps reuse scores")
+		shards   = flag.Int("shards", 1, "total shard processes splitting this sweep (point chunks go round-robin to shards; a chunk's measures stay together)")
+		shardIdx = flag.Int("shard-index", 0, "this process's shard in [0,shards)")
+		traceDir = flag.String("trace-dir", "", "append a span journal (trace-s<I>of<N>.jsonl) into DIR; analyze with dsa-report trace")
+		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+		memProf  = flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on completion")
 	)
 	flag.Parse()
 
 	// Validate every flag up front, before any sweep state exists: a
 	// bad invocation must exit non-zero with a one-line error, never
 	// panic later or silently sweep the wrong shard.
-	if *stride < 1 {
-		log.Fatal("stride must be >= 1")
+	spec, err := sweep.Spec()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *chunk < 0 {
-		log.Fatalf("chunk must be >= 0 (0 = default), got %d", *chunk)
-	}
+	d, cfg, points := spec.Domain, spec.Cfg, spec.Points
 	if *shards < 1 {
 		log.Fatalf("shards must be >= 1, got %d", *shards)
 	}
@@ -142,15 +131,6 @@ func main() {
 	if *resume && *ckptDir == "" {
 		log.Fatal("-resume needs -checkpoint-dir")
 	}
-	d, err := dsa.Get(*domain)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg, err := d.DefaultConfig(*preset)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg = dsa.ApplyOverrides(cfg, *seed, *opponents, *peers, *rounds, *perfRuns, *encRuns)
 	if *shards > 1 && *ckptDir == "" {
 		// Without a journal a shard's results evaporate on exit and
 		// there is nothing to merge.
@@ -167,9 +147,8 @@ func main() {
 		}
 	}
 
-	points := dsa.StridePoints(d, *stride)
 	log.Printf("sweeping %d %s points (%s preset, %d peers, %d rounds, %d opponents, shard %d/%d)",
-		len(points), d.Name(), *preset, cfg.Peers, cfg.Rounds, cfg.Opponents, *shardIdx, *shards)
+		len(points), d.Name(), sweep.Preset, cfg.Peers, cfg.Rounds, cfg.Opponents, *shardIdx, *shards)
 
 	// Profiles cover everything from here on; stopProf is idempotent
 	// and is called explicitly on the interrupted path too, so a
@@ -222,7 +201,7 @@ func main() {
 		Dir:        *ckptDir,
 		Shards:     *shards,
 		ShardIndex: *shardIdx,
-		Chunk:      *chunk,
+		Chunk:      spec.Chunk,
 		Trace:      rec,
 		Progress:   progressLogger(rec),
 	}

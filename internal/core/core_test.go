@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/design"
 )
 
 func tinySpace(t *testing.T) *Space {
@@ -94,54 +92,6 @@ func TestDescribeAndKey(t *testing.T) {
 	}
 	if (Point{1}).Equal(Point{1, 2}) {
 		t.Error("length mismatch should not be equal")
-	}
-}
-
-func TestFileSwarmingSpaceMatchesDesign(t *testing.T) {
-	s := FileSwarmingSpace()
-	if s.Size() != design.SpaceSize {
-		t.Fatalf("space size = %d, want %d", s.Size(), design.SpaceSize)
-	}
-	// Round-trip every point through design.Protocol.
-	seen := map[int]bool{}
-	for _, p := range s.Enumerate() {
-		proto, err := PointProtocol(p)
-		if err != nil {
-			t.Fatalf("point %v invalid: %v", p, err)
-		}
-		id := design.ID(proto)
-		if seen[id] {
-			t.Fatalf("duplicate protocol id %d", id)
-		}
-		seen[id] = true
-		back := ProtocolPoint(proto)
-		if !back.Equal(p) {
-			t.Fatalf("round trip %v → %v", p, back)
-		}
-	}
-}
-
-func TestPointProtocolErrors(t *testing.T) {
-	if _, err := PointProtocol(Point{1, 2}); err == nil {
-		t.Error("wrong arity should error")
-	}
-	// StrangerNone with h=2 violates canonical form.
-	if _, err := PointProtocol(Point{0, 2, 0, 0, 4, 0}); err == nil {
-		t.Error("non-canonical point should error")
-	}
-}
-
-func TestParseValue(t *testing.T) {
-	d := Dimension{Name: "k", Values: []string{"0", "1", "2"}}
-	if i, err := ParseValue(d, "2"); err != nil || i != 2 {
-		t.Errorf("ParseValue = %d, %v", i, err)
-	}
-	if _, err := ParseValue(d, "9"); err == nil {
-		t.Error("unknown value should error")
-	}
-	named := Dimension{Name: "r", Values: []string{"Fastest", "Slowest"}}
-	if i, err := ParseValue(named, "Slowest"); err != nil || i != 1 {
-		t.Errorf("ParseValue named = %d, %v", i, err)
 	}
 }
 
@@ -241,14 +191,24 @@ func TestEvolveConfigValidation(t *testing.T) {
 }
 
 func TestExplorersDeterministic(t *testing.T) {
-	s := FileSwarmingSpace()
+	// A constrained space of the swarming space's shape (six dimensions,
+	// canonical-zero rules), with a cheap synthetic objective.
+	dims := make([]Dimension, 6)
+	for d, n := range []int{4, 4, 2, 6, 10, 3} {
+		dims[d] = Dimension{Name: string(rune('a' + d)), Values: make([]string, n)}
+	}
+	s, err := NewSpace("shaped", dims, func(p Point) bool {
+		return (p[0] != 0 || p[1] == 0) && (p[4] != 0 || p[2]+p[3] == 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	obj := func(p Point) (float64, error) {
-		proto, err := PointProtocol(p)
-		if err != nil {
-			return 0, err
+		h := 0
+		for _, v := range p {
+			h = h*31 + v
 		}
-		// Cheap synthetic objective over the real space.
-		return float64(design.ID(proto)%97) / 97, nil
+		return float64(h%97) / 97, nil
 	}
 	a, _, err := HillClimb(s, obj, HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 7})
 	if err != nil {

@@ -8,8 +8,9 @@
 // solution concepts (exhaustive sweep, and the heuristic explorers the
 // paper proposes as future work in Section 7 — hill climbing and an
 // evolutionary search) work on any Space. The file-swarming space of
-// Section 4 and the gossip space of Section 3.1 are both expressed in
-// these terms (see FileSwarmingSpace and the gossip package).
+// Section 4, the gossip space of Section 3.1 and the delivery space are
+// all expressed in these terms, each in its own domain package (pra,
+// gossip, delivery): core imports none of them.
 package core
 
 import (

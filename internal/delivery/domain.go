@@ -3,7 +3,6 @@ package delivery
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dsa"
@@ -43,55 +42,32 @@ func init() { dsa.Register(Domain()) }
 // measures quantify adversarial robustness. Implementing the interface
 // is all it takes — sharding, resume, the grid, the score cache and
 // the explorers run it through the generic seam unchanged.
-func Domain() dsa.Domain { return domainImpl{} }
+func Domain() dsa.Domain { return domainImpl{base} }
 
-type domainImpl struct{}
+type domainImpl struct{ *dsa.Base }
 
-// space and its point index are shared, built once.
-var (
-	domainOnce  sync.Once
-	domainSpace *core.Space
-	domainIndex map[string]int // point key → enumeration index (the stable ID)
+// base declares the domain and maps the generic scale onto the delivery
+// simulator: Peers is the swarm size, Rounds the per-download horizon in
+// seconds, PerfRuns the downloads averaged per (point, regime), Churn
+// the baseline identity-churn rate. The domain has no tournament, so
+// EncounterRuns/Opponents are inert (kept at their neutral values to
+// satisfy Config.Validate). quick is seconds for the full 576-strategy
+// space on a laptop; paper is DefaultOptions scale with tight run
+// averaging.
+//
+// Raw keeps every measure as ScoreSlice produced it (seconds for the
+// times). Values orients all four higher-is-better on [0,1]: robustness
+// and offload are already such fractions; the two completion times get
+// the paper's performance normalisation, flipped because small times
+// are good (1 = fastest in set, 0 = slowest).
+var base = dsa.NewBase(DomainName, Space(),
+	dsa.Config{Peers: 12, Rounds: 400, PerfRuns: 3, EncounterRuns: 1, Seed: 1},
+	dsa.Config{Peers: 40, Rounds: 1800, PerfRuns: 25, EncounterRuns: 1, Seed: 1},
+	dsa.Measure{Name: MeasureRobustness},
+	dsa.Measure{Name: MeasureMeanTime, Norm: dsa.InvertedMinMax},
+	dsa.Measure{Name: MeasureP95Time, Norm: dsa.InvertedMinMax},
+	dsa.Measure{Name: MeasureMirrorOffload},
 )
-
-func domainState() (*core.Space, map[string]int) {
-	domainOnce.Do(func() {
-		domainSpace = Space()
-		pts := domainSpace.Enumerate()
-		domainIndex = make(map[string]int, len(pts))
-		for i, p := range pts {
-			domainIndex[p.Key()] = i
-		}
-	})
-	return domainSpace, domainIndex
-}
-
-func (domainImpl) Name() string { return DomainName }
-
-func (domainImpl) Space() *core.Space {
-	s, _ := domainState()
-	return s
-}
-
-// PointID is the point's position in the canonical enumeration — the
-// stable ID persisted in checkpoint specs.
-func (domainImpl) PointID(p core.Point) (int, error) {
-	_, index := domainState()
-	id, ok := index[p.Key()]
-	if !ok {
-		return 0, fmt.Errorf("delivery: point %v is not in the delivery space", p)
-	}
-	return id, nil
-}
-
-func (domainImpl) PointByID(id int) (core.Point, error) {
-	s, _ := domainState()
-	pts := s.Enumerate()
-	if id < 0 || id >= len(pts) {
-		return nil, fmt.Errorf("delivery: point ID %d out of range [0,%d)", id, len(pts))
-	}
-	return pts[id], nil
-}
 
 func (domainImpl) Label(p core.Point) string {
 	s, err := FromPoint(p)
@@ -101,33 +77,11 @@ func (domainImpl) Label(p core.Point) string {
 	return s.String()
 }
 
-func (domainImpl) Measures() []string {
-	return []string{MeasureRobustness, MeasureMeanTime, MeasureP95Time, MeasureMirrorOffload}
-}
-
-// DefaultConfig maps the generic scale onto the delivery simulator:
-// Peers is the swarm size, Rounds the per-download horizon in seconds,
-// PerfRuns the downloads averaged per (point, regime), Churn the
-// baseline identity-churn rate. The domain has no tournament, so
-// EncounterRuns/Opponents are inert (kept at their neutral values to
-// satisfy Config.Validate).
-func (domainImpl) DefaultConfig(preset string) (dsa.Config, error) {
-	switch preset {
-	case "quick":
-		// Seconds for the full 576-strategy space on a laptop.
-		return dsa.Config{Peers: 12, Rounds: 400, PerfRuns: 3, EncounterRuns: 1, Seed: 1}, nil
-	case "paper":
-		// DefaultOptions scale with tight run averaging.
-		return dsa.Config{Peers: 40, Rounds: 1800, PerfRuns: 25, EncounterRuns: 1, Seed: 1}, nil
-	}
-	return dsa.Config{}, fmt.Errorf("delivery: unknown preset %q (want quick or paper)", preset)
-}
-
 // SampleOpponents is empty: delivery has no tournament measure — the
 // adversaries live inside the design space's scenario dimension.
 func (domainImpl) SampleOpponents(cfg dsa.Config) []core.Point { return nil }
 
-// seed discriminators, in the spirit of pra's runSeed kinds. Nominal
+// seed discriminators, in the spirit of pra's seed kinds. Nominal
 // and stress regimes draw disjoint seed streams; every time/offload
 // statistic derives from the same nominal runs so the measures are
 // coherent views of one experiment.
@@ -148,28 +102,11 @@ func simOptions(cfg dsa.Config, seed int64, stress bool) Options {
 	return opt
 }
 
-// pointRuns runs PerfRuns downloads of one point in the given regime.
-// Seeds derive from the point's stable ID and the run index — never
-// from slice position — so any partition of a sweep recombines into
-// byte-identical results.
-func (d domainImpl) pointRuns(pt core.Point, cfg dsa.Config, kind int, stress bool) ([]Result, error) {
-	s, err := FromPoint(pt)
-	if err != nil {
-		return nil, err
-	}
-	id, err := d.PointID(pt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, cfg.PerfRuns)
-	for r := 0; r < cfg.PerfRuns; r++ {
-		res, err := Run(s, simOptions(cfg, dsa.TaskSeed(cfg.Seed, id, 0, r, kind), stress))
-		if err != nil {
-			return nil, err
-		}
-		out[r] = res
-	}
-	return out, nil
+// downloads runs the PerfRuns downloads of one strategy in one regime.
+func downloads(s Strategy, id int, cfg dsa.Config, kind int, stress bool) ([]Result, error) {
+	return dsa.HomogeneousRuns(cfg, id, kind, func(seed int64) (Result, error) {
+		return Run(s, simOptions(cfg, seed, stress))
+	})
 }
 
 // ScoreSlice is the one-measure case of ScoreSlices.
@@ -246,9 +183,6 @@ func measureValue(measure string) (func(nominal, stressed []Result) float64, boo
 // four ScoreSlice calls. Run seeds depend on (point ID, run, regime)
 // alone, so each vector is bit-equal to its ScoreSlice.
 func (d domainImpl) ScoreSlices(measures []string, pts, _ []core.Point, cfg dsa.Config) ([][]float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	values := make([]func(nominal, stressed []Result) float64, len(measures))
 	for k, m := range measures {
 		var ok bool
@@ -261,70 +195,26 @@ func (d domainImpl) ScoreSlices(measures []string, pts, _ []core.Point, cfg dsa.
 	for k := range out {
 		out[k] = make([]float64, len(pts))
 	}
-	errs := make([]error, len(pts))
-	dsa.ParallelFor(len(pts), cfg.Parallelism(), func(i int) {
-		nominal, err := d.pointRuns(pts[i], cfg, seedKindNominal, false)
+	err := dsa.ForEach(pts, d.PointID, cfg, func(i int, pt core.Point, id int) error {
+		s, err := FromPoint(pt)
+		if err != nil {
+			return err
+		}
+		nominal, err := downloads(s, id, cfg, seedKindNominal, false)
 		var stressed []Result
 		if err == nil && needStress {
-			stressed, err = d.pointRuns(pts[i], cfg, seedKindStress, true)
+			stressed, err = downloads(s, id, cfg, seedKindStress, true)
 		}
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		for k, value := range values {
 			out[k][i] = value(nominal, stressed)
 		}
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// Assemble applies the whole-set step. Raw keeps every measure as
-// ScoreSlice produced it (seconds for the times). Values orients all
-// four measures higher-is-better on [0,1]: robustness and offload are
-// already such fractions and pass through; the two completion times
-// get an inverted min-max normalisation over the evaluated set (1 =
-// fastest in set, 0 = slowest — the paper's performance normalisation,
-// flipped because small times are good).
-func (domainImpl) Assemble(pts []core.Point, raw map[string][]float64) (*dsa.Scores, error) {
-	for _, m := range (domainImpl{}).Measures() {
-		if len(raw[m]) != len(pts) {
-			return nil, fmt.Errorf("delivery: %s has %d values, want %d", m, len(raw[m]), len(pts))
-		}
-	}
-	return &dsa.Scores{
-		Domain: DomainName,
-		Points: pts,
-		Raw: map[string][]float64{
-			MeasureRobustness:    slices.Clone(raw[MeasureRobustness]),
-			MeasureMeanTime:      slices.Clone(raw[MeasureMeanTime]),
-			MeasureP95Time:       slices.Clone(raw[MeasureP95Time]),
-			MeasureMirrorOffload: slices.Clone(raw[MeasureMirrorOffload]),
-		},
-		Values: map[string][]float64{
-			MeasureRobustness:    slices.Clone(raw[MeasureRobustness]),
-			MeasureMeanTime:      invertedMinMax(raw[MeasureMeanTime]),
-			MeasureP95Time:       invertedMinMax(raw[MeasureP95Time]),
-			MeasureMirrorOffload: slices.Clone(raw[MeasureMirrorOffload]),
-		},
-	}, nil
-}
-
-// invertedMinMax min-max normalises and flips orientation (1 = the
-// set's minimum). The degenerate all-equal span keeps MinMaxNormalize's
-// all-zeros convention rather than flipping to all-ones.
-func invertedMinMax(xs []float64) []float64 {
-	norm := stats.MinMaxNormalize(xs)
-	if len(xs) == 0 || stats.Max(xs)-stats.Min(xs) <= 0 {
-		return norm
-	}
-	for i := range norm {
-		norm[i] = 1 - norm[i]
-	}
-	return norm
 }

@@ -24,6 +24,12 @@
 //   - an Assemble step for whole-set post-processing (e.g. the paper's
 //     min-max performance normalisation, which needs every value).
 //
+// What every domain would otherwise repeat is here too: Base carries the
+// declared half of a Domain (codec, presets, measure table, Assemble),
+// and concept.go the solution concept itself — how homogeneous runs and
+// tournament games are seeded, repeated, averaged and won — so a domain
+// package holds only its space, its simulator and what a population is.
+//
 // Everything above a Domain — the sharded checkpointed job engine
 // (internal/job), the sweep/report CLIs, the heuristic explorers, the
 // repro facade — is written against this interface and therefore works
@@ -69,38 +75,14 @@ func (c Config) Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ApplyOverrides returns cfg with the standard sweep overrides
-// applied: peers/rounds/perfRuns/encRuns <= 0 and opponents < 0 keep
-// cfg's setting (opponents 0 is meaningful: full round-robin). The
-// sweep CLIs (dsa-sweep, dsa-grid serve) share this one mapping from
-// flags to config, so identical flags always mean identical specs —
-// the grid's byte-identical-to-local guarantee depends on that.
-func ApplyOverrides(cfg Config, seed int64, opponents, peers, rounds, perfRuns, encRuns int) Config {
-	cfg.Seed = seed
-	if opponents >= 0 {
-		cfg.Opponents = opponents
-	}
-	if peers > 0 {
-		cfg.Peers = peers
-	}
-	if rounds > 0 {
-		cfg.Rounds = rounds
-	}
-	if perfRuns > 0 {
-		cfg.PerfRuns = perfRuns
-	}
-	if encRuns > 0 {
-		cfg.EncounterRuns = encRuns
-	}
-	return cfg
-}
-
 // StridePoints enumerates every stride-th point of the domain's space
-// (stride 1 = the whole space).
+// (stride 1 = the whole space). There is no step smaller than one point,
+// so a stride below 1 reads as 1; the CLIs reject it before they get
+// here.
 func StridePoints(d Domain, stride int) []core.Point {
 	all := d.Space().Enumerate()
 	var out []core.Point
-	for i := 0; i < len(all); i += stride {
+	for i := 0; i < len(all); i += max(stride, 1) {
 		out = append(out, all[i])
 	}
 	return out

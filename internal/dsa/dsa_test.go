@@ -57,7 +57,7 @@ func TestRegistryHasAllDomains(t *testing.T) {
 }
 
 func TestDomainContracts(t *testing.T) {
-	for _, d := range dsa.Registered() {
+	for _, d := range append(dsa.Registered(), newToyDomain()) {
 		d := d
 		t.Run(d.Name(), func(t *testing.T) {
 			pts := d.Space().Enumerate()
@@ -103,31 +103,33 @@ func TestDomainContracts(t *testing.T) {
 // TestScoreSliceConcatenation pins the contract the job engine relies
 // on: scoring a point set in slices equals scoring it whole.
 func TestScoreSliceConcatenation(t *testing.T) {
-	d := gossip.Domain()
 	cfg := dsa.Config{Peers: 8, Rounds: 30, PerfRuns: 1, EncounterRuns: 1, Opponents: 3, Seed: 11}
-	all := d.Space().Enumerate()
-	var pts []core.Point
-	for i := 0; i < len(all); i += 40 {
-		pts = append(pts, all[i])
-	}
-	opponents := d.SampleOpponents(cfg)
-	for _, m := range d.Measures() {
-		whole, err := d.ScoreSlice(m, pts, opponents, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pieced []float64
-		for lo := 0; lo < len(pts); lo += 2 {
-			hi := min(lo+2, len(pts))
-			vals, err := d.ScoreSlice(m, pts[lo:hi], opponents, cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		d      dsa.Domain
+		stride int
+	}{{gossip.Domain(), 40}, {newToyDomain(), 1}} {
+		t.Run(tc.d.Name(), func(t *testing.T) {
+			d, pts := tc.d, dsa.StridePoints(tc.d, tc.stride)
+			opponents := d.SampleOpponents(cfg)
+			for _, m := range d.Measures() {
+				whole, err := d.ScoreSlice(m, pts, opponents, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var pieced []float64
+				for lo := 0; lo < len(pts); lo += 2 {
+					hi := min(lo+2, len(pts))
+					vals, err := d.ScoreSlice(m, pts[lo:hi], opponents, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pieced = append(pieced, vals...)
+				}
+				if !reflect.DeepEqual(whole, pieced) {
+					t.Fatalf("measure %s: sliced scoring diverged from whole-set scoring", m)
+				}
 			}
-			pieced = append(pieced, vals...)
-		}
-		if !reflect.DeepEqual(whole, pieced) {
-			t.Fatalf("measure %s: sliced scoring diverged from whole-set scoring", m)
-		}
+		})
 	}
 }
 

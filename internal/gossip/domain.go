@@ -2,12 +2,9 @@ package gossip
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dsa"
-	"repro/internal/stats"
 )
 
 // DomainName is the gossip domain's registry name.
@@ -23,61 +20,31 @@ const (
 	MeasureRobustness = "robustness"
 )
 
+// seed discriminators, in the spirit of pra's seed kinds.
+const (
+	seedKindCoverage   = 1
+	seedKindRobustness = 500 // 0.5 * 1000, mirroring pra's frac scheme
+)
+
 func init() { dsa.Register(Domain()) }
 
 // Domain returns the gossip design space of Section 3.1 as a
 // dsa.Domain. Implementing the interface is all it takes for a gossip
 // sweep to be shardable, checkpointable, resumable and mergeable by
 // internal/job exactly like the 3270-protocol file-swarming sweep.
-func Domain() dsa.Domain { return domainImpl{} }
+func Domain() dsa.Domain { return domainImpl{base} }
 
-type domainImpl struct{}
+type domainImpl struct{ *dsa.Base }
 
-// space and its point index are shared, built once.
-var (
-	domainOnce  sync.Once
-	domainSpace *core.Space
-	domainIndex map[string]int // point key → enumeration index (the stable ID)
+// base declares the domain. quick is minutes on a laptop: the full
+// 216-protocol space against a 24-opponent panel; paper is a full
+// round-robin at DefaultOptions scale.
+var base = dsa.NewBase(DomainName, Space(),
+	dsa.Config{Peers: 30, Rounds: 120, PerfRuns: 2, EncounterRuns: 1, Opponents: 24, Seed: 1},
+	dsa.Config{Peers: 40, Rounds: 200, PerfRuns: 10, EncounterRuns: 5, Seed: 1},
+	dsa.Measure{Name: MeasureCoverage, Norm: dsa.MinMax},
+	dsa.Measure{Name: MeasureRobustness},
 )
-
-func domainState() (*core.Space, map[string]int) {
-	domainOnce.Do(func() {
-		domainSpace = Space()
-		pts := domainSpace.Enumerate()
-		domainIndex = make(map[string]int, len(pts))
-		for i, p := range pts {
-			domainIndex[p.Key()] = i
-		}
-	})
-	return domainSpace, domainIndex
-}
-
-func (domainImpl) Name() string { return DomainName }
-
-func (domainImpl) Space() *core.Space {
-	s, _ := domainState()
-	return s
-}
-
-// PointID is the point's position in the canonical enumeration — the
-// stable ID persisted in checkpoint specs.
-func (domainImpl) PointID(p core.Point) (int, error) {
-	_, index := domainState()
-	id, ok := index[p.Key()]
-	if !ok {
-		return 0, fmt.Errorf("gossip: point %v is not in the gossip space", p)
-	}
-	return id, nil
-}
-
-func (domainImpl) PointByID(id int) (core.Point, error) {
-	s, _ := domainState()
-	pts := s.Enumerate()
-	if id < 0 || id >= len(pts) {
-		return nil, fmt.Errorf("gossip: point ID %d out of range [0,%d)", id, len(pts))
-	}
-	return pts[id], nil
-}
 
 func (domainImpl) Label(p core.Point) string {
 	proto, err := FromPoint(p)
@@ -87,189 +54,80 @@ func (domainImpl) Label(p core.Point) string {
 	return proto.String()
 }
 
-func (domainImpl) Measures() []string {
-	return []string{MeasureCoverage, MeasureRobustness}
-}
-
-func (domainImpl) DefaultConfig(preset string) (dsa.Config, error) {
-	switch preset {
-	case "quick":
-		// Minutes on a laptop: the full 216-protocol space against a
-		// 24-opponent panel.
-		return dsa.Config{Peers: 30, Rounds: 120, PerfRuns: 2, EncounterRuns: 1, Opponents: 24, Seed: 1}, nil
-	case "paper":
-		// Full round-robin at DefaultOptions scale.
-		return dsa.Config{Peers: 40, Rounds: 200, PerfRuns: 10, EncounterRuns: 5, Seed: 1}, nil
-	}
-	return dsa.Config{}, fmt.Errorf("gossip: unknown preset %q (want quick or paper)", preset)
-}
-
 func (d domainImpl) SampleOpponents(cfg dsa.Config) []core.Point {
 	return dsa.SamplePanel(d.Space().Enumerate(), cfg.Opponents, cfg.Seed)
 }
 
-func (d domainImpl) ScoreSlice(measure string, pts, opponents []core.Point, cfg dsa.Config) ([]float64, error) {
-	if err := cfg.Validate(); err != nil {
+// population decodes two points into cfg.Peers nodes: the first nA run
+// a's protocol, the rest b's.
+func population(a, b core.Point, nA int, cfg dsa.Config) ([]Protocol, error) {
+	pa, err := FromPoint(a)
+	if err != nil {
 		return nil, err
 	}
-	switch measure {
-	case MeasureCoverage:
-		return d.coverageSlice(pts, cfg)
-	case MeasureRobustness:
-		return d.robustnessSlice(pts, opponents, cfg)
+	pb, err := FromPoint(b)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("gossip: unknown measure %q", measure)
+	nodes := make([]Protocol, cfg.Peers)
+	for j := range nodes {
+		nodes[j] = pb
+		if j < nA {
+			nodes[j] = pa
+		}
+	}
+	return nodes, nil
 }
 
-// simOptions maps the generic scale onto simulator options. RumourRate
-// and ExpireAge are domain constants (DefaultOptions), not sweep knobs.
-func simOptions(cfg dsa.Config, seed int64) Options {
+// simulate runs one population once. RumourRate and ExpireAge are
+// domain constants (DefaultOptions), not sweep knobs.
+func simulate(nodes []Protocol, cfg dsa.Config, seed int64) (Result, error) {
 	def := DefaultOptions()
-	return Options{
+	return Run(nodes, Options{
 		Nodes:      cfg.Peers,
 		Rounds:     cfg.Rounds,
 		RumourRate: def.RumourRate,
 		ExpireAge:  def.ExpireAge,
 		Seed:       seed,
-	}
-}
-
-// seed discriminators, in the spirit of pra's runSeed kinds.
-const (
-	seedKindCoverage   = 1
-	seedKindRobustness = 500 // 0.5 * 1000, mirroring pra's frac scheme
-)
-
-// coverageSlice measures homogeneous coverage for each point: the
-// population mean number of rumours learned per node, averaged over
-// PerfRuns runs. Seeds derive from the point's stable ID, so slice
-// results concatenate into exactly the full-set result.
-func (d domainImpl) coverageSlice(pts []core.Point, cfg dsa.Config) ([]float64, error) {
-	out := make([]float64, len(pts))
-	errs := make([]error, len(pts))
-	dsa.ParallelFor(len(pts), cfg.Parallelism(), func(i int) {
-		proto, err := FromPoint(pts[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		id, err := d.PointID(pts[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		population := make([]Protocol, cfg.Peers)
-		for j := range population {
-			population[j] = proto
-		}
-		var sum float64
-		for r := 0; r < cfg.PerfRuns; r++ {
-			res, err := Run(population, simOptions(cfg, dsa.TaskSeed(cfg.Seed, id, 0, r, seedKindCoverage)))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sum += res.Mean()
-		}
-		out[i] = sum / float64(cfg.PerfRuns)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
-// robustnessSlice plays each point against the opponent panel in 50/50
-// mixed populations, EncounterRuns runs per pairing; the value is the
-// win fraction (strictly higher camp-mean utility), encounters against
-// an identical protocol skipped — the Section 3.2 tournament, verbatim,
-// in the gossip domain.
-func (d domainImpl) robustnessSlice(pts, opponents []core.Point, cfg dsa.Config) ([]float64, error) {
-	protoOf := func(p core.Point) (Protocol, int, error) {
-		proto, err := FromPoint(p)
-		if err != nil {
-			return Protocol{}, 0, err
-		}
-		id, err := d.PointID(p)
-		return proto, id, err
-	}
-	out := make([]float64, len(pts))
-	errs := make([]error, len(pts))
-	dsa.ParallelFor(len(pts), cfg.Parallelism(), func(i int) {
-		a, idA, err := protoOf(pts[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		nA := cfg.Peers / 2
-		wins, games := 0, 0
-		for _, oppPt := range opponents {
-			b, idB, err := protoOf(oppPt)
+// ScoreSlice is the Section 3.2 solution concept, verbatim, in the
+// gossip domain. Coverage is the population mean number of rumours
+// learned per node in an all-p population, averaged over PerfRuns runs;
+// robustness is p's win fraction in 50/50 mixed populations against the
+// opponent panel.
+func (d domainImpl) ScoreSlice(measure string, pts, opponents []core.Point, cfg dsa.Config) ([]float64, error) {
+	switch measure {
+	case MeasureCoverage:
+		return dsa.MeanOverRuns(pts, d.PointID, seedKindCoverage, cfg, func(p core.Point) (dsa.Stat, error) {
+			nodes, err := population(p, p, cfg.Peers, cfg)
 			if err != nil {
-				errs[i] = err
-				return
+				return nil, err
 			}
-			if idA == idB {
-				continue
-			}
-			population := make([]Protocol, cfg.Peers)
-			for j := range population {
-				if j < nA {
-					population[j] = a
-				} else {
-					population[j] = b
-				}
-			}
-			for r := 0; r < cfg.EncounterRuns; r++ {
-				res, err := Run(population, simOptions(cfg, dsa.TaskSeed(cfg.Seed, idA, idB, r, seedKindRobustness)))
+			return func(seed int64) (float64, error) {
+				res, err := simulate(nodes, cfg, seed)
 				if err != nil {
-					errs[i] = err
-					return
+					return 0, err
 				}
-				games++
-				meanA := res.GroupMean(func(j int) bool { return j < nA })
-				meanB := res.GroupMean(func(j int) bool { return j >= nA })
-				if meanA > meanB {
-					wins++
-				}
+				return res.Mean(), nil
+			}, nil
+		})
+	case MeasureRobustness:
+		nA := cfg.Peers / 2
+		return dsa.WinFractions(pts, opponents, d.PointID, seedKindRobustness, cfg, func(a, b core.Point) (dsa.Game, error) {
+			nodes, err := population(a, b, nA, cfg)
+			if err != nil {
+				return nil, err
 			}
-		}
-		if games > 0 {
-			out[i] = float64(wins) / float64(games)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+			return func(seed int64) (float64, float64, error) {
+				res, err := simulate(nodes, cfg, seed)
+				if err != nil {
+					return 0, 0, err
+				}
+				return res.GroupMean(func(j int) bool { return j < nA }), res.GroupMean(func(j int) bool { return j >= nA }), nil
+			}, nil
+		})
 	}
-	return out, nil
-}
-
-// Assemble applies the whole-set step: coverage is min-max normalised
-// over the evaluated set (the paper's performance normalisation),
-// robustness is already a [0,1] win fraction.
-func (domainImpl) Assemble(pts []core.Point, raw map[string][]float64) (*dsa.Scores, error) {
-	for _, m := range []string{MeasureCoverage, MeasureRobustness} {
-		if len(raw[m]) != len(pts) {
-			return nil, fmt.Errorf("gossip: %s has %d values, want %d", m, len(raw[m]), len(pts))
-		}
-	}
-	// Raw and Values get distinct backing slices so a caller mutating
-	// one view cannot silently corrupt the other (or the engine's
-	// in-memory task results).
-	return &dsa.Scores{
-		Domain: DomainName,
-		Points: pts,
-		Raw: map[string][]float64{
-			MeasureCoverage:   slices.Clone(raw[MeasureCoverage]),
-			MeasureRobustness: slices.Clone(raw[MeasureRobustness]),
-		},
-		Values: map[string][]float64{
-			MeasureCoverage:   stats.MinMaxNormalize(raw[MeasureCoverage]),
-			MeasureRobustness: slices.Clone(raw[MeasureRobustness]),
-		},
-	}, nil
+	return nil, fmt.Errorf("gossip: unknown measure %q", measure)
 }

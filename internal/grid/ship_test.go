@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -261,16 +262,26 @@ func TestTraceShippingEndToEnd(t *testing.T) {
 	if digest.Journals != 2 {
 		t.Errorf("digest journals = %d, want 2", digest.Journals)
 	}
-	if digest.Tasks != wantTasks {
-		t.Errorf("digest tasks = %d, want %d", digest.Tasks, wantTasks)
+	a := digest.Analysis
+	if a.Tasks != wantTasks {
+		t.Errorf("digest tasks = %d, want %d", a.Tasks, wantTasks)
 	}
 	// Both workers race for tasks; at least one (typically both) shows
 	// up in the utilization table.
-	if len(digest.Workers) == 0 || digest.WallUS <= 0 {
-		t.Errorf("digest workers/wall = %d/%d", len(digest.Workers), digest.WallUS)
+	if len(a.Workers) == 0 || a.Wall <= 0 {
+		t.Errorf("digest workers/wall = %d/%v", len(a.Workers), a.Wall)
 	}
-	if len(digest.Measures) == 0 || len(digest.CriticalPath) == 0 {
+	if len(a.Measures) == 0 || len(a.CriticalPath) == 0 {
 		t.Errorf("digest measures/critical path empty: %+v", digest)
+	}
+	// The digest is obs.Analyze of the same merged bytes, so it survives
+	// the wire whole: the served JSON decodes to the local analysis.
+	recs, err := obs.LoadReader(bytes.NewReader(collected))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := *obs.Analyze(recs); !reflect.DeepEqual(a, want) {
+		t.Errorf("served digest differs from the local analysis:\n got %+v\nwant %+v", a, want)
 	}
 
 	// Federated metrics: trace-ingest counters and per-worker series.

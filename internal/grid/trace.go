@@ -61,117 +61,14 @@ type TraceAck struct {
 	Duplicate bool  `json:"duplicate,omitempty"`
 }
 
-// TraceDigest is the JSON summary GET /v1/trace?format=digest serves:
-// obs.Analyze over the collected journals — totals, per-measure
+// TraceDigest is what GET /v1/trace?format=digest serves: obs.Analyze
+// over the collected journals of one scope — totals, per-measure
 // latency, per-worker utilization, stragglers and the critical path —
 // cheap enough to poll from a dashboard.
 type TraceDigest struct {
-	Job             string           `json:"job,omitempty"`
-	Journals        int              `json:"journals"`
-	Records         int              `json:"records"`
-	Tasks           int              `json:"tasks"`
-	WallUS          int64            `json:"wall_us"`
-	TaskBusyUS      int64            `json:"task_busy_us"`
-	PointsSimulated int64            `json:"points_simulated"`
-	PointsCached    int64            `json:"points_cached"`
-	CacheLookups    int64            `json:"cache_lookups"`
-	CacheHits       int64            `json:"cache_hits"`
-	Workers         []TraceWorker    `json:"workers,omitempty"`
-	Measures        []TraceMeasure   `json:"measures,omitempty"`
-	Stragglers      []TraceStraggler `json:"stragglers,omitempty"`
-	CriticalPath    []TraceSpan      `json:"critical_path,omitempty"`
-}
-
-// TraceWorker is one worker's utilization within a digest.
-type TraceWorker struct {
-	Writer      string  `json:"writer"`
-	Tasks       int     `json:"tasks"`
-	BusyUS      int64   `json:"busy_us"`
-	WindowUS    int64   `json:"window_us"`
-	Parallelism float64 `json:"parallelism"`
-	Simulated   int64   `json:"simulated"`
-	CacheHits   int64   `json:"cache_hits"`
-}
-
-// TraceMeasure is one measure's latency profile within a digest.
-type TraceMeasure struct {
-	Measure   string `json:"measure"`
-	Tasks     int    `json:"tasks"`
-	MinUS     int64  `json:"min_us"`
-	MeanUS    int64  `json:"mean_us"`
-	P50US     int64  `json:"p50_us"`
-	P90US     int64  `json:"p90_us"`
-	MaxUS     int64  `json:"max_us"`
-	TotalUS   int64  `json:"total_us"`
-	Points    int64  `json:"points"`
-	CacheHits int64  `json:"cache_hits"`
-	Simulated int64  `json:"simulated"`
-}
-
-// TraceStraggler is one outlier task span within a digest.
-type TraceStraggler struct {
-	Writer    string  `json:"writer"`
-	Task      string  `json:"task"`
-	Measure   string  `json:"measure"`
-	DurUS     int64   `json:"dur_us"`
-	TypicalUS int64   `json:"typical_us"`
-	Factor    float64 `json:"factor"`
-}
-
-// TraceSpan is one span on the digest's critical path.
-type TraceSpan struct {
-	Writer  string `json:"writer"`
-	Name    string `json:"name"`
-	Task    string `json:"task,omitempty"`
-	Measure string `json:"measure,omitempty"`
-	StartUS int64  `json:"start_us"`
-	DurUS   int64  `json:"dur_us"`
-}
-
-func digestFromAnalysis(job string, journals int, a *obs.Analysis) TraceDigest {
-	d := TraceDigest{
-		Job:             job,
-		Journals:        journals,
-		Records:         a.Records,
-		Tasks:           a.Tasks,
-		WallUS:          a.Wall.Microseconds(),
-		TaskBusyUS:      a.TaskBusy.Microseconds(),
-		PointsSimulated: a.PointsSimulated,
-		PointsCached:    a.PointsCached,
-		CacheLookups:    a.CacheLookups,
-		CacheHits:       a.CacheHits,
-	}
-	for _, ws := range a.Workers {
-		d.Workers = append(d.Workers, TraceWorker{
-			Writer: ws.Writer, Tasks: ws.Tasks,
-			BusyUS: ws.Busy.Microseconds(), WindowUS: ws.Window.Microseconds(),
-			Parallelism: ws.Parallelism, Simulated: ws.Simulated, CacheHits: ws.CacheHits,
-		})
-	}
-	for _, ms := range a.Measures {
-		d.Measures = append(d.Measures, TraceMeasure{
-			Measure: ms.Measure, Tasks: ms.Tasks,
-			MinUS: ms.Min.Microseconds(), MeanUS: ms.Mean.Microseconds(),
-			P50US: ms.P50.Microseconds(), P90US: ms.P90.Microseconds(),
-			MaxUS: ms.Max.Microseconds(), TotalUS: ms.Total.Microseconds(),
-			Points: ms.Points, CacheHits: ms.CacheHits, Simulated: ms.Simulated,
-		})
-	}
-	for _, st := range a.Stragglers {
-		d.Stragglers = append(d.Stragglers, TraceStraggler{
-			Writer: st.Record.Writer, Task: st.Record.AttrStr("task"),
-			Measure: st.Measure, DurUS: st.Dur.Microseconds(),
-			TypicalUS: st.Typical.Microseconds(), Factor: st.Factor,
-		})
-	}
-	for _, rec := range a.CriticalPath {
-		d.CriticalPath = append(d.CriticalPath, TraceSpan{
-			Writer: rec.Writer, Name: rec.Name,
-			Task: rec.AttrStr("task"), Measure: rec.AttrStr("measure"),
-			StartUS: rec.StartUS, DurUS: rec.DurUS,
-		})
-	}
-	return d
+	Job      string       `json:"job,omitempty"`
+	Journals int          `json:"journals"`
+	Analysis obs.Analysis `json:"analysis"`
 }
 
 // --- Collector ---
@@ -492,7 +389,7 @@ func (c *Coordinator) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 			writeError(w, fmt.Errorf("grid: trace digest: %w", err))
 			return
 		}
-		writeJSON(w, http.StatusOK, digestFromAnalysis(jobID, journals, a))
+		writeJSON(w, http.StatusOK, TraceDigest{Job: jobID, Journals: journals, Analysis: *a})
 		return
 	}
 	paths := c.traces.paths(jobID)

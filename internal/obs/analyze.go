@@ -11,34 +11,39 @@ import (
 // busy each worker was. All durations are on the writers' own
 // monotonic timebases; cross-writer clocks are never compared, only
 // per-writer windows and per-span durations.
+//
+// It is also a wire type: GET /v1/trace?format=digest serves it as JSON.
+// A time.Duration marshals as integer nanoseconds, hence the _ns names;
+// the embedded Records are journal lines and keep the journal's
+// microsecond fields (start_us, dur_us).
 type Analysis struct {
-	Records int // journalled spans and events
+	Records int `json:"records"` // journalled spans and events
 
-	Tasks    int           // "task" spans
-	TaskBusy time.Duration // summed task compute time across all writers
-	Wall     time.Duration // widest per-writer window (first start → last end)
+	Tasks    int           `json:"tasks"`        // "task" spans
+	TaskBusy time.Duration `json:"task_busy_ns"` // summed task compute time across all writers
+	Wall     time.Duration `json:"wall_ns"`      // widest per-writer window (first start → last end)
 
-	PointsSimulated int64 // summed from task spans
-	PointsCached    int64
-	CacheLookups    int64 // cache-lookup events
-	CacheHits       int64 // cache-lookup events with outcome=hit
+	PointsSimulated int64 `json:"points_simulated"` // summed from task spans
+	PointsCached    int64 `json:"points_cached"`
+	CacheLookups    int64 `json:"cache_lookups"` // cache-lookup events
+	CacheHits       int64 `json:"cache_hits"`    // cache-lookup events with outcome=hit
 
 	// Grid result uploads ("upload" spans): requests sent, the tasks they
 	// carried (the span's tasks count; 1 in a journal that predates it)
 	// and the time spent in them — UploadTime/UploadTasks is what
 	// uploading cost per task.
-	Uploads     int
-	UploadTasks int64
-	UploadTime  time.Duration
+	Uploads     int           `json:"uploads"`
+	UploadTasks int64         `json:"upload_tasks"`
+	UploadTime  time.Duration `json:"upload_ns"`
 
-	Measures   []MeasureStat // per-measure task timing, one row per measure
-	Workers    []WorkerStat  // per-writer utilization
-	Stragglers []Straggler   // outlier tasks, slowest first
+	Measures   []MeasureStat `json:"measures,omitempty"`   // per-measure task timing, one row per measure
+	Workers    []WorkerStat  `json:"workers,omitempty"`    // per-writer utilization
+	Stragglers []Straggler   `json:"stragglers,omitempty"` // outlier tasks, slowest first
 
 	// CriticalPath is the longest root→leaf chain of nested spans on
 	// any single writer — the sequence a faster component would have
 	// to shorten to shorten the run.
-	CriticalPath []Record
+	CriticalPath []Record `json:"critical_path,omitempty"`
 }
 
 // HistBuckets is the number of equal-width duration buckets in a
@@ -47,44 +52,48 @@ const HistBuckets = 8
 
 // MeasureStat aggregates the task spans of one measure.
 type MeasureStat struct {
-	Measure string
-	Tasks   int
+	Measure string `json:"measure"`
+	Tasks   int    `json:"tasks"`
 
-	Min, Mean, P50, P90, Max time.Duration
-	Total                    time.Duration
+	Min   time.Duration `json:"min_ns"`
+	Mean  time.Duration `json:"mean_ns"`
+	P50   time.Duration `json:"p50_ns"`
+	P90   time.Duration `json:"p90_ns"`
+	Max   time.Duration `json:"max_ns"`
+	Total time.Duration `json:"total_ns"`
 
 	// Hist counts tasks in HistBuckets equal-width duration buckets
 	// spanning [Min, Max].
-	Hist [HistBuckets]int
+	Hist [HistBuckets]int `json:"hist"`
 
-	Points    int64 // points attributed to this measure's tasks
-	CacheHits int64 // of which cache-served
-	Simulated int64 // of which simulated
+	Points    int64 `json:"points"`     // points attributed to this measure's tasks
+	CacheHits int64 `json:"cache_hits"` // of which cache-served
+	Simulated int64 `json:"simulated"`  // of which simulated
 }
 
 // WorkerStat is one writer's (shard's or worker's) utilization.
 type WorkerStat struct {
-	Writer string
-	Tasks  int
+	Writer string `json:"writer"`
+	Tasks  int    `json:"tasks"`
 
-	Busy   time.Duration // summed task compute time (elapsed_us where a task span has it, else its duration)
-	Window time.Duration // first task start → last task end on this writer
+	Busy   time.Duration `json:"busy_ns"`   // summed task compute time (elapsed_us where a task span has it, else its duration)
+	Window time.Duration `json:"window_ns"` // first task start → last task end on this writer
 
 	// Parallelism is Busy/Window: mean pool goroutines computing.
-	Parallelism float64
+	Parallelism float64 `json:"parallelism"`
 
-	Simulated int64
-	CacheHits int64
+	Simulated int64 `json:"simulated"`
+	CacheHits int64 `json:"cache_hits"`
 }
 
 // Straggler is a task span far outside its measure's typical
 // duration.
 type Straggler struct {
-	Record  Record
-	Measure string
-	Dur     time.Duration
-	Typical time.Duration // the measure's median
-	Factor  float64       // Dur / Typical
+	Record  Record        `json:"record"`
+	Measure string        `json:"measure"`
+	Dur     time.Duration `json:"dur_ns"`
+	Typical time.Duration `json:"typical_ns"` // the measure's median
+	Factor  float64       `json:"factor"`     // Dur / Typical
 }
 
 // Analyze digests a merged record timeline (from LoadDir or LoadFile).

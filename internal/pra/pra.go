@@ -39,23 +39,22 @@ func Quick() dsa.Config {
 	return dsa.Config{Peers: 30, Rounds: 150, PerfRuns: 3, EncounterRuns: 1, Opponents: 60, Seed: 1}
 }
 
-// runSeed derives independent run seeds from task coordinates, keeping
-// every simulation deterministic and independent of scheduling. It is
-// dsa.TaskSeed — the one seed-derivation scheme shared by every domain,
-// so the checkpoint/merge determinism contract has a single definition.
-func runSeed(master int64, a, b, run, kind int) int64 {
-	return dsa.TaskSeed(master, a, b, run, kind)
-}
+// protoID is the identity every swarming seed derives from.
+func protoID(p design.Protocol) (int, error) { return design.ID(p), nil }
 
-// homogeneousSpecs builds an all-Π population with stratified Piatek
-// capacities.
-func homogeneousSpecs(p design.Protocol, n int) []cyclesim.PeerSpec {
-	caps := bandwidth.Piatek().Stratified(n)
-	specs := make([]cyclesim.PeerSpec, n)
-	for i := range specs {
-		specs[i] = cyclesim.PeerSpec{Protocol: p, Capacity: caps[i]}
-	}
-	return specs
+// seedKindPerformance discriminates the homogeneous runs' seed stream
+// from the tournaments', whose kind is their fraction in thousandths
+// (500, 100, 900).
+const seedKindPerformance = 1
+
+// simulate runs one population once at the sweep's scale.
+func simulate(specs []cyclesim.PeerSpec, cfg dsa.Config, seed int64) (cyclesim.Result, error) {
+	return cyclesim.Run(specs, cyclesim.Options{
+		Rounds:      cfg.Rounds,
+		Seed:        seed,
+		Churn:       cfg.Churn,
+		Replacement: bandwidth.Piatek(),
+	})
 }
 
 // EncounterSpecs builds a mixed population: nA peers run a, the rest
@@ -117,37 +116,20 @@ func EncounterSpecs(a, b design.Protocol, n, nA int, dist *bandwidth.Distributio
 
 // PerformanceSweep measures raw homogeneous performance (population
 // mean throughput in KiB/s, averaged over PerfRuns runs) for every
-// protocol. Use stats.MinMaxNormalize for the paper's normalisation.
+// protocol; the domain's Assemble applies the paper's normalisation.
 func PerformanceSweep(ps []design.Protocol, cfg dsa.Config) ([]float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(ps))
-	errs := make([]error, len(ps))
-	dsa.ParallelFor(len(ps), cfg.Parallelism(), func(i int) {
-		specs := homogeneousSpecs(ps[i], cfg.Peers)
-		var sum float64
-		for r := 0; r < cfg.PerfRuns; r++ {
-			res, err := cyclesim.Run(specs, cyclesim.Options{
-				Rounds:      cfg.Rounds,
-				Seed:        runSeed(cfg.Seed, design.ID(ps[i]), 0, r, 1),
-				Churn:       cfg.Churn,
-				Replacement: bandwidth.Piatek(),
-			})
+	return dsa.MeanOverRuns(ps, protoID, seedKindPerformance, cfg, func(p design.Protocol) (dsa.Stat, error) {
+		// An all-p population is p's encounter with itself: stratified
+		// Piatek capacities in ascending order.
+		specs, _ := EncounterSpecs(p, p, cfg.Peers, cfg.Peers, bandwidth.Piatek())
+		return func(seed int64) (float64, error) {
+			res, err := simulate(specs, cfg, seed)
 			if err != nil {
-				errs[i] = err
-				return
+				return 0, err
 			}
-			sum += res.Mean()
-		}
-		out[i] = sum / float64(cfg.PerfRuns)
+			return res.Mean(), nil
+		}, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // encounter is the mixed population of one (a, b, frac) pairing. It is
@@ -177,12 +159,7 @@ func newEncounter(a, b design.Protocol, frac float64, cfg dsa.Config) encounter 
 // run simulates the population once and returns both camps' mean
 // utility.
 func (e encounter) run(cfg dsa.Config, seed int64) (meanA, meanB float64, err error) {
-	res, err := cyclesim.Run(e.specs, cyclesim.Options{
-		Rounds:      cfg.Rounds,
-		Seed:        seed,
-		Churn:       cfg.Churn,
-		Replacement: bandwidth.Piatek(),
-	})
+	res, err := simulate(e.specs, cfg, seed)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -221,44 +198,8 @@ func SampleOpponents(cfg dsa.Config) []design.Protocol {
 // protocol's win fraction in [0,1]. Encounters against an identical
 // protocol are skipped.
 func TournamentScores(ps, opponents []design.Protocol, frac float64, cfg dsa.Config) ([]float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	wins := make([]int, len(ps))
-	games := make([]int, len(ps))
-	errs := make([]error, len(ps))
-	kind := int(frac * 1000)
-	dsa.ParallelFor(len(ps), cfg.Parallelism(), func(i int) {
-		idA := design.ID(ps[i])
-		for _, opp := range opponents {
-			idB := design.ID(opp)
-			if idA == idB {
-				continue
-			}
-			enc := newEncounter(ps[i], opp, frac, cfg)
-			for r := 0; r < cfg.EncounterRuns; r++ {
-				meanA, meanB, err := enc.run(cfg, runSeed(cfg.Seed, idA, idB, r, kind))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				games[i]++
-				if meanA > meanB {
-					wins[i]++
-				}
-			}
-		}
+	return dsa.WinFractions(ps, opponents, protoID, int(frac*1000), cfg, func(a, b design.Protocol) (dsa.Game, error) {
+		enc := newEncounter(a, b, frac, cfg)
+		return func(seed int64) (float64, float64, error) { return enc.run(cfg, seed) }, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]float64, len(ps))
-	for i := range out {
-		if games[i] > 0 {
-			out[i] = float64(wins[i]) / float64(games[i])
-		}
-	}
-	return out, nil
 }

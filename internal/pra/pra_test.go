@@ -254,7 +254,7 @@ func TestRunSeedIndependence(t *testing.T) {
 	for a := 0; a < 10; a++ {
 		for b := 0; b < 10; b++ {
 			for r := 0; r < 3; r++ {
-				s := runSeed(1, a, b, r, 500)
+				s := dsa.TaskSeed(1, a, b, r, 500)
 				if seen[s] {
 					t.Fatalf("seed collision at (%d,%d,%d)", a, b, r)
 				}
@@ -262,10 +262,10 @@ func TestRunSeedIndependence(t *testing.T) {
 			}
 		}
 	}
-	if runSeed(1, 2, 3, 4, 500) != runSeed(1, 2, 3, 4, 500) {
-		t.Error("runSeed must be deterministic")
+	if dsa.TaskSeed(1, 2, 3, 4, 500) != dsa.TaskSeed(1, 2, 3, 4, 500) {
+		t.Error("TaskSeed must be deterministic")
 	}
-	if runSeed(1, 2, 3, 4, 500) == runSeed(2, 2, 3, 4, 500) {
+	if dsa.TaskSeed(1, 2, 3, 4, 500) == dsa.TaskSeed(2, 2, 3, 4, 500) {
 		t.Error("master seed must matter")
 	}
 }

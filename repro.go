@@ -14,12 +14,16 @@
 //     (Section 4.2).
 //   - internal/cyclesim  — the cycle-based simulation model
 //     (Section 4.3.1).
-//   - internal/pra       — the Performance/Robustness/Aggressiveness
-//     quantification (Sections 3.2, 4.3).
+//   - internal/pra       — the file-swarming domain: the Section 4.2
+//     space in core.Space form and its populations and encounters on
+//     cyclesim (Section 4.3).
 //   - internal/core      — the domain-agnostic DSA framework with
-//     exhaustive and heuristic explorers (Sections 3, 7).
-//   - internal/dsa       — the Domain interface: what a design space
-//     must provide for the generic engine layers to run it.
+//     exhaustive and heuristic explorers (Sections 3, 7); it imports no
+//     domain.
+//   - internal/dsa       — the Domain interface (what a design space
+//     must provide for the generic engine layers to run it) and the
+//     Performance/Robustness/Aggressiveness solution concept of
+//     Section 3.2, written once for every domain.
 //   - internal/job       — the sharded, checkpointed sweep engine; it
 //     executes any Domain.
 //   - internal/cache     — the content-addressed score cache: memoizes

@@ -108,7 +108,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/dsa"
-	"repro/internal/exp"
 	"repro/internal/grid"
 	"repro/internal/gridobs"
 	"repro/internal/job"
@@ -172,7 +171,7 @@ func runServe(sigCtx context.Context, args []string) {
 	d, points := spec.Domain, spec.Points
 
 	coordOpts := grid.CoordinatorOptions{
-		Dir: *ckptDir, LeaseTTL: *leaseTTL, Logf: log.Printf, CSV: exp.WriteDomainCSV,
+		Dir: *ckptDir, LeaseTTL: *leaseTTL, Logf: log.Printf,
 		AuthToken: *authToken, RateLimit: *rateLimit, RateBurst: *rateBurst,
 		Pprof: *pprofOn, AuditRate: *auditRate, Hedge: *hedge,
 	}
@@ -279,15 +278,15 @@ func reportProgress(ctx context.Context, coord *grid.Coordinator, id string) {
 	}
 }
 
-// writeCSV matches dsa-sweep's output exactly (exp.WriteDomainCSV is
-// the shared layout policy), so grid and single-process sweeps emit
+// writeCSV matches dsa-sweep's output exactly (dsa.WriteCSV is the one
+// writer of a domain's layout), so grid and single-process sweeps emit
 // interchangeable files.
 func writeCSV(path string, d dsa.Domain, scores *dsa.Scores) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := exp.WriteDomainCSV(f, d, scores); err != nil {
+	if err := dsa.WriteCSV(f, d, scores); err != nil {
 		f.Close()
 		return err
 	}

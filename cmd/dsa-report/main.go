@@ -196,7 +196,7 @@ func loadScores(d dsa.Domain, in, ckpt, coord, jobID string) (*dsa.Scores, error
 		return nil, err
 	}
 	defer f.Close()
-	return exp.ReadDomainCSV(f, d)
+	return dsa.ReadCSV(f, d)
 }
 
 // merge writes the scores loaded from src (a checkpoint or a
@@ -207,7 +207,7 @@ func merge(d dsa.Domain, s *dsa.Scores, src, out string) error {
 		return err
 	}
 	defer f.Close()
-	if err := exp.WriteDomainCSV(f, d, s); err != nil {
+	if err := dsa.WriteCSV(f, d, s); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {

@@ -85,7 +85,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dsa"
-	"repro/internal/exp"
 	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/pra"
@@ -273,7 +272,7 @@ func main() {
 // figure and table extractors of dsa-report parse it), every other
 // domain uses the generic layout.
 func writeCSV(f *os.File, d dsa.Domain, scores *dsa.Scores) error {
-	return exp.WriteDomainCSV(f, d, scores)
+	return dsa.WriteCSV(f, d, scores)
 }
 
 // progressLogger returns a job progress callback that logs at most one

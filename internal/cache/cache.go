@@ -42,7 +42,7 @@ type Stats = dsa.CacheStats
 // Default sizing for Options zero values.
 const (
 	DefaultMemEntries = 1 << 20 // ~48 MiB of resident scores
-	DefaultShards     = 16
+	defaultShards     = 16
 )
 
 // Options configures a Store.
@@ -54,11 +54,12 @@ type Options struct {
 	Dir string
 	// MemEntries bounds the in-memory LRU layer. 0 = DefaultMemEntries.
 	MemEntries int
-	// Shards is the LRU shard count. 0 = DefaultShards.
-	Shards int
-	// SegmentBytes is the on-disk segment rotation threshold. 0 =
-	// DefaultSegmentBytes.
-	SegmentBytes int64
+	// shards and segmentBytes override the LRU shard count and the
+	// on-disk segment rotation threshold (0 = defaultShards,
+	// defaultSegmentBytes): constants to every caller, reachable only by this
+	// package's tests.
+	shards       int
+	segmentBytes int64
 }
 
 // Store is a concurrency-safe score cache. It implements
@@ -90,15 +91,15 @@ func Open(opts Options) (*Store, error) {
 	if opts.MemEntries <= 0 {
 		opts.MemEntries = DefaultMemEntries
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
+	if opts.shards <= 0 {
+		opts.shards = defaultShards
 	}
 	s := &Store{
-		mem:    newLRUShards(opts.Shards, opts.MemEntries),
+		mem:    newLRUShards(opts.shards, opts.MemEntries),
 		flight: map[Key]*flightCall{},
 	}
 	if opts.Dir != "" {
-		disk, err := openDiskLog(opts.Dir, opts.SegmentBytes)
+		disk, err := openDiskLog(opts.Dir, opts.segmentBytes)
 		if err != nil {
 			return nil, err
 		}

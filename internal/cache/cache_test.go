@@ -52,7 +52,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	s, err := Open(Options{MemEntries: 8, Shards: 2})
+	s, err := Open(Options{MemEntries: 8, shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDiskPersistence(t *testing.T) {
 // TestLRUMissFallsThroughToDisk: an entry evicted from memory is still
 // served from the segment log (and promoted back).
 func TestLRUMissFallsThroughToDisk(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), MemEntries: 4, Shards: 1})
+	s, err := Open(Options{Dir: t.TempDir(), MemEntries: 4, shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestLRUMissFallsThroughToDisk(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: header + 2 records.
-	s, err := Open(Options{Dir: dir, SegmentBytes: int64(segHeaderSize + 2*recordSize)})
+	s, err := Open(Options{Dir: dir, segmentBytes: int64(segHeaderSize + 2*recordSize)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTornTailDropped(t *testing.T) {
 func TestShortWriteKeepsSegmentAligned(t *testing.T) {
 	dir := t.TempDir()
 	// A one-entry LRU: every Get below is answered by the segment.
-	s, err := Open(Options{Dir: dir, MemEntries: 1, Shards: 1})
+	s, err := Open(Options{Dir: dir, MemEntries: 1, shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestShortWriteKeepsSegmentAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Options{Dir: dir, MemEntries: 1, Shards: 1})
+	s2, err := Open(Options{Dir: dir, MemEntries: 1, shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 // TestConcurrentMixedUse races Put/Get/GetOrCompute over a persistent
 // store — the -race CI step turns any locking mistake into a failure.
 func TestConcurrentMixedUse(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), MemEntries: 64, Shards: 4})
+	s, err := Open(Options{Dir: t.TempDir(), MemEntries: 64, shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,9 +49,9 @@ const (
 	segHeaderSize = len(segMagic)
 	recordSize    = 32 + 8 + 4
 
-	// DefaultSegmentBytes is the rotation threshold for the active
+	// defaultSegmentBytes is the rotation threshold for the active
 	// segment: ~95k scores per segment.
-	DefaultSegmentBytes = 4 << 20
+	defaultSegmentBytes = 4 << 20
 )
 
 type recordLoc struct {
@@ -84,7 +84,7 @@ func openDiskLog(dir string, segBytes int64) (*diskLog, error) {
 		return nil, fmt.Errorf("cache: dir: %w", err)
 	}
 	if segBytes <= 0 {
-		segBytes = DefaultSegmentBytes
+		segBytes = defaultSegmentBytes
 	}
 	d := &diskLog{
 		dir:      dir,

@@ -8,8 +8,19 @@ import (
 	"strconv"
 )
 
+// CSVLayout is an optional Domain extension, like ScoreVersioned and
+// JointScorer: a domain whose CSV predates the generic layout below (the
+// swarming domain's columns are the figure extractors' input) writes and
+// reads its own rows. WriteCSV and ReadCSV dispatch to it, so every tool
+// — dsa-sweep, dsa-grid, dsa-report, the grid results route — renders a
+// domain one way; the scores a layout is handed have passed Scores.Check.
+type CSVLayout interface {
+	WriteCSV(w io.Writer, s *Scores) error
+	ReadCSV(r io.Reader) (*Scores, error)
+}
+
 // Generic CSV layout, shared by dsa-sweep and dsa-report for every
-// domain without a bespoke format:
+// domain without one of its own:
 //
 //	domain, id, point, <one column per dimension>, then per measure m
 //	in canonical order: raw_<m>, <m>
@@ -29,9 +40,9 @@ import (
 // commas, quotes and newlines in labels or dimension values are the
 // csv package's quoting problem, covered by the codec's property test.
 
-// formatScore renders one score cell: six decimals for finite values,
+// FormatScore renders one score cell: six decimals for finite values,
 // canonical tokens for the non-finite ones.
-func formatScore(v float64) string {
+func FormatScore(v float64) string {
 	switch {
 	case math.IsNaN(v):
 		return "NaN"
@@ -43,11 +54,14 @@ func formatScore(v float64) string {
 	return strconv.FormatFloat(v, 'f', 6, 64)
 }
 
-// WriteCSV serialises assembled scores in the generic domain CSV
-// format.
+// WriteCSV serialises assembled scores in the domain's CSV format: its
+// own CSVLayout if it has one, the generic layout otherwise.
 func WriteCSV(w io.Writer, d Domain, s *Scores) error {
 	if err := s.Check(d); err != nil {
 		return err
+	}
+	if l, ok := d.(CSVLayout); ok {
+		return l.WriteCSV(w, s)
 	}
 	space := d.Space()
 	header := []string{"domain", "id", "point"}
@@ -71,7 +85,7 @@ func WriteCSV(w io.Writer, d Domain, s *Scores) error {
 			row = append(row, space.Dimensions[dim].Values[v])
 		}
 		for _, m := range d.Measures() {
-			row = append(row, formatScore(s.Raw[m][i]), formatScore(s.Values[m][i]))
+			row = append(row, FormatScore(s.Raw[m][i]), FormatScore(s.Values[m][i]))
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -81,10 +95,16 @@ func WriteCSV(w io.Writer, d Domain, s *Scores) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a generic domain CSV back into Scores. Columns are
-// located by header name, so extra columns and reordering are fine;
-// points are restored through the domain's ID codec.
-func ReadCSV(r io.Reader, d Domain) (*Scores, error) {
+// CSVTable is a parsed CSV whose columns are located by header name, so
+// extra columns and reordering are fine.
+type CSVTable struct {
+	col  map[string]int
+	Rows [][]string // the data rows, header excluded
+}
+
+// ReadCSVTable parses r and checks that the header names every column
+// in need.
+func ReadCSVTable(r io.Reader, need ...string) (*CSVTable, error) {
 	rows, err := csv.NewReader(r).ReadAll()
 	if err != nil {
 		return nil, err
@@ -92,21 +112,49 @@ func ReadCSV(r io.Reader, d Domain) (*Scores, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("dsa: CSV has no header row")
 	}
-	col := map[string]int{}
+	t := &CSVTable{col: map[string]int{}, Rows: rows[1:]}
 	for i, h := range rows[0] {
-		col[h] = i
+		t.col[h] = i
 	}
-	for _, need := range []string{"domain", "id"} {
-		if _, ok := col[need]; !ok {
-			return nil, fmt.Errorf("dsa: CSV column %q missing", need)
+	for _, c := range need {
+		if _, ok := t.col[c]; !ok {
+			return nil, fmt.Errorf("dsa: CSV column %q missing", c)
 		}
 	}
+	return t, nil
+}
+
+// Cell is data row i's value in the named column.
+func (t *CSVTable) Cell(i int, column string) string { return t.Rows[i][t.col[column]] }
+
+// Score parses data row i's cell in the named column as a score.
+func (t *CSVTable) Score(i int, column string) (float64, error) {
+	v, err := strconv.ParseFloat(t.Cell(i, column), 64)
+	if err != nil {
+		return 0, t.Errorf(i, "bad %s: %w", column, err)
+	}
+	return v, nil
+}
+
+// Errorf is an error about data row i, named by its line in the file.
+func (t *CSVTable) Errorf(i int, format string, args ...any) error {
+	return fmt.Errorf("dsa: row %d: "+format, append([]any{i + 2}, args...)...)
+}
+
+// ReadCSV parses a domain CSV — the domain's own CSVLayout, or the
+// generic one — back into Scores. Points are restored through the
+// domain's ID codec.
+func ReadCSV(r io.Reader, d Domain) (*Scores, error) {
+	if l, ok := d.(CSVLayout); ok {
+		return l.ReadCSV(r)
+	}
+	need := []string{"domain", "id"}
 	for _, m := range d.Measures() {
-		for _, c := range []string{"raw_" + m, m} {
-			if _, ok := col[c]; !ok {
-				return nil, fmt.Errorf("dsa: CSV column %q missing", c)
-			}
-		}
+		need = append(need, "raw_"+m, m)
+	}
+	t, err := ReadCSVTable(r, need...)
+	if err != nil {
+		return nil, err
 	}
 	s := &Scores{
 		Domain: d.Name(),
@@ -120,30 +168,29 @@ func ReadCSV(r io.Reader, d Domain) (*Scores, error) {
 		s.Raw[m] = []float64{}
 		s.Values[m] = []float64{}
 	}
-	for rowIdx, row := range rows[1:] {
-		if got := row[col["domain"]]; got != d.Name() {
-			return nil, fmt.Errorf("dsa: row %d is for domain %q, not %q", rowIdx+2, got, d.Name())
+	for i := range t.Rows {
+		if got := t.Cell(i, "domain"); got != d.Name() {
+			return nil, t.Errorf(i, "is for domain %q, not %q", got, d.Name())
 		}
-		id, err := strconv.Atoi(row[col["id"]])
+		id, err := strconv.Atoi(t.Cell(i, "id"))
 		if err != nil {
-			return nil, fmt.Errorf("dsa: row %d: bad id: %w", rowIdx+2, err)
+			return nil, t.Errorf(i, "bad id: %w", err)
 		}
 		p, err := d.PointByID(id)
 		if err != nil {
-			return nil, fmt.Errorf("dsa: row %d: %w", rowIdx+2, err)
+			return nil, t.Errorf(i, "%w", err)
 		}
 		s.Points = append(s.Points, p)
 		for _, m := range d.Measures() {
-			for _, c := range []struct {
-				name string
-				dst  map[string][]float64
-			}{{"raw_" + m, s.Raw}, {m, s.Values}} {
-				v, err := strconv.ParseFloat(row[col[c.name]], 64)
-				if err != nil {
-					return nil, fmt.Errorf("dsa: row %d: bad %s: %w", rowIdx+2, c.name, err)
-				}
-				c.dst[m] = append(c.dst[m], v)
+			raw, err := t.Score(i, "raw_"+m)
+			if err != nil {
+				return nil, err
 			}
+			val, err := t.Score(i, m)
+			if err != nil {
+				return nil, err
+			}
+			s.Raw[m], s.Values[m] = append(s.Raw[m], raw), append(s.Values[m], val)
 		}
 	}
 	return s, nil

@@ -14,10 +14,14 @@ import (
 func TestCSVRoundTrip(t *testing.T) {
 	r := sweepForTest(t)
 	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
+	if err := dsa.WriteCSV(&sb, pra.Domain(), r.Scores); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(strings.NewReader(sb.String()))
+	scores, err := dsa.ReadCSV(strings.NewReader(sb.String()), pra.Domain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := NewSweepResult(scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +70,10 @@ func TestCSVEmptyPanelRoundTrip(t *testing.T) {
 	if err := WriteDomainCSV(&buf, pra.Domain(), empty); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := buf.String(), strings.Join(csvHeader, ",")+"\n"; got != want {
+	if got, want := buf.String(), "id,protocol,stranger,h,candidates,ranking,k,allocation,raw_kbps,performance,robustness,aggressiveness\n"; got != want {
 		t.Fatalf("empty panel wrote %q, want the header only", got)
 	}
-	back, err := ReadDomainCSV(&buf, pra.Domain())
+	back, err := dsa.ReadCSV(&buf, pra.Domain())
 	if err != nil {
 		t.Fatalf("header-only CSV refused: %v", err)
 	}
@@ -131,7 +135,7 @@ func TestReadCSVErrors(t *testing.T) {
 		"protocol,raw_kbps,performance,robustness,aggressiveness\nB1h1-C1-I1k4-R1,x,1,1,1\n",
 	}
 	for i, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
+		if _, err := dsa.ReadCSV(strings.NewReader(in), pra.Domain()); err == nil {
 			t.Errorf("case %d should error", i)
 		}
 	}
@@ -140,12 +144,12 @@ func TestReadCSVErrors(t *testing.T) {
 func TestReadCSVTolerantToExtraColumns(t *testing.T) {
 	in := "extra,protocol,raw_kbps,performance,robustness,aggressiveness\n" +
 		"zz,B1h1-C1-I1k4-R1,100,0.5,0.25,0.125\n"
-	res, err := ReadCSV(strings.NewReader(in))
+	res, err := dsa.ReadCSV(strings.NewReader(in), pra.Domain())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Protocols) != 1 || res.Scores.Measure(pra.MeasureRobustness)[0] != 0.25 ||
-		res.Scores.Raw[pra.MeasurePerformance][0] != 100 {
-		t.Fatalf("parsed %+v", res.Scores)
+	if len(res.Points) != 1 || res.Measure(pra.MeasureRobustness)[0] != 0.25 ||
+		res.Raw[pra.MeasurePerformance][0] != 100 {
+		t.Fatalf("parsed %+v", res)
 	}
 }

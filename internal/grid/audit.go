@@ -122,12 +122,11 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 	dup := ResultAck{Accepted: true, Duplicate: true}
 	verify := walRecord{T: walVerify, Job: j.id, Task: st.id, Worker: up.Worker, ElapsedMS: up.ElapsedMS}
 
-	// Uploads that carry no audit information: the producer re-sending
-	// its own value, or anything after verification settled. (A producer
-	// re-sending while its audit is open is weighed below as agreeing
-	// evidence: a lost-response retry self-verifies. Known; the fault
-	// harness of ROADMAP 1(c) is to find it.)
-	if up.Worker == "" || st.verified || (up.Worker == st.producer && ast == nil) {
+	// Uploads that carry no audit information: anything after verification
+	// settled, and the producer re-sending its own value — a retry after a
+	// lost response, or a liar repeating itself — unless it holds this
+	// audit's lease, which only the sole-worker relaxation hands it.
+	if up.Worker == "" || st.verified || (up.Worker == st.producer && (ast == nil || ast.auditor != up.Worker)) {
 		c.metrics.duplicates.Inc()
 		c.touchWorker(up.Worker, now)
 		return dup
@@ -136,7 +135,8 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 	if equalValues(vals, st.values) {
 		// Agreement with the record verifies it — whether this upload
 		// was the assigned auditor, a hedge loser, or a stray retry.
-		c.settleVerifiedLocked(j, st, now, verify)
+		c.commit(j, now, []walRecord{verify}, "", "")
+		c.feedCacheLocked(j, st.task, st.values)
 		return dup
 	}
 
@@ -157,7 +157,7 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 		ast.giveUpAt = now.Add(4 * c.opts.leaseTTL())
 		c.logf("grid: job %s: task %s AUDIT MISMATCH: %q disagrees with recorded value from %q, arbitrating",
 			j.id, st.id, up.Worker, ast.original)
-		c.broadcastLocked(j)
+		c.wakeLocked(j)
 		return dup
 	}
 
@@ -185,8 +185,9 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 				c.logf("grid: job %s: task %s corrected value failed to journal: %v", j.id, st.id, err)
 			}
 		}
-		c.settleVerifiedLocked(j, st, now,
-			walRecord{T: walIngest, Job: j.id, Task: st.id, Worker: ast.second, ElapsedMS: ast.secondMS}, verify)
+		c.commit(j, now, []walRecord{
+			{T: walIngest, Job: j.id, Task: st.id, Worker: ast.second, ElapsedMS: ast.secondMS}, verify}, "", "")
+		c.feedCacheLocked(j, st.task, st.values)
 		c.quarantineLocked(liar, "audit of task "+st.id+" overruled its value")
 		return ResultAck{Accepted: true}
 	}
@@ -196,23 +197,8 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 	c.logf("grid: job %s: task %s has THREE distinct claimed values (%q, %q, %q) — determinism violation, re-queueing",
 		j.id, st.id, ast.original, ast.second, up.Worker)
 	c.invalidateTaskLocked(j, st)
-	c.broadcastLocked(j)
+	c.wakeLocked(j)
 	return dup
-}
-
-// settleVerifiedLocked journals a verdict that confirms st's record —
-// recs end in its verify — fsynced (a verdict must not be re-litigated
-// after a power loss), then makes the deferred cache feed and re-checks
-// completion.
-func (c *Coordinator) settleVerifiedLocked(j *gridJob, st *taskState, now time.Time, recs ...walRecord) {
-	for _, r := range recs {
-		c.apply(j, r, now)
-	}
-	c.walAppendLocked(true, recs...)
-	c.metrics.auditsPassed.Inc()
-	c.feedCacheLocked(j, st.task, st.values)
-	c.finishIfCompleteLocked(j)
-	c.broadcastLocked(j)
 }
 
 // tombstoneLocked durably un-records st's value (one synced append —
@@ -237,7 +223,7 @@ func (c *Coordinator) invalidateTaskLocked(j *gridJob, st *taskState) {
 
 // quarantineLocked bans a worker and expunges its unaudited work: the
 // verdict, and the revocation of every lease the worker holds — the
-// expiries they are — leave as one fsynced append, then every
+// expiries they are — leave as one commit, then every
 // done-but-unverified task it produced is tombstoned in its manifest
 // (a crash in between is finished by the restart: reconcileLocked).
 // Jobs are walked in ID order and tasks in grant order, so the same
@@ -258,14 +244,7 @@ func (c *Coordinator) quarantineLocked(name, reason string) {
 			}
 		}
 	}
-	c.apply(nil, recs[0], now)
-	for _, r := range recs[1:] {
-		c.apply(c.jobs[r.Job], r, now)
-	}
-	c.walAppendLocked(true, recs...)
-	c.metrics.quarantines.Inc()
-	c.metrics.requeues.Add(float64(len(recs) - 1))
-	c.logf("grid: worker %s QUARANTINED: %s (%d leases revoked)", name, reason, len(recs)-1)
+	c.commit(nil, now, recs, "", "grid: worker %s QUARANTINED: %s (%d leases revoked)", name, reason, len(recs)-1)
 	for i, j := range jobs {
 		for _, st := range voided[i] {
 			c.tombstoneLocked(j, st)
@@ -274,9 +253,7 @@ func (c *Coordinator) quarantineLocked(name, reason string) {
 			c.metrics.invalidated.Add(float64(n))
 			c.logf("grid: job %s: %d unaudited tasks from %s invalidated and re-queued", j.id, n, name)
 		}
-		c.broadcastLocked(j)
 	}
-	c.checkDrainedLocked()
 }
 
 // Quarantine bans a worker by operator decision: same mechanics as an

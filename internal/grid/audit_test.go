@@ -379,3 +379,66 @@ func TestHedgePromotion(t *testing.T) {
 		t.Fatalf("job incomplete after promoted hedges finished: %+v", snap)
 	}
 }
+
+// auditedPair is a coordinator with full auditing and one two-task job.
+func auditedPair(t *testing.T) (coord *Coordinator, id string) {
+	t.Helper()
+	coord = NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, AuditRate: 1})
+	id, err := coord.AddJob(auditSpec(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coord, id
+}
+
+// TestProducerResendDoesNotVerify: a worker whose ack was lost re-sends
+// its result while the audit of it is open. The re-send is a plain
+// duplicate — one worker's word twice is still one worker's word — and
+// the audit waits for a second worker.
+func TestProducerResendDoesNotVerify(t *testing.T) {
+	coord, id := auditedPair(t)
+	lease := mustLease(t, coord, id, "w1", 2)
+	for _, lt := range lease.Tasks {
+		mustIngest(t, coord, id, "w1", lt, honestVals(lt))
+		if ack := mustIngest(t, coord, id, "w1", lt, honestVals(lt)); !ack.Duplicate {
+			t.Fatalf("the producer's re-send of %s = %+v, want a duplicate", lt.Task, ack)
+		}
+	}
+	if snap := mustProgress(t, coord, id); snap.Audits != 2 || snap.Complete {
+		t.Fatalf("after the producer re-sent both results: %+v, want both audits still open", snap)
+	}
+	for _, lt := range mustLease(t, coord, id, "w2", 2).Tasks {
+		mustIngest(t, coord, id, "w2", lt, honestVals(lt))
+	}
+	if snap := mustProgress(t, coord, id); !snap.Complete {
+		t.Fatalf("after a second worker agreed: %+v, want complete", snap)
+	}
+}
+
+// TestLiarCannotVerifyBySendingTwice: the same re-send from a liar must
+// not settle the audit of its lie; two honest workers then overrule it.
+func TestLiarCannotVerifyBySendingTwice(t *testing.T) {
+	coord, id := auditedPair(t)
+	lease := mustLease(t, coord, id, "liar", 2)
+	for _, lt := range lease.Tasks {
+		mustIngest(t, coord, id, "liar", lt, lyingVals(lt))
+		mustIngest(t, coord, id, "liar", lt, lyingVals(lt))
+	}
+	coord.mu.Lock()
+	for _, st := range coord.jobs[id].tasks {
+		if st.verified || st.audit == nil {
+			t.Errorf("task %s: verified=%v audit open=%v after the liar sent its value twice", st.id, st.verified, st.audit != nil)
+		}
+	}
+	coord.mu.Unlock()
+	for _, w := range []string{"good1", "good2"} {
+		for _, lt := range mustLease(t, coord, id, w, 2).Tasks {
+			if _, err := coord.Ingest(context.Background(), id, ResultUpload{Worker: w, Task: lt.Task, Values: honestVals(lt)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if q := coord.Quarantined(); len(q) != 1 || q[0] != "liar" {
+		t.Fatalf("quarantined = %v, want exactly [liar]", q)
+	}
+}

@@ -178,10 +178,7 @@ func (sc scenario) run(t testing.TB) outcome {
 		}
 		complete = lease.Complete
 		for _, lt := range lease.Tasks {
-			// Granted again after its first lease ran out: one result to
-			// send. (No worker names a task twice in a body — a body is cut
-			// from one lease — and the second naming would be acked as the
-			// duplicate of a write in flight, not weighed as audit evidence.)
+			// Granted again after its first lease ran out: one result to send.
 			if !slices.ContainsFunc(held[w], func(h LeaseTask) bool { return h.Task == lt.Task }) {
 				held[w] = append(held[w], lt)
 			}
@@ -200,10 +197,11 @@ func (sc scenario) run(t testing.TB) outcome {
 		}
 		stream := results(held[w], vals)
 		delete(held, w)
-		// Now and then re-send a settled task: a plain duplicate.
+		// Now and then send a task nobody asked this worker for: a settled
+		// one, its own under audit, another worker's, one still in the queue.
 		coord.mu.Lock()
 		j := coord.jobs[id]
-		if st := j.tasks[rng.IntN(len(j.tasks))]; st.verified && w != "liar" &&
+		if st := j.tasks[rng.IntN(len(j.tasks))]; w != "liar" &&
 			!slices.ContainsFunc(stream, func(r TaskResult) bool { return r.Task == st.id }) {
 			stream = append(stream, results([]LeaseTask{{Task: st.id, Lo: st.task.Lo, Hi: st.task.Hi}}, honest)...)
 		}
@@ -646,9 +644,8 @@ func TestBatchRetryAckedDuplicate(t *testing.T) {
 	var fw fileWrites
 	restore := fw.install()
 	var ack ResultsAck
-	var info callInfo
-	err = postJSONInfo(ctx, &http.Client{Transport: transport}, apiURL(srv.URL, "jobs", id, "results"),
-		ResultsUpload{Worker: "w1", Results: results(lease.Tasks, honestVals)}, &ack, &info)
+	info, err := call(ctx, &http.Client{Transport: transport}, http.MethodPost, routeURL(srv.URL, pathResults, id),
+		ResultsUpload{Worker: "w1", Results: results(lease.Tasks, honestVals)}, &ack)
 	restore()
 	if err != nil {
 		t.Fatal(err)

@@ -284,7 +284,7 @@ func TestFairScheduling(t *testing.T) {
 	ctx := context.Background()
 	counts := map[string]int{}
 	for i := 0; i < 12; i++ {
-		resp, err := coord.LeaseAny(ctx, "w", 1)
+		resp, err := coord.Lease(ctx, "", "w", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func TestDrainSettlesAndSignals(t *testing.T) {
 	if !again.Draining || len(again.Tasks) != 0 {
 		t.Fatalf("lease during drain = %+v, want Draining and no tasks", again)
 	}
-	anyLease, err := coord.LeaseAny(ctx, "w2", 2)
+	anyLease, err := coord.Lease(ctx, "", "w2", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

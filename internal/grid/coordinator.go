@@ -2,28 +2,17 @@ package grid
 
 import (
 	"context"
-	"crypto/sha256"
-	"crypto/subtle"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"math"
-	"net"
-	"net/http"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/dsa"
 	"repro/internal/gridobs"
 	"repro/internal/job"
-	"repro/internal/profiling"
 )
 
 // Defaults for CoordinatorOptions zero values.
@@ -57,12 +46,6 @@ type CoordinatorOptions struct {
 	MaxLease int
 	// Logf, if non-nil, receives coordinator event logs.
 	Logf func(format string, args ...any)
-	// CSV renders assembled scores for the results endpoint's
-	// ?format=csv. nil = the generic dsa.WriteCSV layout; callers that
-	// want domain-bespoke layouts (exp.WriteDomainCSV keeps swarming
-	// CSVs interchangeable with dsa-sweep output) inject them here —
-	// the grid itself stays domain-agnostic.
-	CSV func(w io.Writer, d dsa.Domain, s *dsa.Scores) error
 	// Cache, if non-nil, is the coordinator's cross-job score cache.
 	// Every ingested or checkpoint-restored result feeds it, and every
 	// job draws from it: a task whose per-point scores are all already
@@ -314,24 +297,77 @@ func (c *Coordinator) walAppendLocked(sync bool, recs ...walRecord) {
 	c.metrics.walRecords.Add(float64(len(recs)))
 }
 
+// commit is the one place a decision becomes state. The live paths look
+// at the task table, decide and build their records; commit passes each
+// through its transition (apply), journals them as one write — fsynced if
+// a verdict is among them (verify, quarantine: not to be re-litigated
+// after a power loss; the rest only has to survive a kill -9, which a
+// plain write does) — bumps the counters that restate a record type, logs
+// the event (event "" logs nothing; rid, if any, ties the line to its
+// request), and then wakes and drain-checks what the records may have
+// completed. j is the job every record is for; with j nil each
+// record names its own (a quarantine's revocations span jobs, and the
+// quarantine itself acts on all of them).
+func (c *Coordinator) commit(j *gridJob, now time.Time, recs []walRecord, rid, event string, args ...any) {
+	verdict := false
+	for _, r := range recs {
+		target := j
+		if target == nil {
+			target = c.jobs[r.Job]
+		}
+		c.apply(target, r, now)
+		switch r.T {
+		case walLease:
+			c.metrics.leasesGranted.Inc()
+		case walHedge:
+			c.metrics.leaseHedged.Inc()
+		case walExpire:
+			c.metrics.requeues.Inc()
+		case walVerify:
+			c.metrics.auditsPassed.Inc()
+			verdict = true
+		case walQuarantine:
+			c.metrics.quarantines.Inc()
+			verdict = true
+		}
+	}
+	c.walAppendLocked(verdict, recs...)
+	if event != "" {
+		c.logfRid(rid, event, args...)
+	}
+	switch {
+	case j == nil:
+		for _, each := range c.jobsLocked() {
+			c.wakeLocked(each)
+		}
+	case c.jobs[j.id] == j:
+		c.wakeLocked(j)
+	default:
+		// Still registering: its values are not restored yet and nobody
+		// waits on it; registerLocked wakes it.
+		return
+	}
+	c.checkDrainedLocked()
+}
+
 // Metrics exposes the coordinator's registry — what GET /metrics
 // serves — for embedding callers that scrape in-process.
 func (c *Coordinator) Metrics() *gridobs.Registry { return c.metrics.reg }
 
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.opts.Logf != nil {
-		c.opts.Logf(format, args...)
-	}
-}
+func (c *Coordinator) logf(format string, args ...any) { c.logfRid("", format, args...) }
 
 // logfCtx is logf with the request ID (if the context carries one)
 // appended, so every coordinator event triggered by an HTTP request
 // can be correlated with its access-log line.
 func (c *Coordinator) logfCtx(ctx context.Context, format string, args ...any) {
+	c.logfRid(gridobs.RequestID(ctx), format, args...)
+}
+
+func (c *Coordinator) logfRid(rid, format string, args ...any) {
 	if c.opts.Logf == nil {
 		return
 	}
-	if rid := gridobs.RequestID(ctx); rid != "" {
+	if rid != "" {
 		format += " rid=" + rid
 	}
 	c.opts.Logf(format, args...)
@@ -397,10 +433,8 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	now := c.now()
 	if j, ok := c.jobs[id]; ok {
 		if j.weight != priority {
-			rec := walRecord{T: walPriority, Job: id, Weight: priority}
-			c.apply(j, rec, now)
-			c.walAppendLocked(false, rec)
-			c.logf("grid: job %s priority set to %d", id, priority)
+			c.commit(j, now, []walRecord{{T: walPriority, Job: id, Weight: priority}}, "",
+				"grid: job %s priority set to %d", id, priority)
 		}
 		return nil, nil
 	}
@@ -457,7 +491,7 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	// they must still trigger a scan of *this* job against what other
 	// jobs cached before it arrived.
 	j.absorbedEpoch = 0
-	c.finishIfCompleteLocked(j)
+	c.wakeLocked(j)
 	c.jobs[id] = j
 	c.logf("grid: job %s registered: %d tasks (%d restored from checkpoint, %d wal records replayed), priority %d",
 		id, len(j.tasks), j.restored, replayed, j.weight)
@@ -475,11 +509,9 @@ func (c *Coordinator) reconcileLocked(j *gridJob, now time.Time) {
 	if j.cp != nil {
 		restored = j.cp.Completed()
 	}
-	revoked := j.revocations(func(w string) bool { return c.quarantined[w] })
-	for _, r := range revoked {
-		c.apply(j, r, now)
+	if revoked := j.revocations(func(w string) bool { return c.quarantined[w] }); len(revoked) > 0 {
+		c.commit(j, now, revoked, "", "")
 	}
-	c.walAppendLocked(false, revoked...)
 	for _, st := range j.tasks {
 		st.values = restored[st.id]
 		switch {
@@ -622,8 +654,7 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 		j.cacheServed += len(hits)
 		c.metrics.cacheServed.Add(float64(len(hits)))
 		c.logf("grid: job %s: %d tasks served from the score cache", j.id, len(hits))
-		c.finishIfCompleteLocked(j)
-		c.broadcastLocked(j)
+		c.wakeLocked(j)
 	}
 	c.checkDrainedLocked()
 }
@@ -691,32 +722,31 @@ func (c *Coordinator) getJob(id string) (*gridJob, error) {
 // instead of re-queueing (the expiry still counts), and an arbitration
 // that ran out of road (no third worker ever arrived) re-queues its
 // task. Tasks are walked in grant order and the records leave as one
-// write. Expiry is lazy: it runs at the top of every API call that
+// commit. Expiry is lazy: it runs at the top of every API call that
 // looks at task state, which is the only time staleness could matter
 // (plus the drain loop's ticks).
 func (c *Coordinator) expireLocked(j *gridJob) {
 	now := c.now()
 	var recs []walRecord
-	promoted := 0
-	journal := func(t string, st *taskState, worker string) {
-		r := walRecord{T: t, Job: j.id, Task: st.id, Worker: worker}
-		c.apply(j, r, now)
-		recs = append(recs, r)
+	var splits []*taskState
+	expired := 0
+	expire := func(st *taskState, worker string) {
+		recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: st.id, Worker: worker})
+		expired++
 	}
 	for _, st := range j.tasks {
 		if st.status == taskLeased {
 			// A dead hedge clears: the primary still owns the task.
-			if st.hedgeWorker != "" && st.hedgeDeadline.Before(now) {
-				journal(walExpire, st, st.hedgeWorker)
+			hedgeDead := st.hedgeWorker != "" && st.hedgeDeadline.Before(now)
+			if hedgeDead {
+				expire(st, st.hedgeWorker)
 			}
 			if st.deadline.Before(now) {
-				hedge := st.hedgeWorker
-				journal(walExpire, st, st.worker)
-				if hedge != "" {
+				expire(st, st.worker)
+				if st.hedgeWorker != "" && !hedgeDead {
 					// Promote the live hedge: the task never reaches the
 					// queue, the racer simply becomes the owner.
-					journal(walLease, st, hedge)
-					promoted++
+					recs = append(recs, walRecord{T: walLease, Job: j.id, Task: st.id, Worker: st.hedgeWorker})
 				}
 			}
 		}
@@ -724,60 +754,62 @@ func (c *Coordinator) expireLocked(j *gridJob) {
 		if ast == nil {
 			continue
 		}
-		if ast.auditor != "" && ast.deadline.Before(now) {
-			journal(walExpire, st, ast.auditor)
+		lapsed := ast.auditor != "" && ast.deadline.Before(now)
+		if lapsed {
+			expire(st, ast.auditor)
 		}
-		if ast.auditor == "" && ast.second != "" && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
-			// Unresolvable split (e.g. both claimants quarantine-proof
-			// in a 2-worker grid): discard both claims and re-run.
-			c.logf("grid: job %s: task %s audit split unresolved (%q vs %q), re-queueing",
-				j.id, st.id, ast.original, ast.second)
-			c.invalidateTaskLocked(j, st)
+		if (ast.auditor == "" || lapsed) && ast.second != "" && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
+			splits = append(splits, st)
 		}
 	}
-	if len(recs) == 0 {
-		return
+	for _, st := range splits {
+		// Unresolvable split (e.g. both claimants quarantine-proof in a
+		// 2-worker grid): discard both claims and re-run.
+		c.logf("grid: job %s: task %s audit split unresolved (%q vs %q), re-queueing",
+			j.id, st.id, st.audit.original, st.audit.second)
+		c.invalidateTaskLocked(j, st)
 	}
-	c.walAppendLocked(false, recs...)
-	expired := len(recs) - promoted
-	c.metrics.requeues.Add(float64(expired))
-	c.logf("grid: job %s: %d leases expired, tasks re-queued", j.id, expired)
-	c.broadcastLocked(j)
-	c.checkDrainedLocked()
+	if len(recs) > 0 {
+		c.commit(j, now, recs, "", "grid: job %s: %d leases expired, tasks re-queued", j.id, expired)
+	}
 }
 
-func (c *Coordinator) broadcastLocked(j *gridJob) {
+// expireAllLocked runs the lazy expiry over every job.
+func (c *Coordinator) expireAllLocked() {
+	for _, j := range c.jobsLocked() {
+		c.expireLocked(j)
+	}
+}
+
+// wakeLocked tells whoever waits on j that its state changed. If the
+// change was its last task done or its last audit settled, the scores are
+// assembled first — once per completion; an invalidation (quarantine)
+// clears the result and reopens it.
+func (c *Coordinator) wakeLocked(j *gridJob) {
+	if j.completeLocked() && j.scores == nil && j.scoresErr == nil {
+		results := make(map[string][]float64, len(j.tasks))
+		for _, st := range j.tasks {
+			results[st.id] = st.values
+		}
+		j.scores, j.scoresErr = j.spec.AssembleScores(results)
+		if j.scoresErr != nil {
+			c.logf("grid: job %s: assembly failed: %v", j.id, j.scoresErr)
+		} else {
+			c.logf("grid: job %s complete: %d tasks, %d requeues", j.id, len(j.tasks), j.requeues)
+		}
+	}
 	close(j.changed)
 	j.changed = make(chan struct{})
-}
-
-// finishIfCompleteLocked assembles the scores once the last task is
-// done and the last audit settled. Assembly runs once per completion;
-// an invalidation (quarantine) clears the cached result and reopens it.
-func (c *Coordinator) finishIfCompleteLocked(j *gridJob) {
-	if !j.completeLocked() || j.scores != nil || j.scoresErr != nil {
-		return
-	}
-	results := make(map[string][]float64, len(j.tasks))
-	for _, st := range j.tasks {
-		results[st.id] = st.values
-	}
-	j.scores, j.scoresErr = j.spec.AssembleScores(results)
-	if j.scoresErr != nil {
-		c.logf("grid: job %s: assembly failed: %v", j.id, j.scoresErr)
-	} else {
-		c.logf("grid: job %s complete: %d tasks, %d requeues", j.id, len(j.tasks), j.requeues)
-	}
-	c.broadcastLocked(j)
 }
 
 // grantLocked hands out up to max tasks of j to worker, shaping max by
 // the worker's score first. Grant order: audit re-leases (a few
 // re-checks catch a liar before it poisons more), then pending tasks,
 // then — with hedging on and capacity to spare — speculative
-// duplicates of straggling leases. One WAL write per grant, in grant
-// order.
-func (c *Coordinator) grantLocked(j *gridJob, worker string, max int) []LeaseTask {
+// duplicates of straggling leases. One commit per grant, in grant order.
+// fair says the scheduler picked j (the event line then shows its share);
+// rid ties that line to the lease request.
+func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool, rid string) []LeaseTask {
 	if max <= 0 || max > c.opts.maxLease() {
 		max = c.opts.maxLease()
 	}
@@ -785,121 +817,103 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int) []LeaseTas
 	now, ttl := c.now(), c.opts.leaseTTL()
 	var recs []walRecord
 	var tasks []LeaseTask
-	journal := func(t string, st *taskState) {
-		r := walRecord{T: t, Job: j.id, Task: st.id, Worker: worker}
-		c.apply(j, r, now)
-		recs = append(recs, r)
+	grant := func(t string, st *taskState) {
+		recs = append(recs, walRecord{T: t, Job: j.id, Task: st.id, Worker: worker})
 		tasks = append(tasks, LeaseTask{Task: st.id, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi, TTLMS: ttl.Milliseconds()})
 	}
+	var audits []*taskState
 	if worker != "" && j.audits > 0 {
 		for _, st := range j.tasks {
 			if len(recs) == max {
 				break
 			}
 			if auditGrantable(st, worker, now) {
-				journal(walLease, st)
-				st.audit.auditor, st.audit.deadline = worker, now.Add(ttl)
+				grant(walLease, st)
+				audits = append(audits, st)
 			}
 		}
 	}
 	for ; j.next < len(j.tasks) && len(recs) < max; j.next++ {
 		j.scanned++
 		if st := j.tasks[j.next]; st.status == taskPending {
-			journal(walLease, st)
+			grant(walLease, st)
 		}
 	}
-	granted := len(recs) // audit + pending grants: what the deficit counts
-	for _, st := range c.stragglersLocked(j, worker, max-granted, now) {
-		journal(walHedge, st)
+	leases := len(recs) // audit + pending grants: what the fair share counts
+	for _, st := range c.stragglersLocked(j, worker, max-leases, now) {
+		grant(walHedge, st)
 	}
 	if len(recs) == 0 {
-		// An empty grant is still a sign of life.
-		c.touchWorker(worker, now)
 		return nil
 	}
-	c.walAppendLocked(false, recs...)
+	event, args := "grid: job %s: leased %d tasks to %s", []any{j.id, len(tasks), worker}
+	if fair {
+		event, args = event+" (fair share %d/%d)", append(args, j.leasesGranted+leases, j.weight)
+	}
+	c.commit(j, now, recs, rid, event, args...)
+	// Who holds a re-check is the grant's to note, not the journal's.
+	for _, st := range audits {
+		st.audit.auditor, st.audit.deadline = worker, now.Add(ttl)
+	}
 	if j.startedAt.IsZero() {
 		j.startedAt = now
 	}
-	c.metrics.leasesGranted.Add(float64(granted))
-	c.metrics.leaseHedged.Add(float64(len(recs) - granted))
-	c.broadcastLocked(j)
 	return tasks
 }
 
-// lockAndLease is Lease and LeaseAny behind their one prologue: count the
-// call, serve what the cache already knows before handing out leases
-// (overlapping jobs ingested since the last scan may have made whole
-// pending tasks free, and an absorbed job may complete without ever
-// dispatching work), refuse the quarantined, grant nothing while
-// draining. id "" leaves the job to the fair scheduler (nil: nothing is
-// eligible). It returns with c.mu held, whatever it returns.
-func (c *Coordinator) lockAndLease(id, worker string, max int) (j *gridJob, tasks []LeaseTask, err error) {
+// Lease grants worker up to max tasks of one job: job id, or with id ""
+// whichever the fair scheduler picks — the eligible job with the lowest
+// granted-per-weight share (pickJobLocked). What the cache already knows
+// is served before anything is handed out (overlapping jobs ingested
+// since the last scan may have made whole pending tasks free, and an
+// absorbed job may complete without ever dispatching work); the
+// quarantined are refused; while the coordinator drains no tasks are
+// granted and the response says so.
+func (c *Coordinator) Lease(ctx context.Context, id, worker string, max int) (LeaseResponse, error) {
 	c.metrics.leaseRequests.Inc()
 	c.mu.Lock()
-	jobs := c.jobsLocked()
+	scope := c.jobsLocked()
 	if id != "" {
-		if j, err = c.getJob(id); err != nil {
-			return nil, nil, err
+		j, err := c.getJob(id)
+		if err != nil {
+			c.mu.Unlock()
+			return LeaseResponse{}, err
 		}
-		jobs = []*gridJob{j}
+		scope = []*gridJob{j}
 	}
 	c.mu.Unlock()
-	for _, each := range jobs {
-		c.absorbCache(each)
+	for _, j := range scope {
+		c.absorbCache(j)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.quarantined[worker] {
-		return nil, nil, fmt.Errorf("%w: %s", errQuarantined, worker)
+		return LeaseResponse{}, fmt.Errorf("%w: %s", errQuarantined, worker)
 	}
-	if j != nil {
+	var j *gridJob
+	if id != "" {
+		j = scope[0]
 		c.expireLocked(j)
+	} else if !c.draining {
+		j = c.pickJobLocked(worker) // expires every job on its way
 	}
-	if c.draining {
-		c.touchWorker(worker, c.now())
-		return j, nil, nil
-	}
-	if j == nil {
-		if j = c.pickJobLocked(worker); j == nil {
-			c.touchWorker(worker, c.now())
-			return nil, nil, nil
+	resp := LeaseResponse{Draining: c.draining}
+	if j != nil {
+		resp.Job = j.id
+		if !c.draining {
+			resp.Tasks = c.grantLocked(j, worker, max, id == "", gridobs.RequestID(ctx))
 		}
 	}
-	return j, c.grantLocked(j, worker, max), nil
-}
-
-// Lease grants up to max pending tasks of one job to worker. While the
-// coordinator drains, no tasks are granted and the response says so.
-func (c *Coordinator) Lease(ctx context.Context, id, worker string, max int) (LeaseResponse, error) {
-	j, tasks, err := c.lockAndLease(id, worker, max)
-	defer c.mu.Unlock()
-	if err != nil {
-		return LeaseResponse{}, err
+	if id != "" {
+		resp.Complete = j.completeLocked()
+	} else {
+		resp.Complete = c.allCompleteLocked()
 	}
-	if len(tasks) > 0 {
-		c.logfCtx(ctx, "grid: job %s: leased %d tasks to %s", j.id, len(tasks), worker)
+	if len(resp.Tasks) == 0 {
+		// An empty grant is still a sign of life.
+		c.touchWorker(worker, c.now())
 	}
-	return LeaseResponse{Tasks: tasks, Complete: j.completeLocked(), Draining: c.draining}, nil
-}
-
-// LeaseAny grants up to max pending tasks from whichever job the fair
-// scheduler picks: the eligible job with the lowest granted-per-weight
-// share (see pickJobLocked). One call serves one job, so the worker
-// always computes a batch against a single spec.
-func (c *Coordinator) LeaseAny(ctx context.Context, worker string, max int) (GlobalLeaseResponse, error) {
-	j, tasks, err := c.lockAndLease("", worker, max)
-	defer c.mu.Unlock()
-	if err != nil {
-		return GlobalLeaseResponse{}, err
-	}
-	if j == nil {
-		return GlobalLeaseResponse{Draining: c.draining, AllComplete: c.allCompleteLocked()}, nil
-	}
-	if len(tasks) > 0 {
-		c.logfCtx(ctx, "grid: job %s: leased %d tasks to %s (fair share %d/%d)",
-			j.id, len(tasks), worker, j.leasesGranted, j.weight)
-	}
-	return GlobalLeaseResponse{Job: j.id, Tasks: tasks}, nil
+	return resp, nil
 }
 
 // allCompleteLocked reports whether at least one job exists and every
@@ -1053,9 +1067,13 @@ func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUp
 		}
 		// The value goes on the task; the record says whose it is.
 		st.values = recs[i].Values
-		walRecs[i] = walRecord{T: walIngest, Job: j.id, Task: st.id, Worker: worker, ElapsedMS: recs[i].Elapsed.Milliseconds()}
-		c.apply(j, walRecs[i], now)
 		c.metrics.valuesIngested.Add(float64(len(st.values)))
+		walRecs[i] = walRecord{T: walIngest, Job: j.id, Task: st.id, Worker: worker, ElapsedMS: recs[i].Elapsed.Milliseconds()}
+	}
+	c.metrics.tasksIngested.Add(float64(len(fresh)))
+	c.commit(j, now, walRecs, gridobs.RequestID(ctx),
+		"grid: job %s: ingested %d results from %s (%d in the body)", j.id, len(fresh), worker, len(results))
+	for _, st := range fresh {
 		if st.audit != nil {
 			// Selected tasks feed the cache only once audit-verified.
 			c.metrics.auditsOpened.Inc()
@@ -1063,12 +1081,6 @@ func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUp
 			c.feedCacheLocked(j, st.task, st.values)
 		}
 	}
-	c.walAppendLocked(false, walRecs...)
-	c.metrics.tasksIngested.Add(float64(len(fresh)))
-	c.logfCtx(ctx, "grid: job %s: ingested %d results from %s (%d in the body)", j.id, len(fresh), worker, len(results))
-	c.finishIfCompleteLocked(j)
-	c.broadcastLocked(j)
-	c.checkDrainedLocked()
 	return acks, nil
 }
 
@@ -1088,7 +1100,7 @@ func (c *Coordinator) Drain(ctx context.Context) {
 	}
 	c.draining = true
 	for _, j := range c.jobs {
-		c.broadcastLocked(j)
+		c.wakeLocked(j)
 	}
 	c.logfCtx(ctx, "grid: draining: no new leases; %d in-flight tasks to settle", c.inflightLocked())
 	c.checkDrainedLocked()
@@ -1145,556 +1157,8 @@ func (c *Coordinator) drainLoop() {
 		case <-tick.C:
 		}
 		c.mu.Lock()
-		for _, j := range c.jobsLocked() {
-			c.expireLocked(j)
-		}
+		c.expireAllLocked()
 		c.checkDrainedLocked()
 		c.mu.Unlock()
 	}
-}
-
-// CacheStats reports the coordinator's score cache counters; ok is
-// false when it runs without a cache. Counter details come from the
-// cache's own Stats (internal/cache.Store provides them); a cache
-// without that method still works, it just reports zeros.
-func (c *Coordinator) CacheStats() (dsa.CacheStats, bool) {
-	return c.cacheStatsLocked()
-}
-
-// cacheStatsLocked is safe with or without c.mu held: it only touches
-// the cache, which has its own synchronization.
-func (c *Coordinator) cacheStatsLocked() (dsa.CacheStats, bool) {
-	if c.opts.Cache == nil {
-		return dsa.CacheStats{}, false
-	}
-	if sp, ok := c.opts.Cache.(interface{ Stats() dsa.CacheStats }); ok {
-		return sp.Stats(), true
-	}
-	return dsa.CacheStats{}, true
-}
-
-// Progress returns a job's live snapshot.
-func (c *Coordinator) Progress(id string) (ProgressSnapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, err := c.getJob(id)
-	if err != nil {
-		return ProgressSnapshot{}, err
-	}
-	c.expireLocked(j)
-	return c.snapshotLocked(j), nil
-}
-
-func (c *Coordinator) snapshotLocked(j *gridJob) ProgressSnapshot {
-	snap := ProgressSnapshot{
-		JobID: j.id, Total: len(j.tasks), Done: j.done, Requeues: j.requeues,
-		CacheTasks: j.cacheServed, LeasesGranted: j.leasesGranted, Priority: j.weight,
-	}
-	workers := map[string]bool{}
-	for _, st := range j.tasks {
-		switch st.status {
-		case taskLeased:
-			snap.Leased++
-			workers[st.worker] = true
-		case taskPending:
-			snap.Pending++
-		}
-	}
-	snap.Workers = len(workers)
-	snap.Audits = j.audits
-	snap.Complete = j.completeLocked()
-	return snap
-}
-
-// Scores returns a completed job's assembled scores; ok is false while
-// tasks are outstanding.
-func (c *Coordinator) Scores(id string) (s *dsa.Scores, ok bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, err := c.getJob(id)
-	if err != nil {
-		return nil, false, err
-	}
-	if !j.completeLocked() {
-		return nil, false, nil
-	}
-	return j.scores, true, j.scoresErr
-}
-
-// WaitComplete blocks until the job's last task is done (returning the
-// assembled scores) or ctx is cancelled.
-func (c *Coordinator) WaitComplete(ctx context.Context, id string) (*dsa.Scores, error) {
-	for {
-		c.mu.Lock()
-		j, err := c.getJob(id)
-		if err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		if j.completeLocked() {
-			s, serr := j.scores, j.scoresErr
-			c.mu.Unlock()
-			return s, serr
-		}
-		changed := j.changed
-		c.mu.Unlock()
-		select {
-		case <-changed:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// Summaries lists every job, sorted by ID.
-func (c *Coordinator) Summaries() []JobSummary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]JobSummary, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		out = append(out, c.summaryLocked(j))
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
-func (c *Coordinator) summaryLocked(j *gridJob) JobSummary {
-	return JobSummary{
-		ID: j.id, Domain: j.spec.Domain.Name(),
-		TotalTasks: len(j.tasks), DoneTasks: j.done,
-		Priority: j.weight,
-		Complete: j.completeLocked(),
-	}
-}
-
-// --- HTTP layer ---
-
-// Handler returns the full API handler: the /v1 JSON API, /metrics,
-// and the dashboard, wrapped in request-ID instrumentation, JSON
-// error normalization (no text/plain 404/405 pages) and — when
-// configured — per-client rate limiting. Auth, when configured, guards
-// the mutating endpoints per route.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs", c.handleListJobs)
-	mux.HandleFunc("POST /v1/jobs", c.authed(c.handleCreateJob))
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleGetJob)
-	mux.HandleFunc("POST /v1/jobs/{id}/lease", c.authed(jsonCall(c, func(r *http.Request, req LeaseRequest) (LeaseResponse, error) {
-		return c.Lease(r.Context(), r.PathValue("id"), req.Worker, req.MaxTasks)
-	})))
-	mux.HandleFunc("POST /v1/lease", c.authed(jsonCall(c, func(r *http.Request, req LeaseRequest) (GlobalLeaseResponse, error) {
-		return c.LeaseAny(r.Context(), req.Worker, req.MaxTasks)
-	})))
-	mux.HandleFunc("POST /v1/jobs/{id}/heartbeat", c.authed(jsonCall(c, func(r *http.Request, req HeartbeatRequest) (HeartbeatResponse, error) {
-		return c.Heartbeat(r.Context(), r.PathValue("id"), req)
-	})))
-	mux.HandleFunc("POST /v1/jobs/{id}/results", c.authed(jsonCall(c, func(r *http.Request, up ResultsUpload) (ResultsAck, error) {
-		acks, err := c.IngestResults(r.Context(), r.PathValue("id"), up)
-		return ResultsAck{Acks: acks}, err
-	})))
-	mux.HandleFunc("GET /v1/jobs/{id}/results", c.handleResults)
-	mux.HandleFunc("GET /v1/jobs/{id}/progress", c.handleProgress)
-	mux.HandleFunc("GET /v1/cache", c.handleCacheStats)
-	mux.HandleFunc("POST /v1/drain", c.authed(c.handleDrain))
-	mux.HandleFunc("POST /v1/trace", c.authed(c.handleTraceUpload))
-	mux.HandleFunc("GET /v1/trace", c.handleTraceGet)
-	mux.HandleFunc("GET /v1/dashboard", c.handleDashboard)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	if c.opts.Pprof {
-		pp := profiling.Handler("") // coordinator auth wraps it instead
-		mux.Handle("/debug/pprof/", c.authed(pp.ServeHTTP))
-	}
-	return gridobs.Instrument(c.rateLimited(jsonErrors(mux)), c.onRequestDone)
-}
-
-// authed guards one mutating route with the shared-secret token. The
-// compare hashes both sides first, so it is constant-time regardless
-// of the presented token's length.
-func (c *Coordinator) authed(h http.HandlerFunc) http.HandlerFunc {
-	if c.opts.AuthToken == "" {
-		return h
-	}
-	want := sha256.Sum256([]byte(c.opts.AuthToken))
-	return func(w http.ResponseWriter, r *http.Request) {
-		got := sha256.Sum256([]byte(bearerToken(r)))
-		if subtle.ConstantTimeCompare(got[:], want[:]) != 1 {
-			c.metrics.authFailures.Inc()
-			w.Header().Set("WWW-Authenticate", `Bearer realm="grid"`)
-			writeJSON(w, http.StatusUnauthorized, errorBody{Error: "grid: missing or invalid auth token"})
-			return
-		}
-		h(w, r)
-	}
-}
-
-func bearerToken(r *http.Request) string {
-	auth := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if len(auth) > len(prefix) && strings.EqualFold(auth[:len(prefix)], prefix) {
-		return auth[len(prefix):]
-	}
-	return ""
-}
-
-// rateLimited applies per-client token-bucket admission to the /v1 API
-// (metrics scrapes are never limited — observability must survive the
-// very overload it is for). Clients are keyed by remote IP.
-func (c *Coordinator) rateLimited(next http.Handler) http.Handler {
-	if !c.limiter.Enabled() {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		// Trace shipping is exempt like /metrics: throttling the
-		// observability plane during an overload would blind exactly
-		// the tools needed to diagnose it, and a 429'd chunk just
-		// re-ships later anyway (idempotent offsets).
-		if r.URL.Path == "/v1/trace" {
-			next.ServeHTTP(w, r)
-			return
-		}
-		key := r.RemoteAddr
-		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-			key = host
-		}
-		if !c.limiter.Allow(key) {
-			c.metrics.rateLimited.Inc()
-			after := int(math.Ceil(c.limiter.RetryAfter(key).Seconds()))
-			if after < 1 {
-				after = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(after))
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "grid: rate limit exceeded, retry later"})
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// jsonErrors rewrites the mux's text/plain 404 and 405 pages into the
-// API's structured JSON error shape, so every error a client can
-// receive — wrong path, wrong method, bad body, unknown job — has the
-// same {"error": ...} contract. Responses that already chose their
-// own content type (our handlers) pass through untouched.
-func jsonErrors(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&jsonErrorWriter{ResponseWriter: w}, r)
-	})
-}
-
-type jsonErrorWriter struct {
-	http.ResponseWriter
-	intercepted bool
-	wroteHeader bool
-}
-
-func (w *jsonErrorWriter) WriteHeader(code int) {
-	if w.wroteHeader {
-		return
-	}
-	w.wroteHeader = true
-	if (code == http.StatusNotFound || code == http.StatusMethodNotAllowed) &&
-		!strings.Contains(w.Header().Get("Content-Type"), "json") {
-		w.intercepted = true
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Del("Content-Length")
-		w.ResponseWriter.WriteHeader(code)
-		msg := "grid: not found"
-		if code == http.StatusMethodNotAllowed {
-			msg = "grid: method not allowed"
-		}
-		body, _ := json.Marshal(errorBody{Error: msg})
-		w.ResponseWriter.Write(append(body, '\n'))
-		return
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *jsonErrorWriter) Write(p []byte) (int, error) {
-	if w.intercepted {
-		// Swallow the mux's text body; ours is already written.
-		return len(p), nil
-	}
-	if !w.wroteHeader {
-		w.wroteHeader = true
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// Flush forwards to the underlying writer so NDJSON progress streams
-// keep flushing through the wrapper.
-func (w *jsonErrorWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", gridobs.TextContentType)
-	c.metrics.reg.WritePrometheus(w)
-}
-
-func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
-	c.Drain(r.Context())
-	c.mu.Lock()
-	inflight := c.inflightLocked()
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, DrainResponse{Draining: true, InFlight: inflight})
-}
-
-func (c *Coordinator) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	stats, enabled := c.CacheStats()
-	writeJSON(w, http.StatusOK, CacheStatsResponse{Enabled: enabled, CacheStats: stats})
-}
-
-// writeJSON marshals before touching the response, so an encoding
-// failure becomes a clean 500 instead of a truncated 200.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"grid: response encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	switch {
-	case errors.Is(err, errUnknownJob), errors.Is(err, errUnknownTask):
-		status = http.StatusNotFound
-	case errors.Is(err, errDraining):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, errQuarantined):
-		// 429 like the rate limiter, but with the quarantine marker so
-		// clients know retrying is pointless; the long Retry-After tells
-		// generic HTTP clients the same thing.
-		w.Header().Set("Retry-After", "3600")
-		w.Header().Set(HeaderQuarantined, "1")
-		status = http.StatusTooManyRequests
-	}
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-// readBody decodes a JSON request body, bounded by MaxBody: oversized
-// bodies answer 413, malformed ones 400 — always as structured JSON.
-// A request carrying the body-checksum header is verified first; a
-// mismatch is transport corruption (the client signed what it meant to
-// send), answered 400 with the corrupt-body marker so the client
-// retries instead of treating it as a protocol error — and so a
-// corrupted result upload is rejected here rather than recorded and
-// later mistaken for a Byzantine worker.
-func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.opts.maxBody()))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("grid: request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
-		writeError(w, fmt.Errorf("grid: bad request body: %w", err))
-		return false
-	}
-	if want := r.Header.Get(HeaderBodySHA256); want != "" {
-		sum := sha256.Sum256(body)
-		if !strings.EqualFold(hex.EncodeToString(sum[:]), want) {
-			c.metrics.corruptBodies.Inc()
-			w.Header().Set(HeaderCorruptBody, "1")
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "grid: request body checksum mismatch (corrupted in transit)"})
-			return false
-		}
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, fmt.Errorf("grid: bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, jobsResponse{Jobs: c.Summaries()})
-}
-
-func (c *Coordinator) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	var req CreateJobRequest
-	if !c.readBody(w, r, &req) {
-		return
-	}
-	spec, err := job.DecodeSpec(req.Spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	priority := req.Priority
-	if priority == 0 {
-		priority = 1
-	}
-	id, err := c.AddJobPriority(spec, priority)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	c.mu.Lock()
-	summary := c.summaryLocked(c.jobs[id])
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, summary)
-}
-
-func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	j, err := c.getJob(r.PathValue("id"))
-	if err != nil {
-		c.mu.Unlock()
-		writeError(w, err)
-		return
-	}
-	detail := JobDetail{JobSummary: c.summaryLocked(j), Spec: j.specRaw}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, detail)
-}
-
-// jsonCall adapts one typed coordinator call to HTTP: decode the JSON
-// body (readBody answers its own failures), make the call, answer the
-// result or the error.
-func jsonCall[Req, Resp any](c *Coordinator, call func(r *http.Request, req Req) (Resp, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req Req
-		if !c.readBody(w, r, &req) {
-			return
-		}
-		resp, err := call(r, req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
-
-func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	scores, ok, err := c.Scores(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !ok {
-		snap, _ := c.Progress(id)
-		writeJSON(w, http.StatusConflict, struct {
-			errorBody
-			Progress ProgressSnapshot `json:"progress"`
-		}{errorBody{Error: fmt.Sprintf("grid: job %s incomplete: %d/%d tasks done", id, snap.Done, snap.Total)}, snap})
-		return
-	}
-	if r.URL.Query().Get("format") == "csv" {
-		c.mu.Lock()
-		d := c.jobs[id].spec.Domain
-		c.mu.Unlock()
-		writeCSV := c.opts.CSV
-		if writeCSV == nil {
-			writeCSV = dsa.WriteCSV
-		}
-		w.Header().Set("Content-Type", "text/csv")
-		if err := writeCSV(w, d, scores); err != nil {
-			c.logfCtx(r.Context(), "grid: job %s: csv render: %v", id, err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, scoresToWire(scores))
-}
-
-// handleProgress serves one snapshot, or — with ?stream=1 — newline-
-// delimited JSON snapshots on every state change (and at least once a
-// second, so lease expiries surface) until the job completes or the
-// client goes away.
-func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	snap, err := c.Progress(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if r.URL.Query().Get("stream") == "" {
-		writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var last ProgressSnapshot
-	first := true
-	for {
-		if first || snap != last {
-			if err := enc.Encode(snap); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			last, first = snap, false
-		}
-		if snap.Complete {
-			return
-		}
-		c.mu.Lock()
-		j, err := c.getJob(id)
-		if err != nil {
-			c.mu.Unlock()
-			return
-		}
-		changed := j.changed
-		c.mu.Unlock()
-		select {
-		case <-changed:
-		case <-time.After(time.Second):
-		case <-r.Context().Done():
-			return
-		}
-		if snap, err = c.Progress(id); err != nil {
-			return
-		}
-	}
-}
-
-// Serve listens on addr and serves the API until ctx is cancelled or a
-// drain completes (POST /v1/drain, or Drain called directly) — the
-// latter exits cleanly after in-flight work settles. onListen (if
-// non-nil) receives the bound address before serving — useful with
-// ":0".
-func (c *Coordinator) Serve(ctx context.Context, addr string, onListen func(addr string)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if onListen != nil {
-		onListen(ln.Addr().String())
-	}
-	srv := &http.Server{Handler: c.Handler()}
-	stopped := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-c.Drained():
-		case <-stopped:
-			return
-		}
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutCtx)
-	}()
-	err = srv.Serve(ln)
-	close(stopped)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
 }

@@ -5,231 +5,50 @@ import (
 	"html/template"
 	"math"
 	"net/http"
-	"sort"
 	"time"
 
-	"repro/internal/dsa"
+	"repro/internal/obs"
 )
 
 // The dashboard is the human view of the same state /metrics exports:
 // one self-refreshing HTML page, no JS frameworks, no assets, so it
 // works from curl -L, a phone, or a locked-down ops box. It is
-// deliberately read-only — operators drive the grid through the API.
+// deliberately read-only — operators drive the grid through the API. It
+// renders the read model (view.go) and each collected trace scope's
+// obs.Analysis as they are; the template's helpers only format.
 
 type dashboardData struct {
-	Now       string
-	Uptime    string
-	Draining  bool
-	Jobs      []dashboardJob
-	Workers   []dashboardWorker
-	HasCache  bool
-	Cache     dsa.CacheStats
-	HitRatio  string
+	view
+	Uptime    time.Duration
 	AuthOn    bool
 	RateLimit float64
-	Traces    []dashboardTrace
+	Traces    []tracePanel
 }
 
-// dashboardTrace is one collected-trace scope's timeline panel: the
-// fleet-wide digest GET /v1/trace?format=digest serves, trimmed for
-// the page.
-type dashboardTrace struct {
-	Scope      string // job ID, or "fleet" for unscoped journals
-	Journals   int
-	Records    int
-	Tasks      int
-	Wall       string
-	Busy       string
-	Workers    []dashboardTraceWorker
-	Stragglers []dashboardTraceStraggler
+// tracePanel is one collected-trace scope's timeline: the digest
+// GET /v1/trace?format=digest serves.
+type tracePanel struct {
+	Scope    string // job ID, or "" for the fleet scope's unscoped journals
+	Journals int
+	*obs.Analysis
 }
 
-type dashboardTraceWorker struct {
-	Name        string
-	Tasks       int
-	Busy        string
-	Window      string
-	Coverage    float64 // window as % of the scope's wall clock
-	Parallelism string
-}
-
-type dashboardTraceStraggler struct {
-	Worker  string
-	Task    string
-	Measure string
-	Dur     string
-	Typical string
-	Factor  string
-}
-
-type dashboardJob struct {
-	ID       string
-	Domain   string
-	Priority int
-	Done     int
-	Total    int
-	Pending  int
-	Leased   int
-	Requeues int
-	Cached   int
-	Granted  int
-	Audits   int
-	Percent  float64
-	ETA      string
-	Complete bool
-}
-
-type dashboardWorker struct {
-	Name        string
-	Live        bool
-	Quarantined bool
-	Leased      int
-	Done        uint64
-	Failures    uint64
-	Latency     string
-	FailRate    string
-	LastSeen    string
-}
-
-func (c *Coordinator) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	now := c.now()
+func (c *Coordinator) serveDashboard(w http.ResponseWriter, r *http.Request) {
 	data := dashboardData{
-		Now:       now.Format(time.RFC3339),
-		Uptime:    time.Since(c.started).Round(time.Second).String(),
-		Draining:  c.draining,
-		AuthOn:    c.opts.AuthToken != "",
-		RateLimit: c.opts.RateLimit,
+		view: c.liveView(), Uptime: time.Since(c.started),
+		AuthOn: c.opts.AuthToken != "", RateLimit: c.opts.RateLimit,
 	}
-	for _, j := range c.jobsLocked() {
-		c.expireLocked(j)
-		snap := c.snapshotLocked(j)
-		dj := dashboardJob{
-			ID: j.id, Domain: j.spec.Domain.Name(), Priority: j.weight,
-			Done: snap.Done, Total: snap.Total, Pending: snap.Pending,
-			Leased: snap.Leased, Requeues: snap.Requeues, Cached: snap.CacheTasks,
-			Granted: snap.LeasesGranted, Audits: snap.Audits, Complete: snap.Complete,
-		}
-		if snap.Total > 0 {
-			dj.Percent = 100 * float64(snap.Done) / float64(snap.Total)
-		}
-		switch eta := c.etaLocked(j, now); {
-		case snap.Complete:
-			dj.ETA = "done"
-		case math.IsNaN(eta):
-			dj.ETA = "—"
-		default:
-			dj.ETA = (time.Duration(eta * float64(time.Second))).Round(time.Second).String()
-		}
-		data.Jobs = append(data.Jobs, dj)
-	}
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
-	}
-	// Quarantined workers the coordinator never heard from this run
-	// (verdict replayed from the WAL) still get a row — an operator
-	// must be able to see every standing ban.
-	for name := range c.quarantined {
-		if _, ok := c.workers[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	cutoff := now.Add(-livenessTTLs * c.opts.leaseTTL())
-	leased := c.leasedByLocked()
-	for _, name := range names {
-		ws := c.workers[name]
-		if ws == nil {
-			data.Workers = append(data.Workers, dashboardWorker{
-				Name: name, Quarantined: true, Latency: "—", FailRate: "—", LastSeen: "—",
-			})
-			continue
-		}
-		dw := dashboardWorker{
-			Name: name, Live: ws.lastSeen.After(cutoff), Leased: leased[name],
-			Quarantined: c.quarantined[name],
-			Done:        ws.done, Failures: ws.failures,
-			LastSeen: now.Sub(ws.lastSeen).Round(time.Second).String() + " ago",
-		}
-		if ws.latEWMA > 0 {
-			dw.Latency = (time.Duration(ws.latEWMA * float64(time.Second))).Round(time.Millisecond).String()
-		} else {
-			dw.Latency = "—"
-		}
-		dw.FailRate = formatPercent(ws.failEWMA)
-		data.Workers = append(data.Workers, dw)
-	}
-	if stats, ok := c.cacheStatsLocked(); ok {
-		data.HasCache = true
-		data.Cache = stats
-		if total := stats.Hits + stats.Misses; total > 0 {
-			data.HitRatio = formatPercent(float64(stats.Hits) / float64(total))
-		} else {
-			data.HitRatio = "—"
-		}
-	}
-	c.mu.Unlock()
-
 	// Trace panels read collected journal files (memoised by collected
 	// bytes), so they are built outside c.mu.
-	data.Traces = c.traceDashboard()
-
+	for _, scope := range c.traces.scopes() {
+		if a, journals, err := c.traces.digest(scope); err == nil && a.Records > 0 {
+			data.Traces = append(data.Traces, tracePanel{scope, journals, a})
+		}
+	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := dashboardTmpl.Execute(w, data); err != nil {
 		c.logfCtx(r.Context(), "grid: dashboard render: %v", err)
 	}
-}
-
-// traceDashboard builds one timeline/straggler panel per collected
-// trace scope from the digest cache.
-func (c *Coordinator) traceDashboard() []dashboardTrace {
-	var out []dashboardTrace
-	for _, scope := range c.traces.scopes() {
-		a, journals, err := c.traces.digest(scope)
-		if err != nil || a.Records == 0 {
-			continue
-		}
-		dt := dashboardTrace{
-			Scope:    scope,
-			Journals: journals,
-			Records:  a.Records,
-			Tasks:    a.Tasks,
-			Wall:     a.Wall.Round(time.Millisecond).String(),
-			Busy:     a.TaskBusy.Round(time.Millisecond).String(),
-		}
-		if scope == "" {
-			dt.Scope = "fleet"
-		}
-		for _, ws := range a.Workers {
-			dw := dashboardTraceWorker{
-				Name:        ws.Writer,
-				Tasks:       ws.Tasks,
-				Busy:        ws.Busy.Round(time.Millisecond).String(),
-				Window:      ws.Window.Round(time.Millisecond).String(),
-				Parallelism: fmt.Sprintf("%.2f", ws.Parallelism),
-			}
-			if a.Wall > 0 {
-				dw.Coverage = math.Min(100, 100*float64(ws.Window)/float64(a.Wall))
-			}
-			dt.Workers = append(dt.Workers, dw)
-		}
-		for i, st := range a.Stragglers {
-			if i == 5 {
-				break
-			}
-			dt.Stragglers = append(dt.Stragglers, dashboardTraceStraggler{
-				Worker:  st.Record.Writer,
-				Task:    st.Record.AttrStr("task"),
-				Measure: st.Measure,
-				Dur:     st.Dur.Round(time.Millisecond).String(),
-				Typical: st.Typical.Round(time.Millisecond).String(),
-				Factor:  fmt.Sprintf("%.1fx", st.Factor),
-			})
-		}
-		out = append(out, dt)
-	}
-	return out
 }
 
 func formatPercent(v float64) string {
@@ -239,7 +58,41 @@ func formatPercent(v float64) string {
 	return fmt.Sprintf("%.1f%%", 100*v)
 }
 
-var dashboardTmpl = template.Must(template.New("dashboard").Parse(`<!DOCTYPE html>
+var dashboardFuncs = template.FuncMap{
+	"percent": formatPercent,
+	"share": func(part, whole int) float64 { // part as % of whole, 0 of nothing
+		if whole <= 0 {
+			return 0
+		}
+		return 100 * float64(part) / float64(whole)
+	},
+	"cover": func(window, wall time.Duration) float64 { // window as % of the scope's wall clock
+		if wall <= 0 {
+			return 0
+		}
+		return math.Min(100, 100*float64(window)/float64(wall))
+	},
+	"ms":  func(d time.Duration) time.Duration { return d.Round(time.Millisecond) },
+	"sec": func(d time.Duration) time.Duration { return d.Round(time.Second) },
+	"eta": func(jv jobView) string {
+		switch {
+		case jv.Complete:
+			return "done"
+		case math.IsNaN(jv.ETA):
+			return "—"
+		}
+		return time.Duration(jv.ETA * float64(time.Second)).Round(time.Second).String()
+	},
+	"latency": func(seconds float64) string {
+		if seconds <= 0 {
+			return "—"
+		}
+		return time.Duration(seconds * float64(time.Second)).Round(time.Millisecond).String()
+	},
+	"top": func(s []obs.Straggler) []obs.Straggler { return s[:min(len(s), 5)] },
+}
+
+var dashboardTmpl = template.Must(template.New("dashboard").Funcs(dashboardFuncs).Parse(`<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
@@ -263,7 +116,7 @@ th { background: #f0f0f0; }
 </head>
 <body>
 <h1>dsa-grid coordinator</h1>
-<p class="meta">up {{.Uptime}} · {{.Now}} · auth {{if .AuthOn}}on{{else}}off{{end}} · rate limit {{if .RateLimit}}{{.RateLimit}}/s per client{{else}}off{{end}} · <a href="/metrics">/metrics</a></p>
+<p class="meta">up {{sec .Uptime}} · {{.Now.Format "2006-01-02T15:04:05Z07:00"}} · auth {{if .AuthOn}}on{{else}}off{{end}} · rate limit {{if .RateLimit}}{{.RateLimit}}/s per client{{else}}off{{end}} · <a href="/metrics">/metrics</a></p>
 {{if .Draining}}<div class="drain">Draining: no new leases; the coordinator exits once in-flight leases settle.</div>{{end}}
 
 <h2>Jobs</h2>
@@ -272,9 +125,9 @@ th { background: #f0f0f0; }
 <tr><th>job</th><th>domain</th><th>priority</th><th>progress</th><th>done</th><th>pending</th><th>leased</th><th>requeues</th><th>cache-served</th><th>granted</th><th>audits</th><th>ETA</th></tr>
 {{range .Jobs}}
 <tr{{if .Complete}} class="done"{{end}}>
-<td><code>{{.ID}}</code></td><td>{{.Domain}}</td><td>{{.Priority}}</td>
-<td><span class="bar"><i style="width:{{printf "%.1f" .Percent}}%"></i></span> {{printf "%.1f" .Percent}}%</td>
-<td>{{.Done}}/{{.Total}}</td><td>{{.Pending}}</td><td>{{.Leased}}</td><td>{{.Requeues}}</td><td>{{.Cached}}</td><td>{{.Granted}}</td><td>{{.Audits}}</td><td>{{.ETA}}</td>
+<td><code>{{.JobID}}</code></td><td>{{.Domain}}</td><td>{{.Priority}}</td>
+{{$p := share .Done .Total}}<td><span class="bar"><i style="width:{{printf "%.1f" $p}}%"></i></span> {{printf "%.1f" $p}}%</td>
+<td>{{.Done}}/{{.Total}}</td><td>{{.Pending}}</td><td>{{.Leased}}</td><td>{{.Requeues}}</td><td>{{.CacheTasks}}</td><td>{{.LeasesGranted}}</td><td>{{.Audits}}</td><td>{{eta .}}</td>
 </tr>
 {{end}}
 </table>
@@ -288,22 +141,23 @@ th { background: #f0f0f0; }
 <tr>
 <td><code>{{.Name}}</code></td>
 <td>{{if .Quarantined}}<span class="pill quarantined">quarantined</span>{{else if .Live}}<span class="pill live">live</span>{{else}}<span class="pill dead">gone</span>{{end}}</td>
-<td>{{.Leased}}</td><td>{{.Done}}</td><td>{{.Failures}}</td><td>{{.Latency}}</td><td>{{.FailRate}}</td><td>{{.LastSeen}}</td>
+{{if .Heard}}<td>{{.Leased}}</td><td>{{.Done}}</td><td>{{.Failures}}</td><td>{{latency .Latency}}</td><td>{{percent .FailRate}}</td><td>{{sec ($.Now.Sub .LastSeen)}} ago</td>
+{{else}}<td>0</td><td>0</td><td>0</td><td>—</td><td>—</td><td>—</td>{{end}}
 </tr>
 {{end}}
 </table>
 {{else}}<p class="meta">No workers seen yet.</p>{{end}}
 
-{{range .Traces}}
-<h2>Trace timeline — <code>{{.Scope}}</code></h2>
-<p class="meta">{{.Records}} spans from {{.Journals}} shipped journals · {{.Tasks}} tasks · wall {{.Wall}} · task busy {{.Busy}} · <a href="/v1/trace{{if ne .Scope "fleet"}}?job={{.Scope}}{{end}}">merged journal</a></p>
+{{range .Traces}}{{$wall := .Wall}}
+<h2>Trace timeline — <code>{{or .Scope "fleet"}}</code></h2>
+<p class="meta">{{.Records}} spans from {{.Journals}} shipped journals · {{.Tasks}} tasks · wall {{ms .Wall}} · task busy {{ms .TaskBusy}} · <a href="/v1/trace{{if .Scope}}?job={{.Scope}}{{end}}">merged journal</a></p>
 <table>
 <tr><th>worker</th><th>tasks</th><th>busy</th><th>active window</th><th>window vs wall</th><th>parallelism</th></tr>
 {{range .Workers}}
 <tr>
-<td><code>{{.Name}}</code></td><td>{{.Tasks}}</td><td>{{.Busy}}</td><td>{{.Window}}</td>
-<td><span class="bar"><i style="width:{{printf "%.1f" .Coverage}}%"></i></span> {{printf "%.1f" .Coverage}}%</td>
-<td>{{.Parallelism}}</td>
+<td><code>{{.Writer}}</code></td><td>{{.Tasks}}</td><td>{{ms .Busy}}</td><td>{{ms .Window}}</td>
+{{$p := cover .Window $wall}}<td><span class="bar"><i style="width:{{printf "%.1f" $p}}%"></i></span> {{printf "%.1f" $p}}%</td>
+<td>{{printf "%.2f" .Parallelism}}</td>
 </tr>
 {{end}}
 </table>
@@ -311,8 +165,8 @@ th { background: #f0f0f0; }
 <h3 class="meta">Stragglers</h3>
 <table>
 <tr><th>worker</th><th>task</th><th>measure</th><th>duration</th><th>typical</th><th>factor</th></tr>
-{{range .Stragglers}}
-<tr><td><code>{{.Worker}}</code></td><td><code>{{.Task}}</code></td><td>{{.Measure}}</td><td>{{.Dur}}</td><td>{{.Typical}}</td><td>{{.Factor}}</td></tr>
+{{range top .Stragglers}}
+<tr><td><code>{{.Record.Writer}}</code></td><td><code>{{.Record.AttrStr "task"}}</code></td><td>{{.Measure}}</td><td>{{ms .Dur}}</td><td>{{ms .Typical}}</td><td>{{printf "%.1fx" .Factor}}</td></tr>
 {{end}}
 </table>
 {{end}}
@@ -322,7 +176,7 @@ th { background: #f0f0f0; }
 <h2>Score cache</h2>
 <table>
 <tr><th>entries</th><th>hits</th><th>misses</th><th>hit ratio</th><th>puts</th><th>evictions</th></tr>
-<tr><td>{{.Cache.Entries}}</td><td>{{.Cache.Hits}}</td><td>{{.Cache.Misses}}</td><td>{{.HitRatio}}</td><td>{{.Cache.Puts}}</td><td>{{.Cache.Evictions}}</td></tr>
+<tr><td>{{.Cache.Entries}}</td><td>{{.Cache.Hits}}</td><td>{{.Cache.Misses}}</td><td>{{percent $.HitRatio}}</td><td>{{.Cache.Puts}}</td><td>{{.Cache.Evictions}}</td></tr>
 </table>
 {{end}}
 </body>

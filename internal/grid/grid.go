@@ -29,24 +29,8 @@
 // A grid checkpoint directory is interchangeable with a local one:
 // job.Load, dsa-report and a local -resume all read it.
 //
-// The wire API is JSON over HTTP, rooted at /v1:
-//
-//	GET  /v1/jobs                  — list jobs (summaries)
-//	POST /v1/jobs                  — create a job from an encoded spec
-//	GET  /v1/jobs/{id}             — job detail incl. the spec payload
-//	POST /v1/jobs/{id}/lease       — lease up to MaxTasks tasks
-//	POST /v1/jobs/{id}/heartbeat   — extend leases; learn which were lost
-//	POST /v1/jobs/{id}/results     — upload finished tasks' values, one ack
-//	                                 each (idempotent per task)
-//	GET  /v1/jobs/{id}/results     — assembled scores (JSON or ?format=csv)
-//	GET  /v1/jobs/{id}/progress    — snapshot, or ?stream=1 for NDJSON
-//	                                 snapshots until the job completes
-//	GET  /v1/cache                 — cross-job score cache counters
-//	POST /v1/lease                 — lease from whichever job the fair
-//	                                 scheduler picks (multi-job workers)
-//	POST /v1/drain                 — stop granting leases; settle and exit
-//	GET  /v1/dashboard             — live HTML operations dashboard
-//	GET  /metrics                  — Prometheus text exposition
+// The wire API is JSON over HTTP, rooted at /v1; its routes are declared
+// once, in http.go's table, for the server and the client alike.
 //
 // Production hardening: every error (wrong path, wrong method, bad
 // body, unknown job) is structured JSON; request bodies are bounded
@@ -74,7 +58,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -118,9 +101,13 @@ type CreateJobRequest struct {
 
 // LeaseRequest asks for up to MaxTasks pending tasks on behalf of
 // Worker (an opaque identity used only to match heartbeats to leases).
+// Job scopes the request: one job's tasks, or with "" the tasks of
+// whichever job the fair scheduler picks (POST /v1/jobs/{id}/lease is the
+// same request with the scope in the path).
 type LeaseRequest struct {
 	Worker   string `json:"worker"`
 	MaxTasks int    `json:"max_tasks"`
+	Job      string `json:"job,omitempty"`
 }
 
 // LeaseTask is one leased task: the job.Task coordinates plus the
@@ -133,25 +120,18 @@ type LeaseTask struct {
 	TTLMS   int64  `json:"ttl_ms"`
 }
 
-// LeaseResponse carries the granted leases. Complete means every task
-// is done — workers should exit rather than poll again. Draining means
-// the coordinator is shutting down gracefully and grants nothing;
-// workers should exit and reconnect to the restarted coordinator.
+// LeaseResponse carries the granted leases, all of Job (one call serves
+// one job, so a worker computes a batch against a single spec). Complete
+// means nothing is left in the request's scope — the job is done, or
+// every registered job is — and workers should exit rather than poll
+// again. Draining means the coordinator is shutting down gracefully and
+// grants nothing; workers should exit and reconnect to the restarted
+// coordinator.
 type LeaseResponse struct {
+	Job      string      `json:"job,omitempty"`
 	Tasks    []LeaseTask `json:"tasks"`
 	Complete bool        `json:"complete"`
 	Draining bool        `json:"draining,omitempty"`
-}
-
-// GlobalLeaseResponse answers POST /v1/lease: tasks from whichever job
-// the fair scheduler picked (all tasks in one response belong to Job).
-// AllComplete means every registered job is done; Draining as in
-// LeaseResponse.
-type GlobalLeaseResponse struct {
-	Job         string      `json:"job"`
-	Tasks       []LeaseTask `json:"tasks"`
-	AllComplete bool        `json:"all_complete"`
-	Draining    bool        `json:"draining,omitempty"`
 }
 
 // DrainResponse answers POST /v1/drain: the coordinator stops granting
@@ -398,53 +378,38 @@ func NewClient(token string) *http.Client {
 	return &http.Client{Timeout: DefaultHTTPTimeout, Transport: AuthTransport(token, nil)}
 }
 
-func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
-	return doJSON(ctx, client, http.MethodGet, url, nil, out)
-}
-
-func postJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
-	return doJSON(ctx, client, http.MethodPost, url, in, out)
-}
-
-// callInfo reports how one doJSON call actually went on the wire — the
-// request ID it carried and how many attempts it took. An out-param
-// rather than a package hook so in-process multi-worker tests (and the
-// workers themselves) never share mutable state.
+// callInfo reports how one call actually went on the wire — the request
+// ID it carried and how many attempts it took. Returned rather than
+// hooked so in-process multi-worker tests (and the workers themselves)
+// never share mutable state.
 type callInfo struct {
 	requestID string
 	attempts  int
 }
 
-// doJSON issues one JSON request with bounded retries. Retrying every
-// verb is safe against this API by design: job creation and result
-// upload are idempotent, lease duplicates only cost a lease TTL, and
-// heartbeats are refreshes. Non-retryable failures (4xx — the request
-// itself is wrong) surface immediately.
-func doJSON(ctx context.Context, client *http.Client, method, url string, in, out any) error {
-	return doJSONInfo(ctx, client, method, url, in, out, nil)
-}
-
-func postJSONInfo(ctx context.Context, client *http.Client, url string, in, out any, info *callInfo) error {
-	return doJSONInfo(ctx, client, http.MethodPost, url, in, out, info)
-}
-
-// doJSONInfo is doJSON plus client-side request identity: one request
-// ID is generated per call and sent on every attempt (with retries
-// marked via RetryAttemptHeader), so the coordinator's access log and
-// the worker's trace journal name the same rid for the same call —
-// a task is traceable across both sides of the wire. info (optional)
-// receives the rid and the attempt count.
-func doJSONInfo(ctx context.Context, client *http.Client, method, url string, in, out any, info *callInfo) error {
+// call issues one JSON request — method and url as the route table
+// declares them (routeURL), in the body if non-nil, the answer decoded
+// into out if non-nil — with bounded retries; a nil client gets
+// DefaultHTTPTimeout. Retrying every verb is safe against this API by
+// design: job creation and result upload are idempotent, lease
+// duplicates only cost a lease TTL, and heartbeats are refreshes.
+// Non-retryable failures (4xx — the request itself is wrong) surface
+// immediately. One request ID is generated per call and sent on every
+// attempt (with retries marked via RetryAttemptHeader), so the
+// coordinator's access log and the worker's trace journal name the same
+// rid for the same call — a task is traceable across both sides of the
+// wire.
+func call(ctx context.Context, client *http.Client, method, url string, in, out any) (callInfo, error) {
+	if client == nil {
+		client = defaultClient()
+	}
+	info := callInfo{requestID: gridobs.NewRequestID()}
 	var body []byte
 	if in != nil {
 		var err error
 		if body, err = json.Marshal(in); err != nil {
-			return err
+			return info, err
 		}
-	}
-	rid := gridobs.NewRequestID()
-	if info != nil {
-		info.requestID = rid
 	}
 	var lastErr error
 	var serverPause time.Duration
@@ -461,53 +426,45 @@ func doJSONInfo(ctx context.Context, client *http.Client, method, url string, in
 			select {
 			case <-time.After(delay):
 			case <-ctx.Done():
-				return ctx.Err()
+				return info, ctx.Err()
 			}
 		}
 		serverPause = 0
-		if info != nil {
-			info.attempts = attempt + 1
-		}
+		info.attempts = attempt + 1
 		var reqBody io.Reader
 		if in != nil {
 			reqBody = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, url, reqBody)
 		if err != nil {
-			return err
+			return info, err
 		}
 		if in != nil {
 			req.Header.Set("Content-Type", "application/json")
 			sum := sha256.Sum256(body)
 			req.Header.Set(HeaderBodySHA256, hex.EncodeToString(sum[:]))
 		}
-		req.Header.Set(gridobs.RequestIDHeader, rid)
+		req.Header.Set(gridobs.RequestIDHeader, info.requestID)
 		if attempt > 0 {
 			req.Header.Set(gridobs.RetryAttemptHeader, strconv.Itoa(attempt))
 		}
 		resp, err := client.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
-				return ctx.Err()
+				return info, ctx.Err()
 			}
 			lastErr = err // transport error (refused, reset, timeout): retry
 			continue
 		}
 		retryable, retryAfter, err := decodeResponse(resp, url, out)
 		resp.Body.Close()
-		if err == nil {
-			return nil
+		if err == nil || !retryable {
+			return info, err
 		}
-		if !retryable {
-			return err
-		}
-		if retryAfter > maxRetryAfter {
-			retryAfter = maxRetryAfter
-		}
-		serverPause = retryAfter
+		serverPause = min(retryAfter, maxRetryAfter)
 		lastErr = err
 	}
-	return fmt.Errorf("grid: %s: giving up after %d attempts: %w", url, clientAttempts, lastErr)
+	return info, fmt.Errorf("grid: %s: giving up after %d attempts: %w", url, clientAttempts, lastErr)
 }
 
 // decodeResponse reads and decodes one response, classifying failures:
@@ -548,30 +505,18 @@ func decodeResponse(resp *http.Response, url string, out any) (retryable bool, r
 	return false, 0, nil
 }
 
-func apiURL(base string, parts ...string) string {
-	return strings.TrimSuffix(base, "/") + "/v1/" + strings.Join(parts, "/")
-}
-
-// ListJobs fetches the coordinator's job summaries. A nil client uses
-// a default client with DefaultHTTPTimeout.
+// ListJobs fetches the coordinator's job summaries. Like every client
+// call here, a nil client uses one with DefaultHTTPTimeout.
 func ListJobs(ctx context.Context, client *http.Client, baseURL string) ([]JobSummary, error) {
-	if client == nil {
-		client = defaultClient()
-	}
 	var resp jobsResponse
-	if err := getJSON(ctx, client, apiURL(baseURL, "jobs"), &resp); err != nil {
-		return nil, err
-	}
-	return resp.Jobs, nil
+	_, err := call(ctx, client, http.MethodGet, routeURL(baseURL, pathJobs, ""), nil, &resp)
+	return resp.Jobs, err
 }
 
 // GetJob fetches one job's detail, including its spec payload.
 func GetJob(ctx context.Context, client *http.Client, baseURL, jobID string) (JobDetail, error) {
-	if client == nil {
-		client = defaultClient()
-	}
 	var d JobDetail
-	err := getJSON(ctx, client, apiURL(baseURL, "jobs", jobID), &d)
+	_, err := call(ctx, client, http.MethodGet, routeURL(baseURL, pathJob, jobID), nil, &d)
 	return d, err
 }
 
@@ -579,11 +524,8 @@ func GetJob(ctx context.Context, client *http.Client, baseURL, jobID string) (Jo
 // incomplete job is an error (the coordinator answers 409 with its
 // progress).
 func FetchScores(ctx context.Context, client *http.Client, baseURL, jobID string) (*dsa.Scores, error) {
-	if client == nil {
-		client = defaultClient()
-	}
 	var w ScoresWire
-	if err := getJSON(ctx, client, apiURL(baseURL, "jobs", jobID, "results"), &w); err != nil {
+	if _, err := call(ctx, client, http.MethodGet, routeURL(baseURL, pathResults, jobID), nil, &w); err != nil {
 		return nil, err
 	}
 	return w.scores(), nil
@@ -592,10 +534,7 @@ func FetchScores(ctx context.Context, client *http.Client, baseURL, jobID string
 // FetchCacheStats fetches the coordinator's score cache counters
 // (dsa-report's `cache -coordinator` view).
 func FetchCacheStats(ctx context.Context, client *http.Client, baseURL string) (CacheStatsResponse, error) {
-	if client == nil {
-		client = defaultClient()
-	}
 	var resp CacheStatsResponse
-	err := getJSON(ctx, client, apiURL(baseURL, "cache"), &resp)
+	_, err := call(ctx, client, http.MethodGet, routeURL(baseURL, pathCache, ""), nil, &resp)
 	return resp, err
 }

@@ -381,7 +381,7 @@ func TestNonFiniteValuesOverTheWire(t *testing.T) {
 		}
 		// Through the real HTTP ingest path, not the method.
 		var ack ResultsAck
-		err := postJSON(ctx, srv.Client(), apiURL(srv.URL, "jobs", id, "results"),
+		_, err := call(ctx, srv.Client(), http.MethodPost, routeURL(srv.URL, pathResults, id),
 			ResultsUpload{Worker: "w", Results: []TaskResult{{Task: lt.Task, Values: vals}}}, &ack)
 		if err != nil {
 			t.Fatalf("upload of non-finite values: %v", err)

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"math"
 	"strconv"
 	"time"
 
@@ -144,72 +143,63 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 	return m
 }
 
-// collectGauges refreshes every state-shaped gauge from coordinator
-// state; it runs at scrape time (and for the dashboard).
+// collectGauges refreshes every state-shaped gauge from the live view; it
+// runs at scrape time.
 func (c *Coordinator) collectGauges(m *gridMetrics) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
+	v := c.liveView()
 
 	m.jobTasks.Reset()
 	m.jobETA.Reset()
 	m.jobPriority.Reset()
 	complete := 0
-	for _, j := range c.jobsLocked() {
-		id := j.id
-		c.expireLocked(j)
-		snap := c.snapshotLocked(j)
-		m.jobTasks.With(id, "pending").Set(float64(snap.Pending))
-		m.jobTasks.With(id, "leased").Set(float64(snap.Leased))
-		m.jobTasks.With(id, "done").Set(float64(snap.Done))
-		m.jobTasks.With(id, "total").Set(float64(snap.Total))
-		m.jobETA.With(id).Set(c.etaLocked(j, now))
-		m.jobPriority.With(id).Set(float64(j.weight))
-		if snap.Complete {
+	for _, jv := range v.Jobs {
+		m.jobTasks.With(jv.JobID, "pending").Set(float64(jv.Pending))
+		m.jobTasks.With(jv.JobID, "leased").Set(float64(jv.Leased))
+		m.jobTasks.With(jv.JobID, "done").Set(float64(jv.Done))
+		m.jobTasks.With(jv.JobID, "total").Set(float64(jv.Total))
+		m.jobETA.With(jv.JobID).Set(jv.ETA)
+		m.jobPriority.With(jv.JobID).Set(float64(jv.Priority))
+		if jv.Complete {
 			complete++
 		}
 	}
-	m.jobsTotal.Set(float64(len(c.jobs)))
+	m.jobsTotal.Set(float64(len(v.Jobs)))
 	m.jobsComplete.Set(float64(complete))
 
 	m.workerLive.Reset()
 	m.workerLatency.Reset()
 	m.workerFailure.Reset()
-	cutoff := now.Add(-livenessTTLs * c.opts.leaseTTL())
-	for name, ws := range c.workers {
-		live := 0.0
-		if ws.lastSeen.After(cutoff) {
-			live = 1
-		}
-		m.workerLive.With(name).Set(live)
-		m.workerLatency.With(name).Set(ws.latEWMA)
-		m.workerFailure.With(name).Set(ws.failEWMA)
-	}
-	m.workersLive.Set(float64(c.liveWorkersLocked()))
-
 	m.quarantinedVec.Reset()
-	for name := range c.quarantined {
-		m.quarantinedVec.With(name).Set(1)
-	}
-
-	if c.draining {
-		m.draining.Set(1)
-	} else {
-		m.draining.Set(0)
-	}
-
-	if stats, ok := c.cacheStatsLocked(); ok {
-		m.cacheHits.Set(float64(stats.Hits))
-		m.cacheMisses.Set(float64(stats.Misses))
-		m.cacheEntries.Set(float64(stats.Entries))
-		if total := stats.Hits + stats.Misses; total > 0 {
-			m.cacheHitRatio.Set(float64(stats.Hits) / float64(total))
-		} else {
-			m.cacheHitRatio.Set(math.NaN())
+	live := 0.0
+	for _, wv := range v.Workers {
+		if wv.Quarantined {
+			m.quarantinedVec.With(wv.Name).Set(1)
 		}
+		if !wv.Heard {
+			continue
+		}
+		m.workerLive.With(wv.Name).Set(b2f(wv.Live))
+		live += b2f(wv.Live)
+		m.workerLatency.With(wv.Name).Set(wv.Latency)
+		m.workerFailure.With(wv.Name).Set(wv.FailRate)
+	}
+	m.workersLive.Set(live)
+	m.draining.Set(b2f(v.Draining))
+	if v.HasCache {
+		m.cacheHits.Set(float64(v.Cache.Hits))
+		m.cacheMisses.Set(float64(v.Cache.Misses))
+		m.cacheEntries.Set(float64(v.Cache.Entries))
+		m.cacheHitRatio.Set(v.HitRatio())
 	}
 
 	c.collectFederated(m)
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // collectFederated re-exposes the latest worker snapshots (shipped on
@@ -240,26 +230,6 @@ func (c *Coordinator) collectFederated(m *gridMetrics) {
 	for measure, hs := range fleet {
 		m.fleetTaskSeconds.With(measure).Load(hs)
 	}
-}
-
-// etaLocked estimates seconds to completion from the job's observed
-// rate: tasks completed since work actually started (checkpoint
-// restores don't count — they were free). NaN before any progress, 0
-// once complete.
-func (c *Coordinator) etaLocked(j *gridJob, now time.Time) float64 {
-	if j.done == len(j.tasks) {
-		return 0
-	}
-	progressed := j.done - j.restored
-	if progressed <= 0 || j.startedAt.IsZero() {
-		return math.NaN()
-	}
-	elapsed := now.Sub(j.startedAt).Seconds()
-	if elapsed <= 0 {
-		return math.NaN()
-	}
-	rate := float64(progressed) / elapsed
-	return float64(len(j.tasks)-j.done) / rate
 }
 
 // onRequestDone is the access-log + HTTP-metrics sink wired into

@@ -204,7 +204,7 @@ func TestJournalsDeterministic(t *testing.T) {
 		coord.Quarantine("bad")
 		now = now.Add(2 * time.Minute) // gone's leases expire in both jobs
 		for i := 0; i < 2; i++ {
-			lease, err := coord.LeaseAny(ctx, "good", 8)
+			lease, err := coord.Lease(ctx, "", "good", 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,7 +47,7 @@ const (
 // workerStats is the coordinator's per-worker scorecard, updated by the
 // lease, ingest, verify and expire transitions under the coordinator
 // lock. What a worker holds right now is not kept here: the task table
-// says (leasedByLocked).
+// says (jobViewLocked).
 type workerStats struct {
 	name      string
 	firstSeen time.Time
@@ -119,18 +119,6 @@ func (c *Coordinator) fleetLatencyLocked() (mean float64, n int) {
 	return sum / float64(n), n
 }
 
-// leasedByLocked counts the leases of every kind — primary, hedge,
-// audit — each worker holds, from the task table.
-func (c *Coordinator) leasedByLocked() map[string]int {
-	held := map[string]int{}
-	for _, j := range c.jobs {
-		for _, r := range j.revocations(func(string) bool { return true }) {
-			held[r.Worker]++
-		}
-	}
-	return held
-}
-
 // grantCapLocked is the routing decision: how many tasks this worker's
 // lease call may carry, given its track record. A worker with no
 // history gets the full requested batch.
@@ -148,19 +136,6 @@ func (c *Coordinator) grantCapLocked(name string, max int) int {
 		grant = (grant + 1) / 2
 	}
 	return grant
-}
-
-// liveWorkersLocked counts workers heard from within livenessTTLs
-// lease TTLs.
-func (c *Coordinator) liveWorkersLocked() int {
-	cutoff := c.now().Add(-livenessTTLs * c.opts.leaseTTL())
-	n := 0
-	for _, ws := range c.workers {
-		if ws.lastSeen.After(cutoff) {
-			n++
-		}
-	}
-	return n
 }
 
 // jobsLocked lists the jobs in ID order: the order every walk that can

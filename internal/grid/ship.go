@@ -121,7 +121,7 @@ func (s *TraceShipper) Ship(ctx context.Context) error {
 			Offset: s.offset, Data: data,
 			Stats: s.opts.Metrics.Snapshot(),
 		}
-		if err := postJSON(ctx, s.client, apiURL(s.baseURL, "trace"), up, &ack); err != nil {
+		if _, err := call(ctx, s.client, http.MethodPost, routeURL(s.baseURL, pathTrace, ""), up, &ack); err != nil {
 			return err
 		}
 		if ack.Have == s.offset && len(data) == 0 {

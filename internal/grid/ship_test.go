@@ -341,7 +341,7 @@ func TestTraceUploadUnknownJob(t *testing.T) {
 	defer srv.Close()
 
 	var ack TraceAck
-	err := postJSON(context.Background(), defaultClient(), apiURL(srv.URL, "trace"),
+	_, err := call(context.Background(), nil, http.MethodPost, routeURL(srv.URL, pathTrace, ""),
 		TraceUpload{Writer: "w", Job: "gossip-000000000000"}, &ack)
 	if err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("upload into unknown job: err = %v, want 404", err)

@@ -329,32 +329,31 @@ func (tc *traceCollector) Close() error {
 
 // --- Handlers ---
 
-func (c *Coordinator) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	var up TraceUpload
-	if !c.readBody(w, r, &up) {
-		return
+// knownScope refuses a trace scope that names an unregistered job; ""
+// (the fleet scope on upload, every scope on read) always passes.
+func (c *Coordinator) knownScope(jobID string) error {
+	if jobID == "" {
+		return nil
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.getJob(jobID)
+	return err
+}
+
+func (c *Coordinator) collectTrace(r *http.Request, up TraceUpload) (TraceAck, error) {
 	if up.Writer == "" {
-		writeError(w, fmt.Errorf("grid: trace upload needs a writer"))
-		return
+		return TraceAck{}, fmt.Errorf("grid: trace upload needs a writer")
 	}
 	if up.Offset < 0 {
-		writeError(w, fmt.Errorf("grid: trace upload offset must be >= 0"))
-		return
+		return TraceAck{}, fmt.Errorf("grid: trace upload offset must be >= 0")
 	}
-	if up.Job != "" {
-		c.mu.Lock()
-		_, err := c.getJob(up.Job)
-		c.mu.Unlock()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
+	if err := c.knownScope(up.Job); err != nil {
+		return TraceAck{}, err
 	}
 	ack, spans, dup, err := c.traces.append(up.Job, up.Writer, up.Offset, up.Data)
 	if err != nil {
-		writeError(w, fmt.Errorf("grid: trace collect: %w", err))
-		return
+		return TraceAck{}, fmt.Errorf("grid: trace collect: %w", err)
 	}
 	c.metrics.traceUploads.Inc()
 	c.metrics.traceBytes.Add(float64(ack.Accepted))
@@ -369,53 +368,44 @@ func (c *Coordinator) handleTraceUpload(w http.ResponseWriter, r *http.Request) 
 		c.logfCtx(r.Context(), "grid: trace: %s/%s +%dB (%d spans, have %d)",
 			scopeName(up.Job), up.Writer, ack.Accepted, spans, ack.Have)
 	}
-	writeJSON(w, http.StatusOK, ack)
+	return ack, nil
 }
 
-func (c *Coordinator) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	jobID := r.URL.Query().Get("job")
-	if jobID != "" {
-		c.mu.Lock()
-		_, err := c.getJob(jobID)
-		c.mu.Unlock()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
+func (c *Coordinator) traceDigest(jobID string) (TraceDigest, error) {
+	if err := c.knownScope(jobID); err != nil {
+		return TraceDigest{}, err
 	}
-	if r.URL.Query().Get("format") == "digest" {
-		a, journals, err := c.traces.digest(jobID)
-		if err != nil {
-			writeError(w, fmt.Errorf("grid: trace digest: %w", err))
-			return
-		}
-		writeJSON(w, http.StatusOK, TraceDigest{Job: jobID, Journals: journals, Analysis: *a})
-		return
+	a, journals, err := c.traces.digest(jobID)
+	if err != nil {
+		return TraceDigest{}, fmt.Errorf("grid: trace digest: %w", err)
 	}
-	paths := c.traces.paths(jobID)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if len(paths) == 0 {
-		return // 200, empty timeline
-	}
-	if _, err := obs.Merge(w, paths...); err != nil {
-		c.logfCtx(r.Context(), "grid: trace merge failed: %v", err)
-	}
+	return TraceDigest{Job: jobID, Journals: journals, Analysis: *a}, nil
 }
 
 // --- Client ---
 
+// traceURL is the trace route scoped to jobID ("" = every collected
+// journal), as the digest or the merged journal.
+func traceURL(baseURL, jobID string, digest bool) string {
+	q := url.Values{}
+	if digest {
+		q.Set("format", "digest")
+	}
+	if jobID != "" {
+		q.Set("job", jobID)
+	}
+	u := routeURL(baseURL, pathTrace, "")
+	if len(q) > 0 {
+		u += "?" + q.Encode()
+	}
+	return u
+}
+
 // FetchTraceDigest fetches a coordinator's analyzed trace summary;
 // jobID "" digests every collected journal.
 func FetchTraceDigest(ctx context.Context, client *http.Client, baseURL, jobID string) (TraceDigest, error) {
-	if client == nil {
-		client = defaultClient()
-	}
 	var d TraceDigest
-	u := apiURL(baseURL, "trace") + "?format=digest"
-	if jobID != "" {
-		u += "&job=" + url.QueryEscape(jobID)
-	}
-	err := getJSON(ctx, client, u, &d)
+	_, err := call(ctx, client, http.MethodGet, traceURL(baseURL, jobID, true), nil, &d)
 	return d, err
 }
 
@@ -426,10 +416,7 @@ func FetchTrace(ctx context.Context, client *http.Client, baseURL, jobID string)
 	if client == nil {
 		client = defaultClient()
 	}
-	u := apiURL(baseURL, "trace")
-	if jobID != "" {
-		u += "?job=" + url.QueryEscape(jobID)
-	}
+	u := traceURL(baseURL, jobID, false)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err

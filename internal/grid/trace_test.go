@@ -47,9 +47,7 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 	defer srv.Close()
 
 	var out jobsResponse
-	var info callInfo
-	err := doJSONInfo(context.Background(), defaultClient(), http.MethodGet,
-		apiURL(srv.URL, "jobs"), nil, &out, &info)
+	info, err := call(context.Background(), nil, http.MethodGet, routeURL(srv.URL, pathJobs, ""), nil, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,9 +253,13 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	if j.leasesGranted != 4 || j.requeues != 0 {
 		t.Errorf("replayed deficit: leasesGranted %d requeues %d, want 4 and 0", j.leasesGranted, j.requeues)
 	}
-	ws := coord2.workers["first-life"]
-	if ws == nil || ws.done != 3 || coord2.leasedByLocked()["first-life"] != 1 {
-		t.Errorf("replayed worker score row = %+v, want done 3 with 1 still leased", ws)
+	for _, wv := range coord2.viewLocked().Workers {
+		if wv.Name == "first-life" && (wv.Done != 3 || wv.Leased != 1) {
+			t.Errorf("replayed worker score row = %+v, want done 3 with 1 still leased", wv)
+		}
+	}
+	if coord2.workers["first-life"] == nil {
+		t.Error("the replay left no score row for first-life")
 	}
 	coord2.mu.Unlock()
 

@@ -35,7 +35,7 @@ type WorkerOptions struct {
 	// Client is the HTTP client; nil = a client with
 	// DefaultHTTPTimeout, so a hung coordinator can never wedge the
 	// worker forever (requests are also retried with backoff — see
-	// doJSON).
+	// call).
 	Client *http.Client
 	// AuthToken is the coordinator's shared secret (see
 	// CoordinatorOptions.AuthToken); sent as a bearer token on every
@@ -106,10 +106,10 @@ func (o WorkerOptions) client() *http.Client {
 // to go away), or the coordinator becomes unreachable.
 //
 // With an explicit jobID the worker serves that one job. With jobID ""
-// it runs in multi-job mode: every lease call hits the global
-// POST /v1/lease and the coordinator's fair scheduler decides which
-// job each batch serves, so one fleet of workers drains any mix of
-// concurrent jobs in proportion to their priorities.
+// it runs in multi-job mode: every lease request leaves the job open and
+// the coordinator's fair scheduler decides which job each batch serves,
+// so one fleet of workers drains any mix of concurrent jobs in proportion
+// to their priorities.
 //
 // A worker holds no durable state: killing it at any instant loses at
 // most its in-flight leases, which expire on the coordinator and are
@@ -121,9 +121,9 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	leaseURL := apiURL(baseURL, "lease")
+	leaseURL := routeURL(baseURL, pathLease, "")
 	if jobID != "" {
-		leaseURL = apiURL(baseURL, "jobs", jobID, "lease")
+		leaseURL = routeURL(baseURL, pathJobLease, jobID)
 	}
 
 	rc := &reconnector{window: opts.Reconnect}
@@ -168,17 +168,10 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 				continue
 			}
 		}
-		// Both lease endpoints answer into one shape: the job-bound one
-		// leaves Job empty and reports Complete, the global one names the
-		// job the scheduler picked and reports AllComplete.
-		var lease struct {
-			GlobalLeaseResponse
-			Complete bool `json:"complete"`
-		}
-		var info callInfo
+		var lease LeaseResponse
 		leaseSpan := opts.Trace.Start(0, "lease")
-		err := postJSONInfo(ctx, client, leaseURL,
-			LeaseRequest{Worker: name, MaxTasks: opts.TasksPerLease}, &lease, &info)
+		info, err := call(ctx, client, http.MethodPost, leaseURL,
+			LeaseRequest{Worker: name, MaxTasks: opts.TasksPerLease}, &lease)
 		if err != nil {
 			leaseSpan.Drop()
 			if err = rideOut("coordinator unreachable", err); err != nil {
@@ -187,11 +180,7 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 			continue
 		}
 		rc.ok()
-		id := jobID
-		if id == "" {
-			id = lease.Job
-		}
-		leaseSpan.Str("rid", info.requestID).Str("job", id).
+		leaseSpan.Str("rid", info.requestID).Str("job", lease.Job).
 			Int("granted", int64(len(lease.Tasks))).End()
 		opts.Metrics.ObserveLease(len(lease.Tasks))
 		if lease.Draining {
@@ -200,11 +189,11 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 		}
 		if len(lease.Tasks) == 0 {
 			if lease.Complete {
-				logf("worker %s: job %s complete", name, jobID)
-				return nil
-			}
-			if lease.AllComplete {
-				logf("worker %s: all jobs complete", name)
+				if jobID != "" {
+					logf("worker %s: job %s complete", name, jobID)
+				} else {
+					logf("worker %s: all jobs complete", name)
+				}
 				return nil
 			}
 			// No jobs yet, or everything pending is leased to other
@@ -214,13 +203,13 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 			}
 			continue
 		}
-		spec, ok, err := join(id)
+		spec, ok, err := join(lease.Job)
 		if err != nil {
 			return err
 		} else if !ok {
 			continue
 		}
-		if err := runLease(ctx, client, baseURL, id, name, spec, lease.Tasks, opts, logf); err != nil {
+		if err := runLease(ctx, client, baseURL, lease.Job, name, spec, lease.Tasks, opts, logf); err != nil {
 			// The batch's uploads died mid-outage; the leases expire and
 			// re-queue, so just go back to pulling.
 			if err = rideOut("lease batch failed", err); err != nil {
@@ -318,7 +307,7 @@ func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name str
 				return
 			}
 			var resp HeartbeatResponse
-			if err := postJSON(hbCtx, client, apiURL(baseURL, "jobs", jobID, "heartbeat"),
+			if _, err := call(hbCtx, client, http.MethodPost, routeURL(baseURL, pathHeartbeat, jobID),
 				HeartbeatRequest{Worker: name, Tasks: ids}, &resp); err != nil {
 				continue // transient; the lease survives until its TTL
 			}
@@ -347,10 +336,9 @@ func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name str
 
 	upload := func(rs []TaskResult) error {
 		var ack ResultsAck
-		var info callInfo
 		span := opts.Trace.Start(batch.ID(), "upload").Int("tasks", int64(len(rs)))
-		err := postJSONInfo(ctx, client, apiURL(baseURL, "jobs", jobID, "results"),
-			ResultsUpload{Worker: name, Results: rs}, &ack, &info)
+		info, err := call(ctx, client, http.MethodPost, routeURL(baseURL, pathResults, jobID),
+			ResultsUpload{Worker: name, Results: rs}, &ack)
 		if err == nil && len(ack.Acks) != len(rs) {
 			err = fmt.Errorf("grid: %d acks for %d uploaded results", len(ack.Acks), len(rs))
 		}

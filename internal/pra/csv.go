@@ -1,0 +1,86 @@
+package pra
+
+import (
+	"encoding/csv"
+	"io"
+	"slices"
+	"strconv"
+
+	"repro/internal/design"
+	"repro/internal/dsa"
+)
+
+// The swarming domain's CSV is the original dsa-sweep column set — the
+// figure and table extractors' input, older than the generic dsa layout —
+// so the domain is a dsa.CSVLayout. The layout has one robustness and one
+// aggressiveness column, which are both the raw and the assembled value;
+// a header-only file (an empty evaluated panel) is a valid round trip, as
+// in the generic layout, and cells are dsa's.
+var csvHeader = []string{
+	"id", "protocol", "stranger", "h", "candidates", "ranking", "k",
+	"allocation", "raw_kbps", "performance", "robustness", "aggressiveness",
+}
+
+func (swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
+	protos, err := Protocols(s.Points)
+	if err != nil {
+		return err
+	}
+	cw := csv.NewWriter(w)
+	if err := cw.Write(csvHeader); err != nil {
+		return err
+	}
+	for i, p := range protos {
+		row := []string{
+			strconv.Itoa(design.ID(p)), p.String(), p.Stranger.String(),
+			strconv.Itoa(p.H), p.Candidate.String(), p.Ranking.String(),
+			strconv.Itoa(p.K), p.Allocation.String(),
+			dsa.FormatScore(s.Raw[MeasurePerformance][i]),
+		}
+		for _, m := range base.Measures() {
+			row = append(row, dsa.FormatScore(s.Values[m][i]))
+		}
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+func (swarmingDomain) ReadCSV(r io.Reader) (*dsa.Scores, error) {
+	cols := csvHeader[8:] // the score columns
+	t, err := dsa.ReadCSVTable(r, append([]string{"protocol"}, cols...)...)
+	if err != nil {
+		return nil, err
+	}
+	protos := make([]design.Protocol, len(t.Rows))
+	vals := map[string][]float64{}
+	for _, c := range cols {
+		vals[c] = make([]float64, len(protos))
+	}
+	for i := range t.Rows {
+		if protos[i], err = design.Parse(t.Cell(i, "protocol")); err != nil {
+			return nil, t.Errorf(i, "%w", err)
+		}
+		for _, c := range cols {
+			if vals[c][i], err = t.Score(i, c); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &dsa.Scores{
+		Domain: DomainName,
+		Points: Points(protos),
+		Raw: map[string][]float64{
+			MeasurePerformance:    vals["raw_kbps"],
+			MeasureRobustness:     slices.Clone(vals[MeasureRobustness]),
+			MeasureAggressiveness: slices.Clone(vals[MeasureAggressiveness]),
+		},
+		Values: map[string][]float64{
+			MeasurePerformance:    vals[MeasurePerformance],
+			MeasureRobustness:     vals[MeasureRobustness],
+			MeasureAggressiveness: vals[MeasureAggressiveness],
+		},
+	}, nil
+}

@@ -230,7 +230,7 @@ type GridOptions struct {
 // mid-sweep, their expired leases are re-run elsewhere.
 func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, cfg Config, opts GridOptions) (*Scores, error) {
 	coordOpts := grid.CoordinatorOptions{
-		Dir: opts.Dir, LeaseTTL: opts.LeaseTTL, Logf: opts.Logf, CSV: exp.WriteDomainCSV,
+		Dir: opts.Dir, LeaseTTL: opts.LeaseTTL, Logf: opts.Logf,
 		AuthToken: opts.AuthToken, RateLimit: opts.RateLimit, RateBurst: opts.RateBurst,
 	}
 	if opts.Cache != nil {

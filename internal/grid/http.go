@@ -485,8 +485,9 @@ func (c *Coordinator) Serve(ctx context.Context, addr string, onListen func(addr
 		onListen(ln.Addr().String())
 	}
 	srv := &http.Server{Handler: c.Handler()}
-	stopped := make(chan struct{})
+	stopped, shutdown := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(shutdown)
 		select {
 		case <-ctx.Done():
 		case <-c.Drained():
@@ -499,6 +500,9 @@ func (c *Coordinator) Serve(ctx context.Context, addr string, onListen func(addr
 	}()
 	err = srv.Serve(ln)
 	close(stopped)
+	// Serve returns the moment Shutdown begins; the answers still being
+	// written — the drain request's own among them — need it to finish.
+	<-shutdown
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
 	}

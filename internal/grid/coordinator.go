@@ -872,8 +872,10 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool,
 func (c *Coordinator) Lease(ctx context.Context, id, worker string, max int) (LeaseResponse, error) {
 	c.metrics.leaseRequests.Inc()
 	c.mu.Lock()
-	scope := c.jobsLocked()
-	if id != "" {
+	var scope []*gridJob
+	if id == "" {
+		scope = c.jobsLocked()
+	} else {
 		j, err := c.getJob(id)
 		if err != nil {
 			c.mu.Unlock()

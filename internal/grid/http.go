@@ -146,7 +146,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 // jsonCall adapts one typed coordinator call to HTTP: decode the JSON
 // body (readBody answers its own failures; a noBody route has none to
-// decode), make the call, answer the result or the error.
+// decode), make the call, answer its outcome.
 func jsonCall[Req, Resp any](c *Coordinator, call func(r *http.Request, req Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
@@ -154,12 +154,19 @@ func jsonCall[Req, Resp any](c *Coordinator, call func(r *http.Request, req Req)
 			return
 		}
 		resp, err := call(r, req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+		answer(w, resp, err)
 	}
+}
+
+// answer writes a typed call's outcome: the result as JSON, or the error
+// in the API's error shape. The routes that also speak CSV or NDJSON
+// answer their JSON variant through it too.
+func answer[Resp any](w http.ResponseWriter, resp Resp, err error) {
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // authed guards one mutating route with the shared-secret token. The
@@ -375,25 +382,18 @@ func (c *Coordinator) createJob(_ *http.Request, req CreateJobRequest) (JobSumma
 // serveResults answers a complete job's scores, as JSON or — with
 // ?format=csv — in the domain's CSV layout.
 func (c *Coordinator) serveResults(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") != "csv" {
-		jsonCall(c, func(r *http.Request, _ noBody) (ScoresWire, error) {
-			scores, _, err := c.finished(r.PathValue("id"))
-			if err != nil {
-				return ScoresWire{}, err
-			}
-			return scoresToWire(scores), nil
-		})(w, r)
-		return
-	}
 	id := r.PathValue("id")
 	scores, d, err := c.finished(id)
-	if err != nil {
+	switch {
+	case err != nil:
 		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv")
-	if err := dsa.WriteCSV(w, d, scores); err != nil {
-		c.logfCtx(r.Context(), "grid: job %s: csv render: %v", id, err)
+	case r.URL.Query().Get("format") != "csv":
+		answer(w, scoresToWire(scores), nil)
+	default:
+		w.Header().Set("Content-Type", "text/csv")
+		if err := dsa.WriteCSV(w, d, scores); err != nil {
+			c.logfCtx(r.Context(), "grid: job %s: csv render: %v", id, err)
+		}
 	}
 }
 
@@ -403,13 +403,9 @@ func (c *Coordinator) serveResults(w http.ResponseWriter, r *http.Request) {
 // client goes away.
 func (c *Coordinator) serveProgress(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if r.URL.Query().Get("stream") == "" {
-		jsonCall(c, func(*http.Request, noBody) (ProgressSnapshot, error) { return c.Progress(id) })(w, r)
-		return
-	}
 	snap, err := c.Progress(id)
-	if err != nil {
-		writeError(w, err)
+	if err != nil || r.URL.Query().Get("stream") == "" {
+		answer(w, snap, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -456,7 +452,8 @@ func (c *Coordinator) serveProgress(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) serveTrace(w http.ResponseWriter, r *http.Request) {
 	jobID := r.URL.Query().Get("job")
 	if r.URL.Query().Get("format") == "digest" {
-		jsonCall(c, func(*http.Request, noBody) (TraceDigest, error) { return c.traceDigest(jobID) })(w, r)
+		digest, err := c.traceDigest(jobID)
+		answer(w, digest, err)
 		return
 	}
 	if err := c.knownScope(jobID); err != nil {

@@ -230,15 +230,15 @@ func (c *Coordinator) WaitComplete(ctx context.Context, id string) (*dsa.Scores,
 // its domain, or the error that says why not — unknown, failed to
 // assemble, or incomplete with the progress so far.
 func (c *Coordinator) finished(id string) (*dsa.Scores, dsa.Domain, error) {
-	scores, ok, err := c.Scores(id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j, err := c.getJob(id)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ok {
-		snap, _ := c.Progress(id)
-		return nil, nil, &incompleteError{snap}
+	if !j.completeLocked() {
+		c.expireLocked(j)
+		return nil, nil, &incompleteError{c.jobViewLocked(j, c.now(), map[string]int{}).ProgressSnapshot}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return scores, c.jobs[id].spec.Domain, nil
+	return j.scores, j.spec.Domain, j.scoresErr
 }

@@ -16,10 +16,11 @@ import (
 // aggressiveness column, which are both the raw and the assembled value;
 // a header-only file (an empty evaluated panel) is a valid round trip, as
 // in the generic layout, and cells are dsa's.
-var csvHeader = []string{
-	"id", "protocol", "stranger", "h", "candidates", "ranking", "k",
-	"allocation", "raw_kbps", "performance", "robustness", "aggressiveness",
-}
+var (
+	csvScoreColumns = []string{"raw_kbps", "performance", "robustness", "aggressiveness"}
+	csvHeader       = append([]string{"id", "protocol", "stranger", "h", "candidates", "ranking", "k", "allocation"},
+		csvScoreColumns...)
+)
 
 func (swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
 	protos, err := Protocols(s.Points)
@@ -49,7 +50,7 @@ func (swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
 }
 
 func (swarmingDomain) ReadCSV(r io.Reader) (*dsa.Scores, error) {
-	cols := csvHeader[8:] // the score columns
+	cols := csvScoreColumns
 	t, err := dsa.ReadCSVTable(r, append([]string{"protocol"}, cols...)...)
 	if err != nil {
 		return nil, err

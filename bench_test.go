@@ -429,7 +429,7 @@ func benchExplore(b *testing.B, store *cachepkg.Store) {
 		sc = store
 	}
 	_, _, err := dsa.HillClimb(gossip.Domain(), dsa.Weights{gossip.MeasureCoverage: 1},
-		benchExploreCfg(), core.HillClimbConfig{Restarts: 2, MaxSteps: 15, Seed: 3}, sc)
+		benchExploreCfg(), core.HillClimbConfig{Restarts: 2, MaxSteps: 15, Seed: 3}, sc, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

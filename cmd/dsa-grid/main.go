@@ -68,9 +68,11 @@
 // (see the README's "Benchmarking and profiling" guide).
 //
 // Observability: -trace-dir appends this worker's span journal
-// (trace-<name>.jsonl — lease, lease-batch, task and upload spans,
-// each carrying the request ID the coordinator logs) into DIR, where
-// `dsa-report trace DIR` merges it with other workers' journals.
+// (trace-<name>.jsonl — lease, lease-batch, task, cache-lookup, simulate
+// and upload spans and nothing else, the HTTP ones carrying the request
+// ID the coordinator logs; a restarted worker of the same name
+// continues its journal) into DIR, where `dsa-report trace DIR` merges
+// it with other workers' journals.
 // -metrics-addr serves GET /metrics (Prometheus text) with live task /
 // point / lease / upload-retry counters. -ship-traces streams the
 // journal to the coordinator (chunked, offset-resumed POST /v1/trace
@@ -225,7 +227,7 @@ func runServe(sigCtx context.Context, args []string) {
 			return
 		}
 		if *out != "" {
-			if err := writeCSV(*out, d, scores); err != nil {
+			if err := dsa.WriteCSVFile(*out, d, scores); err != nil {
 				log.Printf("write %s: %v", *out, err)
 			} else {
 				log.Printf("wrote %s (%d rows)", *out, len(scores.Points))
@@ -276,21 +278,6 @@ func reportProgress(ctx context.Context, coord *grid.Coordinator, id string) {
 			return
 		}
 	}
-}
-
-// writeCSV matches dsa-sweep's output exactly (dsa.WriteCSV is the one
-// writer of a domain's layout), so grid and single-process sweeps emit
-// interchangeable files.
-func writeCSV(path string, d dsa.Domain, scores *dsa.Scores) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := dsa.WriteCSV(f, d, scores); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func runWork(ctx context.Context, args []string) {
@@ -396,7 +383,6 @@ func runWork(ctx context.Context, args []string) {
 			log.Fatal(err)
 		}
 		defer store.Close()
-		store.SetTracer(workOpts.Trace)
 		workOpts.Cache = store
 	}
 	var shipper *grid.TraceShipper

@@ -202,15 +202,7 @@ func loadScores(d dsa.Domain, in, ckpt, coord, jobID string) (*dsa.Scores, error
 // merge writes the scores loaded from src (a checkpoint or a
 // coordinator) to the domain's canonical CSV.
 func merge(d dsa.Domain, s *dsa.Scores, src, out string) error {
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := dsa.WriteCSV(f, d, s); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := dsa.WriteCSVFile(out, d, s); err != nil {
 		return err
 	}
 	log.Printf("merged %s into %s (%d rows)", src, out, len(s.Points))

@@ -66,8 +66,9 @@ func runTraceRemote(baseURL, jobID, mergedPath string) {
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer raw.Close()
 		writeMerged(mergedPath, func(w io.Writer) error {
-			_, err := w.Write(raw)
+			_, err := io.Copy(w, raw)
 			return err
 		})
 	}
@@ -105,10 +106,6 @@ func renderTrace(w io.Writer, a *obs.Analysis, journals int) error {
 	tbl.Add("points cache-served", a.PointsCached)
 	if total := a.PointsSimulated + a.PointsCached; total > 0 {
 		tbl.Add("cache-hit rate", fmt.Sprintf("%.1f%%", 100*float64(a.PointsCached)/float64(total)))
-	}
-	if a.CacheLookups > 0 {
-		tbl.Add("cache lookups (store events)", a.CacheLookups)
-		tbl.Add("  of which hits", a.CacheHits)
 	}
 	if a.Uploads > 0 {
 		tbl.Add("result uploads (requests)", a.Uploads)

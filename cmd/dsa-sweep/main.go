@@ -55,11 +55,16 @@
 //
 // -trace-dir DIR appends a span journal (trace-s<I>of<N>.jsonl, one
 // line per completed span: the sweep root, every task with its
-// cache-hit/simulated split, cache lookups and simulate slices) into
-// DIR. Journals from different shards of the same sweep merge cleanly:
-// point `dsa-report trace DIR` at the directory for critical path,
-// per-measure latency, stragglers and cache attribution. Tracing costs
-// no steady-state allocations and well under 5% of sweep time.
+// cache-hit/simulated split, its cache-lookup phase and the simulate
+// call of its chunk; with -explore the explorers' spans too) into DIR.
+// Spans are all a journal holds: the cache's totals are its own stats
+// line, the progress line's point counts are the job engine's. A
+// -resume into the same DIR continues the journal (fresh span IDs, the
+// timebase where the last run stopped). Journals from different shards
+// of the same sweep merge cleanly: point `dsa-report trace DIR` at the
+// directory for critical path, per-measure latency, stragglers and
+// cache attribution. Tracing costs no steady-state allocations and
+// well under 5% of sweep time.
 //
 // -cpuprofile / -memprofile write pprof profiles of the sweep (the CPU
 // profile covers the whole run; the heap profile is taken after a
@@ -78,7 +83,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -158,18 +162,13 @@ func main() {
 	}
 	defer stopProf()
 
-	// The recorder is always live — memory-only without -trace-dir — so
-	// the progress line's cache-hit rate and points/sec cost nothing
-	// extra when journalling is off.
-	writer := fmt.Sprintf("s%dof%d", *shardIdx, *shards)
-	var rec *obs.Recorder
+	var rec *obs.Recorder // nil without -trace-dir: tracing off
 	if *traceDir != "" {
+		writer := fmt.Sprintf("s%dof%d", *shardIdx, *shards)
 		if rec, err = obs.OpenDir(*traceDir, writer); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("tracing to %s", obs.JournalPath(*traceDir, writer))
-	} else {
-		rec = obs.NewRecorder(writer)
 	}
 	defer rec.Close()
 
@@ -180,7 +179,6 @@ func main() {
 			log.Fatal(err)
 		}
 		defer scoreCache.Close()
-		scoreCache.SetTracer(rec)
 		st := scoreCache.Stats()
 		log.Printf("score cache %s: %d entries, %d bytes on disk", *cacheDir, st.Entries, st.Bytes)
 	}
@@ -196,13 +194,14 @@ func main() {
 		stop()
 	}()
 
+	var progress progressLog
 	jobOpts := job.Options{
 		Dir:        *ckptDir,
 		Shards:     *shards,
 		ShardIndex: *shardIdx,
 		Chunk:      spec.Chunk,
 		Trace:      rec,
-		Progress:   progressLogger(rec),
+		Progress:   progress.report,
 	}
 	if scoreCache != nil {
 		// Assign only when non-nil: a typed-nil *cache.Store in the
@@ -231,23 +230,15 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("sweep done in %v", time.Since(start).Round(time.Second))
-	if st := rec.Stats(); st.PointsSimulated+st.PointsCached > 0 {
+	if p := progress.last; p.PointsSimulated+p.PointsCached > 0 {
 		log.Printf("trace: %d tasks, %d points simulated, %d cache-served (%.0f%% hit rate)",
-			st.TasksDone, st.PointsSimulated, st.PointsCached,
-			100*float64(st.PointsCached)/float64(st.PointsSimulated+st.PointsCached))
+			p.FreshTasks, p.PointsSimulated, p.PointsCached, hitRate(p))
 	}
 	// The profiles' subject — the sweep — is over; finish them now so
 	// even a failed CSV write cannot discard an hours-long profile.
 	stopProf()
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := writeCSV(f, d, scores); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := dsa.WriteCSVFile(*out, d, scores); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s (%d rows)", *out, len(scores.Points))
@@ -267,45 +258,44 @@ func main() {
 	}
 }
 
-// writeCSV picks the output format through the shared layout policy:
-// the swarming domain keeps its original dsa-sweep CSV layout (the
-// figure and table extractors of dsa-report parse it), every other
-// domain uses the generic layout.
-func writeCSV(f *os.File, d dsa.Domain, scores *dsa.Scores) error {
-	return dsa.WriteCSV(f, d, scores)
+// progressLog is the job progress callback's state: it logs at most one
+// line every few seconds — task counts, elapsed time, an ETA for this
+// process's remaining share, and the cache-hit rate and simulated
+// throughput of this run's tasks — and keeps the last snapshot for the
+// summary line. The engine serializes the callback, and main reads last
+// only after job.Run returned.
+type progressLog struct {
+	logged time.Time
+	last   job.Progress
 }
 
-// progressLogger returns a job progress callback that logs at most one
-// line every few seconds: task counts, elapsed time, an ETA for this
-// process's remaining share, and the live cache-hit rate and simulated
-// throughput read off the recorder's counters.
-func progressLogger(rec *obs.Recorder) func(job.Progress) {
-	var mu sync.Mutex
-	var last time.Time
-	return func(p job.Progress) {
-		mu.Lock()
-		defer mu.Unlock()
-		done := p.FreshTasks >= p.MineTasks
-		if !done && time.Since(last) < 5*time.Second {
-			return
-		}
-		last = time.Now()
-		eta := "n/a"
-		if p.ETA > 0 {
-			eta = p.ETA.Round(time.Second).String()
-		}
-		st := rec.Stats()
-		hitRate := 0.0
-		if total := st.PointsSimulated + st.PointsCached; total > 0 {
-			hitRate = 100 * float64(st.PointsCached) / float64(total)
-		}
-		rate := 0.0
-		if p.Elapsed > 0 {
-			rate = float64(st.PointsSimulated) / p.Elapsed.Seconds()
-		}
-		log.Printf("progress: %d/%d tasks (%d this run), elapsed %v, ETA %s, cache-hit %.0f%%, %.0f pts/s",
-			p.DoneTasks, p.TotalTasks, p.FreshTasks, p.Elapsed.Round(time.Second), eta, hitRate, rate)
+func (l *progressLog) report(p job.Progress) {
+	l.last = p
+	done := p.FreshTasks >= p.MineTasks
+	if !done && time.Since(l.logged) < 5*time.Second {
+		return
 	}
+	l.logged = time.Now()
+	eta := "n/a"
+	if p.ETA > 0 {
+		eta = p.ETA.Round(time.Second).String()
+	}
+	rate := 0.0
+	if p.Elapsed > 0 {
+		rate = float64(p.PointsSimulated) / p.Elapsed.Seconds()
+	}
+	log.Printf("progress: %d/%d tasks (%d this run), elapsed %v, ETA %s, cache-hit %.0f%%, %.0f pts/s",
+		p.DoneTasks, p.TotalTasks, p.FreshTasks, p.Elapsed.Round(time.Second), eta, hitRate(p), rate)
+}
+
+// hitRate is the cache-served percentage of the points of this run's
+// tasks; 0 before any.
+func hitRate(p job.Progress) float64 {
+	total := p.PointsSimulated + p.PointsCached
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(p.PointsCached) / float64(total)
 }
 
 // runExplorers demonstrates the Section 7 heuristic exploration on the
@@ -324,13 +314,13 @@ func runExplorers(d dsa.Domain, cfg dsa.Config, store *cache.Store, rec *obs.Rec
 	perfCfg.PerfRuns = 1
 	primary := d.Measures()[0]
 	weights := dsa.Weights{primary: 1}
-	hc, hcCalls, err := dsa.HillClimbTraced(d, weights, perfCfg, core.HillClimbConfig{Restarts: 3, MaxSteps: 30, Seed: cfg.Seed}, sc, rec)
+	hc, hcCalls, err := dsa.HillClimb(d, weights, perfCfg, core.HillClimbConfig{Restarts: 3, MaxSteps: 30, Seed: cfg.Seed}, sc, rec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("hill climb: %s  raw %s=%.1f  (%d objective calls vs %d exhaustive)\n",
 		d.Label(hc.Point), primary, hc.Score, hcCalls, d.Space().Size())
-	ev, evCalls, err := dsa.EvolveTraced(d, weights, perfCfg, core.EvolveConfig{Population: 24, Generations: 12, Seed: cfg.Seed}, sc, rec)
+	ev, evCalls, err := dsa.Evolve(d, weights, perfCfg, core.EvolveConfig{Population: 24, Generations: 12, Seed: cfg.Seed}, sc, rec)
 	if err != nil {
 		log.Fatal(err)
 	}

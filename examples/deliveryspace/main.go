@@ -118,7 +118,7 @@ func main() {
 	// The Section 7 explorers run on any registered domain: hill-climb
 	// the raw robustness measure without sweeping the whole space.
 	best, calls, err := dsa.HillClimb(domain, dsa.Weights{delivery.MeasureRobustness: 1},
-		cfg, core.HillClimbConfig{Restarts: 3, MaxSteps: 30, Seed: 7}, nil)
+		cfg, core.HillClimbConfig{Restarts: 3, MaxSteps: 30, Seed: 7}, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

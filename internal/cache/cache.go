@@ -22,6 +22,10 @@
 //
 // A Store with no directory is memory-only: same interface, no
 // persistence — what an in-process explorer wants.
+//
+// The store counts and nothing else: Stats holds its totals, and which
+// task a hit or miss belonged to is the job engine's "task" span
+// (cache_hits / simulated), so this package knows no tracer.
 package cache
 
 import (
@@ -29,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dsa"
-	"repro/internal/obs"
 )
 
 // Key is the content address of one score (see dsa.NewScoreKeyer for
@@ -74,8 +77,6 @@ type Store struct {
 	flight   map[Key]*flightCall
 
 	hits, misses, puts, evictions, dropped, flights, flightWaits atomic.Uint64
-
-	trace atomic.Pointer[obs.Recorder] // nil until SetTracer
 }
 
 type flightCall struct {
@@ -108,21 +109,11 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// SetTracer wires an obs recorder into the store: every Get reports
-// its outcome as a "cache-lookup" event and every Put is counted.
-// Observation only — lookups and stores behave identically with or
-// without one. Safe to call concurrently with operations; a nil
-// recorder detaches.
-func (s *Store) SetTracer(r *obs.Recorder) {
-	s.trace.Store(r)
-}
-
 // Get returns the cached score for k, consulting the LRU first and
 // the segment log second (promoting disk hits into the LRU).
 func (s *Store) Get(k Key) (float64, bool) {
 	if v, ok := s.mem.get(k); ok {
 		s.hits.Add(1)
-		s.trace.Load().CacheLookup(true)
 		return v, true
 	}
 	if s.disk != nil {
@@ -132,12 +123,10 @@ func (s *Store) Get(k Key) (float64, bool) {
 		if ok {
 			s.evictions.Add(uint64(s.mem.put(k, v)))
 			s.hits.Add(1)
-			s.trace.Load().CacheLookup(true)
 			return v, true
 		}
 	}
 	s.misses.Add(1)
-	s.trace.Load().CacheLookup(false)
 	return 0, false
 }
 
@@ -147,7 +136,6 @@ func (s *Store) Get(k Key) (float64, bool) {
 // otherwise healthy sweep into an error.
 func (s *Store) Put(k Key, v float64) {
 	s.puts.Add(1)
-	s.trace.Load().CountCachePut()
 	s.evictions.Add(uint64(s.mem.put(k, v)))
 	if s.disk != nil {
 		s.diskMu.Lock()

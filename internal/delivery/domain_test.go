@@ -280,7 +280,7 @@ func TestHillClimbOnRobustness(t *testing.T) {
 		dsa.Weights{delivery.MeasureRobustness: 1},
 		tinyCfg(),
 		core.HillClimbConfig{Restarts: 2, MaxSteps: 20, Seed: 5},
-		nil)
+		nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 )
 
@@ -93,6 +94,20 @@ func WriteCSV(w io.Writer, d Domain, s *Scores) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteCSVFile creates path and writes WriteCSV's bytes to it. A failed
+// write or close is an error, so a short file never passes for a result.
+func WriteCSVFile(path string, d Domain, s *Scores) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteCSV(f, d, s); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // CSVTable is a parsed CSV whose columns are located by header name, so

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -228,5 +230,36 @@ func TestCSVNonFiniteEncoding(t *testing.T) {
 		if !sameScore(got.Raw["m,1"][i], want) {
 			t.Fatalf("raw[%d] = %v, want %v", i, got.Raw["m,1"][i], want)
 		}
+	}
+}
+
+// TestWriteCSVFile: the one file writer of the three commands puts
+// WriteCSV's bytes on disk and reports a path it cannot create.
+func TestWriteCSVFile(t *testing.T) {
+	d := newQuirkDomain(t)
+	pts := d.Space().Enumerate()[:2]
+	s := &dsa.Scores{
+		Domain: d.Name(),
+		Points: pts,
+		Raw:    map[string][]float64{"m,1": {1, 2}, `m"2`: {3, 4}},
+		Values: map[string][]float64{"m,1": {0, 1}, `m"2`: {1, 0}},
+	}
+	var want bytes.Buffer
+	if err := dsa.WriteCSV(&want, d, s); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "out.csv")
+	if err := dsa.WriteCSVFile(path, d, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file holds %q, WriteCSV wrote %q", got, want.Bytes())
+	}
+	if err := dsa.WriteCSVFile(filepath.Join(path, "under-a-file.csv"), d, s); err == nil {
+		t.Fatal("a path that cannot be created must be an error")
 	}
 }

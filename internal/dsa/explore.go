@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Weights blends a domain's measures into a single exploration
@@ -98,22 +99,84 @@ func Objective(d Domain, w Weights, cfg Config, c ScoreCache) (core.Objective, e
 // the number of objective calls (points actually simulated). A non-nil
 // cache memoises raw scores across searches and processes (see
 // Objective); results are identical with and without one.
-func HillClimb(d Domain, w Weights, cfg Config, hcfg core.HillClimbConfig, c ScoreCache) (core.Evaluation, int, error) {
+//
+// rec (nil = tracing off) journals an "explore" root span for the whole
+// search and a "restart" child per restart (steps, fresh objective
+// calls, converged score), chained in front of the caller's own
+// hcfg.OnRestart. Observation only: same seeds, same memoisation, same
+// result and call count with and without a recorder.
+func HillClimb(d Domain, w Weights, cfg Config, hcfg core.HillClimbConfig, c ScoreCache, rec *obs.Recorder) (core.Evaluation, int, error) {
 	obj, err := Objective(d, w, cfg, c)
 	if err != nil {
 		return core.Evaluation{}, 0, err
 	}
-	return core.HillClimb(d.Space(), obj, hcfg)
+	root := rec.Start(0, "explore").
+		Str("domain", d.Name()).
+		Str("explorer", "hillclimb").
+		Int("restarts", int64(hcfg.Restarts))
+	next, prev := sinceLast(rec, root, "restart"), hcfg.OnRestart
+	hcfg.OnRestart = func(restart, steps, calls int, got core.Evaluation) {
+		next().Int("restart", int64(restart)).
+			Int("steps", int64(steps)).
+			Int("calls", int64(calls)).
+			Float("score", got.Score).
+			End()
+		if prev != nil {
+			prev(restart, steps, calls, got)
+		}
+	}
+	best, calls, err := core.HillClimb(d.Space(), obj, hcfg)
+	return endExplore(root, best, calls, err)
 }
 
 // Evolve runs the Section 7 evolutionary explorer on a domain against a
-// measure-weight blend. A non-nil cache memoises raw scores across
-// searches and processes (see Objective); results are identical with
-// and without one.
-func Evolve(d Domain, w Weights, cfg Config, ecfg core.EvolveConfig, c ScoreCache) (core.Evaluation, int, error) {
+// measure-weight blend; cache and rec as for HillClimb, the root span's
+// children being one "generation" span per generation (fresh objective
+// calls, generation best).
+func Evolve(d Domain, w Weights, cfg Config, ecfg core.EvolveConfig, c ScoreCache, rec *obs.Recorder) (core.Evaluation, int, error) {
 	obj, err := Objective(d, w, cfg, c)
 	if err != nil {
 		return core.Evaluation{}, 0, err
 	}
-	return core.Evolve(d.Space(), obj, ecfg)
+	root := rec.Start(0, "explore").
+		Str("domain", d.Name()).
+		Str("explorer", "evolve").
+		Int("generations", int64(ecfg.Generations)).
+		Int("population", int64(ecfg.Population))
+	next, prev := sinceLast(rec, root, "generation"), ecfg.OnGeneration
+	ecfg.OnGeneration = func(gen, calls int, gbest core.Evaluation) {
+		next().Int("generation", int64(gen)).
+			Int("calls", int64(calls)).
+			Float("score", gbest.Score).
+			End()
+		if prev != nil {
+			prev(gen, calls, gbest)
+		}
+	}
+	best, calls, err := core.Evolve(d.Space(), obj, ecfg)
+	return endExplore(root, best, calls, err)
+}
+
+// sinceLast turns a callback-driven seam into spans: each call of the
+// returned function opens a span named name under root covering the
+// time since the previous call (the first: since sinceLast itself).
+func sinceLast(rec *obs.Recorder, root *obs.Span, name string) func() *obs.Span {
+	last := rec.Now()
+	return func() *obs.Span {
+		now := rec.Now()
+		s := rec.Interval(root.ID(), name, last, now)
+		last = now
+		return s
+	}
+}
+
+// endExplore journals a finished search's root span (dropped on error)
+// and passes the explorer's results through.
+func endExplore(root *obs.Span, best core.Evaluation, calls int, err error) (core.Evaluation, int, error) {
+	if err != nil {
+		root.Drop()
+		return best, calls, err
+	}
+	root.Int("calls", int64(calls)).Float("best", best.Score).End()
+	return best, calls, nil
 }

@@ -118,14 +118,14 @@ func fakeWeights() dsa.Weights { return dsa.Weights{"alpha": 1, "beta": 0.5} }
 func TestHillClimbDeterministicUnderFixedSeed(t *testing.T) {
 	d := newFakeDomain(t)
 	hcfg := core.HillClimbConfig{Restarts: 3, MaxSteps: 20, Seed: 42}
-	best1, calls1, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil)
+	best1, calls1, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls1 <= 0 {
 		t.Fatalf("hill climb made %d objective calls", calls1)
 	}
-	best2, calls2, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil)
+	best2, calls2, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestHillClimbDeterministicUnderFixedSeed(t *testing.T) {
 func TestEvolveDeterministicUnderFixedSeed(t *testing.T) {
 	d := newFakeDomain(t)
 	ecfg := core.EvolveConfig{Population: 6, Generations: 4, Seed: 42}
-	best1, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil)
+	best1, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best2, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil)
+	best2, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestExplorersCacheParity(t *testing.T) {
 	ecfg := core.EvolveConfig{Population: 6, Generations: 4, Seed: 42}
 
 	bare := newFakeDomain(t)
-	hcBare, _, err := dsa.HillClimb(bare, fakeWeights(), fakeCfg(), hcfg, nil)
+	hcBare, _, err := dsa.HillClimb(bare, fakeWeights(), fakeCfg(), hcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evBare, _, err := dsa.Evolve(bare, fakeWeights(), fakeCfg(), ecfg, nil)
+	evBare, _, err := dsa.Evolve(bare, fakeWeights(), fakeCfg(), ecfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestExplorersCacheParity(t *testing.T) {
 	defer store.Close()
 
 	cold := newFakeDomain(t)
-	hcCold, _, err := dsa.HillClimb(cold, fakeWeights(), fakeCfg(), hcfg, store)
+	hcCold, _, err := dsa.HillClimb(cold, fakeWeights(), fakeCfg(), hcfg, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestExplorersCacheParity(t *testing.T) {
 	}
 
 	warm := newFakeDomain(t)
-	hcWarm, _, err := dsa.HillClimb(warm, fakeWeights(), fakeCfg(), hcfg, store)
+	hcWarm, _, err := dsa.HillClimb(warm, fakeWeights(), fakeCfg(), hcfg, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestExplorersCacheParity(t *testing.T) {
 	// cache (weights are not part of the key), so its warm run only
 	// simulates points the climb never touched — and a second warm run
 	// simulates nothing at all.
-	evWarm, _, err := dsa.Evolve(warm, fakeWeights(), fakeCfg(), ecfg, store)
+	evWarm, _, err := dsa.Evolve(warm, fakeWeights(), fakeCfg(), ecfg, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestExplorersCacheParity(t *testing.T) {
 		t.Fatalf("cache changed evolve: %v vs %v", evBare, evWarm)
 	}
 	warm.calls.Store(0)
-	if _, _, err := dsa.Evolve(warm, fakeWeights(), fakeCfg(), ecfg, store); err != nil {
+	if _, _, err := dsa.Evolve(warm, fakeWeights(), fakeCfg(), ecfg, store, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := warm.calls.Load(); n != 0 {
@@ -225,10 +225,10 @@ func TestScoreSliceErrorMidExploration(t *testing.T) {
 
 	d := newFakeDomain(t)
 	d.failFrom = 3 // a few evaluations succeed, then the simulator dies
-	if _, _, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil); !errors.Is(err, errFakeScore) {
+	if _, _, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, nil); !errors.Is(err, errFakeScore) {
 		t.Fatalf("hill climb error = %v, want the simulator failure", err)
 	}
-	if _, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), core.EvolveConfig{Population: 6, Generations: 4, Seed: 42}, nil); !errors.Is(err, errFakeScore) {
+	if _, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), core.EvolveConfig{Population: 6, Generations: 4, Seed: 42}, nil, nil); !errors.Is(err, errFakeScore) {
 		t.Fatalf("evolve error = %v, want the simulator failure", err)
 	}
 
@@ -239,18 +239,18 @@ func TestScoreSliceErrorMidExploration(t *testing.T) {
 	defer store.Close()
 	cached := newFakeDomain(t)
 	cached.failFrom = 3
-	if _, _, err := dsa.HillClimb(cached, fakeWeights(), fakeCfg(), hcfg, store); !errors.Is(err, errFakeScore) {
+	if _, _, err := dsa.HillClimb(cached, fakeWeights(), fakeCfg(), hcfg, store, nil); !errors.Is(err, errFakeScore) {
 		t.Fatalf("cached hill climb error = %v, want the simulator failure", err)
 	}
 	// The simulator recovers; the failed evaluations must re-run (an
 	// error that got cached would resurface here as a wrong value or
 	// a repeat failure).
 	cached.failFrom = 0
-	best, _, err := dsa.HillClimb(cached, fakeWeights(), fakeCfg(), hcfg, store)
+	best, _, err := dsa.HillClimb(cached, fakeWeights(), fakeCfg(), hcfg, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := dsa.HillClimb(newFakeDomain(t), fakeWeights(), fakeCfg(), hcfg, nil)
+	ref, _, err := dsa.HillClimb(newFakeDomain(t), fakeWeights(), fakeCfg(), hcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

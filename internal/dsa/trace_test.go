@@ -10,19 +10,20 @@ import (
 )
 
 // TestTracedExplorersIdentical pins the observation contract on the
-// explorer seam: traced searches return exactly what plain ones do,
-// and the journal carries one restart/generation span per boundary
-// under a single "explore" root.
+// explorer seam: a search with a recorder returns exactly what one
+// with nil does — same best point, same call count — and the journal
+// carries one restart/generation span per boundary under a single
+// "explore" root.
 func TestTracedExplorersIdentical(t *testing.T) {
 	d := newFakeDomain(t)
 	hcfg := core.HillClimbConfig{Restarts: 3, MaxSteps: 20, Seed: 42}
 	ecfg := core.EvolveConfig{Population: 6, Generations: 4, Seed: 42}
 
-	hcPlain, hcCalls, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil)
+	hcPlain, hcCalls, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evPlain, evCalls, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil)
+	evPlain, evCalls, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +33,11 @@ func TestTracedExplorersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hcTraced, hcTracedCalls, err := dsa.HillClimbTraced(d, fakeWeights(), fakeCfg(), hcfg, nil, rec)
+	hcTraced, hcTracedCalls, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evTraced, evTracedCalls, err := dsa.EvolveTraced(d, fakeWeights(), fakeCfg(), ecfg, nil, rec)
+	evTraced, evTracedCalls, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,20 +102,31 @@ func TestTracedExplorersIdentical(t *testing.T) {
 	}
 }
 
-// TestTracedExplorerNilRecorder pins the degenerate path: a nil
-// recorder must make the traced variants exactly the plain ones.
+// TestTracedExplorerNilRecorder pins what the span hooks sit in front
+// of: a caller's own OnRestart / OnGeneration still fires once per
+// boundary, with tracing off (nil) and on.
 func TestTracedExplorerNilRecorder(t *testing.T) {
 	d := newFakeDomain(t)
-	hcfg := core.HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 9}
-	plain, calls, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil)
+	rec, err := obs.OpenDir(t.TempDir(), "explorer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, tracedCalls, err := dsa.HillClimbTraced(d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(traced, plain) || tracedCalls != calls {
-		t.Errorf("nil-recorder traced HillClimb diverged")
+	defer rec.Close()
+	for _, r := range []*obs.Recorder{nil, rec} {
+		restarts, generations := 0, 0
+		hcfg := core.HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 9,
+			OnRestart: func(int, int, int, core.Evaluation) { restarts++ }}
+		ecfg := core.EvolveConfig{Population: 6, Generations: 3, Seed: 9,
+			OnGeneration: func(int, int, core.Evaluation) { generations++ }}
+		if _, _, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, r); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil, r); err != nil {
+			t.Fatal(err)
+		}
+		if restarts != hcfg.Restarts || generations != ecfg.Generations {
+			t.Errorf("recorder %v: caller hooks fired %d/%d times, want %d/%d",
+				r != nil, restarts, generations, hcfg.Restarts, ecfg.Generations)
+		}
 	}
 }

@@ -674,7 +674,7 @@ func TestBatchRetryAckedDuplicate(t *testing.T) {
 // a hedge promoted in its place — not the task map's.
 func TestExpireJournalsOneWrite(t *testing.T) {
 	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Hedge: true, MaxLease: 8})
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Hedge: true, maxLease: 8})
 	defer coord.Close()
 	now := time.Unix(1000, 0)
 	coord.now = func() time.Time { return now }

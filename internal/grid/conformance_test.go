@@ -192,7 +192,7 @@ func TestHTTPConformance(t *testing.T) {
 }
 
 func TestOversizedBodyRejected(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{MaxBody: 128})
+	coord := NewCoordinator(CoordinatorOptions{maxBody: 128})
 	defer coord.Close()
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()

@@ -15,12 +15,22 @@ import (
 	"repro/internal/job"
 )
 
-// Defaults for CoordinatorOptions zero values.
+// DefaultLeaseTTL is the CoordinatorOptions.LeaseTTL zero value's meaning.
+const DefaultLeaseTTL = 30 * time.Second
+
+// Constants to every caller; only this package's tests set the
+// unexported CoordinatorOptions fields that override them.
 const (
-	DefaultLeaseTTL = 30 * time.Second
+	// DefaultMaxLease caps tasks granted per lease call. Pending tasks
+	// are granted in job.Spec.Tasks order, chunk by chunk, so a cap that
+	// is a multiple of the domain's measure count hands a worker whole
+	// chunk groups, which its ExecTasks scores jointly when the domain
+	// shares runs between measures; any other cap splits groups and
+	// costs only that sharing.
 	DefaultMaxLease = 4
-	// DefaultMaxBody caps request bodies; a result upload for a huge
-	// task fits comfortably, a runaway or hostile body does not.
+	// DefaultMaxBody caps request bodies, rejected with 413 before any
+	// decoding; a result upload for a huge task fits comfortably, a
+	// runaway or hostile body does not.
 	DefaultMaxBody = 64 << 20
 )
 
@@ -37,13 +47,6 @@ type CoordinatorOptions struct {
 	// LeaseTTL is how long a lease lives without a heartbeat before
 	// its task is re-queued. 0 = DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// MaxLease caps tasks granted per lease call. 0 = DefaultMaxLease.
-	// Pending tasks are granted in job.Spec.Tasks order, chunk by chunk,
-	// so a cap that is a multiple of the domain's measure count hands a
-	// worker whole chunk groups, which its ExecTasks scores jointly when
-	// the domain shares runs between measures; any other cap splits
-	// groups and costs only that sharing.
-	MaxLease int
 	// Logf, if non-nil, receives coordinator event logs.
 	Logf func(format string, args ...any)
 	// Cache, if non-nil, is the coordinator's cross-job score cache.
@@ -69,9 +72,6 @@ type CoordinatorOptions struct {
 	// RateBurst is the token-bucket burst capacity; 0 derives a
 	// one-second burst from RateLimit.
 	RateBurst float64
-	// MaxBody caps request body bytes; oversized bodies are rejected
-	// with 413 before any decoding. 0 = DefaultMaxBody.
-	MaxBody int64
 	// Pprof, when set, mounts net/http/pprof under /debug/pprof/ on
 	// the coordinator mux, behind the same bearer auth as the write
 	// endpoints when AuthToken is set.
@@ -90,6 +90,9 @@ type CoordinatorOptions struct {
 	// a different worker; the first idempotent ingest wins. Off by
 	// default — hedging trades duplicate compute for tail latency.
 	Hedge bool
+
+	maxLease int   // 0 = DefaultMaxLease
+	maxBody  int64 // 0 = DefaultMaxBody
 }
 
 func (o CoordinatorOptions) leaseTTL() time.Duration {
@@ -97,20 +100,6 @@ func (o CoordinatorOptions) leaseTTL() time.Duration {
 		return o.LeaseTTL
 	}
 	return DefaultLeaseTTL
-}
-
-func (o CoordinatorOptions) maxLease() int {
-	if o.MaxLease > 0 {
-		return o.MaxLease
-	}
-	return DefaultMaxLease
-}
-
-func (o CoordinatorOptions) maxBody() int64 {
-	if o.MaxBody > 0 {
-		return o.MaxBody
-	}
-	return DefaultMaxBody
 }
 
 // Coordinator owns grid jobs: it serves leases, ingests results into
@@ -242,6 +231,12 @@ func (j *gridJob) completeLocked() bool {
 
 // NewCoordinator returns an empty coordinator.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
+	if opts.maxLease <= 0 {
+		opts.maxLease = DefaultMaxLease
+	}
+	if opts.maxBody <= 0 {
+		opts.maxBody = DefaultMaxBody
+	}
 	// cacheEpoch starts at 1 so a fresh job (absorbedEpoch zero value
 	// 0) always runs its first cache scan, even before any ingest.
 	c := &Coordinator{
@@ -810,8 +805,8 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 // fair says the scheduler picked j (the event line then shows its share);
 // rid ties that line to the lease request.
 func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool, rid string) []LeaseTask {
-	if max <= 0 || max > c.opts.maxLease() {
-		max = c.opts.maxLease()
+	if max <= 0 || max > c.opts.maxLease {
+		max = c.opts.maxLease
 	}
 	max = c.grantCapLocked(worker, max)
 	now, ttl := c.now(), c.opts.leaseTTL()

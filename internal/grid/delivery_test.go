@@ -119,7 +119,7 @@ func TestGridDeliveryAnyLeaseSizeMatchesRun(t *testing.T) {
 	}
 	want := csv(wantScores(t, spec))
 	for _, maxLease := range []int{1, 3, 4} {
-		coord := NewCoordinator(CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: 2 * time.Second, MaxLease: maxLease})
+		coord := NewCoordinator(CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: 2 * time.Second, maxLease: maxLease})
 		id, err := coord.AddJob(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -273,7 +273,7 @@ func TestGridCheckpointResume(t *testing.T) {
 func TestLeaseStateMachine(t *testing.T) {
 	all := gossip.Domain().Space().Enumerate()
 	spec := job.Spec{Domain: gossip.Domain(), Points: all[:4], Cfg: tinyGossipCfg(), Chunk: 2}
-	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, MaxLease: 2})
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, maxLease: 2})
 	now := time.Unix(1000, 0)
 	coord.now = func() time.Time { return now }
 

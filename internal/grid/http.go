@@ -335,7 +335,7 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, body)
 }
 
-// readBody decodes a JSON request body, bounded by MaxBody: oversized
+// readBody decodes a JSON request body, bounded by DefaultMaxBody: oversized
 // bodies answer 413, malformed ones 400 — always as structured JSON.
 // A request carrying the body-checksum header is verified first; a
 // mismatch is transport corruption (the client signed what it meant to
@@ -344,7 +344,7 @@ func writeError(w http.ResponseWriter, err error) {
 // corrupted result upload is rejected here rather than recorded and
 // later mistaken for a Byzantine worker.
 func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.opts.maxBody()))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.opts.maxBody))
 	if err != nil {
 		writeError(w, fmt.Errorf("grid: bad request body: %w", err))
 		return false

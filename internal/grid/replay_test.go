@@ -171,7 +171,7 @@ func TestJournalsDeterministic(t *testing.T) {
 	specs := []job.Spec{gossipSpec(t), auditSpec(t, 12)}
 	run := func() map[string][]byte {
 		dir := t.TempDir()
-		coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Hedge: true, MaxLease: 8})
+		coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Hedge: true, maxLease: 8})
 		now := time.Unix(1000, 0)
 		coord.now = func() time.Time { return now }
 		var ids []string

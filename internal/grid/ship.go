@@ -39,10 +39,12 @@ type TraceShipperOptions struct {
 	Metrics *gridobs.WorkerMetrics
 	// Interval is the Run cadence; 0 = DefaultShipInterval.
 	Interval time.Duration
-	// ChunkBytes bounds one upload body; 0 = obs.DefaultChunkBytes.
-	ChunkBytes int
 	// Logf, if non-nil, receives ship errors from Run.
 	Logf func(format string, args ...any)
+
+	// chunkBytes bounds one upload body: obs.DefaultChunkBytes to every
+	// caller (the zero value), smaller only in this package's tests.
+	chunkBytes int
 }
 
 // TraceShipper ships one recorder's journal. Create with
@@ -107,7 +109,7 @@ func (s *TraceShipper) Ship(ctx context.Context) error {
 	}
 	first := true
 	for {
-		data, _, err := obs.ReadChunk(s.path, s.offset, s.opts.ChunkBytes)
+		data, _, err := obs.ReadChunk(s.path, s.offset, s.opts.chunkBytes)
 		if err != nil {
 			return err
 		}

@@ -28,6 +28,21 @@ import (
 	"repro/internal/obs"
 )
 
+// fetchTrace reads a coordinator's merged journal stream to its end.
+func fetchTrace(t *testing.T, baseURL, jobID string) []byte {
+	t.Helper()
+	body, err := FetchTrace(context.Background(), nil, baseURL, jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Close()
+	data, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestTraceCollectorIdempotent pins the offset protocol: duplicate,
 // overlapping and gapped chunks all converge on one verbatim copy.
 func TestTraceCollectorIdempotent(t *testing.T) {
@@ -192,7 +207,7 @@ func TestTraceShippingEndToEnd(t *testing.T) {
 		}
 		metrics := gridobs.NewWorkerMetrics(nil)
 		shipper := NewTraceShipper(srv.URL, rec, obs.JournalPath(traceDir, name),
-			TraceShipperOptions{Job: jobID, Metrics: metrics, ChunkBytes: 2048})
+			TraceShipperOptions{Job: jobID, Metrics: metrics, chunkBytes: 2048})
 		shippers[i] = shipper
 		// Mid-run incremental ship (empty journal: a pure stats probe).
 		if err := shipper.Ship(ctx); err != nil {
@@ -245,10 +260,7 @@ func TestTraceShippingEndToEnd(t *testing.T) {
 	if _, err := obs.Merge(&local, files...); err != nil {
 		t.Fatal(err)
 	}
-	collected, err := FetchTrace(ctx, nil, srv.URL, jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	collected := fetchTrace(t, srv.URL, jobID)
 	if !bytes.Equal(collected, local.Bytes()) {
 		t.Fatalf("collected merge (%d bytes) != local merge (%d bytes)", len(collected), local.Len())
 	}
@@ -348,6 +360,49 @@ func TestTraceUploadUnknownJob(t *testing.T) {
 	}
 }
 
+// TestFetchTraceStreamsWholeJournal: the client half of GET /v1/trace
+// hands over the body as the coordinator sends it — no size at which
+// the timeline is silently cut — so every line of a multi-MiB collected
+// journal arrives, read as a stream.
+func TestFetchTraceStreamsWholeJournal(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{})
+	defer coord.Close()
+	const lines = 40_000 // ≈ 4 MiB, shipped in 400 chunks
+	var chunk []byte
+	var offset int64
+	for i := 1; i <= lines; i++ {
+		chunk = fmt.Appendf(chunk, `{"w":"big","id":%d,"name":"task","start_us":%d,"dur_us":7,"attrs":{"task":"performance-%05d-%05d","measure":"performance"}}`+"\n", i, 10*i, i, i+1)
+		if i%100 == 0 {
+			ack, _, _, err := coord.traces.append("", "big", offset, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offset, chunk = ack.Have, chunk[:0]
+		}
+	}
+	if offset < 4<<20 {
+		t.Fatalf("collected journal is %d bytes, want a multi-MiB one", offset)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	body, err := FetchTrace(context.Background(), nil, srv.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Close()
+	recs, err := obs.LoadReader(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != lines {
+		t.Fatalf("fetched %d records, want all %d", len(recs), lines)
+	}
+	if last := recs[lines-1].ID; last != lines {
+		t.Fatalf("fetched timeline ends at span %d, want %d", last, lines)
+	}
+}
+
 func countLines(b []byte) int { return bytes.Count(b, []byte{'\n'}) }
 
 func grepLines(text, substr string) string {
@@ -390,7 +445,7 @@ func TestTraceShipperSurvivesCoordinatorOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	shipper := NewTraceShipper(srv.URL, rec, obs.JournalPath(traceDir, "lonely"),
-		TraceShipperOptions{ChunkBytes: 256})
+		TraceShipperOptions{chunkBytes: 256})
 
 	ctx := context.Background()
 	rec.Start(0, "before-outage").End()
@@ -432,10 +487,7 @@ func TestTraceShipperSurvivesCoordinatorOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collected, err := FetchTrace(ctx, nil, srv.URL, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	collected := fetchTrace(t, srv.URL, "")
 	if !bytes.Equal(collected, local) {
 		t.Fatalf("collected journal (%d bytes) != local journal (%d bytes) after outage + restart", len(collected), len(local))
 	}

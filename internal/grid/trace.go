@@ -409,10 +409,12 @@ func FetchTraceDigest(ctx context.Context, client *http.Client, baseURL, jobID s
 	return d, err
 }
 
-// FetchTrace downloads a coordinator's merged trace journal — JSONL
-// bytes in the canonical obs.Merge order, parseable with
-// obs.LoadReader. jobID "" merges every collected journal.
-func FetchTrace(ctx context.Context, client *http.Client, baseURL, jobID string) ([]byte, error) {
+// FetchTrace streams a coordinator's merged trace journal — JSONL in
+// the canonical obs.Merge order, parseable with obs.LoadReader — as
+// long as the coordinator sends it: a collected fleet journal has no
+// size the client could cap without cutting the timeline. jobID ""
+// merges every collected journal. The caller closes the stream.
+func FetchTrace(ctx context.Context, client *http.Client, baseURL, jobID string) (io.ReadCloser, error) {
 	if client == nil {
 		client = defaultClient()
 	}
@@ -425,13 +427,10 @@ func FetchTrace(ctx context.Context, client *http.Client, baseURL, jobID string)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("grid: GET %s: %s: %s", u, resp.Status, bytes.TrimSpace(body))
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10)) // an error body is a line of JSON
+		return nil, fmt.Errorf("grid: GET %s: %s: %s", u, resp.Status, bytes.TrimSpace(msg))
 	}
-	return body, nil
+	return resp.Body, nil
 }

@@ -180,18 +180,12 @@ func TestWorkerTraceEndToEnd(t *testing.T) {
 		fmt.Sprintf("worker_tasks_total %d", wantTasks),
 		fmt.Sprintf("worker_uploads_total %d", wantTasks),
 		"worker_lease_requests_total",
+		"worker_upload_retries_total 0", // a healthy coordinator costs no retry
 		`worker_task_seconds_count{measure=`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
-	}
-	st := rec.Stats()
-	if st.TasksDone != uint64(wantTasks) {
-		t.Errorf("recorder tasks = %d, want %d", st.TasksDone, wantTasks)
-	}
-	if st.UploadRetries != 0 {
-		t.Errorf("upload retries = %d against a healthy coordinator, want 0", st.UploadRetries)
 	}
 }
 

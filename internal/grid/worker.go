@@ -348,7 +348,6 @@ func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name str
 		}
 		span.Str("rid", info.requestID).Int("attempts", int64(info.attempts)).End()
 		opts.Metrics.ObserveUploads(len(rs), info.attempts-1)
-		opts.Trace.CountUploadRetries(info.attempts - 1)
 		mu.Lock()
 		for _, r := range rs {
 			delete(held, r.Task)

@@ -98,6 +98,10 @@ type Progress struct {
 	MineTasks  int           // tasks this process owns (fresh + still pending)
 	Elapsed    time.Duration // since this Run started
 	ETA        time.Duration // projected remaining time for this process's tasks
+	// Points of this run's fresh tasks, by where their scores came from:
+	// computed by the domain, or served by Options.Cache.
+	PointsSimulated int
+	PointsCached    int
 }
 
 // Options controls sharding, checkpointing and reporting. The zero
@@ -230,10 +234,19 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 func runPool(ctx context.Context, spec Spec, mine []Task, cp *Checkpoint, results map[string][]float64, opts Options, total int, parent obs.SpanID, freshOut *int) error {
 	start := time.Now()
 	var (
-		mu    sync.Mutex
-		fresh int
+		mu                sync.Mutex
+		fresh             int
+		simulated, cached int
 	)
 	execOpts := ExecOptions{Workers: opts.Workers, Cache: opts.Cache, Trace: opts.Trace, TraceParent: parent}
+	// OnTask runs before its task's sink, on the same goroutine, so the
+	// snapshot a task's sink reports already counts that task's points.
+	execOpts.OnTask = func(st TaskStats) {
+		mu.Lock()
+		simulated += st.Simulated
+		cached += st.CacheHits
+		mu.Unlock()
+	}
 	return ExecTasks(ctx, spec, mine, execOpts, func(t Task, vals []float64, elapsed time.Duration) error {
 		// The checkpoint write runs concurrently across pool workers —
 		// Record serialises the append and shares the fsync; only the
@@ -255,6 +268,9 @@ func runPool(ctx context.Context, spec Spec, mine []Task, cp *Checkpoint, result
 			FreshTasks: fresh,
 			MineTasks:  len(mine),
 			Elapsed:    time.Since(start),
+
+			PointsSimulated: simulated,
+			PointsCached:    cached,
 		}
 		if left := len(mine) - fresh; left > 0 {
 			snap.ETA = time.Duration(int64(snap.Elapsed) / int64(fresh) * int64(left))
@@ -560,13 +576,9 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 			End()
 	}
 	for k, t := range unit {
-		simulated := len(runs[k].miss)
-		hits := len(pts) - simulated
-		opts.Trace.CountTask(1)
-		opts.Trace.CountSimulated(simulated)
-		opts.Trace.CountCached(hits)
 		if opts.OnTask != nil {
-			opts.OnTask(TaskStats{Task: t, Elapsed: elapsed, CacheHits: hits, Simulated: simulated})
+			simulated := len(runs[k].miss)
+			opts.OnTask(TaskStats{Task: t, Elapsed: elapsed, CacheHits: len(pts) - simulated, Simulated: simulated})
 		}
 		if err := sink(t, runs[k].vals, elapsed); err != nil {
 			return err

@@ -3,11 +3,11 @@ package job
 import (
 	"context"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/delivery"
 	"repro/internal/obs"
 	"repro/internal/pra"
 )
@@ -42,7 +42,8 @@ func TestRunJournalsSweepAndTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustRun(t, ctx, pts, Options{Chunk: 4, Workers: 2, Trace: rec})
+	var last Progress
+	mustRun(t, ctx, pts, Options{Chunk: 4, Workers: 2, Trace: rec, Progress: func(p Progress) { last = p }})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,98 +103,91 @@ func TestRunJournalsSweepAndTasks(t *testing.T) {
 		}
 	}
 
-	st := rec.Stats()
-	if st.TasksDone != uint64(wantTasks) {
-		t.Errorf("stats tasks = %d, want %d", st.TasksDone, wantTasks)
-	}
-	wantPoints := uint64(len(pts) * len(pra.Domain().Measures()))
-	if st.PointsSimulated != wantPoints || st.PointsCached != 0 {
-		t.Errorf("stats points sim/cached = %d/%d, want %d/0", st.PointsSimulated, st.PointsCached, wantPoints)
+	// The live counts are the engine's, in the last Progress snapshot.
+	wantPoints := len(pts) * len(pra.Domain().Measures())
+	if last.FreshTasks != wantTasks || last.PointsSimulated != wantPoints || last.PointsCached != 0 {
+		t.Errorf("last progress = %d tasks, %d/%d points simulated/cached, want %d, %d/0",
+			last.FreshTasks, last.PointsSimulated, last.PointsCached, wantTasks, wantPoints)
 	}
 }
 
-// TestTracedCacheAttribution runs the same sweep twice over one warmed
-// store: the second run's task spans must attribute every point to the
-// cache, and the store's lookup events must land in the same journal.
+// TestTracedCacheAttribution pins what the journal of a cached, traced
+// sweep holds, cold, warm and partially warm, on a domain that scores a
+// chunk's measures jointly: one "sweep" span, per task one "task" span
+// and its one "cache-lookup" span, one "simulate" span per execution
+// unit with a miss — and nothing per key. Each fact has one owner and
+// they agree: the task spans' cache_hits/simulated sum to the store's
+// own hit/miss deltas and to the engine's Progress point counts.
 func TestTracedCacheAttribution(t *testing.T) {
-	ctx := context.Background()
-	pts := subset(t)
+	pts := deliverySubset(t)
+	d := delivery.Domain()
 	store, err := cache.Open(cache.Options{MemEntries: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	const chunk, warmed = 4, 6 // the partial case finds 6 of 16 points cached: a chunk and a half
 
-	dir := t.TempDir()
-	rec, err := obs.OpenDir(dir, "warm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.SetTracer(rec)
-
-	var onTask []TaskStats
-	var mu sync.Mutex
-	run := func() {
-		spec := Spec{Domain: pra.Domain(), Points: pts, Cfg: tinyCfg(), Chunk: 4}
-		err := ExecTasks(ctx, spec, spec.Tasks(), ExecOptions{
-			Workers: 2, Cache: store, Trace: rec,
-			OnTask: func(ts TaskStats) {
-				mu.Lock()
-				onTask = append(onTask, ts)
-				mu.Unlock()
-			},
-		}, func(Task, []float64, time.Duration) error { return nil })
+	for _, tc := range []struct {
+		name          string
+		pts           []core.Point
+		hits, misses  int // points x measures
+		simulateSpans int // units with a miss
+	}{
+		{"cold", pts[:warmed], 0, warmed * 4, 2},
+		{"partially warm", pts, warmed * 4, (len(pts) - warmed) * 4, 3},
+		{"warm", pts, len(pts) * 4, 0, 0},
+	} {
+		dir := t.TempDir()
+		rec, err := obs.OpenDir(dir, "s0of1")
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	run() // cold: all simulated
-	cold := rec.Stats()
-	if cold.CacheMisses == 0 || cold.CacheHits != 0 {
-		t.Fatalf("cold stats = %+v, want misses only", cold)
-	}
-	onTask = nil
-	run() // warm: all cached
-	warm := rec.Stats()
-	if warm.CacheHits == 0 || warm.CacheMisses != cold.CacheMisses {
-		t.Fatalf("warm stats = %+v", warm)
-	}
-	totalPts := len(pts) * len(pra.Domain().Measures())
-	if got := int(warm.PointsCached); got != totalPts {
-		t.Errorf("points cached after warm run = %d, want %d", got, totalPts)
-	}
-	gotHits, gotSim := 0, 0
-	for _, ts := range onTask {
-		gotHits += ts.CacheHits
-		gotSim += ts.Simulated
-		if ts.Elapsed < 0 {
-			t.Errorf("task %s negative elapsed", ts.Task.ID())
+		before := store.Stats()
+		var last Progress
+		_, err = Run(context.Background(), d, tc.pts, tinyDeliveryCfg(), Options{
+			Chunk: chunk, Workers: 2, Cache: store, Trace: rec, Progress: func(p Progress) { last = p }})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if gotHits != totalPts || gotSim != 0 {
-		t.Errorf("OnTask warm totals = %d hits / %d simulated, want %d/0", gotHits, gotSim, totalPts)
-	}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after := store.Stats()
+		recs, err := obs.LoadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := 0, 0
-	for _, r := range recs {
-		if r.Name == "cache-lookup" {
-			switch r.AttrStr("outcome") {
-			case "hit":
-				hits++
-			case "miss":
-				misses++
+		tasks := len(Spec{Domain: d, Points: tc.pts, Chunk: chunk}.Tasks())
+		names := map[string]int{}
+		spanHits, spanSim := 0, 0
+		for _, r := range recs {
+			names[r.Name]++
+			if _, ok := r.Attrs["outcome"]; ok {
+				t.Errorf("%s: record %q carries an outcome attribute: %+v", tc.name, r.Name, r)
+			}
+			if r.Name == "task" {
+				spanHits += int(r.AttrInt("cache_hits"))
+				spanSim += int(r.AttrInt("simulated"))
 			}
 		}
-	}
-	if hits != int(warm.CacheHits) || misses != int(warm.CacheMisses) {
-		t.Errorf("journalled lookup events %d hit / %d miss, stats say %d/%d",
-			hits, misses, warm.CacheHits, warm.CacheMisses)
+		want := map[string]int{"sweep": 1, "task": tasks, "cache-lookup": tasks}
+		if tc.simulateSpans > 0 {
+			want["simulate"] = tc.simulateSpans
+		}
+		if !reflect.DeepEqual(names, want) {
+			t.Errorf("%s: journal holds %v, want %v", tc.name, names, want)
+		}
+		if spanHits != tc.hits || spanSim != tc.misses {
+			t.Errorf("%s: task spans sum to %d hits / %d simulated, want %d/%d", tc.name, spanHits, spanSim, tc.hits, tc.misses)
+		}
+		if h, m := int(after.Hits-before.Hits), int(after.Misses-before.Misses); h != spanHits || m != spanSim {
+			t.Errorf("%s: store counted %d hits / %d misses, the task spans say %d/%d", tc.name, h, m, spanHits, spanSim)
+		}
+		if last.FreshTasks != tasks || last.PointsCached != tc.hits || last.PointsSimulated != tc.misses {
+			t.Errorf("%s: last progress = %d tasks, %d cached / %d simulated points, want %d, %d/%d",
+				tc.name, last.FreshTasks, last.PointsCached, last.PointsSimulated, tasks, tc.hits, tc.misses)
+		}
 	}
 }

@@ -33,67 +33,12 @@ func TestSpanAllocsJournaled(t *testing.T) {
 	}
 }
 
-func TestSpanAllocsCounting(t *testing.T) {
-	rec := NewRecorder("mem")
-	span := func() {
-		s := rec.Start(0, "task")
-		s.Str("measure", "perf").Int("points", 8)
-		s.End()
-	}
-	for i := 0; i < 100; i++ {
-		span()
-	}
-	if avg := testing.AllocsPerRun(500, span); avg != 0 {
-		t.Errorf("counting span allocates %.2f per op, want 0", avg)
-	}
-}
-
-func TestCacheLookupAllocs(t *testing.T) {
-	rec, err := OpenDir(t.TempDir(), "alloc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-
-	hit := true
-	look := func() {
-		rec.CacheLookup(hit)
-		hit = !hit
-	}
-	for i := 0; i < 100; i++ {
-		look()
-	}
-	if avg := testing.AllocsPerRun(500, look); avg != 0 {
-		t.Errorf("cache lookup event allocates %.2f per op, want 0", avg)
-	}
-}
-
-func TestCounterAllocs(t *testing.T) {
-	rec := NewRecorder("mem")
-	count := func() {
-		rec.CountTask(1)
-		rec.CountSimulated(8)
-		rec.CountCached(3)
-		rec.CountCachePut()
-		rec.CountUploadRetries(1)
-		_ = rec.Stats()
-	}
-	for i := 0; i < 10; i++ {
-		count()
-	}
-	if avg := testing.AllocsPerRun(500, count); avg != 0 {
-		t.Errorf("counters allocate %.2f per op, want 0", avg)
-	}
-}
-
 func TestNilRecorderAllocs(t *testing.T) {
 	var rec *Recorder
 	op := func() {
 		s := rec.Start(0, "task")
 		s.Str("a", "b").Int("c", 1)
 		s.End()
-		rec.CacheLookup(true)
-		rec.CountSimulated(1)
 	}
 	if avg := testing.AllocsPerRun(500, op); avg != 0 {
 		t.Errorf("nil recorder allocates %.2f per op, want 0", avg)

@@ -17,7 +17,7 @@ import (
 // the embedded Records are journal lines and keep the journal's
 // microsecond fields (start_us, dur_us).
 type Analysis struct {
-	Records int `json:"records"` // journalled spans and events
+	Records int `json:"records"` // journalled spans
 
 	Tasks    int           `json:"tasks"`        // "task" spans
 	TaskBusy time.Duration `json:"task_busy_ns"` // summed task compute time across all writers
@@ -25,8 +25,6 @@ type Analysis struct {
 
 	PointsSimulated int64 `json:"points_simulated"` // summed from task spans
 	PointsCached    int64 `json:"points_cached"`
-	CacheLookups    int64 `json:"cache_lookups"` // cache-lookup events
-	CacheHits       int64 `json:"cache_hits"`    // cache-lookup events with outcome=hit
 
 	// Grid result uploads ("upload" spans): requests sent, the tasks they
 	// carried (the span's tasks count; 1 in a journal that predates it)
@@ -172,17 +170,6 @@ func Analyze(records []Record) *Analysis {
 			a.Uploads++
 			a.UploadTasks += max(r.AttrInt("tasks"), 1)
 			a.UploadTime += r.Dur()
-		case "cache-lookup":
-			// Instant outcome events from an instrumented cache carry
-			// "outcome"; the job's per-task lookup-phase span does not
-			// and is timing, not a lookup count.
-			switch r.AttrStr("outcome") {
-			case "hit":
-				a.CacheLookups++
-				a.CacheHits++
-			case "miss":
-				a.CacheLookups++
-			}
 		}
 	}
 

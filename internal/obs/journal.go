@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// Record is one journalled span or event, as read back from a trace
+// Record is one journalled span, as read back from a trace
 // journal. The JSON field names are the journal format (see the
 // DESIGN.md "Observability" section).
 type Record struct {

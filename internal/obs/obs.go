@@ -15,7 +15,9 @@
 // Two contracts shape the design:
 //
 //   - Observation never changes results. A recorder hands out spans
-//     and counts events; it takes no part in scheduling, seeding or
+//     and writes them to its journal, nothing else: it keeps no
+//     counters (a store's totals are cache.Stats, a sweep's point
+//     counts job.Progress) and takes no part in scheduling, seeding or
 //     value computation. Sweeps traced and untraced are byte-identical
 //     — the trace smoke test pins this with real processes.
 //
@@ -27,12 +29,14 @@
 //     survive with tracing on. Instrumentation sits at the sweep /
 //     task / point level, never inside simulator round loops.
 //
-// A nil *Recorder is valid everywhere and records nothing, so call
-// sites thread one unconditionally instead of branching.
+// A nil *Recorder is "tracing off": valid everywhere, records nothing,
+// so call sites thread one unconditionally instead of branching.
 package obs
 
 import (
 	"bufio"
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,9 +45,9 @@ import (
 	"time"
 )
 
-// SpanID identifies a span within one recorder's journal. IDs are
-// unique per recorder instance; the merged-timeline identity of a span
-// is (writer, id) plus its start time. 0 is "no span" — a root.
+// SpanID identifies a span within one journal file, across every
+// session that appended to it; the merged-timeline identity of a span
+// is (writer, id). 0 is "no span" — a root.
 type SpanID uint64
 
 // maxAttrs bounds the typed attributes one span can carry. Setters
@@ -82,52 +86,22 @@ type Span struct {
 	next   *Span // freelist link
 }
 
-// Stats is a snapshot of a recorder's event counters — the live feed
-// behind dsa-sweep's progress rates and the worker /metrics registry.
-type Stats struct {
-	Spans           uint64 // journal records written (or counted, if memory-only)
-	TasksDone       uint64 // engine tasks completed
-	PointsSimulated uint64 // points actually simulated (cache misses included)
-	PointsCached    uint64 // points served from the score cache
-	CacheHits       uint64 // cache lookup outcomes reported by an instrumented store
-	CacheMisses     uint64
-	CachePuts       uint64
-	UploadRetries   uint64 // grid upload HTTP retries beyond the first attempt
-}
-
-// Recorder records spans and counts events. Open one per writer —
-// a sweep shard ("s0of4") or a grid worker name — so every journal
-// file has a single appender and records carry their origin. A
-// Recorder is safe for concurrent use; a nil Recorder is a no-op.
+// Recorder writes spans to one journal file. Open one per writer — a
+// sweep shard ("s0of4") or a grid worker name — so every journal has a
+// single appender and records carry their origin. A Recorder is safe
+// for concurrent use; a nil Recorder is a no-op.
 type Recorder struct {
 	writer string
-	epoch  time.Time
+	epoch  time.Time // where this journal's timebase reads zero
 
 	nextID atomic.Uint64
 
 	mu   sync.Mutex
-	w    *bufio.Writer // nil: counting-only recorder
+	w    *bufio.Writer // nil once closed
 	f    *os.File
 	free *Span
 	buf  []byte
 	err  error // first write error; surfaced by Close
-
-	spans           atomic.Uint64
-	tasksDone       atomic.Uint64
-	pointsSimulated atomic.Uint64
-	pointsCached    atomic.Uint64
-	cacheHits       atomic.Uint64
-	cacheMisses     atomic.Uint64
-	cachePuts       atomic.Uint64
-	uploadRetries   atomic.Uint64
-}
-
-// NewRecorder returns a memory-only recorder: spans are timed and
-// counted (Stats works) but no journal is written. This is what a
-// plain dsa-sweep runs with so its progress line always has live
-// cache-hit and points/sec rates, journal or not.
-func NewRecorder(writer string) *Recorder {
-	return &Recorder{writer: writer, epoch: time.Now()}
 }
 
 // JournalPattern matches the trace journal files of a directory.
@@ -150,11 +124,11 @@ func JournalPath(dir, writer string) string {
 	return filepath.Join(dir, "trace-"+clean+".jsonl")
 }
 
-// OpenDir opens (creating dir if needed) a journaling recorder whose
-// records append to JournalPath(dir, writer). Appending is crash-
-// tolerant by the same rule as the checkpoint manifests: a torn final
-// line is skipped on load, never corrupts earlier records, and a
-// resumed run simply keeps appending. Close flushes and syncs.
+// OpenDir opens (creating dir if needed) a recorder whose records
+// append to JournalPath(dir, writer). Appending is crash-tolerant by
+// the same rule as the checkpoint manifests: a torn final line is
+// skipped on load, never corrupts earlier records, and a resumed run
+// simply keeps appending (see Open). Close flushes and syncs.
 func OpenDir(dir, writer string) (*Recorder, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -162,17 +136,59 @@ func OpenDir(dir, writer string) (*Recorder, error) {
 	return Open(JournalPath(dir, writer), writer)
 }
 
-// Open opens a journaling recorder appending to path.
+// Open opens a recorder appending to path. A journal that already
+// holds records — a -resume into the same trace dir, a restarted worker
+// under the same name — is continued, not overlaid: span IDs start past
+// the file's size in bytes (a record is longer than one byte, so no
+// earlier session can have handed out an ID that large) and the
+// timebase at the latest end among the whole records of the file's
+// tail, so sessions share one ID space and their windows do not overlap.
 func Open(path, writer string) (*Recorder, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	r := NewRecorder(writer)
-	r.f = f
-	r.w = bufio.NewWriterSize(f, 64<<10)
-	r.buf = make([]byte, 0, 1024)
+	size, base, err := journalEnd(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r := &Recorder{
+		writer: writer,
+		epoch:  time.Now().Add(-base),
+		f:      f,
+		w:      bufio.NewWriterSize(f, 64<<10),
+		buf:    make([]byte, 0, 1024),
+	}
+	r.nextID.Store(uint64(size))
 	return r, nil
+}
+
+// tailBytes is how much of an existing journal Open reads to find where
+// its timebase stopped: room for hundreds of records, never the file.
+const tailBytes = 64 << 10
+
+// journalEnd returns f's size and the latest span end among the whole
+// records in its last tailBytes (0 for a new file, or a tail holding no
+// whole record).
+func journalEnd(f *os.File) (size int64, end time.Duration, err error) {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return 0, 0, err
+	}
+	size = fi.Size()
+	tail := make([]byte, min(size, tailBytes))
+	if _, err := f.ReadAt(tail, size-int64(len(tail))); err != nil && err != io.EOF {
+		return 0, 0, err
+	}
+	// The piece before the first newline may be cut by the window and
+	// the piece after the last one torn by a crash: neither is a record
+	// to the journal reader either.
+	raws, err := readJournalFrom(bytes.NewReader(tail), f.Name())
+	for _, r := range raws {
+		end = max(end, r.rec.End())
+	}
+	return size, end, err
 }
 
 // Writer returns the identity stamped on this recorder's records.
@@ -219,20 +235,6 @@ func (r *Recorder) Interval(parent SpanID, name string, start, end time.Duration
 	s.start = start
 	s.dur = max(end-start, 0)
 	s.fixed = true
-	return s
-}
-
-// Event records an instant (zero-duration) occurrence. The returned
-// span still takes attributes; call End to write it.
-func (r *Recorder) Event(parent SpanID, name string) *Span {
-	if r == nil {
-		return nil
-	}
-	s := r.get()
-	s.parent = parent
-	s.name = name
-	s.start = time.Since(r.epoch)
-	s.fixed = true // dur stays 0
 	return s
 }
 
@@ -326,7 +328,6 @@ func (s *Span) Drop() {
 // the journal, and recycles the handle — one lock, zero allocations in
 // steady state.
 func (r *Recorder) record(s *Span) {
-	r.spans.Add(1)
 	r.mu.Lock()
 	if r.w != nil {
 		b := r.buf[:0]
@@ -366,117 +367,49 @@ func (r *Recorder) record(s *Span) {
 		}
 		b = append(b, '}', '\n')
 		r.buf = b
-		if _, err := r.w.Write(b); err != nil && r.err == nil {
-			r.err = err
-		}
+		_, err := r.w.Write(b)
+		r.keep(err)
 	}
 	s.next = r.free
 	r.free = s
 	r.mu.Unlock()
 }
 
-// CacheLookup is the score cache's outcome event: counts the hit or
-// miss and journals an instant "cache-lookup" event. Wired in by
-// cache.Store.SetTracer; allocation-free so it can sit on the lookup
-// path of every point of a sweep.
-func (r *Recorder) CacheLookup(hit bool) {
-	if r == nil {
-		return
-	}
-	outcome := "miss"
-	if hit {
-		r.cacheHits.Add(1)
-		outcome = "hit"
-	} else {
-		r.cacheMisses.Add(1)
-	}
-	r.Event(0, "cache-lookup").Str("outcome", outcome).End()
-}
-
-// CountCachePut counts a score recorded into an instrumented cache.
-func (r *Recorder) CountCachePut() {
-	if r != nil {
-		r.cachePuts.Add(1)
-	}
-}
-
-// CountTask counts completed engine tasks.
-func (r *Recorder) CountTask(n int) {
-	if r != nil && n > 0 {
-		r.tasksDone.Add(uint64(n))
-	}
-}
-
-// CountSimulated counts points whose scores were computed by the
-// domain's ScoreSlice (as opposed to served from a cache).
-func (r *Recorder) CountSimulated(n int) {
-	if r != nil && n > 0 {
-		r.pointsSimulated.Add(uint64(n))
-	}
-}
-
-// CountCached counts points served from the score cache.
-func (r *Recorder) CountCached(n int) {
-	if r != nil && n > 0 {
-		r.pointsCached.Add(uint64(n))
-	}
-}
-
-// CountUploadRetries counts grid upload attempts beyond the first.
-func (r *Recorder) CountUploadRetries(n int) {
-	if r != nil && n > 0 {
-		r.uploadRetries.Add(uint64(n))
-	}
-}
-
-// Stats snapshots the counters. Zero value on a nil recorder.
-func (r *Recorder) Stats() Stats {
-	if r == nil {
-		return Stats{}
-	}
-	return Stats{
-		Spans:           r.spans.Load(),
-		TasksDone:       r.tasksDone.Load(),
-		PointsSimulated: r.pointsSimulated.Load(),
-		PointsCached:    r.pointsCached.Load(),
-		CacheHits:       r.cacheHits.Load(),
-		CacheMisses:     r.cacheMisses.Load(),
-		CachePuts:       r.cachePuts.Load(),
-		UploadRetries:   r.uploadRetries.Load(),
-	}
-}
-
 // Flush forces buffered records to the journal file (Close does this
 // too; Flush is for long-lived recorders that want bounded loss).
 func (r *Recorder) Flush() error {
-	if r == nil || r.w == nil {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.w.Flush(); err != nil && r.err == nil {
-		r.err = err
+	if r.w != nil {
+		r.keep(r.w.Flush())
 	}
 	return r.err
 }
 
 // Close flushes and syncs the journal and surfaces the first write
-// error. Safe on a nil or memory-only recorder; idempotent.
+// error. Safe on a nil recorder; idempotent.
 func (r *Recorder) Close() error {
-	if r == nil || r.f == nil {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.w.Flush(); err != nil && r.err == nil {
-		r.err = err
+	if r.w == nil {
+		return r.err
 	}
-	if err := r.f.Sync(); err != nil && r.err == nil {
-		r.err = err
-	}
-	if err := r.f.Close(); err != nil && r.err == nil {
-		r.err = err
-	}
+	r.keep(r.w.Flush())
+	r.keep(r.f.Sync())
+	r.keep(r.f.Close())
 	r.f, r.w = nil, nil
 	return r.err
+}
+
+// keep remembers the journal's first write error, under mu.
+func (r *Recorder) keep(err error) {
+	if err != nil && r.err == nil {
+		r.err = err
+	}
 }

@@ -23,7 +23,7 @@ func TestRoundtrip(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	taskID := task.ID()
 	task.End()
-	rec.Event(root.ID(), "cache-lookup").Str("outcome", "hit").End()
+	rec.Start(root.ID(), "cache-lookup").Int("hits", 3).End()
 	root.End()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -69,38 +69,12 @@ func TestRoundtrip(t *testing.T) {
 	if got := task2.AttrFloat("frac"); got != 0.3 {
 		t.Errorf("task frac = %v", got)
 	}
-	ev := byName["cache-lookup"]
-	if ev.DurUS != 0 {
-		t.Errorf("event dur = %d, want 0", ev.DurUS)
-	}
-	if ev.AttrStr("outcome") != "hit" {
-		t.Errorf("event outcome = %q", ev.AttrStr("outcome"))
+	if got := byName["cache-lookup"].AttrInt("hits"); got != 3 {
+		t.Errorf("cache-lookup hits = %d, want 3", got)
 	}
 	// Canonical order: sweep started first.
 	if recs[0].Name != "sweep" {
 		t.Errorf("first record = %q, want sweep", recs[0].Name)
-	}
-}
-
-func TestCountingRecorder(t *testing.T) {
-	rec := NewRecorder("mem")
-	rec.Start(0, "task").End()
-	rec.CountTask(1)
-	rec.CountSimulated(7)
-	rec.CountCached(3)
-	rec.CacheLookup(true)
-	rec.CacheLookup(true)
-	rec.CacheLookup(false)
-	rec.CountCachePut()
-	rec.CountUploadRetries(2)
-	st := rec.Stats()
-	want := Stats{Spans: 4, TasksDone: 1, PointsSimulated: 7, PointsCached: 3,
-		CacheHits: 2, CacheMisses: 1, CachePuts: 1, UploadRetries: 2}
-	if st != want {
-		t.Errorf("stats = %+v, want %+v", st, want)
-	}
-	if err := rec.Close(); err != nil {
-		t.Errorf("close: %v", err)
 	}
 }
 
@@ -112,17 +86,7 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil span id != 0")
 	}
 	s.End()
-	rec.Event(0, "e").End()
 	rec.Interval(0, "i", 0, time.Second).Drop()
-	rec.CacheLookup(true)
-	rec.CountTask(1)
-	rec.CountSimulated(1)
-	rec.CountCached(1)
-	rec.CountCachePut()
-	rec.CountUploadRetries(1)
-	if rec.Stats() != (Stats{}) {
-		t.Error("nil stats not zero")
-	}
 	if rec.Now() != 0 {
 		t.Error("nil Now != 0")
 	}
@@ -313,23 +277,87 @@ func TestJournalPathSanitizes(t *testing.T) {
 	}
 }
 
+// TestResumeAppends: sessions that open the same journal one after the
+// other — a -resume into one -trace-dir, a restarted worker under its
+// old name — continue it. Span IDs stay unique across sessions (so
+// parent links are unambiguous), each session's window starts at or
+// after the end of the one before, and the analysed wall covers all of
+// them instead of overlaying them at time 0. The first session outgrows
+// the tail Open reads; a corrupt line sits at the end before the last.
 func TestResumeAppends(t *testing.T) {
 	dir := t.TempDir()
-	for run := 0; run < 2; run++ {
+	const sessions, perSession = 3, 2
+	for run := 0; run < sessions; run++ {
 		rec, err := OpenDir(dir, "w")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec.Start(0, "task").Int("run", int64(run)).End()
+		if run == 0 {
+			for i := 0; i < 1500; i++ { // ≈ 150 KB, twice the tail Open reads
+				rec.Start(0, "filler").Str("pad", strings.Repeat("x", 60)).End()
+			}
+		}
+		root := rec.Start(0, "sweep").Int("run", int64(run))
+		for i := 0; i < perSession; i++ {
+			task := rec.Start(root.ID(), "task").Int("run", int64(run))
+			time.Sleep(2 * time.Millisecond)
+			task.End()
+		}
+		root.End()
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if run == sessions-2 {
+			f, err := os.OpenFile(JournalPath(dir, "w"), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(f, `{"w":"w","id":7,"name":"task","start_us":99999999`)
+			f.Close()
 		}
 	}
 	recs, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("resumed journal has %d records, want 2", len(recs))
+
+	byID := map[uint64]Record{}
+	var lo, hi [sessions]time.Duration // each session's window
+	var sum time.Duration
+	for _, r := range recs {
+		if _, dup := byID[r.ID]; dup {
+			t.Fatalf("span ID %d appears twice", r.ID)
+		}
+		byID[r.ID] = r
+	}
+	tasks := 0
+	for _, r := range recs {
+		if r.Name == "filler" {
+			continue
+		}
+		run := r.AttrInt("run")
+		if lo[run] == 0 || r.Start() < lo[run] {
+			lo[run] = r.Start()
+		}
+		hi[run] = max(hi[run], r.End())
+		if r.Name != "task" {
+			continue
+		}
+		tasks++
+		sum += r.Dur()
+		if p := byID[r.Parent]; p.Name != "sweep" || p.AttrInt("run") != run {
+			t.Errorf("task of session %d is parented under %q of session %d", run, p.Name, p.AttrInt("run"))
+		}
+	}
+	if tasks != sessions*perSession {
+		t.Fatalf("journal holds %d task records, want %d", tasks, sessions*perSession)
+	}
+	for run := 1; run < sessions; run++ {
+		if lo[run] < hi[run-1] {
+			t.Errorf("session %d starts at %v, inside session %d's window (ends %v)", run, lo[run], run-1, hi[run-1])
+		}
+	}
+	if a := Analyze(recs); a.Wall < sum {
+		t.Errorf("analysed wall %v is shorter than the %v the sessions' tasks took one after the other", a.Wall, sum)
 	}
 }

@@ -314,16 +314,15 @@ func GridSweep(ctx context.Context, coordinatorURL string, workers int) (*Scores
 	return grid.FetchScores(ctx, nil, coordinatorURL, id)
 }
 
-// TraceRecorder journals spans and counts engine events — plug one
-// into SweepOptions.Trace (or grid.WorkerOptions.Trace) and every
-// task, cache lookup and simulate slice lands in an append-only JSONL
-// journal that `dsa-report trace` analyzes. Steady-state recording is
-// allocation-free; a nil *TraceRecorder is a valid no-op everywhere.
+// TraceRecorder writes a span journal and nothing else — plug one into
+// SweepOptions.Trace (or grid.WorkerOptions.Trace) and the sweep, every
+// task (with its cache-hit/simulated split), each task's cache-lookup
+// phase and each chunk's simulate call land in an append-only JSONL
+// file that `dsa-report trace` analyzes. Live counts are not its
+// business: a store's totals are ScoreCache.Stats, a sweep's point
+// counts arrive in SweepOptions.Progress. Steady-state recording is
+// allocation-free; a nil *TraceRecorder is "tracing off" everywhere.
 type TraceRecorder = obs.Recorder
-
-// TraceStats is the recorder's live counter snapshot (tasks done,
-// points simulated vs cache-served, upload retries).
-type TraceStats = obs.Stats
 
 // TraceAnalysis is the digest AnalyzeTrace produces: critical path,
 // per-measure latency, stragglers, cache attribution and per-worker
@@ -333,15 +332,12 @@ type TraceAnalysis = obs.Analysis
 // OpenTraceJournal opens (creating dir if needed) an append-only span
 // journal trace-<writer>.jsonl for one writer — a sweep shard or a
 // grid worker. Journals from any number of writers sharing a directory
-// merge cleanly; re-opening appends, and a torn final line from a
-// crashed writer is skipped on load.
+// merge cleanly; re-opening continues the file (fresh span IDs, the
+// timebase where the last session stopped), and a torn final line from
+// a crashed writer is skipped on load.
 func OpenTraceJournal(dir, writer string) (*TraceRecorder, error) {
 	return obs.OpenDir(dir, writer)
 }
-
-// NewTraceRecorder returns a memory-only recorder: spans are counted,
-// not journalled. Use it when only the live Stats matter.
-func NewTraceRecorder(writer string) *TraceRecorder { return obs.NewRecorder(writer) }
 
 // AnalyzeTrace loads every journal in dir and digests the merged
 // timeline.

@@ -428,8 +428,8 @@ func benchExplore(b *testing.B, store *cachepkg.Store) {
 	if store != nil {
 		sc = store
 	}
-	_, _, err := dsa.HillClimb(gossip.Domain(), dsa.Weights{gossip.MeasureCoverage: 1},
-		benchExploreCfg(), core.HillClimbConfig{Restarts: 2, MaxSteps: 15, Seed: 3}, sc, nil)
+	_, _, err := job.HillClimb(context.Background(), gossip.Domain(), job.Weights{gossip.MeasureCoverage: 1},
+		benchExploreCfg(), job.HillClimbConfig{Restarts: 2, MaxSteps: 15, Seed: 3}, sc, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,8 +26,9 @@
 // used 25 hours on a 50-node cluster, plan accordingly). -stride N
 // evaluates every Nth point, shrinking the point set itself. -explore
 // additionally runs the Section 7 heuristic explorers (hill climbing
-// and evolutionary search) against the domain's primary measure and
-// prints what they find.
+// and evolutionary search, internal/job) against the domain's primary
+// measure and prints what they find; each step of a search scores its
+// new points as one small sweep on the same engine, cache included.
 //
 // Paper-scale runs go through the job engine (internal/job):
 // -checkpoint-dir journals every completed task so an interrupted run
@@ -87,7 +88,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/dsa"
 	"repro/internal/job"
 	"repro/internal/obs"
@@ -105,7 +105,7 @@ func main() {
 	var (
 		sweep    = job.RegisterSweepFlags(flag.CommandLine, pra.DomainName)
 		out      = flag.String("out", "results.csv", "output CSV path")
-		explore  = flag.Bool("explore", false, "also run the heuristic explorers")
+		explore  = flag.Bool("explore", false, "also run the heuristic explorers (hill climb, evolution) on the primary measure; they score through the sweep engine and -cache-dir")
 		ckptDir  = flag.String("checkpoint-dir", "", "journal completed work here; survives interruption")
 		resume   = flag.Bool("resume", false, "continue from an existing checkpoint dir, skipping finished tasks")
 		cacheDir = flag.String("cache-dir", "", "content-addressed score cache; reruns and overlapping sweeps reuse scores")
@@ -244,7 +244,7 @@ func main() {
 	log.Printf("wrote %s (%d rows)", *out, len(scores.Points))
 
 	if *explore {
-		runExplorers(d, cfg, scoreCache, rec)
+		runExplorers(ctx, d, cfg, scoreCache, rec)
 	}
 	if scoreCache != nil {
 		st := scoreCache.Stats()
@@ -299,13 +299,13 @@ func hitRate(p job.Progress) float64 {
 }
 
 // runExplorers demonstrates the Section 7 heuristic exploration on the
-// selected domain against its primary measure, with a shared memoised
-// objective. With -cache-dir the two searches also share raw scores
-// with each other, with previous runs and with the sweep itself (the
+// selected domain against its primary measure. With -cache-dir the two
+// searches share raw scores with each other, with previous runs and
+// with the sweep itself (the
 // sweep fills the cache at full PerfRuns scale; the explorers use
 // PerfRuns 1, a different config hash, so their entries are disjoint —
 // a warm second -explore run is where the cache pays off).
-func runExplorers(d dsa.Domain, cfg dsa.Config, store *cache.Store, rec *obs.Recorder) {
+func runExplorers(ctx context.Context, d dsa.Domain, cfg dsa.Config, store *cache.Store, rec *obs.Recorder) {
 	var sc dsa.ScoreCache
 	if store != nil {
 		sc = store
@@ -313,14 +313,14 @@ func runExplorers(d dsa.Domain, cfg dsa.Config, store *cache.Store, rec *obs.Rec
 	perfCfg := cfg
 	perfCfg.PerfRuns = 1
 	primary := d.Measures()[0]
-	weights := dsa.Weights{primary: 1}
-	hc, hcCalls, err := dsa.HillClimb(d, weights, perfCfg, core.HillClimbConfig{Restarts: 3, MaxSteps: 30, Seed: cfg.Seed}, sc, rec)
+	weights := job.Weights{primary: 1}
+	hc, hcCalls, err := job.HillClimb(ctx, d, weights, perfCfg, job.HillClimbConfig{Restarts: 3, MaxSteps: 30, Seed: cfg.Seed}, sc, rec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("hill climb: %s  raw %s=%.1f  (%d objective calls vs %d exhaustive)\n",
 		d.Label(hc.Point), primary, hc.Score, hcCalls, d.Space().Size())
-	ev, evCalls, err := dsa.Evolve(d, weights, perfCfg, core.EvolveConfig{Population: 24, Generations: 12, Seed: cfg.Seed}, sc, rec)
+	ev, evCalls, err := job.Evolve(ctx, d, weights, perfCfg, job.EvolveConfig{Population: 24, Generations: 12, Seed: cfg.Seed}, sc, rec)
 	if err != nil {
 		log.Fatal(err)
 	}

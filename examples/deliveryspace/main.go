@@ -22,9 +22,8 @@ import (
 	"sort"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/delivery"
-	"repro/internal/dsa"
+	"repro/internal/job"
 )
 
 func main() {
@@ -117,8 +116,8 @@ func main() {
 
 	// The Section 7 explorers run on any registered domain: hill-climb
 	// the raw robustness measure without sweeping the whole space.
-	best, calls, err := dsa.HillClimb(domain, dsa.Weights{delivery.MeasureRobustness: 1},
-		cfg, core.HillClimbConfig{Restarts: 3, MaxSteps: 30, Seed: 7}, nil, nil)
+	best, calls, err := job.HillClimb(context.Background(), domain, job.Weights{delivery.MeasureRobustness: 1},
+		cfg, job.HillClimbConfig{Restarts: 3, MaxSteps: 30, Seed: 7}, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

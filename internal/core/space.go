@@ -3,14 +3,14 @@
 // naming the salient dimensions; Actualization: listing concrete values
 // per dimension) from its *analysis* by a solution concept.
 //
-// The package is domain-agnostic: a Space is a constrained cartesian
-// product of named dimensions, an Objective maps points to scores, and
-// solution concepts (exhaustive sweep, and the heuristic explorers the
-// paper proposes as future work in Section 7 — hill climbing and an
-// evolutionary search) work on any Space. The file-swarming space of
-// Section 4, the gossip space of Section 3.1 and the delivery space are
-// all expressed in these terms, each in its own domain package (pra,
-// gossip, delivery): core imports none of them.
+// The package is the Space and nothing else: a constrained cartesian
+// product of named dimensions with its enumeration, validity and
+// neighbourhood. The file-swarming space of Section 4, the gossip space
+// of Section 3.1 and the delivery space are all expressed in these
+// terms, each in its own domain package (pra, gossip, delivery); what
+// analyses a space — the sweep engine and the Section 7 explorers — is
+// internal/job, over a dsa.Domain. core imports no package of this
+// module.
 package core
 
 import (
@@ -31,7 +31,7 @@ type Point []int
 
 // Space is a constrained cartesian product of dimensions. Constraint
 // (optional) rejects invalid combinations; rejected points are excluded
-// from enumeration and never passed to objectives.
+// from enumeration and never scored.
 type Space struct {
 	Name       string
 	Dimensions []Dimension
@@ -52,15 +52,6 @@ func NewSpace(name string, dims []Dimension, constraint func(Point) bool) (*Spac
 		}
 	}
 	return &Space{Name: name, Dimensions: dims, Constraint: constraint}, nil
-}
-
-// RawSize returns the unconstrained cartesian product size.
-func (s *Space) RawSize() int {
-	n := 1
-	for _, d := range s.Dimensions {
-		n *= len(d.Values)
-	}
-	return n
 }
 
 // Enumerate returns every valid point in lexicographic order. The

@@ -1,6 +1,7 @@
 package delivery_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/delivery"
 	"repro/internal/dsa"
+	"repro/internal/job"
 )
 
 // tinyCfg is the smallest config that exercises every code path fast.
@@ -273,13 +275,13 @@ func TestAssemble(t *testing.T) {
 
 // TestHillClimbOnRobustness is the acceptance criterion's explorer leg:
 // a heuristic search over the robustness measure completes through the
-// generic dsa seam with no delivery-specific engine code.
+// generic job engine with no delivery-specific engine code.
 func TestHillClimbOnRobustness(t *testing.T) {
 	d := delivery.Domain()
-	best, evals, err := dsa.HillClimb(d,
-		dsa.Weights{delivery.MeasureRobustness: 1},
+	best, evals, err := job.HillClimb(context.Background(), d,
+		job.Weights{delivery.MeasureRobustness: 1},
 		tinyCfg(),
-		core.HillClimbConfig{Restarts: 2, MaxSteps: 20, Seed: 5},
+		job.HillClimbConfig{Restarts: 2, MaxSteps: 20, Seed: 5},
 		nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,10 @@ import (
 
 // This file is the caching seam of the sweep API: the key derivation
 // that makes scores content-addressable, and the minimal interface the
-// engine layers (job.ExecTasks, the explorers, the grid coordinator)
-// consult. The store itself lives in internal/cache; dsa only defines
-// what a key *means*, because only dsa knows which inputs a score is a
-// function of.
+// engine layers (job.ExecTasks — under every sweep and every explorer
+// batch — and the grid coordinator) consult. The store itself lives in
+// internal/cache; dsa only defines what a key *means*, because only dsa
+// knows which inputs a score is a function of.
 //
 // The determinism contract (Domain.ScoreSlice: seeds derive from point
 // identity, never position or schedule) makes a raw score a pure
@@ -68,7 +68,9 @@ type ScoreCache interface {
 	// GetOrCompute returns the cached score for k or computes, caches
 	// and returns it. Concurrent calls for one key compute at most
 	// once (the others wait); a compute error is returned to every
-	// waiter and nothing is cached.
+	// waiter and nothing is cached. No engine layer calls it since the
+	// explorers score through ExecTasks; it stays while bench/
+	// implements it (ROADMAP item 1).
 	GetOrCompute(k CacheKey, compute func() (float64, error)) (float64, error)
 }
 

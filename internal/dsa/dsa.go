@@ -30,11 +30,12 @@
 // tournament games are seeded, repeated, averaged and won — so a domain
 // package holds only its space, its simulator and what a population is.
 //
-// Everything above a Domain — the sharded checkpointed job engine
-// (internal/job), the sweep/report CLIs, the heuristic explorers, the
-// repro facade — is written against this interface and therefore works
-// for every registered domain: implementing a Domain buys sharding,
-// resume, merge and the tooling for free.
+// Everything above a Domain — the sharded checkpointed job engine and
+// the heuristic explorers that run on it (internal/job), the
+// sweep/report CLIs, the repro facade — is written against this
+// interface and therefore works for every registered domain:
+// implementing a Domain buys sharding, resume, merge and the tooling for
+// free.
 package dsa
 
 import (

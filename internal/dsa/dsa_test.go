@@ -9,15 +9,16 @@ package dsa_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/delivery"
 	"repro/internal/dsa"
 	"repro/internal/gossip"
+	"repro/internal/job"
 	"repro/internal/pra"
 )
 
@@ -195,8 +196,8 @@ func TestCSVRoundTrip(t *testing.T) {
 func TestExplorersOnGossipDomain(t *testing.T) {
 	d := gossip.Domain()
 	cfg := dsa.Config{Peers: 8, Rounds: 30, PerfRuns: 1, EncounterRuns: 1, Opponents: 3, Seed: 5}
-	w := dsa.Weights{gossip.MeasureCoverage: 1}
-	best, calls, err := dsa.HillClimb(d, w, cfg, core.HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 9}, nil, nil)
+	w := job.Weights{gossip.MeasureCoverage: 1}
+	best, calls, err := job.HillClimb(context.Background(), d, w, cfg, job.HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 9}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestExplorersOnGossipDomain(t *testing.T) {
 	if !d.Space().Valid(best.Point) {
 		t.Fatalf("hill climb returned invalid point %v", best.Point)
 	}
-	again, _, err := dsa.HillClimb(d, w, cfg, core.HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 9}, nil, nil)
+	again, _, err := job.HillClimb(context.Background(), d, w, cfg, job.HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 9}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestExplorersOnGossipDomain(t *testing.T) {
 		t.Fatal("hill climb is not deterministic")
 	}
 
-	if _, _, err := dsa.HillClimb(d, dsa.Weights{"bogus": 1}, cfg, core.HillClimbConfig{Restarts: 1, MaxSteps: 1, Seed: 1}, nil, nil); err == nil {
+	if _, _, err := job.HillClimb(context.Background(), d, job.Weights{"bogus": 1}, cfg, job.HillClimbConfig{Restarts: 1, MaxSteps: 1, Seed: 1}, nil, nil); err == nil {
 		t.Fatal("unknown measure weight accepted")
 	}
 }

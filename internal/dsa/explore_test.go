@@ -1,38 +1,34 @@
 package dsa_test
 
-// Explorer coverage promised by the caching PR: determinism under a
-// fixed seed, identical results with and without a score cache (with a
-// warm cache running zero simulations), error propagation when
-// ScoreSlice fails mid-exploration, and the cache-key sensitivity
-// rules ("a mismatched anything is a miss, never a wrong hit").
+// The explorers' determinism under a fixed seed on any dsa.Domain (their
+// cache parity, error and tracing pins live with them in internal/job),
+// and the cache-key sensitivity rules ("a mismatched anything is a miss,
+// never a wrong hit").
 //
 // Everything runs on a small in-test fake domain rather than the real
 // simulators: the properties under test are engine properties, and the
-// fake gives exact control over scores, call counts and failures.
+// fake gives exact control over scores.
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dsa"
+	"repro/internal/job"
 )
 
 // fakeDomain is a tiny two-dimensional space with synthetic scores:
 // deterministic functions of (measure, point ID, seed), never of slice
 // composition — the same contract real domains honour.
 type fakeDomain struct {
-	name     string
-	version  int // reported via ScoreVersion
-	space    *core.Space
-	index    map[string]int
-	points   []core.Point
-	calls    atomic.Int64 // ScoreSlice invocations (not points)
-	failFrom int64        // fail every call after this many (0 = never fail)
+	name    string
+	version int // reported via ScoreVersion
+	space   *core.Space
+	index   map[string]int
+	points  []core.Point
 }
 
 func newFakeDomain(t *testing.T) *fakeDomain {
@@ -86,13 +82,7 @@ func (d *fakeDomain) SampleOpponents(cfg dsa.Config) []core.Point {
 	return dsa.SamplePanel(d.space.Enumerate(), cfg.Opponents, cfg.Seed)
 }
 
-var errFakeScore = errors.New("fake: simulator blew up")
-
 func (d *fakeDomain) ScoreSlice(measure string, pts, opponents []core.Point, cfg dsa.Config) ([]float64, error) {
-	n := d.calls.Add(1)
-	if d.failFrom > 0 && n > d.failFrom {
-		return nil, errFakeScore
-	}
 	kind := 1
 	if measure == "beta" {
 		kind = 2
@@ -113,19 +103,19 @@ func (d *fakeDomain) Assemble(pts []core.Point, raw map[string][]float64) (*dsa.
 	return &dsa.Scores{Domain: d.name, Points: pts, Raw: raw, Values: raw}, nil
 }
 
-func fakeWeights() dsa.Weights { return dsa.Weights{"alpha": 1, "beta": 0.5} }
+func fakeWeights() job.Weights { return job.Weights{"alpha": 1, "beta": 0.5} }
 
 func TestHillClimbDeterministicUnderFixedSeed(t *testing.T) {
 	d := newFakeDomain(t)
-	hcfg := core.HillClimbConfig{Restarts: 3, MaxSteps: 20, Seed: 42}
-	best1, calls1, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
+	hcfg := job.HillClimbConfig{Restarts: 3, MaxSteps: 20, Seed: 42}
+	best1, calls1, err := job.HillClimb(context.Background(), d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls1 <= 0 {
 		t.Fatalf("hill climb made %d objective calls", calls1)
 	}
-	best2, calls2, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
+	best2, calls2, err := job.HillClimb(context.Background(), d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,126 +126,17 @@ func TestHillClimbDeterministicUnderFixedSeed(t *testing.T) {
 
 func TestEvolveDeterministicUnderFixedSeed(t *testing.T) {
 	d := newFakeDomain(t)
-	ecfg := core.EvolveConfig{Population: 6, Generations: 4, Seed: 42}
-	best1, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
+	ecfg := job.EvolveConfig{Population: 6, Generations: 4, Seed: 42}
+	best1, _, err := job.Evolve(context.Background(), d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best2, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
+	best2, _, err := job.Evolve(context.Background(), d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(best1, best2) {
 		t.Fatalf("evolve not deterministic: %v vs %v", best1, best2)
-	}
-}
-
-// TestExplorersCacheParity: results are identical with no cache, a
-// cold cache and a warm cache — and the warm run simulates nothing.
-func TestExplorersCacheParity(t *testing.T) {
-	hcfg := core.HillClimbConfig{Restarts: 3, MaxSteps: 20, Seed: 42}
-	ecfg := core.EvolveConfig{Population: 6, Generations: 4, Seed: 42}
-
-	bare := newFakeDomain(t)
-	hcBare, _, err := dsa.HillClimb(bare, fakeWeights(), fakeCfg(), hcfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evBare, _, err := dsa.Evolve(bare, fakeWeights(), fakeCfg(), ecfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := cache.Open(cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	cold := newFakeDomain(t)
-	hcCold, _, err := dsa.HillClimb(cold, fakeWeights(), fakeCfg(), hcfg, store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(hcBare, hcCold) {
-		t.Fatalf("cold cache changed hill climb: %v vs %v", hcBare, hcCold)
-	}
-	if cold.calls.Load() == 0 {
-		t.Fatal("cold run should simulate")
-	}
-
-	warm := newFakeDomain(t)
-	hcWarm, _, err := dsa.HillClimb(warm, fakeWeights(), fakeCfg(), hcfg, store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(hcBare, hcWarm) {
-		t.Fatalf("warm cache changed hill climb: %v vs %v", hcBare, hcWarm)
-	}
-	if n := warm.calls.Load(); n != 0 {
-		t.Fatalf("warm hill climb ran %d simulations, want 0", n)
-	}
-
-	// Evolve visits a superset of points; it shares the same raw-score
-	// cache (weights are not part of the key), so its warm run only
-	// simulates points the climb never touched — and a second warm run
-	// simulates nothing at all.
-	evWarm, _, err := dsa.Evolve(warm, fakeWeights(), fakeCfg(), ecfg, store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(evBare, evWarm) {
-		t.Fatalf("cache changed evolve: %v vs %v", evBare, evWarm)
-	}
-	warm.calls.Store(0)
-	if _, _, err := dsa.Evolve(warm, fakeWeights(), fakeCfg(), ecfg, store, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := warm.calls.Load(); n != 0 {
-		t.Fatalf("second warm evolve ran %d simulations, want 0", n)
-	}
-}
-
-// TestScoreSliceErrorMidExploration: a simulator failure partway
-// through a search surfaces as the explorer's error — with and without
-// a cache — and the failure is not cached, so a recovered simulator
-// succeeds on retry.
-func TestScoreSliceErrorMidExploration(t *testing.T) {
-	hcfg := core.HillClimbConfig{Restarts: 3, MaxSteps: 20, Seed: 42}
-
-	d := newFakeDomain(t)
-	d.failFrom = 3 // a few evaluations succeed, then the simulator dies
-	if _, _, err := dsa.HillClimb(d, fakeWeights(), fakeCfg(), hcfg, nil, nil); !errors.Is(err, errFakeScore) {
-		t.Fatalf("hill climb error = %v, want the simulator failure", err)
-	}
-	if _, _, err := dsa.Evolve(d, fakeWeights(), fakeCfg(), core.EvolveConfig{Population: 6, Generations: 4, Seed: 42}, nil, nil); !errors.Is(err, errFakeScore) {
-		t.Fatalf("evolve error = %v, want the simulator failure", err)
-	}
-
-	store, err := cache.Open(cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	cached := newFakeDomain(t)
-	cached.failFrom = 3
-	if _, _, err := dsa.HillClimb(cached, fakeWeights(), fakeCfg(), hcfg, store, nil); !errors.Is(err, errFakeScore) {
-		t.Fatalf("cached hill climb error = %v, want the simulator failure", err)
-	}
-	// The simulator recovers; the failed evaluations must re-run (an
-	// error that got cached would resurface here as a wrong value or
-	// a repeat failure).
-	cached.failFrom = 0
-	best, _, err := dsa.HillClimb(cached, fakeWeights(), fakeCfg(), hcfg, store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _, err := dsa.HillClimb(newFakeDomain(t), fakeWeights(), fakeCfg(), hcfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(best, ref) {
-		t.Fatalf("post-recovery result %v differs from reference %v", best, ref)
 	}
 }
 

@@ -1,17 +1,19 @@
-package dsa_test
+package job
 
 // The value pin of the explorer seam: for every registered domain,
 // HillClimb and Evolve under two search seeds, each run three times —
 // no cache, a cold cache, the same cache warm — must return the recorded
 // best point, score bits and objective-call count, and the warm run must
-// not reach the simulator. Recorded on the per-point Objective path;
-// whatever scores the explorers' points afterwards is checked against it.
+// not reach the simulator. Recorded on the per-point dsa.Objective path
+// the explorers scored through before they batched onto ExecTasks.
 //
-// go test ./internal/dsa -run TestExplorerGolden -update re-records from
+// go test ./internal/job -run TestExplorerGolden -update re-records from
 // the live code, so only at a commit whose values are trusted.
 
 import (
+	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -27,6 +29,8 @@ import (
 	"repro/internal/pra"
 )
 
+var updateGolden = flag.Bool("update", false, "re-record testdata/explore.golden.json from the live explorers")
+
 const exploreGoldenPath = "testdata/explore.golden.json"
 
 // exploreCases blends at least two measures per domain (delivery's three
@@ -35,24 +39,24 @@ const exploreGoldenPath = "testdata/explore.golden.json"
 var exploreCases = []struct {
 	d   dsa.Domain
 	cfg dsa.Config
-	w   dsa.Weights
+	w   Weights
 }{
 	{pra.Domain(), dsa.Config{Peers: 12, Rounds: 50, PerfRuns: 1, EncounterRuns: 1, Opponents: 4, Seed: 1},
-		dsa.Weights{pra.MeasurePerformance: 1, pra.MeasureRobustness: 40}},
+		Weights{pra.MeasurePerformance: 1, pra.MeasureRobustness: 40}},
 	{gossip.Domain(), dsa.Config{Peers: 10, Rounds: 40, PerfRuns: 1, EncounterRuns: 1, Opponents: 4, Seed: 7},
-		dsa.Weights{gossip.MeasureCoverage: 1, gossip.MeasureRobustness: 0.25}},
+		Weights{gossip.MeasureCoverage: 1, gossip.MeasureRobustness: 0.25}},
 	{delivery.Domain(), dsa.Config{Peers: 8, Rounds: 240, PerfRuns: 2, EncounterRuns: 1, Seed: 3, Churn: 0.01},
-		dsa.Weights{delivery.MeasureRobustness: 1, delivery.MeasureMeanTime: -0.002, delivery.MeasureMirrorOffload: 0.5}},
+		Weights{delivery.MeasureRobustness: 1, delivery.MeasureMeanTime: -0.002, delivery.MeasureMirrorOffload: 0.5}},
 }
 
 var exploreSeeds = []int64{3, 11}
 
-func goldenHillClimb(d dsa.Domain, w dsa.Weights, cfg dsa.Config, seed int64, c dsa.ScoreCache) (core.Evaluation, int, error) {
-	return dsa.HillClimb(d, w, cfg, core.HillClimbConfig{Restarts: 2, MaxSteps: 8, Seed: seed}, c, nil)
+func goldenHillClimb(d dsa.Domain, w Weights, cfg dsa.Config, seed int64, c dsa.ScoreCache) (Evaluation, int, error) {
+	return HillClimb(context.Background(), d, w, cfg, HillClimbConfig{Restarts: 2, MaxSteps: 8, Seed: seed}, c, nil)
 }
 
-func goldenEvolve(d dsa.Domain, w dsa.Weights, cfg dsa.Config, seed int64, c dsa.ScoreCache) (core.Evaluation, int, error) {
-	return dsa.Evolve(d, w, cfg, core.EvolveConfig{Population: 8, Generations: 4, Seed: seed}, c, nil)
+func goldenEvolve(d dsa.Domain, w Weights, cfg dsa.Config, seed int64, c dsa.ScoreCache) (Evaluation, int, error) {
+	return Evolve(context.Background(), d, w, cfg, EvolveConfig{Population: 8, Generations: 4, Seed: seed}, c, nil)
 }
 
 // countedDomain counts the (measure, point) scores the simulator is
@@ -86,7 +90,7 @@ func TestExplorerGolden(t *testing.T) {
 	}
 	explorers := []struct {
 		name string
-		run  func(dsa.Domain, dsa.Weights, dsa.Config, int64, dsa.ScoreCache) (core.Evaluation, int, error)
+		run  func(dsa.Domain, Weights, dsa.Config, int64, dsa.ScoreCache) (Evaluation, int, error)
 	}{{"hillclimb", goldenHillClimb}, {"evolve", goldenEvolve}}
 
 	got := map[string]exploreGolden{}

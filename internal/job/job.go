@@ -1,8 +1,9 @@
 // Package job is the sharded, checkpointed execution engine behind
-// design-space sweeps. The paper's headline experiment — quantifying
-// all 3270 file-swarming protocols at Section 4.3 scale — cost ~25
-// cluster-hours, so a sweep must be splittable across processes and
-// machines and must survive interruption.
+// design-space sweeps, and the heuristic explorers that search a space
+// as runs of small sweeps on it (explore.go). The paper's headline
+// experiment — quantifying all 3270 file-swarming protocols at Section
+// 4.3 scale — cost ~25 cluster-hours, so a sweep must be splittable
+// across processes and machines and must survive interruption.
 //
 // The engine is domain-agnostic: it runs any dsa.Domain. A sweep
 // decomposes into deterministic tasks, one (measure × point chunk)

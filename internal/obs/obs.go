@@ -222,9 +222,9 @@ func (r *Recorder) Start(parent SpanID, name string) *Span {
 }
 
 // Interval records a span whose boundaries the caller measured itself
-// (via Now) — how callback-driven seams like the explorers' generation
-// hooks turn "time between callbacks" into spans. End writes it with
-// exactly the given duration.
+// (via Now) — how the explorers journal a restart or a generation as
+// the time since the previous one ended. End writes it with exactly the
+// given duration.
 func (r *Recorder) Interval(parent SpanID, name string, start, end time.Duration) *Span {
 	if r == nil {
 		return nil

@@ -17,15 +17,16 @@
 //   - internal/pra       — the file-swarming domain: the Section 4.2
 //     space in core.Space form and its populations and encounters on
 //     cyclesim (Section 4.3).
-//   - internal/core      — the domain-agnostic DSA framework with
-//     exhaustive and heuristic explorers (Sections 3, 7); it imports no
-//     domain.
+//   - internal/core      — the Space: a constrained product of named
+//     dimensions with its enumeration and neighbourhood (Section 3); it
+//     imports no other package of the module.
 //   - internal/dsa       — the Domain interface (what a design space
 //     must provide for the generic engine layers to run it) and the
 //     Performance/Robustness/Aggressiveness solution concept of
 //     Section 3.2, written once for every domain.
-//   - internal/job       — the sharded, checkpointed sweep engine; it
-//     executes any Domain.
+//   - internal/job       — the sharded, checkpointed sweep engine and,
+//     as runs of small sweeps on it, the Section 7 heuristic explorers
+//     (job.HillClimb, job.Evolve); it executes any Domain.
 //   - internal/cache     — the content-addressed score cache: memoizes
 //     raw scores across sweeps, explorers and grid jobs (see
 //     OpenScoreCache / SweepOptions.Cache).
@@ -181,7 +182,7 @@ func LoadSweep(dir string) (*Scores, error) { return job.Load(dir) }
 
 // ScoreCache memoises raw (measure, point) scores across sweeps,
 // explorers and grid jobs. Plug one into SweepOptions.Cache (or the
-// explorers in internal/dsa): outputs stay byte-identical, repeated
+// explorers in internal/job): outputs stay byte-identical, repeated
 // work disappears.
 type ScoreCache = cache.Store
 

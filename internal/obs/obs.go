@@ -34,7 +34,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"os"
@@ -43,6 +42,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/linelog"
 )
 
 // SpanID identifies a span within one journal file, across every
@@ -97,12 +98,15 @@ type Recorder struct {
 	nextID atomic.Uint64
 
 	mu   sync.Mutex
-	w    *bufio.Writer // nil once closed
-	f    *os.File
+	log  *linelog.Log // nil once closed
 	free *Span
-	buf  []byte
-	err  error // first write error; surfaced by Close
+	buf  []byte // encoded records not yet appended: whole lines, reused
+	err  error  // first write error; surfaced by Close
 }
+
+// flushBytes is how many encoded bytes a recorder gathers before it
+// appends them to the journal with one write.
+const flushBytes = 64 << 10
 
 // JournalPattern matches the trace journal files of a directory.
 const JournalPattern = "trace-*.jsonl"
@@ -125,10 +129,11 @@ func JournalPath(dir, writer string) string {
 }
 
 // OpenDir opens (creating dir if needed) a recorder whose records
-// append to JournalPath(dir, writer). Appending is crash-tolerant by
-// the same rule as the checkpoint manifests: a torn final line is
-// skipped on load, never corrupts earlier records, and a resumed run
-// simply keeps appending (see Open). Close flushes and syncs.
+// append to JournalPath(dir, writer). The journal is an
+// internal/linelog log like the checkpoint manifests: records reach the
+// file as whole lines, a line a crash tore is trimmed when the journal
+// is opened again, and a resumed run simply keeps appending (see Open).
+// Close appends what is buffered and syncs.
 func OpenDir(dir, writer string) (*Recorder, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -144,23 +149,22 @@ func OpenDir(dir, writer string) (*Recorder, error) {
 // timebase at the latest end among the whole records of the file's
 // tail, so sessions share one ID space and their windows do not overlap.
 func Open(path, writer string) (*Recorder, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	log, err := linelog.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	size, base, err := journalEnd(f)
+	base, err := journalEnd(path, log.Size())
 	if err != nil {
-		f.Close()
+		log.Close()
 		return nil, err
 	}
 	r := &Recorder{
 		writer: writer,
 		epoch:  time.Now().Add(-base),
-		f:      f,
-		w:      bufio.NewWriterSize(f, 64<<10),
-		buf:    make([]byte, 0, 1024),
+		log:    log,
+		buf:    make([]byte, 0, flushBytes+4096), // room for the line that crosses flushBytes
 	}
-	r.nextID.Store(uint64(size))
+	r.nextID.Store(uint64(log.Size()))
 	return r, nil
 }
 
@@ -168,27 +172,29 @@ func Open(path, writer string) (*Recorder, error) {
 // its timebase stopped: room for hundreds of records, never the file.
 const tailBytes = 64 << 10
 
-// journalEnd returns f's size and the latest span end among the whole
-// records in its last tailBytes (0 for a new file, or a tail holding no
-// whole record).
-func journalEnd(f *os.File) (size int64, end time.Duration, err error) {
-	fi, err := f.Stat()
-	if err != nil || fi.Size() == 0 {
-		return 0, 0, err
+// journalEnd returns the latest span end among the whole records in the
+// last tailBytes of the size-byte journal at path (0 for an empty one,
+// or a tail holding no whole record).
+func journalEnd(path string, size int64) (end time.Duration, err error) {
+	if size == 0 {
+		return 0, nil
 	}
-	size = fi.Size()
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
 	tail := make([]byte, min(size, tailBytes))
 	if _, err := f.ReadAt(tail, size-int64(len(tail))); err != nil && err != io.EOF {
-		return 0, 0, err
+		return 0, err
 	}
-	// The piece before the first newline may be cut by the window and
-	// the piece after the last one torn by a crash: neither is a record
-	// to the journal reader either.
-	raws, err := readJournalFrom(bytes.NewReader(tail), f.Name())
+	// The piece before the first newline may be cut by the window: it
+	// is not a record to the journal reader either.
+	raws, err := readJournalFrom(bytes.NewReader(tail), path)
 	for _, r := range raws {
 		end = max(end, r.rec.End())
 	}
-	return size, end, err
+	return end, err
 }
 
 // Writer returns the identity stamped on this recorder's records.
@@ -324,13 +330,13 @@ func (s *Span) Drop() {
 	r.mu.Unlock()
 }
 
-// record encodes the span into the reused line buffer, appends it to
-// the journal, and recycles the handle — one lock, zero allocations in
-// steady state.
+// record encodes the span onto the reused buffer of pending lines,
+// appends them to the journal once flushBytes have gathered, and
+// recycles the handle — one lock, zero allocations in steady state.
 func (r *Recorder) record(s *Span) {
 	r.mu.Lock()
-	if r.w != nil {
-		b := r.buf[:0]
+	if r.log != nil {
+		b := r.buf
 		b = append(b, `{"w":`...)
 		b = appendJSONString(b, r.writer)
 		b = append(b, `,"id":`...)
@@ -365,14 +371,22 @@ func (r *Recorder) record(s *Span) {
 			}
 			b = append(b, '}')
 		}
-		b = append(b, '}', '\n')
-		r.buf = b
-		_, err := r.w.Write(b)
-		r.keep(err)
+		r.buf = append(b, '}', '\n')
+		if len(r.buf) >= flushBytes {
+			r.flush(false)
+		}
 	}
 	s.next = r.free
 	r.free = s
 	r.mu.Unlock()
+}
+
+// flush appends the pending lines to the journal as one write — whole
+// lines, so the file never ends mid-record unless a crash tears the
+// write itself. Under mu.
+func (r *Recorder) flush(durable bool) {
+	r.keep(r.log.Append(r.buf, durable))
+	r.buf = r.buf[:0]
 }
 
 // Flush forces buffered records to the journal file (Close does this
@@ -383,27 +397,26 @@ func (r *Recorder) Flush() error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.w != nil {
-		r.keep(r.w.Flush())
+	if r.log != nil && len(r.buf) > 0 {
+		r.flush(false)
 	}
 	return r.err
 }
 
-// Close flushes and syncs the journal and surfaces the first write
-// error. Safe on a nil recorder; idempotent.
+// Close appends what is buffered, syncs the journal and surfaces the
+// first write error. Safe on a nil recorder; idempotent.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.w == nil {
+	if r.log == nil {
 		return r.err
 	}
-	r.keep(r.w.Flush())
-	r.keep(r.f.Sync())
-	r.keep(r.f.Close())
-	r.f, r.w = nil, nil
+	r.flush(true)
+	r.keep(r.log.Close())
+	r.log = nil
 	return r.err
 }
 

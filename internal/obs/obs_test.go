@@ -2,12 +2,17 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/linelog"
 )
 
 func TestRoundtrip(t *testing.T) {
@@ -359,5 +364,109 @@ func TestResumeAppends(t *testing.T) {
 	}
 	if a := Analyze(recs); a.Wall < sum {
 		t.Errorf("analysed wall %v is shorter than the %v the sessions' tasks took one after the other", a.Wall, sum)
+	}
+}
+
+// TestReopenTrimsTornTail: a journal whose last record a crash tore is
+// trimmed when it is opened again, so the first span of the new session
+// starts its own line instead of fusing with the torn one, and the
+// recorder hands the file whole lines however large its buffer grows.
+func TestReopenTrimsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace-w.jsonl")
+	names := func() []string {
+		t.Helper()
+		recs, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range recs {
+			out = append(out, r.Name)
+		}
+		return out
+	}
+
+	rec, err := Open(path, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Start(0, "a").End()
+	rec.Start(0, "b").End()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-5); err != nil { // the crash: "b" loses its tail
+		t.Fatal(err)
+	}
+
+	rec, err = Open(path, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Start(0, "c").End()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(); fmt.Sprint(got) != "[a c]" {
+		t.Fatalf("journal holds %v after a torn tail and a reopen, want [a c]", got)
+	}
+
+	// A long session appends before Close: whatever has reached the file
+	// must end in a newline.
+	rec, err = Open(path, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 200)
+	for i := 0; i < 1000; i++ { // ≈ 300 KB
+		rec.Start(0, "d").Str("pad", pad).End()
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 100_000 || data[len(data)-1] != '\n' {
+		t.Fatalf("mid-session journal is %d bytes ending in %q, want an append of whole lines", len(data), data[len(data)-1:])
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalWriteFault: the journal sits on the writer seam like the
+// other line logs, so a torn append surfaces at Close as the typed
+// write error and leaves the file holding whole records only.
+func TestJournalWriteFault(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace-w.jsonl")
+	rec, err := Open(path, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Start(0, "kept").End()
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	restore := linelog.SetWriterSeam(chaos.NewFileFaults(1, 1.0, 0, "trace-w").Wrap) // every write: torn
+	rec.Start(0, "torn").End()
+	err = rec.Close()
+	restore()
+	var werr *linelog.WriteError
+	if !errors.As(err, &werr) || !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Close over a torn append = %v, want a *linelog.WriteError wrapping io.ErrShortWrite", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Name != "kept" || data[len(data)-1] != '\n' {
+		t.Fatalf("journal after a torn append: %d records, %q", len(recs), data)
 	}
 }

@@ -149,15 +149,6 @@ func (d *Distribution) Sample(rng *rand.Rand) float64 {
 	return d.SampleQ(rng.Float64())
 }
 
-// SampleN draws n capacities using rng.
-func (d *Distribution) SampleN(rng *rand.Rand, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.Sample(rng)
-	}
-	return out
-}
-
 // Stratified returns n capacities spread evenly over the CDF
 // (quantiles (i+0.5)/n), giving every run the same representative
 // population mix without sampling noise. Experiments use this for
@@ -173,46 +164,3 @@ func (d *Distribution) Stratified(n int) []float64 {
 
 // Median returns the distribution's median capacity.
 func (d *Distribution) Median() float64 { return d.SampleQ(0.5) }
-
-// Class identifies a bandwidth class once a population is partitioned.
-type Class int
-
-// The three coarse classes used when reasoning about class dynamics.
-const (
-	Slow Class = iota
-	Medium
-	Fast
-)
-
-// String returns the class name.
-func (c Class) String() string {
-	switch c {
-	case Slow:
-		return "slow"
-	case Medium:
-		return "medium"
-	case Fast:
-		return "fast"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
-// Classify partitions capacities into Slow/Medium/Fast by the
-// distribution's terciles and returns the class of each input.
-func (d *Distribution) Classify(capacities []float64) []Class {
-	t1 := d.SampleQ(1.0 / 3.0)
-	t2 := d.SampleQ(2.0 / 3.0)
-	out := make([]Class, len(capacities))
-	for i, c := range capacities {
-		switch {
-		case c <= t1:
-			out[i] = Slow
-		case c <= t2:
-			out[i] = Medium
-		default:
-			out[i] = Fast
-		}
-	}
-	return out
-}

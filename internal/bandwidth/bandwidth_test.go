@@ -186,8 +186,7 @@ func TestNewAcceptsValidRejectsMutatedProperty(t *testing.T) {
 
 // TestSamplingDeterministicProperty: for any valid CDF and any seed,
 // two samplers with equal seeds walk the quantile range identically —
-// SampleQ is a pure function and Sample/SampleN consume the rng
-// identically. The delivery domain's byte-identity guarantees sit on
+// SampleQ is a pure function and Sample consumes the rng identically. The delivery domain's byte-identity guarantees sit on
 // exactly this.
 func TestSamplingDeterministicProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -205,10 +204,11 @@ func TestSamplingDeterministicProperty(t *testing.T) {
 		}
 		// rng-driven draws: equal seeds, equal streams.
 		ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		as, bs := d.SampleN(ra, 64), d.SampleN(rb, 64)
+		as := make([]float64, 64)
 		for i := range as {
-			if as[i] != bs[i] {
-				t.Logf("seed %d: SampleN diverged at %d", seed, i)
+			as[i] = d.Sample(ra)
+			if b := d.Sample(rb); as[i] != b {
+				t.Logf("seed %d: Sample diverged at draw %d", seed, i)
 				return false
 			}
 		}
@@ -296,15 +296,6 @@ func TestSampleWithinSupportProperty(t *testing.T) {
 	}
 }
 
-func TestSampleN(t *testing.T) {
-	d := Piatek()
-	rng := rand.New(rand.NewSource(9))
-	xs := d.SampleN(rng, 17)
-	if len(xs) != 17 {
-		t.Fatalf("len = %d", len(xs))
-	}
-}
-
 func TestInverseCDFMonotoneProperty(t *testing.T) {
 	d := Piatek()
 	prev := d.SampleQ(0)
@@ -314,30 +305,5 @@ func TestInverseCDFMonotoneProperty(t *testing.T) {
 			t.Fatalf("inverse CDF not monotone at q=%v", q)
 		}
 		prev = v
-	}
-}
-
-func TestClassify(t *testing.T) {
-	d := Piatek()
-	classes := d.Classify([]float64{5, 50, 9000})
-	if classes[0] != Slow || classes[2] != Fast {
-		t.Errorf("classes = %v", classes)
-	}
-	// Class string rendering.
-	if Slow.String() != "slow" || Medium.String() != "medium" || Fast.String() != "fast" {
-		t.Error("class names wrong")
-	}
-	if Class(42).String() == "" {
-		t.Error("unknown class should still render")
-	}
-}
-
-func TestClassifyTerciles(t *testing.T) {
-	d := Uniform(10)
-	// With a degenerate distribution everything is <= tercile → Slow.
-	for _, c := range d.Classify([]float64{10, 10}) {
-		if c != Slow {
-			t.Errorf("uniform classify = %v", c)
-		}
 	}
 }

@@ -69,17 +69,6 @@ func SweepJob(ctx context.Context, protos []design.Protocol, cfg dsa.Config, opt
 	return NewSweepResult(s)
 }
 
-// LoadCheckpoint reassembles a checkpointed file-swarming sweep —
-// possibly written by several shard processes whose manifests were
-// merged into dir — without running any simulation.
-func LoadCheckpoint(dir string) (*SweepResult, error) {
-	s, err := job.Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	return NewSweepResult(s)
-}
-
 // performance, robustness and aggressiveness are the assembled value
 // vectors the extractors read, aligned with Protocols.
 func (r *SweepResult) performance() []float64 { return r.Scores.Measure(pra.MeasurePerformance) }

@@ -54,15 +54,19 @@ func TestSweepJobCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Scores, want.Scores) {
 		t.Fatal("checkpointed SweepJob does not match plain Sweep")
 	}
-	loaded, err := LoadCheckpoint(dir)
+	scores, err := job.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := NewSweepResult(scores)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(loaded.Scores, want.Scores) {
-		t.Fatal("LoadCheckpoint does not match plain Sweep")
+		t.Fatal("the reloaded checkpoint does not match plain Sweep")
 	}
 	if !reflect.DeepEqual(loaded.Protocols, want.Protocols) {
-		t.Fatal("LoadCheckpoint protocol list does not match")
+		t.Fatal("the reloaded checkpoint's protocol list does not match")
 	}
 }
 

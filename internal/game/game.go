@@ -216,33 +216,3 @@ func (g *Bimatrix) PureNash() []Outcome {
 	}
 	return out
 }
-
-// BestResponseRow returns the row player's best response(s) to column
-// action c.
-func (g *Bimatrix) BestResponseRow(c Action) []Action {
-	pc := g.Cells[Cooperate][c].Row
-	pd := g.Cells[Defect][c].Row
-	switch {
-	case pc > pd:
-		return []Action{Cooperate}
-	case pd > pc:
-		return []Action{Defect}
-	default:
-		return []Action{Cooperate, Defect}
-	}
-}
-
-// BestResponseCol returns the column player's best response(s) to row
-// action r.
-func (g *Bimatrix) BestResponseCol(r Action) []Action {
-	pc := g.Cells[r][Cooperate].Col
-	pd := g.Cells[r][Defect].Col
-	switch {
-	case pc > pd:
-		return []Action{Cooperate}
-	case pd > pc:
-		return []Action{Defect}
-	default:
-		return []Action{Cooperate, Defect}
-	}
-}

@@ -163,26 +163,6 @@ func TestDictator(t *testing.T) {
 	}
 }
 
-func TestBestResponses(t *testing.T) {
-	g := StandardPD()
-	br := g.BestResponseRow(Cooperate)
-	if len(br) != 1 || br[0] != Defect {
-		t.Errorf("best response to C = %v", br)
-	}
-	br = g.BestResponseCol(Defect)
-	if len(br) != 1 || br[0] != Defect {
-		t.Errorf("best response to D = %v", br)
-	}
-	// Tie → both actions.
-	tie := &Bimatrix{Cells: [2][2]Payoff{{{1, 1}, {1, 1}}, {{1, 1}, {1, 1}}}}
-	if got := tie.BestResponseRow(Cooperate); len(got) != 2 {
-		t.Errorf("tie best response = %v", got)
-	}
-	if got := tie.BestResponseCol(Cooperate); len(got) != 2 {
-		t.Errorf("tie best response = %v", got)
-	}
-}
-
 func TestPureNashCoordination(t *testing.T) {
 	// Coordination game: two pure equilibria on the diagonal.
 	g := &Bimatrix{Cells: [2][2]Payoff{{{2, 2}, {0, 0}}, {{0, 0}, {1, 1}}}}

@@ -28,23 +28,3 @@ func (n Noisy) Move(own, opp []Action, rng *rand.Rand) Action {
 	}
 	return a
 }
-
-// NoiseSweep replays a round-robin tournament at each noise level and
-// returns the per-strategy average scores, outer index matching levels.
-// It quantifies how the Axelrod ranking degrades as execution noise
-// grows.
-func NoiseSweep(g *Bimatrix, strategies []Strategy, levels []float64, rounds int, seed int64) [][]TournamentEntry {
-	out := make([][]TournamentEntry, len(levels))
-	for li, p := range levels {
-		noisy := make([]Strategy, len(strategies))
-		for i, s := range strategies {
-			if p > 0 {
-				noisy[i] = Noisy{Inner: s, P: p}
-			} else {
-				noisy[i] = s
-			}
-		}
-		out[li] = RoundRobin(g, noisy, rounds, seed+int64(li))
-	}
-	return out
-}

@@ -66,25 +66,3 @@ func TestWSLSRecoversBetterThanGrimUnderNoise(t *testing.T) {
 			wsls.RowScore+wsls.ColScore, grim.RowScore+grim.ColScore)
 	}
 }
-
-func TestNoiseSweepShape(t *testing.T) {
-	g := StandardPD()
-	strategies := []Strategy{TFT{}, AllD{}, WSLS{}}
-	levels := []float64{0, 0.05, 0.2}
-	out := NoiseSweep(g, strategies, levels, 200, 7)
-	if len(out) != len(levels) {
-		t.Fatalf("levels = %d", len(out))
-	}
-	for li, entries := range out {
-		if len(entries) != len(strategies) {
-			t.Fatalf("level %d: entries = %d", li, len(entries))
-		}
-	}
-	// Noise-free level must match a plain round-robin.
-	plain := RoundRobin(g, []Strategy{TFT{}, AllD{}, WSLS{}}, 200, 7)
-	for i := range plain {
-		if plain[i].Total != out[0][i].Total {
-			t.Error("zero-noise level should equal the plain tournament")
-		}
-	}
-}

@@ -23,7 +23,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Add(-5) // ignored: counters only go up
 	g := r.NewGauge("grid_queue_depth", "Pending tasks.")
 	g.Set(7)
-	g.Dec()
+	g.Add(-1)
 	v := r.NewCounterVec("grid_http_requests_total", "Requests by code.", "code")
 	v.With("200").Add(3)
 	v.With("404").Inc()

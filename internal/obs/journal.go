@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,14 +52,6 @@ func (r Record) AttrInt(key string) int64 {
 		return n
 	}
 	return 0
-}
-
-// AttrFloat returns a numeric attribute, or NaN when absent.
-func (r Record) AttrFloat(key string) float64 {
-	if v, ok := r.Attrs[key].(float64); ok {
-		return v
-	}
-	return math.NaN()
 }
 
 // journalLess is the canonical total order of the merged timeline:

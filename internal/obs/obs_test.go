@@ -71,7 +71,7 @@ func TestRoundtrip(t *testing.T) {
 	if task2.DurUS < 900 {
 		t.Errorf("task dur = %dus, want >= ~1ms", task2.DurUS)
 	}
-	if got := task2.AttrFloat("frac"); got != 0.3 {
+	if got := task2.Attrs["frac"]; got != 0.3 {
 		t.Errorf("task frac = %v", got)
 	}
 	if got := byName["cache-lookup"].AttrInt("hits"); got != 3 {

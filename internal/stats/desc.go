@@ -62,21 +62,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// PopVariance returns the population (n) variance of xs.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
 // Min returns the minimum of xs. It returns +Inf for an empty slice.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)

@@ -48,13 +48,6 @@ func TestVariance(t *testing.T) {
 	}
 }
 
-func TestPopVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := PopVariance(xs); !almostEq(got, 4, 1e-12) {
-		t.Errorf("PopVariance = %v, want 4", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -2, 7, 0}
 	if Min(xs) != -2 || Max(xs) != 7 {

@@ -39,23 +39,6 @@ func NewHistogram(xs []float64, bins int, lo, hi float64) Histogram {
 	return h
 }
 
-// Bins returns the number of bins.
-func (h Histogram) Bins() int { return len(h.Counts) }
-
-// BinCenter returns the midpoint of bin i.
-func (h Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of samples falling in bin i.
-func (h Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
 // MaxCount returns the largest bin count, useful for scaling plots.
 func (h Histogram) MaxCount() int {
 	m := 0

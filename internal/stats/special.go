@@ -146,9 +146,3 @@ func TQuantile(p, df float64) float64 {
 	}
 	return (lo + hi) / 2
 }
-
-// NormalCDF returns the standard normal CDF, used as the large-df limit
-// in tests and for quick z-based approximations.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}

@@ -121,16 +121,3 @@ func TestTPValue(t *testing.T) {
 		t.Error("p-value should be symmetric in t")
 	}
 }
-
-func TestNormalCDF(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0.5},
-		{1.959963985, 0.975},
-		{-1.959963985, 0.025},
-	}
-	for _, c := range cases {
-		if got := NormalCDF(c.x); !almostEq(got, c.want, 1e-8) {
-			t.Errorf("NormalCDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}

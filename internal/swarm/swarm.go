@@ -241,17 +241,6 @@ func (r Result) CampMean(in func(i int) bool) float64 {
 	return s / float64(n)
 }
 
-// CampTimes returns the finite download times of the selected camp.
-func (r Result) CampTimes(in func(i int) bool) []float64 {
-	var out []float64
-	for i, t := range r.Times {
-		if in(i) && !math.IsInf(t, 1) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // peer is one participant (leecher or seeder).
 type peer struct {
 	client   Client

@@ -210,9 +210,6 @@ func TestCampMeanAndTimes(t *testing.T) {
 	if got := r.CampMean(even); got != 10 {
 		t.Errorf("CampMean = %v, want 10 (censored excluded)", got)
 	}
-	if got := r.CampTimes(even); len(got) != 1 || got[0] != 10 {
-		t.Errorf("CampTimes = %v", got)
-	}
 	if got := r.CampMean(func(i int) bool { return i == 2 }); !math.IsInf(got, 1) {
 		t.Errorf("all-censored camp mean = %v, want +Inf", got)
 	}

@@ -302,24 +302,18 @@ func thin(pts []stats.CCDFPoint, n int) []stats.CCDFPoint {
 }
 
 func renderGroups(w io.Writer, pts []exp.GroupPoint) error {
-	sums := map[string]float64{}
-	maxs := map[string]float64{}
-	counts := map[string]int{}
+	groups := map[string][]float64{}
 	for _, p := range pts {
-		sums[p.Group] += p.Robustness
-		counts[p.Group]++
-		if p.Robustness > maxs[p.Group] {
-			maxs[p.Group] = p.Robustness
-		}
+		groups[p.Group] = append(groups[p.Group], p.Robustness)
 	}
-	names := make([]string, 0, len(sums))
-	for n := range sums {
+	names := make([]string, 0, len(groups))
+	for n := range groups {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	tbl := report.NewTable("group", "n", "mean R", "max R")
 	for _, n := range names {
-		tbl.Add(n, counts[n], sums[n]/float64(counts[n]), maxs[n])
+		tbl.Add(n, len(groups[n]), stats.Mean(groups[n]), stats.Max(groups[n]))
 	}
 	return tbl.Render(w)
 }

@@ -124,21 +124,9 @@ func (d domainImpl) ScoreSlice(measure string, pts, opponents []core.Point, cfg 
 func measureValue(measure string) (func(nominal, stressed []Result) float64, bool) {
 	switch measure {
 	case MeasureMeanTime:
-		return func(nominal, _ []Result) float64 {
-			sum := 0.0
-			for _, r := range nominal {
-				sum += float64(r.Seconds)
-			}
-			return sum / float64(len(nominal))
-		}, true
+		return func(nominal, _ []Result) float64 { return stats.Mean(seconds(nominal)) }, true
 	case MeasureP95Time:
-		return func(nominal, _ []Result) float64 {
-			times := make([]float64, len(nominal))
-			for i, r := range nominal {
-				times[i] = float64(r.Seconds)
-			}
-			return stats.Quantile(times, 0.95)
-		}, true
+		return func(nominal, _ []Result) float64 { return stats.Quantile(seconds(nominal), 0.95) }, true
 	case MeasureMirrorOffload:
 		return func(nominal, _ []Result) float64 {
 			peer, total := 0.0, 0.0
@@ -173,6 +161,15 @@ func measureValue(measure string) (func(nominal, stressed []Result) float64, boo
 		}, true
 	}
 	return nil, false
+}
+
+// seconds lists the runs' completion times.
+func seconds(runs []Result) []float64 {
+	out := make([]float64, len(runs))
+	for i, r := range runs {
+		out[i] = float64(r.Seconds)
+	}
+	return out
 }
 
 // ScoreSlices implements dsa.JointScorer: the four measures are views

@@ -249,16 +249,14 @@ func ChurnSweep(protos []design.Protocol, rates []float64, cfg dsa.Config) ([]Ch
 			return nil, err
 		}
 		norm := stats.MinMaxNormalize(raw)
-		sums := make([]float64, design.MaxPartners+1)
-		counts := make([]int, design.MaxPartners+1)
+		byK := make([][]float64, design.MaxPartners+1)
 		for i, p := range protos {
-			sums[p.K] += norm[i]
-			counts[p.K]++
+			byK[p.K] = append(byK[p.K], norm[i])
 		}
 		pt := ChurnPoint{Churn: rate, MeanPerfK: make([]float64, design.MaxPartners+1)}
-		for k := range sums {
-			if counts[k] > 0 {
-				pt.MeanPerfK[k] = sums[k] / float64(counts[k])
+		for k, perf := range byK {
+			if len(perf) > 0 {
+				pt.MeanPerfK[k] = stats.Mean(perf)
 			}
 		}
 		out = append(out, pt)

@@ -62,7 +62,6 @@ type EvolveConfig struct {
 // the memo of blended scores (one entry per objective call, so a point
 // is scored at most once per search) and the "explore" root span.
 type search struct {
-	ctx      context.Context
 	d        dsa.Domain
 	cfg      dsa.Config
 	measures []string // the weighted measures, in canonical order
@@ -76,14 +75,14 @@ type search struct {
 	last     time.Duration // where the next restart/generation span starts
 }
 
-func newSearch(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, seed int64, c dsa.ScoreCache, rec *obs.Recorder, explorer string) (*search, error) {
+func newSearch(d dsa.Domain, w Weights, cfg dsa.Config, seed int64, c dsa.ScoreCache, rec *obs.Recorder, explorer string) (*search, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(w) == 0 {
 		return nil, fmt.Errorf("job: empty weight vector for domain %q", d.Name())
 	}
-	s := &search{ctx: ctx, d: d, cfg: cfg, cache: c, pts: d.Space().Enumerate(),
+	s := &search{d: d, cfg: cfg, cache: c, pts: d.Space().Enumerate(),
 		rng: rand.New(rand.NewSource(seed)), memo: map[string]float64{}, rec: rec}
 	for m := range w {
 		if !slices.Contains(d.Measures(), m) {
@@ -108,7 +107,7 @@ func (s *search) randPoint() core.Point { return s.pts[s.rng.Intn(len(s.pts))] }
 // evaluate returns the blended score of every point of pts. The points
 // the memo does not hold yet are scored as one sweep: one task per
 // weighted measure over the whole batch.
-func (s *search) evaluate(pts ...core.Point) ([]Evaluation, error) {
+func (s *search) evaluate(ctx context.Context, pts ...core.Point) ([]Evaluation, error) {
 	var batch []core.Point
 	for _, p := range pts {
 		if _, ok := s.memo[p.Key()]; !ok && !slices.ContainsFunc(batch, p.Equal) {
@@ -122,7 +121,7 @@ func (s *search) evaluate(pts ...core.Point) ([]Evaluation, error) {
 			tasks[k] = Task{Measure: m, Lo: 0, Hi: len(batch)}
 		}
 		vals := make([][]float64, len(tasks)) // each sink call writes its own element
-		err := ExecTasks(s.ctx, spec, tasks, ExecOptions{Cache: s.cache}, func(t Task, v []float64, _ time.Duration) error {
+		err := ExecTasks(ctx, spec, tasks, ExecOptions{Cache: s.cache}, func(t Task, v []float64, _ time.Duration) error {
 			vals[slices.Index(s.measures, t.Measure)] = v
 			return nil
 		})
@@ -179,7 +178,7 @@ func HillClimb(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, hcf
 	if hcfg.Restarts < 1 || hcfg.MaxSteps < 1 {
 		return Evaluation{}, 0, errors.New("job: HillClimb needs Restarts >= 1 and MaxSteps >= 1")
 	}
-	s, err := newSearch(ctx, d, w, cfg, hcfg.Seed, c, rec, "hillclimb")
+	s, err := newSearch(d, w, cfg, hcfg.Seed, c, rec, "hillclimb")
 	if err != nil {
 		return Evaluation{}, 0, err
 	}
@@ -187,13 +186,13 @@ func HillClimb(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, hcf
 	var best Evaluation
 	for r := 0; r < hcfg.Restarts; r++ {
 		before := len(s.memo)
-		start, err := s.evaluate(s.randPoint())
+		start, err := s.evaluate(ctx, s.randPoint())
 		if err != nil {
 			return s.end(best, err)
 		}
 		cur, steps := start[0], 0
 		for ; steps < hcfg.MaxSteps; steps++ {
-			nbs, err := s.evaluate(d.Space().Neighbors(cur.Point)...)
+			nbs, err := s.evaluate(ctx, d.Space().Neighbors(cur.Point)...)
 			if err != nil {
 				return s.end(best, err)
 			}
@@ -232,7 +231,7 @@ func Evolve(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, ecfg E
 	if ecfg.Elite <= 0 {
 		ecfg.Elite = 1
 	}
-	s, err := newSearch(ctx, d, w, cfg, ecfg.Seed, c, rec, "evolve")
+	s, err := newSearch(d, w, cfg, ecfg.Seed, c, rec, "evolve")
 	if err != nil {
 		return Evaluation{}, 0, err
 	}
@@ -245,7 +244,7 @@ func Evolve(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, ecfg E
 	for i := range points {
 		points[i] = s.randPoint()
 	}
-	pop, err := s.evaluate(points...)
+	pop, err := s.evaluate(ctx, points...)
 	if err != nil {
 		return s.end(Evaluation{}, err)
 	}
@@ -282,7 +281,7 @@ func Evolve(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, ecfg E
 			}
 			points = append(points, child)
 		}
-		if pop, err = s.evaluate(points...); err != nil {
+		if pop, err = s.evaluate(ctx, points...); err != nil {
 			return s.end(Evaluation{}, err)
 		}
 		rank()

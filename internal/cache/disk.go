@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,6 +53,10 @@ const (
 	// defaultSegmentBytes is the rotation threshold for the active
 	// segment: ~95k scores per segment.
 	defaultSegmentBytes = 4 << 20
+
+	// scanBufferBytes is the read size of the open-time scan: a segment
+	// is a few sequential reads, not one per record.
+	scanBufferBytes = 256 << 10
 )
 
 type recordLoc struct {
@@ -86,23 +91,32 @@ func openDiskLog(dir string, segBytes int64) (*diskLog, error) {
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 	}
-	d := &diskLog{
-		dir:      dir,
-		segBytes: segBytes,
-		index:    map[Key]recordLoc{},
-		readers:  map[int]*os.File{},
-	}
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(names)
+	// The index is sized for every record the segments can hold, so the
+	// scan never rehashes it.
+	records := int64(0)
+	for _, name := range names {
+		if fi, err := os.Stat(name); err == nil {
+			records += fi.Size() / recordSize
+		}
+	}
+	d := &diskLog{
+		dir:      dir,
+		segBytes: segBytes,
+		index:    make(map[Key]recordLoc, records),
+		readers:  map[int]*os.File{},
+	}
+	r := bufio.NewReaderSize(nil, scanBufferBytes)
 	for _, name := range names {
 		var n int
 		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%06d.log", &n); err != nil {
 			continue // not ours
 		}
-		if err := d.scanSegment(name, n); err != nil {
+		if err := d.scanSegment(name, n, r); err != nil {
 			d.closeReaders()
 			return nil, err
 		}
@@ -114,13 +128,17 @@ func openDiskLog(dir string, segBytes int64) (*diskLog, error) {
 // index. Records that are torn (short tail) or fail their CRC are
 // dropped and counted; fixed-size records keep the scan aligned, so a
 // single corrupt record never takes the rest of the segment with it.
-func (d *diskLog) scanSegment(path string, n int) error {
+// The segment is read through r, sequentially; the file stays open as
+// the ReadAt handle of its records, which does not use the file offset
+// the scan leaves behind.
+func (d *diskLog) scanSegment(path string, n int, r *bufio.Reader) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("cache: open segment: %w", err)
 	}
+	r.Reset(f)
 	var header [segHeaderSize]byte
-	if _, err := io.ReadFull(f, header[:]); err != nil {
+	if _, err := io.ReadFull(r, header[:]); err != nil {
 		// An empty or headerless file (crash between create and header
 		// write) holds no records; skip it.
 		f.Close()
@@ -137,7 +155,7 @@ func (d *diskLog) scanSegment(path string, n int) error {
 	var rec [recordSize]byte
 	off := int64(segHeaderSize)
 	for {
-		_, err := io.ReadFull(f, rec[:])
+		_, err := io.ReadFull(r, rec[:])
 		if errors.Is(err, io.EOF) {
 			break
 		}

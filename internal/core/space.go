@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -129,14 +130,21 @@ func (s *Space) Neighbors(p Point) []Point {
 
 // Key returns a map key for a point.
 func (p Point) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(p.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's bytes to b: the indices in decimal, comma
+// separated. A lookup m[string(p.AppendKey(buf[:0]))] through a stack
+// buffer allocates nothing.
+func (p Point) AppendKey(b []byte) []byte {
 	for i, v := range p {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Equal reports whether two points are identical.

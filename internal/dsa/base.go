@@ -117,7 +117,8 @@ func (b *Base) PointID(p core.Point) (int, error) {
 			b.index[q.Key()] = i
 		}
 	})
-	id, ok := b.index[p.Key()]
+	var buf [64]byte
+	id, ok := b.index[string(p.AppendKey(buf[:0]))]
 	if !ok {
 		return 0, fmt.Errorf("%s: point %v is not in the %s space", b.name, p, b.name)
 	}

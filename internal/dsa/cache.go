@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"math"
 
 	"repro/internal/core"
@@ -102,71 +101,58 @@ type ScoreKeyer struct {
 // representation, addresses the scores. It fails if an opponent is not
 // a point of the domain.
 func NewScoreKeyer(d Domain, opponents []core.Point, cfg Config) (*ScoreKeyer, error) {
-	h := sha256.New()
-	hashString(h, "repro/dsa score key")
-	hashInt(h, cacheSchemaVersion)
-	hashString(h, d.Name())
+	b := appendString(nil, "repro/dsa score key")
+	b = appendInt(b, cacheSchemaVersion)
+	b = appendString(b, d.Name())
 	ver := 0
 	if v, ok := d.(ScoreVersioned); ok {
 		ver = v.ScoreVersion()
 	}
-	hashInt(h, ver)
+	b = appendInt(b, ver)
 
 	// The score-relevant Config subset, in fixed order. Workers is
 	// deliberately excluded: it is the one knob the Config contract
 	// guarantees affects speed only (the checkpoint spec omits it for
 	// the same reason — see job's configJSON).
-	hashInt(h, cfg.Peers)
-	hashInt(h, cfg.Rounds)
-	hashInt(h, cfg.PerfRuns)
-	hashInt(h, cfg.EncounterRuns)
-	hashInt(h, cfg.Opponents)
+	b = appendInt(b, cfg.Peers)
+	b = appendInt(b, cfg.Rounds)
+	b = appendInt(b, cfg.PerfRuns)
+	b = appendInt(b, cfg.EncounterRuns)
+	b = appendInt(b, cfg.Opponents)
 	// Seed is hashed at full int64 width: int(cfg.Seed) would truncate
 	// to 32 bits on 32-bit platforms, aliasing seeds that differ only
 	// in their high halves — a wrong hit, the one failure the key must
 	// make impossible.
-	hashUint64(h, uint64(cfg.Seed))
-	hashUint64(h, math.Float64bits(cfg.Churn))
+	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.Seed))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cfg.Churn))
 
-	hashInt(h, len(opponents))
+	b = appendInt(b, len(opponents))
 	for _, opp := range opponents {
 		id, err := d.PointID(opp)
 		if err != nil {
 			return nil, fmt.Errorf("dsa: score key opponent panel: %w", err)
 		}
-		hashInt(h, id)
+		b = appendInt(b, id)
 	}
-
-	var k ScoreKeyer
-	h.Sum(k.context[:0])
-	return &k, nil
+	return &ScoreKeyer{context: sha256.Sum256(b)}, nil
 }
 
 // Key returns the content address of one (measure, point ID) score in
-// this context.
+// this context: the hash of the context, the measure and the ID, laid
+// out in a stack buffer so that a key costs no allocation.
 func (k *ScoreKeyer) Key(measure string, pointID int) CacheKey {
-	h := sha256.New()
-	h.Write(k.context[:])
-	hashString(h, measure)
-	hashInt(h, pointID)
-	var out CacheKey
-	h.Sum(out[:0])
-	return out
+	var stack [128]byte
+	b := append(stack[:0], k.context[:]...)
+	return sha256.Sum256(appendInt(appendString(b, measure), pointID))
 }
 
-// hashString writes a length-prefixed string, so adjacent fields can
+// appendString appends a length-prefixed string, so adjacent fields can
 // never alias ("ab","c" vs "a","bc").
-func hashString(h hash.Hash, s string) {
-	hashInt(h, len(s))
-	h.Write([]byte(s))
+func appendString(b []byte, s string) []byte {
+	return append(appendInt(b, len(s)), s...)
 }
 
-func hashInt(h hash.Hash, v int) {
-	hashUint64(h, uint64(int64(v)))
-}
-
-func hashUint64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
+// appendInt appends v as eight little-endian bytes, sign-extended.
+func appendInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 }

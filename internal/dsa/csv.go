@@ -52,7 +52,69 @@ func FormatScore(v float64) string {
 	case math.IsInf(v, -1):
 		return "-Inf"
 	}
-	return strconv.FormatFloat(v, 'f', 6, 64)
+	var buf [32]byte
+	return string(appendFixed6(buf[:0], v))
+}
+
+// pow10 holds 1e-6 … 1e12: where a value sits among them gives its
+// decimal exponent, and so how many significant digits six decimals are.
+var pow10 = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12}
+
+// appendFixed6 appends strconv.FormatFloat(v, 'f', 6, 64), bit for bit
+// (FuzzFormatScore), for a finite v. 'f' with a precision always takes
+// strconv's multi-precision path; 'e' with up to 18 significant digits
+// takes its fixed-width Ryu path and rounds the same exact value half to
+// even at the same decimal place, so for 1e-6 <= |v| < 1e12 the cell is
+// the 'e' digits laid out again around the point.
+func appendFixed6(b []byte, v float64) []byte {
+	a := math.Abs(v)
+	if a < pow10[0] || a >= pow10[len(pow10)-1] {
+		if a == 0 && !math.Signbit(v) {
+			return append(b, "0.000000"...)
+		}
+		return strconv.AppendFloat(b, v, 'f', 6, 64)
+	}
+	n := 1 // significant digits down to the sixth decimal: decimal exponent + 7
+	for a >= pow10[n] {
+		n++
+	}
+	var buf [32]byte
+	e := strconv.AppendFloat(buf[:0], a, 'e', n-1, 64) // d[.ddd]e±xx
+	mark := len(e) - 4
+	exp := int(e[mark+2]-'0')*10 + int(e[mark+3]-'0')
+	if e[mark+1] == '-' {
+		exp = -exp
+	}
+	// exp is n-7, or n-6 when rounding carried into a new leading digit
+	// (the digits are then 10…0, exact at any length). A pow10 entry below
+	// its decimal value could make it n-8: one digit too many was asked
+	// for, and strconv settles it.
+	if exp < n-7 {
+		return strconv.AppendFloat(b, v, 'f', 6, 64)
+	}
+	digit := func(i int) byte { // the 10^(exp-i) place
+		switch {
+		case i == 0:
+			return e[0]
+		case i > 0 && i+1 < mark:
+			return e[i+1]
+		}
+		return '0'
+	}
+	if math.Signbit(v) {
+		b = append(b, '-')
+	}
+	if exp < 0 {
+		b = append(b, '0')
+	}
+	for i := 0; i <= exp; i++ {
+		b = append(b, digit(i))
+	}
+	b = append(b, '.')
+	for i := exp + 1; i <= exp+6; i++ {
+		b = append(b, digit(i))
+	}
+	return b
 }
 
 // WriteCSV serialises assembled scores in the domain's CSV format: its
@@ -64,28 +126,29 @@ func WriteCSV(w io.Writer, d Domain, s *Scores) error {
 	if l, ok := d.(CSVLayout); ok {
 		return l.WriteCSV(w, s)
 	}
-	space := d.Space()
+	space, measures := d.Space(), d.Measures()
 	header := []string{"domain", "id", "point"}
 	for _, dim := range space.Dimensions {
 		header = append(header, dim.Name)
 	}
-	for _, m := range d.Measures() {
+	for _, m := range measures {
 		header = append(header, "raw_"+m, m)
 	}
 	cw := csv.NewWriter(w)
 	if err := cw.Write(header); err != nil {
 		return err
 	}
+	row := make([]string, 0, len(header)) // the writer keeps no row
 	for i, p := range s.Points {
 		id, err := d.PointID(p)
 		if err != nil {
 			return fmt.Errorf("dsa: row %d: %w", i, err)
 		}
-		row := []string{d.Name(), strconv.Itoa(id), d.Label(p)}
+		row = append(row[:0], d.Name(), strconv.Itoa(id), d.Label(p))
 		for dim, v := range p {
 			row = append(row, space.Dimensions[dim].Values[v])
 		}
-		for _, m := range d.Measures() {
+		for _, m := range measures {
 			row = append(row, FormatScore(s.Raw[m][i]), FormatScore(s.Values[m][i]))
 		}
 		if err := cw.Write(row); err != nil {

@@ -108,10 +108,15 @@ func (s *search) randPoint() core.Point { return s.pts[s.rng.Intn(len(s.pts))] }
 // the memo does not hold yet are scored as one sweep: one task per
 // weighted measure over the whole batch.
 func (s *search) evaluate(ctx context.Context, pts ...core.Point) ([]Evaluation, error) {
-	var batch []core.Point
-	for _, p := range pts {
-		if _, ok := s.memo[p.Key()]; !ok && !slices.ContainsFunc(batch, p.Equal) {
-			batch = append(batch, p)
+	keys := make([]string, len(pts)) // each point's memo key, built once
+	var (
+		batch     []core.Point
+		batchKeys []string
+	)
+	for i, p := range pts {
+		keys[i] = p.Key()
+		if _, ok := s.memo[keys[i]]; !ok && !slices.Contains(batchKeys, keys[i]) {
+			batch, batchKeys = append(batch, p), append(batchKeys, keys[i])
 		}
 	}
 	if len(batch) > 0 {
@@ -128,17 +133,17 @@ func (s *search) evaluate(ctx context.Context, pts ...core.Point) ([]Evaluation,
 		if err != nil {
 			return nil, err
 		}
-		for i, p := range batch {
+		for i, key := range batchKeys {
 			var sum float64
 			for k, wt := range s.weights {
 				sum += wt * vals[k][i]
 			}
-			s.memo[p.Key()] = sum
+			s.memo[key] = sum
 		}
 	}
 	out := make([]Evaluation, len(pts))
 	for i, p := range pts {
-		out[i] = Evaluation{Point: p, Score: s.memo[p.Key()]}
+		out[i] = Evaluation{Point: p, Score: s.memo[keys[i]]}
 	}
 	return out, nil
 }

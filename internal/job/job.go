@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -50,9 +51,29 @@ type Task struct {
 	Lo, Hi  int
 }
 
-// ID returns the task's stable identifier, used as the checkpoint key.
+// ID returns the task's stable identifier, used as the checkpoint key:
+// the bytes of fmt.Sprintf("%s-%05d-%05d", Measure, Lo, Hi).
 func (t Task) ID() string {
-	return fmt.Sprintf("%s-%05d-%05d", t.Measure, t.Lo, t.Hi)
+	var buf [64]byte
+	b := append(buf[:0], t.Measure...)
+	b = appendPad5(append(b, '-'), t.Lo)
+	b = appendPad5(append(b, '-'), t.Hi)
+	return string(b)
+}
+
+// appendPad5 appends v as %05d prints it: zero-padded to five characters,
+// a minus sign counting as one of them.
+func appendPad5(b []byte, v int) []byte {
+	var tmp [20]byte
+	digits := strconv.AppendInt(tmp[:0], int64(v), 10)
+	width := 5
+	if v < 0 {
+		b, digits, width = append(b, '-'), digits[1:], 4
+	}
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // Spec pins down a sweep completely: the domain, the point list, the
@@ -81,7 +102,8 @@ func (s Spec) chunk() int {
 // order, so checkpoints and WALs written under any order stay valid.
 func (s Spec) Tasks() []Task {
 	measures := s.Domain.Measures()
-	var out []Task
+	chunks := (len(s.Points) + s.chunk() - 1) / s.chunk()
+	out := make([]Task, 0, chunks*len(measures))
 	for lo := 0; lo < len(s.Points); lo += s.chunk() {
 		for _, m := range measures {
 			out = append(out, Task{Measure: m, Lo: lo, Hi: min(lo+s.chunk(), len(s.Points))})
@@ -226,7 +248,7 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 		return nil, fmt.Errorf("%w: %d of %d tasks done (merge after the remaining shards finish)",
 			ErrIncomplete, len(results), len(tasks))
 	}
-	return assemble(spec, results)
+	return assemble(spec, tasks, results)
 }
 
 // runPool executes the pending tasks on a bounded worker pool,
@@ -447,7 +469,7 @@ feed:
 // jointly, single tasks otherwise.
 func fuse(d dsa.Domain, tasks []Task) [][]Task {
 	_, joint := d.(dsa.JointScorer)
-	var units [][]Task
+	units := make([][]Task, 0, len(tasks))
 	for lo := 0; lo < len(tasks); {
 		hi := lo + 1
 		for joint && hi < len(tasks) && tasks[hi].Lo == tasks[lo].Lo && tasks[hi].Hi == tasks[lo].Hi {
@@ -463,8 +485,7 @@ func fuse(d dsa.Domain, tasks []Task) [][]Task {
 type taskRun struct {
 	span *obs.Span
 	vals []float64
-	keys []dsa.CacheKey // per point; nil without a cache
-	miss []int          // indices into the unit's points the cache did not serve
+	miss []int // indices into the unit's points the cache did not serve
 }
 
 // execUnit produces the values of every task of one unit (tasks over
@@ -491,6 +512,18 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 		return fmt.Errorf("job: task %s: %w", t.ID(), err)
 	}
 
+	// A unit's tasks share its points, so their IDs are resolved once.
+	var ids []int
+	if opts.Cache != nil {
+		ids = make([]int, len(pts))
+		for i, p := range pts {
+			var err error
+			if ids[i], err = spec.Domain.PointID(p); err != nil {
+				return abandon(unit[0], err)
+			}
+		}
+	}
+
 	var (
 		missed   []int    // indices into unit of the tasks with a miss
 		measures []string // their measures
@@ -500,22 +533,15 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 		r := &runs[k]
 		r.span = opts.Trace.Start(opts.TraceParent, "task")
 		r.vals = make([]float64, len(pts))
-		r.miss = make([]int, 0, len(pts))
 		if opts.Cache == nil {
+			r.miss = make([]int, len(pts))
 			for i := range pts {
-				r.miss = append(r.miss, i)
+				r.miss[i] = i
 			}
 		} else {
 			lookup := opts.Trace.Start(r.span.ID(), "cache-lookup")
-			r.keys = make([]dsa.CacheKey, len(pts))
-			for i, p := range pts {
-				id, err := spec.Domain.PointID(p)
-				if err != nil {
-					lookup.Drop()
-					return abandon(t, err)
-				}
-				r.keys[i] = keyer.Key(t.Measure, id)
-				if v, ok := opts.Cache.Get(r.keys[i]); ok {
+			for i, id := range ids {
+				if v, ok := opts.Cache.Get(keyer.Key(t.Measure, id)); ok {
 					r.vals[i] = v
 				} else {
 					r.miss = append(r.miss, i)
@@ -556,8 +582,8 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 			r := &runs[k]
 			for _, i := range r.miss {
 				r.vals[i] = computed[j][pos[i]]
-				if r.keys != nil {
-					opts.Cache.Put(r.keys[i], r.vals[i])
+				if opts.Cache != nil {
+					opts.Cache.Put(keyer.Key(unit[k].Measure, ids[i]), r.vals[i])
 				}
 			}
 		}
@@ -568,6 +594,9 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 	elapsed := time.Since(start) / time.Duration(len(unit))
 	for k, t := range unit {
 		r := &runs[k]
+		if r.span == nil {
+			continue // untraced: no task ID to format
+		}
 		r.span.Str("task", t.ID()).
 			Str("measure", t.Measure).
 			Int("points", int64(len(pts))).
@@ -597,23 +626,26 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 // results over HTTP instead of computing them — so grid sweeps merge
 // byte-identically with local ones.
 func (s Spec) AssembleScores(results map[string][]float64) (*dsa.Scores, error) {
-	return assemble(s, results)
+	return assemble(s, s.Tasks(), results)
 }
 
 // assemble stitches per-task value slices into the merged Scores,
-// handing the domain the whole-set post-processing last.
-func assemble(spec Spec, results map[string][]float64) (*dsa.Scores, error) {
-	raw := make(map[string][]float64, len(spec.Domain.Measures()))
-	for _, m := range spec.Domain.Measures() {
+// handing the domain the whole-set post-processing last. tasks is
+// spec.Tasks(), which every caller but AssembleScores already holds.
+func assemble(spec Spec, tasks []Task, results map[string][]float64) (*dsa.Scores, error) {
+	measures := spec.Domain.Measures()
+	raw := make(map[string][]float64, len(measures))
+	for _, m := range measures {
 		raw[m] = make([]float64, len(spec.Points))
 	}
-	for _, t := range spec.Tasks() {
-		vals, ok := results[t.ID()]
+	for _, t := range tasks {
+		id := t.ID()
+		vals, ok := results[id]
 		if !ok {
-			return nil, fmt.Errorf("job: task %s missing from results", t.ID())
+			return nil, fmt.Errorf("job: task %s missing from results", id)
 		}
 		if len(vals) != t.Hi-t.Lo {
-			return nil, fmt.Errorf("job: task %s has %d values, want %d", t.ID(), len(vals), t.Hi-t.Lo)
+			return nil, fmt.Errorf("job: task %s has %d values, want %d", id, len(vals), t.Hi-t.Lo)
 		}
 		copy(raw[t.Measure][t.Lo:t.Hi], vals)
 	}
@@ -631,8 +663,9 @@ func Load(dir string) (*dsa.Scores, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n := len(spec.Tasks()); len(results) < n {
-		return nil, fmt.Errorf("%w: %d of %d tasks done in %s", ErrIncomplete, len(results), n, dir)
+	tasks := spec.Tasks()
+	if len(results) < len(tasks) {
+		return nil, fmt.Errorf("%w: %d of %d tasks done in %s", ErrIncomplete, len(results), len(tasks), dir)
 	}
-	return assemble(spec, results)
+	return assemble(spec, tasks, results)
 }

@@ -77,8 +77,9 @@
 // point / lease / upload-retry counters. -ship-traces streams the
 // journal to the coordinator (chunked, offset-resumed POST /v1/trace
 // every -ship-interval, with a final flush on exit), so the
-// coordinator's GET /v1/trace, dashboard timeline and federated
-// /metrics see the whole fleet without anyone hand-collecting files —
+// coordinator's GET /v1/trace, dashboard timeline and per-worker
+// /metrics series (built from the shipped spans; -metrics-addr is not
+// needed) see the whole fleet without anyone hand-collecting files —
 // then `dsa-report trace http://host:8437` analyzes the collected set.
 // -pprof mounts /debug/pprof/ on the -metrics-addr mux (worker) or the
 // API mux (serve), gated behind -auth-token when one is set. Point a
@@ -292,7 +293,7 @@ func runWork(ctx context.Context, args []string) {
 		authToken   = fs.String("auth-token", "", "shared secret the coordinator requires (serve -auth-token)")
 		traceDir    = fs.String("trace-dir", "", "append this worker's span journal (trace-<name>.jsonl) into DIR")
 		metricsAddr = fs.String("metrics-addr", "", "serve worker Prometheus counters on this address at GET /metrics")
-		shipTraces  = fs.Bool("ship-traces", false, "stream the span journal to the coordinator (needs -trace-dir)")
+		shipTraces  = fs.Bool("ship-traces", false, "stream the span journal to the coordinator, whose /metrics then carries this worker's series (needs -trace-dir)")
 		shipEvery   = fs.Duration("ship-interval", grid.DefaultShipInterval, "incremental trace shipping cadence")
 		pprofOn     = fs.Bool("pprof", false, "mount /debug/pprof/ on the -metrics-addr mux (auth-gated when -auth-token is set)")
 		cpuProf     = fs.String("cpuprofile", "", "write a pprof CPU profile of this worker to this file")
@@ -389,7 +390,7 @@ func runWork(ctx context.Context, args []string) {
 	if *shipTraces {
 		shipper = grid.NewTraceShipper(*coordinator, workOpts.Trace,
 			obs.JournalPath(*traceDir, *name), grid.TraceShipperOptions{
-				Job: *jobID, AuthToken: *authToken, Metrics: workOpts.Metrics,
+				Job: *jobID, AuthToken: *authToken,
 				Interval: *shipEvery, Logf: log.Printf,
 			})
 		go shipper.Run(ctx)

@@ -113,7 +113,7 @@ type Coordinator struct {
 	started time.Time
 	metrics *gridMetrics
 	limiter *gridobs.Limiter
-	traces  *traceCollector // collected worker journals + federated snapshots
+	traces  *traceCollector // collected worker journals
 
 	mu      sync.Mutex
 	jobs    map[string]*gridJob
@@ -250,8 +250,8 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		drainDone:   make(chan struct{}),
 	}
 	c.limiter = gridobs.NewLimiter(opts.RateLimit, opts.RateBurst)
-	c.traces = newTraceCollector(opts.Dir, opts.Logf)
 	c.metrics = newGridMetrics(c)
+	c.traces = newTraceCollector(opts.Dir, c.metrics.observeSpans)
 	if opts.Dir != "" {
 		w, recs, skipped, err := openWAL(opts.Dir)
 		if err != nil {

@@ -1,10 +1,12 @@
 package grid
 
 import (
+	"io"
 	"strconv"
 	"time"
 
 	"repro/internal/gridobs"
+	"repro/internal/obs"
 )
 
 // gridMetrics is every instrument the coordinator exports on
@@ -49,11 +51,9 @@ type gridMetrics struct {
 	traceDedup    *gridobs.Counter
 	traceJournals *gridobs.Gauge
 
-	// Federated worker metrics, refreshed at scrape time from the
-	// latest snapshot each worker piggybacked on a trace upload.
-	// Counters arrive cumulative-since-worker-start, so they re-expose
-	// as per-worker gauges (the same shape as grid_cache_hits);
-	// histograms re-expose per worker and merged across the fleet.
+	// Per-worker series built from the collected task and upload spans
+	// (observeSpans). The counts stay gauges so a scraper sees the same
+	// metric type under the same names.
 	workerTasks       *gridobs.GaugeVec     // worker
 	workerPoints      *gridobs.GaugeVec     // worker, kind
 	workerRetries     *gridobs.GaugeVec     // worker
@@ -107,19 +107,19 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 		walReplayed:     r.NewGauge("grid_wal_replayed_records", "WAL records replayed at the last coordinator startup."),
 		quarantinedVec:  r.NewGaugeVec("grid_worker_quarantined", "1 while the worker is quarantined.", "worker"),
 
-		traceUploads:  r.NewCounter("grid_trace_uploads_total", "Trace chunk uploads accepted (including empty stats probes)."),
+		traceUploads:  r.NewCounter("grid_trace_uploads_total", "Trace chunk uploads accepted."),
 		traceBytes:    r.NewCounter("grid_trace_bytes_total", "Journal bytes appended to collected traces (post-dedup)."),
 		traceSpans:    r.NewCounter("grid_trace_spans_total", "Span records appended to collected traces (post-dedup)."),
 		traceDedup:    r.NewCounter("grid_trace_dedup_total", "Trace uploads that overlapped already-collected bytes (retries after a lost ack)."),
 		traceJournals: r.NewGauge("grid_trace_journals", "Distinct (job, writer) journals collected."),
 
-		workerTasks:   r.NewGaugeVec("grid_worker_tasks", "Tasks computed, per worker (cumulative since worker start, federated from trace uploads).", "worker"),
-		workerPoints:  r.NewGaugeVec("grid_worker_points", "Design points by source, per worker (federated).", "worker", "kind"),
-		workerRetries: r.NewGaugeVec("grid_worker_upload_retries", "Upload retries, per worker (federated).", "worker"),
+		workerTasks:   r.NewGaugeVec("grid_worker_tasks", "Tasks computed, per worker (from its collected task spans).", "worker"),
+		workerPoints:  r.NewGaugeVec("grid_worker_points", "Design points by source, per worker (from its collected task spans).", "worker", "kind"),
+		workerRetries: r.NewGaugeVec("grid_worker_upload_retries", "Upload retries, per worker (from its collected upload spans).", "worker"),
 		workerTaskSeconds: r.NewHistogramVec("grid_worker_task_seconds",
-			"Per-worker task compute latency by measure (federated from trace uploads).", gridobs.DefBuckets, "worker", "measure"),
+			"Per-worker task compute latency by measure (from collected task spans).", gridobs.DefBuckets, "worker", "measure"),
 		fleetTaskSeconds: r.NewHistogramVec("grid_fleet_task_seconds",
-			"Fleet-wide task compute latency by measure: per-worker histograms merged bucket-wise.", gridobs.DefBuckets, "measure"),
+			"Fleet-wide task compute latency by measure (from collected task spans).", gridobs.DefBuckets, "measure"),
 
 		jobTasks:      r.NewGaugeVec("grid_job_tasks", "Per-job task counts by state — pending is the queue depth.", "job", "state"),
 		jobETA:        r.NewGaugeVec("grid_job_eta_seconds", "Estimated seconds until the job completes, from its observed completion rate. NaN before any progress.", "job"),
@@ -191,8 +191,7 @@ func (c *Coordinator) collectGauges(m *gridMetrics) {
 		m.cacheEntries.Set(float64(v.Cache.Entries))
 		m.cacheHitRatio.Set(v.HitRatio())
 	}
-
-	c.collectFederated(m)
+	m.traceJournals.Set(float64(c.traces.journalCount()))
 }
 
 func b2f(b bool) float64 {
@@ -202,33 +201,28 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// collectFederated re-exposes the latest worker snapshots (shipped on
-// trace uploads) as per-worker series plus a fleet-merged latency
-// histogram. Departed workers' last snapshots persist — like
-// grid_worker_latency_seconds, the series outlives the worker so a
-// post-run scrape still sees the whole fleet.
-func (c *Coordinator) collectFederated(m *gridMetrics) {
-	m.traceJournals.Set(float64(c.traces.journalCount()))
-
-	snaps := c.traces.snapshots()
-	m.workerTasks.Reset()
-	m.workerPoints.Reset()
-	m.workerRetries.Reset()
-	m.workerTaskSeconds.Reset()
-	m.fleetTaskSeconds.Reset()
-	fleet := map[string]gridobs.HistSnapshot{}
-	for name, snap := range snaps {
-		m.workerTasks.With(name).Set(snap.Tasks)
-		m.workerPoints.With(name, "simulated").Set(snap.PointsSimulated)
-		m.workerPoints.With(name, "cache_served").Set(snap.PointsCached)
-		m.workerRetries.With(name).Set(snap.UploadRetries)
-		for measure, hs := range snap.TaskSeconds {
-			m.workerTaskSeconds.With(name, measure).Load(hs)
-			fleet[measure] = fleet[measure].Merge(hs)
+// observeSpans folds whole journal lines the trace collector accepted
+// into the per-worker series: a "task" span is one task of its writer,
+// its simulated and cache-served points, and its elapsed_us under its
+// measure (per worker and fleet-wide); an "upload" span adds the attempts
+// beyond its first. The collector hands over every byte range it appends
+// and, once, what a journal it reopens already holds, so each collected
+// span counts once per coordinator process and a departed worker's
+// series stay.
+func (m *gridMetrics) observeSpans(lines io.Reader) {
+	recs, _ := obs.LoadReader(lines) // a range obs cannot read adds nothing
+	for _, r := range recs {
+		switch r.Name {
+		case "task":
+			measure, secs := r.AttrStr("measure"), float64(r.AttrInt("elapsed_us"))/1e6
+			m.workerTasks.With(r.Writer).Inc()
+			m.workerPoints.With(r.Writer, "simulated").Add(float64(r.AttrInt("simulated")))
+			m.workerPoints.With(r.Writer, "cache_served").Add(float64(r.AttrInt("cache_hits")))
+			m.workerTaskSeconds.With(r.Writer, measure).Observe(secs)
+			m.fleetTaskSeconds.With(measure).Observe(secs)
+		case "upload":
+			m.workerRetries.With(r.Writer).Add(float64(max(r.AttrInt("attempts")-1, 0)))
 		}
-	}
-	for measure, hs := range fleet {
-		m.fleetTaskSeconds.With(measure).Load(hs)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/gridobs"
 	"repro/internal/obs"
 )
 
@@ -33,10 +32,6 @@ type TraceShipperOptions struct {
 	// AuthToken is the coordinator's shared secret; ignored when
 	// Client is provided.
 	AuthToken string
-	// Metrics, if non-nil, is snapshotted onto every upload so the
-	// coordinator can federate this worker's counters and latency
-	// histograms into its own /metrics.
-	Metrics *gridobs.WorkerMetrics
 	// Interval is the Run cadence; 0 = DefaultShipInterval.
 	Interval time.Duration
 	// Logf, if non-nil, receives ship errors from Run.
@@ -95,11 +90,9 @@ func (s *TraceShipper) Offset() int64 {
 }
 
 // Ship flushes the recorder and uploads everything past the acked
-// offset, in chunks, until the coordinator has the whole journal. At
-// least one upload is always sent — possibly with no data — so the
-// coordinator's federated metrics snapshot stays fresh even when no
-// new spans landed. Safe to call concurrently with Run; overlapping
-// calls serialize.
+// offset, in chunks, until the coordinator has the whole journal; with
+// nothing new it sends nothing. Safe to call concurrently with Run;
+// overlapping calls serialize.
 func (s *TraceShipper) Ship(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -107,27 +100,15 @@ func (s *TraceShipper) Ship(ctx context.Context) error {
 	if err := s.rec.Flush(); err != nil {
 		return err
 	}
-	first := true
 	for {
 		data, _, err := obs.ReadChunk(s.path, s.offset, s.opts.chunkBytes)
-		if err != nil {
+		if err != nil || len(data) == 0 {
 			return err
 		}
-		if len(data) == 0 && !first {
-			return nil
-		}
-		first = false
 		var ack TraceAck
-		up := TraceUpload{
-			Writer: s.writer, Job: s.opts.Job,
-			Offset: s.offset, Data: data,
-			Stats: s.opts.Metrics.Snapshot(),
-		}
+		up := TraceUpload{Writer: s.writer, Job: s.opts.Job, Offset: s.offset, Data: data}
 		if _, err := call(ctx, s.client, http.MethodPost, routeURL(s.baseURL, pathTrace, ""), up, &ack); err != nil {
 			return err
-		}
-		if ack.Have == s.offset && len(data) == 0 {
-			return nil // pure stats probe, nothing new on either side
 		}
 		// Resume from wherever the coordinator says its copy ends: end
 		// of our chunk normally, earlier after a coordinator restart

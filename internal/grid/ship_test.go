@@ -3,8 +3,8 @@ package grid
 // The fleet trace-collection contract: chunked POST /v1/trace uploads
 // are idempotent by byte offset, the coordinator's collected journals
 // are verbatim copies of the workers' local ones (so the canonical
-// merge is byte-identical on either side), and worker metric
-// snapshots federate into the coordinator's /metrics.
+// merge is byte-identical on either side), and the coordinator's
+// per-worker /metrics series are built from the collected spans.
 
 import (
 	"bytes"
@@ -16,14 +16,17 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/gridobs"
+	"repro/internal/job"
 	"repro/internal/linelog"
 	"repro/internal/obs"
 )
@@ -181,8 +184,8 @@ func TestTraceCollectorFaultedAppend(t *testing.T) {
 // workers sweep one job while shipping their journals, and afterwards
 // the coordinator's collected merge is byte-identical to the local
 // reference merge, the digest agrees with the work done, and the
-// coordinator's /metrics carries the federated per-worker counters
-// and latency histograms.
+// coordinator's /metrics carries per-worker counters and latency
+// histograms that count the collected task spans.
 func TestTraceShippingEndToEnd(t *testing.T) {
 	spec := gossipSpec(t)
 	coord := NewCoordinator(CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: time.Minute})
@@ -207,11 +210,11 @@ func TestTraceShippingEndToEnd(t *testing.T) {
 		}
 		metrics := gridobs.NewWorkerMetrics(nil)
 		shipper := NewTraceShipper(srv.URL, rec, obs.JournalPath(traceDir, name),
-			TraceShipperOptions{Job: jobID, Metrics: metrics, chunkBytes: 2048})
+			TraceShipperOptions{Job: jobID, chunkBytes: 2048})
 		shippers[i] = shipper
-		// Mid-run incremental ship (empty journal: a pure stats probe).
-		if err := shipper.Ship(ctx); err != nil {
-			t.Fatal(err)
+		// An incremental ship with nothing recorded yet sends nothing.
+		if err := shipper.Ship(ctx); err != nil || shipper.Offset() != 0 {
+			t.Fatalf("ship of an empty journal: offset %d, %v", shipper.Offset(), err)
 		}
 		wg.Add(1)
 		go func(i int, name string) {
@@ -296,35 +299,35 @@ func TestTraceShippingEndToEnd(t *testing.T) {
 		t.Errorf("served digest differs from the local analysis:\n got %+v\nwant %+v", a, want)
 	}
 
-	// Federated metrics: trace-ingest counters and per-worker series.
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
-	for _, want := range []string{
+	// Trace-ingest counters, and per-worker series that count the
+	// collected task spans of whichever worker ran tasks.
+	text := scrape(t, srv.URL)
+	want := []string{
 		"grid_trace_uploads_total",
 		"grid_trace_bytes_total",
 		"grid_trace_journals 2",
-		`grid_worker_tasks{worker="shipper1"}`,
-		`grid_worker_tasks{worker="shipper2"}`,
-		`grid_worker_points{worker="shipper1",kind="simulated"}`,
-		`grid_worker_task_seconds_count{`,
-		`grid_fleet_task_seconds_count{`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("coordinator /metrics missing %q", want)
+		fmt.Sprintf("grid_trace_spans_total %d", countLines(collected)),
+	}
+	tasksBy := map[string]int{}
+	for _, r := range recs {
+		if r.Name == "task" {
+			tasksBy[r.Writer]++
 		}
 	}
-	// The fleet histogram is the sum of the workers': its count equals
-	// the total tasks done.
-	if !strings.Contains(text, fmt.Sprintf("grid_trace_spans_total %d", countLines(collected))) {
-		t.Errorf("grid_trace_spans_total != %d collected spans:\n%s", countLines(collected), grepLines(text, "grid_trace_"))
+	for w, n := range tasksBy {
+		want = append(want,
+			fmt.Sprintf(`grid_worker_tasks{worker="%s"} %d`, w, n),
+			fmt.Sprintf(`grid_worker_points{worker="%s",kind="simulated"}`, w),
+			fmt.Sprintf(`grid_worker_task_seconds_count{worker="%s",measure=`, w))
+	}
+	for _, w := range want {
+		if !strings.Contains(text, w) {
+			t.Errorf("coordinator /metrics missing %q:\n%s", w, grepLines(text, "grid_"))
+		}
+	}
+	// The fleet histogram holds every task once.
+	if got := sumSamples(text, "grid_fleet_task_seconds_count{"); got != float64(wantTasks) {
+		t.Errorf("grid_fleet_task_seconds counts sum to %v, want %d tasks", got, wantTasks)
 	}
 
 	// The dashboard renders a timeline panel for the collected scope.
@@ -415,10 +418,169 @@ func grepLines(text, substr string) string {
 	return strings.Join(out, "\n")
 }
 
+// scrape reads a coordinator's /metrics exposition.
+func scrape(t *testing.T, baseURL string) string {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// sumSamples adds up the values of the exposition lines starting with
+// prefix.
+func sumSamples(text, prefix string) float64 {
+	var sum float64
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			sum += v
+		}
+	}
+	return sum
+}
+
+// workerSeries is what a coordinator's metrics say about one worker.
+type workerSeries struct {
+	Tasks, Simulated, Cached, Retries float64
+	TaskSeconds                       map[string]uint64 // observations by measure
+}
+
+func seriesOf(c *Coordinator, worker string) workerSeries {
+	m := c.metrics
+	s := workerSeries{
+		Tasks:       m.workerTasks.With(worker).Value(),
+		Simulated:   m.workerPoints.With(worker, "simulated").Value(),
+		Cached:      m.workerPoints.With(worker, "cache_served").Value(),
+		Retries:     m.workerRetries.With(worker).Value(),
+		TaskSeconds: map[string]uint64{},
+	}
+	m.workerTaskSeconds.Each(func(vals []string, h *gridobs.Histogram) {
+		if vals[0] == worker {
+			s.TaskSeconds[vals[1]] = h.Count()
+		}
+	})
+	return s
+}
+
+// shipSweep runs one traced worker through a whole gossip job on a fresh
+// coordinator, then ships its journal as dsa-grid work does on exit.
+func shipSweep(t *testing.T, opts WorkerOptions) (*Coordinator, string) {
+	t.Helper()
+	coord := NewCoordinator(CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: time.Minute})
+	t.Cleanup(func() { coord.Close() })
+	jobID, err := coord.AddJob(gossipSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(srv.Close)
+	traceDir := t.TempDir()
+	rec, err := obs.OpenDir(traceDir, opts.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Trace = rec
+	ctx := context.Background()
+	if err := Work(ctx, srv.URL, jobID, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shipper := NewTraceShipper(srv.URL, rec, obs.JournalPath(traceDir, opts.Name), TraceShipperOptions{Job: jobID})
+	if err := shipper.Ship(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return coord, srv.URL
+}
+
+// TestShippedSpansNeedNoWorkerMetrics: a worker that ships its journal
+// but keeps no metrics of its own still has its series on the
+// coordinator.
+func TestShippedSpansNeedNoWorkerMetrics(t *testing.T) {
+	_, url := shipSweep(t, WorkerOptions{Name: "bare", Workers: 2})
+	text := scrape(t, url)
+	tasks := len(gossipSpec(t).Tasks())
+	for _, want := range []string{
+		fmt.Sprintf(`grid_worker_tasks{worker="bare"} %d`, tasks),
+		`grid_worker_task_seconds_count{worker="bare",measure=`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("coordinator /metrics missing %q:\n%s", want, grepLines(text, "grid_worker_"))
+		}
+	}
+	if got := sumSamples(text, `grid_worker_task_seconds_count{worker="bare",`); got != float64(tasks) {
+		t.Errorf("task_seconds counts sum to %v, want %d", got, tasks)
+	}
+}
+
+// retryEveryUpload answers the first attempt of every results upload
+// with a 503, so each upload span records two attempts.
+type retryEveryUpload struct{}
+
+func (retryEveryUpload) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/results") && req.Header.Get(gridobs.RetryAttemptHeader) == "" {
+		return &http.Response{StatusCode: http.StatusServiceUnavailable, Header: http.Header{}, Body: http.NoBody, Request: req}, nil
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestShippedSpansMatchWorkerMetrics is the differential check: what the
+// coordinator builds from one worker's shipped spans — tasks, simulated
+// and cache-served points, upload retries, task_seconds observations per
+// measure — equals that worker's own WorkerMetrics.
+func TestShippedSpansMatchWorkerMetrics(t *testing.T) {
+	orig := retryDelay
+	retryDelay = func(int) time.Duration { return 0 }
+	defer func() { retryDelay = orig }()
+
+	// Warm a cache with half the points, so the worker both simulates and
+	// serves from cache.
+	spec := gossipSpec(t)
+	store, err := cache.Open(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	half := spec.Points[:len(spec.Points)/2]
+	if _, err := job.Run(context.Background(), spec.Domain, half, spec.Cfg, job.Options{Chunk: spec.Chunk, Cache: store}); err != nil {
+		t.Fatal(err)
+	}
+
+	metrics := gridobs.NewWorkerMetrics(nil)
+	coord, _ := shipSweep(t, WorkerOptions{
+		Name: "metered", Workers: 2, Cache: store, Metrics: metrics,
+		Client: &http.Client{Transport: retryEveryUpload{}},
+	})
+	snap := metrics.Snapshot()
+	want := workerSeries{
+		Tasks: snap.Tasks, Simulated: snap.PointsSimulated, Cached: snap.PointsCached,
+		Retries: snap.UploadRetries, TaskSeconds: map[string]uint64{},
+	}
+	for measure, h := range snap.TaskSeconds {
+		want.TaskSeconds[measure] = h.Count
+	}
+	if want.Simulated == 0 || want.Cached == 0 || want.Retries == 0 {
+		t.Fatalf("worker metrics %+v: the run should simulate, hit the cache and retry", want)
+	}
+	if got := seriesOf(coord, "metered"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("coordinator series from spans = %+v\nworker's own metrics       = %+v", got, want)
+	}
+}
+
 // TestTraceShipperSurvivesCoordinatorOutage: ship errors during an
 // outage lose nothing — the journal is append-only and offsets are
 // acked — and after a coordinator restart over the same directory the
-// collected copy converges byte-identical to the worker's local one.
+// collected copy converges byte-identical to the worker's local one, and
+// the restarted coordinator's per-worker series count every task span of
+// it exactly once.
 func TestTraceShipperSurvivesCoordinatorOutage(t *testing.T) {
 	dir := t.TempDir()
 	coord1 := NewCoordinator(CoordinatorOptions{Dir: dir})
@@ -446,14 +608,24 @@ func TestTraceShipperSurvivesCoordinatorOutage(t *testing.T) {
 	}
 	shipper := NewTraceShipper(srv.URL, rec, obs.JournalPath(traceDir, "lonely"),
 		TraceShipperOptions{chunkBytes: 256})
+	task := func(measure string) {
+		rec.Start(0, "task").Str("measure", measure).Int("cache_hits", 1).
+			Int("simulated", 2).Int("elapsed_us", 1500).End()
+	}
 
 	ctx := context.Background()
 	rec.Start(0, "before-outage").End()
+	task("performance")
+	rec.Start(0, "upload").Int("attempts", 3).End()
 	if err := shipper.Ship(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if shipper.Offset() == 0 {
 		t.Fatal("nothing collected before the outage")
+	}
+	want := workerSeries{Tasks: 1, Simulated: 2, Cached: 1, Retries: 2, TaskSeconds: map[string]uint64{"performance": 1}}
+	if got := seriesOf(coord1, "lonely"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("series before the outage = %+v, want %+v", got, want)
 	}
 
 	// Coordinator dies. Spans keep landing in the local journal; ship
@@ -462,6 +634,7 @@ func TestTraceShipperSurvivesCoordinatorOutage(t *testing.T) {
 	down = true
 	mu.Unlock()
 	rec.Start(0, "during-outage").End()
+	task("robustness")
 	if err := shipper.Ship(ctx); err == nil {
 		t.Fatal("ship through a dead coordinator should error")
 	}
@@ -476,11 +649,18 @@ func TestTraceShipperSurvivesCoordinatorOutage(t *testing.T) {
 	mu.Unlock()
 
 	rec.Start(0, "after-restart").End()
+	task("performance")
 	if err := shipper.Ship(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The journal reopened after the restart counts what it held once,
+	// and the chunks shipped since on top of it.
+	want = workerSeries{Tasks: 3, Simulated: 6, Cached: 3, Retries: 2, TaskSeconds: map[string]uint64{"performance": 2, "robustness": 1}}
+	if got := seriesOf(coord2, "lonely"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("series after the restart = %+v, want %+v", got, want)
 	}
 
 	local, err := os.ReadFile(obs.JournalPath(traceDir, "lonely"))

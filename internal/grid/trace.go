@@ -20,7 +20,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/gridobs"
 	"repro/internal/linelog"
 	"repro/internal/obs"
 )
@@ -38,15 +37,12 @@ const fleetScope = "_fleet"
 // coordinator appends exactly the bytes it has not seen yet, so
 // re-sending a chunk (retry after a lost 200) or overlapping a
 // previous one is safe. Data always ends on a record boundary
-// (obs.ReadChunk) and may be empty — an empty upload is a pure
-// stats/offset probe. Stats, if present, is the worker's latest
-// metrics snapshot, federated into the coordinator's /metrics.
+// (obs.ReadChunk).
 type TraceUpload struct {
-	Writer string                  `json:"writer"`
-	Job    string                  `json:"job,omitempty"`
-	Offset int64                   `json:"offset"`
-	Data   []byte                  `json:"data,omitempty"`
-	Stats  *gridobs.WorkerSnapshot `json:"stats,omitempty"`
+	Writer string `json:"writer"`
+	Job    string `json:"job,omitempty"`
+	Offset int64  `json:"offset"`
+	Data   []byte `json:"data,omitempty"`
 }
 
 // TraceAck tells the uploader where the collected copy of its journal
@@ -88,13 +84,14 @@ type traceJournal struct {
 // coordinator still collects traces through the one file-based path.
 type traceCollector struct {
 	configured string // CoordinatorOptions.Dir, "" = temp
-	logf       func(format string, args ...any)
+	// observe receives every run of whole lines a journal gains. It is
+	// called under mu, so it must not call back into the collector.
+	observe func(lines io.Reader)
 
 	mu       sync.Mutex
 	root     string // resolved on first use
 	temp     bool
 	journals map[traceKey]*traceJournal
-	snaps    map[string]gridobs.WorkerSnapshot
 	digests  map[string]*traceDigestCache
 }
 
@@ -107,15 +104,14 @@ type traceDigestCache struct {
 	analysis *obs.Analysis
 }
 
-func newTraceCollector(dir string, logf func(string, ...any)) *traceCollector {
-	if logf == nil {
-		logf = func(string, ...any) {}
+func newTraceCollector(dir string, observe func(lines io.Reader)) *traceCollector {
+	if observe == nil {
+		observe = func(io.Reader) {}
 	}
 	return &traceCollector{
 		configured: dir,
-		logf:       logf,
+		observe:    observe,
 		journals:   map[traceKey]*traceJournal{},
-		snaps:      map[string]gridobs.WorkerSnapshot{},
 		digests:    map[string]*traceDigestCache{},
 	}
 }
@@ -146,7 +142,8 @@ func (tc *traceCollector) rootLocked() (string, error) {
 // journalLocked returns (opening if needed) the collected journal for
 // one (job, writer) stream. linelog's open-time trim is what the offset
 // protocol needs after a coordinator restart: the collected size sits
-// on a record boundary of the worker's journal.
+// on a record boundary of the worker's journal. What a reopened journal
+// already holds goes to observe once, here.
 func (tc *traceCollector) journalLocked(job, writer string) (*traceJournal, error) {
 	key := traceKey{job, writer}
 	if j := tc.journals[key]; j != nil {
@@ -164,15 +161,24 @@ func (tc *traceCollector) journalLocked(job, writer string) (*traceJournal, erro
 	if err != nil {
 		return nil, err
 	}
+	if log.Size() > 0 {
+		f, err := os.Open(log.Path())
+		if err != nil {
+			log.Close()
+			return nil, err
+		}
+		tc.observe(io.LimitReader(f, log.Size()))
+		f.Close()
+	}
 	j := &traceJournal{job: job, writer: writer, log: log}
 	tc.journals[key] = j
 	return j, nil
 }
 
 // append ingests one upload chunk idempotently: only bytes past the
-// collected size are written (verbatim, durably), so replays and
-// overlaps never duplicate or tear a record. Returns the ack plus the
-// appended byte/span counts for metrics.
+// collected size are written (verbatim, durably) and observed, so
+// replays and overlaps never duplicate or tear a record. Returns the ack
+// plus the appended byte/span counts for metrics.
 func (tc *traceCollector) append(job, writer string, offset int64, data []byte) (ack TraceAck, spans int64, dup bool, err error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -194,25 +200,9 @@ func (tc *traceCollector) append(job, writer string, offset int64, data []byte) 
 	if err := j.log.Append(app, true); err != nil {
 		return TraceAck{}, 0, false, err
 	}
+	tc.observe(bytes.NewReader(app))
 	return TraceAck{Have: j.log.Size(), Accepted: int64(len(app)), Duplicate: offset < have},
 		int64(bytes.Count(app, []byte{'\n'})), offset < have, nil
-}
-
-func (tc *traceCollector) setSnapshot(writer string, s gridobs.WorkerSnapshot) {
-	tc.mu.Lock()
-	tc.snaps[writer] = s
-	tc.mu.Unlock()
-}
-
-// snapshots returns the latest federated snapshot per worker.
-func (tc *traceCollector) snapshots() map[string]gridobs.WorkerSnapshot {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	out := make(map[string]gridobs.WorkerSnapshot, len(tc.snaps))
-	for k, v := range tc.snaps {
-		out[k] = v
-	}
-	return out
 }
 
 func (tc *traceCollector) journalCount() int {
@@ -228,8 +218,9 @@ func (tc *traceCollector) journalCount() int {
 }
 
 // pathsLocked lists the collected journal files for one scope ("" =
-// every scope), sorted for deterministic merges. Streams that only
-// ever sent stats probes have an empty file and are skipped.
+// every scope), sorted for deterministic merges. Streams with nothing
+// collected yet (a gap after a restart, an empty upload) have an empty
+// file and are skipped.
 func (tc *traceCollector) pathsLocked(job string) []string {
 	var paths []string
 	for _, j := range tc.journals {
@@ -360,9 +351,6 @@ func (c *Coordinator) collectTrace(r *http.Request, up TraceUpload) (TraceAck, e
 	c.metrics.traceSpans.Add(float64(spans))
 	if dup {
 		c.metrics.traceDedup.Inc()
-	}
-	if up.Stats != nil {
-		c.traces.setSnapshot(up.Writer, *up.Stats)
 	}
 	if ack.Accepted > 0 {
 		c.logfCtx(r.Context(), "grid: trace: %s/%s +%dB (%d spans, have %d)",

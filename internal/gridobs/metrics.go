@@ -349,38 +349,14 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return h
 }
 
-// HistSnapshot is a point-in-time, mergeable copy of one histogram's
-// state, shaped for the wire: per-bucket (non-cumulative) counts
-// aligned with the bucket upper bounds, plus the sum and total count.
-// Two snapshots over the same bounds merge by element-wise addition,
-// which is exactly how Prometheus histograms federate.
+// HistSnapshot is a point-in-time copy of one histogram's state:
+// per-bucket (non-cumulative) counts aligned with the bucket upper
+// bounds, plus the sum and total count.
 type HistSnapshot struct {
 	Buckets []float64 `json:"buckets,omitempty"`
 	Counts  []uint64  `json:"counts,omitempty"`
 	Sum     float64   `json:"sum"`
 	Count   uint64    `json:"count"`
-}
-
-// Merge returns the element-wise sum of two snapshots. A zero-valued
-// receiver adopts o; mismatched bucket layouts keep the receiver
-// unchanged (there is no meaningful sum across different bounds).
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	if len(s.Counts) == 0 && s.Count == 0 {
-		return o
-	}
-	if len(o.Counts) != len(s.Counts) {
-		return s
-	}
-	out := HistSnapshot{
-		Buckets: s.Buckets,
-		Counts:  append([]uint64(nil), s.Counts...),
-		Sum:     s.Sum + o.Sum,
-		Count:   s.Count + o.Count,
-	}
-	for i, c := range o.Counts {
-		out.Counts[i] += c
-	}
-	return out
 }
 
 // Snapshot copies the histogram's current state.
@@ -395,23 +371,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 }
 
-// Load overwrites the histogram's state from a snapshot, the
-// receiving half of metric federation: a collector re-exposes a
-// remote histogram by loading its latest snapshot. Returns false
-// (leaving the histogram unchanged) when the snapshot's bucket count
-// does not match this histogram's.
-func (h *Histogram) Load(s HistSnapshot) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(s.Counts) != len(h.counts) {
-		return false
-	}
-	copy(h.counts, s.Counts)
-	h.sum = s.Sum
-	h.total = s.Count
-	return true
-}
-
 // Each calls fn for every child histogram, with its label values.
 func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
 	v.fam.mu.Lock()
@@ -424,14 +383,6 @@ func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
 	for _, h := range kids {
 		fn(h.vals, h)
 	}
-}
-
-// Reset drops every child histogram, so stale label tuples disappear
-// from the exposition before a collect hook re-loads the live ones.
-func (v *HistogramVec) Reset() {
-	v.fam.mu.Lock()
-	v.fam.children = map[string]child{}
-	v.fam.mu.Unlock()
 }
 
 // DefBuckets are latency-shaped default buckets in seconds, from 1ms

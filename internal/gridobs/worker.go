@@ -106,13 +106,8 @@ func (m *WorkerMetrics) ObserveLeasesLost(n int) {
 	m.leasesLost.Add(float64(n))
 }
 
-// WorkerSnapshot is a point-in-time copy of a worker's counters and
-// per-measure latency histograms, shaped for the wire: workers
-// piggyback it on trace uploads and the coordinator federates the
-// latest snapshot per worker into its own /metrics. Counters are
-// cumulative since worker start, so the coordinator re-exposes them
-// as per-worker gauges; histograms merge across workers by bucket
-// (HistSnapshot.Merge).
+// WorkerSnapshot is a point-in-time copy of a worker's counters
+// (cumulative since worker start) and per-measure latency histograms.
 type WorkerSnapshot struct {
 	Tasks           float64                 `json:"tasks"`
 	PointsSimulated float64                 `json:"points_simulated"`
@@ -126,8 +121,7 @@ type WorkerSnapshot struct {
 }
 
 // Snapshot copies the current counter values and per-measure latency
-// histograms. Returns nil on a nil receiver (a worker running without
-// metrics ships trace chunks with no stats attached).
+// histograms. Returns nil on a nil receiver.
 func (m *WorkerMetrics) Snapshot() *WorkerSnapshot {
 	if m == nil {
 		return nil

@@ -22,7 +22,8 @@ const DefaultChunkBytes = 1 << 20
 // data is empty (end == offset) when there is nothing new past
 // offset, when the window holds no complete line yet, or when the
 // file does not exist. Callers resume by passing end back as the next
-// offset.
+// offset. The window is only as large as what lies past offset, so an
+// idle poll allocates no buffer.
 func ReadChunk(path string, offset int64, maxBytes int) (data []byte, end int64, err error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultChunkBytes
@@ -35,7 +36,14 @@ func ReadChunk(path string, offset int64, maxBytes int) (data []byte, end int64,
 		return nil, offset, err
 	}
 	defer f.Close()
-	buf := make([]byte, maxBytes)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, offset, err
+	}
+	if st.Size() <= offset {
+		return nil, offset, nil
+	}
+	buf := make([]byte, min(int64(maxBytes), st.Size()-offset))
 	n, err := f.ReadAt(buf, offset)
 	if err != nil && err != io.EOF {
 		return nil, offset, err

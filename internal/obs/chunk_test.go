@@ -76,6 +76,30 @@ func TestReadChunkTornTail(t *testing.T) {
 	}
 }
 
+// TestReadChunkWindowFitsTheFile: the read window is sized by what lies
+// past the offset, not by maxBytes, and a read at the end of the file
+// returns nothing.
+func TestReadChunkWindowFitsTheFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace-w.jsonl")
+	body := []byte("line-one\nline-two\n{torn")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, offset := range []int64{0, 9} {
+		data, _, err := ReadChunk(path, offset, DefaultChunkBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if past := int64(len(body)) - offset; len(data) == 0 || int64(cap(data)) > past {
+			t.Fatalf("chunk at %d: %d bytes with capacity %d, want at most the %d bytes past the offset", offset, len(data), cap(data), past)
+		}
+	}
+	data, end, err := ReadChunk(path, int64(len(body)), DefaultChunkBytes)
+	if err != nil || len(data) != 0 || end != int64(len(body)) {
+		t.Fatalf("chunk at EOF = %q end %d, %v; want empty at %d", data, end, err, len(body))
+	}
+}
+
 func TestReadChunkMissingFile(t *testing.T) {
 	data, end, err := ReadChunk(filepath.Join(t.TempDir(), "nope.jsonl"), 7, 64)
 	if err != nil {

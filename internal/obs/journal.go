@@ -118,13 +118,7 @@ func readJournalFrom(r io.Reader, name string) ([]rawRecord, error) {
 
 // LoadFile reads one journal's records in canonical order, skipping
 // torn or corrupt lines.
-func LoadFile(path string) ([]Record, error) {
-	raws, err := readJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	return sortedRecords(raws), nil
-}
+func LoadFile(path string) ([]Record, error) { return LoadFiles(path) }
 
 // LoadReader reads one JSONL record stream — e.g. a merged journal
 // fetched from a coordinator's GET /v1/trace — into canonical order,
@@ -134,13 +128,24 @@ func LoadReader(r io.Reader) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sortedRecords(raws), nil
+	sortRaw(raws)
+	return records(raws), nil
 }
 
 // LoadFiles reads the given journals into one merged, canonically
 // ordered timeline. The result is independent of argument order; zero
 // paths yield zero records.
 func LoadFiles(paths ...string) ([]Record, error) {
+	raws, err := loadSorted(paths)
+	if err != nil {
+		return nil, err
+	}
+	return records(raws), nil
+}
+
+// loadSorted reads the given journals' valid lines, decoded and raw, in
+// the canonical order — what LoadFiles and Merge both start from.
+func loadSorted(paths []string) ([]rawRecord, error) {
 	var raws []rawRecord
 	for _, p := range paths {
 		rs, err := readJournal(p)
@@ -149,7 +154,8 @@ func LoadFiles(paths ...string) ([]Record, error) {
 		}
 		raws = append(raws, rs...)
 	}
-	return sortedRecords(raws), nil
+	sortRaw(raws)
+	return raws, nil
 }
 
 // JournalFiles lists the trace journals under dir, sorted by name.
@@ -176,10 +182,13 @@ func LoadDir(dir string) ([]Record, error) {
 	return LoadFiles(paths...)
 }
 
-func sortedRecords(raws []rawRecord) []Record {
+func sortRaw(raws []rawRecord) {
 	sort.SliceStable(raws, func(a, b int) bool {
 		return journalLess(raws[a].rec, raws[b].rec, raws[a].raw, raws[b].raw)
 	})
+}
+
+func records(raws []rawRecord) []Record {
 	out := make([]Record, len(raws))
 	for i, r := range raws {
 		out[i] = r.rec
@@ -194,17 +203,10 @@ func sortedRecords(raws []rawRecord) []Record {
 // same property the checkpoint's shard manifests have. Returns the
 // number of records written.
 func Merge(w io.Writer, paths ...string) (int, error) {
-	var raws []rawRecord
-	for _, p := range paths {
-		rs, err := readJournal(p)
-		if err != nil {
-			return 0, err
-		}
-		raws = append(raws, rs...)
+	raws, err := loadSorted(paths)
+	if err != nil {
+		return 0, err
 	}
-	sort.SliceStable(raws, func(a, b int) bool {
-		return journalLess(raws[a].rec, raws[b].rec, raws[a].raw, raws[b].raw)
-	})
 	bw := bufio.NewWriter(w)
 	for _, r := range raws {
 		if _, err := bw.Write(r.raw); err != nil {

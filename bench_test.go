@@ -448,7 +448,7 @@ func BenchmarkExplorerColdCache(b *testing.B) {
 
 // BenchmarkExplorerWarmCache runs the identical hill climb against a
 // pre-warmed content-addressed score cache: every evaluation is a key
-// derivation plus a sharded-LRU hit, no simulation at all. Results are
+// derivation plus a map hit, no simulation at all. Results are
 // byte-identical to the cold run (asserted by the dsa and job parity
 // tests); only the cost changes.
 func BenchmarkExplorerWarmCache(b *testing.B) {

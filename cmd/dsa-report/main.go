@@ -385,11 +385,9 @@ func printCacheStats(w io.Writer, st dsa.CacheStats) error {
 	tbl := report.NewTable("metric", "value")
 	tbl.Add("entries", st.Entries)
 	tbl.Add("bytes on disk", st.Bytes)
-	tbl.Add("resident in memory", st.MemEntries)
 	tbl.Add("hits", st.Hits)
 	tbl.Add("misses", st.Misses)
 	tbl.Add("puts", st.Puts)
-	tbl.Add("lru evictions", st.Evictions)
 	tbl.Add("records dropped", st.Dropped)
 	tbl.Add("computations deduplicated", st.FlightWait)
 	return tbl.Render(w)

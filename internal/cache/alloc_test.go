@@ -1,0 +1,41 @@
+//go:build !race
+
+package cache
+
+import "testing"
+
+// A hit is one map probe: on a store reopened from disk even the first
+// hit of each key allocates nothing. Excluded under -race like the other allocation pins: the race
+// runtime adds bookkeeping allocations.
+func TestReopenedHitAllocs(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1024 // more keys than AllocsPerRun's runs: every Get is a key's first
+	for i := 0; i < n; i++ {
+		s.Put(key(i), float64(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	next := 0
+	if avg := testing.AllocsPerRun(500, func() {
+		if _, ok := s.Get(keys[next]); !ok {
+			t.Fatal("miss on a reopened store")
+		}
+		next++
+	}); avg != 0 {
+		t.Errorf("a hit on a reopened store allocates %.2f per op, want 0", avg)
+	}
+}

@@ -10,15 +10,18 @@
 // which is exactly the precondition for safe memoization: compute
 // once, reuse everywhere, byte-identical by construction.
 //
-// A Store layers three mechanisms behind the dsa.ScoreCache interface:
+// A Store is two mechanisms behind the dsa.ScoreCache interface:
 //
-//   - a sharded in-memory LRU — the hot path, uncontended under the
-//     job engine's worker pools;
+//   - one in-memory map of every score it can serve — a Get is one
+//     read-locked probe;
 //   - an append-only on-disk segment log (see disk.go) — survives
-//     restarts, shareable between concurrent processes, CRC-checked so
-//     corruption degrades to misses, never wrong hits;
-//   - singleflight deduplication — concurrent GetOrCompute calls for
-//     one key run the computation once and share the result.
+//     restarts, shareable between concurrent processes, CRC-checked
+//     once, by the scan at Open that fills the map, so corruption
+//     degrades to misses, never wrong hits. After Open it is only
+//     appended to.
+//
+// GetOrCompute adds singleflight deduplication (concurrent calls for one
+// key run the computation once); no engine layer calls it.
 //
 // A Store with no directory is memory-only: same interface, no
 // persistence — what an in-process explorer wants.
@@ -42,12 +45,6 @@ type Key = dsa.CacheKey
 // Stats is a point-in-time snapshot of a Store's counters.
 type Stats = dsa.CacheStats
 
-// Default sizing for Options zero values.
-const (
-	DefaultMemEntries = 1 << 20 // ~48 MiB of resident scores
-	defaultShards     = 16
-)
-
 // Options configures a Store.
 type Options struct {
 	// Dir is the segment log directory; "" keeps the cache in memory
@@ -55,28 +52,28 @@ type Options struct {
 	// writes its own segments); a process sees entries other processes
 	// wrote before it opened the directory.
 	Dir string
-	// MemEntries bounds the in-memory LRU layer. 0 = DefaultMemEntries.
+	// MemEntries is ignored: a Store holds every score it can serve in
+	// memory. The field stays only because bench/ still sets it.
 	MemEntries int
-	// shards and segmentBytes override the LRU shard count and the
-	// on-disk segment rotation threshold (0 = defaultShards,
-	// defaultSegmentBytes): constants to every caller, reachable only by this
-	// package's tests.
-	shards       int
+	// segmentBytes overrides the on-disk segment rotation threshold
+	// (0 = defaultSegmentBytes): a constant to every caller, reachable
+	// only by this package's tests.
 	segmentBytes int64
 }
 
 // Store is a concurrency-safe score cache. It implements
 // dsa.ScoreCache.
 type Store struct {
-	mem *lruShards
+	mu   sync.RWMutex
+	vals map[Key]float64
 
-	diskMu sync.Mutex
-	disk   *diskLog // nil when memory-only
+	appendMu sync.Mutex
+	disk     *diskLog // nil when memory-only
 
 	flightMu sync.Mutex
 	flight   map[Key]*flightCall
 
-	hits, misses, puts, evictions, dropped, flights, flightWaits atomic.Uint64
+	hits, misses, puts, dropped, flights, flightWaits atomic.Uint64
 }
 
 type flightCall struct {
@@ -85,65 +82,57 @@ type flightCall struct {
 	err  error
 }
 
-// Open creates a Store. With a directory, every valid record already
-// on disk is indexed before Open returns (corrupt or torn records are
-// dropped and counted, never served).
+// Open creates a Store. With a directory, every record already on disk
+// is read and CRC-verified once, into memory, before Open returns
+// (corrupt or torn records are dropped and counted, never served).
 func Open(opts Options) (*Store, error) {
-	if opts.MemEntries <= 0 {
-		opts.MemEntries = DefaultMemEntries
-	}
-	if opts.shards <= 0 {
-		opts.shards = defaultShards
-	}
-	s := &Store{
-		mem:    newLRUShards(opts.shards, opts.MemEntries),
-		flight: map[Key]*flightCall{},
-	}
+	s := &Store{vals: map[Key]float64{}, flight: map[Key]*flightCall{}}
 	if opts.Dir != "" {
-		disk, err := openDiskLog(opts.Dir, opts.segmentBytes)
+		disk, vals, dropped, err := openDiskLog(opts.Dir, opts.segmentBytes)
 		if err != nil {
 			return nil, err
 		}
-		s.disk = disk
+		s.disk, s.vals = disk, vals
+		s.dropped.Store(dropped)
 	}
 	return s, nil
 }
 
-// Get returns the cached score for k, consulting the LRU first and
-// the segment log second (promoting disk hits into the LRU).
+// Get returns the cached score for k.
 func (s *Store) Get(k Key) (float64, bool) {
-	if v, ok := s.mem.get(k); ok {
+	s.mu.RLock()
+	v, ok := s.vals[k]
+	s.mu.RUnlock()
+	if ok {
 		s.hits.Add(1)
-		return v, true
+	} else {
+		s.misses.Add(1)
 	}
-	if s.disk != nil {
-		s.diskMu.Lock()
-		v, ok := s.disk.get(k)
-		s.diskMu.Unlock()
-		if ok {
-			s.evictions.Add(uint64(s.mem.put(k, v)))
-			s.hits.Add(1)
-			return v, true
-		}
-	}
-	s.misses.Add(1)
-	return 0, false
+	return v, ok
 }
 
-// Put records the score for k in every layer. Disk trouble is
-// deliberately non-fatal — the entry stays served from memory and the
-// failure is counted in Stats.Dropped; a cache must never turn an
-// otherwise healthy sweep into an error.
+// Put records the score for k. The first value recorded for a key wins,
+// in memory and on disk alike: values never change (a key hashes
+// everything score-relevant), so a later Put of a known key is a no-op.
+// Disk trouble is deliberately non-fatal — the entry stays served from
+// memory and the failure is counted in Stats.Dropped; a cache must never
+// turn an otherwise healthy sweep into an error.
 func (s *Store) Put(k Key, v float64) {
 	s.puts.Add(1)
-	s.evictions.Add(uint64(s.mem.put(k, v)))
-	if s.disk != nil {
-		s.diskMu.Lock()
-		err := s.disk.put(k, v)
-		s.diskMu.Unlock()
-		if err != nil {
-			s.dropped.Add(1)
-		}
+	s.mu.Lock()
+	_, known := s.vals[k]
+	if !known {
+		s.vals[k] = v
+	}
+	s.mu.Unlock()
+	if known || s.disk == nil {
+		return
+	}
+	s.appendMu.Lock()
+	err := s.disk.put(k, v)
+	s.appendMu.Unlock()
+	if err != nil {
+		s.dropped.Add(1)
 	}
 }
 
@@ -193,34 +182,29 @@ func (s *Store) Sync() error {
 	if s.disk == nil {
 		return nil
 	}
-	s.diskMu.Lock()
-	defer s.diskMu.Unlock()
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	return s.disk.sync()
 }
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
+	s.mu.RLock()
+	entries := len(s.vals)
+	s.mu.RUnlock()
 	st := Stats{
-		MemEntries: s.mem.len(),
+		Entries:    entries,
 		Hits:       s.hits.Load(),
 		Misses:     s.misses.Load(),
 		Puts:       s.puts.Load(),
-		Evictions:  s.evictions.Load(),
 		Dropped:    s.dropped.Load(),
 		Flights:    s.flights.Load(),
 		FlightWait: s.flightWaits.Load(),
 	}
 	if s.disk != nil {
-		s.diskMu.Lock()
-		st.Entries = len(s.disk.index)
+		s.appendMu.Lock()
 		st.Bytes = s.disk.total
-		// The disk layer's counter is read live, not snapshotted at
-		// Open: records dropped by later reads (latent corruption
-		// detected on Get) must show up too.
-		st.Dropped += s.disk.dropped
-		s.diskMu.Unlock()
-	} else {
-		st.Entries = st.MemEntries
+		s.appendMu.Unlock()
 	}
 	return st
 }
@@ -231,8 +215,8 @@ func (s *Store) Close() error {
 	if s.disk == nil {
 		return nil
 	}
-	s.diskMu.Lock()
-	defer s.diskMu.Unlock()
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	return s.disk.close()
 }
 

@@ -3,10 +3,11 @@ package cache
 // The store's contract: a Get only ever returns a value that was Put
 // under exactly that key — across restarts, concurrent writers,
 // crashes mid-append and corrupted bytes on disk. Everything here
-// hammers that plus the layer mechanics (LRU bounds, segment
-// rotation, singleflight dedup).
+// hammers that plus the layer mechanics (segment rotation,
+// singleflight dedup).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,9 +24,6 @@ import (
 func key(n int) Key {
 	var k Key
 	binary.LittleEndian.PutUint64(k[:8], uint64(n))
-	// Spread n into the shard-selecting byte too, so tests exercise
-	// several shards.
-	k[0] = byte(n)
 	return k
 }
 
@@ -48,30 +46,6 @@ func TestMemoryRoundTrip(t *testing.T) {
 	st := s.Stats()
 	if st.Entries != 1 || st.Hits != 1 || st.Misses != 2 || st.Puts != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	s, err := Open(Options{MemEntries: 8, shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 100; i++ {
-		s.Put(key(i), float64(i))
-	}
-	st := s.Stats()
-	if st.MemEntries > 8 {
-		t.Fatalf("LRU holds %d entries, capacity 8", st.MemEntries)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions counted after overfilling")
-	}
-	// Whatever survives must still read back correctly.
-	for i := 0; i < 100; i++ {
-		if v, ok := s.Get(key(i)); ok && v != float64(i) {
-			t.Fatalf("key %d = %v after eviction churn", i, v)
-		}
 	}
 }
 
@@ -100,24 +74,6 @@ func TestDiskPersistence(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if v, ok := s2.Get(key(i)); !ok || v != float64(i)*0.5 {
 			t.Fatalf("key %d after reopen = %v,%v", i, v, ok)
-		}
-	}
-}
-
-// TestLRUMissFallsThroughToDisk: an entry evicted from memory is still
-// served from the segment log (and promoted back).
-func TestLRUMissFallsThroughToDisk(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), MemEntries: 4, shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 64; i++ {
-		s.Put(key(i), float64(i))
-	}
-	for i := 0; i < 64; i++ {
-		if v, ok := s.Get(key(i)); !ok || v != float64(i) {
-			t.Fatalf("key %d = %v,%v want disk fallthrough", i, v, ok)
 		}
 	}
 }
@@ -191,13 +147,12 @@ func TestTornTailDropped(t *testing.T) {
 }
 
 // TestShortWriteKeepsSegmentAligned: a torn record append is trimmed
-// back, so the records put after it still sit where the index says and
-// on the fixed-size grid the next open scans — the one failed put is
-// dropped, nothing else.
+// back, so the records put after it still sit on the fixed-size grid the
+// next open scans. The process that wrote the torn put still serves it
+// from memory; after a reopen it is the one record missing.
 func TestShortWriteKeepsSegmentAligned(t *testing.T) {
 	dir := t.TempDir()
-	// A one-entry LRU: every Get below is answered by the segment.
-	s, err := Open(Options{Dir: dir, MemEntries: 1, shards: 1})
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,35 +164,110 @@ func TestShortWriteKeepsSegmentAligned(t *testing.T) {
 	for i := 2; i < 2+later; i++ {
 		s.Put(key(i), float64(i))
 	}
-	check := func(s *Store, when string) {
-		t.Helper()
-		for i := 0; i < 2+later; i++ {
-			v, ok := s.Get(key(i))
-			if i == 1 {
-				if ok {
-					t.Fatalf("%s: the torn put is served from disk", when)
-				}
-			} else if !ok || v != float64(i) {
-				t.Fatalf("%s: Get(%d) = %v,%v, want a hit: records after the torn one are misaligned", when, i, v, ok)
-			}
+	for i := 0; i < 2+later; i++ {
+		if v, ok := s.Get(key(i)); !ok || v != float64(i) {
+			t.Fatalf("same process: Get(%d) = %v,%v, want a hit from memory", i, v, ok)
 		}
 	}
-	check(s, "same process")
-	if st := s.Stats(); st.Dropped != 1 || st.Entries != 1+later {
-		t.Fatalf("stats = %+v, want exactly the torn put dropped and %d entries", st, 1+later)
+	if st := s.Stats(); st.Dropped != 1 || st.Entries != 2+later {
+		t.Fatalf("stats = %+v, want the torn put dropped from disk and %d entries", st, 2+later)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Options{Dir: dir, MemEntries: 1, shards: 1})
+	s2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	check(s2, "after reopen")
+	for i := 0; i < 2+later; i++ {
+		v, ok := s2.Get(key(i))
+		if i == 1 {
+			if ok {
+				t.Fatal("after reopen: the torn put is served from disk")
+			}
+		} else if !ok || v != float64(i) {
+			t.Fatalf("after reopen: Get(%d) = %v,%v, want a hit: records after the torn one are misaligned", i, v, ok)
+		}
+	}
 	if st := s2.Stats(); st.Dropped != 0 || st.Entries != 1+later {
 		t.Fatalf("reopened stats = %+v, want a clean segment of %d entries", st, 1+later)
+	}
+}
+
+// TestPutFirstWins: the first value put for a key is the one served,
+// before and after a reopen — memory and the segment log agree.
+func TestPutFirstWins(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(key(1), 1)
+	s.Put(key(1), 2)
+	if v, ok := s.Get(key(1)); !ok || v != 1 {
+		t.Fatalf("Get = %v,%v after Put(1), Put(2); want the first value 1", v, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, ok := s2.Get(key(1)); !ok || v != 1 {
+		t.Fatalf("Get after reopen = %v,%v; want the first value 1", v, ok)
+	}
+	if st := s2.Stats(); st.Entries != 1 || st.Bytes != int64(segHeaderSize+recordSize) {
+		t.Fatalf("reopened stats = %+v, want one record on disk", st)
+	}
+}
+
+// TestServedValuesOutliveDiskChanges: a reopened store verified each
+// record once, at Open; bytes that change on disk afterwards — segments
+// overwritten with garbage or truncated — change no value it serves.
+func TestServedValuesOutliveDiskChanges(t *testing.T) {
+	dir := t.TempDir()
+	const n = 10
+	s, err := Open(Options{Dir: dir, segmentBytes: int64(segHeaderSize + 2*recordSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		s.Put(key(i), float64(i)+0.5)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(segs) < 4 {
+		t.Fatalf("%d records at 2/segment left %d segments, want >= 4", n, len(segs))
+	}
+	for i, seg := range segs {
+		var err error
+		if i%2 == 0 {
+			err = os.WriteFile(seg, bytes.Repeat([]byte{0xa5}, segHeaderSize+2*recordSize), 0o644)
+		} else {
+			err = os.Truncate(seg, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := s2.Get(key(i)); !ok || v != float64(i)+0.5 {
+			t.Fatalf("Get(%d) = %v,%v after its segment changed on disk, want %v", i, v, ok, float64(i)+0.5)
+		}
+	}
+	if st := s2.Stats(); st.Entries != n || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want %d entries and no drops", st, n)
 	}
 }
 
@@ -402,7 +432,7 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 // TestConcurrentMixedUse races Put/Get/GetOrCompute over a persistent
 // store — the -race CI step turns any locking mistake into a failure.
 func TestConcurrentMixedUse(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), MemEntries: 64, shards: 4})
+	s, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,10 @@ import (
 // Append-only and fixed-size buys the crash story for free: a torn
 // tail from a crash is a short or CRC-broken record, detected and
 // dropped on the next open — at worst the cache forgets the last few
-// scores, it can never serve a wrong one. Records are additionally
-// CRC-verified on every read, so latent corruption (bit rot, truncated
-// copies) degrades to a miss, never a bad hit.
+// scores, it can never serve a wrong one. A record is read and verified
+// once, by the scan at open that loads it into memory, and nothing is
+// read after that: corruption found then (bit rot, truncated copies) is
+// a miss, and bytes that change on disk later change no served value.
 //
 // Every open claims a *fresh* segment (O_EXCL on max+1) instead of
 // appending to an existing one, so any number of processes may share a
@@ -43,7 +44,7 @@ import (
 // key (dsa.CacheKey hashes everything score-relevant) — so there is no
 // compaction and no tombstone; duplicate keys across segments (two
 // processes caching one score) are benign and deduplicated by the
-// index at open.
+// map at open.
 
 const (
 	segMagic      = "DSASCR1\n"
@@ -59,44 +60,35 @@ const (
 	scanBufferBytes = 256 << 10
 )
 
-type recordLoc struct {
-	seg int
-	off int64
-}
-
 type diskLog struct {
-	dir      string
-	segBytes int64
-
-	index      map[Key]recordLoc
-	readers    map[int]*os.File // segment number → read handle (includes the active segment)
-	active     *os.File
-	activeSeg  int
+	dir        string
+	segBytes   int64
+	lastSeg    int      // highest segment number scanned or claimed
+	active     *os.File // nil until the first append
 	activeSize int64
 	total      int64 // bytes across all segments
-	dropped    uint64
 }
 
 func segPath(dir string, n int) string {
 	return filepath.Join(dir, fmt.Sprintf("seg-%06d.log", n))
 }
 
-// openDiskLog scans every segment in dir (creating dir if needed),
-// builds the key→location index, and prepares to claim a fresh active
-// segment on the first append.
-func openDiskLog(dir string, segBytes int64) (*diskLog, error) {
+// openDiskLog scans every segment in dir (creating dir if needed) into
+// a key→score map, counting the records it drops, and prepares to claim
+// a fresh active segment on the first append. No segment stays open.
+func openDiskLog(dir string, segBytes int64) (*diskLog, map[Key]float64, uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cache: dir: %w", err)
+		return nil, nil, 0, fmt.Errorf("cache: dir: %w", err)
 	}
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	sort.Strings(names)
-	// The index is sized for every record the segments can hold, so the
+	// The map is sized for every record the segments can hold, so the
 	// scan never rehashes it.
 	records := int64(0)
 	for _, name := range names {
@@ -104,122 +96,82 @@ func openDiskLog(dir string, segBytes int64) (*diskLog, error) {
 			records += fi.Size() / recordSize
 		}
 	}
-	d := &diskLog{
-		dir:      dir,
-		segBytes: segBytes,
-		index:    make(map[Key]recordLoc, records),
-		readers:  map[int]*os.File{},
-	}
+	d := &diskLog{dir: dir, segBytes: segBytes}
+	vals := make(map[Key]float64, records)
+	var dropped uint64
 	r := bufio.NewReaderSize(nil, scanBufferBytes)
 	for _, name := range names {
 		var n int
 		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%06d.log", &n); err != nil {
 			continue // not ours
 		}
-		if err := d.scanSegment(name, n, r); err != nil {
-			d.closeReaders()
-			return nil, err
+		size, drops, err := scanSegment(name, r, vals)
+		if err != nil {
+			return nil, nil, 0, err
 		}
+		d.lastSeg = max(d.lastSeg, n)
+		d.total += size
+		dropped += drops
 	}
-	return d, nil
+	return d, vals, dropped, nil
 }
 
-// scanSegment validates one segment and merges its records into the
-// index. Records that are torn (short tail) or fail their CRC are
-// dropped and counted; fixed-size records keep the scan aligned, so a
-// single corrupt record never takes the rest of the segment with it.
-// The segment is read through r, sequentially; the file stays open as
-// the ReadAt handle of its records, which does not use the file offset
-// the scan leaves behind.
-func (d *diskLog) scanSegment(path string, n int, r *bufio.Reader) error {
+// scanSegment validates one segment and merges its records into vals,
+// returning the bytes of its header and whole records. Records that are
+// torn (short tail) or fail their CRC are dropped and counted;
+// fixed-size records keep the scan aligned, so a single corrupt record
+// never takes the rest of the segment with it. The segment is read
+// through r, sequentially, once.
+func scanSegment(path string, r *bufio.Reader, vals map[Key]float64) (size int64, dropped uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("cache: open segment: %w", err)
+		return 0, 0, fmt.Errorf("cache: open segment: %w", err)
 	}
+	defer f.Close()
 	r.Reset(f)
 	var header [segHeaderSize]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		// An empty or headerless file (crash between create and header
 		// write) holds no records; skip it.
-		f.Close()
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			d.dropped++
-			return nil
+			return 0, 1, nil
 		}
-		return fmt.Errorf("cache: read segment header %s: %w", path, err)
+		return 0, 0, fmt.Errorf("cache: read segment header %s: %w", path, err)
 	}
 	if string(header[:]) != segMagic {
-		f.Close()
-		return fmt.Errorf("cache: %s is not a score cache segment (bad magic %q) — wrong -cache-dir?", path, header[:])
+		return 0, 0, fmt.Errorf("cache: %s is not a score cache segment (bad magic %q) — wrong -cache-dir?", path, header[:])
 	}
 	var rec [recordSize]byte
-	off := int64(segHeaderSize)
+	size = int64(segHeaderSize)
 	for {
 		_, err := io.ReadFull(r, rec[:])
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			d.dropped++ // torn tail from a crash mid-append
+			dropped++ // torn tail from a crash mid-append
 			break
 		}
 		if err != nil {
-			f.Close()
-			return fmt.Errorf("cache: read segment %s: %w", path, err)
+			return 0, 0, fmt.Errorf("cache: read segment %s: %w", path, err)
 		}
 		if verifyRecord(rec[:]) {
-			var k Key
-			copy(k[:], rec[:32])
-			d.index[k] = recordLoc{seg: n, off: off}
+			vals[Key(rec[:32])] = math.Float64frombits(binary.LittleEndian.Uint64(rec[32:40]))
 		} else {
-			d.dropped++
+			dropped++
 		}
-		off += recordSize
+		size += recordSize
 	}
-	d.total += off
-	d.readers[n] = f
-	return nil
+	return size, dropped, nil
 }
 
 func verifyRecord(rec []byte) bool {
 	return binary.LittleEndian.Uint32(rec[40:44]) == crc32.ChecksumIEEE(rec[:40])
 }
 
-// get reads and verifies k's record. A record that fails verification
-// at read time (latent corruption) is dropped from the index and
-// reported as a miss.
-func (d *diskLog) get(k Key) (float64, bool) {
-	loc, ok := d.index[k]
-	if !ok {
-		return 0, false
-	}
-	f := d.readers[loc.seg]
-	if f == nil {
-		return 0, false
-	}
-	var rec [recordSize]byte
-	if _, err := f.ReadAt(rec[:], loc.off); err != nil {
-		delete(d.index, k)
-		d.dropped++
-		return 0, false
-	}
-	var have Key
-	copy(have[:], rec[:32])
-	if have != k || !verifyRecord(rec[:]) {
-		delete(d.index, k)
-		d.dropped++
-		return 0, false
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(rec[32:40])), true
-}
-
 // put appends k's record to the active segment (claiming or rotating
-// one as needed). A key already present is a no-op: values never
-// change, so the first record wins.
+// one as needed). The Store calls it once per key it did not hold.
 func (d *diskLog) put(k Key, v float64) error {
-	if _, ok := d.index[k]; ok {
-		return nil
-	}
 	if d.active == nil || d.activeSize >= d.segBytes {
 		if err := d.rotate(); err != nil {
 			return err
@@ -229,38 +181,29 @@ func (d *diskLog) put(k Key, v float64) error {
 	copy(rec[:32], k[:])
 	binary.LittleEndian.PutUint64(rec[32:40], math.Float64bits(v))
 	binary.LittleEndian.PutUint32(rec[40:44], crc32.ChecksumIEEE(rec[:40]))
-	// Written at the offset the index is about to record, and trimmed
-	// back on failure: a torn record can never shift the ones after it
-	// off the fixed-size grid scanSegment walks.
+	// Written at the segment's record boundary, and trimmed back on
+	// failure: a torn record can never shift the ones after it off the
+	// fixed-size grid scanSegment walks.
 	w := linelog.WrapWriter(d.active.Name(), io.NewOffsetWriter(d.active, d.activeSize))
 	if _, err := w.Write(rec[:]); err != nil {
 		d.active.Truncate(d.activeSize)
 		return fmt.Errorf("cache: append segment: %w", err)
 	}
-	d.index[k] = recordLoc{seg: d.activeSeg, off: d.activeSize}
 	d.activeSize += recordSize
 	d.total += recordSize
 	return nil
 }
 
-// rotate syncs and retires the current active segment (its read handle
-// stays open) and claims a fresh one with O_EXCL, so concurrent
-// processes sharing the directory can never append to one file.
+// rotate syncs and closes the current active segment and claims a
+// fresh one with O_EXCL, so concurrent processes sharing the directory
+// can never append to one file.
 func (d *diskLog) rotate() error {
-	if d.active != nil {
-		if err := d.active.Sync(); err != nil {
-			return fmt.Errorf("cache: sync segment: %w", err)
-		}
-		d.active = nil
+	if err := d.close(); err != nil {
+		return fmt.Errorf("cache: retire segment: %w", err)
 	}
-	n := 1
-	for seg := range d.readers {
-		if seg >= n {
-			n = seg + 1
-		}
-	}
+	n := d.lastSeg + 1
 	for {
-		f, err := os.OpenFile(segPath(d.dir, n), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+		f, err := os.OpenFile(segPath(d.dir, n), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if errors.Is(err, os.ErrExist) {
 			n++ // another process claimed it between our scan and now
 			continue
@@ -268,6 +211,7 @@ func (d *diskLog) rotate() error {
 		if err != nil {
 			return fmt.Errorf("cache: claim segment: %w", err)
 		}
+		d.lastSeg = n
 		if _, err := f.Write([]byte(segMagic)); err != nil {
 			f.Close()
 			return fmt.Errorf("cache: write segment header: %w", err)
@@ -278,9 +222,8 @@ func (d *diskLog) rotate() error {
 			f.Close()
 			return fmt.Errorf("cache: sync cache dir: %w", err)
 		}
-		d.active, d.activeSeg, d.activeSize = f, n, int64(segHeaderSize)
+		d.active, d.activeSize = f, int64(segHeaderSize)
 		d.total += int64(segHeaderSize)
-		d.readers[n] = f
 		return nil
 	}
 }
@@ -293,27 +236,15 @@ func (d *diskLog) sync() error {
 	return d.active.Sync()
 }
 
+// close syncs and closes the active segment, if any.
 func (d *diskLog) close() error {
-	var first error
-	if d.active != nil {
-		if err := d.active.Sync(); err != nil {
-			first = err
-		}
-		d.active = nil
+	if d.active == nil {
+		return nil
 	}
-	if err := d.closeReaders(); err != nil && first == nil {
-		first = err
+	err := d.active.Sync()
+	if cerr := d.active.Close(); err == nil {
+		err = cerr
 	}
-	return first
-}
-
-func (d *diskLog) closeReaders() error {
-	var first error
-	for n, f := range d.readers {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(d.readers, n)
-	}
-	return first
+	d.active = nil
+	return err
 }

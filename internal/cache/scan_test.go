@@ -54,8 +54,7 @@ func checkScan(t *testing.T, dir string, body []byte) {
 	if err := os.WriteFile(segPath(dir, 1), append([]byte(segMagic), body...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A one-entry LRU: the Gets below are answered by the segment.
-	s, err := Open(Options{Dir: dir, MemEntries: 1, shards: 1})
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("Open over %d bytes after the magic: %v", len(body), err)
 	}

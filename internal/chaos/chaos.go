@@ -38,8 +38,9 @@ type Config struct {
 //
 //	seed=7,drop=0.05,delay=0.1:20ms,dup=0.05,corrupt=0.05,err500=0.05
 //
-// Every field is optional; unknown keys are an error so typos in a
-// chaos run fail loudly instead of silently testing nothing.
+// Every field is optional; unknown keys, probabilities outside [0,1]
+// (NaN included) and negative delays are errors, so typos in a chaos run
+// fail loudly instead of silently testing nothing.
 func ParseSpec(s string) (Config, error) {
 	cfg := Config{DelayBy: 10 * time.Millisecond}
 	if strings.TrimSpace(s) == "" {
@@ -67,6 +68,9 @@ func ParseSpec(s string) (Config, error) {
 			cfg.Delay, err = parseProb(k, p)
 			if err == nil && found {
 				cfg.DelayBy, err = time.ParseDuration(dur)
+				if err == nil && cfg.DelayBy < 0 {
+					err = fmt.Errorf("negative delay %v", cfg.DelayBy)
+				}
 			}
 		default:
 			return Config{}, fmt.Errorf("chaos: unknown field %q", k)
@@ -83,7 +87,7 @@ func parseProb(k, v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // written so that NaN is rejected too
 		return 0, fmt.Errorf("%s=%v outside [0,1]", k, p)
 	}
 	return p, nil

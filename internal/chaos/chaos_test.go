@@ -25,12 +25,39 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("dorp=0.1"); err == nil {
 		t.Fatal("unknown key accepted")
 	}
-	if _, err := ParseSpec("drop=1.5"); err == nil {
-		t.Fatal("probability outside [0,1] accepted")
+	for _, bad := range []string{"drop=1.5", "drop=NaN", "corrupt=nan", "dup=-0.1", "err500=+Inf", "delay=0.5:-5ms"} {
+		if cfg, err := ParseSpec(bad); err == nil {
+			t.Fatalf("%q accepted as %+v", bad, cfg)
+		}
 	}
 	if cfg, err := ParseSpec(""); err != nil || cfg.Drop != 0 {
 		t.Fatalf("empty spec: cfg=%+v err=%v", cfg, err)
 	}
+}
+
+// FuzzParseSpec: whatever the spec, an accepted Config holds every
+// probability in [0,1] and a non-negative delay — a schedule that can
+// inject what the spec asked for.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("seed=7,drop=0.05,delay=0.1:20ms,dup=0.05,corrupt=0.05,err500=0.05")
+	f.Add("drop=NaN")
+	f.Add("delay=0.5:-5ms")
+	f.Add("delay=1")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{cfg.Drop, cfg.Delay, cfg.Dup, cfg.Corrupt, cfg.Err500} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("%q parsed to %+v: a probability outside [0,1]", spec, cfg)
+			}
+		}
+		if cfg.DelayBy < 0 {
+			t.Fatalf("%q parsed to %+v: a negative delay", spec, cfg)
+		}
+	})
 }
 
 // TestScheduleDeterminism pins the core contract: the i-th decision is

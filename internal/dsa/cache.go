@@ -54,11 +54,10 @@ type ScoreVersioned interface {
 
 // ScoreCache is the memoization seam consulted by the engine layers.
 // Implementations must be safe for concurrent use; internal/cache
-// provides the real store (sharded LRU + on-disk segment log +
-// singleflight). Put is best-effort: a store may drop entries
-// (capacity, I/O trouble) — correctness never depends on a Put being
-// durable, only on Get never returning a value for a key it was not
-// given.
+// provides the real store (one in-memory map over an on-disk segment
+// log). Put is best-effort: a store may drop entries (I/O trouble) —
+// correctness never depends on a Put being durable, only on Get never
+// returning a value for a key it was not given.
 type ScoreCache interface {
 	// Get returns the cached score for k, if present.
 	Get(k CacheKey) (float64, bool)
@@ -76,13 +75,11 @@ type ScoreCache interface {
 // CacheStats is the observability surface of a score cache, shared by
 // `dsa-report cache` and the grid coordinator's /v1/cache endpoint.
 type CacheStats struct {
-	Entries    int    `json:"entries"`     // distinct keys in the persistent layer (memory entries when no disk layer)
-	MemEntries int    `json:"mem_entries"` // keys currently resident in the in-memory LRU
-	Bytes      int64  `json:"bytes"`       // on-disk bytes across segments
+	Entries    int    `json:"entries"` // distinct keys the store serves
+	Bytes      int64  `json:"bytes"`   // on-disk bytes across segments
 	Hits       uint64 `json:"hits"`
 	Misses     uint64 `json:"misses"`
 	Puts       uint64 `json:"puts"`
-	Evictions  uint64 `json:"evictions"`    // LRU evictions (disk entries are never evicted)
 	Dropped    uint64 `json:"dropped"`      // records dropped at open (torn/corrupt) or on write failure
 	Flights    uint64 `json:"flights"`      // GetOrCompute calls that actually computed
 	FlightWait uint64 `json:"flight_waits"` // GetOrCompute calls that waited on another's computation

@@ -569,7 +569,7 @@ type absorbedTask struct {
 // collectCacheHitsLocked scans j's not-yet-done tasks against the
 // cache and claims every full hit (recording=true, exactly like an
 // in-flight ingest, so no lease/upload/second scan races it). The scan
-// is memory-speed (key hashing + LRU/index lookups, no I/O) and is
+// is memory-speed (key hashing + map lookups, no I/O) and is
 // skipped entirely unless the cache gained foreign entries since this
 // job last looked (see cacheEpoch).
 func (c *Coordinator) collectCacheHitsLocked(j *gridJob) []absorbedTask {

@@ -175,8 +175,8 @@ th { background: #f0f0f0; }
 {{if .HasCache}}
 <h2>Score cache</h2>
 <table>
-<tr><th>entries</th><th>hits</th><th>misses</th><th>hit ratio</th><th>puts</th><th>evictions</th></tr>
-<tr><td>{{.Cache.Entries}}</td><td>{{.Cache.Hits}}</td><td>{{.Cache.Misses}}</td><td>{{percent $.HitRatio}}</td><td>{{.Cache.Puts}}</td><td>{{.Cache.Evictions}}</td></tr>
+<tr><th>entries</th><th>hits</th><th>misses</th><th>hit ratio</th><th>puts</th></tr>
+<tr><td>{{.Cache.Entries}}</td><td>{{.Cache.Hits}}</td><td>{{.Cache.Misses}}</td><td>{{percent $.HitRatio}}</td><td>{{.Cache.Puts}}</td></tr>
 </table>
 {{end}}
 </body>

@@ -13,9 +13,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/delivery"
+	"repro/internal/dsa"
+	"repro/internal/gossip"
+	"repro/internal/pra"
 )
 
 // sameValues is bit-exact vector equality (NaN equals NaN).
@@ -234,6 +240,51 @@ func FuzzManifestLine(f *testing.F) {
 			if !sameValues(again[b.ID()], vals) {
 				t.Fatalf("line %q decoded to %v, which re-encodes to %v", line, vals, again[b.ID()])
 			}
+		}
+	})
+}
+
+// FuzzDecodeSpec feeds the wire spec decoder arbitrary bytes: it never
+// panics, and a payload it accepts re-encodes to canonical bytes — the
+// bytes a job ID hashes. Decoding those gives back the same Spec (with
+// the chunk a zero or negative one stands for), and encoding that again
+// gives the same bytes.
+func FuzzDecodeSpec(f *testing.F) {
+	all := pra.Domain().Space().Enumerate()
+	for _, s := range []Spec{
+		{Domain: pra.Domain(), Points: all[:3], Cfg: tinyCfg(), Chunk: 2},
+		{Domain: gossip.Domain(), Points: gossip.Domain().Space().Enumerate()[:2], Cfg: dsa.Config{Peers: 8, Churn: 0.25, Seed: -3}},
+		{Domain: delivery.Domain(), Points: delivery.Domain().Space().Enumerate()[4:5], Cfg: tinyCfg(), Chunk: -1},
+	} {
+		raw, err := EncodeSpec(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"version":3,"domain":"gossip","config":{"churn":-0,"seed":1000},"chunk":0,"measures":["coverage","robustness"],"point_ids":[7,7]}`))
+	f.Add([]byte(`{"version":2,"domain":"swarming"}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s1, err := DecodeSpec(raw)
+		if err != nil {
+			return
+		}
+		canon, err := EncodeSpec(s1)
+		if err != nil {
+			t.Fatalf("accepted spec %q does not re-encode: %v", raw, err)
+		}
+		s2, err := DecodeSpec(canon)
+		if err != nil {
+			t.Fatalf("re-encoded spec %q does not decode: %v", canon, err)
+		}
+		s1.Chunk = s1.chunk()
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("spec %q decodes to %+v, its re-encoding %q to %+v", raw, s1, canon, s2)
+		}
+		again, err := EncodeSpec(s2)
+		if err != nil || !bytes.Equal(again, canon) {
+			t.Fatalf("spec %q: encoding is not canonical: %q then %q (%v)", raw, canon, again, err)
 		}
 	})
 }

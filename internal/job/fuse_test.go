@@ -299,7 +299,7 @@ func TestExecTasksOnUnitFollowsTheUnitsSinks(t *testing.T) {
 // that does add up rides along as elapsed_us.
 func TestFusedTaskSpansAreRealIntervals(t *testing.T) {
 	spec := fuseSpec(jointDomain{newPlainDomain(t)})
-	sc, err := cache.Open(cache.Options{MemEntries: 1 << 10})
+	sc, err := cache.Open(cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestRunJournalsSweepAndTasks(t *testing.T) {
 func TestTracedCacheAttribution(t *testing.T) {
 	pts := deliverySubset(t)
 	d := delivery.Domain()
-	store, err := cache.Open(cache.Options{MemEntries: 1 << 10})
+	store, err := cache.Open(cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

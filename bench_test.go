@@ -39,7 +39,7 @@ func benchProtocols() []design.Protocol {
 		design.BitTorrent(), design.Birds(), design.LoyalWhenNeeded(),
 		design.SortS(), design.MostRobustCandidate(), design.Freerider(),
 	}
-	all := design.Enumerate()
+	all := Protocols()
 	for i := 0; i < len(all); i += 300 {
 		ps = append(ps, all[i])
 	}
@@ -319,12 +319,23 @@ func tournamentBench() (ps, opponents []design.Protocol, cfg dsa.Config) {
 // floor of the PR 5 headline claim.
 func BenchmarkTournamentCold(b *testing.B) {
 	ps, opponents, cfg := tournamentBench()
+	pts, opps := pra.Points(ps), pra.Points(opponents)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pra.TournamentScores(ps, opponents, 0.5, cfg); err != nil {
+		if _, err := pra.TournamentScores(pts, opps, 0.5, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// protocolID is p's point ID in the swarming domain, the identity its
+// seeds derive from.
+func protocolID(b *testing.B, p design.Protocol) int {
+	id, err := pra.Domain().PointID(pra.ToPoint(p))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return id
 }
 
 // BenchmarkTournamentColdReference runs the identical tournament
@@ -337,14 +348,14 @@ func BenchmarkTournamentColdReference(b *testing.B) {
 	dist := bandwidth.Piatek()
 	run := func() {
 		for _, p := range ps {
-			idA := design.ID(p)
+			idA := protocolID(b, p)
 			for _, opp := range opponents {
-				idB := design.ID(opp)
+				idB := protocolID(b, opp)
 				if idA == idB {
 					continue
 				}
 				for r := 0; r < cfg.EncounterRuns; r++ {
-					specs, mask := pra.EncounterSpecs(p, opp, cfg.Peers, cfg.Peers/2, dist)
+					specs, mask := pra.EncounterSpecs(p, opp, cfg.Peers, cfg.Peers/2)
 					res, err := refsim.Run(specs, cyclesim.Options{
 						Rounds:      cfg.Rounds,
 						Seed:        dsa.TaskSeed(cfg.Seed, idA, idB, r, 500),
@@ -405,11 +416,12 @@ func BenchmarkGossipRun(b *testing.B) {
 }
 
 // BenchmarkDesignEnumerate measures enumeration of the 3270-protocol
-// space with ID round-trips.
+// space — the constraint over every candidate of a fresh pra.Space —
+// with the last point's ID round-trip.
 func BenchmarkDesignEnumerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		all := design.Enumerate()
-		if design.ID(all[len(all)-1]) != design.SpaceSize-1 {
+		all := pra.Space().Enumerate()
+		if id, err := pra.Domain().PointID(all[len(all)-1]); err != nil || id != len(all)-1 {
 			b.Fatal("enumeration broken")
 		}
 	}

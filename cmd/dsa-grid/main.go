@@ -326,9 +326,10 @@ func runWork(ctx context.Context, args []string) {
 		}
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
+	client := grid.NewClient(*authToken) // the worker's and the trace shipper's
 	workOpts := grid.WorkerOptions{
 		Name: *name, Workers: *workers, TasksPerLease: *perLease,
-		AuthToken: *authToken, Logf: log.Printf, Reconnect: *reconnect,
+		Client: client, Logf: log.Printf, Reconnect: *reconnect,
 	}
 	if *chaosSpec != "" {
 		cfg, err := chaos.ParseSpec(*chaosSpec)
@@ -390,7 +391,7 @@ func runWork(ctx context.Context, args []string) {
 	if *shipTraces {
 		shipper = grid.NewTraceShipper(*coordinator, workOpts.Trace,
 			obs.JournalPath(*traceDir, *name), grid.TraceShipperOptions{
-				Job: *jobID, AuthToken: *authToken,
+				Job: *jobID, Client: client,
 				Interval: *shipEvery, Logf: log.Printf,
 			})
 		go shipper.Run(ctx)

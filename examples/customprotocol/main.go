@@ -30,8 +30,11 @@ func main() {
 	if err := custom.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("custom protocol %s (space ID %d):\n  %s\n\n",
-		custom, design.ID(custom), custom.Describe())
+	id, err := pra.Domain().PointID(pra.ToPoint(custom))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("custom protocol %s (space ID %d):\n  %s\n\n", custom, id, custom.Describe())
 
 	lineup := []repro.Protocol{
 		custom,

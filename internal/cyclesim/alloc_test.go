@@ -92,12 +92,11 @@ func TestRoundLoopAllocFreeWithRecorder(t *testing.T) {
 }
 
 // TestPooledRunAllocs pins a whole pooled Run at the Result slices
-// only: the world (rng included) must come back from the pool without
-// reallocation.
+// only: the world (rng included) must come back from the package's pool
+// without reallocation.
 func TestPooledRunAllocs(t *testing.T) {
 	specs := allocSpecs(design.BitTorrent(), 30)
-	pool := &Pool{}
-	opt := Options{Rounds: 40, Seed: 3, Pool: pool}
+	opt := Options{Rounds: 40, Seed: 3}
 	if _, err := Run(specs, opt); err != nil { // warm the pool
 		t.Fatal(err)
 	}

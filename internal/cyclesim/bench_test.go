@@ -29,8 +29,7 @@ func BenchmarkCyclesimRound(b *testing.B) {
 // warm pool: what one tournament encounter costs the sweep engine.
 func BenchmarkCyclesimRunPooled(b *testing.B) {
 	specs := allocSpecs(design.BitTorrent(), 50)
-	pool := &Pool{}
-	opt := Options{Rounds: 500, Seed: 0, Pool: pool}
+	opt := Options{Rounds: 500, Seed: 0}
 	if _, err := Run(specs, opt); err != nil {
 		b.Fatal(err)
 	}

@@ -41,7 +41,7 @@
 // Run, so its steady state is engineered to be allocation-free and to
 // avoid O(n²) work that the seed implementation repeated every round:
 //
-//   - Worlds are pooled (see Pool). The O(n²) slabs survive across
+//   - Worlds are pooled (see worlds). The O(n²) slabs survive across
 //     runs; a run reset is O(n) because history validity is tracked
 //     with absolute round stamps rather than cleared buffers — the
 //     round counter keeps increasing across pooled runs (with a guard
@@ -103,12 +103,6 @@ type Options struct {
 	// Replacement supplies capacities for churned-in peers. If nil,
 	// the replacement inherits the departed peer's capacity.
 	Replacement *bandwidth.Distribution
-	// Pool, if non-nil, supplies and receives the run's world state so
-	// repeated runs reuse the O(n²) history slabs instead of
-	// reallocating them. Nil uses a shared package-level pool; pooling
-	// never changes results (see the package comment's byte-identity
-	// contract), only allocation behaviour.
-	Pool *Pool
 }
 
 // Result holds the outcome of one run.
@@ -332,11 +326,7 @@ func Run(peers []PeerSpec, opt Options) (Result, error) {
 			return Result{}, fmt.Errorf("cyclesim: peer %d has invalid capacity %v", i, p.Capacity)
 		}
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = &defaultPool
-	}
-	w := pool.get(peers, opt.Seed, opt.Rounds)
+	w := getWorld(peers, opt.Seed, opt.Rounds)
 	for r := 0; r < opt.Rounds; r++ {
 		w.round = w.base + int32(r)
 		w.step()
@@ -353,7 +343,7 @@ func Run(peers []PeerSpec, opt Options) (Result, error) {
 		res.Utility[i] = w.total[i] / float64(opt.Rounds)
 		res.Spent[i] = w.spent[i] / float64(opt.Rounds)
 	}
-	pool.put(w)
+	putWorld(w)
 	return res, nil
 }
 

@@ -2,6 +2,8 @@ package cyclesim
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -38,6 +40,22 @@ func mix(a, b design.Protocol, n, cut int) []PeerSpec {
 		specs[i] = PeerSpec{Protocol: proto, Capacity: caps[i]}
 	}
 	return specs
+}
+
+// anyProtocol is a quick.Generator over the whole design space: each
+// dimension drawn independently, the zero policies in canonical form.
+type anyProtocol struct{ design.Protocol }
+
+func (anyProtocol) Generate(r *rand.Rand, _ int) reflect.Value {
+	var p design.Protocol
+	if s := r.Intn(4); s > 0 {
+		p.Stranger, p.H = design.StrangerKind(s), 1+r.Intn(design.MaxStrangers)
+	}
+	if p.K = r.Intn(design.MaxPartners + 1); p.K > 0 {
+		p.Candidate, p.Ranking = design.CandidateKind(r.Intn(2)), design.RankingKind(r.Intn(6))
+	}
+	p.Allocation = design.AllocationKind(r.Intn(3))
+	return reflect.ValueOf(anyProtocol{p})
 }
 
 func meanCapacity(specs []PeerSpec) float64 {
@@ -294,16 +312,8 @@ func TestLowPartnerCountsWinUnderChurnToo(t *testing.T) {
 func TestConservationProperty(t *testing.T) {
 	// Property: population mean download never exceeds population mean
 	// upload capacity, for arbitrary protocols from the space.
-	f := func(idA, idB uint16, seed int64) bool {
-		a, err := design.ByID(int(idA) % design.SpaceSize)
-		if err != nil {
-			return false
-		}
-		b, err := design.ByID(int(idB) % design.SpaceSize)
-		if err != nil {
-			return false
-		}
-		specs := mix(a, b, 16, 8)
+	f := func(a, b anyProtocol, seed int64) bool {
+		specs := mix(a.Protocol, b.Protocol, 16, 8)
 		res, err := Run(specs, Options{Rounds: 40, Seed: seed})
 		if err != nil {
 			return false
@@ -317,12 +327,8 @@ func TestConservationProperty(t *testing.T) {
 }
 
 func TestUtilityNonNegativeProperty(t *testing.T) {
-	f := func(id uint16, seed int64) bool {
-		p, err := design.ByID(int(id) % design.SpaceSize)
-		if err != nil {
-			return false
-		}
-		res, err := Run(homogeneous(p, 12), Options{Rounds: 30, Seed: seed})
+	f := func(p anyProtocol, seed int64) bool {
+		res, err := Run(homogeneous(p.Protocol, 12), Options{Rounds: 30, Seed: seed})
 		if err != nil {
 			return false
 		}

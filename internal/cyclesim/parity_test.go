@@ -31,6 +31,7 @@ import (
 	"repro/internal/cyclesim"
 	"repro/internal/cyclesim/refsim"
 	"repro/internal/design"
+	"repro/internal/pra"
 )
 
 var update = flag.Bool("update", false, "regenerate golden fixtures from the frozen reference implementation")
@@ -39,7 +40,8 @@ const goldenPath = "testdata/golden_cyclesim.json"
 
 // goldenCase pins one simulation: the spec is reconstructed from
 // protocol IDs so fixtures survive any refactoring of the design
-// space's Go types (IDs are the stable enumeration order).
+// space's Go types (IDs are the swarming domain's point IDs, the stable
+// enumeration order).
 type goldenCase struct {
 	Name        string   `json:"name"`
 	ProtoIDs    []int    `json:"protoIds"` // one per peer
@@ -49,6 +51,27 @@ type goldenCase struct {
 	Replacement bool     `json:"replacement"` // churned-in capacities from Piatek
 	UtilityBits []uint64 `json:"utilityBits,omitempty"`
 	SpentBits   []uint64 `json:"spentBits,omitempty"`
+}
+
+// swarming is the domain whose point IDs name the fixtures' protocols.
+var swarming = pra.Domain()
+
+// protocolID is p's point ID in the swarming space.
+func protocolID(p design.Protocol) int {
+	id, err := swarming.PointID(pra.ToPoint(p))
+	if err != nil {
+		panic(err) // every protocol the cases build is in the space
+	}
+	return id
+}
+
+// protocolByID decodes a swarming point ID.
+func protocolByID(id int) (design.Protocol, error) {
+	pt, err := swarming.PointByID(id)
+	if err != nil {
+		return design.Protocol{}, err
+	}
+	return pra.FromPoint(pt)
 }
 
 // goldenCases builds the committed matrix: every ranking function and
@@ -77,7 +100,7 @@ func goldenCases() []goldenCase {
 	uniform := func(p design.Protocol, n int) []int {
 		ids := make([]int, n)
 		for i := range ids {
-			ids[i] = design.ID(p)
+			ids[i] = protocolID(p)
 		}
 		return ids
 	}
@@ -112,9 +135,9 @@ func goldenCases() []goldenCase {
 		ids := make([]int, n)
 		for i := range ids {
 			if i < nA {
-				ids[i] = design.ID(a)
+				ids[i] = protocolID(a)
 			} else {
-				ids[i] = design.ID(b)
+				ids[i] = protocolID(b)
 			}
 		}
 		return ids
@@ -157,7 +180,7 @@ func (c goldenCase) specs(t *testing.T) []cyclesim.PeerSpec {
 	caps := bandwidth.Piatek().Stratified(len(c.ProtoIDs))
 	specs := make([]cyclesim.PeerSpec, len(c.ProtoIDs))
 	for i, id := range c.ProtoIDs {
-		p, err := design.ByID(id)
+		p, err := protocolByID(id)
 		if err != nil {
 			t.Fatalf("case %s: %v", c.Name, err)
 		}
@@ -196,11 +219,11 @@ func checkBits(t *testing.T, caseName, what string, got []float64, want []uint64
 	}
 }
 
-// TestGoldenParity checks three implementations against the committed
+// TestGoldenParity checks two implementations against the committed
 // bit patterns: the frozen reference (guards against accidental edits
-// to refsim), the optimized Run, and the optimized Run on a shared
-// Pool that has already absorbed other runs (guards against state
-// leaking through reuse).
+// to refsim) and the optimized Run, whose pool has already absorbed the
+// other cases' runs by the time most cases reach it (guards against
+// state leaking through reuse).
 func TestGoldenParity(t *testing.T) {
 	cases := goldenCases()
 	if *update {
@@ -238,7 +261,6 @@ func TestGoldenParity(t *testing.T) {
 	for _, g := range golden {
 		byName[g.Name] = g
 	}
-	pool := &cyclesim.Pool{} // shared across all cases, absorbing size changes
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
@@ -261,22 +283,14 @@ func TestGoldenParity(t *testing.T) {
 			}
 			checkBits(t, c.Name, "utility", got.Utility, g.UtilityBits)
 			checkBits(t, c.Name, "spent", got.Spent, g.SpentBits)
-
-			opt := c.options()
-			opt.Pool = pool
-			pooled, err := cyclesim.Run(specs, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkBits(t, c.Name, "pooled utility", pooled.Utility, g.UtilityBits)
-			checkBits(t, c.Name, "pooled spent", pooled.Spent, g.SpentBits)
 		})
 	}
 }
 
 // TestRandomizedRefsimParity fuzzes the whole design space against the
 // reference: random protocol pairs, population sizes, churn rates
-// (including the 1.0 edge), round counts and pool sharing. Everything
+// (including the 1.0 edge) and round counts, every run on the shared
+// pool. Everything
 // must match bit for bit. One trial in five is wider than 64 peers, so
 // every bitmask row spans several words (candidate scan, commit's mask
 // write, churn's row/column wipe, the serving mask); one in four gives
@@ -285,7 +299,6 @@ func TestGoldenParity(t *testing.T) {
 // not mark the peer as served).
 func TestRandomizedRefsimParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	pool := &cyclesim.Pool{}
 	trials := 250
 	if testing.Short() {
 		trials = 40
@@ -295,11 +308,11 @@ func TestRandomizedRefsimParity(t *testing.T) {
 		if trial%5 == 4 {
 			n = 65 + rng.Intn(136)
 		}
-		a, err := design.ByID(rng.Intn(design.SpaceSize))
+		a, err := protocolByID(rng.Intn(swarming.Space().Size()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := design.ByID(rng.Intn(design.SpaceSize))
+		b, err := protocolByID(rng.Intn(swarming.Space().Size()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,37 +335,30 @@ func TestRandomizedRefsimParity(t *testing.T) {
 			dist = bandwidth.Piatek()
 		}
 		opt := cyclesim.Options{Rounds: 1 + rng.Intn(80), Seed: rng.Int63(), Churn: churn, Replacement: dist}
-		runPool := pool // alternate the shared default pool and an explicit one
-		if rng.Intn(2) != 0 {
-			runPool = nil
-		}
-		if err := matchesRefsim(specs, opt, runPool); err != nil {
-			t.Fatalf("trial %d (n=%d rounds=%d churn=%v zeroCaps=%v a=%d b=%d): %v",
-				trial, n, opt.Rounds, churn, zeroCaps, design.ID(a), design.ID(b), err)
+		if err := matchesRefsim(specs, opt); err != nil {
+			t.Fatalf("trial %d (n=%d rounds=%d churn=%v zeroCaps=%v a=%v b=%v): %v",
+				trial, n, opt.Rounds, churn, zeroCaps, a, b, err)
 		}
 	}
 }
 
 // matchesRefsim runs specs through the frozen reference and through the
-// optimized Run on each of pools (nil = the shared default pool) and
-// reports the first peer whose Utility or Spent bits differ.
-func matchesRefsim(specs []cyclesim.PeerSpec, opt cyclesim.Options, pools ...*cyclesim.Pool) error {
+// optimized Run and reports the first peer whose Utility or Spent bits
+// differ.
+func matchesRefsim(specs []cyclesim.PeerSpec, opt cyclesim.Options) error {
 	ref, err := refsim.Run(specs, opt)
 	if err != nil {
 		return err
 	}
-	for _, pool := range pools {
-		opt.Pool = pool
-		got, err := cyclesim.Run(specs, opt)
-		if err != nil {
-			return err
-		}
-		for i := range ref.Utility {
-			if math.Float64bits(ref.Utility[i]) != math.Float64bits(got.Utility[i]) ||
-				math.Float64bits(ref.Spent[i]) != math.Float64bits(got.Spent[i]) {
-				return fmt.Errorf("peer %d diverged (explicit pool: %v): utility %v vs %v, spent %v vs %v",
-					i, pool != nil, got.Utility[i], ref.Utility[i], got.Spent[i], ref.Spent[i])
-			}
+	got, err := cyclesim.Run(specs, opt)
+	if err != nil {
+		return err
+	}
+	for i := range ref.Utility {
+		if math.Float64bits(ref.Utility[i]) != math.Float64bits(got.Utility[i]) ||
+			math.Float64bits(ref.Spent[i]) != math.Float64bits(got.Spent[i]) {
+			return fmt.Errorf("peer %d diverged: utility %v vs %v, spent %v vs %v",
+				i, got.Utility[i], ref.Utility[i], got.Spent[i], ref.Spent[i])
 		}
 	}
 	return nil
@@ -364,8 +370,8 @@ var fuzzChurns = []float64{0, 0.01, 0.1, 0.5, 1}
 // FuzzRunMatchesRefsim lets the fuzzer pick the population — two
 // protocol IDs, size, camp split, round count, churn, which peers have
 // zero capacity, seed — and requires bit-equal Results from refsim and
-// from Run, on the default pool and on an explicit pool shared by every
-// input of the process. The corpus is seeded with the golden matrix.
+// from Run, whose pool every input of the process shares. The corpus is
+// seeded with the golden matrix.
 func FuzzRunMatchesRefsim(f *testing.F) {
 	for _, c := range goldenCases() {
 		n := len(c.ProtoIDs)
@@ -381,13 +387,13 @@ func FuzzRunMatchesRefsim(f *testing.F) {
 		}
 		f.Add(uint16(c.ProtoIDs[0]), uint16(c.ProtoIDs[n-1]), uint8(n-2), uint8(nA), uint8(c.Rounds-1), uint8(churnSel), uint8(0), c.Seed)
 	}
-	pool := &cyclesim.Pool{}
+	spaceSize := swarming.Space().Size()
 	f.Fuzz(func(t *testing.T, idA, idB uint16, size, split, rounds, churnSel, zeroEvery uint8, seed int64) {
-		a, err := design.ByID(int(idA) % design.SpaceSize)
+		a, err := protocolByID(int(idA) % spaceSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := design.ByID(int(idB) % design.SpaceSize)
+		b, err := protocolByID(int(idB) % spaceSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +414,7 @@ func FuzzRunMatchesRefsim(f *testing.F) {
 		if int(churnSel)/len(fuzzChurns)%2 == 0 {
 			opt.Replacement = bandwidth.Piatek()
 		}
-		if err := matchesRefsim(specs, opt, nil, pool); err != nil {
+		if err := matchesRefsim(specs, opt); err != nil {
 			t.Fatalf("a=%v b=%v n=%d split=%d rounds=%d churn=%v zeroEvery=%d seed=%d: %v",
 				a, b, n, split, opt.Rounds, opt.Churn, zeroEvery, seed, err)
 		}

@@ -2,34 +2,23 @@ package cyclesim
 
 import "sync"
 
-// Pool recycles world state across runs so a sweep's steady state
+// worlds recycles world state across runs so a sweep's steady state
 // allocates nothing per simulation: the O(n²) history slabs of a
 // finished run are handed to the next run of the same population size
 // and revalidated in O(n) (see world.reset — stamp monotonicity does
-// the rest). Results are byte-identical with or without pooling, and
-// regardless of which runs shared a world; the golden-parity suite
-// pins this.
-//
-// A Pool is safe for concurrent use by multiple goroutines (the PRA
-// tournament workers all draw from one). The zero value is ready to
-// use. Run falls back to a shared package-level Pool when
-// Options.Pool is nil, so every caller — pra sweeps, job.ExecTasks
-// workers, the grid — pools by default; pass an explicit Pool to
-// isolate a workload's worlds (ownership rules in DESIGN.md).
-type Pool struct {
-	p sync.Pool
-}
+// the rest). Every Run draws from this one pool — pra sweeps,
+// job.ExecTasks workers, the grid — concurrently. Results are
+// byte-identical regardless of which runs shared a world; the
+// golden-parity suite pins this.
+var worlds sync.Pool
 
-// defaultPool serves Run calls with no explicit pool.
-var defaultPool Pool
-
-// get returns a world ready to simulate peers from seed: a pooled one
-// of the right size when available (reset in O(n)), a fresh one
+// getWorld returns a world ready to simulate peers from seed: a pooled
+// one of the right size when available (reset in O(n)), a fresh one
 // otherwise. Worlds whose absolute round counter would pass maxRound
 // within this run are retired — the replacement starts a fresh stamp
 // epoch.
-func (pl *Pool) get(peers []PeerSpec, seed int64, rounds int) *world {
-	if w, _ := pl.p.Get().(*world); w != nil {
+func getWorld(peers []PeerSpec, seed int64, rounds int) *world {
+	if w, _ := worlds.Get().(*world); w != nil {
 		if w.n == len(peers) && w.round+runGap+int32(rounds) < maxRound {
 			w.reset(peers, seed)
 			return w
@@ -39,9 +28,9 @@ func (pl *Pool) get(peers []PeerSpec, seed int64, rounds int) *world {
 	return newWorld(peers, seed)
 }
 
-// put returns a world to the pool once its run has been read out. The
-// caller's spec slice is released so pooling cannot pin it.
-func (pl *Pool) put(w *world) {
+// putWorld returns a world to the pool once its run has been read out.
+// The caller's spec slice is released so pooling cannot pin it.
+func putWorld(w *world) {
 	w.specs = nil
-	pl.p.Put(w)
+	worlds.Put(w)
 }

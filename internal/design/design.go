@@ -14,9 +14,11 @@
 //   - Resource Allocation: R1 Equal Split / R2 Prop Share / R3 Freeride
 //     → 3 allocation policies.
 //
-// 10 × 109 × 3 = 3270 unique protocols, each addressable by a stable
-// integer ID (its position in enumeration order) and a compact string
-// form such as "B2h2-C1-I5k7-R1".
+// 10 × 109 × 3 = 3270 unique protocols, each with a compact string form
+// such as "B2h2-C1-I5k7-R1". This package types a protocol and its
+// canonical form (Validate); the space's enumeration and each protocol's
+// stable integer ID (its position in that enumeration) belong to the
+// swarming domain, package pra, like every domain's.
 package design
 
 import (

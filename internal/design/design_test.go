@@ -1,75 +1,9 @@
 package design
 
 import (
+	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSpaceSizeMatchesPaper(t *testing.T) {
-	// Section 4.2: "the total number of unique protocols comes to
-	// 10 × 109 × 3 = 3270".
-	if NumStrangerPolicies != 10 {
-		t.Errorf("stranger policies = %d, want 10", NumStrangerPolicies)
-	}
-	if NumSelectionPolicies != 109 {
-		t.Errorf("selection policies = %d, want 109", NumSelectionPolicies)
-	}
-	if SpaceSize != 3270 {
-		t.Errorf("space size = %d, want 3270", SpaceSize)
-	}
-}
-
-func TestEnumerateAllValidAndUnique(t *testing.T) {
-	all := Enumerate()
-	if len(all) != SpaceSize {
-		t.Fatalf("enumerated %d, want %d", len(all), SpaceSize)
-	}
-	seen := make(map[string]bool, SpaceSize)
-	for i, p := range all {
-		if err := p.Validate(); err != nil {
-			t.Fatalf("protocol %d invalid: %v", i, err)
-		}
-		s := p.String()
-		if seen[s] {
-			t.Fatalf("duplicate protocol %s at %d", s, i)
-		}
-		seen[s] = true
-	}
-}
-
-func TestIDRoundTrip(t *testing.T) {
-	for id := 0; id < SpaceSize; id++ {
-		p, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ID(p); got != id {
-			t.Fatalf("ID(ByID(%d)) = %d", id, got)
-		}
-	}
-}
-
-func TestByIDOutOfRange(t *testing.T) {
-	if _, err := ByID(-1); err == nil {
-		t.Error("negative ID should error")
-	}
-	if _, err := ByID(SpaceSize); err == nil {
-		t.Error("ID == SpaceSize should error")
-	}
-}
-
-func TestStringParseRoundTrip(t *testing.T) {
-	for id := 0; id < SpaceSize; id++ {
-		p, _ := ByID(id)
-		back, err := Parse(p.String())
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", p.String(), err)
-		}
-		if back != p {
-			t.Fatalf("round trip %q → %+v ≠ %+v", p.String(), back, p)
-		}
-	}
-}
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
@@ -111,22 +45,6 @@ func TestValidateCanonicalZeroPolicies(t *testing.T) {
 	bad3 := Protocol{Stranger: Periodic, H: 0, Candidate: TFT, Ranking: Fastest, K: 1}
 	if err := bad3.Validate(); err == nil {
 		t.Error("Periodic with h=0 should be rejected")
-	}
-}
-
-func TestNamedProtocolsAreInSpace(t *testing.T) {
-	for name, p := range Named() {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s invalid: %v", name, err)
-		}
-		id := ID(p)
-		if id < 0 || id >= SpaceSize {
-			t.Errorf("%s ID %d out of range", name, id)
-		}
-		back, _ := ByID(id)
-		if back != p {
-			t.Errorf("%s does not round-trip through ID", name)
-		}
 	}
 }
 
@@ -176,50 +94,9 @@ func TestStringFormat(t *testing.T) {
 func TestDescribeMentionsAllDimensions(t *testing.T) {
 	d := BitTorrent().Describe()
 	for _, want := range []string{"Periodic", "TFT", "Fastest", "EqualSplit"} {
-		if !contains(d, want) {
+		if !strings.Contains(d, want) {
 			t.Errorf("Describe() = %q missing %q", d, want)
 		}
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
-		func() bool {
-			for i := 0; i+len(sub) <= len(s); i++ {
-				if s[i:i+len(sub)] == sub {
-					return true
-				}
-			}
-			return false
-		}())
-}
-
-func TestIDBijectionProperty(t *testing.T) {
-	// Property: random valid protocols round-trip ID ↔ Protocol.
-	f := func(str, h, cand, rank, k, alloc uint8) bool {
-		var p Protocol
-		p.Stranger = StrangerKind(int(str) % 4)
-		if p.Stranger == StrangerNone {
-			p.H = 0
-		} else {
-			p.H = int(h)%MaxStrangers + 1
-		}
-		p.K = int(k) % (MaxPartners + 1)
-		if p.K == 0 {
-			p.Candidate, p.Ranking = TFT, Fastest
-		} else {
-			p.Candidate = CandidateKind(int(cand) % 2)
-			p.Ranking = RankingKind(int(rank) % 6)
-		}
-		p.Allocation = AllocationKind(int(alloc) % 3)
-		if p.Validate() != nil {
-			return false // generator must always build valid protocols
-		}
-		back, err := ByID(ID(p))
-		return err == nil && back == p
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

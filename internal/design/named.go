@@ -1,87 +1,5 @@
 package design
 
-import "fmt"
-
-// Space counts of the actualized design space (Section 4.2).
-const (
-	NumStrangerPolicies  = 1 + 3*MaxStrangers                                          // 10
-	NumSelectionPolicies = 1 + 2*6*MaxPartners                                         // 109
-	NumAllocations       = 3                                                           // R1-R3
-	SpaceSize            = NumStrangerPolicies * NumSelectionPolicies * NumAllocations // 3270
-)
-
-// strangerPolicyIndex returns the index of p's stranger policy in
-// [0, NumStrangerPolicies): 0 for none, then (B1,h1..h3), (B2,...), (B3,...).
-func strangerPolicyIndex(p Protocol) int {
-	if p.Stranger == StrangerNone {
-		return 0
-	}
-	kind := int(p.Stranger) - int(Periodic) // 0..2
-	return 1 + kind*MaxStrangers + (p.H - 1)
-}
-
-// selectionPolicyIndex returns the index of p's selection policy in
-// [0, NumSelectionPolicies): 0 for k=0, then C×I×k in row-major
-// (candidate, ranking, k) order.
-func selectionPolicyIndex(p Protocol) int {
-	if p.K == 0 {
-		return 0
-	}
-	c := int(p.Candidate) // 0..1
-	r := int(p.Ranking)   // 0..5
-	return 1 + (c*6+r)*MaxPartners + (p.K - 1)
-}
-
-// ID returns p's stable position in enumeration order, in [0, SpaceSize).
-// The inverse is ByID.
-func ID(p Protocol) int {
-	return (strangerPolicyIndex(p)*NumSelectionPolicies+selectionPolicyIndex(p))*NumAllocations + int(p.Allocation)
-}
-
-// ByID returns the protocol with the given enumeration ID.
-func ByID(id int) (Protocol, error) {
-	if id < 0 || id >= SpaceSize {
-		return Protocol{}, fmt.Errorf("design: ID %d out of range [0,%d)", id, SpaceSize)
-	}
-	alloc := id % NumAllocations
-	rest := id / NumAllocations
-	sel := rest % NumSelectionPolicies
-	str := rest / NumSelectionPolicies
-
-	var p Protocol
-	p.Allocation = AllocationKind(alloc)
-	if str == 0 {
-		p.Stranger, p.H = StrangerNone, 0
-	} else {
-		str--
-		p.Stranger = Periodic + StrangerKind(str/MaxStrangers)
-		p.H = str%MaxStrangers + 1
-	}
-	if sel == 0 {
-		p.Candidate, p.Ranking, p.K = TFT, Fastest, 0
-	} else {
-		sel--
-		p.K = sel%MaxPartners + 1
-		cr := sel / MaxPartners
-		p.Candidate = CandidateKind(cr / 6)
-		p.Ranking = RankingKind(cr % 6)
-	}
-	return p, nil
-}
-
-// Enumerate returns all SpaceSize protocols in ID order.
-func Enumerate() []Protocol {
-	out := make([]Protocol, SpaceSize)
-	for id := range out {
-		p, err := ByID(id)
-		if err != nil {
-			panic("design: enumeration broken: " + err.Error())
-		}
-		out[id] = p
-	}
-	return out
-}
-
 // Named protocols referenced throughout the paper. The exact
 // non-headline dimensions (h, k) follow BitTorrent's defaults where the
 // paper does not pin them: one optimistic unchoke slot and four regular

@@ -58,31 +58,20 @@ type Base struct {
 	quick, paper Config
 	measures     []Measure
 
-	id   func(core.Point) (int, error)
-	byID func(int) (core.Point, error)
-
 	indexOnce sync.Once
 	index     map[string]int // point key → enumeration index
 }
 
 // NewBase declares a domain. measures are in canonical order (see
 // Domain.Measures); quick and paper are the two DefaultConfig presets.
-// A point's ID is its position in space.Enumerate() unless WithIDs says
-// otherwise, so the space's dimensions, values and constraint must never
-// change under a registered name.
+// A point's ID is its position in space.Enumerate() in every domain, so
+// the space's dimensions, values and constraint must never change under
+// a registered name.
 func NewBase(name string, space *core.Space, quick, paper Config, measures ...Measure) *Base {
 	if len(measures) == 0 {
 		panic("dsa: domain " + name + " declares no measures")
 	}
 	return &Base{name: name, space: space, quick: quick, paper: paper, measures: measures}
-}
-
-// WithIDs replaces the enumeration-index codec with the domain's own —
-// for a domain whose points already have persisted IDs (swarming's
-// design.ID). The two functions must be inverses over the space.
-func (b *Base) WithIDs(id func(core.Point) (int, error), byID func(int) (core.Point, error)) *Base {
-	b.id, b.byID = id, byID
-	return b
 }
 
 func (b *Base) Name() string       { return b.name }
@@ -107,9 +96,6 @@ func (b *Base) DefaultConfig(preset string) (Config, error) {
 }
 
 func (b *Base) PointID(p core.Point) (int, error) {
-	if b.id != nil {
-		return b.id(p)
-	}
 	b.indexOnce.Do(func() {
 		pts := b.space.Enumerate()
 		b.index = make(map[string]int, len(pts))
@@ -126,9 +112,6 @@ func (b *Base) PointID(p core.Point) (int, error) {
 }
 
 func (b *Base) PointByID(id int) (core.Point, error) {
-	if b.byID != nil {
-		return b.byID(id)
-	}
 	pts := b.space.Enumerate()
 	if id < 0 || id >= len(pts) {
 		return nil, fmt.Errorf("%s: point ID %d out of range [0,%d)", b.name, id, len(pts))

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"repro/internal/analytic"
+	"repro/internal/core"
 	"repro/internal/design"
 	"repro/internal/dsa"
 	"repro/internal/job"
@@ -59,10 +60,11 @@ func Sweep(protos []design.Protocol, cfg dsa.Config) (*SweepResult, error) {
 // file-swarming domain. If other shards still own outstanding tasks it
 // returns job.ErrIncomplete.
 func SweepJob(ctx context.Context, protos []design.Protocol, cfg dsa.Config, opts job.Options) (*SweepResult, error) {
-	if protos == nil {
-		protos = design.Enumerate()
+	var pts []core.Point // nil: job.Run sweeps the whole space
+	if protos != nil {
+		pts = pra.Points(protos)
 	}
-	s, err := job.Run(ctx, pra.Domain(), pra.Points(protos), cfg, opts)
+	s, err := job.Run(ctx, pra.Domain(), pts, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -214,8 +216,7 @@ func dummy(b bool) float64 {
 // both robustness vectors and their Pearson correlation — the paper's
 // §4.3.2 validation (r = 0.97).
 func (r *SweepResult) Validate9010(cfg dsa.Config) (rob5050, rob9010 []float64, pearson float64, err error) {
-	opponents := pra.SampleOpponents(cfg)
-	rob9010, err = pra.TournamentScores(r.Protocols, opponents, 0.9, cfg)
+	rob9010, err = pra.TournamentScores(r.Scores.Points, pra.Domain().SampleOpponents(cfg), 0.9, cfg)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -238,13 +239,17 @@ type ChurnPoint struct {
 // per partner count. The paper's claim: low-k protocols stay on top.
 func ChurnSweep(protos []design.Protocol, rates []float64, cfg dsa.Config) ([]ChurnPoint, error) {
 	if protos == nil {
-		protos = design.Enumerate()
+		var err error
+		if protos, err = pra.Protocols(pra.Domain().Space().Enumerate()); err != nil {
+			return nil, err
+		}
 	}
+	pts := pra.Points(protos)
 	out := make([]ChurnPoint, 0, len(rates))
 	for _, rate := range rates {
 		c := cfg
 		c.Churn = rate
-		raw, err := pra.PerformanceSweep(protos, c)
+		raw, err := pra.PerformanceSweep(pts, c)
 		if err != nil {
 			return nil, err
 		}

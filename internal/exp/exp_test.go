@@ -9,6 +9,7 @@ import (
 	"repro/internal/design"
 	"repro/internal/dsa"
 	"repro/internal/job"
+	"repro/internal/pra"
 	"repro/internal/swarm"
 )
 
@@ -24,7 +25,10 @@ func subset(stride int) []design.Protocol {
 	for _, p := range design.Named() {
 		ps = append(ps, p)
 	}
-	all := design.Enumerate()
+	all, err := pra.Protocols(pra.Domain().Space().Enumerate())
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < len(all); i += stride {
 		ps = append(ps, all[i])
 	}

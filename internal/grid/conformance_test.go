@@ -172,7 +172,7 @@ func TestHTTPConformance(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			errs[w] = Work(ctx, srv.URL, id, WorkerOptions{
-				Workers: 2, TasksPerLease: 2, Poll: 20 * time.Millisecond, AuthToken: conformanceToken,
+				Workers: 2, TasksPerLease: 2, Poll: 20 * time.Millisecond, Client: NewClient(conformanceToken),
 			})
 		}()
 	}
@@ -445,7 +445,7 @@ func TestGridMultiJobFaultInjection(t *testing.T) {
 	for w := range errs {
 		opts := WorkerOptions{
 			Name: fmt.Sprintf("fleet-%d", w), Workers: 2, TasksPerLease: 2,
-			Poll: 20 * time.Millisecond, AuthToken: token,
+			Poll: 20 * time.Millisecond, Client: NewClient(token),
 		}
 		if w == 2 {
 			// The doomed worker: leases 3 tasks, uploads one, then goes

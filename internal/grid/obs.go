@@ -208,16 +208,17 @@ func b2f(b bool) float64 {
 // beyond its first. The collector hands over every byte range it appends
 // and, once, what a journal it reopens already holds, so each collected
 // span counts once per coordinator process and a departed worker's
-// series stay.
+// series stay. The counts and durations come from the worker, so a
+// negative one counts as 0: no span can drive a series backwards.
 func (m *gridMetrics) observeSpans(lines io.Reader) {
 	recs, _ := obs.LoadReader(lines) // a range obs cannot read adds nothing
 	for _, r := range recs {
 		switch r.Name {
 		case "task":
-			measure, secs := r.AttrStr("measure"), float64(r.AttrInt("elapsed_us"))/1e6
+			measure, secs := r.AttrStr("measure"), float64(max(r.AttrInt("elapsed_us"), 0))/1e6
 			m.workerTasks.With(r.Writer).Inc()
-			m.workerPoints.With(r.Writer, "simulated").Add(float64(r.AttrInt("simulated")))
-			m.workerPoints.With(r.Writer, "cache_served").Add(float64(r.AttrInt("cache_hits")))
+			m.workerPoints.With(r.Writer, "simulated").Add(float64(max(r.AttrInt("simulated"), 0)))
+			m.workerPoints.With(r.Writer, "cache_served").Add(float64(max(r.AttrInt("cache_hits"), 0)))
 			m.workerTaskSeconds.With(r.Writer, measure).Observe(secs)
 			m.fleetTaskSeconds.With(measure).Observe(secs)
 		case "upload":

@@ -27,11 +27,10 @@ type TraceShipperOptions struct {
 	// under the shared fleet scope (multi-job workers trace every job
 	// into one journal).
 	Job string
-	// Client is the HTTP client; nil = NewClient(AuthToken).
+	// Client is the HTTP client; nil = NewClient(""). Against a
+	// coordinator with CoordinatorOptions.AuthToken set, pass
+	// NewClient(token).
 	Client *http.Client
-	// AuthToken is the coordinator's shared secret; ignored when
-	// Client is provided.
-	AuthToken string
 	// Interval is the Run cadence; 0 = DefaultShipInterval.
 	Interval time.Duration
 	// Logf, if non-nil, receives ship errors from Run.
@@ -63,7 +62,7 @@ type TraceShipper struct {
 func NewTraceShipper(baseURL string, rec *obs.Recorder, path string, opts TraceShipperOptions) *TraceShipper {
 	client := opts.Client
 	if client == nil {
-		client = NewClient(opts.AuthToken)
+		client = NewClient("")
 	}
 	return &TraceShipper{
 		baseURL: baseURL,

@@ -347,6 +347,37 @@ func TestTraceShippingEndToEnd(t *testing.T) {
 	}
 }
 
+// TestShippedSpansCannotLowerSeries: the counts and durations of a
+// collected task span are the worker's word, so a negative one counts as
+// 0. Unclamped, the second span of this chunk took grid_worker_points
+// below the first span's counts and recorded negative task seconds.
+func TestShippedSpansCannotLowerSeries(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{})
+	defer coord.Close()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	chunk := `{"w":"liar","id":1,"name":"task","start_us":0,"dur_us":7,"attrs":{"measure":"performance","simulated":5,"cache_hits":3,"elapsed_us":2000}}` + "\n" +
+		`{"w":"liar","id":2,"name":"task","start_us":10,"dur_us":7,"attrs":{"measure":"performance","simulated":-50,"cache_hits":-30,"elapsed_us":-9000000}}` + "\n"
+	var ack TraceAck
+	if _, err := call(context.Background(), nil, http.MethodPost, routeURL(srv.URL, pathTrace, ""),
+		TraceUpload{Writer: "liar", Data: []byte(chunk)}, &ack); err != nil {
+		t.Fatal(err)
+	}
+	text := scrape(t, srv.URL)
+	for prefix, want := range map[string]float64{
+		`grid_worker_tasks{worker="liar"}`:                                  2,
+		`grid_worker_points{worker="liar",kind="simulated"}`:                5,
+		`grid_worker_points{worker="liar",kind="cache_served"}`:             3,
+		`grid_worker_task_seconds_sum{worker="liar",measure="performance"}`: 0.002,
+		`grid_fleet_task_seconds_sum{measure="performance"}`:                0.002,
+	} {
+		if got := sumSamples(text, prefix); got != want {
+			t.Errorf("%s = %v, want %v:\n%s", prefix, got, want, grepLines(text, "liar"))
+		}
+	}
+}
+
 // TestTraceUploadUnknownJob pins the scope validation: shipping into a
 // job the coordinator does not know is a 404, not a silent new scope.
 func TestTraceUploadUnknownJob(t *testing.T) {
@@ -403,6 +434,69 @@ func TestFetchTraceStreamsWholeJournal(t *testing.T) {
 	}
 	if last := recs[lines-1].ID; last != lines {
 		t.Fatalf("fetched timeline ends at span %d, want %d", last, lines)
+	}
+}
+
+// deadlineProbe is a transport that records whether requests to host
+// carry a deadline, then sends them on.
+type deadlineProbe struct {
+	host string
+	base http.RoundTripper
+
+	mu                  sync.Mutex
+	requests, deadlined int
+}
+
+func (p *deadlineProbe) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host == p.host {
+		_, ok := req.Context().Deadline()
+		p.mu.Lock()
+		p.requests++
+		if ok {
+			p.deadlined++
+		}
+		p.mu.Unlock()
+	}
+	return p.base.RoundTrip(req)
+}
+
+// TestFetchTraceStreamHasNoDeadline pins FetchTrace's promise to stream
+// "as long as the coordinator sends it": with a nil client its request
+// carries no deadline the caller did not set. Streaming through
+// defaultClient put one DefaultHTTPTimeout out (its Timeout covers the
+// body too), so `dsa-report trace URL -merged` died after 60 s of body.
+// The caller's ctx still ends the stream.
+func TestFetchTraceStreamHasNoDeadline(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "{}\n")
+		w.(http.Flusher).Flush()
+		<-r.Context().Done() // a journal still being sent
+	}))
+	defer srv.Close()
+	probe := &deadlineProbe{host: srv.Listener.Addr().String(), base: http.DefaultTransport}
+	http.DefaultTransport = probe // what a client without a Transport sends through
+	defer func() { http.DefaultTransport = probe.base }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	body, err := FetchTrace(ctx, nil, srv.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Close()
+	probe.mu.Lock()
+	requests, deadlined := probe.requests, probe.deadlined
+	probe.mu.Unlock()
+	if requests != 1 || deadlined != 0 {
+		t.Fatalf("%d requests, %d with a deadline; want 1 request without one", requests, deadlined)
+	}
+	first := make([]byte, 3)
+	if _, err := io.ReadFull(body, first); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := io.ReadAll(body); err == nil {
+		t.Fatal("the stream outlived its context")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/linelog"
 	"repro/internal/obs"
@@ -402,23 +403,43 @@ func FetchTraceDigest(ctx context.Context, client *http.Client, baseURL, jobID s
 // long as the coordinator sends it: a collected fleet journal has no
 // size the client could cap without cutting the timeline. jobID ""
 // merges every collected journal. The caller closes the stream.
+//
+// With a nil client, DefaultHTTPTimeout bounds connecting and the
+// response headers only (a client Timeout would also cover reading the
+// body); the body streams until it ends or ctx is cancelled.
 func FetchTrace(ctx context.Context, client *http.Client, baseURL, jobID string) (io.ReadCloser, error) {
+	ctx, cancel := context.WithCancel(ctx)
 	if client == nil {
-		client = defaultClient()
+		client = &http.Client{}
+		defer time.AfterFunc(DefaultHTTPTimeout, cancel).Stop()
 	}
 	u := traceURL(baseURL, jobID, false)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
+	var resp *http.Response
+	if err == nil {
+		resp, err = client.Do(req)
 	}
-	resp, err := client.Do(req)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
+		defer cancel()
 		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10)) // an error body is a line of JSON
 		return nil, fmt.Errorf("grid: GET %s: %s: %s", u, resp.Status, bytes.TrimSpace(msg))
 	}
-	return resp.Body, nil
+	return stream{resp.Body, cancel}, nil
+}
+
+// stream is a response body that releases its request's context when
+// closed.
+type stream struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (s stream) Close() error {
+	defer s.cancel()
+	return s.ReadCloser.Close()
 }

@@ -32,16 +32,12 @@ type WorkerOptions struct {
 	// Poll is the idle wait when no task is available but the job is
 	// not complete (everything is leased to other workers). 0 = 500ms.
 	Poll time.Duration
-	// Client is the HTTP client; nil = a client with
-	// DefaultHTTPTimeout, so a hung coordinator can never wedge the
-	// worker forever (requests are also retried with backoff — see
-	// call).
+	// Client is the HTTP client; nil = NewClient(""), a client with
+	// DefaultHTTPTimeout and no token, so a hung coordinator can never
+	// wedge the worker forever (requests are also retried with backoff —
+	// see call). Against a coordinator with CoordinatorOptions.AuthToken
+	// set, pass NewClient(token).
 	Client *http.Client
-	// AuthToken is the coordinator's shared secret (see
-	// CoordinatorOptions.AuthToken); sent as a bearer token on every
-	// request. Ignored when Client is provided — wrap your own client
-	// with AuthTransport instead.
-	AuthToken string
 	// Cache, if non-nil, memoises raw scores on the worker side:
 	// leased tasks consult it before simulating and record what they
 	// computed (job.ExecOptions.Cache). A worker pointed at a warm
@@ -96,7 +92,7 @@ func (o WorkerOptions) client() *http.Client {
 	if o.Client != nil {
 		return o.Client
 	}
-	return NewClient(o.AuthToken)
+	return NewClient("")
 }
 
 // Work runs a worker loop against the coordinator at baseURL: lease →

@@ -51,12 +51,18 @@ type HillClimbConfig struct {
 
 // EvolveConfig tunes the evolutionary explorer.
 type EvolveConfig struct {
-	Population  int     // individuals per generation (>=2)
-	Generations int     // generations to run (>=1)
-	MutationP   float64 // per-dimension mutation probability (default 0.2 if 0)
-	Elite       int     // individuals carried over unchanged (default 1 if 0)
+	Population  int // individuals per generation (>=2)
+	Generations int // generations to run (>=1)
 	Seed        int64
 }
+
+// Evolve breeds each generation with the same two constants: the
+// per-dimension mutation probability and how many of the best
+// individuals carry over unchanged.
+const (
+	mutationP = 0.2
+	elite     = 1
+)
 
 // search is the state the two explorers share: the weighted measures,
 // the memo of blended scores (one entry per objective call, so a point
@@ -230,12 +236,6 @@ func Evolve(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, ecfg E
 	if ecfg.Population < 2 || ecfg.Generations < 1 {
 		return Evaluation{}, 0, errors.New("job: Evolve needs Population >= 2 and Generations >= 1")
 	}
-	if ecfg.MutationP <= 0 {
-		ecfg.MutationP = 0.2
-	}
-	if ecfg.Elite <= 0 {
-		ecfg.Elite = 1
-	}
 	s, err := newSearch(d, w, cfg, ecfg.Seed, c, rec, "evolve")
 	if err != nil {
 		return Evaluation{}, 0, err
@@ -265,7 +265,7 @@ func Evolve(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, ecfg E
 	for g := 0; g < ecfg.Generations; g++ {
 		before := len(s.memo)
 		points = points[:0]
-		for _, e := range pop[:ecfg.Elite] {
+		for _, e := range pop[:elite] {
 			points = append(points, e.Point)
 		}
 		for len(points) < ecfg.Population {
@@ -277,7 +277,7 @@ func Evolve(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, ecfg E
 				} else {
 					child[dim] = pa[dim]
 				}
-				if rng.Float64() < ecfg.MutationP {
+				if rng.Float64() < mutationP {
 					child[dim] = rng.Intn(len(space.Dimensions[dim].Values))
 				}
 			}

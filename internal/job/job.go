@@ -378,8 +378,8 @@ type TaskStats struct {
 // How a batch happens to be cut into runs changes speed only.
 //
 // Simulator state is pooled underneath this seam: the swarming
-// domain's ScoreSlice runs cyclesim with its shared world pool
-// (internal/cyclesim.Pool), so the workers here reuse O(n²) simulation
+// domain's ScoreSlice runs cyclesim, whose every Run draws on one
+// shared world pool, so the workers here reuse O(n²) simulation
 // slabs across tasks instead of reallocating them per run. That reuse
 // is invisible by contract — the simulators' golden-parity suites pin
 // pooled and fresh runs to bit-equal results — which is also what

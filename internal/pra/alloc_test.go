@@ -15,8 +15,8 @@ import (
 // population is built once, not once per run: every extra run of every
 // game costs exactly the two Result slices cyclesim.Run returns.
 func TestTournamentAllocsIndependentOfEncounterRuns(t *testing.T) {
-	ps := []design.Protocol{design.BitTorrent(), design.SortS()}
-	opponents := []design.Protocol{design.BitTorrent(), design.Birds(), design.Freerider()}
+	ps := Points([]design.Protocol{design.BitTorrent(), design.SortS()})
+	opponents := Points([]design.Protocol{design.BitTorrent(), design.Birds(), design.Freerider()})
 	const games = 5 // 2×3 pairings, one of them self-play
 	cfg := tiny()
 	cfg.Workers = 1

@@ -32,8 +32,12 @@ func (swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
 		return err
 	}
 	for i, p := range protos {
+		id, err := base.PointID(s.Points[i])
+		if err != nil {
+			return err
+		}
 		row := []string{
-			strconv.Itoa(design.ID(p)), p.String(), p.Stranger.String(),
+			strconv.Itoa(id), p.String(), p.Stranger.String(),
 			strconv.Itoa(p.H), p.Candidate.String(), p.Ranking.String(),
 			strconv.Itoa(p.K), p.Allocation.String(),
 			dsa.FormatScore(s.Raw[MeasurePerformance][i]),

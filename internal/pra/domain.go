@@ -13,9 +13,9 @@ const DomainName = "swarming"
 
 // The three PRA measures, in canonical order. A full quantification is
 // their cross product with the protocol set; because every simulation
-// seed derives from protocol identity (dsa.TaskSeed over design.ID), the
-// work can be cut into arbitrary protocol slices and recombined without
-// changing a single value.
+// seed derives from protocol identity (dsa.TaskSeed over the point ID),
+// the work can be cut into arbitrary protocol slices and recombined
+// without changing a single value.
 const (
 	MeasurePerformance    = "performance"
 	MeasureRobustness     = "robustness"
@@ -26,38 +26,23 @@ func init() { dsa.Register(Domain()) }
 
 // Domain returns the file-swarming design space of Section 4 as a
 // dsa.Domain: the quantification primitives of this package
-// (PerformanceSweep, TournamentScores, SampleOpponents) behind the
-// generic interface, which is what the sharded job engine, the CLIs and
-// the figure drivers of package exp all run against.
+// (PerformanceSweep, TournamentScores) behind the generic interface,
+// which is what the sharded job engine, the CLIs and the figure drivers
+// of package exp all run against.
 func Domain() dsa.Domain { return swarmingDomain{base} }
 
 type swarmingDomain struct{ *dsa.Base }
 
 // base declares the domain. Performance is raw KiB/s out of ScoreSlice:
 // the paper's min-max normalisation needs the whole set, so it happens
-// in Assemble after merging. Point IDs are design.ID, not the space's
-// enumeration index: it is the ID every swarming checkpoint, CSV and
-// seed has carried since before the space had a core.Space form, and it
-// is arithmetic where the index needs a lookup.
+// in Assemble after merging. A point's ID is its index in the space's
+// enumeration, as in every domain; swarming checkpoints, CSVs, cache keys
+// and seeds are written in it, so Space's enumeration order must never
+// change (TestSwarmingIDsGolden pins it).
 var base = dsa.NewBase(DomainName, Space(), Quick(), Paper(),
 	dsa.Measure{Name: MeasurePerformance, Norm: dsa.MinMax},
 	dsa.Measure{Name: MeasureRobustness},
 	dsa.Measure{Name: MeasureAggressiveness},
-).WithIDs(
-	func(p core.Point) (int, error) {
-		proto, err := FromPoint(p)
-		if err != nil {
-			return 0, err
-		}
-		return design.ID(proto), nil
-	},
-	func(id int) (core.Point, error) {
-		proto, err := design.ByID(id)
-		if err != nil {
-			return nil, err
-		}
-		return ToPoint(proto), nil
-	},
 )
 
 func (swarmingDomain) Label(p core.Point) string {
@@ -68,36 +53,28 @@ func (swarmingDomain) Label(p core.Point) string {
 	return proto.String()
 }
 
+// SampleOpponents returns the fixed opponent panel of reduced
+// configurations: cfg.Opponents protocols drawn deterministically and
+// evenly from the whole space (all of it when Opponents is 0 or exceeds
+// it) by dsa.SamplePanel. Every tournament uses the same panel, keeping
+// scores comparable across protocols.
 func (swarmingDomain) SampleOpponents(cfg dsa.Config) []core.Point {
-	return Points(SampleOpponents(cfg))
+	return dsa.SamplePanel(base.Space().Enumerate(), cfg.Opponents, cfg.Seed)
 }
 
 // ScoreSlice computes the raw scores of one measure for pts. Robustness
 // and aggressiveness play against the given opponent panel (see
 // SampleOpponents); performance ignores it.
 func (swarmingDomain) ScoreSlice(measure string, pts, opponents []core.Point, cfg dsa.Config) ([]float64, error) {
-	var frac float64
 	switch measure {
 	case MeasurePerformance:
+		return PerformanceSweep(pts, cfg)
 	case MeasureRobustness:
-		frac = 0.5
+		return TournamentScores(pts, opponents, 0.5, cfg)
 	case MeasureAggressiveness:
-		frac = 0.1
-	default:
-		return nil, fmt.Errorf("pra: unknown measure %q", measure)
+		return TournamentScores(pts, opponents, 0.1, cfg)
 	}
-	ps, err := Protocols(pts)
-	if err != nil {
-		return nil, err
-	}
-	if measure == MeasurePerformance {
-		return PerformanceSweep(ps, cfg)
-	}
-	opps, err := Protocols(opponents)
-	if err != nil {
-		return nil, err
-	}
-	return TournamentScores(ps, opps, frac, cfg)
+	return nil, fmt.Errorf("pra: unknown measure %q", measure)
 }
 
 // Protocols decodes swarming points into the design package's typed

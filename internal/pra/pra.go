@@ -19,6 +19,7 @@ package pra
 
 import (
 	"repro/internal/bandwidth"
+	"repro/internal/core"
 	"repro/internal/cyclesim"
 	"repro/internal/design"
 	"repro/internal/dsa"
@@ -39,9 +40,6 @@ func Quick() dsa.Config {
 	return dsa.Config{Peers: 30, Rounds: 150, PerfRuns: 3, EncounterRuns: 1, Opponents: 60, Seed: 1}
 }
 
-// protoID is the identity every swarming seed derives from.
-func protoID(p design.Protocol) (int, error) { return design.ID(p), nil }
-
 // seedKindPerformance discriminates the homogeneous runs' seed stream
 // from the tournaments', whose kind is their fraction in thousandths
 // (500, 100, 900).
@@ -59,14 +57,10 @@ func simulate(specs []cyclesim.PeerSpec, cfg dsa.Config, seed int64) (cyclesim.R
 
 // EncounterSpecs builds a mixed population: nA peers run a, the rest
 // run b, with group-A positions spread evenly across the stratified
-// capacity order so both camps see the same capacity distribution.
-// The returned mask marks the peers running a. A nil dist defaults to
-// the Piatek distribution.
-func EncounterSpecs(a, b design.Protocol, n, nA int, dist *bandwidth.Distribution) ([]cyclesim.PeerSpec, []bool) {
-	if dist == nil {
-		dist = bandwidth.Piatek()
-	}
-	caps := dist.Stratified(n)
+// Piatek capacity order so both camps see the same capacity
+// distribution. The returned mask marks the peers running a.
+func EncounterSpecs(a, b design.Protocol, n, nA int) ([]cyclesim.PeerSpec, []bool) {
+	caps := bandwidth.Piatek().Stratified(n)
 	specs := make([]cyclesim.PeerSpec, n)
 	mask := make([]bool, n)
 	// Assign capacities to camps so the per-capita capacity of both
@@ -116,12 +110,17 @@ func EncounterSpecs(a, b design.Protocol, n, nA int, dist *bandwidth.Distributio
 
 // PerformanceSweep measures raw homogeneous performance (population
 // mean throughput in KiB/s, averaged over PerfRuns runs) for every
-// protocol; the domain's Assemble applies the paper's normalisation.
-func PerformanceSweep(ps []design.Protocol, cfg dsa.Config) ([]float64, error) {
-	return dsa.MeanOverRuns(ps, protoID, seedKindPerformance, cfg, func(p design.Protocol) (dsa.Stat, error) {
+// protocol of pts; the domain's Assemble applies the paper's
+// normalisation.
+func PerformanceSweep(pts []core.Point, cfg dsa.Config) ([]float64, error) {
+	return dsa.MeanOverRuns(pts, base.PointID, seedKindPerformance, cfg, func(pt core.Point) (dsa.Stat, error) {
+		p, err := FromPoint(pt)
+		if err != nil {
+			return nil, err
+		}
 		// An all-p population is p's encounter with itself: stratified
 		// Piatek capacities in ascending order.
-		specs, _ := EncounterSpecs(p, p, cfg.Peers, cfg.Peers, bandwidth.Piatek())
+		specs, _ := EncounterSpecs(p, p, cfg.Peers, cfg.Peers)
 		return func(seed int64) (float64, error) {
 			res, err := simulate(specs, cfg, seed)
 			if err != nil {
@@ -152,7 +151,7 @@ func newEncounter(a, b design.Protocol, frac float64, cfg dsa.Config) encounter 
 	if nA >= cfg.Peers {
 		nA = cfg.Peers - 1
 	}
-	specs, mask := EncounterSpecs(a, b, cfg.Peers, nA, bandwidth.Piatek())
+	specs, mask := EncounterSpecs(a, b, cfg.Peers, nA)
 	return encounter{specs: specs, mask: mask, nA: nA}
 }
 
@@ -183,23 +182,18 @@ func Encounter(a, b design.Protocol, frac float64, cfg dsa.Config, seed int64) (
 	return newEncounter(a, b, frac, cfg).run(cfg, seed)
 }
 
-// SampleOpponents returns the fixed opponent panel used by reduced
-// configurations: cfg.Opponents protocols drawn deterministically and
-// evenly from the full space (or the whole space when Opponents is 0 or
-// exceeds it) by dsa.SamplePanel. Every tournament uses the same panel,
-// keeping scores comparable across protocols.
-func SampleOpponents(cfg dsa.Config) []design.Protocol {
-	return dsa.SamplePanel(design.Enumerate(), cfg.Opponents, cfg.Seed)
-}
-
-// TournamentScores plays every protocol in ps against every opponent at
-// the given population fraction (0.5 for Robustness, 0.1 for
+// TournamentScores plays every protocol of pts against every opponent
+// at the given population fraction (0.5 for Robustness, 0.1 for
 // Aggressiveness, 0.9 for the 90-10 validation) and returns each
 // protocol's win fraction in [0,1]. Encounters against an identical
 // protocol are skipped.
-func TournamentScores(ps, opponents []design.Protocol, frac float64, cfg dsa.Config) ([]float64, error) {
-	return dsa.WinFractions(ps, opponents, protoID, int(frac*1000), cfg, func(a, b design.Protocol) (dsa.Game, error) {
-		enc := newEncounter(a, b, frac, cfg)
+func TournamentScores(pts, opponents []core.Point, frac float64, cfg dsa.Config) ([]float64, error) {
+	return dsa.WinFractions(pts, opponents, base.PointID, int(frac*1000), cfg, func(a, b core.Point) (dsa.Game, error) {
+		ps, err := Protocols([]core.Point{a, b})
+		if err != nil {
+			return nil, err
+		}
+		enc := newEncounter(ps[0], ps[1], frac, cfg)
 		return func(seed int64) (float64, float64, error) { return enc.run(cfg, seed) }, nil
 	})
 }

@@ -30,7 +30,7 @@ func TestPaperConfigMatchesSection43(t *testing.T) {
 
 func TestEncounterSpecsBalance(t *testing.T) {
 	a, b := design.BitTorrent(), design.Freerider()
-	specs, mask := EncounterSpecs(a, b, 50, 25, nil)
+	specs, mask := EncounterSpecs(a, b, 50, 25)
 	nA := 0
 	var capA, capB float64
 	for i, s := range specs {
@@ -58,7 +58,7 @@ func TestEncounterSpecsBalance(t *testing.T) {
 
 func TestEncounterSpecsMinority(t *testing.T) {
 	a, b := design.BitTorrent(), design.Freerider()
-	_, mask := EncounterSpecs(a, b, 50, 5, nil)
+	_, mask := EncounterSpecs(a, b, 50, 5)
 	nA := 0
 	for _, m := range mask {
 		if m {
@@ -100,7 +100,7 @@ func TestPerformanceSweepOrdering(t *testing.T) {
 	cfg := tiny()
 	cfg.Rounds = 150
 	ps := []design.Protocol{design.BitTorrent(), design.Freerider(), design.SortS()}
-	raw, err := PerformanceSweep(ps, cfg)
+	raw, err := PerformanceSweep(Points(ps), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestPerformanceSweepParallelDeterminism(t *testing.T) {
 	cfg1.Workers = 1
 	cfg4 := tiny()
 	cfg4.Workers = 4
-	a, err := PerformanceSweep(ps, cfg1)
+	a, err := PerformanceSweep(Points(ps), cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PerformanceSweep(ps, cfg4)
+	b, err := PerformanceSweep(Points(ps), cfg4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,29 +138,29 @@ func TestPerformanceSweepParallelDeterminism(t *testing.T) {
 }
 
 func TestSampleOpponentsFixedAndSized(t *testing.T) {
-	cfg := tiny()
-	s1 := SampleOpponents(cfg)
-	s2 := SampleOpponents(cfg)
+	cfg, d := tiny(), Domain()
+	s1 := d.SampleOpponents(cfg)
+	s2 := d.SampleOpponents(cfg)
 	if len(s1) != cfg.Opponents {
 		t.Fatalf("panel size = %d, want %d", len(s1), cfg.Opponents)
 	}
 	for i := range s1 {
-		if s1[i] != s2[i] {
+		if !s1[i].Equal(s2[i]) {
 			t.Fatal("panel must be deterministic")
 		}
 	}
 	// Opponents=0 → everything.
 	cfg.Opponents = 0
-	if got := len(SampleOpponents(cfg)); got != design.SpaceSize {
+	if got := len(d.SampleOpponents(cfg)); got != d.Space().Size() {
 		t.Fatalf("full panel size = %d", got)
 	}
 	// Distinct protocols in the panel.
 	seen := map[string]bool{}
 	for _, p := range s1 {
-		if seen[p.String()] {
-			t.Fatalf("duplicate opponent %s", p)
+		if seen[p.Key()] {
+			t.Fatalf("duplicate opponent %s", d.Label(p))
 		}
-		seen[p.String()] = true
+		seen[p.Key()] = true
 	}
 }
 
@@ -173,7 +173,7 @@ func TestTournamentScoresRobustOrdering(t *testing.T) {
 		design.BitTorrent(), design.Birds(), design.SortS(),
 		design.LoyalWhenNeeded(), design.SortRandom(), design.Freerider(),
 	}
-	scores, err := TournamentScores(ps, opponents, 0.5, cfg)
+	scores, err := TournamentScores(Points(ps), Points(opponents), 0.5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestTournamentSkipsSelfPlay(t *testing.T) {
 	cfg := tiny()
 	ps := []design.Protocol{design.BitTorrent()}
 	opponents := []design.Protocol{design.BitTorrent()}
-	scores, err := TournamentScores(ps, opponents, 0.5, cfg)
+	scores, err := TournamentScores(Points(ps), Points(opponents), 0.5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,9 @@ import (
 
 // Space expresses the Section 4.2 design space in the generic
 // core.Space form: six dimensions with the canonical-zero constraints,
-// yielding exactly design.SpaceSize (3270) valid points.
+// yielding exactly the paper's 3270 valid points. Each call builds a
+// fresh space, which enumerates anew; Domain().Space() is the one the
+// domain's IDs index, enumerated once.
 func Space() *core.Space {
 	dims := []core.Dimension{
 		{Name: "stranger", Values: []string{"None", "Periodic", "WhenNeeded", "Defect"}},

@@ -4,29 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/design"
 )
 
 func TestSpaceMatchesDesign(t *testing.T) {
-	s := Space()
-	if s.Size() != design.SpaceSize {
-		t.Fatalf("space size = %d, want %d", s.Size(), design.SpaceSize)
-	}
-	// Round-trip every point through design.Protocol.
-	seen := map[int]bool{}
-	for _, p := range s.Enumerate() {
+	// Round-trip every point through design.Protocol; the domain's ID of
+	// a point is its position in the cached enumeration.
+	for i, p := range Domain().Space().Enumerate() {
 		proto, err := FromPoint(p)
 		if err != nil {
 			t.Fatalf("point %v invalid: %v", p, err)
 		}
-		id := design.ID(proto)
-		if seen[id] {
-			t.Fatalf("duplicate protocol id %d", id)
-		}
-		seen[id] = true
-		back := ToPoint(proto)
-		if !back.Equal(p) {
+		if back := ToPoint(proto); !back.Equal(p) {
 			t.Fatalf("round trip %v → %v", p, back)
+		}
+		if id, err := base.PointID(p); err != nil || id != i {
+			t.Fatalf("PointID(%v) = %d, %v; want %d", p, id, err, i)
 		}
 	}
 }

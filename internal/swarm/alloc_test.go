@@ -94,12 +94,11 @@ func TestTransferLoopAllocFreeWithRecorder(t *testing.T) {
 
 // TestPooledRunAllocsSwarm pins a whole pooled Run at the per-run
 // result and capacity draws only — the state must come back from the
-// pool without slab reallocation.
+// package's pool without slab reallocation.
 func TestPooledRunAllocsSwarm(t *testing.T) {
 	cfg := Default()
 	cfg.FileKiB = 512
 	cfg.PieceKiB = 128
-	cfg.Pool = &Pool{}
 	clients := make([]Client, 12)
 	for i := range clients {
 		clients[i] = ClientBT

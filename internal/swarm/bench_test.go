@@ -41,7 +41,6 @@ func BenchmarkSwarmSecond(b *testing.B) {
 // leechers, 5 MiB file) on a warm pool.
 func BenchmarkSwarmRunPooled(b *testing.B) {
 	cfg := Default()
-	cfg.Pool = &Pool{}
 	clients := make([]Client, 50)
 	for i := range clients {
 		clients[i] = ClientBT

@@ -117,9 +117,9 @@ func checkResult(t *testing.T, caseName, impl string, got swarm.Result, g golden
 	}
 }
 
-// TestSwarmGoldenParity checks refswarm (freeze guard), the optimized
-// Run, and the optimized Run on a shared, already-used Pool against
-// the committed bit patterns.
+// TestSwarmGoldenParity checks refswarm (freeze guard) and the
+// optimized Run, whose pool has already absorbed the other cases' runs
+// by the time most cases reach it, against the committed bit patterns.
 func TestSwarmGoldenParity(t *testing.T) {
 	cases := goldenCases()
 	if *update {
@@ -161,7 +161,6 @@ func TestSwarmGoldenParity(t *testing.T) {
 	for _, g := range golden {
 		byName[g.Name] = g
 	}
-	pool := &swarm.Pool{} // shared across all cases, absorbing shape changes
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
@@ -182,23 +181,15 @@ func TestSwarmGoldenParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkResult(t, c.Name, "optimized", got, g)
-
-			cfg.Pool = pool
-			pooled, err := swarm.Run(clients, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkResult(t, c.Name, "pooled", pooled, g)
 		})
 	}
 }
 
 // TestRandomizedRefswarmParity fuzzes client mixes, swarm shapes and
-// capacity distributions against the reference, alternating pooled and
-// unpooled runs. Everything must match bit for bit.
+// capacity distributions against the reference, every run on the shared
+// pool. Everything must match bit for bit.
 func TestRandomizedRefswarmParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pool := &swarm.Pool{}
 	trials := 60
 	if testing.Short() {
 		trials = 12
@@ -226,11 +217,7 @@ func TestRandomizedRefswarmParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		optCfg := cfg
-		if rng.Intn(2) == 0 {
-			optCfg.Pool = pool
-		}
-		got, err := swarm.Run(clients, optCfg)
+		got, err := swarm.Run(clients, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,29 +2,21 @@ package swarm
 
 import "sync"
 
-// Pool recycles swarm state across runs so a benchmark series' steady
+// states recycles swarm state across runs so a benchmark series' steady
 // state allocates nothing per simulation: a finished run's
 // O(n·nPieces + n²) bookkeeping slabs are handed to the next run of
 // the same shape and revalidated in place (the per-second assignment
 // epoch is monotonic across runs, so stale assignment stamps can never
-// match — see state.reset). Results are byte-identical with or without
-// pooling; the golden-parity suite pins this.
-//
-// A Pool is safe for concurrent use. The zero value is ready to use.
-// Run falls back to a shared package-level Pool when Config.Pool is
-// nil, so encounter series and homogeneous sweeps pool by default.
-type Pool struct {
-	p sync.Pool
-}
+// match — see state.reset). Every Run draws from this one pool,
+// concurrently. Results are byte-identical regardless of which runs
+// shared a state; the golden-parity suite pins this.
+var states sync.Pool
 
-// defaultPool serves Run calls with no explicit pool.
-var defaultPool Pool
-
-// get returns a state ready to simulate clients under cfg: a pooled
-// one of the same shape (leecher count, seeder count, piece count)
-// when available, a fresh one otherwise.
-func (pl *Pool) get(clients []Client, cfg Config) *state {
-	if s, _ := pl.p.Get().(*state); s != nil {
+// getState returns a state ready to simulate clients under cfg: a
+// pooled one of the same shape (leecher count, seeder count, piece
+// count) when available, a fresh one otherwise.
+func getState(clients []Client, cfg Config) *state {
+	if s, _ := states.Get().(*state); s != nil {
 		if s.nLeech == len(clients) && len(s.peers) == len(clients)+cfg.Seeders && s.nPieces == cfg.pieces() {
 			s.reset(clients, cfg)
 			return s
@@ -34,10 +26,10 @@ func (pl *Pool) get(clients []Client, cfg Config) *state {
 	return newState(clients, cfg)
 }
 
-// put returns a state to the pool once its run has been read out. The
-// caller's config (which may hold a Trace closure and a Dist) is
-// released so pooling cannot pin it.
-func (pl *Pool) put(s *state) {
+// putState returns a state to the pool once its run has been read out.
+// The caller's config (which may hold a Dist) is released so pooling
+// cannot pin it.
+func putState(s *state) {
 	s.cfg = Config{}
-	pl.p.Put(s)
+	states.Put(s)
 }

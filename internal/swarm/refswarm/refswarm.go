@@ -8,9 +8,10 @@
 //
 // DO NOT "fix" or optimise this package. The only edits since the
 // freeze are the package clause, the import of the public swarm types
-// (Client, Config, Result, TraceSample) and local copies of the three
-// unexported helpers those types carried (slots, optimistic, pieces);
-// none carry behaviour.
+// (Client, Config, Result), local copies of the three unexported helpers
+// those types carried (slots, optimistic, pieces), and the removal of
+// the per-second trace hook along with swarm.Config's; none carry
+// behaviour.
 package refswarm
 
 import (
@@ -109,33 +110,11 @@ func Run(clients []swarm.Client, cfg swarm.Config) (swarm.Result, error) {
 		}
 	}
 	s := newState(clients, cfg)
-	traceEvery := cfg.TraceEvery
-	if traceEvery <= 0 {
-		traceEvery = 10
-	}
 	for sec := 0; sec < cfg.MaxSeconds; sec++ {
 		if sec%cfg.ChokeIntervalS == 0 {
 			s.rechoke(sec / cfg.ChokeIntervalS)
 		}
-		edgesBefore := s.activeEdges
 		s.transfer(sec)
-		if cfg.Trace != nil && sec%traceEvery == 0 {
-			var have, alive float64
-			for i := 0; i < s.nLeech; i++ {
-				if !s.peers[i].done {
-					have += float64(s.peers[i].haveCnt)
-					alive++
-				}
-			}
-			if alive > 0 {
-				have /= alive
-			}
-			cfg.Trace(swarm.TraceSample{
-				Sec: sec, Remaining: s.remaining, MeanHave: have,
-				ActiveEdges: s.activeEdges - edgesBefore,
-				Goodput:     s.goodput, Wasted: s.wasted,
-			})
-		}
 		if s.remaining == 0 {
 			break
 		}

@@ -47,7 +47,7 @@
 //     the seed's "piece already assigned from this uploader" scan O(1).
 //   - The choke rankings run on alloc-free stable insertion sorts
 //     (identical output to the seed's sort.SliceStable by stability),
-//     and state is pooled across runs (see Pool / Config.Pool).
+//     and state is pooled across runs (see states).
 package swarm
 
 import (
@@ -144,26 +144,6 @@ type Config struct {
 	DownFloorKBps float64
 	// Dist supplies leecher upload capacities; nil = Piatek.
 	Dist *bandwidth.Distribution
-	// Trace, if non-nil, receives a sample every TraceEvery seconds
-	// (default 10 when Trace is set) — an observability hook for
-	// debugging and for the verbose modes of the benchmark tools.
-	Trace      func(TraceSample)
-	TraceEvery int
-	// Pool, if non-nil, supplies and receives the run's state so
-	// repeated runs reuse the O(n·nPieces + n²) bookkeeping slabs. Nil
-	// uses a shared package-level pool; pooling never changes results,
-	// only allocation behaviour.
-	Pool *Pool
-}
-
-// TraceSample is a periodic snapshot of swarm state.
-type TraceSample struct {
-	Sec         int
-	Remaining   int     // unfinished leechers
-	MeanHave    float64 // mean piece count over unfinished leechers
-	ActiveEdges int     // transferring edges this second
-	Goodput     float64 // cumulative useful KiB
-	Wasted      float64 // cumulative wasted KiB
 }
 
 // Default returns the Section 5 experimental setup: 5 MiB file in
@@ -295,38 +275,12 @@ func Run(clients []Client, cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("swarm: leecher %d has unknown client %d", i, int(c))
 		}
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = &defaultPool
-	}
-	s := pool.get(clients, cfg)
-	traceEvery := cfg.TraceEvery
-	if traceEvery <= 0 {
-		traceEvery = 10
-	}
+	s := getState(clients, cfg)
 	for sec := 0; sec < cfg.MaxSeconds; sec++ {
 		if sec%cfg.ChokeIntervalS == 0 {
 			s.rechoke(sec / cfg.ChokeIntervalS)
 		}
-		edgesBefore := s.activeEdges
 		s.transfer(sec)
-		if cfg.Trace != nil && sec%traceEvery == 0 {
-			var have, alive float64
-			for i := 0; i < s.nLeech; i++ {
-				if !s.peers[i].done {
-					have += float64(s.peers[i].haveCnt)
-					alive++
-				}
-			}
-			if alive > 0 {
-				have /= alive
-			}
-			cfg.Trace(TraceSample{
-				Sec: sec, Remaining: s.remaining, MeanHave: have,
-				ActiveEdges: s.activeEdges - edgesBefore,
-				Goodput:     s.goodput, Wasted: s.wasted,
-			})
-		}
 		if s.remaining == 0 {
 			break
 		}
@@ -345,7 +299,7 @@ func Run(clients []Client, cfg Config) (Result, error) {
 			res.Censored++
 		}
 	}
-	pool.put(s)
+	putState(s)
 	return res, nil
 }
 

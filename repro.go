@@ -108,7 +108,10 @@ const (
 )
 
 // Protocols returns the full 3270-protocol design space in ID order.
-func Protocols() []Protocol { return design.Enumerate() }
+func Protocols() []Protocol {
+	ps, _ := pra.Protocols(pra.Domain().Space().Enumerate()) // every point of the space decodes
+	return ps
+}
 
 // Named returns the paper's named protocols (BitTorrent, Birds,
 // LoyalWhenNeeded, SortS, SortRandom, MostRobust, Freerider).
@@ -203,10 +206,6 @@ type GridOptions struct {
 	LeaseTTL time.Duration        // task lease duration; 0 = the grid default
 	OnListen func(addr string)    // called with the bound address (useful with ":0")
 	Logf     func(string, ...any) // coordinator event log; nil = silent
-	// Linger keeps the API up this long after the job completes, so
-	// workers can fetch the assembled scores before the server goes
-	// away. 0 = 2s; negative = shut down immediately.
-	Linger time.Duration
 	// Cache, if non-nil, is the coordinator's cross-job score cache:
 	// ingested results feed it, and tasks whose scores it already
 	// holds are served without being dispatched.
@@ -222,6 +221,11 @@ type GridOptions struct {
 	// jobs on the same coordinator; 0 means 1.
 	Priority int
 }
+
+// gridLinger is how long ServeGrid keeps the API up after the job
+// completes, so workers can fetch the assembled scores before the server
+// goes away.
+const gridLinger = 2 * time.Second
 
 // ServeGrid starts a grid coordinator on addr serving the sweep of d
 // over points (nil = the whole space) and blocks until every task is
@@ -263,15 +267,9 @@ func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, 
 	select {
 	case r := <-waited:
 		if r.err == nil {
-			linger := opts.Linger
-			if linger == 0 {
-				linger = 2 * time.Second
-			}
-			if linger > 0 {
-				select {
-				case <-time.After(linger):
-				case <-ctx.Done():
-				}
+			select {
+			case <-time.After(gridLinger):
+			case <-ctx.Done():
 			}
 		}
 		cancel()

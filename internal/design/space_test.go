@@ -68,6 +68,33 @@ func TestEnumerateAllValidAndUnique(t *testing.T) {
 	}
 }
 
+func TestIDRoundTrip(t *testing.T) {
+	d := pra.Domain()
+	for id := 0; id < d.Space().Size(); id++ {
+		pt, err := d.PointByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := pra.FromPoint(pt)
+		if err != nil {
+			t.Fatalf("ID %d: %v", id, err)
+		}
+		if got, err := d.PointID(pra.ToPoint(p)); err != nil || got != id {
+			t.Fatalf("ID of protocol %s (ID %d) = %d, %v", p, id, got, err)
+		}
+	}
+}
+
+func TestByIDOutOfRange(t *testing.T) {
+	d := pra.Domain()
+	if _, err := d.PointByID(-1); err == nil {
+		t.Error("negative ID should error")
+	}
+	if _, err := d.PointByID(d.Space().Size()); err == nil {
+		t.Error("ID == space size should error")
+	}
+}
+
 func TestStringParseRoundTrip(t *testing.T) {
 	for _, p := range protocols(t) {
 		back, err := design.Parse(p.String())

@@ -389,7 +389,6 @@ func printCacheStats(w io.Writer, st dsa.CacheStats) error {
 	tbl.Add("misses", st.Misses)
 	tbl.Add("puts", st.Puts)
 	tbl.Add("records dropped", st.Dropped)
-	tbl.Add("computations deduplicated", st.FlightWait)
 	return tbl.Render(w)
 }
 

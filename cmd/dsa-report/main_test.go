@@ -6,9 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dsa"
 	"repro/internal/job"
+	"repro/internal/obs"
 	"repro/internal/pra"
 )
 
@@ -116,5 +118,18 @@ func TestSimBackedRejectsStrideBelowOne(t *testing.T) {
 				t.Errorf("%s -stride %d: err = %v, output %q", what, stride, err, buf.String())
 			}
 		}
+	}
+}
+
+// TestRenderTraceUploadsWithoutTaskCount: a digest with uploads but no
+// tasks carried — served by a coordinator that predates the count —
+// renders without the per-task upload time instead of dividing by zero.
+func TestRenderTraceUploadsWithoutTaskCount(t *testing.T) {
+	var buf bytes.Buffer
+	if err := renderTrace(&buf, &obs.Analysis{Uploads: 1, UploadTime: time.Second}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "result uploads (requests)") || strings.Contains(out, "per task") {
+		t.Errorf("report:\n%s", out)
 	}
 }

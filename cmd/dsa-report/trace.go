@@ -110,7 +110,9 @@ func renderTrace(w io.Writer, a *obs.Analysis, journals int) error {
 	if a.Uploads > 0 {
 		tbl.Add("result uploads (requests)", a.Uploads)
 		tbl.Add("  tasks carried", a.UploadTasks)
-		tbl.Add("  upload time per task", round(a.UploadTime/time.Duration(a.UploadTasks)))
+		if a.UploadTasks > 0 { // a digest from a coordinator older than the count has none
+			tbl.Add("  upload time per task", round(a.UploadTime/time.Duration(a.UploadTasks)))
+		}
 	}
 	if err := tbl.Render(w); err != nil {
 		return err

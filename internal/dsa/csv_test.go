@@ -263,3 +263,46 @@ func TestWriteCSVFile(t *testing.T) {
 		t.Fatal("a path that cannot be created must be an error")
 	}
 }
+
+// FuzzReadCSV feeds arbitrary bytes to every registered domain's CSV
+// reader — dsa-report and dsa-sweep -merge read whatever file they are
+// given: no panic, and a file a domain accepts writes back without error
+// to bytes that read and write back to themselves.
+func FuzzReadCSV(f *testing.F) {
+	for _, d := range dsa.Registered() {
+		pts := dsa.StridePoints(d, d.Space().Size()/3)
+		s := &dsa.Scores{Domain: d.Name(), Points: pts, Raw: map[string][]float64{}, Values: map[string][]float64{}}
+		for k, m := range d.Measures() {
+			s.Raw[m], s.Values[m] = make([]float64, len(pts)), make([]float64, len(pts))
+			for i := range pts {
+				s.Raw[m][i], s.Values[m][i] = float64(k*len(pts)+i)/7, float64(i)/3
+			}
+		}
+		s.Raw[d.Measures()[0]][0] = math.NaN()
+		var buf bytes.Buffer
+		if err := dsa.WriteCSV(&buf, d, s); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("domain,id\n"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, d := range dsa.Registered() {
+			s, err := dsa.ReadCSV(bytes.NewReader(raw), d)
+			if err != nil {
+				continue
+			}
+			var once, twice bytes.Buffer
+			if err := dsa.WriteCSV(&once, d, s); err != nil {
+				t.Fatalf("%s read %q but cannot write it back: %v", d.Name(), raw, err)
+			}
+			back, err := dsa.ReadCSV(bytes.NewReader(once.Bytes()), d)
+			if err == nil {
+				err = dsa.WriteCSV(&twice, d, back)
+			}
+			if err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatalf("%s: %q writes back as %q, which reads and writes back as %q (%v)", d.Name(), raw, once.Bytes(), twice.Bytes(), err)
+			}
+		}
+	})
+}

@@ -3,12 +3,10 @@ package dsa_test
 // External test package: it exercises the interface through the real
 // domain implementations (pra registers "swarming", gossip registers
 // "gossip", delivery registers "delivery"), which the dsa package
-// itself must not import. TestDomainContracts below runs against every
-// registered domain, so each import here buys the whole contract suite
-// for that domain.
+// itself must not import. The laws every domain keeps are the
+// conformance suite's (conformance_test.go).
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"reflect"
@@ -57,83 +55,6 @@ func TestRegistryHasAllDomains(t *testing.T) {
 	}
 }
 
-func TestDomainContracts(t *testing.T) {
-	for _, d := range append(dsa.Registered(), newToyDomain()) {
-		d := d
-		t.Run(d.Name(), func(t *testing.T) {
-			pts := d.Space().Enumerate()
-			if len(pts) == 0 {
-				t.Fatal("empty space")
-			}
-			if len(d.Measures()) == 0 {
-				t.Fatal("no measures")
-			}
-			// The point↔ID codec must round-trip and IDs must be
-			// unique — they are the checkpoint keys.
-			seen := map[int]bool{}
-			for _, p := range pts {
-				id, err := d.PointID(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if seen[id] {
-					t.Fatalf("duplicate point ID %d", id)
-				}
-				seen[id] = true
-				back, err := d.PointByID(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !p.Equal(back) {
-					t.Fatalf("codec round-trip: %v → %d → %v", p, id, back)
-				}
-			}
-			if _, err := d.DefaultConfig("quick"); err != nil {
-				t.Fatalf("quick preset: %v", err)
-			}
-			if _, err := d.DefaultConfig("paper"); err != nil {
-				t.Fatalf("paper preset: %v", err)
-			}
-			if _, err := d.DefaultConfig("bogus"); err == nil {
-				t.Fatal("bogus preset accepted")
-			}
-		})
-	}
-}
-
-// TestScoreSliceConcatenation pins the contract the job engine relies
-// on: scoring a point set in slices equals scoring it whole.
-func TestScoreSliceConcatenation(t *testing.T) {
-	cfg := dsa.Config{Peers: 8, Rounds: 30, PerfRuns: 1, EncounterRuns: 1, Opponents: 3, Seed: 11}
-	for _, tc := range []struct {
-		d      dsa.Domain
-		stride int
-	}{{gossip.Domain(), 40}, {newToyDomain(), 1}} {
-		t.Run(tc.d.Name(), func(t *testing.T) {
-			d, pts := tc.d, dsa.StridePoints(tc.d, tc.stride)
-			opponents := d.SampleOpponents(cfg)
-			for _, m := range d.Measures() {
-				whole, err := d.ScoreSlice(m, pts, opponents, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var pieced []float64
-				for lo := 0; lo < len(pts); lo += 2 {
-					hi := min(lo+2, len(pts))
-					vals, err := d.ScoreSlice(m, pts[lo:hi], opponents, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pieced = append(pieced, vals...)
-				}
-				if !reflect.DeepEqual(whole, pieced) {
-					t.Fatalf("measure %s: sliced scoring diverged from whole-set scoring", m)
-				}
-			}
-		})
-	}
-}
-
 func TestSamplePanel(t *testing.T) {
 	all := gossip.Domain().Space().Enumerate()
 	panel := dsa.SamplePanel(all, 10, 42)
@@ -145,49 +66,6 @@ func TestSamplePanel(t *testing.T) {
 	}
 	if got := dsa.SamplePanel(all, 0, 42); len(got) != len(all) {
 		t.Fatal("0 opponents should mean the whole set")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	d := gossip.Domain()
-	cfg := dsa.Config{Peers: 8, Rounds: 30, PerfRuns: 1, EncounterRuns: 1, Opponents: 3, Seed: 3}
-	all := d.Space().Enumerate()
-	pts := all[:6]
-	opponents := d.SampleOpponents(cfg)
-	raw := map[string][]float64{}
-	for _, m := range d.Measures() {
-		vals, err := d.ScoreSlice(m, pts, opponents, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[m] = vals
-	}
-	scores, err := d.Assemble(pts, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := dsa.WriteCSV(&buf, d, scores); err != nil {
-		t.Fatal(err)
-	}
-	back, err := dsa.ReadCSV(bytes.NewReader(buf.Bytes()), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Points) != len(pts) {
-		t.Fatalf("round-trip lost points: %d of %d", len(back.Points), len(pts))
-	}
-	for i, p := range pts {
-		if !p.Equal(back.Points[i]) {
-			t.Fatalf("point %d changed: %v → %v", i, p, back.Points[i])
-		}
-	}
-	for _, m := range d.Measures() {
-		for i := range pts {
-			if diff := scores.Values[m][i] - back.Values[m][i]; diff > 1e-6 || diff < -1e-6 {
-				t.Fatalf("measure %s value %d drifted: %v → %v", m, i, scores.Values[m][i], back.Values[m][i])
-			}
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package dsa_test
 
 // The value pin of the domain seam: every measure of every registered
-// domain over a strided point set at a small fixed config, bit for bit
+// domain over its conformance row (conformance_test.go), bit for bit
 // (hex floats), through each of the three ways a value leaves a domain —
 // ScoreSlice, dsa.ScoreSlices and Assemble. bench/golden pins the same
 // domains through six-decimal CSV text; this file pins the float bits,
@@ -19,28 +19,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/delivery"
 	"repro/internal/dsa"
-	"repro/internal/gossip"
-	"repro/internal/pra"
 )
 
 var updateGolden = flag.Bool("update", false, "re-record testdata/domains.golden.json from the live domains")
 
 const goldenPath = "testdata/domains.golden.json"
-
-// goldenCases is one sweep per registered domain, small enough to run in
-// a blink and strided off the dimension sizes so every measure takes
-// several distinct values.
-var goldenCases = []struct {
-	d      dsa.Domain
-	cfg    dsa.Config
-	stride int
-}{
-	{pra.Domain(), dsa.Config{Peers: 14, Rounds: 60, PerfRuns: 2, EncounterRuns: 2, Opponents: 6, Seed: 1}, 150},
-	{gossip.Domain(), dsa.Config{Peers: 12, Rounds: 40, PerfRuns: 2, EncounterRuns: 2, Opponents: 5, Seed: 7}, 7},
-	{delivery.Domain(), dsa.Config{Peers: 8, Rounds: 300, PerfRuns: 3, EncounterRuns: 1, Seed: 3, Churn: 0.01}, 37},
-}
 
 // domainGolden is one domain's record: the point IDs scored, the raw
 // value of every measure as ScoreSlice returns it and the assembled
@@ -60,11 +44,14 @@ func hexFloats(xs []float64) string {
 }
 
 func TestDomainGolden(t *testing.T) {
-	if len(goldenCases) != len(dsa.Registered()) {
-		t.Fatalf("%d golden cases for %d registered domains: add the new domain to goldenCases", len(goldenCases), len(dsa.Registered()))
+	if err := rowsCoverRegistry(); err != nil {
+		t.Fatal(err)
 	}
 	got := map[string]domainGolden{}
-	for _, tc := range goldenCases {
+	for _, tc := range domainRows {
+		if _, err := dsa.Get(tc.d.Name()); err != nil {
+			continue // the toy: no registered domain, no golden
+		}
 		d, cfg := tc.d, tc.cfg
 		pts := dsa.StridePoints(d, tc.stride)
 		opponents := d.SampleOpponents(cfg)

@@ -3,9 +3,9 @@ package dsa_test
 // toyDomain is DESIGN.md's "Adding a new domain" recipe, compiled: a
 // space, a Base declaration, Label, SampleOpponents and a ScoreSlice on
 // the shared loops. It is not registered (the registry is what the CLIs
-// and the golden iterate); TestDomainContracts and
-// TestScoreSliceConcatenation take it as one more domain, so the recipe
-// cannot rot.
+// and the golden iterate); it is one more row of the conformance table
+// (conformance_test.go), so the recipe cannot rot, and its two broken
+// variants there show that the laws catch what they claim to.
 
 import (
 	"fmt"
@@ -57,16 +57,22 @@ func toySimulate(a, b core.Point, nA int, cfg dsa.Config, seed int64) (meanA, me
 }
 
 func (d toyDomain) ScoreSlice(measure string, pts, opponents []core.Point, cfg dsa.Config) ([]float64, error) {
+	return d.score(measure, pts, opponents, cfg, d.PointID)
+}
+
+// score is ScoreSlice with the seeds drawn from id — d.PointID, or a
+// broken stand-in in the conformance suite's mutants.
+func (d toyDomain) score(measure string, pts, opponents []core.Point, cfg dsa.Config, id func(core.Point) (int, error)) ([]float64, error) {
 	switch measure {
 	case toyYield:
-		return dsa.MeanOverRuns(pts, d.PointID, 1, cfg, func(p core.Point) (dsa.Stat, error) {
+		return dsa.MeanOverRuns(pts, id, 1, cfg, func(p core.Point) (dsa.Stat, error) {
 			return func(seed int64) (float64, error) {
 				mean, _ := toySimulate(p, p, cfg.Peers, cfg, seed)
 				return mean, nil
 			}, nil
 		})
 	case toyRobustness:
-		return dsa.WinFractions(pts, opponents, d.PointID, 500, cfg, func(a, b core.Point) (dsa.Game, error) {
+		return dsa.WinFractions(pts, opponents, id, 500, cfg, func(a, b core.Point) (dsa.Game, error) {
 			return func(seed int64) (float64, float64, error) {
 				meanA, meanB := toySimulate(a, b, cfg.Peers/2, cfg, seed)
 				return meanA, meanB, nil

@@ -1,14 +1,14 @@
 package job
 
-// The caching correctness bar: with a score cache plugged into the
-// engine, every output stays byte-identical to a cold run — same
-// Scores JSON, same CSV bytes — while a warm run performs zero
-// simulations. The cache is observed through a counting domain
-// wrapper, so "skipped recomputation" is an exact claim about
-// ScoreSlice invocations, not a timing heuristic.
+// The engine's use of a score cache: a sweep of an overlapping point set
+// or under another chunking hits fully, a changed config misses, cache and
+// checkpoint compose, and one store serves every domain. (That a cached
+// sweep is byte-identical to an uncached one, warm with zero
+// simulations, is a conformance law in internal/dsa.) The cache is
+// observed through a counting domain wrapper, so "skipped recomputation"
+// is an exact claim about ScoreSlice invocations, not a timing heuristic.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"sync/atomic"
@@ -16,8 +16,10 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/delivery"
 	"repro/internal/dsa"
 	"repro/internal/gossip"
+	"repro/internal/pra"
 )
 
 // countingDomain delegates to a real domain and counts ScoreSlice
@@ -32,17 +34,6 @@ func (c *countingDomain) ScoreSlice(measure string, pts, opponents []core.Point,
 	return c.Domain.ScoreSlice(measure, pts, opponents, cfg)
 }
 
-func cacheTestSpec(t *testing.T) ([]core.Point, dsa.Config) {
-	t.Helper()
-	all := gossip.Domain().Space().Enumerate()
-	var pts []core.Point
-	for i := 0; i < len(all); i += 16 {
-		pts = append(pts, all[i])
-	}
-	cfg := dsa.Config{Peers: 8, Rounds: 30, PerfRuns: 1, EncounterRuns: 1, Opponents: 3, Seed: 13}
-	return pts, cfg
-}
-
 func scoresJSON(t *testing.T, s *dsa.Scores) string {
 	t.Helper()
 	b, err := json.Marshal(s)
@@ -52,75 +43,12 @@ func scoresJSON(t *testing.T, s *dsa.Scores) string {
 	return string(b)
 }
 
-func scoresCSV(t *testing.T, d dsa.Domain, s *dsa.Scores) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := dsa.WriteCSV(&buf, d, s); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestCachedSweepByteIdentical: cold-with-cache and warm-with-cache
-// runs produce exactly the bytes an uncached run produces, and the
-// warm run simulates nothing.
-func TestCachedSweepByteIdentical(t *testing.T) {
-	pts, cfg := cacheTestSpec(t)
-	ctx := context.Background()
-
-	want, err := Run(ctx, gossip.Domain(), pts, cfg, Options{Chunk: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON := scoresJSON(t, want)
-	wantCSV := scoresCSV(t, gossip.Domain(), want)
-
-	store, err := cache.Open(cache.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	cold := &countingDomain{Domain: gossip.Domain()}
-	coldScores, err := Run(ctx, cold, pts, cfg, Options{Chunk: 4, Cache: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scoresJSON(t, coldScores) != wantJSON {
-		t.Fatal("cold cached sweep differs from uncached sweep")
-	}
-	if !bytes.Equal(scoresCSV(t, gossip.Domain(), coldScores), wantCSV) {
-		t.Fatal("cold cached sweep CSV differs from uncached CSV")
-	}
-	if cold.points.Load() == 0 {
-		t.Fatal("cold run should simulate")
-	}
-
-	warm := &countingDomain{Domain: gossip.Domain()}
-	warmScores, err := Run(ctx, warm, pts, cfg, Options{Chunk: 4, Cache: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scoresJSON(t, warmScores) != wantJSON {
-		t.Fatal("warm cached sweep differs from uncached sweep")
-	}
-	if !bytes.Equal(scoresCSV(t, gossip.Domain(), warmScores), wantCSV) {
-		t.Fatal("warm cached sweep CSV differs from uncached CSV")
-	}
-	if n := warm.points.Load(); n != 0 {
-		t.Fatalf("warm sweep simulated %d points, want 0", n)
-	}
-	if st := store.Stats(); st.Hits == 0 {
-		t.Fatalf("warm sweep recorded no cache hits: %+v", st)
-	}
-}
-
 // TestOverlappingSweepReusesScores: a sweep of a *subset* of cached
 // points with a *different* chunking hits fully — the cache is keyed
 // per point, so task shapes are irrelevant — and matches its own
 // uncached reference exactly.
 func TestOverlappingSweepReusesScores(t *testing.T) {
-	pts, cfg := cacheTestSpec(t)
+	pts, cfg := tinySweep(gossip.Domain())
 	ctx := context.Background()
 
 	store, err := cache.Open(cache.Options{})
@@ -157,7 +85,7 @@ func TestOverlappingSweepReusesScores(t *testing.T) {
 // must not reuse cached scores — a mismatched config is a miss, never
 // a wrong hit.
 func TestConfigChangeMissesCache(t *testing.T) {
-	pts, cfg := cacheTestSpec(t)
+	pts, cfg := tinySweep(gossip.Domain())
 	ctx := context.Background()
 
 	store, err := cache.Open(cache.Options{})
@@ -193,7 +121,7 @@ func TestConfigChangeMissesCache(t *testing.T) {
 // serves the rest from the cache, and still assembles the reference
 // result.
 func TestCacheWithResume(t *testing.T) {
-	pts, cfg := cacheTestSpec(t)
+	pts, cfg := tinySweep(gossip.Domain())
 	ctx := context.Background()
 	want, err := Run(ctx, gossip.Domain(), pts, cfg, Options{Chunk: 4})
 	if err != nil {
@@ -230,5 +158,37 @@ func TestCacheWithResume(t *testing.T) {
 	}
 	if scoresJSON(t, loaded) != scoresJSON(t, want) {
 		t.Fatal("checkpoint written from cache-served tasks loads differently")
+	}
+}
+
+// TestSharedStoreServesAllDomains: one store, three domains swept
+// back-to-back, every warm rerun byte-identical and simulation-free —
+// isolation and reuse at once, through the real engine.
+func TestSharedStoreServesAllDomains(t *testing.T) {
+	ctx := context.Background()
+	store, err := cache.Open(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	domains := []dsa.Domain{pra.Domain(), gossip.Domain(), delivery.Domain()}
+	wants := make([]string, len(domains))
+	for i, d := range domains {
+		wants[i] = scoresJSON(t, mustRun(t, d, Options{Chunk: 4, Cache: store}))
+	}
+	for i, d := range domains {
+		counting := &countingDomain{Domain: d}
+		pts, cfg := tinySweep(d)
+		got, err := Run(ctx, counting, pts, cfg, Options{Chunk: 4, Cache: store})
+		if err != nil {
+			t.Fatalf("%s warm: %v", d.Name(), err)
+		}
+		if n := counting.points.Load(); n != 0 {
+			t.Fatalf("%s warm rerun simulated %d points, want 0", d.Name(), n)
+		}
+		if scoresJSON(t, got) != wants[i] {
+			t.Fatalf("%s warm rerun differs from its cold run", d.Name())
+		}
 	}
 }

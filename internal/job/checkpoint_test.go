@@ -251,10 +251,11 @@ func FuzzManifestLine(f *testing.F) {
 // gives the same bytes.
 func FuzzDecodeSpec(f *testing.F) {
 	all := pra.Domain().Space().Enumerate()
+	_, cfg := tinySweep(pra.Domain())
 	for _, s := range []Spec{
-		{Domain: pra.Domain(), Points: all[:3], Cfg: tinyCfg(), Chunk: 2},
+		{Domain: pra.Domain(), Points: all[:3], Cfg: cfg, Chunk: 2},
 		{Domain: gossip.Domain(), Points: gossip.Domain().Space().Enumerate()[:2], Cfg: dsa.Config{Peers: 8, Churn: 0.25, Seed: -3}},
-		{Domain: delivery.Domain(), Points: delivery.Domain().Space().Enumerate()[4:5], Cfg: tinyCfg(), Chunk: -1},
+		{Domain: delivery.Domain(), Points: delivery.Domain().Space().Enumerate()[4:5], Cfg: cfg, Chunk: -1},
 	} {
 		raw, err := EncodeSpec(s)
 		if err != nil {
@@ -294,7 +295,8 @@ func FuzzDecodeSpec(f *testing.F) {
 // moment the call returns — and the manifest stays whole lines.
 func TestCheckpointConcurrentRecord(t *testing.T) {
 	dir := t.TempDir()
-	spec := Spec{Domain: faultSpec(t).Domain, Points: subset(t), Cfg: tinyCfg(), Chunk: 1}
+	pts, cfg := tinySweep(pra.Domain())
+	spec := Spec{Domain: pra.Domain(), Points: pts, Cfg: cfg, Chunk: 1}
 	cp, err := OpenCheckpoint(dir, spec)
 	if err != nil {
 		t.Fatal(err)

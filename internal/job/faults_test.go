@@ -25,7 +25,8 @@ import (
 // cheap to Record by hand.
 func faultSpec(t *testing.T) Spec {
 	t.Helper()
-	return Spec{Domain: pra.Domain(), Points: subset(t)[:4], Cfg: tinyCfg(), Chunk: 2}
+	pts, cfg := tinySweep(pra.Domain())
+	return Spec{Domain: pra.Domain(), Points: pts[:4], Cfg: cfg, Chunk: 2}
 }
 
 // TestCheckpointManifestDiskFullTyped: ENOSPC on the manifest append

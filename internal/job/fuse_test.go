@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/delivery"
 	"repro/internal/dsa"
 	"repro/internal/obs"
 )
@@ -494,25 +493,5 @@ func TestShardsOwnWholeChunks(t *testing.T) {
 				t.Fatalf("merged %s[%d] = %v", m, i, scores.Raw[m][i])
 			}
 		}
-	}
-}
-
-func TestDeliveryFourShardMergeByteIdentical(t *testing.T) {
-	pts := deliverySubset(t)
-	ctx := context.Background()
-	want := scoresCSV(t, delivery.Domain(), mustRunDelivery(t, ctx, pts, Options{Chunk: 3}))
-	dir := t.TempDir()
-	for shard := 0; shard < 4; shard++ {
-		_, err := Run(ctx, delivery.Domain(), pts, tinyDeliveryCfg(), Options{Dir: dir, Chunk: 3, Shards: 4, ShardIndex: shard})
-		if err != nil && !errors.Is(err, ErrIncomplete) {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
-	}
-	merged, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := scoresCSV(t, delivery.Domain(), merged); string(got) != string(want) {
-		t.Fatal("four-shard delivery merge is not byte-identical to the unsharded sweep")
 	}
 }

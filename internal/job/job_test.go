@@ -1,38 +1,39 @@
 package job
 
+// The engine's own contracts: task enumeration, concurrent shards,
+// cancellation and what a checkpoint directory refuses. That any domain's
+// sweep is invariant under chunking, sharding, resuming and caching is a
+// law of the dsa conformance suite, which runs it through Run on every
+// domain.
+
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dsa"
+	"repro/internal/gossip"
 	"repro/internal/pra"
 )
 
-// tinyCfg is small enough for unit tests while exercising every
-// measure of the swarming domain.
-func tinyCfg() dsa.Config {
-	return dsa.Config{Peers: 10, Rounds: 30, PerfRuns: 1, EncounterRuns: 1, Opponents: 4, Seed: 7}
+// tinySweep strides d's space down to about 16 points under a config
+// small enough that any domain scores them in a blink.
+func tinySweep(d dsa.Domain) ([]core.Point, dsa.Config) {
+	return dsa.StridePoints(d, max(d.Space().Size()/16, 1)),
+		dsa.Config{Peers: 8, Rounds: 40, PerfRuns: 1, EncounterRuns: 1, Opponents: 4, Seed: 7}
 }
 
-// subset strides over the swarming space: 17 points at stride 200.
-func subset(t *testing.T) []core.Point {
+// mustRun runs d's tiny sweep.
+func mustRun(t *testing.T, d dsa.Domain, opts Options) *dsa.Scores {
 	t.Helper()
-	all := pra.Domain().Space().Enumerate()
-	var pts []core.Point
-	for i := 0; i < len(all); i += 200 {
-		pts = append(pts, all[i])
-	}
-	return pts
-}
-
-func mustRun(t *testing.T, ctx context.Context, pts []core.Point, opts Options) *dsa.Scores {
-	t.Helper()
-	s, err := Run(ctx, pra.Domain(), pts, tinyCfg(), opts)
+	pts, cfg := tinySweep(d)
+	s, err := Run(context.Background(), d, pts, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,8 @@ func mustRun(t *testing.T, ctx context.Context, pts []core.Point, opts Options) 
 }
 
 func TestTaskEnumeration(t *testing.T) {
-	spec := Spec{Domain: pra.Domain(), Points: subset(t), Cfg: tinyCfg(), Chunk: 4}
+	pts, cfg := tinySweep(pra.Domain())
+	spec := Spec{Domain: pra.Domain(), Points: pts, Cfg: cfg, Chunk: 4}
 	tasks := spec.Tasks()
 	perMeasure := (len(spec.Points) + 3) / 4
 	measures := spec.Domain.Measures()
@@ -70,48 +72,6 @@ func TestTaskEnumeration(t *testing.T) {
 	}
 }
 
-func TestChunkInvariance(t *testing.T) {
-	pts := subset(t)
-	ctx := context.Background()
-	a := mustRun(t, ctx, pts, Options{Chunk: 1})
-	b := mustRun(t, ctx, pts, Options{Chunk: 7})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("chunk size changed the merged scores")
-	}
-}
-
-func TestShardedMatchesUnsharded(t *testing.T) {
-	pts := subset(t)
-	ctx := context.Background()
-	want := mustRun(t, ctx, pts, Options{Chunk: 3})
-
-	dir := t.TempDir()
-	const shards = 3
-	// Shards 0 and 1 finish their share but cannot assemble yet.
-	for idx := 0; idx < shards-1; idx++ {
-		_, err := Run(ctx, pra.Domain(), pts, tinyCfg(), Options{Dir: dir, Chunk: 3, Shards: shards, ShardIndex: idx})
-		if !errors.Is(err, ErrIncomplete) {
-			t.Fatalf("shard %d: err = %v, want ErrIncomplete", idx, err)
-		}
-	}
-	// The last shard finds every other task checkpointed and merges.
-	got, err := Run(ctx, pra.Domain(), pts, tinyCfg(), Options{Dir: dir, Chunk: 3, Shards: shards, ShardIndex: shards - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("sharded run does not match unsharded run")
-	}
-	// Load assembles the same result without simulating.
-	loaded, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded, want) {
-		t.Fatal("Load(dir) does not match unsharded run")
-	}
-}
-
 // TestLastFinishingShardAssembles pins the documented concurrent-shard
 // contract: a shard that finishes after the others picks their
 // journalled tasks up from the shared dir and assembles the full
@@ -119,19 +79,20 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // checkpoint. Shard 1 runs to completion from inside shard 0's first
 // progress callback, i.e. strictly mid-run.
 func TestLastFinishingShardAssembles(t *testing.T) {
-	pts := subset(t)
-	want := mustRun(t, context.Background(), pts, Options{Chunk: 3})
+	d := pra.Domain()
+	pts, cfg := tinySweep(d)
+	want := mustRun(t, d, Options{Chunk: 3})
 
 	dir := t.TempDir()
 	ranOther := false
-	got, err := Run(context.Background(), pra.Domain(), pts, tinyCfg(), Options{
+	got, err := Run(context.Background(), d, pts, cfg, Options{
 		Dir: dir, Chunk: 3, Shards: 2, ShardIndex: 0, Workers: 1,
 		Progress: func(Progress) {
 			if ranOther {
 				return
 			}
 			ranOther = true
-			_, err := Run(context.Background(), pra.Domain(), pts, tinyCfg(), Options{Dir: dir, Chunk: 3, Shards: 2, ShardIndex: 1})
+			_, err := Run(context.Background(), d, pts, cfg, Options{Dir: dir, Chunk: 3, Shards: 2, ShardIndex: 1})
 			if !errors.Is(err, ErrIncomplete) {
 				t.Errorf("inner shard: err = %v, want ErrIncomplete", err)
 			}
@@ -145,50 +106,12 @@ func TestLastFinishingShardAssembles(t *testing.T) {
 	}
 }
 
-func TestResumeAfterCancelMatchesUninterrupted(t *testing.T) {
-	pts := subset(t)
-	want := mustRun(t, context.Background(), pts, Options{Chunk: 2})
-
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	interrupted := 0
-	_, err := Run(ctx, pra.Domain(), pts, tinyCfg(), Options{
-		Dir: dir, Chunk: 2, Workers: 1,
-		Progress: func(p Progress) {
-			interrupted = p.FreshTasks
-			if p.FreshTasks >= 3 {
-				cancel()
-			}
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if interrupted == 0 {
-		t.Fatal("nothing was checkpointed before the cancel")
-	}
-
-	var resumed Progress
-	got, err := Run(context.Background(), pra.Domain(), pts, tinyCfg(), Options{
-		Dir: dir, Chunk: 2,
-		Progress: func(p Progress) { resumed = p },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.FreshTasks >= resumed.TotalTasks {
-		t.Fatalf("resume re-ran everything: %d fresh of %d total", resumed.FreshTasks, resumed.TotalTasks)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("resumed run does not match uninterrupted run")
-	}
-}
-
 func TestPreCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fresh := 0
-	_, err := Run(ctx, pra.Domain(), subset(t), tinyCfg(), Options{Progress: func(p Progress) { fresh = p.FreshTasks }})
+	pts, cfg := tinySweep(pra.Domain())
+	_, err := Run(ctx, pra.Domain(), pts, cfg, Options{Progress: func(p Progress) { fresh = p.FreshTasks }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -198,24 +121,83 @@ func TestPreCancelledRunsNothing(t *testing.T) {
 }
 
 func TestSpecMismatchRejected(t *testing.T) {
-	pts := subset(t)
+	d := pra.Domain()
+	pts, cfg := tinySweep(d)
 	dir := t.TempDir()
-	mustRun(t, context.Background(), pts, Options{Dir: dir})
+	mustRun(t, d, Options{Dir: dir})
 
-	other := tinyCfg()
+	other := cfg
 	other.Seed = 99
-	if _, err := Run(context.Background(), pra.Domain(), pts, other, Options{Dir: dir}); err == nil || errors.Is(err, ErrIncomplete) {
+	if _, err := Run(context.Background(), d, pts, other, Options{Dir: dir}); err == nil || errors.Is(err, ErrIncomplete) {
 		t.Fatalf("different seed accepted against existing checkpoint (err = %v)", err)
 	}
-	if _, err := Run(context.Background(), pra.Domain(), pts[:5], tinyCfg(), Options{Dir: dir}); err == nil || errors.Is(err, ErrIncomplete) {
+	if _, err := Run(context.Background(), d, pts[:5], cfg, Options{Dir: dir}); err == nil || errors.Is(err, ErrIncomplete) {
 		t.Fatalf("different point set accepted against existing checkpoint (err = %v)", err)
 	}
 }
 
-func TestTornManifestLineIsReRun(t *testing.T) {
-	pts := subset(t)
+// TestCrossDomainCheckpointRejected: a gossip run pointed at a
+// swarming checkpoint directory (or vice versa) must fail loudly, not
+// mis-merge two domains' task files.
+func TestCrossDomainCheckpointRejected(t *testing.T) {
 	dir := t.TempDir()
-	want := mustRun(t, context.Background(), pts, Options{Dir: dir})
+	mustRun(t, pra.Domain(), Options{Dir: dir})
+
+	pts, cfg := tinySweep(gossip.Domain())
+	_, err := Run(context.Background(), gossip.Domain(), pts, cfg, Options{Dir: dir})
+	if err == nil || errors.Is(err, ErrIncomplete) {
+		t.Fatalf("gossip run accepted a swarming checkpoint (err = %v)", err)
+	}
+	if !strings.Contains(err.Error(), "domain") {
+		t.Fatalf("rejection should name the domain mismatch, got: %v", err)
+	}
+}
+
+// TestV1CheckpointRejected: a checkpoint directory written by the
+// pre-Domain engine (spec version 1, keyed by pra.ScoreKind and
+// protocol IDs) must be detected and rejected with a helpful error —
+// resuming into it or loading it could otherwise silently mis-merge.
+func TestV1CheckpointRejected(t *testing.T) {
+	dir := t.TempDir()
+	v1 := map[string]any{
+		"version": 1,
+		"config": map[string]any{
+			"peers": 10, "rounds": 30, "perf_runs": 1, "encounter_runs": 1,
+			"opponents": 4, "seed": 7, "churn": 0.0,
+		},
+		"chunk":        32,
+		"protocol_ids": []int{0, 200, 400},
+	}
+	raw, err := json.Marshal(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, specFileName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	checkErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || errors.Is(err, ErrIncomplete) {
+			t.Fatalf("%s accepted a v1 checkpoint (err = %v)", what, err)
+		}
+		for _, needle := range []string{"version 1", "re-run"} {
+			if !strings.Contains(err.Error(), needle) {
+				t.Fatalf("%s rejection should mention %q, got: %v", what, needle, err)
+			}
+		}
+	}
+	pts, cfg := tinySweep(pra.Domain())
+	_, err = Run(context.Background(), pra.Domain(), pts, cfg, Options{Dir: dir})
+	checkErr("Run", err)
+	_, err = Load(dir)
+	checkErr("Load", err)
+}
+
+func TestTornManifestLineIsReRun(t *testing.T) {
+	d := pra.Domain()
+	dir := t.TempDir()
+	want := mustRun(t, d, Options{Dir: dir})
 
 	// Simulate a crash mid-append: garbage tail on the manifest.
 	matches, err := filepath.Glob(filepath.Join(dir, "manifest-*.jsonl"))
@@ -239,7 +221,7 @@ func TestTornManifestLineIsReRun(t *testing.T) {
 		t.Fatal("torn manifest line changed the loaded scores")
 	}
 	// Resuming over the torn journal still assembles the same result.
-	resumed := mustRun(t, context.Background(), pts, Options{Dir: dir})
+	resumed := mustRun(t, d, Options{Dir: dir})
 	if !reflect.DeepEqual(resumed, want) {
 		t.Fatal("resume over torn manifest does not match")
 	}

@@ -15,16 +15,13 @@ import (
 // TestTracedRunIdentical pins the first obs contract at the engine
 // seam: a traced sweep and an untraced sweep produce identical Scores.
 func TestTracedRunIdentical(t *testing.T) {
-	ctx := context.Background()
-	pts := subset(t)
-
-	plain := mustRun(t, ctx, pts, Options{Chunk: 4, Workers: 2})
+	plain := mustRun(t, pra.Domain(), Options{Chunk: 4, Workers: 2})
 
 	rec, err := obs.OpenDir(t.TempDir(), "s0of1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := mustRun(t, ctx, pts, Options{Chunk: 4, Workers: 2, Trace: rec})
+	traced := mustRun(t, pra.Domain(), Options{Chunk: 4, Workers: 2, Trace: rec})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +32,14 @@ func TestTracedRunIdentical(t *testing.T) {
 }
 
 func TestRunJournalsSweepAndTasks(t *testing.T) {
-	ctx := context.Background()
-	pts := subset(t)
+	pts, cfg := tinySweep(pra.Domain())
 	dir := t.TempDir()
 	rec, err := obs.OpenDir(dir, "s0of1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last Progress
-	mustRun(t, ctx, pts, Options{Chunk: 4, Workers: 2, Trace: rec, Progress: func(p Progress) { last = p }})
+	mustRun(t, pra.Domain(), Options{Chunk: 4, Workers: 2, Trace: rec, Progress: func(p Progress) { last = p }})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +48,7 @@ func TestRunJournalsSweepAndTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{Domain: pra.Domain(), Points: pts, Cfg: tinyCfg(), Chunk: 4}
+	spec := Spec{Domain: pra.Domain(), Points: pts, Cfg: cfg, Chunk: 4}
 	wantTasks := len(spec.Tasks())
 
 	var sweep *obs.Record
@@ -119,8 +115,8 @@ func TestRunJournalsSweepAndTasks(t *testing.T) {
 // they agree: the task spans' cache_hits/simulated sum to the store's
 // own hit/miss deltas and to the engine's Progress point counts.
 func TestTracedCacheAttribution(t *testing.T) {
-	pts := deliverySubset(t)
 	d := delivery.Domain()
+	pts, cfg := tinySweep(d)
 	store, err := cache.Open(cache.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +141,7 @@ func TestTracedCacheAttribution(t *testing.T) {
 		}
 		before := store.Stats()
 		var last Progress
-		_, err = Run(context.Background(), d, tc.pts, tinyDeliveryCfg(), Options{
+		_, err = Run(context.Background(), d, tc.pts, cfg, Options{
 			Chunk: chunk, Workers: 2, Cache: store, Trace: rec, Progress: func(p Progress) { last = p }})
 		if err != nil {
 			t.Fatal(err)

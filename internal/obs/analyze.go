@@ -134,8 +134,8 @@ func Analyze(records []Record) *Analysis {
 			a.TaskBusy += busy
 			sim := r.AttrInt("simulated")
 			hit := r.AttrInt("cache_hits")
-			a.PointsSimulated += sim
-			a.PointsCached += hit
+			a.PointsSimulated = addCount(a.PointsSimulated, sim)
+			a.PointsCached = addCount(a.PointsCached, hit)
 
 			m := r.AttrStr("measure")
 			ma := measures[m]
@@ -145,9 +145,9 @@ func Analyze(records []Record) *Analysis {
 			}
 			ma.durs = append(ma.durs, r.Dur())
 			ma.total += r.Dur()
-			ma.points += r.AttrInt("points")
-			ma.hits += hit
-			ma.simulated += sim
+			ma.points = addCount(ma.points, r.AttrInt("points"))
+			ma.hits = addCount(ma.hits, hit)
+			ma.simulated = addCount(ma.simulated, sim)
 			ma.tasks = append(ma.tasks, r)
 
 			wa := workers[r.Writer]
@@ -164,11 +164,11 @@ func Analyze(records []Record) *Analysis {
 				wa.hi = r.End()
 			}
 			wa.seen = true
-			wa.simulated += sim
-			wa.hits += hit
+			wa.simulated = addCount(wa.simulated, sim)
+			wa.hits = addCount(wa.hits, hit)
 		case "upload":
 			a.Uploads++
-			a.UploadTasks += max(r.AttrInt("tasks"), 1)
+			a.UploadTasks = addCount(a.UploadTasks, max(r.AttrInt("tasks"), 1))
 			a.UploadTime += r.Dur()
 		}
 	}
@@ -202,7 +202,9 @@ func Analyze(records []Record) *Analysis {
 			if width > 0 {
 				b = int(int64(d-st.Min) * HistBuckets / (int64(width) + 1))
 			}
-			st.Hist[min(b, HistBuckets-1)]++
+			// Durations near the int64 limit (a corrupt journal's) wrap
+			// the product; they land in an end bucket, not out of range.
+			st.Hist[min(max(b, 0), HistBuckets-1)]++
 		}
 		a.Measures = append(a.Measures, st)
 
@@ -264,6 +266,17 @@ func Analyze(records []Record) *Analysis {
 	return a
 }
 
+// addCount adds a count a span carries to a total. The counts come from
+// whoever wrote the journal — a worker, over the grid — so a negative one
+// counts as 0 and the total saturates instead of wrapping: no digest
+// count is ever negative, and UploadTasks stays at least Uploads.
+func addCount(total, n int64) int64 {
+	if n = max(n, 0); total > math.MaxInt64-n {
+		return math.MaxInt64
+	}
+	return total + n
+}
+
 // quantile reads q from sorted durations (nearest-rank).
 func quantile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
@@ -292,26 +305,37 @@ func criticalPath(records []Record) []Record {
 			children[k] = append(children[k], r)
 		}
 	}
-	// Longest cumulative chain from r downward. Memo-free DFS is fine:
-	// each span has exactly one parent, so the tree is walked once.
-	var chain func(r Record) (time.Duration, []Record)
-	chain = func(r Record) (time.Duration, []Record) {
-		bestDur := time.Duration(0)
-		var bestTail []Record
-		for _, c := range children[key{r.Writer, r.ID}] {
-			d, tail := chain(c)
-			if d > bestDur {
-				bestDur, bestTail = d, tail
+	// Longest cumulative chain below the span with key k. A journal
+	// read from outside can repeat an ID and so make a span its own
+	// ancestor: the walk is memoised per key, which keeps it linear, and a
+	// key still on the path reads as an empty chain, which ends a cycle.
+	type chain struct {
+		dur  time.Duration
+		path []Record
+	}
+	memo := map[key]chain{}
+	var below func(k key) chain
+	below = func(k key) chain {
+		if c, ok := memo[k]; ok {
+			return c
+		}
+		memo[k] = chain{}
+		var best chain
+		for _, c := range children[k] {
+			tail := below(key{c.Writer, c.ID})
+			if d := c.Dur() + tail.dur; d > best.dur {
+				best = chain{d, append([]Record{c}, tail.path...)}
 			}
 		}
-		return r.Dur() + bestDur, append([]Record{r}, bestTail...)
+		memo[k] = best
+		return best
 	}
 	var best []Record
 	bestDur := time.Duration(-1)
 	for _, r := range roots {
-		d, path := chain(r)
-		if d > bestDur {
-			bestDur, best = d, path
+		tail := below(key{r.Writer, r.ID})
+		if d := r.Dur() + tail.dur; d > bestDur {
+			bestDur, best = d, append([]Record{r}, tail.path...)
 		}
 	}
 	return best

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"time"
 )
@@ -189,4 +191,81 @@ func TestCriticalPathPerWriter(t *testing.T) {
 	if len(path) != 2 || path[0].Writer != "b" {
 		t.Fatalf("critical path = %+v, want b's sweep chain", path)
 	}
+}
+
+// TestAnalyzeDistrustsCounts: the counts a digest sums come from whoever
+// wrote the spans, over the grid a worker. A negative count adds nothing
+// and a huge one saturates the total instead of wrapping it, so four
+// uploads never read as zero tasks carried.
+func TestAnalyzeDistrustsCounts(t *testing.T) {
+	var recs []Record
+	for i := uint64(1); i <= 4; i++ {
+		recs = append(recs, Record{Writer: "w", ID: i, Name: "upload", Attrs: map[string]any{"tasks": float64(1 << 62)}})
+	}
+	recs = append(recs, Record{Writer: "w", ID: 5, Name: "task", Attrs: map[string]any{
+		"measure": "m", "points": float64(-3), "simulated": float64(-5), "cache_hits": float64(-7)}})
+	a := Analyze(recs)
+	if a.Uploads != 4 || a.UploadTasks != math.MaxInt64 {
+		t.Errorf("%d uploads carried %d tasks, want 4 carrying the saturated %d", a.Uploads, a.UploadTasks, int64(math.MaxInt64))
+	}
+	m, w := a.Measures[0], a.Workers[0]
+	for name, n := range map[string]int64{
+		"points simulated": a.PointsSimulated, "points cached": a.PointsCached,
+		"measure points": m.Points, "measure simulated": m.Simulated, "measure cache hits": m.CacheHits,
+		"worker simulated": w.Simulated, "worker cache hits": w.CacheHits,
+	} {
+		if n != 0 {
+			t.Errorf("%s = %d, want 0", name, n)
+		}
+	}
+}
+
+// FuzzAnalyze feeds arbitrary bytes to the journal reader and the
+// analysis, the path GET /v1/trace?format=digest serves from what workers
+// ship: no panic, no negative count, and at least one task per upload.
+func FuzzAnalyze(f *testing.F) {
+	f.Add([]byte(`{"w":"w1","id":1,"name":"sweep","start_us":0,"dur_us":30000}
+{"w":"w1","id":2,"par":1,"name":"task","start_us":0,"dur_us":10000,"attrs":{"measure":"perf","points":10,"cache_hits":2,"simulated":8,"elapsed_us":9000}}
+{"w":"w1","id":3,"par":2,"name":"simulate","start_us":5,"dur_us":9000}
+{"w":"w2","id":1,"name":"upload","start_us":7,"dur_us":800,"attrs":{"tasks":4}}
+`))
+	f.Add([]byte(`{"w":"w","id":1,"name":"upload","attrs":{"tasks":4611686018427387904}}
+{"w":"w","id":2,"name":"upload","attrs":{"tasks":4611686018427387904}}
+{"w":"w","id":3,"name":"upload","attrs":{"tasks":4611686018427387904}}
+{"w":"w","id":4,"name":"upload","attrs":{"tasks":4611686018427387904}}
+{"w":"w","id":5,"name":"task","attrs":{"measure":"m","simulated":-5,"cache_hits":-7}}
+`))
+	f.Add([]byte(`{"w":"a","id":1,"name":"sweep","dur_us":10}
+{"w":"a","id":2,"par":1,"name":"task","dur_us":5}
+{"w":"a","id":1,"par":2,"name":"task","dur_us":5}
+`))
+	f.Add([]byte(`{"w":"a","id":1,"name":"task","dur_us":0,"attrs":{"measure":"m"}}
+{"w":"a","id":2,"name":"task","dur_us":3458764513820541,"attrs":{"measure":"m"}}
+`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		recs, err := LoadReader(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		a := Analyze(recs)
+		counts := map[string]int64{
+			"records": int64(a.Records), "tasks": int64(a.Tasks), "uploads": int64(a.Uploads), "upload tasks": a.UploadTasks,
+			"points simulated": a.PointsSimulated, "points cached": a.PointsCached,
+		}
+		for _, m := range a.Measures {
+			counts[m.Measure+" tasks"], counts[m.Measure+" points"] = int64(m.Tasks), m.Points
+			counts[m.Measure+" simulated"], counts[m.Measure+" cache hits"] = m.Simulated, m.CacheHits
+		}
+		for _, w := range a.Workers {
+			counts[w.Writer+" tasks"], counts[w.Writer+" simulated"], counts[w.Writer+" cache hits"] = int64(w.Tasks), w.Simulated, w.CacheHits
+		}
+		for name, n := range counts {
+			if n < 0 {
+				t.Fatalf("%s = %d", name, n)
+			}
+		}
+		if a.UploadTasks < int64(a.Uploads) {
+			t.Fatalf("%d uploads carried %d tasks", a.Uploads, a.UploadTasks)
+		}
+	})
 }

@@ -116,27 +116,6 @@ func TestPerformanceSweepOrdering(t *testing.T) {
 	}
 }
 
-func TestPerformanceSweepParallelDeterminism(t *testing.T) {
-	ps := []design.Protocol{design.BitTorrent(), design.Birds(), design.SortS(), design.LoyalWhenNeeded()}
-	cfg1 := tiny()
-	cfg1.Workers = 1
-	cfg4 := tiny()
-	cfg4.Workers = 4
-	a, err := PerformanceSweep(Points(ps), cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PerformanceSweep(Points(ps), cfg4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("worker count changed results: %v vs %v", a, b)
-		}
-	}
-}
-
 func TestSampleOpponentsFixedAndSized(t *testing.T) {
 	cfg, d := tiny(), Domain()
 	s1 := d.SampleOpponents(cfg)

@@ -2,11 +2,11 @@ package dsa_test
 
 // The domain conformance suite: the laws the engine layers rely on,
 // stated once and run against every registered domain and the toy. A law
-// is a plain func(row) error, so it can also be pointed at a deliberately
-// broken domain (TestLawsBite); each Test below runs its laws on every
-// row as a subtest named after the domain, and fails first if a
-// registered domain has no row. A new domain inherits every law with one
-// row of domainRows.
+// is a list of named clauses, each a plain func(row) error, so it can also
+// be pointed at a deliberately broken domain (TestLawsBite); each Test
+// below runs its laws on every row as a subtest named after the domain,
+// one sub-subtest per clause, and fails first if a registered domain has
+// no row. A new domain inherits every law with one row of domainRows.
 
 import (
 	"bytes"
@@ -20,6 +20,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -64,18 +65,55 @@ func rowsCoverRegistry() error {
 	return nil
 }
 
-// conform runs laws on every row, one subtest per domain. The law tests
-// run in parallel with each other: most laws score on one worker.
-func conform(t *testing.T, laws ...func(row) error) {
+// clause is one named part of a law.
+type clause struct {
+	name  string
+	check func(row) error
+}
+
+// law is a list of clauses, each checked on its own.
+type law []clause
+
+// check runs every clause of l on r and returns the first failure.
+func (l law) check(r row) error {
+	for _, c := range l {
+		if err := c.check(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// baselines holds what a law's clauses all compare against, computed once
+// per row rather than once per clause.
+var baselines sync.Map // key → func() (any, error)
+
+// baseline is compute's result for r, shared by every clause that asks
+// for it under the same name. Callers must not modify it.
+func baseline[T any](r row, name string, compute func() (T, error)) (T, error) {
+	key := fmt.Sprintf("%s|%s|%T|%+v|%d", name, r.d.Name(), r.d, r.cfg, r.stride)
+	once, _ := baselines.LoadOrStore(key, sync.OnceValues(func() (any, error) { return compute() }))
+	v, err := once.(func() (any, error))()
+	return v.(T), err
+}
+
+// conform runs laws on every row, one subtest per domain and under it one
+// per clause. The law tests run in parallel with each other: most laws
+// score on one worker.
+func conform(t *testing.T, laws ...law) {
 	t.Parallel()
 	if err := rowsCoverRegistry(); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range domainRows {
 		t.Run(r.d.Name(), func(t *testing.T) {
-			for _, law := range laws {
-				if err := law(r); err != nil {
-					t.Error(err)
+			for _, l := range laws {
+				for _, c := range l {
+					t.Run(c.name, func(t *testing.T) {
+						if err := c.check(r); err != nil {
+							t.Error(err)
+						}
+					})
 				}
 			}
 		})
@@ -118,10 +156,40 @@ func reversed[T any](xs []T) []T {
 	return out
 }
 
-// lawCodec: point IDs are unique, lie in [0, Size) and round-trip over the
-// whole enumeration — checkpoints, CSVs, cache keys and seeds are written
-// in them — and anything else is refused.
-func lawCodec(r row) error {
+var (
+	lawCodec               = law{{"codec", checkCodec}}
+	lawPresets             = law{{"presets", checkPresets}}
+	lawJointScoring        = law{{"joint", checkJointScoring}}
+	lawJointUnknownMeasure = law{{"unknown", checkJointUnknownMeasure}}
+	lawErrors              = law{{"errors", checkErrors}}
+	lawAssemble            = law{{"assemble", checkAssemble}}
+	lawCSV                 = law{{"csv", checkCSV}}
+
+	// lawCache: a sweep through a score cache, cold and then warm from
+	// the reopened store, gives the uncached JSON and CSV, and the warm
+	// one scores nothing. A (measure, ID) key is never the key of the
+	// same pair under the same config and panel in another registered
+	// domain.
+	lawCache = law{{"sweep", checkCachedSweep}, {"keys", checkCacheKeys}}
+
+	// lawEngine: through job.Run, chunking, sharding and resuming never
+	// move a byte. Chunks of 1 and 5 give the same scores; 2, 3 and 4
+	// shards sharing a checkpoint dir, and a job.Load of it, give the
+	// unsharded JSON and CSV; a one-worker run cancelled after k tasks
+	// resumes without re-running them, to the same scores.
+	lawEngine = law{
+		{"chunk", checkChunks},
+		{"shards2", checkShards(2)},
+		{"shards3", checkShards(3)},
+		{"shards4", checkShards(4)},
+		{"resume", checkResume},
+	}
+)
+
+// checkCodec: point IDs are unique, lie in [0, Size) and round-trip over
+// the whole enumeration — checkpoints, CSVs, cache keys and seeds are
+// written in them — and anything else is refused.
+func checkCodec(r row) error {
 	d := r.d
 	all := d.Space().Enumerate()
 	if len(all) == 0 || len(all) != d.Space().Size() {
@@ -152,9 +220,9 @@ func lawCodec(r row) error {
 	return nil
 }
 
-// lawPresets: both named presets are valid configs; any other name is
+// checkPresets: both named presets are valid configs; any other name is
 // refused.
-func lawPresets(r row) error {
+func checkPresets(r row) error {
 	for _, preset := range []string{"quick", "paper"} {
 		cfg, err := r.d.DefaultConfig(preset)
 		if err == nil {
@@ -175,52 +243,60 @@ func lawPresets(r row) error {
 // order (win counts are integers, so that is exact too) or the worker
 // count. Per measure, bit for bit, the whole slice scored on one worker
 // equals the points scored in random slices (singletons among them),
-// reversed, against the reversed panel, and on four workers. This is what lets the
-// engine cut a sweep into tasks anyhow.
-func lawIdentitySeeding(r row) error {
-	pts, panel := r.points(), r.panel()
-	one, four := r.cfg, r.cfg
-	one.Workers, four.Workers = 1, 4
-	rng := rand.New(rand.NewSource(int64(len(pts))))
-	for _, m := range r.d.Measures() {
-		want, err := r.d.ScoreSlice(m, pts, panel, one)
-		if err != nil {
-			return fmt.Errorf("identity seeding: %s: %w", m, err)
-		}
-		pieces := func(cuts []int) ([]float64, error) {
-			var out []float64
-			for lo, k := 0, 0; lo < len(pts); k++ {
-				hi := min(lo+cuts[k%len(cuts)], len(pts))
-				vals, err := r.d.ScoreSlice(m, pts[lo:hi], panel, one)
-				if err != nil {
-					return nil, err
-				}
-				out, lo = append(out, vals...), hi
-			}
-			return out, nil
-		}
-		for _, v := range []struct {
-			how   string
-			score func() ([]float64, error)
-		}{
-			{"in random slices", func() ([]float64, error) { return pieces([]int{1, 1 + rng.Intn(4), 1 + rng.Intn(4)}) }},
-			{"reversed", func() ([]float64, error) {
-				vals, err := r.d.ScoreSlice(m, reversed(pts), panel, one)
-				return reversed(vals), err
-			}},
-			{"against the reversed panel", func() ([]float64, error) { return r.d.ScoreSlice(m, pts, reversed(panel), one) }},
-			{"on 4 workers", func() ([]float64, error) { return r.d.ScoreSlice(m, pts, panel, four) }},
-		} {
-			got, err := v.score()
+// reversed, against the reversed panel, and on four workers. This is what
+// lets the engine cut a sweep into tasks anyhow.
+var lawIdentitySeeding = law{
+	seeding("slices", "in random slices", func(r row, m string, pts, panel []core.Point, one dsa.Config) ([]float64, error) {
+		rng := rand.New(rand.NewSource(int64(len(pts) + len(m))))
+		cuts := []int{1, 1 + rng.Intn(4), 1 + rng.Intn(4)}
+		var out []float64
+		for lo, k := 0, 0; lo < len(pts); k++ {
+			hi := min(lo+cuts[k%len(cuts)], len(pts))
+			vals, err := r.d.ScoreSlice(m, pts[lo:hi], panel, one)
 			if err != nil {
-				return fmt.Errorf("identity seeding: %s scored %s: %w", m, v.how, err)
+				return nil, err
+			}
+			out, lo = append(out, vals...), hi
+		}
+		return out, nil
+	}),
+	seeding("reversed", "reversed", func(r row, m string, pts, panel []core.Point, one dsa.Config) ([]float64, error) {
+		vals, err := r.d.ScoreSlice(m, reversed(pts), panel, one)
+		return reversed(vals), err
+	}),
+	seeding("panel", "against the reversed panel", func(r row, m string, pts, panel []core.Point, one dsa.Config) ([]float64, error) {
+		return r.d.ScoreSlice(m, pts, reversed(panel), one)
+	}),
+	seeding("workers", "on 4 workers", func(r row, m string, pts, panel []core.Point, one dsa.Config) ([]float64, error) {
+		four := one
+		four.Workers = 4
+		return r.d.ScoreSlice(m, pts, panel, four)
+	}),
+}
+
+// seeding is a clause of lawIdentitySeeding: per measure, the row's points
+// scored as score says equal, bit for bit, the whole slice scored on one
+// worker.
+func seeding(name, how string, score func(r row, m string, pts, panel []core.Point, one dsa.Config) ([]float64, error)) clause {
+	return clause{name, func(r row) error {
+		pts, panel := r.points(), r.panel()
+		one := r.cfg
+		one.Workers = 1
+		for _, m := range r.d.Measures() {
+			want, err := baseline(r, "seeding "+m, func() ([]float64, error) { return r.d.ScoreSlice(m, pts, panel, one) })
+			if err != nil {
+				return fmt.Errorf("identity seeding: %s: %w", m, err)
+			}
+			got, err := score(r, m, pts, panel, one)
+			if err != nil {
+				return fmt.Errorf("identity seeding: %s scored %s: %w", m, how, err)
 			}
 			if i := firstDiff(got, want); i >= 0 {
-				return fmt.Errorf("identity seeding: %s scored %s differs at point %d of %d", m, v.how, i, len(pts))
+				return fmt.Errorf("identity seeding: %s scored %s differs at point %d of %d", m, how, i, len(pts))
 			}
 		}
-	}
-	return nil
+		return nil
+	}}
 }
 
 // countingDomain wraps a domain and counts the points its scoring calls
@@ -241,11 +317,11 @@ func (c *countingDomain) ScoreSlices(measures []string, pts, opponents []core.Po
 	return dsa.ScoreSlices(c.Domain, measures, pts, opponents, cfg)
 }
 
-// lawJointScoring: dsa.ScoreSlices is ScoreSlice per measure, bit for bit,
-// for random subsets of measures (the last trial repeating one) over random
-// subsets of points, in random order — through a domain's JointScorer and
-// through the fallback loop alike.
-func lawJointScoring(r row) error {
+// checkJointScoring: dsa.ScoreSlices is ScoreSlice per measure, bit for
+// bit, for random subsets of measures (the last trial repeating one) over
+// random subsets of points, in random order — through a domain's
+// JointScorer and through the fallback loop alike.
+func checkJointScoring(r row) error {
 	pool, panel := r.points(), r.panel()
 	one, four := r.cfg, r.cfg
 	one.Workers, four.Workers = 1, 4
@@ -279,9 +355,9 @@ func lawJointScoring(r row) error {
 	return nil
 }
 
-// lawJointUnknownMeasure: dsa.ScoreSlices refuses an unknown measure,
+// checkJointUnknownMeasure: dsa.ScoreSlices refuses an unknown measure,
 // naming it, before anything is scored.
-func lawJointUnknownMeasure(r row) error {
+func checkJointUnknownMeasure(r row) error {
 	spy := &countingDomain{Domain: r.d}
 	_, err := dsa.ScoreSlices(spy, []string{r.d.Measures()[0], "no-such-measure"}, r.points(), r.panel(), r.cfg)
 	if err == nil || !strings.Contains(err.Error(), "no-such-measure") {
@@ -293,9 +369,9 @@ func lawJointUnknownMeasure(r row) error {
 	return nil
 }
 
-// lawErrors: an unknown measure, a zero Config and a foreign point each
+// checkErrors: an unknown measure, a zero Config and a foreign point each
 // make ScoreSlice fail rather than score.
-func lawErrors(r row) error {
+func checkErrors(r row) error {
 	pts, panel := r.points(), r.panel()
 	if _, err := r.d.ScoreSlice("no-such-measure", pts, panel, r.cfg); err == nil {
 		return errors.New("errors: an unknown measure was scored")
@@ -324,10 +400,10 @@ func rawScores(r row) (map[string][]float64, error) {
 	return raw, nil
 }
 
-// lawAssemble: Assemble returns a raw and an assembled vector of every
+// checkAssemble: Assemble returns a raw and an assembled vector of every
 // measure, one value per point, in backing arrays of their own — neither
 // each other's nor the caller's — and refuses a short or missing one.
-func lawAssemble(r row) error {
+func checkAssemble(r row) error {
 	pts := r.points()
 	raw, err := rawScores(r)
 	if err != nil {
@@ -382,28 +458,49 @@ func outputs(d dsa.Domain, s *dsa.Scores) (string, error) {
 	return string(js) + "\n" + csv.String(), nil
 }
 
-// lawEngine: through job.Run, chunking, sharding and resuming never move
-// a byte. Chunks of 1 and 5 give the same scores; 2 and 4 shards sharing
-// a checkpoint dir, and a job.Load of it, give the unsharded JSON and
-// CSV; a one-worker run cancelled after k tasks resumes without re-running
-// them, to the same scores.
-func lawEngine(r row) error {
-	ctx, pts := context.Background(), r.points()
-	run := func(ctx context.Context, opts job.Options) (*dsa.Scores, error) {
-		return job.Run(ctx, r.d, pts, r.cfg, opts)
-	}
-	want, err := run(ctx, job.Options{Chunk: 1})
+// engineRun runs the row's sweep through job.Run.
+func engineRun(ctx context.Context, r row, opts job.Options) (*dsa.Scores, error) {
+	return job.Run(ctx, r.d, r.points(), r.cfg, opts)
+}
+
+// engineBaseline is the row's sweep in chunks of 1, unsharded and
+// uninterrupted.
+func engineBaseline(r row) (*dsa.Scores, error) {
+	want, err := baseline(r, "engine", func() (*dsa.Scores, error) {
+		return engineRun(context.Background(), r, job.Options{Chunk: 1})
+	})
 	if err != nil {
-		return fmt.Errorf("engine: %w", err)
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	if got, err := run(ctx, job.Options{Chunk: 5}); err != nil || !reflect.DeepEqual(got, want) {
+	return want, nil
+}
+
+// checkChunks: chunks of 1 and 5 give the same scores.
+func checkChunks(r row) error {
+	want, err := engineBaseline(r)
+	if err != nil {
+		return err
+	}
+	if got, err := engineRun(context.Background(), r, job.Options{Chunk: 5}); err != nil || !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("engine: chunk 5 differs from chunk 1 (err %v)", err)
 	}
-	wantOut, err := outputs(r.d, want)
-	if err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	for _, shards := range []int{2, 4} {
+	return nil
+}
+
+// checkShards: shards runs sharing a checkpoint dir leave all but the last
+// incomplete, and the last shard and a job.Load of the dir give the
+// unsharded JSON and CSV.
+func checkShards(shards int) func(row) error {
+	return func(r row) error {
+		ctx := context.Background()
+		want, err := engineBaseline(r)
+		if err != nil {
+			return err
+		}
+		wantOut, err := outputs(r.d, want)
+		if err != nil {
+			return fmt.Errorf("engine: %w", err)
+		}
 		dir, err := os.MkdirTemp("", "conformance-shards")
 		if err != nil {
 			return err
@@ -411,7 +508,7 @@ func lawEngine(r row) error {
 		defer os.RemoveAll(dir)
 		var merged *dsa.Scores
 		for i := range shards {
-			s, err := run(ctx, job.Options{Dir: dir, Chunk: 3, Shards: shards, ShardIndex: i})
+			s, err := engineRun(ctx, r, job.Options{Dir: dir, Chunk: 3, Shards: shards, ShardIndex: i})
 			if i < shards-1 && !errors.Is(err, job.ErrIncomplete) || i == shards-1 && err != nil {
 				return fmt.Errorf("engine: shard %d of %d: err = %v", i, shards, err)
 			}
@@ -428,8 +525,19 @@ func lawEngine(r row) error {
 				return fmt.Errorf("engine: %s of %d shards is not the unsharded JSON and CSV (err %v)", what, shards, err)
 			}
 		}
+		return nil
 	}
-	total := len(job.Spec{Domain: r.d, Points: pts, Cfg: r.cfg, Chunk: 2}.Tasks())
+}
+
+// checkResume: a one-worker run cancelled after k tasks, for a few k,
+// resumes without re-running them, to the uninterrupted scores.
+func checkResume(r row) error {
+	ctx := context.Background()
+	want, err := engineBaseline(r)
+	if err != nil {
+		return err
+	}
+	total := len(job.Spec{Domain: r.d, Points: r.points(), Cfg: r.cfg, Chunk: 2}.Tasks())
 	for _, k := range []int{1, total / 3, 2 * total / 3} {
 		dir, err := os.MkdirTemp("", "conformance-resume")
 		if err != nil {
@@ -437,7 +545,7 @@ func lawEngine(r row) error {
 		}
 		defer os.RemoveAll(dir)
 		cctx, cancel := context.WithCancel(ctx)
-		_, err = run(cctx, job.Options{Dir: dir, Chunk: 2, Workers: 1, Progress: func(p job.Progress) {
+		_, err = engineRun(cctx, r, job.Options{Dir: dir, Chunk: 2, Workers: 1, Progress: func(p job.Progress) {
 			if p.FreshTasks >= k {
 				cancel()
 			}
@@ -447,7 +555,7 @@ func lawEngine(r row) error {
 			return fmt.Errorf("engine: cancelled after %d of %d tasks: err = %v", k, total, err)
 		}
 		var last job.Progress
-		got, err := run(ctx, job.Options{Dir: dir, Chunk: 2, Progress: func(p job.Progress) { last = p }})
+		got, err := engineRun(ctx, r, job.Options{Dir: dir, Chunk: 2, Progress: func(p job.Progress) { last = p }})
 		if err != nil {
 			return fmt.Errorf("engine: resume after %d tasks: %w", k, err)
 		}
@@ -461,11 +569,9 @@ func lawEngine(r row) error {
 	return nil
 }
 
-// lawCache: a sweep through a score cache, cold and then warm from the
-// reopened store, gives the uncached JSON and CSV, and the warm one
-// scores nothing. A (measure, ID) key is never the key of the same pair
-// under the same config and panel in another registered domain.
-func lawCache(r row) error {
+// checkCachedSweep: cold and warm cached sweeps are the uncached one, and
+// the warm one scores nothing.
+func checkCachedSweep(r row) error {
 	ctx, pts := context.Background(), r.points()
 	want, err := job.Run(ctx, r.d, pts, r.cfg, job.Options{Chunk: 4})
 	if err != nil {
@@ -500,7 +606,12 @@ func lawCache(r row) error {
 			return fmt.Errorf("cache: the %s sweep scored %d points", pass, n)
 		}
 	}
+	return nil
+}
 
+// checkCacheKeys: no (measure, ID) key of the row's domain is another
+// registered domain's key for the same pair, config and panel.
+func checkCacheKeys(r row) error {
 	keyer := func(d dsa.Domain) (*dsa.ScoreKeyer, error) { return dsa.NewScoreKeyer(d, nil, r.cfg) }
 	mine, err := keyer(r.d)
 	if err != nil {
@@ -529,9 +640,9 @@ func lawCache(r row) error {
 	return nil
 }
 
-// lawCSV: WriteCSV → ReadCSV → WriteCSV is a byte fixed point and gives
+// checkCSV: WriteCSV → ReadCSV → WriteCSV is a byte fixed point and gives
 // the points back, whichever layout the domain writes.
-func lawCSV(r row) error {
+func checkCSV(r row) error {
 	pts := r.points()
 	raw, err := rawScores(r)
 	if err != nil {
@@ -591,19 +702,19 @@ func TestLawsBite(t *testing.T) {
 	for _, c := range []struct {
 		name        string
 		d           dsa.Domain
-		breaks, not func(row) error
+		breaks, not law
 	}{
 		{"seeded by slice offset", offsetSeededToy{newToyDomain()}, lawIdentitySeeding, lawJointScoring},
 		{"joint scorer zeroes a measure", zeroingToy{newToyDomain()}, lawJointScoring, lawIdentitySeeding},
 	} {
 		mutant := domainRows[len(domainRows)-1] // the toy's row
 		mutant.d = c.d
-		if err := c.breaks(mutant); err == nil {
+		if err := c.breaks.check(mutant); err == nil {
 			t.Errorf("toy %s passes the law it breaks", c.name)
 		} else {
 			t.Logf("toy %s: %v", c.name, err)
 		}
-		if err := c.not(mutant); err != nil {
+		if err := c.not.check(mutant); err != nil {
 			t.Errorf("toy %s fails a law it keeps: %v", c.name, err)
 		}
 	}

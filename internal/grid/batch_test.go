@@ -2,10 +2,11 @@ package grid
 
 // The unit of transport and durability is the upload body: everything a
 // worker had finished goes out as one request, is checkpointed with one
-// manifest append and journalled with one WAL write. These tests pin
-// that a body is nothing but its entries ingested one after another —
-// same acks, same states, same files — that a crash anywhere inside the
-// append loses only unacknowledged work, and what the grouping saves.
+// manifest append and journalled with one WAL write. That a body is its
+// entries and that a crash inside its append loses only unacknowledged
+// work is FuzzSchedule's (invariants 10 and 3); these tests pin what the
+// grouping saves, a body refused or failed whole, and the write grouping
+// of grants and expiries.
 
 import (
 	"bytes"
@@ -13,10 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -90,38 +89,8 @@ func walMultiset(t testing.TB, dir string) []string {
 	return out
 }
 
-// outcome is everything a stream of uploads leaves behind.
-type outcome struct {
-	dir      string   // the coordinator's directory, closed
-	acks     []string // one per uploaded entry, in stream order
-	state    string   // every task's scheduling state, audits, quarantines
-	wal      []string
-	restored map[string][]float64 // what a restart would restore
-	csv      string
-}
-
-// driveUploads runs one seeded scenario — honest workers, a straggler
-// whose leases get hedged and expire, a worker that always lies, full
-// auditing — against a fresh coordinator, sending each worker's finished
-// results through submit. The scenario's choices depend only on its seed
-// and on coordinator state, so two submit strategies that leave the same
-// state after every stream see the same scenario.
-func driveUploads(t *testing.T, seed uint64, submit func(c *Coordinator, id, worker string, rs []TaskResult) []string) outcome {
-	t.Helper()
-	return scenario{seed: seed, submit: submit}.run(t)
-}
-
-// scenario is driveUploads with its knobs out: what an honest worker
-// answers (nil: honestVals; the liar is off by one from it), and a hook
-// after every Lease (the submit strategy can call it after its own
-// calls).
-type scenario struct {
-	seed      uint64
-	submit    func(c *Coordinator, id, worker string, rs []TaskResult) []string
-	honest    func(LeaseTask) []float64
-	afterCall func(c *Coordinator, id string)
-}
-
+// scenarioSpec and scenarioOptions are the job and options of the commit
+// golden's runs and of FuzzRouteBodies.
 func scenarioSpec(t testing.TB) job.Spec {
 	spec := gossipSpec(t)
 	spec.Chunk = 1 // 36 tasks
@@ -129,321 +98,6 @@ func scenarioSpec(t testing.TB) job.Spec {
 }
 
 var scenarioOptions = CoordinatorOptions{LeaseTTL: time.Minute, AuditRate: 1, Hedge: true}
-
-func (sc scenario) run(t testing.TB) outcome {
-	t.Helper()
-	seed, submit := sc.seed, sc.submit
-	honest := sc.honest
-	if honest == nil {
-		honest = honestVals
-	}
-	lying := func(lt LeaseTask) []float64 {
-		out := slices.Clone(honest(lt))
-		out[0]++
-		return out
-	}
-	spec := scenarioSpec(t)
-	dir := t.TempDir()
-	opts := scenarioOptions
-	opts.Dir = dir
-	coord := NewCoordinator(opts)
-	now := time.Unix(1000, 0)
-	coord.now = func() time.Time { return now }
-	id, err := coord.AddJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	rng := rand.New(rand.NewPCG(seed, 1))
-	workers := []string{"good1", "good2", "good3", "liar", "slow", "slow"}
-	held := map[string][]LeaseTask{}
-	var out outcome
-
-	complete := false
-	for step := 0; !complete; step++ {
-		if step == 2000 {
-			t.Fatalf("seed %d: job did not complete in %d steps: %+v", seed, step, mustProgress(t, coord, id))
-		}
-		now = now.Add(time.Second)
-		w := workers[rng.IntN(len(workers))]
-		lease, err := coord.Lease(ctx, id, w, 1+rng.IntN(4))
-		if sc.afterCall != nil {
-			sc.afterCall(coord, id)
-		}
-		if errors.Is(err, errQuarantined) {
-			delete(held, w)
-			continue
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		complete = lease.Complete
-		for _, lt := range lease.Tasks {
-			// Granted again after its first lease ran out: one result to send.
-			if !slices.ContainsFunc(held[w], func(h LeaseTask) bool { return h.Task == lt.Task }) {
-				held[w] = append(held[w], lt)
-			}
-		}
-		if w == "slow" && rng.IntN(3) > 0 {
-			// Straggle: long enough to be hedged, or for leases to expire.
-			now = now.Add(time.Duration(31+30*rng.IntN(2)) * time.Second)
-			continue
-		}
-		if len(held[w]) == 0 || rng.IntN(4) == 0 {
-			continue // sit on the results a little longer
-		}
-		vals := honest
-		if w == "liar" {
-			vals = lying
-		}
-		stream := results(held[w], vals)
-		delete(held, w)
-		// Now and then send a task nobody asked this worker for: a settled
-		// one, its own under audit, another worker's, one still in the queue.
-		coord.mu.Lock()
-		j := coord.jobs[id]
-		if st := j.tasks[rng.IntN(len(j.tasks))]; w != "liar" &&
-			!slices.ContainsFunc(stream, func(r TaskResult) bool { return r.Task == st.id }) {
-			stream = append(stream, results([]LeaseTask{{Task: st.id, Lo: st.task.Lo, Hi: st.task.Hi}}, honest)...)
-		}
-		coord.mu.Unlock()
-		for i, ack := range submit(coord, id, w, stream) {
-			out.acks = append(out.acks, fmt.Sprintf("%s %s %s", w, stream[i].Task, ack))
-		}
-	}
-
-	scores, err := coord.WaitComplete(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.csv = csvOf(t, spec.Domain, scores)
-	coord.mu.Lock()
-	j := coord.jobs[id]
-	var sb strings.Builder
-	for _, st := range j.tasks {
-		fmt.Fprintf(&sb, "%s status=%d worker=%q hedge=%q by=%q verified=%v tainted=%v\n",
-			st.id, st.status, st.worker, st.hedgeWorker, st.producer, st.verified, st.tainted)
-	}
-	var quarantined []string
-	for name := range coord.quarantined {
-		quarantined = append(quarantined, name)
-	}
-	sort.Strings(quarantined)
-	fmt.Fprintf(&sb, "done=%d requeues=%d granted=%d audits=%d quarantined=%v\n",
-		j.done, j.requeues, j.leasesGranted, j.audits, quarantined)
-	out.state = sb.String()
-	coord.mu.Unlock()
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out.dir = dir
-	out.wal = walMultiset(t, dir)
-	cp, err := job.OpenCheckpoint(filepath.Join(dir, id), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.restored = cp.Completed()
-	cp.Close()
-	return out
-}
-
-func ackString(ack ResultAck, err error) string {
-	if err != nil {
-		return "error: " + err.Error()
-	}
-	return fmt.Sprintf("accepted=%v duplicate=%v", ack.Accepted, ack.Duplicate)
-}
-
-// TestBatchIngestMatchesOneByOne is the differential pin: the same
-// stream of uploads — fresh results, duplicates, audit evidence, hedge
-// winners and losers, a lying worker's values and the verdict on it —
-// ends in the same acks, task states, WAL records, restorable checkpoint
-// and CSV whether every entry is its own call or the stream is cut into
-// random bodies.
-func TestBatchIngestMatchesOneByOne(t *testing.T) {
-	ctx := context.Background()
-	oneByOne := func(c *Coordinator, id, worker string, rs []TaskResult) []string {
-		acks := make([]string, len(rs))
-		for i, r := range rs {
-			acks[i] = ackString(c.Ingest(ctx, id, ResultUpload{worker, r.Task, r.Values, r.ElapsedMS}))
-		}
-		return acks
-	}
-	caught, expired, duplicates := 0, 0, 0
-	for seed := uint64(1); seed <= 16; seed++ {
-		cuts := rand.New(rand.NewPCG(seed, 2))
-		grouped := func(c *Coordinator, id, worker string, rs []TaskResult) []string {
-			var acks []string
-			for len(rs) > 0 {
-				n := 1 + cuts.IntN(len(rs))
-				got, err := c.IngestResults(ctx, id, ResultsUpload{Worker: worker, Results: rs[:n]})
-				for i := 0; i < n; i++ {
-					if err != nil {
-						acks = append(acks, ackString(ResultAck{}, err))
-					} else {
-						acks = append(acks, ackString(got[i], nil))
-					}
-				}
-				rs = rs[n:]
-			}
-			return acks
-		}
-		a, b := driveUploads(t, seed, oneByOne), driveUploads(t, seed, grouped)
-		if !slices.Equal(a.acks, b.acks) {
-			t.Fatalf("seed %d: acks differ:\none by one %v\ngrouped    %v", seed, a.acks, b.acks)
-		}
-		if a.state != b.state {
-			t.Fatalf("seed %d: final states differ:\none by one:\n%s\ngrouped:\n%s", seed, a.state, b.state)
-		}
-		if !slices.Equal(a.wal, b.wal) {
-			t.Fatalf("seed %d: WAL record multisets differ:\none by one %v\ngrouped    %v", seed, a.wal, b.wal)
-		}
-		if len(a.restored) != len(b.restored) {
-			t.Fatalf("seed %d: restores hold %d and %d tasks", seed, len(a.restored), len(b.restored))
-		}
-		for tid, vals := range a.restored {
-			if !equalValues(vals, b.restored[tid]) {
-				t.Fatalf("seed %d: task %s restores as %v one by one, %v grouped", seed, tid, vals, b.restored[tid])
-			}
-		}
-		if a.csv != b.csv {
-			t.Fatalf("seed %d: CSVs differ", seed)
-		}
-		t.Logf("seed %d: %d acks; %s", seed, len(a.acks), a.state[strings.LastIndex(a.state, "done="):])
-		if strings.Contains(a.state, "quarantined=[liar]") {
-			caught++
-		}
-		if !strings.Contains(a.state, " requeues=0 ") {
-			expired++
-		}
-		for _, ack := range a.acks {
-			if strings.HasSuffix(ack, "duplicate=true") {
-				duplicates++
-			}
-		}
-	}
-	// The scenarios must have exercised what they are for.
-	if caught < 8 || expired < 8 || duplicates < 100 {
-		t.Fatalf("over 16 seeds: liar caught in %d, leases expired in %d, %d duplicate acks; the scenarios are too tame", caught, expired, duplicates)
-	}
-}
-
-// TestBatchAppendCrashPoints cuts a four-line manifest append at every
-// byte offset, as a crash inside the write would. A coordinator
-// restarted over the torn directory restores exactly the tasks whose
-// line is whole — linelog's rule, line by line — re-arms the leases of
-// the rest from the WAL, and once those expire a worker re-runs them:
-// the CSV is byte-identical to single-process job.Run at every cut.
-func TestBatchAppendCrashPoints(t *testing.T) {
-	spec := auditSpec(t, 6) // 6 points x 2 measures / chunk 2 = 6 tasks
-	want := csvOf(t, spec.Domain, wantScores(t, spec))
-	ctx := context.Background()
-
-	// The reference values, so the batch holds what a worker would send.
-	honest := map[string][]float64{}
-	var mu sync.Mutex
-	if err := job.ExecTasks(ctx, spec, spec.Tasks(), job.ExecOptions{Workers: 1}, func(task job.Task, vals []float64, _ time.Duration) error {
-		mu.Lock()
-		honest[task.ID()] = vals
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
-	id, err := coord.AddJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lease, err := coord.Lease(ctx, id, "w1", 4)
-	if err != nil || len(lease.Tasks) != 4 {
-		t.Fatalf("lease = %+v, %v; want 4 tasks", lease, err)
-	}
-	// What a kill -9 inside the append leaves: the WAL as of the grant.
-	walAtCrash, err := os.ReadFile(filepath.Join(dir, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifestPath := filepath.Join(dir, id, "manifest-grid.jsonl")
-	var fw fileWrites
-	restore := fw.install()
-	_, err = coord.IngestResults(ctx, id, ResultsUpload{Worker: "w1",
-		Results: results(lease.Tasks, func(lt LeaseTask) []float64 { return honest[lt.Task] })})
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := fw.count("manifest-grid.jsonl"); n != 1 {
-		t.Fatalf("the four-task body made %d manifest writes, want 1", n)
-	}
-	full, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specJSON, err := os.ReadFile(filepath.Join(dir, id, "spec.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Close()
-	if n := bytes.Count(full, []byte("\n")); n != 4 {
-		t.Fatalf("manifest holds %d lines after the batch, want 4", n)
-	}
-
-	for cut := 0; cut <= len(full); cut++ {
-		whole := bytes.Count(full[:cut], []byte("\n"))
-		torn := t.TempDir()
-		if err := os.MkdirAll(filepath.Join(torn, id), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for path, data := range map[string][]byte{
-			filepath.Join(torn, walFileName):               walAtCrash,
-			filepath.Join(torn, id, "spec.json"):           specJSON,
-			filepath.Join(torn, id, "manifest-grid.jsonl"): full[:cut],
-		} {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c2 := NewCoordinator(CoordinatorOptions{Dir: torn, LeaseTTL: time.Minute})
-		if _, err := c2.AddJob(spec); err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		snap := mustProgress(t, c2, id)
-		if snap.Done != whole || snap.Leased != 4-whole {
-			t.Fatalf("cut %d of %d: restart restored %+v, want the %d whole lines done and the other %d leases re-armed",
-				cut, len(full), snap, whole, 4-whole)
-		}
-		c2.mu.Lock()
-		for i, lt := range lease.Tasks {
-			if got := c2.jobs[id].task(lt.Task).values; (got != nil) != (i < whole) || (got != nil && !equalValues(got, honest[lt.Task])) {
-				t.Fatalf("cut %d: task %s (line %d of the batch) restored as %v with %d whole lines", cut, lt.Task, i, got, whole)
-			}
-		}
-		// The dead worker's re-armed leases run out.
-		c2.now = func() time.Time { return time.Now().Add(time.Hour) }
-		c2.mu.Unlock()
-		// A full re-run at every boundary, around it, and a sample between.
-		if atEdge := cut == len(full) || full[cut] == '\n' || (cut > 0 && full[cut-1] == '\n'); atEdge || cut%16 == 0 {
-			srv := httptest.NewServer(c2.Handler())
-			if err := Work(ctx, srv.URL, id, WorkerOptions{Name: "second-life", Workers: 1}); err != nil {
-				t.Fatalf("cut %d: %v", cut, err)
-			}
-			srv.Close()
-			scores, err := c2.WaitComplete(ctx, id)
-			if err != nil {
-				t.Fatalf("cut %d: %v", cut, err)
-			}
-			if csvOf(t, spec.Domain, scores) != want {
-				t.Fatalf("cut %d: CSV after the torn batch append is not byte-identical to job.Run", cut)
-			}
-			if snap := mustProgress(t, c2, id); snap.Requeues != 4-whole {
-				t.Fatalf("cut %d: %d tasks re-ran, want the %d whose lines were lost", cut, snap.Requeues, 4-whole)
-			}
-		}
-		c2.Close()
-	}
-}
 
 // TestLeaseIsOneDurableRoundTrip counts what a four-task lease — one
 // joint execution unit of a delivery job — costs end to end: one results
@@ -594,78 +248,6 @@ func TestBatchAppendFailureLeavesLeased(t *testing.T) {
 	defer cp.Close()
 	if n := len(cp.Completed()); n != 4 {
 		t.Fatalf("checkpoint restores %d tasks, want the 4 of the body that went through", n)
-	}
-}
-
-// dropFirstResultsResponse delivers the first results request and loses
-// its response, as a connection reset after the coordinator answered.
-type dropFirstResultsResponse struct {
-	dropped atomic.Bool
-	rids    chan string
-}
-
-func (d *dropFirstResultsResponse) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err == nil && strings.HasSuffix(req.URL.Path, "/results") {
-		d.rids <- req.Header.Get(gridobs.RequestIDHeader)
-		if d.dropped.CompareAndSwap(false, true) {
-			resp.Body.Close()
-			return nil, errors.New("connection reset after the response was written")
-		}
-	}
-	return resp, err
-}
-
-// TestBatchRetryAckedDuplicate: the response to a body is lost, the
-// client re-sends it under the same request ID, and the coordinator —
-// which recorded everything the first time — acks every entry as a
-// duplicate and writes nothing again.
-func TestBatchRetryAckedDuplicate(t *testing.T) {
-	orig := retryDelay
-	retryDelay = func(int) time.Duration { return 0 }
-	defer func() { retryDelay = orig }()
-
-	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
-	defer coord.Close()
-	id, err := coord.AddJob(gossipSpec(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	ctx := context.Background()
-	lease, err := coord.Lease(ctx, id, "w1", 4)
-	if err != nil || len(lease.Tasks) != 4 {
-		t.Fatalf("lease = %+v, %v; want 4 tasks", lease, err)
-	}
-
-	transport := &dropFirstResultsResponse{rids: make(chan string, 2)}
-	var fw fileWrites
-	restore := fw.install()
-	var ack ResultsAck
-	info, err := call(ctx, &http.Client{Transport: transport}, http.MethodPost, routeURL(srv.URL, pathResults, id),
-		ResultsUpload{Worker: "w1", Results: results(lease.Tasks, honestVals)}, &ack)
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first, second := <-transport.rids, <-transport.rids; info.attempts != 2 || first != second || first != info.requestID {
-		t.Fatalf("%d attempts under request IDs %q, %q (call %q); want 2 under one ID", info.attempts, first, second, info.requestID)
-	}
-	if len(ack.Acks) != 4 {
-		t.Fatalf("re-sent body got %d acks, want 4", len(ack.Acks))
-	}
-	for i, a := range ack.Acks {
-		if !a.Accepted || !a.Duplicate {
-			t.Fatalf("ack %d of the re-sent body = %+v, want accepted as a duplicate", i, a)
-		}
-	}
-	if m, w := fw.count("manifest-grid.jsonl"), fw.count(walFileName); m != 1 || w != 1 {
-		t.Fatalf("the body and its retry made %d manifest and %d WAL writes, want 1 and 1", m, w)
-	}
-	if snap := mustProgress(t, coord, id); snap.Done != 4 {
-		t.Fatalf("after the retried body: %+v, want 4 done", snap)
 	}
 }
 

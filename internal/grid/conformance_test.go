@@ -120,6 +120,8 @@ func TestHTTPConformance(t *testing.T) {
 		{name: "trace upload malformed json", method: "POST", path: "/v1/trace", auth: good, body: `{`, wantStatus: 400, wantErrMsg: true},
 		{name: "trace upload no writer", method: "POST", path: "/v1/trace", auth: good, body: `{"offset":0}`, wantStatus: 400, wantErrMsg: true},
 		{name: "trace upload negative offset", method: "POST", path: "/v1/trace", auth: good, body: `{"writer":"w","offset":-1}`, wantStatus: 400, wantErrMsg: true},
+		{name: "trace upload rewritten writer", method: "POST", path: "/v1/trace", auth: good, body: `{"writer":"a b","offset":0}`, wantStatus: 400, wantErrMsg: true},
+		{name: "trace upload partial line", method: "POST", path: "/v1/trace", auth: good, body: `{"writer":"w","offset":0,"data":"eyJuYW1lIjoieiI="}`, wantStatus: 400, wantErrMsg: true},
 		{name: "trace upload unknown job", method: "POST", path: "/v1/trace", auth: good, body: `{"writer":"w","job":"no-such-job"}`, wantStatus: 404, wantErrMsg: true},
 		{name: "trace upload probe", method: "POST", path: "/v1/trace", auth: good, body: `{"writer":"w","offset":0}`, wantStatus: 200},
 		{name: "trace wrong method", method: "DELETE", path: "/v1/trace", wantStatus: 405, wantErrMsg: true},
@@ -262,54 +264,6 @@ func TestRateLimitExhaustion(t *testing.T) {
 	}
 }
 
-// TestFairScheduling pins the deficit scheduler: with weights 1 and 3
-// and single-task grants, the granted counts converge to the 1:3
-// priority ratio while both jobs have pending work.
-func TestFairScheduling(t *testing.T) {
-	specA := gossipSpec(t)
-	specB := gossipSpec(t)
-	specB.Cfg.Seed = 99 // distinct spec => distinct job
-
-	coord := NewCoordinator(CoordinatorOptions{})
-	defer coord.Close()
-	idA, err := coord.AddJobPriority(specA, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := coord.AddJobPriority(specB, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	counts := map[string]int{}
-	for i := 0; i < 12; i++ {
-		resp, err := coord.Lease(ctx, "", "w", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Tasks) != 1 {
-			t.Fatalf("grant %d: %d tasks, want 1", i, len(resp.Tasks))
-		}
-		counts[resp.Job]++
-	}
-	if a, b := counts[idA], counts[idB]; b < 8 || b > 10 || a+b != 12 {
-		t.Fatalf("granted A=%d B=%d over 12 single grants, want ~1:3 split", a, b)
-	}
-
-	// Re-registering with a new priority updates the weight.
-	if _, err := coord.AddJobPriority(specA, 5); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := coord.Progress(idA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Priority != 5 {
-		t.Fatalf("priority after re-register = %d, want 5", snap.Priority)
-	}
-}
-
 // TestWorkerScoringCapsGrants pins the routing half of the scheduler: a
 // worker whose leases keep expiring gets its batches cut down, while a
 // clean worker keeps full batches.
@@ -353,62 +307,6 @@ func TestWorkerScoringCapsGrants(t *testing.T) {
 	}
 	if len(fresh.Tasks) != 4 {
 		t.Fatalf("fresh worker granted %d tasks, want the full 4", len(fresh.Tasks))
-	}
-}
-
-func TestDrainSettlesAndSignals(t *testing.T) {
-	spec := gossipSpec(t)
-	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
-	defer coord.Close()
-	id, err := coord.AddJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	lease, err := coord.Lease(ctx, id, "w", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lease.Tasks) == 0 {
-		t.Fatal("expected granted tasks")
-	}
-
-	coord.Drain(ctx)
-	if !coord.Draining() {
-		t.Fatal("Draining() false after Drain")
-	}
-	// With leases in flight the drain must not be complete yet.
-	select {
-	case <-coord.Drained():
-		t.Fatal("drain completed with leases in flight")
-	default:
-	}
-	// And no new work is granted.
-	again, err := coord.Lease(ctx, id, "w2", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Draining || len(again.Tasks) != 0 {
-		t.Fatalf("lease during drain = %+v, want Draining and no tasks", again)
-	}
-	anyLease, err := coord.Lease(ctx, "", "w2", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !anyLease.Draining || len(anyLease.Tasks) != 0 {
-		t.Fatalf("global lease during drain = %+v, want Draining and no tasks", anyLease)
-	}
-
-	// Uploading the in-flight results settles the drain.
-	for _, lt := range lease.Tasks {
-		if _, err := coord.Ingest(ctx, id, ResultUpload{Worker: "w", Task: lt.Task, Values: make([]float64, lt.Hi-lt.Lo)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-coord.Drained():
-	case <-time.After(5 * time.Second):
-		t.Fatal("drain did not settle after in-flight uploads landed")
 	}
 }
 

@@ -13,8 +13,8 @@ package grid
 // `acks`) and reads the task table, nothing else, so it survives a
 // rewrite of the Go API around it. It stays clear of one behaviour on
 // purpose: a producer never re-sends a task whose audit is open unless it
-// holds that audit's lease (what that upload means is pinned by
-// TestProducerResendDoesNotVerify, not here).
+// holds that audit's lease (what that upload means is FuzzSchedule's
+// invariant 6, not this pin's).
 
 import (
 	"bytes"

@@ -267,93 +267,6 @@ func TestGridCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestLeaseStateMachine drives the coordinator directly with an
-// injected clock: grant, heartbeat renewal, expiry requeue, idempotent
-// ingest, and validation failures.
-func TestLeaseStateMachine(t *testing.T) {
-	all := gossip.Domain().Space().Enumerate()
-	spec := job.Spec{Domain: gossip.Domain(), Points: all[:4], Cfg: tinyGossipCfg(), Chunk: 2}
-	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, maxLease: 2})
-	now := time.Unix(1000, 0)
-	coord.now = func() time.Time { return now }
-
-	id, err := coord.AddJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, err := coord.AddJob(spec); err != nil || again != id {
-		t.Fatalf("AddJob is not idempotent: %s vs %s (err %v)", again, id, err)
-	}
-
-	lease, err := coord.Lease(context.Background(), id, "w1", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lease.Tasks) != 2 {
-		t.Fatalf("MaxLease 2 should cap the grant, got %d tasks", len(lease.Tasks))
-	}
-
-	// Heartbeat within the TTL renews; an unknown task is lost.
-	now = now.Add(30 * time.Second)
-	hb, err := coord.Heartbeat(context.Background(), id, HeartbeatRequest{Worker: "w1", Tasks: []string{lease.Tasks[0].Task, "nope"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hb.Renewed) != 1 || len(hb.Lost) != 1 {
-		t.Fatalf("heartbeat = %+v, want 1 renewed + 1 lost", hb)
-	}
-
-	// Task 0 was renewed at t+30s (deadline t+90s); task 1 still
-	// expires at t+60s. At t+70s only task 1 has been re-queued.
-	now = now.Add(40 * time.Second)
-	snap, err := coord.Progress(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Requeues != 1 || snap.Pending != 3 || snap.Leased != 1 {
-		t.Fatalf("after partial expiry: %+v, want 1 requeue, 3 pending, 1 leased", snap)
-	}
-
-	// The expired task is re-leasable by another worker...
-	lease2, err := coord.Lease(context.Background(), id, "w2", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lease2.Tasks) != 2 {
-		t.Fatalf("w2 should lease the re-queued + remaining tasks, got %d", len(lease2.Tasks))
-	}
-	// ...and w1's original heartbeat on it now reports it lost.
-	hb, err = coord.Heartbeat(context.Background(), id, HeartbeatRequest{Worker: "w1", Tasks: []string{lease.Tasks[1].Task}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hb.Lost) != 1 {
-		t.Fatalf("w1 should have lost its expired lease, got %+v", hb)
-	}
-
-	// Ingest validates value counts, accepts the first result, and
-	// drops duplicates.
-	lt := lease.Tasks[0]
-	if _, err := coord.Ingest(context.Background(), id, ResultUpload{Task: lt.Task, Values: []float64{1}}); err == nil {
-		t.Fatal("short value vector should be rejected")
-	}
-	vals := make([]float64, lt.Hi-lt.Lo)
-	ack, err := coord.Ingest(context.Background(), id, ResultUpload{Task: lt.Task, Values: vals})
-	if err != nil || !ack.Accepted || ack.Duplicate {
-		t.Fatalf("first ingest: ack %+v err %v", ack, err)
-	}
-	ack, err = coord.Ingest(context.Background(), id, ResultUpload{Task: lt.Task, Values: vals})
-	if err != nil || !ack.Accepted || !ack.Duplicate {
-		t.Fatalf("second ingest should be a dropped duplicate: ack %+v err %v", ack, err)
-	}
-	if _, err := coord.Ingest(context.Background(), id, ResultUpload{Task: "nope", Values: vals}); err == nil {
-		t.Fatal("unknown task should be rejected")
-	}
-	if _, err := coord.Lease(context.Background(), "nope", "w1", 1); !errors.Is(err, errUnknownJob) {
-		t.Fatalf("unknown job: err = %v", err)
-	}
-}
-
 // TestNonFiniteValuesOverTheWire: encoding/json rejects NaN/±Inf, but
 // a domain may produce them; the grid's wire types must round-trip
 // them through upload, assembly and the results endpoint.

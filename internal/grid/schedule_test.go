@@ -1,0 +1,1152 @@
+package grid
+
+// FuzzSchedule holds the grid to its promise — whatever crash, retry,
+// hedge or lying-worker schedule it lives through, every job ends in a CSV
+// byte-identical to job.Run — over every schedule an input can spell, not
+// over a list of handled cases. Each input byte is one step of a small
+// world: a coordinator with a checkpoint directory, one to three tiny
+// gossip jobs and two to five workers, all on one goroutine under a
+// virtual clock, every request through the real client (call) and handler.
+// The coordinator's invariants are stated once, below, each a plain
+// function of the world, checked where it can be observed — after every
+// step, at every restart, at the end — and named when it fails.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/dsa"
+	"repro/internal/gossip"
+	"repro/internal/gridobs"
+	"repro/internal/job"
+	"repro/internal/linelog"
+)
+
+const scheduleTTL = time.Minute
+
+// scheduleRef is one job a world may run, with what job.Run makes of it.
+type scheduleRef struct {
+	spec   job.Spec
+	raw    json.RawMessage // job.EncodeSpec, for POST /v1/jobs
+	tasks  []job.Task
+	values map[string][]float64 // per task, as every honest worker computes it
+	csv    string
+}
+
+// scheduleRefs are the world's jobs — 8, 12 and 4 tasks of 2, 1 and 3
+// values — computed once per process; they cannot fail but by a broken
+// domain.
+var scheduleRefs = sync.OnceValue(func() (refs []scheduleRef) {
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	ctx, all := context.Background(), gossip.Domain().Space().Enumerate()
+	for _, s := range []struct {
+		lo, hi, chunk int
+		seed          int64
+	}{{0, 8, 2, 7}, {8, 14, 1, 99}, {14, 20, 3, 5}} {
+		cfg := tinyGossipCfg()
+		cfg.Seed = s.seed
+		spec := job.Spec{Domain: gossip.Domain(), Points: all[s.lo:s.hi], Cfg: cfg, Chunk: s.chunk}
+		ref := scheduleRef{spec: spec, tasks: spec.Tasks(), values: map[string][]float64{}}
+		var err error
+		ref.raw, err = job.EncodeSpec(spec)
+		must(err)
+		must(job.ExecTasks(ctx, spec, ref.tasks, job.ExecOptions{Workers: 1}, func(t job.Task, vals []float64, _ time.Duration) error {
+			ref.values[t.ID()] = vals
+			return nil
+		}))
+		scores, err := job.Run(ctx, spec.Domain, spec.Points, spec.Cfg, job.Options{Chunk: spec.Chunk})
+		must(err)
+		var buf bytes.Buffer
+		must(dsa.WriteCSV(&buf, spec.Domain, scores))
+		ref.csv = buf.String()
+		refs = append(refs, ref)
+	}
+	return refs
+})
+
+// Worker kinds. A liar sends every value off by one; a silent worker
+// leases and is never heard from again.
+const (
+	kindHonest = iota
+	kindLiar
+	kindSilent
+)
+
+type simWorker struct {
+	name   string
+	kind   int
+	banned bool       // quarantined by the operator
+	held   []heldTask // leases it still means to answer
+}
+
+type heldTask struct {
+	job int
+	LeaseTask
+}
+
+// Network faults: the next step's requests are dropped before the handler,
+// or their answers are lost after it — the client's retry is then a
+// duplicate.
+const (
+	faultDrop = 1 + iota
+	faultLose
+)
+
+type fileWrite struct {
+	rel  string // under the world's directory
+	off  int64
+	data []byte
+}
+
+type world struct {
+	t     testing.TB
+	steps []byte
+	step  int  // the step being taken; len(steps) while finishing
+	split bool // send every body as one-entry bodies (invariant 10)
+
+	opts    CoordinatorOptions
+	refs    []scheduleRef
+	prio    []int // creation priorities: what a restart registers the jobs with
+	ids     []string
+	workers []*simWorker
+
+	clock  atomic.Int64 // virtual time, Unix nanoseconds
+	dir    string
+	c      *Coordinator
+	h      http.Handler
+	client *http.Client
+	fault  int
+	writes []fileWrite // this life's WAL and manifest appends, in order
+	parsed int         // writes already scanned for verify records
+	unseam func()
+
+	// What the invariants judge besides the coordinator's own state.
+	lastLive    string          // the dead coordinator's projection (2)
+	cut         bool            // the last restart's files were cut inside an append (2)
+	everCut     bool            // (10)
+	fairOnly    bool            // every grant so far was a single task of the scheduler's pick (7)
+	selfGrant   map[string]bool // job/task/worker: a producer handed its own re-check (6)
+	vouched     []bool          // per job: the liar verified its own lie (4)
+	unrecorded  bool            // a task was restored done with no ingest on record (2)
+	standingLie bool            // a lie stood undisputed when the faults stopped (5)
+	acks        []string        // every upload entry's verdict, in stream order (10)
+	twin        *world          // the same input, run before (9, 10)
+	files       string          // the final WAL and manifests (9)
+	outcome     string          // the acks and the final projection, WAL records, restore and CSVs (10)
+}
+
+// newWorld reads the header — the first three bytes, zero if missing —
+// and keeps the rest as steps. Byte 0: AuditRate 0 or 1 (bit 0), Hedge
+// (bit 1), 1–3 jobs (bits 2-3), 2–5 workers (bits 4-5). Byte 1: the kind
+// of workers 1.. (two bits each: 2 a liar — one at most —, 3 silent, else
+// honest; worker 0 is always honest). Byte 2: each job's priority 1–3
+// (two bits each).
+func newWorld(t testing.TB, in []byte, split bool) *world {
+	refs := scheduleRefs()
+	hdr := append(slices.Clone(in[:min(3, len(in))]), 0, 0, 0)
+	w := &world{t: t, steps: in[min(3, len(in)):], split: split, fairOnly: hdr[0]&2 == 0}
+	w.opts = CoordinatorOptions{LeaseTTL: scheduleTTL, Hedge: hdr[0]&2 != 0}
+	if hdr[0]&1 != 0 {
+		w.opts.AuditRate = 1
+	}
+	for jx := range 1 + int(hdr[0]>>2&3)%3 {
+		w.refs = append(w.refs, refs[jx])
+		w.prio = append(w.prio, 1+int(hdr[2]>>(2*jx)&3)%3)
+	}
+	w.vouched = make([]bool, len(w.refs))
+	for i := range 2 + int(hdr[0]>>4&3) {
+		kind := kindHonest
+		if i > 0 {
+			switch hdr[1] >> (2 * (i - 1)) & 3 {
+			case 2:
+				if w.liar() == nil {
+					kind = kindLiar
+				}
+			case 3:
+				kind = kindSilent
+			}
+		}
+		w.workers = append(w.workers, &simWorker{name: fmt.Sprintf("%s%d", [...]string{"honest", "liar", "silent"}[kind], i), kind: kind})
+	}
+	w.clock.Store(time.Unix(1000, 0).UnixNano())
+	w.client = &http.Client{Transport: roundTripFunc(w.roundTrip)}
+	w.unseam = linelog.SetWriterSeam(func(path string, wr io.Writer) io.Writer {
+		return writerFunc(func(p []byte) (int, error) {
+			w.record(path, p)
+			return wr.Write(p)
+		})
+	})
+	return w
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// roundTrip serves a request in process, applying the pending network
+// fault to first attempts only: the client's retry always goes through.
+func (w *world) roundTrip(req *http.Request) (*http.Response, error) {
+	first := req.Header.Get(gridobs.RetryAttemptHeader) == ""
+	if first && w.fault == faultDrop {
+		return nil, errors.New("dropped before the handler")
+	}
+	before := len(w.writes)
+	rec := httptest.NewRecorder()
+	w.h.ServeHTTP(rec, req)
+	switch {
+	case first && w.fault == faultLose:
+		return nil, errors.New("answer lost after the handler")
+	case !first && w.fault == faultLose && strings.HasSuffix(req.URL.Path, "/results") && len(w.writes) != before:
+		w.violate(&uploadsAreEntries, "a re-sent body made %d more writes", len(w.writes)-before)
+	}
+	return rec.Result(), nil
+}
+
+// record keeps every append to the WAL and the manifests of the world's
+// current directory: what a crash may cut.
+func (w *world) record(path string, p []byte) {
+	rel, err := filepath.Rel(w.dir, path)
+	base := filepath.Base(path)
+	if err != nil || strings.HasPrefix(rel, "..") || base != walFileName && !strings.HasPrefix(base, "manifest-") {
+		return
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.writes = append(w.writes, fileWrite{rel, info.Size(), bytes.Clone(p)})
+}
+
+// open starts a coordinator on dir and registers the world's jobs, as
+// dsa-grid does on every start.
+func (w *world) open(dir string) {
+	opts := w.opts
+	opts.Dir = dir
+	w.dir, w.writes, w.parsed, w.selfGrant = dir, nil, 0, map[string]bool{}
+	w.c = NewCoordinator(opts)
+	w.c.now = func() time.Time { return time.Unix(0, w.clock.Load()) }
+	w.h = w.c.Handler()
+	w.ids = w.ids[:0]
+	for jx, ref := range w.refs {
+		id, err := w.c.AddJobPriority(ref.spec, w.prio[jx])
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		w.ids = append(w.ids, id)
+	}
+	w.locked(func(c *Coordinator) {
+		for _, j := range c.jobs {
+			for _, st := range j.tasks {
+				w.unrecorded = w.unrecorded || st.status == taskDone && st.producer == ""
+			}
+		}
+	})
+}
+
+// retire closes the coordinator; a draining one has its own clock wound
+// past every deadline first, so its drain settles and the drain loop
+// exits without touching anything the world still uses.
+func (w *world) retire() {
+	c := w.c
+	if err := c.Close(); err != nil {
+		w.t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.draining {
+		c.now = func() time.Time { return time.Unix(0, math.MaxInt64) }
+		c.expireAllLocked()
+		c.checkDrainedLocked()
+	}
+}
+
+func (w *world) close() {
+	w.retire()
+	w.unseam()
+}
+
+func (w *world) liar() *simWorker {
+	for _, wk := range w.workers {
+		if wk.kind == kindLiar {
+			return wk
+		}
+	}
+	return nil
+}
+
+func (w *world) jobIndex(id string) int { return slices.Index(w.ids, id) }
+
+// locked runs f under the coordinator's lock (released even if f fails
+// the test).
+func (w *world) locked(f func(c *Coordinator)) {
+	w.c.mu.Lock()
+	defer w.c.mu.Unlock()
+	f(w.c)
+}
+
+func (w *world) quarantined(name string) (q bool) {
+	w.locked(func(c *Coordinator) { q = c.quarantined[name] })
+	return q
+}
+
+// call makes one request of job jx's route (jx < 0: a route without one).
+func (w *world) call(method, pattern string, jx int, in, out any) error {
+	id := ""
+	if jx >= 0 {
+		id = w.ids[jx]
+	}
+	_, err := call(context.Background(), w.client, method, routeURL("http://grid", pattern, id), in, out)
+	return err
+}
+
+// The step byte: op in bits 0-2, a worker (or another small argument) in
+// bits 3-5, k in bits 6-7; the clock and kill steps read bits 3-7 as one
+// number.
+const (
+	opClock     = iota // advance by (arg+1)/8 of the lease TTL
+	opLease            // worker leases at most leaseSizes[k] tasks of the scheduler's pick
+	opLeaseJob         // worker leases at most leaseSizes[k] tasks of job k
+	opUpload           // worker sends one job's held tasks: all of them (k bit 0) or one, plus a stray (k bit 1)
+	opHeartbeat        // worker heartbeats everything it holds
+	opNetwork          // the next step's requests are dropped (a even) or their answers lost (a odd)
+	opOperator         // k 0: quarantine worker a (never worker 0); 1: job a%3 to priority 1+a/3; else drain
+	opKill             // kill -9 and restart on a crash copy; see kill
+)
+
+// leaseSizes are the lease requests' sizes; 8 asks past DefaultMaxLease.
+var leaseSizes = [4]int{1, 2, 4, 8}
+
+func (w *world) take(b byte) {
+	op, a, k, arg := b&7, int(b>>3&7), int(b>>6), int(b>>3)
+	wk := w.workers[a%len(w.workers)]
+	if op != opClock && op != opNetwork {
+		defer func() { w.fault = 0 }()
+	}
+	switch op {
+	case opClock:
+		w.advance(scheduleTTL * time.Duration(arg+1) / 8)
+	case opLease:
+		w.lease(wk, -1, leaseSizes[k])
+	case opLeaseJob:
+		w.lease(wk, k%len(w.ids), leaseSizes[k])
+	case opUpload:
+		w.upload(wk, k&1 != 0, k&2 != 0)
+	case opHeartbeat:
+		w.heartbeat(wk)
+	case opNetwork:
+		w.fault = faultDrop + a&1
+	case opOperator:
+		switch {
+		case k == 0 && wk != w.workers[0]:
+			w.c.Quarantine(wk.name)
+			wk.banned = true
+		case k == 1:
+			w.prioritize(a%3%len(w.ids), 1+a/3)
+		case k > 1:
+			w.drain()
+		}
+	case opKill:
+		w.kill(arg&1 != 0, arg>>1)
+	}
+}
+
+// advance moves the virtual clock. While draining it also ticks the drain
+// loop, under the same lock: the real loop then never finds anything to
+// expire between two steps, so its wall-clock timing cannot reach the
+// journals.
+func (w *world) advance(d time.Duration) {
+	w.locked(func(c *Coordinator) {
+		w.clock.Add(int64(d))
+		if c.draining {
+			c.expireAllLocked()
+			c.checkDrainedLocked()
+		}
+	})
+}
+
+func (w *world) drain() {
+	w.locked((*Coordinator).expireAllLocked) // the drain loop's first tick, before it exists
+	if err := w.call(http.MethodPost, pathDrain, -1, nil, nil); err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+func (w *world) prioritize(jx, p int) {
+	var sum JobSummary
+	if err := w.call(http.MethodPost, pathJobs, -1, CreateJobRequest{Spec: w.refs[jx].raw, Priority: p}, &sum); err != nil {
+		w.t.Fatal(err)
+	}
+	w.locked(func(c *Coordinator) {
+		if weight := c.jobs[w.ids[jx]].weight; sum.ID != w.ids[jx] || weight != p {
+			w.violate(&grants, "re-posting job %s at priority %d registered %s at %d", w.ids[jx], p, sum.ID, weight)
+		}
+	})
+	w.fairOnly = false
+}
+
+// answered judges a worker request's outcome: a quarantined worker is
+// refused everywhere, nobody else is, and a refused worker forgets its
+// leases. It reports whether the request went through.
+func (w *world) answered(wk *simWorker, err error) bool {
+	w.t.Helper()
+	refused := errors.Is(err, ErrWorkerQuarantined)
+	switch q := w.quarantined(wk.name); {
+	case err != nil && !refused:
+		w.t.Fatalf("step %d: %s: %v", w.step, wk.name, err)
+	case refused != q:
+		w.violate(&quarantines, "%s refused %v, quarantined %v", wk.name, refused, q)
+	case refused:
+		wk.held = nil
+	}
+	return err == nil
+}
+
+func (w *world) lease(wk *simWorker, jx, most int) {
+	fair := jx < 0 && most == 1 && w.fault == 0
+	w.locked(func(c *Coordinator) {
+		for _, j := range c.jobs {
+			fair = fair && slices.ContainsFunc(j.tasks, func(st *taskState) bool { return st.status == taskPending })
+		}
+	})
+	pattern := pathLease
+	if jx >= 0 {
+		pattern = pathJobLease
+	}
+	var resp LeaseResponse
+	if !w.answered(wk, w.call(http.MethodPost, pattern, jx, LeaseRequest{Worker: wk.name, MaxTasks: most}, &resp)) {
+		return
+	}
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.draining && (len(resp.Tasks) > 0 || !resp.Draining):
+		w.violate(&grants, "a lease while draining answered %+v", resp)
+	case len(resp.Tasks) > min(most, DefaultMaxLease) || jx >= 0 && resp.Job != w.ids[jx]:
+		w.violate(&grants, "asked for %d tasks of job %d, granted %+v", most, jx, resp)
+	case len(resp.Tasks) == 0:
+		return
+	}
+	rx, j, now := w.jobIndex(resp.Job), c.jobs[resp.Job], c.now()
+	for _, lt := range resp.Tasks {
+		st := j.task(lt.Task)
+		if st.hedgeWorker == wk.name && now.Sub(st.leasedAt) < scheduleTTL/2 {
+			w.violate(&grants, "%s hedges %s, leased only %v ago", wk.name, lt.Task, now.Sub(st.leasedAt))
+		}
+		if st.status == taskDone && st.producer == wk.name && st.audit != nil && st.audit.auditor == wk.name {
+			if now.Before(st.audit.relaxAt) {
+				w.violate(&audited, "%s was handed the re-check of its own %s before the relaxation", wk.name, lt.Task)
+			}
+			w.selfGrant[j.id+"/"+lt.Task+"/"+wk.name] = true
+		}
+		if !slices.ContainsFunc(wk.held, func(h heldTask) bool { return h.job == rx && h.Task == lt.Task }) {
+			wk.held = append(wk.held, heldTask{rx, lt})
+		}
+	}
+	if w.fairOnly = w.fairOnly && fair; w.fairOnly {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, j := range c.jobs {
+			share := float64(j.leasesGranted) / float64(j.weight)
+			lo, hi = min(lo, share), max(hi, share)
+		}
+		if hi-lo > 1 {
+			w.violate(&grants, "single-task grants left granted-per-weight shares from %v to %v", lo, hi)
+		}
+	}
+}
+
+func (w *world) heartbeat(wk *simWorker) {
+	if wk.kind == kindSilent {
+		return
+	}
+	for jx := range w.ids {
+		var tasks []string
+		for _, h := range wk.held {
+			if h.job == jx {
+				tasks = append(tasks, h.Task)
+			}
+		}
+		var resp HeartbeatResponse
+		if len(tasks) == 0 {
+			continue
+		}
+		if !w.answered(wk, w.call(http.MethodPost, pathHeartbeat, jx, HeartbeatRequest{Worker: wk.name, Tasks: tasks}, &resp)) {
+			return
+		}
+		// A heartbeat renews exactly the leases of every kind the worker
+		// holds, to a TTL from now.
+		w.locked(func(c *Coordinator) {
+			j, deadline := c.jobs[w.ids[jx]], c.now().Add(scheduleTTL)
+			for _, id := range tasks {
+				st := j.task(id)
+				holds := st.status == taskLeased && (st.worker == wk.name && st.deadline.Equal(deadline) || st.hedgeWorker == wk.name && st.hedgeDeadline.Equal(deadline)) ||
+					st.audit != nil && st.audit.auditor == wk.name && st.audit.deadline.Equal(deadline)
+				if holds != slices.Contains(resp.Renewed, id) || holds == slices.Contains(resp.Lost, id) {
+					w.violate(&consistent, "heartbeat of %s on %s answered %+v", wk.name, id, resp)
+				}
+			}
+		})
+	}
+}
+
+// upload sends the held tasks of wk's first held job — all of them, or
+// the first — as one body, and with stray one more task of that job that
+// nobody asked wk for.
+func (w *world) upload(wk *simWorker, all, stray bool) {
+	if wk.kind == kindSilent || len(wk.held) == 0 {
+		return
+	}
+	jx, ref := wk.held[0].job, w.refs[wk.held[0].job]
+	var rs []TaskResult
+	add := func(task string) {
+		vals := slices.Clone(ref.values[task])
+		if wk.kind == kindLiar {
+			vals[0]++
+		}
+		rs = append(rs, TaskResult{Task: task, Values: vals, ElapsedMS: 5})
+	}
+	wk.held = slices.DeleteFunc(wk.held, func(h heldTask) bool {
+		take := h.job == jx && (all || len(rs) == 0)
+		if take {
+			add(h.Task)
+		}
+		return take
+	})
+	if t := ref.tasks[(w.step*7+len(w.acks))%len(ref.tasks)].ID(); stray &&
+		!slices.ContainsFunc(rs, func(r TaskResult) bool { return r.Task == t }) {
+		add(t)
+	}
+	// Split, the body goes as one-entry bodies in the order the coordinator
+	// takes a body's entries: those for tasks done on arrival (duplicates,
+	// audit evidence) as they come, then the fresh ones, journalled last.
+	sends := [][]int{nil}
+	for i := range rs {
+		sends[0] = append(sends[0], i)
+	}
+	if w.split {
+		sends = nil
+		w.locked(func(c *Coordinator) {
+			j := c.jobs[w.ids[jx]]
+			for _, fresh := range []bool{false, true} {
+				for i, r := range rs {
+					if (j.task(r.Task).status != taskDone) == fresh {
+						sends = append(sends, []int{i})
+					}
+				}
+			}
+		})
+	}
+	acks := make([]string, len(rs))
+	for _, idx := range sends {
+		body := ResultsUpload{Worker: wk.name}
+		for _, i := range idx {
+			body.Results = append(body.Results, rs[i])
+		}
+		var ack ResultsAck
+		if !w.answered(wk, w.call(http.MethodPost, pathResults, jx, body, &ack)) {
+			for _, i := range idx {
+				acks[i] = "refused"
+			}
+			continue
+		}
+		if len(ack.Acks) != len(idx) {
+			w.violate(&uploadsAreEntries, "%d entries, %d acks", len(idx), len(ack.Acks))
+		}
+		for n, i := range idx {
+			acks[i] = fmt.Sprintf("accepted=%v duplicate=%v", ack.Acks[n].Accepted, ack.Acks[n].Duplicate)
+			if w.fault == faultLose && !ack.Acks[n].Duplicate {
+				w.violate(&uploadsAreEntries, "the re-sent %s of %s was acked %+v, not as a duplicate", rs[i].Task, wk.name, ack.Acks[n])
+			}
+		}
+	}
+	for i, a := range acks {
+		w.acks = append(w.acks, wk.name+" "+rs[i].Task+" "+a)
+	}
+}
+
+// kill is a coordinator kill -9 and a restart on a copy of what it left
+// on disk. v < 15 cuts the last manifest (else WAL) append as the crash
+// tore it: v/3 whole lines of it, then -1, 0 or +1 byte (v%3 - 1), and
+// none of the appends after it.
+func (w *world) kill(manifest bool, v int) {
+	w.lastLive = durableProjection(w.c)
+	dir := crashCopy(w.t, w.dir)
+	w.cut = false
+	i := len(w.writes) - 1
+	for i >= 0 && manifest == (w.writes[i].rel == walFileName) {
+		i--
+	}
+	if v < 15 && i >= 0 {
+		size := map[string]int64{} // what each file is cut back to
+		for k := len(w.writes) - 1; k > i; k-- {
+			size[w.writes[k].rel] = w.writes[k].off
+		}
+		fw, ends := w.writes[i], []int{0}
+		for p, ch := range fw.data {
+			if ch == '\n' {
+				ends = append(ends, p+1)
+			}
+		}
+		at := min(max(ends[min(v/3, len(ends)-1)]+v%3-1, 0), len(fw.data))
+		size[fw.rel] = fw.off + int64(at)
+		for rel, n := range size {
+			if err := os.Truncate(filepath.Join(dir, rel), n); err != nil {
+				w.t.Fatal(err)
+			}
+		}
+		w.cut = len(size) > 1 || at < len(fw.data)
+		w.everCut = w.everCut || w.cut
+	}
+	w.retire()
+	w.open(dir)
+	w.hold(atRestart...)
+}
+
+// scanVerifies looks at the verify records journalled since the last
+// look: a worker vouching for its own value must have been handed the
+// re-check (6), and the liar vouching for a lie is noted (4).
+func (w *world) scanVerifies() {
+	liar := w.liar()
+	for ; w.parsed < len(w.writes); w.parsed++ {
+		fw := w.writes[w.parsed]
+		if fw.rel != walFileName {
+			continue
+		}
+		for _, line := range bytes.SplitAfter(fw.data, []byte("\n")) {
+			var l walLine
+			var r walRecord
+			if json.Unmarshal(line, &l) != nil || json.Unmarshal(l.Rec, &r) != nil || r.T != walVerify {
+				continue
+			}
+			jx := w.jobIndex(r.Job)
+			w.c.mu.Lock()
+			st := w.c.jobs[r.Job].task(r.Task)
+			producer, lie := st.producer, !equalValues(st.values, w.refs[jx].values[r.Task])
+			w.c.mu.Unlock()
+			if r.Worker == producer && !w.selfGrant[r.Job+"/"+r.Task+"/"+r.Worker] {
+				w.violate(&audited, "%s verified its own value of %s without holding its re-check", r.Worker, r.Task)
+			}
+			w.vouched[jx] = w.vouched[jx] || liar != nil && r.Worker == liar.name && lie
+		}
+	}
+}
+
+// finish stops the faults and lets the honest workers alone finish every
+// job: a draining coordinator first settles — the drain's wait — and
+// restarts on the same directory; then, every half TTL, each honest
+// worker still admitted leases and sends all it holds.
+func (w *world) finish() {
+	w.fault, w.step = 0, len(w.steps)
+	if w.c.Draining() {
+		w.advance(2 * scheduleTTL)
+		select {
+		case <-w.c.Drained():
+		default:
+			w.violate(&consistent, "the drain did not settle once every lease had expired")
+		}
+		w.lastLive, w.cut = durableProjection(w.c), false
+		w.retire()
+		w.open(w.dir)
+		w.hold(atRestart...)
+	}
+	c, liar := w.c, w.liar()
+	c.mu.Lock()
+	c.expireAllLocked()
+	for _, j := range c.jobs {
+		for _, st := range j.tasks {
+			if liar != nil && w.opts.AuditRate > 0 && st.unauditedBy(liar.name) && (st.audit == nil || st.audit.second == "") {
+				w.standingLie = true
+			}
+		}
+	}
+	c.mu.Unlock()
+	for round := 0; !w.complete(); round++ {
+		if round == 60 {
+			w.violate(&honestFinish, "jobs incomplete after %v: %s", 30*scheduleTTL, durableProjection(w.c))
+		}
+		if round > 0 {
+			w.advance(scheduleTTL / 2)
+		}
+		for _, wk := range w.workers {
+			if wk.kind == kindHonest && !w.quarantined(wk.name) {
+				w.lease(wk, -1, 4)
+				for len(wk.held) > 0 {
+					w.upload(wk, true, false)
+				}
+			}
+		}
+		w.scanVerifies()
+	}
+}
+
+func (w *world) complete() bool {
+	w.c.mu.Lock()
+	defer w.c.mu.Unlock()
+	return w.c.allCompleteLocked()
+}
+
+// csv is job jx's results route in CSV ("" while incomplete).
+func (w *world) csv(jx int) string {
+	rec := httptest.NewRecorder()
+	w.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, routeURL("", pathResults, w.ids[jx])+"?format=csv", nil))
+	if rec.Code != http.StatusOK {
+		return ""
+	}
+	return rec.Body.String()
+}
+
+// wholeLines folds job jx's manifests the way linelog's rule reads them:
+// whole lines only, a tombstone cancels what precedes it, the first live
+// line of a task wins.
+func (w *world) wholeLines(jx int) map[string][]float64 {
+	want := map[string]int{}
+	for _, t := range w.refs[jx].tasks {
+		want[t.ID()] = t.Hi - t.Lo
+	}
+	out := map[string][]float64{}
+	paths, _ := filepath.Glob(filepath.Join(w.dir, w.ids[jx], "manifest-*.jsonl"))
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			var e struct {
+				Task   string
+				Values dsa.JSONFloats
+				Dead   bool
+			}
+			switch {
+			case !bytes.HasSuffix(line, []byte("\n")) || json.Unmarshal(line, &e) != nil:
+			case e.Dead:
+				delete(out, e.Task)
+			case out[e.Task] == nil && len(e.Values) == want[e.Task] && want[e.Task] > 0:
+				out[e.Task] = e.Values
+			}
+		}
+	}
+	return out
+}
+
+// runWorld plays in: its steps, holding the invariants after each, then
+// the fault-free finish, the end-of-run invariants and one last restart.
+// afterStep, if set, sees the world after every step.
+func runWorld(t testing.TB, in []byte, split bool, afterStep func(*world)) *world {
+	w := newWorld(t, in, split)
+	defer w.close()
+	w.open(t.TempDir())
+	for ; w.step < len(w.steps) && w.step < 256; w.step++ {
+		w.take(w.steps[w.step])
+		w.scanVerifies()
+		w.hold(everyStep...)
+		if afterStep != nil {
+			afterStep(w)
+		}
+	}
+	w.finish()
+	w.hold(atEnd...)
+	var files, outcome strings.Builder
+	fmt.Fprintf(&outcome, "%s\n%s\n%s", strings.Join(w.acks, "\n"), durableProjection(w.c), strings.Join(walMultiset(t, w.dir), "\n"))
+	for jx, id := range w.ids {
+		for _, rel := range []string{walFileName, filepath.Join(id, "manifest-grid.jsonl")} {
+			data, err := os.ReadFile(filepath.Join(w.dir, rel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&files, "== %s\n%s", rel, data)
+		}
+		fmt.Fprintf(&outcome, "\n%v\n%s", w.wholeLines(jx), w.csv(jx))
+	}
+	w.files, w.outcome = files.String(), outcome.String()
+	w.kill(false, 15)
+	return w
+}
+
+// An invariant is one promise of the coordinator: a plain function of the
+// world, named when it fails. Facts only a step can see are judged on the
+// spot, under the invariant they belong to (violate).
+type invariant struct {
+	name  string
+	check func(w *world) error
+}
+
+func (w *world) hold(invs ...*invariant) {
+	w.t.Helper()
+	for _, inv := range invs {
+		if err := inv.check(w); err != nil {
+			w.violate(inv, "%v", err)
+		}
+	}
+}
+
+func (w *world) violate(inv *invariant, format string, args ...any) {
+	w.t.Helper()
+	w.t.Fatalf("step %d of %d: invariant %s: %s", w.step, len(w.steps), inv.name, fmt.Sprintf(format, args...))
+}
+
+var (
+	everyStep = []*invariant{&consistent, &restoreIsManifest, &quarantines, &audited}
+	atRestart = []*invariant{&consistent, &restartEqualsLive, &restoreIsManifest, &grants}
+	atEnd     = []*invariant{&honestFinish, &consistent, &restoreIsManifest, &csvMatchesRun, &quarantines, &audited, &grants}
+)
+
+// 1. The task table is consistent: done counts the done tasks and only
+// they hold values, nothing pending sits behind the grant cursor, a hedge
+// races only someone else's live lease, an open audit sits on a done task
+// and is counted, no quarantined worker holds a lease, and a drain has
+// settled exactly when nothing is in flight. (Also judged on the spot: a
+// heartbeat renews exactly what its worker holds.)
+var consistent = invariant{"1 consistent task table", func(w *world) error {
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, j := range c.jobsLocked() {
+		done, audits := 0, 0
+		for _, st := range j.tasks {
+			switch {
+			case (st.status == taskDone) != (st.values != nil):
+				return fmt.Errorf("task %s: status %d with values %v", st.id, st.status, st.values)
+			case st.status == taskPending && st.idx < j.next:
+				return fmt.Errorf("task %s is pending behind the grant cursor (%d)", st.id, j.next)
+			case st.hedgeWorker != "" && (st.status != taskLeased || st.hedgeWorker == st.worker):
+				return fmt.Errorf("task %s: %q hedges a lease of %q in status %d", st.id, st.hedgeWorker, st.worker, st.status)
+			case st.audit != nil && st.status != taskDone:
+				return fmt.Errorf("task %s: an audit open in status %d", st.id, st.status)
+			}
+			if st.status == taskDone {
+				done++
+			}
+			if st.audit != nil {
+				audits++
+			}
+		}
+		if done != j.done || audits != j.audits {
+			return fmt.Errorf("job %s counts %d done and %d audits, its table %d and %d", j.id, j.done, j.audits, done, audits)
+		}
+		if r := j.revocations(func(w string) bool { return c.quarantined[w] }); len(r) > 0 {
+			return fmt.Errorf("task %s is on lease to the quarantined %s", r[0].Task, r[0].Worker)
+		}
+	}
+	select {
+	case <-c.Drained():
+		if c.inflightLocked() > 0 {
+			return fmt.Errorf("drained with %d tasks in flight", c.inflightLocked())
+		}
+	default:
+		if c.draining && c.inflightLocked() == 0 {
+			return errors.New("draining, nothing in flight, and the drain has not settled")
+		}
+	}
+	return nil
+}}
+
+// 2. A restart on a crash copy stands where the dead coordinator stood, in
+// everything the journals own (durableProjection; notDurable says what is
+// left out and why) — unless the crash cut an append, which no live state
+// ever matched, or an earlier one left a task done that the WAL never saw.
+var restartEqualsLive = invariant{"2 restart equals live", func(w *world) error {
+	if got := durableProjection(w.c); !w.cut && !w.unrecorded && got != w.lastLive {
+		return fmt.Errorf("a restart does not stand where the dead coordinator did\ndead:\n%s\nrestarted:\n%s", w.lastLive, got)
+	}
+	return nil
+}}
+
+// 3. The values on record are exactly the whole lines of the manifests: a
+// task is done if and only if they hold its value, and it holds that value.
+var restoreIsManifest = invariant{"3 values are the manifests' whole lines", func(w *world) error {
+	for jx, id := range w.ids {
+		lines := w.wholeLines(jx)
+		w.c.mu.Lock()
+		for _, st := range w.c.jobs[id].tasks {
+			if v, ok := lines[st.id]; ok != (st.status == taskDone) || ok && !equalValues(v, st.values) {
+				w.c.mu.Unlock()
+				return fmt.Errorf("task %s: on record %v (status %d), in the manifest %v", st.id, st.values, st.status, v)
+			}
+		}
+		w.c.mu.Unlock()
+	}
+	return nil
+}}
+
+// 4. Every completed job's CSV is byte-identical to job.Run's when the
+// world has no liar or audits everything — except a job whose liar
+// vouched for its own lie: the relaxation hands a producer its own re-check
+// once a TTL passed with nobody else taking it, and a crash between a
+// body's manifest and WAL appends leaves a value with no producer on
+// record, which anyone may then verify.
+var csvMatchesRun = invariant{"4 CSV byte-identical to job.Run", func(w *world) error {
+	if w.liar() != nil && w.opts.AuditRate == 0 {
+		return nil
+	}
+	for jx, id := range w.ids {
+		if got := w.csv(jx); !w.vouched[jx] && got != w.refs[jx].csv {
+			return fmt.Errorf("job %s: the CSV is not job.Run's:\n%s", id, got)
+		}
+	}
+	return nil
+}}
+
+// 5. An honest worker is quarantined only by the operator. A lie that
+// stood undisputed when the faults stopped gets its liar quarantined by
+// completion, when two honest workers finish the jobs. (Also judged on the
+// spot: a quarantined worker is refused on every route, nobody else is.)
+var quarantines = invariant{"5 quarantine", func(w *world) error {
+	finishers := 0
+	for _, wk := range w.workers {
+		q := w.quarantined(wk.name)
+		if wk.kind == kindHonest && q && !wk.banned {
+			return fmt.Errorf("honest %s is quarantined", wk.name)
+		}
+		if wk.kind == kindHonest && !q {
+			finishers++
+		}
+	}
+	if liar := w.liar(); w.step == len(w.steps) && w.standingLie && finishers >= 2 && w.complete() && !w.quarantined(liar.name) {
+		return fmt.Errorf("%s's lie stood when the faults stopped, and %s is not quarantined", liar.name, liar.name)
+	}
+	return nil
+}}
+
+// 6. An audited job completes only with every task verified. (Also judged
+// on the spot: a producer is handed its own re-check only once the
+// relaxation is due, and verifies its own value only holding it.)
+var audited = invariant{"6 audited jobs complete verified", func(w *world) error {
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, j := range c.jobs {
+		for _, st := range j.tasks {
+			if w.opts.AuditRate > 0 && j.completeLocked() && !st.verified {
+				return fmt.Errorf("job %s completed with %s unverified", j.id, st.id)
+			}
+		}
+	}
+	return nil
+}}
+
+// 7. Per job, leasesGranted is the lease records journalled for it — a
+// hedge never counts. (Also judged on the spot: a re-posted job keeps its
+// ID and takes the new priority; no grant while draining, none past the
+// request's size or the lease cap or outside its job, no hedge of a lease
+// younger than half a TTL; and while every grant is a single task of the
+// scheduler's pick with every job pending, granted-per-weight shares stay
+// within 1 of each other.)
+var grants = invariant{"7 grants", func(w *world) error {
+	log, recs, _, err := openWAL(w.dir)
+	if err != nil {
+		return err
+	}
+	log.Close()
+	leases := map[string]int{}
+	for _, r := range recs {
+		if r.T == walLease {
+			leases[r.Job]++
+		}
+	}
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, id := range w.ids {
+		if j := c.jobs[id]; j.leasesGranted != leases[id] {
+			return fmt.Errorf("job %s counts %d grants, the WAL holds %d lease records", id, j.leasesGranted, leases[id])
+		}
+	}
+	return nil
+}}
+
+// 8. Once the faults stop, the honest workers alone finish every job
+// within 30 TTLs (judged by finish).
+var honestFinish = invariant{"8 honest workers finish", func(w *world) error {
+	if !w.complete() {
+		return errors.New("the jobs are incomplete")
+	}
+	return nil
+}}
+
+// 9. The same input writes byte-identical WAL and manifests.
+var deterministic = invariant{"9 same input, same bytes", func(w *world) error {
+	return firstDiff(w.twin.files, w.files)
+}}
+
+// 10. A body is its entries: with every body sent as one-entry bodies (in
+// the order the coordinator takes a body's entries) the same input ends in
+// the same acks, projection, WAL records, restore and CSVs — unless a crash
+// cut an append, whose lines differ between the two. (Also judged on the
+// spot: a re-sent body is acked a duplicate entry by entry and writes
+// nothing.)
+var uploadsAreEntries = invariant{"10 a body is its entries", func(w *world) error {
+	if w.twin.everCut || w.everCut {
+		return nil
+	}
+	return firstDiff(w.twin.outcome, w.outcome)
+}}
+
+// firstDiff names the first line at which two runs' renderings part.
+func firstDiff(a, b string) error {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range max(len(al), len(bl)) {
+		if i >= len(al) || i >= len(bl) || al[i] != bl[i] {
+			return fmt.Errorf("the runs part at line %d:\n%q\n%q", i+1, al[min(i, len(al)-1)], bl[min(i, len(bl)-1)])
+		}
+	}
+	return nil
+}
+
+// spell writes a schedule: the header, then one byte per step.
+type spell []byte
+
+// schedule starts a spell: kinds names every worker ('h' honest, 'l' the
+// liar, 's' silent; worker 0 is honest), prios every job's priority.
+func schedule(audit, hedge bool, kinds string, prios ...int) spell {
+	var h0, h1, h2 byte
+	if audit {
+		h0 |= 1
+	}
+	if hedge {
+		h0 |= 2
+	}
+	h0 |= byte(len(prios)-1)<<2 | byte(len(kinds)-2)<<4
+	for i, k := range kinds[1:] {
+		h1 |= byte(strings.IndexRune("h?ls", k)) << (2 * i)
+	}
+	for j, p := range prios {
+		h2 |= byte(p-1) << (2 * j)
+	}
+	return spell{h0, h1, h2}
+}
+
+func (s spell) op(op, a, k int) spell    { return append(s, byte(op|a<<3|k<<6)) }
+func (s spell) clock(eighths int) spell  { return append(s, byte(opClock|(eighths-1)<<3)) }
+func (s spell) lease(wk, max int) spell  { return s.op(opLease, wk, slices.Index(leaseSizes[:], max)) }
+func (s spell) leaseJob(wk, j int) spell { return s.op(opLeaseJob, wk, j) } // at most leaseSizes[j] tasks
+func (s spell) upload(wk int) spell      { return s.op(opUpload, wk, 1) }   // everything of one job
+func (s spell) uploadStray(wk int) spell { return s.op(opUpload, wk, 3) }
+func (s spell) heartbeat(wk int) spell   { return s.op(opHeartbeat, wk, 0) }
+func (s spell) drop() spell              { return s.op(opNetwork, 0, 0) }
+func (s spell) lose() spell              { return s.op(opNetwork, 1, 0) }
+func (s spell) quarantine(wk int) spell  { return s.op(opOperator, wk, 0) }
+func (s spell) priority(j, p int) spell  { return s.op(opOperator, j+3*(p-1), 1) } // j < 3, and j < 2 for p 3
+func (s spell) drain() spell             { return s.op(opOperator, 0, 2) }
+func (s spell) kill() spell              { return append(s, byte(opKill|30<<3)) }
+
+// cut is a kill -9 inside the last manifest (else WAL) append: after its
+// line-th line, off by d bytes.
+func (s spell) cut(manifest bool, line, d int) spell {
+	arg := (line*3 + d + 1) << 1
+	if manifest {
+		arg |= 1
+	}
+	return append(s, byte(opKill|arg<<3))
+}
+
+// scheduleCorpus is FuzzSchedule's seed corpus: every interleaving a
+// hand-written test used to pin, then long seeded walks.
+func scheduleCorpus() []spell {
+	audited, hedged := schedule(true, false, "hhl", 1), schedule(false, true, "hs", 1)
+	corpus := []spell{
+		// The sole honest worker confirms its own results once a TTL passed.
+		schedule(true, false, "hs", 1).lease(0, 4).upload(0).lease(0, 4).clock(9).lease(0, 4).upload(0),
+		// A producer is not handed its fresh work's audit; a second worker verifies it.
+		schedule(true, false, "hh", 1).lease(0, 2).upload(0).lease(0, 2).lease(1, 2).upload(1),
+		// A liar disputed by one honest worker and overruled by a second, then refused everywhere.
+		audited.lease(2, 2).upload(2).lease(1, 2).upload(1).lease(0, 2).upload(0).lease(2, 1).heartbeat(2).uploadStray(2),
+		// A producer re-sends its body (the answer was lost) while the audits are open.
+		schedule(true, false, "hh", 1).lease(0, 2).lose().upload(0).lease(1, 2).upload(1),
+		// A lie still standing when the faults stop: the honest finishers overrule it and quarantine its liar.
+		audited.lease(2, 2).upload(2),
+		// The relaxation hands the liar its own re-check a TTL on: it vouches for its lie (invariant 4's exception).
+		audited.lease(2, 2).upload(2).clock(9).lease(2, 2).upload(2),
+		// A crash between a body's manifest and WAL appends, then the producer-less tasks are verified and the
+		// coordinator killed again: the verifies do not replay (notDurable).
+		schedule(true, false, "hh", 1).lease(0, 4).upload(0).cut(true, 4, 0).lease(1, 4).upload(1).kill(),
+		// A liar sends its lies twice, then two honest workers overrule it.
+		audited.lease(2, 2).lose().upload(2).lease(0, 2).upload(0).lease(1, 2).upload(1),
+		// A straggler holding every task is hedged past half a TTL; the racer wins, the straggler's results are duplicates.
+		schedule(false, true, "hh", 1).lease(1, 4).lease(1, 4).clock(5).lease(0, 2).upload(0).upload(1).kill(),
+		// The straggler dies; its live hedges are promoted in place.
+		hedged.lease(1, 4).lease(1, 4).clock(5).lease(0, 2).clock(4).heartbeat(0).upload(0).kill(),
+		// A kill -9 while a worker holds a live lease (granted on a retry of a dropped request).
+		schedule(false, false, "hh", 1).lease(0, 2).upload(0).drop().lease(0, 1).kill().clock(9),
+		// Expired leases, then a kill -9: the expiries replay.
+		schedule(false, false, "hhs", 1).lease(2, 4).clock(9).lease(0, 2).kill(),
+		// 1:3 fair share over single-task global grants.
+		schedule(false, false, "hh", 1, 3).lease(0, 1).lease(1, 1).lease(0, 1).lease(1, 1).lease(0, 1).lease(1, 1).lease(0, 1).lease(1, 1),
+		// A drain with leases in flight: no grants, uploads settle it, a graceful restart.
+		schedule(false, false, "hh", 1).lease(0, 2).drain().lease(1, 2).leaseJob(1, 0).upload(0).clock(2),
+		// A quarantine revokes leases and voids unaudited work in two jobs; an expiry sweeps both.
+		schedule(false, true, "hhs", 1, 2).leaseJob(1, 3).upload(1).leaseJob(1, 1).leaseJob(2, 1).leaseJob(2, 3).
+			leaseJob(0, 1).upload(0).quarantine(1).clock(12).lease(0, 4).upload(0).priority(1, 3).kill(),
+		// A kill -9 after a quarantine's verdict, before its last tombstone.
+		schedule(false, false, "hh", 1).lease(1, 4).upload(1).lease(1, 2).quarantine(1).cut(true, 0, 0),
+		// ... and before the verdict itself.
+		schedule(false, false, "hh", 1).lease(1, 4).upload(1).quarantine(1).cut(false, 0, 0),
+		// Every priority, three jobs, a crash while draining.
+		schedule(true, true, "hhls", 1, 2, 3).lease(0, 4).lease(2, 4).lease(3, 4).upload(0).upload(2).
+			priority(2, 1).drain().upload(2).kill().lease(1, 4).upload(1),
+		// A grant capped at the lease limit, renewed by a heartbeat, expired and re-leased to another
+		// worker, whose holder's next heartbeat finds it lost; the late uploads race.
+		schedule(false, false, "hh", 1).lease(0, 8).clock(4).heartbeat(0).clock(9).lease(1, 8).heartbeat(0).upload(0).upload(1),
+		// A body's answer is lost: the retry under the same request ID is acked duplicate and writes nothing.
+		schedule(false, false, "hh", 1).lease(0, 4).lose().upload(0),
+	}
+	// A kill -9 inside a four-line body's manifest append, at each line
+	// boundary and a byte either side; and inside the WAL append after it.
+	for line := range 5 {
+		for d := -1; d <= 1; d++ {
+			corpus = append(corpus, schedule(false, false, "hh", 1).lease(0, 4).upload(0).cut(true, line, d))
+		}
+		corpus = append(corpus, schedule(false, false, "hh", 1).lease(0, 4).upload(0).cut(false, line, 0))
+	}
+	// Long walks: every op, any worker, a few hundred steps.
+	for seed := range uint64(4) {
+		rng := rand.New(rand.NewPCG(seed, 29))
+		var walk spell
+		for range 163 {
+			walk = append(walk, byte(rng.Uint32()))
+		}
+		corpus = append(corpus, walk)
+	}
+	return corpus
+}
+
+// FuzzSchedule plays each input three times: twice as it is, whose
+// journals must be byte-identical (9), and once with every body split
+// into one-entry bodies (10); every run holds invariants 1–8. A failing
+// input replays with go test ./internal/grid -run 'FuzzSchedule/<file>'.
+func FuzzSchedule(f *testing.F) {
+	orig := retryDelay
+	retryDelay = func(int) time.Duration { return 0 }
+	f.Cleanup(func() { retryDelay = orig })
+	for _, s := range scheduleCorpus() {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		a := runWorld(t, in, false, nil)
+		b := runWorld(t, in, false, nil)
+		b.twin = a
+		b.hold(&deterministic)
+		s := runWorld(t, in, true, nil)
+		s.twin = a
+		s.hold(&uploadsAreEntries)
+	})
+}

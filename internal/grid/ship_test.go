@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -178,6 +179,80 @@ func TestTraceCollectorFaultedAppend(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzTraceIngest feeds the collector a sequence of chunk uploads decoded
+// from the input — scope, writer name, offset relative to what that stream
+// holds, data — and checks after each one: no panic, every collected file
+// is whole lines and as long as the last Have acked for it, no two streams
+// share a file, and an upload the collector refuses changes nothing.
+func FuzzTraceIngest(f *testing.F) {
+	// One upload: a header (bit 0 the scope, bits 1-3 the writer's length,
+	// bits 4-7 the data's), the writer, the offset as a signed byte past
+	// what the stream holds, the data.
+	up := func(scope byte, writer string, delta int8, data string) []byte {
+		b := append([]byte{scope | byte(len(writer))<<1 | byte(len(data))<<4}, writer...)
+		return append(append(b, byte(delta)), data...)
+	}
+	cat := func(ups ...[]byte) []byte { return bytes.Join(ups, nil) }
+	f.Add(cat(up(0, "w", 0, "alpha\nbravo\n"), up(0, "w", -12, "alpha\nbravo\n"), up(0, "w", -6, "bravo\ncharlie\n"), up(0, "w", 5, "late\n")))
+	f.Add(cat(up(0, "a_b", 0, "{\"n\":1}\n"), up(0, "a b", 0, "{\"n\":2}\n"), up(1, "a_b", 0, "{\"n\":3}\n")))
+	f.Add(cat(up(1, "z", 0, `{"name":"z"`), up(1, "z", 0, "\"}\n"), up(0, "", 0, "x\n"), up(0, "writer", 0, "y\n")))
+	scopes := []string{"", "gossip-000000000001"}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		dir := t.TempDir()
+		tc := newTraceCollector(dir, nil)
+		defer tc.Close()
+		next := func(n int) []byte {
+			b := in[:min(n, len(in))]
+			in = in[len(b):]
+			return b
+		}
+		files := func() string {
+			var sb strings.Builder
+			for _, scope := range scopes {
+				ents, _ := os.ReadDir(filepath.Join(dir, scopeName(scope), "trace"))
+				for _, e := range ents {
+					info, _ := e.Info()
+					fmt.Fprintf(&sb, "%s/%s %d\n", scope, e.Name(), info.Size())
+				}
+			}
+			return sb.String()
+		}
+		have := map[traceKey]int64{}
+		for len(in) > 0 {
+			h := next(1)[0]
+			key := traceKey{scopes[h&1], string(next(int(h >> 1 & 7)))}
+			offset := have[key]
+			if d := next(1); len(d) > 0 {
+				offset += int64(int8(d[0]))
+			}
+			data := next(int(h >> 4))
+			before := files()
+			ack, _, _, err := tc.append(key.job, key.writer, offset, data)
+			if err != nil {
+				if after := files(); after != before {
+					t.Fatalf("refused %+v (%v) and still changed the collected files:\n%s\nto\n%s", key, err, before, after)
+				}
+				continue
+			}
+			have[key] = ack.Have
+			seen := map[string]traceKey{}
+			for k, j := range tc.journals {
+				data, err := os.ReadFile(j.log.Path())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int64(len(data)) != have[k] || (len(data) > 0 && data[len(data)-1] != '\n') {
+					t.Fatalf("stream %+v: collected %q, last acked Have %d", k, data, have[k])
+				}
+				if other, shared := seen[j.log.Path()]; shared {
+					t.Fatalf("streams %+v and %+v share %s", other, k, j.log.Path())
+				}
+				seen[j.log.Path()] = k
+			}
+		}
+	})
 }
 
 // TestTraceShippingEndToEnd runs the tentpole end to end: two traced

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -179,13 +180,26 @@ func (tc *traceCollector) journalLocked(job, writer string) (*traceJournal, erro
 // append ingests one upload chunk idempotently: only bytes past the
 // collected size are written (verbatim, durably) and observed, so
 // replays and overlaps never duplicate or tear a record. Returns the ack
-// plus the appended byte/span counts for metrics.
+// plus the appended byte/span counts for metrics. A chunk it refuses
+// changes nothing: a writer name obs.JournalPath would rewrite (two such
+// names would share one collected file), a negative offset, or data that
+// does not end on a line boundary (the next chunk would fuse onto it).
 func (tc *traceCollector) append(job, writer string, offset int64, data []byte) (ack TraceAck, spans int64, dup bool, err error) {
+	switch {
+	case writer == "" || strings.ContainsFunc(writer, func(r rune) bool {
+		return !('a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || r == '.' || r == '_' || r == '-')
+	}):
+		return TraceAck{}, 0, false, fmt.Errorf("grid: trace writer %q: a name is one or more of A-Z a-z 0-9 . _ -", writer)
+	case offset < 0:
+		return TraceAck{}, 0, false, fmt.Errorf("grid: trace upload offset must be >= 0")
+	case len(data) > 0 && data[len(data)-1] != '\n':
+		return TraceAck{}, 0, false, fmt.Errorf("grid: trace chunk must be whole lines, ending in '\\n'")
+	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	j, err := tc.journalLocked(job, writer)
 	if err != nil {
-		return TraceAck{}, 0, false, err
+		return TraceAck{}, 0, false, fmt.Errorf("grid: trace collect: %w", err)
 	}
 	have := j.log.Size()
 	switch {
@@ -199,7 +213,7 @@ func (tc *traceCollector) append(job, writer string, offset int64, data []byte) 
 	}
 	app := data[have-offset:]
 	if err := j.log.Append(app, true); err != nil {
-		return TraceAck{}, 0, false, err
+		return TraceAck{}, 0, false, fmt.Errorf("grid: trace collect: %w", err)
 	}
 	tc.observe(bytes.NewReader(app))
 	return TraceAck{Have: j.log.Size(), Accepted: int64(len(app)), Duplicate: offset < have},
@@ -334,18 +348,12 @@ func (c *Coordinator) knownScope(jobID string) error {
 }
 
 func (c *Coordinator) collectTrace(r *http.Request, up TraceUpload) (TraceAck, error) {
-	if up.Writer == "" {
-		return TraceAck{}, fmt.Errorf("grid: trace upload needs a writer")
-	}
-	if up.Offset < 0 {
-		return TraceAck{}, fmt.Errorf("grid: trace upload offset must be >= 0")
-	}
 	if err := c.knownScope(up.Job); err != nil {
 		return TraceAck{}, err
 	}
 	ack, spans, dup, err := c.traces.append(up.Job, up.Writer, up.Offset, up.Data)
 	if err != nil {
-		return TraceAck{}, fmt.Errorf("grid: trace collect: %w", err)
+		return TraceAck{}, err
 	}
 	c.metrics.traceUploads.Inc()
 	c.metrics.traceBytes.Add(float64(ack.Accepted))

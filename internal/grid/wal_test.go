@@ -1,27 +1,23 @@
 package grid
 
-// The coordinator WAL contract: every scheduling decision survives a
-// kill -9. A coordinator restarted over the same directory — without
-// Close, without drain — restores exact task states, fair-share
-// deficits, requeue counts and per-worker scores from the journal, and
-// the finished sweep is byte-identical to a single-process job.Run.
+// The coordinator WAL's format, its typed write failure and the grouping
+// of a grant into one write. That every scheduling decision survives a
+// kill -9 — a restart on the same directory stands where the dead
+// coordinator stood and finishes byte-identical to job.Run — is
+// FuzzSchedule's (invariants 2, 4 and 8).
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/dsa"
 	"repro/internal/job"
 )
 
@@ -195,104 +191,5 @@ func TestGrantJournalsOneWrite(t *testing.T) {
 	}
 	if len(leased) != 3 || leased[0] != lease.Tasks[0].Task || leased[1] != lease.Tasks[1].Task || leased[2] != lease.Tasks[2].Task {
 		t.Fatalf("replayed lease records %v, want the granted %+v in order", leased, lease.Tasks)
-	}
-}
-
-// TestCoordinatorCrashRecovery is the tentpole pin: a coordinator is
-// abandoned mid-sweep (no Close, no drain — the WAL file is exactly
-// what a kill -9 leaves) while a worker holds a live lease. The
-// restarted coordinator must restore done/leased/pending task states,
-// the fair-share deficit, and the dead worker's score row from the
-// WAL, then finish the sweep byte-identical to job.Run — including the
-// merged CSV.
-func TestCoordinatorCrashRecovery(t *testing.T) {
-	spec := gossipSpec(t)
-	want := wantScores(t, spec)
-	dir := t.TempDir()
-	ctx := context.Background()
-
-	coord1 := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
-	id, err := coord1.AddJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := httptest.NewServer(coord1.Handler())
-	// TasksPerLease 2, killed after upload 3: the worker dies holding a
-	// live lease on its 4th task (computed, upload severed).
-	kill := &killingTransport{killAfter: 3}
-	err = Work(ctx, srv1.URL, id, WorkerOptions{
-		Name: "first-life", Workers: 1, TasksPerLease: 2,
-		Client: &http.Client{Transport: kill},
-	})
-	if err == nil {
-		t.Fatal("worker should have died after 3 uploads")
-	}
-	srv1.Close()
-	// Deliberately NO coord1.Close(): the process is gone, the WAL and
-	// checkpoint directory are all that survive.
-
-	coord2 := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: 250 * time.Millisecond})
-	defer coord2.Close()
-	id2, err := coord2.AddJob(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id2 != id {
-		t.Fatalf("job ID changed across crash: %s vs %s", id, id2)
-	}
-
-	snap, err := coord2.Progress(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Done != 3 || snap.Leased != 1 || snap.Complete {
-		t.Fatalf("restored progress = %+v, want 3 done + 1 re-armed lease", snap)
-	}
-	coord2.mu.Lock()
-	j := coord2.jobs[id]
-	if j.leasesGranted != 4 || j.requeues != 0 {
-		t.Errorf("replayed deficit: leasesGranted %d requeues %d, want 4 and 0", j.leasesGranted, j.requeues)
-	}
-	for _, wv := range coord2.viewLocked().Workers {
-		if wv.Name == "first-life" && (wv.Done != 3 || wv.Leased != 1) {
-			t.Errorf("replayed worker score row = %+v, want done 3 with 1 still leased", wv)
-		}
-	}
-	if coord2.workers["first-life"] == nil {
-		t.Error("the replay left no score row for first-life")
-	}
-	coord2.mu.Unlock()
-
-	// The dead worker's re-armed lease expires on coordinator 2's own
-	// clock; a second-life worker finishes the sweep.
-	srv2 := httptest.NewServer(coord2.Handler())
-	defer srv2.Close()
-	if err := Work(ctx, srv2.URL, id, WorkerOptions{Name: "second-life", Workers: 2, TasksPerLease: 2, Poll: 20 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord2.WaitComplete(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mustJSON(t, got) != mustJSON(t, want) {
-		t.Fatal("post-crash scores differ from single-process job.Run")
-	}
-	snap, err = coord2.Progress(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Requeues < 1 {
-		t.Fatalf("the dead worker's re-armed lease should have expired and re-queued: %+v", snap)
-	}
-
-	var gotCSV, wantCSV bytes.Buffer
-	if err := dsa.WriteCSV(&gotCSV, spec.Domain, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := dsa.WriteCSV(&wantCSV, spec.Domain, want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
-		t.Fatal("merged CSV after crash recovery is not byte-identical to job.Run's")
 	}
 }

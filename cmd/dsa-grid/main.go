@@ -101,6 +101,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -174,7 +175,7 @@ func runServe(sigCtx context.Context, args []string) {
 	d, points := spec.Domain, spec.Points
 
 	coordOpts := grid.CoordinatorOptions{
-		Dir: *ckptDir, LeaseTTL: *leaseTTL, Logf: log.Printf,
+		Dir: *ckptDir, LeaseTTL: *leaseTTL, Logger: slog.Default(),
 		AuthToken: *authToken, RateLimit: *rateLimit, RateBurst: *rateBurst,
 		Pprof: *pprofOn, AuditRate: *auditRate, Hedge: *hedge,
 	}
@@ -329,7 +330,7 @@ func runWork(ctx context.Context, args []string) {
 	client := grid.NewClient(*authToken) // the worker's and the trace shipper's
 	workOpts := grid.WorkerOptions{
 		Name: *name, Workers: *workers, TasksPerLease: *perLease,
-		Client: client, Logf: log.Printf, Reconnect: *reconnect,
+		Client: client, Logger: slog.Default(), Reconnect: *reconnect,
 	}
 	if *chaosSpec != "" {
 		cfg, err := chaos.ParseSpec(*chaosSpec)
@@ -338,7 +339,7 @@ func runWork(ctx context.Context, args []string) {
 		}
 		workOpts.Client = &http.Client{
 			Timeout:   grid.DefaultHTTPTimeout,
-			Transport: grid.AuthTransport(*authToken, chaos.NewTransport(cfg, nil, log.Printf)),
+			Transport: grid.AuthTransport(*authToken, chaos.NewTransport(cfg, nil, slog.Default())),
 		}
 		log.Printf("chaos transport on: %s", *chaosSpec)
 	}
@@ -392,7 +393,7 @@ func runWork(ctx context.Context, args []string) {
 		shipper = grid.NewTraceShipper(*coordinator, workOpts.Trace,
 			obs.JournalPath(*traceDir, *name), grid.TraceShipperOptions{
 				Job: *jobID, Client: client,
-				Interval: *shipEvery, Logf: log.Printf,
+				Interval: *shipEvery, Logger: slog.Default(),
 			})
 		go shipper.Run(ctx)
 		log.Printf("shipping trace to %s every %s", *coordinator, *shipEvery)

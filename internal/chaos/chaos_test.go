@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -110,13 +111,17 @@ func TestTransportFaults(t *testing.T) {
 	}
 
 	t.Run("drop", func(t *testing.T) {
-		tr := NewTransport(Config{Drop: 1}, nil, t.Logf)
+		var logged bytes.Buffer
+		tr := NewTransport(Config{Drop: 1}, nil, slog.New(slog.NewTextHandler(&logged, nil)))
 		if _, err := post(tr); !errors.Is(err, ErrInjected) {
 			t.Fatalf("err = %v, want ErrInjected", err)
 		}
+		if !strings.Contains(logged.String(), "path=/v1/up fault=drop") {
+			t.Errorf("the drop was not narrated: %q", logged.String())
+		}
 	})
 	t.Run("err500", func(t *testing.T) {
-		tr := NewTransport(Config{Err500: 1}, nil, t.Logf)
+		tr := NewTransport(Config{Err500: 1}, nil, nil)
 		resp, err := post(tr)
 		if err != nil || resp.StatusCode != 500 || resp.Header.Get("X-Chaos") == "" {
 			t.Fatalf("resp=%v err=%v, want synthetic 500", resp, err)
@@ -127,7 +132,7 @@ func TestTransportFaults(t *testing.T) {
 		mu.Lock()
 		got = nil
 		mu.Unlock()
-		tr := NewTransport(Config{Corrupt: 1}, nil, t.Logf)
+		tr := NewTransport(Config{Corrupt: 1}, nil, nil)
 		resp, err := post(tr)
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +151,7 @@ func TestTransportFaults(t *testing.T) {
 		mu.Lock()
 		got = nil
 		mu.Unlock()
-		tr := NewTransport(Config{Dup: 1}, nil, t.Logf)
+		tr := NewTransport(Config{Dup: 1}, nil, nil)
 		resp, err := post(tr)
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +164,7 @@ func TestTransportFaults(t *testing.T) {
 		}
 	})
 	t.Run("clean", func(t *testing.T) {
-		tr := NewTransport(Config{}, nil, t.Logf)
+		tr := NewTransport(Config{}, nil, nil)
 		resp, err := post(tr)
 		if err != nil || resp.StatusCode != 200 {
 			t.Fatalf("resp=%v err=%v", resp, err)

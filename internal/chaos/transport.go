@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -36,19 +38,20 @@ var ErrInjected = errors.New("chaos: injected fault")
 type Transport struct {
 	sched *Schedule
 	base  http.RoundTripper
-	logf  func(format string, args ...any)
+	log   *slog.Logger
 }
 
 // NewTransport wraps base (nil = http.DefaultTransport) with the fault
-// schedule for cfg. logf (nil = silent) narrates every injected fault.
-func NewTransport(cfg Config, base http.RoundTripper, logf func(string, ...any)) *Transport {
+// schedule for cfg. logger (nil = silent) narrates every injected fault.
+func NewTransport(cfg Config, base http.RoundTripper, logger *slog.Logger) *Transport {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	if logf == nil {
-		logf = func(string, ...any) {}
+	if logger == nil {
+		// Enables no level, so no record is ever built.
+		logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
-	return &Transport{sched: NewSchedule(cfg), base: base, logf: logf}
+	return &Transport{sched: NewSchedule(cfg), base: base, log: logger}
 }
 
 // Schedule exposes the underlying decision stream (tests assert on
@@ -58,7 +61,7 @@ func (t *Transport) Schedule() *Schedule { return t.sched }
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	d := t.sched.Next()
 	if d != (Decision{}) {
-		t.logf("chaos: %s %s: %s", req.Method, req.URL.Path, d)
+		t.log.Info("chaos fault injected", "method", req.Method, "path", req.URL.Path, "fault", d)
 	}
 	body, err := drainBody(req)
 	if err != nil {

@@ -4,9 +4,22 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/delivery"
 	"repro/internal/dsa"
+	"repro/internal/gossip"
 	"repro/internal/job"
+	"repro/internal/pra"
 )
+
+// quick is d's quick preset.
+func quick(t *testing.T, d dsa.Domain) dsa.Config {
+	t.Helper()
+	cfg, err := d.DefaultConfig("quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
 
 // TestScoreKeyerGolden pins the two identities that persisted state hangs
 // off, as bytes: a cache key (every -cache-dir is addressed by them) and a
@@ -16,10 +29,6 @@ import (
 // orphan every checkpoint fails here instead of passing as a speed-up.
 func TestScoreKeyerGolden(t *testing.T) {
 	toy := newToyDomain()
-	toyCfg, err := toy.DefaultConfig("quick")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fake := newFakeDomain(t)
 	for _, c := range []struct {
 		d       dsa.Domain
@@ -28,8 +37,12 @@ func TestScoreKeyerGolden(t *testing.T) {
 		id      int
 		want    string
 	}{
-		{toy, toyCfg, toyRobustness, 7, "88678eb3be7c75d4b618b08aed9ad354b22abde2c128115c900f3bdefe1a6d3f"},
+		{toy, quick(t, toy), toyRobustness, 7, "88678eb3be7c75d4b618b08aed9ad354b22abde2c128115c900f3bdefe1a6d3f"},
 		{fake, fakeCfg(), "beta", 11, "4813d89f6311e5702d71b6596f673aedcd8b0cd71f0a0274a3904da516622db5"},
+		// One row per registered domain: quick preset, first measure.
+		{pra.Domain(), quick(t, pra.Domain()), "performance", 42, "048f5f8809f830aa49c8e7955dd5f54624f2461c98ddcc757d7605bff2b2a60e"},
+		{gossip.Domain(), quick(t, gossip.Domain()), "coverage", 5, "c1d276a5e1710fa46893c5eeb0548f8b1771a8796840e5078b5332f61172087f"},
+		{delivery.Domain(), quick(t, delivery.Domain()), "robustness", 3, "67142e9516002659ed46b1c5f8dd247011ee4e53ec916b39e7dd4c346c93a057"},
 	} {
 		k, err := dsa.NewScoreKeyer(c.d, c.d.SampleOpponents(c.cfg), c.cfg)
 		if err != nil {

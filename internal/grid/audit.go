@@ -155,8 +155,8 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 		ast.second, ast.secondVals, ast.secondMS = up.Worker, vals, up.ElapsedMS
 		ast.relaxAt = now.Add(c.opts.leaseTTL())
 		ast.giveUpAt = now.Add(4 * c.opts.leaseTTL())
-		c.logf("grid: job %s: task %s AUDIT MISMATCH: %q disagrees with recorded value from %q, arbitrating",
-			j.id, st.id, up.Worker, ast.original)
+		c.log.Warn("AUDIT MISMATCH, arbitrating", "job", j.id, "task", st.id,
+			"worker", up.Worker, "original", ast.original)
 		c.wakeLocked(j)
 		return dup
 	}
@@ -182,7 +182,7 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 				err = j.cp.Record(st.task, vals, time.Duration(up.ElapsedMS)*time.Millisecond)
 			}
 			if err != nil {
-				c.logf("grid: job %s: task %s corrected value failed to journal: %v", j.id, st.id, err)
+				c.log.Error("corrected value failed to journal", "job", j.id, "task", st.id, "err", err)
 			}
 		}
 		c.commit(j, now, []walRecord{
@@ -194,8 +194,8 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 
 	// Three distinct values for one deterministic task: the
 	// determinism contract is broken (or two liars collide). Re-run.
-	c.logf("grid: job %s: task %s has THREE distinct claimed values (%q, %q, %q) — determinism violation, re-queueing",
-		j.id, st.id, ast.original, ast.second, up.Worker)
+	c.log.Error("THREE distinct claimed values, determinism violation, re-queueing", "job", j.id, "task", st.id,
+		"worker", up.Worker, "original", ast.original, "second", ast.second)
 	c.invalidateTaskLocked(j, st)
 	c.wakeLocked(j)
 	return dup
@@ -208,7 +208,7 @@ func (c *Coordinator) tombstoneLocked(j *gridJob, st *taskState) {
 		return
 	}
 	if err := j.cp.Invalidate(st.task); err != nil {
-		c.logf("grid: job %s: task %s invalidation: %v", j.id, st.id, err)
+		c.log.Error("task invalidation failed to journal", "job", j.id, "task", st.id, "err", err)
 	}
 }
 
@@ -244,14 +244,14 @@ func (c *Coordinator) quarantineLocked(name, reason string) {
 			}
 		}
 	}
-	c.commit(nil, now, recs, "", "grid: worker %s QUARANTINED: %s (%d leases revoked)", name, reason, len(recs)-1)
+	c.commit(nil, now, recs, "", "worker QUARANTINED", "worker", name, "reason", reason, "revoked", len(recs)-1)
 	for i, j := range jobs {
 		for _, st := range voided[i] {
 			c.tombstoneLocked(j, st)
 		}
 		if n := len(voided[i]); n > 0 {
 			c.metrics.invalidated.Add(float64(n))
-			c.logf("grid: job %s: %d unaudited tasks from %s invalidated and re-queued", j.id, n, name)
+			c.log.Info("unaudited tasks invalidated and re-queued", "job", j.id, "worker", name, "tasks", n)
 		}
 	}
 }

@@ -148,7 +148,7 @@ func TestChaosTransportSweepCompletes(t *testing.T) {
 	err = Work(context.Background(), srv.URL, id, WorkerOptions{
 		Name: "stormy", Workers: 2, TasksPerLease: 2, Poll: 20 * time.Millisecond,
 		Reconnect: 30 * time.Second,
-		Client:    &http.Client{Transport: chaos.NewTransport(cfg, nil, t.Logf)},
+		Client:    &http.Client{Transport: chaos.NewTransport(cfg, nil, nil)},
 	})
 	if err != nil {
 		t.Fatalf("worker under chaos transport: %v", err)

@@ -443,13 +443,8 @@ func TestGridMultiJobFaultInjection(t *testing.T) {
 // caller-provided X-Request-ID is echoed on the response and lands in
 // the coordinator's event log for the request's work.
 func TestRequestIDThreading(t *testing.T) {
-	var mu sync.Mutex
-	var logs []string
-	coord := NewCoordinator(CoordinatorOptions{Logf: func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}})
+	var logs logSink
+	coord := NewCoordinator(CoordinatorOptions{Logger: logs.logger()})
 	defer coord.Close()
 	id, err := coord.AddJob(gossipSpec(t))
 	if err != nil {
@@ -468,12 +463,10 @@ func TestRequestIDThreading(t *testing.T) {
 	if got := resp.Header.Get("X-Request-ID"); got != "trace-me-123" {
 		t.Fatalf("response X-Request-ID = %q", got)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, line := range logs {
-		if strings.Contains(line, "rid=trace-me-123") && strings.Contains(line, "leased") {
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "rid=trace-me-123") && strings.Contains(line, "msg=leased") {
 			return
 		}
 	}
-	t.Fatalf("no lease log line carries rid=trace-me-123; logs:\n%s", strings.Join(logs, "\n"))
+	t.Fatalf("no lease record carries rid=trace-me-123; logs:\n%s", logs.String())
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"path/filepath"
 	"sync"
 	"time"
@@ -47,8 +48,10 @@ type CoordinatorOptions struct {
 	// LeaseTTL is how long a lease lives without a heartbeat before
 	// its task is re-queued. 0 = DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// Logf, if non-nil, receives coordinator event logs.
-	Logf func(format string, args ...any)
+	// Logger, if non-nil, receives the coordinator's records: its
+	// decisions and one access record per request (2xx GETs and /metrics
+	// at Debug), keyed rid, job, worker, task, tasks.
+	Logger *slog.Logger
 	// Cache, if non-nil, is the coordinator's cross-job score cache.
 	// Every ingested or checkpoint-restored result feeds it, and every
 	// job draws from it: a task whose per-point scores are all already
@@ -109,6 +112,7 @@ func (o CoordinatorOptions) leaseTTL() time.Duration {
 // server (or call Serve).
 type Coordinator struct {
 	opts    CoordinatorOptions
+	log     *slog.Logger
 	now     func() time.Time // injectable clock for tests
 	started time.Time
 	metrics *gridMetrics
@@ -241,6 +245,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	// 0) always runs its first cache scan, even before any ingest.
 	c := &Coordinator{
 		opts:        opts,
+		log:         orSilent(opts.Logger),
 		now:         time.Now,
 		started:     time.Now(),
 		jobs:        map[string]*gridJob{},
@@ -257,7 +262,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		if err != nil {
 			// Run without crash recovery rather than not at all — but
 			// say so every startup, loudly.
-			c.logf("grid: WAL unavailable, coordinator runs WITHOUT crash recovery: %v", err)
+			c.log.Error("WAL unavailable, coordinator runs WITHOUT crash recovery", "err", err)
 		} else {
 			c.wal = w
 			// A quarantine stands from now on; what it and the other
@@ -269,7 +274,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 				}
 			}
 			if len(recs) > 0 || skipped > 0 {
-				c.logf("grid: wal: replayed %d records (%d corrupt lines skipped)", len(recs), skipped)
+				c.log.Info("WAL replayed", "records", len(recs), "skipped", skipped)
 			}
 			c.metrics.walReplayed.Set(float64(len(recs)))
 			c.metrics.quarantines.Add(float64(len(c.quarantined)))
@@ -286,7 +291,7 @@ func (c *Coordinator) walAppendLocked(sync bool, recs ...walRecord) {
 		return
 	}
 	if err := c.wal.append(sync, recs...); err != nil {
-		c.logf("grid: %v", err)
+		c.log.Error("WAL append failed", "err", err)
 		return
 	}
 	c.metrics.walRecords.Add(float64(len(recs)))
@@ -298,12 +303,12 @@ func (c *Coordinator) walAppendLocked(sync bool, recs ...walRecord) {
 // a verdict is among them (verify, quarantine: not to be re-litigated
 // after a power loss; the rest only has to survive a kill -9, which a
 // plain write does) — bumps the counters that restate a record type, logs
-// the event (event "" logs nothing; rid, if any, ties the line to its
+// the event (msg "" logs nothing; rid, if any, ties the record to its
 // request), and then wakes and drain-checks what the records may have
 // completed. j is the job every record is for; with j nil each
 // record names its own (a quarantine's revocations span jobs, and the
 // quarantine itself acts on all of them).
-func (c *Coordinator) commit(j *gridJob, now time.Time, recs []walRecord, rid, event string, args ...any) {
+func (c *Coordinator) commit(j *gridJob, now time.Time, recs []walRecord, rid, msg string, attrs ...any) {
 	verdict := false
 	for _, r := range recs {
 		target := j
@@ -327,8 +332,11 @@ func (c *Coordinator) commit(j *gridJob, now time.Time, recs []walRecord, rid, e
 		}
 	}
 	c.walAppendLocked(verdict, recs...)
-	if event != "" {
-		c.logfRid(rid, event, args...)
+	if msg != "" {
+		if rid != "" {
+			attrs = append([]any{"rid", rid}, attrs...)
+		}
+		c.log.Info(msg, attrs...)
 	}
 	switch {
 	case j == nil:
@@ -348,25 +356,6 @@ func (c *Coordinator) commit(j *gridJob, now time.Time, recs []walRecord, rid, e
 // Metrics exposes the coordinator's registry — what GET /metrics
 // serves — for embedding callers that scrape in-process.
 func (c *Coordinator) Metrics() *gridobs.Registry { return c.metrics.reg }
-
-func (c *Coordinator) logf(format string, args ...any) { c.logfRid("", format, args...) }
-
-// logfCtx is logf with the request ID (if the context carries one)
-// appended, so every coordinator event triggered by an HTTP request
-// can be correlated with its access-log line.
-func (c *Coordinator) logfCtx(ctx context.Context, format string, args ...any) {
-	c.logfRid(gridobs.RequestID(ctx), format, args...)
-}
-
-func (c *Coordinator) logfRid(rid, format string, args ...any) {
-	if c.opts.Logf == nil {
-		return
-	}
-	if rid != "" {
-		format += " rid=" + rid
-	}
-	c.opts.Logf(format, args...)
-}
 
 // jobID derives a stable identifier from the spec payload, so the same
 // sweep always maps to the same job (idempotent creation) and a
@@ -429,7 +418,7 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	if j, ok := c.jobs[id]; ok {
 		if j.weight != priority {
 			c.commit(j, now, []walRecord{{T: walPriority, Job: id, Weight: priority}}, "",
-				"grid: job %s priority set to %d", id, priority)
+				"job priority set", "job", id, "priority", priority)
 		}
 		return nil, nil
 	}
@@ -488,8 +477,8 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	j.absorbedEpoch = 0
 	c.wakeLocked(j)
 	c.jobs[id] = j
-	c.logf("grid: job %s registered: %d tasks (%d restored from checkpoint, %d wal records replayed), priority %d",
-		id, len(j.tasks), j.restored, replayed, j.weight)
+	c.log.Info("job registered", "job", id, "tasks", len(j.tasks), "restored", j.restored,
+		"replayed", replayed, "priority", j.weight)
 	return j, nil
 }
 
@@ -507,6 +496,7 @@ func (c *Coordinator) reconcileLocked(j *gridJob, now time.Time) {
 	if revoked := j.revocations(func(w string) bool { return c.quarantined[w] }); len(revoked) > 0 {
 		c.commit(j, now, revoked, "", "")
 	}
+	var unrecorded []walRecord
 	for _, st := range j.tasks {
 		st.values = restored[st.id]
 		switch {
@@ -516,16 +506,24 @@ func (c *Coordinator) reconcileLocked(j *gridJob, now time.Time) {
 				// behind it or lost the line: the task re-runs.
 				j.invalidate(st)
 			}
-			continue
 		case st.tainted:
 			// The WAL saw the value voided; the tombstone did not land.
 			c.tombstoneLocked(j, st)
 			st.values = nil
-			continue
 		case st.status != taskDone:
-			// Done with no ingest on record (cache-served, or the crash
-			// fell between the manifest and the WAL): producer unknown.
-			c.applyIngest(j, st, "", 0, now)
+			// Done with no ingest on record (the crash fell between the
+			// manifest and the WAL, or the manifest came from a local
+			// sweep): an ingest from nobody, journalled now, so what is
+			// written about the task from here on replays against it done.
+			unrecorded = append(unrecorded, walRecord{T: walIngest, Job: j.id, Task: st.id})
+		}
+	}
+	if len(unrecorded) > 0 {
+		c.commit(j, now, unrecorded, "", "")
+	}
+	for _, st := range j.tasks {
+		if st.status != taskDone {
+			continue
 		}
 		switch {
 		case st.unauditedBy(st.producer) && c.quarantined[st.producer]:
@@ -607,13 +605,13 @@ func (c *Coordinator) collectCacheHitsLocked(j *gridJob) []absorbedTask {
 }
 
 // absorbCache serves every task of j whose per-point scores the cache
-// already holds — journalling each through the checkpoint exactly like
-// an uploaded result, so cache-served and worker-computed tasks are
-// indistinguishable on disk and in the results (determinism makes
-// their values identical by construction). Like an ingest, the journal
-// append (all hits, one fsync) runs outside the coordinator lock: a
-// large absorbed job must not stall every other worker's leases and
-// heartbeats behind it.
+// already holds — journalling each through the checkpoint and commit
+// like an uploaded result from nobody, so cache-served and
+// worker-computed values are indistinguishable on disk and in the
+// results (determinism makes them identical by construction). Like an
+// ingest, the manifest append (all hits, one fsync) runs outside the
+// coordinator lock: a large absorbed job must not stall every other
+// worker's leases and heartbeats behind it.
 func (c *Coordinator) absorbCache(j *gridJob) {
 	c.mu.Lock()
 	hits := c.collectCacheHitsLocked(j)
@@ -630,28 +628,25 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
 	for _, h := range hits {
 		h.st.recording = false
-		if err != nil {
-			continue
-		}
-		// An ingest from nobody, and not journalled: the manifest line is
-		// all a restart needs to see the task done.
-		h.st.values = h.vals
-		c.applyIngest(j, h.st, "", 0, now)
 	}
 	if err != nil {
 		// The tasks stay pending: workers will compute and re-upload
 		// them, taking the normal ingest error path.
-		c.logf("grid: job %s: cache absorption of %d tasks failed to journal: %v", j.id, len(hits), err)
-	} else {
-		j.cacheServed += len(hits)
-		c.metrics.cacheServed.Add(float64(len(hits)))
-		c.logf("grid: job %s: %d tasks served from the score cache", j.id, len(hits))
-		c.wakeLocked(j)
+		c.log.Error("cache absorption failed to journal", "job", j.id, "tasks", len(hits), "err", err)
+		c.checkDrainedLocked()
+		return
 	}
-	c.checkDrainedLocked()
+	ingests := make([]walRecord, len(hits))
+	for i, h := range hits {
+		// An ingest from nobody: the value came from the cache.
+		h.st.values = h.vals
+		ingests[i] = walRecord{T: walIngest, Job: j.id, Task: h.st.id}
+	}
+	j.cacheServed += len(hits)
+	c.metrics.cacheServed.Add(float64(len(hits)))
+	c.commit(j, c.now(), ingests, "", "tasks served from the score cache", "job", j.id, "tasks", len(hits))
 }
 
 // recordTasks journals finished tasks through cp with one append (nil:
@@ -760,12 +755,12 @@ func (c *Coordinator) expireLocked(j *gridJob) {
 	for _, st := range splits {
 		// Unresolvable split (e.g. both claimants quarantine-proof in a
 		// 2-worker grid): discard both claims and re-run.
-		c.logf("grid: job %s: task %s audit split unresolved (%q vs %q), re-queueing",
-			j.id, st.id, st.audit.original, st.audit.second)
+		c.log.Info("audit split unresolved, re-queueing", "job", j.id, "task", st.id,
+			"original", st.audit.original, "second", st.audit.second)
 		c.invalidateTaskLocked(j, st)
 	}
 	if len(recs) > 0 {
-		c.commit(j, now, recs, "", "grid: job %s: %d leases expired, tasks re-queued", j.id, expired)
+		c.commit(j, now, recs, "", "leases expired, tasks re-queued", "job", j.id, "tasks", expired)
 	}
 }
 
@@ -788,9 +783,9 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 		}
 		j.scores, j.scoresErr = j.spec.AssembleScores(results)
 		if j.scoresErr != nil {
-			c.logf("grid: job %s: assembly failed: %v", j.id, j.scoresErr)
+			c.log.Error("job assembly failed", "job", j.id, "err", j.scoresErr)
 		} else {
-			c.logf("grid: job %s complete: %d tasks, %d requeues", j.id, len(j.tasks), j.requeues)
+			c.log.Info("job complete", "job", j.id, "tasks", len(j.tasks), "requeues", j.requeues)
 		}
 	}
 	close(j.changed)
@@ -802,8 +797,8 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 // re-checks catch a liar before it poisons more), then pending tasks,
 // then — with hedging on and capacity to spare — speculative
 // duplicates of straggling leases. One commit per grant, in grant order.
-// fair says the scheduler picked j (the event line then shows its share);
-// rid ties that line to the lease request.
+// fair says the scheduler picked j (the record then shows its share);
+// rid ties the record to the lease request.
 func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool, rid string) []LeaseTask {
 	if max <= 0 || max > c.opts.maxLease {
 		max = c.opts.maxLease
@@ -841,11 +836,11 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool,
 	if len(recs) == 0 {
 		return nil
 	}
-	event, args := "grid: job %s: leased %d tasks to %s", []any{j.id, len(tasks), worker}
+	attrs := []any{"job", j.id, "worker", worker, "tasks", len(tasks)}
 	if fair {
-		event, args = event+" (fair share %d/%d)", append(args, j.leasesGranted+leases, j.weight)
+		attrs = append(attrs, "fair_share", j.leasesGranted+leases, "weight", j.weight)
 	}
-	c.commit(j, now, recs, rid, event, args...)
+	c.commit(j, now, recs, rid, "leased", attrs...)
 	// Who holds a re-check is the grant's to note, not the journal's.
 	for _, st := range audits {
 		st.audit.auditor, st.audit.deadline = worker, now.Add(ttl)
@@ -898,7 +893,7 @@ func (c *Coordinator) Lease(ctx context.Context, id, worker string, max int) (Le
 	if j != nil {
 		resp.Job = j.id
 		if !c.draining {
-			resp.Tasks = c.grantLocked(j, worker, max, id == "", gridobs.RequestID(ctx))
+			resp.Tasks = c.grantLocked(j, worker, max, id == "", requestID(ctx))
 		}
 	}
 	if id != "" {
@@ -1068,8 +1063,8 @@ func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUp
 		walRecs[i] = walRecord{T: walIngest, Job: j.id, Task: st.id, Worker: worker, ElapsedMS: recs[i].Elapsed.Milliseconds()}
 	}
 	c.metrics.tasksIngested.Add(float64(len(fresh)))
-	c.commit(j, now, walRecs, gridobs.RequestID(ctx),
-		"grid: job %s: ingested %d results from %s (%d in the body)", j.id, len(fresh), worker, len(results))
+	c.commit(j, now, walRecs, requestID(ctx), "ingested",
+		"job", j.id, "worker", worker, "tasks", len(fresh), "body", len(results))
 	for _, st := range fresh {
 		if st.audit != nil {
 			// Selected tasks feed the cache only once audit-verified.
@@ -1099,7 +1094,7 @@ func (c *Coordinator) Drain(ctx context.Context) {
 	for _, j := range c.jobs {
 		c.wakeLocked(j)
 	}
-	c.logfCtx(ctx, "grid: draining: no new leases; %d in-flight tasks to settle", c.inflightLocked())
+	c.log.Info("draining: no new leases", "rid", requestID(ctx), "tasks", c.inflightLocked())
 	c.checkDrainedLocked()
 	c.mu.Unlock()
 	go c.drainLoop()
@@ -1137,7 +1132,7 @@ func (c *Coordinator) checkDrainedLocked() {
 	}
 	c.drainClosed = true
 	close(c.drainDone)
-	c.logf("grid: drained: all in-flight work settled")
+	c.log.Info("drained: all in-flight work settled")
 }
 
 // drainLoop ticks lease expiry while draining, so the drain completes

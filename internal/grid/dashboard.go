@@ -47,7 +47,7 @@ func (c *Coordinator) serveDashboard(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := dashboardTmpl.Execute(w, data); err != nil {
-		c.logfCtx(r.Context(), "grid: dashboard render: %v", err)
+		c.log.Error("dashboard render failed", "rid", requestID(r.Context()), "err", err)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -34,7 +35,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gridobs"
 	"repro/internal/job"
 )
 
@@ -66,7 +66,7 @@ func (g *goldenGrid) do(method, path string, body any) (int, []byte) {
 	}
 	g.calls++
 	req := httptest.NewRequest(method, path, rd)
-	req.Header.Set(gridobs.RequestIDHeader, fmt.Sprintf("call-%04d", g.calls))
+	req.Header.Set(HeaderRequestID, fmt.Sprintf("call-%04d", g.calls))
 	rec := httptest.NewRecorder()
 	g.h.ServeHTTP(rec, req)
 	return rec.Code, rec.Body.Bytes()
@@ -118,15 +118,20 @@ func goldenRun(t *testing.T, seed uint64) string {
 	defer restore()
 	opts := scenarioOptions
 	opts.Dir = dir
-	opts.Logf = func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		if strings.HasPrefix(line, "grid: rid=") {
-			return // the access log: it carries wall-clock durations
+	opts.Logger = slog.New(slog.NewTextHandler(writerFunc(func(p []byte) (int, error) {
+		line := strings.TrimSuffix(string(p), "\n")
+		if !strings.Contains(line, " msg=request ") { // the access records carry wall-clock durations
+			g.mu.Lock()
+			g.log = append(g.log, line)
+			g.mu.Unlock()
 		}
-		g.mu.Lock()
-		g.log = append(g.log, line)
-		g.mu.Unlock()
-	}
+		return len(p), nil
+	}), &slog.HandlerOptions{ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}}))
 	g.coord = NewCoordinator(opts)
 	now := time.Unix(1000, 0)
 	g.coord.now = func() time.Time { return now }
@@ -279,7 +284,7 @@ func TestCommitGolden(t *testing.T) {
 	}
 	got := sb.String()
 	for _, want := range []string{`"t":"quarantine"`, `"t":"hedge"`, `"t":"expire"`, `"t":"verify"`, `"t":"priority"`,
-		"QUARANTINED", "(4 leases revoked)", "AUDIT MISMATCH", "audit split unresolved", "fair share", "drained"} {
+		"QUARANTINED", "revoked=4", "AUDIT MISMATCH", "audit split unresolved", "fair_share=", "drained"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("the runs never produced %s; they are too tame to pin the commit path", want)
 		}

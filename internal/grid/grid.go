@@ -37,7 +37,7 @@
 // (413 past the cap); an optional shared-secret bearer token guards the
 // mutating endpoints; optional per-client token-bucket rate limiting
 // answers 429 + Retry-After; and every response carries an
-// X-Request-ID that the coordinator's event log lines repeat.
+// X-Request-ID that the coordinator's log records repeat as rid.
 //
 // With CoordinatorOptions.Cache set, the coordinator also memoizes:
 // every ingested result feeds a cross-job content-addressed score
@@ -49,12 +49,15 @@ package grid
 import (
 	"bytes"
 	"context"
+	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -62,8 +65,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dsa"
-	"repro/internal/gridobs"
 )
+
+// silent is what a nil Logger option resolves to: it enables no level,
+// so no record is ever built.
+var silent = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+
+// orSilent is l, or silent for nil.
+func orSilent(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return silent
+	}
+	return l
+}
 
 // JobSummary is one row of the jobs listing.
 type JobSummary struct {
@@ -273,8 +287,16 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// Wire headers for the Byzantine-tolerance plumbing.
+// Wire headers: request correlation and the Byzantine-tolerance plumbing.
 const (
+	// HeaderRequestID carries a call's request ID, both ways: the client
+	// sends one per call, the coordinator keeps it if it is 1–64 of
+	// A-Z a-z 0-9 . _ - (else mints a fresh one), puts it on the response
+	// and on every log record of the request's work.
+	HeaderRequestID = "X-Request-ID"
+	// HeaderRetryAttempt marks client retries: absent on a call's first
+	// attempt, "1", "2", … on retries, which resend the same request ID.
+	HeaderRetryAttempt = "X-Retry-Attempt"
 	// HeaderBodySHA256 carries the lowercase hex SHA-256 of the request
 	// body. The coordinator verifies it before decoding, so a body
 	// corrupted in transit is rejected (400 + HeaderCorruptBody) and
@@ -387,6 +409,18 @@ type callInfo struct {
 	attempts  int
 }
 
+// newRequestID returns 8 random bytes as hex: what a client sends with a
+// call and what the coordinator mints for a request that came without a
+// usable one. crypto/rand never fails on the platforms we run on; on the
+// impossible path the constant at least stays greppable.
+func newRequestID() string {
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		return "rand-unavailable"
+	}
+	return hex.EncodeToString(b[:])
+}
+
 // call issues one JSON request — method and url as the route table
 // declares them (routeURL), in the body if non-nil, the answer decoded
 // into out if non-nil — with bounded retries; a nil client gets
@@ -395,7 +429,7 @@ type callInfo struct {
 // duplicates only cost a lease TTL, and heartbeats are refreshes.
 // Non-retryable failures (4xx — the request itself is wrong) surface
 // immediately. One request ID is generated per call and sent on every
-// attempt (with retries marked via RetryAttemptHeader), so the
+// attempt (with retries marked via HeaderRetryAttempt), so the
 // coordinator's access log and the worker's trace journal name the same
 // rid for the same call — a task is traceable across both sides of the
 // wire.
@@ -403,7 +437,7 @@ func call(ctx context.Context, client *http.Client, method, url string, in, out 
 	if client == nil {
 		client = defaultClient()
 	}
-	info := callInfo{requestID: gridobs.NewRequestID()}
+	info := callInfo{requestID: newRequestID()}
 	var body []byte
 	if in != nil {
 		var err error
@@ -444,9 +478,9 @@ func call(ctx context.Context, client *http.Client, method, url string, in, out 
 			sum := sha256.Sum256(body)
 			req.Header.Set(HeaderBodySHA256, hex.EncodeToString(sum[:]))
 		}
-		req.Header.Set(gridobs.RequestIDHeader, info.requestID)
+		req.Header.Set(HeaderRequestID, info.requestID)
 		if attempt > 0 {
-			req.Header.Set(gridobs.RetryAttemptHeader, strconv.Itoa(attempt))
+			req.Header.Set(HeaderRetryAttempt, strconv.Itoa(attempt))
 		}
 		resp, err := client.Do(req)
 		if err != nil {

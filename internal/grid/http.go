@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -129,9 +130,8 @@ func (c *Coordinator) routes() []route {
 	return rs
 }
 
-// Handler returns the full API handler: the routes, wrapped in
-// request-ID instrumentation, JSON error normalization (no text/plain
-// 404/405 pages) and — when configured — per-client rate limiting.
+// Handler returns the full API: the routes, each request passed through
+// serve.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range c.routes() {
@@ -141,7 +141,57 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		mux.Handle(strings.TrimSpace(rt.method+" "+rt.path), serve)
 	}
-	return gridobs.Instrument(c.rateLimited(jsonErrors(mux)), c.onRequestDone)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { c.serve(mux, w, r) })
+}
+
+// serve is the one wrapper around every request. It keeps the caller's
+// request ID if it is a plain name of at most 64 bytes (a space, a quote
+// or an = would be echoed into the response and forge fields in the
+// log), else mints one, and puts it on the response and in the context;
+// admits the request through the per-client rate limiter; answers it
+// through a responseWriter; and then counts it by status, times it, and
+// writes its access record — at Debug for the successful GETs and
+// /metrics scrapes that dashboards and progress streams poll with.
+func (c *Coordinator) serve(mux http.Handler, w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	id := r.Header.Get(HeaderRequestID)
+	if len(id) > 64 || !plainName(id) {
+		id = newRequestID()
+	}
+	w.Header().Set(HeaderRequestID, id)
+	rw := &responseWriter{ResponseWriter: w}
+	if c.admit(rw, r) {
+		mux.ServeHTTP(rw, r.WithContext(context.WithValue(r.Context(), ridKey{}, id)))
+	}
+	if rw.status == 0 {
+		rw.status = http.StatusOK
+	}
+	elapsed := time.Since(start)
+	c.metrics.httpRequests.With(strconv.Itoa(rw.status)).Inc()
+	c.metrics.httpDuration.Observe(elapsed.Seconds())
+	level := slog.LevelInfo
+	if rw.status < 400 && (r.Method == http.MethodGet || r.URL.Path == pathMetrics) {
+		level = slog.LevelDebug
+	}
+	c.log.LogAttrs(r.Context(), level, "request", slog.String("rid", id),
+		slog.String("method", r.Method), slog.String("path", r.URL.Path), slog.Int("status", rw.status),
+		slog.Int64("bytes", rw.bytes), slog.Duration("elapsed", elapsed), slog.String("remote", r.RemoteAddr))
+}
+
+type ridKey struct{}
+
+// requestID is the ID of the request ctx serves, or "" outside one.
+func requestID(ctx context.Context) string {
+	id, _ := ctx.Value(ridKey{}).(string)
+	return id
+}
+
+// plainName reports whether s is one or more of A-Z a-z 0-9 . _ - — what
+// a request ID or a trace writer's name may be.
+func plainName(s string) bool {
+	return s != "" && !strings.ContainsFunc(s, func(r rune) bool {
+		return !('a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || r == '.' || r == '_' || r == '-')
+	})
 }
 
 // jsonCall adapts one typed coordinator call to HTTP: decode the JSON
@@ -198,89 +248,77 @@ func bearerToken(r *http.Request) string {
 	return ""
 }
 
-// rateLimited applies per-client token-bucket admission to the /v1 API
-// (metrics scrapes are never limited — observability must survive the
-// very overload it is for). Clients are keyed by remote IP.
-func (c *Coordinator) rateLimited(next http.Handler) http.Handler {
-	if !c.limiter.Enabled() {
-		return next
+// admit applies per-client token-bucket admission to the /v1 API,
+// answering 429 itself when it refuses. Clients are keyed by remote IP.
+// Metrics scrapes and trace shipping are never limited: throttling the
+// observability plane during an overload would blind exactly the tools
+// needed to diagnose it (and a 429'd chunk just re-ships later anyway).
+func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) bool {
+	if !c.limiter.Enabled() || !strings.HasPrefix(r.URL.Path, "/v1/") || r.URL.Path == pathTrace {
+		return true
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Trace shipping is exempt like /metrics: throttling the
-		// observability plane during an overload would blind exactly
-		// the tools needed to diagnose it, and a 429'd chunk just
-		// re-ships later anyway (idempotent offsets).
-		if !strings.HasPrefix(r.URL.Path, "/v1/") || r.URL.Path == pathTrace {
-			next.ServeHTTP(w, r)
-			return
-		}
-		key := r.RemoteAddr
-		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-			key = host
-		}
-		if !c.limiter.Allow(key) {
-			c.metrics.rateLimited.Inc()
-			after := max(1, int(math.Ceil(c.limiter.RetryAfter(key).Seconds())))
-			w.Header().Set("Retry-After", strconv.Itoa(after))
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "grid: rate limit exceeded, retry later"})
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
+	key := r.RemoteAddr
+	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+		key = host
+	}
+	if c.limiter.Allow(key) {
+		return true
+	}
+	c.metrics.rateLimited.Inc()
+	after := max(1, int(math.Ceil(c.limiter.RetryAfter(key).Seconds())))
+	w.Header().Set("Retry-After", strconv.Itoa(after))
+	writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "grid: rate limit exceeded, retry later"})
+	return false
 }
 
-// jsonErrors rewrites the mux's text/plain 404 and 405 pages into the
-// API's structured JSON error shape, so every error a client can
-// receive — wrong path, wrong method, bad body, unknown job — has the
-// same {"error": ...} contract. Responses that already chose their
-// own content type (our handlers) pass through untouched.
-func jsonErrors(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&jsonErrorWriter{ResponseWriter: w}, r)
-	})
-}
-
-type jsonErrorWriter struct {
+// responseWriter is the one wrapper around a response. It records the
+// status and the bytes written for the access record, and rewrites the
+// mux's text/plain 404 and 405 pages into the API's JSON error shape, so
+// every error a client can receive — wrong path, wrong method, bad body,
+// unknown job — has the same {"error": ...} contract (answers that chose
+// a JSON content type pass untouched). Flush is forwarded for the NDJSON
+// streams.
+type responseWriter struct {
 	http.ResponseWriter
-	intercepted bool
-	wroteHeader bool
+	status  int
+	bytes   int64
+	swallow bool // the mux's own error page: ours is already written
 }
 
-func (w *jsonErrorWriter) WriteHeader(code int) {
-	if w.wroteHeader {
+func (w *responseWriter) WriteHeader(code int) {
+	if w.status != 0 {
 		return
 	}
-	w.wroteHeader = true
-	if (code == http.StatusNotFound || code == http.StatusMethodNotAllowed) &&
-		!strings.Contains(w.Header().Get("Content-Type"), "json") {
-		w.intercepted = true
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Del("Content-Length")
+	w.status = code
+	h := w.Header()
+	if code != http.StatusNotFound && code != http.StatusMethodNotAllowed || strings.Contains(h.Get("Content-Type"), "json") {
 		w.ResponseWriter.WriteHeader(code)
-		msg := "grid: not found"
-		if code == http.StatusMethodNotAllowed {
-			msg = "grid: method not allowed"
-		}
-		body, _ := json.Marshal(errorBody{Error: msg})
-		w.ResponseWriter.Write(append(body, '\n'))
 		return
 	}
+	w.swallow = true
+	h.Set("Content-Type", "application/json")
+	h.Del("Content-Length")
 	w.ResponseWriter.WriteHeader(code)
+	msg := "grid: not found"
+	if code == http.StatusMethodNotAllowed {
+		msg = "grid: method not allowed"
+	}
+	body, _ := json.Marshal(errorBody{Error: msg})
+	n, _ := w.ResponseWriter.Write(append(body, '\n'))
+	w.bytes += int64(n)
 }
 
-func (w *jsonErrorWriter) Write(p []byte) (int, error) {
-	if w.intercepted {
-		// Swallow the mux's text body; ours is already written.
+func (w *responseWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	if w.swallow {
 		return len(p), nil
 	}
-	w.wroteHeader = true
-	return w.ResponseWriter.Write(p)
+	n, err := w.ResponseWriter.Write(p)
+	w.bytes += int64(n)
+	return n, err
 }
 
-// Flush forwards to the underlying writer so NDJSON progress streams
-// keep flushing through the wrapper.
-func (w *jsonErrorWriter) Flush() {
+func (w *responseWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -392,7 +430,7 @@ func (c *Coordinator) serveResults(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("Content-Type", "text/csv")
 		if err := dsa.WriteCSV(w, d, scores); err != nil {
-			c.logfCtx(r.Context(), "grid: job %s: csv render: %v", id, err)
+			c.log.Error("CSV render failed", "rid", requestID(r.Context()), "job", id, "err", err)
 		}
 	}
 }
@@ -463,7 +501,7 @@ func (c *Coordinator) serveTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if paths := c.traces.paths(jobID); len(paths) > 0 { // none: 200, an empty timeline
 		if _, err := obs.Merge(w, paths...); err != nil {
-			c.logfCtx(r.Context(), "grid: trace merge failed: %v", err)
+			c.log.Error("trace merge failed", "rid", requestID(r.Context()), "job", jobID, "err", err)
 		}
 	}
 }

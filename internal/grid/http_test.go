@@ -7,17 +7,103 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/gridobs"
 	"repro/internal/job"
 )
+
+// logSink collects a logger's records, Debug and up, as text lines.
+type logSink struct {
+	mu sync.Mutex
+	sb strings.Builder
+}
+
+func (s *logSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sb.Write(p)
+}
+
+func (s *logSink) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sb.String()
+}
+
+func (s *logSink) logger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(s, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+// TestRequestWrapper pins what serve does around every request: a request
+// ID — the caller's if it is a plain name of at most 64 bytes, else a
+// fresh one — on the response, in the context (so on the records of the
+// request's work) and on the access record beside the status and the
+// bytes sent; 2xx GETs at Debug, the rest at Info; the mux's 404 as JSON.
+// That ?stream=1 progress still flushes through the wrapper is
+// TestProgressStream's, the whole API's JSON errors TestHTTPConformance's.
+func TestRequestWrapper(t *testing.T) {
+	var logs logSink
+	coord := NewCoordinator(CoordinatorOptions{Logger: logs.logger()})
+	defer coord.Close()
+	id, err := coord.AddJob(gossipSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := coord.Handler()
+	do := func(method, path, rid, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		if rid != "" {
+			req.Header.Set(HeaderRequestID, rid)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	logged := func(want string) {
+		t.Helper()
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("no record reads %q; logs:\n%s", want, logs.String())
+		}
+	}
+
+	// Generated: on the response, the lease record and the access record.
+	rec := do("POST", "/v1/jobs/"+id+"/lease", "", `{"worker":"w","max_tasks":1}`)
+	rid := rec.Header().Get(HeaderRequestID)
+	if rec.Code != http.StatusOK || len(rid) != 16 || !plainName(rid) {
+		t.Fatalf("lease: %d, X-Request-ID %q", rec.Code, rid)
+	}
+	logged("level=INFO msg=leased rid=" + rid + " job=" + id + " worker=w tasks=1\n")
+	logged(fmt.Sprintf("level=INFO msg=request rid=%s method=POST path=/v1/jobs/%s/lease status=200 bytes=%d ", rid, id, rec.Body.Len()))
+
+	// A caller's plain ID propagates; a 2xx GET is a Debug record.
+	if rec := do("GET", "/v1/jobs", "caller.chose_this-1", ""); rec.Header().Get(HeaderRequestID) != "caller.chose_this-1" {
+		t.Errorf("caller's request ID not propagated: %q", rec.Header().Get(HeaderRequestID))
+	}
+	logged("level=DEBUG msg=request rid=caller.chose_this-1 method=GET path=/v1/jobs status=200 ")
+
+	// Anything else is replaced, not echoed into the response or the log.
+	for _, bad := range []string{strings.Repeat("x", 65), "a b=c", `"q"`, "naïve"} {
+		if got := do("GET", "/v1/jobs", bad, "").Header().Get(HeaderRequestID); got == bad || len(got) != 16 || !plainName(got) {
+			t.Errorf("inbound request ID %q answered with %q, want a fresh one", bad, got)
+		}
+	}
+
+	// The mux's 404 page is the API's JSON error, counted in the record.
+	rec = do("GET", "/v1/nope", "nope-1", "")
+	if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusNotFound || ct != "application/json" ||
+		rec.Body.String() != `{"error":"grid: not found"}`+"\n" {
+		t.Errorf("unknown path: %d %q %q", rec.Code, ct, rec.Body.String())
+	}
+	logged(fmt.Sprintf("level=INFO msg=request rid=nope-1 method=GET path=/v1/nope status=404 bytes=%d ", rec.Body.Len()))
+}
 
 // FuzzRouteBodies throws arbitrary bytes at every body-reading POST route
 // of the table — lease (both paths), heartbeat, results, create-job, trace
@@ -110,7 +196,7 @@ func FuzzRouteBodies(f *testing.F) {
 			case 2:
 				req.Header.Set(HeaderBodySHA256, hex.EncodeToString(sum[1:]))
 			}
-			req.Header.Set(gridobs.RequestIDHeader, "fuzz")
+			req.Header.Set(HeaderRequestID, "fuzz")
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"io"
-	"strconv"
 	"time"
 
 	"repro/internal/gridobs"
@@ -225,20 +224,4 @@ func (m *gridMetrics) observeSpans(lines io.Reader) {
 			m.workerRetries.With(r.Writer).Add(float64(max(r.AttrInt("attempts")-1, 0)))
 		}
 	}
-}
-
-// onRequestDone is the access-log + HTTP-metrics sink wired into
-// gridobs.Instrument: one structured line per request (request ID
-// first so operators can grep a request's whole trail) and the
-// by-status-code counter.
-func (c *Coordinator) onRequestDone(ai gridobs.AccessInfo) {
-	c.metrics.httpRequests.With(strconv.Itoa(ai.Status)).Inc()
-	c.metrics.httpDuration.Observe(ai.Elapsed.Seconds())
-	// Progress streams and dashboards poll; logging every 200 GET
-	// would drown the event log. Errors always log.
-	if ai.Status < 400 && (ai.Method == "GET" || ai.Path == "/metrics") {
-		return
-	}
-	c.logf("grid: rid=%s %s %s -> %d (%dB in %s) from %s",
-		ai.RequestID, ai.Method, ai.Path, ai.Status, ai.Bytes, ai.Elapsed.Round(time.Millisecond), ai.Remote)
 }

@@ -28,7 +28,6 @@ var notDurable = []struct{ field, why string }{
 	{"worker latEWMA, failEWMA with several jobs", "registerLocked replays one job's records at a time, so the EWMAs fold a worker's outcomes in registration order, not in the order they happened (ingest A, expire B, ingest A: 0.21 live, 0.3 replayed); journalling them is ROADMAP item 10's"},
 	{"job next, scanned", "the grant cursor is a scan bound, re-derived by walking from 0"},
 	{"job startedAt, restored, scores, changed, cache plumbing", "per process lifetime: ETA anchor, assembled result, wake-up channel, cache epochs"},
-	{"everything, once a task was restored done with no ingest on record", "a crash between a body's manifest and WAL appends leaves lines the WAL never saw; the restart marks those tasks done without journalling it, so the records about them replay against a task not yet done — a verify is lost (the task is audited again), a re-check's lease re-arms as the task's lease and a restart revokes or expires it again; found by FuzzSchedule, see ROADMAP item 2"},
 	{"values", "the manifest's, not the WAL's; FuzzSchedule's invariant 3 compares them with the manifests' whole lines"},
 }
 

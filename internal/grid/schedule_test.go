@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/dsa"
 	"repro/internal/gossip"
-	"repro/internal/gridobs"
 	"repro/internal/job"
 	"repro/internal/linelog"
 )
@@ -147,7 +146,6 @@ type world struct {
 	fairOnly    bool            // every grant so far was a single task of the scheduler's pick (7)
 	selfGrant   map[string]bool // job/task/worker: a producer handed its own re-check (6)
 	vouched     []bool          // per job: the liar verified its own lie (4)
-	unrecorded  bool            // a task was restored done with no ingest on record (2)
 	standingLie bool            // a lie stood undisputed when the faults stopped (5)
 	acks        []string        // every upload entry's verdict, in stream order (10)
 	twin        *world          // the same input, run before (9, 10)
@@ -206,7 +204,7 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 // roundTrip serves a request in process, applying the pending network
 // fault to first attempts only: the client's retry always goes through.
 func (w *world) roundTrip(req *http.Request) (*http.Response, error) {
-	first := req.Header.Get(gridobs.RetryAttemptHeader) == ""
+	first := req.Header.Get(HeaderRetryAttempt) == ""
 	if first && w.fault == faultDrop {
 		return nil, errors.New("dropped before the handler")
 	}
@@ -254,13 +252,6 @@ func (w *world) open(dir string) {
 		}
 		w.ids = append(w.ids, id)
 	}
-	w.locked(func(c *Coordinator) {
-		for _, j := range c.jobs {
-			for _, st := range j.tasks {
-				w.unrecorded = w.unrecorded || st.status == taskDone && st.producer == ""
-			}
-		}
-	})
 }
 
 // retire closes the coordinator; a draining one has its own clock wound
@@ -863,9 +854,9 @@ var consistent = invariant{"1 consistent task table", func(w *world) error {
 // 2. A restart on a crash copy stands where the dead coordinator stood, in
 // everything the journals own (durableProjection; notDurable says what is
 // left out and why) — unless the crash cut an append, which no live state
-// ever matched, or an earlier one left a task done that the WAL never saw.
+// ever matched.
 var restartEqualsLive = invariant{"2 restart equals live", func(w *world) error {
-	if got := durableProjection(w.c); !w.cut && !w.unrecorded && got != w.lastLive {
+	if got := durableProjection(w.c); !w.cut && got != w.lastLive {
 		return fmt.Errorf("a restart does not stand where the dead coordinator did\ndead:\n%s\nrestarted:\n%s", w.lastLive, got)
 	}
 	return nil
@@ -1077,7 +1068,7 @@ func scheduleCorpus() []spell {
 		// The relaxation hands the liar its own re-check a TTL on: it vouches for its lie (invariant 4's exception).
 		audited.lease(2, 2).upload(2).clock(9).lease(2, 2).upload(2),
 		// A crash between a body's manifest and WAL appends, then the producer-less tasks are verified and the
-		// coordinator killed again: the verifies do not replay (notDurable).
+		// coordinator killed again: the restart journalled their ingests, so the verifies replay.
 		schedule(true, false, "hh", 1).lease(0, 4).upload(0).cut(true, 4, 0).lease(1, 4).upload(1).kill(),
 		// A liar sends its lies twice, then two honest workers overrule it.
 		audited.lease(2, 2).lose().upload(2).lease(0, 2).upload(0).lease(1, 2).upload(1),

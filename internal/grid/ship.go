@@ -10,6 +10,7 @@ package grid
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -33,8 +34,8 @@ type TraceShipperOptions struct {
 	Client *http.Client
 	// Interval is the Run cadence; 0 = DefaultShipInterval.
 	Interval time.Duration
-	// Logf, if non-nil, receives ship errors from Run.
-	Logf func(format string, args ...any)
+	// Logger, if non-nil, receives ship errors from Run.
+	Logger *slog.Logger
 
 	// chunkBytes bounds one upload body: obs.DefaultChunkBytes to every
 	// caller (the zero value), smaller only in this package's tests.
@@ -64,6 +65,7 @@ func NewTraceShipper(baseURL string, rec *obs.Recorder, path string, opts TraceS
 	if client == nil {
 		client = NewClient("")
 	}
+	opts.Logger = orSilent(opts.Logger)
 	return &TraceShipper{
 		baseURL: baseURL,
 		rec:     rec,
@@ -130,9 +132,7 @@ func (s *TraceShipper) Run(ctx context.Context) {
 		case <-tick.C:
 		}
 		if err := s.Ship(ctx); err != nil && ctx.Err() == nil {
-			if s.opts.Logf != nil {
-				s.opts.Logf("grid: trace ship: %v", err)
-			}
+			s.opts.Logger.Warn("trace ship failed", "worker", s.writer, "err", err)
 		}
 	}
 }

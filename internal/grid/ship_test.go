@@ -695,7 +695,7 @@ func TestShippedSpansNeedNoWorkerMetrics(t *testing.T) {
 type retryEveryUpload struct{}
 
 func (retryEveryUpload) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(req.URL.Path, "/results") && req.Header.Get(gridobs.RetryAttemptHeader) == "" {
+	if strings.HasSuffix(req.URL.Path, "/results") && req.Header.Get(HeaderRetryAttempt) == "" {
 		return &http.Response{StatusCode: http.StatusServiceUnavailable, Header: http.Header{}, Body: http.NoBody, Request: req}, nil
 	}
 	return http.DefaultTransport.RoundTrip(req)

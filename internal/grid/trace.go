@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -186,9 +185,7 @@ func (tc *traceCollector) journalLocked(job, writer string) (*traceJournal, erro
 // does not end on a line boundary (the next chunk would fuse onto it).
 func (tc *traceCollector) append(job, writer string, offset int64, data []byte) (ack TraceAck, spans int64, dup bool, err error) {
 	switch {
-	case writer == "" || strings.ContainsFunc(writer, func(r rune) bool {
-		return !('a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || r == '.' || r == '_' || r == '-')
-	}):
+	case !plainName(writer):
 		return TraceAck{}, 0, false, fmt.Errorf("grid: trace writer %q: a name is one or more of A-Z a-z 0-9 . _ -", writer)
 	case offset < 0:
 		return TraceAck{}, 0, false, fmt.Errorf("grid: trace upload offset must be >= 0")
@@ -362,8 +359,8 @@ func (c *Coordinator) collectTrace(r *http.Request, up TraceUpload) (TraceAck, e
 		c.metrics.traceDedup.Inc()
 	}
 	if ack.Accepted > 0 {
-		c.logfCtx(r.Context(), "grid: trace: %s/%s +%dB (%d spans, have %d)",
-			scopeName(up.Job), up.Writer, ack.Accepted, spans, ack.Have)
+		c.log.Info("trace chunk collected", "rid", requestID(r.Context()), "job", scopeName(up.Job),
+			"worker", up.Writer, "bytes", ack.Accepted, "spans", spans, "have", ack.Have)
 	}
 	return ack, nil
 }

@@ -34,8 +34,8 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		rids = append(rids, r.Header.Get(gridobs.RequestIDHeader))
-		retries = append(retries, r.Header.Get(gridobs.RetryAttemptHeader))
+		rids = append(rids, r.Header.Get(HeaderRequestID))
+		retries = append(retries, r.Header.Get(HeaderRetryAttempt))
 		mu.Unlock()
 		if calls.Add(1) <= 2 {
 			http.Error(w, `{"error":"temporarily sad"}`, http.StatusInternalServerError)
@@ -68,7 +68,7 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 	wantRetries := []string{"", "1", "2"}
 	for i, want := range wantRetries {
 		if retries[i] != want {
-			t.Errorf("attempt %d %s = %q, want %q", i, gridobs.RetryAttemptHeader, retries[i], want)
+			t.Errorf("attempt %d %s = %q, want %q", i, HeaderRetryAttempt, retries[i], want)
 		}
 	}
 }
@@ -81,16 +81,11 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 func TestWorkerTraceEndToEnd(t *testing.T) {
 	spec := gossipSpec(t)
 
-	var logMu sync.Mutex
-	var coordLog strings.Builder
+	var coordLog logSink
 	coord := NewCoordinator(CoordinatorOptions{
 		Dir:      t.TempDir(),
 		LeaseTTL: time.Minute,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			fmt.Fprintf(&coordLog, format+"\n", args...)
-			logMu.Unlock()
-		},
+		Logger:   coordLog.logger(),
 	})
 	defer coord.Close()
 	if _, err := coord.AddJob(spec); err != nil {
@@ -160,9 +155,7 @@ func TestWorkerTraceEndToEnd(t *testing.T) {
 
 	// Every upload rid the worker journalled shows up in the
 	// coordinator's access log — the cross-side correlation.
-	logMu.Lock()
 	logged := coordLog.String()
-	logMu.Unlock()
 	if len(uploadRids) != counts["upload"] {
 		t.Fatalf("upload rids journalled = %d, want one per upload span (%d)", len(uploadRids), counts["upload"])
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"sync"
@@ -43,8 +44,9 @@ type WorkerOptions struct {
 	// computed (job.ExecOptions.Cache). A worker pointed at a warm
 	// -cache-dir uploads known scores instead of recomputing them.
 	Cache dsa.ScoreCache
-	// Logf, if non-nil, receives worker event logs.
-	Logf func(format string, args ...any)
+	// Logger, if non-nil, receives the worker's records, each keyed with
+	// the worker's name.
+	Logger *slog.Logger
 	// Trace, if non-nil, journals the worker's side of the sweep:
 	// "lease" and "upload" spans carrying the request ID each HTTP call
 	// sent (the same rid the coordinator logs), with each lease batch's
@@ -113,10 +115,7 @@ func (o WorkerOptions) client() *http.Client {
 func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error {
 	name := opts.name()
 	client := opts.client()
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	opts.Logger = orSilent(opts.Logger).With("worker", name)
 	leaseURL := routeURL(baseURL, pathLease, "")
 	if jobID != "" {
 		leaseURL = routeURL(baseURL, pathJobLease, jobID)
@@ -129,7 +128,7 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 		if !rc.tolerate(err) {
 			return err
 		}
-		logf("worker %s: %s (%v), waiting to reconnect", name, what, err)
+		opts.Logger.Warn(what+", waiting to reconnect", "err", err)
 		return sleepPoll(ctx, opts)
 	}
 	// join returns id's spec, fetched the first time the worker serves
@@ -148,7 +147,7 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 		}
 		rc.ok()
 		specs[id] = spec
-		logf("worker %s: joined job %s (%s domain, %d points)", name, id, spec.Domain.Name(), len(spec.Points))
+		opts.Logger.Info("joined job", "job", id, "domain", spec.Domain.Name(), "points", len(spec.Points))
 		return spec, true, nil
 	}
 
@@ -180,16 +179,12 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 			Int("granted", int64(len(lease.Tasks))).End()
 		opts.Metrics.ObserveLease(len(lease.Tasks))
 		if lease.Draining {
-			logf("worker %s: coordinator draining, exiting", name)
+			opts.Logger.Info("coordinator draining, exiting")
 			return nil
 		}
 		if len(lease.Tasks) == 0 {
 			if lease.Complete {
-				if jobID != "" {
-					logf("worker %s: job %s complete", name, jobID)
-				} else {
-					logf("worker %s: all jobs complete", name)
-				}
+				opts.Logger.Info("work complete", "job", jobID) // "": every job
 				return nil
 			}
 			// No jobs yet, or everything pending is leased to other
@@ -205,7 +200,7 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 		} else if !ok {
 			continue
 		}
-		if err := runLease(ctx, client, baseURL, lease.Job, name, spec, lease.Tasks, opts, logf); err != nil {
+		if err := runLease(ctx, client, baseURL, lease.Job, name, spec, lease.Tasks, opts); err != nil {
 			// The batch's uploads died mid-outage; the leases expire and
 			// re-queue, so just go back to pulling.
 			if err = rideOut("lease batch failed", err); err != nil {
@@ -267,7 +262,7 @@ func sleepPoll(ctx context.Context, opts WorkerOptions) error {
 // before that ack leaves together in the next body. A task leaves the
 // heartbeat set only on its ack. The first upload error stops the batch
 // and is what runLease returns.
-func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name string, spec job.Spec, granted []LeaseTask, opts WorkerOptions, logf func(string, ...any)) error {
+func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name string, spec job.Spec, granted []LeaseTask, opts WorkerOptions) error {
 	tasks := make([]job.Task, len(granted))
 	ttl := DefaultLeaseTTL
 	held := make(map[string]bool, len(granted))
@@ -317,7 +312,7 @@ func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name str
 				}
 				mu.Unlock()
 				opts.Metrics.ObserveLeasesLost(len(resp.Lost))
-				logf("worker %s: %d leases lost (expired or done elsewhere)", name, len(resp.Lost))
+				opts.Logger.Info("leases lost (expired or done elsewhere)", "job", jobID, "tasks", len(resp.Lost))
 			}
 		}
 	}()
@@ -351,7 +346,7 @@ func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name str
 		mu.Unlock()
 		for i, a := range ack.Acks {
 			if a.Duplicate {
-				logf("worker %s: task %s was already done (duplicate dropped)", name, rs[i].Task)
+				opts.Logger.Info("task was already done (duplicate dropped)", "job", jobID, "task", rs[i].Task)
 			}
 		}
 		return nil

@@ -1,8 +1,6 @@
 package gridobs
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -183,47 +181,5 @@ func TestLimiterPrune(t *testing.T) {
 	l.mu.Unlock()
 	if n > 2 {
 		t.Fatalf("idle buckets survived the prune: %d left", n)
-	}
-}
-
-func TestInstrument(t *testing.T) {
-	var got AccessInfo
-	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if RequestID(r.Context()) == "" {
-			t.Error("request ID missing from context")
-		}
-		w.WriteHeader(http.StatusTeapot)
-		w.Write([]byte("short and stout"))
-	}), func(ai AccessInfo) { got = ai })
-
-	// Generated ID: present in context, echoed on the response.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs", nil))
-	if rec.Header().Get(RequestIDHeader) == "" {
-		t.Fatal("response missing generated X-Request-ID")
-	}
-	if got.Status != http.StatusTeapot || got.Bytes != 15 || got.Path != "/v1/jobs" {
-		t.Fatalf("access info = %+v", got)
-	}
-	if got.RequestID != rec.Header().Get(RequestIDHeader) {
-		t.Fatal("logged ID differs from response header")
-	}
-
-	// Caller-provided ID propagates.
-	rec = httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/", nil)
-	req.Header.Set(RequestIDHeader, "caller-chose-this")
-	h.ServeHTTP(rec, req)
-	if rec.Header().Get(RequestIDHeader) != "caller-chose-this" {
-		t.Fatal("caller-provided request ID not propagated")
-	}
-
-	// Absurdly long inbound IDs are replaced, not echoed.
-	rec = httptest.NewRecorder()
-	req = httptest.NewRequest("GET", "/", nil)
-	req.Header.Set(RequestIDHeader, strings.Repeat("x", 500))
-	h.ServeHTTP(rec, req)
-	if id := rec.Header().Get(RequestIDHeader); len(id) > 64 {
-		t.Fatalf("oversized inbound ID echoed back (%d bytes)", len(id))
 	}
 }

@@ -56,6 +56,7 @@ package repro
 
 import (
 	"context"
+	"log/slog"
 	"time"
 
 	"repro/internal/cache"
@@ -201,11 +202,11 @@ func OpenScoreCache(dir string) (*ScoreCache, error) {
 
 // GridOptions configures ServeGrid.
 type GridOptions struct {
-	Dir      string               // checkpoint root; "" keeps results in memory only
-	Chunk    int                  // points per task; 0 = the engine default
-	LeaseTTL time.Duration        // task lease duration; 0 = the grid default
-	OnListen func(addr string)    // called with the bound address (useful with ":0")
-	Logf     func(string, ...any) // coordinator event log; nil = silent
+	Dir      string            // checkpoint root; "" keeps results in memory only
+	Chunk    int               // points per task; 0 = the engine default
+	LeaseTTL time.Duration     // task lease duration; 0 = the grid default
+	OnListen func(addr string) // called with the bound address (useful with ":0")
+	Logger   *slog.Logger      // coordinator records; nil = silent
 	// Cache, if non-nil, is the coordinator's cross-job score cache:
 	// ingested results feed it, and tasks whose scores it already
 	// holds are served without being dispatched.
@@ -235,7 +236,7 @@ const gridLinger = 2 * time.Second
 // mid-sweep, their expired leases are re-run elsewhere.
 func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, cfg Config, opts GridOptions) (*Scores, error) {
 	coordOpts := grid.CoordinatorOptions{
-		Dir: opts.Dir, LeaseTTL: opts.LeaseTTL, Logf: opts.Logf,
+		Dir: opts.Dir, LeaseTTL: opts.LeaseTTL, Logger: opts.Logger,
 		AuthToken: opts.AuthToken, RateLimit: opts.RateLimit, RateBurst: opts.RateBurst,
 	}
 	if opts.Cache != nil {

@@ -3,7 +3,6 @@ package grid
 import (
 	"hash/fnv"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -262,16 +261,4 @@ func (c *Coordinator) Quarantine(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.quarantineLocked(name, "operator request")
-}
-
-// Quarantined lists quarantined workers (for the dashboard and tests).
-func (c *Coordinator) Quarantined() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.quarantined))
-	for name := range c.quarantined {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

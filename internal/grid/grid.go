@@ -428,8 +428,9 @@ func newRequestID() string {
 // design: job creation and result upload are idempotent, lease
 // duplicates only cost a lease TTL, and heartbeats are refreshes.
 // Non-retryable failures (4xx — the request itself is wrong) surface
-// immediately. One request ID is generated per call and sent on every
-// attempt (with retries marked via HeaderRetryAttempt), so the
+// immediately; retries that run out surface as an unreachableError. One
+// request ID is generated per call and sent on every attempt (with
+// retries marked via HeaderRetryAttempt), so the
 // coordinator's access log and the worker's trace journal name the same
 // rid for the same call — a task is traceable across both sides of the
 // wire.
@@ -498,8 +499,19 @@ func call(ctx context.Context, client *http.Client, method, url string, in, out 
 		serverPause = min(retryAfter, maxRetryAfter)
 		lastErr = err
 	}
-	return info, fmt.Errorf("grid: %s: giving up after %d attempts: %w", url, clientAttempts, lastErr)
+	return info, unreachableError{fmt.Errorf("grid: %s: giving up after %d attempts: %w", url, clientAttempts, lastErr)}
 }
+
+// unreachableError is a call that got no answer to act on: every attempt
+// failed in transport or was answered 5xx, 429 or a corrupt-body 400. It
+// is the one failure WorkerOptions.Reconnect rides out.
+type unreachableError struct{ error }
+
+func (e unreachableError) Unwrap() error { return e.error }
+
+// unreachable reports whether err says the coordinator could not be
+// reached, as opposed to answering no.
+func unreachable(err error) bool { return errors.As(err, new(unreachableError)) }
 
 // decodeResponse reads and decodes one response, classifying failures:
 // 5xx, 429 (rate limited), and checksum-rejected bodies (transport

@@ -1,16 +1,18 @@
 package grid
 
-// The worker uploads from a side goroutine: the simulator moves on to
-// the next task while an ack is outstanding, and what lands meanwhile
-// leaves together in the next body. These tests pin what that must not
-// change — a task stays in the heartbeat set until its own ack, the
-// first failed upload is what Work returns, and a worker that dies
-// holding computed-but-unsent results costs nothing but a re-run.
+// The worker uploads off its compute path: the simulator moves on to the
+// next task while an ack is outstanding, and what lands meanwhile leaves
+// together in the next body. These tests pin what that must not change —
+// a task stays in the heartbeat set until its own ack, the first failed
+// upload is what Work returns, and a worker that dies holding
+// computed-but-unsent results costs nothing but a re-run — and that a
+// refusal ends the worker: under Reconnect too, and mid-batch.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +22,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dsa"
+	"repro/internal/gossip"
 	"repro/internal/job"
 )
 
@@ -238,5 +242,107 @@ func TestGridWorkerKilledBetweenComputeAndUpload(t *testing.T) {
 	}
 	if csv(got) != want {
 		t.Fatal("CSV after a worker died between compute and upload is not byte-identical to single-process job.Run")
+	}
+}
+
+// TestReconnectEndsOnRefusal: Reconnect rides out a coordinator that
+// cannot be reached, never one that answers no. A results route that
+// answers 400 ends Work with that error after one upload, where riding it
+// out would lease, compute and upload into the same 400 forever.
+func TestReconnectEndsOnRefusal(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	defer coord.Close()
+	id, err := coord.AddJob(gossipSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uploads atomic.Int32
+	inner := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/results") {
+			uploads.Add(1)
+			http.Error(w, `{"error":"refused by the test"}`, http.StatusBadRequest)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	workErr := make(chan error, 1)
+	go func() {
+		workErr <- Work(context.Background(), srv.URL, id, WorkerOptions{
+			Name: "refused", Workers: 1, TasksPerLease: 1, Poll: 10 * time.Millisecond, Reconnect: time.Hour,
+		})
+	}()
+	select {
+	case err := <-workErr:
+		if err == nil || !strings.Contains(err.Error(), "refused by the test") {
+			t.Fatalf("Work returned %v, want the refused upload's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Work rode out a 400 under Reconnect (%d uploads so far)", uploads.Load())
+	}
+	if n := uploads.Load(); n != 1 {
+		t.Fatalf("%d uploads were attempted, want the one that was refused", n)
+	}
+}
+
+// stalling is gossip whose ScoreSlice says it started and then waits for
+// release: a lease batch that computes until the test lets it go.
+type stalling struct {
+	dsa.Domain
+	started, release chan struct{}
+}
+
+func (stalling) Name() string { return "gossip-stalling" }
+
+func (d *stalling) ScoreSlice(m string, pts, opp []core.Point, cfg dsa.Config) ([]float64, error) {
+	select {
+	case d.started <- struct{}{}:
+	default:
+	}
+	<-d.release
+	return d.Domain.ScoreSlice(m, pts, opp, cfg)
+}
+
+// stall is the registered stalling domain; a test arms its channels.
+var stall = func() *stalling {
+	d := &stalling{Domain: gossip.Domain()}
+	dsa.Register(d)
+	return d
+}()
+
+// TestHeartbeatVerdictStopsBatch: a quarantine verdict that reaches the
+// worker on a heartbeat stops its batch, and Work returns
+// ErrWorkerQuarantined while the batch is still computing.
+func TestHeartbeatVerdictStopsBatch(t *testing.T) {
+	stall.started, stall.release = make(chan struct{}, 1), make(chan struct{})
+	defer close(stall.release)
+	spec := gossipSpec(t)
+	spec.Domain = stall
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 150 * time.Millisecond})
+	defer coord.Close()
+	id, err := coord.AddJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	workErr := make(chan error, 1)
+	go func() { workErr <- Work(context.Background(), srv.URL, id, WorkerOptions{Name: "banned", Workers: 1}) }()
+	select {
+	case <-stall.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the batch never started computing")
+	}
+	coord.Quarantine("banned")
+	select {
+	case err := <-workErr:
+		if !errors.Is(err, ErrWorkerQuarantined) {
+			t.Fatalf("Work returned %v, want ErrWorkerQuarantined", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Work kept computing its batch after a heartbeat answered the verdict")
 	}
 }

@@ -7,12 +7,16 @@ package grid
 // world: a coordinator with a checkpoint directory, one to three tiny
 // gossip jobs and two to five workers, all on one goroutine under a
 // virtual clock, every request through the real client (call) and handler.
-// The coordinator's invariants are stated once, below, each a plain
+// The workers are Work's own decisions (workCore), driven by the world in
+// Work's place: a step hands one worker its next due event — an answer, a
+// finished compute unit, a timer — and the world carries out what it
+// decides. The coordinator's invariants are stated once, below, each a plain
 // function of the world, checked where it can be observed — after every
 // step, at every restart, at the end — and named when it fails.
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -83,32 +87,41 @@ var scheduleRefs = sync.OnceValue(func() (refs []scheduleRef) {
 	return refs
 })
 
-// Worker kinds. A liar sends every value off by one; a silent worker
-// leases and is never heard from again.
+// Worker kinds. A liar is Work's core with WorkerOptions.Corrupt sending
+// every value off by one; a silent worker is the core with every action
+// after its first lease dropped.
 const (
 	kindHonest = iota
 	kindLiar
 	kindSilent
 )
 
+// simWorker is one worker of the world: Work's decisions (workCore), with
+// the world carrying out their actions in Work's place.
 type simWorker struct {
 	name   string
 	kind   int
-	banned bool       // quarantined by the operator
-	held   []heldTask // leases it still means to answer
-}
-
-type heldTask struct {
-	job int
-	LeaseTask
+	banned bool // quarantined by the operator
+	bind   int  // the job it serves, -1 for every job
+	opts   WorkerOptions
+	io     *workerIO
+	core   *workCore  // nil until a step starts it; a fresh one after it exits
+	queue  []workMsg  // answers, held until a step delivers them
+	units  []job.Task // its batch still computing, a task a unit (gossip scores a measure a call)
+	jx     int        // the batch's job
+	wake   time.Time
+	leases int // leases sent: after its first, a silent worker is heard from no more
 }
 
 // Network faults: the next step's requests are dropped before the handler,
-// or their answers are lost after it — the client's retry is then a
-// duplicate.
+// or their answers lost after it — on the first attempt only, so the
+// client's retry, a duplicate, goes through — or refused with a 400, or
+// dropped on every attempt (the coordinator is unreachable).
 const (
 	faultDrop = 1 + iota
 	faultLose
+	faultRefuse
+	faultDown
 )
 
 type fileWrite struct {
@@ -153,17 +166,25 @@ type world struct {
 	outcome     string          // the acks and the final projection, WAL records, restore and CSVs (10)
 }
 
-// newWorld reads the header — the first three bytes, zero if missing —
-// and keeps the rest as steps. Byte 0: AuditRate 0 or 1 (bit 0), Hedge
-// (bit 1), 1–3 jobs (bits 2-3), 2–5 workers (bits 4-5). Byte 1: the kind
-// of workers 1.. (two bits each: 2 a liar — one at most —, 3 silent, else
-// honest; worker 0 is always honest). Byte 2: each job's priority 1–3
-// (two bits each).
+// newWorld reads the header — three bytes and one per worker, zero if
+// missing — and keeps the rest as steps. Byte 0: AuditRate 0 or 1 (bit 0),
+// Hedge (bit 1), 1–3 jobs (bits 2-3), 2–5 workers (bits 4-5). Byte 1: the
+// kind of workers 1.. (two bits each: 2 a liar — one at most —, 3 silent,
+// else honest; worker 0 is always honest). Byte 2: each job's priority 1–3
+// (two bits each). A worker's byte: its TasksPerLease leaseSizes[b&7%5],
+// and with bits 3-4 set to j > 0 it serves job (j-1)%jobs alone — worker
+// 0 always serves every job, so an honest worker can finish them all.
 func newWorld(t testing.TB, in []byte, split bool) *world {
 	refs := scheduleRefs()
-	hdr := append(slices.Clone(in[:min(3, len(in))]), 0, 0, 0)
-	w := &world{t: t, steps: in[min(3, len(in)):], split: split, fairOnly: hdr[0]&2 == 0}
-	w.opts = CoordinatorOptions{LeaseTTL: scheduleTTL, Hedge: hdr[0]&2 != 0}
+	h0 := byte(0)
+	if len(in) > 0 {
+		h0 = in[0]
+	}
+	size := 3 + 2 + int(h0>>4&3)
+	hdr := append(slices.Clone(in[:min(size, len(in))]), make([]byte, size)...)
+	w := &world{t: t, steps: in[min(size, len(in)):], split: split, fairOnly: hdr[0]&2 == 0}
+	// A lease cap of 8 lets a worker hold a whole job and send a four-line body.
+	w.opts = CoordinatorOptions{LeaseTTL: scheduleTTL, Hedge: hdr[0]&2 != 0, maxLease: 8}
 	if hdr[0]&1 != 0 {
 		w.opts.AuditRate = 1
 	}
@@ -172,7 +193,9 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 		w.prio = append(w.prio, 1+int(hdr[2]>>(2*jx)&3)%3)
 	}
 	w.vouched = make([]bool, len(w.refs))
-	for i := range 2 + int(hdr[0]>>4&3) {
+	w.clock.Store(time.Unix(1000, 0).UnixNano())
+	w.client = &http.Client{Transport: roundTripFunc(w.roundTrip)}
+	for i := range size - 3 {
 		kind := kindHonest
 		if i > 0 {
 			switch hdr[1] >> (2 * (i - 1)) & 3 {
@@ -184,10 +207,22 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 				kind = kindSilent
 			}
 		}
-		w.workers = append(w.workers, &simWorker{name: fmt.Sprintf("%s%d", [...]string{"honest", "liar", "silent"}[kind], i), kind: kind})
+		cfg := hdr[3+i]
+		wk := &simWorker{name: fmt.Sprintf("%s%d", [...]string{"honest", "liar", "silent"}[kind], i), kind: kind, bind: -1}
+		if j := int(cfg >> 3 & 3); j > 0 && i > 0 {
+			wk.bind = (j - 1) % len(w.refs)
+		}
+		wk.opts = WorkerOptions{Name: wk.name, TasksPerLease: leaseSizes[cfg&7%5], Reconnect: scheduleTTL}
+		if kind == kindLiar {
+			wk.opts.Corrupt = func(_ job.Task, v []float64) []float64 {
+				v = slices.Clone(v)
+				v[0]++
+				return v
+			}
+		}
+		wk.io = &workerIO{name: wk.name, base: "http://grid", opts: wk.opts, client: w.client, log: silent}
+		w.workers = append(w.workers, wk)
 	}
-	w.clock.Store(time.Unix(1000, 0).UnixNano())
-	w.client = &http.Client{Transport: roundTripFunc(w.roundTrip)}
 	w.unseam = linelog.SetWriterSeam(func(path string, wr io.Writer) io.Writer {
 		return writerFunc(func(p []byte) (int, error) {
 			w.record(path, p)
@@ -197,27 +232,133 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 	return w
 }
 
+// leaseSizes are the workers' TasksPerLease; 0 takes the coordinator's cap.
+var leaseSizes = [5]int{0, 1, 2, 4, 8}
+
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// roundTrip serves a request in process, applying the pending network
-// fault to first attempts only: the client's retry always goes through.
+// roundTrip serves a request in process under the pending network fault,
+// and judges a worker's request by its answer.
 func (w *world) roundTrip(req *http.Request) (*http.Response, error) {
-	first := req.Header.Get(HeaderRetryAttempt) == ""
-	if first && w.fault == faultDrop {
+	first, rec := req.Header.Get(HeaderRetryAttempt) == "", httptest.NewRecorder()
+	switch {
+	case w.fault == faultDown, first && w.fault == faultDrop:
 		return nil, errors.New("dropped before the handler")
+	case w.fault == faultRefuse:
+		writeJSON(rec, http.StatusBadRequest, errorBody{Error: "refused before the handler"})
+		return rec.Result(), nil
+	}
+	var in workerRequest
+	if req.Body != nil {
+		body, _ := io.ReadAll(req.Body)
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		json.Unmarshal(body, &in)
+	}
+	fair := req.URL.Path == pathLease && in.MaxTasks == 1 && w.fault == 0
+	if fair {
+		w.locked(func(c *Coordinator) {
+			for _, j := range c.jobs {
+				fair = fair && slices.ContainsFunc(j.tasks, func(st *taskState) bool { return st.status == taskPending })
+			}
+		})
 	}
 	before := len(w.writes)
-	rec := httptest.NewRecorder()
 	w.h.ServeHTTP(rec, req)
-	switch {
-	case first && w.fault == faultLose:
+	if in.Worker != "" {
+		w.judge(req.URL.Path, in, rec, fair, first && w.fault == faultLose, len(w.writes)-before)
+	}
+	if first && w.fault == faultLose {
 		return nil, errors.New("answer lost after the handler")
-	case !first && w.fault == faultLose && strings.HasSuffix(req.URL.Path, "/results") && len(w.writes) != before:
-		w.violate(&uploadsAreEntries, "a re-sent body made %d more writes", len(w.writes)-before)
 	}
 	return rec.Result(), nil
+}
+
+// workerRequest is what judge reads of a worker's request, whatever the
+// route.
+type workerRequest struct {
+	Worker   string
+	MaxTasks int `json:"max_tasks"`
+	Tasks    []string
+	Results  []TaskResult
+}
+
+// judge holds a worker's request to its answer: a quarantined worker is
+// refused on every route, nobody else is; a grant, a renewal, an ack is
+// what the coordinator's state says it must be.
+func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecorder, fair, lost bool, writes int) {
+	var out struct {
+		LeaseResponse
+		HeartbeatResponse
+		ResultsAck
+	}
+	json.Unmarshal(rec.Body.Bytes(), &out)
+	if refused, q := rec.Header().Get(HeaderQuarantined) != "", w.quarantined(in.Worker); refused != q {
+		w.violate(&quarantines, "%s refused %v, quarantined %v", in.Worker, refused, q)
+	}
+	id, _, _ := strings.Cut(strings.TrimPrefix(path, "/v1/jobs/"), "/")
+	c, who := w.c, in.Worker
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case rec.Code != http.StatusOK:
+	case strings.HasSuffix(path, "/lease"):
+		most, resp := c.opts.maxLease, out.LeaseResponse
+		if in.MaxTasks > 0 {
+			most = min(most, in.MaxTasks)
+		}
+		switch {
+		case c.draining && (len(resp.Tasks) > 0 || !resp.Draining):
+			w.violate(&grants, "a lease while draining answered %+v", resp)
+		case len(resp.Tasks) > most || id != "" && resp.Job != id:
+			w.violate(&grants, "asked for %d tasks of job %q, granted %+v", in.MaxTasks, id, resp)
+		}
+		j, now := c.jobs[resp.Job], c.now()
+		for _, lt := range resp.Tasks {
+			st := j.task(lt.Task)
+			if st.hedgeWorker == who && now.Sub(st.leasedAt) < scheduleTTL/2 {
+				w.violate(&grants, "%s hedges %s, leased only %v ago", who, lt.Task, now.Sub(st.leasedAt))
+			}
+			if st.status == taskDone && st.producer == who && st.audit != nil && st.audit.auditor == who {
+				if now.Before(st.audit.relaxAt) {
+					w.violate(&audited, "%s was handed the re-check of its own %s before the relaxation", who, lt.Task)
+				}
+				w.selfGrant[j.id+"/"+lt.Task+"/"+who] = true
+			}
+		}
+		if w.fairOnly = w.fairOnly && (fair || len(resp.Tasks) == 0); w.fairOnly && len(resp.Tasks) > 0 {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, j := range c.jobs {
+				share := float64(j.leasesGranted) / float64(j.weight)
+				lo, hi = min(lo, share), max(hi, share)
+			}
+			if hi-lo > 1 {
+				w.violate(&grants, "single-task grants left granted-per-weight shares from %v to %v", lo, hi)
+			}
+		}
+	case strings.HasSuffix(path, "/heartbeat"):
+		// A heartbeat renews exactly the leases of every kind the worker
+		// holds, to a TTL from now.
+		j, deadline := c.jobs[id], c.now().Add(scheduleTTL)
+		for _, tid := range in.Tasks {
+			st := j.task(tid)
+			holds := st.status == taskLeased && (st.worker == who && st.deadline.Equal(deadline) || st.hedgeWorker == who && st.hedgeDeadline.Equal(deadline)) ||
+				st.audit != nil && st.audit.auditor == who && st.audit.deadline.Equal(deadline)
+			if holds != slices.Contains(out.Renewed, tid) || holds == slices.Contains(out.Lost, tid) {
+				w.violate(&consistent, "heartbeat of %s on %s answered %+v", who, tid, out.HeartbeatResponse)
+			}
+		}
+	case len(out.Acks) != len(in.Results):
+		w.violate(&uploadsAreEntries, "%d entries, %d acks", len(in.Results), len(out.Acks))
+	case !lost && w.fault == faultLose:
+		// A re-sent body is acked a duplicate entry by entry and writes nothing.
+		for i, a := range out.Acks {
+			if writes > 0 || !a.Duplicate {
+				w.violate(&uploadsAreEntries, "the re-sent %s of %s was acked %+v and made %d writes", in.Results[i].Task, who, a, writes)
+			}
+		}
+	}
 }
 
 // record keeps every append to the WAL and the manifests of the world's
@@ -242,7 +383,7 @@ func (w *world) open(dir string) {
 	opts.Dir = dir
 	w.dir, w.writes, w.parsed, w.selfGrant = dir, nil, 0, map[string]bool{}
 	w.c = NewCoordinator(opts)
-	w.c.now = func() time.Time { return time.Unix(0, w.clock.Load()) }
+	w.c.now = w.now
 	w.h = w.c.Handler()
 	w.ids = w.ids[:0]
 	for jx, ref := range w.refs {
@@ -253,6 +394,8 @@ func (w *world) open(dir string) {
 		w.ids = append(w.ids, id)
 	}
 }
+
+func (w *world) now() time.Time { return time.Unix(0, w.clock.Load()) }
 
 // retire closes the coordinator; a draining one has its own clock wound
 // past every deadline first, so its drain settles and the drain loop
@@ -300,32 +443,36 @@ func (w *world) quarantined(name string) (q bool) {
 	return q
 }
 
-// call makes one request of job jx's route (jx < 0: a route without one).
-func (w *world) call(method, pattern string, jx int, in, out any) error {
-	id := ""
-	if jx >= 0 {
-		id = w.ids[jx]
-	}
+// call makes one request of job id's route ("": a route without one).
+func (w *world) call(method, pattern, id string, in, out any) error {
 	_, err := call(context.Background(), w.client, method, routeURL("http://grid", pattern, id), in, out)
 	return err
+}
+
+// expect fails the run on an error no step could have caused.
+func (w *world) expect(err error) {
+	w.t.Helper()
+	switch {
+	case err == nil, errors.Is(err, ErrWorkerQuarantined):
+	case w.fault == faultRefuse && !unreachable(err), w.fault == faultDown && unreachable(err):
+	default:
+		w.t.Fatalf("step %d: %v", w.step, err)
+	}
 }
 
 // The step byte: op in bits 0-2, a worker (or another small argument) in
 // bits 3-5, k in bits 6-7; the clock and kill steps read bits 3-7 as one
 // number.
 const (
-	opClock     = iota // advance by (arg+1)/8 of the lease TTL
-	opLease            // worker leases at most leaseSizes[k] tasks of the scheduler's pick
-	opLeaseJob         // worker leases at most leaseSizes[k] tasks of job k
-	opUpload           // worker sends one job's held tasks: all of them (k bit 0) or one, plus a stray (k bit 1)
-	opHeartbeat        // worker heartbeats everything it holds
-	opNetwork          // the next step's requests are dropped (a even) or their answers lost (a odd)
-	opOperator         // k 0: quarantine worker a (never worker 0); 1: job a%3 to priority 1+a/3; else drain
-	opKill             // kill -9 and restart on a crash copy; see kill
+	opClock = iota // advance by (arg+1)/8 of the lease TTL
+	opStep         // deliver worker a's next due event, by k — see next; ops 2 and 3 too
+	_
+	_
+	opStray    // worker a posts one result of job k nobody asked it for
+	opNetwork  // the next step's requests are dropped, lost, refused or unreachable (a%4)
+	opOperator // k 0: quarantine worker a (never worker 0); 1: job a%3 to priority 1+a/3; else drain
+	opKill     // kill -9 and restart on what it left; see kill
 )
-
-// leaseSizes are the lease requests' sizes; 8 asks past DefaultMaxLease.
-var leaseSizes = [4]int{1, 2, 4, 8}
 
 func (w *world) take(b byte) {
 	op, a, k, arg := b&7, int(b>>3&7), int(b>>6), int(b>>3)
@@ -336,17 +483,18 @@ func (w *world) take(b byte) {
 	switch op {
 	case opClock:
 		w.advance(scheduleTTL * time.Duration(arg+1) / 8)
-	case opLease:
-		w.lease(wk, -1, leaseSizes[k])
-	case opLeaseJob:
-		w.lease(wk, k%len(w.ids), leaseSizes[k])
-	case opUpload:
-		w.upload(wk, k&1 != 0, k&2 != 0)
-	case opHeartbeat:
-		w.heartbeat(wk)
+	case opStray:
+		jx := k % len(w.ids)
+		t := w.refs[jx].tasks[(w.step*7+len(w.acks))%len(w.refs[jx].tasks)]
+		vals := slices.Clone(w.refs[jx].values[t.ID()])
+		if wk.opts.Corrupt != nil {
+			vals = wk.opts.Corrupt(t, vals)
+		}
+		w.post(wk, w.ids[jx], []TaskResult{{Task: t.ID(), Values: vals, ElapsedMS: 5}})
 	case opNetwork:
-		w.fault = faultDrop + a&1
+		w.fault = faultDrop + a%4
 	case opOperator:
+		w.fault = 0 // the operator's requests do not cross the workers' network
 		switch {
 		case k == 0 && wk != w.workers[0]:
 			w.c.Quarantine(wk.name)
@@ -358,7 +506,139 @@ func (w *world) take(b byte) {
 		}
 	case opKill:
 		w.kill(arg&1 != 0, arg>>1)
+	default:
+		if wk.core == nil || wk.core.exited {
+			w.start(wk) // a worker that went away is restarted
+		} else if k < 3 {
+			w.next(wk, k)
+		} else {
+			for n := wk.leases; wk.leases == n && w.next(wk, 0); {
+			}
+		}
 	}
+}
+
+// start runs a fresh core for wk, as restarting its process would.
+func (w *world) start(wk *simWorker) {
+	jobID := ""
+	if wk.bind >= 0 {
+		jobID = w.ids[wk.bind]
+	}
+	wk.core, wk.queue, wk.units, wk.wake = newWorkCore(jobID, wk.opts), nil, nil, time.Time{}
+	w.deliver(wk, workMsg{kind: msgStart})
+}
+
+// next delivers one of wk's due events and reports whether it had one. By
+// k, it prefers its oldest held answer, then a compute unit, then its timer
+// once the clock has reached it (0); the timer first (1); a unit first (2).
+func (w *world) next(wk *simWorker, k int) bool {
+	timer := !wk.wake.IsZero() && !w.now().Before(wk.wake)
+	for _, src := range [...]string{"qut", "tqu", "uqt"}[k] {
+		switch {
+		case src == 'q' && len(wk.queue) > 0:
+			ev := wk.queue[0]
+			wk.queue = wk.queue[1:]
+			w.deliver(wk, ev)
+			return true
+		case src == 'u' && len(wk.units) > 0:
+			t := wk.units[0]
+			wk.units = wk.units[1:]
+			last := len(wk.units) == 0
+			w.deliver(wk, workMsg{kind: msgResult, task: t, body: []TaskResult{{Task: t.ID(), Values: slices.Clone(w.refs[wk.jx].values[t.ID()]), ElapsedMS: 5}}})
+			w.deliver(wk, workMsg{kind: msgUnit})
+			if last {
+				w.deliver(wk, workMsg{kind: msgComputed})
+			}
+			return true
+		case src == 't' && timer:
+			wk.wake = time.Time{}
+			w.deliver(wk, workMsg{kind: msgWake})
+			return true
+		}
+	}
+	return false
+}
+
+// deliver hands wk's core one event and carries out what it decides, as
+// Work would: a call is made at once and its answer held for a later step.
+// A core answered a refusal — a quarantine verdict, any other 4xx — must
+// exit, and one whose timer fires while it holds leases, with no
+// heartbeat of its own in flight, heartbeats them.
+func (w *world) deliver(wk *simWorker, ev workMsg) {
+	ev.now = w.now()
+	b := wk.core.b
+	due := ev.kind == msgWake && b != nil && len(b.held) > 0 &&
+		!slices.ContainsFunc(wk.queue, func(e workMsg) bool { return e.kind == msgBeat })
+	acts := wk.core.step(ev)
+	if ev.kind != msgComputed && ev.err != nil && !unreachable(ev.err) && !wk.core.exited {
+		w.violate(&quarantines, "%s was refused (%v) and went on", wk.name, ev.err)
+	}
+	if due && !slices.ContainsFunc(acts, func(a workMsg) bool { return a.kind == msgBeat && slices.Equal(a.ids, b.held) }) {
+		w.violate(&honestFinish, "%s's timer fired holding %v, and it sent no heartbeat", wk.name, b.held)
+	}
+	for _, a := range acts {
+		if wk.kind == kindSilent && wk.leases > 0 {
+			return
+		}
+		switch a.kind {
+		case msgLease, msgJob, msgBeat:
+			ev := wk.io.request(context.Background(), a, 0)
+			w.expect(ev.err)
+			wk.queue = append(wk.queue, ev)
+			if a.kind == msgLease {
+				wk.leases++
+			}
+		case msgUpload:
+			wk.queue = append(wk.queue, w.post(wk, a.job, a.body))
+		case msgCompute:
+			wk.units, wk.jx = a.tasks, w.jobIndex(a.job)
+		case msgStop:
+			wk.units = nil
+			wk.queue = append(wk.queue, workMsg{kind: msgComputed, err: context.Canceled})
+		case msgWake:
+			wk.wake = a.at
+		case msgExit:
+			wk.queue, wk.wake = nil, time.Time{}
+		}
+	}
+}
+
+// post sends body as wk — with split, each entry alone, in the order the
+// coordinator takes a body's entries: those for tasks done on arrival
+// (duplicates, audit evidence) as they come, then the fresh ones,
+// journalled last — and notes every entry's verdict.
+func (w *world) post(wk *simWorker, id string, body []TaskResult) workMsg {
+	sends := [][]TaskResult{body}
+	if w.split {
+		sends = nil
+		w.locked(func(c *Coordinator) {
+			for _, fresh := range []bool{false, true} {
+				for _, r := range body {
+					if (c.jobs[id].task(r.Task).status != taskDone) == fresh {
+						sends = append(sends, []TaskResult{r})
+					}
+				}
+			}
+		})
+	}
+	verdict := map[string]string{}
+	var err error
+	for _, rs := range sends {
+		var ack ResultsAck
+		e := w.call(http.MethodPost, pathResults, id, ResultsUpload{Worker: wk.name, Results: rs}, &ack)
+		w.expect(e)
+		for n, r := range rs {
+			verdict[r.Task] = "refused"
+			if e == nil {
+				verdict[r.Task] = fmt.Sprintf("accepted=%v duplicate=%v", ack.Acks[n].Accepted, ack.Acks[n].Duplicate)
+			}
+		}
+		err = cmp.Or(err, e)
+	}
+	for _, r := range body {
+		w.acks = append(w.acks, wk.name+" "+r.Task+" "+verdict[r.Task])
+	}
+	return workMsg{kind: msgUpload, job: id, err: err}
 }
 
 // advance moves the virtual clock. While draining it also ticks the drain
@@ -377,14 +657,14 @@ func (w *world) advance(d time.Duration) {
 
 func (w *world) drain() {
 	w.locked((*Coordinator).expireAllLocked) // the drain loop's first tick, before it exists
-	if err := w.call(http.MethodPost, pathDrain, -1, nil, nil); err != nil {
+	if err := w.call(http.MethodPost, pathDrain, "", nil, nil); err != nil {
 		w.t.Fatal(err)
 	}
 }
 
 func (w *world) prioritize(jx, p int) {
 	var sum JobSummary
-	if err := w.call(http.MethodPost, pathJobs, -1, CreateJobRequest{Spec: w.refs[jx].raw, Priority: p}, &sum); err != nil {
+	if err := w.call(http.MethodPost, pathJobs, "", CreateJobRequest{Spec: w.refs[jx].raw, Priority: p}, &sum); err != nil {
 		w.t.Fatal(err)
 	}
 	w.locked(func(c *Coordinator) {
@@ -395,201 +675,21 @@ func (w *world) prioritize(jx, p int) {
 	w.fairOnly = false
 }
 
-// answered judges a worker request's outcome: a quarantined worker is
-// refused everywhere, nobody else is, and a refused worker forgets its
-// leases. It reports whether the request went through.
-func (w *world) answered(wk *simWorker, err error) bool {
-	w.t.Helper()
-	refused := errors.Is(err, ErrWorkerQuarantined)
-	switch q := w.quarantined(wk.name); {
-	case err != nil && !refused:
-		w.t.Fatalf("step %d: %s: %v", w.step, wk.name, err)
-	case refused != q:
-		w.violate(&quarantines, "%s refused %v, quarantined %v", wk.name, refused, q)
-	case refused:
-		wk.held = nil
-	}
-	return err == nil
-}
-
-func (w *world) lease(wk *simWorker, jx, most int) {
-	fair := jx < 0 && most == 1 && w.fault == 0
-	w.locked(func(c *Coordinator) {
-		for _, j := range c.jobs {
-			fair = fair && slices.ContainsFunc(j.tasks, func(st *taskState) bool { return st.status == taskPending })
-		}
-	})
-	pattern := pathLease
-	if jx >= 0 {
-		pattern = pathJobLease
-	}
-	var resp LeaseResponse
-	if !w.answered(wk, w.call(http.MethodPost, pattern, jx, LeaseRequest{Worker: wk.name, MaxTasks: most}, &resp)) {
-		return
-	}
-	c := w.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case c.draining && (len(resp.Tasks) > 0 || !resp.Draining):
-		w.violate(&grants, "a lease while draining answered %+v", resp)
-	case len(resp.Tasks) > min(most, DefaultMaxLease) || jx >= 0 && resp.Job != w.ids[jx]:
-		w.violate(&grants, "asked for %d tasks of job %d, granted %+v", most, jx, resp)
-	case len(resp.Tasks) == 0:
-		return
-	}
-	rx, j, now := w.jobIndex(resp.Job), c.jobs[resp.Job], c.now()
-	for _, lt := range resp.Tasks {
-		st := j.task(lt.Task)
-		if st.hedgeWorker == wk.name && now.Sub(st.leasedAt) < scheduleTTL/2 {
-			w.violate(&grants, "%s hedges %s, leased only %v ago", wk.name, lt.Task, now.Sub(st.leasedAt))
-		}
-		if st.status == taskDone && st.producer == wk.name && st.audit != nil && st.audit.auditor == wk.name {
-			if now.Before(st.audit.relaxAt) {
-				w.violate(&audited, "%s was handed the re-check of its own %s before the relaxation", wk.name, lt.Task)
-			}
-			w.selfGrant[j.id+"/"+lt.Task+"/"+wk.name] = true
-		}
-		if !slices.ContainsFunc(wk.held, func(h heldTask) bool { return h.job == rx && h.Task == lt.Task }) {
-			wk.held = append(wk.held, heldTask{rx, lt})
-		}
-	}
-	if w.fairOnly = w.fairOnly && fair; w.fairOnly {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, j := range c.jobs {
-			share := float64(j.leasesGranted) / float64(j.weight)
-			lo, hi = min(lo, share), max(hi, share)
-		}
-		if hi-lo > 1 {
-			w.violate(&grants, "single-task grants left granted-per-weight shares from %v to %v", lo, hi)
-		}
-	}
-}
-
-func (w *world) heartbeat(wk *simWorker) {
-	if wk.kind == kindSilent {
-		return
-	}
-	for jx := range w.ids {
-		var tasks []string
-		for _, h := range wk.held {
-			if h.job == jx {
-				tasks = append(tasks, h.Task)
-			}
-		}
-		var resp HeartbeatResponse
-		if len(tasks) == 0 {
-			continue
-		}
-		if !w.answered(wk, w.call(http.MethodPost, pathHeartbeat, jx, HeartbeatRequest{Worker: wk.name, Tasks: tasks}, &resp)) {
-			return
-		}
-		// A heartbeat renews exactly the leases of every kind the worker
-		// holds, to a TTL from now.
-		w.locked(func(c *Coordinator) {
-			j, deadline := c.jobs[w.ids[jx]], c.now().Add(scheduleTTL)
-			for _, id := range tasks {
-				st := j.task(id)
-				holds := st.status == taskLeased && (st.worker == wk.name && st.deadline.Equal(deadline) || st.hedgeWorker == wk.name && st.hedgeDeadline.Equal(deadline)) ||
-					st.audit != nil && st.audit.auditor == wk.name && st.audit.deadline.Equal(deadline)
-				if holds != slices.Contains(resp.Renewed, id) || holds == slices.Contains(resp.Lost, id) {
-					w.violate(&consistent, "heartbeat of %s on %s answered %+v", wk.name, id, resp)
-				}
-			}
-		})
-	}
-}
-
-// upload sends the held tasks of wk's first held job — all of them, or
-// the first — as one body, and with stray one more task of that job that
-// nobody asked wk for.
-func (w *world) upload(wk *simWorker, all, stray bool) {
-	if wk.kind == kindSilent || len(wk.held) == 0 {
-		return
-	}
-	jx, ref := wk.held[0].job, w.refs[wk.held[0].job]
-	var rs []TaskResult
-	add := func(task string) {
-		vals := slices.Clone(ref.values[task])
-		if wk.kind == kindLiar {
-			vals[0]++
-		}
-		rs = append(rs, TaskResult{Task: task, Values: vals, ElapsedMS: 5})
-	}
-	wk.held = slices.DeleteFunc(wk.held, func(h heldTask) bool {
-		take := h.job == jx && (all || len(rs) == 0)
-		if take {
-			add(h.Task)
-		}
-		return take
-	})
-	if t := ref.tasks[(w.step*7+len(w.acks))%len(ref.tasks)].ID(); stray &&
-		!slices.ContainsFunc(rs, func(r TaskResult) bool { return r.Task == t }) {
-		add(t)
-	}
-	// Split, the body goes as one-entry bodies in the order the coordinator
-	// takes a body's entries: those for tasks done on arrival (duplicates,
-	// audit evidence) as they come, then the fresh ones, journalled last.
-	sends := [][]int{nil}
-	for i := range rs {
-		sends[0] = append(sends[0], i)
-	}
-	if w.split {
-		sends = nil
-		w.locked(func(c *Coordinator) {
-			j := c.jobs[w.ids[jx]]
-			for _, fresh := range []bool{false, true} {
-				for i, r := range rs {
-					if (j.task(r.Task).status != taskDone) == fresh {
-						sends = append(sends, []int{i})
-					}
-				}
-			}
-		})
-	}
-	acks := make([]string, len(rs))
-	for _, idx := range sends {
-		body := ResultsUpload{Worker: wk.name}
-		for _, i := range idx {
-			body.Results = append(body.Results, rs[i])
-		}
-		var ack ResultsAck
-		if !w.answered(wk, w.call(http.MethodPost, pathResults, jx, body, &ack)) {
-			for _, i := range idx {
-				acks[i] = "refused"
-			}
-			continue
-		}
-		if len(ack.Acks) != len(idx) {
-			w.violate(&uploadsAreEntries, "%d entries, %d acks", len(idx), len(ack.Acks))
-		}
-		for n, i := range idx {
-			acks[i] = fmt.Sprintf("accepted=%v duplicate=%v", ack.Acks[n].Accepted, ack.Acks[n].Duplicate)
-			if w.fault == faultLose && !ack.Acks[n].Duplicate {
-				w.violate(&uploadsAreEntries, "the re-sent %s of %s was acked %+v, not as a duplicate", rs[i].Task, wk.name, ack.Acks[n])
-			}
-		}
-	}
-	for i, a := range acks {
-		w.acks = append(w.acks, wk.name+" "+rs[i].Task+" "+a)
-	}
-}
-
-// kill is a coordinator kill -9 and a restart on a copy of what it left
-// on disk. v < 15 cuts the last manifest (else WAL) append as the crash
-// tore it: v/3 whole lines of it, then -1, 0 or +1 byte (v%3 - 1), and
-// none of the appends after it.
+// kill is a coordinator kill -9 and a restart on what it left on disk,
+// cut in place. v < 15 cuts the last manifest (else WAL) append as the
+// crash tore it: v/3 whole lines of it, then -1, 0 or +1 byte (v%3 - 1),
+// and none of the appends after it.
 func (w *world) kill(manifest bool, v int) {
 	w.lastLive = durableProjection(w.c)
-	dir := crashCopy(w.t, w.dir)
-	w.cut = false
-	i := len(w.writes) - 1
+	n := len(w.writes)
+	i := n - 1
 	for i >= 0 && manifest == (w.writes[i].rel == walFileName) {
 		i--
 	}
+	size := map[string]int64{} // what each file is cut back to
+	w.cut = false
 	if v < 15 && i >= 0 {
-		size := map[string]int64{} // what each file is cut back to
-		for k := len(w.writes) - 1; k > i; k-- {
+		for k := n - 1; k > i; k-- {
 			size[w.writes[k].rel] = w.writes[k].off
 		}
 		fw, ends := w.writes[i], []int{0}
@@ -600,23 +700,30 @@ func (w *world) kill(manifest bool, v int) {
 		}
 		at := min(max(ends[min(v/3, len(ends)-1)]+v%3-1, 0), len(fw.data))
 		size[fw.rel] = fw.off + int64(at)
-		for rel, n := range size {
-			if err := os.Truncate(filepath.Join(dir, rel), n); err != nil {
-				w.t.Fatal(err)
-			}
-		}
 		w.cut = len(size) > 1 || at < len(fw.data)
 		w.everCut = w.everCut || w.cut
 	}
+	// Closing may append too (a draining coordinator's last expiries):
+	// nothing written after the kill survives it.
 	w.retire()
-	w.open(dir)
+	for _, fw := range w.writes[n:] {
+		if _, ok := size[fw.rel]; !ok {
+			size[fw.rel] = fw.off
+		}
+	}
+	for rel, to := range size {
+		if err := os.Truncate(filepath.Join(w.dir, rel), to); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+	w.open(w.dir)
 	w.hold(atRestart...)
 }
 
-// scanVerifies looks at the verify records journalled since the last
-// look: a worker vouching for its own value must have been handed the
-// re-check (6), and the liar vouching for a lie is noted (4).
-func (w *world) scanVerifies() {
+// scanRecords looks at the verify records journalled since the last look:
+// a worker vouching for its own value must have been handed the re-check
+// (6), and the liar vouching for a lie is noted (4).
+func (w *world) scanRecords() {
 	liar := w.liar()
 	for ; w.parsed < len(w.writes); w.parsed++ {
 		fw := w.writes[w.parsed]
@@ -626,7 +733,10 @@ func (w *world) scanVerifies() {
 		for _, line := range bytes.SplitAfter(fw.data, []byte("\n")) {
 			var l walLine
 			var r walRecord
-			if json.Unmarshal(line, &l) != nil || json.Unmarshal(l.Rec, &r) != nil || r.T != walVerify {
+			if json.Unmarshal(line, &l) != nil || json.Unmarshal(l.Rec, &r) != nil {
+				continue
+			}
+			if r.T != walVerify {
 				continue
 			}
 			jx := w.jobIndex(r.Job)
@@ -645,7 +755,8 @@ func (w *world) scanVerifies() {
 // finish stops the faults and lets the honest workers alone finish every
 // job: a draining coordinator first settles — the drain's wait — and
 // restarts on the same directory; then, every half TTL, each honest
-// worker still admitted leases and sends all it holds.
+// worker still admitted — restarted if it went away — takes every event
+// that is due.
 func (w *world) finish() {
 	w.fault, w.step = 0, len(w.steps)
 	if w.c.Draining() {
@@ -671,6 +782,7 @@ func (w *world) finish() {
 		}
 	}
 	c.mu.Unlock()
+	w.scanRecords()
 	for round := 0; !w.complete(); round++ {
 		if round == 60 {
 			w.violate(&honestFinish, "jobs incomplete after %v: %s", 30*scheduleTTL, durableProjection(w.c))
@@ -679,14 +791,19 @@ func (w *world) finish() {
 			w.advance(scheduleTTL / 2)
 		}
 		for _, wk := range w.workers {
-			if wk.kind == kindHonest && !w.quarantined(wk.name) {
-				w.lease(wk, -1, 4)
-				for len(wk.held) > 0 {
-					w.upload(wk, true, false)
+			if wk.kind != kindHonest || w.quarantined(wk.name) {
+				continue
+			}
+			if wk.core == nil || wk.core.exited {
+				w.start(wk)
+			}
+			for n := 0; w.next(wk, 2); n++ {
+				if n == 256 {
+					w.violate(&honestFinish, "%s never settles", wk.name)
 				}
 			}
 		}
-		w.scanVerifies()
+		w.scanRecords()
 	}
 }
 
@@ -748,7 +865,7 @@ func runWorld(t testing.TB, in []byte, split bool, afterStep func(*world)) *worl
 	w.open(t.TempDir())
 	for ; w.step < len(w.steps) && w.step < 256; w.step++ {
 		w.take(w.steps[w.step])
-		w.scanVerifies()
+		w.scanRecords()
 		w.hold(everyStep...)
 		if afterStep != nil {
 			afterStep(w)
@@ -899,8 +1016,10 @@ var csvMatchesRun = invariant{"4 CSV byte-identical to job.Run", func(w *world) 
 
 // 5. An honest worker is quarantined only by the operator. A lie that
 // stood undisputed when the faults stopped gets its liar quarantined by
-// completion, when two honest workers finish the jobs. (Also judged on the
-// spot: a quarantined worker is refused on every route, nobody else is.)
+// completion, when two honest workers that serve every job finish them.
+// (Also judged on the spot: a quarantined worker is refused on every
+// route, nobody else is, and a worker answered a refusal — the verdict or
+// any other 4xx — exits.)
 var quarantines = invariant{"5 quarantine", func(w *world) error {
 	finishers := 0
 	for _, wk := range w.workers {
@@ -908,7 +1027,7 @@ var quarantines = invariant{"5 quarantine", func(w *world) error {
 		if wk.kind == kindHonest && q && !wk.banned {
 			return fmt.Errorf("honest %s is quarantined", wk.name)
 		}
-		if wk.kind == kindHonest && !q {
+		if wk.kind == kindHonest && !q && wk.bind < 0 {
 			finishers++
 		}
 	}
@@ -966,7 +1085,9 @@ var grants = invariant{"7 grants", func(w *world) error {
 }}
 
 // 8. Once the faults stop, the honest workers alone finish every job
-// within 30 TTLs (judged by finish).
+// within 30 TTLs (judged by finish). (Also judged on the spot: a worker
+// whose timer fires while it holds leases, with no heartbeat in flight,
+// heartbeats them.)
 var honestFinish = invariant{"8 honest workers finish", func(w *world) error {
 	if !w.complete() {
 		return errors.New("the jobs are incomplete")
@@ -1007,7 +1128,9 @@ func firstDiff(a, b string) error {
 type spell []byte
 
 // schedule starts a spell: kinds names every worker ('h' honest, 'l' the
-// liar, 's' silent; worker 0 is honest), prios every job's priority.
+// liar, 's' silent; worker 0 is honest), prios every job's priority. Every
+// worker leases from every job, as many tasks as the coordinator grants,
+// until tasks or bind says otherwise.
 func schedule(audit, hedge bool, kinds string, prios ...int) spell {
 	var h0, h1, h2 byte
 	if audit {
@@ -1023,22 +1146,37 @@ func schedule(audit, hedge bool, kinds string, prios ...int) spell {
 	for j, p := range prios {
 		h2 |= byte(p-1) << (2 * j)
 	}
-	return spell{h0, h1, h2}
+	return append(spell{h0, h1, h2}, make(spell, len(kinds))...)
 }
 
-func (s spell) op(op, a, k int) spell    { return append(s, byte(op|a<<3|k<<6)) }
-func (s spell) clock(eighths int) spell  { return append(s, byte(opClock|(eighths-1)<<3)) }
-func (s spell) lease(wk, max int) spell  { return s.op(opLease, wk, slices.Index(leaseSizes[:], max)) }
-func (s spell) leaseJob(wk, j int) spell { return s.op(opLeaseJob, wk, j) } // at most leaseSizes[j] tasks
-func (s spell) upload(wk int) spell      { return s.op(opUpload, wk, 1) }   // everything of one job
-func (s spell) uploadStray(wk int) spell { return s.op(opUpload, wk, 3) }
-func (s spell) heartbeat(wk int) spell   { return s.op(opHeartbeat, wk, 0) }
-func (s spell) drop() spell              { return s.op(opNetwork, 0, 0) }
-func (s spell) lose() spell              { return s.op(opNetwork, 1, 0) }
-func (s spell) quarantine(wk int) spell  { return s.op(opOperator, wk, 0) }
-func (s spell) priority(j, p int) spell  { return s.op(opOperator, j+3*(p-1), 1) } // j < 3, and j < 2 for p 3
-func (s spell) drain() spell             { return s.op(opOperator, 0, 2) }
-func (s spell) kill() spell              { return append(s, byte(opKill|30<<3)) }
+// tasks sets worker wk's TasksPerLease and, given a job, has it serve
+// that one alone.
+func (s spell) tasks(wk, n int, job ...int) spell {
+	s = slices.Clone(s)
+	s[3+wk] = byte(slices.Index(leaseSizes[:], n))
+	for _, j := range job {
+		s[3+wk] |= byte(j+1) << 3
+	}
+	return s
+}
+
+// Steps. Each builds a new spell, so a shared prefix is never written
+// through.
+func (s spell) add(b byte) spell        { return append(slices.Clip(s), b) }
+func (s spell) op(op, a, k int) spell   { return s.add(byte(op | a<<3 | k<<6)) }
+func (s spell) clock(eighths int) spell { return s.add(byte(opClock | (eighths-1)<<3)) }
+func (s spell) step(wk int) spell       { return s.op(opStep, wk, 0) } // its oldest answer, else a unit, else its timer
+func (s spell) beat(wk int) spell       { return s.op(opStep, wk, 1) } // its timer first
+func (s spell) unit(wk int) spell       { return s.op(opStep, wk, 2) } // a compute unit first
+func (s spell) batch(wk int) spell      { return s.op(opStep, wk, 3) } // steps until it sends its next lease
+func (s spell) stray(wk, j int) spell   { return s.op(opStray, wk, j) }
+func (s spell) drop() spell             { return s.op(opNetwork, 0, 0) }
+func (s spell) lose() spell             { return s.op(opNetwork, 1, 0) }
+func (s spell) quarantine(wk int) spell { return s.op(opOperator, wk, 0) }
+func (s spell) priority(j, p int) spell { return s.op(opOperator, j+3*(p-1), 1) } // j < 3, and j < 2 for p 3
+func (s spell) drain() spell            { return s.op(opOperator, 0, 2) }
+func (s spell) kill() spell             { return s.add(byte(opKill | 30<<3)) }
+func (s spell) started(wk int) spell    { return s.step(wk).step(wk).step(wk) } // leased, joined, computing
 
 // cut is a kill -9 inside the last manifest (else WAL) append: after its
 // line-th line, off by d bytes.
@@ -1047,66 +1185,72 @@ func (s spell) cut(manifest bool, line, d int) spell {
 	if manifest {
 		arg |= 1
 	}
-	return append(s, byte(opKill|arg<<3))
+	return s.add(byte(opKill | arg<<3))
 }
 
 // scheduleCorpus is FuzzSchedule's seed corpus: every interleaving a
 // hand-written test used to pin, then long seeded walks.
 func scheduleCorpus() []spell {
-	audited, hedged := schedule(true, false, "hhl", 1), schedule(false, true, "hs", 1)
+	audited := schedule(true, false, "hhl", 1).tasks(0, 2).tasks(1, 2).tasks(2, 2)
+	hedged := schedule(false, true, "hs", 1).tasks(0, 2)
+	// Worker 0 holds all eight tasks; its first unit goes up alone and the
+	// next four land under that upload, to leave as one four-line body.
+	fourLines := func(audit bool) spell {
+		return schedule(audit, false, "hh", 1).started(0).unit(0).unit(0).unit(0).unit(0).unit(0).step(0)
+	}
 	corpus := []spell{
 		// The sole honest worker confirms its own results once a TTL passed.
-		schedule(true, false, "hs", 1).lease(0, 4).upload(0).lease(0, 4).clock(9).lease(0, 4).upload(0),
+		schedule(true, false, "hs", 1).tasks(0, 4).step(0).batch(0).clock(9).batch(0).batch(0),
 		// A producer is not handed its fresh work's audit; a second worker verifies it.
-		schedule(true, false, "hh", 1).lease(0, 2).upload(0).lease(0, 2).lease(1, 2).upload(1),
+		schedule(true, false, "hh", 1).tasks(0, 2).tasks(1, 2).step(0).batch(0).step(1).batch(1),
 		// A liar disputed by one honest worker and overruled by a second, then refused everywhere.
-		audited.lease(2, 2).upload(2).lease(1, 2).upload(1).lease(0, 2).upload(0).lease(2, 1).heartbeat(2).uploadStray(2),
+		audited.step(2).batch(2).step(1).batch(1).step(0).batch(0).step(2).clock(3).unit(2).beat(2).stray(2, 0).step(2).step(2),
 		// A producer re-sends its body (the answer was lost) while the audits are open.
-		schedule(true, false, "hh", 1).lease(0, 2).lose().upload(0).lease(1, 2).upload(1),
+		schedule(true, false, "hh", 1).tasks(0, 2).tasks(1, 2).started(0).lose().unit(0).batch(0).step(1).batch(1),
 		// A lie still standing when the faults stop: the honest finishers overrule it and quarantine its liar.
-		audited.lease(2, 2).upload(2),
+		audited.step(2).batch(2),
 		// The relaxation hands the liar its own re-check a TTL on: it vouches for its lie (invariant 4's exception).
-		audited.lease(2, 2).upload(2).clock(9).lease(2, 2).upload(2),
+		audited.step(2).batch(2).clock(9).batch(2).batch(2),
 		// A crash between a body's manifest and WAL appends, then the producer-less tasks are verified and the
 		// coordinator killed again: the restart journalled their ingests, so the verifies replay.
-		schedule(true, false, "hh", 1).lease(0, 4).upload(0).cut(true, 4, 0).lease(1, 4).upload(1).kill(),
+		fourLines(true).cut(true, 4, 0).step(1).batch(1).kill(),
 		// A liar sends its lies twice, then two honest workers overrule it.
-		audited.lease(2, 2).lose().upload(2).lease(0, 2).upload(0).lease(1, 2).upload(1),
+		audited.started(2).lose().unit(2).batch(2).step(0).batch(0).step(1).batch(1),
 		// A straggler holding every task is hedged past half a TTL; the racer wins, the straggler's results are duplicates.
-		schedule(false, true, "hh", 1).lease(1, 4).lease(1, 4).clock(5).lease(0, 2).upload(0).upload(1).kill(),
+		schedule(false, true, "hh", 1).tasks(0, 2).step(1).clock(5).step(0).batch(0).batch(1).kill(),
 		// The straggler dies; its live hedges are promoted in place.
-		hedged.lease(1, 4).lease(1, 4).clock(5).lease(0, 2).clock(4).heartbeat(0).upload(0).kill(),
+		hedged.step(1).clock(5).started(0).clock(4).beat(0).batch(0).kill(),
 		// A kill -9 while a worker holds a live lease (granted on a retry of a dropped request).
-		schedule(false, false, "hh", 1).lease(0, 2).upload(0).drop().lease(0, 1).kill().clock(9),
+		schedule(false, false, "hh", 1).tasks(0, 2).started(0).unit(0).step(0).unit(0).drop().step(0).kill().clock(9),
 		// Expired leases, then a kill -9: the expiries replay.
-		schedule(false, false, "hhs", 1).lease(2, 4).clock(9).lease(0, 2).kill(),
+		schedule(false, false, "hhs", 1).tasks(0, 2).step(2).clock(9).step(0).kill(),
 		// 1:3 fair share over single-task global grants.
-		schedule(false, false, "hh", 1, 3).lease(0, 1).lease(1, 1).lease(0, 1).lease(1, 1).lease(0, 1).lease(1, 1).lease(0, 1).lease(1, 1),
+		schedule(false, false, "hh", 1, 3).tasks(0, 1).tasks(1, 1).step(0).step(1).batch(0).batch(1).batch(0).batch(1).batch(0).batch(1),
 		// A drain with leases in flight: no grants, uploads settle it, a graceful restart.
-		schedule(false, false, "hh", 1).lease(0, 2).drain().lease(1, 2).leaseJob(1, 0).upload(0).clock(2),
+		schedule(false, false, "hh", 1).tasks(0, 2).tasks(1, 0, 0).step(0).drain().step(1).step(1).step(1).batch(0).clock(2),
 		// A quarantine revokes leases and voids unaudited work in two jobs; an expiry sweeps both.
-		schedule(false, true, "hhs", 1, 2).leaseJob(1, 3).upload(1).leaseJob(1, 1).leaseJob(2, 1).leaseJob(2, 3).
-			leaseJob(0, 1).upload(0).quarantine(1).clock(12).lease(0, 4).upload(0).priority(1, 3).kill(),
+		schedule(false, true, "hhs", 1, 2).tasks(1, 4).step(1).batch(1).step(2).step(0).batch(0).quarantine(1).clock(12).batch(0).
+			clock(1).batch(0).priority(1, 3).kill(),
 		// A kill -9 after a quarantine's verdict, before its last tombstone.
-		schedule(false, false, "hh", 1).lease(1, 4).upload(1).lease(1, 2).quarantine(1).cut(true, 0, 0),
+		schedule(false, false, "hh", 1).tasks(1, 4).step(1).batch(1).quarantine(1).cut(true, 0, 0),
 		// ... and before the verdict itself.
-		schedule(false, false, "hh", 1).lease(1, 4).upload(1).quarantine(1).cut(false, 0, 0),
+		schedule(false, false, "hh", 1).tasks(1, 4).step(1).batch(1).quarantine(1).cut(false, 0, 0),
 		// Every priority, three jobs, a crash while draining.
-		schedule(true, true, "hhls", 1, 2, 3).lease(0, 4).lease(2, 4).lease(3, 4).upload(0).upload(2).
-			priority(2, 1).drain().upload(2).kill().lease(1, 4).upload(1),
+		schedule(true, true, "hhls", 1, 2, 3).step(0).step(2).step(3).batch(0).batch(2).priority(2, 1).drain().batch(2).kill().
+			step(1).batch(1),
 		// A grant capped at the lease limit, renewed by a heartbeat, expired and re-leased to another
 		// worker, whose holder's next heartbeat finds it lost; the late uploads race.
-		schedule(false, false, "hh", 1).lease(0, 8).clock(4).heartbeat(0).clock(9).lease(1, 8).heartbeat(0).upload(0).upload(1),
+		schedule(false, false, "hh", 1).started(0).clock(4).beat(0).step(0).clock(9).step(1).beat(0).step(0).batch(0).batch(1),
 		// A body's answer is lost: the retry under the same request ID is acked duplicate and writes nothing.
-		schedule(false, false, "hh", 1).lease(0, 4).lose().upload(0),
+		schedule(false, false, "hh", 1).started(0).lose().unit(0),
 	}
 	// A kill -9 inside a four-line body's manifest append, at each line
 	// boundary and a byte either side; and inside the WAL append after it.
 	for line := range 5 {
 		for d := -1; d <= 1; d++ {
-			corpus = append(corpus, schedule(false, false, "hh", 1).lease(0, 4).upload(0).cut(true, line, d))
+			corpus = append(corpus, fourLines(false).cut(true, line, d))
 		}
-		corpus = append(corpus, schedule(false, false, "hh", 1).lease(0, 4).upload(0).cut(false, line, 0))
+		corpus = append(corpus, fourLines(false).cut(false, line, 0))
 	}
 	// Long walks: every op, any worker, a few hundred steps.
 	for seed := range uint64(4) {

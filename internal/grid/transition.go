@@ -201,7 +201,8 @@ func (j *gridJob) task(id string) *taskState {
 }
 
 // revocations is the expire record of every lease — primary, hedge or
-// audit — held by a worker revoked names, in grant order.
+// audit — held by a worker revoked names, in grant order. A revoked
+// primary's live hedge is promoted in its place, as an expiry promotes it.
 func (j *gridJob) revocations(revoked func(worker string) bool) []walRecord {
 	var recs []walRecord
 	expire := func(st *taskState, worker string) {
@@ -213,6 +214,9 @@ func (j *gridJob) revocations(revoked func(worker string) bool) []walRecord {
 		if st.status == taskLeased {
 			expire(st, st.worker)
 			expire(st, st.hedgeWorker)
+			if revoked(st.worker) && st.hedgeWorker != "" && !revoked(st.hedgeWorker) {
+				recs = append(recs, walRecord{T: walLease, Job: j.id, Task: st.id, Worker: st.hedgeWorker})
+			}
 		}
 		if st.audit != nil {
 			expire(st, st.audit.auditor)

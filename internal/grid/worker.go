@@ -1,13 +1,12 @@
 package grid
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,7 +61,9 @@ type WorkerOptions struct {
 	// keeps polling until the coordinator has been continuously
 	// unreachable for this long. This is what lets a fleet survive a
 	// coordinator kill -9 + restart without being restarted itself.
-	// Context cancellation and quarantine verdicts always exit.
+	// Unreachable means no answer: transport errors, or retries exhausted
+	// on 5xx, 429 or a corrupt-body 400. An answer — a quarantine verdict
+	// or any other 4xx — and context cancellation always exit.
 	Reconnect time.Duration
 	// Corrupt, if non-nil, transforms each computed result before
 	// upload — the chaos harness's Byzantine-worker hook (dsa-grid
@@ -76,32 +77,16 @@ func (o WorkerOptions) name() string {
 	if o.Name != "" {
 		return o.Name
 	}
-	host, err := os.Hostname()
-	if err != nil {
-		host = "worker"
-	}
-	return fmt.Sprintf("%s-%d-%d", host, os.Getpid(), workerSeq.Add(1))
-}
-
-func (o WorkerOptions) poll() time.Duration {
-	if o.Poll > 0 {
-		return o.Poll
-	}
-	return 500 * time.Millisecond
-}
-
-func (o WorkerOptions) client() *http.Client {
-	if o.Client != nil {
-		return o.Client
-	}
-	return NewClient("")
+	host, _ := os.Hostname()
+	return fmt.Sprintf("%s-%d-%d", cmp.Or(host, "worker"), os.Getpid(), workerSeq.Add(1))
 }
 
 // Work runs a worker loop against the coordinator at baseURL: lease →
 // ScoreSlice (on the engine's bounded pool) → upload, heartbeating
 // held leases, until the work completes (nil), ctx is cancelled
 // (ctx.Err()), the coordinator drains (nil — the worker is being asked
-// to go away), or the coordinator becomes unreachable.
+// to go away), refuses the worker (a quarantine verdict or any other
+// 4xx), or cannot be reached.
 //
 // With an explicit jobID the worker serves that one job. With jobID ""
 // it runs in multi-job mode: every lease request leaves the job open and
@@ -112,302 +97,153 @@ func (o WorkerOptions) client() *http.Client {
 // A worker holds no durable state: killing it at any instant loses at
 // most its in-flight leases, which expire on the coordinator and are
 // re-run elsewhere.
+//
+// Every decision is workCore's (workcore.go); Work carries them out on one
+// goroutine with one select loop. Each call, and each lease batch's
+// job.ExecTasks, runs on a goroutine of its own that posts its answer back
+// as an event; a wake-up is a timer.
 func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error {
-	name := opts.name()
-	client := opts.client()
-	opts.Logger = orSilent(opts.Logger).With("worker", name)
-	leaseURL := routeURL(baseURL, pathLease, "")
-	if jobID != "" {
-		leaseURL = routeURL(baseURL, pathJobLease, jobID)
+	x := &workerIO{name: opts.name(), base: baseURL, opts: opts, client: cmp.Or(opts.Client, NewClient(""))}
+	x.log = orSilent(opts.Logger).With("worker", x.name)
+	// Returning cancels whatever still computes or calls, and waits for
+	// none of it: a simulation that is slow to stop must not hold back a
+	// quarantine verdict.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	events := make(chan workMsg)
+	post := func(ev workMsg) {
+		select {
+		case events <- ev:
+		case <-ctx.Done():
+		}
 	}
-
-	rc := &reconnector{window: opts.Reconnect}
-	// rideOut waits out a failure worth tolerating (nil: go round again)
-	// and hands back one that is not.
-	rideOut := func(what string, err error) error {
-		if !rc.tolerate(err) {
-			return err
-		}
-		opts.Logger.Warn(what+", waiting to reconnect", "err", err)
-		return sleepPoll(ctx, opts)
-	}
-	// join returns id's spec, fetched the first time the worker serves
-	// the job. ok is false after a ridden-out outage.
-	specs := map[string]job.Spec{}
-	join := func(id string) (spec job.Spec, ok bool, err error) {
-		if spec, ok = specs[id]; ok {
-			return spec, true, nil
-		}
-		detail, err := GetJob(ctx, client, baseURL, id)
-		if err != nil {
-			return spec, false, rideOut("coordinator unreachable", err)
-		}
-		if spec, err = job.DecodeSpec(detail.Spec); err != nil {
-			return spec, false, err
-		}
-		rc.ok()
-		specs[id] = spec
-		opts.Logger.Info("joined job", "job", id, "domain", spec.Domain.Name(), "points", len(spec.Points))
-		return spec, true, nil
-	}
-
+	core, ev := newWorkCore(jobID, opts), workMsg{kind: msgStart}
+	var batch *obs.Span // the lease batch being computed
+	defer func() { batch.End() }()
+	stop, wake := func() {}, (<-chan time.Time)(nil)
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		if ev.now = time.Now(); unreachable(ev.err) {
+			x.log.Warn("coordinator unreachable", "err", ev.err)
 		}
-		if jobID != "" {
-			// A job-bound worker joins before its first lease.
-			if _, ok, err := join(jobID); err != nil {
-				return err
-			} else if !ok {
-				continue
+		for _, a := range core.step(ev) {
+			if a.kind == msgLease || a.kind == msgJob || a.kind == msgExit {
+				batch.End()
+				batch = nil
 			}
-		}
-		var lease LeaseResponse
-		leaseSpan := opts.Trace.Start(0, "lease")
-		info, err := call(ctx, client, http.MethodPost, leaseURL,
-			LeaseRequest{Worker: name, MaxTasks: opts.TasksPerLease}, &lease)
-		if err != nil {
-			leaseSpan.Drop()
-			if err = rideOut("coordinator unreachable", err); err != nil {
-				return err
-			}
-			continue
-		}
-		rc.ok()
-		leaseSpan.Str("rid", info.requestID).Str("job", lease.Job).
-			Int("granted", int64(len(lease.Tasks))).End()
-		opts.Metrics.ObserveLease(len(lease.Tasks))
-		if lease.Draining {
-			opts.Logger.Info("coordinator draining, exiting")
-			return nil
-		}
-		if len(lease.Tasks) == 0 {
-			if lease.Complete {
-				opts.Logger.Info("work complete", "job", jobID) // "": every job
-				return nil
-			}
-			// No jobs yet, or everything pending is leased to other
-			// workers; wait for completion or an expiry to free tasks up.
-			if err := sleepPoll(ctx, opts); err != nil {
-				return err
-			}
-			continue
-		}
-		spec, ok, err := join(lease.Job)
-		if err != nil {
-			return err
-		} else if !ok {
-			continue
-		}
-		if err := runLease(ctx, client, baseURL, lease.Job, name, spec, lease.Tasks, opts); err != nil {
-			// The batch's uploads died mid-outage; the leases expire and
-			// re-queue, so just go back to pulling.
-			if err = rideOut("lease batch failed", err); err != nil {
-				return err
-			}
-			continue
-		}
-		rc.ok()
-	}
-}
-
-// reconnector implements WorkerOptions.Reconnect: one outage window,
-// reset by any successful call.
-type reconnector struct {
-	window time.Duration
-	since  time.Time // start of the current outage; zero = healthy
-}
-
-func (rc *reconnector) ok() { rc.since = time.Time{} }
-
-// tolerate reports whether err is worth riding out: anything transient
-// while the continuous-outage clock is inside the window. Context
-// cancellation and quarantine verdicts always surface.
-func (rc *reconnector) tolerate(err error) bool {
-	if rc.window <= 0 || err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrWorkerQuarantined) {
-		return false
-	}
-	if rc.since.IsZero() {
-		rc.since = time.Now()
-		return true
-	}
-	return time.Since(rc.since) < rc.window
-}
-
-func sleepPoll(ctx context.Context, opts WorkerOptions) error {
-	select {
-	case <-time.After(opts.poll()):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// runLease executes one lease batch: a heartbeat goroutine keeps the
-// outstanding leases alive while job.ExecTasks computes them, and results
-// are posted from a side goroutine, so the simulator never waits for an
-// ack. The unit of upload is the unit of execution: at the end of each
-// one (job.ExecOptions.OnUnit) what has landed leaves as one body — no
-// size, no timer. Where the domain's measures share runs, adjacent tasks
-// over one chunk are a single joint call, so a lease that is one such
-// unit (the default four-task lease of a delivery job) is one upload,
-// one checkpoint append and one ingest WAL write on the coordinator; a
-// task that is its own unit goes out alone. Only one body is in flight
-// at a time: unit n+1 computes under unit n's upload, and whatever lands
-// before that ack leaves together in the next body. A task leaves the
-// heartbeat set only on its ack. The first upload error stops the batch
-// and is what runLease returns.
-func runLease(ctx context.Context, client *http.Client, baseURL, jobID, name string, spec job.Spec, granted []LeaseTask, opts WorkerOptions) error {
-	tasks := make([]job.Task, len(granted))
-	ttl := DefaultLeaseTTL
-	held := make(map[string]bool, len(granted))
-	for i, lt := range granted {
-		tasks[i] = job.Task{Measure: lt.Measure, Lo: lt.Lo, Hi: lt.Hi}
-		held[lt.Task] = true
-		if ms := time.Duration(lt.TTLMS) * time.Millisecond; ms > 0 {
-			ttl = ms
-		}
-	}
-
-	var mu sync.Mutex
-	hbCtx, stopHB := context.WithCancel(ctx)
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		tick := time.NewTicker(max(ttl/3, 10*time.Millisecond))
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-tick.C:
-			}
-			mu.Lock()
-			ids := make([]string, 0, len(held))
-			for id := range held {
-				ids = append(ids, id)
-			}
-			mu.Unlock()
-			if len(ids) == 0 {
-				return
-			}
-			var resp HeartbeatResponse
-			if _, err := call(hbCtx, client, http.MethodPost, routeURL(baseURL, pathHeartbeat, jobID),
-				HeartbeatRequest{Worker: name, Tasks: ids}, &resp); err != nil {
-				continue // transient; the lease survives until its TTL
-			}
-			if len(resp.Lost) > 0 {
-				// Per the protocol, stop heartbeating lost leases; the
-				// finished values are still uploaded (idempotent) when
-				// their computation lands.
-				mu.Lock()
-				for _, id := range resp.Lost {
-					delete(held, id)
+			switch a.kind {
+			case msgCompute:
+				batch = opts.Trace.Start(0, "lease-batch").Str("job", a.job).Int("tasks", int64(len(a.tasks)))
+				stop = x.compute(ctx, a, batch.ID(), post)
+			case msgStop:
+				stop()
+			case msgWake:
+				wake = time.After(time.Until(a.at))
+			case msgExit:
+				if a.err == nil {
+					x.log.Info(a.why, "job", jobID)
 				}
-				mu.Unlock()
-				opts.Metrics.ObserveLeasesLost(len(resp.Lost))
-				opts.Logger.Info("leases lost (expired or done elsewhere)", "job", jobID, "tasks", len(resp.Lost))
+				return a.err
+			default:
+				parent := batch.ID()
+				go func() { post(x.request(ctx, a, parent)) }()
 			}
 		}
-	}()
-	defer func() {
-		stopHB()
-		hbWG.Wait()
-	}()
-
-	batch := opts.Trace.Start(0, "lease-batch").
-		Str("job", jobID).Int("tasks", int64(len(tasks)))
-	defer batch.End()
-
-	upload := func(rs []TaskResult) error {
-		var ack ResultsAck
-		span := opts.Trace.Start(batch.ID(), "upload").Int("tasks", int64(len(rs)))
-		info, err := call(ctx, client, http.MethodPost, routeURL(baseURL, pathResults, jobID),
-			ResultsUpload{Worker: name, Results: rs}, &ack)
-		if err == nil && len(ack.Acks) != len(rs) {
-			err = fmt.Errorf("grid: %d acks for %d uploaded results", len(ack.Acks), len(rs))
+		select {
+		case ev = <-events:
+		case <-wake:
+			ev = workMsg{kind: msgWake}
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		if err != nil {
-			span.Drop()
-			return err
-		}
-		span.Str("rid", info.requestID).Int("attempts", int64(info.attempts)).End()
-		opts.Metrics.ObserveUploads(len(rs), info.attempts-1)
-		mu.Lock()
-		for _, r := range rs {
-			delete(held, r.Task)
-		}
-		mu.Unlock()
-		for i, a := range ack.Acks {
-			if a.Duplicate {
-				opts.Logger.Info("task was already done (duplicate dropped)", "job", jobID, "task", rs[i].Task)
-			}
-		}
-		return nil
 	}
+}
 
-	// Uploader state, under mu: results land in pending; flush sends them
-	// off unless a body is in flight, and then its poster takes them along
-	// when the ack arrives.
+// workerIO carries out the core's calls and computes for one worker.
+type workerIO struct {
+	name, base string
+	opts       WorkerOptions
+	client     *http.Client
+	log        *slog.Logger
+}
+
+// request makes one of the core's calls — a lease, a job's spec, a
+// heartbeat, an upload parented under the batch's span — and returns it
+// answered, keeping the call's span, metrics and log records.
+func (x *workerIO) request(ctx context.Context, a workMsg, parent obs.SpanID) workMsg {
 	var (
-		pending   []TaskResult
-		posting   bool
-		uploadErr error
-		posts     sync.WaitGroup
+		span   *obs.Span
+		in     any
+		detail JobDetail
+		beat   HeartbeatResponse
+		ack    ResultsAck
 	)
-	execCtx, stopExec := context.WithCancel(ctx)
-	defer stopExec()
-	post := func(body []TaskResult) {
-		defer posts.Done()
-		for len(body) > 0 {
-			err := upload(body)
-			mu.Lock()
-			if err != nil {
-				uploadErr, pending = err, nil // the batch failed: what is pending stays unsent
-				stopExec()
-			}
-			body, pending = pending, nil
-			posting = len(body) > 0
-			mu.Unlock()
+	method, url, out := http.MethodPost, routeURL(x.base, pathResults, a.job), any(&ack)
+	switch a.kind {
+	case msgLease:
+		url, in, out = routeURL(x.base, pathLease, ""), LeaseRequest{Worker: x.name, MaxTasks: x.opts.TasksPerLease}, &a.lease
+		if a.job != "" {
+			url = routeURL(x.base, pathJobLease, a.job)
 		}
+		span = x.opts.Trace.Start(0, "lease")
+	case msgJob:
+		method, url, out = http.MethodGet, routeURL(x.base, pathJob, a.job), &detail
+	case msgBeat:
+		url, in, out = routeURL(x.base, pathHeartbeat, a.job), HeartbeatRequest{Worker: x.name, Tasks: a.ids}, &beat
+	case msgUpload:
+		in = ResultsUpload{Worker: x.name, Results: a.body}
+		span = x.opts.Trace.Start(parent, "upload").Int("tasks", int64(len(a.body)))
 	}
-	flush := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if posting || uploadErr != nil || len(pending) == 0 {
-			return
+	info, err := call(ctx, x.client, method, url, in, out)
+	switch {
+	case err != nil:
+	case a.kind == msgLease:
+		span.Str("rid", info.requestID).Str("job", a.lease.Job).Int("granted", int64(len(a.lease.Tasks)))
+		x.opts.Metrics.ObserveLease(len(a.lease.Tasks))
+	case a.kind == msgJob:
+		if a.spec, err = job.DecodeSpec(detail.Spec); err == nil {
+			x.log.Info("joined job", "job", a.job, "domain", a.spec.Domain.Name(), "points", len(a.spec.Points))
 		}
-		posting = true
-		posts.Add(1)
-		go post(pending)
-		pending = nil
+	case a.kind == msgBeat:
+		if a.ids = beat.Lost; len(a.ids) > 0 {
+			x.opts.Metrics.ObserveLeasesLost(len(a.ids))
+			x.log.Info("leases lost (expired or done elsewhere)", "job", a.job, "tasks", len(a.ids))
+		}
+	case len(ack.Acks) != len(a.body):
+		err = fmt.Errorf("grid: %d acks for %d uploaded results", len(ack.Acks), len(a.body))
+	default:
+		span.Str("rid", info.requestID).Int("attempts", int64(info.attempts))
+		x.opts.Metrics.ObserveUploads(len(a.body), info.attempts-1)
 	}
+	if a.err = err; err != nil {
+		span.Drop()
+	} else {
+		span.End()
+	}
+	return a
+}
+
+// compute runs one batch through job.ExecTasks, posting each result, each
+// execution unit's end and the end of it all as events; stop cancels it.
+// Where the domain's measures share runs a unit is a joint call over one
+// chunk, so the default four-task lease of a delivery job is one unit and
+// leaves as one upload.
+func (x *workerIO) compute(ctx context.Context, a workMsg, parent obs.SpanID, post func(workMsg)) (stop func()) {
+	ctx, stop = context.WithCancel(ctx)
+	opts := x.opts
 	execOpts := job.ExecOptions{
-		Workers: opts.Workers, Cache: opts.Cache,
-		Trace: opts.Trace, TraceParent: batch.ID(),
+		Workers: opts.Workers, Cache: opts.Cache, Trace: opts.Trace, TraceParent: parent,
 		OnTask: func(ts job.TaskStats) {
 			opts.Metrics.ObserveTask(ts.Task.Measure, ts.Elapsed, ts.Simulated, ts.CacheHits)
 		},
-		OnUnit: flush,
+		OnUnit: func() { post(workMsg{kind: msgUnit}) },
 	}
-	err := job.ExecTasks(execCtx, spec, tasks, execOpts, func(t job.Task, values []float64, elapsed time.Duration) error {
-		if opts.Corrupt != nil {
-			values = opts.Corrupt(t, values)
-		}
-		mu.Lock()
-		pending = append(pending, TaskResult{Task: t.ID(), Values: values, ElapsedMS: elapsed.Milliseconds()})
-		mu.Unlock()
-		return nil
-	})
-	posts.Wait()
-	if uploadErr != nil {
-		return uploadErr
-	}
-	return err
+	go func() {
+		defer stop()
+		err := job.ExecTasks(ctx, a.spec, a.tasks, execOpts, func(t job.Task, values []float64, elapsed time.Duration) error {
+			post(workMsg{kind: msgResult, task: t, body: []TaskResult{{Task: t.ID(), Values: values, ElapsedMS: elapsed.Milliseconds()}}})
+			return nil
+		})
+		post(workMsg{kind: msgComputed, err: err})
+	}()
+	return stop
 }

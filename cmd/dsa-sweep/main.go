@@ -25,10 +25,10 @@
 // (for swarming, the 107-million-run Section 4.3 sweep — the authors
 // used 25 hours on a 50-node cluster, plan accordingly). -stride N
 // evaluates every Nth point, shrinking the point set itself. -explore
-// additionally runs the Section 7 heuristic explorers (hill climbing
-// and evolutionary search, internal/job) against the domain's primary
-// measure and prints what they find; each step of a search scores its
-// new points as one small sweep on the same engine, cache included.
+// additionally runs the Section 7 heuristic explorer (hill climbing,
+// internal/job) against the domain's primary measure and prints what it
+// finds; each step of the search scores its new points as one small
+// sweep on the same engine, cache included.
 //
 // Paper-scale runs go through the job engine (internal/job):
 // -checkpoint-dir journals every completed task so an interrupted run
@@ -57,7 +57,7 @@
 // -trace-dir DIR appends a span journal (trace-s<I>of<N>.jsonl, one
 // line per completed span: the sweep root, every task with its
 // cache-hit/simulated split, its cache-lookup phase and the simulate
-// call of its chunk; with -explore the explorers' spans too) into DIR.
+// call of its chunk; with -explore the explorer's spans too) into DIR.
 // Spans are all a journal holds: the cache's totals are its own stats
 // line, the progress line's point counts are the job engine's. A
 // -resume into the same DIR continues the journal (fresh span IDs, the
@@ -105,7 +105,7 @@ func main() {
 	var (
 		sweep    = job.RegisterSweepFlags(flag.CommandLine, pra.DomainName)
 		out      = flag.String("out", "results.csv", "output CSV path")
-		explore  = flag.Bool("explore", false, "also run the heuristic explorers (hill climb, evolution) on the primary measure; they score through the sweep engine and -cache-dir")
+		explore  = flag.Bool("explore", false, "also run the heuristic explorer (hill climb) on the primary measure; it scores through the sweep engine and -cache-dir")
 		ckptDir  = flag.String("checkpoint-dir", "", "journal completed work here; survives interruption")
 		resume   = flag.Bool("resume", false, "continue from an existing checkpoint dir, skipping finished tasks")
 		cacheDir = flag.String("cache-dir", "", "content-addressed score cache; reruns and overlapping sweeps reuse scores")
@@ -299,12 +299,13 @@ func hitRate(p job.Progress) float64 {
 }
 
 // runExplorers demonstrates the Section 7 heuristic exploration on the
-// selected domain against its primary measure. With -cache-dir the two
-// searches share raw scores with each other, with previous runs and
-// with the sweep itself (the
-// sweep fills the cache at full PerfRuns scale; the explorers use
+// selected domain against its primary measure. With -cache-dir the
+// search shares raw scores with previous runs and with the sweep itself
+// (the sweep fills the cache at full PerfRuns scale; the explorer uses
 // PerfRuns 1, a different config hash, so their entries are disjoint —
-// a warm second -explore run is where the cache pays off).
+// a warm second -explore run is where the cache pays off). Below 10 % of
+// the space, random sampling finds as good a point
+// (internal/job/testdata/regret.golden.json).
 func runExplorers(ctx context.Context, d dsa.Domain, cfg dsa.Config, store *cache.Store, rec *obs.Recorder) {
 	var sc dsa.ScoreCache
 	if store != nil {
@@ -320,10 +321,4 @@ func runExplorers(ctx context.Context, d dsa.Domain, cfg dsa.Config, store *cach
 	}
 	fmt.Printf("hill climb: %s  raw %s=%.1f  (%d objective calls vs %d exhaustive)\n",
 		d.Label(hc.Point), primary, hc.Score, hcCalls, d.Space().Size())
-	ev, evCalls, err := job.Evolve(ctx, d, weights, perfCfg, job.EvolveConfig{Population: 24, Generations: 12, Seed: cfg.Seed}, sc, rec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("evolution:  %s  raw %s=%.1f  (%d objective calls)\n",
-		d.Label(ev.Point), primary, ev.Score, evCalls)
 }

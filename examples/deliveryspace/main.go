@@ -2,7 +2,7 @@
 // the swarm download-orchestration space built on internal/swarm and
 // internal/bandwidth. The delivery package implements repro.Domain,
 // and that is all it takes for its 576-strategy space to run on the
-// same sharded, checkpointed job engine and heuristic explorers as
+// same sharded, checkpointed job engine and heuristic explorer as
 // the swarming and gossip sweeps: this program interrupts a sweep
 // mid-run, resumes it, finishes it as a second shard, verifies the
 // checkpoint reloads to the identical result, and then hill-climbs

@@ -1,7 +1,6 @@
 package delivery_test
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/delivery"
 	"repro/internal/dsa"
-	"repro/internal/job"
 )
 
 // tinyCfg is the smallest config that exercises every code path fast.
@@ -140,29 +138,5 @@ func TestAssemble(t *testing.T) {
 				t.Fatalf("%s[%d] normalised to %v", m, i, v)
 			}
 		}
-	}
-}
-
-// TestHillClimbOnRobustness is the acceptance criterion's explorer leg:
-// a heuristic search over the robustness measure completes through the
-// generic job engine with no delivery-specific engine code.
-func TestHillClimbOnRobustness(t *testing.T) {
-	d := delivery.Domain()
-	best, evals, err := job.HillClimb(context.Background(), d,
-		job.Weights{delivery.MeasureRobustness: 1},
-		tinyCfg(),
-		job.HillClimbConfig{Restarts: 2, MaxSteps: 20, Seed: 5},
-		nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evals <= 0 {
-		t.Fatalf("explorer made %d evaluations", evals)
-	}
-	if best.Score < 0 || best.Score > 1 || math.IsNaN(best.Score) {
-		t.Fatalf("best robustness %v outside [0,1]", best.Score)
-	}
-	if _, err := d.PointID(best.Point); err != nil {
-		t.Fatalf("best point not in the space: %v", err)
 	}
 }

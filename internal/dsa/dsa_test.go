@@ -7,7 +7,6 @@ package dsa_test
 // conformance suite's (conformance_test.go).
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/delivery"
 	"repro/internal/dsa"
 	"repro/internal/gossip"
-	"repro/internal/job"
 	"repro/internal/pra"
 )
 
@@ -66,35 +64,6 @@ func TestSamplePanel(t *testing.T) {
 	}
 	if got := dsa.SamplePanel(all, 0, 42); len(got) != len(all) {
 		t.Fatal("0 opponents should mean the whole set")
-	}
-}
-
-// TestExplorersOnGossipDomain: the Section 7 explorers run on any
-// domain against a measure-weight blend.
-func TestExplorersOnGossipDomain(t *testing.T) {
-	d := gossip.Domain()
-	cfg := dsa.Config{Peers: 8, Rounds: 30, PerfRuns: 1, EncounterRuns: 1, Opponents: 3, Seed: 5}
-	w := job.Weights{gossip.MeasureCoverage: 1}
-	best, calls, err := job.HillClimb(context.Background(), d, w, cfg, job.HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 9}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls <= 0 || calls >= d.Space().Size() {
-		t.Fatalf("hill climb made %d objective calls (space %d)", calls, d.Space().Size())
-	}
-	if !d.Space().Valid(best.Point) {
-		t.Fatalf("hill climb returned invalid point %v", best.Point)
-	}
-	again, _, err := job.HillClimb(context.Background(), d, w, cfg, job.HillClimbConfig{Restarts: 2, MaxSteps: 10, Seed: 9}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(best, again) {
-		t.Fatal("hill climb is not deterministic")
-	}
-
-	if _, _, err := job.HillClimb(context.Background(), d, job.Weights{"bogus": 1}, cfg, job.HillClimbConfig{Restarts: 1, MaxSteps: 1, Seed: 1}, nil, nil); err == nil {
-		t.Fatal("unknown measure weight accepted")
 	}
 }
 

@@ -1,23 +1,20 @@
 package dsa_test
 
-// The explorers' determinism under a fixed seed on any dsa.Domain (their
-// cache parity, error and tracing pins live with them in internal/job),
-// and the cache-key sensitivity rules ("a mismatched anything is a miss,
-// never a wrong hit").
+// The cache-key sensitivity rules ("a mismatched anything is a miss,
+// never a wrong hit") and the edges of the panel sampler and the task
+// seed. (The explorer's own tests live with it in internal/job.)
 //
-// Everything runs on a small in-test fake domain rather than the real
+// The keyer runs on a small in-test fake domain rather than the real
 // simulators: the properties under test are engine properties, and the
 // fake gives exact control over scores.
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dsa"
-	"repro/internal/job"
 )
 
 // fakeDomain is a tiny two-dimensional space with synthetic scores:
@@ -101,43 +98,6 @@ func (d *fakeDomain) ScoreSlice(measure string, pts, opponents []core.Point, cfg
 
 func (d *fakeDomain) Assemble(pts []core.Point, raw map[string][]float64) (*dsa.Scores, error) {
 	return &dsa.Scores{Domain: d.name, Points: pts, Raw: raw, Values: raw}, nil
-}
-
-func fakeWeights() job.Weights { return job.Weights{"alpha": 1, "beta": 0.5} }
-
-func TestHillClimbDeterministicUnderFixedSeed(t *testing.T) {
-	d := newFakeDomain(t)
-	hcfg := job.HillClimbConfig{Restarts: 3, MaxSteps: 20, Seed: 42}
-	best1, calls1, err := job.HillClimb(context.Background(), d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls1 <= 0 {
-		t.Fatalf("hill climb made %d objective calls", calls1)
-	}
-	best2, calls2, err := job.HillClimb(context.Background(), d, fakeWeights(), fakeCfg(), hcfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(best1, best2) || calls1 != calls2 {
-		t.Fatalf("hill climb not deterministic: (%v, %d) vs (%v, %d)", best1, calls1, best2, calls2)
-	}
-}
-
-func TestEvolveDeterministicUnderFixedSeed(t *testing.T) {
-	d := newFakeDomain(t)
-	ecfg := job.EvolveConfig{Population: 6, Generations: 4, Seed: 42}
-	best1, _, err := job.Evolve(context.Background(), d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best2, _, err := job.Evolve(context.Background(), d, fakeWeights(), fakeCfg(), ecfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(best1, best2) {
-		t.Fatalf("evolve not deterministic: %v vs %v", best1, best2)
-	}
 }
 
 // TestScoreKeyerSensitivity pins the invalidation rules: every

@@ -1172,6 +1172,7 @@ func (s spell) batch(wk int) spell      { return s.op(opStep, wk, 3) } // steps 
 func (s spell) stray(wk, j int) spell   { return s.op(opStray, wk, j) }
 func (s spell) drop() spell             { return s.op(opNetwork, 0, 0) }
 func (s spell) lose() spell             { return s.op(opNetwork, 1, 0) }
+func (s spell) refuse() spell           { return s.op(opNetwork, 2, 0) }
 func (s spell) quarantine(wk int) spell { return s.op(opOperator, wk, 0) }
 func (s spell) priority(j, p int) spell { return s.op(opOperator, j+3*(p-1), 1) } // j < 3, and j < 2 for p 3
 func (s spell) drain() spell            { return s.op(opOperator, 0, 2) }
@@ -1261,6 +1262,9 @@ func scheduleCorpus() []spell {
 		}
 		corpus = append(corpus, walk)
 	}
+	// An honest worker's upload refused with a plain 400 while nobody is
+	// quarantined: the refusal, not a verdict, must end the worker.
+	corpus = append(corpus, schedule(false, false, "hh", 1).started(0).refuse().unit(0).step(0))
 	return corpus
 }
 

@@ -1,7 +1,7 @@
 package job
 
 // The value pin of the explorer seam: for every registered domain,
-// HillClimb and Evolve under two search seeds, each run three times —
+// HillClimb under two search seeds, each run three times —
 // no cache, a cold cache, the same cache warm — must return the recorded
 // best point, score bits and objective-call count, and the warm run must
 // not reach the simulator. Recorded on the per-point dsa.Objective path
@@ -55,10 +55,6 @@ func goldenHillClimb(d dsa.Domain, w Weights, cfg dsa.Config, seed int64, c dsa.
 	return HillClimb(context.Background(), d, w, cfg, HillClimbConfig{Restarts: 2, MaxSteps: 8, Seed: seed}, c, nil)
 }
 
-func goldenEvolve(d dsa.Domain, w Weights, cfg dsa.Config, seed int64, c dsa.ScoreCache) (Evaluation, int, error) {
-	return Evolve(context.Background(), d, w, cfg, EvolveConfig{Population: 8, Generations: 4, Seed: seed}, c, nil)
-}
-
 // countedDomain counts the (measure, point) scores the simulator is
 // asked for, through either scoring entry.
 type countedDomain struct {
@@ -88,56 +84,49 @@ func TestExplorerGolden(t *testing.T) {
 	if len(exploreCases) != len(dsa.Registered()) {
 		t.Fatalf("%d explorer cases for %d registered domains", len(exploreCases), len(dsa.Registered()))
 	}
-	explorers := []struct {
-		name string
-		run  func(dsa.Domain, Weights, dsa.Config, int64, dsa.ScoreCache) (Evaluation, int, error)
-	}{{"hillclimb", goldenHillClimb}, {"evolve", goldenEvolve}}
-
 	got := map[string]exploreGolden{}
 	for _, tc := range exploreCases {
-		for _, ex := range explorers {
-			for _, seed := range exploreSeeds {
-				name := fmt.Sprintf("%s/%s/seed=%d", tc.d.Name(), ex.name, seed)
-				var sims atomic.Int64
-				d := countedDomain{tc.d, &sims}
-				store, err := cache.Open(cache.Options{})
+		for _, seed := range exploreSeeds {
+			name := fmt.Sprintf("%s/hillclimb/seed=%d", tc.d.Name(), seed)
+			var sims atomic.Int64
+			d := countedDomain{tc.d, &sims}
+			store, err := cache.Open(cache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var g exploreGolden
+			for i, state := range []string{"no cache", "cold cache", "warm cache"} {
+				var c dsa.ScoreCache
+				if i > 0 {
+					c = store
+				}
+				sims.Store(0)
+				best, calls, err := goldenHillClimb(d, tc.w, tc.cfg, seed, c)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, state, err)
+				}
+				id, err := tc.d.PointID(best.Point)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var g exploreGolden
-				for i, state := range []string{"no cache", "cold cache", "warm cache"} {
-					var c dsa.ScoreCache
-					if i > 0 {
-						c = store
+				run := exploreGolden{Point: id, Score: fmt.Sprintf("%016x", math.Float64bits(best.Score)), Calls: calls}
+				switch state {
+				case "no cache":
+					g = run
+				case "cold cache":
+					if sims.Load() == 0 {
+						t.Errorf("%s: the cold-cache run simulated nothing", name)
 					}
-					sims.Store(0)
-					best, calls, err := ex.run(d, tc.w, tc.cfg, seed, c)
-					if err != nil {
-						t.Fatalf("%s, %s: %v", name, state, err)
-					}
-					id, err := tc.d.PointID(best.Point)
-					if err != nil {
-						t.Fatal(err)
-					}
-					run := exploreGolden{Point: id, Score: fmt.Sprintf("%016x", math.Float64bits(best.Score)), Calls: calls}
-					switch state {
-					case "no cache":
-						g = run
-					case "cold cache":
-						if sims.Load() == 0 {
-							t.Errorf("%s: the cold-cache run simulated nothing", name)
-						}
-					case "warm cache":
-						run.WarmSims = sims.Load()
-						g.WarmSims = run.WarmSims
-					}
-					if run != g {
-						t.Errorf("%s: %s gives %+v, no cache %+v", name, state, run, g)
-					}
+				case "warm cache":
+					run.WarmSims = sims.Load()
+					g.WarmSims = run.WarmSims
 				}
-				store.Close()
-				got[name] = g
+				if run != g {
+					t.Errorf("%s: %s gives %+v, no cache %+v", name, state, run, g)
+				}
 			}
+			store.Close()
+			got[name] = g
 		}
 	}
 

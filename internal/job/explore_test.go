@@ -1,9 +1,9 @@
 package job
 
-// The explorers as searches: they find optima, validate their configs,
-// repeat under a seed, return the same thing with no cache, a cold and a
-// warm one, surface a simulator failure without caching it, and journal
-// one span per restart/generation without changing a result. All on a
+// The explorer as a search: it finds optima, validates its config,
+// repeats under a seed, returns the same thing with no cache, a cold and a
+// warm one, surfaces a simulator failure without caching it, and journals
+// one span per restart without changing a result. All on a
 // synthetic domain with exact control over scores and failures;
 // explore_golden_test.go pins the real domains' values.
 
@@ -11,7 +11,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -130,7 +132,6 @@ var (
 	one         = Weights{"score": 1}
 	seededBlend = Weights{"alpha": 1, "beta": 0.5}
 	seededHC    = HillClimbConfig{Restarts: 3, MaxSteps: 20, Seed: 42}
-	seededEvo   = EvolveConfig{Population: 6, Generations: 4, Seed: 42}
 )
 
 func TestHillClimbFindsOptimumOnSmooth(t *testing.T) {
@@ -155,39 +156,26 @@ func TestHillClimbFindsOptimumOnSmooth(t *testing.T) {
 
 func TestHillClimbConfigValidation(t *testing.T) {
 	d := quadraticDomain(t, 3, 2)
-	if _, _, err := HillClimb(bg, d, one, exploreCfg(), HillClimbConfig{}, nil, nil); err == nil {
-		t.Error("zero config should error")
-	}
 	ok := HillClimbConfig{Restarts: 1, MaxSteps: 1}
-	if _, _, err := HillClimb(bg, d, nil, exploreCfg(), ok, nil, nil); err == nil {
-		t.Error("empty weights should error")
-	}
-	if _, _, err := HillClimb(bg, d, Weights{"bogus": 1}, exploreCfg(), ok, nil, nil); err == nil {
-		t.Error("a weight on an unknown measure should error")
-	}
-	if _, _, err := HillClimb(bg, d, one, dsa.Config{}, ok, nil, nil); err == nil {
-		t.Error("an invalid sweep config should error")
-	}
-}
-
-func TestEvolveFindsGoodPoint(t *testing.T) {
-	d := quadraticDomain(t, 8, 8, 4)
-	best, calls, err := Evolve(bg, d, one, exploreCfg(), EvolveConfig{Population: 20, Generations: 30, Seed: 2}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Score < -2 { // optimum is 0; allow near-misses
-		t.Errorf("evolve best = %+v", best)
-	}
-	if calls <= 0 {
-		t.Error("no objective calls recorded")
-	}
-}
-
-func TestEvolveConfigValidation(t *testing.T) {
-	d := quadraticDomain(t, 3, 2)
-	if _, _, err := Evolve(bg, d, one, exploreCfg(), EvolveConfig{Population: 1, Generations: 1}, nil, nil); err == nil {
-		t.Error("population 1 should error")
+	for _, tc := range []struct {
+		name string
+		w    Weights
+		cfg  dsa.Config
+		hcfg HillClimbConfig
+		want string // in the error
+	}{
+		{"zero config", one, exploreCfg(), HillClimbConfig{}, "Restarts"},
+		{"empty weights", nil, exploreCfg(), ok, "weights no measure"},
+		{"unknown measure", Weights{"bogus": 1}, exploreCfg(), ok, `"bogus"`},
+		{"invalid sweep config", one, dsa.Config{}, ok, ""},
+		{"all-zero weights", Weights{"score": 0}, exploreCfg(), ok, "score:0"},
+		{"NaN weight", Weights{"score": math.NaN()}, exploreCfg(), ok, `"score"`},
+		{"+Inf weight", Weights{"score": math.Inf(1)}, exploreCfg(), ok, `"score"`},
+		{"-Inf weight", Weights{"score": math.Inf(-1)}, exploreCfg(), ok, `"score"`},
+	} {
+		if _, _, err := HillClimb(bg, d, tc.w, tc.cfg, tc.hcfg, nil, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -215,17 +203,8 @@ func TestExplorersDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) || aCalls != bCalls {
 		t.Error("hill climb not deterministic")
 	}
-	ecfg := EvolveConfig{Population: 10, Generations: 5, Seed: 7}
-	e1, _, err := Evolve(bg, d, one, exploreCfg(), ecfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, _, err := Evolve(bg, d, one, exploreCfg(), ecfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(e1, e2) || !d.space.Valid(e1.Point) {
-		t.Error("evolve not deterministic, or off the constrained space")
+	if !d.space.Valid(a.Point) {
+		t.Errorf("hill climb best %v is off the constrained space", a.Point)
 	}
 }
 
@@ -234,10 +213,6 @@ func TestExplorersDeterministic(t *testing.T) {
 func TestExplorersCacheParity(t *testing.T) {
 	bare := seededDomain(t)
 	hcBare, _, err := HillClimb(bg, bare, seededBlend, exploreCfg(), seededHC, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evBare, _, err := Evolve(bg, bare, seededBlend, exploreCfg(), seededEvo, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,24 +246,6 @@ func TestExplorersCacheParity(t *testing.T) {
 	if n := warm.calls.Load(); n != 0 {
 		t.Fatalf("warm hill climb made %d simulator calls, want 0", n)
 	}
-
-	// Evolve visits other points; it shares the same raw-score cache
-	// (weights are not part of the key), so its first run simulates only
-	// what the climb never touched — and a second run nothing at all.
-	evWarm, _, err := Evolve(bg, warm, seededBlend, exploreCfg(), seededEvo, store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(evBare, evWarm) {
-		t.Fatalf("cache changed evolve: %v vs %v", evBare, evWarm)
-	}
-	warm.calls.Store(0)
-	if _, _, err := Evolve(bg, warm, seededBlend, exploreCfg(), seededEvo, store, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := warm.calls.Load(); n != 0 {
-		t.Fatalf("second warm evolve made %d simulator calls, want 0", n)
-	}
 }
 
 // TestScoreSliceErrorMidExploration: a simulator that fails on one
@@ -313,15 +270,6 @@ func TestScoreSliceErrorMidExploration(t *testing.T) {
 	}
 	if d.sims.Load() == 0 {
 		t.Fatal("the failure should come mid-search, after some points scored")
-	}
-	evolved, _, err := Evolve(bg, seededDomain(t), seededBlend, exploreCfg(), seededEvo, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evoFail, _ := d.PointID(evolved.Point)
-	d.failOn.Store(int64(evoFail))
-	if _, _, err := Evolve(bg, d, seededBlend, exploreCfg(), seededEvo, nil, nil); !errors.Is(err, errExploreScore) {
-		t.Fatalf("evolve error = %v, want the simulator failure", err)
 	}
 
 	store, err := cache.Open(cache.Options{})
@@ -348,17 +296,13 @@ func TestScoreSliceErrorMidExploration(t *testing.T) {
 }
 
 // TestTracedExplorersIdentical pins the observation contract on the
-// explorers: a search with a recorder returns exactly what one with nil
+// explorer: a search with a recorder returns exactly what one with nil
 // does — same best point, same call count — and the journal carries one
-// restart/generation span per boundary under a single "explore" root,
-// and nothing of the sweeps underneath.
+// restart span per restart under a single "explore" root, and nothing of
+// the sweeps underneath.
 func TestTracedExplorersIdentical(t *testing.T) {
 	d := seededDomain(t)
 	hcPlain, hcCalls, err := HillClimb(bg, d, seededBlend, exploreCfg(), seededHC, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evPlain, evCalls, err := Evolve(bg, d, seededBlend, exploreCfg(), seededEvo, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,10 +313,6 @@ func TestTracedExplorersIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	hcTraced, hcTracedCalls, err := HillClimb(bg, d, seededBlend, exploreCfg(), seededHC, nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evTraced, evTracedCalls, err := Evolve(bg, d, seededBlend, exploreCfg(), seededEvo, nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,37 +329,29 @@ func TestTracedExplorersIdentical(t *testing.T) {
 	if !reflect.DeepEqual(hcTraced, hcPlain) || hcTracedCalls != hcCalls {
 		t.Errorf("traced HillClimb diverged: %+v/%d vs %+v/%d", hcTraced, hcTracedCalls, hcPlain, hcCalls)
 	}
-	if !reflect.DeepEqual(evTraced, evPlain) || evTracedCalls != evCalls {
-		t.Errorf("traced Evolve diverged: %+v/%d vs %+v/%d", evTraced, evTracedCalls, evPlain, evCalls)
-	}
 
 	recs, err := obs.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := map[string]obs.Record{} // explorer attr → root record
+	var roots []obs.Record
 	for _, r := range recs {
 		if r.Name == "explore" {
-			roots[r.AttrStr("explorer")] = r
+			roots = append(roots, r)
 		}
 	}
-	if len(roots) != 2 {
-		t.Fatalf("explore roots = %d, want 2 (hillclimb, evolve)", len(roots))
+	if len(roots) != 1 || roots[0].AttrStr("explorer") != "hillclimb" {
+		t.Fatalf("explore roots = %+v, want the successful search's alone", roots)
 	}
-	restarts, generations, restartCalls := 0, 0, int64(0)
+	restarts, restartCalls := 0, int64(0)
 	for _, r := range recs {
 		switch r.Name {
 		case "explore":
 		case "restart":
 			restarts++
 			restartCalls += r.AttrInt("calls")
-			if r.Parent != roots["hillclimb"].ID {
-				t.Errorf("restart span parented under %d, want %d", r.Parent, roots["hillclimb"].ID)
-			}
-		case "generation":
-			generations++
-			if r.Parent != roots["evolve"].ID {
-				t.Errorf("generation span parented under %d, want %d", r.Parent, roots["evolve"].ID)
+			if r.Parent != roots[0].ID {
+				t.Errorf("restart span parented under %d, want %d", r.Parent, roots[0].ID)
 			}
 		default:
 			t.Errorf("span %q in an explorer's journal: the batches' sweeps are not traced", r.Name)
@@ -428,15 +360,12 @@ func TestTracedExplorersIdentical(t *testing.T) {
 	if restarts != seededHC.Restarts {
 		t.Errorf("restart spans = %d, want %d", restarts, seededHC.Restarts)
 	}
-	if generations != seededEvo.Generations {
-		t.Errorf("generation spans = %d, want %d", generations, seededEvo.Generations)
-	}
 	// Restart call counts sum to the search total (memoisation makes
 	// later restarts cheaper, never double-counted).
 	if restartCalls != int64(hcCalls) {
 		t.Errorf("restart span calls sum to %d, want %d", restartCalls, hcCalls)
 	}
-	if got := roots["hillclimb"].AttrInt("calls"); got != int64(hcCalls) {
+	if got := roots[0].AttrInt("calls"); got != int64(hcCalls) {
 		t.Errorf("hillclimb root calls = %d, want %d", got, hcCalls)
 	}
 }

@@ -25,8 +25,8 @@
 //     Performance/Robustness/Aggressiveness solution concept of
 //     Section 3.2, written once for every domain.
 //   - internal/job       — the sharded, checkpointed sweep engine and,
-//     as runs of small sweeps on it, the Section 7 heuristic explorers
-//     (job.HillClimb, job.Evolve); it executes any Domain.
+//     as runs of small sweeps on it, the Section 7 heuristic explorer
+//     (job.HillClimb); it executes any Domain.
 //   - internal/cache     — the content-addressed score cache: memoizes
 //     raw scores across sweeps, explorers and grid jobs (see
 //     OpenScoreCache / SweepOptions.Cache).

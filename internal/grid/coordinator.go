@@ -258,7 +258,9 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c.metrics = newGridMetrics(c)
 	c.traces = newTraceCollector(opts.Dir, c.metrics.observeSpans)
 	if opts.Dir != "" {
+		replayStart := time.Now()
 		w, recs, skipped, err := openWAL(opts.Dir)
+		replaySecs := time.Since(replayStart).Seconds()
 		if err != nil {
 			// Run without crash recovery rather than not at all — but
 			// say so every startup, loudly.
@@ -277,6 +279,8 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 				c.log.Info("WAL replayed", "records", len(recs), "skipped", skipped)
 			}
 			c.metrics.walReplayed.Set(float64(len(recs)))
+			c.metrics.walSkipped.Set(float64(skipped))
+			c.metrics.walReplaySecs.Set(replaySecs)
 			c.metrics.quarantines.Add(float64(len(c.quarantined)))
 		}
 	}

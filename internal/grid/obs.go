@@ -40,6 +40,8 @@ type gridMetrics struct {
 	leaseHedged     *gridobs.Counter
 	walRecords      *gridobs.Counter
 	walReplayed     *gridobs.Gauge
+	walSkipped      *gridobs.Gauge
+	walReplaySecs   *gridobs.Gauge
 	quarantinedVec  *gridobs.GaugeVec // worker
 
 	// Trace-ingest counters: the fleet observability plane's own
@@ -104,6 +106,8 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 		leaseHedged:     r.NewCounter("grid_lease_hedged_total", "Speculative duplicate leases granted against straggling primaries."),
 		walRecords:      r.NewCounter("grid_wal_records_total", "Scheduling records appended to the coordinator WAL."),
 		walReplayed:     r.NewGauge("grid_wal_replayed_records", "WAL records replayed at the last coordinator startup."),
+		walSkipped:      r.NewGauge("grid_wal_skipped_records", "WAL lines skipped as corrupt (bad CRC or malformed) at the last coordinator startup."),
+		walReplaySecs:   r.NewGauge("grid_wal_replay_seconds", "Seconds the last coordinator startup spent reading and decoding the WAL."),
 		quarantinedVec:  r.NewGaugeVec("grid_worker_quarantined", "1 while the worker is quarantined.", "worker"),
 
 		traceUploads:  r.NewCounter("grid_trace_uploads_total", "Trace chunk uploads accepted."),

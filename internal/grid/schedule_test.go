@@ -731,12 +731,8 @@ func (w *world) scanRecords() {
 			continue
 		}
 		for _, line := range bytes.SplitAfter(fw.data, []byte("\n")) {
-			var l walLine
-			var r walRecord
-			if json.Unmarshal(line, &l) != nil || json.Unmarshal(l.Rec, &r) != nil {
-				continue
-			}
-			if r.T != walVerify {
+			r, ok := decodeWALLine(line)
+			if !ok || r.T != walVerify {
 				continue
 			}
 			jx := w.jobIndex(r.Job)

@@ -2,12 +2,13 @@ package grid
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 
+	"repro/internal/jsonline"
 	"repro/internal/linelog"
 )
 
@@ -22,9 +23,10 @@ import (
 //
 // Format: a linelog.Log of JSON lines `{"crc":<ieee>,"rec":{...}}`, the
 // CRC32 taken over the raw rec bytes; replay skips and counts a line
-// whose CRC fails. Only verdict-grade records (quarantine, verify) are
-// appended durably: the rest must survive a kill -9, which a plain
-// write does, not power loss.
+// whose CRC fails. The bytes are what json.Marshal writes for the
+// envelope and walRecord, written and read by internal/jsonline. Only
+// verdict-grade records (quarantine, verify) are appended durably: the
+// rest must survive a kill -9, which a plain write does, not power loss.
 const walFileName = "coordinator.wal"
 
 // walRecord event types.
@@ -38,6 +40,9 @@ const (
 	walHedge      = "hedge"      // speculative duplicate lease granted to worker
 )
 
+// walRecord is one journalled state change. appendWALLine and
+// decodeWALLine are its codec; the tags name the keys they write, in
+// order, and are what the tests' encoding/json oracle reads.
 type walRecord struct {
 	T         string `json:"t"`
 	Job       string `json:"job,omitempty"`
@@ -47,9 +52,78 @@ type walRecord struct {
 	ElapsedMS int64  `json:"elapsed_ms,omitempty"` // ingest records: feeds the latency EWMA on replay
 }
 
-type walLine struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
+var (
+	walLineKeys   = []string{"crc", "rec"}
+	walRecordKeys = []string{"t", "job", "task", "worker", "weight", "elapsed_ms"}
+)
+
+// appendWALLine appends r's line, newline included.
+func appendWALLine(b []byte, r walRecord) []byte {
+	var scratch [128]byte
+	rec := append(scratch[:0], `{"t":`...)
+	rec = jsonline.AppendString(rec, r.T)
+	if r.Job != "" {
+		rec = jsonline.AppendString(append(rec, `,"job":`...), r.Job)
+	}
+	if r.Task != "" {
+		rec = jsonline.AppendString(append(rec, `,"task":`...), r.Task)
+	}
+	if r.Worker != "" {
+		rec = jsonline.AppendString(append(rec, `,"worker":`...), r.Worker)
+	}
+	if r.Weight != 0 {
+		rec = strconv.AppendInt(append(rec, `,"weight":`...), int64(r.Weight), 10)
+	}
+	if r.ElapsedMS != 0 {
+		rec = strconv.AppendInt(append(rec, `,"elapsed_ms":`...), r.ElapsedMS, 10)
+	}
+	rec = append(rec, '}')
+	b = strconv.AppendUint(append(b, `{"crc":`...), uint64(crc32.ChecksumIEEE(rec)), 10)
+	b = append(append(b, `,"rec":`...), rec...)
+	return append(b, "}\n"...)
+}
+
+// decodeWALLine reads one WAL line; ok is false for a malformed line or
+// one whose CRC does not match its record's bytes.
+func decodeWALLine(line []byte) (r walRecord, ok bool) {
+	var (
+		crc uint32
+		rec []byte
+	)
+	o := jsonline.NewObject(line)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "crc":
+			crc = o.Uint32()
+		case "rec":
+			rec = o.Raw()
+		default:
+			o.Skip(walLineKeys...)
+		}
+	}
+	if !o.End() || rec == nil || crc32.ChecksumIEEE(rec) != crc {
+		return walRecord{}, false
+	}
+	o = jsonline.NewObject(rec)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "t":
+			r.T = o.String()
+		case "job":
+			r.Job = o.String()
+		case "task":
+			r.Task = o.String()
+		case "worker":
+			r.Worker = o.String()
+		case "weight":
+			r.Weight = int(o.Int(strconv.IntSize))
+		case "elapsed_ms":
+			r.ElapsedMS = o.Int(64)
+		default:
+			o.Skip(walRecordKeys...)
+		}
+	}
+	return r, o.End()
 }
 
 type wal struct{ log *linelog.Log }
@@ -73,11 +147,8 @@ func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 	for len(data) > 0 {
 		var line []byte
 		line, data, _ = bytes.Cut(data, []byte("\n"))
-		var l walLine
-		var rec walRecord
-		if json.Unmarshal(line, &l) != nil ||
-			crc32.ChecksumIEEE(l.Rec) != l.CRC ||
-			json.Unmarshal(l.Rec, &rec) != nil {
+		rec, ok := decodeWALLine(line)
+		if !ok {
 			skipped++
 			continue
 		}
@@ -90,16 +161,7 @@ func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 func (w *wal) append(sync bool, recs ...walRecord) error {
 	var buf []byte
 	for _, r := range recs {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("grid: wal encode: %w", err)
-		}
-		line, err := json.Marshal(walLine{CRC: crc32.ChecksumIEEE(raw), Rec: raw})
-		if err != nil {
-			return fmt.Errorf("grid: wal encode: %w", err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
+		buf = appendWALLine(buf, r)
 	}
 	return w.log.Append(buf, sync)
 }

@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dsa"
+	"repro/internal/jsonline"
 	"repro/internal/linelog"
 )
 
@@ -170,15 +172,58 @@ func DecodeSpec(raw []byte) (Spec, error) {
 }
 
 // manifestEntry is one manifest line: a completed task with its values
-// (dsa.JSONFloats, so non-finite scores — which a domain may
-// legitimately produce and the CSV codec already round-trips —
-// checkpoint instead of panicking encoding/json), or, with Dead set, a
-// tombstone cancelling every earlier line of that task.
+// (score tokens for NaN/±Inf, which a domain may legitimately produce and
+// the CSV codec already round-trips), or, with Dead set, a tombstone
+// cancelling every earlier line of that task. appendManifestLine and
+// decodeManifestLine are its codec; the tags say which bytes they write
+// (json.Marshal's for this struct) and are what the tests' encoding/json
+// oracle reads.
 type manifestEntry struct {
 	Task      string         `json:"task"`
 	Values    dsa.JSONFloats `json:"values,omitempty"`
 	ElapsedMS int64          `json:"elapsed_ms,omitempty"`
 	Dead      bool           `json:"dead,omitempty"`
+}
+
+var manifestKeys = []string{"task", "values", "elapsed_ms", "dead"}
+
+// appendManifestLine appends e's line, without its newline.
+func appendManifestLine(b []byte, e manifestEntry) []byte {
+	b = append(b, `{"task":`...)
+	b = jsonline.AppendString(b, e.Task)
+	if len(e.Values) > 0 {
+		b = append(b, `,"values":`...)
+		b = jsonline.AppendFloats(b, e.Values)
+	}
+	if e.ElapsedMS != 0 {
+		b = append(b, `,"elapsed_ms":`...)
+		b = strconv.AppendInt(b, e.ElapsedMS, 10)
+	}
+	if e.Dead {
+		b = append(b, `,"dead":true`...)
+	}
+	return append(b, '}')
+}
+
+// decodeManifestLine reads one manifest line; ok is false for anything
+// but a well-formed entry.
+func decodeManifestLine(line []byte) (e manifestEntry, ok bool) {
+	o := jsonline.NewObject(line)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "task":
+			e.Task = o.String()
+		case "values":
+			e.Values = o.Floats()
+		case "elapsed_ms":
+			e.ElapsedMS = o.Int(64)
+		case "dead":
+			e.Dead = o.Bool()
+		default:
+			o.Skip(manifestKeys...)
+		}
+	}
+	return e, o.End()
 }
 
 // Checkpoint is one process's open handle on a checkpoint directory.
@@ -227,7 +272,11 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*Checkpoin
 			return nil, fmt.Errorf("job: checkpoint %s covers a different point set (%d points, this run sweeps %d)", dir, len(have.PointIDs), len(want.PointIDs))
 		}
 	} else if os.IsNotExist(err) {
-		if err := writeFileAtomic(specPath, mustJSON(want)); err != nil {
+		raw, err := json.Marshal(want)
+		if err != nil {
+			return nil, fmt.Errorf("job: checkpoint spec: %w", err)
+		}
+		if err := writeFileAtomic(specPath, raw); err != nil {
 			return nil, err
 		}
 	} else {
@@ -277,7 +326,7 @@ type Result struct {
 func (c *Checkpoint) RecordAll(rs []Result) error {
 	var lines []byte
 	for _, r := range rs {
-		lines = append(lines, mustJSON(manifestEntry{Task: r.Task.ID(), Values: r.Values, ElapsedMS: r.Elapsed.Milliseconds()})...)
+		lines = appendManifestLine(lines, manifestEntry{Task: r.Task.ID(), Values: r.Values, ElapsedMS: r.Elapsed.Milliseconds()})
 		lines = append(lines, '\n')
 	}
 	return c.manifest.Append(lines, true)
@@ -300,7 +349,7 @@ func (c *Checkpoint) Close() error { return c.manifest.Close() }
 // completed". A later Record of the task lands after the tombstone and
 // counts again.
 func (c *Checkpoint) Invalidate(t Task) error {
-	return c.manifest.Append(append(mustJSON(manifestEntry{Task: t.ID(), Dead: true}), '\n'), true)
+	return c.manifest.Append(append(appendManifestLine(nil, manifestEntry{Task: t.ID(), Dead: true}), '\n'), true)
 }
 
 // readCompleted merges every manifest in dir into task-ID → values.
@@ -343,8 +392,8 @@ func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 // well-formed entry for a task of this spec, with exactly the task's
 // number of values, leaves out untouched.
 func applyManifestLine(out map[string][]float64, valid map[string]Task, line []byte) {
-	var e manifestEntry
-	if json.Unmarshal(line, &e) != nil {
+	e, ok := decodeManifestLine(line)
+	if !ok {
 		return // corrupt line
 	}
 	t, ok := valid[e.Task]
@@ -427,12 +476,4 @@ func writeFileAtomic(path string, data []byte) error {
 		return &WriteError{Path: path, Off: int64(n), Op: op, Err: werr}
 	}
 	return nil
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic("job: marshal: " + err.Error())
-	}
-	return b
 }

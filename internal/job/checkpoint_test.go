@@ -8,12 +8,15 @@ package job
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -207,21 +210,159 @@ func TestRecordAllIsOneWriteOfRecordsLines(t *testing.T) {
 	}
 }
 
+// oracleManifestLine is the reflection decoder the manifest had:
+// json.Unmarshal into manifestEntry. Its values go through
+// dsa.JSONFloats, whose own differential target (FuzzJSONFloats) holds
+// them to the old []json.RawMessage codec.
+func oracleManifestLine(line []byte) (e manifestEntry, ok bool) {
+	return e, json.Unmarshal(line, &e) == nil
+}
+
+// refusedManifestForm names why the codec may refuse a line the oracle
+// reads — a null where a value was due, or a key that matches a field
+// only case-insensitively — or is "" for anything else.
+func refusedManifestForm(line []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			break
+		}
+		if tok == nil {
+			return "null in place of a value"
+		}
+	}
+	var m map[string]json.RawMessage
+	json.Unmarshal(line, &m)
+	for k := range m {
+		for _, want := range manifestKeys {
+			if k != want && strings.EqualFold(k, want) {
+				return "case-folded key"
+			}
+		}
+	}
+	return ""
+}
+
+// manifestRefusedForms are the lines the oracle reads and the codec
+// refuses, one per named form.
+var manifestRefusedForms = []struct{ form, line string }{
+	{"null in place of a value", `null`},
+	{"null in place of a value", `{"task":"m-00000-00002","elapsed_ms":null,"values":[1,2]}`},
+	{"case-folded key", `{"Task":"m-00000-00002","values":[1,2]}`},
+	{"case-folded key", `{"task":"m-00000-00002","VALUES":[1,2]}`},
+}
+
+// TestManifestRefusedForms lists what the codec refuses that encoding/json
+// would read.
+func TestManifestRefusedForms(t *testing.T) {
+	for _, row := range manifestRefusedForms {
+		if _, ok := oracleManifestLine([]byte(row.line)); !ok {
+			t.Errorf("the oracle refuses %s", row.line)
+		}
+		if e, ok := decodeManifestLine([]byte(row.line)); ok {
+			t.Errorf("the codec reads %s as %+v", row.line, e)
+		}
+		if got := refusedManifestForm([]byte(row.line)); got != row.form {
+			t.Errorf("%s is named %q, want %q", row.line, got, row.form)
+		}
+	}
+}
+
+// parentManifest is what testdata/parent-manifest.jsonl holds: these
+// entries written by the reflection codec, one line each.
+var parentManifest = []manifestEntry{
+	{Task: "m-00000-00004", Values: []float64{0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0)}, ElapsedMS: 12},
+	{Task: "m-00004-00008", Values: []float64{1e21, math.Nextafter(1e21, 0), 5e-324, math.MaxFloat64}, ElapsedMS: 3},
+	{Task: "m-00008-00011", Values: []float64{math.NaN(), math.Inf(1), math.Inf(-1)}},
+	{Task: "m-00004-00008", Dead: true},
+	{Task: "m-00011-00015", Values: []float64{0.1, -1.23456e-10, 123456789012345680000, 1e-7}, ElapsedMS: 1 << 40},
+	{Task: "m-00004-00008", Values: []float64{-1, 2.5, -math.MaxFloat64, -5e-324}, ElapsedMS: -2},
+}
+
+// TestParentManifest: a manifest the reflection codec wrote reads back
+// to the entries it was given and restores to their values, and the hand
+// codec writes it again byte for byte.
+func TestParentManifest(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "parent-manifest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	lines := bytes.Split(bytes.TrimSuffix(want, []byte("\n")), []byte("\n"))
+	if len(lines) != len(parentManifest) {
+		t.Fatalf("%d lines, want %d", len(lines), len(parentManifest))
+	}
+	valid := map[string]Task{}
+	for i, e := range parentManifest {
+		d, ok := decodeManifestLine(lines[i])
+		if !ok || d.Task != e.Task || !sameValues(d.Values, e.Values) || d.ElapsedMS != e.ElapsedMS || d.Dead != e.Dead {
+			t.Errorf("line %d reads as %+v (ok %v), want %+v", i, d, ok, e)
+		}
+		got = append(appendManifestLine(got, e), '\n')
+		var task Task
+		fmt.Sscanf(e.Task, "m-%05d-%05d", &task.Lo, &task.Hi)
+		task.Measure = "m"
+		valid[task.ID()] = task
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the hand codec writes\n%s\nthe reflection codec wrote\n%s", got, want)
+	}
+	out := map[string][]float64{}
+	for _, line := range lines {
+		applyManifestLine(out, valid, line)
+	}
+	if err := sameCompleted(out, map[string][]float64{
+		parentManifest[0].Task: parentManifest[0].Values,
+		parentManifest[2].Task: parentManifest[2].Values,
+		parentManifest[4].Task: parentManifest[4].Values,
+		parentManifest[5].Task: parentManifest[5].Values,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzManifestLine feeds the line decoder arbitrary bytes: whatever it
 // makes of them, the restored map only ever holds tasks of the spec
 // with exactly their number of values, and a line it accepts reads
-// back to the same bits when re-encoded.
+// back to the same bits when re-encoded. Against the reflection
+// decoder, the oracle: the codec never accepts a line it refuses, never
+// reads another entry from one both accept, refuses one it reads only in
+// a named form, re-encodes what it accepts to json.Marshal's bytes, and
+// reads back every line json.Marshal writes.
 func FuzzManifestLine(f *testing.F) {
 	a, b := Task{Measure: "m", Lo: 0, Hi: 2}, Task{Measure: "m", Lo: 2, Hi: 5}
 	valid := map[string]Task{a.ID(): a, b.ID(): b}
-	f.Add([]byte(`{"task":"m-00002-00005","values":[1,"NaN",-0.5],"elapsed_ms":3}`))
-	f.Add([]byte(`{"task":"m-00000-00002","dead":true}`))
-	f.Add([]byte(`{"task":"m-00002-00005","values":[1,2]}`))
-	f.Add([]byte(`{"task":"m-00002-00005","values":[1,"+Inf","-In`))
-	f.Add([]byte(`{"task":"other-00000-00002","values":[1,2]}`))
-	f.Add([]byte(`{"task":"m-00002-00005","values":[1,2,3],"dead":true}`))
-	f.Add([]byte(`null`))
-	f.Fuzz(func(t *testing.T, line []byte) {
+	seed := func(line []byte) { f.Add(line, "", []byte(nil), int64(0), false) }
+	seed([]byte(`{"task":"m-00002-00005","values":[1,"NaN",-0.5],"elapsed_ms":3}`))
+	seed([]byte(`{"task":"m-00000-00002","dead":true}`))
+	seed([]byte(`{"task":"m-00002-00005","values":[1,2]}`))
+	seed([]byte(`{"task":"m-00002-00005","values":[1,"+Inf","-In`))
+	seed([]byte(`{"task":"other-00000-00002","values":[1,2]}`))
+	seed([]byte(`{"task":"m-00002-00005","values":[1,2,3],"dead":true}`))
+	seed([]byte(` {"values" : [ 1 ,2] ,"x":{"task":[]}, "task":"m-00000-002"}` + "\r"))
+	for _, row := range manifestRefusedForms {
+		seed([]byte(row.line))
+	}
+	for _, name := range []string{filepath.Join("testdata", "parent-manifest.jsonl"), filepath.Join("..", "grid", "testdata", "commit.golden")} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if bytes.HasPrefix(line, []byte(`{"task":`)) {
+				seed(line)
+			}
+		}
+	}
+	for _, e := range parentManifest {
+		var bits []byte
+		for _, v := range e.Values {
+			bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(v))
+		}
+		f.Add([]byte(nil), e.Task, bits, e.ElapsedMS, e.Dead)
+	}
+	f.Fuzz(func(t *testing.T, line []byte, task string, bits []byte, elapsed int64, dead bool) {
 		before := []float64{1, 2}
 		out := map[string][]float64{a.ID(): before}
 		applyManifestLine(out, valid, line)
@@ -236,12 +377,56 @@ func FuzzManifestLine(f *testing.F) {
 		}
 		if vals, ok := out[b.ID()]; ok {
 			again := map[string][]float64{}
-			applyManifestLine(again, valid, mustJSON(manifestEntry{Task: b.ID(), Values: vals}))
+			applyManifestLine(again, valid, appendManifestLine(nil, manifestEntry{Task: b.ID(), Values: vals}))
 			if !sameValues(again[b.ID()], vals) {
 				t.Fatalf("line %q decoded to %v, which re-encodes to %v", line, vals, again[b.ID()])
 			}
 		}
+
+		got, ok := decodeManifestLine(line)
+		want, wantOK := oracleManifestLine(line)
+		switch {
+		case ok && !wantOK:
+			t.Fatalf("codec accepts %q as %+v, the oracle refuses it", line, got)
+		case ok && !sameEntry(got, want):
+			t.Fatalf("codec reads %q as %+v, the oracle as %+v", line, got, want)
+		case !ok && wantOK && refusedManifestForm(line) == "":
+			t.Fatalf("codec refuses %q, which the oracle reads as %+v, in no named form", line, want)
+		case ok:
+			if canon, oracle := appendManifestLine(nil, got), mustMarshal(t, got); !bytes.Equal(canon, oracle) {
+				t.Fatalf("%+v re-encodes to %s, the oracle writes %s", got, canon, oracle)
+			}
+		}
+
+		e := manifestEntry{Task: task, ElapsedMS: elapsed, Dead: dead}
+		for ; len(bits) >= 8; bits = bits[8:] {
+			e.Values = append(e.Values, math.Float64frombits(binary.LittleEndian.Uint64(bits)))
+		}
+		written := mustMarshal(t, e)
+		if mine := appendManifestLine(nil, e); !bytes.Equal(mine, written) {
+			t.Fatalf("%+v: the codec writes %s, the oracle %s", e, mine, written)
+		}
+		back, ok := decodeManifestLine(written)
+		want, _ = oracleManifestLine(written)
+		if !ok || !sameEntry(back, want) {
+			t.Fatalf("the old writer's %s reads back as %+v (ok %v), the oracle's %+v", written, back, ok, want)
+		}
 	})
+}
+
+func mustMarshal(t *testing.T, e manifestEntry) []byte {
+	raw, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// sameEntry compares entries with their values bit for bit, a nil list
+// apart from an empty one.
+func sameEntry(a, b manifestEntry) bool {
+	return a.Task == b.Task && a.ElapsedMS == b.ElapsedMS && a.Dead == b.Dead &&
+		(a.Values == nil) == (b.Values == nil) && sameValues(a.Values, b.Values)
 }
 
 // FuzzDecodeSpec feeds the wire spec decoder arbitrary bytes: it never

@@ -1,99 +1,24 @@
 // Command dsa-grid runs a Design Space Analysis sweep as a distributed
-// grid: one coordinator process owns the task list and checkpoint, any
-// number of worker processes (on any machines that can reach it) lease
-// tasks over HTTP, compute them, and upload results. Workers can join,
-// leave, or be killed at any time — a dead worker's leases expire and
-// its tasks are re-run — and the assembled scores are byte-identical
-// to a single-process dsa-sweep run of the same spec.
+// grid: a coordinator owns the task list and hands out leases over HTTP,
+// workers on any machines compute and upload them, and the assembled
+// scores are byte-identical to dsa-sweep's for the same spec.
 //
 // Usage:
 //
-//	dsa-grid serve -addr :8437 [-domain swarming|gossip|delivery] [-preset quick|paper]
-//	               [-stride N] [-opponents N] [-peers N] [-rounds N]
-//	               [-perfruns N] [-encruns N] [-seed N] [-chunk N]
-//	               [-checkpoint-dir DIR] [-cache-dir DIR] [-lease-ttl 30s]
-//	               [-out results.csv] [-once] [-priority N]
-//	               [-auth-token SECRET] [-rate-limit N] [-rate-burst N]
+//	dsa-grid serve -addr :8437 [sweep flags as dsa-sweep] [-checkpoint-dir DIR]
+//	               [-cache-dir DIR] [-lease-ttl 30s] [-out results.csv] [-once]
+//	               [-priority N] [-auth-token SECRET] [-rate-limit N] [-rate-burst N]
 //	               [-audit-rate F] [-hedge] [-pprof]
+//	dsa-grid work  -coordinator http://host:8437 [-job ID] [-name ID] [-workers N]
+//	               [-tasks-per-lease N] [-cache-dir DIR] [-auth-token SECRET]
+//	               [-trace-dir DIR] [-metrics-addr :9090] [-ship-traces]
+//	               [-ship-interval 2s] [-reconnect 30s] [-chaos-transport SPEC]
+//	               [-chaos-byzantine] [-pprof] [-cpuprofile FILE] [-memprofile FILE]
 //
-//	dsa-grid work  -coordinator http://host:8437 [-job ID] [-name ID]
-//	               [-workers N] [-tasks-per-lease N] [-cache-dir DIR]
-//	               [-auth-token SECRET] [-trace-dir DIR] [-metrics-addr :9090]
-//	               [-ship-traces] [-ship-interval 2s] [-reconnect 30s]
-//	               [-chaos-transport SPEC] [-chaos-byzantine] [-pprof]
-//	               [-cpuprofile FILE] [-memprofile FILE]
-//
-// serve registers the sweep (the sweep-shaping flags mirror dsa-sweep)
-// and serves the /v1 API: job listing, task leases, result ingest, and
-// live progress (GET /v1/jobs/{id}/progress, ?stream=1 for NDJSON).
-// With -checkpoint-dir the job journals into DIR/<job-id> in the
-// standard checkpoint format, so a restarted coordinator resumes where
-// it left off and dsa-report can read the directory directly. -once
-// exits (writing -out) as soon as the job completes, which is what
-// scripts and CI want; without it the coordinator keeps serving the
-// results API.
-//
-// With serve -cache-dir the coordinator keeps a cross-job
-// content-addressed score cache: every ingested result feeds it, and
-// any job — this one after a restart, or a later overlapping spec —
-// whose scores are already known is served from it without dispatching
-// work. Counters are served on GET /v1/cache and by
-// `dsa-report -coordinator URL cache`.
-//
-// Production switches: -auth-token requires workers to present the
-// same shared secret (constant-time bearer-token check on every
-// mutating endpoint); -rate-limit/-rate-burst apply per-client
-// token-bucket admission to the /v1 API; -priority sets the job's
-// fair-share weight against other jobs on the same coordinator.
-// -audit-rate F silently re-runs that fraction of completed tasks on a
-// second worker and byte-compares the results: a worker caught
-// uploading wrong values is quarantined (all further requests get HTTP
-// 429), its unaudited results are invalidated and re-queued, and the
-// grid_worker_quarantined metric plus a dashboard pill record the
-// verdict. -hedge grants one speculative duplicate lease for tasks
-// stuck on a straggler (first idempotent upload wins). The
-// coordinator always serves GET /metrics (Prometheus text) and a live
-// HTML dashboard at GET /v1/dashboard. On SIGTERM (or the first ^C) it
-// drains: no new leases are granted, in-flight leases settle (upload
-// or expire), then it exits cleanly — a second signal force-quits.
-// POST /v1/drain does the same remotely.
-//
-// work runs one worker until the job completes. -workers controls how
-// many tasks it computes in parallel (default: all cores); -cache-dir
-// memoises scores on the worker side, so a re-leased or overlapping
-// task uploads known values instead of recomputing them; -reconnect W
-// keeps the worker retrying through a coordinator outage for up to a
-// continuous window W (default 0: fail fast); -cpuprofile /
-// -memprofile write pprof profiles of the worker's share of the sweep
-// (see the README's "Benchmarking and profiling" guide).
-//
-// Observability: -trace-dir appends this worker's span journal
-// (trace-<name>.jsonl — lease, lease-batch, task, cache-lookup, simulate
-// and upload spans and nothing else, the HTTP ones carrying the request
-// ID the coordinator logs; a restarted worker of the same name
-// continues its journal) into DIR, where `dsa-report trace DIR` merges
-// it with other workers' journals.
-// -metrics-addr serves GET /metrics (Prometheus text) with live task /
-// point / lease / upload-retry counters. -ship-traces streams the
-// journal to the coordinator (chunked, offset-resumed POST /v1/trace
-// every -ship-interval, with a final flush on exit), so the
-// coordinator's GET /v1/trace, dashboard timeline and per-worker
-// /metrics series (built from the shipped spans; -metrics-addr is not
-// needed) see the whole fleet without anyone hand-collecting files —
-// then `dsa-report trace http://host:8437` analyzes the collected set.
-// -pprof mounts /debug/pprof/ on the -metrics-addr mux (worker) or the
-// API mux (serve), gated behind -auth-token when one is set. Point a
-// report at the grid with:
-//
-//	dsa-report -domain D -coordinator http://host:8437 top
-//
-// Chaos switches (for the deterministic fault harness, see
-// internal/chaos and scripts/chaos_smoke.sh): -chaos-transport
-// "seed=7,drop=0.05,delay=0.1:20ms,dup=0.05,corrupt=0.05,err500=0.05"
-// wraps the worker's HTTP client in a seeded fault-injecting
-// RoundTripper; -chaos-byzantine makes the worker upload subtly wrong
-// values, which a coordinator running -audit-rate should catch and
-// quarantine.
+// `dsa-grid serve -h` and `dsa-grid work -h` give each flag's meaning and
+// default. The first SIGTERM or ^C drains the coordinator, a second
+// force-quits. The grid's design is DESIGN.md's "The grid" and
+// "Operating and surviving".
 package main
 
 import (
@@ -152,7 +77,6 @@ func runServe(sigCtx context.Context, args []string) {
 		leaseTTL  = fs.Duration("lease-ttl", grid.DefaultLeaseTTL, "task lease duration; unheartbeated leases expire and re-queue")
 		out       = fs.String("out", "", "write the assembled CSV here when the job completes")
 		once      = fs.Bool("once", false, "exit once the job completes instead of keeping the results API up")
-		linger    = fs.Duration("linger", 2*time.Second, "with -once, keep the API up this long after completion so workers see the final state")
 		authToken = fs.String("auth-token", "", "shared secret workers must present as a bearer token (empty = open grid)")
 		rateLimit = fs.Float64("rate-limit", 0, "per-client requests/second against the /v1 API (0 = unlimited)")
 		rateBurst = fs.Float64("rate-burst", 0, "rate-limit burst capacity (0 = one second of traffic)")
@@ -239,7 +163,7 @@ func runServe(sigCtx context.Context, args []string) {
 			// Give the workers' final lease polls a chance to see the
 			// Complete flag before the listener goes away.
 			select {
-			case <-time.After(*linger):
+			case <-time.After(grid.Linger):
 			case <-ctx.Done():
 			}
 			cancel()

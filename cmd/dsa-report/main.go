@@ -1,12 +1,9 @@
-// Command dsa-report renders sweep reports for any registered domain.
-// For the swarming domain it reproduces the paper's figures and tables
-// from a dsa-sweep CSV (Figures 2-8 and Table 3) or by running the
-// extra simulations they need (90-10 validation, churn sensitivity);
-// for every other domain it renders the generic reports (top, scatter)
-// from the domain CSV. It also carries the paper's two sweep-free
-// analyses: the Section 2 game-theoretic model (nash) and the Section 5
-// piece-level swarm validation (fig9a|fig9b|fig9c|fig10, fig9 = the
-// three Figure 9 panels).
+// Command dsa-report renders sweep reports for any registered domain:
+// the paper's figures and tables for the swarming domain (Figures 2-8,
+// Table 3, the 90-10 validation and churn checks), the generic top and
+// scatter reports for every domain, the sweep-free analyses of Section
+// 2 (nash) and Section 5 (fig9a|fig9b|fig9c|fig10, fig9 = the three
+// Figure 9 panels), score-cache counters and span-journal analysis.
 //
 // Usage:
 //
@@ -23,43 +20,10 @@
 //	dsa-report nash [-na 20] [-nb 15] [-nc 15] [-ur 4] [-f 100] [-s 20]
 //	dsa-report fig9a|fig9b|fig9c|fig10|fig9 [-leechers 50] [-runs 10] [-seed 1]
 //
-// The global flags above come before the report name; nash and the
-// Figure 9/10 reports take their own flags after it.
-//
-// -checkpoint reads the scores straight out of a dsa-sweep checkpoint
-// directory (the merged manifests of one or more shard processes)
-// instead of a CSV; merge additionally writes the assembled scores to
-// the domain's CSV for downstream tooling. To merge shards that ran on
-// separate machines, copy every shard dir's manifest-*.jsonl next to
-// one spec.json first.
-//
-// -coordinator fetches the assembled scores live from a dsa-grid
-// coordinator's results API instead of any local file — no copying at
-// all. -job selects the job; by default the first job of the report's
-// -domain is used. An incomplete job is reported as an error with its
-// progress.
-//
-// The cache report inspects a content-addressed score cache: with
-// -cache-dir it opens the local store (read-only — entries, on-disk
-// bytes, records dropped as corrupt), with -coordinator it fetches the
-// live counters from GET /v1/cache (hits, misses, tasks served without
-// dispatch).
-//
-// The trace report merges every trace-*.jsonl span journal in DIR —
-// however many sweep shards and grid workers appended there — onto one
-// timeline and renders where the time went: critical path, per-measure
-// task latency with histograms, straggler tasks, cache-hit attribution
-// and per-worker utilization. Journals are crash-tolerant: a torn
-// final line (the writer died mid-append) is skipped, not fatal.
-// Given a coordinator URL (http:// or https://) instead of a
-// directory, the report fetches the journals the coordinator collected
-// from trace-shipping workers (GET /v1/trace) and renders the same
-// analysis — no copying. -job narrows it to one job's trace; -merged
-// additionally writes the canonically merged journal to a file.
-//
-// -cpuprofile / -memprofile write pprof profiles of the report itself —
-// the sim-backed reports (validate, churn) run real sweeps, and trace
-// can chew through multi-gigabyte journals.
+// The global flags come before the report name; nash and the Figure 9/10
+// reports take their own flags after it. `dsa-report -h` gives each
+// flag's meaning; DESIGN.md's experiment index maps every report to the
+// paper.
 package main
 
 import (

@@ -1,5 +1,6 @@
 // Command dsa-sweep runs a Design Space Analysis sweep over any
-// registered domain and writes a CSV consumed by dsa-report.
+// registered domain on the sharded, checkpointed job engine and writes
+// the CSV dsa-report reads.
 //
 // Usage:
 //
@@ -11,69 +12,10 @@
 //	          [-shards N] [-shard-index I] [-chunk N] [-trace-dir DIR]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
-// -domain selects the design space: swarming is the 3270-protocol
-// file-swarming space of Section 4 (the default), gossip the
-// 216-protocol dissemination space of Section 3.1, delivery the
-// 576-strategy download-orchestration space (Section 7's
-// generalisation claim made concrete). An unknown name errors with the
-// registered list. Every domain runs through the same sharded,
-// checkpointed job engine — the flags below behave identically for all
-// of them.
-//
-// The quick preset reproduces the shape of the paper's results in
-// minutes on a laptop; the paper preset is the full-scale experiment
-// (for swarming, the 107-million-run Section 4.3 sweep — the authors
-// used 25 hours on a 50-node cluster, plan accordingly). -stride N
-// evaluates every Nth point, shrinking the point set itself. -explore
-// additionally runs the Section 7 heuristic explorer (hill climbing,
-// internal/job) against the domain's primary measure and prints what it
-// finds; each step of the search scores its new points as one small
-// sweep on the same engine, cache included.
-//
-// Paper-scale runs go through the job engine (internal/job):
-// -checkpoint-dir journals every completed task so an interrupted run
-// (Ctrl-C, crash, kill) restarted with -resume skips finished work and
-// produces byte-identical scores. -shards N -shard-index I runs shard I
-// of an N-way split (point chunk c, with every measure's task over it,
-// belongs to shard c mod N) — launch N processes (or machines) with the same
-// flags and distinct indices, give each its own checkpoint dir (or
-// share one on a common filesystem), then merge with
-//
-//	dsa-report -domain D -checkpoint DIR -out results.csv merge
-//
-// after copying the shard dirs' manifest-*.jsonl files together (they
-// hold the values; there is nothing else to copy). The shard that finishes last assembles and writes the CSV
-// itself when the dirs are shared.
-//
-// -cache-dir DIR memoises raw scores in a content-addressed store
-// (internal/cache): a re-run of the same or an overlapping spec —
-// different stride, different chunking, an -explore pass, another
-// process sharing the directory — reuses every score it already has
-// and produces byte-identical output. The cache key covers everything
-// a score depends on, so changing the seed, config or domain makes
-// entries miss rather than mis-hit. Inspect a cache with
-// `dsa-report -cache-dir DIR cache`.
-//
-// -trace-dir DIR appends a span journal (trace-s<I>of<N>.jsonl, one
-// line per completed span: the sweep root, every task with its
-// cache-hit/simulated split, its cache-lookup phase and the simulate
-// call of its chunk; with -explore the explorer's spans too) into DIR.
-// Spans are all a journal holds: the cache's totals are its own stats
-// line, the progress line's point counts are the job engine's. A
-// -resume into the same DIR continues the journal (fresh span IDs, the
-// timebase where the last run stopped). Journals from different shards
-// of the same sweep merge cleanly: point `dsa-report trace DIR` at the
-// directory for critical path, per-measure latency, stragglers and
-// cache attribution. Tracing costs no steady-state allocations and
-// well under 5% of sweep time.
-//
-// -cpuprofile / -memprofile write pprof profiles of the sweep (the CPU
-// profile covers the whole run; the heap profile is taken after a
-// final GC on clean exit), so perf work on the simulators measures
-// the real workload instead of guessing — see the README's
-// "Benchmarking and profiling" guide. Profiles are written on normal
-// completion, including the shard-incomplete path; a run that dies on
-// a flag or I/O error leaves no usable profile.
+// `dsa-sweep -h` gives each flag's meaning and default. Profiles are
+// written on completion, the shard-incomplete exit included. README.md
+// shows the sharded, resumed, cached and traced runs; DESIGN.md's job
+// engine, score cache and tracing sections say how they work.
 package main
 
 import (

@@ -44,27 +44,14 @@ func NewSweepResult(s *dsa.Scores) (*SweepResult, error) {
 }
 
 // Sweep runs the PRA quantification over the given protocols (nil =
-// the whole 3270-protocol space). It is a thin wrapper over the job
-// engine with sharding and checkpointing off; use SweepJob for
-// paper-scale runs that need either.
+// the whole 3270-protocol space): job.Run on the file-swarming domain,
+// with sharding and checkpointing off.
 func Sweep(protos []design.Protocol, cfg dsa.Config) (*SweepResult, error) {
-	return SweepJob(context.Background(), protos, cfg, job.Options{})
-}
-
-// SweepJob runs the sweep on the sharded, checkpointed job engine: the
-// work is cut into deterministic (measure × protocol chunk) tasks,
-// this process executes its shard's share on a worker pool, completed
-// tasks are journalled to opts.Dir, and a cancelled or killed run
-// resumes where it left off. The engine itself is domain-agnostic
-// (package job runs any dsa.Domain); this wrapper binds it to the
-// file-swarming domain. If other shards still own outstanding tasks it
-// returns job.ErrIncomplete.
-func SweepJob(ctx context.Context, protos []design.Protocol, cfg dsa.Config, opts job.Options) (*SweepResult, error) {
 	var pts []core.Point // nil: job.Run sweeps the whole space
 	if protos != nil {
 		pts = pra.Points(protos)
 	}
-	s, err := job.Run(ctx, pra.Domain(), pts, cfg, opts)
+	s, err := job.Run(context.Background(), pra.Domain(), pts, cfg, job.Options{})
 	if err != nil {
 		return nil, err
 	}

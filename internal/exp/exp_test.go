@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/design"
 	"repro/internal/dsa"
-	"repro/internal/job"
 	"repro/internal/pra"
 	"repro/internal/swarm"
 )
@@ -42,36 +39,6 @@ func sweepForTest(t *testing.T) *SweepResult {
 		t.Fatal(err)
 	}
 	return r
-}
-
-func TestSweepJobCheckpointRoundTrip(t *testing.T) {
-	ps := subset(400)
-	want, err := Sweep(ps, tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	got, err := SweepJob(context.Background(), ps, tinyCfg(), job.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Scores, want.Scores) {
-		t.Fatal("checkpointed SweepJob does not match plain Sweep")
-	}
-	scores, err := job.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := NewSweepResult(scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Scores, want.Scores) {
-		t.Fatal("the reloaded checkpoint does not match plain Sweep")
-	}
-	if !reflect.DeepEqual(loaded.Protocols, want.Protocols) {
-		t.Fatal("the reloaded checkpoint's protocol list does not match")
-	}
 }
 
 func TestSweepAndFig2(t *testing.T) {

@@ -222,7 +222,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 		http.Error(w, `{"error":"no such job"}`, http.StatusNotFound)
 	}))
 	defer srv.Close()
-	if _, err := GetJob(context.Background(), nil, srv.URL, "nope"); err == nil {
+	if _, err := FetchScores(context.Background(), nil, srv.URL, "nope"); err == nil {
 		t.Fatal("404 should surface as an error")
 	}
 	if n := calls.Load(); n != 1 {

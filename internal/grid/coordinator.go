@@ -19,6 +19,11 @@ import (
 // DefaultLeaseTTL is the CoordinatorOptions.LeaseTTL zero value's meaning.
 const DefaultLeaseTTL = 30 * time.Second
 
+// Linger is how long a coordinator serving one job keeps its API up
+// after the job completes, so the workers' last polls see it complete
+// and can fetch the assembled scores before the server goes away.
+const Linger = 2 * time.Second
+
 // Constants to every caller; only this package's tests set the
 // unexported CoordinatorOptions fields that override them.
 const (

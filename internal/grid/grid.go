@@ -559,13 +559,6 @@ func ListJobs(ctx context.Context, client *http.Client, baseURL string) ([]JobSu
 	return resp.Jobs, err
 }
 
-// GetJob fetches one job's detail, including its spec payload.
-func GetJob(ctx context.Context, client *http.Client, baseURL, jobID string) (JobDetail, error) {
-	var d JobDetail
-	_, err := call(ctx, client, http.MethodGet, routeURL(baseURL, pathJob, jobID), nil, &d)
-	return d, err
-}
-
 // FetchScores downloads a completed job's assembled scores. An
 // incomplete job is an error (the coordinator answers 409 with its
 // progress).

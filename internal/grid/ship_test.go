@@ -453,6 +453,38 @@ func TestShippedSpansCannotLowerSeries(t *testing.T) {
 	}
 }
 
+// TestTraceDigestSurvivesOversizedLine: one client's chunk with a 5 MiB
+// line is one span lost, not the scope's timeline. Such a line made every
+// later GET /v1/trace answer 400 ("token too long").
+func TestTraceDigestSurvivesOversizedLine(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{})
+	defer coord.Close()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	chunk := `{"w":"w1","id":1,"name":"task","start_us":0,"dur_us":7,"attrs":{"measure":"performance"}}` + "\n" +
+		strings.Repeat("x", 5<<20) + "\n"
+	var ack TraceAck
+	if _, err := call(context.Background(), nil, http.MethodPost, routeURL(srv.URL, pathTrace, ""),
+		TraceUpload{Writer: "w1", Data: []byte(chunk)}, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Have != int64(len(chunk)) {
+		t.Fatalf("ack have = %d, want the whole %d-byte chunk", ack.Have, len(chunk))
+	}
+	digest, err := FetchTraceDigest(context.Background(), nil, srv.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest.Analysis.Records != 1 || digest.Analysis.Tasks != 1 {
+		t.Fatalf("digest records/tasks = %d/%d, want 1/1", digest.Analysis.Records, digest.Analysis.Tasks)
+	}
+	recs, err := obs.LoadReader(bytes.NewReader(fetchTrace(t, srv.URL, "")))
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("merged timeline: %d records, err %v; want 1", len(recs), err)
+	}
+}
+
 // TestTraceUploadUnknownJob pins the scope validation: shipping into a
 // job the coordinator does not know is a 404, not a silent new scope.
 func TestTraceUploadUnknownJob(t *testing.T) {

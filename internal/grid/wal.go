@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -144,16 +143,13 @@ func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 		log.Close()
 		return nil, nil, 0, fmt.Errorf("grid: read wal: %w", err)
 	}
-	for len(data) > 0 {
-		var line []byte
-		line, data, _ = bytes.Cut(data, []byte("\n"))
-		rec, ok := decodeWALLine(line)
-		if !ok {
+	linelog.Lines(data, func(line []byte) {
+		if rec, ok := decodeWALLine(line); ok {
+			recs = append(recs, rec)
+		} else {
 			skipped++
-			continue
 		}
-		recs = append(recs, rec)
-	}
+	})
 	return &wal{log}, recs, skipped, nil
 }
 

@@ -1,7 +1,6 @@
 package job
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -376,14 +375,7 @@ func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job: read manifest: %w", err)
 		}
-		for {
-			line, rest, whole := bytes.Cut(raw, []byte("\n"))
-			if !whole {
-				break // linelog's rule: no '\n', no record
-			}
-			applyManifestLine(out, valid, line)
-			raw = rest
-		}
+		linelog.Lines(raw, func(line []byte) { applyManifestLine(out, valid, line) })
 	}
 	return out, nil
 }

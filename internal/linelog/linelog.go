@@ -3,8 +3,8 @@
 // trace journals. What a line holds is its caller's business; when a
 // line exists is decided here, once: a record exists when its '\n' is
 // on disk. Open trims a tail a crash left unterminated, a failed append
-// is trimmed back before the next one can land, and durable appends
-// share fsyncs.
+// is trimmed back before the next one can land, durable appends share
+// fsyncs, and Lines is the same rule for a reader.
 package linelog
 
 import (
@@ -188,6 +188,20 @@ func (l *Log) Path() string { return l.path }
 
 // Close closes the file. Append must not be called after Close.
 func (l *Log) Close() error { return l.f.Close() }
+
+// Lines calls fn with each whole line of data, in order, without its
+// '\n'. A final piece with no '\n' is not a record and is not passed
+// on; no line is too long.
+func Lines(data []byte, fn func(line []byte)) {
+	for {
+		line, rest, whole := bytes.Cut(data, []byte("\n"))
+		if !whole {
+			return
+		}
+		fn(line)
+		data = rest
+	}
+}
 
 // SyncDir fsyncs a directory so a just-created or just-renamed file's
 // entry is durable. Filesystems that cannot sync directories (some

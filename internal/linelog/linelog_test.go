@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -223,4 +224,15 @@ func FuzzOpen(f *testing.F) {
 		}
 		reopenAndAppend(t, path, wholeLines(data))
 	})
+}
+
+// TestLines: whole lines only, in order, empty ones included, and no
+// length at which a line stops being one.
+func TestLines(t *testing.T) {
+	long := strings.Repeat("x", 5<<20)
+	var got []string
+	linelog.Lines([]byte("a\n\n"+long+"\nb\ntorn"), func(line []byte) { got = append(got, string(line)) })
+	if want := []string{"a", "", long, "b"}; !slices.Equal(got, want) {
+		t.Fatalf("Lines returned %d lines, want %d (a, empty, the long one, b)", len(got), len(want))
+	}
 }

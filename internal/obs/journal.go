@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"repro/internal/linelog"
 )
 
 // Record is one journalled span, as read back from a trace
@@ -71,49 +73,25 @@ func journalLess(ai, bi Record, araw, braw []byte) bool {
 	return bytes.Compare(araw, braw) < 0
 }
 
-// maxLine bounds one journal line on read. Far above anything the
-// recorder emits (maxAttrs small attributes); lines past it are
-// treated as corrupt and skipped.
-const maxLine = 4 << 20
-
 type rawRecord struct {
 	rec Record
 	raw []byte
 }
 
-// readJournal scans one journal, keeping each valid line's decoded
-// record and raw bytes. Lines that do not parse — a torn final line
-// from a crashed writer, a corrupted stretch — are skipped, exactly
-// like the checkpoint manifest reader: appends are atomic enough in
-// practice that a torn line can only be the last one, and skipping it
-// loses one span, never the journal.
-func readJournal(path string) ([]rawRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readJournalFrom(f, path)
-}
-
-// readJournalFrom is readJournal over any byte stream; name is only
-// used in error messages.
-func readJournalFrom(r io.Reader, name string) ([]rawRecord, error) {
-	var out []rawRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
-	for sc.Scan() {
-		line := sc.Bytes()
+// parseJournal keeps the decoded record and raw bytes of each whole line
+// of data (linelog's rule: a final piece without '\n' is no record). A
+// line that does not parse — torn by a crashed writer, corrupted, of any
+// length — is skipped, like a checkpoint manifest's: it loses one span,
+// never the journal.
+func parseJournal(data []byte) (out []rawRecord) {
+	linelog.Lines(data, func(line []byte) {
 		var rec Record
 		if json.Unmarshal(line, &rec) != nil || rec.Name == "" {
-			continue // torn or corrupt line: skip, keep the rest
+			return
 		}
-		out = append(out, rawRecord{rec: rec, raw: append([]byte(nil), line...)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: read %s: %w", name, err)
-	}
-	return out, nil
+		out = append(out, rawRecord{rec: rec, raw: line})
+	})
+	return out
 }
 
 // LoadFile reads one journal's records in canonical order, skipping
@@ -124,10 +102,11 @@ func LoadFile(path string) ([]Record, error) { return LoadFiles(path) }
 // fetched from a coordinator's GET /v1/trace — into canonical order,
 // skipping torn or corrupt lines exactly like the file readers.
 func LoadReader(r io.Reader) ([]Record, error) {
-	raws, err := readJournalFrom(r, "stream")
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("obs: read stream: %w", err)
 	}
+	raws := parseJournal(data)
 	sortRaw(raws)
 	return records(raws), nil
 }
@@ -148,11 +127,11 @@ func LoadFiles(paths ...string) ([]Record, error) {
 func loadSorted(paths []string) ([]rawRecord, error) {
 	var raws []rawRecord
 	for _, p := range paths {
-		rs, err := readJournal(p)
+		data, err := os.ReadFile(p) // whole: a line has no length cap
 		if err != nil {
 			return nil, err
 		}
-		raws = append(raws, rs...)
+		raws = append(raws, parseJournal(data)...)
 	}
 	sortRaw(raws)
 	return raws, nil

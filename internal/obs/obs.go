@@ -4,7 +4,7 @@
 // checkpoint and merges across shards and workers the same way result
 // files do. Where internal/gridobs instruments the HTTP surface of the
 // grid, obs instruments the evaluation seams below it — sweep → task →
-// cache-lookup → simulate on the engine path, explore → generation on
+// cache-lookup → simulate on the engine path, explore → restart on
 // the explorer path, lease → task → upload on a grid worker — so a
 // slow sweep can finally be attributed: to stragglers, to a cold
 // cache, to one measure's simulation cost, or to an idle worker.
@@ -25,7 +25,7 @@
 //     freelist, attributes live in fixed arrays, and journal lines are
 //     encoded into a reused buffer with strconv appends — no fmt, no
 //     interface boxing. AllocsPerRun pins in alloc_test.go enforce it,
-//     so the PR 5 hot-path guarantees (0 allocs per simulated round)
+//     so the simulators' hot-path guarantees (0 allocs per simulated round)
 //     survive with tracing on. Instrumentation sits at the sweep /
 //     task / point level, never inside simulator round loops.
 //
@@ -34,7 +34,6 @@
 package obs
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -190,11 +189,10 @@ func journalEnd(path string, size int64) (end time.Duration, err error) {
 	}
 	// The piece before the first newline may be cut by the window: it
 	// is not a record to the journal reader either.
-	raws, err := readJournalFrom(bytes.NewReader(tail), path)
-	for _, r := range raws {
+	for _, r := range parseJournal(tail) {
 		end = max(end, r.rec.End())
 	}
-	return end, err
+	return end, nil
 }
 
 // Writer returns the identity stamped on this recorder's records.
@@ -228,8 +226,8 @@ func (r *Recorder) Start(parent SpanID, name string) *Span {
 }
 
 // Interval records a span whose boundaries the caller measured itself
-// (via Now) — how the explorers journal a restart or a generation as
-// the time since the previous one ended. End writes it with exactly the
+// (via Now) — how the hill climber journals a restart as the time
+// since the previous one ended. End writes it with exactly the
 // given duration.
 func (r *Recorder) Interval(parent SpanID, name string, start, end time.Duration) *Span {
 	if r == nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -217,6 +218,31 @@ func TestTornFinalLineSkipped(t *testing.T) {
 	recs, err = LoadFile(garbled)
 	if err != nil || len(recs) != 0 {
 		t.Errorf("garbled journal: recs=%d err=%v, want 0/nil", len(recs), err)
+	}
+}
+
+// TestLoadSkipsOversizedLine: a line of any length is one line. A
+// journal line over 4 MiB used to fail the whole load ("token too
+// long") where a corrupt line of it is skipped and a whole record kept.
+func TestLoadSkipsOversizedLine(t *testing.T) {
+	span := func(id int) string {
+		return fmt.Sprintf(`{"w":"w","id":%d,"name":"task","start_us":%d,"dur_us":1}`+"\n", id, id)
+	}
+	huge := `{"w":"w","id":2,"name":"task","start_us":2,"dur_us":1,"attrs":{"pad":"` + strings.Repeat("x", 5<<20) + `"}}` + "\n"
+	path := filepath.Join(t.TempDir(), "trace-w.jsonl")
+	if err := os.WriteFile(path, []byte(span(1)+strings.Repeat("y", 5<<20)+"\n"+huge+span(3)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for _, r := range recs {
+		ids = append(ids, r.ID)
+	}
+	if !slices.Equal(ids, []uint64{1, 2, 3}) {
+		t.Fatalf("loaded span IDs %v, want [1 2 3]", ids)
 	}
 }
 

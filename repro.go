@@ -3,55 +3,15 @@
 // Distributed Systems" (Rahman, Vinkó, Hales, Pouwelse, Sips —
 // SIGCOMM 2011).
 //
-// The root package is a thin facade over the implementation packages:
-//
-//   - internal/game      — 2×2 games, the BitTorrent Dilemma, iterated
-//     strategies and Axelrod tournaments (Section 2.1).
-//   - internal/analytic  — the expected-game-wins model and the Nash
-//     equilibrium analysis of Birds vs BitTorrent (Section 2.2 +
-//     Appendix).
-//   - internal/design    — the 3270-protocol file-swarming design space
-//     (Section 4.2).
-//   - internal/cyclesim  — the cycle-based simulation model
-//     (Section 4.3.1).
-//   - internal/pra       — the file-swarming domain: the Section 4.2
-//     space in core.Space form and its populations and encounters on
-//     cyclesim (Section 4.3).
-//   - internal/core      — the Space: a constrained product of named
-//     dimensions with its enumeration and neighbourhood (Section 3); it
-//     imports no other package of the module.
-//   - internal/dsa       — the Domain interface (what a design space
-//     must provide for the generic engine layers to run it) and the
-//     Performance/Robustness/Aggressiveness solution concept of
-//     Section 3.2, written once for every domain.
-//   - internal/job       — the sharded, checkpointed sweep engine and,
-//     as runs of small sweeps on it, the Section 7 heuristic explorer
-//     (job.HillClimb); it executes any Domain.
-//   - internal/cache     — the content-addressed score cache: memoizes
-//     raw scores across sweeps, explorers and grid jobs (see
-//     OpenScoreCache / SweepOptions.Cache).
-//   - internal/grid      — the HTTP coordinator/worker grid: a sweep
-//     served as leased tasks to workers on any machines, survivable
-//     under worker failure (see ServeGrid / GridSweep).
-//   - internal/obs       — the tracing subsystem: span journals
-//     (append-only JSONL, one per writer, crash-tolerant and
-//     mergeable across shards and workers) and the analyzer behind
-//     `dsa-report trace` (see OpenTraceJournal / AnalyzeTrace).
-//   - internal/swarm     — the piece-level BitTorrent swarm simulator
-//     used for validation (Section 5).
-//   - internal/gossip    — DSA applied to the gossip domain
-//     (Sections 3.1, 7).
-//   - internal/delivery  — DSA applied to the content-delivery
-//     orchestration domain: a debswarm-style chunked downloader over
-//     peers + mirror, with adversarial scenarios inside the design
-//     space (Section 7's generalisation claim).
-//   - internal/bandwidth — the Piatek et al. upload-capacity
-//     distribution peers are initialised from.
-//
-// The type aliases and constructors here cover the common workflow:
-// enumerate or pick protocols, quantify them with PRA, and validate
-// winners in the swarm simulator. See examples/ for runnable programs
-// and cmd/ for the tools that regenerate every figure and table.
+// The root package is a thin facade over the implementation packages
+// (README.md maps each to the paper). Its type aliases and constructors
+// cover the common workflow: enumerate or pick protocols, quantify them
+// with PRA, sweep any registered domain on the sharded, checkpointed
+// engine with a score cache and a trace journal, serve it as a grid, and
+// validate winners in the swarm simulator. The package's Example
+// functions are checked walk-throughs (go test -run Example -v .),
+// examples/ holds the two that run as programs, and cmd/ the tools that
+// regenerate every figure and table.
 package repro
 
 import (
@@ -223,11 +183,6 @@ type GridOptions struct {
 	Priority int
 }
 
-// gridLinger is how long ServeGrid keeps the API up after the job
-// completes, so workers can fetch the assembled scores before the server
-// goes away.
-const gridLinger = 2 * time.Second
-
 // ServeGrid starts a grid coordinator on addr serving the sweep of d
 // over points (nil = the whole space) and blocks until every task is
 // done — returning the assembled scores, byte-identical to RunSweep —
@@ -269,7 +224,7 @@ func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, 
 	case r := <-waited:
 		if r.err == nil {
 			select {
-			case <-time.After(gridLinger):
+			case <-time.After(grid.Linger):
 			case <-ctx.Done():
 			}
 		}

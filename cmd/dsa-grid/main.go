@@ -7,7 +7,7 @@
 //
 //	dsa-grid serve -addr :8437 [sweep flags as dsa-sweep] [-checkpoint-dir DIR]
 //	               [-cache-dir DIR] [-lease-ttl 30s] [-out results.csv] [-once]
-//	               [-priority N] [-auth-token SECRET] [-rate-limit N] [-rate-burst N]
+//	               [-priority N] [-auth-token SECRET] [-rate-limit N]
 //	               [-audit-rate F] [-hedge] [-pprof]
 //	dsa-grid work  -coordinator http://host:8437 [-job ID] [-name ID] [-workers N]
 //	               [-tasks-per-lease N] [-cache-dir DIR] [-auth-token SECRET]
@@ -78,12 +78,11 @@ func runServe(sigCtx context.Context, args []string) {
 		out       = fs.String("out", "", "write the assembled CSV here when the job completes")
 		once      = fs.Bool("once", false, "exit once the job completes instead of keeping the results API up")
 		authToken = fs.String("auth-token", "", "shared secret workers must present as a bearer token (empty = open grid)")
-		rateLimit = fs.Float64("rate-limit", 0, "per-client requests/second against the /v1 API (0 = unlimited)")
-		rateBurst = fs.Float64("rate-burst", 0, "rate-limit burst capacity (0 = one second of traffic)")
+		rateLimit = fs.Float64("rate-limit", 0, "per-client requests/second against the /v1 API, bursting one second's worth (0 = unlimited)")
 		priority  = fs.Int("priority", 1, "fair-share weight of this job against other jobs on the coordinator")
 		pprofOn   = fs.Bool("pprof", false, "mount /debug/pprof/ on the API mux (auth-gated when -auth-token is set)")
 		auditRate = fs.Float64("audit-rate", 0, "fraction of completed tasks silently re-verified on a second worker (0 = off); mismatches quarantine the liar")
-		hedge     = fs.Bool("hedge", false, "speculatively duplicate straggling leases onto idle workers (first result wins)")
+		hedge     = fs.Bool("hedge", false, "move straggling leases to idle workers (the straggler's upload still counts if it lands first)")
 	)
 	fs.Parse(args)
 	if *auditRate < 0 || *auditRate > 1 {
@@ -100,7 +99,7 @@ func runServe(sigCtx context.Context, args []string) {
 
 	coordOpts := grid.CoordinatorOptions{
 		Dir: *ckptDir, LeaseTTL: *leaseTTL, Logger: slog.Default(),
-		AuthToken: *authToken, RateLimit: *rateLimit, RateBurst: *rateBurst,
+		AuthToken: *authToken, RateLimit: *rateLimit,
 		Pprof: *pprofOn, AuditRate: *auditRate, Hedge: *hedge,
 	}
 	if *cacheDir != "" {

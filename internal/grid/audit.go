@@ -33,15 +33,13 @@ import (
 // auditState is one done task's open audit, on its task record. Open
 // audits gate job completion: a job is complete only when every task is
 // done AND every audit is settled. Where it stands is read off two
-// fields: auditor set means a re-check is computing, second set means
-// the values split and the re-check is a tiebreak. That an audit is open
-// follows from the journal (ingest opens, verify and invalidation
+// fields: the task's lease held means a re-check is computing, second set
+// means the values split and the re-check is a tiebreak. That an audit is
+// open follows from the journal (ingest opens, verify and invalidation
 // close); how far it got does not: a restart re-opens it as a plain
 // re-check anyone eligible may take.
 type auditState struct {
 	original   string    // producer of the recorded value ("" if unknown)
-	auditor    string    // worker currently re-computing (audit or arbitration lease)
-	deadline   time.Time // auditor's lease deadline
 	relaxAt    time.Time // when worker-exclusion constraints loosen
 	giveUpAt   time.Time // arbitration only: when an unresolvable split re-queues instead
 	second     string    // the mismatching second worker (arbitration)
@@ -73,7 +71,7 @@ func (c *Coordinator) auditEnabled() bool { return c.opts.AuditRate > 0 }
 // as a lease now.
 func auditGrantable(st *taskState, worker string, now time.Time) bool {
 	ast := st.audit
-	if ast == nil || ast.auditor != "" {
+	if ast == nil || st.worker != "" {
 		return false
 	}
 	if ast.second != "" {
@@ -124,8 +122,8 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 	// Uploads that carry no audit information: anything after verification
 	// settled, and the producer re-sending its own value — a retry after a
 	// lost response, or a liar repeating itself — unless it holds this
-	// audit's lease, which only the sole-worker relaxation hands it.
-	if up.Worker == "" || st.verified || (up.Worker == st.producer && (ast == nil || ast.auditor != up.Worker)) {
+	// audit's lease, which only the relaxation hands it.
+	if st.verified || up.Worker == st.producer && st.worker != up.Worker {
 		c.metrics.duplicates.Inc()
 		c.touchWorker(up.Worker, now)
 		return dup
@@ -133,7 +131,7 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 
 	if equalValues(vals, st.values) {
 		// Agreement with the record verifies it — whether this upload
-		// was the assigned auditor, a hedge loser, or a stray retry.
+		// was the assigned auditor, a race's loser, or a stray retry.
 		c.commit(j, now, []walRecord{verify}, "", "")
 		c.feedCacheLocked(j, st.task, st.values)
 		return dup
@@ -150,7 +148,7 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 			j.setAudit(st, ast)
 			c.metrics.auditsOpened.Inc()
 		}
-		ast.auditor = ""
+		st.worker = ""
 		ast.second, ast.secondVals, ast.secondMS = up.Worker, vals, up.ElapsedMS
 		ast.relaxAt = now.Add(c.opts.leaseTTL())
 		ast.giveUpAt = now.Add(4 * c.opts.leaseTTL())

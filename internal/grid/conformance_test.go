@@ -74,6 +74,10 @@ func TestHTTPConformance(t *testing.T) {
 		badAuth = "wrong-token"
 	)
 	good := conformanceToken
+	// A lease, heartbeat or upload naming no worker is refused: an upload
+	// from nobody would go on record with no producer, which no audit checks.
+	t0 := spec.Tasks()[0]
+	nameless := mustJSON(t, ResultsUpload{Results: []TaskResult{{Task: t0.ID(), Values: make([]float64, t0.Hi-t0.Lo)}}})
 
 	cases := []struct {
 		name       string
@@ -98,12 +102,16 @@ func TestHTTPConformance(t *testing.T) {
 		{name: "lease wrong method", method: "GET", path: "/v1/jobs/" + id + "/lease", wantStatus: 405, wantErrMsg: true},
 		{name: "lease malformed json", method: "POST", path: "/v1/jobs/" + id + "/lease", auth: good, body: `not json`, wantStatus: 400, wantErrMsg: true},
 		{name: "lease unknown job", method: "POST", path: "/v1/jobs/no-such-job/lease", auth: good, body: `{"worker":"c"}`, wantStatus: 404, wantErrMsg: true},
+		{name: "lease naming no worker", method: "POST", path: "/v1/jobs/" + id + "/lease", auth: good, body: `{"max_tasks":1}`, wantStatus: 400, wantErrMsg: true},
 		{name: "lease ok", method: "POST", path: "/v1/jobs/" + id + "/lease", auth: good, body: `{"worker":"conf","max_tasks":1}`, wantStatus: 200},
 		{name: "global lease without auth", method: "POST", path: "/v1/lease", auth: noAuth, body: `{}`, wantStatus: 401, wantErrMsg: true},
+		{name: "global lease naming no worker", method: "POST", path: "/v1/lease", auth: good, body: `{"max_tasks":1}`, wantStatus: 400, wantErrMsg: true},
 		{name: "global lease ok", method: "POST", path: "/v1/lease", auth: good, body: `{"worker":"conf","max_tasks":1}`, wantStatus: 200},
 		{name: "heartbeat without auth", method: "POST", path: "/v1/jobs/" + id + "/heartbeat", auth: noAuth, body: `{}`, wantStatus: 401, wantErrMsg: true},
 		{name: "heartbeat malformed json", method: "POST", path: "/v1/jobs/" + id + "/heartbeat", auth: good, body: `[`, wantStatus: 400, wantErrMsg: true},
+		{name: "heartbeat naming no worker", method: "POST", path: "/v1/jobs/" + id + "/heartbeat", auth: good, body: `{"tasks":["` + t0.ID() + `"]}`, wantStatus: 400, wantErrMsg: true},
 		{name: "upload without auth", method: "POST", path: "/v1/jobs/" + id + "/results", auth: noAuth, body: `{}`, wantStatus: 401, wantErrMsg: true},
+		{name: "upload naming no worker", method: "POST", path: "/v1/jobs/" + id + "/results", auth: good, body: nameless, wantStatus: 400, wantErrMsg: true},
 		{name: "upload unknown task", method: "POST", path: "/v1/jobs/" + id + "/results", auth: good, body: `{"worker":"c","results":[{"task":"no-such-task","values":[]}]}`, wantStatus: 404, wantErrMsg: true},
 		{name: "upload without results", method: "POST", path: "/v1/jobs/" + id + "/results", auth: good, body: `{"worker":"c","task":"x","values":[]}`, wantStatus: 400, wantErrMsg: true},
 		{name: "upload unknown job", method: "POST", path: "/v1/jobs/no-such-job/results", auth: good, body: `{"worker":"c","results":[{"task":"x","values":[]}]}`, wantStatus: 404, wantErrMsg: true},
@@ -214,7 +222,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 func TestRateLimitExhaustion(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{RateLimit: 5, RateBurst: 3})
+	coord := NewCoordinator(CoordinatorOptions{RateLimit: 3})
 	defer coord.Close()
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()

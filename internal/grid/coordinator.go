@@ -75,11 +75,9 @@ type CoordinatorOptions struct {
 	AuthToken string
 	// RateLimit is the per-client admission rate in requests/second
 	// against the /v1 API (metrics scrapes are never limited); 0
-	// disables limiting. Clients are keyed by remote IP.
+	// disables limiting. Clients are keyed by remote IP; each may burst
+	// one second's worth of requests.
 	RateLimit float64
-	// RateBurst is the token-bucket burst capacity; 0 derives a
-	// one-second burst from RateLimit.
-	RateBurst float64
 	// Pprof, when set, mounts net/http/pprof under /debug/pprof/ on
 	// the coordinator mux, behind the same bearer auth as the write
 	// endpoints when AuthToken is set.
@@ -92,11 +90,12 @@ type CoordinatorOptions struct {
 	// auditing; with auditing on, the score cache is fed only by
 	// audit-verified values for the selected tasks.
 	AuditRate float64
-	// Hedge enables speculative duplicate leases: a leased task past
-	// the straggler threshold (slowFactor x the fleet-mean EWMA task
-	// latency, floored at half the lease TTL) is offered once more to
-	// a different worker; the first idempotent ingest wins. Off by
-	// default — hedging trades duplicate compute for tail latency.
+	// Hedge lets an idle worker take over straggling leases: a lease
+	// older than the straggler threshold (slowFactor x the fleet-mean
+	// EWMA task latency, floored at half the lease TTL) moves to a
+	// different worker asking for work. The straggler is told the task is
+	// lost but may still upload it, and the first idempotent ingest wins.
+	// Off by default — hedging trades duplicate compute for tail latency.
 	Hedge bool
 
 	maxLease int   // 0 = DefaultMaxLease
@@ -165,20 +164,18 @@ const (
 // record, who produced it and how far its audit got. What of this a
 // restart gets back, and from which file, is DESIGN.md's "one rule".
 type taskState struct {
-	task      job.Task
-	id        string // task.ID()
-	idx       int    // position in gridJob.tasks
-	status    taskStatus
-	worker    string // holder while leased
+	task   job.Task
+	id     string // task.ID()
+	idx    int    // position in gridJob.tasks
+	status taskStatus
+	// The task's one lease, read by status: a pending task has none
+	// (worker ""), a leased task's holder computes it, a done task's
+	// holder re-checks it for its open audit. A hedge moves a leased
+	// task's lease to another worker.
+	worker    string
 	deadline  time.Time
-	leasedAt  time.Time // last lease grant, for the lease-latency histogram
+	leasedAt  time.Time // when worker got it: the straggler clock and the lease-latency histogram
 	recording bool      // a manifest append for this task is running outside the lock
-
-	// Speculative duplicate lease (CoordinatorOptions.Hedge): a second
-	// worker racing the straggling primary. First ingest wins; a dead
-	// primary promotes the hedge instead of re-queueing.
-	hedgeWorker   string
-	hedgeDeadline time.Time
 
 	// While done: the recorded value (the manifest holds the durable
 	// copy), the worker it came from, and whether a second worker has
@@ -210,8 +207,8 @@ type gridJob struct {
 	restored  int       // tasks restored from checkpoint at registration
 	startedAt time.Time // first lease grant; anchors the ETA estimate
 	// leasesGranted counts lease records — tasks and audits handed out,
-	// re-leases and promotions included, hedges not — the fair
-	// scheduler's deficit measure.
+	// re-leases included, hedges not — the fair scheduler's deficit
+	// measure.
 	leasesGranted int
 	scores        *dsa.Scores // assembled once complete
 	scoresErr     error
@@ -259,7 +256,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		cacheEpoch:  1,
 		drainDone:   make(chan struct{}),
 	}
-	c.limiter = gridobs.NewLimiter(opts.RateLimit, opts.RateBurst)
+	c.limiter = gridobs.NewLimiter(opts.RateLimit, 0)
 	c.metrics = newGridMetrics(c)
 	c.traces = newTraceCollector(opts.Dir, c.metrics.observeSpans)
 	if opts.Dir != "" {
@@ -705,6 +702,9 @@ var (
 	errUnknownTask = errors.New("grid: unknown task")
 	errDraining    = errors.New("grid: coordinator is draining")
 	errQuarantined = errors.New("grid: worker is quarantined")
+	// errNoWorker refuses a lease, heartbeat or upload that names no
+	// worker: a lease needs a holder, and an audit a producer to check.
+	errNoWorker = errors.New("grid: request names no worker")
 )
 
 func (c *Coordinator) getJob(id string) (*gridJob, error) {
@@ -715,49 +715,23 @@ func (c *Coordinator) getJob(id string) (*gridJob, error) {
 	return j, nil
 }
 
-// expireLocked ends every lease of j whose deadline has passed —
-// primary, hedge or audit — scoring the expiry against the worker that
-// went silent. A task with a live hedge promotes the hedge to primary
-// instead of re-queueing (the expiry still counts), and an arbitration
-// that ran out of road (no third worker ever arrived) re-queues its
-// task. Tasks are walked in grant order and the records leave as one
-// commit. Expiry is lazy: it runs at the top of every API call that
-// looks at task state, which is the only time staleness could matter
-// (plus the drain loop's ticks).
+// expireLocked ends every lease of j whose deadline has passed — a
+// computation or an audit re-check — scoring the expiry against the
+// worker that went silent, and re-queues the task of an arbitration that
+// ran out of road (no third worker ever arrived). Tasks are walked in
+// grant order and the records leave as one commit. Expiry is lazy: it
+// runs at the top of every API call that looks at task state, which is
+// the only time staleness could matter (plus the drain loop's ticks).
 func (c *Coordinator) expireLocked(j *gridJob) {
 	now := c.now()
 	var recs []walRecord
 	var splits []*taskState
-	expired := 0
-	expire := func(st *taskState, worker string) {
-		recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: st.id, Worker: worker})
-		expired++
-	}
 	for _, st := range j.tasks {
-		if st.status == taskLeased {
-			// A dead hedge clears: the primary still owns the task.
-			hedgeDead := st.hedgeWorker != "" && st.hedgeDeadline.Before(now)
-			if hedgeDead {
-				expire(st, st.hedgeWorker)
-			}
-			if st.deadline.Before(now) {
-				expire(st, st.worker)
-				if st.hedgeWorker != "" && !hedgeDead {
-					// Promote the live hedge: the task never reaches the
-					// queue, the racer simply becomes the owner.
-					recs = append(recs, walRecord{T: walLease, Job: j.id, Task: st.id, Worker: st.hedgeWorker})
-				}
-			}
-		}
-		ast := st.audit
-		if ast == nil {
-			continue
-		}
-		lapsed := ast.auditor != "" && ast.deadline.Before(now)
+		lapsed := st.worker != "" && st.deadline.Before(now)
 		if lapsed {
-			expire(st, ast.auditor)
+			recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: st.id, Worker: st.worker})
 		}
-		if (ast.auditor == "" || lapsed) && ast.second != "" && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
+		if ast := st.audit; ast != nil && (st.worker == "" || lapsed) && ast.second != "" && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
 			splits = append(splits, st)
 		}
 	}
@@ -769,7 +743,7 @@ func (c *Coordinator) expireLocked(j *gridJob) {
 		c.invalidateTaskLocked(j, st)
 	}
 	if len(recs) > 0 {
-		c.commit(j, now, recs, "", "leases expired, tasks re-queued", "job", j.id, "tasks", expired)
+		c.commit(j, now, recs, "", "leases expired, tasks re-queued", "job", j.id, "tasks", len(recs))
 	}
 }
 
@@ -804,8 +778,8 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 // grantLocked hands out up to max tasks of j to worker, shaping max by
 // the worker's score first. Grant order: audit re-leases (a few
 // re-checks catch a liar before it poisons more), then pending tasks,
-// then — with hedging on and capacity to spare — speculative
-// duplicates of straggling leases. One commit per grant, in grant order.
+// then — with hedging on and capacity to spare — straggling leases moved
+// from their holders. One commit per grant, in grant order.
 // fair says the scheduler picked j (the record then shows its share);
 // rid ties the record to the lease request.
 func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool, rid string) []LeaseTask {
@@ -821,7 +795,7 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool,
 		tasks = append(tasks, LeaseTask{Task: st.id, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi, TTLMS: ttl.Milliseconds()})
 	}
 	var audits []*taskState
-	if worker != "" && j.audits > 0 {
+	if j.audits > 0 {
 		for _, st := range j.tasks {
 			if len(recs) == max {
 				break
@@ -852,7 +826,7 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool,
 	c.commit(j, now, recs, rid, "leased", attrs...)
 	// Who holds a re-check is the grant's to note, not the journal's.
 	for _, st := range audits {
-		st.audit.auditor, st.audit.deadline = worker, now.Add(ttl)
+		st.hold(worker, now, ttl)
 	}
 	if j.startedAt.IsZero() {
 		j.startedAt = now
@@ -869,6 +843,9 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool,
 // quarantined are refused; while the coordinator drains no tasks are
 // granted and the response says so.
 func (c *Coordinator) Lease(ctx context.Context, id, worker string, max int) (LeaseResponse, error) {
+	if worker == "" {
+		return LeaseResponse{}, errNoWorker
+	}
 	c.metrics.leaseRequests.Inc()
 	c.mu.Lock()
 	var scope []*gridJob
@@ -934,6 +911,9 @@ func (c *Coordinator) allCompleteLocked() bool {
 // Heartbeat extends worker's leases and reports the ones it no longer
 // holds.
 func (c *Coordinator) Heartbeat(ctx context.Context, id string, req HeartbeatRequest) (HeartbeatResponse, error) {
+	if req.Worker == "" {
+		return HeartbeatResponse{}, errNoWorker
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, err := c.getJob(id)
@@ -948,24 +928,14 @@ func (c *Coordinator) Heartbeat(ctx context.Context, id string, req HeartbeatReq
 	deadline := c.now().Add(c.opts.leaseTTL())
 	var resp HeartbeatResponse
 	for _, tid := range req.Tasks {
-		// Whichever kind of lease the worker holds on the task — primary,
-		// hedge or audit re-check — a heartbeat keeps it alive.
-		st := j.task(tid)
-		switch {
-		case st == nil:
-			resp.Lost = append(resp.Lost, tid)
-			continue
-		case st.status == taskLeased && st.worker == req.Worker:
+		// Whether the lease computes the task or re-checks it, a heartbeat
+		// from its holder keeps it alive.
+		if st := j.task(tid); st != nil && st.worker == req.Worker {
 			st.deadline = deadline
-		case st.status == taskLeased && st.hedgeWorker == req.Worker:
-			st.hedgeDeadline = deadline
-		case st.audit != nil && req.Worker != "" && st.audit.auditor == req.Worker:
-			st.audit.deadline = deadline
-		default:
+			resp.Renewed = append(resp.Renewed, tid)
+		} else {
 			resp.Lost = append(resp.Lost, tid)
-			continue
 		}
-		resp.Renewed = append(resp.Renewed, tid)
 	}
 	return resp, nil
 }
@@ -984,8 +954,9 @@ func (c *Coordinator) Ingest(ctx context.Context, id string, up ResultUpload) (R
 // is idempotent per task: a duplicate of a done task is acknowledged and
 // dropped (task determinism makes the values equivalent), and an upload
 // from a worker whose lease expired is still accepted if it arrives
-// first. A malformed body — no entries, an unknown task, a wrong value
-// count — or a quarantined worker is refused before anything is recorded.
+// first. A malformed body — no worker, no entries, an unknown task, a
+// wrong value count — or a quarantined worker is refused before anything
+// is recorded.
 // The body's not-yet-done tasks are checkpointed with one manifest append
 // before any is marked done, so an acknowledged result is always durable
 // — and the append runs outside the coordinator lock, so leases,
@@ -998,6 +969,9 @@ func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUp
 	worker, results := up.Worker, up.Results
 	c.mu.Lock()
 	j, err := c.getJob(id)
+	if err == nil && worker == "" {
+		err = errNoWorker
+	}
 	if err == nil && c.quarantined[worker] {
 		err = fmt.Errorf("%w: %s", errQuarantined, worker)
 	}

@@ -356,7 +356,7 @@ func TestProgressStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lt := range lease.Tasks {
-		if _, err := coord.Ingest(context.Background(), id, ResultUpload{Task: lt.Task, Values: make([]float64, lt.Hi-lt.Lo)}); err != nil {
+		if _, err := coord.Ingest(context.Background(), id, ResultUpload{Worker: "w", Task: lt.Task, Values: make([]float64, lt.Hi-lt.Lo)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -103,7 +103,7 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 		invalidated:     r.NewCounter("grid_tasks_invalidated_total", "Done tasks whose recorded value was discarded and re-queued."),
 		quarantines:     r.NewCounter("grid_quarantines_total", "Workers quarantined (audit verdicts, operator requests and WAL replays)."),
 		corruptBodies:   r.NewCounter("grid_corrupt_bodies_total", "Request bodies rejected for a checksum mismatch (transport corruption)."),
-		leaseHedged:     r.NewCounter("grid_lease_hedged_total", "Speculative duplicate leases granted against straggling primaries."),
+		leaseHedged:     r.NewCounter("grid_lease_hedged_total", "Straggling leases moved to an idle worker (hedges)."),
 		walRecords:      r.NewCounter("grid_wal_records_total", "Scheduling records appended to the coordinator WAL."),
 		walReplayed:     r.NewGauge("grid_wal_replayed_records", "WAL records replayed at the last coordinator startup."),
 		walSkipped:      r.NewGauge("grid_wal_skipped_records", "WAL lines skipped as corrupt (bad CRC or malformed) at the last coordinator startup."),

@@ -20,10 +20,10 @@ import (
 // notDurable is what durableProjection leaves out, and why: the fields a
 // restart is not meant to get back (DESIGN.md, "one rule").
 var notDurable = []struct{ field, why string }{
-	{"task deadline, hedgeDeadline, leasedAt; audit deadline, relaxAt", "a replayed lease is re-armed with a fresh TTL from the new coordinator's clock"},
+	{"task deadline, leasedAt; audit relaxAt", "a replayed lease is re-armed with a fresh TTL from the new coordinator's clock"},
 	{"task recording", "an append in flight died with the process"},
 	{"task tainted", "only steers the cache absorb scan; a restart re-feeds the cache from what stands"},
-	{"audit auditor, second, secondVals, secondMS, giveUpAt", "an arbitration is not journalled: a restart re-opens the audit as a plain re-check (that it is open is compared)"},
+	{"a done task's holder; audit second, secondVals, secondMS, giveUpAt", "a re-check and an arbitration are not journalled: a restart re-opens the audit as a plain re-check (that it is open is compared)"},
 	{"worker firstSeen, lastSeen", "wall-clock liveness of the dead process"},
 	{"worker latEWMA, failEWMA with several jobs", "registerLocked replays one job's records at a time, so the EWMAs fold a worker's outcomes in registration order, not in the order they happened (ingest A, expire B, ingest A: 0.21 live, 0.3 replayed); journalling them is ROADMAP item 10's"},
 	{"job next, scanned", "the grant cursor is a scan bound, re-derived by walking from 0"},
@@ -32,17 +32,21 @@ var notDurable = []struct{ field, why string }{
 }
 
 // durableProjection renders what the manifests and the WAL own of c's
-// state: per task status, holder, racer, producer, verified and whether an
-// audit is open; each job's counters; the quarantined set; every worker's
-// counts, and with a single job its EWMAs.
+// state: per task status, a leased task's holder, producer, verified and
+// whether an audit is open; each job's counters; the quarantined set;
+// every worker's counts, and with a single job its EWMAs.
 func durableProjection(c *Coordinator) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sb strings.Builder
 	for _, j := range c.jobsLocked() {
 		for _, st := range j.tasks {
-			fmt.Fprintf(&sb, "%s status=%d holder=%q hedge=%q producer=%q verified=%v audit=%v\n",
-				st.id, st.status, st.worker, st.hedgeWorker, st.producer, st.verified, st.audit != nil)
+			holder := ""
+			if st.status == taskLeased {
+				holder = st.worker
+			}
+			fmt.Fprintf(&sb, "%s status=%d holder=%q producer=%q verified=%v audit=%v\n",
+				st.id, st.status, holder, st.producer, st.verified, st.audit != nil)
 		}
 		fmt.Fprintf(&sb, "%s done=%d audits=%d requeues=%d leasesGranted=%d weight=%d\n", j.id, j.done, j.audits, j.requeues, j.leasesGranted, j.weight)
 	}

@@ -151,7 +151,7 @@ func (c *Coordinator) jobsLocked() []*gridJob {
 
 // pickJobLocked chooses which job a pulling worker serves next: among
 // eligible jobs (pending tasks after lazy expiry, open audits, or —
-// with hedging on — a straggling lease worker could race), the one with the
+// with hedging on — a straggling lease worker could take over), the one with the
 // lowest granted-per-weight ratio; ties break by job ID so the
 // schedule is deterministic. Returns nil when nothing is eligible.
 func (c *Coordinator) pickJobLocked(worker string) *gridJob {
@@ -182,13 +182,14 @@ func (c *Coordinator) hedgeThresholdLocked() time.Duration {
 	return max(c.opts.leaseTTL()/2, time.Duration(slowFactor*mean*float64(time.Second)))
 }
 
-// stragglersLocked lists j's straggling leases with no hedge yet that
-// worker could race, in grant order, at most room of them. The hedge is
-// an ordinary-looking lease to its holder; first idempotent ingest
-// wins, the loser's upload is absorbed as a duplicate (or as audit
+// stragglersLocked lists j's straggling leases that could move to
+// worker, in grant order, at most room of them. The moved lease is an
+// ordinary-looking lease to its new holder; the straggler hears it lost
+// at its next heartbeat but may still upload, and the first idempotent
+// ingest wins, the loser's upload absorbed as a duplicate (or as audit
 // evidence).
 func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now time.Time) []*taskState {
-	if !c.opts.Hedge || worker == "" {
+	if !c.opts.Hedge {
 		return nil
 	}
 	th := c.hedgeThresholdLocked()
@@ -197,8 +198,7 @@ func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now 
 		if len(out) == room {
 			break
 		}
-		if st.status == taskLeased && st.hedgeWorker == "" && st.worker != worker &&
-			!st.leasedAt.IsZero() && now.Sub(st.leasedAt) >= th {
+		if st.status == taskLeased && st.worker != worker && now.Sub(st.leasedAt) >= th {
 			out = append(out, st)
 		}
 	}

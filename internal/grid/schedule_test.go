@@ -264,10 +264,21 @@ func (w *world) roundTrip(req *http.Request) (*http.Response, error) {
 			}
 		})
 	}
+	var held map[string]taskState // a lease request's view of the leases it may move
+	if strings.HasSuffix(req.URL.Path, "/lease") {
+		held = map[string]taskState{}
+		w.locked(func(c *Coordinator) {
+			for _, j := range c.jobs {
+				for _, st := range j.tasks {
+					held[j.id+"/"+st.id] = taskState{status: st.status, worker: st.worker, deadline: st.deadline, leasedAt: st.leasedAt}
+				}
+			}
+		})
+	}
 	before := len(w.writes)
 	w.h.ServeHTTP(rec, req)
 	if in.Worker != "" {
-		w.judge(req.URL.Path, in, rec, fair, first && w.fault == faultLose, len(w.writes)-before)
+		w.judge(req.URL.Path, in, rec, held, fair, first && w.fault == faultLose, len(w.writes)-before)
 	}
 	if first && w.fault == faultLose {
 		return nil, errors.New("answer lost after the handler")
@@ -286,8 +297,9 @@ type workerRequest struct {
 
 // judge holds a worker's request to its answer: a quarantined worker is
 // refused on every route, nobody else is; a grant, a renewal, an ack is
-// what the coordinator's state says it must be.
-func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecorder, fair, lost bool, writes int) {
+// what the coordinator's state says it must be. held is a lease
+// request's leases as they stood before it, by job/task.
+func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecorder, held map[string]taskState, fair, lost bool, writes int) {
 	var out struct {
 		LeaseResponse
 		HeartbeatResponse
@@ -317,10 +329,19 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 		j, now := c.jobs[resp.Job], c.now()
 		for _, lt := range resp.Tasks {
 			st := j.task(lt.Task)
-			if st.hedgeWorker == who && now.Sub(st.leasedAt) < scheduleTTL/2 {
-				w.violate(&grants, "%s hedges %s, leased only %v ago", who, lt.Task, now.Sub(st.leasedAt))
+			if st.worker != who {
+				w.violate(&grants, "%s was granted %s, whose holder is %q", who, lt.Task, st.worker)
 			}
-			if st.status == taskDone && st.producer == who && st.audit != nil && st.audit.auditor == who {
+			// A live lease moves only with hedging on, only from a task
+			// computing, only from another worker, and only past the
+			// straggler threshold (never under half a TTL).
+			if was := held[j.id+"/"+lt.Task]; was.worker != "" && !was.deadline.Before(now) {
+				age := now.Sub(was.leasedAt)
+				if !c.opts.Hedge || was.status != taskLeased || was.worker == who || age < scheduleTTL/2 || age < c.hedgeThresholdLocked() {
+					w.violate(&grants, "%s took %s (status %d) from %q, who got it %v ago", who, lt.Task, was.status, was.worker, age)
+				}
+			}
+			if st.status == taskDone && st.producer == who && st.audit != nil {
 				if now.Before(st.audit.relaxAt) {
 					w.violate(&audited, "%s was handed the re-check of its own %s before the relaxation", who, lt.Task)
 				}
@@ -338,13 +359,12 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 			}
 		}
 	case strings.HasSuffix(path, "/heartbeat"):
-		// A heartbeat renews exactly the leases of every kind the worker
-		// holds, to a TTL from now.
+		// A heartbeat renews exactly the leases the worker holds — tasks
+		// computing and audit re-checks alike — to a TTL from now.
 		j, deadline := c.jobs[id], c.now().Add(scheduleTTL)
 		for _, tid := range in.Tasks {
 			st := j.task(tid)
-			holds := st.status == taskLeased && (st.worker == who && st.deadline.Equal(deadline) || st.hedgeWorker == who && st.hedgeDeadline.Equal(deadline)) ||
-				st.audit != nil && st.audit.auditor == who && st.audit.deadline.Equal(deadline)
+			holds := st.worker == who && st.deadline.Equal(deadline)
 			if holds != slices.Contains(out.Renewed, tid) || holds == slices.Contains(out.Lost, tid) {
 				w.violate(&consistent, "heartbeat of %s on %s answered %+v", who, tid, out.HeartbeatResponse)
 			}
@@ -915,11 +935,12 @@ var (
 )
 
 // 1. The task table is consistent: done counts the done tasks and only
-// they hold values, nothing pending sits behind the grant cursor, a hedge
-// races only someone else's live lease, an open audit sits on a done task
-// and is counted, no quarantined worker holds a lease, and a drain has
-// settled exactly when nothing is in flight. (Also judged on the spot: a
-// heartbeat renews exactly what its worker holds.)
+// they hold values, nothing pending sits behind the grant cursor, a task's
+// one lease is what its status says — none while pending, a holder while
+// leased, a re-checker of an open audit only while done — an open audit
+// sits on a done task and is counted, no quarantined worker holds a
+// lease, and a drain has settled exactly when nothing is in flight. (Also
+// judged on the spot: a heartbeat renews exactly what its worker holds.)
 var consistent = invariant{"1 consistent task table", func(w *world) error {
 	c := w.c
 	c.mu.Lock()
@@ -932,8 +953,8 @@ var consistent = invariant{"1 consistent task table", func(w *world) error {
 				return fmt.Errorf("task %s: status %d with values %v", st.id, st.status, st.values)
 			case st.status == taskPending && st.idx < j.next:
 				return fmt.Errorf("task %s is pending behind the grant cursor (%d)", st.id, j.next)
-			case st.hedgeWorker != "" && (st.status != taskLeased || st.hedgeWorker == st.worker):
-				return fmt.Errorf("task %s: %q hedges a lease of %q in status %d", st.id, st.hedgeWorker, st.worker, st.status)
+			case (st.status == taskLeased) != (st.worker != "") && (st.status != taskDone || st.audit == nil):
+				return fmt.Errorf("task %s: status %d held by %q (audit open %v)", st.id, st.status, st.worker, st.audit != nil)
 			case st.audit != nil && st.status != taskDone:
 				return fmt.Errorf("task %s: an audit open in status %d", st.id, st.status)
 			}
@@ -1053,10 +1074,11 @@ var audited = invariant{"6 audited jobs complete verified", func(w *world) error
 // 7. Per job, leasesGranted is the lease records journalled for it — a
 // hedge never counts. (Also judged on the spot: a re-posted job keeps its
 // ID and takes the new priority; no grant while draining, none past the
-// request's size or the lease cap or outside its job, no hedge of a lease
-// younger than half a TTL; and while every grant is a single task of the
-// scheduler's pick with every job pending, granted-per-weight shares stay
-// within 1 of each other.)
+// request's size or the lease cap or outside its job; every grant leaves
+// its worker the holder; a held lease moves only with hedging on, from a
+// task computing, to another worker, past the straggler threshold; and
+// while every grant is a single task of the scheduler's pick with every
+// job pending, granted-per-weight shares stay within 1 of each other.)
 var grants = invariant{"7 grants", func(w *world) error {
 	log, recs, _, err := openWAL(w.dir)
 	if err != nil {
@@ -1213,10 +1235,17 @@ func scheduleCorpus() []spell {
 		fourLines(true).cut(true, 4, 0).step(1).batch(1).kill(),
 		// A liar sends its lies twice, then two honest workers overrule it.
 		audited.started(2).lose().unit(2).batch(2).step(0).batch(0).step(1).batch(1),
-		// A straggler holding every task is hedged past half a TTL; the racer wins, the straggler's results are duplicates.
+		// A straggler holding every task has its leases moved past half a TTL; the new holder wins, the straggler's results are duplicates.
 		schedule(false, true, "hh", 1).tasks(0, 2).step(1).clock(5).step(0).batch(0).batch(1).kill(),
-		// The straggler dies; its live hedges are promoted in place.
+		// The straggler dies: the leases that moved stay with their new holder, the rest re-queue.
 		hedged.step(1).clock(5).started(0).clock(4).beat(0).batch(0).kill(),
+		// The hedger dies: the leases it took re-queue and go to a third worker, the straggler, told they
+		// are lost, keeps computing, and its late upload still lands first and counts.
+		schedule(false, true, "hsh", 1).tasks(0, 8).tasks(2, 2).started(0).clock(5).step(1).beat(0).step(0).clock(9).step(2).batch(0),
+		// An idle worker asks before half a TTL has passed: nothing moves; asked again past it, the leases move.
+		schedule(false, true, "hh", 1).tasks(0, 8).started(0).clock(2).step(1).clock(3).step(1).step(1).batch(0),
+		// A straggler restarted (a refused heartbeat ended it) asks for more: its own leases never move to it.
+		schedule(false, true, "hh", 1).tasks(0, 8).started(0).clock(5).refuse().beat(0).step(0).step(0).step(0).batch(0),
 		// A kill -9 while a worker holds a live lease (granted on a retry of a dropped request).
 		schedule(false, false, "hh", 1).tasks(0, 2).started(0).unit(0).step(0).unit(0).drop().step(0).kill().clock(9),
 		// Expired leases, then a kill -9: the expiries replay.

@@ -55,61 +55,56 @@ func (c *Coordinator) apply(j *gridJob, r walRecord, now time.Time) {
 	}
 }
 
-// applyLease hands st to worker: a pending task becomes its lease. A
-// pending task the worker was already racing is a promotion — the racer
-// inherits the task with the deadline it has been heartbeating. On a
-// done task the record is an audit re-check: it counts, and who holds
-// the re-check is the grant's to note, not the journal's (auditState).
+// applyLease hands a pending st to worker. On a done task the record is
+// an audit re-check: it counts, and who holds the re-check is the
+// grant's to note, not the journal's. A record naming no worker leases
+// nothing: a lease has a holder.
 func (c *Coordinator) applyLease(j *gridJob, st *taskState, worker string, now time.Time) {
 	j.leasesGranted++
 	c.touchWorker(worker, now)
-	switch {
-	case st.status == taskPending && worker != "" && st.hedgeWorker == worker:
-		st.status, st.worker, st.deadline = taskLeased, worker, st.hedgeDeadline
-		st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
-	case st.status == taskPending:
-		st.status, st.worker, st.deadline, st.leasedAt = taskLeased, worker, now.Add(c.opts.leaseTTL()), now
+	if st.status == taskPending && worker != "" {
+		st.status = taskLeased
+		st.hold(worker, now, c.opts.leaseTTL())
 	}
 }
 
-// applyHedge lets worker race the holder of a leased task. Hedges stay
-// out of the fair-share deficit — they are insurance the scheduler
-// buys, not demand the job generated.
+// applyHedge moves a leased task's lease to worker. The straggler it
+// leaves is not charged — it may still upload first — and the move stays
+// out of the fair-share deficit: insurance the scheduler buys, not demand
+// the job generated. The lease is new, so it straggles again only a whole
+// threshold from now.
 func (c *Coordinator) applyHedge(st *taskState, worker string, now time.Time) {
 	c.touchWorker(worker, now)
-	if st.status == taskLeased && st.hedgeWorker == "" && st.worker != worker {
-		st.hedgeWorker, st.hedgeDeadline = worker, now.Add(c.opts.leaseTTL())
+	if st.status == taskLeased && worker != "" && st.worker != worker {
+		st.hold(worker, now, c.opts.leaseTTL())
 	}
 }
 
-// applyExpire ends worker's lease on st without a result, whichever kind
-// it holds: the task goes back in the queue (a live hedge stays on it —
-// the lease record that follows promotes it), the hedge clears, or the
-// audit returns to the pool. It does not stamp the worker live — the
-// whole point is that it went silent, or was banned.
+// applyExpire ends worker's lease on st without a result: a leased task
+// goes back in the queue, a done task's audit re-check returns to the
+// pool. It does not stamp the worker live — the whole point is that it
+// went silent, or was banned.
 func (c *Coordinator) applyExpire(j *gridJob, st *taskState, worker string, now time.Time) {
 	j.requeues++
 	c.workerFailed(worker)
 	switch {
-	case st.status == taskLeased && st.worker == worker:
+	case worker == "" || st.worker != worker:
+	case st.status == taskLeased:
 		j.requeue(st)
-	case worker == "":
-	case st.status == taskLeased && st.hedgeWorker == worker:
-		st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
-	case st.audit != nil && st.audit.auditor == worker:
-		st.audit.auditor = ""
+	default:
+		st.worker = ""
 		st.audit.relaxAt = now.Add(c.opts.leaseTTL())
 	}
 }
 
 // applyIngest puts worker's result for st on record: whatever lease
-// stood dissolves (a hedge's losing racer is not scored: it was asked to
-// race and simply lost), and the task's audit, if it is selected for
-// one, opens. The value itself is not in the WAL: the upload puts it on
-// the task, a restart takes it from the manifest.
+// stood ends (a straggler whose lease moved and the worker it moved to
+// are not scored: one of them simply lost the race), and the task's
+// audit, if it is selected for one, opens. The value itself is not in
+// the WAL: the upload puts it on the task, a restart takes it from the
+// manifest.
 func (c *Coordinator) applyIngest(j *gridJob, st *taskState, worker string, elapsed time.Duration, now time.Time) {
 	c.workerDone(worker, elapsed, now)
-	st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
 	if st.status != taskDone {
 		st.status = taskDone
 		j.done++
@@ -159,6 +154,11 @@ func (st *taskState) unauditedBy(worker string) bool {
 	return st.status == taskDone && st.producer == worker && !st.verified
 }
 
+// hold gives st's lease to worker for one ttl from now.
+func (st *taskState) hold(worker string, now time.Time, ttl time.Duration) {
+	st.worker, st.deadline, st.leasedAt = worker, now.Add(ttl), now
+}
+
 // requeue returns a task to the pending queue, ahead of the grant cursor
 // if need be.
 func (j *gridJob) requeue(st *taskState) {
@@ -181,7 +181,8 @@ func (j *gridJob) invalidate(st *taskState) {
 }
 
 // setAudit opens (ast non-nil) or closes st's audit, keeping the job's
-// count of open audits — its completion gate — in step.
+// count of open audits — its completion gate — in step. A done task's
+// lease is its audit's re-check, so it ends with it.
 func (j *gridJob) setAudit(st *taskState, ast *auditState) {
 	if st.audit != nil {
 		j.audits--
@@ -189,7 +190,7 @@ func (j *gridJob) setAudit(st *taskState, ast *auditState) {
 	if ast != nil {
 		j.audits++
 	}
-	st.audit = ast
+	st.audit, st.worker = ast, ""
 }
 
 // task looks a task up by ID; nil if the job has none such.
@@ -200,26 +201,13 @@ func (j *gridJob) task(id string) *taskState {
 	return nil
 }
 
-// revocations is the expire record of every lease — primary, hedge or
-// audit — held by a worker revoked names, in grant order. A revoked
-// primary's live hedge is promoted in its place, as an expiry promotes it.
+// revocations is the expire record of every lease held by a worker
+// revoked names, in grant order.
 func (j *gridJob) revocations(revoked func(worker string) bool) []walRecord {
 	var recs []walRecord
-	expire := func(st *taskState, worker string) {
-		if worker != "" && revoked(worker) {
-			recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: st.id, Worker: worker})
-		}
-	}
 	for _, st := range j.tasks {
-		if st.status == taskLeased {
-			expire(st, st.worker)
-			expire(st, st.hedgeWorker)
-			if revoked(st.worker) && st.hedgeWorker != "" && !revoked(st.hedgeWorker) {
-				recs = append(recs, walRecord{T: walLease, Job: j.id, Task: st.id, Worker: st.hedgeWorker})
-			}
-		}
-		if st.audit != nil {
-			expire(st, st.audit.auditor)
+		if st.worker != "" && revoked(st.worker) {
+			recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: st.id, Worker: st.worker})
 		}
 	}
 	return recs

@@ -49,7 +49,7 @@ type workerView struct {
 	Heard       bool
 	Live        bool // heard from within livenessTTLs lease TTLs
 	Quarantined bool
-	Leased      int // leases of every kind — primary, hedge, audit — held now
+	Leased      int // leases held now: tasks computing and audit re-checks
 	Done        uint64
 	Failures    uint64
 	Latency     float64 // EWMA seconds per task, 0 before any upload
@@ -65,8 +65,8 @@ func (v view) HitRatio() float64 {
 	return math.NaN()
 }
 
-// jobViewLocked walks j's task table once; each lease it finds — primary,
-// hedge or audit — is counted against its holder in held.
+// jobViewLocked walks j's task table once; each lease it finds — a task
+// computing or an audit re-check — is counted against its holder in held.
 func (c *Coordinator) jobViewLocked(j *gridJob, now time.Time, held map[string]int) jobView {
 	jv := jobView{Domain: j.spec.Domain.Name(), ProgressSnapshot: ProgressSnapshot{
 		JobID: j.id, Total: len(j.tasks), Done: j.done, Requeues: j.requeues,
@@ -79,15 +79,11 @@ func (c *Coordinator) jobViewLocked(j *gridJob, now time.Time, held map[string]i
 		case taskLeased:
 			jv.Leased++
 			holders[st.worker] = true
-			held[st.worker]++
-			if st.hedgeWorker != "" {
-				held[st.hedgeWorker]++
-			}
 		case taskPending:
 			jv.Pending++
 		}
-		if st.audit != nil && st.audit.auditor != "" {
-			held[st.audit.auditor]++
+		if st.worker != "" {
+			held[st.worker]++
 		}
 	}
 	jv.Workers = len(holders)

@@ -36,7 +36,7 @@ const (
 	walPriority   = "priority"   // job fair-share weight changed
 	walVerify     = "verify"     // task's recorded value audit-confirmed by worker
 	walQuarantine = "quarantine" // worker quarantined (job field empty: global)
-	walHedge      = "hedge"      // speculative duplicate lease granted to worker
+	walHedge      = "hedge"      // a straggling lease on task moved to worker
 )
 
 // walRecord is one journalled state change. appendWALLine and

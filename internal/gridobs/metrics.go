@@ -119,14 +119,8 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds v; negative deltas are ignored (counters only go up).
 func (c *Counter) Add(v float64) {
-	if v < 0 {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
+	if v >= 0 {
+		addFloat(&c.bits, v)
 	}
 }
 
@@ -153,16 +147,7 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 // With returns the counter for the given label values, creating it on
 // first use. The number of values must match the registered labels.
 func (v *CounterVec) With(values ...string) *Counter {
-	v.fam.checkValues(values)
-	v.fam.mu.Lock()
-	defer v.fam.mu.Unlock()
-	key := joinKey(values)
-	if c, ok := v.fam.children[key]; ok {
-		return c.(*Counter)
-	}
-	c := &Counter{vals: append([]string(nil), values...)}
-	v.fam.children[key] = c
-	return c
+	return childFor(v.fam, values, func(vals []string) *Counter { return &Counter{vals: vals} })
 }
 
 // --- Gauge ---
@@ -179,14 +164,7 @@ func (g *Gauge) labelVals() []string { return g.vals }
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds v (which may be negative).
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
+func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
 
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
@@ -223,16 +201,7 @@ func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 // With returns the gauge for the given label values, creating it on
 // first use.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	v.fam.checkValues(values)
-	v.fam.mu.Lock()
-	defer v.fam.mu.Unlock()
-	key := joinKey(values)
-	if g, ok := v.fam.children[key]; ok {
-		return g.(*Gauge)
-	}
-	g := &Gauge{vals: append([]string(nil), values...)}
-	v.fam.children[key] = g
-	return g
+	return childFor(v.fam, values, func(vals []string) *Gauge { return &Gauge{vals: vals} })
 }
 
 // Reset drops every child, so stale label tuples (a finished job, a
@@ -280,13 +249,6 @@ func (h *Histogram) Count() uint64 {
 	return h.total
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 func (h *Histogram) write(w io.Writer, fam *family, _ []string) {
 	h.mu.Lock()
 	counts := append([]uint64(nil), h.counts...)
@@ -332,20 +294,9 @@ func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels 
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	v.fam.checkValues(values)
-	v.fam.mu.Lock()
-	defer v.fam.mu.Unlock()
-	key := joinKey(values)
-	if h, ok := v.fam.children[key]; ok {
-		return h.(*Histogram)
-	}
-	h := &Histogram{
-		buckets: v.fam.buckets,
-		counts:  make([]uint64, len(v.fam.buckets)),
-		vals:    append([]string(nil), values...),
-	}
-	v.fam.children[key] = h
-	return h
+	return childFor(v.fam, values, func(vals []string) *Histogram {
+		return &Histogram{buckets: v.fam.buckets, counts: make([]uint64, len(v.fam.buckets)), vals: vals}
+	})
 }
 
 // HistSnapshot is a point-in-time copy of one histogram's state:
@@ -439,6 +390,31 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 }
 
 // --- helpers ---
+
+// childFor returns f's child for the label values, made by mk from a
+// copy of them on first use. The number of values must match f's labels.
+func childFor[C child](f *family, values []string, mk func(vals []string) C) C {
+	f.checkValues(values)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	key := joinKey(values)
+	if c, ok := f.children[key]; ok {
+		return c.(C)
+	}
+	c := mk(append([]string(nil), values...))
+	f.children[key] = c
+	return c
+}
+
+// addFloat adds v to the float64 whose bits a holds.
+func addFloat(a *atomic.Uint64, v float64) {
+	for {
+		old := a.Load()
+		if a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
 
 func (f *family) checkValues(values []string) {
 	if len(values) != len(f.labels) {

@@ -3,55 +3,13 @@ package obs
 import (
 	"math"
 	"strconv"
-	"unicode/utf8"
 )
 
 // Journal lines are hand-encoded: encoding/json would box every value
-// in an interface and walk reflection on the hot path. These helpers
-// append into the recorder's reused buffer and allocate nothing (the
-// buffer only grows until the longest line fits).
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal, escaping
-// quotes, backslashes, control characters and invalid UTF-8 (which is
-// replaced, keeping the output parseable no matter what a caller puts
-// in a label).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			i++
-			switch {
-			case c == '"':
-				b = append(b, '\\', '"')
-			case c == '\\':
-				b = append(b, '\\', '\\')
-			case c >= 0x20:
-				b = append(b, c)
-			case c == '\n':
-				b = append(b, '\\', 'n')
-			case c == '\t':
-				b = append(b, '\\', 't')
-			case c == '\r':
-				b = append(b, '\\', 'r')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd') // replacement char
-			i++
-			continue
-		}
-		b = append(b, s[i:i+size]...)
-		i += size
-	}
-	return append(b, '"')
-}
+// in an interface and walk reflection on the hot path. These helpers —
+// and jsonline.AppendString for strings, which writes json.Marshal's
+// bytes — append into the recorder's reused buffer and allocate nothing
+// (the buffer only grows until the longest line fits).
 
 func appendInt(b []byte, v int64) []byte { return strconv.AppendInt(b, v, 10) }
 

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonline"
 	"repro/internal/linelog"
 )
 
@@ -336,7 +337,7 @@ func (r *Recorder) record(s *Span) {
 	if r.log != nil {
 		b := r.buf
 		b = append(b, `{"w":`...)
-		b = appendJSONString(b, r.writer)
+		b = jsonline.AppendString(b, r.writer)
 		b = append(b, `,"id":`...)
 		b = appendUint(b, uint64(s.id))
 		if s.parent != 0 {
@@ -344,7 +345,7 @@ func (r *Recorder) record(s *Span) {
 			b = appendUint(b, uint64(s.parent))
 		}
 		b = append(b, `,"name":`...)
-		b = appendJSONString(b, s.name)
+		b = jsonline.AppendString(b, s.name)
 		b = append(b, `,"start_us":`...)
 		b = appendInt(b, s.start.Microseconds())
 		b = append(b, `,"dur_us":`...)
@@ -356,11 +357,11 @@ func (r *Recorder) record(s *Span) {
 					b = append(b, ',')
 				}
 				a := &s.attrs[i]
-				b = appendJSONString(b, a.key)
+				b = jsonline.AppendString(b, a.key)
 				b = append(b, ':')
 				switch a.kind {
 				case attrString:
-					b = appendJSONString(b, a.s)
+					b = jsonline.AppendString(b, a.s)
 				case attrInt:
 					b = appendInt(b, a.i)
 				case attrFloat:

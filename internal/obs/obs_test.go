@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -138,7 +139,9 @@ func TestAttrOverflowAndEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rec.Start(0, "x").Str("q", "a\"b\\c\nd\x01e\xfff")
+	// json.Marshal escapes html and the JS line separators too.
+	const html = "<a href=\"x\">&</a>\b\f\u2028\u2029"
+	s := rec.Start(0, "x").Str("q", "a\"b\\c\nd\x01e\xfff").Str("html", html)
 	for i := 0; i < 2*maxAttrs; i++ {
 		s.Int(fmt.Sprintf("k%d", i), int64(i)) // past maxAttrs: dropped, not corrupted
 	}
@@ -159,6 +162,22 @@ func TestAttrOverflowAndEscaping(t *testing.T) {
 	}
 	if got := r.AttrStr("q"); got != "a\"b\\c\nd\x01e�f" {
 		t.Errorf("escaped attr = %q", got)
+	}
+	if got := r.AttrStr("html"); got != html {
+		t.Errorf("escaped attr = %q, want %q", got, html)
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, JournalPattern))
+	if len(paths) != 1 {
+		t.Fatalf("journals %v, want one", paths)
+	}
+	line, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, str := range []string{`we"ird\name`, "a\"b\\c\nd\x01e\xfff", html} {
+		if want, _ := json.Marshal(str); !bytes.Contains(line, want) {
+			t.Errorf("the journal line %s does not hold json.Marshal's %s", line, want)
+		}
 	}
 	if len(r.Attrs) != maxAttrs {
 		t.Errorf("attrs kept = %d, want %d", len(r.Attrs), maxAttrs)

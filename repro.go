@@ -174,10 +174,9 @@ type GridOptions struct {
 	// AuthToken, when non-empty, requires workers to present the same
 	// shared secret as a bearer token on every mutating endpoint.
 	AuthToken string
-	// RateLimit / RateBurst apply per-client token-bucket admission to
-	// the /v1 API (requests/second and burst capacity); 0 disables.
+	// RateLimit applies per-client token-bucket admission to the /v1
+	// API in requests/second, with a one-second burst; 0 disables.
 	RateLimit float64
-	RateBurst float64
 	// Priority is the job's fair-share scheduling weight against other
 	// jobs on the same coordinator; 0 means 1.
 	Priority int
@@ -192,7 +191,7 @@ type GridOptions struct {
 func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, cfg Config, opts GridOptions) (*Scores, error) {
 	coordOpts := grid.CoordinatorOptions{
 		Dir: opts.Dir, LeaseTTL: opts.LeaseTTL, Logger: opts.Logger,
-		AuthToken: opts.AuthToken, RateLimit: opts.RateLimit, RateBurst: opts.RateBurst,
+		AuthToken: opts.AuthToken, RateLimit: opts.RateLimit,
 	}
 	if opts.Cache != nil {
 		coordOpts.Cache = opts.Cache

@@ -88,6 +88,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/bandwidth"
@@ -276,7 +277,8 @@ func (s Strategy) Validate() error {
 
 // String returns a compact code, e.g. "Balanced/f4/Race/Adaptive/Sybil".
 func (s Strategy) String() string {
-	return fmt.Sprintf("%s/f%d/%s/%s/%s", s.Selection, s.Fanout, s.Racing, s.Timeout, s.Scenario)
+	return s.Selection.String() + "/f" + strconv.Itoa(s.Fanout) + "/" + s.Racing.String() + "/" +
+		s.Timeout.String() + "/" + s.Scenario.String()
 }
 
 // Space returns the delivery design space in core form: 4 selections ×

@@ -1,6 +1,7 @@
 package delivery_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -137,6 +138,23 @@ func TestAssemble(t *testing.T) {
 			if v < 0 || v > 1 {
 				t.Fatalf("%s[%d] normalised to %v", m, i, v)
 			}
+		}
+	}
+}
+
+// TestLabelsMatchSprintf holds Strategy.String, which concatenates, to
+// the fmt.Sprintf format it replaced, at every point of the space: the
+// label is the CSV's point column.
+func TestLabelsMatchSprintf(t *testing.T) {
+	d := delivery.Domain()
+	for _, p := range d.Space().Enumerate() {
+		s, err := delivery.FromPoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%s/f%d/%s/%s/%s", s.Selection, s.Fanout, s.Racing, s.Timeout, s.Scenario)
+		if got := d.Label(p); got != want {
+			t.Fatalf("Label(%v) = %q, want %q", p, got, want)
 		}
 	}
 }

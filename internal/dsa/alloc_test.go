@@ -7,10 +7,12 @@ package dsa_test
 
 import (
 	"context"
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/delivery"
 	"repro/internal/dsa"
 	"repro/internal/job"
 )
@@ -110,5 +112,35 @@ func TestWarmExecTasksAllocsPerTask(t *testing.T) {
 	if got := (narrow - wide) / float64(narrowTasks-wideTasks); got != warmTaskAllocs {
 		t.Errorf("a warm task allocates %v objects (%v for %d tasks, %v for %d), want %d",
 			got, narrow, narrowTasks, wide, wideTasks, warmTaskAllocs)
+	}
+}
+
+// writeCSVAllocs bounds what WriteCSV allocates besides one label string
+// a row: the measure list, the header's raw_ names, the column table, the
+// encoder and its buffers.
+const writeCSVAllocs = 8
+
+// TestWriteCSVAllocs pins that writing a delivery-sized CSV allocates the
+// point label a row and nothing else per row: cells are appended to one
+// reused row buffer, score cells without a string.
+func TestWriteCSVAllocs(t *testing.T) {
+	d := delivery.Domain()
+	pts := d.Space().Enumerate() // 576 points
+	// rows is the allocation count of writing the first n rows.
+	rows := func(n int) float64 {
+		s := syntheticScores(d, pts[:n])
+		return testing.AllocsPerRun(10, func() {
+			if err := dsa.WriteCSV(io.Discard, d, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	header, full := rows(0), rows(len(pts))
+	if header > writeCSVAllocs {
+		t.Errorf("a header-only CSV allocates %v objects, want at most %d", header, writeCSVAllocs)
+	}
+	if perRow := (full - header) / float64(len(pts)); perRow > 1 {
+		t.Errorf("WriteCSV allocates %v objects a row (%v for %d rows, %v for the header), want at most 1, the label",
+			perRow, full, len(pts), header)
 	}
 }

@@ -1,12 +1,17 @@
 package dsa
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // CSVLayout is an optional Domain extension, like ScoreVersioned and
@@ -38,84 +43,168 @@ type CSVLayout interface {
 // encode deterministically as the exact tokens "NaN", "+Inf" and
 // "-Inf", which ReadCSV parses back. A header-only file (an empty
 // evaluated panel) is a valid round trip, not an error. Embedded
-// commas, quotes and newlines in labels or dimension values are the
-// csv package's quoting problem, covered by the codec's property test.
+// commas, quotes and newlines in labels or dimension values are quoted
+// by CSVEncoder exactly as encoding/csv would, covered by the codec's
+// property test.
 
 // FormatScore renders one score cell: six decimals for finite values,
 // canonical tokens for the non-finite ones.
-func FormatScore(v float64) string {
+func FormatScore(v float64) string { return string(AppendScore(nil, v)) }
+
+// AppendScore appends FormatScore(v) to b.
+func AppendScore(b []byte, v float64) []byte {
 	switch {
 	case math.IsNaN(v):
-		return "NaN"
+		return append(b, "NaN"...)
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	}
-	var buf [32]byte
-	return string(appendFixed6(buf[:0], v))
+	return appendFixed6(b, v)
 }
-
-// pow10 holds 1e-6 … 1e12: where a value sits among them gives its
-// decimal exponent, and so how many significant digits six decimals are.
-var pow10 = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12}
 
 // appendFixed6 appends strconv.FormatFloat(v, 'f', 6, 64), bit for bit
-// (FuzzFormatScore), for a finite v. 'f' with a precision always takes
-// strconv's multi-precision path; 'e' with up to 18 significant digits
-// takes its fixed-width Ryu path and rounds the same exact value half to
-// even at the same decimal place, so for 1e-6 <= |v| < 1e12 the cell is
-// the 'e' digits laid out again around the point.
+// (FuzzFormatScore), for a finite v. Below 2^43 it works on v's exact
+// binary value m·2^e: m·10^6 fits 128 bits, shifted right by -e it is
+// v·10^6, rounded half to even on the remainder as strconv rounds the
+// exact decimal, and the cell is that integer with a point six digits
+// from its end. Larger values keep strconv.
 func appendFixed6(b []byte, v float64) []byte {
-	a := math.Abs(v)
-	if a < pow10[0] || a >= pow10[len(pow10)-1] {
-		if a == 0 && !math.Signbit(v) {
-			return append(b, "0.000000"...)
-		}
+	u := math.Float64bits(v)
+	m, e := u&(1<<52-1), int(u>>52&0x7ff)
+	if e == 0 {
+		e = 1 // subnormal: no implicit bit
+	} else {
+		m |= 1 << 52
+	}
+	if e > 1065 { // |v| >= 2^43, or not finite
 		return strconv.AppendFloat(b, v, 'f', 6, 64)
 	}
-	n := 1 // significant digits down to the sixth decimal: decimal exponent + 7
-	for a >= pow10[n] {
-		n++
-	}
-	var buf [32]byte
-	e := strconv.AppendFloat(buf[:0], a, 'e', n-1, 64) // d[.ddd]e±xx
-	mark := len(e) - 4
-	exp := int(e[mark+2]-'0')*10 + int(e[mark+3]-'0')
-	if e[mark+1] == '-' {
-		exp = -exp
-	}
-	// exp is n-7, or n-6 when rounding carried into a new leading digit
-	// (the digits are then 10…0, exact at any length). A pow10 entry below
-	// its decimal value could make it n-8: one digit too many was asked
-	// for, and strconv settles it.
-	if exp < n-7 {
-		return strconv.AppendFloat(b, v, 'f', 6, 64)
-	}
-	digit := func(i int) byte { // the 10^(exp-i) place
-		switch {
-		case i == 0:
-			return e[0]
-		case i > 0 && i+1 < mark:
-			return e[i+1]
+	s := uint(1075 - e)          // v = ±m·2^-s, s >= 10
+	hi, lo := bits.Mul64(m, 1e6) // < 2^73
+	// q is the quotient by 2^s, r the remainder, h half of 2^s; from
+	// s = 128 on all stay 0, as m·10^6 is below half of 2^s.
+	var q, rhi, rlo, hhi, hlo uint64
+	switch {
+	case s < 64:
+		q, rlo, hlo = hi<<(64-s)|lo>>s, lo&(1<<s-1), 1<<(s-1)
+	case s < 128:
+		q, rhi, rlo = hi>>(s-64), hi&(1<<(s-64)-1), lo
+		if s == 64 {
+			hlo = 1 << 63
+		} else {
+			hhi = 1 << (s - 65)
 		}
-		return '0'
 	}
-	if math.Signbit(v) {
-		b = append(b, '-')
+	if rhi > hhi || rhi == hhi && (rlo > hlo || rlo == hlo && q&1 == 1) {
+		q++
 	}
-	if exp < 0 {
-		b = append(b, '0')
+	// The cell is written backwards: 6 decimals, the point, up to 13
+	// integer digits (q < 2^63), a sign.
+	var buf [23]byte
+	ip, f := q/1e6, uint32(q%1e6)
+	for k := 21; k >= 17; k -= 2 {
+		d := 2 * (f % 100)
+		buf[k], buf[k+1] = digitPairs[d], digitPairs[d+1]
+		f /= 100
 	}
-	for i := 0; i <= exp; i++ {
-		b = append(b, digit(i))
+	buf[16] = '.'
+	i := 16
+	for ; ip >= 10; ip /= 100 {
+		d := 2 * (ip % 100)
+		i -= 2
+		buf[i], buf[i+1] = digitPairs[d], digitPairs[d+1]
 	}
-	b = append(b, '.')
-	for i := exp + 1; i <= exp+6; i++ {
-		b = append(b, digit(i))
+	if ip > 0 || i == 16 { // a leading digit, or the 0 of 0.xxxxxx
+		i--
+		buf[i] = byte('0' + ip)
 	}
-	return b
+	if u>>63 != 0 {
+		i--
+		buf[i] = '-'
+	}
+	return append(b, buf[i:]...)
 }
+
+// digitPairs holds "00" to "99": two decimal digits a lookup.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// CSVEncoder writes CSV rows, one at a time: a row's cells are appended
+// to one reused buffer and the row goes whole to a buffered writer, so
+// writing a file holds one row and a fixed buffer, whatever its length.
+// Text cells are quoted exactly as encoding/csv.Writer quotes them
+// (FuzzCSVRecord); score and integer cells are digits, '.', '-' and the
+// non-finite tokens, which never need quoting, so they skip the scan.
+// Every domain layout writes through it.
+type CSVEncoder struct {
+	w   *bufio.Writer
+	row []byte
+}
+
+// NewCSVEncoder returns an encoder writing to w. Flush ends the file.
+func NewCSVEncoder(w io.Writer) *CSVEncoder {
+	return &CSVEncoder{w: bufio.NewWriter(w), row: make([]byte, 0, 256)}
+}
+
+// Text appends a text cell.
+func (c *CSVEncoder) Text(s string) {
+	if !csvNeedsQuotes(s) {
+		c.row = append(append(c.row, s...), ',')
+		return
+	}
+	c.row = append(c.row, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		c.row = append(append(c.row, s[:i+1]...), '"')
+		s = s[i+1:]
+	}
+	c.row = append(append(c.row, s...), '"', ',')
+}
+
+// csvNeedsQuotes is encoding/csv.Writer's rule for a comma-separated
+// field: a quote, CR, LF or comma anywhere, a leading Unicode space, or
+// the field `\.`.
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '"' || c == '\r' || c == '\n' || c == ',' {
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
+}
+
+// Int appends an integer cell.
+func (c *CSVEncoder) Int(i int) { c.row = append(strconv.AppendInt(c.row, int64(i), 10), ',') }
+
+// Score appends a score cell (FormatScore's bytes).
+func (c *CSVEncoder) Score(v float64) { c.row = append(AppendScore(c.row, v), ',') }
+
+// EndRow ends the row and hands it to the buffered writer; an error is
+// the underlying writer's.
+func (c *CSVEncoder) EndRow() error {
+	if n := len(c.row); n > 0 {
+		c.row[n-1] = '\n' // the last cell's comma
+	} else {
+		c.row = append(c.row, '\n')
+	}
+	_, err := c.w.Write(c.row)
+	c.row = c.row[:0]
+	return err
+}
+
+// Flush writes any buffered rows to the underlying writer.
+func (c *CSVEncoder) Flush() error { return c.w.Flush() }
 
 // WriteCSV serialises assembled scores in the domain's CSV format: its
 // own CSVLayout if it has one, the generic layout otherwise.
@@ -127,36 +216,42 @@ func WriteCSV(w io.Writer, d Domain, s *Scores) error {
 		return l.WriteCSV(w, s)
 	}
 	space, measures := d.Space(), d.Measures()
-	header := []string{"domain", "id", "point"}
+	enc := NewCSVEncoder(w)
+	for _, h := range []string{"domain", "id", "point"} {
+		enc.Text(h)
+	}
 	for _, dim := range space.Dimensions {
-		header = append(header, dim.Name)
+		enc.Text(dim.Name)
 	}
+	cols := make([][]float64, 0, 2*len(measures))
 	for _, m := range measures {
-		header = append(header, "raw_"+m, m)
+		enc.Text("raw_" + m)
+		enc.Text(m)
+		cols = append(cols, s.Raw[m], s.Values[m])
 	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
+	if err := enc.EndRow(); err != nil {
 		return err
 	}
-	row := make([]string, 0, len(header)) // the writer keeps no row
+	name := d.Name()
 	for i, p := range s.Points {
 		id, err := d.PointID(p)
 		if err != nil {
 			return fmt.Errorf("dsa: row %d: %w", i, err)
 		}
-		row = append(row[:0], d.Name(), strconv.Itoa(id), d.Label(p))
+		enc.Text(name)
+		enc.Int(id)
+		enc.Text(d.Label(p))
 		for dim, v := range p {
-			row = append(row, space.Dimensions[dim].Values[v])
+			enc.Text(space.Dimensions[dim].Values[v])
 		}
-		for _, m := range measures {
-			row = append(row, FormatScore(s.Raw[m][i]), FormatScore(s.Values[m][i]))
+		for _, col := range cols {
+			enc.Score(col[i])
 		}
-		if err := cw.Write(row); err != nil {
+		if err := enc.EndRow(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return enc.Flush()
 }
 
 // WriteCSVFile creates path and writes WriteCSV's bytes to it. A failed

@@ -10,7 +10,10 @@ package dsa_test
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -305,4 +308,101 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCSVRecord holds dsa.CSVEncoder, the writer of every domain CSV, to
+// encoding/csv.Writer byte for byte: three arbitrary text cells, a score
+// and an integer in one row (the numeric cells are the strings csv would
+// have been handed), then a row of one cell and an empty row.
+func FuzzCSVRecord(f *testing.F) {
+	for _, s := range [][3]string{
+		{"", "", ""}, {`\.`, `\.x`, `x\.`},
+		{`"`, `a"b`, `""`}, {"\r", "a\r\nb", "\n"}, {",", "a,b", `,"`},
+		{" a", "\ta", "a "}, {"\u0085a", "\u00a0a", "a\u00a0"},
+		{"\xff", "\xc3", "a\xe2\x80"}, {"\u2028", "\u3000a", "\xc2\x85"},
+	} {
+		f.Add(s[0], s[1], s[2], math.Float64bits(-0.5), int64(-7))
+	}
+	f.Add("Balanced/f4/Race/Adaptive/Sybil", "delivery", "1", math.Float64bits(math.NaN()), int64(575))
+	f.Fuzz(func(t *testing.T, a, b, c string, bits uint64, n int64) {
+		v := math.Float64frombits(bits)
+		var want, got bytes.Buffer
+		cw := csv.NewWriter(&want)
+		for _, rec := range [][]string{{a, b, c, dsa.FormatScore(v), strconv.FormatInt(n, 10)}, {c}, {}} {
+			if err := cw.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cw.Flush()
+		enc := dsa.NewCSVEncoder(&got)
+		enc.Text(a)
+		enc.Text(b)
+		enc.Text(c)
+		enc.Score(v)
+		enc.Int(int(n))
+		err := enc.EndRow()
+		if err == nil {
+			enc.Text(c)
+			err = enc.EndRow()
+		}
+		if err == nil {
+			err = enc.EndRow()
+		}
+		if err == nil {
+			err = enc.Flush()
+		}
+		if err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("encoder wrote %q (%v), encoding/csv %q", got.Bytes(), err, want.Bytes())
+		}
+	})
+}
+
+// failWriter refuses every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWriteCSVReportsWriteError: a write the underlying writer refuses
+// fails WriteCSV, for the generic layout and for swarming's, however
+// small the file.
+func TestWriteCSVReportsWriteError(t *testing.T) {
+	for _, d := range append(dsa.Registered(), dsa.Domain(newQuirkDomain(t))) {
+		s := &dsa.Scores{Domain: d.Name(), Raw: map[string][]float64{}, Values: map[string][]float64{}}
+		if err := dsa.WriteCSV(failWriter{}, d, s); err == nil || err.Error() != "disk full" {
+			t.Errorf("%s: WriteCSV to a failing writer = %v, want disk full", d.Name(), err)
+		}
+	}
+}
+
+// syntheticScores are scores of d at pts, each measure's raw values
+// spread like times (0–300) and its assembled values like fractions.
+func syntheticScores(d dsa.Domain, pts []core.Point) *dsa.Scores {
+	rng := rand.New(rand.NewSource(1))
+	s := &dsa.Scores{Domain: d.Name(), Points: pts, Raw: map[string][]float64{}, Values: map[string][]float64{}}
+	for _, m := range d.Measures() {
+		s.Raw[m], s.Values[m] = make([]float64, len(pts)), make([]float64, len(pts))
+		for i := range pts {
+			s.Raw[m][i], s.Values[m][i] = rng.Float64()*300, rng.Float64()
+		}
+	}
+	return s
+}
+
+// BenchmarkWriteCSV writes every point of each registered domain; ns/op
+// over the row count is the per-row cost the perf ledger reports as
+// dsa.csv.write_us_per_row.
+func BenchmarkWriteCSV(b *testing.B) {
+	for _, d := range dsa.Registered() {
+		pts := d.Space().Enumerate()
+		s := syntheticScores(d, pts)
+		b.Run(d.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if err := dsa.WriteCSV(io.Discard, d, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/row")
+		})
+	}
 }

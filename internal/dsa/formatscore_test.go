@@ -1,11 +1,12 @@
 package dsa_test
 
 // FormatScore's finite cells are strconv.FormatFloat(v, 'f', 6, 64) by
-// specification; its fast path reaches them through strconv's 'e'
-// formatting. This file holds the two against each other: a fuzz target
-// over bit patterns, seeded where the layout changes (powers of ten and
-// their neighbours, the edges of the fast path's range) and where the
-// rounding is delicate (exact x.xxxxxx5 ties, carries into a new digit).
+// specification; below 2^43 it computes them in integer arithmetic on
+// the float's exact binary value. This file holds the two against each
+// other: a fuzz target over bit patterns, seeded where the layout
+// changes (powers of ten and their neighbours, the edges of the integer
+// path's range and of its 128-bit shift) and where the rounding is
+// delicate (exact x.xxxxxx5 ties, carries into a new digit).
 
 import (
 	"math"
@@ -35,6 +36,17 @@ func formatScoreSeeds() []float64 {
 		math.MaxFloat64, -math.MaxFloat64,
 		0.5, 1, -1, 0.123456, 0.1234565, 0.9999995, 0.99999949, 9.9999996, 99.9999995, 999999.9999995,
 		0.0000005, 0.00000049, 0.00000051, 4.9e-7, 5.1e-7, 9.5e-7,
+		math.Nextafter(0x1p-1022, 0), // the largest subnormal
+	}
+	// The integer path's edges: 2^43, where strconv takes over; 2^42, its
+	// shortest shift (10); the binades whose shift is 63–65, where the
+	// remainder crosses the 64-bit word; and those of shift 73 and 74,
+	// where the truncated quotient is 0: a 73 rounds to 0 or 0.000001, a
+	// 74 always to 0.
+	for _, p := range []float64{0x1p43, 0x1p42, 0x1p-11, 0x1p-12, 0x1p-13, 0x1p-20, 0x1p-21, 0x1p-22} {
+		for _, v := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1))} {
+			seeds = append(seeds, v, -v)
+		}
 	}
 	// Every power of ten from 1e-9 to 1e18, with both neighbours.
 	for e := -9; e <= 18; e++ {

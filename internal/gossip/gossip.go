@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/gorand"
@@ -142,7 +143,8 @@ func (p Protocol) Validate() error {
 
 // String returns a compact code, e.g. "Best/p2/f3/Rarest/KeepAll".
 func (p Protocol) String() string {
-	return fmt.Sprintf("%s/p%d/f%d/%s/%s", p.Selection, p.Period, p.Fanout, p.Filter, p.Record)
+	return p.Selection.String() + "/p" + strconv.Itoa(p.Period) + "/f" + strconv.Itoa(p.Fanout) + "/" +
+		p.Filter.String() + "/" + p.Record.String()
 }
 
 // Space returns the gossip design space in core form:

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +64,23 @@ func TestStringNames(t *testing.T) {
 	}
 	if SelBest.String() != "Best" || FilterRarest.String() != "Rarest" || RecordExpire.String() != "Expire" {
 		t.Error("names wrong")
+	}
+}
+
+// TestLabelsMatchSprintf holds Protocol.String, which concatenates, to
+// the fmt.Sprintf format it replaced, at every point of the space: the
+// label is the CSV's point column.
+func TestLabelsMatchSprintf(t *testing.T) {
+	d := Domain()
+	for _, pt := range d.Space().Enumerate() {
+		p, err := FromPoint(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%s/p%d/f%d/%s/%s", p.Selection, p.Period, p.Fanout, p.Filter, p.Record)
+		if got := d.Label(pt); got != want {
+			t.Fatalf("Label(%v) = %q, want %q", pt, got, want)
+		}
 	}
 }
 

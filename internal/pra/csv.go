@@ -1,10 +1,8 @@
 package pra
 
 import (
-	"encoding/csv"
 	"io"
 	"slices"
-	"strconv"
 
 	"repro/internal/design"
 	"repro/internal/dsa"
@@ -27,30 +25,36 @@ func (swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
 	if err != nil {
 		return err
 	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	enc := dsa.NewCSVEncoder(w)
+	for _, h := range csvHeader {
+		enc.Text(h)
+	}
+	if err := enc.EndRow(); err != nil {
 		return err
 	}
+	raw, measures := s.Raw[MeasurePerformance], base.Measures()
 	for i, p := range protos {
 		id, err := base.PointID(s.Points[i])
 		if err != nil {
 			return err
 		}
-		row := []string{
-			strconv.Itoa(id), p.String(), p.Stranger.String(),
-			strconv.Itoa(p.H), p.Candidate.String(), p.Ranking.String(),
-			strconv.Itoa(p.K), p.Allocation.String(),
-			dsa.FormatScore(s.Raw[MeasurePerformance][i]),
+		enc.Int(id)
+		enc.Text(p.String())
+		enc.Text(p.Stranger.String())
+		enc.Int(p.H)
+		enc.Text(p.Candidate.String())
+		enc.Text(p.Ranking.String())
+		enc.Int(p.K)
+		enc.Text(p.Allocation.String())
+		enc.Score(raw[i])
+		for _, m := range measures {
+			enc.Score(s.Values[m][i])
 		}
-		for _, m := range base.Measures() {
-			row = append(row, dsa.FormatScore(s.Values[m][i]))
-		}
-		if err := cw.Write(row); err != nil {
+		if err := enc.EndRow(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return enc.Flush()
 }
 
 func (swarmingDomain) ReadCSV(r io.Reader) (*dsa.Scores, error) {

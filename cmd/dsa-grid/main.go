@@ -212,7 +212,7 @@ func runWork(ctx context.Context, args []string) {
 		jobID       = fs.String("job", "", "job to work on (default: serve all jobs, fair-scheduled by the coordinator)")
 		name        = fs.String("name", "", "worker identity (default: host-pid-N)")
 		workers     = fs.Int("workers", 0, "parallel tasks (0 = all cores)")
-		perLease    = fs.Int("tasks-per-lease", 0, "tasks per lease call (0 = coordinator's cap)")
+		perLease    = fs.Int("tasks-per-lease", 0, "tasks per lease call (0 = the coordinator's sized grant; N caps it)")
 		cacheDir    = fs.String("cache-dir", "", "worker-side score cache; leased tasks reuse known scores")
 		authToken   = fs.String("auth-token", "", "shared secret the coordinator requires (serve -auth-token)")
 		traceDir    = fs.String("trace-dir", "", "append this worker's span journal (trace-<name>.jsonl) into DIR")

@@ -62,6 +62,44 @@ func mustLease(t testing.TB, c *Coordinator, id, worker string, wantTasks int) L
 	return resp
 }
 
+// leaseUpTo leases job id's tasks to worker call after call, each capped
+// at what is still missing, until it holds n or a grant comes back empty:
+// a worker with no ingested task is granted one chunk group a call.
+func leaseUpTo(t testing.TB, c *Coordinator, id, worker string, n int) []LeaseTask {
+	t.Helper()
+	var held []LeaseTask
+	for len(held) < n {
+		resp, err := c.Lease(context.Background(), id, worker, n-len(held))
+		if err != nil {
+			t.Fatalf("lease %s: %v", worker, err)
+		}
+		if len(resp.Tasks) == 0 {
+			break
+		}
+		held = append(held, resp.Tasks...)
+	}
+	return held
+}
+
+// giveEvidence has worker lease its probe, one chunk group of job id, and
+// upload the group's true values, so that its next grant is sized rather
+// than a probe. It returns the tasks it completed.
+func giveEvidence(t testing.TB, c *Coordinator, spec job.Spec, id, worker string) int {
+	t.Helper()
+	ctx := context.Background()
+	var group []job.Task
+	for _, lt := range leaseUpTo(t, c, id, worker, len(spec.Domain.Measures())) {
+		group = append(group, job.Task{Measure: lt.Measure, Lo: lt.Lo, Hi: lt.Hi})
+	}
+	if err := job.ExecTasks(ctx, spec, group, job.ExecOptions{Workers: 1}, func(jt job.Task, vals []float64, _ time.Duration) error {
+		_, err := c.Ingest(ctx, id, ResultUpload{Worker: worker, Task: jt.ID(), Values: vals, ElapsedMS: 1})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return len(group)
+}
+
 func mustProgress(t testing.TB, c *Coordinator, id string) ProgressSnapshot {
 	t.Helper()
 	snap, err := c.Progress(id)

@@ -158,11 +158,11 @@ func TestBatchRefusedWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	lease, err := coord.Lease(ctx, id, "w1", 4)
-	if err != nil || len(lease.Tasks) != 4 {
-		t.Fatalf("lease = %+v, %v; want 4 tasks", lease, err)
+	lease := leaseUpTo(t, coord, id, "w1", 4)
+	if len(lease) != 4 {
+		t.Fatalf("leased %+v, want 4 tasks", lease)
 	}
-	good := results(lease.Tasks, honestVals)
+	good := results(lease, honestVals)
 	unknown := slices.Clone(good)
 	unknown[3].Task = "no-such-task"
 	short := slices.Clone(good)
@@ -216,11 +216,11 @@ func TestBatchAppendFailureLeavesLeased(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	lease, err := coord.Lease(ctx, id, "w1", 4)
-	if err != nil || len(lease.Tasks) != 4 {
-		t.Fatalf("lease = %+v, %v; want 4 tasks", lease, err)
+	lease := leaseUpTo(t, coord, id, "w1", 4)
+	if len(lease) != 4 {
+		t.Fatalf("leased %+v, want 4 tasks", lease)
 	}
-	body := ResultsUpload{Worker: "w1", Results: results(lease.Tasks, honestVals)}
+	body := ResultsUpload{Worker: "w1", Results: results(lease, honestVals)}
 
 	restore := job.SetWriterSeam(chaos.NewFileFaults(1, 0, 1.0, "manifest-grid").Wrap) // every manifest write: ENOSPC
 	acks, err := coord.IngestResults(ctx, id, body)
@@ -257,7 +257,7 @@ func TestBatchAppendFailureLeavesLeased(t *testing.T) {
 // lose.
 func TestExpireJournalsOneWrite(t *testing.T) {
 	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Hedge: true, maxLease: 8})
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Hedge: true})
 	defer coord.Close()
 	now := time.Unix(1000, 0)
 	coord.now = func() time.Time { return now }
@@ -265,20 +265,23 @@ func TestExpireJournalsOneWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := mustLease(t, coord, id, "slow", 8)
+	lease := leaseUpTo(t, coord, id, "slow", 8) // probes: slow has no ingested task
+	if len(lease) != 8 {
+		t.Fatalf("slow leased %+v, want 8 tasks", lease)
+	}
 	now = now.Add(31 * time.Second)
 	ctx := context.Background()
 	hedges, err := coord.Lease(ctx, id, "fast", 2) // takes over the first two; pending work comes first, so drain it
 	if err != nil {
 		t.Fatal(err)
 	}
-	for len(hedges.Tasks) > 0 && hedges.Tasks[0].Task != lease.Tasks[0].Task {
+	for len(hedges.Tasks) > 0 && hedges.Tasks[0].Task != lease[0].Task {
 		if hedges, err = coord.Lease(ctx, id, "fast", 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(hedges.Tasks) != 2 || hedges.Tasks[1].Task != lease.Tasks[1].Task {
-		t.Fatalf("hedges = %+v, want the first two of %+v", hedges.Tasks, lease.Tasks)
+	if len(hedges.Tasks) != 2 || hedges.Tasks[1].Task != lease[1].Task {
+		t.Fatalf("hedges = %+v, want the first two of %+v", hedges.Tasks, lease)
 	}
 	before := len(walMultiset(t, dir))
 
@@ -302,7 +305,7 @@ func TestExpireJournalsOneWrite(t *testing.T) {
 	for _, r := range recs[before:] {
 		got = append(got, r.T+" "+r.Task+" "+r.Worker)
 	}
-	for _, lt := range lease.Tasks[2:] {
+	for _, lt := range lease[2:] {
 		want = append(want, walExpire+" "+lt.Task+" slow")
 	}
 	if !slices.Equal(got, want) {
@@ -340,7 +343,7 @@ func TestGrantCursor(t *testing.T) {
 	zeros := func(lt LeaseTask) []float64 { return make([]float64, lt.Hi-lt.Lo) }
 	leaseOf := func(worker string, want ...string) []LeaseTask {
 		t.Helper()
-		lease, err := coord.Lease(ctx, id, worker, 4)
+		lease, err := coord.Lease(ctx, id, worker, 3) // one chunk group of pra's 3 measures
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,14 +363,14 @@ func TestGrantCursor(t *testing.T) {
 		}
 	}
 
-	leaseOf("dead", order[0:4]...) // never heard from again
-	ingest("early", leaseOf("early", order[4:8]...))
-	ingest("w", leaseOf("w", order[8:12]...))
-	now = now.Add(2 * time.Minute) // dead's leases expire: tasks 0-3 are pending again, behind the cursor
-	ingest("w", leaseOf("w", order[0:4]...))
-	coord.Quarantine("early") // its unaudited tasks 4-7 are invalidated and re-queued
-	ingest("w", leaseOf("w", order[4:8]...))
-	for next := 12; ; next += 4 {
+	leaseOf("dead", order[0:3]...) // never heard from again
+	ingest("early", leaseOf("early", order[3:6]...))
+	ingest("w", leaseOf("w", order[6:9]...))
+	now = now.Add(2 * time.Minute) // dead's leases expire: tasks 0-2 are pending again, behind the cursor
+	ingest("w", leaseOf("w", order[0:3]...))
+	coord.Quarantine("early") // its unaudited tasks 3-5 are invalidated and re-queued
+	ingest("w", leaseOf("w", order[3:6]...))
+	for next := 9; ; next += 3 {
 		lts := leaseOf("w")
 		if len(lts) == 0 {
 			break
@@ -383,7 +386,7 @@ func TestGrantCursor(t *testing.T) {
 	coord.mu.Lock()
 	scanned := j.scanned
 	coord.mu.Unlock()
-	// Every task once, the 8 re-queued ones and what lay between them and
+	// Every task once, the 6 re-queued ones and what lay between them and
 	// the cursor once more.
 	if limit := len(order) + 24; scanned > limit {
 		t.Fatalf("granting %d tasks probed the task table %d times, want at most %d", len(order), scanned, limit)

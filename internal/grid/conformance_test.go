@@ -300,21 +300,22 @@ func TestWorkerScoringCapsGrants(t *testing.T) {
 			t.Fatal(err) // Progress runs lazy expiry
 		}
 	}
-	// failEWMA after three straight expiries: 1 - 0.7^3 ≈ 0.657, so a
-	// 4-task request is capped at ceil(4 * 0.343) = 2.
+	// Neither worker has an ingested task, so each is sized a probe of one
+	// chunk group (gossip's 2 measures). failEWMA after three straight
+	// expiries: 1 - 0.7^3 ≈ 0.657, so flaky's is cut to ceil(2 * 0.343) = 1.
 	lease, err := coord.Lease(ctx, id, "flaky", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lease.Tasks) != 2 {
-		t.Fatalf("flaky worker granted %d tasks, want 2", len(lease.Tasks))
+	if len(lease.Tasks) != 1 {
+		t.Fatalf("flaky worker granted %d tasks, want 1", len(lease.Tasks))
 	}
 	fresh, err := coord.Lease(ctx, id, "steady", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Tasks) != 4 {
-		t.Fatalf("fresh worker granted %d tasks, want the full 4", len(fresh.Tasks))
+	if len(fresh.Tasks) != 2 {
+		t.Fatalf("fresh worker granted %d tasks, want the full group of 2", len(fresh.Tasks))
 	}
 }
 

@@ -24,21 +24,11 @@ const DefaultLeaseTTL = 30 * time.Second
 // and can fetch the assembled scores before the server goes away.
 const Linger = 2 * time.Second
 
-// Constants to every caller; only this package's tests set the
-// unexported CoordinatorOptions fields that override them.
-const (
-	// DefaultMaxLease caps tasks granted per lease call. Pending tasks
-	// are granted in job.Spec.Tasks order, chunk by chunk, so a cap that
-	// is a multiple of the domain's measure count hands a worker whole
-	// chunk groups, which its ExecTasks scores jointly when the domain
-	// shares runs between measures; any other cap splits groups and
-	// costs only that sharing.
-	DefaultMaxLease = 4
-	// DefaultMaxBody caps request bodies, rejected with 413 before any
-	// decoding; a result upload for a huge task fits comfortably, a
-	// runaway or hostile body does not.
-	DefaultMaxBody = 64 << 20
-)
+// DefaultMaxBody caps request bodies, rejected with 413 before any
+// decoding; a result upload for a huge task fits comfortably, a runaway
+// or hostile body does not. Only this package's tests override it (the
+// unexported CoordinatorOptions.maxBody).
+const DefaultMaxBody = 64 << 20
 
 // CoordinatorOptions configures a Coordinator.
 type CoordinatorOptions struct {
@@ -98,8 +88,7 @@ type CoordinatorOptions struct {
 	// Off by default — hedging trades duplicate compute for tail latency.
 	Hedge bool
 
-	maxLease int   // 0 = DefaultMaxLease
-	maxBody  int64 // 0 = DefaultMaxBody
+	maxBody int64 // 0 = DefaultMaxBody
 }
 
 func (o CoordinatorOptions) leaseTTL() time.Duration {
@@ -200,7 +189,9 @@ type gridJob struct {
 	// grant order, and the order of every scan; index finds a task by ID.
 	tasks     []*taskState
 	index     map[string]int
+	group     int             // tasks per chunk: the domain's measure count
 	cp        *job.Checkpoint // nil without a checkpoint dir
+	pending   int             // tasks with status taskPending
 	done      int
 	audits    int       // open audits (setAudit); gates completion
 	requeues  int       // expire records: leases of any kind that ended without a result
@@ -237,9 +228,6 @@ func (j *gridJob) completeLocked() bool {
 
 // NewCoordinator returns an empty coordinator.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
-	if opts.maxLease <= 0 {
-		opts.maxLease = DefaultMaxLease
-	}
 	if opts.maxBody <= 0 {
 		opts.maxBody = DefaultMaxBody
 	}
@@ -434,12 +422,14 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 		specRaw: specRaw,
 		weight:  priority,
 		index:   map[string]int{},
+		group:   len(spec.Domain.Measures()),
 		changed: make(chan struct{}),
 	}
 	for i, t := range spec.Tasks() {
 		j.tasks = append(j.tasks, &taskState{task: t, id: t.ID(), idx: i})
 		j.index[t.ID()] = i
 	}
+	j.pending = len(j.tasks)
 	if c.opts.Cache != nil {
 		keyer, err := dsa.NewScoreKeyer(spec.Domain, spec.Domain.SampleOpponents(spec.Cfg), spec.Cfg)
 		if err != nil {
@@ -775,19 +765,17 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 	j.changed = make(chan struct{})
 }
 
-// grantLocked hands out up to max tasks of j to worker, shaping max by
-// the worker's score first. Grant order: audit re-leases (a few
-// re-checks catch a liar before it poisons more), then pending tasks,
-// then — with hedging on and capacity to spare — straggling leases moved
-// from their holders. One commit per grant, in grant order.
-// fair says the scheduler picked j (the record then shows its share);
-// rid ties the record to the lease request.
-func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool, rid string) []LeaseTask {
-	if max <= 0 || max > c.opts.maxLease {
-		max = c.opts.maxLease
-	}
-	max = c.grantCapLocked(worker, max)
+// grantLocked hands out up to leaseSizeLocked tasks of j to worker, most
+// (> 0) capping them. Grant order: audit re-leases (a few re-checks catch
+// a liar before it poisons more), then pending tasks, then — with hedging
+// on and capacity to spare — straggling leases moved from their holders.
+// One commit per grant, in grant order. fair says the scheduler picked j
+// (the record then shows its share); rid ties the record to the lease
+// request.
+func (c *Coordinator) grantLocked(j *gridJob, worker string, most int, fair bool, rid string) []LeaseTask {
 	now, ttl := c.now(), c.opts.leaseTTL()
+	pending, live := j.pending, c.liveWorkersLocked(worker, now)
+	size := c.leaseSizeLocked(j, worker, most, live)
 	var recs []walRecord
 	var tasks []LeaseTask
 	grant := func(t string, st *taskState) {
@@ -797,7 +785,7 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool,
 	var audits []*taskState
 	if j.audits > 0 {
 		for _, st := range j.tasks {
-			if len(recs) == max {
+			if len(recs) == size {
 				break
 			}
 			if auditGrantable(st, worker, now) {
@@ -806,20 +794,20 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int, fair bool,
 			}
 		}
 	}
-	for ; j.next < len(j.tasks) && len(recs) < max; j.next++ {
+	for ; j.next < len(j.tasks) && len(recs) < size; j.next++ {
 		j.scanned++
 		if st := j.tasks[j.next]; st.status == taskPending {
 			grant(walLease, st)
 		}
 	}
 	leases := len(recs) // audit + pending grants: what the fair share counts
-	for _, st := range c.stragglersLocked(j, worker, max-leases, now) {
+	for _, st := range c.stragglersLocked(j, worker, size-leases, now) {
 		grant(walHedge, st)
 	}
 	if len(recs) == 0 {
 		return nil
 	}
-	attrs := []any{"job", j.id, "worker", worker, "tasks", len(tasks)}
+	attrs := []any{"job", j.id, "worker", worker, "tasks", len(tasks), "pending", pending, "live", live}
 	if fair {
 		attrs = append(attrs, "fair_share", j.leasesGranted+leases, "weight", j.weight)
 	}

@@ -78,9 +78,9 @@ func TestGridDeliveryTwoWorkersMatchRunSweep(t *testing.T) {
 }
 
 // TestDefaultLeaseIsOneChunkGroup: grants follow Spec.Tasks, which is
-// chunk-major, so a default-sized lease of a delivery job is the four
-// measures of one chunk — the group a worker's ExecTasks scores in one
-// joint call.
+// chunk-major, so the uncapped first lease of a delivery job — a probe,
+// one chunk group — is the four measures of one chunk, the group a
+// worker's ExecTasks scores in one joint call.
 func TestDefaultLeaseIsOneChunkGroup(t *testing.T) {
 	spec := deliverySpec(t)
 	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
@@ -89,7 +89,7 @@ func TestDefaultLeaseIsOneChunkGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := coord.Lease(context.Background(), id, "w1", DefaultMaxLease)
+	lease, err := coord.Lease(context.Background(), id, "w1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +105,9 @@ func TestDefaultLeaseIsOneChunkGroup(t *testing.T) {
 	}
 }
 
-// TestGridDeliveryAnyLeaseSizeMatchesRun: a lease cap that splits chunk
-// groups (1, 3) or keeps them whole (4) changes which tasks a worker
-// scores jointly, never the CSV.
+// TestGridDeliveryAnyLeaseSizeMatchesRun: a worker's lease cap that splits
+// chunk groups (1, 3), or the coordinator's sized grant (0), changes which
+// tasks a worker scores jointly, never the CSV.
 func TestGridDeliveryAnyLeaseSizeMatchesRun(t *testing.T) {
 	spec := deliverySpec(t)
 	csv := func(s *dsa.Scores) string {
@@ -118,8 +118,8 @@ func TestGridDeliveryAnyLeaseSizeMatchesRun(t *testing.T) {
 		return buf.String()
 	}
 	want := csv(wantScores(t, spec))
-	for _, maxLease := range []int{1, 3, 4} {
-		coord := NewCoordinator(CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: 2 * time.Second, maxLease: maxLease})
+	for _, perLease := range []int{1, 3, 0} {
+		coord := NewCoordinator(CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: 2 * time.Second})
 		id, err := coord.AddJob(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -132,13 +132,13 @@ func TestGridDeliveryAnyLeaseSizeMatchesRun(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[w] = Work(ctx, srv.URL, id, WorkerOptions{Workers: 1, Poll: 20 * time.Millisecond})
+				errs[w] = Work(ctx, srv.URL, id, WorkerOptions{Workers: 1, TasksPerLease: perLease, Poll: 20 * time.Millisecond})
 			}()
 		}
 		wg.Wait()
 		for w, err := range errs {
 			if err != nil {
-				t.Fatalf("MaxLease %d, worker %d: %v", maxLease, w, err)
+				t.Fatalf("TasksPerLease %d, worker %d: %v", perLease, w, err)
 			}
 		}
 		got, err := coord.WaitComplete(ctx, id)
@@ -146,7 +146,7 @@ func TestGridDeliveryAnyLeaseSizeMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if csv(got) != want {
-			t.Fatalf("MaxLease %d: grid CSV differs from job.Run's", maxLease)
+			t.Fatalf("TasksPerLease %d: grid CSV differs from job.Run's", perLease)
 		}
 		srv.Close()
 		coord.Close()

@@ -113,8 +113,9 @@ type CreateJobRequest struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// LeaseRequest asks for up to MaxTasks pending tasks on behalf of
-// Worker (an opaque identity used only to match heartbeats to leases).
+// LeaseRequest asks for the coordinator's sized grant — at most MaxTasks
+// tasks if MaxTasks > 0 — on behalf of Worker (an opaque identity used
+// only to match heartbeats to leases).
 // Job scopes the request: one job's tasks, or with "" the tasks of
 // whichever job the fair scheduler picks (POST /v1/jobs/{id}/lease is the
 // same request with the scope in the path).

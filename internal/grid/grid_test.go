@@ -155,6 +155,9 @@ func TestGridWorkerKilledMidSweep(t *testing.T) {
 	defer srv.Close()
 
 	ctx := context.Background()
+	// One chunk group done first makes doomed's grants sized, not probes,
+	// so its cap of 3 is what it gets.
+	giveEvidence(t, coord, spec, id, "doomed")
 	kill := &killingTransport{killAfter: 1}
 	var wg sync.WaitGroup
 	var killedErr, survivorErr error
@@ -282,12 +285,8 @@ func TestNonFiniteValuesOverTheWire(t *testing.T) {
 	defer srv.Close()
 
 	ctx := context.Background()
-	lease, err := coord.Lease(context.Background(), id, "w", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.25}
-	for i, lt := range lease.Tasks {
+	for i, lt := range leaseUpTo(t, coord, id, "w", 4) {
 		vals := make([]float64, lt.Hi-lt.Lo)
 		for k := range vals {
 			vals[k] = special[(i+k)%len(special)]
@@ -349,15 +348,21 @@ func TestProgressStream(t *testing.T) {
 		t.Fatalf("first snapshot should be an incomplete total: %+v", first)
 	}
 
-	// Complete every task by direct ingest; the stream must end with a
-	// complete snapshot and EOF.
-	lease, err := coord.Lease(context.Background(), id, "w", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lt := range lease.Tasks {
-		if _, err := coord.Ingest(context.Background(), id, ResultUpload{Worker: "w", Task: lt.Task, Values: make([]float64, lt.Hi-lt.Lo)}); err != nil {
+	// Complete every task by direct lease and ingest, grant after grant
+	// until one comes back empty; the stream must end with a complete
+	// snapshot and EOF.
+	for {
+		lease, err := coord.Lease(context.Background(), id, "w", 0)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(lease.Tasks) == 0 {
+			break
+		}
+		for _, lt := range lease.Tasks {
+			if _, err := coord.Ingest(context.Background(), id, ResultUpload{Worker: "w", Task: lt.Task, Values: make([]float64, lt.Hi-lt.Lo)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	var lastSnap ProgressSnapshot

@@ -83,7 +83,7 @@ func (c *Coordinator) routes() []route {
 		{"GET", pathJob, false, jsonCall(c, func(r *http.Request, _ noBody) (JobDetail, error) {
 			return c.jobDetail(r.PathValue("id"))
 		})},
-		// The worker loop: lease up to MaxTasks tasks — of one job, or of
+		// The worker loop: lease a sized grant of tasks — of one job, or of
 		// whichever the fair scheduler picks — extend the leases and learn
 		// which were lost, upload finished tasks' values (one ack each,
 		// idempotent per task).

@@ -80,7 +80,7 @@ func TestRequestWrapper(t *testing.T) {
 	if rec.Code != http.StatusOK || len(rid) != 16 || !plainName(rid) {
 		t.Fatalf("lease: %d, X-Request-ID %q", rec.Code, rid)
 	}
-	logged("level=INFO msg=leased rid=" + rid + " job=" + id + " worker=w tasks=1\n")
+	logged("level=INFO msg=leased rid=" + rid + " job=" + id + " worker=w tasks=1 pending=18 live=1\n")
 	logged(fmt.Sprintf("level=INFO msg=request rid=%s method=POST path=/v1/jobs/%s/lease status=200 bytes=%d ", rid, id, rec.Body.Len()))
 
 	// A caller's plain ID propagates; a 2xx GET is a Debug record.

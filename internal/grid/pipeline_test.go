@@ -59,6 +59,8 @@ func TestWorkerUploadsOffComputePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A sized grant, so the worker's cap of 3 is what it gets.
+	seeded := giveEvidence(t, coord, spec, id, "pipelined")
 
 	// In front of the coordinator: heartbeats are copied to the test,
 	// the first upload waits for release[0] and is then served, the
@@ -166,8 +168,8 @@ func TestWorkerUploadsOffComputePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Done != 1 {
-		t.Fatalf("coordinator holds %d done tasks, want the one acked upload", snap.Done)
+	if snap.Done != seeded+1 {
+		t.Fatalf("coordinator holds %d done tasks, want the %d seeded and the one acked upload", snap.Done, seeded)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // This file is the coordinator's scheduling brain: fair-share lease
 // scheduling across concurrent jobs (weighted by per-job priority) and
-// per-worker scoring (EWMA of task latency and failure rate) that
-// shapes how much work a lease call hands out.
+// one rule, leaseSizeLocked, for how much work a lease call hands out:
+// a share of the pending work sized by the live fleet and bounded by the
+// worker's own scores (EWMA of task latency and failure rate).
 //
 // Fairness model. Workers pull; the coordinator cannot push work to
 // anyone. What it can choose is *which job* a pulling worker serves
@@ -28,7 +29,7 @@ import (
 // as little as one task — a crash-looping or flaky machine keeps
 // participating but can only strand one task per TTL — and a worker
 // much slower than the fleet gets smaller batches so the tail of a job
-// is not hostage to it. Healthy workers are untouched: the cap shapes
+// is not hostage to it. Healthy workers are untouched: the shaping steers
 // allocation toward fast, reliable workers without starving anyone.
 
 // Scoring constants.
@@ -119,23 +120,65 @@ func (c *Coordinator) fleetLatencyLocked() (mean float64, n int) {
 	return sum / float64(n), n
 }
 
-// grantCapLocked is the routing decision: how many tasks this worker's
-// lease call may carry, given its track record. A worker with no
-// history gets the full requested batch.
-func (c *Coordinator) grantCapLocked(name string, max int) int {
-	ws, ok := c.workers[name]
-	if !ok || ws.done+ws.failures == 0 {
-		return max
+// leaseSizeLocked is the one grant rule: how many tasks a lease of j to
+// worker carries, live being the live workers (liveWorkersLocked). It is
+// guided self-scheduling (Polychronopoulos & Kuck, 1987) bounded by the
+// TTL:
+//   - a worker with no ingested task gets one chunk group, a probe;
+//   - any other gets its fair share of j's pending tasks,
+//     ceil(pending / live), and at most what its latency EWMA says it
+//     computes in a third of the TTL: a batch fits one heartbeat period
+//     and stays under the hedge floor of TTL/2;
+//   - that rounds down to whole chunk groups, never below one, which
+//     its ExecTasks scores jointly when the domain shares runs between
+//     measures;
+//   - most, if > 0, caps it (the request's MaxTasks);
+//   - a worker with a track record then has it cut by its failure EWMA
+//     and halved if it is much slower than the fleet (worker scoring,
+//     above).
+//
+// Size changes the schedule, never a value: a task is journalled and
+// scored alike in a grant of one or of a thousand.
+func (c *Coordinator) leaseSizeLocked(j *gridJob, worker string, most, live int) int {
+	ws := c.workers[worker]
+	size := j.group
+	if ws != nil && ws.done > 0 {
+		size = (j.pending + live - 1) / live
+		if ws.latEWMA > 0 {
+			size = min(size, int(c.opts.leaseTTL().Seconds()/3/ws.latEWMA))
+		}
 	}
-	grant := int(math.Ceil(float64(max) * (1 - ws.failEWMA)))
-	if grant < 1 {
-		grant = 1
+	size = max(j.group, size/j.group*j.group)
+	if most > 0 {
+		size = min(size, most)
 	}
+	if ws == nil || ws.done+ws.failures == 0 {
+		return size
+	}
+	size = max(1, int(math.Ceil(float64(size)*(1-ws.failEWMA))))
 	// Latency shaping needs a fleet to compare against.
-	if mean, n := c.fleetLatencyLocked(); n > 1 && ws.latEWMA > slowFactor*mean && grant > 1 {
-		grant = (grant + 1) / 2
+	if mean, n := c.fleetLatencyLocked(); n > 1 && ws.latEWMA > slowFactor*mean {
+		size = (size + 1) / 2
 	}
-	return grant
+	return size
+}
+
+// workerLive is the liveness predicate: heard from within livenessTTLs
+// lease TTLs of now.
+func (c *Coordinator) workerLive(ws *workerStats, now time.Time) bool {
+	return ws.lastSeen.After(now.Add(-livenessTTLs * c.opts.leaseTTL()))
+}
+
+// liveWorkersLocked counts the live, unquarantined workers, asker among
+// them whatever its last sign of life: it is asking now.
+func (c *Coordinator) liveWorkersLocked(asker string, now time.Time) int {
+	live := 0
+	for name, ws := range c.workers {
+		if name != asker && !c.quarantined[name] && c.workerLive(ws, now) {
+			live++
+		}
+	}
+	return live + 1
 }
 
 // jobsLocked lists the jobs in ID order: the order every walk that can

@@ -183,8 +183,7 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 	size := 3 + 2 + int(h0>>4&3)
 	hdr := append(slices.Clone(in[:min(size, len(in))]), make([]byte, size)...)
 	w := &world{t: t, steps: in[min(size, len(in)):], split: split, fairOnly: hdr[0]&2 == 0}
-	// A lease cap of 8 lets a worker hold a whole job and send a four-line body.
-	w.opts = CoordinatorOptions{LeaseTTL: scheduleTTL, Hedge: hdr[0]&2 != 0, maxLease: 8}
+	w.opts = CoordinatorOptions{LeaseTTL: scheduleTTL, Hedge: hdr[0]&2 != 0}
 	if hdr[0]&1 != 0 {
 		w.opts.AuditRate = 1
 	}
@@ -232,7 +231,8 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 	return w
 }
 
-// leaseSizes are the workers' TasksPerLease; 0 takes the coordinator's cap.
+// leaseSizes are the workers' TasksPerLease; 0 takes the coordinator's
+// sized grant, any other caps it.
 var leaseSizes = [5]int{0, 1, 2, 4, 8}
 
 type roundTripFunc func(*http.Request) (*http.Response, error)
@@ -265,9 +265,12 @@ func (w *world) roundTrip(req *http.Request) (*http.Response, error) {
 		})
 	}
 	var held map[string]taskState // a lease request's view of the leases it may move
+	probe := false                // the asker has no ingested task: its grant is one chunk group at most
 	if strings.HasSuffix(req.URL.Path, "/lease") {
 		held = map[string]taskState{}
 		w.locked(func(c *Coordinator) {
+			ws := c.workers[in.Worker]
+			probe = ws == nil || ws.done == 0
 			for _, j := range c.jobs {
 				for _, st := range j.tasks {
 					held[j.id+"/"+st.id] = taskState{status: st.status, worker: st.worker, deadline: st.deadline, leasedAt: st.leasedAt}
@@ -278,7 +281,7 @@ func (w *world) roundTrip(req *http.Request) (*http.Response, error) {
 	before := len(w.writes)
 	w.h.ServeHTTP(rec, req)
 	if in.Worker != "" {
-		w.judge(req.URL.Path, in, rec, held, fair, first && w.fault == faultLose, len(w.writes)-before)
+		w.judge(req.URL.Path, in, rec, held, probe, fair, first && w.fault == faultLose, len(w.writes)-before)
 	}
 	if first && w.fault == faultLose {
 		return nil, errors.New("answer lost after the handler")
@@ -298,8 +301,9 @@ type workerRequest struct {
 // judge holds a worker's request to its answer: a quarantined worker is
 // refused on every route, nobody else is; a grant, a renewal, an ack is
 // what the coordinator's state says it must be. held is a lease
-// request's leases as they stood before it, by job/task.
-func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecorder, held map[string]taskState, fair, lost bool, writes int) {
+// request's leases as they stood before it, by job/task; probe says its
+// worker had no ingested task then.
+func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecorder, held map[string]taskState, probe, fair, lost bool, writes int) {
 	var out struct {
 		LeaseResponse
 		HeartbeatResponse
@@ -316,9 +320,12 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 	switch {
 	case rec.Code != http.StatusOK:
 	case strings.HasSuffix(path, "/lease"):
-		most, resp := c.opts.maxLease, out.LeaseResponse
+		most, resp := math.MaxInt, out.LeaseResponse
 		if in.MaxTasks > 0 {
-			most = min(most, in.MaxTasks)
+			most = in.MaxTasks
+		}
+		if j := c.jobs[resp.Job]; probe && j != nil {
+			most = min(most, j.group)
 		}
 		switch {
 		case c.draining && (len(resp.Tasks) > 0 || !resp.Draining):
@@ -935,7 +942,7 @@ var (
 )
 
 // 1. The task table is consistent: done counts the done tasks and only
-// they hold values, nothing pending sits behind the grant cursor, a task's
+// they hold values, pending the pending ones, nothing pending sits behind the grant cursor, a task's
 // one lease is what its status says — none while pending, a holder while
 // leased, a re-checker of an open audit only while done — an open audit
 // sits on a done task and is counted, no quarantined worker holds a
@@ -946,7 +953,7 @@ var consistent = invariant{"1 consistent task table", func(w *world) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, j := range c.jobsLocked() {
-		done, audits := 0, 0
+		done, pending, audits := 0, 0, 0
 		for _, st := range j.tasks {
 			switch {
 			case (st.status == taskDone) != (st.values != nil):
@@ -958,15 +965,19 @@ var consistent = invariant{"1 consistent task table", func(w *world) error {
 			case st.audit != nil && st.status != taskDone:
 				return fmt.Errorf("task %s: an audit open in status %d", st.id, st.status)
 			}
-			if st.status == taskDone {
+			switch st.status {
+			case taskDone:
 				done++
+			case taskPending:
+				pending++
 			}
 			if st.audit != nil {
 				audits++
 			}
 		}
-		if done != j.done || audits != j.audits {
-			return fmt.Errorf("job %s counts %d done and %d audits, its table %d and %d", j.id, j.done, j.audits, done, audits)
+		if done != j.done || pending != j.pending || audits != j.audits {
+			return fmt.Errorf("job %s counts %d done, %d pending and %d audits, its table %d, %d and %d",
+				j.id, j.done, j.pending, j.audits, done, pending, audits)
 		}
 		if r := j.revocations(func(w string) bool { return c.quarantined[w] }); len(r) > 0 {
 			return fmt.Errorf("task %s is on lease to the quarantined %s", r[0].Task, r[0].Worker)
@@ -1074,11 +1085,12 @@ var audited = invariant{"6 audited jobs complete verified", func(w *world) error
 // 7. Per job, leasesGranted is the lease records journalled for it — a
 // hedge never counts. (Also judged on the spot: a re-posted job keeps its
 // ID and takes the new priority; no grant while draining, none past the
-// request's size or the lease cap or outside its job; every grant leaves
-// its worker the holder; a held lease moves only with hedging on, from a
-// task computing, to another worker, past the straggler threshold; and
-// while every grant is a single task of the scheduler's pick with every
-// job pending, granted-per-weight shares stay within 1 of each other.)
+// request's cap, none past one chunk group to a worker with no ingested
+// task, none outside its job; every grant leaves its worker the holder; a
+// held lease moves only with hedging on, from a task computing, to
+// another worker, past the straggler threshold; and while every grant is
+// a single task of the scheduler's pick with every job pending,
+// granted-per-weight shares stay within 1 of each other.)
 var grants = invariant{"7 grants", func(w *world) error {
 	log, recs, _, err := openWAL(w.dir)
 	if err != nil {
@@ -1197,6 +1209,15 @@ func (s spell) drain() spell            { return s.op(opOperator, 0, 2) }
 func (s spell) kill() spell             { return s.add(byte(opKill | 30<<3)) }
 func (s spell) started(wk int) spell    { return s.step(wk).step(wk).step(wk) } // leased, joined, computing
 
+// holdsRest has wk, the only worker heard from, run its probe batch and
+// then compute its sized grant: every task of its job still pending.
+func (s spell) holdsRest(wk int) spell { return s.step(wk).batch(wk).step(wk) }
+
+// sizedGrantDies: the silent worker strays one result, so its one lease
+// is a sized grant (six of the seven tasks pending), and goes quiet with
+// it for a TTL.
+var sizedGrantDies = schedule(false, false, "hs", 1).stray(1, 0).step(1).clock(9)
+
 // cut is a kill -9 inside the last manifest (else WAL) append: after its
 // line-th line, off by d bytes.
 func (s spell) cut(manifest bool, line, d int) spell {
@@ -1211,11 +1232,14 @@ func (s spell) cut(manifest bool, line, d int) spell {
 // hand-written test used to pin, then long seeded walks.
 func scheduleCorpus() []spell {
 	audited := schedule(true, false, "hhl", 1).tasks(0, 2).tasks(1, 2).tasks(2, 2)
-	hedged := schedule(false, true, "hs", 1).tasks(0, 2)
-	// Worker 0 holds all eight tasks; its first unit goes up alone and the
-	// next four land under that upload, to leave as one four-line body.
+	// The silent worker strays two results, so its one lease is a sized
+	// grant: the six tasks still pending.
+	hedged := schedule(false, true, "hs", 1).tasks(0, 2).stray(1, 0).clock(1).stray(1, 0)
+	// Worker 0's probe batch done, its sized grant holds the other six
+	// tasks; its first unit goes up alone and the next four land under that
+	// upload, to leave as one four-line body.
 	fourLines := func(audit bool) spell {
-		return schedule(audit, false, "hh", 1).started(0).unit(0).unit(0).unit(0).unit(0).unit(0).step(0)
+		return schedule(audit, false, "hh", 1).holdsRest(0).unit(0).unit(0).unit(0).unit(0).unit(0).step(0)
 	}
 	corpus := []spell{
 		// The sole honest worker confirms its own results once a TTL passed.
@@ -1235,17 +1259,17 @@ func scheduleCorpus() []spell {
 		fourLines(true).cut(true, 4, 0).step(1).batch(1).kill(),
 		// A liar sends its lies twice, then two honest workers overrule it.
 		audited.started(2).lose().unit(2).batch(2).step(0).batch(0).step(1).batch(1),
-		// A straggler holding every task has its leases moved past half a TTL; the new holder wins, the straggler's results are duplicates.
-		schedule(false, true, "hh", 1).tasks(0, 2).step(1).clock(5).step(0).batch(0).batch(1).kill(),
+		// A straggler holding every pending task has its leases moved past half a TTL; the new holder wins, the straggler's results are duplicates.
+		schedule(false, true, "hh", 1).tasks(0, 2).holdsRest(1).clock(5).step(0).batch(0).batch(1).kill(),
 		// The straggler dies: the leases that moved stay with their new holder, the rest re-queue.
 		hedged.step(1).clock(5).started(0).clock(4).beat(0).batch(0).kill(),
 		// The hedger dies: the leases it took re-queue and go to a third worker, the straggler, told they
 		// are lost, keeps computing, and its late upload still lands first and counts.
-		schedule(false, true, "hsh", 1).tasks(0, 8).tasks(2, 2).started(0).clock(5).step(1).beat(0).step(0).clock(9).step(2).batch(0),
+		schedule(false, true, "hsh", 1).tasks(0, 8).tasks(2, 2).holdsRest(0).clock(5).step(1).beat(0).step(0).clock(9).step(2).batch(0),
 		// An idle worker asks before half a TTL has passed: nothing moves; asked again past it, the leases move.
-		schedule(false, true, "hh", 1).tasks(0, 8).started(0).clock(2).step(1).clock(3).step(1).step(1).batch(0),
+		schedule(false, true, "hh", 1).tasks(0, 8).holdsRest(0).clock(2).step(1).clock(3).step(1).clock(1).step(1).step(1).batch(0),
 		// A straggler restarted (a refused heartbeat ended it) asks for more: its own leases never move to it.
-		schedule(false, true, "hh", 1).tasks(0, 8).started(0).clock(5).refuse().beat(0).step(0).step(0).step(0).batch(0),
+		schedule(false, true, "hh", 1).tasks(0, 8).holdsRest(0).clock(5).refuse().beat(0).step(0).step(0).step(0).batch(0),
 		// A kill -9 while a worker holds a live lease (granted on a retry of a dropped request).
 		schedule(false, false, "hh", 1).tasks(0, 2).started(0).unit(0).step(0).unit(0).drop().step(0).kill().clock(9),
 		// Expired leases, then a kill -9: the expiries replay.
@@ -1264,11 +1288,13 @@ func scheduleCorpus() []spell {
 		// Every priority, three jobs, a crash while draining.
 		schedule(true, true, "hhls", 1, 2, 3).step(0).step(2).step(3).batch(0).batch(2).priority(2, 1).drain().batch(2).kill().
 			step(1).batch(1),
-		// A grant capped at the lease limit, renewed by a heartbeat, expired and re-leased to another
+		// A probe grant (one chunk group), renewed by a heartbeat, expired and re-leased to another
 		// worker, whose holder's next heartbeat finds it lost; the late uploads race.
 		schedule(false, false, "hh", 1).started(0).clock(4).beat(0).step(0).clock(9).step(1).beat(0).step(0).batch(0).batch(1),
 		// A body's answer is lost: the retry under the same request ID is acked duplicate and writes nothing.
 		schedule(false, false, "hh", 1).started(0).lose().unit(0),
+		// A worker dies holding a sized grant: all of its tasks re-queue after one TTL.
+		sizedGrantDies,
 	}
 	// A kill -9 inside a four-line body's manifest append, at each line
 	// boundary and a byte either side; and inside the WAL append after it.
@@ -1312,5 +1338,33 @@ func FuzzSchedule(f *testing.F) {
 		s := runWorld(t, in, true, nil)
 		s.twin = a
 		s.hold(&uploadsAreEntries)
+	})
+}
+
+// TestSizedGrantDies plays the corpus entry sizedGrantDies: the silent
+// worker's one lease is a sized grant of more than a chunk group, and one
+// TTL after it went quiet every task of it is pending again; the world's
+// end-of-run invariants then hold the job complete and its CSV job.Run's.
+func TestSizedGrantDies(t *testing.T) {
+	orig := retryDelay
+	retryDelay = func(int) time.Duration { return 0 }
+	t.Cleanup(func() { retryDelay = orig })
+	held := 0
+	runWorld(t, sizedGrantDies, false, func(w *world) {
+		snap, err := w.c.Progress(w.ids[0]) // runs the lazy expiry
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch w.step {
+		case 1: // the silent worker's lease
+			held = snap.Leased
+			if group := len(w.refs[0].spec.Domain.Measures()); held <= group {
+				t.Fatalf("the silent worker holds %d tasks, want a sized grant of more than one chunk group (%d)", held, group)
+			}
+		case 2: // a TTL on
+			if snap.Leased != 0 || snap.Requeues != held || snap.Pending != len(w.refs[0].tasks)-1 {
+				t.Fatalf("a TTL after the silent worker went quiet: %+v, want its %d leases re-queued", snap, held)
+			}
+		}
 	})
 }

@@ -64,6 +64,7 @@ func (c *Coordinator) applyLease(j *gridJob, st *taskState, worker string, now t
 	c.touchWorker(worker, now)
 	if st.status == taskPending && worker != "" {
 		st.status = taskLeased
+		j.pending--
 		st.hold(worker, now, c.opts.leaseTTL())
 	}
 }
@@ -105,6 +106,9 @@ func (c *Coordinator) applyExpire(j *gridJob, st *taskState, worker string, now 
 // manifest.
 func (c *Coordinator) applyIngest(j *gridJob, st *taskState, worker string, elapsed time.Duration, now time.Time) {
 	c.workerDone(worker, elapsed, now)
+	if st.status == taskPending {
+		j.pending--
+	}
 	if st.status != taskDone {
 		st.status = taskDone
 		j.done++
@@ -162,6 +166,9 @@ func (st *taskState) hold(worker string, now time.Time, ttl time.Duration) {
 // requeue returns a task to the pending queue, ahead of the grant cursor
 // if need be.
 func (j *gridJob) requeue(st *taskState) {
+	if st.status != taskPending {
+		j.pending++
+	}
 	st.status = taskPending
 	st.worker = ""
 	j.next = min(j.next, st.idx)

@@ -69,18 +69,15 @@ func (v view) HitRatio() float64 {
 // computing or an audit re-check — is counted against its holder in held.
 func (c *Coordinator) jobViewLocked(j *gridJob, now time.Time, held map[string]int) jobView {
 	jv := jobView{Domain: j.spec.Domain.Name(), ProgressSnapshot: ProgressSnapshot{
-		JobID: j.id, Total: len(j.tasks), Done: j.done, Requeues: j.requeues,
+		JobID: j.id, Total: len(j.tasks), Done: j.done, Pending: j.pending, Requeues: j.requeues,
 		CacheTasks: j.cacheServed, LeasesGranted: j.leasesGranted, Priority: j.weight,
 		Audits: j.audits, Complete: j.completeLocked(),
 	}}
 	holders := map[string]bool{}
 	for _, st := range j.tasks {
-		switch st.status {
-		case taskLeased:
+		if st.status == taskLeased {
 			jv.Leased++
 			holders[st.worker] = true
-		case taskPending:
-			jv.Pending++
 		}
 		if st.worker != "" {
 			held[st.worker]++
@@ -105,10 +102,9 @@ func (c *Coordinator) viewLocked() view {
 	for _, j := range c.jobsLocked() {
 		v.Jobs = append(v.Jobs, c.jobViewLocked(j, v.Now, held))
 	}
-	cutoff := v.Now.Add(-livenessTTLs * c.opts.leaseTTL())
 	for name, ws := range c.workers {
 		v.Workers = append(v.Workers, workerView{
-			Name: name, Heard: true, Live: ws.lastSeen.After(cutoff), Quarantined: c.quarantined[name],
+			Name: name, Heard: true, Live: c.workerLive(ws, v.Now), Quarantined: c.quarantined[name],
 			Leased: held[name], Done: ws.done, Failures: ws.failures,
 			Latency: ws.latEWMA, FailRate: ws.failEWMA, LastSeen: ws.lastSeen,
 		})

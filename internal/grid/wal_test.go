@@ -160,10 +160,12 @@ func TestGrantJournalsOneWrite(t *testing.T) {
 	dir := t.TempDir()
 	coord := NewCoordinator(CoordinatorOptions{Dir: dir})
 	defer coord.Close()
-	id, err := coord.AddJob(gossipSpec(t))
+	spec := gossipSpec(t)
+	id, err := coord.AddJob(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seeded := giveEvidence(t, coord, spec, id, "w1") // a sized grant, so the cap of 3 is what w1 gets
 	var writes atomic.Int32
 	restore := job.SetWriterSeam(func(path string, w io.Writer) io.Writer {
 		if filepath.Base(path) == walFileName {
@@ -189,6 +191,7 @@ func TestGrantJournalsOneWrite(t *testing.T) {
 			leased = append(leased, r.Task)
 		}
 	}
+	leased = leased[seeded:]
 	if len(leased) != 3 || leased[0] != lease.Tasks[0].Task || leased[1] != lease.Tasks[1].Task || leased[2] != lease.Tasks[2].Task {
 		t.Fatalf("replayed lease records %v, want the granted %+v in order", leased, lease.Tasks)
 	}

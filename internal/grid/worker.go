@@ -26,8 +26,8 @@ type WorkerOptions struct {
 	// job.ExecTasks — the same bounded pool a local run uses. 0 =
 	// Cfg.Workers, then GOMAXPROCS.
 	Workers int
-	// TasksPerLease is how many tasks to request per lease call
-	// (capped by the coordinator). 0 accepts the coordinator's cap.
+	// TasksPerLease caps the tasks of one lease call: 0 = the
+	// coordinator's sized grant; N caps it.
 	TasksPerLease int
 	// Poll is the idle wait when no task is available but the job is
 	// not complete (everything is leased to other workers). 0 = 500ms.

@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"math"
 	"time"
+
+	"repro/internal/job"
 )
 
 // Result audit + quarantine: the BAR-tolerance layer. The determinism
@@ -109,15 +111,15 @@ func equalValues(a, b []float64) bool {
 //	                                 record, quarantine its producer
 //	third distinct value          → determinism broken: re-run, loudly
 //
-// A worker's run is scored when a journalled record says so: the verify
-// of an agreeing upload, the ingest that puts an upheld second claim on
+// A worker's run is scored when a journalled line says so: the verify of
+// an agreeing upload, the value line that puts an upheld second claim on
 // record. A dissent on its own scores nothing — it is a sign of life.
 func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUpload) ResultAck {
 	ast := st.audit
 	vals := []float64(up.Values)
 	now := c.now()
 	dup := ResultAck{Accepted: true, Duplicate: true}
-	verify := walRecord{T: walVerify, Job: j.id, Task: st.id, Worker: up.Worker, ElapsedMS: up.ElapsedMS}
+	verify := walRecord{T: walVerify, Task: st.id, Worker: up.Worker, ElapsedMS: up.ElapsedMS}
 
 	// Uploads that carry no audit information: anything after verification
 	// settled, and the producer re-sending its own value — a retry after a
@@ -132,7 +134,7 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 	if equalValues(vals, st.values) {
 		// Agreement with the record verifies it — whether this upload
 		// was the assigned auditor, a race's loser, or a stray retry.
-		c.commit(j, now, []walRecord{verify}, "", "")
+		c.commit(j, now, nil, []walRecord{verify}, "", "")
 		c.feedCacheLocked(j, st.task, st.values)
 		return dup
 	}
@@ -165,25 +167,15 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 	}
 
 	if equalValues(vals, ast.secondVals) {
-		// Two workers agree on a value that contradicts the record:
-		// the recorded producer lied. Fix the record — a tombstone for
-		// the lie, then the corrected line, since a restore keeps a
-		// task's first live entry (synchronously: quarantine verdicts
-		// are rare enough to fsync under the lock) — journal the second
-		// claimant as its producer, then quarantine.
+		// Two workers agree on a value that contradicts the record: the
+		// recorded producer lied. One durable append fixes the record — a
+		// tombstone for the lie, the corrected value line naming the
+		// upheld second claimant, this upload's verify — then the liar is
+		// quarantined.
 		liar := ast.original
-		st.values = vals
-		if j.cp != nil {
-			err := j.cp.Invalidate(st.task)
-			if err == nil {
-				err = j.cp.Record(st.task, vals, time.Duration(up.ElapsedMS)*time.Millisecond)
-			}
-			if err != nil {
-				c.log.Error("corrected value failed to journal", "job", j.id, "task", st.id, "err", err)
-			}
-		}
-		c.commit(j, now, []walRecord{
-			{T: walIngest, Job: j.id, Task: st.id, Worker: ast.second, ElapsedMS: ast.secondMS}, verify}, "", "")
+		c.commit(j, now, []job.Result{{Task: st.task, Dead: true},
+			{Task: st.task, Values: vals, Elapsed: time.Duration(ast.secondMS) * time.Millisecond, Worker: ast.second}},
+			[]walRecord{verify}, "", "")
 		c.feedCacheLocked(j, st.task, st.values)
 		c.quarantineLocked(liar, "audit of task "+st.id+" overruled its value")
 		return ResultAck{Accepted: true}
@@ -198,58 +190,58 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 	return dup
 }
 
-// tombstoneLocked durably un-records st's value (one synced append —
-// cheap enough for these rare paths to run under the lock).
-func (c *Coordinator) tombstoneLocked(j *gridJob, st *taskState) {
-	if j.cp == nil {
-		return
-	}
-	if err := j.cp.Invalidate(st.task); err != nil {
-		c.log.Error("task invalidation failed to journal", "job", j.id, "task", st.id, "err", err)
-	}
-}
-
 // invalidateTaskLocked drops a done task's recorded value and
-// re-queues it. The tombstone is written first, so a crash in between
-// re-runs the task instead of resurrecting the dropped value.
+// re-queues it, by a durable tombstone.
 func (c *Coordinator) invalidateTaskLocked(j *gridJob, st *taskState) {
-	c.tombstoneLocked(j, st)
-	j.invalidate(st)
+	c.commit(j, c.now(), []job.Result{{Task: st.task, Dead: true}}, nil, "", "")
 	c.metrics.invalidated.Inc()
 }
 
 // quarantineLocked bans a worker and expunges its unaudited work: the
-// verdict, and the revocation of every lease the worker holds — the
-// expiries they are — leave as one commit, then every
-// done-but-unverified task it produced is tombstoned in its manifest
-// (a crash in between is finished by the restart: reconcileLocked).
-// Jobs are walked in ID order and tasks in grant order, so the same
-// verdict writes the same bytes.
+// verdict is appended to the quarantine journal and fsynced first, then
+// voidLocked applies it to every job, in ID order (a crash in between is
+// finished when the restart registers each job).
 func (c *Coordinator) quarantineLocked(name, reason string) {
 	if name == "" || c.quarantined[name] {
 		return
 	}
-	now := c.now()
-	jobs := c.jobsLocked()
-	recs := []walRecord{{T: walQuarantine, Worker: name}}
-	voided := make([][]*taskState, len(jobs))
-	for i, j := range jobs {
-		recs = append(recs, j.revocations(func(w string) bool { return w == name })...)
-		for _, st := range j.tasks {
-			if st.unauditedBy(name) {
-				voided[i] = append(voided[i], st)
-			}
+	now, jobs := c.now(), c.jobsLocked()
+	revoked := 0
+	for _, j := range jobs {
+		revoked += len(j.revocations(func(w string) bool { return w == name }))
+	}
+	c.commit(nil, now, nil, []walRecord{{T: walQuarantine, Worker: name}}, "",
+		"worker QUARANTINED", "worker", name, "reason", reason, "revoked", revoked)
+	for _, j := range jobs {
+		c.voidLocked(j, name, now)
+	}
+}
+
+// voidLocked applies name's quarantine to j: a dispute it raised
+// dissolves (the audit goes back to a plain re-check), every
+// done-but-unverified task it produced is tombstoned and re-queued —
+// verified tasks survive, a second worker vouched for them — and every
+// lease it holds is revoked, the expiry it is: one commit, in task order.
+// The live verdict runs it on each job, and a registration on the job
+// it restores for every standing quarantine.
+func (c *Coordinator) voidLocked(j *gridJob, name string, now time.Time) {
+	var dead []job.Result
+	for _, st := range j.tasks {
+		if ast := st.audit; ast != nil && ast.second == name {
+			ast.second, ast.secondVals, ast.secondMS, ast.giveUpAt = "", nil, 0, time.Time{}
+		}
+		if st.unauditedBy(name) {
+			dead = append(dead, job.Result{Task: st.task, Dead: true})
 		}
 	}
-	c.commit(nil, now, recs, "", "worker QUARANTINED", "worker", name, "reason", reason, "revoked", len(recs)-1)
-	for i, j := range jobs {
-		for _, st := range voided[i] {
-			c.tombstoneLocked(j, st)
-		}
-		if n := len(voided[i]); n > 0 {
-			c.metrics.invalidated.Add(float64(n))
-			c.log.Info("unaudited tasks invalidated and re-queued", "job", j.id, "worker", name, "tasks", n)
-		}
+	revoked := j.revocations(func(w string) bool { return w == name })
+	if len(dead)+len(revoked) == 0 {
+		return
+	}
+	c.commit(j, now, dead, revoked, "", "")
+	if n := len(dead); n > 0 {
+		c.metrics.invalidated.Add(float64(n))
+		c.log.Info("unaudited tasks invalidated and re-queued", "job", j.id, "worker", name, "tasks", n)
 	}
 }
 

@@ -1,8 +1,8 @@
 package grid
 
 // The unit of transport and durability is the upload body: everything a
-// worker had finished goes out as one request, is checkpointed with one
-// manifest append and journalled with one WAL write. That a body is its
+// worker had finished goes out as one request and is journalled with one
+// append of its value lines to the job's file. That a body is its
 // entries and that a crash inside its append loses only unacknowledged
 // work is FuzzSchedule's (invariants 10 and 3); these tests pin what the
 // grouping saves, a body refused or failed whole, and the write grouping
@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -73,14 +74,38 @@ func csvOf(t testing.TB, d dsa.Domain, s *dsa.Scores) string {
 	return buf.String()
 }
 
-// walMultiset is dir's WAL as a sorted list of records.
-func walMultiset(t testing.TB, dir string) []string {
+// journalRecords is every scheduler record under dir: the quarantine
+// journal's, then each job's file's in job ID order, named by its job.
+func journalRecords(t testing.TB, dir string) []walRecord {
 	t.Helper()
 	w, recs, skipped, err := openWAL(dir)
 	if err != nil || skipped != 0 {
 		t.Fatalf("wal replay: %v (%d skipped)", err, skipped)
 	}
 	w.Close()
+	paths, err := filepath.Glob(filepath.Join(dir, "*", "manifest-grid.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		linelog.Lines(data, func(line []byte) {
+			if r, ok := decodeWALLine(line); ok {
+				r.Job = filepath.Base(filepath.Dir(path))
+				recs = append(recs, r)
+			}
+		})
+	}
+	return recs
+}
+
+// walMultiset is dir's scheduler records as a sorted list.
+func walMultiset(t testing.TB, dir string) []string {
+	t.Helper()
+	recs := journalRecords(t, dir)
 	out := make([]string, len(recs))
 	for i, r := range recs {
 		out[i] = fmt.Sprintf("%+v", r)
@@ -101,8 +126,8 @@ var scenarioOptions = CoordinatorOptions{LeaseTTL: time.Minute, AuditRate: 1, He
 
 // TestLeaseIsOneDurableRoundTrip counts what a four-task lease — one
 // joint execution unit of a delivery job — costs end to end: one results
-// request, one manifest write, and two WAL writes (the grant and the
-// ingest).
+// request and two writes to the job's file (the grant and the value
+// lines), none to the quarantine journal.
 func TestLeaseIsOneDurableRoundTrip(t *testing.T) {
 	spec := deliverySpec(t)
 	spec.Points = spec.Points[:spec.Chunk] // one chunk: four tasks, one lease
@@ -131,8 +156,8 @@ func TestLeaseIsOneDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, m, w := uploads.Load(), fw.count("manifest-grid.jsonl"), fw.count(walFileName); n != 1 || m != 1 || w != 2 {
-		t.Fatalf("a four-task lease cost %d results requests, %d manifest writes, %d WAL writes; want 1, 1, 2", n, m, w)
+	if n, m, w := uploads.Load(), fw.count("manifest-grid.jsonl"), fw.count(walFileName); n != 1 || m != 2 || w != 0 {
+		t.Fatalf("a four-task lease cost %d results requests, %d writes to the job's file, %d to the quarantine journal; want 1, 2, 0", n, m, w)
 	}
 	if got := metrics.Snapshot().Uploads; got != 4 {
 		t.Fatalf("worker_uploads_total = %v, want the 4 acknowledged tasks", got)
@@ -232,10 +257,8 @@ func TestBatchAppendFailureLeavesLeased(t *testing.T) {
 	if snap := mustProgress(t, coord, id); snap.Done != 0 || snap.Leased != 4 {
 		t.Fatalf("after the failed append: %+v, want nothing done and all 4 tasks still leased", snap)
 	}
-	for _, rec := range walMultiset(t, dir) {
-		if strings.Contains(rec, "T:"+walIngest) {
-			t.Fatalf("the failed body reached the WAL: %s", rec)
-		}
+	if data, err := os.ReadFile(filepath.Join(dir, id, "manifest-grid.jsonl")); err != nil || bytes.Contains(data, []byte(`{"task":`)) {
+		t.Fatalf("the failed body reached the job's file (%v):\n%s", err, data)
 	}
 	acks, err = coord.IngestResults(ctx, id, body)
 	if err != nil || len(acks) != 4 || acks[0].Duplicate || acks[3].Duplicate {
@@ -251,7 +274,7 @@ func TestBatchAppendFailureLeavesLeased(t *testing.T) {
 	}
 }
 
-// TestExpireJournalsOneWrite: a mass expiry reaches the WAL as one write
+// TestExpireJournalsOneWrite: a mass expiry reaches the job's file as one write
 // whose records follow the job's task order, not the task map's, and the
 // leases that moved to a hedger before it are not the straggler's to
 // lose.
@@ -283,7 +306,7 @@ func TestExpireJournalsOneWrite(t *testing.T) {
 	if len(hedges.Tasks) != 2 || hedges.Tasks[1].Task != lease[1].Task {
 		t.Fatalf("hedges = %+v, want the first two of %+v", hedges.Tasks, lease)
 	}
-	before := len(walMultiset(t, dir))
+	before := len(journalRecords(t, dir))
 
 	now = now.Add(35 * time.Second) // slow's 6 leases are dead, the 2 that moved to fast live
 	var fw fileWrites
@@ -293,16 +316,11 @@ func TestExpireJournalsOneWrite(t *testing.T) {
 	if snap.Requeues != 6 {
 		t.Fatalf("progress after the expiry = %+v, want 6 requeues", snap)
 	}
-	if n := fw.count(walFileName); n != 1 {
-		t.Fatalf("expiring 6 leases made %d WAL writes, want 1", n)
+	if n := fw.count("manifest-grid.jsonl"); n != 1 {
+		t.Fatalf("expiring 6 leases made %d writes to the job's file, want 1", n)
 	}
-	w, recs, _, err := openWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
 	var got, want []string
-	for _, r := range recs[before:] {
+	for _, r := range journalRecords(t, dir)[before:] {
 		got = append(got, r.T+" "+r.Task+" "+r.Worker)
 	}
 	for _, lt := range lease[2:] {

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -33,7 +34,8 @@ const DefaultMaxBody = 64 << 20
 // CoordinatorOptions configures a Coordinator.
 type CoordinatorOptions struct {
 	// Dir is the checkpoint root; each job journals into Dir/<job-id>
-	// in the internal/job checkpoint format, so a restarted
+	// in the internal/job checkpoint format — its values and, beside
+	// them, its scheduler records, in one file — so a restarted
 	// coordinator resumes where it left off and job.Load/dsa-report
 	// read the directory directly. Shipped worker traces are collected
 	// under Dir/<job-id>/trace/ in the internal/obs journal format.
@@ -116,15 +118,11 @@ type Coordinator struct {
 	jobs    map[string]*gridJob
 	workers map[string]*workerStats
 	// quarantined workers get 429 on every lease, heartbeat and
-	// upload; membership survives restarts via the WAL.
+	// upload; membership survives restarts via the quarantine journal.
 	quarantined map[string]bool
-	// wal journals scheduling state (nil without Dir, or after an open
+	// wal is the quarantine journal (nil without Dir, or after an open
 	// failure — the grid then runs, loudly, without crash recovery).
 	wal *wal
-	// walRecs holds the WAL's records, in the order they were written,
-	// until AddJob registers the job they name and replays them (a
-	// quarantine names none, and stays for every job to come).
-	walRecs []walRecord
 	// cacheEpoch counts cache-feeding events (ingests, checkpoint
 	// restores). Each job remembers the epoch it last scanned the
 	// cache at, so the pending-task rescan in Lease runs only when
@@ -164,9 +162,9 @@ type taskState struct {
 	worker    string
 	deadline  time.Time
 	leasedAt  time.Time // when worker got it: the straggler clock and the lease-latency histogram
-	recording bool      // a manifest append for this task is running outside the lock
+	recording bool      // the task's value line is written and not yet durable: nothing else is journalled about it
 
-	// While done: the recorded value (the manifest holds the durable
+	// While done: the recorded value (the job's file holds the durable
 	// copy), the worker it came from, and whether a second worker has
 	// confirmed it. producer is kept regardless of AuditRate — it is what
 	// a later quarantine sweeps.
@@ -190,7 +188,7 @@ type gridJob struct {
 	tasks     []*taskState
 	index     map[string]int
 	group     int             // tasks per chunk: the domain's measure count
-	cp        *job.Checkpoint // nil without a checkpoint dir
+	cp        *job.Checkpoint // the job's file; nil without a checkpoint dir
 	pending   int             // tasks with status taskPending
 	done      int
 	audits    int       // open audits (setAudit); gates completion
@@ -256,19 +254,25 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 			// say so every startup, loudly.
 			c.log.Error("WAL unavailable, coordinator runs WITHOUT crash recovery", "err", err)
 		} else {
+			// A quarantine stands from now on; what it did to a job is in
+			// that job's file. An older coordinator's job records are not
+			// replayed: such a job restores from its manifests alone.
 			c.wal = w
-			// A quarantine stands from now on; what it and the other
-			// records did to a job waits for AddJob to register it.
-			c.walRecs = recs
+			legacy := 0
 			for _, r := range recs {
 				if r.T == walQuarantine {
 					c.apply(nil, r, c.now())
+				} else {
+					legacy++
 				}
 			}
-			if len(recs) > 0 || skipped > 0 {
-				c.log.Info("WAL replayed", "records", len(recs), "skipped", skipped)
+			if len(recs) > legacy || skipped > 0 {
+				c.log.Info("WAL replayed", "records", len(recs)-legacy, "skipped", skipped)
 			}
-			c.metrics.walReplayed.Set(float64(len(recs)))
+			if legacy > 0 {
+				c.log.Warn("WAL holds job records of an older coordinator, not replayed: their jobs restore from their manifests", "records", legacy)
+			}
+			c.metrics.walReplayed.Set(float64(len(recs) - legacy))
 			c.metrics.walSkipped.Set(float64(skipped))
 			c.metrics.walReplaySecs.Set(replaySecs)
 			c.metrics.quarantines.Add(float64(len(c.quarantined)))
@@ -277,39 +281,70 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// walAppendLocked journals records, logging (never failing the caller)
-// on write trouble: the WAL losing a record degrades a future restart,
-// not the current run. sync is reserved for verdict-grade records.
-func (c *Coordinator) walAppendLocked(sync bool, recs ...walRecord) {
-	if c.wal == nil || len(recs) == 0 {
-		return
+// journal appends a decision's lines as one write, durably if asked: to
+// j's file its value lines and tombstones, then its scheduler records;
+// with j nil a quarantine verdict to the quarantine journal.
+func (c *Coordinator) journal(j *gridJob, results []job.Result, recs []walRecord, durable bool) error {
+	switch {
+	case j == nil && c.wal != nil:
+		err := c.wal.append(durable, recs...)
+		if err == nil {
+			c.metrics.walRecords.Add(float64(len(recs)))
+		}
+		return err
+	case j == nil || j.cp == nil:
+		return nil
 	}
-	if err := c.wal.append(sync, recs...); err != nil {
-		c.log.Error("WAL append failed", "err", err)
-		return
+	var buf []byte
+	for _, r := range results {
+		buf = job.AppendLine(buf, r)
 	}
-	c.metrics.walRecords.Add(float64(len(recs)))
+	for _, r := range recs {
+		buf = appendWALLine(buf, r)
+	}
+	return appendJob(j.cp, buf, durable)
+}
+
+// appendJob appends lines to a job's file. A panicking write comes back
+// as an error: it must not leak the lock or recording=true and strand the
+// tasks (the HTTP handler would otherwise swallow the panic).
+func appendJob(cp *job.Checkpoint, lines []byte, durable bool) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("grid: job checkpoint write panicked: %v", r)
+		}
+	}()
+	return cp.Append(lines, durable)
 }
 
 // commit is the one place a decision becomes state. The live paths look
-// at the task table, decide and build their records; commit passes each
-// through its transition (apply), journals them as one write — fsynced if
-// a verdict is among them (verify, quarantine: not to be re-litigated
-// after a power loss; the rest only has to survive a kill -9, which a
-// plain write does) — bumps the counters that restate a record type, logs
-// the event (msg "" logs nothing; rid, if any, ties the record to its
-// request), and then wakes and drain-checks what the records may have
-// completed. j is the job every record is for; with j nil each
-// record names its own (a quarantine's revocations span jobs, and the
-// quarantine itself acts on all of them).
-func (c *Coordinator) commit(j *gridJob, now time.Time, recs []walRecord, rid, msg string, attrs ...any) {
-	verdict := false
+// at the task table, decide and build its lines — value lines and
+// tombstones (results), scheduler records (recs) — and commit journals
+// them as one write, fsynced if a value, a tombstone or a verdict (verify,
+// quarantine: not to be re-litigated after a power loss) is among them,
+// and settles them. With j nil recs is a quarantine verdict. A failed
+// journal is logged, not fatal: it degrades a future restart, not the run.
+func (c *Coordinator) commit(j *gridJob, now time.Time, results []job.Result, recs []walRecord, rid, msg string, attrs ...any) {
+	durable := len(results) > 0
 	for _, r := range recs {
-		target := j
-		if target == nil {
-			target = c.jobs[r.Job]
-		}
-		c.apply(target, r, now)
+		durable = durable || r.T == walVerify || r.T == walQuarantine
+	}
+	if err := c.journal(j, results, recs, durable); err != nil {
+		c.log.Error("journal append failed", "err", err)
+	}
+	c.settle(j, now, results, recs, rid, msg, attrs...)
+}
+
+// settle passes journalled lines through their transitions in written
+// order — results, then recs — bumps the counters that restate a record
+// type, logs the event (msg "" logs nothing; rid ties it to its request),
+// and wakes and drain-checks what they may have completed.
+func (c *Coordinator) settle(j *gridJob, now time.Time, results []job.Result, recs []walRecord, rid, msg string, attrs ...any) {
+	for _, r := range results {
+		c.applyResult(j, r, now)
+	}
+	for _, r := range recs {
+		c.apply(j, r, now)
 		switch r.T {
 		case walLease:
 			c.metrics.leasesGranted.Inc()
@@ -319,13 +354,10 @@ func (c *Coordinator) commit(j *gridJob, now time.Time, recs []walRecord, rid, m
 			c.metrics.requeues.Inc()
 		case walVerify:
 			c.metrics.auditsPassed.Inc()
-			verdict = true
 		case walQuarantine:
 			c.metrics.quarantines.Inc()
-			verdict = true
 		}
 	}
-	c.walAppendLocked(verdict, recs...)
 	if msg != "" {
 		if rid != "" {
 			attrs = append([]any{"rid", rid}, attrs...)
@@ -404,14 +436,13 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 	return id, nil
 }
 
-// registerLocked adds the job, restored from its checkpoint and the WAL;
-// for one already registered it only updates the priority and returns
-// nil.
+// registerLocked adds the job, restored from its file; for one already
+// registered it only updates the priority and returns nil.
 func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, priority int) (*gridJob, error) {
 	now := c.now()
 	if j, ok := c.jobs[id]; ok {
 		if j.weight != priority {
-			c.commit(j, now, []walRecord{{T: walPriority, Job: id, Weight: priority}}, "",
+			c.commit(j, now, nil, []walRecord{{T: walPriority, Weight: priority}}, "",
 				"job priority set", "job", id, "priority", priority)
 		}
 		return nil, nil
@@ -443,29 +474,28 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 		}
 		j.keyer, j.ids = keyer, ids
 	}
+	// Replay: the job's file, read once, line by line through the live
+	// transitions — a value line is an ingest by its worker, a tombstone
+	// an invalidation, a scheduler line its own transition. Leases re-arm
+	// with a fresh TTL from *this* coordinator's clock.
+	replayed := 0
 	if c.opts.Dir != "" {
-		cp, err := job.OpenCheckpoint(filepath.Join(c.opts.Dir, id), spec)
+		cp, err := job.OpenCheckpoint(filepath.Join(c.opts.Dir, id), spec, func(line []byte, r job.Result, ok bool) {
+			if ok {
+				c.applyResult(j, r, now)
+			} else if rec, ok := decodeWALLine(line); ok && rec.T != walQuarantine {
+				c.apply(j, rec, now)
+			} else {
+				return
+			}
+			replayed++
+		})
 		if err != nil {
 			return nil, err
 		}
 		j.cp = cp
+		c.restoreLocked(j, cp.Completed(), now)
 	}
-	// Replay: the journalled records that name this job, and the
-	// quarantines between them, through the live transitions in the order
-	// they were written. Leases re-arm with a fresh TTL from *this*
-	// coordinator's clock.
-	replayed, rest := 0, c.walRecs[:0]
-	for _, r := range c.walRecs {
-		if r.Job == id || r.T == walQuarantine {
-			c.apply(j, r, now)
-			replayed++
-		}
-		if r.Job != id {
-			rest = append(rest, r)
-		}
-	}
-	c.walRecs = rest
-	c.reconcileLocked(j, now)
 	j.restored = j.done
 	// A restored job's own results never complete its own tasks, but
 	// they must still trigger a scan of *this* job against what other
@@ -478,53 +508,35 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	return j, nil
 }
 
-// reconcileLocked is where the two journals meet after a replay: the
-// WAL has said who and when, the manifest says which values stand. A
-// task is done exactly if the manifest holds its value; then, in task
-// order, what a crash interrupted is finished — a quarantine whose
-// revocations or tombstones did not all reach the disk, an audit the WAL
-// never saw opened — and the cache is fed with everything that stands.
-func (c *Coordinator) reconcileLocked(j *gridJob, now time.Time) {
-	var restored map[string][]float64
-	if j.cp != nil {
-		restored = j.cp.Completed()
-	}
-	if revoked := j.revocations(func(w string) bool { return c.quarantined[w] }); len(revoked) > 0 {
-		c.commit(j, now, revoked, "", "")
-	}
-	var unrecorded []walRecord
+// restoreLocked finishes a registration once the job's file has replayed,
+// by two rules. (a) A value only another manifest in the directory holds
+// (a local shard's) is adopted as a value line from nobody, so what is
+// written about the task from here on replays against it done. (b) Every
+// standing quarantine is applied to the job by the live code, which also
+// finishes one whose revocations or tombstones a crash cut off. Then
+// audits re-open and the cache is fed with what stands.
+func (c *Coordinator) restoreLocked(j *gridJob, restored map[string][]float64, now time.Time) {
+	var adopted []job.Result
 	for _, st := range j.tasks {
-		st.values = restored[st.id]
-		switch {
-		case st.values == nil:
-			if st.status == taskDone {
-				// The WAL saw the ingest, the manifest holds a tombstone
-				// behind it or lost the line: the task re-runs.
-				j.invalidate(st)
-			}
-		case st.tainted:
-			// The WAL saw the value voided; the tombstone did not land.
-			c.tombstoneLocked(j, st)
-			st.values = nil
-		case st.status != taskDone:
-			// Done with no ingest on record (the crash fell between the
-			// manifest and the WAL, or the manifest came from a local
-			// sweep): an ingest from nobody, journalled now, so what is
-			// written about the task from here on replays against it done.
-			unrecorded = append(unrecorded, walRecord{T: walIngest, Job: j.id, Task: st.id})
+		// Neither done nor tainted: the job's file never held its value.
+		if v := restored[st.id]; v != nil && st.status != taskDone && !st.tainted {
+			adopted = append(adopted, job.Result{Task: st.task, Values: v})
 		}
 	}
-	if len(unrecorded) > 0 {
-		c.commit(j, now, unrecorded, "", "")
+	if len(adopted) > 0 {
+		c.commit(j, now, adopted, nil, "", "")
+	}
+	quarantined := make([]string, 0, len(c.quarantined))
+	for name := range c.quarantined {
+		quarantined = append(quarantined, name)
+	}
+	sort.Strings(quarantined)
+	for _, name := range quarantined {
+		c.voidLocked(j, name, now)
 	}
 	for _, st := range j.tasks {
-		if st.status != taskDone {
-			continue
-		}
 		switch {
-		case st.unauditedBy(st.producer) && c.quarantined[st.producer]:
-			c.invalidateTaskLocked(j, st)
-		case st.audit != nil:
+		case st.status != taskDone, st.audit != nil:
 			// With auditing on, selected values feed only once verified.
 		case c.auditEnabled() && !st.verified && auditSelected(j.id, st.id, c.opts.AuditRate):
 			j.setAudit(st, &auditState{original: st.producer, relaxAt: now.Add(c.opts.leaseTTL())})
@@ -553,28 +565,20 @@ func (c *Coordinator) feedCacheLocked(j *gridJob, t job.Task, vals []float64) {
 	j.absorbedEpoch = c.cacheEpoch
 }
 
-// absorbedTask is one task whose values the cache fully supplied,
-// in flight between the locked scan and the locked finalize.
-type absorbedTask struct {
-	st   *taskState
-	vals []float64
-}
-
 // collectCacheHitsLocked scans j's not-yet-done tasks against the
 // cache and claims every full hit (recording=true, exactly like an
-// in-flight ingest, so no lease/upload/second scan races it). The scan
-// is memory-speed (key hashing + map lookups, no I/O) and is
-// skipped entirely unless the cache gained foreign entries since this
-// job last looked (see cacheEpoch).
-func (c *Coordinator) collectCacheHitsLocked(j *gridJob) []absorbedTask {
+// in-flight ingest, so no lease/upload/second scan races it), returning
+// each hit's task and value line. The scan is memory-speed (key hashing +
+// map lookups, no I/O) and is skipped entirely unless the cache gained
+// foreign entries since this job last looked (see cacheEpoch).
+func (c *Coordinator) collectCacheHitsLocked(j *gridJob) (sts []*taskState, hits []job.Result) {
 	if c.opts.Cache == nil || j.keyer == nil || j.absorbedEpoch == c.cacheEpoch {
-		return nil
+		return nil, nil
 	}
 	j.absorbedEpoch = c.cacheEpoch
 	if j.done == len(j.tasks) {
-		return nil
+		return nil, nil
 	}
-	var hits []absorbedTask
 	for _, st := range j.tasks {
 		// A tainted task's cached per-point scores may be the very lie
 		// that was just invalidated — only an honest re-compute clears it.
@@ -594,75 +598,64 @@ func (c *Coordinator) collectCacheHitsLocked(j *gridJob) []absorbedTask {
 		}
 		if hit {
 			st.recording = true
-			hits = append(hits, absorbedTask{st: st, vals: vals})
+			sts = append(sts, st)
+			hits = append(hits, job.Result{Task: t, Values: vals})
 		}
 	}
-	return hits
+	return sts, hits
 }
 
 // absorbCache serves every task of j whose per-point scores the cache
-// already holds — journalling each through the checkpoint and commit
-// like an uploaded result from nobody, so cache-served and
-// worker-computed values are indistinguishable on disk and in the
-// results (determinism makes them identical by construction). Like an
-// ingest, the manifest append (all hits, one fsync) runs outside the
-// coordinator lock: a large absorbed job must not stall every other
-// worker's leases and heartbeats behind it.
+// already holds — value lines from nobody, recorded like an uploaded
+// result (recordLocked), so cache-served and worker-computed values are
+// indistinguishable on disk and in the results (determinism makes them
+// identical by construction) — without the fsync stalling every other
+// worker's leases and heartbeats behind a large absorbed job.
 func (c *Coordinator) absorbCache(j *gridJob) {
 	c.mu.Lock()
-	hits := c.collectCacheHitsLocked(j)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	sts, hits := c.collectCacheHitsLocked(j)
 	if len(hits) == 0 {
 		return
 	}
-
-	recs := make([]job.Result, len(hits))
-	for i, h := range hits {
-		recs[i] = job.Result{Task: h.st.task, Values: h.vals}
-	}
-	err := recordTasks(j.cp, recs)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, h := range hits {
-		h.st.recording = false
-	}
-	if err != nil {
-		// The tasks stay pending: workers will compute and re-upload
-		// them, taking the normal ingest error path.
+	if err := c.recordLocked(j, sts, hits); err != nil {
+		// The tasks stay pending — back behind the grant cursor, which
+		// passed them while they were recording: workers will compute and
+		// upload them, taking the normal ingest error path.
+		for _, st := range sts {
+			j.next = min(j.next, st.idx)
+		}
 		c.log.Error("cache absorption failed to journal", "job", j.id, "tasks", len(hits), "err", err)
-		c.checkDrainedLocked()
 		return
-	}
-	ingests := make([]walRecord, len(hits))
-	for i, h := range hits {
-		// An ingest from nobody: the value came from the cache.
-		h.st.values = h.vals
-		ingests[i] = walRecord{T: walIngest, Job: j.id, Task: h.st.id}
 	}
 	j.cacheServed += len(hits)
 	c.metrics.cacheServed.Add(float64(len(hits)))
-	c.commit(j, c.now(), ingests, "", "tasks served from the score cache", "job", j.id, "tasks", len(hits))
+	c.settle(j, c.now(), hits, nil, "", "tasks served from the score cache", "job", j.id, "tasks", len(hits))
 }
 
-// recordTasks journals finished tasks through cp with one append (nil:
-// an in-memory job, nothing to write). Callers run it outside the
-// coordinator lock with the tasks marked recording, so a panicking write
-// comes back as an error: it must not leak recording=true and strand the
-// tasks (the HTTP handler would otherwise swallow the panic).
-func recordTasks(cp *job.Checkpoint, recs []job.Result) (err error) {
-	if cp == nil {
-		return nil
+// recordLocked makes results — value lines of sts, which the caller
+// marked recording — durable in j's file before they are settled: written
+// under the lock, which fixes their place in the file, and fsynced
+// outside it, so leases and heartbeats never wait on the disk. Called
+// and returns with c.mu held, sts no longer recording; on an error the
+// tasks stand as they did.
+func (c *Coordinator) recordLocked(j *gridJob, sts []*taskState, results []job.Result) error {
+	err := c.journal(j, results, nil, false)
+	if cp := j.cp; err == nil && cp != nil {
+		c.mu.Unlock()
+		err = appendJob(cp, nil, true)
+		c.mu.Lock()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("grid: job checkpoint write panicked: %v", r)
-		}
-	}()
-	return cp.RecordAll(recs)
+	for _, st := range sts {
+		st.recording = false
+	}
+	if err != nil {
+		c.checkDrainedLocked()
+	}
+	return err
 }
 
-// Close releases every job's checkpoint handle and the WAL.
+// Close releases every job's file and the quarantine journal.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -709,7 +702,8 @@ func (c *Coordinator) getJob(id string) (*gridJob, error) {
 // computation or an audit re-check — scoring the expiry against the
 // worker that went silent, and re-queues the task of an arbitration that
 // ran out of road (no third worker ever arrived). Tasks are walked in
-// grant order and the records leave as one commit. Expiry is lazy: it
+// grant order and the records leave as one commit; a lease whose result
+// is being journalled does not lapse. Expiry is lazy: it
 // runs at the top of every API call that looks at task state, which is
 // the only time staleness could matter (plus the drain loop's ticks).
 func (c *Coordinator) expireLocked(j *gridJob) {
@@ -717,9 +711,9 @@ func (c *Coordinator) expireLocked(j *gridJob) {
 	var recs []walRecord
 	var splits []*taskState
 	for _, st := range j.tasks {
-		lapsed := st.worker != "" && st.deadline.Before(now)
+		lapsed := st.worker != "" && !st.recording && st.deadline.Before(now)
 		if lapsed {
-			recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: st.id, Worker: st.worker})
+			recs = append(recs, walRecord{T: walExpire, Task: st.id, Worker: st.worker})
 		}
 		if ast := st.audit; ast != nil && (st.worker == "" || lapsed) && ast.second != "" && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
 			splits = append(splits, st)
@@ -733,7 +727,7 @@ func (c *Coordinator) expireLocked(j *gridJob) {
 		c.invalidateTaskLocked(j, st)
 	}
 	if len(recs) > 0 {
-		c.commit(j, now, recs, "", "leases expired, tasks re-queued", "job", j.id, "tasks", len(recs))
+		c.commit(j, now, nil, recs, "", "leases expired, tasks re-queued", "job", j.id, "tasks", len(recs))
 	}
 }
 
@@ -779,7 +773,7 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, most int, fair bool
 	var recs []walRecord
 	var tasks []LeaseTask
 	grant := func(t string, st *taskState) {
-		recs = append(recs, walRecord{T: t, Job: j.id, Task: st.id, Worker: worker})
+		recs = append(recs, walRecord{T: t, Task: st.id, Worker: worker})
 		tasks = append(tasks, LeaseTask{Task: st.id, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi, TTLMS: ttl.Milliseconds()})
 	}
 	var audits []*taskState
@@ -796,7 +790,7 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, most int, fair bool
 	}
 	for ; j.next < len(j.tasks) && len(recs) < size; j.next++ {
 		j.scanned++
-		if st := j.tasks[j.next]; st.status == taskPending {
+		if st := j.tasks[j.next]; st.status == taskPending && !st.recording {
 			grant(walLease, st)
 		}
 	}
@@ -811,7 +805,7 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, most int, fair bool
 	if fair {
 		attrs = append(attrs, "fair_share", j.leasesGranted+leases, "weight", j.weight)
 	}
-	c.commit(j, now, recs, rid, "leased", attrs...)
+	c.commit(j, now, nil, recs, rid, "leased", attrs...)
 	// Who holds a re-check is the grant's to note, not the journal's.
 	for _, st := range audits {
 		st.hold(worker, now, ttl)
@@ -945,17 +939,18 @@ func (c *Coordinator) Ingest(ctx context.Context, id string, up ResultUpload) (R
 // first. A malformed body — no worker, no entries, an unknown task, a
 // wrong value count — or a quarantined worker is refused before anything
 // is recorded.
-// The body's not-yet-done tasks are checkpointed with one manifest append
-// before any is marked done, so an acknowledged result is always durable
-// — and the append runs outside the coordinator lock, so leases,
-// heartbeats and progress are never stalled behind an fsync; if it fails,
-// nothing is marked done and the tasks stay leased. A second upload
-// racing a journalling first one is told to move on without waiting for
+// The body's not-yet-done tasks are recorded with one append of their
+// value lines — the ingest — which is durable before any is marked done,
+// so an acknowledged result is always durable, and whose fsync runs
+// outside the coordinator lock (recordLocked); if it fails, nothing is
+// marked done and the tasks stay leased. A second upload racing a
+// journalling first one is told to move on without waiting for
 // durability; if the first write then fails, the task simply re-queues
 // and re-runs.
 func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUpload) ([]ResultAck, error) {
 	worker, results := up.Worker, up.Results
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	j, err := c.getJob(id)
 	if err == nil && worker == "" {
 		err = errNoWorker
@@ -975,13 +970,12 @@ func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUp
 		}
 	}
 	if err != nil {
-		c.mu.Unlock()
 		return nil, err
 	}
 	var (
 		acks  = make([]ResultAck, 0, len(results))
-		fresh []*taskState // tasks to journal; recs are their manifest records
-		recs  []job.Result
+		fresh []*taskState // tasks to record; lines are their value lines
+		lines []job.Result
 		now   = c.now()
 	)
 	for _, r := range results {
@@ -1002,45 +996,36 @@ func (c *Coordinator) IngestResults(ctx context.Context, id string, up ResultsUp
 		default:
 			st.recording = true
 			fresh = append(fresh, st)
-			recs = append(recs, job.Result{Task: st.task, Values: r.Values, Elapsed: time.Duration(r.ElapsedMS) * time.Millisecond})
+			lines = append(lines, job.Result{Task: st.task, Values: r.Values, Elapsed: time.Duration(r.ElapsedMS) * time.Millisecond, Worker: worker})
 		}
 		acks = append(acks, ack)
 	}
-	cp := j.cp
-	c.mu.Unlock()
 	if len(fresh) == 0 {
 		return acks, nil
 	}
-
-	recErr := recordTasks(cp, recs)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	if err := c.recordLocked(j, fresh, lines); err != nil {
+		return nil, err
+	}
 	for _, st := range fresh {
-		st.recording = false
-	}
-	if recErr != nil {
-		c.checkDrainedLocked()
-		return nil, recErr
-	}
-	walRecs := make([]walRecord, len(fresh))
-	for i, st := range fresh {
 		if st.status == taskLeased && !st.leasedAt.IsZero() && now.After(st.leasedAt) {
 			c.metrics.leaseLatency.Observe(now.Sub(st.leasedAt).Seconds())
 		}
-		// The value goes on the task; the record says whose it is.
-		st.values = recs[i].Values
-		c.metrics.valuesIngested.Add(float64(len(st.values)))
-		walRecs[i] = walRecord{T: walIngest, Job: j.id, Task: st.id, Worker: worker, ElapsedMS: recs[i].Elapsed.Milliseconds()}
+		c.metrics.valuesIngested.Add(float64(st.task.Hi - st.task.Lo))
 	}
 	c.metrics.tasksIngested.Add(float64(len(fresh)))
-	c.commit(j, now, walRecs, requestID(ctx), "ingested",
+	c.settle(j, now, lines, nil, requestID(ctx), "ingested",
 		"job", j.id, "worker", worker, "tasks", len(fresh), "body", len(results))
+	if c.quarantined[worker] {
+		// The verdict landed while the lines were in flight.
+		c.voidLocked(j, worker, c.now())
+	}
 	for _, st := range fresh {
-		if st.audit != nil {
+		switch {
+		case st.status != taskDone:
+		case st.audit != nil:
 			// Selected tasks feed the cache only once audit-verified.
 			c.metrics.auditsOpened.Inc()
-		} else {
+		default:
 			c.feedCacheLocked(j, st.task, st.values)
 		}
 	}

@@ -101,13 +101,13 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 		auditsPassed:    r.NewCounter("grid_audits_passed_total", "Audits settled with the recorded value confirmed."),
 		auditMismatches: r.NewCounter("grid_audit_mismatches_total", "Uploads that contradicted a recorded value."),
 		invalidated:     r.NewCounter("grid_tasks_invalidated_total", "Done tasks whose recorded value was discarded and re-queued."),
-		quarantines:     r.NewCounter("grid_quarantines_total", "Workers quarantined (audit verdicts, operator requests and WAL replays)."),
+		quarantines:     r.NewCounter("grid_quarantines_total", "Workers quarantined (audit verdicts, operator requests and quarantine journal replays)."),
 		corruptBodies:   r.NewCounter("grid_corrupt_bodies_total", "Request bodies rejected for a checksum mismatch (transport corruption)."),
 		leaseHedged:     r.NewCounter("grid_lease_hedged_total", "Straggling leases moved to an idle worker (hedges)."),
-		walRecords:      r.NewCounter("grid_wal_records_total", "Scheduling records appended to the coordinator WAL."),
-		walReplayed:     r.NewGauge("grid_wal_replayed_records", "WAL records replayed at the last coordinator startup."),
-		walSkipped:      r.NewGauge("grid_wal_skipped_records", "WAL lines skipped as corrupt (bad CRC or malformed) at the last coordinator startup."),
-		walReplaySecs:   r.NewGauge("grid_wal_replay_seconds", "Seconds the last coordinator startup spent reading and decoding the WAL."),
+		walRecords:      r.NewCounter("grid_wal_records_total", "Quarantine verdicts appended to the quarantine journal (coordinator.wal)."),
+		walReplayed:     r.NewGauge("grid_wal_replayed_records", "Quarantine journal records replayed at the last coordinator startup."),
+		walSkipped:      r.NewGauge("grid_wal_skipped_records", "Quarantine journal lines skipped as corrupt (bad CRC or malformed) at the last coordinator startup."),
+		walReplaySecs:   r.NewGauge("grid_wal_replay_seconds", "Seconds the last coordinator startup spent reading and decoding the quarantine journal."),
 		quarantinedVec:  r.NewGaugeVec("grid_worker_quarantined", "1 while the worker is quarantined.", "worker"),
 
 		traceUploads:  r.NewCounter("grid_trace_uploads_total", "Trace chunk uploads accepted."),

@@ -1,20 +1,28 @@
 package grid
 
-// Replay is the live transitions over restored values, so a coordinator
+// Replay is the live transitions over each job's file, so a coordinator
 // killed after any call and restarted on what it left behind must stand
-// where the dead one stood — in everything the journals own (FuzzSchedule's
-// invariant 2 compares durableProjection) — and no WAL a disk can hand back
-// may wedge a restart (FuzzWALReplay).
+// where the dead one stood — in everything the files own (FuzzSchedule's
+// invariant 2 compares durableProjection) — and no scheduler lines a disk
+// can hand back may wedge a restart (FuzzWALReplay).
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand/v2"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/gossip"
+	"repro/internal/job"
+	"repro/internal/linelog"
 )
 
 // notDurable is what durableProjection leaves out, and why: the fields a
@@ -25,14 +33,14 @@ var notDurable = []struct{ field, why string }{
 	{"task tainted", "only steers the cache absorb scan; a restart re-feeds the cache from what stands"},
 	{"a done task's holder; audit second, secondVals, secondMS, giveUpAt", "a re-check and an arbitration are not journalled: a restart re-opens the audit as a plain re-check (that it is open is compared)"},
 	{"worker firstSeen, lastSeen", "wall-clock liveness of the dead process"},
-	{"worker latEWMA, failEWMA with several jobs", "registerLocked replays one job's records at a time, so the EWMAs fold a worker's outcomes in registration order, not in the order they happened (ingest A, expire B, ingest A: 0.21 live, 0.3 replayed); journalling them is ROADMAP item 10's"},
+	{"worker latEWMA, failEWMA with several jobs", "registerLocked replays one job's file at a time, so the EWMAs fold a worker's outcomes in registration order, not in the order they happened (ingest A, expire B, ingest A: 0.21 live, 0.3 replayed); journalling them is ROADMAP item 3's"},
 	{"job next, scanned", "the grant cursor is a scan bound, re-derived by walking from 0"},
 	{"job startedAt, restored, scores, changed, cache plumbing", "per process lifetime: ETA anchor, assembled result, wake-up channel, cache epochs"},
-	{"values", "the manifest's, not the WAL's; FuzzSchedule's invariant 3 compares them with the manifests' whole lines"},
+	{"values", "the job's file's value lines, not its scheduler lines; FuzzSchedule's invariant 3 compares them with the files' whole value lines"},
 }
 
-// durableProjection renders what the manifests and the WAL own of c's
-// state: per task status, a leased task's holder, producer, verified and
+// durableProjection renders what the jobs' files and the quarantine
+// journal own of c's state: per task status, a leased task's holder, producer, verified and
 // whether an audit is open; each job's counters; the quarantined set;
 // every worker's counts, and with a single job its EWMAs.
 func durableProjection(c *Coordinator) string {
@@ -101,7 +109,7 @@ func crashCopy(t testing.TB, dir string) string {
 	return out
 }
 
-// walBytes encodes recs as a WAL file.
+// walBytes encodes recs as scheduler lines.
 func walBytes(t testing.TB, recs []walRecord) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -120,12 +128,13 @@ func walBytes(t testing.TB, recs []walRecord) []byte {
 	return data
 }
 
-// FuzzWALReplay hands a restart arbitrary bytes for a WAL, beside the
-// manifest a schedule left a third of the way in — full audits, hedges, a
-// liar and a silent worker. Whatever the WAL says, the restart must not
-// panic and must come up consistent (FuzzSchedule's invariant 1), and the
-// honest workers must then finish the job byte-identical to job.Run
-// (invariants 8 and 4): the manifest owns the values, so a WAL can cost
+// FuzzWALReplay hands a restart arbitrary bytes for the scheduler lines of
+// a job's file, beside the value lines and tombstones a schedule left
+// there a third of the way in — full audits, hedges, a liar and a silent
+// worker. Whatever the scheduler lines say, the restart must not panic
+// and must come up consistent (FuzzSchedule's invariant 1), and the honest
+// workers must then finish the job byte-identical to job.Run (invariants
+// 8 and 4): the value lines own the values, so scheduler lines can cost
 // re-runs, never results.
 func FuzzWALReplay(f *testing.F) {
 	orig := retryDelay
@@ -136,22 +145,50 @@ func FuzzWALReplay(f *testing.F) {
 	for range 120 {
 		sched = append(sched, byte(rng.Uint32()))
 	}
-	var crash string
+	var crash, rel string
 	runWorld(f, sched, false, func(w *world) {
 		if w.step == len(w.steps)/3 {
-			crash = crashCopy(f, w.dir)
+			crash, rel = crashCopy(f, w.dir), filepath.Join(w.ids[0], "manifest-grid.jsonl")
 		}
 	})
-	w, recs, _, err := openWAL(crash)
+	data, err := os.ReadFile(filepath.Join(crash, rel))
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.Close()
-	if err := os.Remove(filepath.Join(crash, walFileName)); err != nil {
-		f.Fatal(err)
+	// The file's value lines and tombstones are kept, each after as many
+	// scheduler lines as preceded it; the scheduler lines are the input.
+	type valueLine struct {
+		at   int
+		line []byte
 	}
-	// The WAL as written, and with records dropped, duplicated, re-attributed
-	// and reordered.
+	var values []valueLine
+	var recs []walRecord
+	linelog.Lines(data, func(line []byte) {
+		if r, ok := decodeWALLine(line); ok {
+			recs = append(recs, r)
+		} else {
+			values = append(values, valueLine{len(recs), append(slices.Clip(line), '\n')})
+		}
+	})
+	file := func(lines []byte) []byte {
+		var out []byte
+		k := 0
+		for n, line := range bytes.SplitAfter(lines, []byte("\n")) {
+			for ; k < len(values) && values[k].at <= n; k++ {
+				out = append(out, values[k].line...)
+			}
+			out = append(out, line...)
+		}
+		if k < len(values) && len(out) > 0 && out[len(out)-1] != '\n' {
+			out = append(out, '\n')
+		}
+		for ; k < len(values); k++ {
+			out = append(out, values[k].line...)
+		}
+		return out
+	}
+	// The scheduler lines as written, and with records dropped, duplicated,
+	// re-attributed and reordered.
 	workers := []string{"honest0", "honest1", "liar2", "silent3", ""}
 	for _, mutate := range []func(r walRecord) []walRecord{
 		func(r walRecord) []walRecord { return []walRecord{r} },
@@ -172,9 +209,9 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(walBytes(f, recs))
 	f.Add([]byte(`{"crc":1,"rec":{"t":"lea`))
 
-	f.Fuzz(func(t *testing.T, wal []byte) {
+	f.Fuzz(func(t *testing.T, lines []byte) {
 		dir := crashCopy(t, crash)
-		if err := os.WriteFile(filepath.Join(dir, walFileName), wal, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, rel), file(lines), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		w := newWorld(t, sched, false)
@@ -188,6 +225,132 @@ func FuzzWALReplay(f *testing.F) {
 				return
 			}
 		}
-		// A WAL that bans every finisher proves nothing further.
+		// A quarantine journal that bans every finisher proves nothing further.
 	})
+}
+
+// TestRestartReadsOneJob: what a restart reads does not grow with the
+// jobs a coordinator ever ran. On histories of 1 and of 10 completed jobs,
+// with one quarantine, a restart that registers the first job replays
+// the quarantine journal's one verdict and that job's own file, line for
+// line — the same count in both.
+func TestRestartReadsOneJob(t *testing.T) {
+	ctx := context.Background()
+	all := gossip.Domain().Space().Enumerate()
+	var replayed []string
+	for _, jobs := range []int{1, 10} {
+		dir := t.TempDir()
+		var specs []job.Spec
+		coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
+		for i := range jobs {
+			cfg := tinyGossipCfg()
+			cfg.Seed = int64(i + 1)
+			spec := job.Spec{Domain: gossip.Domain(), Points: all[:4], Cfg: cfg, Chunk: 2}
+			id, err := coord.AddJob(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !mustProgress(t, coord, id).Complete {
+				lease := leaseUpTo(t, coord, id, "w", 2)
+				if _, err := coord.IngestResults(ctx, id, ResultsUpload{Worker: "w", Results: results(lease, honestVals)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			specs = append(specs, spec)
+		}
+		coord.Quarantine("gone")
+		if err := coord.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var logs logSink
+		restarted := NewCoordinator(CoordinatorOptions{Dir: dir, Logger: logs.logger()})
+		id, err := restarted.AddJob(specs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scrape bytes.Buffer
+		restarted.Metrics().WritePrometheus(&scrape)
+		restarted.Close()
+		if !strings.Contains(scrape.String(), "\ngrid_wal_replayed_records 1\n") {
+			t.Fatalf("%d jobs: the restart replayed other than the one quarantine:\n%s", jobs, scrape.String())
+		}
+		data, err := os.ReadFile(filepath.Join(dir, id, "manifest-grid.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("replayed=%d ", bytes.Count(data, []byte("\n")))
+		registered := ""
+		for _, line := range strings.Split(logs.String(), "\n") {
+			if strings.Contains(line, `msg="job registered"`) {
+				registered = line
+			}
+		}
+		if !strings.Contains(registered, want) {
+			t.Fatalf("%d jobs: %q, want %s — the job's own lines", jobs, registered, want)
+		}
+		replayed = append(replayed, want)
+	}
+	if replayed[0] != replayed[1] {
+		t.Fatalf("the same job replayed %s after 1 job and %s after 10", replayed[0], replayed[1])
+	}
+}
+
+// TestRestoreAdoptsLocalShard: a value only a local shard's manifest
+// holds is adopted into the job's file as a value line from nobody, once:
+// a second restart replays it from the job's file like any other line,
+// and the workers finish the rest byte-identical to job.Run.
+func TestRestoreAdoptsLocalShard(t *testing.T) {
+	spec := gossipSpec(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	specRaw, err := job.EncodeSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := jobID(spec.Domain.Name(), specRaw)
+	// Shard 0 of 2 runs locally into the job's directory and stops short.
+	if _, err := job.Run(ctx, spec.Domain, spec.Points, spec.Cfg, job.Options{Dir: filepath.Join(dir, id), Chunk: spec.Chunk, Shards: 2}); err == nil {
+		t.Fatal("a lone shard of two completed the sweep")
+	}
+	shard, err := os.ReadFile(filepath.Join(dir, id, "manifest-s0of2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted := bytes.Count(shard, []byte("\n"))
+	if adopted == 0 || adopted == len(spec.Tasks()) {
+		t.Fatalf("the shard recorded %d of %d tasks", adopted, len(spec.Tasks()))
+	}
+	for life := range 2 {
+		coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
+		if _, err := coord.AddJob(spec); err != nil {
+			t.Fatal(err)
+		}
+		snap := mustProgress(t, coord, id)
+		coord.Close()
+		data, err := os.ReadFile(filepath.Join(dir, id, "manifest-grid.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Done != adopted || bytes.Count(data, []byte("\n")) != adopted || bytes.Contains(data, []byte(`"worker"`)) {
+			t.Fatalf("life %d: %d tasks restored, the job's file holds\n%s\nwant the shard's %d values, from nobody, once", life, snap.Done, data, adopted)
+		}
+	}
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
+	defer coord.Close()
+	if _, err := coord.AddJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	if err := Work(ctx, srv.URL, id, WorkerOptions{Name: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	scores, err := coord.WaitComplete(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csvOf(t, spec.Domain, scores) != csvOf(t, spec.Domain, wantScores(t, spec)) {
+		t.Fatal("the job's CSV is not job.Run's")
+	}
 }

@@ -230,7 +230,7 @@ func (c *Coordinator) hedgeThresholdLocked() time.Duration {
 // ordinary-looking lease to its new holder; the straggler hears it lost
 // at its next heartbeat but may still upload, and the first idempotent
 // ingest wins, the loser's upload absorbed as a duplicate (or as audit
-// evidence).
+// evidence). A lease whose result is being journalled stays put.
 func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now time.Time) []*taskState {
 	if !c.opts.Hedge {
 		return nil
@@ -241,7 +241,7 @@ func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now 
 		if len(out) == room {
 			break
 		}
-		if st.status == taskLeased && st.worker != worker && now.Sub(st.leasedAt) >= th {
+		if st.status == taskLeased && !st.recording && st.worker != worker && now.Sub(st.leasedAt) >= th {
 			out = append(out, st)
 		}
 	}

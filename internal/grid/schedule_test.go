@@ -148,7 +148,7 @@ type world struct {
 	h      http.Handler
 	client *http.Client
 	fault  int
-	writes []fileWrite // this life's WAL and manifest appends, in order
+	writes []fileWrite // this life's appends to the jobs' files and the quarantine journal, in order
 	parsed int         // writes already scanned for verify records
 	unseam func()
 
@@ -158,12 +158,12 @@ type world struct {
 	everCut     bool            // (10)
 	fairOnly    bool            // every grant so far was a single task of the scheduler's pick (7)
 	selfGrant   map[string]bool // job/task/worker: a producer handed its own re-check (6)
-	vouched     []bool          // per job: the liar verified its own lie (4)
+	vouched     []bool          // per job: the liar verified its own lie, holding its re-check (4)
 	standingLie bool            // a lie stood undisputed when the faults stopped (5)
 	acks        []string        // every upload entry's verdict, in stream order (10)
 	twin        *world          // the same input, run before (9, 10)
-	files       string          // the final WAL and manifests (9)
-	outcome     string          // the acks and the final projection, WAL records, restore and CSVs (10)
+	files       string          // the final quarantine journal and job files (9)
+	outcome     string          // the acks and the final projection, scheduler records, restore and CSVs (10)
 }
 
 // newWorld reads the header — three bytes and one per worker, zero if
@@ -388,8 +388,8 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 	}
 }
 
-// record keeps every append to the WAL and the manifests of the world's
-// current directory: what a crash may cut.
+// record keeps every append to the quarantine journal and the jobs'
+// files of the world's current directory: what a crash may cut.
 func (w *world) record(path string, p []byte) {
 	rel, err := filepath.Rel(w.dir, path)
 	base := filepath.Base(path)
@@ -703,14 +703,14 @@ func (w *world) prioritize(jx, p int) {
 }
 
 // kill is a coordinator kill -9 and a restart on what it left on disk,
-// cut in place. v < 15 cuts the last manifest (else WAL) append as the
-// crash tore it: v/3 whole lines of it, then -1, 0 or +1 byte (v%3 - 1),
-// and none of the appends after it.
-func (w *world) kill(manifest bool, v int) {
+// cut in place. v < 15 cuts the last append to a job's file (else to the
+// quarantine journal) as the crash tore it: v/3 whole lines of it, then
+// -1, 0 or +1 byte (v%3 - 1), and none of the appends after it.
+func (w *world) kill(jobFile bool, v int) {
 	w.lastLive = durableProjection(w.c)
 	n := len(w.writes)
 	i := n - 1
-	for i >= 0 && manifest == (w.writes[i].rel == walFileName) {
+	for i >= 0 && jobFile == (w.writes[i].rel == walFileName) {
 		i--
 	}
 	size := map[string]int64{} // what each file is cut back to
@@ -747,30 +747,33 @@ func (w *world) kill(manifest bool, v int) {
 	w.hold(atRestart...)
 }
 
-// scanRecords looks at the verify records journalled since the last look:
-// a worker vouching for its own value must have been handed the re-check
-// (6), and the liar vouching for a lie is noted (4).
+// scanRecords looks at the verify lines the jobs' files gained since the
+// last look: a worker vouching for its own value, and the liar vouching
+// for a lie, must have been handed the re-check — the relaxation is the
+// one way there (6) — and the liar doing so is noted (4).
 func (w *world) scanRecords() {
 	liar := w.liar()
 	for ; w.parsed < len(w.writes); w.parsed++ {
 		fw := w.writes[w.parsed]
-		if fw.rel != walFileName {
-			continue
+		id := filepath.Dir(fw.rel)
+		jx := w.jobIndex(id)
+		if jx < 0 {
+			continue // the quarantine journal
 		}
 		for _, line := range bytes.SplitAfter(fw.data, []byte("\n")) {
 			r, ok := decodeWALLine(line)
 			if !ok || r.T != walVerify {
 				continue
 			}
-			jx := w.jobIndex(r.Job)
 			w.c.mu.Lock()
-			st := w.c.jobs[r.Job].task(r.Task)
+			st := w.c.jobs[id].task(r.Task)
 			producer, lie := st.producer, !equalValues(st.values, w.refs[jx].values[r.Task])
 			w.c.mu.Unlock()
-			if r.Worker == producer && !w.selfGrant[r.Job+"/"+r.Task+"/"+r.Worker] {
-				w.violate(&audited, "%s verified its own value of %s without holding its re-check", r.Worker, r.Task)
+			lying := liar != nil && r.Worker == liar.name && lie
+			if (r.Worker == producer || lying) && !w.selfGrant[id+"/"+r.Task+"/"+r.Worker] {
+				w.violate(&audited, "%s verified the value of %s (produced by %q) without holding its re-check", r.Worker, r.Task, producer)
 			}
-			w.vouched[jx] = w.vouched[jx] || liar != nil && r.Worker == liar.name && lie
+			w.vouched[jx] = w.vouched[jx] || lying
 		}
 	}
 }
@@ -848,7 +851,7 @@ func (w *world) csv(jx int) string {
 
 // wholeLines folds job jx's manifests the way linelog's rule reads them:
 // whole lines only, a tombstone cancels what precedes it, the first live
-// line of a task wins.
+// line of a task wins, a line naming no task is skipped.
 func (w *world) wholeLines(jx int) map[string][]float64 {
 	want := map[string]int{}
 	for _, t := range w.refs[jx].tasks {
@@ -868,7 +871,7 @@ func (w *world) wholeLines(jx int) map[string][]float64 {
 				Dead   bool
 			}
 			switch {
-			case !bytes.HasSuffix(line, []byte("\n")) || json.Unmarshal(line, &e) != nil:
+			case !bytes.HasSuffix(line, []byte("\n")) || bytes.HasPrefix(line, []byte(`{"crc":`)) || json.Unmarshal(line, &e) != nil:
 			case e.Dead:
 				delete(out, e.Task)
 			case out[e.Task] == nil && len(e.Values) == want[e.Task] && want[e.Task] > 0:
@@ -1007,8 +1010,9 @@ var restartEqualsLive = invariant{"2 restart equals live", func(w *world) error 
 	return nil
 }}
 
-// 3. The values on record are exactly the whole lines of the manifests: a
-// task is done if and only if they hold its value, and it holds that value.
+// 3. The values on record are exactly the whole value lines of the jobs'
+// files: a task is done if and only if they hold its value, and it holds
+// that value.
 var restoreIsManifest = invariant{"3 values are the manifests' whole lines", func(w *world) error {
 	for jx, id := range w.ids {
 		lines := w.wholeLines(jx)
@@ -1027,9 +1031,7 @@ var restoreIsManifest = invariant{"3 values are the manifests' whole lines", fun
 // 4. Every completed job's CSV is byte-identical to job.Run's when the
 // world has no liar or audits everything — except a job whose liar
 // vouched for its own lie: the relaxation hands a producer its own re-check
-// once a TTL passed with nobody else taking it, and a crash between a
-// body's manifest and WAL appends leaves a value with no producer on
-// record, which anyone may then verify.
+// once a TTL passed with nobody else taking it.
 var csvMatchesRun = invariant{"4 CSV byte-identical to job.Run", func(w *world) error {
 	if w.liar() != nil && w.opts.AuditRate == 0 {
 		return nil
@@ -1082,8 +1084,8 @@ var audited = invariant{"6 audited jobs complete verified", func(w *world) error
 	return nil
 }}
 
-// 7. Per job, leasesGranted is the lease records journalled for it — a
-// hedge never counts. (Also judged on the spot: a re-posted job keeps its
+// 7. Per job, leasesGranted is the lease records of its file — a hedge
+// never counts. (Also judged on the spot: a re-posted job keeps its
 // ID and takes the new priority; no grant while draining, none past the
 // request's cap, none past one chunk group to a worker with no ingested
 // task, none outside its job; every grant leaves its worker the holder; a
@@ -1092,13 +1094,8 @@ var audited = invariant{"6 audited jobs complete verified", func(w *world) error
 // a single task of the scheduler's pick with every job pending,
 // granted-per-weight shares stay within 1 of each other.)
 var grants = invariant{"7 grants", func(w *world) error {
-	log, recs, _, err := openWAL(w.dir)
-	if err != nil {
-		return err
-	}
-	log.Close()
 	leases := map[string]int{}
-	for _, r := range recs {
+	for _, r := range journalRecords(w.t, w.dir) {
 		if r.T == walLease {
 			leases[r.Job]++
 		}
@@ -1108,7 +1105,7 @@ var grants = invariant{"7 grants", func(w *world) error {
 	defer c.mu.Unlock()
 	for _, id := range w.ids {
 		if j := c.jobs[id]; j.leasesGranted != leases[id] {
-			return fmt.Errorf("job %s counts %d grants, the WAL holds %d lease records", id, j.leasesGranted, leases[id])
+			return fmt.Errorf("job %s counts %d grants, its file holds %d lease records", id, j.leasesGranted, leases[id])
 		}
 	}
 	return nil
@@ -1125,14 +1122,15 @@ var honestFinish = invariant{"8 honest workers finish", func(w *world) error {
 	return nil
 }}
 
-// 9. The same input writes byte-identical WAL and manifests.
+// 9. The same input writes a byte-identical quarantine journal and job
+// files.
 var deterministic = invariant{"9 same input, same bytes", func(w *world) error {
 	return firstDiff(w.twin.files, w.files)
 }}
 
 // 10. A body is its entries: with every body sent as one-entry bodies (in
 // the order the coordinator takes a body's entries) the same input ends in
-// the same acks, projection, WAL records, restore and CSVs — unless a crash
+// the same acks, projection, scheduler records, restore and CSVs — unless a crash
 // cut an append, whose lines differ between the two. (Also judged on the
 // spot: a re-sent body is acked a duplicate entry by entry and writes
 // nothing.)
@@ -1218,11 +1216,11 @@ func (s spell) holdsRest(wk int) spell { return s.step(wk).batch(wk).step(wk) }
 // it for a TTL.
 var sizedGrantDies = schedule(false, false, "hs", 1).stray(1, 0).step(1).clock(9)
 
-// cut is a kill -9 inside the last manifest (else WAL) append: after its
-// line-th line, off by d bytes.
-func (s spell) cut(manifest bool, line, d int) spell {
+// cut is a kill -9 inside the last append to a job's file (else to the
+// quarantine journal): after its line-th line, off by d bytes.
+func (s spell) cut(jobFile bool, line, d int) spell {
 	arg := (line*3 + d + 1) << 1
-	if manifest {
+	if jobFile {
 		arg |= 1
 	}
 	return s.add(byte(opKill | arg<<3))
@@ -1254,9 +1252,9 @@ func scheduleCorpus() []spell {
 		audited.step(2).batch(2),
 		// The relaxation hands the liar its own re-check a TTL on: it vouches for its lie (invariant 4's exception).
 		audited.step(2).batch(2).clock(9).batch(2).batch(2),
-		// A crash between a body's manifest and WAL appends, then the producer-less tasks are verified and the
-		// coordinator killed again: the restart journalled their ingests, so the verifies replay.
-		fourLines(true).cut(true, 4, 0).step(1).batch(1).kill(),
+		// A kill -9 inside a body's one append keeps two of its four value lines; a second worker then verifies
+		// them and the coordinator is killed again: the verifies replay against the values that stood.
+		fourLines(true).cut(true, 2, 0).step(1).batch(1).kill(),
 		// A liar sends its lies twice, then two honest workers overrule it.
 		audited.started(2).lose().unit(2).batch(2).step(0).batch(0).step(1).batch(1),
 		// A straggler holding every pending task has its leases moved past half a TTL; the new holder wins, the straggler's results are duplicates.
@@ -1296,13 +1294,14 @@ func scheduleCorpus() []spell {
 		// A worker dies holding a sized grant: all of its tasks re-queue after one TTL.
 		sizedGrantDies,
 	}
-	// A kill -9 inside a four-line body's manifest append, at each line
-	// boundary and a byte either side; and inside the WAL append after it.
+	// A kill -9 inside a four-line body's one append, at each line
+	// boundary and a byte either side; and at each boundary with audits
+	// on, whose restart re-opens the audits of the lines that stood.
 	for line := range 5 {
 		for d := -1; d <= 1; d++ {
 			corpus = append(corpus, fourLines(false).cut(true, line, d))
 		}
-		corpus = append(corpus, fourLines(false).cut(false, line, 0))
+		corpus = append(corpus, fourLines(true).cut(true, line, 0))
 	}
 	// Long walks: every op, any worker, a few hundred steps.
 	for seed := range uint64(4) {

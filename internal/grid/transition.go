@@ -1,30 +1,33 @@
 package grid
 
-import "time"
+import (
+	"time"
 
-// The scheduler's state changes, one function per journal record type.
-// A walRecord is the event; apply is what it does to memory — the task,
-// the job's counters and the worker's score row together. The live paths
-// decide, build their records, pass each through apply and append them
-// in one write; a restart passes the journalled records through the same
-// functions, in the order they were written, and then takes the values
-// from the checkpoint (reconcileLocked). Nothing here reads a clock,
-// touches a file, a metric or a log, or looks at a value, so what a
-// record does cannot depend on which of the two is running it. The
-// functions assert state, not the mutex: replay runs them before the job
-// is published.
+	"repro/internal/job"
+)
+
+// The scheduler's state changes, one function per line of a job's file:
+// a value line is the ingest and a tombstone the invalidation
+// (applyResult), a scheduler record its own change (apply). Each does to
+// memory what its line says — task, job counters and worker score row
+// together. The live paths decide, journal the lines and settle them in
+// that order; a restart passes each job's file through the same functions
+// when it registers the job. Nothing here reads a clock, touches a file,
+// a metric or a log, so what a line does cannot depend on which of the
+// two runs it. The functions assert state, not the mutex: replay runs
+// them before the job is published.
 //
 // Counters are per record, not per effect: every lease record is one
 // grant against the job's fair share and every expire record is one
 // requeue and one failure against its worker, whether or not the task
 // still looks the way it did when the record was written.
 
-// apply performs r's in-memory change on j. A record that names no job
-// (quarantine) acts on j, or with j nil on every registered job; any
-// other needs its job.
+// apply performs scheduler record r's in-memory change on j. A quarantine
+// names no job: it bans its worker, and what the ban does to a job is
+// that job's own lines (voidLocked). Any other record needs its job.
 func (c *Coordinator) apply(j *gridJob, r walRecord, now time.Time) {
 	if r.T == walQuarantine {
-		c.applyQuarantine(j, r.Worker)
+		c.quarantined[r.Worker] = true
 		return
 	}
 	if j == nil {
@@ -40,7 +43,6 @@ func (c *Coordinator) apply(j *gridJob, r walRecord, now time.Time) {
 	if st == nil {
 		return
 	}
-	elapsed := time.Duration(r.ElapsedMS) * time.Millisecond
 	switch r.T {
 	case walLease:
 		c.applyLease(j, st, r.Worker, now)
@@ -48,10 +50,24 @@ func (c *Coordinator) apply(j *gridJob, r walRecord, now time.Time) {
 		c.applyHedge(st, r.Worker, now)
 	case walExpire:
 		c.applyExpire(j, st, r.Worker, now)
-	case walIngest:
-		c.applyIngest(j, st, r.Worker, elapsed, now)
 	case walVerify:
-		c.applyVerify(j, st, r.Worker, elapsed, now)
+		c.applyVerify(j, st, r.Worker, time.Duration(r.ElapsedMS)*time.Millisecond, now)
+	}
+}
+
+// applyResult performs a value line's or a tombstone's change on j, by the
+// rule every restore folds a manifest with: a task's first value line
+// since its last tombstone is its value, and a tombstone cancels it.
+func (c *Coordinator) applyResult(j *gridJob, r job.Result, now time.Time) {
+	st := j.task(r.Task.ID())
+	switch {
+	case st == nil:
+	case r.Dead:
+		if st.status == taskDone {
+			j.invalidate(st)
+		}
+	case st.status != taskDone:
+		c.applyIngest(j, st, r, now)
 	}
 }
 
@@ -98,25 +114,22 @@ func (c *Coordinator) applyExpire(j *gridJob, st *taskState, worker string, now 
 	}
 }
 
-// applyIngest puts worker's result for st on record: whatever lease
-// stood ends (a straggler whose lease moved and the worker it moved to
-// are not scored: one of them simply lost the race), and the task's
-// audit, if it is selected for one, opens. The value itself is not in
-// the WAL: the upload puts it on the task, a restart takes it from the
-// manifest.
-func (c *Coordinator) applyIngest(j *gridJob, st *taskState, worker string, elapsed time.Duration, now time.Time) {
-	c.workerDone(worker, elapsed, now)
+// applyIngest puts r's value on st's record, produced by r.Worker ("" for
+// a cache-served or adopted value): whatever lease stood ends (a
+// straggler whose lease moved and the worker it moved to are not scored:
+// one of them simply lost the race), and the task's audit, if it is
+// selected for one, opens.
+func (c *Coordinator) applyIngest(j *gridJob, st *taskState, r job.Result, now time.Time) {
+	c.workerDone(r.Worker, r.Elapsed, now)
 	if st.status == taskPending {
 		j.pending--
 	}
-	if st.status != taskDone {
-		st.status = taskDone
-		j.done++
-	}
-	st.worker, st.producer, st.verified, st.tainted = "", worker, false, false
+	st.status = taskDone
+	j.done++
+	st.values, st.worker, st.producer, st.verified, st.tainted = r.Values, "", r.Worker, false, false
 	j.setAudit(st, nil)
-	if c.auditEnabled() && worker != "" && auditSelected(j.id, st.id, c.opts.AuditRate) {
-		j.setAudit(st, &auditState{original: worker, relaxAt: now.Add(c.opts.leaseTTL())})
+	if c.auditEnabled() && r.Worker != "" && auditSelected(j.id, st.id, c.opts.AuditRate) {
+		j.setAudit(st, &auditState{original: r.Worker, relaxAt: now.Add(c.opts.leaseTTL())})
 	}
 }
 
@@ -126,29 +139,6 @@ func (c *Coordinator) applyVerify(j *gridJob, st *taskState, worker string, elap
 	if st.status == taskDone {
 		st.verified = true
 		j.setAudit(st, nil)
-	}
-}
-
-// applyQuarantine bans worker and voids its say: a dispute it raised
-// dissolves (the audit goes back to a plain re-check), and every
-// done-but-unverified task it produced is invalidated. Verified tasks
-// survive — a second worker vouched for them. Its leases end by the
-// expire records that follow in the same append.
-func (c *Coordinator) applyQuarantine(j *gridJob, worker string) {
-	c.quarantined[worker] = true
-	if j == nil {
-		for _, each := range c.jobs {
-			c.applyQuarantine(each, worker)
-		}
-		return
-	}
-	for _, st := range j.tasks {
-		if ast := st.audit; ast != nil && ast.second == worker {
-			ast.second, ast.secondVals, ast.secondMS, ast.giveUpAt = "", nil, 0, time.Time{}
-		}
-		if st.unauditedBy(worker) {
-			j.invalidate(st)
-		}
 	}
 }
 
@@ -174,10 +164,9 @@ func (j *gridJob) requeue(st *taskState) {
 	j.next = min(j.next, st.idx)
 }
 
-// invalidate drops a done task's recorded value from memory and
-// re-queues it; the manifest tombstone is the live caller's. The task is
-// tainted: the cache may still hold the dropped per-point scores, so the
-// absorb scan must not serve them back until an honest re-run
+// invalidate drops a done task's recorded value and re-queues it. The
+// task is tainted: the cache may still hold the dropped per-point scores,
+// so the absorb scan must not serve them back until an honest re-run
 // overwrites them.
 func (j *gridJob) invalidate(st *taskState) {
 	j.requeue(st)
@@ -209,12 +198,13 @@ func (j *gridJob) task(id string) *taskState {
 }
 
 // revocations is the expire record of every lease held by a worker
-// revoked names, in grant order.
+// revoked names, in grant order — but a lease whose result is being
+// journalled, which settles as the ingest it is.
 func (j *gridJob) revocations(revoked func(worker string) bool) []walRecord {
 	var recs []walRecord
 	for _, st := range j.tasks {
-		if st.worker != "" && revoked(st.worker) {
-			recs = append(recs, walRecord{T: walExpire, Job: j.id, Task: st.id, Worker: st.worker})
+		if st.worker != "" && !st.recording && revoked(st.worker) {
+			recs = append(recs, walRecord{T: walExpire, Task: st.id, Worker: st.worker})
 		}
 	}
 	return recs

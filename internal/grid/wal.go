@@ -11,31 +11,31 @@ import (
 	"repro/internal/linelog"
 )
 
-// The coordinator WAL journals what the checkpoint (which only stores
-// completed values and their tombstones) cannot reconstruct: who was
-// handed what and when it ended — lease grants, hedges, expiries and
-// revocations, ingest acks (who computed what, how fast), priority
-// changes, audit verdicts and quarantines. A record is the argument of
-// the transition that made its change live (transition.go); a restart
-// passes the records through the same transitions, so the checkpoint
-// makes results durable and the WAL makes the *scheduler* durable.
+// A scheduler record is what the values cannot reconstruct: who was
+// handed what and when it ended — leases, hedges, expiries, audit
+// verifies, priority changes — and quarantine verdicts; it is the
+// argument of the transition that made its change live (transition.go).
+// A job's records are lines of its own file, beside its value lines and
+// tombstones; a quarantine spans jobs and is the one record of the
+// quarantine journal, coordinator.wal (an older coordinator's also held
+// every job's records, which a restart counts and leaves alone).
 //
-// Format: a linelog.Log of JSON lines `{"crc":<ieee>,"rec":{...}}`, the
-// CRC32 taken over the raw rec bytes; replay skips and counts a line
-// whose CRC fails. The bytes are what json.Marshal writes for the
-// envelope and walRecord, written and read by internal/jsonline. Only
-// verdict-grade records (quarantine, verify) are appended durably: the
-// rest must survive a kill -9, which a plain write does, not power loss.
+// Format: `{"crc":<ieee>,"rec":{...}}`, the CRC32 taken over the raw rec
+// bytes; a line whose CRC fails is skipped. The bytes are json.Marshal's
+// for the envelope and walRecord, written and read by internal/jsonline;
+// a record in a job's file names no job. Only verdicts (quarantine,
+// verify) are appended durably: the rest must survive a kill -9, which a
+// plain write does, not power loss.
 const walFileName = "coordinator.wal"
 
 // walRecord event types.
 const (
 	walLease      = "lease"      // task handed to worker (re-leases and audit re-leases included)
 	walExpire     = "expire"     // worker's lease on task expired
-	walIngest     = "ingest"     // worker's result for task accepted
+	walIngest     = "ingest"     // an older coordinator's result record; the value line is the ingest now
 	walPriority   = "priority"   // job fair-share weight changed
 	walVerify     = "verify"     // task's recorded value audit-confirmed by worker
-	walQuarantine = "quarantine" // worker quarantined (job field empty: global)
+	walQuarantine = "quarantine" // worker quarantined (names no job)
 	walHedge      = "hedge"      // a straggling lease on task moved to worker
 )
 
@@ -48,7 +48,7 @@ type walRecord struct {
 	Task      string `json:"task,omitempty"`
 	Worker    string `json:"worker,omitempty"`
 	Weight    int    `json:"weight,omitempty"`     // priority records
-	ElapsedMS int64  `json:"elapsed_ms,omitempty"` // ingest records: feeds the latency EWMA on replay
+	ElapsedMS int64  `json:"elapsed_ms,omitempty"` // verify records: feeds the latency EWMA on replay
 }
 
 var (
@@ -127,9 +127,9 @@ func decodeWALLine(line []byte) (r walRecord, ok bool) {
 
 type wal struct{ log *linelog.Log }
 
-// openWAL opens (creating if absent) dir's WAL and replays every intact
-// record. skipped counts corrupt lines left in place (their CRC failed;
-// appends after them are safe).
+// openWAL opens (creating if absent) dir's quarantine journal and reads
+// every intact record. skipped counts corrupt lines left in place (their
+// CRC failed; appends after them are safe).
 func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("grid: wal dir: %w", err)

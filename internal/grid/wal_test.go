@@ -1,7 +1,7 @@
 package grid
 
-// The coordinator WAL's format, its typed write failure and the grouping
-// of a grant into one write. That every scheduling decision survives a
+// The quarantine journal's format, its typed write failure, and the
+// grouping of a grant and of an upload into one write to the job's file. That every scheduling decision survives a
 // kill -9 — a restart on the same directory stands where the dead
 // coordinator stood and finishes byte-identical to job.Run — is
 // FuzzSchedule's (invariants 2, 4 and 8).
@@ -10,12 +10,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/job"
@@ -153,9 +152,9 @@ func TestWALWriteErrorTyped(t *testing.T) {
 	}
 }
 
-// TestGrantJournalsOneWrite: a lease grant reaches the WAL as one write
-// however many tasks it hands out, and replays as one lease record per
-// task, in grant order.
+// TestGrantJournalsOneWrite: a lease grant reaches the job's file as one
+// write however many tasks it hands out, and replays as one lease record
+// per task, in grant order.
 func TestGrantJournalsOneWrite(t *testing.T) {
 	dir := t.TempDir()
 	coord := NewCoordinator(CoordinatorOptions{Dir: dir})
@@ -166,27 +165,18 @@ func TestGrantJournalsOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeded := giveEvidence(t, coord, spec, id, "w1") // a sized grant, so the cap of 3 is what w1 gets
-	var writes atomic.Int32
-	restore := job.SetWriterSeam(func(path string, w io.Writer) io.Writer {
-		if filepath.Base(path) == walFileName {
-			writes.Add(1)
-		}
-		return w
-	})
+	var fw fileWrites
+	restore := fw.install()
 	lease, err := coord.Lease(context.Background(), id, "w1", 3)
 	restore()
 	if err != nil || len(lease.Tasks) != 3 {
 		t.Fatalf("lease = %+v, %v; want 3 tasks", lease, err)
 	}
-	if n := writes.Load(); n != 1 {
-		t.Fatalf("a 3-task grant made %d WAL writes, want 1", n)
-	}
-	_, recs, skipped, err := openWAL(dir)
-	if err != nil || skipped != 0 {
-		t.Fatalf("replay: %v (%d skipped)", err, skipped)
+	if n, q := fw.count("manifest-grid.jsonl"), fw.count(walFileName); n != 1 || q != 0 {
+		t.Fatalf("a 3-task grant made %d writes to the job's file and %d to the quarantine journal, want 1 and 0", n, q)
 	}
 	var leased []string
-	for _, r := range recs {
+	for _, r := range journalRecords(t, dir) {
 		if r.T == walLease && r.Job == id && r.Worker == "w1" {
 			leased = append(leased, r.Task)
 		}
@@ -194,5 +184,51 @@ func TestGrantJournalsOneWrite(t *testing.T) {
 	leased = leased[seeded:]
 	if len(leased) != 3 || leased[0] != lease.Tasks[0].Task || leased[1] != lease.Tasks[1].Task || leased[2] != lease.Tasks[2].Task {
 		t.Fatalf("replayed lease records %v, want the granted %+v in order", leased, lease.Tasks)
+	}
+}
+
+// TestUploadJournalsOneWrite: a body of k fresh tasks is one durable
+// append — its k value lines, each naming the worker, the ingest they are
+// — and nothing reaches the quarantine journal.
+func TestUploadJournalsOneWrite(t *testing.T) {
+	dir := t.TempDir()
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir})
+	defer coord.Close()
+	spec := gossipSpec(t)
+	id, err := coord.AddJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	giveEvidence(t, coord, spec, id, "w1")
+	lease := leaseUpTo(t, coord, id, "w1", 5)
+	if len(lease) != 5 {
+		t.Fatalf("leased %+v, want 5 tasks", lease)
+	}
+	path := filepath.Join(dir, id, "manifest-grid.jsonl")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fw fileWrites
+	restore := fw.install()
+	acks, err := coord.IngestResults(context.Background(), id, ResultsUpload{Worker: "w1", Results: results(lease, honestVals)})
+	restore()
+	if err != nil || len(acks) != 5 {
+		t.Fatalf("upload: %v, %v", acks, err)
+	}
+	if n, q := fw.count("manifest-grid.jsonl"), fw.count(walFileName); n != 1 || q != 0 {
+		t.Fatalf("a 5-task body made %d writes to the job's file and %d to the quarantine journal, want 1 and 0", n, q)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, lt := range lease {
+		want = job.AppendLine(want, job.Result{Task: job.Task{Measure: lt.Measure, Lo: lt.Lo, Hi: lt.Hi},
+			Values: honestVals(lt), Elapsed: 5 * time.Millisecond, Worker: "w1"})
+	}
+	if got := after[len(before):]; !bytes.Equal(got, want) {
+		t.Fatalf("the upload appended\n%s\nwant its value lines\n%s", got, want)
 	}
 }

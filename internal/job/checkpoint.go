@@ -42,7 +42,9 @@ func WrapWriter(path string, w io.Writer) io.Writer { return linelog.WrapWriter(
 //	                               tombstone un-recording one. A resumed
 //	                               or re-sharded run opens its own file,
 //	                               and loading always merges every
-//	                               manifest-*.jsonl present
+//	                               manifest-*.jsonl present; a line
+//	                               naming no task (a grid job's
+//	                               scheduler record) is skipped
 //
 // Each manifest is a linelog.Log and every append to it is durable, so
 // a crash can lose at most the in-flight tasks: a torn line makes that
@@ -172,8 +174,9 @@ func DecodeSpec(raw []byte) (Spec, error) {
 
 // manifestEntry is one manifest line: a completed task with its values
 // (score tokens for NaN/±Inf, which a domain may legitimately produce and
-// the CSV codec already round-trips), or, with Dead set, a tombstone
-// cancelling every earlier line of that task. appendManifestLine and
+// the CSV codec already round-trips) and, if a grid worker computed it,
+// that worker's name; or, with Dead set, a tombstone cancelling every
+// earlier line of that task. appendManifestLine and
 // decodeManifestLine are its codec; the tags say which bytes they write
 // (json.Marshal's for this struct) and are what the tests' encoding/json
 // oracle reads.
@@ -181,10 +184,11 @@ type manifestEntry struct {
 	Task      string         `json:"task"`
 	Values    dsa.JSONFloats `json:"values,omitempty"`
 	ElapsedMS int64          `json:"elapsed_ms,omitempty"`
+	Worker    string         `json:"worker,omitempty"`
 	Dead      bool           `json:"dead,omitempty"`
 }
 
-var manifestKeys = []string{"task", "values", "elapsed_ms", "dead"}
+var manifestKeys = []string{"task", "values", "elapsed_ms", "worker", "dead"}
 
 // appendManifestLine appends e's line, without its newline.
 func appendManifestLine(b []byte, e manifestEntry) []byte {
@@ -197,6 +201,10 @@ func appendManifestLine(b []byte, e manifestEntry) []byte {
 	if e.ElapsedMS != 0 {
 		b = append(b, `,"elapsed_ms":`...)
 		b = strconv.AppendInt(b, e.ElapsedMS, 10)
+	}
+	if e.Worker != "" {
+		b = append(b, `,"worker":`...)
+		b = jsonline.AppendString(b, e.Worker)
 	}
 	if e.Dead {
 		b = append(b, `,"dead":true`...)
@@ -216,6 +224,8 @@ func decodeManifestLine(line []byte) (e manifestEntry, ok bool) {
 			e.Values = o.Floats()
 		case "elapsed_ms":
 			e.ElapsedMS = o.Int(64)
+		case "worker":
+			e.Worker = o.String()
 		case "dead":
 			e.Dead = o.Bool()
 		default:
@@ -241,8 +251,8 @@ func openCheckpoint(dir string, spec Spec, shards, shardIndex int) (*Checkpoint,
 
 // openCheckpointNamed is openCheckpoint with an explicit manifest file
 // name (every writer appends to its own manifest; loading merges all
-// manifest-*.jsonl present).
-func openCheckpointNamed(dir string, spec Spec, manifestName string) (*Checkpoint, error) {
+// manifest-*.jsonl present) and replay (OpenCheckpoint).
+func openCheckpointNamed(dir string, spec Spec, manifestName string, replay ...func(line []byte, r Result, ok bool)) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("job: checkpoint dir: %w", err)
 	}
@@ -282,7 +292,7 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*Checkpoin
 		return nil, fmt.Errorf("job: checkpoint spec: %w", err)
 	}
 
-	completed, err := readCompleted(dir, spec)
+	completed, err := readCompleted(dir, spec, manifestName, replay...)
 	if err != nil {
 		return nil, err
 	}
@@ -301,63 +311,63 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*Checkpoin
 // which engine filled it. The coordinator appends to its own manifest
 // file (manifest-grid.jsonl), so a directory may mix grid-ingested and
 // shard-run results.
-func OpenCheckpoint(dir string, spec Spec) (*Checkpoint, error) {
-	return openCheckpointNamed(dir, spec, "manifest-grid.jsonl")
+//
+// replay, if given, sees each whole line of that file in order, during the
+// restore's one read of it, with ok set and r its entry for a value or
+// tombstone of one of spec's tasks; any other line — the caller's own
+// record, or a corrupt one — is not ok.
+func OpenCheckpoint(dir string, spec Spec, replay ...func(line []byte, r Result, ok bool)) (*Checkpoint, error) {
+	return openCheckpointNamed(dir, spec, "manifest-grid.jsonl", replay...)
 }
 
 // Completed returns the task-ID → values map restored from the
 // directory's manifests at open time. The caller takes ownership.
 func (c *Checkpoint) Completed() map[string][]float64 { return c.completed }
 
-// Result is one finished task as the checkpoint records it.
+// Result is one manifest entry: a finished task's values, how long it took
+// and, if a grid worker computed it, which one; or, with Dead set, a
+// tombstone that makes every restore drop the task's earlier lines.
 type Result struct {
 	Task    Task
 	Values  []float64
 	Elapsed time.Duration
+	Worker  string
+	Dead    bool
 }
 
-// RecordAll persists finished tasks — one manifest line each, appended
-// with a single write — and returns once they are durable, so a crash
-// right after it loses nothing. A crash during it keeps the lines whose
-// '\n' reached the disk (linelog's rule) and those tasks' only; a failed
-// append keeps none. Safe for concurrent use; concurrent calls share
-// fsyncs.
-func (c *Checkpoint) RecordAll(rs []Result) error {
-	var lines []byte
-	for _, r := range rs {
-		lines = appendManifestLine(lines, manifestEntry{Task: r.Task.ID(), Values: r.Values, ElapsedMS: r.Elapsed.Milliseconds()})
-		lines = append(lines, '\n')
-	}
-	return c.manifest.Append(lines, true)
+// AppendLine appends r's manifest line, newline included.
+func AppendLine(b []byte, r Result) []byte {
+	e := manifestEntry{Task: r.Task.ID(), Values: r.Values, ElapsedMS: r.Elapsed.Milliseconds(), Worker: r.Worker, Dead: r.Dead}
+	return append(appendManifestLine(b, e), '\n')
 }
 
-// Record is RecordAll of one task: what a local run journals as each
-// task lands.
+// Append appends whole lines — AppendLine's, or records of the caller's
+// own that name no task, which every restore skips — with a single write;
+// with durable set it returns once everything appended so far is on disk
+// (linelog.Log.Append: a crash keeps the lines whose '\n' reached the
+// disk, a failed append keeps none, durable calls share fsyncs).
+func (c *Checkpoint) Append(lines []byte, durable bool) error {
+	return c.manifest.Append(lines, durable)
+}
+
+// Record persists one finished task's line and returns once it is
+// durable, so a crash right after it loses nothing: what a local run
+// journals as each task lands.
 func (c *Checkpoint) Record(t Task, values []float64, elapsed time.Duration) error {
-	return c.RecordAll([]Result{{t, values, elapsed}})
+	return c.Append(AppendLine(nil, Result{Task: t, Values: values, Elapsed: elapsed}), true)
 }
 
 // Close closes the manifest. Record must not be called after Close.
 func (c *Checkpoint) Close() error { return c.manifest.Close() }
 
-// Invalidate durably un-records a task: it appends a synced tombstone,
-// so every restore drops the lines before it and the task re-runs. The
-// coordinator's audit layer uses this to expunge results produced by a
-// quarantined worker; a crash between Invalidate and the in-memory
-// re-queue is safe because the on-disk state already says "never
-// completed". A later Record of the task lands after the tombstone and
-// counts again.
-func (c *Checkpoint) Invalidate(t Task) error {
-	return c.manifest.Append(append(appendManifestLine(nil, manifestEntry{Task: t.ID(), Dead: true}), '\n'), true)
-}
-
 // readCompleted merges every manifest in dir into task-ID → values.
 // Lines apply in order: the first live entry of a task wins (a
 // re-recorded task carries the same values by determinism), a tombstone
-// cancels what precedes it. Lines that are corrupt or inconsistent with
-// the spec's task list are skipped — the engine just re-runs those
-// tasks — so a crash mid-write can never corrupt a resumed sweep.
-func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
+// cancels what precedes it. Lines that are corrupt, name no task or are
+// inconsistent with the spec's task list are skipped — the engine just
+// re-runs those tasks — so a crash mid-write can never corrupt a resumed
+// sweep. replay sees the lines of the manifest named own (OpenCheckpoint).
+func readCompleted(dir string, spec Spec, own string, replay ...func(line []byte, r Result, ok bool)) (map[string][]float64, error) {
 	valid := make(map[string]Task)
 	for _, t := range spec.Tasks() {
 		valid[t.ID()] = t
@@ -375,27 +385,36 @@ func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job: read manifest: %w", err)
 		}
-		linelog.Lines(raw, func(line []byte) { applyManifestLine(out, valid, line) })
+		fns := replay
+		if filepath.Base(path) != own {
+			fns = nil
+		}
+		linelog.Lines(raw, func(line []byte) {
+			r, ok := applyManifestLine(out, valid, line)
+			for _, fn := range fns {
+				fn(line, r, ok)
+			}
+		})
 	}
 	return out, nil
 }
 
-// applyManifestLine folds one manifest line into out. Anything but a
-// well-formed entry for a task of this spec, with exactly the task's
-// number of values, leaves out untouched.
-func applyManifestLine(out map[string][]float64, valid map[string]Task, line []byte) {
+// applyManifestLine folds one manifest line into out and returns its
+// entry. Anything but a well-formed entry for a task of this spec — a
+// tombstone, or a value with exactly the task's number of values — leaves
+// out untouched and is not ok.
+func applyManifestLine(out map[string][]float64, valid map[string]Task, line []byte) (Result, bool) {
 	e, ok := decodeManifestLine(line)
-	if !ok {
-		return // corrupt line
-	}
-	t, ok := valid[e.Task]
+	t, known := valid[e.Task]
 	switch {
-	case !ok:
+	case !ok || !known || !e.Dead && len(e.Values) != t.Hi-t.Lo:
+		return Result{}, false // corrupt, or not one of the spec's tasks
 	case e.Dead:
 		delete(out, e.Task)
-	case out[e.Task] == nil && len(e.Values) == t.Hi-t.Lo:
+	case out[e.Task] == nil:
 		out[e.Task] = e.Values
 	}
+	return Result{Task: t, Values: e.Values, Elapsed: time.Duration(e.ElapsedMS) * time.Millisecond, Worker: e.Worker, Dead: e.Dead}, true
 }
 
 // loadCheckpoint reads dir without a target spec: the spec (and through
@@ -414,7 +433,7 @@ func loadCheckpoint(dir string) (Spec, map[string][]float64, error) {
 	if err != nil {
 		return Spec{}, nil, err
 	}
-	completed, err := readCompleted(dir, spec)
+	completed, err := readCompleted(dir, spec, "")
 	if err != nil {
 		return Spec{}, nil, err
 	}

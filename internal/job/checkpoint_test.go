@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -82,7 +83,7 @@ func TestManifestCrashPoints(t *testing.T) {
 	var events []event
 	step := func(task Task, values []float64) {
 		t.Helper()
-		write := cp.Invalidate
+		write := func(task Task) error { return cp.Append(AppendLine(nil, Result{Task: task, Dead: true}), true) }
 		if values != nil {
 			write = func(task Task) error { return cp.Record(task, values, 0) }
 		}
@@ -157,10 +158,87 @@ func TestManifestCrashPoints(t *testing.T) {
 	}
 }
 
-// TestRecordAllIsOneWriteOfRecordsLines: RecordAll appends its tasks'
-// lines with a single write, and the lines are byte for byte what Record
-// writes one at a time — a restore cannot tell the two apart.
-func TestRecordAllIsOneWriteOfRecordsLines(t *testing.T) {
+// TestSchedulerLinesSkipped: a grid job's file — value lines naming their
+// worker, CRC-framed scheduler records between them — loads to the same
+// values as the file with the records dropped and the workers stripped,
+// and a replay sees every line in order, the records as lines that name
+// no task.
+func TestSchedulerLinesSkipped(t *testing.T) {
+	spec := faultSpec(t)
+	tasks := spec.Tasks()
+	vals := [][]float64{{0.5, math.NaN()}, {math.Inf(-1), 2}, {3, 1.0000000000000002}}
+	sched := func(rec string) []byte { return []byte(`{"crc":1448909166,"rec":` + rec + "}\n") }
+	var grid, plain []byte
+	for k, line := range [][]byte{
+		sched(`{"t":"lease","task":"` + tasks[0].ID() + `","worker":"w0"}`),
+		AppendLine(nil, Result{Task: tasks[0], Values: vals[0], Elapsed: 4 * time.Millisecond, Worker: "w0"}),
+		sched(`{"t":"verify","task":"` + tasks[0].ID() + `","worker":"w1","elapsed_ms":3}`),
+		AppendLine(nil, Result{Task: tasks[1], Values: vals[1], Worker: "w1"}),
+		sched(`{"t":"priority","weight":2}`),
+		AppendLine(nil, Result{Task: tasks[1], Dead: true}),
+		AppendLine(nil, Result{Task: tasks[2], Values: vals[2], Elapsed: time.Millisecond, Worker: "w\"1"}),
+		sched(`{"t":"expire","task":"` + tasks[2].ID() + `","worker":"w0"}`),
+	} {
+		grid = append(grid, line...)
+		if k != 0 && k != 2 && k != 4 && k != 7 {
+			e, ok := decodeManifestLine(bytes.TrimSuffix(line, []byte("\n")))
+			if !ok {
+				t.Fatalf("line %d %q does not decode", k, line)
+			}
+			e.Worker = ""
+			plain = append(appendManifestLine(plain, e), '\n')
+		}
+	}
+	loaded := make([]map[string][]float64, 2)
+	for i, data := range [][]byte{grid, plain} {
+		dir := t.TempDir()
+		cp, err := OpenCheckpoint(dir, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.Append(data, true); err != nil {
+			t.Fatal(err)
+		}
+		cp.Close()
+		if _, loaded[i], err = loadCheckpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			break
+		}
+		var seen []string
+		cp, err = OpenCheckpoint(dir, spec, func(line []byte, r Result, ok bool) {
+			switch {
+			case !ok:
+				seen = append(seen, "record")
+			case r.Dead:
+				seen = append(seen, "dead "+r.Task.ID())
+			default:
+				seen = append(seen, fmt.Sprintf("value %s %v %s", r.Task.ID(), r.Elapsed, r.Worker))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Close()
+		want := []string{"record", "value " + tasks[0].ID() + " 4ms w0", "record", "value " + tasks[1].ID() + " 0s w1",
+			"record", "dead " + tasks[1].ID(), "value " + tasks[2].ID() + " 1ms w\"1", "record"}
+		if !slices.Equal(seen, want) {
+			t.Fatalf("replay saw\n%q\nwant\n%q", seen, want)
+		}
+	}
+	if err := sameCompleted(loaded[0], loaded[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameCompleted(loaded[0], map[string][]float64{tasks[0].ID(): vals[0], tasks[2].ID(): vals[2]}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendIsOneWriteOfRecordsLines: one Append of several tasks'
+// AppendLine lines is a single write, and the lines are byte for byte
+// what Record writes one at a time — a restore cannot tell the two apart.
+func TestAppendIsOneWriteOfRecordsLines(t *testing.T) {
 	spec := faultSpec(t)
 	tasks := spec.Tasks()[:3]
 	vals := [][]float64{{0.5, math.NaN()}, {math.Inf(-1), 2}, {3, 1.0000000000000002}}
@@ -179,11 +257,11 @@ func TestRecordAllIsOneWriteOfRecordsLines(t *testing.T) {
 			return w
 		})
 		if together {
-			rs := make([]Result, len(tasks))
+			var lines []byte
 			for k, task := range tasks {
-				rs[k] = Result{Task: task, Values: vals[k], Elapsed: time.Duration(k) * time.Millisecond}
+				lines = AppendLine(lines, Result{Task: task, Values: vals[k], Elapsed: time.Duration(k) * time.Millisecond})
 			}
-			err = cp.RecordAll(rs)
+			err = cp.Append(lines, true)
 		} else {
 			for k, task := range tasks {
 				if err = cp.Record(task, vals[k], time.Duration(k)*time.Millisecond); err != nil {
@@ -206,7 +284,7 @@ func TestRecordAllIsOneWriteOfRecordsLines(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(manifests[0], manifests[1]) {
-		t.Fatalf("RecordAll wrote\n%s\nRecord, task by task, wrote\n%s", manifests[1], manifests[0])
+		t.Fatalf("Append wrote\n%s\nRecord, task by task, wrote\n%s", manifests[1], manifests[0])
 	}
 }
 
@@ -336,6 +414,7 @@ func FuzzManifestLine(f *testing.F) {
 	seed := func(line []byte) { f.Add(line, "", []byte(nil), int64(0), false) }
 	seed([]byte(`{"task":"m-00002-00005","values":[1,"NaN",-0.5],"elapsed_ms":3}`))
 	seed([]byte(`{"task":"m-00000-00002","dead":true}`))
+	seed([]byte(`{"task":"m-00000-00002","values":[0.25,"-Inf"],"elapsed_ms":5,"worker":"w\u00e9\"0"}`))
 	seed([]byte(`{"task":"m-00002-00005","values":[1,2]}`))
 	seed([]byte(`{"task":"m-00002-00005","values":[1,"+Inf","-In`))
 	seed([]byte(`{"task":"other-00000-00002","values":[1,2]}`))
@@ -398,7 +477,7 @@ func FuzzManifestLine(f *testing.F) {
 			}
 		}
 
-		e := manifestEntry{Task: task, ElapsedMS: elapsed, Dead: dead}
+		e := manifestEntry{Task: task, ElapsedMS: elapsed, Worker: task, Dead: dead}
 		for ; len(bits) >= 8; bits = bits[8:] {
 			e.Values = append(e.Values, math.Float64frombits(binary.LittleEndian.Uint64(bits)))
 		}
@@ -425,7 +504,7 @@ func mustMarshal(t *testing.T, e manifestEntry) []byte {
 // sameEntry compares entries with their values bit for bit, a nil list
 // apart from an empty one.
 func sameEntry(a, b manifestEntry) bool {
-	return a.Task == b.Task && a.ElapsedMS == b.ElapsedMS && a.Dead == b.Dead &&
+	return a.Task == b.Task && a.ElapsedMS == b.ElapsedMS && a.Worker == b.Worker && a.Dead == b.Dead &&
 		(a.Values == nil) == (b.Values == nil) && sameValues(a.Values, b.Values)
 }
 

@@ -142,8 +142,8 @@ func TestCheckpointManifestShortWriteTyped(t *testing.T) {
 	}
 }
 
-// TestCheckpointManifestFaultRetry covers the one file a Record or an
-// Invalidate writes: disk-full and torn appends of a value line and of
+// TestCheckpointManifestFaultRetry covers the one file a Record or a
+// tombstone writes: disk-full and torn appends of a value line and of
 // a tombstone are typed with the manifest path and the offset of the
 // first unwritten byte, leave the manifest line-clean, and the retry
 // lands whole — with another goroutine's append landing in between.
@@ -178,7 +178,7 @@ func TestCheckpointManifestFaultRetry(t *testing.T) {
 			}
 			op := func() error { return cp.Record(tasks[1], []float64{3, 4}, 0) }
 			if tc.tombstone {
-				op = func() error { return cp.Invalidate(tasks[0]) }
+				op = func() error { return cp.Append(AppendLine(nil, Result{Task: tasks[0], Dead: true}), true) }
 			}
 
 			restore := SetWriterSeam(chaos.NewFileFaults(4, tc.short, tc.fail, "manifest-grid").Wrap)

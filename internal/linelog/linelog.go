@@ -130,21 +130,29 @@ func trimTail(f *os.File) (int64, error) {
 	return keep, nil
 }
 
-// Append writes lines — one or more whole lines, each ending in '\n' —
-// at the end of the log with a single write. A failed or short write is
-// truncated back and reported as a *WriteError carrying the offset of
-// the first unwritten byte; the log stays line-clean and appendable.
+// Append writes lines — whole lines, each ending in '\n' — at the end of
+// the log with a single write (none for no lines). A failed or short
+// write is truncated back and reported as a *WriteError carrying the
+// offset of the first unwritten byte; the log stays line-clean and
+// appendable.
 //
-// With durable set, Append returns only once the lines are fsynced. The
-// fsync is shared: whoever holds the sync lock syncs everything appended
-// so far, and a caller whose bytes are inside an fsync that started
-// after its write returns without a second one (group commit). Without
-// it the lines survive a process crash (the page cache does), not power
-// loss.
+// With durable set, Append returns only once the lines, and every line
+// appended before them, are fsynced: Append(nil, true) makes what plain
+// appends wrote durable. The fsync is shared: whoever holds the sync lock
+// syncs everything appended so far, and a caller whose bytes are inside
+// an fsync that started after its write returns without a second one
+// (group commit). Without it the lines survive a process crash (the page
+// cache does), not power loss.
 func (l *Log) Append(lines []byte, durable bool) error {
-	end, err := l.write(lines)
-	if err != nil || !durable {
-		return err
+	end := l.off.Load()
+	if len(lines) > 0 {
+		var err error
+		if end, err = l.write(lines); err != nil {
+			return err
+		}
+	}
+	if !durable {
+		return nil
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()

@@ -11,14 +11,24 @@ import "testing"
 // TestRunAllocFree pins a steady-state download at 0 allocations: the
 // generator, peers and chunks all come back from the pool, the default
 // capacity distribution is shared, and Result is a value. A sweep is
-// millions of these.
+// millions of these. A MirrorOnly download leaves the pooled generator
+// unseeded and unread; it must not allocate one lazily either.
 func TestRunAllocFree(t *testing.T) {
-	for name, stress := range map[string]bool{"nominal": false, "stress": true} {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		racing Racing
+		stress bool
+	}{
+		{"nominal", RaceWithFallback, false},
+		{"stress", RaceWithFallback, true},
+		{"mirror-only", RaceMirrorOnly, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			s := honest()
+			s.Racing = c.racing
 			s.Scenario = ScenarioSybil // identity churn re-rolls peers mid-run
 			opt := tinyOpts()
-			opt.Stress = stress
+			opt.Stress = c.stress
 			if _, err := Run(s, opt); err != nil { // warm the pool
 				t.Fatal(err)
 			}

@@ -73,14 +73,28 @@
 //     neither draws from the generator nor adds a term to a float sum
 //     — so draw order and float operation order are those of a walk
 //     over the whole file.
+//   - Nothing unobservable. What a strategy cannot observe is not
+//     simulated. A MirrorOnly download never asks a peer, so it runs
+//     with no peers: no seeding, no spawns, no churn walk. A P2POnly
+//     download whose every peer has departed under stress ends there,
+//     censored: departed peers never return and nothing is left to
+//     draw. An assignment pass stops asking pickPeer after its first
+//     refusal — a refusal draws nothing and the pass only makes peers
+//     busier — so P2POnly stops assigning and Race sends the remaining
+//     chunks to the mirror. And pickPeer finds a pure blend's pick in
+//     its counting pass, the first peer holding the goodness maximum;
+//     the trap is a field whose every throughput is 0, where the blend
+//     scores every peer 0 and the first eligible peer wins, not none.
 //
 // All of it is inside the byte-identical contract of DESIGN.md's
 // "Performance model": no score-version bump, same cache keys. Held by
-// testdata/golden.json (recorded before any of the above existed:
-// TestGolden through Run, TestGoldenOnReusedState on one deliberately
-// dirty state, TestGoldenConcurrent across goroutines), TestRunAllocFree
-// (0 allocations per download), internal/gorand's parity tests and fuzz
-// target, and bench/golden's CSV digests.
+// testdata/golden.json (recorded before any of the above existed, each
+// shortcut's /picked case recorded before that shortcut: TestGolden
+// through Run, TestGoldenOnReusedState on one deliberately dirty state,
+// TestGoldenConcurrent across goroutines), FuzzPickPeer (against the
+// three-pass blend), TestRunAllocFree (0 allocations per download),
+// internal/gorand's parity tests and fuzz target, and bench/golden's
+// CSV digests.
 package delivery
 
 import (
@@ -450,7 +464,8 @@ type chunkState struct {
 // runState is everything a download allocates. It is recycled through
 // statePool, so a sweep's steady state allocates nothing per download;
 // run re-seeds the generator and rewrites every peer and chunk before
-// it reads one, so nothing of the previous download is visible.
+// it reads one (a MirrorOnly download reads no draw and no peer), so
+// nothing of the previous download is visible.
 type runState struct {
 	rng    *rand.Rand
 	peers  []peerState
@@ -497,16 +512,23 @@ func spawn(p *peerState, s Strategy, dist *bandwidth.Distribution, rng *rand.Ran
 
 func (st *runState) run(s Strategy, opt Options) Result {
 	rng := st.rng
-	rng.Seed(opt.Seed)
 	dist := opt.Dist
 	if dist == nil {
 		dist = bandwidth.Piatek()
 	}
-	st.peers = slices.Grow(st.peers[:0], opt.Peers)[:opt.Peers]
-	peers := st.peers
-	for i := range peers {
-		spawn(&peers[i], s, dist, rng)
+	// A MirrorOnly download never asks a peer for a chunk, so nothing
+	// it returns depends on the swarm: it runs with no peers, and so
+	// with no draw at all.
+	peers := st.peers[:0]
+	if s.Racing != RaceMirrorOnly {
+		rng.Seed(opt.Seed)
+		st.peers = slices.Grow(peers, opt.Peers)[:opt.Peers]
+		peers = st.peers
+		for i := range peers {
+			spawn(&peers[i], s, dist, rng)
+		}
 	}
+	livePeers := len(peers)
 	nChunks := (opt.FileKiB + opt.ChunkKiB - 1) / opt.ChunkKiB
 	st.chunks = slices.Grow(st.chunks[:0], nChunks)[:nChunks]
 	chunks := st.chunks
@@ -568,31 +590,40 @@ func (st *runState) run(s Strategy, opt Options) Result {
 					abort(&chunks[p.serving])
 				}
 				p.alive = false
+				livePeers--
 			}
+		}
+		if livePeers == 0 && s.Racing == RaceP2POnly {
+			// Departed peers never return: nothing is in flight, nothing
+			// can start and nothing draws again before the horizon.
+			break
 		}
 
 		// 2. Assignment: top up to Fanout in-flight chunks, lowest
-		// unfinished chunk first.
+		// unfinished chunk first. A refusal from pickPeer draws nothing
+		// and the pass only makes peers busier, so after the first one
+		// no later chunk of this second can get a peer either.
 		active := 0
 		for i := lo; i < hi; i++ {
 			if chunks[i].active {
 				active++
 			}
 		}
+		refused := false
 		for next := lo; active < s.Fanout && next < nChunks; next++ {
 			c := &chunks[next]
 			if c.done || c.active {
 				continue
 			}
-			useMirror := s.Racing == RaceMirrorOnly || (s.Racing == RaceWithFallback && c.forceMirror)
+			useMirror := s.Racing == RaceMirrorOnly || (s.Racing == RaceWithFallback && (c.forceMirror || refused))
 			src := -1
 			if !useMirror {
 				src = pickPeer(peers, s.Selection, rng)
 				if src < 0 {
 					if s.Racing == RaceP2POnly {
-						continue // nothing can serve this chunk right now
+						break // nothing can serve a chunk this second
 					}
-					useMirror = true // Race: no eligible peer, go to the mirror
+					useMirror, refused = true, true // Race: no eligible peer, go to the mirror
 				}
 			}
 			if useMirror {
@@ -724,14 +755,38 @@ func clamp(v, lo, hi float64) float64 {
 
 // pickPeer chooses an eligible peer (alive, not already serving us) by
 // the selection policy, with ε-greedy exploration so unattempted peers
-// get observed. Returns -1 if no peer is eligible. Deterministic given
-// the rng state: eligibility and scoring iterate in index order and
-// ties resolve to the lowest index.
+// get observed. Returns -1 if no peer is eligible, without drawing.
+// Deterministic given the rng state: eligibility and scoring iterate in
+// index order and ties resolve to the lowest index.
+//
+// One pass counts the eligible peers and finds each goodness's maximum
+// and its first holder. A pure blend's score is its goodness divided by
+// that maximum (reliability: undivided), and dividing by the maximum
+// maps only the maximum itself to 1.0, so the first holder is the
+// blend's pick; where the maximum stays 0 (every eligible peer timed
+// out before completing a chunk: throughput 0) every score is 0 and the
+// first eligible peer wins. Only Balanced needs a scoring pass.
 func pickPeer(peers []peerState, sel Selection, rng *rand.Rand) int {
-	eligible := 0
+	eligible, first := 0, -1
+	maxLat, maxThr, maxRel := 0.0, 0.0, math.Inf(-1)
+	latArg, thrArg, relArg := -1, -1, -1
 	for i := range peers {
-		if peers[i].alive && peers[i].serving < 0 {
-			eligible++
+		p := &peers[i]
+		if !p.alive || p.serving >= 0 {
+			continue
+		}
+		if eligible == 0 {
+			first = i
+		}
+		eligible++
+		if lg := latGoodness(p); lg > maxLat {
+			maxLat, latArg = lg, i
+		}
+		if tg := thrGoodness(p); tg > maxThr {
+			maxThr, thrArg = tg, i
+		}
+		if rg := relGoodness(p); rg > maxRel {
+			maxRel, relArg = rg, i
 		}
 	}
 	if eligible == 0 {
@@ -748,39 +803,41 @@ func pickPeer(peers []peerState, sel Selection, rng *rand.Rand) int {
 			}
 		}
 	}
-	// Normalise latency and throughput goodness by the eligible max so
-	// the blend weights act on comparable [0,1] scales.
-	maxLat, maxThr := 0.0, 0.0
-	for i := range peers {
-		p := &peers[i]
-		if !p.alive || p.serving >= 0 {
-			continue
-		}
-		if lg := latGoodness(p); lg > maxLat {
-			maxLat = lg
-		}
-		if tg := thrGoodness(p); tg > maxThr {
-			maxThr = tg
+	best := -1
+	switch sel {
+	case SelLatency:
+		best = latArg
+	case SelThroughput:
+		best = thrArg
+	case SelReliability:
+		best = relArg
+	default:
+		// Normalise latency and throughput goodness by the eligible max
+		// so the blend weights act on comparable [0,1] scales.
+		wl, wt, wr := sel.weights()
+		bestScore := math.Inf(-1)
+		for i := range peers {
+			p := &peers[i]
+			if !p.alive || p.serving >= 0 {
+				continue
+			}
+			score := 0.0
+			if maxLat > 0 {
+				score += wl * latGoodness(p) / maxLat
+			}
+			if maxThr > 0 {
+				score += wt * thrGoodness(p) / maxThr
+			}
+			// wr multiplies before the division, not relGoodness: the
+			// scores' bits depend on the operation order.
+			score += wr * (p.attempts - p.fails + 1) / (p.attempts + 2)
+			if score > bestScore {
+				best, bestScore = i, score
+			}
 		}
 	}
-	wl, wt, wr := sel.weights()
-	best, bestScore := -1, math.Inf(-1)
-	for i := range peers {
-		p := &peers[i]
-		if !p.alive || p.serving >= 0 {
-			continue
-		}
-		score := 0.0
-		if maxLat > 0 {
-			score += wl * latGoodness(p) / maxLat
-		}
-		if maxThr > 0 {
-			score += wt * thrGoodness(p) / maxThr
-		}
-		score += wr * (p.attempts - p.fails + 1) / (p.attempts + 2)
-		if score > bestScore {
-			best, bestScore = i, score
-		}
+	if best < 0 {
+		return first
 	}
 	return best
 }
@@ -793,6 +850,11 @@ func latGoodness(p *peerState) float64 {
 		lat = unknownLatPrior
 	}
 	return 1 / (0.02 + lat)
+}
+
+// relGoodness is the success/attempt record with a uniform prior.
+func relGoodness(p *peerState) float64 {
+	return (p.attempts - p.fails + 1) / (p.attempts + 2)
 }
 
 // thrGoodness is the observed chunk throughput; unattempted peers get

@@ -136,6 +136,19 @@ func goldenCases(t *testing.T) []goldenCase {
 		{fallback, "two-peers-stress"},
 		// Free riders deliver nothing and there is no mirror: censored.
 		{Strategy{Selection: SelLatency, Fanout: 1, Racing: RaceP2POnly, Timeout: TimeoutFixed, Scenario: ScenarioFreeRiders}, "short"},
+		// Every one of the 12 peers has departed by second 128, with 19
+		// of 20 chunks in: the download ends there, censored.
+		{Strategy{Selection: SelThroughput, Fanout: 4, Racing: RaceP2POnly, Timeout: TimeoutAdaptive, Scenario: ScenarioFreeRiders}, "stress"},
+		// MirrorOnly never reads the swarm whose spawns, churn and
+		// departures would draw here.
+		{Strategy{Selection: SelReliability, Fanout: 4, Racing: RaceMirrorOnly, Timeout: TimeoutAdaptive, Scenario: ScenarioSybil}, "stress+churn"},
+		{Strategy{Selection: SelBalanced, Fanout: 8, Racing: RaceMirrorOnly, Timeout: TimeoutEager, Scenario: ScenarioColluders}, "two-class"},
+		// Both free riders time out before any chunk completes: every
+		// eligible peer's throughput is 0 and the first eligible one wins.
+		{Strategy{Selection: SelThroughput, Fanout: 2, Racing: RaceWithFallback, Timeout: TimeoutEager, Scenario: ScenarioFreeRiders}, "two-peers"},
+		// Eight fetches, at most two peers: after the first refusal of a
+		// second every further chunk goes to the mirror.
+		{Strategy{Selection: SelReliability, Fanout: 8, Racing: RaceWithFallback, Timeout: TimeoutEager}, "two-peers-stress"},
 		{fallback, "big"},
 	} {
 		cases = append(cases, goldenCase{name: c.s.String() + "@" + c.regime + "/picked", s: c.s, opt: byName(c.regime)})

@@ -177,7 +177,7 @@ func BirdsDeviantInBT(p Params) (Deviation, error) {
 		RecipA: 0, FreeA: ea,
 		RecipB: float64(p.NB) / nr, FreeB: float64(p.NB) / nr,
 	}
-	res.RecipC = ((ncp-ur)/ncp)*(ur-k-ea) + (ur/ncp)*(ur-ea-kp)
+	res.RecipC = float64(((ncp-ur)/ncp)*(ur-k-ea)) + float64((ur/ncp)*(ur-ea-kp))
 	dev.FreeC = (ncp / nc) * (nc - res.RecipC) / nr
 	res.FreeC = dev.FreeC + (nc-dev.RecipC)/(nc*nr)
 	return Deviation{Deviant: dev, Resident: res}, nil
@@ -205,7 +205,7 @@ func BTDeviantInBirds(p Params) (Deviation, error) {
 	res := Wins{ // resident Birds peer
 		RecipA: 0, FreeA: ea,
 		RecipB: 0, FreeB: float64(p.NB) / nr,
-		RecipC: ur - (ur/ncp)*ea,
+		RecipC: ur - float64((ur/ncp)*ea),
 	}
 	dev := Wins{ // deviant BT peer
 		RecipA: 0, FreeA: ea,

@@ -141,7 +141,7 @@ func (d *Distribution) SampleQ(q float64) float64 {
 		return b.KBps
 	}
 	frac := (q - a.Q) / (b.Q - a.Q)
-	return a.KBps + frac*(b.KBps-a.KBps)
+	return a.KBps + float64(frac*(b.KBps-a.KBps))
 }
 
 // Sample draws one capacity using rng.

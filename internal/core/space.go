@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,6 +41,7 @@ type Space struct {
 
 	enumOnce sync.Once
 	valid    []Point // canonical enumeration, built once under enumOnce
+	ids      []int32 // mixed-radix code → index into valid, -1 where the constraint rejects
 }
 
 // NewSpace builds a space after validating the dimensions.
@@ -57,18 +59,23 @@ func NewSpace(name string, dims []Dimension, constraint func(Point) bool) (*Spac
 
 // Enumerate returns every valid point in lexicographic order. The
 // result is cached and must not be mutated. Safe for concurrent use:
-// the job engine's workers enumerate shared spaces.
+// the job engine's workers enumerate shared spaces. The same walk over
+// the cartesian product builds Index's table.
 func (s *Space) Enumerate() []Point {
 	s.enumOnce.Do(func() {
 		var out []Point
+		var ids []int32
 		p := make(Point, len(s.Dimensions))
 		var rec func(d int)
 		rec = func(d int) {
 			if d == len(s.Dimensions) {
+				// Leaves arrive in mixed-radix code order, so the leaf's
+				// code is len(ids).
 				if s.Constraint == nil || s.Constraint(p) {
-					cp := make(Point, len(p))
-					copy(cp, p)
-					out = append(out, cp)
+					ids = append(ids, int32(len(out)))
+					out = append(out, slices.Clone(p))
+				} else {
+					ids = append(ids, -1)
 				}
 				return
 			}
@@ -78,9 +85,29 @@ func (s *Space) Enumerate() []Point {
 			}
 		}
 		rec(0)
-		s.valid = out
+		s.valid, s.ids = out, ids
 	})
 	return s.valid
+}
+
+// Index returns p's position in Enumerate(), read from a dense table
+// indexed by p's mixed-radix code; ok is false when p has the wrong
+// length, a coordinate out of range or is rejected by the constraint.
+func (s *Space) Index(p Point) (id int, ok bool) {
+	s.Enumerate()
+	if len(p) != len(s.Dimensions) {
+		return 0, false
+	}
+	code := 0
+	for d, v := range p {
+		n := len(s.Dimensions[d].Values)
+		if v < 0 || v >= n {
+			return 0, false
+		}
+		code = code*n + v
+	}
+	id = int(s.ids[code])
+	return id, id >= 0
 }
 
 // Size returns the number of valid points.
@@ -128,23 +155,18 @@ func (s *Space) Neighbors(p Point) []Point {
 	return out
 }
 
-// Key returns a map key for a point.
+// Key returns a map key for a point: the indices in decimal, comma
+// separated.
 func (p Point) Key() string {
 	var buf [64]byte
-	return string(p.AppendKey(buf[:0]))
-}
-
-// AppendKey appends Key's bytes to b: the indices in decimal, comma
-// separated. A lookup m[string(p.AppendKey(buf[:0]))] through a stack
-// buffer allocates nothing.
-func (p Point) AppendKey(b []byte) []byte {
+	b := buf[:0]
 	for i, v := range p {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b
+	return string(b)
 }
 
 // Equal reports whether two points are identical.

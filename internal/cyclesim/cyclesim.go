@@ -736,7 +736,7 @@ func (w *world) commit() {
 		}
 		w.total[i] += got
 		if givers > 0 {
-			w.asp[i] = (1-aspirationEMA)*w.asp[i] + aspirationEMA*(got/givers)
+			w.asp[i] = float64((1-aspirationEMA)*w.asp[i]) + float64(aspirationEMA*(got/givers))
 		}
 	}
 }

@@ -492,7 +492,7 @@ func Run(s Strategy, opt Options) (Result, error) {
 func spawn(p *peerState, s Strategy, dist *bandwidth.Distribution, rng *rand.Rand) {
 	*p = peerState{
 		capKBps: dist.Sample(rng),
-		latS:    0.05 + 0.45*rng.Float64(),
+		latS:    0.05 + float64(0.45*rng.Float64()),
 		alive:   true,
 		serving: -1,
 	}
@@ -693,15 +693,15 @@ func (st *runState) run(s Strategy, opt Options) Result {
 					if p.attempts == 0 {
 						p.ewmaThr, p.ewmaLat = obsThr, p.latS
 					} else {
-						p.ewmaThr = ewmaKeep*p.ewmaThr + (1-ewmaKeep)*obsThr
-						p.ewmaLat = ewmaKeep*p.ewmaLat + (1-ewmaKeep)*p.latS
+						p.ewmaThr = float64(ewmaKeep*p.ewmaThr) + float64((1-ewmaKeep)*obsThr)
+						p.ewmaLat = float64(ewmaKeep*p.ewmaLat) + float64((1-ewmaKeep)*p.latS)
 					}
 					p.attempts++
 					res.PeerKiB += chunkKiB
 				} else {
 					res.MirrorKiB += chunkKiB
 				}
-				ewmaChunkS = ewmaKeep*ewmaChunkS + (1-ewmaKeep)*elapsed
+				ewmaChunkS = float64(ewmaKeep*ewmaChunkS) + float64((1-ewmaKeep)*elapsed)
 				continue
 			}
 			if c.src >= 0 && elapsed >= s.timeoutS(ewmaChunkS) {

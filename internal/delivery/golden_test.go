@@ -121,6 +121,14 @@ func goldenCases(t *testing.T) []goldenCase {
 		r := regimes[i%len(regimes)]
 		cases = append(cases, goldenCase{name: s.String() + "@" + r.name, s: s, opt: r.opt})
 	}
+	// A quick-preset download (its point's second nominal run) that
+	// completes at 217 s, and stalls to the horizon when the EWMA updates
+	// fuse ewmaKeep*ewma into one multiply-add — what arm64, ppc64le and
+	// riscv64 compile them to without their float64 conversions.
+	fused := DefaultOptions()
+	fused.Peers, fused.MaxSeconds, fused.Seed = 12, 400, 1983728831272741339
+	fma := Strategy{Selection: SelLatency, Fanout: 1, Racing: RaceP2POnly, Timeout: TimeoutAdaptive, Scenario: ScenarioColluders}
+	cases = append(cases, goldenCase{name: fma.String() + "@quick/fma", s: fma, opt: fused})
 	starved := Strategy{Selection: SelBalanced, Fanout: 8, Racing: RaceP2POnly, Timeout: TimeoutFixed}
 	fallback := Strategy{Selection: SelLatency, Fanout: 4, Racing: RaceWithFallback, Timeout: TimeoutEager, Scenario: ScenarioSybil}
 	for _, c := range []struct {

@@ -3,7 +3,6 @@ package dsa
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -57,9 +56,6 @@ type Base struct {
 	space        *core.Space
 	quick, paper Config
 	measures     []Measure
-
-	indexOnce sync.Once
-	index     map[string]int // point key → enumeration index
 }
 
 // NewBase declares a domain. measures are in canonical order (see
@@ -96,15 +92,7 @@ func (b *Base) DefaultConfig(preset string) (Config, error) {
 }
 
 func (b *Base) PointID(p core.Point) (int, error) {
-	b.indexOnce.Do(func() {
-		pts := b.space.Enumerate()
-		b.index = make(map[string]int, len(pts))
-		for i, q := range pts {
-			b.index[q.Key()] = i
-		}
-	})
-	var buf [64]byte
-	id, ok := b.index[string(p.AppendKey(buf[:0]))]
+	id, ok := b.space.Index(p)
 	if !ok {
 		return 0, fmt.Errorf("%s: point %v is not in the %s space", b.name, p, b.name)
 	}

@@ -45,6 +45,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -365,33 +366,32 @@ func SamplePanel[T any](all []T, n int, seed int64) []T {
 	return out
 }
 
-// ParallelFor runs fn(i) for i in [0,n) on w workers (w <= 0 means
-// serial). Results must not depend on scheduling; domains use it to
-// parallelise ScoreSlice over points.
+// ParallelFor runs fn(i) for i in [0,n) on w workers (w <= 1 means
+// serial, inline). Workers claim indices in ascending order from one
+// atomic cursor, and the calling goroutine is one of them. Results must
+// not depend on scheduling; domains use it to parallelise ScoreSlice
+// over points, and the job engine to run its execution units.
 func ParallelFor(n, w int, fn func(i int)) {
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
+	if w = min(w, n); w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(w)
-	for g := 0; g < w; g++ {
+	wg.Add(w - 1)
+	for range w - 1 {
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/design"
 	"repro/internal/dsa"
 	"repro/internal/pra"
+	"repro/internal/stats"
 	"repro/internal/swarm"
 )
 
@@ -117,8 +118,8 @@ func TestTable3Regression(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Structural checks: 13 coefficients (intercept + 12 regressors).
-	for _, fit := range []interface{ DF() int }{perf, rob, agg} {
-		if fit.DF() <= 0 {
+	for _, fit := range []*stats.OLSResult{perf, rob, agg} {
+		if fit.N-fit.P <= 0 {
 			t.Fatal("no residual degrees of freedom")
 		}
 	}

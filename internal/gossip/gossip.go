@@ -428,7 +428,7 @@ func (nd *node) push(to *node, toIdx, selfIdx, round, nRumours int, counts []int
 		to.everLearned[best] = true
 		to.utility++
 	}
-	to.service[selfIdx] = 0.8*to.service[selfIdx] + 1
+	to.service[selfIdx] = float64(0.8*to.service[selfIdx]) + 1
 	to.streak[selfIdx]++
 	to.lastGave[selfIdx] = round
 }

@@ -88,7 +88,7 @@ func (c *Coordinator) workerDone(name string, elapsed time.Duration, now time.Ti
 		if ws.latEWMA == 0 {
 			ws.latEWMA = obs
 		} else {
-			ws.latEWMA = (1-ewmaAlpha)*ws.latEWMA + ewmaAlpha*obs
+			ws.latEWMA = float64((1-ewmaAlpha)*ws.latEWMA) + float64(ewmaAlpha*obs)
 		}
 	}
 }
@@ -101,7 +101,7 @@ func (c *Coordinator) workerFailed(name string) {
 		return
 	}
 	ws.failures++
-	ws.failEWMA = (1-ewmaAlpha)*ws.failEWMA + ewmaAlpha
+	ws.failEWMA = float64((1-ewmaAlpha)*ws.failEWMA) + ewmaAlpha
 }
 
 // fleetLatencyLocked is the mean task-latency EWMA over the n workers

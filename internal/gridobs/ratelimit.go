@@ -67,7 +67,7 @@ func (l *Limiter) Allow(key string) bool {
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[key] = b
 	} else {
-		b.tokens += now.Sub(b.last).Seconds() * l.rate
+		b.tokens += float64(now.Sub(b.last).Seconds() * l.rate)
 		if b.tokens > l.burst {
 			b.tokens = l.burst
 		}

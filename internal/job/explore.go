@@ -130,7 +130,7 @@ func HillClimb(ctx context.Context, d dsa.Domain, w Weights, cfg dsa.Config, hcf
 			for i, key := range freshKeys {
 				var sum float64
 				for k, wt := range weights {
-					sum += wt * vals[k][i]
+					sum += float64(wt * vals[k][i])
 				}
 				memo[key] = sum
 			}

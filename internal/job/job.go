@@ -358,12 +358,14 @@ type TaskStats struct {
 
 // ExecTasks computes tasks on a bounded worker pool — the execution
 // primitive shared by the local engine (Run) and the grid worker
-// (internal/grid), so both parallelise a task batch identically. Each
-// task's values come from the domain (or the cache, see
-// ExecOptions.Cache) and are handed to sink. Sink is called
-// concurrently from the pool's goroutines (so slow sinks — fsyncs,
-// uploads — overlap with computation and each other) and must be safe
-// for concurrent use; the first sink or task error stops the pool.
+// (internal/grid), so both parallelise a task batch identically. The
+// pool is dsa.ParallelFor: workers claim units in order from one
+// cursor, and the calling goroutine is one of them. Each task's values
+// come from the domain (or the cache, see ExecOptions.Cache) and are
+// handed to sink. Sink is called concurrently from the pool's
+// goroutines (so slow sinks — fsyncs, uploads — overlap with
+// computation and each other) and must be safe for concurrent use; the
+// first sink or task error stops the pool.
 //
 // The unit of record is the task; the unit of execution is the point
 // chunk. When the domain is a dsa.JointScorer, a run of consecutive
@@ -417,51 +419,19 @@ func ExecTasks(ctx context.Context, spec Spec, tasks []Task, opts ExecOptions, s
 		}
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		firstEr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstEr == nil {
-			firstEr = err
+	// The first error cancels: a unit checks ctx before it starts, so
+	// after a failure no unit starts beyond those already claimed.
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	dsa.ParallelFor(len(units), poolSize, func(i int) {
+		if ctx.Err() != nil {
+			return
 		}
-		mu.Unlock()
-		cancel()
-	}
-	next := make(chan []Task)
-	wg.Add(poolSize)
-	for w := 0; w < poolSize; w++ {
-		go func() {
-			defer wg.Done()
-			for unit := range next {
-				if ctx.Err() != nil {
-					return
-				}
-				if err := execUnit(spec, unit, opponents, taskCfg, keyer, opts, sink); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for _, unit := range units {
-		select {
-		case next <- unit:
-		case <-ctx.Done():
-			break feed
+		if err := execUnit(spec, units[i], opponents, taskCfg, keyer, opts, sink); err != nil {
+			cancel(err)
 		}
-	}
-	close(next)
-	wg.Wait()
-	if firstEr != nil {
-		return firstEr
-	}
-	return ctx.Err()
+	})
+	return context.Cause(ctx)
 }
 
 // fuse cuts tasks into execution units: maximal runs of consecutive

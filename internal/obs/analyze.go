@@ -214,13 +214,13 @@ func Analyze(records []Record) *Analysis {
 			mean := float64(st.Mean)
 			var varsum float64
 			for _, d := range ma.durs {
-				varsum += (float64(d) - mean) * (float64(d) - mean)
+				varsum += float64((float64(d) - mean) * (float64(d) - mean))
 			}
 			sigma := math.Sqrt(varsum / float64(n))
 			med := float64(st.P50)
 			for _, r := range ma.tasks {
 				d := float64(r.Dur())
-				if d > mean+3*sigma || (n >= 8 && med > 0 && d > 3*med) {
+				if d > mean+float64(3*sigma) || (n >= 8 && med > 0 && d > 3*med) {
 					a.Stragglers = append(a.Stragglers, Straggler{
 						Record:  r,
 						Measure: m,

@@ -84,8 +84,8 @@ func EncounterSpecs(a, b design.Protocol, n, nA int) ([]cyclesim.PeerSpec, []boo
 		case leftB == 0:
 			toA = true
 		default:
-			defA := (target*float64(nA) - sumA) / float64(leftA)
-			defB := (target*float64(n-nA) - sumB) / float64(leftB)
+			defA := (float64(target*float64(nA)) - sumA) / float64(leftA)
+			defB := (float64(target*float64(n-nA)) - sumB) / float64(leftB)
 			// Ties go to the larger camp, which absorbs outliers best.
 			toA = defA > defB || (defA == defB && leftA > leftB)
 		}
@@ -144,7 +144,7 @@ type encounter struct {
 // newEncounter builds the population in which a fraction frac of
 // cfg.Peers (at least one peer, at most all but one) runs a.
 func newEncounter(a, b design.Protocol, frac float64, cfg dsa.Config) encounter {
-	nA := int(frac*float64(cfg.Peers) + 0.5)
+	nA := int(float64(frac*float64(cfg.Peers)) + 0.5)
 	if nA < 1 {
 		nA = 1
 	}

@@ -1,6 +1,7 @@
 package pra
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/design"
@@ -249,16 +250,18 @@ func TestRunSeedIndependence(t *testing.T) {
 	}
 }
 
+// TestParallelForCoversAll: every index runs exactly once, whatever the
+// worker count — fewer workers than indices, as many, or more.
 func TestParallelForCoversAll(t *testing.T) {
-	for _, w := range []int{1, 3, 8} {
-		hit := make([]bool, 100)
-		dsa.ParallelFor(100, w, func(i int) { hit[i] = true })
-		for i, h := range hit {
-			if !h {
-				t.Fatalf("workers=%d: index %d not visited", w, i)
+	for _, n := range []int{0, 1, 100} {
+		for _, w := range []int{1, 2, n, n + 5} {
+			hits := make([]atomic.Int32, n)
+			dsa.ParallelFor(n, w, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if c := hits[i].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, w, i, c)
+				}
 			}
 		}
 	}
-	// n < workers and n == 0 edge cases.
-	dsa.ParallelFor(0, 4, func(int) { t.Fatal("should not run") })
 }

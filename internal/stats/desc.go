@@ -52,7 +52,7 @@ func Variance(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(n-1)
 }
@@ -108,14 +108,14 @@ func Quantile(xs []float64, q float64) float64 {
 	sorted := make([]float64, n)
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	h := q * float64(n-1)
+	h := float64(q * float64(n-1))
 	lo := int(math.Floor(h))
 	hi := lo + 1
 	if hi >= n {
 		return sorted[n-1]
 	}
 	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // MeanCI holds a sample mean together with a symmetric confidence
@@ -148,7 +148,7 @@ func MeanConfidence(xs []float64, level float64) MeanCI {
 		return ci
 	}
 	sem := StdDev(xs) / math.Sqrt(float64(n))
-	t := TQuantile(1-(1-level)/2, float64(n-1))
+	t := TQuantile(1-float64((1-level)/2), float64(n-1))
 	ci.Half = t * sem
 	return ci
 }
@@ -205,9 +205,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := 0; i < n; i++ {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, errors.New("stats: Pearson: zero variance")

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Histogram is a fixed-width binning of samples over [Lo, Hi], as drawn
 // along the axes of Figure 2 and on the y-axes of Figures 3-4.
@@ -37,17 +34,6 @@ func NewHistogram(xs []float64, bins int, lo, hi float64) Histogram {
 		h.N++
 	}
 	return h
-}
-
-// MaxCount returns the largest bin count, useful for scaling plots.
-func (h Histogram) MaxCount() int {
-	m := 0
-	for _, c := range h.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // Hist2D is a two-dimensional histogram: one row of value-bins per
@@ -140,19 +126,4 @@ func CCDF(xs []float64) []CCDFPoint {
 		i = j
 	}
 	return pts
-}
-
-// CCDFAt evaluates P(X > x) for a single threshold without building the
-// whole curve.
-func CCDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, v := range xs {
-		if v > x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }

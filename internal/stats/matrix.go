@@ -72,7 +72,7 @@ func factorQR(m *Matrix) (*qr, error) {
 		var norm float64
 		for i := k; i < a.Rows; i++ {
 			v := a.At(i, k)
-			norm += v * v
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
@@ -93,11 +93,11 @@ func factorQR(m *Matrix) (*qr, error) {
 		for j := k + 1; j < n; j++ {
 			var s float64
 			for i := k; i < a.Rows; i++ {
-				s += a.At(i, k) * a.At(i, j)
+				s += float64(a.At(i, k) * a.At(i, j))
 			}
 			s = -s / a.At(k, k)
 			for i := k; i < a.Rows; i++ {
-				a.Set(i, j, a.At(i, j)+s*a.At(i, k))
+				a.Set(i, j, a.At(i, j)+float64(s*a.At(i, k)))
 			}
 		}
 	}
@@ -110,11 +110,11 @@ func (f *qr) applyQT(y []float64) {
 	for k := 0; k < n; k++ {
 		var s float64
 		for i := k; i < f.a.Rows; i++ {
-			s += f.a.At(i, k) * y[i]
+			s += float64(f.a.At(i, k) * y[i])
 		}
 		s = -s / f.a.At(k, k)
 		for i := k; i < f.a.Rows; i++ {
-			y[i] += s * f.a.At(i, k)
+			y[i] += float64(s * f.a.At(i, k))
 		}
 	}
 }
@@ -127,7 +127,7 @@ func (f *qr) solveR(b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		r := b[i]
 		for j := i + 1; j < n; j++ {
-			r -= f.rAt(i, j) * x[j]
+			r -= float64(f.rAt(i, j) * x[j])
 		}
 		d := f.rAt(i, i)
 		if d == 0 {
@@ -174,26 +174,10 @@ func (f *qr) invRtR() (*Matrix, error) {
 		for j := 0; j < n; j++ {
 			var s float64
 			for k := 0; k < n; k++ {
-				s += rinv.At(i, k) * rinv.At(j, k)
+				s += float64(rinv.At(i, k) * rinv.At(j, k))
 			}
 			out.Set(i, j, s)
 		}
 	}
 	return out, nil
-}
-
-// LeastSquares solves min ||X b - y||₂ by Householder QR and returns the
-// coefficient vector b.
-func LeastSquares(x *Matrix, y []float64) ([]float64, error) {
-	if len(y) != x.Rows {
-		return nil, errors.New("stats: response length mismatch")
-	}
-	f, err := factorQR(x)
-	if err != nil {
-		return nil, err
-	}
-	qty := make([]float64, len(y))
-	copy(qty, y)
-	f.applyQT(qty)
-	return f.solveR(qty)
 }

@@ -33,9 +33,6 @@ type OLSResult struct {
 	Sigma        float64 // residual standard error
 }
 
-// DF returns the residual degrees of freedom n-p.
-func (r *OLSResult) DF() int { return r.N - r.P }
-
 // Coef returns the coefficient with the given name, or nil.
 func (r *OLSResult) Coef(name string) *Coefficient {
 	for i := range r.Coefficients {
@@ -73,16 +70,16 @@ func OLS(x *Matrix, y []float64, names []string) (*OLSResult, error) {
 	for i := 0; i < x.Rows; i++ {
 		pred := 0.0
 		for j := 0; j < x.Cols; j++ {
-			pred += x.At(i, j) * beta[j]
+			pred += float64(x.At(i, j) * beta[j])
 		}
 		d := y[i] - pred
-		rss += d * d
+		rss += float64(d * d)
 	}
 	my := Mean(y)
 	var tss float64
 	for _, v := range y {
 		d := v - my
-		tss += d * d
+		tss += float64(d * d)
 	}
 	n, p := x.Rows, x.Cols
 	df := float64(n - p)

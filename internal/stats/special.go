@@ -21,7 +21,7 @@ func RegIncBeta(a, b, x float64) float64 {
 	lbeta, _ := math.Lgamma(a + b)
 	la, _ := math.Lgamma(a)
 	lb, _ := math.Lgamma(b)
-	front := math.Exp(lbeta - la - lb + a*math.Log(x) + b*math.Log(1-x))
+	front := math.Exp(lbeta - la - lb + float64(a*math.Log(x)) + float64(b*math.Log(1-x)))
 	// The continued fraction converges rapidly for x <= (a+1)/(a+b+2);
 	// use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) otherwise. The <=
 	// matters: with < the symmetric case a=b, x=0.5 recurses forever.
@@ -53,7 +53,7 @@ func betaCF(a, b, x float64) float64 {
 		fm := float64(m)
 		m2 := 2 * fm
 		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -64,7 +64,7 @@ func betaCF(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -73,7 +73,7 @@ func betaCF(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break
@@ -91,8 +91,8 @@ func TCDF(t, df float64) float64 {
 	if t == 0 {
 		return 0.5
 	}
-	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
+	x := df / (df + float64(t*t))
+	p := float64(0.5 * RegIncBeta(df/2, 0.5, x))
 	if t > 0 {
 		return 1 - p
 	}

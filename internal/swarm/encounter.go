@@ -30,7 +30,7 @@ func EncounterSeries(a, b Client, fracs []float64, n, runs int, cfg Config) ([]M
 		if frac < 0 || frac > 1 {
 			return nil, fmt.Errorf("swarm: fraction %v outside [0,1]", frac)
 		}
-		nA := int(frac*float64(n) + 0.5)
+		nA := int(float64(frac*float64(n)) + 0.5)
 		clients := make([]Client, n)
 		// Spread A evenly over the (stratified-capacity) index order so
 		// camps see the same capacity mix.

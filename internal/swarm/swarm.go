@@ -455,7 +455,7 @@ func (s *state) rechoke(period int) {
 			if period == 0 {
 				p.rate[j] = obs
 			} else {
-				p.rate[j] = 0.5*p.rate[j] + 0.5*obs
+				p.rate[j] = float64(0.5*p.rate[j]) + float64(0.5*obs)
 			}
 			if p.gotThisPeriod[j] > 0 {
 				p.streak[j]++

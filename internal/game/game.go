@@ -1,9 +1,8 @@
 // Package game implements the game-theoretic substrate of Section 2:
 // two-player 2×2 games (payoff matrices, dominance, pure Nash
 // equilibria), the paper's BitTorrent Dilemma (Figure 1a) and its
-// Birds modification (Figure 1c), and an iterated-game engine with the
-// classic repeated-game strategies (AllC, AllD, TFT, TF2T, Grim,
-// Win-Stay-Lose-Shift) played in Axelrod-style round-robin tournaments.
+// Birds modification (Figure 1c), and an iterated-game engine
+// (PlayMatch) with the strategies AllC, AllD and TFT.
 package game
 
 import "fmt"

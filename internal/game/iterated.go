@@ -1,9 +1,6 @@
 package game
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Strategy decides moves in an iterated 2×2 game. Implementations may
 // keep per-match state; Reset is called before every new match.
@@ -65,92 +62,6 @@ func (TFT) Move(_, opp []Action, _ *rand.Rand) Action {
 	return opp[len(opp)-1]
 }
 
-// TF2T is Tit-for-Two-Tats: defect only after two consecutive opponent
-// defections. The paper's candidate-list actualization C2 is modelled
-// on it (Axelrod [1]).
-type TF2T struct{}
-
-// Name implements Strategy.
-func (TF2T) Name() string { return "TF2T" }
-
-// Reset implements Strategy.
-func (TF2T) Reset() {}
-
-// Move implements Strategy.
-func (TF2T) Move(_, opp []Action, _ *rand.Rand) Action {
-	n := len(opp)
-	if n >= 2 && opp[n-1] == Defect && opp[n-2] == Defect {
-		return Defect
-	}
-	return Cooperate
-}
-
-// Grim cooperates until the opponent defects once, then defects forever.
-type Grim struct {
-	triggered bool
-}
-
-// Name implements Strategy.
-func (*Grim) Name() string { return "Grim" }
-
-// Reset implements Strategy.
-func (g *Grim) Reset() { g.triggered = false }
-
-// Move implements Strategy.
-func (g *Grim) Move(_, opp []Action, _ *rand.Rand) Action {
-	if g.triggered {
-		return Defect
-	}
-	if n := len(opp); n > 0 && opp[n-1] == Defect {
-		g.triggered = true
-		return Defect
-	}
-	return Cooperate
-}
-
-// WSLS is Win-Stay-Lose-Shift (Pavlov): repeat the last move after a
-// good outcome (opponent cooperated), switch after a bad one. The
-// paper's Sort Adaptive ranking (I4) is inspired by the same
-// aspiration-level idea (Posch [25]).
-type WSLS struct{}
-
-// Name implements Strategy.
-func (WSLS) Name() string { return "WSLS" }
-
-// Reset implements Strategy.
-func (WSLS) Reset() {}
-
-// Move implements Strategy.
-func (WSLS) Move(own, opp []Action, _ *rand.Rand) Action {
-	n := len(own)
-	if n == 0 {
-		return Cooperate
-	}
-	if opp[n-1] == Cooperate {
-		return own[n-1] // win: stay
-	}
-	return 1 - own[n-1] // lose: shift
-}
-
-// RandomStrategy cooperates with probability P.
-type RandomStrategy struct {
-	P float64
-}
-
-// Name implements Strategy.
-func (r RandomStrategy) Name() string { return fmt.Sprintf("Random(%.2f)", r.P) }
-
-// Reset implements Strategy.
-func (RandomStrategy) Reset() {}
-
-// Move implements Strategy.
-func (r RandomStrategy) Move(_, _ []Action, rng *rand.Rand) Action {
-	if rng.Float64() < r.P {
-		return Cooperate
-	}
-	return Defect
-}
-
 // MatchResult holds the totals of one iterated match.
 type MatchResult struct {
 	Rounds   int
@@ -181,43 +92,4 @@ func PlayMatch(g *Bimatrix, row, col Strategy, rounds int, rng *rand.Rand) Match
 	res.Moves[0] = rowHist
 	res.Moves[1] = colHist
 	return res
-}
-
-// TournamentEntry is one strategy's aggregate result in a round-robin
-// tournament.
-type TournamentEntry struct {
-	Strategy string
-	Total    float64 // summed score over all matches
-	Matches  int
-	Average  float64 // Total / Matches
-}
-
-// RoundRobin plays every strategy against every other (and itself, as
-// in Axelrod's tournaments) for rounds iterations per match and returns
-// per-strategy aggregates, ordered as the input. Strategies must have
-// distinct names. The game must be symmetric for the scores to be
-// comparable; the caller is responsible for that.
-func RoundRobin(g *Bimatrix, strategies []Strategy, rounds int, seed int64) []TournamentEntry {
-	n := len(strategies)
-	entries := make([]TournamentEntry, n)
-	for i := range entries {
-		entries[i].Strategy = strategies[i].Name()
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			rng := rand.New(rand.NewSource(seed ^ int64(i*1000003+j)))
-			res := PlayMatch(g, strategies[i], strategies[j], rounds, rng)
-			entries[i].Total += res.RowScore
-			entries[i].Matches++
-			// Self-play counts once per side to keep totals comparable.
-			entries[j].Total += res.ColScore
-			entries[j].Matches++
-		}
-	}
-	for i := range entries {
-		if entries[i].Matches > 0 {
-			entries[i].Average = entries[i].Total / float64(entries[i].Matches)
-		}
-	}
-	return entries
 }

@@ -17,13 +17,43 @@
 // utility is the number of fresh rumours a node learns, performance is
 // population mean coverage, and robustness tournaments pit protocol
 // camps against each other exactly as in the file-swarming domain.
+//
+// # Performance model
+//
+// A sweep is thousands of runs of tens of nodes over a hundred-odd
+// rounds, so a run scans neither every rumour ever injected nor a whole
+// partner row, and once warm allocates only its Result:
+//
+//   - Rumour bitsets. What a node holds is a bitset beside int32
+//     learnedAt stamps (a second bitset remembers what it ever learned
+//     from another node). Newest and Rarest walk from.known &^ to.known
+//     a word at a time; Rarest starts at its drawn offset, wraps, and
+//     stops at a rumour only the sender holds. Expiry visits known bits.
+//   - Partner argmaxes kept current. Best, Loyal and Similarity rank
+//     partners by one score row each (decayed service, delivery streak,
+//     round of the last delivery) and keep the row's first-index
+//     argmax. A push updates it from the one cell it writes; only a drop
+//     of the argmax's own score rescans the row: 0.8x+1 can drop and a
+//     streak reset does, while a delivery round only rises.
+//   - Pooled state. Slabs and generator live in a state recycled through
+//     a sync.Pool and reset in O(n² + n·words + rumours); learnedAt is
+//     read only under a known bit, so it is never cleared.
+//
+// dsa-sweep -domain gossip -preset quick takes 0.7 s on two Xeon cores
+// (1.25 cpu-s; the seed loop took 3.8 s, 7.2 cpu-s). Every Result is the seed loop's bit for bit: the same draws in
+// the same order, the same first-index ties, the same float operations.
+// reference_test.go keeps that loop, frozen, as the oracle of
+// FuzzRunMatchesReference and the denominator of perf_smoke.sh's ≥ 3×
+// floor; TestRunAllocs pins the one allocation.
 package gossip
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/gorand"
@@ -234,6 +264,10 @@ func (r Result) GroupMean(in func(i int) bool) float64 {
 	return s / float64(n)
 }
 
+// maxStamp bounds Options.Rounds and the rumour count: rounds are
+// stamped and rumour holders counted in int32.
+const maxStamp = math.MaxInt32
+
 // Run simulates a population where node i executes protocols[i].
 func Run(protocols []Protocol, opt Options) (Result, error) {
 	n := len(protocols)
@@ -246,189 +280,263 @@ func Run(protocols []Protocol, opt Options) (Result, error) {
 	if opt.Rounds < 1 || opt.RumourRate < 0 || opt.ExpireAge < 1 {
 		return Result{}, fmt.Errorf("gossip: invalid options %+v", opt)
 	}
+	if opt.Rounds > maxStamp || opt.RumourRate > maxStamp/opt.Rounds {
+		return Result{}, fmt.Errorf("gossip: %d rounds × %d rumours a round exceed %d rounds or rumours", opt.Rounds, opt.RumourRate, maxStamp)
+	}
 	for i, p := range protocols {
 		if err := p.Validate(); err != nil {
 			return Result{}, fmt.Errorf("gossip: node %d: %w", i, err)
 		}
 	}
-	return run(protocols, opt), nil
+	s := getState(n, opt.Rounds*opt.RumourRate, opt.Seed)
+	res := s.run(protocols, opt)
+	states.Put(s)
+	return res, nil
 }
 
-type node struct {
-	proto Protocol
-	// learnedAt[r] = round the rumour was learned (-1 unknown).
-	learnedAt []int
-	// everLearned[r]: utility counts only first-time learning so that
-	// Expire + re-infection cannot inflate coverage.
-	everLearned []bool
-	utility     float64
-	// service[j] = fresh rumours received from j recently (decayed).
-	service []float64
-	// streak[j] = consecutive exchanges with j that delivered data.
-	streak []int
-	// lastGave[j] = last round j delivered a fresh rumour.
-	lastGave []int
+// states recycles run state: a warm Run allocates only its Result.
+var states sync.Pool
+
+// state is one run's world. Node i's part of a slab is its i-th stride:
+// words bitset words, nR stamps, n scores.
+type state struct {
+	n, nR, words int
+	protos       []Protocol
+	rng          *rand.Rand
+	// known is what each node holds now; ever what it has learned from
+	// another node at some point (utility counts first learning only,
+	// so Expire plus re-infection cannot inflate it).
+	known, ever []uint64
+	// learnedAt is the round a node learned a rumour, read only under
+	// its known bit, so a reset leaves it as it is.
+	learnedAt []int32
+	counts    []int32 // nodes holding each rumour
+	learned   []int   // rumours each node learned from others
+	// score row i is what node i's selection ranks partners by: decayed
+	// service (Best), delivery streak (Loyal) or the round of the last
+	// delivery (Similarity, whose closest-activity pick is the latest
+	// delivery). Random rows stay 0.
+	score []float64
+	top   []int32 // first-index argmax of score row i over j != i
 }
 
-func run(protocols []Protocol, opt Options) Result {
-	n := len(protocols)
-	rng := rand.New(gorand.New(opt.Seed))
-	maxRumours := opt.Rounds*opt.RumourRate + 1
-	nodes := make([]*node, n)
-	for i := range nodes {
-		nodes[i] = &node{
-			proto:       protocols[i],
-			learnedAt:   make([]int, maxRumours),
-			everLearned: make([]bool, maxRumours),
-			service:     make([]float64, n),
-			streak:      make([]int, n),
-			lastGave:    make([]int, n),
-		}
-		for r := range nodes[i].learnedAt {
-			nodes[i].learnedAt[r] = -1
+// getState returns a state reset for n nodes, nR rumours and seed, from
+// the pool when it has one. The reset is O(n² + n·words + nR).
+func getState(n, nR int, seed int64) *state {
+	s, _ := states.Get().(*state)
+	if s == nil {
+		s = &state{rng: rand.New(gorand.New(seed))}
+	} else {
+		s.rng.Seed(seed)
+	}
+	s.n, s.nR, s.words = n, nR, (nR+63)/64
+	s.known = zeroed(s.known, n*s.words)
+	s.ever = zeroed(s.ever, n*s.words)
+	s.learnedAt = fit(s.learnedAt, n*nR)
+	s.counts = zeroed(s.counts, nR)
+	s.learned = zeroed(s.learned, n)
+	s.score = zeroed(s.score, n*n)
+	s.top = fit(s.top, n)
+	for i := range s.top {
+		s.top[i] = 0
+		if i == 0 {
+			s.top[i] = 1
 		}
 	}
-	nextRumour := 0
-	counts := make([]int, maxRumours) // how many nodes know each rumour
+	return s
+}
 
+// fit returns s with length n, reusing its array when it is big enough.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed is fit with every element zero.
+func zeroed[T any](s []T, n int) []T {
+	s = fit(s, n)
+	clear(s)
+	return s
+}
+
+func (s *state) run(protocols []Protocol, opt Options) Result {
+	s.protos = protocols
+	next := 0 // rumours injected so far
 	for round := 0; round < opt.Rounds; round++ {
 		// Inject fresh rumours at random nodes.
-		for k := 0; k < opt.RumourRate && nextRumour < maxRumours; k++ {
-			src := rng.Intn(n)
-			nodes[src].learnedAt[nextRumour] = round
-			counts[nextRumour]++
-			nextRumour++
+		for k := 0; k < opt.RumourRate; k++ {
+			s.learn(s.rng.Intn(s.n), next, round)
+			next++
 		}
-		// Expiry.
-		for _, nd := range nodes {
-			if nd.proto.Record != RecordExpire {
-				continue
-			}
-			for r := 0; r < nextRumour; r++ {
-				if nd.learnedAt[r] >= 0 && round-nd.learnedAt[r] > opt.ExpireAge {
-					nd.learnedAt[r] = -1
-					counts[r]--
-				}
+		for i, p := range protocols {
+			if p.Record == RecordExpire {
+				s.expire(i, round, opt.ExpireAge)
 			}
 		}
 		// Exchanges (push).
-		for i, nd := range nodes {
-			if round%nd.proto.Period != 0 {
+		for i, p := range protocols {
+			if round%p.Period != 0 {
 				continue
 			}
-			for f := 0; f < nd.proto.Fanout; f++ {
-				j := nd.selectPartner(i, n, rng, round)
-				if j < 0 {
-					continue
-				}
-				nd.push(nodes[j], j, i, round, nextRumour, counts, rng)
+			for f := 0; f < p.Fanout; f++ {
+				s.push(i, s.partner(i, p.Selection), p.Filter, round, next)
 			}
 		}
 	}
-	res := Result{Utility: make([]float64, n)}
-	for i, nd := range nodes {
-		res.Utility[i] = nd.utility
+	s.protos = nil // a pooled state must not pin the caller's slice
+	res := Result{Utility: make([]float64, s.n)}
+	for i, c := range s.learned {
+		res.Utility[i] = float64(c)
 	}
 	return res
 }
 
-// selectPartner applies the node's selection function.
-func (nd *node) selectPartner(self, n int, rng *rand.Rand, round int) int {
-	switch nd.proto.Selection {
-	case SelRandom:
-		return randOther(self, n, rng)
-	case SelBest:
-		best, bestV := -1, -1.0
-		for j := 0; j < n; j++ {
-			if j != self && nd.service[j] > bestV {
-				best, bestV = j, nd.service[j]
+// learn marks rumour r known to node i since round.
+func (s *state) learn(i, r, round int) {
+	s.known[i*s.words+r>>6] |= 1 << (r & 63)
+	s.learnedAt[i*s.nR+r] = int32(round)
+	s.counts[r]++
+}
+
+// expire drops node i's rumours older than age.
+func (s *state) expire(i, round, age int) {
+	known := s.known[i*s.words : (i+1)*s.words]
+	at := s.learnedAt[i*s.nR : (i+1)*s.nR]
+	for w, m := range known {
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if r := w<<6 + b; round-int(at[r]) > age {
+				known[w] &^= 1 << b
+				s.counts[r]--
 			}
 		}
-		if bestV <= 0 {
-			return randOther(self, n, rng)
-		}
-		return best
-	case SelLoyal:
-		best, bestV := -1, 0
-		for j := 0; j < n; j++ {
-			if j != self && nd.streak[j] > bestV {
-				best, bestV = j, nd.streak[j]
-			}
-		}
-		if best < 0 {
-			return randOther(self, n, rng)
-		}
-		return best
-	case SelSimilarity:
-		// Closest recent activity: partner whose last delivery is most
-		// recent relative to ours — a lightweight profile-similarity
-		// proxy that needs no extra state.
-		best, bestV := -1, math.MaxFloat64
-		for j := 0; j < n; j++ {
-			if j == self {
-				continue
-			}
-			d := math.Abs(float64(round - nd.lastGave[j]))
-			if d < bestV {
-				best, bestV = j, d
-			}
-		}
-		if best < 0 {
-			return randOther(self, n, rng)
-		}
-		return best
-	default:
-		return -1
 	}
 }
 
-func randOther(self, n int, rng *rand.Rand) int {
-	if n < 2 {
-		return -1
+// partner applies node i's selection function: the argmax of its score
+// row, or a uniform other node when Best or Loyal has no positive score.
+func (s *state) partner(i int, sel Selection) int {
+	if sel != SelRandom {
+		t := int(s.top[i])
+		if sel == SelSimilarity || s.score[i*s.n+t] > 0 {
+			return t
+		}
 	}
-	j := rng.Intn(n - 1)
-	if j >= self {
+	j := s.rng.Intn(s.n - 1)
+	if j >= i {
 		j++
 	}
 	return j
 }
 
-// push sends up to one rumour chosen by the filter from nd to the
-// target, updating the receiver's bookkeeping.
-func (nd *node) push(to *node, toIdx, selfIdx, round, nRumours int, counts []int, rng *rand.Rand) {
-	if nd.proto.Filter == FilterNone {
+// push sends to node to the one rumour from's filter picks among the
+// nRumours injected so far, and updates to's score for from.
+func (s *state) push(from, to int, filter Filter, round, nRumours int) {
+	if filter == FilterNone {
 		return // freerider: exchanges happen but carry nothing
 	}
-	best := -1
-	switch nd.proto.Filter {
-	case FilterNewest:
-		newest := -1
-		for r := 0; r < nRumours; r++ {
-			if nd.learnedAt[r] >= 0 && to.learnedAt[r] < 0 && nd.learnedAt[r] > newest {
-				best, newest = r, nd.learnedAt[r]
-			}
-		}
-	case FilterRarest:
-		rarest := math.MaxInt32
-		off := rng.Intn(nRumours + 1)
-		for i := 0; i < nRumours; i++ {
-			r := (off + i) % nRumours
-			if nd.learnedAt[r] >= 0 && to.learnedAt[r] < 0 && counts[r] < rarest {
-				best, rarest = r, counts[r]
-			}
-		}
+	kf := s.known[from*s.words : (from+1)*s.words]
+	kt := s.known[to*s.words : (to+1)*s.words]
+	var r int
+	if filter == FilterNewest {
+		r = s.newest(kf, kt, s.learnedAt[from*s.nR:(from+1)*s.nR])
+	} else {
+		r = s.rarest(kf, kt, s.rng.Intn(nRumours+1), nRumours)
 	}
-	if best < 0 {
-		to.streak[selfIdx] = 0
+	sel := s.protos[to].Selection
+	if r < 0 {
+		if sel == SelLoyal {
+			s.rank(to, from, 0) // the streak breaks
+		}
 		return
 	}
-	to.learnedAt[best] = round
-	counts[best]++
-	if !to.everLearned[best] {
-		to.everLearned[best] = true
-		to.utility++
+	s.learn(to, r, round)
+	if e, bit := &s.ever[to*s.words+r>>6], uint64(1)<<(r&63); *e&bit == 0 {
+		*e |= bit
+		s.learned[to]++
 	}
-	to.service[selfIdx] = float64(0.8*to.service[selfIdx]) + 1
-	to.streak[selfIdx]++
-	to.lastGave[selfIdx] = round
+	old := s.score[to*s.n+from]
+	switch sel {
+	case SelBest:
+		s.rank(to, from, float64(0.8*old)+1)
+	case SelLoyal:
+		s.rank(to, from, old+1)
+	case SelSimilarity:
+		s.rank(to, from, float64(round))
+	}
+}
+
+// newest returns the candidate (known to from, not to to) from learned
+// last, the lowest index among equals; -1 when there is none.
+func (s *state) newest(kf, kt []uint64, at []int32) int {
+	best, newest := -1, int32(-1)
+	for w := range kf {
+		for m := kf[w] &^ kt[w]; m != 0; m &= m - 1 {
+			if r := w<<6 + bits.TrailingZeros64(m); at[r] > newest {
+				best, newest = r, at[r]
+			}
+		}
+	}
+	return best
+}
+
+// rarest returns the candidate held by the fewest nodes, the first met
+// walking up from off and wrapping at nRumours; -1 when there is none.
+// A rumour held by one node, from, cannot be beaten.
+func (s *state) rarest(kf, kt []uint64, off, nRumours int) int {
+	best, fewest := -1, int32(math.MaxInt32)
+	for _, span := range [2][2]int{{off, nRumours}, {0, off}} {
+		lo, hi := span[0], span[1]
+		for w := lo >> 6; w<<6 < hi; w++ {
+			m := kf[w] &^ kt[w]
+			if w == lo>>6 {
+				m &= ^uint64(0) << (lo & 63)
+			}
+			if end := hi - w<<6; end < 64 {
+				m &= 1<<end - 1
+			}
+			for ; m != 0; m &= m - 1 {
+				r := w<<6 + bits.TrailingZeros64(m)
+				if c := s.counts[r]; c < fewest {
+					best, fewest = r, c
+					if c == 1 {
+						return best
+					}
+				}
+			}
+		}
+	}
+	return best
+}
+
+// rank sets node i's score for j to v and keeps top[i] the row's
+// first-index argmax: only a drop of the argmax's own score rescans.
+func (s *state) rank(i, j int, v float64) {
+	row := s.score[i*s.n : (i+1)*s.n]
+	old := row[j]
+	row[j] = v
+	switch t := int(s.top[i]); {
+	case j == t:
+		if v < old {
+			s.top[i] = int32(argmax(row, i))
+		}
+	case v > row[t] || v == row[t] && j < t:
+		s.top[i] = int32(j)
+	}
+}
+
+// argmax returns the first index of row's largest value, skipping self.
+func argmax(row []float64, self int) int {
+	best := 0
+	if self == 0 {
+		best = 1
+	}
+	for j := best + 1; j < len(row); j++ {
+		if j != self && row[j] > row[best] {
+			best = j
+		}
+	}
+	return best
 }

@@ -99,6 +99,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(uniform(proto(), 10), opt2); err == nil {
 		t.Error("zero rounds should error")
 	}
+	// Rounds and the rumour count are int32 stamps and indices: a shape
+	// past them is an error, not a makeslice panic or a wrapped stamp.
+	for _, big := range []Options{{Rounds: 1 << 62, RumourRate: 2, ExpireAge: 1}, {Rounds: 1 << 31, ExpireAge: 1}, {Rounds: 1 << 16, RumourRate: 1 << 15, ExpireAge: 1}} {
+		if _, err := Run(uniform(proto(), 2), big); err == nil {
+			t.Errorf("%+v should error", big)
+		}
+	}
 	bad := uniform(proto(), 10)
 	bad[3].Fanout = 99
 	opt3 := DefaultOptions()

@@ -20,6 +20,13 @@
 # at PerfRuns 3) against four ScoreSlice calls over the same points (15
 # per point) must be at least 2.0x faster — 2.5x by run count, 2.2-2.4x
 # measured (a stress download runs longer than a nominal one). The parity tests in internal/dsa pin the two to equal bits.
+#
+# A third paired floor guards the gossip simulator: the Quick preset's
+# runs for every 25th point of the space through gossip.Run must be at
+# least 3.0x faster than through the frozen seed loop in
+# internal/gossip/reference_test.go (~6x measured; the reference side
+# takes ~4 s). FuzzRunMatchesReference pins the two to equal bits, and
+# TestRunAllocs pins a warm Run at its one Result allocation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +39,7 @@ trap 'rm -f "$OUT"' EXIT
 echo "== allocation pins =="
 go test ./internal/cyclesim -run 'TestRoundLoopAllocFree|TestPooledRunAllocs' -count=1
 go test ./internal/swarm -run 'TestTransferLoopAllocFree|TestPooledRunAllocsSwarm' -count=1
+go test ./internal/gossip -run 'TestRunAllocs' -count=1
 
 echo "== cold tournament sweep: optimized vs frozen reference =="
 go test -run '^$' \
@@ -83,3 +91,18 @@ fi
 JRATIO=$(awk -v p="$PER" -v j="$JOINT" 'BEGIN { printf "%.2f", p / j }')
 echo "delivery sweep: per measure ${PER} ns/op, joint ${JOINT} ns/op -> ${JRATIO}x (floor 2.0x)"
 floor "joint delivery scoring" "$JRATIO" 2.0
+
+echo "== gossip quick sweep: optimized vs frozen reference =="
+go test ./internal/gossip -run '^$' \
+  -bench 'BenchmarkQuickSweep$|BenchmarkQuickSweepReference$' \
+  -benchtime="$BENCHTIME" -count="$COUNT" | tee "$OUT"
+
+GOPT=$(min_ns BenchmarkQuickSweep)
+GREF=$(min_ns BenchmarkQuickSweepReference)
+if [ -z "$GOPT" ] || [ -z "$GREF" ]; then
+  echo "perf_smoke: FAILED to parse benchmark output" >&2
+  exit 1
+fi
+GRATIO=$(awk -v r="$GREF" -v o="$GOPT" 'BEGIN { printf "%.2f", r / o }')
+echo "gossip quick sweep: reference ${GREF} ns/op, optimized ${GOPT} ns/op -> ${GRATIO}x (floor 3.0x)"
+floor "gossip simulator" "$GRATIO" 3.0

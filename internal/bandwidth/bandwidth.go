@@ -61,33 +61,6 @@ var piatek = func() *Distribution {
 	return d
 }()
 
-// Uniform returns a degenerate distribution where every peer has the
-// same capacity, useful for isolating incentive effects from
-// heterogeneity in tests and ablations.
-func Uniform(kbps float64) *Distribution {
-	d, err := New([]Point{{0, kbps}, {1, kbps}})
-	if err != nil {
-		panic("bandwidth: invalid uniform distribution: " + err.Error())
-	}
-	return d
-}
-
-// TwoClass returns a distribution with a fraction fracSlow of peers at
-// slowKBps and the rest at fastKBps — the two-class world of the
-// paper's Section 2 game-theoretic analysis.
-func TwoClass(slowKBps, fastKBps, fracSlow float64) (*Distribution, error) {
-	if fracSlow <= 0 || fracSlow >= 1 {
-		return nil, fmt.Errorf("bandwidth: fracSlow %v outside (0,1)", fracSlow)
-	}
-	eps := 1e-9
-	return New([]Point{
-		{0, slowKBps},
-		{fracSlow - eps, slowKBps},
-		{fracSlow + eps, fastKBps},
-		{1, fastKBps},
-	})
-}
-
 // New builds a distribution from CDF knots. Knots must be sorted by Q,
 // start at Q=0, end at Q=1, and have finite, non-negative,
 // non-decreasing capacities. Every violation gets its own error naming

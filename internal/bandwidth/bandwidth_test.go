@@ -227,8 +227,13 @@ func TestSamplingDeterministicProperty(t *testing.T) {
 	}
 }
 
+// TestUniform: two knots at one capacity make a degenerate distribution,
+// every peer at that capacity.
 func TestUniform(t *testing.T) {
-	d := Uniform(64)
+	d, err := New([]Point{{0, 64}, {1, 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
 		if v := d.Sample(rng); v != 64 {
@@ -237,8 +242,12 @@ func TestUniform(t *testing.T) {
 	}
 }
 
+// TestTwoClass: a step between two knots a hair either side of 0.5 is
+// the two-class world of the paper's Section 2 analysis, half the peers
+// slow and half fast.
 func TestTwoClass(t *testing.T) {
-	d, err := TwoClass(10, 100, 0.5)
+	eps := 1e-9
+	d, err := New([]Point{{0, 10}, {0.5 - eps, 10}, {0.5 + eps, 100}, {1, 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +265,6 @@ func TestTwoClass(t *testing.T) {
 	}
 	if slow != 50 || fast != 50 {
 		t.Errorf("split = %d/%d, want 50/50", slow, fast)
-	}
-	if _, err := TwoClass(10, 100, 0); err == nil {
-		t.Error("fracSlow 0 should error")
-	}
-	if _, err := TwoClass(10, 100, 1); err == nil {
-		t.Error("fracSlow 1 should error")
 	}
 }
 

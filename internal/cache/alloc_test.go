@@ -2,9 +2,12 @@
 
 package cache
 
-import "testing"
+import (
+	"runtime/debug"
+	"testing"
+)
 
-// A hit is one map probe: on a store reopened from disk even the first
+// A hit is one index probe: on a store reopened from disk even the first
 // hit of each key allocates nothing. Excluded under -race like the other allocation pins: the race
 // runtime adds bookkeeping allocations.
 func TestReopenedHitAllocs(t *testing.T) {
@@ -37,5 +40,36 @@ func TestReopenedHitAllocs(t *testing.T) {
 		next++
 	}); avg != 0 {
 		t.Errorf("a hit on a reopened store allocates %.2f per op, want 0", avg)
+	}
+}
+
+// Open allocates per segment, never per record: the segments' bytes are
+// read into one buffer that becomes the index, and its table is sized
+// once.
+func TestOpenAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		dir := t.TempDir()
+		s, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			s.Put(key(i), float64(i))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// No collection during the runs: a cycle's own allocations
+		// would count against the larger buffers.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(20, func() {
+			s, err := Open(Options{Dir: dir})
+			if err != nil || s.Stats().Entries != n {
+				t.Fatalf("reopen of %d entries: %v", n, err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(8192); large != small {
+		t.Errorf("Open allocates %.0f times over 16 records, %.0f over 8192: want no growth with the record count", small, large)
 	}
 }

@@ -12,13 +12,14 @@
 //
 // A Store is two mechanisms behind the dsa.ScoreCache interface:
 //
-//   - one in-memory map of every score it can serve — a Get is one
-//     read-locked probe;
+//   - one in-memory index of every score it can serve (see index.go):
+//     the entries back to back plus a flat open-addressed table over
+//     them — a Get is one read-locked probe;
 //   - an append-only on-disk segment log (see disk.go) — survives
 //     restarts, shareable between concurrent processes, CRC-checked
-//     once, by the scan at Open that fills the map, so corruption
-//     degrades to misses, never wrong hits. After Open it is only
-//     appended to.
+//     once, by the scan at Open whose buffer becomes the index, so
+//     corruption degrades to misses, never wrong hits. After Open it is
+//     only appended to.
 //
 // GetOrCompute adds singleflight deduplication (concurrent calls for one
 // key run the computation once); no engine layer calls it.
@@ -64,8 +65,8 @@ type Options struct {
 // Store is a concurrency-safe score cache. It implements
 // dsa.ScoreCache.
 type Store struct {
-	mu   sync.RWMutex
-	vals map[Key]float64
+	mu  sync.RWMutex
+	idx index
 
 	appendMu sync.Mutex
 	disk     *diskLog // nil when memory-only
@@ -86,22 +87,24 @@ type flightCall struct {
 // is read and CRC-verified once, into memory, before Open returns
 // (corrupt or torn records are dropped and counted, never served).
 func Open(opts Options) (*Store, error) {
-	s := &Store{vals: map[Key]float64{}, flight: map[Key]*flightCall{}}
-	if opts.Dir != "" {
-		disk, vals, dropped, err := openDiskLog(opts.Dir, opts.segmentBytes)
-		if err != nil {
-			return nil, err
-		}
-		s.disk, s.vals = disk, vals
-		s.dropped.Store(dropped)
+	s := &Store{flight: map[Key]*flightCall{}}
+	if opts.Dir == "" {
+		s.idx = newIndex(0, 0)
+		return s, nil
 	}
+	disk, idx, dropped, err := openDiskLog(opts.Dir, opts.segmentBytes)
+	if err != nil {
+		return nil, err
+	}
+	s.disk, s.idx = disk, idx
+	s.dropped.Store(dropped)
 	return s, nil
 }
 
 // Get returns the cached score for k.
 func (s *Store) Get(k Key) (float64, bool) {
 	s.mu.RLock()
-	v, ok := s.vals[k]
+	v, ok := s.idx.get(&k)
 	s.mu.RUnlock()
 	if ok {
 		s.hits.Add(1)
@@ -120,12 +123,9 @@ func (s *Store) Get(k Key) (float64, bool) {
 func (s *Store) Put(k Key, v float64) {
 	s.puts.Add(1)
 	s.mu.Lock()
-	_, known := s.vals[k]
-	if !known {
-		s.vals[k] = v
-	}
+	added := s.idx.add(k, v)
 	s.mu.Unlock()
-	if known || s.disk == nil {
+	if !added || s.disk == nil {
 		return
 	}
 	s.appendMu.Lock()
@@ -190,7 +190,7 @@ func (s *Store) Sync() error {
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
-	entries := len(s.vals)
+	entries := s.idx.len()
 	s.mu.RUnlock()
 	st := Stats{
 		Entries:    entries,

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,11 +18,17 @@ import (
 //
 //	<dir>/seg-000001.log, seg-000002.log, ...
 //
-// Each segment starts with an 8-byte magic ("DSASCR1\n", validated on
-// open — a directory of something else is an error, not garbage
-// lookups) followed by fixed-size records:
+// Each segment starts with an 8-byte magic, validated on open — a
+// directory of something else is an error, not garbage lookups — and
+// naming the segment's version, followed by fixed-size records:
 //
-//	key[32] | score float64 LE [8] | crc32 IEEE of the first 40 [4]
+//	key[32] | score float64 LE [8] | crc32 of the first 40 [4]
+//
+// Version 2 ("DSASCR2\n", the only one written) checksums with CRC-32C
+// (Castagnoli), which amd64 and arm64 compute in hardware. Version 1
+// ("DSASCR1\n") used CRC-32 IEEE and is still read, each segment with
+// the CRC its magic names, so a directory filled before version 2
+// keeps serving.
 //
 // Append-only and fixed-size buys the crash story for free: a torn
 // tail from a crash is a short or CRC-broken record, detected and
@@ -43,22 +48,34 @@ import (
 // Values are never rewritten — a key's score is a pure function of the
 // key (dsa.CacheKey hashes everything score-relevant) — so there is no
 // compaction and no tombstone; duplicate keys across segments (two
-// processes caching one score) are benign and deduplicated by the
-// map at open.
+// processes caching one score) are benign: at open the later verified
+// record's value is kept in the key's one entry.
 
 const (
-	segMagic      = "DSASCR1\n"
+	segMagic      = "DSASCR2\n"
+	segMagicV1    = "DSASCR1\n"
 	segHeaderSize = len(segMagic)
-	recordSize    = 32 + 8 + 4
+	recordSize    = entrySize + 4
 
 	// defaultSegmentBytes is the rotation threshold for the active
 	// segment: ~95k scores per segment.
 	defaultSegmentBytes = 4 << 20
-
-	// scanBufferBytes is the read size of the open-time scan: a segment
-	// is a few sequential reads, not one per record.
-	scanBufferBytes = 256 << 10
 )
+
+// castagnoli is the CRC table of version-2 segments.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// segTable returns the CRC table a segment's magic names, nil for a
+// magic that is not a score cache's.
+func segTable(magic []byte) *crc32.Table {
+	switch string(magic) {
+	case segMagic:
+		return castagnoli
+	case segMagicV1:
+		return crc32.IEEETable
+	}
+	return nil
+}
 
 type diskLog struct {
 	dir        string
@@ -73,100 +90,114 @@ func segPath(dir string, n int) string {
 	return filepath.Join(dir, fmt.Sprintf("seg-%06d.log", n))
 }
 
-// openDiskLog scans every segment in dir (creating dir if needed) into
-// a key→score map, counting the records it drops, and prepares to claim
-// a fresh active segment on the first append. No segment stays open.
-func openDiskLog(dir string, segBytes int64) (*diskLog, map[Key]float64, uint64, error) {
+// openDiskLog reads every segment in dir (creating dir if needed) into
+// an index, counting the records it drops, and prepares to claim a
+// fresh active segment on the first append. No segment stays open.
+//
+// One buffer, sized from the segments' total bytes, takes them all:
+// each segment is read whole at the end of the entries scanned before
+// it, and its verified records are compacted in place into entries, so
+// the buffer becomes the index's recs. The table is sized once for every
+// record the segments can hold.
+func openDiskLog(dir string, segBytes int64) (*diskLog, index, uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, fmt.Errorf("cache: dir: %w", err)
+		return nil, index{}, 0, fmt.Errorf("cache: dir: %w", err)
 	}
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, index{}, 0, err
 	}
 	sort.Strings(names)
-	// The map is sized for every record the segments can hold, so the
-	// scan never rehashes it.
-	records := int64(0)
-	for _, name := range names {
-		if fi, err := os.Stat(name); err == nil {
-			records += fi.Size() / recordSize
-		}
+	type segFile struct {
+		path string
+		n    int
+		size int64
 	}
-	d := &diskLog{dir: dir, segBytes: segBytes}
-	vals := make(map[Key]float64, records)
-	var dropped uint64
-	r := bufio.NewReaderSize(nil, scanBufferBytes)
+	segs := make([]segFile, 0, len(names))
+	total := int64(0)
 	for _, name := range names {
 		var n int
 		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%06d.log", &n); err != nil {
 			continue // not ours
 		}
-		size, drops, err := scanSegment(name, r, vals)
+		fi, err := os.Stat(name)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, index{}, 0, fmt.Errorf("cache: open segment: %w", err)
 		}
-		d.lastSeg = max(d.lastSeg, n)
+		segs = append(segs, segFile{name, n, fi.Size()})
+		total += fi.Size()
+	}
+	d := &diskLog{dir: dir, segBytes: segBytes}
+	x := newIndex(int(total), int(total/recordSize))
+	var dropped uint64
+	for _, seg := range segs {
+		size, drops, err := readSegment(seg.path, seg.size, &x)
+		if err != nil {
+			return nil, index{}, 0, err
+		}
+		d.lastSeg = max(d.lastSeg, seg.n)
 		d.total += size
 		dropped += drops
 	}
-	return d, vals, dropped, nil
+	return d, x, dropped, nil
 }
 
-// scanSegment validates one segment and merges its records into vals,
-// returning the bytes of its header and whole records. Records that are
-// torn (short tail) or fail their CRC are dropped and counted;
-// fixed-size records keep the scan aligned, so a single corrupt record
-// never takes the rest of the segment with it. The segment is read
-// through r, sequentially, once.
-func scanSegment(path string, r *bufio.Reader, vals map[Key]float64) (size int64, dropped uint64, err error) {
+// readSegment reads at most the segment's first n bytes (its size when
+// it was listed; a writer may have appended since) into x's spare
+// capacity and scans them into x.
+func readSegment(path string, n int64, x *index) (size int64, dropped uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("cache: open segment: %w", err)
 	}
 	defer f.Close()
-	r.Reset(f)
-	var header [segHeaderSize]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		// An empty or headerless file (crash between create and header
-		// write) holds no records; skip it.
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 1, nil
-		}
-		return 0, 0, fmt.Errorf("cache: read segment header %s: %w", path, err)
+	buf := x.recs[len(x.recs) : len(x.recs)+int(n)]
+	got, err := io.ReadFull(f, buf)
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return 0, 0, fmt.Errorf("cache: read segment %s: %w", path, err)
 	}
-	if string(header[:]) != segMagic {
-		return 0, 0, fmt.Errorf("cache: %s is not a score cache segment (bad magic %q) — wrong -cache-dir?", path, header[:])
-	}
-	var rec [recordSize]byte
-	size = int64(segHeaderSize)
-	for {
-		_, err := io.ReadFull(r, rec[:])
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			dropped++ // torn tail from a crash mid-append
-			break
-		}
-		if err != nil {
-			return 0, 0, fmt.Errorf("cache: read segment %s: %w", path, err)
-		}
-		if verifyRecord(rec[:]) {
-			vals[Key(rec[:32])] = math.Float64frombits(binary.LittleEndian.Uint64(rec[32:40]))
-		} else {
-			dropped++
-		}
-		size += recordSize
-	}
-	return size, dropped, nil
+	return scanSegment(path, buf[:got], x)
 }
 
-func verifyRecord(rec []byte) bool {
-	return binary.LittleEndian.Uint32(rec[40:44]) == crc32.ChecksumIEEE(rec[:40])
+// scanSegment validates one segment's bytes seg, which lie in x.recs'
+// spare capacity right after its entries, and admits each record that
+// verifies into x, returning the bytes of the header and whole records.
+// Records that are torn (short tail) or fail their CRC are dropped and
+// counted; fixed-size records keep the scan aligned, so a single
+// corrupt record never takes the rest of the segment with it.
+//
+// A verified record's first 40 bytes are its entry: they are moved down
+// to the end of x.recs, which never passes the record being read (an
+// entry is 4 bytes shorter than a record and the header is 8), so the
+// compaction is in place.
+func scanSegment(path string, seg []byte, x *index) (size int64, dropped uint64, err error) {
+	if len(seg) < segHeaderSize {
+		// An empty or headerless file (crash between create and header
+		// write) holds no records; skip it.
+		return 0, 1, nil
+	}
+	tab := segTable(seg[:segHeaderSize])
+	if tab == nil {
+		return 0, 0, fmt.Errorf("cache: %s is not a score cache segment (bad magic %q) — wrong -cache-dir?", path, seg[:segHeaderSize])
+	}
+	body := seg[segHeaderSize:]
+	whole := len(body) / recordSize * recordSize
+	if whole < len(body) {
+		dropped++ // torn tail from a crash mid-append
+	}
+	for o := 0; o < whole; o += recordSize {
+		rec := body[o : o+recordSize]
+		if binary.LittleEndian.Uint32(rec[entrySize:]) != crc32.Checksum(rec[:entrySize], tab) {
+			dropped++
+			continue
+		}
+		x.recs = append(x.recs, rec[:entrySize]...)
+		x.admitLast()
+	}
+	return int64(segHeaderSize + whole), dropped, nil
 }
 
 // put appends k's record to the active segment (claiming or rotating
@@ -180,7 +211,7 @@ func (d *diskLog) put(k Key, v float64) error {
 	var rec [recordSize]byte
 	copy(rec[:32], k[:])
 	binary.LittleEndian.PutUint64(rec[32:40], math.Float64bits(v))
-	binary.LittleEndian.PutUint32(rec[40:44], crc32.ChecksumIEEE(rec[:40]))
+	binary.LittleEndian.PutUint32(rec[40:44], crc32.Checksum(rec[:40], castagnoli))
 	// Written at the segment's record boundary, and trimmed back on
 	// failure: a torn record can never shift the ones after it off the
 	// fixed-size grid scanSegment walks.

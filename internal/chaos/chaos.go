@@ -159,10 +159,3 @@ func (s *Schedule) Next() Decision {
 	d.Err500 = !d.Drop && s.rng.Float64() < s.cfg.Err500
 	return d
 }
-
-// Drawn reports how many decisions have been handed out.
-func (s *Schedule) Drawn() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}

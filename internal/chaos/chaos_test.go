@@ -170,8 +170,12 @@ func TestTransportFaults(t *testing.T) {
 			t.Fatalf("resp=%v err=%v", resp, err)
 		}
 		resp.Body.Close()
-		if tr.Schedule().Drawn() != 1 {
-			t.Fatalf("drawn = %d, want 1", tr.Schedule().Drawn())
+		s := tr.Schedule()
+		s.mu.Lock()
+		drawn := s.n
+		s.mu.Unlock()
+		if drawn != 1 {
+			t.Fatalf("drawn = %d, want 1", drawn)
 		}
 	})
 }

@@ -77,7 +77,10 @@ func goldenRegimes(t *testing.T) []goldenRegime {
 		m(&opt)
 		return opt
 	}
-	twoClass, err := bandwidth.TwoClass(20, 200, 0.5)
+	// Half the peers at 20 KiB/s, half at 200: a step a hair either side
+	// of the median.
+	eps := 1e-9
+	twoClass, err := bandwidth.New([]bandwidth.Point{{Q: 0, KBps: 20}, {Q: 0.5 - eps, KBps: 20}, {Q: 0.5 + eps, KBps: 200}, {Q: 1, KBps: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,8 @@
 //     learnedAt stamps (a second bitset remembers what it ever learned
 //     from another node). Newest and Rarest walk from.known &^ to.known
 //     a word at a time; Rarest starts at its drawn offset, wraps, and
-//     stops at a rumour only the sender holds. Expiry visits known bits.
+//     stops at a rumour only the sender holds. Expiry pops a per-node
+//     queue of what it learned, in learn order, while the front is due.
 //   - Partner argmaxes kept current. Best, Loyal and Similarity rank
 //     partners by one score row each (decayed service, delivery streak,
 //     round of the last delivery) and keep the row's first-index
@@ -310,8 +311,14 @@ type state struct {
 	// learnedAt is the round a node learned a rumour, read only under
 	// its known bit, so a reset leaves it as it is.
 	learnedAt []int32
-	counts    []int32 // nodes holding each rumour
-	learned   []int   // rumours each node learned from others
+	// queue row i is what node i holds, in the order it learned it: a
+	// ring of nR rumours from head[i], qlen[i] long. A rumour is learned
+	// only while unknown, so each held rumour is queued once, and stamps
+	// rise along the ring.
+	queue      []int32
+	head, qlen []int32
+	counts     []int32 // nodes holding each rumour
+	learned    []int   // rumours each node learned from others
 	// score row i is what node i's selection ranks partners by: decayed
 	// service (Best), delivery streak (Loyal) or the round of the last
 	// delivery (Similarity, whose closest-activity pick is the latest
@@ -333,6 +340,9 @@ func getState(n, nR int, seed int64) *state {
 	s.known = zeroed(s.known, n*s.words)
 	s.ever = zeroed(s.ever, n*s.words)
 	s.learnedAt = fit(s.learnedAt, n*nR)
+	s.queue = fit(s.queue, n*nR)
+	s.head = zeroed(s.head, n)
+	s.qlen = zeroed(s.qlen, n)
 	s.counts = zeroed(s.counts, nR)
 	s.learned = zeroed(s.learned, n)
 	s.score = zeroed(s.score, n*n)
@@ -393,26 +403,34 @@ func (s *state) run(protocols []Protocol, opt Options) Result {
 	return res
 }
 
-// learn marks rumour r known to node i since round.
+// learn marks rumour r known to node i since round and queues it.
 func (s *state) learn(i, r, round int) {
 	s.known[i*s.words+r>>6] |= 1 << (r & 63)
 	s.learnedAt[i*s.nR+r] = int32(round)
 	s.counts[r]++
+	tail := int(s.head[i] + s.qlen[i])
+	if tail >= s.nR {
+		tail -= s.nR
+	}
+	s.queue[i*s.nR+tail] = int32(r)
+	s.qlen[i]++
 }
 
-// expire drops node i's rumours older than age.
+// expire drops node i's rumours older than age: the front of its queue,
+// up to the first rumour that is not.
 func (s *state) expire(i, round, age int) {
-	known := s.known[i*s.words : (i+1)*s.words]
+	q := s.queue[i*s.nR : (i+1)*s.nR]
 	at := s.learnedAt[i*s.nR : (i+1)*s.nR]
-	for w, m := range known {
-		for ; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			if r := w<<6 + b; round-int(at[r]) > age {
-				known[w] &^= 1 << b
-				s.counts[r]--
-			}
+	h, n := int(s.head[i]), s.qlen[i]
+	for ; n > 0 && round-int(at[q[h]]) > age; n-- {
+		r := int(q[h])
+		s.known[i*s.words+r>>6] &^= 1 << (r & 63)
+		s.counts[r]--
+		if h++; h == s.nR {
+			h = 0
 		}
 	}
+	s.head[i], s.qlen[i] = int32(h), n
 }
 
 // partner applies node i's selection function: the argmax of its score

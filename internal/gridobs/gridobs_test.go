@@ -135,7 +135,7 @@ func TestMetricsRace(t *testing.T) {
 func TestLimiter(t *testing.T) {
 	l := NewLimiter(1, 3) // 1 token/s, burst 3
 	now := time.Unix(1000, 0)
-	l.SetClock(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 
 	for i := 0; i < 3; i++ {
 		if !l.Allow("a") {
@@ -170,7 +170,7 @@ func TestLimiter(t *testing.T) {
 func TestLimiterPrune(t *testing.T) {
 	l := NewLimiter(10, 10)
 	now := time.Unix(1000, 0)
-	l.SetClock(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	for i := 0; i < pruneAbove+1; i++ {
 		l.Allow(strings.Repeat("k", 1+i%7) + string(rune('a'+i%26)) + time.Duration(i).String())
 	}

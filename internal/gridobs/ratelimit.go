@@ -44,9 +44,6 @@ func NewLimiter(rate, burst float64) *Limiter {
 	return &Limiter{rate: rate, burst: burst, now: time.Now, buckets: map[string]*bucket{}}
 }
 
-// SetClock injects a clock, for tests.
-func (l *Limiter) SetClock(now func() time.Time) { l.now = now }
-
 // Enabled reports whether the limiter actually limits.
 func (l *Limiter) Enabled() bool { return l != nil && l.rate > 0 }
 

@@ -190,6 +190,10 @@ func TestSwarmGoldenParity(t *testing.T) {
 // pool. Everything must match bit for bit.
 func TestRandomizedRefswarmParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	flat, err := bandwidth.New([]bandwidth.Point{{Q: 0, KBps: 80}, {Q: 1, KBps: 80}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	trials := 60
 	if testing.Short() {
 		trials = 12
@@ -211,7 +215,7 @@ func TestRandomizedRefswarmParity(t *testing.T) {
 			cfg.DownCapFactor = 0
 		}
 		if rng.Intn(3) == 0 {
-			cfg.Dist = bandwidth.Uniform(80)
+			cfg.Dist = flat
 		}
 		ref, err := refswarm.Run(clients, cfg)
 		if err != nil {

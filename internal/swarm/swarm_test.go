@@ -10,6 +10,16 @@ import (
 
 // fastCfg shrinks the experiment for unit tests: smaller file, fewer
 // pieces, generous seeder.
+// uniform is the degenerate distribution with every peer at kbps.
+func uniform(t testing.TB, kbps float64) *bandwidth.Distribution {
+	t.Helper()
+	d, err := bandwidth.New([]bandwidth.Point{{Q: 0, KBps: kbps}, {Q: 1, KBps: kbps}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func fastCfg() Config {
 	cfg := Default()
 	cfg.FileKiB = 1024
@@ -324,7 +334,7 @@ func TestSeederBoundProperty(t *testing.T) {
 
 func TestUniformDistSwarm(t *testing.T) {
 	cfg := fastCfg()
-	cfg.Dist = bandwidth.Uniform(100)
+	cfg.Dist = uniform(t, 100)
 	res, err := Run(allBT(10), cfg)
 	if err != nil {
 		t.Fatal(err)

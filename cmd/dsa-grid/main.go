@@ -8,7 +8,7 @@
 //	dsa-grid serve -addr :8437 [sweep flags as dsa-sweep] [-checkpoint-dir DIR]
 //	               [-cache-dir DIR] [-lease-ttl 30s] [-out results.csv] [-once]
 //	               [-priority N] [-auth-token SECRET] [-rate-limit N]
-//	               [-audit-rate F] [-hedge] [-pprof]
+//	               [-audit-rate F] [-pprof]
 //	dsa-grid work  -coordinator http://host:8437 [-job ID] [-name ID] [-workers N]
 //	               [-tasks-per-lease N] [-cache-dir DIR] [-auth-token SECRET]
 //	               [-trace-dir DIR] [-metrics-addr :9090] [-ship-traces]
@@ -74,7 +74,7 @@ func runServe(sigCtx context.Context, args []string) {
 		sweep     = job.RegisterSweepFlags(fs, pra.DomainName)
 		ckptDir   = fs.String("checkpoint-dir", "", "journal results under DIR/<job-id>; survives coordinator restarts")
 		cacheDir  = fs.String("cache-dir", "", "cross-job score cache; known scores are served without dispatching work")
-		leaseTTL  = fs.Duration("lease-ttl", grid.DefaultLeaseTTL, "task lease duration; unheartbeated leases expire and re-queue")
+		leaseTTL  = fs.Duration("lease-ttl", grid.DefaultLeaseTTL, "task lease duration; unheartbeated leases expire and re-queue, leases held past half of it move to idle workers")
 		out       = fs.String("out", "", "write the assembled CSV here when the job completes")
 		once      = fs.Bool("once", false, "exit once the job completes instead of keeping the results API up")
 		authToken = fs.String("auth-token", "", "shared secret workers must present as a bearer token (empty = open grid)")
@@ -82,7 +82,6 @@ func runServe(sigCtx context.Context, args []string) {
 		priority  = fs.Int("priority", 1, "fair-share weight of this job against other jobs on the coordinator")
 		pprofOn   = fs.Bool("pprof", false, "mount /debug/pprof/ on the API mux (auth-gated when -auth-token is set)")
 		auditRate = fs.Float64("audit-rate", 0, "fraction of completed tasks silently re-verified on a second worker (0 = off); mismatches quarantine the liar")
-		hedge     = fs.Bool("hedge", false, "move straggling leases to idle workers (the straggler's upload still counts if it lands first)")
 	)
 	fs.Parse(args)
 	if *auditRate < 0 || *auditRate > 1 {
@@ -100,7 +99,7 @@ func runServe(sigCtx context.Context, args []string) {
 	coordOpts := grid.CoordinatorOptions{
 		Dir: *ckptDir, LeaseTTL: *leaseTTL, Logger: slog.Default(),
 		AuthToken: *authToken, RateLimit: *rateLimit,
-		Pprof: *pprofOn, AuditRate: *auditRate, Hedge: *hedge,
+		Pprof: *pprofOn, AuditRate: *auditRate,
 	}
 	if *cacheDir != "" {
 		store, err := cache.Open(cache.Options{Dir: *cacheDir})

@@ -73,3 +73,27 @@ func TestOpenAllocsFlat(t *testing.T) {
 		t.Errorf("Open allocates %.0f times over 16 records, %.0f over 8192: want no growth with the record count", small, large)
 	}
 }
+
+// Appending a new key to a non-full segment allocates nothing: the record
+// buffer and the segment's writer are kept on the log. The index is sized
+// up front so its growth is not counted.
+func TestPutAppendAllocs(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 1024
+	s.idx = newIndex(n*entrySize, n)
+	s.Put(key(0), 0) // claims the segment
+	next := 1
+	if avg := testing.AllocsPerRun(500, func() {
+		s.Put(key(next), float64(next))
+		next++
+	}); avg != 0 {
+		t.Errorf("appending a new key allocates %.2f per op, want 0", avg)
+	}
+	if st := s.Stats(); st.Entries != next || st.Dropped != 0 {
+		t.Fatalf("after %d puts: %+v", next, st)
+	}
+}

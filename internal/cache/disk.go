@@ -80,10 +80,12 @@ func segTable(magic []byte) *crc32.Table {
 type diskLog struct {
 	dir        string
 	segBytes   int64
-	lastSeg    int      // highest segment number scanned or claimed
-	active     *os.File // nil until the first append
+	lastSeg    int              // highest segment number scanned or claimed
+	active     *os.File         // nil until the first append
+	out        *io.OffsetWriter // writes active at activeSize
 	activeSize int64
-	total      int64 // bytes across all segments
+	total      int64            // bytes across all segments
+	rec        [recordSize]byte // put's record: kept here, an append allocates nothing
 }
 
 func segPath(dir string, n int) string {
@@ -208,16 +210,16 @@ func (d *diskLog) put(k Key, v float64) error {
 			return err
 		}
 	}
-	var rec [recordSize]byte
+	rec := d.rec[:]
 	copy(rec[:32], k[:])
 	binary.LittleEndian.PutUint64(rec[32:40], math.Float64bits(v))
 	binary.LittleEndian.PutUint32(rec[40:44], crc32.Checksum(rec[:40], castagnoli))
-	// Written at the segment's record boundary, and trimmed back on
-	// failure: a torn record can never shift the ones after it off the
-	// fixed-size grid scanSegment walks.
-	w := linelog.WrapWriter(d.active.Name(), io.NewOffsetWriter(d.active, d.activeSize))
-	if _, err := w.Write(rec[:]); err != nil {
+	// Written at the segment's record boundary, and trimmed back (file
+	// and writer) on failure: a torn record can never shift the ones
+	// after it off the fixed-size grid scanSegment walks.
+	if _, err := linelog.WrapWriter(d.active.Name(), d.out).Write(rec); err != nil {
 		d.active.Truncate(d.activeSize)
+		d.out.Seek(d.activeSize, io.SeekStart)
 		return fmt.Errorf("cache: append segment: %w", err)
 	}
 	d.activeSize += recordSize
@@ -243,7 +245,8 @@ func (d *diskLog) rotate() error {
 			return fmt.Errorf("cache: claim segment: %w", err)
 		}
 		d.lastSeg = n
-		if _, err := f.Write([]byte(segMagic)); err != nil {
+		out := io.NewOffsetWriter(f, 0)
+		if _, err := out.Write([]byte(segMagic)); err != nil {
 			f.Close()
 			return fmt.Errorf("cache: write segment header: %w", err)
 		}
@@ -253,7 +256,7 @@ func (d *diskLog) rotate() error {
 			f.Close()
 			return fmt.Errorf("cache: sync cache dir: %w", err)
 		}
-		d.active, d.activeSize = f, int64(segHeaderSize)
+		d.active, d.out, d.activeSize = f, out, int64(segHeaderSize)
 		d.total += int64(segHeaderSize)
 		return nil
 	}

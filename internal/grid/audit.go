@@ -244,11 +244,3 @@ func (c *Coordinator) voidLocked(j *gridJob, name string, now time.Time) {
 		c.log.Info("unaudited tasks invalidated and re-queued", "job", j.id, "worker", name, "tasks", n)
 	}
 }
-
-// Quarantine bans a worker by operator decision: same mechanics as an
-// audit verdict (429'd leases and uploads, unaudited work re-queued).
-func (c *Coordinator) Quarantine(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.quarantineLocked(name, "operator request")
-}

@@ -27,6 +27,14 @@ func jsonBody(t *testing.T, v any) io.Reader {
 	return strings.NewReader(mustJSON(t, v))
 }
 
+// quarantine bans a worker as an operator would: an audit verdict's
+// mechanics (429'd leases and uploads, unaudited work re-queued).
+func quarantine(c *Coordinator, name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.quarantineLocked(name, "operator request")
+}
+
 // honestVals is the stand-in for a correct computation: a value vector
 // that is a pure function of the task coordinates, like the real
 // domains guarantee.
@@ -120,7 +128,7 @@ func TestQuarantineOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.Quarantine("bad")
+	quarantine(coord, "bad")
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 

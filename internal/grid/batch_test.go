@@ -122,7 +122,7 @@ func scenarioSpec(t testing.TB) job.Spec {
 	return spec
 }
 
-var scenarioOptions = CoordinatorOptions{LeaseTTL: time.Minute, AuditRate: 1, Hedge: true}
+var scenarioOptions = CoordinatorOptions{LeaseTTL: time.Minute, AuditRate: 1}
 
 // TestLeaseIsOneDurableRoundTrip counts what a four-task lease — one
 // joint execution unit of a delivery job — costs end to end: one results
@@ -192,7 +192,7 @@ func TestBatchRefusedWhole(t *testing.T) {
 	unknown[3].Task = "no-such-task"
 	short := slices.Clone(good)
 	short[2].Values = short[2].Values[:1]
-	coord.Quarantine("banned")
+	quarantine(coord, "banned")
 
 	var fw fileWrites
 	restore := fw.install()
@@ -280,7 +280,7 @@ func TestBatchAppendFailureLeavesLeased(t *testing.T) {
 // lose.
 func TestExpireJournalsOneWrite(t *testing.T) {
 	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Hedge: true})
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
 	defer coord.Close()
 	now := time.Unix(1000, 0)
 	coord.now = func() time.Time { return now }
@@ -328,6 +328,55 @@ func TestExpireJournalsOneWrite(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("expiry journalled\n%v\nwant, in task order,\n%v", got, want)
+	}
+}
+
+// TestHeartbeatedStragglerMoves: under default options, a holder that
+// heartbeats its lease past the straggler bar and never uploads loses it
+// to an idle worker that asks, and the job completes on that worker's
+// upload. No other rule ends a lease that is still being renewed.
+func TestHeartbeatedStragglerMoves(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	defer coord.Close()
+	now := time.Unix(1000, 0)
+	coord.now = func() time.Time { return now }
+	spec := gossipSpec(t)
+	spec.Points = spec.Points[:spec.Chunk] // one chunk group: hung's probe holds the whole job
+	id, err := coord.AddJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := leaseUpTo(t, coord, id, "hung", 8)
+	var tasks []string
+	for _, lt := range lease {
+		tasks = append(tasks, lt.Task)
+	}
+	ctx := context.Background()
+	for range 4 { // renewed every 20 s, two minutes in all
+		now = now.Add(20 * time.Second)
+		hb, err := coord.Heartbeat(ctx, id, HeartbeatRequest{Worker: "hung", Tasks: tasks})
+		if err != nil || len(hb.Renewed) != len(tasks) {
+			t.Fatalf("hung's heartbeat = %+v, %v; want all of %v renewed", hb, err, tasks)
+		}
+	}
+	moved, err := coord.Lease(ctx, id, "idle", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moved.Tasks) != len(lease) {
+		t.Fatalf("idle was granted %+v, want hung's %d straggling leases", moved.Tasks, len(lease))
+	}
+	acks, err := coord.IngestResults(ctx, id, ResultsUpload{Worker: "idle", Results: results(moved.Tasks, honestVals)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range acks {
+		if !a.Accepted || a.Duplicate {
+			t.Fatalf("idle's upload was acked %+v, want it recorded", acks)
+		}
+	}
+	if snap := mustProgress(t, coord, id); !snap.Complete {
+		t.Fatalf("after idle's upload: %+v, want the job complete", snap)
 	}
 }
 
@@ -386,7 +435,7 @@ func TestGrantCursor(t *testing.T) {
 	ingest("w", leaseOf("w", order[6:9]...))
 	now = now.Add(2 * time.Minute) // dead's leases expire: tasks 0-2 are pending again, behind the cursor
 	ingest("w", leaseOf("w", order[0:3]...))
-	coord.Quarantine("early") // its unaudited tasks 3-5 are invalidated and re-queued
+	quarantine(coord, "early") // its unaudited tasks 3-5 are invalidated and re-queued
 	ingest("w", leaseOf("w", order[3:6]...))
 	for next := 9; ; next += 3 {
 		lts := leaseOf("w")

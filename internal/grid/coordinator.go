@@ -82,13 +82,6 @@ type CoordinatorOptions struct {
 	// auditing; with auditing on, the score cache is fed only by
 	// audit-verified values for the selected tasks.
 	AuditRate float64
-	// Hedge lets an idle worker take over straggling leases: a lease
-	// older than the straggler threshold (slowFactor x the fleet-mean
-	// EWMA task latency, floored at half the lease TTL) moves to a
-	// different worker asking for work. The straggler is told the task is
-	// lost but may still upload it, and the first idempotent ingest wins.
-	// Off by default — hedging trades duplicate compute for tail latency.
-	Hedge bool
 
 	maxBody int64 // 0 = DefaultMaxBody
 }
@@ -761,8 +754,8 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 
 // grantLocked hands out up to leaseSizeLocked tasks of j to worker, most
 // (> 0) capping them. Grant order: audit re-leases (a few re-checks catch
-// a liar before it poisons more), then pending tasks, then — with hedging
-// on and capacity to spare — straggling leases moved from their holders.
+// a liar before it poisons more), then pending tasks, then — with
+// capacity to spare — straggling leases moved from their holders.
 // One commit per grant, in grant order. fair says the scheduler picked j
 // (the record then shows its share); rid ties the record to the lease
 // request.

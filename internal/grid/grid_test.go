@@ -192,8 +192,10 @@ func TestGridWorkerKilledMidSweep(t *testing.T) {
 	if !snap.Complete {
 		t.Fatalf("sweep incomplete after survivor finished: %+v", snap)
 	}
-	if snap.Requeues < 2 {
-		t.Fatalf("the dead worker's 2 held leases should have expired and re-queued, got %d requeues", snap.Requeues)
+	// Its leases end whichever way comes first: moved to the polling
+	// survivor past half a TTL, or expired at the TTL.
+	if moved := int(coord.metrics.leaseHedged.Value()); snap.Requeues+moved < 2 {
+		t.Fatalf("the dead worker's 2 held leases should have moved or expired, got %d moves and %d requeues", moved, snap.Requeues)
 	}
 	got, err := coord.WaitComplete(ctx, id)
 	if err != nil {

@@ -101,7 +101,7 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 		auditsPassed:    r.NewCounter("grid_audits_passed_total", "Audits settled with the recorded value confirmed."),
 		auditMismatches: r.NewCounter("grid_audit_mismatches_total", "Uploads that contradicted a recorded value."),
 		invalidated:     r.NewCounter("grid_tasks_invalidated_total", "Done tasks whose recorded value was discarded and re-queued."),
-		quarantines:     r.NewCounter("grid_quarantines_total", "Workers quarantined (audit verdicts, operator requests and quarantine journal replays)."),
+		quarantines:     r.NewCounter("grid_quarantines_total", "Workers quarantined (audit verdicts and quarantine journal replays)."),
 		corruptBodies:   r.NewCounter("grid_corrupt_bodies_total", "Request bodies rejected for a checksum mismatch (transport corruption)."),
 		leaseHedged:     r.NewCounter("grid_lease_hedged_total", "Straggling leases moved to an idle worker (hedges)."),
 		walRecords:      r.NewCounter("grid_wal_records_total", "Quarantine verdicts appended to the quarantine journal (coordinator.wal)."),

@@ -338,7 +338,7 @@ func TestHeartbeatVerdictStopsBatch(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the batch never started computing")
 	}
-	coord.Quarantine("banned")
+	quarantine(coord, "banned")
 	select {
 	case err := <-workErr:
 		if !errors.Is(err, ErrWorkerQuarantined) {

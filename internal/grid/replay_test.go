@@ -140,7 +140,7 @@ func FuzzWALReplay(f *testing.F) {
 	orig := retryDelay
 	retryDelay = func(int) time.Duration { return 0 }
 	f.Cleanup(func() { retryDelay = orig })
-	sched := schedule(true, true, "hhls", 1)
+	sched := schedule(true, "hhls", 1)
 	rng := rand.New(rand.NewPCG(3, 3))
 	for range 120 {
 		sched = append(sched, byte(rng.Uint32()))
@@ -258,7 +258,7 @@ func TestRestartReadsOneJob(t *testing.T) {
 			}
 			specs = append(specs, spec)
 		}
-		coord.Quarantine("gone")
+		quarantine(coord, "gone")
 		if err := coord.Close(); err != nil {
 			t.Fatal(err)
 		}

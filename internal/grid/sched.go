@@ -193,8 +193,8 @@ func (c *Coordinator) jobsLocked() []*gridJob {
 }
 
 // pickJobLocked chooses which job a pulling worker serves next: among
-// eligible jobs (pending tasks after lazy expiry, open audits, or —
-// with hedging on — a straggling lease worker could take over), the one with the
+// eligible jobs (pending tasks after lazy expiry, open audits, or a
+// straggling lease worker could take over), the one with the
 // lowest granted-per-weight ratio; ties break by job ID so the
 // schedule is deterministic. Returns nil when nothing is eligible.
 func (c *Coordinator) pickJobLocked(worker string) *gridJob {
@@ -231,9 +231,12 @@ func (c *Coordinator) hedgeThresholdLocked() time.Duration {
 // at its next heartbeat but may still upload, and the first idempotent
 // ingest wins, the loser's upload absorbed as a duplicate (or as audit
 // evidence). A lease whose result is being journalled stays put.
+//
+// This is what ends a lease whose holder keeps heartbeating but never
+// uploads: no other rule takes a renewed lease away.
 func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now time.Time) []*taskState {
-	if !c.opts.Hedge {
-		return nil
+	if j.pending+j.done == len(j.tasks) {
+		return nil // no task leased
 	}
 	th := c.hedgeThresholdLocked()
 	var out []*taskState

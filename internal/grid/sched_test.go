@@ -140,7 +140,7 @@ func TestLeaseSize(t *testing.T) {
 					}
 					held[s.worker] = nil
 				case "quarantine":
-					coord.Quarantine(s.worker)
+					quarantine(coord, s.worker)
 				case "clock":
 					now = now.Add(time.Duration(s.n) * time.Second)
 				}

@@ -156,7 +156,7 @@ type world struct {
 	lastLive    string          // the dead coordinator's projection (2)
 	cut         bool            // the last restart's files were cut inside an append (2)
 	everCut     bool            // (10)
-	fairOnly    bool            // every grant so far was a single task of the scheduler's pick (7)
+	fairOnly    bool            // every grant so far was a single task of the scheduler's pick, none a hedge (7)
 	selfGrant   map[string]bool // job/task/worker: a producer handed its own re-check (6)
 	vouched     []bool          // per job: the liar verified its own lie, holding its re-check (4)
 	standingLie bool            // a lie stood undisputed when the faults stopped (5)
@@ -168,7 +168,7 @@ type world struct {
 
 // newWorld reads the header — three bytes and one per worker, zero if
 // missing — and keeps the rest as steps. Byte 0: AuditRate 0 or 1 (bit 0),
-// Hedge (bit 1), 1–3 jobs (bits 2-3), 2–5 workers (bits 4-5). Byte 1: the
+// 1–3 jobs (bits 2-3), 2–5 workers (bits 4-5); bit 1 is not read. Byte 1: the
 // kind of workers 1.. (two bits each: 2 a liar — one at most —, 3 silent,
 // else honest; worker 0 is always honest). Byte 2: each job's priority 1–3
 // (two bits each). A worker's byte: its TasksPerLease leaseSizes[b&7%5],
@@ -182,8 +182,8 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 	}
 	size := 3 + 2 + int(h0>>4&3)
 	hdr := append(slices.Clone(in[:min(size, len(in))]), make([]byte, size)...)
-	w := &world{t: t, steps: in[min(size, len(in)):], split: split, fairOnly: hdr[0]&2 == 0}
-	w.opts = CoordinatorOptions{LeaseTTL: scheduleTTL, Hedge: hdr[0]&2 != 0}
+	w := &world{t: t, steps: in[min(size, len(in)):], split: split, fairOnly: true}
+	w.opts = CoordinatorOptions{LeaseTTL: scheduleTTL}
 	if hdr[0]&1 != 0 {
 		w.opts.AuditRate = 1
 	}
@@ -333,20 +333,21 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 		case len(resp.Tasks) > most || id != "" && resp.Job != id:
 			w.violate(&grants, "asked for %d tasks of job %q, granted %+v", in.MaxTasks, id, resp)
 		}
-		j, now := c.jobs[resp.Job], c.now()
+		j, now, hedged := c.jobs[resp.Job], c.now(), false
 		for _, lt := range resp.Tasks {
 			st := j.task(lt.Task)
 			if st.worker != who {
 				w.violate(&grants, "%s was granted %s, whose holder is %q", who, lt.Task, st.worker)
 			}
-			// A live lease moves only with hedging on, only from a task
-			// computing, only from another worker, and only past the
-			// straggler threshold (never under half a TTL).
+			// A live lease moves only from a task computing, only from
+			// another worker, and only past the straggler threshold (never
+			// under half a TTL): a hedge.
 			if was := held[j.id+"/"+lt.Task]; was.worker != "" && !was.deadline.Before(now) {
 				age := now.Sub(was.leasedAt)
-				if !c.opts.Hedge || was.status != taskLeased || was.worker == who || age < scheduleTTL/2 || age < c.hedgeThresholdLocked() {
+				if was.status != taskLeased || was.worker == who || age < scheduleTTL/2 || age < c.hedgeThresholdLocked() {
 					w.violate(&grants, "%s took %s (status %d) from %q, who got it %v ago", who, lt.Task, was.status, was.worker, age)
 				}
+				hedged = true
 			}
 			if st.status == taskDone && st.producer == who && st.audit != nil {
 				if now.Before(st.audit.relaxAt) {
@@ -355,7 +356,7 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 				w.selfGrant[j.id+"/"+lt.Task+"/"+who] = true
 			}
 		}
-		if w.fairOnly = w.fairOnly && (fair || len(resp.Tasks) == 0); w.fairOnly && len(resp.Tasks) > 0 {
+		if w.fairOnly = w.fairOnly && !hedged && (fair || len(resp.Tasks) == 0); w.fairOnly && len(resp.Tasks) > 0 {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for _, j := range c.jobs {
 				share := float64(j.leasesGranted) / float64(j.weight)
@@ -524,7 +525,7 @@ func (w *world) take(b byte) {
 		w.fault = 0 // the operator's requests do not cross the workers' network
 		switch {
 		case k == 0 && wk != w.workers[0]:
-			w.c.Quarantine(wk.name)
+			quarantine(w.c, wk.name)
 			wk.banned = true
 		case k == 1:
 			w.prioritize(a%3%len(w.ids), 1+a/3)
@@ -1089,9 +1090,9 @@ var audited = invariant{"6 audited jobs complete verified", func(w *world) error
 // ID and takes the new priority; no grant while draining, none past the
 // request's cap, none past one chunk group to a worker with no ingested
 // task, none outside its job; every grant leaves its worker the holder; a
-// held lease moves only with hedging on, from a task computing, to
-// another worker, past the straggler threshold; and while every grant is
-// a single task of the scheduler's pick with every job pending,
+// held lease moves only from a task computing, to another worker, past
+// the straggler threshold; and until the first such move, while every
+// grant is a single task of the scheduler's pick with every job pending,
 // granted-per-weight shares stay within 1 of each other.)
 var grants = invariant{"7 grants", func(w *world) error {
 	leases := map[string]int{}
@@ -1159,13 +1160,10 @@ type spell []byte
 // liar, 's' silent; worker 0 is honest), prios every job's priority. Every
 // worker leases from every job, as many tasks as the coordinator grants,
 // until tasks or bind says otherwise.
-func schedule(audit, hedge bool, kinds string, prios ...int) spell {
+func schedule(audit bool, kinds string, prios ...int) spell {
 	var h0, h1, h2 byte
 	if audit {
 		h0 |= 1
-	}
-	if hedge {
-		h0 |= 2
 	}
 	h0 |= byte(len(prios)-1)<<2 | byte(len(kinds)-2)<<4
 	for i, k := range kinds[1:] {
@@ -1214,7 +1212,7 @@ func (s spell) holdsRest(wk int) spell { return s.step(wk).batch(wk).step(wk) }
 // sizedGrantDies: the silent worker strays one result, so its one lease
 // is a sized grant (six of the seven tasks pending), and goes quiet with
 // it for a TTL.
-var sizedGrantDies = schedule(false, false, "hs", 1).stray(1, 0).step(1).clock(9)
+var sizedGrantDies = schedule(false, "hs", 1).stray(1, 0).step(1).clock(9)
 
 // cut is a kill -9 inside the last append to a job's file (else to the
 // quarantine journal): after its line-th line, off by d bytes.
@@ -1229,25 +1227,25 @@ func (s spell) cut(jobFile bool, line, d int) spell {
 // scheduleCorpus is FuzzSchedule's seed corpus: every interleaving a
 // hand-written test used to pin, then long seeded walks.
 func scheduleCorpus() []spell {
-	audited := schedule(true, false, "hhl", 1).tasks(0, 2).tasks(1, 2).tasks(2, 2)
+	audited := schedule(true, "hhl", 1).tasks(0, 2).tasks(1, 2).tasks(2, 2)
 	// The silent worker strays two results, so its one lease is a sized
 	// grant: the six tasks still pending.
-	hedged := schedule(false, true, "hs", 1).tasks(0, 2).stray(1, 0).clock(1).stray(1, 0)
+	hedged := schedule(false, "hs", 1).tasks(0, 2).stray(1, 0).clock(1).stray(1, 0)
 	// Worker 0's probe batch done, its sized grant holds the other six
 	// tasks; its first unit goes up alone and the next four land under that
 	// upload, to leave as one four-line body.
 	fourLines := func(audit bool) spell {
-		return schedule(audit, false, "hh", 1).holdsRest(0).unit(0).unit(0).unit(0).unit(0).unit(0).step(0)
+		return schedule(audit, "hh", 1).holdsRest(0).unit(0).unit(0).unit(0).unit(0).unit(0).step(0)
 	}
 	corpus := []spell{
 		// The sole honest worker confirms its own results once a TTL passed.
-		schedule(true, false, "hs", 1).tasks(0, 4).step(0).batch(0).clock(9).batch(0).batch(0),
+		schedule(true, "hs", 1).tasks(0, 4).step(0).batch(0).clock(9).batch(0).batch(0),
 		// A producer is not handed its fresh work's audit; a second worker verifies it.
-		schedule(true, false, "hh", 1).tasks(0, 2).tasks(1, 2).step(0).batch(0).step(1).batch(1),
+		schedule(true, "hh", 1).tasks(0, 2).tasks(1, 2).step(0).batch(0).step(1).batch(1),
 		// A liar disputed by one honest worker and overruled by a second, then refused everywhere.
 		audited.step(2).batch(2).step(1).batch(1).step(0).batch(0).step(2).clock(3).unit(2).beat(2).stray(2, 0).step(2).step(2),
 		// A producer re-sends its body (the answer was lost) while the audits are open.
-		schedule(true, false, "hh", 1).tasks(0, 2).tasks(1, 2).started(0).lose().unit(0).batch(0).step(1).batch(1),
+		schedule(true, "hh", 1).tasks(0, 2).tasks(1, 2).started(0).lose().unit(0).batch(0).step(1).batch(1),
 		// A lie still standing when the faults stop: the honest finishers overrule it and quarantine its liar.
 		audited.step(2).batch(2),
 		// The relaxation hands the liar its own re-check a TTL on: it vouches for its lie (invariant 4's exception).
@@ -1258,39 +1256,39 @@ func scheduleCorpus() []spell {
 		// A liar sends its lies twice, then two honest workers overrule it.
 		audited.started(2).lose().unit(2).batch(2).step(0).batch(0).step(1).batch(1),
 		// A straggler holding every pending task has its leases moved past half a TTL; the new holder wins, the straggler's results are duplicates.
-		schedule(false, true, "hh", 1).tasks(0, 2).holdsRest(1).clock(5).step(0).batch(0).batch(1).kill(),
+		schedule(false, "hh", 1).tasks(0, 2).holdsRest(1).clock(5).step(0).batch(0).batch(1).kill(),
 		// The straggler dies: the leases that moved stay with their new holder, the rest re-queue.
 		hedged.step(1).clock(5).started(0).clock(4).beat(0).batch(0).kill(),
 		// The hedger dies: the leases it took re-queue and go to a third worker, the straggler, told they
 		// are lost, keeps computing, and its late upload still lands first and counts.
-		schedule(false, true, "hsh", 1).tasks(0, 8).tasks(2, 2).holdsRest(0).clock(5).step(1).beat(0).step(0).clock(9).step(2).batch(0),
+		schedule(false, "hsh", 1).tasks(0, 8).tasks(2, 2).holdsRest(0).clock(5).step(1).beat(0).step(0).clock(9).step(2).batch(0),
 		// An idle worker asks before half a TTL has passed: nothing moves; asked again past it, the leases move.
-		schedule(false, true, "hh", 1).tasks(0, 8).holdsRest(0).clock(2).step(1).clock(3).step(1).clock(1).step(1).step(1).batch(0),
+		schedule(false, "hh", 1).tasks(0, 8).holdsRest(0).clock(2).step(1).clock(3).step(1).clock(1).step(1).step(1).batch(0),
 		// A straggler restarted (a refused heartbeat ended it) asks for more: its own leases never move to it.
-		schedule(false, true, "hh", 1).tasks(0, 8).holdsRest(0).clock(5).refuse().beat(0).step(0).step(0).step(0).batch(0),
+		schedule(false, "hh", 1).tasks(0, 8).holdsRest(0).clock(5).refuse().beat(0).step(0).step(0).step(0).batch(0),
 		// A kill -9 while a worker holds a live lease (granted on a retry of a dropped request).
-		schedule(false, false, "hh", 1).tasks(0, 2).started(0).unit(0).step(0).unit(0).drop().step(0).kill().clock(9),
+		schedule(false, "hh", 1).tasks(0, 2).started(0).unit(0).step(0).unit(0).drop().step(0).kill().clock(9),
 		// Expired leases, then a kill -9: the expiries replay.
-		schedule(false, false, "hhs", 1).tasks(0, 2).step(2).clock(9).step(0).kill(),
+		schedule(false, "hhs", 1).tasks(0, 2).step(2).clock(9).step(0).kill(),
 		// 1:3 fair share over single-task global grants.
-		schedule(false, false, "hh", 1, 3).tasks(0, 1).tasks(1, 1).step(0).step(1).batch(0).batch(1).batch(0).batch(1).batch(0).batch(1),
+		schedule(false, "hh", 1, 3).tasks(0, 1).tasks(1, 1).step(0).step(1).batch(0).batch(1).batch(0).batch(1).batch(0).batch(1),
 		// A drain with leases in flight: no grants, uploads settle it, a graceful restart.
-		schedule(false, false, "hh", 1).tasks(0, 2).tasks(1, 0, 0).step(0).drain().step(1).step(1).step(1).batch(0).clock(2),
+		schedule(false, "hh", 1).tasks(0, 2).tasks(1, 0, 0).step(0).drain().step(1).step(1).step(1).batch(0).clock(2),
 		// A quarantine revokes leases and voids unaudited work in two jobs; an expiry sweeps both.
-		schedule(false, true, "hhs", 1, 2).tasks(1, 4).step(1).batch(1).step(2).step(0).batch(0).quarantine(1).clock(12).batch(0).
+		schedule(false, "hhs", 1, 2).tasks(1, 4).step(1).batch(1).step(2).step(0).batch(0).quarantine(1).clock(12).batch(0).
 			clock(1).batch(0).priority(1, 3).kill(),
 		// A kill -9 after a quarantine's verdict, before its last tombstone.
-		schedule(false, false, "hh", 1).tasks(1, 4).step(1).batch(1).quarantine(1).cut(true, 0, 0),
+		schedule(false, "hh", 1).tasks(1, 4).step(1).batch(1).quarantine(1).cut(true, 0, 0),
 		// ... and before the verdict itself.
-		schedule(false, false, "hh", 1).tasks(1, 4).step(1).batch(1).quarantine(1).cut(false, 0, 0),
+		schedule(false, "hh", 1).tasks(1, 4).step(1).batch(1).quarantine(1).cut(false, 0, 0),
 		// Every priority, three jobs, a crash while draining.
-		schedule(true, true, "hhls", 1, 2, 3).step(0).step(2).step(3).batch(0).batch(2).priority(2, 1).drain().batch(2).kill().
+		schedule(true, "hhls", 1, 2, 3).step(0).step(2).step(3).batch(0).batch(2).priority(2, 1).drain().batch(2).kill().
 			step(1).batch(1),
 		// A probe grant (one chunk group), renewed by a heartbeat, expired and re-leased to another
 		// worker, whose holder's next heartbeat finds it lost; the late uploads race.
-		schedule(false, false, "hh", 1).started(0).clock(4).beat(0).step(0).clock(9).step(1).beat(0).step(0).batch(0).batch(1),
+		schedule(false, "hh", 1).started(0).clock(4).beat(0).step(0).clock(9).step(1).beat(0).step(0).batch(0).batch(1),
 		// A body's answer is lost: the retry under the same request ID is acked duplicate and writes nothing.
-		schedule(false, false, "hh", 1).started(0).lose().unit(0),
+		schedule(false, "hh", 1).started(0).lose().unit(0),
 		// A worker dies holding a sized grant: all of its tasks re-queue after one TTL.
 		sizedGrantDies,
 	}
@@ -1314,7 +1312,7 @@ func scheduleCorpus() []spell {
 	}
 	// An honest worker's upload refused with a plain 400 while nobody is
 	// quarantined: the refusal, not a verdict, must end the worker.
-	corpus = append(corpus, schedule(false, false, "hh", 1).started(0).refuse().unit(0).step(0))
+	corpus = append(corpus, schedule(false, "hh", 1).started(0).refuse().unit(0).step(0))
 	return corpus
 }
 

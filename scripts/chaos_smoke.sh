@@ -33,7 +33,7 @@ sweep_flags=(-domain gossip -stride 6 -peers 16 -rounds 800 -perfruns 3
 addr="127.0.0.1:18439"
 url="http://$addr"
 serve_flags=("${sweep_flags[@]}" -preset quick -checkpoint-dir "$workdir/ckpt"
-             -lease-ttl 2s -audit-rate 1.0 -hedge -once -out "$workdir/grid.csv"
+             -lease-ttl 2s -audit-rate 1.0 -once -out "$workdir/grid.csv"
              -auth-token "$token")
 
 echo "== single-process reference sweep"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Grid smoke test with real processes and a real SIGKILL: a 1-coordinator
 # + 2-worker localhost grid sweeps the gossip domain behind worker auth,
-# one worker is killed -9 mid-run (its leases must expire and re-queue),
+# one worker is killed -9 mid-run (its leases must move to the survivor
+# past half a TTL, or expire and re-queue),
 # the live /metrics endpoint is scraped mid-sweep, and the resulting CSV
 # must be byte-identical to a single-process dsa-sweep of the same spec.
 # A second phase checks POST /v1/drain shuts a coordinator down with
@@ -52,7 +53,7 @@ curl -sf "$url/v1/jobs" >/dev/null
 echo "== starting 2 workers"
 # The doomed worker computes serially but leases greedily, so it holds
 # unfinished leases for almost its whole life — the SIGKILL below is
-# then guaranteed to strand leases for the expiry path to recover.
+# then guaranteed to strand leases for the re-lease path to recover.
 "$bin/dsa-grid" work -coordinator "$url" -name doomed -workers 1 -tasks-per-lease 4 \
   -auth-token "$token" \
   >"$workdir/worker1.log" 2>&1 &
@@ -108,13 +109,16 @@ wait "$coord_pid"
 echo "== comparing grid CSV against the single-process reference"
 cmp "$workdir/reference.csv" "$workdir/grid.csv"
 
-# The kill must actually have exercised the re-lease path.
-if ! grep -q "re-queued" "$workdir/coordinator.log"; then
-  echo "no lease ever expired — the SIGKILL did not leave leases behind?" >&2
+# The kill must actually have exercised the re-lease path: a stranded
+# lease ends in the job's journal as a hedge (moved to the survivor, who
+# asks first once it is half a TTL old) or an expire (re-queued).
+if ! grep -q "re-queued" "$workdir/coordinator.log" &&
+   ! grep -q '"t":"hedge"' "$workdir"/ckpt/*/manifest-grid.jsonl; then
+  echo "no lease ever moved or expired — the SIGKILL did not leave leases behind?" >&2
   cat "$workdir/coordinator.log" >&2
   exit 1
 fi
-echo "OK: byte-identical scores, and the dead worker's leases were re-queued"
+echo "OK: byte-identical scores, and the dead worker's leases were re-leased"
 
 echo "== drain: POST /v1/drain must shut a coordinator down cleanly"
 drain_addr="127.0.0.1:18438"

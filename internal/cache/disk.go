@@ -80,9 +80,8 @@ func segTable(magic []byte) *crc32.Table {
 type diskLog struct {
 	dir        string
 	segBytes   int64
-	lastSeg    int              // highest segment number scanned or claimed
-	active     *os.File         // nil until the first append
-	out        *io.OffsetWriter // writes active at activeSize
+	lastSeg    int      // highest segment number scanned or claimed
+	active     *os.File // nil until the first append; its offset is activeSize
 	activeSize int64
 	total      int64            // bytes across all segments
 	rec        [recordSize]byte // put's record: kept here, an append allocates nothing
@@ -214,12 +213,12 @@ func (d *diskLog) put(k Key, v float64) error {
 	copy(rec[:32], k[:])
 	binary.LittleEndian.PutUint64(rec[32:40], math.Float64bits(v))
 	binary.LittleEndian.PutUint32(rec[40:44], crc32.Checksum(rec[:40], castagnoli))
-	// Written at the segment's record boundary, and trimmed back (file
-	// and writer) on failure: a torn record can never shift the ones
+	// Written at the segment's record boundary, and trimmed back (size
+	// and offset) on failure: a torn record can never shift the ones
 	// after it off the fixed-size grid scanSegment walks.
-	if _, err := linelog.WrapWriter(d.active.Name(), d.out).Write(rec); err != nil {
+	if _, err := linelog.WrapWriter(d.active.Name(), d.active).Write(rec); err != nil {
 		d.active.Truncate(d.activeSize)
-		d.out.Seek(d.activeSize, io.SeekStart)
+		d.active.Seek(d.activeSize, io.SeekStart)
 		return fmt.Errorf("cache: append segment: %w", err)
 	}
 	d.activeSize += recordSize
@@ -245,8 +244,7 @@ func (d *diskLog) rotate() error {
 			return fmt.Errorf("cache: claim segment: %w", err)
 		}
 		d.lastSeg = n
-		out := io.NewOffsetWriter(f, 0)
-		if _, err := out.Write([]byte(segMagic)); err != nil {
+		if _, err := f.Write([]byte(segMagic)); err != nil {
 			f.Close()
 			return fmt.Errorf("cache: write segment header: %w", err)
 		}
@@ -256,7 +254,7 @@ func (d *diskLog) rotate() error {
 			f.Close()
 			return fmt.Errorf("cache: sync cache dir: %w", err)
 		}
-		d.active, d.out, d.activeSize = f, out, int64(segHeaderSize)
+		d.active, d.activeSize = f, int64(segHeaderSize)
 		d.total += int64(segHeaderSize)
 		return nil
 	}

@@ -102,6 +102,25 @@ func journalRecords(t testing.TB, dir string) []walRecord {
 	return recs
 }
 
+// leasesEnded counts worker's leases in dir's journals that ended
+// without its result: an expire naming it, or a hedge moving a task it
+// held.
+func leasesEnded(t testing.TB, dir, worker string) int {
+	t.Helper()
+	holder := map[[2]string]string{}
+	n := 0
+	for _, r := range journalRecords(t, dir) {
+		k := [2]string{r.Job, r.Task}
+		if (r.T == walHedge && holder[k] == worker) || (r.T == walExpire && r.Worker == worker) {
+			n++
+		}
+		if r.T == walLease || r.T == walHedge {
+			holder[k] = r.Worker
+		}
+	}
+	return n
+}
+
 // walMultiset is dir's scheduler records as a sorted list.
 func walMultiset(t testing.TB, dir string) []string {
 	t.Helper()
@@ -380,6 +399,48 @@ func TestHeartbeatedStragglerMoves(t *testing.T) {
 	}
 }
 
+// TestStragglerScanBound: a poll that finds no straggler lets the next
+// ones skip the scan only until the *oldest* lease could straggle, not
+// the newest.
+func TestStragglerScanBound(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute}) // straggler bar: 30 s
+	defer coord.Close()
+	now := time.Unix(1000, 0)
+	coord.now = func() time.Time { return now }
+	spec := gossipSpec(t)
+	spec.Points = spec.Points[:2*spec.Chunk] // two chunk groups, one probe each
+	id, err := coord.AddJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	lease := func(worker string) []string {
+		t.Helper()
+		resp, err := coord.Lease(ctx, id, worker, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, lt := range resp.Tasks {
+			got = append(got, lt.Task)
+		}
+		return got
+	}
+	early := lease("early")
+	now = now.Add(20 * time.Second)
+	if late := lease("late"); len(late) == 0 {
+		t.Fatal("late was granted nothing; the job should have a second chunk group")
+	}
+	now = now.Add(5 * time.Second)
+	if got := lease("idle"); got != nil {
+		t.Fatalf("idle was granted %v with no lease 30 s old", got)
+	}
+	now = now.Add(10 * time.Second) // early's lease is 35 s old, late's 15 s
+	if got := lease("idle"); !slices.Equal(got, early) {
+		t.Fatalf("idle was granted %v, want early's straggling %v", got, early)
+	}
+}
+
 // TestGrantCursor: granting a job to completion looks at each task once
 // (the scan used to restart at task 0 on every grant: O(tasks²) map
 // probes under the coordinator lock), and a task that returns to pending
@@ -458,4 +519,39 @@ func TestGrantCursor(t *testing.T) {
 	if limit := len(order) + 24; scanned > limit {
 		t.Fatalf("granting %d tasks probed the task table %d times, want at most %d", len(order), scanned, limit)
 	}
+}
+
+// BenchmarkTailLeasePoll is an idle worker's lease poll in a job's tail:
+// every task leased to a worker that heartbeats on, none old enough to
+// move. The straggler bound answers it without walking the task table.
+func BenchmarkTailLeasePoll(b *testing.B) {
+	pts := pra.Domain().Space().Enumerate()
+	spec := job.Spec{Domain: pra.Domain(), Points: pts, Cfg: dsa.Config{Peers: 10, Rounds: 30, PerfRuns: 1, EncounterRuns: 1, Opponents: 4, Seed: 7}, Chunk: 1}
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	defer coord.Close()
+	now := time.Unix(1000, 0)
+	coord.now = func() time.Time { return now }
+	id, err := coord.AddJob(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	held := 0
+	for {
+		lease, err := coord.Lease(ctx, id, "holder", 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(lease.Tasks) == 0 {
+			break
+		}
+		held += len(lease.Tasks)
+	}
+	now = now.Add(time.Second)
+	for b.Loop() {
+		if lease, err := coord.Lease(ctx, id, "idle", 3); err != nil || len(lease.Tasks) != 0 {
+			b.Fatalf("idle worker got %d tasks, err %v", len(lease.Tasks), err)
+		}
+	}
+	b.ReportMetric(float64(held), "tasks")
 }

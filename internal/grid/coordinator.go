@@ -201,6 +201,9 @@ type gridJob struct {
 	// scanned counts the tasks grants have looked at: over a job's life,
 	// its tasks plus what re-queues made them look at again.
 	next, scanned int
+	// oldestLease is the oldest lease a full straggler scan saw (zero:
+	// none yet). Later leases and moves start later on the same clock.
+	oldestLease time.Time
 
 	// Score-cache plumbing (nil/zero without CoordinatorOptions.Cache):
 	// the job's key derivation context and per-point IDs, the epoch of

@@ -233,21 +233,27 @@ func (c *Coordinator) hedgeThresholdLocked() time.Duration {
 // evidence). A lease whose result is being journalled stays put.
 //
 // This is what ends a lease whose holder keeps heartbeating but never
-// uploads: no other rule takes a renewed lease away.
+// uploads: no other rule takes a renewed lease away. A job's tail lease
+// polls skip the walk until j.oldestLease straggles.
 func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now time.Time) []*taskState {
-	if j.pending+j.done == len(j.tasks) {
-		return nil // no task leased
-	}
 	th := c.hedgeThresholdLocked()
+	if j.pending+j.done == len(j.tasks) || now.Sub(j.oldestLease) < th {
+		return nil // no lease held, or none old enough to straggle
+	}
 	var out []*taskState
+	oldest := now
 	for _, st := range j.tasks {
 		if len(out) == room {
-			break
+			return out
+		}
+		if st.status == taskLeased && st.leasedAt.Before(oldest) {
+			oldest = st.leasedAt
 		}
 		if st.status == taskLeased && !st.recording && st.worker != worker && now.Sub(st.leasedAt) >= th {
 			out = append(out, st)
 		}
 	}
+	j.oldestLease = oldest
 	return out
 }
 

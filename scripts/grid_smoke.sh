@@ -88,6 +88,8 @@ if [ "${done_tasks:-0}" -ge 60 ] || ! kill -0 "$w1_pid" 2>/dev/null; then
   exit 1
 fi
 kill -9 "$w1_pid"
+journal="$workdir/ckpt/$job_id/manifest-grid.jsonl"
+kill_line=$(wc -l <"$journal")
 echo "killed at $done_tasks/72 tasks"
 
 echo "== scraping /metrics mid-sweep"
@@ -109,16 +111,25 @@ wait "$coord_pid"
 echo "== comparing grid CSV against the single-process reference"
 cmp "$workdir/reference.csv" "$workdir/grid.csv"
 
-# The kill must actually have exercised the re-lease path: a stranded
-# lease ends in the job's journal as a hedge (moved to the survivor, who
-# asks first once it is half a TTL old) or an expire (re-queued).
-if ! grep -q "re-queued" "$workdir/coordinator.log" &&
-   ! grep -q '"t":"hedge"' "$workdir"/ckpt/*/manifest-grid.jsonl; then
-  echo "no lease ever moved or expired — the SIGKILL did not leave leases behind?" >&2
+# The kill must actually have exercised the re-lease path: after it,
+# the job's journal ends a lease the dead worker held, by a hedge
+# (moved to the survivor, who asks first once it is half a TTL old) or
+# an expire naming it (re-queued at the TTL).
+ended=$(awk -v after="$kill_line" '
+  /"rec":\{"t":"(lease|hedge|expire)"/ {
+    t = $0; sub(/.*"t":"/, "", t); sub(/".*/, "", t)
+    task = $0; sub(/.*"task":"/, "", task); sub(/".*/, "", task)
+    w = $0; sub(/.*"worker":"/, "", w); sub(/".*/, "", w)
+    if (NR > after && ((t == "hedge" && holder[task] == "doomed") || (t == "expire" && w == "doomed"))) n++
+    if (t != "expire") holder[task] = w
+  }
+  END { print n + 0 }' "$journal")
+if [ "$ended" -eq 0 ]; then
+  echo "no lease of the killed worker moved or expired — the SIGKILL did not leave leases behind?" >&2
   cat "$workdir/coordinator.log" >&2
   exit 1
 fi
-echo "OK: byte-identical scores, and the dead worker's leases were re-leased"
+echo "OK: byte-identical scores, and $ended of the dead worker's leases were re-leased"
 
 echo "== drain: POST /v1/drain must shut a coordinator down cleanly"
 drain_addr="127.0.0.1:18438"

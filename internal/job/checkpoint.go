@@ -1,13 +1,14 @@
 package job
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -150,6 +151,107 @@ func specFromJSON(dir string, sj specJSON) (Spec, error) {
 	}, nil
 }
 
+// specKeys and configKeys are specJSON's and configJSON's keys.
+var (
+	specKeys   = []string{"version", "domain", "config", "chunk", "measures", "point_ids"}
+	configKeys = []string{"peers", "rounds", "perf_runs", "encounter_runs", "opponents", "seed", "churn"}
+)
+
+// appendSpecJSON appends sj as json.Marshal writes it: the bytes of
+// spec.json, which a grid job ID hashes. A churn that is no JSON number
+// is refused, as json.Marshal refuses it.
+func appendSpecJSON(b []byte, sj specJSON) ([]byte, error) {
+	c := sj.Config
+	if math.IsNaN(c.Churn) || math.IsInf(c.Churn, 0) {
+		return nil, fmt.Errorf("job: checkpoint spec: churn %v is not a JSON number", c.Churn)
+	}
+	b = strconv.AppendInt(append(b, `{"version":`...), int64(sj.Version), 10)
+	b = jsonline.AppendString(append(b, `,"domain":`...), sj.Domain)
+	b = strconv.AppendInt(append(b, `,"config":{"peers":`...), int64(c.Peers), 10)
+	b = strconv.AppendInt(append(b, `,"rounds":`...), int64(c.Rounds), 10)
+	b = strconv.AppendInt(append(b, `,"perf_runs":`...), int64(c.PerfRuns), 10)
+	b = strconv.AppendInt(append(b, `,"encounter_runs":`...), int64(c.EncounterRuns), 10)
+	b = strconv.AppendInt(append(b, `,"opponents":`...), int64(c.Opponents), 10)
+	b = strconv.AppendInt(append(b, `,"seed":`...), c.Seed, 10)
+	b = jsonline.AppendFloat(append(b, `,"churn":`...), c.Churn)
+	b = strconv.AppendInt(append(b, `},"chunk":`...), int64(sj.Chunk), 10)
+	b = appendList(append(b, `,"measures":`...), sj.Measures, jsonline.AppendString)
+	b = appendList(append(b, `,"point_ids":`...), sj.PointIDs, func(b []byte, id int) []byte {
+		return strconv.AppendInt(b, int64(id), 10)
+	})
+	return append(b, '}'), nil
+}
+
+// appendList appends s as json.Marshal writes a slice: null when nil,
+// else its elements, each by elem, between brackets.
+func appendList[T any](b []byte, s []T, elem func([]byte, T) []byte) []byte {
+	if s == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = elem(b, v)
+	}
+	return append(b, ']')
+}
+
+// decodeSpecJSON reads spec.json as json.Unmarshal reads it into a
+// specJSON, keys matched case-insensitively and a repeated "config"
+// merged into the one before; ok is false for anything else, and for a
+// null in place of a value.
+func decodeSpecJSON(raw []byte) (sj specJSON, ok bool) {
+	cfgOK := true
+	o := jsonline.NewObject(raw)
+	for o.Next() {
+		switch o.Field(specKeys...) {
+		case "version":
+			sj.Version = int(o.Int(strconv.IntSize))
+		case "domain":
+			sj.Domain = o.String()
+		case "config":
+			cfgOK = cfgOK && decodeConfigJSON(&sj.Config, o.Raw())
+		case "chunk":
+			sj.Chunk = int(o.Int(strconv.IntSize))
+		case "measures":
+			sj.Measures = o.Strings()
+		case "point_ids":
+			sj.PointIDs = o.Ints()
+		default:
+			o.Raw()
+		}
+	}
+	return sj, o.End() && cfgOK
+}
+
+// decodeConfigJSON reads a config object into c.
+func decodeConfigJSON(c *configJSON, raw []byte) bool {
+	o := jsonline.NewObject(raw)
+	for o.Next() {
+		switch o.Field(configKeys...) {
+		case "peers":
+			c.Peers = int(o.Int(strconv.IntSize))
+		case "rounds":
+			c.Rounds = int(o.Int(strconv.IntSize))
+		case "perf_runs":
+			c.PerfRuns = int(o.Int(strconv.IntSize))
+		case "encounter_runs":
+			c.EncounterRuns = int(o.Int(strconv.IntSize))
+		case "opponents":
+			c.Opponents = int(o.Int(strconv.IntSize))
+		case "seed":
+			c.Seed = o.Int(64)
+		case "churn":
+			c.Churn = o.Float()
+		default:
+			o.Raw()
+		}
+	}
+	return o.End()
+}
+
 // EncodeSpec serialises a Spec in the checkpoint spec wire format (the
 // bytes of spec.json). The grid coordinator ships this to workers so
 // lease execution and checkpoint resume share one spec codec.
@@ -158,16 +260,16 @@ func EncodeSpec(s Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(sj)
+	return appendSpecJSON(nil, sj)
 }
 
 // DecodeSpec parses an EncodeSpec payload back into a Spec. The domain
 // is resolved through the dsa registry, so the calling program must
 // import the domain's package.
 func DecodeSpec(raw []byte) (Spec, error) {
-	var sj specJSON
-	if err := json.Unmarshal(raw, &sj); err != nil {
-		return Spec{}, fmt.Errorf("job: corrupt spec payload: %w", err)
+	sj, ok := decodeSpecJSON(raw)
+	if !ok {
+		return Spec{}, fmt.Errorf("job: corrupt spec payload (%d bytes)", len(raw))
 	}
 	return specFromJSON("(wire spec)", sj)
 }
@@ -237,22 +339,23 @@ func decodeManifestLine(line []byte) (e manifestEntry, ok bool) {
 
 // Checkpoint is one process's open handle on a checkpoint directory.
 type Checkpoint struct {
-	manifest  *linelog.Log
-	completed map[string][]float64 // restored at open
+	manifest *linelog.Log
+	tasks    []Task      // the spec's, in Spec.Tasks order
+	done     [][]float64 // by position in tasks: restored at open, then Run's results
 }
 
 // openCheckpoint prepares dir for (spec, shard shardIndex of shards):
 // it creates the directory, writes or verifies spec.json, restores
 // every completed task from existing manifests, and opens this shard's
 // manifest for appending.
-func openCheckpoint(dir string, spec Spec, shards, shardIndex int) (*Checkpoint, error) {
-	return openCheckpointNamed(dir, spec, fmt.Sprintf("manifest-s%dof%d.jsonl", shardIndex, shards))
+func openCheckpoint(dir string, spec Spec, x taskIndex, shards, shardIndex int) (*Checkpoint, error) {
+	return openCheckpointNamed(dir, spec, x, fmt.Sprintf("manifest-s%dof%d.jsonl", shardIndex, shards))
 }
 
 // openCheckpointNamed is openCheckpoint with an explicit manifest file
 // name (every writer appends to its own manifest; loading merges all
 // manifest-*.jsonl present) and replay (OpenCheckpoint).
-func openCheckpointNamed(dir string, spec Spec, manifestName string, replay ...func(line []byte, r Result, ok bool)) (*Checkpoint, error) {
+func openCheckpointNamed(dir string, spec Spec, x taskIndex, manifestName string, replay ...func(line []byte, r Result, ok bool)) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("job: checkpoint dir: %w", err)
 	}
@@ -262,11 +365,10 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string, replay ...f
 	}
 	specPath := filepath.Join(dir, specFileName)
 	if raw, err := os.ReadFile(specPath); err == nil {
-		var have specJSON
-		if err := json.Unmarshal(raw, &have); err != nil {
-			return nil, fmt.Errorf("job: corrupt %s: %w", specPath, err)
-		}
+		have, ok := decodeSpecJSON(raw)
 		switch {
+		case !ok:
+			return nil, fmt.Errorf("job: corrupt %s", specPath)
 		case have.Version != want.Version:
 			return nil, errSpecVersion(dir, have.Version)
 		case have.Domain != want.Domain:
@@ -281,9 +383,9 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string, replay ...f
 			return nil, fmt.Errorf("job: checkpoint %s covers a different point set (%d points, this run sweeps %d)", dir, len(have.PointIDs), len(want.PointIDs))
 		}
 	} else if os.IsNotExist(err) {
-		raw, err := json.Marshal(want)
+		raw, err := appendSpecJSON(nil, want)
 		if err != nil {
-			return nil, fmt.Errorf("job: checkpoint spec: %w", err)
+			return nil, err
 		}
 		if err := writeFileAtomic(specPath, raw); err != nil {
 			return nil, err
@@ -292,7 +394,7 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string, replay ...f
 		return nil, fmt.Errorf("job: checkpoint spec: %w", err)
 	}
 
-	completed, err := readCompleted(dir, spec, manifestName, replay...)
+	done, err := readCompleted(dir, x, manifestName, replay...)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +402,7 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string, replay ...f
 	if err != nil {
 		return nil, fmt.Errorf("job: open manifest: %w", err)
 	}
-	return &Checkpoint{manifest: manifest, completed: completed}, nil
+	return &Checkpoint{manifest: manifest, tasks: x.tasks, done: done}, nil
 }
 
 // OpenCheckpoint opens (or creates) dir for spec, writing or verifying
@@ -317,12 +419,20 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string, replay ...f
 // tombstone of one of spec's tasks; any other line — the caller's own
 // record, or a corrupt one — is not ok.
 func OpenCheckpoint(dir string, spec Spec, replay ...func(line []byte, r Result, ok bool)) (*Checkpoint, error) {
-	return openCheckpointNamed(dir, spec, "manifest-grid.jsonl", replay...)
+	return openCheckpointNamed(dir, spec, newTaskIndex(spec), "manifest-grid.jsonl", replay...)
 }
 
 // Completed returns the task-ID → values map restored from the
 // directory's manifests at open time. The caller takes ownership.
-func (c *Checkpoint) Completed() map[string][]float64 { return c.completed }
+func (c *Checkpoint) Completed() map[string][]float64 {
+	out := make(map[string][]float64)
+	for i, vals := range c.done {
+		if vals != nil {
+			out[c.tasks[i].ID()] = vals
+		}
+	}
+	return out
+}
 
 // Result is one manifest entry: a finished task's values, how long it took
 // and, if a grid worker computed it, which one; or, with Dead set, a
@@ -360,24 +470,66 @@ func (c *Checkpoint) Record(t Task, values []float64, elapsed time.Duration) err
 // Close closes the manifest. Record must not be called after Close.
 func (c *Checkpoint) Close() error { return c.manifest.Close() }
 
-// readCompleted merges every manifest in dir into task-ID → values.
-// Lines apply in order: the first live entry of a task wins (a
-// re-recorded task carries the same values by determinism), a tombstone
-// cancels what precedes it. Lines that are corrupt, name no task or are
-// inconsistent with the spec's task list are skipped — the engine just
-// re-runs those tasks — so a crash mid-write can never corrupt a resumed
-// sweep. replay sees the lines of the manifest named own (OpenCheckpoint).
-func readCompleted(dir string, spec Spec, own string, replay ...func(line []byte, r Result, ok bool)) (map[string][]float64, error) {
-	valid := make(map[string]Task)
-	for _, t := range spec.Tasks() {
-		valid[t.ID()] = t
+// taskIndex locates a spec's tasks by position in its Spec.Tasks list,
+// which is how the engine keys them in memory: chunk c's task of measure
+// m sits at c·len(measures) + m.
+type taskIndex struct {
+	tasks    []Task
+	measures []string
+	chunk    int
+}
+
+func newTaskIndex(s Spec) taskIndex {
+	return taskIndex{tasks: s.Tasks(), measures: s.Domain.Measures(), chunk: s.chunk()}
+}
+
+// of is the position of t, a task of the spec.
+func (x taskIndex) of(t Task) int {
+	return t.Lo/x.chunk*len(x.measures) + slices.Index(x.measures, t.Measure)
+}
+
+// parse is the position of the task whose ID is name. It accepts exactly
+// the names Task.ID formats for the spec's tasks: "measure-lo-hi", split
+// at the last two dashes (a measure may hold dashes, a number cannot),
+// each number as %05d prints it.
+func (x taskIndex) parse(name string) (int, bool) {
+	j := strings.LastIndexByte(name, '-')
+	k := strings.LastIndexByte(name[:max(j, 0)], '-')
+	if k < 0 {
+		return 0, false
 	}
+	lo, loOK := parsePad5(name[k+1 : j])
+	hi, hiOK := parsePad5(name[j+1:])
+	m := slices.Index(x.measures, name[:k])
+	if !loOK || !hiOK || m < 0 || lo%x.chunk != 0 || lo/x.chunk >= len(x.tasks)/len(x.measures) {
+		return 0, false
+	}
+	i := lo/x.chunk*len(x.measures) + m
+	return i, x.tasks[i].Hi == hi
+}
+
+// parsePad5 reads a non-negative number as appendPad5 writes it.
+func parsePad5(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	var buf [24]byte
+	return n, err == nil && n >= 0 && string(appendPad5(buf[:0], n)) == s
+}
+
+// readCompleted merges every manifest in dir into per-task values, by
+// position in x.tasks (nil: not done). Lines apply in order: the first
+// live entry of a task wins (a re-recorded task carries the same values
+// by determinism), a tombstone cancels what precedes it. Lines that are
+// corrupt, name no task or are inconsistent with the spec's task list
+// are skipped — the engine just re-runs those tasks — so a crash
+// mid-write can never corrupt a resumed sweep. replay sees the lines of
+// the manifest named own (OpenCheckpoint).
+func readCompleted(dir string, x taskIndex, own string, replay ...func(line []byte, r Result, ok bool)) ([][]float64, error) {
 	manifests, err := filepath.Glob(filepath.Join(dir, "manifest-*.jsonl"))
 	if err != nil {
 		return nil, err
 	}
 	slices.Sort(manifests)
-	out := make(map[string][]float64)
+	done := make([][]float64, len(x.tasks))
 	for _, path := range manifests {
 		// Whole-file read: a line holds a task's values, so its length
 		// is the caller's chunk size, not ours to bound.
@@ -390,54 +542,49 @@ func readCompleted(dir string, spec Spec, own string, replay ...func(line []byte
 			fns = nil
 		}
 		linelog.Lines(raw, func(line []byte) {
-			r, ok := applyManifestLine(out, valid, line)
+			r, ok := foldManifestLine(done, x, line)
 			for _, fn := range fns {
 				fn(line, r, ok)
 			}
 		})
 	}
-	return out, nil
+	return done, nil
 }
 
-// applyManifestLine folds one manifest line into out and returns its
+// foldManifestLine folds one manifest line into done and returns its
 // entry. Anything but a well-formed entry for a task of this spec — a
 // tombstone, or a value with exactly the task's number of values — leaves
-// out untouched and is not ok.
-func applyManifestLine(out map[string][]float64, valid map[string]Task, line []byte) (Result, bool) {
+// done untouched and is not ok.
+func foldManifestLine(done [][]float64, x taskIndex, line []byte) (Result, bool) {
 	e, ok := decodeManifestLine(line)
-	t, known := valid[e.Task]
-	switch {
-	case !ok || !known || !e.Dead && len(e.Values) != t.Hi-t.Lo:
+	i, known := x.parse(e.Task)
+	if !ok || !known {
 		return Result{}, false // corrupt, or not one of the spec's tasks
+	}
+	t := x.tasks[i]
+	switch {
+	case !e.Dead && len(e.Values) != t.Hi-t.Lo:
+		return Result{}, false
 	case e.Dead:
-		delete(out, e.Task)
-	case out[e.Task] == nil:
-		out[e.Task] = e.Values
+		done[i] = nil
+	case done[i] == nil:
+		done[i] = e.Values
 	}
 	return Result{Task: t, Values: e.Values, Elapsed: time.Duration(e.ElapsedMS) * time.Millisecond, Worker: e.Worker, Dead: e.Dead}, true
 }
 
-// loadCheckpoint reads dir without a target spec: the spec (and through
-// the registry, the domain) comes from spec.json. Used by Load
-// (merge/report without re-running).
-func loadCheckpoint(dir string) (Spec, map[string][]float64, error) {
+// readSpec reads dir's spec.json; through the registry it resolves the
+// domain. Used by Load (merge/report without re-running).
+func readSpec(dir string) (Spec, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, specFileName))
 	if err != nil {
-		return Spec{}, nil, fmt.Errorf("job: not a checkpoint dir: %w", err)
+		return Spec{}, fmt.Errorf("job: not a checkpoint dir: %w", err)
 	}
-	var sj specJSON
-	if err := json.Unmarshal(raw, &sj); err != nil {
-		return Spec{}, nil, fmt.Errorf("job: corrupt %s: %w", specFileName, err)
+	sj, ok := decodeSpecJSON(raw)
+	if !ok {
+		return Spec{}, fmt.Errorf("job: corrupt %s in %s", specFileName, dir)
 	}
-	spec, err := specFromJSON(dir, sj)
-	if err != nil {
-		return Spec{}, nil, err
-	}
-	completed, err := readCompleted(dir, spec, "")
-	if err != nil {
-		return Spec{}, nil, err
-	}
-	return spec, completed, nil
+	return specFromJSON(dir, sj)
 }
 
 // writeFileAtomic writes via a uniquely-named temp file in the same

@@ -127,7 +127,7 @@ func TestManifestCrashPoints(t *testing.T) {
 		if err := os.WriteFile(manifestPath, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := loadCheckpoint(dir)
+		got, err := loadCompleted(dir)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -149,7 +149,7 @@ func TestManifestCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[fresh.ID()] = freshVals
-		if _, got, err = loadCheckpoint(dir); err != nil {
+		if got, err = loadCompleted(dir); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if err := sameCompleted(got, want); err != nil {
@@ -200,7 +200,7 @@ func TestSchedulerLinesSkipped(t *testing.T) {
 			t.Fatal(err)
 		}
 		cp.Close()
-		if _, loaded[i], err = loadCheckpoint(dir); err != nil {
+		if loaded[i], err = loadCompleted(dir); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
@@ -300,15 +300,8 @@ func oracleManifestLine(line []byte) (e manifestEntry, ok bool) {
 // reads — a null where a value was due, or a key that matches a field
 // only case-insensitively — or is "" for anything else.
 func refusedManifestForm(line []byte) string {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			break
-		}
-		if tok == nil {
-			return "null in place of a value"
-		}
+	if hasNull(line) {
+		return "null in place of a value"
 	}
 	var m map[string]json.RawMessage
 	json.Unmarshal(line, &m)
@@ -320,6 +313,20 @@ func refusedManifestForm(line []byte) string {
 		}
 	}
 	return ""
+}
+
+// hasNull reports whether the JSON value raw holds a null anywhere.
+func hasNull(raw []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		if tok == nil {
+			return true
+		}
+	}
 }
 
 // manifestRefusedForms are the lines the oracle reads and the codec
@@ -508,11 +515,15 @@ func sameEntry(a, b manifestEntry) bool {
 		(a.Values == nil) == (b.Values == nil) && sameValues(a.Values, b.Values)
 }
 
-// FuzzDecodeSpec feeds the wire spec decoder arbitrary bytes: it never
-// panics, and a payload it accepts re-encodes to canonical bytes — the
-// bytes a job ID hashes. Decoding those gives back the same Spec (with
-// the chunk a zero or negative one stands for), and encoding that again
-// gives the same bytes.
+// FuzzDecodeSpec feeds the wire spec decoder arbitrary bytes. Against
+// encoding/json, the oracle: the hand codec reads what json.Unmarshal
+// reads into a specJSON, to the same fields, and refuses what it refuses,
+// save one named form, a null in place of a value; what it reads it
+// writes as json.Marshal does. A payload DecodeSpec accepts re-encodes
+// to canonical bytes — the bytes a job ID hashes, json.Marshal's of its
+// specJSON. Decoding those gives back the same Spec (with the chunk a
+// zero or negative one stands for), and encoding that again gives the
+// same bytes.
 func FuzzDecodeSpec(f *testing.F) {
 	all := pra.Domain().Space().Enumerate()
 	_, cfg := tinySweep(pra.Domain())
@@ -529,8 +540,29 @@ func FuzzDecodeSpec(f *testing.F) {
 	}
 	f.Add([]byte(`{"version":3,"domain":"gossip","config":{"churn":-0,"seed":1000},"chunk":0,"measures":["coverage","robustness"],"point_ids":[7,7]}`))
 	f.Add([]byte(`{"version":2,"domain":"swarming"}`))
+	f.Add([]byte(` {"Version":3,"DOMAIN":"gossip","config":{"peers":1},"x":[{}],"config":{"Churn":1e-7},"measures":[],"point_ids":[0],"point_ids":[]}` + "\n"))
+	f.Add([]byte(`{"version":3,"domain":"go\u0073sip","config":{"seed":-9223372036854775808},"chunk":1.5}`))
+	f.Add([]byte(`{"version":3,"config":null}`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, ok := decodeSpecJSON(raw)
+		var want specJSON
+		wantOK := json.Unmarshal(raw, &want) == nil
+		switch {
+		case ok && !wantOK:
+			t.Fatalf("codec accepts %q as %+v, the oracle refuses it", raw, got)
+		case ok && !reflect.DeepEqual(got, want):
+			t.Fatalf("codec reads %q as %+v, the oracle as %+v", raw, got, want)
+		case !ok && wantOK && !hasNull(raw):
+			t.Fatalf("codec refuses %q, which the oracle reads as %+v, in no named form", raw, want)
+		case ok:
+			mine, err := appendSpecJSON(nil, got)
+			oracle, oerr := json.Marshal(got)
+			if err != nil || oerr != nil || !bytes.Equal(mine, oracle) {
+				t.Fatalf("%+v: the codec writes %s (%v), the oracle %s (%v)", got, mine, err, oracle, oerr)
+			}
+		}
+
 		s1, err := DecodeSpec(raw)
 		if err != nil {
 			return
@@ -538,6 +570,13 @@ func FuzzDecodeSpec(f *testing.F) {
 		canon, err := EncodeSpec(s1)
 		if err != nil {
 			t.Fatalf("accepted spec %q does not re-encode: %v", raw, err)
+		}
+		sj, err := specToJSON(s1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oracle, err := json.Marshal(sj); err != nil || !bytes.Equal(canon, oracle) {
+			t.Fatalf("spec %q: EncodeSpec writes %s, json.Marshal %s (%v)", raw, canon, oracle, err)
 		}
 		s2, err := DecodeSpec(canon)
 		if err != nil {
@@ -578,7 +617,7 @@ func TestCheckpointConcurrentRecord(t *testing.T) {
 					t.Error(err)
 					continue
 				}
-				_, done, err := loadCheckpoint(dir)
+				done, err := loadCompleted(dir)
 				if err != nil {
 					t.Error(err)
 				} else if !sameValues(done[task.ID()], valuesOf(task)) {
@@ -602,7 +641,7 @@ func TestCheckpointConcurrentRecord(t *testing.T) {
 	if n := bytes.Count(raw, []byte("\n")); n != len(tasks) || raw[len(raw)-1] != '\n' {
 		t.Fatalf("manifest holds %d lines for %d tasks", n, len(tasks))
 	}
-	_, done, err := loadCheckpoint(dir)
+	done, err := loadCompleted(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

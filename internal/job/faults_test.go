@@ -221,7 +221,7 @@ func TestCheckpointManifestFaultRetry(t *testing.T) {
 					t.Fatalf("manifest after fault + retry holds a torn line:\n%s", raw)
 				}
 			}
-			_, done, err := loadCheckpoint(dir)
+			done, err := loadCompleted(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

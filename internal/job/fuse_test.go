@@ -495,3 +495,51 @@ func TestShardsOwnWholeChunks(t *testing.T) {
 		}
 	}
 }
+
+// widthDomain is plainDomain scoring a call's points on cfg.Workers
+// goroutines, where the first two points of measure "a" each wait for the
+// other: they score only if both are in flight at once.
+type widthDomain struct {
+	*plainDomain
+	mu      sync.Mutex
+	arrived int
+	both    chan struct{}
+}
+
+func (d *widthDomain) ScoreSlice(measure string, pts, _ []core.Point, cfg dsa.Config) ([]float64, error) {
+	out := make([]float64, len(pts))
+	alone := make([]bool, len(pts))
+	dsa.ParallelFor(len(pts), cfg.Parallelism(), func(i int) {
+		if measure == "a" && i < 2 {
+			d.mu.Lock()
+			if d.arrived++; d.arrived == 2 {
+				close(d.both)
+			}
+			d.mu.Unlock()
+			select {
+			case <-d.both:
+			case <-time.After(2 * time.Second):
+				alone[i] = true
+			}
+		}
+		out[i] = fuseScore(measure, pts[i][0])
+	})
+	if slices.Contains(alone, true) {
+		return nil, errors.New("a point of measure a waited alone: its unit scored on one goroutine")
+	}
+	return out, nil
+}
+
+// TestExecTasksUnitsUseTheFullWidth: in a batch the pool runs at once,
+// each unit's inner scoring gets the pool's whole width, not a share
+// fixed when the pool starts. Of two units on two workers, the one
+// needing two points in flight gets them.
+func TestExecTasksUnitsUseTheFullWidth(t *testing.T) {
+	d := &widthDomain{plainDomain: newPlainDomain(t), both: make(chan struct{})}
+	tasks := []Task{{Measure: "a", Lo: 0, Hi: 8}, {Measure: "b", Lo: 0, Hi: 8}}
+	err := ExecTasks(context.Background(), fuseSpec(d), tasks, ExecOptions{Workers: 2},
+		func(Task, []float64, time.Duration) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+}

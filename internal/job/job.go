@@ -183,7 +183,8 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 		return nil, fmt.Errorf("job: shard index %d out of range [0,%d)", opts.ShardIndex, shards)
 	}
 	spec := Spec{Domain: d, Points: points, Cfg: cfg, Chunk: opts.Chunk}
-	tasks := spec.Tasks()
+	x := newTaskIndex(spec)
+	tasks := x.tasks
 
 	sweep := opts.Trace.Start(0, "sweep").
 		Str("domain", d.Name()).
@@ -191,22 +192,22 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 		Int("tasks", int64(len(tasks))).
 		Int("shards", int64(shards)).
 		Int("shard_index", int64(opts.ShardIndex))
-	done := 0
-	defer func() { sweep.Int("done", int64(done)).End() }()
+	fresh := 0
+	defer func() { sweep.Int("done", int64(fresh)).End() }()
 
-	results := make(map[string][]float64, len(tasks))
+	// results[i] holds the values of tasks[i] once it is done.
+	results := make([][]float64, len(tasks))
 	var cp *Checkpoint
 	if opts.Dir != "" {
 		var err error
-		cp, err = openCheckpoint(opts.Dir, spec, shards, opts.ShardIndex)
+		cp, err = openCheckpoint(opts.Dir, spec, x, shards, opts.ShardIndex)
 		if err != nil {
 			return nil, err
 		}
 		defer cp.Close()
-		for id, vals := range cp.completed {
-			results[id] = vals
-		}
+		results = cp.done
 	}
+	restored := countDone(results)
 
 	// Round-robin chunk ownership: chunk c — every measure's task over
 	// it — belongs to shard c mod shards. Whole chunks, so that each
@@ -217,44 +218,54 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 	// the same mix of cheap homogeneous and expensive tournament tasks,
 	// so equally-sized shards take similar wall time.
 	var mine []Task
-	for _, t := range tasks {
-		if (t.Lo/spec.chunk())%shards != opts.ShardIndex {
-			continue
+	for i, t := range tasks {
+		if (t.Lo/spec.chunk())%shards == opts.ShardIndex && results[i] == nil {
+			mine = append(mine, t)
 		}
-		if _, done := results[t.ID()]; done {
-			continue
-		}
-		mine = append(mine, t)
 	}
 
-	if err := runPool(ctx, spec, mine, cp, results, opts, len(tasks), sweep.ID(), &done); err != nil {
+	if err := runPool(ctx, spec, x, mine, cp, results, restored, opts, sweep.ID(), &fresh); err != nil {
 		return nil, err
 	}
-	if cp != nil && len(results) < len(tasks) {
+	have := restored + fresh
+	if cp != nil && have < len(tasks) {
 		// Concurrently running shards may have journalled more tasks
 		// since we opened the checkpoint; pick them up so the shard
 		// that finishes last assembles the full result.
-		latest, err := readCompleted(opts.Dir, spec, "")
+		latest, err := readCompleted(opts.Dir, x, "")
 		if err != nil {
 			return nil, err
 		}
-		for id, vals := range latest {
-			if _, ok := results[id]; !ok {
-				results[id] = vals
+		for i, vals := range latest {
+			if vals != nil && results[i] == nil {
+				results[i] = vals
+				have++
 			}
 		}
 	}
-	if len(results) < len(tasks) {
+	if have < len(tasks) {
 		return nil, fmt.Errorf("%w: %d of %d tasks done (merge after the remaining shards finish)",
-			ErrIncomplete, len(results), len(tasks))
+			ErrIncomplete, have, len(tasks))
 	}
 	return assemble(spec, tasks, results)
 }
 
+// countDone is the number of done tasks in results.
+func countDone(results [][]float64) int {
+	n := 0
+	for _, vals := range results {
+		if vals != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // runPool executes the pending tasks on a bounded worker pool,
 // journalling and recording each result as it lands; the first task or
-// sink error, or a context cancellation, stops the pool.
-func runPool(ctx context.Context, spec Spec, mine []Task, cp *Checkpoint, results map[string][]float64, opts Options, total int, parent obs.SpanID, freshOut *int) error {
+// sink error, or a context cancellation, stops the pool. restored is the
+// number of tasks results held before, freshOut counts those it adds.
+func runPool(ctx context.Context, spec Spec, x taskIndex, mine []Task, cp *Checkpoint, results [][]float64, restored int, opts Options, parent obs.SpanID, freshOut *int) error {
 	start := time.Now()
 	var (
 		mu                sync.Mutex
@@ -282,12 +293,12 @@ func runPool(ctx context.Context, spec Spec, mine []Task, cp *Checkpoint, result
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		results[t.ID()] = vals
+		results[x.of(t)] = vals
 		fresh++
 		*freshOut = fresh
 		snap := Progress{
-			TotalTasks: total,
-			DoneTasks:  len(results),
+			TotalTasks: len(x.tasks),
+			DoneTasks:  restored + fresh,
 			FreshTasks: fresh,
 			MineTasks:  len(mine),
 			Elapsed:    time.Since(start),
@@ -400,12 +411,18 @@ func ExecTasks(ctx context.Context, spec Spec, tasks []Task, opts ExecOptions, s
 		workers = runtime.GOMAXPROCS(0)
 	}
 	poolSize := min(workers, len(units))
-	// Parallelism lives at the unit level; when there are fewer units
-	// than workers, give each unit's inner scoring the spare share so
-	// small sweeps still use the machine. Inner worker count never
+	// A batch the pool runs all at once (no more units than workers)
+	// gives every unit the full width, so a unit that outlasts the
+	// others (two measures of unequal cost) still gets the cores they
+	// leave idle. A longer batch keeps the cores busy by itself, and
+	// inner width there only adds contention (about 10 % more CPU per
+	// score on a strided swarming sweep). Inner worker count never
 	// affects values, only speed.
 	taskCfg := spec.Cfg
-	taskCfg.Workers = max(1, workers/poolSize)
+	taskCfg.Workers = 1
+	if len(units) <= workers {
+		taskCfg.Workers = workers
+	}
 	opponents := spec.Domain.SampleOpponents(spec.Cfg)
 	var keyer *dsa.ScoreKeyer
 	if opts.Cache != nil {
@@ -596,28 +613,32 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 // results over HTTP instead of computing them — so grid sweeps merge
 // byte-identically with local ones.
 func (s Spec) AssembleScores(results map[string][]float64) (*dsa.Scores, error) {
-	return assemble(s, s.Tasks(), results)
+	tasks := s.Tasks()
+	done := make([][]float64, len(tasks))
+	for i, t := range tasks {
+		done[i] = results[t.ID()]
+	}
+	return assemble(s, tasks, done)
 }
 
-// assemble stitches per-task value slices into the merged Scores,
-// handing the domain the whole-set post-processing last. tasks is
-// spec.Tasks(), which every caller but AssembleScores already holds.
-func assemble(spec Spec, tasks []Task, results map[string][]float64) (*dsa.Scores, error) {
+// assemble stitches per-task value slices — done[i] the values of
+// tasks[i], which is spec.Tasks() — into the merged Scores, handing the
+// domain the whole-set post-processing last.
+func assemble(spec Spec, tasks []Task, done [][]float64) (*dsa.Scores, error) {
 	measures := spec.Domain.Measures()
 	raw := make(map[string][]float64, len(measures))
 	for _, m := range measures {
 		raw[m] = make([]float64, len(spec.Points))
 	}
-	for _, t := range tasks {
-		id := t.ID()
-		vals, ok := results[id]
-		if !ok {
-			return nil, fmt.Errorf("job: task %s missing from results", id)
+	for i, t := range tasks {
+		switch vals := done[i]; {
+		case vals == nil:
+			return nil, fmt.Errorf("job: task %s missing from results", t.ID())
+		case len(vals) != t.Hi-t.Lo:
+			return nil, fmt.Errorf("job: task %s has %d values, want %d", t.ID(), len(vals), t.Hi-t.Lo)
+		default:
+			copy(raw[t.Measure][t.Lo:t.Hi], vals)
 		}
-		if len(vals) != t.Hi-t.Lo {
-			return nil, fmt.Errorf("job: task %s has %d values, want %d", id, len(vals), t.Hi-t.Lo)
-		}
-		copy(raw[t.Measure][t.Lo:t.Hi], vals)
 	}
 	return spec.Domain.Assemble(spec.Points, raw)
 }
@@ -629,13 +650,17 @@ func assemble(spec Spec, tasks []Task, results map[string][]float64) (*dsa.Score
 // calling program must import the domain's package. It returns
 // ErrIncomplete (wrapped with counts) if tasks are still outstanding.
 func Load(dir string) (*dsa.Scores, error) {
-	spec, results, err := loadCheckpoint(dir)
+	spec, err := readSpec(dir)
 	if err != nil {
 		return nil, err
 	}
-	tasks := spec.Tasks()
-	if len(results) < len(tasks) {
-		return nil, fmt.Errorf("%w: %d of %d tasks done in %s", ErrIncomplete, len(results), len(tasks), dir)
+	x := newTaskIndex(spec)
+	done, err := readCompleted(dir, x, "")
+	if err != nil {
+		return nil, err
 	}
-	return assemble(spec, tasks, results)
+	if n := countDone(done); n < len(x.tasks) {
+		return nil, fmt.Errorf("%w: %d of %d tasks done in %s", ErrIncomplete, n, len(x.tasks), dir)
+	}
+	return assemble(spec, x.tasks, done)
 }

@@ -1,12 +1,13 @@
 // Package jsonline is the hand codec of the repo's durable JSON lines:
-// checkpoint manifest entries (internal/job), coordinator WAL records
-// (internal/grid) and score vectors (dsa.JSONFloats, in manifests and on
-// the grid wire). It uses no reflection and has three primitives:
+// checkpoint manifest entries and spec.json (internal/job), coordinator
+// WAL records (internal/grid) and score vectors (dsa.JSONFloats, in
+// manifests and on the grid wire). It uses no reflection and has three
+// primitives:
 //
-//   - an append encoder (AppendString, AppendFloats) whose bytes are
-//     exactly encoding/json's, so a line written by hand is the line
-//     json.Marshal writes for the same struct;
-//   - Object, a one-pass scanner over one flat JSON object: the caller
+//   - an append encoder (AppendString, AppendFloat, AppendFloats) whose
+//     bytes are exactly encoding/json's, so a line written by hand is the
+//     line json.Marshal writes for the same struct;
+//   - Object, a one-pass scanner over one JSON object: the caller
 //     switches on each key and reads its value with a typed reader;
 //   - a float-list scanner (ParseFloats, Object.Floats).
 //
@@ -16,8 +17,9 @@
 // wins), escaped strings (invalid UTF-8 and lone surrogates become
 // U+FFFD), unknown keys with any value nested up to encoding/json's depth
 // limit — and refuses everything encoding/json refuses. It also refuses
-// two forms encoding/json takes: null in place of a value, and a key that
-// matches a field only case-insensitively.
+// null in place of a value, which encoding/json takes. A key that matches
+// a field only case-insensitively is refused too, unless the format
+// matches its keys through Object.Field, as spec.json does.
 package jsonline
 
 import (
@@ -97,11 +99,11 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendFloat appends finite f as json.Marshal writes a float64: the
+// AppendFloat appends finite f as json.Marshal writes a float64: the
 // shortest digits that read back to f, in 'f' form for 0 and
 // 1e-6 <= |f| < 1e21 and in 'e' form otherwise, a one-digit negative
 // exponent without its leading zero (1e-7, not 1e-07).
-func appendFloat(b []byte, f float64) []byte {
+func AppendFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -117,7 +119,7 @@ func appendFloat(b []byte, f float64) []byte {
 }
 
 // AppendFloats appends vals as a JSON array: finite values as
-// appendFloat writes them, NaN and ±Inf as the strings "NaN", "+Inf" and
+// AppendFloat writes them, NaN and ±Inf as the strings "NaN", "+Inf" and
 // "-Inf" (encoding/json has no number for them; these are the score
 // tokens of dsa's CSV codec).
 func AppendFloats(b []byte, vals []float64) []byte {
@@ -134,7 +136,7 @@ func AppendFloats(b []byte, vals []float64) []byte {
 		case math.IsInf(v, -1):
 			b = append(b, `"-Inf"`...)
 		default:
-			b = appendFloat(b, v)
+			b = AppendFloat(b, v)
 		}
 	}
 	return append(b, ']')
@@ -255,11 +257,9 @@ func (o *Object) String() string {
 // Int reads an integer value that fits bitSize bits: a JSON number with
 // no fraction and no exponent, as encoding/json reads one into an int.
 func (o *Object) Int(bitSize int) int64 {
-	tok, _ := o.num() // nil when malformed, which ParseInt refuses
-	n, err := strconv.ParseInt(string(tok), 10, bitSize)
-	if err != nil {
+	n, ok := o.int(bitSize)
+	if !ok {
 		o.fail()
-		return 0
 	}
 	return n
 }
@@ -273,6 +273,15 @@ func (o *Object) Uint32() uint32 {
 		return 0
 	}
 	return uint32(n)
+}
+
+// Float reads a number value, as encoding/json reads one into a float64.
+func (o *Object) Float() float64 {
+	v, ok := o.float()
+	if !ok {
+		o.fail()
+	}
+	return v
 }
 
 // Bool reads true or false.
@@ -297,6 +306,36 @@ func (o *Object) Floats() []float64 {
 	return vals
 }
 
+// Ints reads a list of integers, each as Int(strconv.IntSize) reads one.
+// Like every list reader it reads [] as an empty, non-nil slice, as
+// encoding/json does.
+func (o *Object) Ints() []int {
+	out := make([]int, 0, o.count())
+	if !o.array(func() bool {
+		n, ok := o.int(strconv.IntSize)
+		out = append(out, int(n))
+		return ok
+	}) {
+		o.fail()
+		return nil
+	}
+	return out
+}
+
+// Strings reads a list of strings.
+func (o *Object) Strings() []string {
+	out := make([]string, 0, o.count())
+	if !o.array(func() bool {
+		s, ok := o.str()
+		out = append(out, string(s))
+		return ok
+	}) {
+		o.fail()
+		return nil
+	}
+	return out
+}
+
 // Raw reads a value of any kind and returns its exact bytes.
 func (o *Object) Raw() []byte {
 	start := o.i
@@ -318,6 +357,23 @@ func (o *Object) Skip(known ...string) {
 		}
 	}
 	o.Raw()
+}
+
+// Field names the field the current key reads into, as encoding/json
+// matches a key to a struct field: the one of fields equal to it, else
+// the first that equals it case-insensitively, else "".
+func (o *Object) Field(fields ...string) string {
+	for _, f := range fields {
+		if string(o.key) == f {
+			return f
+		}
+	}
+	for _, f := range fields {
+		if bytes.EqualFold(o.key, []byte(f)) {
+			return f
+		}
+	}
+	return ""
 }
 
 // cursor is a position in JSON bytes and the scratch an escaped string
@@ -514,37 +570,73 @@ func digits(d []byte, i int) int {
 	return i
 }
 
-// floats reads a score list.
-func (c *cursor) floats() ([]float64, bool) {
-	if !c.eat('[') {
-		return nil, false
+// int reads an integer of bitSize bits; it is 0 when not ok.
+func (c *cursor) int(bitSize int) (int64, bool) {
+	tok, _ := c.num() // nil when malformed, which ParseInt refuses
+	n, err := strconv.ParseInt(string(tok), 10, bitSize)
+	if err != nil {
+		return 0, false
 	}
-	// One value per comma and one more bounds the length (a comma inside
-	// a string only over-counts), so the list grows at most once.
+	return n, true
+}
+
+// float reads a number as a float64; one beyond its range is refused.
+func (c *cursor) float() (float64, bool) {
+	tok, _ := c.num() // nil when malformed, which ParseFloat refuses
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, false
+	}
+	return v, true
+}
+
+// count is the capacity of the list at c: one value per comma before the
+// next ']', and one more. It is exact for a list of numbers; a comma or
+// bracket inside a string only costs a regrowth.
+func (c *cursor) count() int {
 	end := bytes.IndexByte(c.data[c.i:], ']')
 	if end < 0 {
-		return nil, false
+		return 0
 	}
-	out := make([]float64, 0, bytes.Count(c.data[c.i:c.i+end], []byte{','})+1)
+	return bytes.Count(c.data[c.i:c.i+end], []byte{','}) + 1
+}
+
+// array reads a JSON array, each element by one call of elem, which
+// reports whether it read one.
+func (c *cursor) array(elem func() bool) bool {
+	if !c.eat('[') {
+		return false
+	}
 	c.ws()
 	if c.eat(']') {
-		return out, true
+		return true
 	}
 	for {
-		v, ok := c.score()
-		if !ok {
-			return nil, false
+		if !elem() {
+			return false
 		}
-		out = append(out, v)
 		c.ws()
 		if c.eat(']') {
-			return out, true
+			return true
 		}
 		if !c.eat(',') {
-			return nil, false
+			return false
 		}
 		c.ws()
 	}
+}
+
+// floats reads a score list.
+func (c *cursor) floats() ([]float64, bool) {
+	out := make([]float64, 0, c.count())
+	if !c.array(func() bool {
+		v, ok := c.score()
+		out = append(out, v)
+		return ok
+	}) {
+		return nil, false
+	}
+	return out, true
 }
 
 // score reads one number or score token.
@@ -561,12 +653,7 @@ func (c *cursor) score() (float64, bool) {
 		}
 		return 0, false
 	}
-	tok, ok := c.num()
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	return v, err == nil
+	return c.float()
 }
 
 // skip steps over one value of any kind, checking its syntax; depth is

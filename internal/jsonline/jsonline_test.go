@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -106,11 +108,14 @@ type fields struct {
 	U    uint32
 	B    bool
 	F    []float64
+	N    float64
+	Is   []int
+	Ss   []string
 	Raw  []byte
 	Keys int
 }
 
-var testKeys = []string{"s", "i", "u", "b", "f", "raw"}
+var testKeys = []string{"s", "i", "u", "b", "f", "n", "is", "ss", "raw"}
 
 func scanFields(line []byte) (f fields, ok bool) {
 	o := NewObject(line)
@@ -127,6 +132,12 @@ func scanFields(line []byte) (f fields, ok bool) {
 			f.B = o.Bool()
 		case "f":
 			f.F = o.Floats()
+		case "n":
+			f.N = o.Float()
+		case "is":
+			f.Is = o.Ints()
+		case "ss":
+			f.Ss = o.Strings()
 		case "raw":
 			f.Raw = o.Raw()
 		default:
@@ -178,6 +189,15 @@ func TestObjectScanner(t *testing.T) {
 		{"non-JSON number", `{"f":[+1]}`, false, fields{}},
 		{"missing exponent digits", `{"f":[1e]}`, false, fields{}},
 		{"a string for a bool", `{"b":"true"}`, false, fields{}},
+		{"number and lists", `{"n":-1.5e-7,"is":[3,-0,9223372036854775807],"ss":["a","\u00e9",""]}`, true,
+			fields{N: -1.5e-7, Is: []int{3, 0, 9223372036854775807}, Ss: []string{"a", "\u00e9", ""}, Keys: 3}},
+		{"empty lists", `{"is":[],"ss":[ ]}`, true, fields{Is: []int{}, Ss: []string{}, Keys: 2}},
+		{"null in an int list", `{"is":[1,null]}`, false, fields{}},
+		{"a fraction in an int list", `{"is":[1.5]}`, false, fields{}},
+		{"a number in a string list", `{"ss":["a",1]}`, false, fields{}},
+		{"trailing comma in a list", `{"is":[1,]}`, false, fields{}},
+		{"a number beyond float64", `{"n":-1e309}`, false, fields{}},
+		{"a string for a number", `{"n":"1"}`, false, fields{}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			got, ok := scanFields([]byte(row.line))
@@ -193,6 +213,7 @@ func TestObjectScanner(t *testing.T) {
 				return
 			}
 			if got.S != row.want.S || got.I != row.want.I || got.U != row.want.U || got.B != row.want.B ||
+				got.N != row.want.N || !reflect.DeepEqual(got.Is, row.want.Is) || !reflect.DeepEqual(got.Ss, row.want.Ss) ||
 				!bytes.Equal(got.Raw, row.want.Raw) || got.Keys != row.want.Keys || len(got.F) != len(row.want.F) {
 				t.Fatalf("scan(%q) = %+v, want %+v", row.line, got, row.want)
 			}
@@ -202,5 +223,29 @@ func TestObjectScanner(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestField: a key names the field encoding/json reads it into — the
+// exact match, else a case-insensitive one under Unicode simple folding
+// — or none.
+func TestField(t *testing.T) {
+	var oracle struct {
+		Peers int `json:"peers"`
+		Seed  int `json:"seed"`
+	}
+	for _, key := range []string{"peers", "PEERS", "Seed", "\u017feed", "seeds", "peer", "", "\u212a"} {
+		line := []byte(`{` + strconv.Quote(key) + `:1}`)
+		o := NewObject(line)
+		o.Next()
+		got := o.Field("peers", "seed")
+		oracle.Peers, oracle.Seed = 0, 0
+		if err := json.Unmarshal(line, &oracle); err != nil {
+			t.Fatal(err)
+		}
+		want := map[[2]int]string{{1, 0}: "peers", {0, 1}: "seed", {0, 0}: ""}[[2]int{oracle.Peers, oracle.Seed}]
+		if got != want {
+			t.Errorf("key %q is field %q, encoding/json reads it into %q", key, got, want)
+		}
 	}
 }

@@ -199,14 +199,14 @@ func appendList[T any](b []byte, s []T, elem func([]byte, T) []byte) []byte {
 }
 
 // decodeSpecJSON reads spec.json as json.Unmarshal reads it into a
-// specJSON, keys matched case-insensitively and a repeated "config"
-// merged into the one before; ok is false for anything else, and for a
-// null in place of a value.
+// specJSON, a repeated "config" merged into the one before; ok is false
+// for anything else, for a null in place of a value and for a key that
+// matches a field only case-insensitively.
 func decodeSpecJSON(raw []byte) (sj specJSON, ok bool) {
 	cfgOK := true
 	o := jsonline.NewObject(raw)
 	for o.Next() {
-		switch o.Field(specKeys...) {
+		switch string(o.Key()) {
 		case "version":
 			sj.Version = int(o.Int(strconv.IntSize))
 		case "domain":
@@ -220,7 +220,7 @@ func decodeSpecJSON(raw []byte) (sj specJSON, ok bool) {
 		case "point_ids":
 			sj.PointIDs = o.Ints()
 		default:
-			o.Raw()
+			o.Skip(specKeys...)
 		}
 	}
 	return sj, o.End() && cfgOK
@@ -230,7 +230,7 @@ func decodeSpecJSON(raw []byte) (sj specJSON, ok bool) {
 func decodeConfigJSON(c *configJSON, raw []byte) bool {
 	o := jsonline.NewObject(raw)
 	for o.Next() {
-		switch o.Field(configKeys...) {
+		switch string(o.Key()) {
 		case "peers":
 			c.Peers = int(o.Int(strconv.IntSize))
 		case "rounds":
@@ -246,7 +246,7 @@ func decodeConfigJSON(c *configJSON, raw []byte) bool {
 		case "churn":
 			c.Churn = o.Float()
 		default:
-			o.Raw()
+			o.Skip(configKeys...)
 		}
 	}
 	return o.End()

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/delivery"
 	"repro/internal/dsa"
 	"repro/internal/gossip"
@@ -329,6 +330,69 @@ func hasNull(raw []byte) bool {
 	}
 }
 
+// specRefusedForm names why the spec codec may refuse a spec.json the
+// oracle reads — a null where a value was due, or a key, at any depth,
+// that matches a spec or config field only case-insensitively — or is ""
+// for anything else.
+func specRefusedForm(raw []byte) string {
+	if hasNull(raw) {
+		return "null in place of a value"
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	var objects []bool // per open container: whether it is an object
+	key := false       // whether the next token is a key
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return ""
+		}
+		if k, ok := tok.(string); ok && key {
+			for _, want := range append(slices.Clone(specKeys), configKeys...) {
+				if k != want && strings.EqualFold(k, want) {
+					return "case-folded key"
+				}
+			}
+			key = false
+			continue
+		}
+		switch tok {
+		case json.Delim('{'), json.Delim('['):
+			objects = append(objects, tok == json.Delim('{'))
+			key = tok == json.Delim('{')
+			continue
+		case json.Delim('}'), json.Delim(']'):
+			objects = objects[:len(objects)-1]
+		}
+		key = len(objects) > 0 && objects[len(objects)-1] // a value ended
+	}
+}
+
+// specRefusedForms are spec.json forms the oracle reads and the codec
+// refuses, one row per named form and place.
+var specRefusedForms = []struct{ form, raw string }{
+	{"null in place of a value", `{"version":3,"point_ids":null}`},
+	{"case-folded key", `{"version":3,"DOMAIN":"gossip"}`},
+	{"case-folded key", `{"version":3,"config":{"seed":1,"Peers":8}}`},
+	{"case-folded key", `{"version":3,"config":{},"x":[{"a":1}],"config":{"CHURN":0.5}}`},
+}
+
+// TestSpecRefusedForms lists what the spec codec refuses that
+// encoding/json would read.
+func TestSpecRefusedForms(t *testing.T) {
+	for _, row := range specRefusedForms {
+		var sj specJSON
+		if err := json.Unmarshal([]byte(row.raw), &sj); err != nil {
+			t.Errorf("the oracle refuses %s: %v", row.raw, err)
+		}
+		if got, ok := decodeSpecJSON([]byte(row.raw)); ok {
+			t.Errorf("the codec reads %s as %+v", row.raw, got)
+		}
+		if got := specRefusedForm([]byte(row.raw)); got != row.form {
+			t.Errorf("%s is named %q, want %q", row.raw, got, row.form)
+		}
+	}
+}
+
 // manifestRefusedForms are the lines the oracle reads and the codec
 // refuses, one per named form.
 var manifestRefusedForms = []struct{ form, line string }{
@@ -408,7 +472,8 @@ func TestParentManifest(t *testing.T) {
 }
 
 // FuzzManifestLine feeds the line decoder arbitrary bytes: whatever it
-// makes of them, the restored map only ever holds tasks of the spec
+// makes of them, the restore's fold leaves what the ID-keyed oracle
+// fold leaves, the restored map only ever holds tasks of the spec
 // with exactly their number of values, and a line it accepts reads
 // back to the same bits when re-encoded. Against the reflection
 // decoder, the oracle: the codec never accepts a line it refuses, never
@@ -416,17 +481,19 @@ func TestParentManifest(t *testing.T) {
 // a named form, re-encodes what it accepts to json.Marshal's bytes, and
 // reads back every line json.Marshal writes.
 func FuzzManifestLine(f *testing.F) {
-	a, b := Task{Measure: "m", Lo: 0, Hi: 2}, Task{Measure: "m", Lo: 2, Hi: 5}
+	x := newTaskIndex(Spec{Domain: measuresDomain{measures: []string{"m"}}, Points: make([]core.Point, 5), Chunk: 3})
+	a, b := x.tasks[0], x.tasks[1] // m-00000-00003, m-00003-00005
 	valid := map[string]Task{a.ID(): a, b.ID(): b}
 	seed := func(line []byte) { f.Add(line, "", []byte(nil), int64(0), false) }
-	seed([]byte(`{"task":"m-00002-00005","values":[1,"NaN",-0.5],"elapsed_ms":3}`))
-	seed([]byte(`{"task":"m-00000-00002","dead":true}`))
-	seed([]byte(`{"task":"m-00000-00002","values":[0.25,"-Inf"],"elapsed_ms":5,"worker":"w\u00e9\"0"}`))
-	seed([]byte(`{"task":"m-00002-00005","values":[1,2]}`))
-	seed([]byte(`{"task":"m-00002-00005","values":[1,"+Inf","-In`))
-	seed([]byte(`{"task":"other-00000-00002","values":[1,2]}`))
-	seed([]byte(`{"task":"m-00002-00005","values":[1,2,3],"dead":true}`))
-	seed([]byte(` {"values" : [ 1 ,2] ,"x":{"task":[]}, "task":"m-00000-002"}` + "\r"))
+	seed([]byte(`{"task":"m-00003-00005","values":["NaN",-0.5],"elapsed_ms":3}`))
+	seed([]byte(`{"task":"m-00000-00003","dead":true}`))
+	seed([]byte(`{"task":"m-00000-00003","values":[0.25,"-Inf",1],"elapsed_ms":5,"worker":"w\u00e9\"0"}`))
+	seed([]byte(`{"task":"m-00003-00005","values":[1,2,3]}`))
+	seed([]byte(`{"task":"m-00003-00005","values":[1,"+Inf","-In`))
+	seed([]byte(`{"task":"other-00000-00003","values":[1,2,3]}`))
+	seed([]byte(`{"task":"m-00003-00005","values":[1,2],"dead":true}`))
+	seed([]byte(`{"task":"m-0000\u0033-00005","values":[1,2]}`))
+	seed([]byte(` {"values" : [ 1 ,2] ,"x":{"task":[]}, "task":"m-00003-005"}` + "\r"))
 	for _, row := range manifestRefusedForms {
 		seed([]byte(row.line))
 	}
@@ -449,9 +516,9 @@ func FuzzManifestLine(f *testing.F) {
 		f.Add([]byte(nil), e.Task, bits, e.ElapsedMS, e.Dead)
 	}
 	f.Fuzz(func(t *testing.T, line []byte, task string, bits []byte, elapsed int64, dead bool) {
-		before := []float64{1, 2}
+		before := []float64{1, 2, 3}
 		out := map[string][]float64{a.ID(): before}
-		applyManifestLine(out, valid, line)
+		foldBoth(t, x, [][]float64{before, nil}, out, line)
 		for id, vals := range out {
 			task, ok := valid[id]
 			if !ok || len(vals) != task.Hi-task.Lo {
@@ -518,8 +585,8 @@ func sameEntry(a, b manifestEntry) bool {
 // FuzzDecodeSpec feeds the wire spec decoder arbitrary bytes. Against
 // encoding/json, the oracle: the hand codec reads what json.Unmarshal
 // reads into a specJSON, to the same fields, and refuses what it refuses,
-// save one named form, a null in place of a value; what it reads it
-// writes as json.Marshal does. A payload DecodeSpec accepts re-encodes
+// save in a named form (specRefusedForm); what it reads it writes as
+// json.Marshal does. A payload DecodeSpec accepts re-encodes
 // to canonical bytes — the bytes a job ID hashes, json.Marshal's of its
 // specJSON. Decoding those gives back the same Spec (with the chunk a
 // zero or negative one stands for), and encoding that again gives the
@@ -544,6 +611,9 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`{"version":3,"domain":"go\u0073sip","config":{"seed":-9223372036854775808},"chunk":1.5}`))
 	f.Add([]byte(`{"version":3,"config":null}`))
 	f.Add([]byte(`null`))
+	for _, row := range specRefusedForms {
+		f.Add([]byte(row.raw))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		got, ok := decodeSpecJSON(raw)
 		var want specJSON
@@ -553,7 +623,7 @@ func FuzzDecodeSpec(f *testing.F) {
 			t.Fatalf("codec accepts %q as %+v, the oracle refuses it", raw, got)
 		case ok && !reflect.DeepEqual(got, want):
 			t.Fatalf("codec reads %q as %+v, the oracle as %+v", raw, got, want)
-		case !ok && wantOK && !hasNull(raw):
+		case !ok && wantOK && specRefusedForm(raw) == "":
 			t.Fatalf("codec refuses %q, which the oracle reads as %+v, in no named form", raw, want)
 		case ok:
 			mine, err := appendSpecJSON(nil, got)

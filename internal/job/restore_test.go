@@ -43,6 +43,29 @@ func applyManifestLine(out map[string][]float64, valid map[string]Task, line []b
 	return Result{Task: t, Values: e.Values, Elapsed: time.Duration(e.ElapsedMS) * time.Millisecond, Worker: e.Worker, Dead: e.Dead}, true
 }
 
+// foldBoth folds line into done through foldManifestLine and into out
+// through the oracle, where done and out hold the same entries of x's
+// tasks, and fails t unless both return the same entry (or both refuse
+// the line) and leave the same entries.
+func foldBoth(t *testing.T, x taskIndex, done [][]float64, out map[string][]float64, line []byte) {
+	t.Helper()
+	valid := map[string]Task{}
+	for _, task := range x.tasks {
+		valid[task.ID()] = task
+	}
+	got, ok := foldManifestLine(done, x, line)
+	want, wantOK := applyManifestLine(out, valid, line)
+	if ok != wantOK || got.Task != want.Task || got.Elapsed != want.Elapsed || got.Worker != want.Worker ||
+		got.Dead != want.Dead || (got.Values == nil) != (want.Values == nil) || !sameValues(got.Values, want.Values) {
+		t.Fatalf("line %q folds to %+v (%v), the ID map to %+v (%v)", line, got, ok, want, wantOK)
+	}
+	for i, task := range x.tasks {
+		if vals := out[task.ID()]; (done[i] == nil) != (vals == nil) || !sameValues(done[i], vals) {
+			t.Fatalf("line %q leaves task %s at %v, the ID map at %v", line, task.ID(), done[i], vals)
+		}
+	}
+}
+
 // loadCompleted restores dir's tasks as Load does, keyed by task ID.
 func loadCompleted(dir string) (map[string][]float64, error) {
 	spec, err := readSpec(dir)
@@ -61,6 +84,27 @@ func loadCompleted(dir string) (map[string][]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// TestParentManifestFold: the lines the reflection codec wrote to
+// testdata/parent-manifest.jsonl fold through the restore as through the
+// ID-keyed oracle, over a spec holding all their tasks but m-00011-00015.
+func TestParentManifestFold(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-manifest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := newTaskIndex(Spec{Domain: measuresDomain{measures: []string{"m"}}, Points: make([]core.Point, 11), Chunk: 4})
+	done := make([][]float64, len(x.tasks))
+	out := map[string][]float64{}
+	for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+		foldBoth(t, x, done, out, line)
+	}
+	for i, e := range []manifestEntry{parentManifest[0], parentManifest[5], parentManifest[2]} {
+		if x.tasks[i].ID() != e.Task || !sameValues(done[i], e.Values) {
+			t.Errorf("task %s restores to %v, want %s's %v", x.tasks[i].ID(), done[i], e.Task, e.Values)
+		}
+	}
 }
 
 // measuresDomain is a domain reduced to its measures, all a task index
@@ -83,7 +127,8 @@ var indexPoints = make([]core.Point, 130_000)
 // 100 000, where %05d stops padding), every name — a task's ID, each
 // one-byte mutation of it, arbitrary bytes — resolves to the same task or
 // to none, and a manifest line naming the task through JSON escapes
-// folds into the same restore.
+// folds into the same restore: a value line, one with a value too many
+// and a tombstone, over a restore that holds the task or does not.
 func FuzzTaskIndex(f *testing.F) {
 	f.Add(uint8(2), uint16(4), uint32(17), uint32(3), "m-00004-00008")
 	f.Add(uint8(4), uint16(1), uint32(9), uint32(40), "-00000-00001")
@@ -97,9 +142,8 @@ func FuzzTaskIndex(f *testing.F) {
 			Chunk: max(1+int(chunk)%4096, (n+2047)/2048)}
 		x := newTaskIndex(spec)
 		pos := map[string]int{}
-		valid := map[string]Task{}
 		for i, task := range x.tasks {
-			pos[task.ID()], valid[task.ID()] = i, task
+			pos[task.ID()] = i
 		}
 		resolve := func(name string) {
 			got, ok := x.parse(name)
@@ -127,20 +171,16 @@ func FuzzTaskIndex(f *testing.F) {
 			}
 		}
 
-		values := "[" + strings.Repeat("0,", task.Hi-task.Lo-1) + "0.5]"
+		values := strings.Repeat("0,", task.Hi-task.Lo-1) + "0.5"
+		held := make([]float64, task.Hi-task.Lo)
 		for _, quoted := range []string{escapeAll(id), escapeAll(name), string(jsonline.AppendString(nil, name))} {
-			line := []byte(`{"task":` + quoted + `,"values":` + values + `}`)
-			done := make([][]float64, len(x.tasks))
-			r, ok := foldManifestLine(done, x, line)
-			out := map[string][]float64{}
-			want, wantOK := applyManifestLine(out, valid, line)
-			if ok != wantOK || !reflect.DeepEqual(r, want) {
-				t.Fatalf("line %s folds to %+v (%v), the ID map to %+v (%v)", line, r, ok, want, wantOK)
-			}
-			for i, vals := range done {
-				if id := x.tasks[i].ID(); (vals != nil) != (out[id] != nil) {
-					t.Fatalf("line %s restores task %s as %v, the ID map as %v", line, id, vals, out[id])
+			for _, rest := range []string{`"values":[` + values + `]`, `"values":[1,` + values + `]`, `"dead":true`} {
+				done := make([][]float64, len(x.tasks))
+				out := map[string][]float64{}
+				if pick%2 == 1 {
+					done[pos[id]], out[id] = held, held
 				}
+				foldBoth(t, x, done, out, []byte(`{"task":`+quoted+`,`+rest+`}`))
 			}
 		}
 	})

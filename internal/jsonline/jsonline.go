@@ -17,9 +17,8 @@
 // wins), escaped strings (invalid UTF-8 and lone surrogates become
 // U+FFFD), unknown keys with any value nested up to encoding/json's depth
 // limit — and refuses everything encoding/json refuses. It also refuses
-// null in place of a value, which encoding/json takes. A key that matches
-// a field only case-insensitively is refused too, unless the format
-// matches its keys through Object.Field, as spec.json does.
+// two forms encoding/json takes: null in place of a value, and a key that
+// matches a field only case-insensitively.
 package jsonline
 
 import (
@@ -357,23 +356,6 @@ func (o *Object) Skip(known ...string) {
 		}
 	}
 	o.Raw()
-}
-
-// Field names the field the current key reads into, as encoding/json
-// matches a key to a struct field: the one of fields equal to it, else
-// the first that equals it case-insensitively, else "".
-func (o *Object) Field(fields ...string) string {
-	for _, f := range fields {
-		if string(o.key) == f {
-			return f
-		}
-	}
-	for _, f := range fields {
-		if bytes.EqualFold(o.key, []byte(f)) {
-			return f
-		}
-	}
-	return ""
 }
 
 // cursor is a position in JSON bytes and the scratch an escaped string

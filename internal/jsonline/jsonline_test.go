@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -223,29 +222,5 @@ func TestObjectScanner(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestField: a key names the field encoding/json reads it into — the
-// exact match, else a case-insensitive one under Unicode simple folding
-// — or none.
-func TestField(t *testing.T) {
-	var oracle struct {
-		Peers int `json:"peers"`
-		Seed  int `json:"seed"`
-	}
-	for _, key := range []string{"peers", "PEERS", "Seed", "\u017feed", "seeds", "peer", "", "\u212a"} {
-		line := []byte(`{` + strconv.Quote(key) + `:1}`)
-		o := NewObject(line)
-		o.Next()
-		got := o.Field("peers", "seed")
-		oracle.Peers, oracle.Seed = 0, 0
-		if err := json.Unmarshal(line, &oracle); err != nil {
-			t.Fatal(err)
-		}
-		want := map[[2]int]string{{1, 0}: "peers", {0, 1}: "seed", {0, 0}: ""}[[2]int{oracle.Peers, oracle.Seed}]
-		if got != want {
-			t.Errorf("key %q is field %q, encoding/json reads it into %q", key, got, want)
-		}
 	}
 }

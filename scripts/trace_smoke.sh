@@ -200,7 +200,7 @@ echo "== tracing overhead on the task execution path must stay under 5%"
 # Five alternations of the two benchmarks from one test binary, the order
 # flipped every round, min per side: host drift lands on both sides
 # instead of on whichever run came second. Each timed run lasts at least
-# 150 ms (one ExecTasks batch is ~11 ms on two cores): a few-op run is
+# 500 ms (one ExecTasks batch is ~11 ms on two cores): a few-op run is
 # too short to resolve a 5 % budget on a shared host.
 go test -c -o "$workdir/job.test" ./internal/job/
 : >"$workdir/bench.txt"
@@ -208,7 +208,7 @@ for round in 1 2 3 4 5; do
   pair=('^BenchmarkExecTasks$' '^BenchmarkExecTasksTraced$')
   if (( round % 2 == 0 )); then pair=("${pair[1]}" "${pair[0]}"); fi
   for bench in "${pair[@]}"; do
-    (cd internal/job && "$workdir/job.test" -test.run '^$' -test.bench "$bench" -test.benchtime 150ms) \
+    (cd internal/job && "$workdir/job.test" -test.run '^$' -test.bench "$bench" -test.benchtime 500ms) \
       | tee -a "$workdir/bench.txt"
   done
 done

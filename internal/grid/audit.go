@@ -69,11 +69,11 @@ func auditSelected(jobID, taskID string, rate float64) bool {
 
 func (c *Coordinator) auditEnabled() bool { return c.opts.AuditRate > 0 }
 
-// auditGrantable reports whether worker may take st's open audit
-// as a lease now.
+// auditGrantable reports whether worker may hold the re-check of st's
+// open audit now: take it unheld, or move it from a straggling holder.
 func auditGrantable(st *taskState, worker string, now time.Time) bool {
 	ast := st.audit
-	if ast == nil || st.worker != "" {
+	if ast == nil {
 		return false
 	}
 	if ast.second != "" {
@@ -220,10 +220,10 @@ func (c *Coordinator) quarantineLocked(name, reason string) {
 // voidLocked applies name's quarantine to j: a dispute it raised
 // dissolves (the audit goes back to a plain re-check), every
 // done-but-unverified task it produced is tombstoned and re-queued —
-// verified tasks survive, a second worker vouched for them — and every
-// lease it holds is revoked, the expiry it is: one commit, in task order.
-// The live verdict runs it on each job, and a registration on the job
-// it restores for every standing quarantine.
+// verified tasks survive, a second worker vouched for them — in one
+// commit, in task order, and every lease it still holds ends, the expiry
+// it is. The live verdict runs it on each job, and a registration on the
+// job it restores for every standing quarantine.
 func (c *Coordinator) voidLocked(j *gridJob, name string, now time.Time) {
 	var dead []job.Result
 	for _, st := range j.tasks {
@@ -234,13 +234,10 @@ func (c *Coordinator) voidLocked(j *gridJob, name string, now time.Time) {
 			dead = append(dead, job.Result{Task: st.task, Dead: true})
 		}
 	}
-	revoked := j.revocations(func(w string) bool { return w == name })
-	if len(dead)+len(revoked) == 0 {
-		return
-	}
-	c.commit(j, now, dead, revoked, "", "")
 	if n := len(dead); n > 0 {
+		c.commit(j, now, dead, nil, "", "")
 		c.metrics.invalidated.Add(float64(n))
 		c.log.Info("unaudited tasks invalidated and re-queued", "job", j.id, "worker", name, "tasks", n)
 	}
+	c.endLeasesLocked(j, j.revocations(func(w string) bool { return w == name }), now, "leases revoked")
 }

@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,20 +103,16 @@ func journalRecords(t testing.TB, dir string) []walRecord {
 	return recs
 }
 
-// leasesEnded counts worker's leases in dir's journals that ended
-// without its result: an expire naming it, or a hedge moving a task it
-// held.
-func leasesEnded(t testing.TB, dir, worker string) int {
-	t.Helper()
-	holder := map[[2]string]string{}
+// leasesEnded counts worker's leases that ended without its result, by
+// the coordinator's log: a move or an expiry naming it as the holder.
+func leasesEnded(log, worker string) int {
 	n := 0
-	for _, r := range journalRecords(t, dir) {
-		k := [2]string{r.Job, r.Task}
-		if (r.T == walHedge && holder[k] == worker) || (r.T == walExpire && r.Worker == worker) {
-			n++
-		}
-		if r.T == walLease || r.T == walHedge {
-			holder[k] = r.Worker
+	for _, line := range strings.Split(log, "\n") {
+		if (strings.Contains(line, `msg="lease moved"`) || strings.Contains(line, `msg="leases expired, tasks re-queued"`)) &&
+			strings.Contains(line, " worker="+worker+" ") {
+			_, tasks, _ := strings.Cut(line, " tasks=")
+			k, _ := strconv.Atoi(strings.Fields(tasks)[0])
+			n += k
 		}
 	}
 	return n
@@ -145,8 +142,8 @@ var scenarioOptions = CoordinatorOptions{LeaseTTL: time.Minute, AuditRate: 1}
 
 // TestLeaseIsOneDurableRoundTrip counts what a four-task lease — one
 // joint execution unit of a delivery job — costs end to end: one results
-// request and two writes to the job's file (the grant and the value
-// lines), none to the quarantine journal.
+// request and one write to the job's file (the value lines; a grant
+// writes nothing), none to the quarantine journal.
 func TestLeaseIsOneDurableRoundTrip(t *testing.T) {
 	spec := deliverySpec(t)
 	spec.Points = spec.Points[:spec.Chunk] // one chunk: four tasks, one lease
@@ -175,8 +172,8 @@ func TestLeaseIsOneDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, m, w := uploads.Load(), fw.count("manifest-grid.jsonl"), fw.count(walFileName); n != 1 || m != 2 || w != 0 {
-		t.Fatalf("a four-task lease cost %d results requests, %d writes to the job's file, %d to the quarantine journal; want 1, 2, 0", n, m, w)
+	if n, m, w := uploads.Load(), fw.count("manifest-grid.jsonl"), fw.count(walFileName); n != 1 || m != 1 || w != 0 {
+		t.Fatalf("a four-task lease cost %d results requests, %d writes to the job's file, %d to the quarantine journal; want 1, 1, 0", n, m, w)
 	}
 	if got := metrics.Snapshot().Uploads; got != 4 {
 		t.Fatalf("worker_uploads_total = %v, want the 4 acknowledged tasks", got)
@@ -293,13 +290,14 @@ func TestBatchAppendFailureLeavesLeased(t *testing.T) {
 	}
 }
 
-// TestExpireJournalsOneWrite: a mass expiry reaches the job's file as one write
-// whose records follow the job's task order, not the task map's, and the
-// leases that moved to a hedger before it are not the straggler's to
-// lose.
-func TestExpireJournalsOneWrite(t *testing.T) {
+// TestExpireWritesNothing: a mass expiry writes nothing to the job's
+// file and leaves the leases that moved to a hedger before it alone: they
+// are not the straggler's to lose. The log names the straggler once per
+// move and once per expiry.
+func TestExpireWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
+	var logs logSink
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Logger: logs.logger()})
 	defer coord.Close()
 	now := time.Unix(1000, 0)
 	coord.now = func() time.Time { return now }
@@ -325,7 +323,6 @@ func TestExpireJournalsOneWrite(t *testing.T) {
 	if len(hedges.Tasks) != 2 || hedges.Tasks[1].Task != lease[1].Task {
 		t.Fatalf("hedges = %+v, want the first two of %+v", hedges.Tasks, lease)
 	}
-	before := len(journalRecords(t, dir))
 
 	now = now.Add(35 * time.Second) // slow's 6 leases are dead, the 2 that moved to fast live
 	var fw fileWrites
@@ -335,18 +332,26 @@ func TestExpireJournalsOneWrite(t *testing.T) {
 	if snap.Requeues != 6 {
 		t.Fatalf("progress after the expiry = %+v, want 6 requeues", snap)
 	}
-	if n := fw.count("manifest-grid.jsonl"); n != 1 {
-		t.Fatalf("expiring 6 leases made %d writes to the job's file, want 1", n)
+	if n := fw.count("manifest-grid.jsonl"); n != 0 {
+		t.Fatalf("expiring 6 leases made %d writes to the job's file, want none", n)
 	}
-	var got, want []string
-	for _, r := range journalRecords(t, dir)[before:] {
-		got = append(got, r.T+" "+r.Task+" "+r.Worker)
+	coord.mu.Lock()
+	var pending []string
+	for _, st := range coord.jobs[id].tasks {
+		if st.status == taskPending && slices.ContainsFunc(lease, func(lt LeaseTask) bool { return lt.Task == st.id }) {
+			pending = append(pending, st.id)
+		}
 	}
+	coord.mu.Unlock()
+	var want []string
 	for _, lt := range lease[2:] {
-		want = append(want, walExpire+" "+lt.Task+" slow")
+		want = append(want, lt.Task)
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("expiry journalled\n%v\nwant, in task order,\n%v", got, want)
+	if !slices.Equal(pending, want) {
+		t.Fatalf("re-queued %v, want slow's unmoved %v", pending, want)
+	}
+	if moved, ended := leasesEnded(logs.String(), "slow"), strings.Count(logs.String(), `msg="leases expired, tasks re-queued"`); moved != 8 || ended != 1 {
+		t.Fatalf("the log ends %d of slow's leases in %d expiry records, want 8 (2 moved, 6 expired) and 1:\n%s", moved, ended, logs.String())
 	}
 }
 
@@ -438,6 +443,36 @@ func TestStragglerScanBound(t *testing.T) {
 	now = now.Add(10 * time.Second) // early's lease is 35 s old, late's 15 s
 	if got := lease("idle"); !slices.Equal(got, early) {
 		t.Fatalf("idle was granted %v, want early's straggling %v", got, early)
+	}
+}
+
+// TestExpiryAfterSkippedPoll: a poll before the earliest deadline the
+// last expiry walk saw skips the walk, and a lease that lapses after such a
+// poll still expires on the next one.
+func TestExpiryAfterSkippedPoll(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	defer coord.Close()
+	now := time.Unix(1000, 0)
+	coord.now = func() time.Time { return now }
+	id, err := coord.AddJob(gossipSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaseUpTo(t, coord, id, "first", 2) // deadline t+60 s
+	now = now.Add(20 * time.Second)
+	leaseUpTo(t, coord, id, "second", 2) // deadline t+80 s
+	for _, step := range []struct {
+		at       time.Duration // since the first lease
+		requeues int
+	}{
+		{61 * time.Second, 2}, // first's lease lapsed; the walk sees second's deadline
+		{70 * time.Second, 2}, // before it: no walk
+		{81 * time.Second, 4}, // second's lapsed since
+	} {
+		now = time.Unix(1000, 0).Add(step.at)
+		if snap := mustProgress(t, coord, id); snap.Requeues != step.requeues || snap.Leased != 4-step.requeues {
+			t.Fatalf("at %v: %+v, want %d leases expired", step.at, snap, step.requeues)
+		}
 	}
 }
 

@@ -334,7 +334,8 @@ func TestGridMultiJobFaultInjection(t *testing.T) {
 
 	const token = "fleet-secret"
 	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: 2 * time.Second, AuthToken: token})
+	var logs logSink
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: 2 * time.Second, AuthToken: token, Logger: logs.logger()})
 	defer coord.Close()
 	idA, err := coord.AddJobPriority(specA, 1)
 	if err != nil {
@@ -422,7 +423,7 @@ func TestGridMultiJobFaultInjection(t *testing.T) {
 		t.Fatalf("lease accounting short: A %d/%d, B %d/%d granted/total",
 			snapA.LeasesGranted, snapA.Total, snapB.LeasesGranted, snapB.Total)
 	}
-	if leasesEnded(t, dir, "fleet-2") == 0 {
+	if leasesEnded(logs.String(), "fleet-2") == 0 {
 		t.Fatal("killed worker's leases never moved or re-queued — the fault was not injected")
 	}
 	if snapA.Priority != 1 || snapB.Priority != 2 {

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -185,12 +186,12 @@ type gridJob struct {
 	pending   int             // tasks with status taskPending
 	done      int
 	audits    int       // open audits (setAudit); gates completion
-	requeues  int       // expire records: leases of any kind that ended without a result
+	requeues  int       // leases of any kind that ended without a result, this process
 	restored  int       // tasks restored from checkpoint at registration
 	startedAt time.Time // first lease grant; anchors the ETA estimate
-	// leasesGranted counts lease records — tasks and audits handed out,
-	// re-leases included, hedges not — the fair scheduler's deficit
-	// measure.
+	// leasesGranted counts grants this process made — tasks and audits
+	// handed out, re-leases included, moves not — the fair scheduler's
+	// deficit measure.
 	leasesGranted int
 	scores        *dsa.Scores // assembled once complete
 	scoresErr     error
@@ -204,6 +205,10 @@ type gridJob struct {
 	// oldestLease is the oldest lease a full straggler scan saw (zero:
 	// none yet). Later leases and moves start later on the same clock.
 	oldestLease time.Time
+	// expireAt bounds the next lapse from below: the earliest deadline and
+	// arbitration give-up the last full expiry walk saw, or a TTL past that
+	// walk. Every deadline set later is a TTL or more past it.
+	expireAt time.Time
 
 	// Score-cache plumbing (nil/zero without CoordinatorOptions.Cache):
 	// the job's key derivation context and per-point IDs, the epoch of
@@ -342,12 +347,6 @@ func (c *Coordinator) settle(j *gridJob, now time.Time, results []job.Result, re
 	for _, r := range recs {
 		c.apply(j, r, now)
 		switch r.T {
-		case walLease:
-			c.metrics.leasesGranted.Inc()
-		case walHedge:
-			c.metrics.leaseHedged.Inc()
-		case walExpire:
-			c.metrics.requeues.Inc()
 		case walVerify:
 			c.metrics.auditsPassed.Inc()
 		case walQuarantine:
@@ -472,22 +471,29 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	}
 	// Replay: the job's file, read once, line by line through the live
 	// transitions — a value line is an ingest by its worker, a tombstone
-	// an invalidation, a scheduler line its own transition. Leases re-arm
-	// with a fresh TTL from *this* coordinator's clock.
-	replayed := 0
+	// an invalidation, a scheduler line its own transition. An older
+	// coordinator's lease lines are counted and skipped: every task not
+	// done starts pending.
+	replayed, retired := 0, 0
 	if c.opts.Dir != "" {
 		cp, err := job.OpenCheckpoint(filepath.Join(c.opts.Dir, id), spec, func(line []byte, r job.Result, ok bool) {
 			if ok {
 				c.applyResult(j, r, now)
-			} else if rec, ok := decodeWALLine(line); ok && rec.T != walQuarantine {
-				c.apply(j, rec, now)
-			} else {
+			} else if rec, ok := decodeWALLine(line); !ok || rec.T == walQuarantine {
 				return
+			} else if retiredRecord(rec.T) {
+				retired++
+				return
+			} else {
+				c.apply(j, rec, now)
 			}
 			replayed++
 		})
 		if err != nil {
 			return nil, err
+		}
+		if retired > 0 {
+			c.log.Warn("job file holds lease records of an older coordinator, skipped: its unfinished tasks start pending", "job", id, "records", retired)
 		}
 		j.cp = cp
 		c.restoreLocked(j, cp.Completed(), now)
@@ -697,33 +703,71 @@ func (c *Coordinator) getJob(id string) (*gridJob, error) {
 // expireLocked ends every lease of j whose deadline has passed — a
 // computation or an audit re-check — scoring the expiry against the
 // worker that went silent, and re-queues the task of an arbitration that
-// ran out of road (no third worker ever arrived). Tasks are walked in
-// grant order and the records leave as one commit; a lease whose result
-// is being journalled does not lapse. Expiry is lazy: it
-// runs at the top of every API call that looks at task state, which is
-// the only time staleness could matter (plus the drain loop's ticks).
+// ran out of road (no third worker arrived, or the one that did hung).
+// Tasks are walked in grant order; a lease whose result is being
+// journalled does not lapse. Expiry is lazy: it runs at the top of every
+// API call that looks at task state, which is the only time staleness
+// could matter (plus the drain loop's ticks), and walks the table only
+// once j.expireAt has passed.
 func (c *Coordinator) expireLocked(j *gridJob) {
 	now := c.now()
-	var recs []walRecord
-	var splits []*taskState
+	if !now.After(j.expireAt) {
+		return
+	}
+	j.expireAt = now.Add(c.opts.leaseTTL())
+	var lapsed, splits []*taskState
 	for _, st := range j.tasks {
-		lapsed := st.worker != "" && !st.recording && st.deadline.Before(now)
-		if lapsed {
-			recs = append(recs, walRecord{T: walExpire, Task: st.id, Worker: st.worker})
+		if st.worker != "" && !st.recording && st.deadline.Before(now) {
+			lapsed = append(lapsed, st)
+		} else if st.worker != "" && st.deadline.Before(j.expireAt) {
+			j.expireAt = st.deadline
 		}
-		if ast := st.audit; ast != nil && (st.worker == "" || lapsed) && ast.second != "" && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
-			splits = append(splits, st)
+		if ast := st.audit; ast != nil && ast.second != "" {
+			if ast.giveUpAt.Before(now) {
+				splits = append(splits, st)
+			} else if ast.giveUpAt.Before(j.expireAt) {
+				j.expireAt = ast.giveUpAt
+			}
 		}
 	}
+	c.endLeasesLocked(j, lapsed, now, "leases expired, tasks re-queued")
 	for _, st := range splits {
 		// Unresolvable split (e.g. both claimants quarantine-proof in a
-		// 2-worker grid): discard both claims and re-run.
+		// 2-worker grid, or the one arbitrator left hung, its re-check
+		// held): discard both claims and re-run.
 		c.log.Info("audit split unresolved, re-queueing", "job", j.id, "task", st.id,
 			"original", st.audit.original, "second", st.audit.second)
 		c.invalidateTaskLocked(j, st)
 	}
-	if len(recs) > 0 {
-		c.commit(j, now, nil, recs, "", "leases expired, tasks re-queued", "job", j.id, "tasks", len(recs))
+}
+
+// endLeasesLocked ends the leases of sts without a result (endLease), in
+// order, logging msg once per holder.
+func (c *Coordinator) endLeasesLocked(j *gridJob, sts []*taskState, now time.Time, msg string) {
+	if len(sts) == 0 {
+		return
+	}
+	c.logHolders(sts, msg, "job", j.id)
+	for _, st := range sts {
+		c.endLease(j, st, now)
+	}
+	c.metrics.requeues.Add(float64(len(sts)))
+	c.settle(j, now, nil, nil, "", "")
+}
+
+// logHolders logs msg once per worker holding a lease of sts, first
+// holder first, naming it and how many of them it holds: who lost the
+// leases a move or an expiry ends.
+func (c *Coordinator) logHolders(sts []*taskState, msg string, attrs ...any) {
+	var holders []string
+	held := map[string]int{}
+	for _, st := range sts {
+		if held[st.worker]++; held[st.worker] == 1 {
+			holders = append(holders, st.worker)
+		}
+	}
+	for _, h := range holders {
+		c.log.Info(msg, append(slices.Clip(attrs), "worker", h, "tasks", held[h])...)
 	}
 }
 
@@ -759,53 +803,50 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 // (> 0) capping them. Grant order: audit re-leases (a few re-checks catch
 // a liar before it poisons more), then pending tasks, then — with
 // capacity to spare — straggling leases moved from their holders.
-// One commit per grant, in grant order. fair says the scheduler picked j
-// (the record then shows its share); rid ties the record to the lease
+// A grant changes memory only. fair says the scheduler picked j (the log
+// record then shows its share); rid ties the records to the lease
 // request.
 func (c *Coordinator) grantLocked(j *gridJob, worker string, most int, fair bool, rid string) []LeaseTask {
 	now, ttl := c.now(), c.opts.leaseTTL()
 	pending, live := j.pending, c.liveWorkersLocked(worker, now)
 	size := c.leaseSizeLocked(j, worker, most, live)
-	var recs []walRecord
-	var tasks []LeaseTask
-	grant := func(t string, st *taskState) {
-		recs = append(recs, walRecord{T: t, Task: st.id, Worker: worker})
-		tasks = append(tasks, LeaseTask{Task: st.id, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi, TTLMS: ttl.Milliseconds()})
-	}
-	var audits []*taskState
+	var granted []*taskState
 	if j.audits > 0 {
 		for _, st := range j.tasks {
-			if len(recs) == size {
+			if len(granted) == size {
 				break
 			}
-			if auditGrantable(st, worker, now) {
-				grant(walLease, st)
-				audits = append(audits, st)
+			if st.worker == "" && auditGrantable(st, worker, now) {
+				granted = append(granted, st)
 			}
 		}
 	}
-	for ; j.next < len(j.tasks) && len(recs) < size; j.next++ {
+	for ; j.next < len(j.tasks) && len(granted) < size; j.next++ {
 		j.scanned++
 		if st := j.tasks[j.next]; st.status == taskPending && !st.recording {
-			grant(walLease, st)
+			granted = append(granted, st)
 		}
 	}
-	leases := len(recs) // audit + pending grants: what the fair share counts
-	for _, st := range c.stragglersLocked(j, worker, size-leases, now) {
-		grant(walHedge, st)
-	}
-	if len(recs) == 0 {
+	moved := c.stragglersLocked(j, worker, size-len(granted), now)
+	if len(granted)+len(moved) == 0 {
 		return nil
 	}
-	attrs := []any{"job", j.id, "worker", worker, "tasks", len(tasks), "pending", pending, "live", live}
+	// A move stays out of the fair-share deficit: insurance the scheduler
+	// buys, not demand the job generated.
+	j.leasesGranted += len(granted)
+	attrs := []any{"job", j.id, "worker", worker, "tasks", len(granted) + len(moved), "pending", pending, "live", live}
 	if fair {
-		attrs = append(attrs, "fair_share", j.leasesGranted+leases, "weight", j.weight)
+		attrs = append(attrs, "fair_share", j.leasesGranted, "weight", j.weight)
 	}
-	c.commit(j, now, nil, recs, rid, "leased", attrs...)
-	// Who holds a re-check is the grant's to note, not the journal's.
-	for _, st := range audits {
-		st.hold(worker, now, ttl)
+	c.logHolders(moved, "lease moved", "rid", rid, "job", j.id, "to", worker)
+	var tasks []LeaseTask
+	for _, st := range slices.Concat(granted, moved) {
+		c.grantLease(j, st, worker, now)
+		tasks = append(tasks, LeaseTask{Task: st.id, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi, TTLMS: ttl.Milliseconds()})
 	}
+	c.metrics.leasesGranted.Add(float64(len(granted)))
+	c.metrics.leaseHedged.Add(float64(len(moved)))
+	c.settle(j, now, nil, nil, rid, "leased", attrs...)
 	if j.startedAt.IsZero() {
 		j.startedAt = now
 	}

@@ -282,10 +282,15 @@ func TestCommitGolden(t *testing.T) {
 		fmt.Fprintf(&sb, "==== seed %d\n%s", seed, goldenRun(t, seed))
 	}
 	got := sb.String()
-	for _, want := range []string{`"t":"quarantine"`, `"t":"hedge"`, `"t":"expire"`, `"t":"verify"`, `"t":"priority"`,
+	for _, want := range []string{`"t":"quarantine"`, `"t":"verify"`, `"t":"priority"`, `msg="lease moved"`, `msg="leases expired, tasks re-queued"`,
 		"QUARANTINED", "revoked=4", "AUDIT MISMATCH", "audit split unresolved", "fair_share=", "drained"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("the runs never produced %s; they are too tame to pin the commit path", want)
+		}
+	}
+	for _, retired := range []string{`"t":"lease"`, `"t":"hedge"`, `"t":"expire"`} {
+		if strings.Contains(got, retired) {
+			t.Errorf("the runs journalled a %s record: a lease lives in memory only", retired)
 		}
 	}
 

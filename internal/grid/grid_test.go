@@ -147,7 +147,8 @@ func TestGridWorkerKilledMidSweep(t *testing.T) {
 	want := wantScores(t, spec)
 
 	dir := t.TempDir()
-	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: 150 * time.Millisecond})
+	var logs logSink
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: 150 * time.Millisecond, Logger: logs.logger()})
 	defer coord.Close()
 	id, err := coord.AddJob(spec)
 	if err != nil {
@@ -196,7 +197,7 @@ func TestGridWorkerKilledMidSweep(t *testing.T) {
 	}
 	// Its leases end whichever way comes first: moved to the polling
 	// survivor past half a TTL, or expired at the TTL.
-	if n := leasesEnded(t, dir, "doomed"); n < 2 {
+	if n := leasesEnded(logs.String(), "doomed"); n < 2 {
 		t.Fatalf("the dead worker's 2 held leases should have moved or expired, %d did", n)
 	}
 	got, err := coord.WaitComplete(ctx, id)

@@ -28,35 +28,34 @@ import (
 // notDurable is what durableProjection leaves out, and why: the fields a
 // restart is not meant to get back (DESIGN.md, "one rule").
 var notDurable = []struct{ field, why string }{
-	{"task deadline, leasedAt; audit relaxAt", "a replayed lease is re-armed with a fresh TTL from the new coordinator's clock"},
+	{"task status leased, a leased task's holder, deadline, leasedAt", "a lease is soft state: a restart starts every task not done pending"},
 	{"task recording", "an append in flight died with the process"},
 	{"task tainted", "only steers the cache absorb scan; a restart re-feeds the cache from what stands"},
-	{"a done task's holder; audit second, secondVals, secondMS, giveUpAt", "a re-check and an arbitration are not journalled: a restart re-opens the audit as a plain re-check (that it is open is compared)"},
+	{"a done task's holder; audit relaxAt, second, secondVals, secondMS, giveUpAt", "a re-check and an arbitration are not journalled: a restart re-opens the audit as a plain re-check, relaxing a TTL on (that it is open is compared)"},
+	{"job requeues, leasesGranted", "counters of one process: grants and expiries are not journalled, and the fair-share deficit starts at zero"},
+	{"worker failures, failEWMA", "expiries are not journalled: a restart scores every worker's failures from zero"},
 	{"worker firstSeen, lastSeen", "wall-clock liveness of the dead process"},
-	{"worker latEWMA, failEWMA with several jobs", "registerLocked replays one job's file at a time, so the EWMAs fold a worker's outcomes in registration order, not in the order they happened (ingest A, expire B, ingest A: 0.21 live, 0.3 replayed); journalling them is ROADMAP item 3's"},
+	{"worker latEWMA with several jobs", "registerLocked replays one job's file at a time, so the EWMA folds a worker's value lines in registration order, not in the order they happened"},
 	{"job next, scanned", "the grant cursor is a scan bound, re-derived by walking from 0"},
-	{"job startedAt, restored, scores, changed, cache plumbing", "per process lifetime: ETA anchor, assembled result, wake-up channel, cache epochs"},
+	{"job startedAt, restored, scores, changed, cache plumbing, oldestLease, expireAt", "per process lifetime: ETA anchor, assembled result, wake-up channel, cache epochs, scan bounds"},
 	{"values", "the job's file's value lines, not its scheduler lines; FuzzSchedule's invariant 3 compares them with the files' whole value lines"},
 }
 
 // durableProjection renders what the jobs' files and the quarantine
-// journal own of c's state: per task status, a leased task's holder, producer, verified and
-// whether an audit is open; each job's counters; the quarantined set;
-// every worker's counts, and with a single job its EWMAs.
+// journal own of c's state: per task whether it is done, its producer,
+// verified and whether an audit is open; each job's done and audit counts
+// and weight; the quarantined set; every worker's count of tasks done, and
+// with a single job its latency EWMA.
 func durableProjection(c *Coordinator) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sb strings.Builder
 	for _, j := range c.jobsLocked() {
 		for _, st := range j.tasks {
-			holder := ""
-			if st.status == taskLeased {
-				holder = st.worker
-			}
-			fmt.Fprintf(&sb, "%s status=%d holder=%q producer=%q verified=%v audit=%v\n",
-				st.id, st.status, holder, st.producer, st.verified, st.audit != nil)
+			fmt.Fprintf(&sb, "%s done=%v producer=%q verified=%v audit=%v\n",
+				st.id, st.status == taskDone, st.producer, st.verified, st.audit != nil)
 		}
-		fmt.Fprintf(&sb, "%s done=%d audits=%d requeues=%d leasesGranted=%d weight=%d\n", j.id, j.done, j.audits, j.requeues, j.leasesGranted, j.weight)
+		fmt.Fprintf(&sb, "%s done=%d audits=%d weight=%d\n", j.id, j.done, j.audits, j.weight)
 	}
 	quarantined := make([]string, 0, len(c.quarantined))
 	for name := range c.quarantined {
@@ -66,18 +65,18 @@ func durableProjection(c *Coordinator) string {
 	fmt.Fprintf(&sb, "quarantined=%v\n", quarantined)
 	names := make([]string, 0, len(c.workers))
 	for name, ws := range c.workers {
-		// A row that only ever said hello (an empty grant, a duplicate)
-		// holds nothing a journal owns.
-		if ws.done+ws.failures > 0 {
+		// A row that never had a task done (an empty grant, a duplicate, a
+		// lease that ended) holds nothing a journal owns.
+		if ws.done > 0 {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		ws := c.workers[name]
-		fmt.Fprintf(&sb, "worker %s done=%d failures=%d", name, ws.done, ws.failures)
+		fmt.Fprintf(&sb, "worker %s done=%d", name, ws.done)
 		if len(c.jobs) == 1 {
-			fmt.Fprintf(&sb, " latEWMA=%v failEWMA=%v", ws.latEWMA, ws.failEWMA)
+			fmt.Fprintf(&sb, " latEWMA=%v", ws.latEWMA)
 		}
 		sb.WriteByte('\n')
 	}

@@ -226,18 +226,19 @@ func (c *Coordinator) hedgeThresholdLocked() time.Duration {
 }
 
 // stragglersLocked lists j's straggling leases that could move to
-// worker, in grant order, at most room of them. The moved lease is an
-// ordinary-looking lease to its new holder; the straggler hears it lost
-// at its next heartbeat but may still upload, and the first idempotent
-// ingest wins, the loser's upload absorbed as a duplicate (or as audit
-// evidence). A lease whose result is being journalled stays put.
+// worker, in grant order, at most room of them: tasks computing, and
+// audit re-checks worker may take. The moved lease is an ordinary-looking
+// lease to its new holder; the straggler hears it lost at its next
+// heartbeat but may still upload, and the first idempotent ingest wins,
+// the loser's upload absorbed as a duplicate (or as audit evidence). A
+// lease whose result is being journalled stays put.
 //
 // This is what ends a lease whose holder keeps heartbeating but never
 // uploads: no other rule takes a renewed lease away. A job's tail lease
 // polls skip the walk until j.oldestLease straggles.
 func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now time.Time) []*taskState {
 	th := c.hedgeThresholdLocked()
-	if j.pending+j.done == len(j.tasks) || now.Sub(j.oldestLease) < th {
+	if j.pending+j.done == len(j.tasks) && j.audits == 0 || now.Sub(j.oldestLease) < th {
 		return nil // no lease held, or none old enough to straggle
 	}
 	var out []*taskState
@@ -246,10 +247,11 @@ func (c *Coordinator) stragglersLocked(j *gridJob, worker string, room int, now 
 		if len(out) == room {
 			return out
 		}
-		if st.status == taskLeased && st.leasedAt.Before(oldest) {
+		if st.worker != "" && st.leasedAt.Before(oldest) {
 			oldest = st.leasedAt
 		}
-		if st.status == taskLeased && !st.recording && st.worker != worker && now.Sub(st.leasedAt) >= th {
+		if st.worker != "" && st.worker != worker && !st.recording && now.Sub(st.leasedAt) >= th &&
+			(st.status == taskLeased || auditGrantable(st, worker, now)) {
 			out = append(out, st)
 		}
 	}

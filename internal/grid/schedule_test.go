@@ -89,11 +89,13 @@ var scheduleRefs = sync.OnceValue(func() (refs []scheduleRef) {
 
 // Worker kinds. A liar is Work's core with WorkerOptions.Corrupt sending
 // every value off by one; a silent worker is the core with every action
-// after its first lease dropped.
+// after its first lease dropped; a hung worker is the core whose compute
+// never ends: it heartbeats what it holds and never uploads, to the end.
 const (
 	kindHonest = iota
 	kindLiar
 	kindSilent
+	kindHung
 )
 
 // simWorker is one worker of the world: Work's decisions (workCore), with
@@ -154,6 +156,7 @@ type world struct {
 
 	// What the invariants judge besides the coordinator's own state.
 	lastLive    string          // the dead coordinator's projection (2)
+	granted     map[string]int  // per job, the grants this coordinator answered (7)
 	cut         bool            // the last restart's files were cut inside an append (2)
 	everCut     bool            // (10)
 	fairOnly    bool            // every grant so far was a single task of the scheduler's pick, none a hedge (7)
@@ -169,8 +172,8 @@ type world struct {
 // newWorld reads the header — three bytes and one per worker, zero if
 // missing — and keeps the rest as steps. Byte 0: AuditRate 0 or 1 (bit 0),
 // 1–3 jobs (bits 2-3), 2–5 workers (bits 4-5); bit 1 is not read. Byte 1: the
-// kind of workers 1.. (two bits each: 2 a liar — one at most —, 3 silent,
-// else honest; worker 0 is always honest). Byte 2: each job's priority 1–3
+// kind of workers 1.. (two bits each: 1 hung, 2 a liar — one at most —, 3
+// silent, else honest; worker 0 is always honest). Byte 2: each job's priority 1–3
 // (two bits each). A worker's byte: its TasksPerLease leaseSizes[b&7%5],
 // and with bits 3-4 set to j > 0 it serves job (j-1)%jobs alone — worker
 // 0 always serves every job, so an honest worker can finish them all.
@@ -198,6 +201,8 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 		kind := kindHonest
 		if i > 0 {
 			switch hdr[1] >> (2 * (i - 1)) & 3 {
+			case 1:
+				kind = kindHung
 			case 2:
 				if w.liar() == nil {
 					kind = kindLiar
@@ -207,7 +212,7 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 			}
 		}
 		cfg := hdr[3+i]
-		wk := &simWorker{name: fmt.Sprintf("%s%d", [...]string{"honest", "liar", "silent"}[kind], i), kind: kind, bind: -1}
+		wk := &simWorker{name: fmt.Sprintf("%s%d", [...]string{"honest", "liar", "silent", "hung"}[kind], i), kind: kind, bind: -1}
 		if j := int(cfg >> 3 & 3); j > 0 && i > 0 {
 			wk.bind = (j - 1) % len(w.refs)
 		}
@@ -339,15 +344,18 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 			if st.worker != who {
 				w.violate(&grants, "%s was granted %s, whose holder is %q", who, lt.Task, st.worker)
 			}
-			// A live lease moves only from a task computing, only from
-			// another worker, and only past the straggler threshold (never
-			// under half a TTL): a hedge.
-			if was := held[j.id+"/"+lt.Task]; was.worker != "" && !was.deadline.Before(now) {
+			// A live lease — a task computing or an audit re-check — moves
+			// only from another worker, and only past the straggler
+			// threshold (never under half a TTL): a hedge. (A re-check whose
+			// value the request invalidated is granted afresh.)
+			if was := held[j.id+"/"+lt.Task]; was.worker != "" && !was.deadline.Before(now) && was.status == st.status {
 				age := now.Sub(was.leasedAt)
-				if was.status != taskLeased || was.worker == who || age < scheduleTTL/2 || age < c.hedgeThresholdLocked() {
+				if was.worker == who || age < scheduleTTL/2 || age < c.hedgeThresholdLocked() {
 					w.violate(&grants, "%s took %s (status %d) from %q, who got it %v ago", who, lt.Task, was.status, was.worker, age)
 				}
 				hedged = true
+			} else {
+				w.granted[j.id]++
 			}
 			if st.status == taskDone && st.producer == who && st.audit != nil {
 				if now.Before(st.audit.relaxAt) {
@@ -409,7 +417,7 @@ func (w *world) record(path string, p []byte) {
 func (w *world) open(dir string) {
 	opts := w.opts
 	opts.Dir = dir
-	w.dir, w.writes, w.parsed, w.selfGrant = dir, nil, 0, map[string]bool{}
+	w.dir, w.writes, w.parsed, w.selfGrant, w.granted = dir, nil, 0, map[string]bool{}, map[string]int{}
 	w.c = NewCoordinator(opts)
 	w.c.now = w.now
 	w.h = w.c.Handler()
@@ -559,6 +567,7 @@ func (w *world) start(wk *simWorker) {
 // next delivers one of wk's due events and reports whether it had one. By
 // k, it prefers its oldest held answer, then a compute unit, then its timer
 // once the clock has reached it (0); the timer first (1); a unit first (2).
+// A hung worker's units never finish.
 func (w *world) next(wk *simWorker, k int) bool {
 	timer := !wk.wake.IsZero() && !w.now().Before(wk.wake)
 	for _, src := range [...]string{"qut", "tqu", "uqt"}[k] {
@@ -568,7 +577,7 @@ func (w *world) next(wk *simWorker, k int) bool {
 			wk.queue = wk.queue[1:]
 			w.deliver(wk, ev)
 			return true
-		case src == 'u' && len(wk.units) > 0:
+		case src == 'u' && len(wk.units) > 0 && wk.kind != kindHung:
 			t := wk.units[0]
 			wk.units = wk.units[1:]
 			last := len(wk.units) == 0
@@ -781,9 +790,9 @@ func (w *world) scanRecords() {
 
 // finish stops the faults and lets the honest workers alone finish every
 // job: a draining coordinator first settles — the drain's wait — and
-// restarts on the same directory; then, every half TTL, each honest
-// worker still admitted — restarted if it went away — takes every event
-// that is due.
+// restarts on the same directory; then, every half TTL, each honest or
+// hung worker still admitted — restarted if it went away — takes every
+// event that is due: a hung one heartbeats what it holds to the end.
 func (w *world) finish() {
 	w.fault, w.step = 0, len(w.steps)
 	if w.c.Draining() {
@@ -818,7 +827,7 @@ func (w *world) finish() {
 			w.advance(scheduleTTL / 2)
 		}
 		for _, wk := range w.workers {
-			if wk.kind != kindHonest || w.quarantined(wk.name) {
+			if wk.kind != kindHonest && wk.kind != kindHung || w.quarantined(wk.name) {
 				continue
 			}
 			if wk.core == nil || wk.core.exited {
@@ -940,7 +949,7 @@ func (w *world) violate(inv *invariant, format string, args ...any) {
 }
 
 var (
-	everyStep = []*invariant{&consistent, &restoreIsManifest, &quarantines, &audited}
+	everyStep = []*invariant{&consistent, &restoreIsManifest, &quarantines, &audited, &grants}
 	atRestart = []*invariant{&consistent, &restartEqualsLive, &restoreIsManifest, &grants}
 	atEnd     = []*invariant{&honestFinish, &consistent, &restoreIsManifest, &csvMatchesRun, &quarantines, &audited, &grants}
 )
@@ -984,7 +993,7 @@ var consistent = invariant{"1 consistent task table", func(w *world) error {
 				j.id, j.done, j.pending, j.audits, done, pending, audits)
 		}
 		if r := j.revocations(func(w string) bool { return c.quarantined[w] }); len(r) > 0 {
-			return fmt.Errorf("task %s is on lease to the quarantined %s", r[0].Task, r[0].Worker)
+			return fmt.Errorf("task %s is on lease to the quarantined %s", r[0].id, r[0].worker)
 		}
 	}
 	select {
@@ -1085,35 +1094,30 @@ var audited = invariant{"6 audited jobs complete verified", func(w *world) error
 	return nil
 }}
 
-// 7. Per job, leasesGranted is the lease records of its file — a hedge
-// never counts. (Also judged on the spot: a re-posted job keeps its
+// 7. Per job, leasesGranted is the grants the coordinator has answered
+// since it started — tasks and audit re-checks; a move never counts.
+// (Also judged on the spot: a re-posted job keeps its
 // ID and takes the new priority; no grant while draining, none past the
 // request's cap, none past one chunk group to a worker with no ingested
 // task, none outside its job; every grant leaves its worker the holder; a
-// held lease moves only from a task computing, to another worker, past
-// the straggler threshold; and until the first such move, while every
+// held lease moves only to another worker, past the straggler threshold; and until the first such move, while every
 // grant is a single task of the scheduler's pick with every job pending,
 // granted-per-weight shares stay within 1 of each other.)
 var grants = invariant{"7 grants", func(w *world) error {
-	leases := map[string]int{}
-	for _, r := range journalRecords(w.t, w.dir) {
-		if r.T == walLease {
-			leases[r.Job]++
-		}
-	}
 	c := w.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range w.ids {
-		if j := c.jobs[id]; j.leasesGranted != leases[id] {
-			return fmt.Errorf("job %s counts %d grants, its file holds %d lease records", id, j.leasesGranted, leases[id])
+		if j := c.jobs[id]; j.leasesGranted != w.granted[id] {
+			return fmt.Errorf("job %s counts %d grants, its answers since start-up %d", id, j.leasesGranted, w.granted[id])
 		}
 	}
 	return nil
 }}
 
 // 8. Once the faults stop, the honest workers alone finish every job
-// within 30 TTLs (judged by finish). (Also judged on the spot: a worker
+// within 30 TTLs (judged by finish), a hung worker heartbeating what it
+// holds to the end. (Also judged on the spot: a worker
 // whose timer fires while it holds leases, with no heartbeat in flight,
 // heartbeats them.)
 var honestFinish = invariant{"8 honest workers finish", func(w *world) error {
@@ -1156,8 +1160,8 @@ func firstDiff(a, b string) error {
 // spell writes a schedule: the header, then one byte per step.
 type spell []byte
 
-// schedule starts a spell: kinds names every worker ('h' honest, 'l' the
-// liar, 's' silent; worker 0 is honest), prios every job's priority. Every
+// schedule starts a spell: kinds names every worker ('h' honest, 'u' hung,
+// 'l' the liar, 's' silent; worker 0 is honest), prios every job's priority. Every
 // worker leases from every job, as many tasks as the coordinator grants,
 // until tasks or bind says otherwise.
 func schedule(audit bool, kinds string, prios ...int) spell {
@@ -1167,7 +1171,7 @@ func schedule(audit bool, kinds string, prios ...int) spell {
 	}
 	h0 |= byte(len(prios)-1)<<2 | byte(len(kinds)-2)<<4
 	for i, k := range kinds[1:] {
-		h1 |= byte(strings.IndexRune("h?ls", k)) << (2 * i)
+		h1 |= byte(strings.IndexRune("huls", k)) << (2 * i)
 	}
 	for j, p := range prios {
 		h2 |= byte(p-1) << (2 * j)
@@ -1213,6 +1217,10 @@ func (s spell) holdsRest(wk int) spell { return s.step(wk).batch(wk).step(wk) }
 // is a sized grant (six of the seven tasks pending), and goes quiet with
 // it for a TTL.
 var sizedGrantDies = schedule(false, "hs", 1).stray(1, 0).step(1).clock(9)
+
+// hungThroughRestart: worker 1, hung, holds its probe grant across a
+// restart; worker 2, hung too, then takes a grant of the new coordinator.
+var hungThroughRestart = schedule(false, "huu", 1).started(1).kill().clock(3).beat(1).step(1).started(2)
 
 // cut is a kill -9 inside the last append to a job's file (else to the
 // quarantine journal): after its line-th line, off by d bytes.
@@ -1268,7 +1276,7 @@ func scheduleCorpus() []spell {
 		schedule(false, "hh", 1).tasks(0, 8).holdsRest(0).clock(5).refuse().beat(0).step(0).step(0).step(0).batch(0),
 		// A kill -9 while a worker holds a live lease (granted on a retry of a dropped request).
 		schedule(false, "hh", 1).tasks(0, 2).started(0).unit(0).step(0).unit(0).drop().step(0).kill().clock(9),
-		// Expired leases, then a kill -9: the expiries replay.
+		// Expired leases, then a kill -9: the restart starts their tasks pending.
 		schedule(false, "hhs", 1).tasks(0, 2).step(2).clock(9).step(0).kill(),
 		// 1:3 fair share over single-task global grants.
 		schedule(false, "hh", 1, 3).tasks(0, 1).tasks(1, 1).step(0).step(1).batch(0).batch(1).batch(0).batch(1).batch(0).batch(1),
@@ -1291,6 +1299,16 @@ func scheduleCorpus() []spell {
 		schedule(false, "hh", 1).started(0).lose().unit(0),
 		// A worker dies holding a sized grant: all of its tasks re-queue after one TTL.
 		sizedGrantDies,
+		// A kill -9 while a hung worker holds leases: the restart starts them pending, its heartbeat
+		// finds them lost. A second hung worker leases them anew and heartbeats them to the end, never
+		// uploading: only a move ends them (invariant 8).
+		hungThroughRestart,
+		// Full audits and a hung worker, faults none: the audit re-checks it takes it heartbeats to the
+		// end, so they move to an honest asker past the straggler threshold (invariant 8).
+		schedule(true, "huhsh", 1),
+		// A liar's stray lie, disputed by the one honest finisher: the only worker left to arbitrate is
+		// hung, so the split re-queues at its give-up though its re-check is still held (invariant 8).
+		schedule(true, "hul", 1).tasks(1, 0, 0).tasks(2, 0, 0).stray(2, 0),
 	}
 	// A kill -9 inside a four-line body's one append, at each line
 	// boundary and a byte either side; and at each boundary with audits

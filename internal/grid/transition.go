@@ -17,41 +17,27 @@ import (
 // two runs it. The functions assert state, not the mutex: replay runs
 // them before the job is published.
 //
-// Counters are per record, not per effect: every lease record is one
-// grant against the job's fair share and every expire record is one
-// requeue and one failure against its worker, whether or not the task
-// still looks the way it did when the record was written.
+// A lease has no line. Its grant or move (grantLease) and its end
+// (endLease) change memory alone, so leasesGranted, requeues and the
+// failure EWMA count what this process saw, and a restart starts every
+// unfinished task pending.
 
 // apply performs scheduler record r's in-memory change on j. A quarantine
 // names no job: it bans its worker, and what the ban does to a job is
 // that job's own lines (voidLocked). Any other record needs its job.
 func (c *Coordinator) apply(j *gridJob, r walRecord, now time.Time) {
-	if r.T == walQuarantine {
+	switch {
+	case r.T == walQuarantine:
 		c.quarantined[r.Worker] = true
-		return
-	}
-	if j == nil {
-		return
-	}
-	if r.T == walPriority {
+	case j == nil:
+	case r.T == walPriority:
 		if r.Weight >= 1 {
 			j.weight = r.Weight
 		}
-		return
-	}
-	st := j.task(r.Task)
-	if st == nil {
-		return
-	}
-	switch r.T {
-	case walLease:
-		c.applyLease(j, st, r.Worker, now)
-	case walHedge:
-		c.applyHedge(st, r.Worker, now)
-	case walExpire:
-		c.applyExpire(j, st, r.Worker, now)
-	case walVerify:
-		c.applyVerify(j, st, r.Worker, time.Duration(r.ElapsedMS)*time.Millisecond, now)
+	case r.T == walVerify:
+		if st := j.task(r.Task); st != nil {
+			c.applyVerify(j, st, r.Worker, time.Duration(r.ElapsedMS)*time.Millisecond, now)
+		}
 	}
 }
 
@@ -71,44 +57,29 @@ func (c *Coordinator) applyResult(j *gridJob, r job.Result, now time.Time) {
 	}
 }
 
-// applyLease hands a pending st to worker. On a done task the record is
-// an audit re-check: it counts, and who holds the re-check is the
-// grant's to note, not the journal's. A record naming no worker leases
-// nothing: a lease has a holder.
-func (c *Coordinator) applyLease(j *gridJob, st *taskState, worker string, now time.Time) {
-	j.leasesGranted++
+// grantLease hands st to worker for one TTL: a pending task to compute,
+// a done task's open audit to re-check, or a straggling lease, moved. The
+// straggler a move leaves is not charged — it may still upload first —
+// and the move is new, so it straggles again only a whole threshold on.
+func (c *Coordinator) grantLease(j *gridJob, st *taskState, worker string, now time.Time) {
 	c.touchWorker(worker, now)
-	if st.status == taskPending && worker != "" {
+	if st.status == taskPending {
 		st.status = taskLeased
 		j.pending--
-		st.hold(worker, now, c.opts.leaseTTL())
 	}
+	st.worker, st.deadline, st.leasedAt = worker, now.Add(c.opts.leaseTTL()), now
 }
 
-// applyHedge moves a leased task's lease to worker. The straggler it
-// leaves is not charged — it may still upload first — and the move stays
-// out of the fair-share deficit: insurance the scheduler buys, not demand
-// the job generated. The lease is new, so it straggles again only a whole
-// threshold from now.
-func (c *Coordinator) applyHedge(st *taskState, worker string, now time.Time) {
-	c.touchWorker(worker, now)
-	if st.status == taskLeased && worker != "" && st.worker != worker {
-		st.hold(worker, now, c.opts.leaseTTL())
-	}
-}
-
-// applyExpire ends worker's lease on st without a result: a leased task
-// goes back in the queue, a done task's audit re-check returns to the
-// pool. It does not stamp the worker live — the whole point is that it
-// went silent, or was banned.
-func (c *Coordinator) applyExpire(j *gridJob, st *taskState, worker string, now time.Time) {
+// endLease ends st's lease without a result, one requeue and one failure
+// of its holder: a leased task goes back in the queue, a done task's audit
+// re-check returns to the pool. It does not stamp the holder live — the
+// whole point is that it went silent, or was banned.
+func (c *Coordinator) endLease(j *gridJob, st *taskState, now time.Time) {
 	j.requeues++
-	c.workerFailed(worker)
-	switch {
-	case worker == "" || st.worker != worker:
-	case st.status == taskLeased:
+	c.workerFailed(st.worker)
+	if st.status == taskLeased {
 		j.requeue(st)
-	default:
+	} else {
 		st.worker = ""
 		st.audit.relaxAt = now.Add(c.opts.leaseTTL())
 	}
@@ -146,11 +117,6 @@ func (c *Coordinator) applyVerify(j *gridJob, st *taskState, worker string, elap
 // second worker has confirmed: what its quarantine invalidates.
 func (st *taskState) unauditedBy(worker string) bool {
 	return st.status == taskDone && st.producer == worker && !st.verified
-}
-
-// hold gives st's lease to worker for one ttl from now.
-func (st *taskState) hold(worker string, now time.Time, ttl time.Duration) {
-	st.worker, st.deadline, st.leasedAt = worker, now.Add(ttl), now
 }
 
 // requeue returns a task to the pending queue, ahead of the grant cursor
@@ -197,15 +163,15 @@ func (j *gridJob) task(id string) *taskState {
 	return nil
 }
 
-// revocations is the expire record of every lease held by a worker
-// revoked names, in grant order — but a lease whose result is being
-// journalled, which settles as the ingest it is.
-func (j *gridJob) revocations(revoked func(worker string) bool) []walRecord {
-	var recs []walRecord
+// revocations is every lease held by a worker revoked names, in grant
+// order — but a lease whose result is being journalled, which settles as
+// the ingest it is.
+func (j *gridJob) revocations(revoked func(worker string) bool) []*taskState {
+	var sts []*taskState
 	for _, st := range j.tasks {
 		if st.worker != "" && !st.recording && revoked(st.worker) {
-			recs = append(recs, walRecord{T: walExpire, Task: st.id, Worker: st.worker})
+			sts = append(sts, st)
 		}
 	}
-	return recs
+	return sts
 }

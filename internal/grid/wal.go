@@ -11,33 +11,38 @@ import (
 	"repro/internal/linelog"
 )
 
-// A scheduler record is what the values cannot reconstruct: who was
-// handed what and when it ended — leases, hedges, expiries, audit
-// verifies, priority changes — and quarantine verdicts; it is the
-// argument of the transition that made its change live (transition.go).
-// A job's records are lines of its own file, beside its value lines and
-// tombstones; a quarantine spans jobs and is the one record of the
-// quarantine journal, coordinator.wal (an older coordinator's also held
-// every job's records, which a restart counts and leaves alone).
+// A scheduler record is a verdict the values cannot reconstruct — an
+// audit verify, a priority change, a quarantine — and the argument of the
+// transition that made it live (transition.go). A job's records are
+// lines of its own file, beside its value lines and tombstones; a
+// quarantine spans jobs and is the one record of the quarantine journal,
+// coordinator.wal (an older coordinator's also held every job's records,
+// which a restart counts and leaves alone). Leases are not records: a
+// grant, a move and an expiry change memory only, and a restart starts
+// every unfinished task pending. An older coordinator journalled them
+// (retiredRecord), and replay skips those lines.
 //
 // Format: `{"crc":<ieee>,"rec":{...}}`, the CRC32 taken over the raw rec
 // bytes; a line whose CRC fails is skipped. The bytes are json.Marshal's
 // for the envelope and walRecord, written and read by internal/jsonline;
-// a record in a job's file names no job. Only verdicts (quarantine,
-// verify) are appended durably: the rest must survive a kill -9, which a
-// plain write does, not power loss.
+// a record in a job's file names no job. Verdicts (quarantine, verify)
+// are appended durably; a priority must survive a kill -9, which a plain
+// write does, not power loss.
 const walFileName = "coordinator.wal"
 
 // walRecord event types.
 const (
-	walLease      = "lease"      // task handed to worker (re-leases and audit re-leases included)
-	walExpire     = "expire"     // worker's lease on task expired
-	walIngest     = "ingest"     // an older coordinator's result record; the value line is the ingest now
 	walPriority   = "priority"   // job fair-share weight changed
 	walVerify     = "verify"     // task's recorded value audit-confirmed by worker
 	walQuarantine = "quarantine" // worker quarantined (names no job)
-	walHedge      = "hedge"      // a straggling lease on task moved to worker
 )
+
+// retiredRecord reports whether t is a record type only an older
+// coordinator wrote: a lease granted, moved or ended, or the result
+// record the value line replaced.
+func retiredRecord(t string) bool {
+	return t == "lease" || t == "hedge" || t == "expire" || t == "ingest"
+}
 
 // walRecord is one journalled state change. appendWALLine and
 // decodeWALLine are its codec; the tags name the keys they write, in

@@ -1,10 +1,10 @@
 package grid
 
-// The quarantine journal's format, its typed write failure, and the
-// grouping of a grant and of an upload into one write to the job's file. That every scheduling decision survives a
-// kill -9 — a restart on the same directory stands where the dead
-// coordinator stood and finishes byte-identical to job.Run — is
-// FuzzSchedule's (invariants 2, 4 and 8).
+// The quarantine journal's format, its typed write failure, a grant that
+// writes nothing and an upload that is one write to the job's file. That
+// every verdict and value survives a kill -9 — a restart on the same
+// directory stands where the dead coordinator stood and finishes
+// byte-identical to job.Run — is FuzzSchedule's (invariants 2, 4 and 8).
 
 import (
 	"bytes"
@@ -18,6 +18,15 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/job"
+)
+
+// The record types only an older coordinator wrote (retiredRecord): the
+// codec still reads and writes them, replay skips them.
+const (
+	walLease  = "lease"
+	walHedge  = "hedge"
+	walExpire = "expire"
+	walIngest = "ingest"
 )
 
 // TestWALRoundTrip pins the on-disk format: append, close, reopen,
@@ -152,10 +161,10 @@ func TestWALWriteErrorTyped(t *testing.T) {
 	}
 }
 
-// TestGrantJournalsOneWrite: a lease grant reaches the job's file as one
-// write however many tasks it hands out, and replays as one lease record
-// per task, in grant order.
-func TestGrantJournalsOneWrite(t *testing.T) {
+// TestGrantWritesNothing: a lease grant, however many tasks it hands out,
+// writes nothing to the job's file or the quarantine journal: a lease
+// lives in memory only.
+func TestGrantWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	coord := NewCoordinator(CoordinatorOptions{Dir: dir})
 	defer coord.Close()
@@ -164,7 +173,7 @@ func TestGrantJournalsOneWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded := giveEvidence(t, coord, spec, id, "w1") // a sized grant, so the cap of 3 is what w1 gets
+	giveEvidence(t, coord, spec, id, "w1") // a sized grant, so the cap of 3 is what w1 gets
 	var fw fileWrites
 	restore := fw.install()
 	lease, err := coord.Lease(context.Background(), id, "w1", 3)
@@ -172,18 +181,8 @@ func TestGrantJournalsOneWrite(t *testing.T) {
 	if err != nil || len(lease.Tasks) != 3 {
 		t.Fatalf("lease = %+v, %v; want 3 tasks", lease, err)
 	}
-	if n, q := fw.count("manifest-grid.jsonl"), fw.count(walFileName); n != 1 || q != 0 {
-		t.Fatalf("a 3-task grant made %d writes to the job's file and %d to the quarantine journal, want 1 and 0", n, q)
-	}
-	var leased []string
-	for _, r := range journalRecords(t, dir) {
-		if r.T == walLease && r.Job == id && r.Worker == "w1" {
-			leased = append(leased, r.Task)
-		}
-	}
-	leased = leased[seeded:]
-	if len(leased) != 3 || leased[0] != lease.Tasks[0].Task || leased[1] != lease.Tasks[1].Task || leased[2] != lease.Tasks[2].Task {
-		t.Fatalf("replayed lease records %v, want the granted %+v in order", leased, lease.Tasks)
+	if n, q := fw.count("manifest-grid.jsonl"), fw.count(walFileName); n != 0 || q != 0 {
+		t.Fatalf("a 3-task grant made %d writes to the job's file and %d to the quarantine journal, want none", n, q)
 	}
 }
 

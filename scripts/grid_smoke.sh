@@ -88,8 +88,7 @@ if [ "${done_tasks:-0}" -ge 60 ] || ! kill -0 "$w1_pid" 2>/dev/null; then
   exit 1
 fi
 kill -9 "$w1_pid"
-journal="$workdir/ckpt/$job_id/manifest-grid.jsonl"
-kill_line=$(wc -l <"$journal")
+kill_line=$(wc -l <"$workdir/coordinator.log")
 echo "killed at $done_tasks/72 tasks"
 
 echo "== scraping /metrics mid-sweep"
@@ -112,18 +111,15 @@ echo "== comparing grid CSV against the single-process reference"
 cmp "$workdir/reference.csv" "$workdir/grid.csv"
 
 # The kill must actually have exercised the re-lease path: after it,
-# the job's journal ends a lease the dead worker held, by a hedge
-# (moved to the survivor, who asks first once it is half a TTL old) or
-# an expire naming it (re-queued at the TTL).
+# the coordinator's log ends a lease the dead worker held, by a move
+# (to the survivor, who asks first once it is half a TTL old) or an
+# expiry (re-queued at the TTL), each record naming the worker whose
+# leases ended and how many.
 ended=$(awk -v after="$kill_line" '
-  /"rec":\{"t":"(lease|hedge|expire)"/ {
-    t = $0; sub(/.*"t":"/, "", t); sub(/".*/, "", t)
-    task = $0; sub(/.*"task":"/, "", task); sub(/".*/, "", task)
-    w = $0; sub(/.*"worker":"/, "", w); sub(/".*/, "", w)
-    if (NR > after && ((t == "hedge" && holder[task] == "doomed") || (t == "expire" && w == "doomed"))) n++
-    if (t != "expire") holder[task] = w
+  NR > after && / INFO (lease moved|leases expired, tasks re-queued) .* worker=doomed / {
+    sub(/.* tasks=/, ""); n += $1
   }
-  END { print n + 0 }' "$journal")
+  END { print n + 0 }' "$workdir/coordinator.log")
 if [ "$ended" -eq 0 ]; then
   echo "no lease of the killed worker moved or expired — the SIGKILL did not leave leases behind?" >&2
   cat "$workdir/coordinator.log" >&2

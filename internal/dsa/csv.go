@@ -8,10 +8,15 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/core"
 )
 
 // CSVLayout is an optional Domain extension, like ScoreVersioned and
@@ -206,6 +211,58 @@ func (c *CSVEncoder) EndRow() error {
 // Flush writes any buffered rows to the underlying writer.
 func (c *CSVEncoder) Flush() error { return c.w.Flush() }
 
+// CellTable holds a domain's fixed CSV cells: the cells of a row that
+// depend on its point alone — in the generic layout its domain, id, label
+// and dimension values. Each point's are rendered once per process, by
+// point ID, and copied into every row after that. The table fills per
+// point on first use, so a file of a few points renders those alone, and
+// it is safe for concurrent writers: a point two writers render at once
+// is the same bytes, published twice.
+type CellTable struct {
+	render func(c *CSVEncoder, id int, p core.Point) error
+	cells  []atomic.Pointer[[]byte] // by point ID
+}
+
+// cellTables holds the table of each domain written so far, by name and
+// space: a domain has one layout, so the two name its table.
+var cellTables sync.Map // cellKey → *CellTable
+
+type cellKey struct {
+	name  string
+	space *core.Space
+}
+
+// Cells is domain d's cell table, made the first time it is asked for
+// with render, which appends the fixed cells of point p, whose ID is id,
+// to c's row. Every later call gets that table, whatever its render.
+func Cells(d Domain, render func(c *CSVEncoder, id int, p core.Point) error) *CellTable {
+	key := cellKey{d.Name(), d.Space()}
+	if t, ok := cellTables.Load(key); ok {
+		return t.(*CellTable)
+	}
+	t, _ := cellTables.LoadOrStore(key, &CellTable{render: render, cells: make([]atomic.Pointer[[]byte], d.Space().Size())})
+	return t.(*CellTable)
+}
+
+// Fixed appends the fixed cells of point p, whose ID is id, from t. An ID
+// that is no position in the domain's space is rendered every time.
+func (c *CSVEncoder) Fixed(t *CellTable, id int, p core.Point) error {
+	if id < 0 || id >= len(t.cells) {
+		return t.render(c, id, p)
+	}
+	if cells := t.cells[id].Load(); cells != nil {
+		c.row = append(c.row, *cells...)
+		return nil
+	}
+	start := len(c.row)
+	if err := t.render(c, id, p); err != nil {
+		return err
+	}
+	cells := slices.Clone(c.row[start:])
+	t.cells[id].Store(&cells)
+	return nil
+}
+
 // WriteCSV serialises assembled scores in the domain's CSV format: its
 // own CSVLayout if it has one, the generic layout otherwise.
 func WriteCSV(w io.Writer, d Domain, s *Scores) error {
@@ -232,17 +289,22 @@ func WriteCSV(w io.Writer, d Domain, s *Scores) error {
 	if err := enc.EndRow(); err != nil {
 		return err
 	}
-	name := d.Name()
+	cells := Cells(d, func(c *CSVEncoder, id int, p core.Point) error {
+		c.Text(d.Name())
+		c.Int(id)
+		c.Text(d.Label(p))
+		for dim, v := range p {
+			c.Text(space.Dimensions[dim].Values[v])
+		}
+		return nil
+	})
 	for i, p := range s.Points {
 		id, err := d.PointID(p)
+		if err == nil {
+			err = enc.Fixed(cells, id, p)
+		}
 		if err != nil {
 			return fmt.Errorf("dsa: row %d: %w", i, err)
-		}
-		enc.Text(name)
-		enc.Int(id)
-		enc.Text(d.Label(p))
-		for dim, v := range p {
-			enc.Text(space.Dimensions[dim].Values[v])
 		}
 		for _, col := range cols {
 			enc.Score(col[i])

@@ -53,7 +53,7 @@ type auditState struct {
 // function of (job, task, rate), so a restarted coordinator re-selects
 // exactly the tasks whose audits were in flight at the crash, and a
 // worker cannot influence whether its work gets checked.
-func auditSelected(jobID, taskID string, rate float64) bool {
+func auditSelected(jobID string, t job.Task, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
@@ -63,7 +63,7 @@ func auditSelected(jobID, taskID string, rate float64) bool {
 	h := fnv.New64a()
 	h.Write([]byte(jobID))
 	h.Write([]byte{'/'})
-	h.Write([]byte(taskID))
+	h.Write([]byte(t.ID()))
 	return float64(h.Sum64()>>11)/float64(1<<53) < rate
 }
 
@@ -119,7 +119,7 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 	vals := []float64(up.Values)
 	now := c.now()
 	dup := ResultAck{Accepted: true, Duplicate: true}
-	verify := walRecord{T: walVerify, Task: st.id, Worker: up.Worker, ElapsedMS: up.ElapsedMS}
+	verify := walRecord{T: walVerify, Task: st.task.ID(), Worker: up.Worker, ElapsedMS: up.ElapsedMS}
 
 	// Uploads that carry no audit information: anything after verification
 	// settled, and the producer re-sending its own value — a retry after a
@@ -154,7 +154,7 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 		ast.second, ast.secondVals, ast.secondMS = up.Worker, vals, up.ElapsedMS
 		ast.relaxAt = now.Add(c.opts.leaseTTL())
 		ast.giveUpAt = now.Add(4 * c.opts.leaseTTL())
-		c.log.Warn("AUDIT MISMATCH, arbitrating", "job", j.id, "task", st.id,
+		c.log.Warn("AUDIT MISMATCH, arbitrating", "job", j.id, "task", st.task.ID(),
 			"worker", up.Worker, "original", ast.original)
 		c.wakeLocked(j)
 		return dup
@@ -177,13 +177,13 @@ func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUplo
 			{Task: st.task, Values: vals, Elapsed: time.Duration(ast.secondMS) * time.Millisecond, Worker: ast.second}},
 			[]walRecord{verify}, "", "")
 		c.feedCacheLocked(j, st.task, st.values)
-		c.quarantineLocked(liar, "audit of task "+st.id+" overruled its value")
+		c.quarantineLocked(liar, "audit of task "+st.task.ID()+" overruled its value")
 		return ResultAck{Accepted: true}
 	}
 
 	// Three distinct values for one deterministic task: the
 	// determinism contract is broken (or two liars collide). Re-run.
-	c.log.Error("THREE distinct claimed values, determinism violation, re-queueing", "job", j.id, "task", st.id,
+	c.log.Error("THREE distinct claimed values, determinism violation, re-queueing", "job", j.id, "task", st.task.ID(),
 		"worker", up.Worker, "original", ast.original, "second", ast.second)
 	c.invalidateTaskLocked(j, st)
 	c.wakeLocked(j)

@@ -338,8 +338,8 @@ func TestExpireWritesNothing(t *testing.T) {
 	coord.mu.Lock()
 	var pending []string
 	for _, st := range coord.jobs[id].tasks {
-		if st.status == taskPending && slices.ContainsFunc(lease, func(lt LeaseTask) bool { return lt.Task == st.id }) {
-			pending = append(pending, st.id)
+		if st.status == taskPending && slices.ContainsFunc(lease, func(lt LeaseTask) bool { return lt.Task == st.task.ID() }) {
+			pending = append(pending, st.task.ID())
 		}
 	}
 	coord.mu.Unlock()
@@ -496,7 +496,7 @@ func TestGrantCursor(t *testing.T) {
 	j := coord.jobs[id]
 	order := make([]string, len(j.tasks))
 	for i, st := range j.tasks {
-		order[i] = st.id
+		order[i] = st.task.ID()
 	}
 	coord.mu.Unlock()
 	if len(order) < 4096 {

@@ -146,8 +146,7 @@ const (
 // restart gets back, and from which file, is DESIGN.md's "one rule".
 type taskState struct {
 	task   job.Task
-	id     string // task.ID()
-	idx    int    // position in gridJob.tasks
+	idx    int // position in gridJob.tasks, the task's in Spec.Tasks
 	status taskStatus
 	// The task's one lease, read by status: a pending task has none
 	// (worker ""), a leased task's holder computes it, a done task's
@@ -178,9 +177,9 @@ type gridJob struct {
 	specRaw json.RawMessage
 	weight  int // fair-share priority weight, >= 1
 	// tasks is the task table in job.Spec.Tasks order (chunk-major) — the
-	// grant order, and the order of every scan; index finds a task by ID.
+	// grant order, and the order of every scan; x finds a task by name.
 	tasks     []*taskState
-	index     map[string]int
+	x         job.TaskIndex
 	group     int             // tasks per chunk: the domain's measure count
 	cp        *job.Checkpoint // the job's file; nil without a checkpoint dir
 	pending   int             // tasks with status taskPending
@@ -342,7 +341,7 @@ func (c *Coordinator) commit(j *gridJob, now time.Time, results []job.Result, re
 // and wakes and drain-checks what they may have completed.
 func (c *Coordinator) settle(j *gridJob, now time.Time, results []job.Result, recs []walRecord, rid, msg string, attrs ...any) {
 	for _, r := range results {
-		c.applyResult(j, r, now)
+		c.applyResult(j, j.tasks[j.x.Of(r.Task)], r, now)
 	}
 	for _, r := range recs {
 		c.apply(j, r, now)
@@ -442,18 +441,21 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 		}
 		return nil, nil
 	}
+	x := job.NewTaskIndex(spec)
 	j := &gridJob{
 		id:      id,
 		spec:    spec,
 		specRaw: specRaw,
 		weight:  priority,
-		index:   map[string]int{},
+		tasks:   make([]*taskState, len(x.Tasks())),
+		x:       x,
 		group:   len(spec.Domain.Measures()),
 		changed: make(chan struct{}),
 	}
-	for i, t := range spec.Tasks() {
-		j.tasks = append(j.tasks, &taskState{task: t, id: t.ID(), idx: i})
-		j.index[t.ID()] = i
+	slab := make([]taskState, len(j.tasks))
+	for i, t := range x.Tasks() {
+		slab[i] = taskState{task: t, idx: i}
+		j.tasks[i] = &slab[i]
 	}
 	j.pending = len(j.tasks)
 	if c.opts.Cache != nil {
@@ -476,9 +478,9 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	// done starts pending.
 	replayed, retired := 0, 0
 	if c.opts.Dir != "" {
-		cp, err := job.OpenCheckpoint(filepath.Join(c.opts.Dir, id), spec, func(line []byte, r job.Result, ok bool) {
+		cp, err := job.OpenCheckpoint(filepath.Join(c.opts.Dir, id), spec, func(line []byte, i int, r job.Result, ok bool) {
 			if ok {
-				c.applyResult(j, r, now)
+				c.applyResult(j, j.tasks[i], r, now)
 			} else if rec, ok := decodeWALLine(line); !ok || rec.T == walQuarantine {
 				return
 			} else if retiredRecord(rec.T) {
@@ -496,7 +498,7 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 			c.log.Warn("job file holds lease records of an older coordinator, skipped: its unfinished tasks start pending", "job", id, "records", retired)
 		}
 		j.cp = cp
-		c.restoreLocked(j, cp.Completed(), now)
+		c.restoreLocked(j, cp.Values(), now)
 	}
 	j.restored = j.done
 	// A restored job's own results never complete its own tasks, but
@@ -515,13 +517,14 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 // (a local shard's) is adopted as a value line from nobody, so what is
 // written about the task from here on replays against it done. (b) Every
 // standing quarantine is applied to the job by the live code, which also
-// finishes one whose revocations or tombstones a crash cut off. Then
-// audits re-open and the cache is fed with what stands.
-func (c *Coordinator) restoreLocked(j *gridJob, restored map[string][]float64, now time.Time) {
+// finishes one whose revocations or tombstones a crash cut off. Then the
+// cache is fed with what stands and no audit holds back: replay re-opened
+// every audit the live process had open.
+func (c *Coordinator) restoreLocked(j *gridJob, restored [][]float64, now time.Time) {
 	var adopted []job.Result
 	for _, st := range j.tasks {
 		// Neither done nor tainted: the job's file never held its value.
-		if v := restored[st.id]; v != nil && st.status != taskDone && !st.tainted {
+		if v := restored[st.idx]; v != nil && st.status != taskDone && !st.tainted {
 			adopted = append(adopted, job.Result{Task: st.task, Values: v})
 		}
 	}
@@ -537,12 +540,8 @@ func (c *Coordinator) restoreLocked(j *gridJob, restored map[string][]float64, n
 		c.voidLocked(j, name, now)
 	}
 	for _, st := range j.tasks {
-		switch {
-		case st.status != taskDone, st.audit != nil:
-			// With auditing on, selected values feed only once verified.
-		case c.auditEnabled() && !st.verified && auditSelected(j.id, st.id, c.opts.AuditRate):
-			j.setAudit(st, &auditState{original: st.producer, relaxAt: now.Add(c.opts.leaseTTL())})
-		default:
+		// With auditing on, selected values feed only once verified.
+		if st.status == taskDone && st.audit == nil {
 			c.feedCacheLocked(j, st.task, st.values)
 		}
 	}
@@ -633,6 +632,11 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 	j.cacheServed += len(hits)
 	c.metrics.cacheServed.Add(float64(len(hits)))
 	c.settle(j, c.now(), hits, nil, "", "tasks served from the score cache", "job", j.id, "tasks", len(hits))
+	for _, st := range sts {
+		if st.audit != nil {
+			c.metrics.auditsOpened.Inc()
+		}
+	}
 }
 
 // recordLocked makes results — value lines of sts, which the caller
@@ -735,7 +739,7 @@ func (c *Coordinator) expireLocked(j *gridJob) {
 		// Unresolvable split (e.g. both claimants quarantine-proof in a
 		// 2-worker grid, or the one arbitrator left hung, its re-check
 		// held): discard both claims and re-run.
-		c.log.Info("audit split unresolved, re-queueing", "job", j.id, "task", st.id,
+		c.log.Info("audit split unresolved, re-queueing", "job", j.id, "task", st.task.ID(),
 			"original", st.audit.original, "second", st.audit.second)
 		c.invalidateTaskLocked(j, st)
 	}
@@ -784,11 +788,11 @@ func (c *Coordinator) expireAllLocked() {
 // clears the result and reopens it.
 func (c *Coordinator) wakeLocked(j *gridJob) {
 	if j.completeLocked() && j.scores == nil && j.scoresErr == nil {
-		results := make(map[string][]float64, len(j.tasks))
-		for _, st := range j.tasks {
-			results[st.id] = st.values
+		done := make([][]float64, len(j.tasks))
+		for i, st := range j.tasks {
+			done[i] = st.values
 		}
-		j.scores, j.scoresErr = j.spec.AssembleScores(results)
+		j.scores, j.scoresErr = j.x.Assemble(done)
 		if j.scoresErr != nil {
 			c.log.Error("job assembly failed", "job", j.id, "err", j.scoresErr)
 		} else {
@@ -842,7 +846,7 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, most int, fair bool
 	var tasks []LeaseTask
 	for _, st := range slices.Concat(granted, moved) {
 		c.grantLease(j, st, worker, now)
-		tasks = append(tasks, LeaseTask{Task: st.id, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi, TTLMS: ttl.Milliseconds()})
+		tasks = append(tasks, LeaseTask{Task: st.task.ID(), Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi, TTLMS: ttl.Milliseconds()})
 	}
 	c.metrics.leasesGranted.Add(float64(len(granted)))
 	c.metrics.leaseHedged.Add(float64(len(moved)))

@@ -220,8 +220,8 @@ func goldenRun(t *testing.T, seed uint64) string {
 			g.coord.mu.Lock()
 			j := g.coord.jobs[id]
 			if st := j.tasks[rng.IntN(len(j.tasks))]; st.verified && w != "liar" &&
-				!slices.ContainsFunc(rs, func(r TaskResult) bool { return r.Task == st.id }) {
-				rs = append(rs, results([]LeaseTask{{Task: st.id, Lo: st.task.Lo, Hi: st.task.Hi}}, honestVals)...)
+				!slices.ContainsFunc(rs, func(r TaskResult) bool { return r.Task == st.task.ID() }) {
+				rs = append(rs, results([]LeaseTask{{Task: st.task.ID(), Lo: st.task.Lo, Hi: st.task.Hi}}, honestVals)...)
 			}
 			g.coord.mu.Unlock()
 			if rs = g.sendable(id, w, rs); len(rs) == 0 {

@@ -134,7 +134,7 @@ func FuzzRouteBodies(f *testing.F) {
 		coord.mu.Lock()
 		for _, j := range coord.jobsLocked() {
 			for _, st := range j.tasks {
-				fmt.Fprintf(&sb, "%s %d %q %q %v %v %v\n", st.id, st.status, st.worker,
+				fmt.Fprintf(&sb, "%s %d %q %q %v %v %v\n", st.task.ID(), st.status, st.worker,
 					st.producer, st.verified, st.audit != nil, st.values)
 			}
 			fmt.Fprintf(&sb, "%s done=%d audits=%d requeues=%d granted=%d weight=%d\n",

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/gossip"
 	"repro/internal/job"
 	"repro/internal/linelog"
@@ -53,7 +54,7 @@ func durableProjection(c *Coordinator) string {
 	for _, j := range c.jobsLocked() {
 		for _, st := range j.tasks {
 			fmt.Fprintf(&sb, "%s done=%v producer=%q verified=%v audit=%v\n",
-				st.id, st.status == taskDone, st.producer, st.verified, st.audit != nil)
+				st.task.ID(), st.status == taskDone, st.producer, st.verified, st.audit != nil)
 		}
 		fmt.Fprintf(&sb, "%s done=%d audits=%d weight=%d\n", j.id, j.done, j.audits, j.weight)
 	}
@@ -350,6 +351,74 @@ func TestRestoreAdoptsLocalShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if csvOf(t, spec.Domain, scores) != csvOf(t, spec.Domain, wantScores(t, spec)) {
+		t.Fatal("the job's CSV is not job.Run's")
+	}
+}
+
+// TestRestartAuditsAsLive: under auditing, a value from nobody — adopted
+// from a local shard's manifest, or served by the score cache — is
+// selected for an audit like any other value on record, live, and a
+// restart on what the live process left must stand where it stood
+// (FuzzSchedule's invariant 2): the same audits open, no more. Honest
+// workers then verify them and the job completes as job.Run.
+func TestRestartAuditsAsLive(t *testing.T) {
+	spec := gossipSpec(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	specRaw, err := job.EncodeSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := jobID(spec.Domain.Name(), specRaw)
+	// Shard 0 of 2 leaves its values in the job's directory; a whole run
+	// fills the cache with every score.
+	if _, err := job.Run(ctx, spec.Domain, spec.Points, spec.Cfg, job.Options{Dir: filepath.Join(dir, id), Chunk: spec.Chunk, Shards: 2}); err == nil {
+		t.Fatal("a lone shard of two completed the sweep")
+	}
+	store, err := cache.Open(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	want, err := job.Run(ctx, spec.Domain, spec.Points, spec.Cfg, job.Options{Chunk: spec.Chunk, Cache: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := CoordinatorOptions{Dir: dir, Cache: store, AuditRate: 1, LeaseTTL: time.Minute}
+	var lives []string
+	for life := range 2 {
+		coord := NewCoordinator(opts)
+		if _, err := coord.AddJob(spec); err != nil {
+			t.Fatal(err)
+		}
+		snap := mustProgress(t, coord, id)
+		lives = append(lives, durableProjection(coord))
+		coord.Close()
+		if life == 0 && (snap.CacheTasks == 0 || snap.CacheTasks == snap.Total) {
+			t.Fatalf("the cache served %d of %d tasks, want the ones the shard left", snap.CacheTasks, snap.Total)
+		}
+		if snap.Done != snap.Total || snap.Audits != snap.Total {
+			t.Fatalf("life %d: %d of %d tasks done, %d audits open, want every task done and on audit", life, snap.Done, snap.Total, snap.Audits)
+		}
+	}
+	if lives[0] != lives[1] {
+		t.Fatalf("the restart stands elsewhere than the live process:\n%s\nwant\n%s", lives[1], lives[0])
+	}
+	coord := NewCoordinator(opts)
+	defer coord.Close()
+	if _, err := coord.AddJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	if err := Work(ctx, srv.URL, id, WorkerOptions{Name: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	scores, err := coord.WaitComplete(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csvOf(t, spec.Domain, scores) != csvOf(t, spec.Domain, want) {
 		t.Fatal("the job's CSV is not job.Run's")
 	}
 }

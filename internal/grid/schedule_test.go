@@ -278,7 +278,7 @@ func (w *world) roundTrip(req *http.Request) (*http.Response, error) {
 			probe = ws == nil || ws.done == 0
 			for _, j := range c.jobs {
 				for _, st := range j.tasks {
-					held[j.id+"/"+st.id] = taskState{status: st.status, worker: st.worker, deadline: st.deadline, leasedAt: st.leasedAt}
+					held[j.id+"/"+st.task.ID()] = taskState{status: st.status, worker: st.worker, deadline: st.deadline, leasedAt: st.leasedAt}
 				}
 			}
 		})
@@ -970,13 +970,13 @@ var consistent = invariant{"1 consistent task table", func(w *world) error {
 		for _, st := range j.tasks {
 			switch {
 			case (st.status == taskDone) != (st.values != nil):
-				return fmt.Errorf("task %s: status %d with values %v", st.id, st.status, st.values)
+				return fmt.Errorf("task %s: status %d with values %v", st.task.ID(), st.status, st.values)
 			case st.status == taskPending && st.idx < j.next:
-				return fmt.Errorf("task %s is pending behind the grant cursor (%d)", st.id, j.next)
+				return fmt.Errorf("task %s is pending behind the grant cursor (%d)", st.task.ID(), j.next)
 			case (st.status == taskLeased) != (st.worker != "") && (st.status != taskDone || st.audit == nil):
-				return fmt.Errorf("task %s: status %d held by %q (audit open %v)", st.id, st.status, st.worker, st.audit != nil)
+				return fmt.Errorf("task %s: status %d held by %q (audit open %v)", st.task.ID(), st.status, st.worker, st.audit != nil)
 			case st.audit != nil && st.status != taskDone:
-				return fmt.Errorf("task %s: an audit open in status %d", st.id, st.status)
+				return fmt.Errorf("task %s: an audit open in status %d", st.task.ID(), st.status)
 			}
 			switch st.status {
 			case taskDone:
@@ -993,7 +993,7 @@ var consistent = invariant{"1 consistent task table", func(w *world) error {
 				j.id, j.done, j.pending, j.audits, done, pending, audits)
 		}
 		if r := j.revocations(func(w string) bool { return c.quarantined[w] }); len(r) > 0 {
-			return fmt.Errorf("task %s is on lease to the quarantined %s", r[0].id, r[0].worker)
+			return fmt.Errorf("task %s is on lease to the quarantined %s", r[0].task.ID(), r[0].worker)
 		}
 	}
 	select {
@@ -1028,9 +1028,9 @@ var restoreIsManifest = invariant{"3 values are the manifests' whole lines", fun
 		lines := w.wholeLines(jx)
 		w.c.mu.Lock()
 		for _, st := range w.c.jobs[id].tasks {
-			if v, ok := lines[st.id]; ok != (st.status == taskDone) || ok && !equalValues(v, st.values) {
+			if v, ok := lines[st.task.ID()]; ok != (st.status == taskDone) || ok && !equalValues(v, st.values) {
 				w.c.mu.Unlock()
-				return fmt.Errorf("task %s: on record %v (status %d), in the manifest %v", st.id, st.values, st.status, v)
+				return fmt.Errorf("task %s: on record %v (status %d), in the manifest %v", st.task.ID(), st.values, st.status, v)
 			}
 		}
 		w.c.mu.Unlock()
@@ -1087,7 +1087,7 @@ var audited = invariant{"6 audited jobs complete verified", func(w *world) error
 	for _, j := range c.jobs {
 		for _, st := range j.tasks {
 			if w.opts.AuditRate > 0 && j.completeLocked() && !st.verified {
-				return fmt.Errorf("job %s completed with %s unverified", j.id, st.id)
+				return fmt.Errorf("job %s completed with %s unverified", j.id, st.task.ID())
 			}
 		}
 	}

@@ -123,9 +123,9 @@ func TestRestartDuplicatesBounded(t *testing.T) {
 		}
 		w.locked(func(c *Coordinator) {
 			for _, st := range c.jobs[w.ids[0]].tasks {
-				size[st.id] = st.task.Hi - st.task.Lo
+				size[st.task.ID()] = st.task.Hi - st.task.Lo
 				if st.status == taskLeased {
-					outstanding += size[st.id]
+					outstanding += size[st.task.ID()]
 				}
 			}
 		})

@@ -41,13 +41,12 @@ func (c *Coordinator) apply(j *gridJob, r walRecord, now time.Time) {
 	}
 }
 
-// applyResult performs a value line's or a tombstone's change on j, by the
-// rule every restore folds a manifest with: a task's first value line
-// since its last tombstone is its value, and a tombstone cancels it.
-func (c *Coordinator) applyResult(j *gridJob, r job.Result, now time.Time) {
-	st := j.task(r.Task.ID())
+// applyResult performs a value line's or a tombstone's change on st, the
+// task of j it names, by the rule every restore folds a manifest with: a
+// task's first value line since its last tombstone is its value, and a
+// tombstone cancels it.
+func (c *Coordinator) applyResult(j *gridJob, st *taskState, r job.Result, now time.Time) {
 	switch {
-	case st == nil:
 	case r.Dead:
 		if st.status == taskDone {
 			j.invalidate(st)
@@ -86,10 +85,11 @@ func (c *Coordinator) endLease(j *gridJob, st *taskState, now time.Time) {
 }
 
 // applyIngest puts r's value on st's record, produced by r.Worker ("" for
-// a cache-served or adopted value): whatever lease stood ends (a
-// straggler whose lease moved and the worker it moved to are not scored:
-// one of them simply lost the race), and the task's audit, if it is
-// selected for one, opens.
+// a cache-served or adopted value, or one an older coordinator wrote):
+// whatever lease stood ends (a straggler whose lease moved and the worker
+// it moved to are not scored: one of them simply lost the race), and the
+// task's audit, if it is selected for one, opens — whoever produced the
+// value, so that a restart opens exactly what the live process opened.
 func (c *Coordinator) applyIngest(j *gridJob, st *taskState, r job.Result, now time.Time) {
 	c.workerDone(r.Worker, r.Elapsed, now)
 	if st.status == taskPending {
@@ -99,7 +99,7 @@ func (c *Coordinator) applyIngest(j *gridJob, st *taskState, r job.Result, now t
 	j.done++
 	st.values, st.worker, st.producer, st.verified, st.tainted = r.Values, "", r.Worker, false, false
 	j.setAudit(st, nil)
-	if c.auditEnabled() && r.Worker != "" && auditSelected(j.id, st.id, c.opts.AuditRate) {
+	if c.auditEnabled() && auditSelected(j.id, st.task, c.opts.AuditRate) {
 		j.setAudit(st, &auditState{original: r.Worker, relaxAt: now.Add(c.opts.leaseTTL())})
 	}
 }
@@ -155,9 +155,9 @@ func (j *gridJob) setAudit(st *taskState, ast *auditState) {
 	st.audit, st.worker = ast, ""
 }
 
-// task looks a task up by ID; nil if the job has none such.
-func (j *gridJob) task(id string) *taskState {
-	if i, ok := j.index[id]; ok {
+// task looks a task up by name; nil if the job has none such.
+func (j *gridJob) task(name string) *taskState {
+	if i, ok := j.x.Parse(name); ok {
 		return j.tasks[i]
 	}
 	return nil

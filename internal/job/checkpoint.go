@@ -348,14 +348,14 @@ type Checkpoint struct {
 // it creates the directory, writes or verifies spec.json, restores
 // every completed task from existing manifests, and opens this shard's
 // manifest for appending.
-func openCheckpoint(dir string, spec Spec, x taskIndex, shards, shardIndex int) (*Checkpoint, error) {
+func openCheckpoint(dir string, spec Spec, x TaskIndex, shards, shardIndex int) (*Checkpoint, error) {
 	return openCheckpointNamed(dir, spec, x, fmt.Sprintf("manifest-s%dof%d.jsonl", shardIndex, shards))
 }
 
 // openCheckpointNamed is openCheckpoint with an explicit manifest file
 // name (every writer appends to its own manifest; loading merges all
 // manifest-*.jsonl present) and replay (OpenCheckpoint).
-func openCheckpointNamed(dir string, spec Spec, x taskIndex, manifestName string, replay ...func(line []byte, r Result, ok bool)) (*Checkpoint, error) {
+func openCheckpointNamed(dir string, spec Spec, x TaskIndex, manifestName string, replay ...func(line []byte, i int, r Result, ok bool)) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("job: checkpoint dir: %w", err)
 	}
@@ -415,12 +415,17 @@ func openCheckpointNamed(dir string, spec Spec, x taskIndex, manifestName string
 // shard-run results.
 //
 // replay, if given, sees each whole line of that file in order, during the
-// restore's one read of it, with ok set and r its entry for a value or
-// tombstone of one of spec's tasks; any other line — the caller's own
-// record, or a corrupt one — is not ok.
-func OpenCheckpoint(dir string, spec Spec, replay ...func(line []byte, r Result, ok bool)) (*Checkpoint, error) {
-	return openCheckpointNamed(dir, spec, newTaskIndex(spec), "manifest-grid.jsonl", replay...)
+// restore's one read of it, with ok set, r its entry and i its task's
+// position in Spec.Tasks for a value or tombstone of one of spec's tasks;
+// any other line — the caller's own record, or a corrupt one — is not ok.
+func OpenCheckpoint(dir string, spec Spec, replay ...func(line []byte, i int, r Result, ok bool)) (*Checkpoint, error) {
+	return openCheckpointNamed(dir, spec, NewTaskIndex(spec), "manifest-grid.jsonl", replay...)
 }
+
+// Values is what the directory's manifests held at open time, by
+// position in Spec.Tasks: a task's values, nil if it is not done. The
+// caller must not modify it.
+func (c *Checkpoint) Values() [][]float64 { return c.done }
 
 // Completed returns the task-ID → values map restored from the
 // directory's manifests at open time. The caller takes ownership.
@@ -470,29 +475,35 @@ func (c *Checkpoint) Record(t Task, values []float64, elapsed time.Duration) err
 // Close closes the manifest. Record must not be called after Close.
 func (c *Checkpoint) Close() error { return c.manifest.Close() }
 
-// taskIndex locates a spec's tasks by position in its Spec.Tasks list,
-// which is how the engine keys them in memory: chunk c's task of measure
-// m sits at c·len(measures) + m.
-type taskIndex struct {
+// TaskIndex is a spec's task list, Spec.Tasks, and the one way the engine
+// and the grid coordinator find a task in it: by position. Chunk c's task
+// of measure m sits at c·len(measures) + m. A task's name, Task.ID, is
+// parsed to its position where it arrives and formatted only where it is
+// written.
+type TaskIndex struct {
+	spec     Spec
 	tasks    []Task
 	measures []string
-	chunk    int
 }
 
-func newTaskIndex(s Spec) taskIndex {
-	return taskIndex{tasks: s.Tasks(), measures: s.Domain.Measures(), chunk: s.chunk()}
+// NewTaskIndex lists s's tasks.
+func NewTaskIndex(s Spec) TaskIndex {
+	return TaskIndex{spec: s, tasks: s.Tasks(), measures: s.Domain.Measures()}
 }
 
-// of is the position of t, a task of the spec.
-func (x taskIndex) of(t Task) int {
-	return t.Lo/x.chunk*len(x.measures) + slices.Index(x.measures, t.Measure)
+// Tasks is Spec.Tasks. The caller must not modify it.
+func (x TaskIndex) Tasks() []Task { return x.tasks }
+
+// Of is the position of t, a task of the spec.
+func (x TaskIndex) Of(t Task) int {
+	return t.Lo/x.spec.chunk()*len(x.measures) + slices.Index(x.measures, t.Measure)
 }
 
-// parse is the position of the task whose ID is name. It accepts exactly
+// Parse is the position of the task whose ID is name. It accepts exactly
 // the names Task.ID formats for the spec's tasks: "measure-lo-hi", split
 // at the last two dashes (a measure may hold dashes, a number cannot),
 // each number as %05d prints it.
-func (x taskIndex) parse(name string) (int, bool) {
+func (x TaskIndex) Parse(name string) (int, bool) {
 	j := strings.LastIndexByte(name, '-')
 	k := strings.LastIndexByte(name[:max(j, 0)], '-')
 	if k < 0 {
@@ -500,11 +511,11 @@ func (x taskIndex) parse(name string) (int, bool) {
 	}
 	lo, loOK := parsePad5(name[k+1 : j])
 	hi, hiOK := parsePad5(name[j+1:])
-	m := slices.Index(x.measures, name[:k])
-	if !loOK || !hiOK || m < 0 || lo%x.chunk != 0 || lo/x.chunk >= len(x.tasks)/len(x.measures) {
+	m, chunk := slices.Index(x.measures, name[:k]), x.spec.chunk()
+	if !loOK || !hiOK || m < 0 || lo%chunk != 0 || lo/chunk >= len(x.tasks)/len(x.measures) {
 		return 0, false
 	}
-	i := lo/x.chunk*len(x.measures) + m
+	i := lo/chunk*len(x.measures) + m
 	return i, x.tasks[i].Hi == hi
 }
 
@@ -523,7 +534,7 @@ func parsePad5(s string) (int, bool) {
 // are skipped — the engine just re-runs those tasks — so a crash
 // mid-write can never corrupt a resumed sweep. replay sees the lines of
 // the manifest named own (OpenCheckpoint).
-func readCompleted(dir string, x taskIndex, own string, replay ...func(line []byte, r Result, ok bool)) ([][]float64, error) {
+func readCompleted(dir string, x TaskIndex, own string, replay ...func(line []byte, i int, r Result, ok bool)) ([][]float64, error) {
 	manifests, err := filepath.Glob(filepath.Join(dir, "manifest-*.jsonl"))
 	if err != nil {
 		return nil, err
@@ -542,9 +553,9 @@ func readCompleted(dir string, x taskIndex, own string, replay ...func(line []by
 			fns = nil
 		}
 		linelog.Lines(raw, func(line []byte) {
-			r, ok := foldManifestLine(done, x, line)
+			i, r, ok := foldManifestLine(done, x, line)
 			for _, fn := range fns {
-				fn(line, r, ok)
+				fn(line, i, r, ok)
 			}
 		})
 	}
@@ -552,25 +563,25 @@ func readCompleted(dir string, x taskIndex, own string, replay ...func(line []by
 }
 
 // foldManifestLine folds one manifest line into done and returns its
-// entry. Anything but a well-formed entry for a task of this spec — a
-// tombstone, or a value with exactly the task's number of values — leaves
-// done untouched and is not ok.
-func foldManifestLine(done [][]float64, x taskIndex, line []byte) (Result, bool) {
+// entry and its task's position. Anything but a well-formed entry for a
+// task of this spec — a tombstone, or a value with exactly the task's
+// number of values — leaves done untouched and is not ok.
+func foldManifestLine(done [][]float64, x TaskIndex, line []byte) (int, Result, bool) {
 	e, ok := decodeManifestLine(line)
-	i, known := x.parse(e.Task)
+	i, known := x.Parse(e.Task)
 	if !ok || !known {
-		return Result{}, false // corrupt, or not one of the spec's tasks
+		return 0, Result{}, false // corrupt, or not one of the spec's tasks
 	}
 	t := x.tasks[i]
 	switch {
 	case !e.Dead && len(e.Values) != t.Hi-t.Lo:
-		return Result{}, false
+		return 0, Result{}, false
 	case e.Dead:
 		done[i] = nil
 	case done[i] == nil:
 		done[i] = e.Values
 	}
-	return Result{Task: t, Values: e.Values, Elapsed: time.Duration(e.ElapsedMS) * time.Millisecond, Worker: e.Worker, Dead: e.Dead}, true
+	return i, Result{Task: t, Values: e.Values, Elapsed: time.Duration(e.ElapsedMS) * time.Millisecond, Worker: e.Worker, Dead: e.Dead}, true
 }
 
 // readSpec reads dir's spec.json; through the registry it resolves the

@@ -208,10 +208,12 @@ func TestSchedulerLinesSkipped(t *testing.T) {
 			break
 		}
 		var seen []string
-		cp, err = OpenCheckpoint(dir, spec, func(line []byte, r Result, ok bool) {
+		cp, err = OpenCheckpoint(dir, spec, func(line []byte, pos int, r Result, ok bool) {
 			switch {
 			case !ok:
 				seen = append(seen, "record")
+			case tasks[pos] != r.Task:
+				seen = append(seen, fmt.Sprintf("%s at position %d", r.Task.ID(), pos))
 			case r.Dead:
 				seen = append(seen, "dead "+r.Task.ID())
 			default:
@@ -481,7 +483,7 @@ func TestParentManifest(t *testing.T) {
 // a named form, re-encodes what it accepts to json.Marshal's bytes, and
 // reads back every line json.Marshal writes.
 func FuzzManifestLine(f *testing.F) {
-	x := newTaskIndex(Spec{Domain: measuresDomain{measures: []string{"m"}}, Points: make([]core.Point, 5), Chunk: 3})
+	x := NewTaskIndex(Spec{Domain: measuresDomain{measures: []string{"m"}}, Points: make([]core.Point, 5), Chunk: 3})
 	a, b := x.tasks[0], x.tasks[1] // m-00000-00003, m-00003-00005
 	valid := map[string]Task{a.ID(): a, b.ID(): b}
 	seed := func(line []byte) { f.Add(line, "", []byte(nil), int64(0), false) }

@@ -183,7 +183,7 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 		return nil, fmt.Errorf("job: shard index %d out of range [0,%d)", opts.ShardIndex, shards)
 	}
 	spec := Spec{Domain: d, Points: points, Cfg: cfg, Chunk: opts.Chunk}
-	x := newTaskIndex(spec)
+	x := NewTaskIndex(spec)
 	tasks := x.tasks
 
 	sweep := opts.Trace.Start(0, "sweep").
@@ -247,7 +247,7 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 		return nil, fmt.Errorf("%w: %d of %d tasks done (merge after the remaining shards finish)",
 			ErrIncomplete, have, len(tasks))
 	}
-	return assemble(spec, tasks, results)
+	return x.Assemble(results)
 }
 
 // countDone is the number of done tasks in results.
@@ -265,7 +265,7 @@ func countDone(results [][]float64) int {
 // journalling and recording each result as it lands; the first task or
 // sink error, or a context cancellation, stops the pool. restored is the
 // number of tasks results held before, freshOut counts those it adds.
-func runPool(ctx context.Context, spec Spec, x taskIndex, mine []Task, cp *Checkpoint, results [][]float64, restored int, opts Options, parent obs.SpanID, freshOut *int) error {
+func runPool(ctx context.Context, spec Spec, x TaskIndex, mine []Task, cp *Checkpoint, results [][]float64, restored int, opts Options, parent obs.SpanID, freshOut *int) error {
 	start := time.Now()
 	var (
 		mu                sync.Mutex
@@ -293,7 +293,7 @@ func runPool(ctx context.Context, spec Spec, x taskIndex, mine []Task, cp *Check
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		results[x.of(t)] = vals
+		results[x.Of(t)] = vals
 		fresh++
 		*freshOut = fresh
 		snap := Progress{
@@ -607,30 +607,28 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 	return nil
 }
 
-// AssembleScores stitches per-task value slices (task ID → values)
-// into this spec's merged Scores. It is the same assembly Run and Load
-// perform, exported for the grid coordinator, which collects task
-// results over HTTP instead of computing them — so grid sweeps merge
-// byte-identically with local ones.
+// AssembleScores is TaskIndex.Assemble for a caller that holds per-task
+// value slices by task ID.
 func (s Spec) AssembleScores(results map[string][]float64) (*dsa.Scores, error) {
-	tasks := s.Tasks()
-	done := make([][]float64, len(tasks))
-	for i, t := range tasks {
+	x := NewTaskIndex(s)
+	done := make([][]float64, len(x.tasks))
+	for i, t := range x.tasks {
 		done[i] = results[t.ID()]
 	}
-	return assemble(s, tasks, done)
+	return x.Assemble(done)
 }
 
-// assemble stitches per-task value slices — done[i] the values of
-// tasks[i], which is spec.Tasks() — into the merged Scores, handing the
-// domain the whole-set post-processing last.
-func assemble(spec Spec, tasks []Task, done [][]float64) (*dsa.Scores, error) {
-	measures := spec.Domain.Measures()
-	raw := make(map[string][]float64, len(measures))
-	for _, m := range measures {
+// Assemble stitches per-task value slices — done[i] the values of
+// Tasks()[i] — into the spec's merged Scores, handing the domain the
+// whole-set post-processing last: the assembly of Run, Load and the grid
+// coordinator, so their sweeps merge byte-identically.
+func (x TaskIndex) Assemble(done [][]float64) (*dsa.Scores, error) {
+	spec := x.spec
+	raw := make(map[string][]float64, len(x.measures))
+	for _, m := range x.measures {
 		raw[m] = make([]float64, len(spec.Points))
 	}
-	for i, t := range tasks {
+	for i, t := range x.tasks {
 		switch vals := done[i]; {
 		case vals == nil:
 			return nil, fmt.Errorf("job: task %s missing from results", t.ID())
@@ -654,7 +652,7 @@ func Load(dir string) (*dsa.Scores, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := newTaskIndex(spec)
+	x := NewTaskIndex(spec)
 	done, err := readCompleted(dir, x, "")
 	if err != nil {
 		return nil, err
@@ -662,5 +660,5 @@ func Load(dir string) (*dsa.Scores, error) {
 	if n := countDone(done); n < len(x.tasks) {
 		return nil, fmt.Errorf("%w: %d of %d tasks done in %s", ErrIncomplete, n, len(x.tasks), dir)
 	}
-	return assemble(spec, x.tasks, done)
+	return x.Assemble(done)
 }

@@ -47,17 +47,20 @@ func applyManifestLine(out map[string][]float64, valid map[string]Task, line []b
 // through the oracle, where done and out hold the same entries of x's
 // tasks, and fails t unless both return the same entry (or both refuse
 // the line) and leave the same entries.
-func foldBoth(t *testing.T, x taskIndex, done [][]float64, out map[string][]float64, line []byte) {
+func foldBoth(t *testing.T, x TaskIndex, done [][]float64, out map[string][]float64, line []byte) {
 	t.Helper()
 	valid := map[string]Task{}
 	for _, task := range x.tasks {
 		valid[task.ID()] = task
 	}
-	got, ok := foldManifestLine(done, x, line)
+	i, got, ok := foldManifestLine(done, x, line)
 	want, wantOK := applyManifestLine(out, valid, line)
 	if ok != wantOK || got.Task != want.Task || got.Elapsed != want.Elapsed || got.Worker != want.Worker ||
 		got.Dead != want.Dead || (got.Values == nil) != (want.Values == nil) || !sameValues(got.Values, want.Values) {
 		t.Fatalf("line %q folds to %+v (%v), the ID map to %+v (%v)", line, got, ok, want, wantOK)
+	}
+	if ok && x.tasks[i] != want.Task {
+		t.Fatalf("line %q folds at position %d, task %s, not at its own task %s", line, i, x.tasks[i].ID(), want.Task.ID())
 	}
 	for i, task := range x.tasks {
 		if vals := out[task.ID()]; (done[i] == nil) != (vals == nil) || !sameValues(done[i], vals) {
@@ -72,7 +75,7 @@ func loadCompleted(dir string) (map[string][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := newTaskIndex(spec)
+	x := NewTaskIndex(spec)
 	done, err := readCompleted(dir, x, "")
 	if err != nil {
 		return nil, err
@@ -94,7 +97,7 @@ func TestParentManifestFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := newTaskIndex(Spec{Domain: measuresDomain{measures: []string{"m"}}, Points: make([]core.Point, 11), Chunk: 4})
+	x := NewTaskIndex(Spec{Domain: measuresDomain{measures: []string{"m"}}, Points: make([]core.Point, 11), Chunk: 4})
 	done := make([][]float64, len(x.tasks))
 	out := map[string][]float64{}
 	for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
@@ -140,13 +143,13 @@ func FuzzTaskIndex(f *testing.F) {
 		n := int(points % uint32(len(indexPoints)))
 		spec := Spec{Domain: measuresDomain{measures: measures}, Points: indexPoints[:n],
 			Chunk: max(1+int(chunk)%4096, (n+2047)/2048)}
-		x := newTaskIndex(spec)
+		x := NewTaskIndex(spec)
 		pos := map[string]int{}
 		for i, task := range x.tasks {
 			pos[task.ID()] = i
 		}
 		resolve := func(name string) {
-			got, ok := x.parse(name)
+			got, ok := x.Parse(name)
 			want, wantOK := pos[name]
 			if ok != wantOK || ok && got != want {
 				t.Fatalf("%q resolves to %d (%v), the ID map to %d (%v)", name, got, ok, want, wantOK)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/design"
 	"repro/internal/dsa"
 )
@@ -20,11 +21,24 @@ var (
 		csvScoreColumns...)
 )
 
-func (swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
-	protos, err := Protocols(s.Points)
+// csvCells appends a row's fixed cells: id to allocation.
+func csvCells(c *dsa.CSVEncoder, id int, pt core.Point) error {
+	p, err := FromPoint(pt)
 	if err != nil {
 		return err
 	}
+	c.Int(id)
+	c.Text(p.String())
+	c.Text(p.Stranger.String())
+	c.Int(p.H)
+	c.Text(p.Candidate.String())
+	c.Text(p.Ranking.String())
+	c.Int(p.K)
+	c.Text(p.Allocation.String())
+	return nil
+}
+
+func (d swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
 	enc := dsa.NewCSVEncoder(w)
 	for _, h := range csvHeader {
 		enc.Text(h)
@@ -32,20 +46,16 @@ func (swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
 	if err := enc.EndRow(); err != nil {
 		return err
 	}
+	cells := dsa.Cells(d, csvCells)
 	raw, measures := s.Raw[MeasurePerformance], base.Measures()
-	for i, p := range protos {
-		id, err := base.PointID(s.Points[i])
+	for i, p := range s.Points {
+		id, err := base.PointID(p)
+		if err == nil {
+			err = enc.Fixed(cells, id, p)
+		}
 		if err != nil {
 			return err
 		}
-		enc.Int(id)
-		enc.Text(p.String())
-		enc.Text(p.Stranger.String())
-		enc.Int(p.H)
-		enc.Text(p.Candidate.String())
-		enc.Text(p.Ranking.String())
-		enc.Int(p.K)
-		enc.Text(p.Allocation.String())
 		enc.Score(raw[i])
 		for _, m := range measures {
 			enc.Score(s.Values[m][i])

@@ -631,12 +631,9 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 	}
 	j.cacheServed += len(hits)
 	c.metrics.cacheServed.Add(float64(len(hits)))
+	audits := j.audits
 	c.settle(j, c.now(), hits, nil, "", "tasks served from the score cache", "job", j.id, "tasks", len(hits))
-	for _, st := range sts {
-		if st.audit != nil {
-			c.metrics.auditsOpened.Inc()
-		}
-	}
+	c.metrics.auditsOpened.Add(float64(j.audits - audits)) // under auditing a served value is selected like any
 }
 
 // recordLocked makes results — value lines of sts, which the caller

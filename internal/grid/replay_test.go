@@ -393,7 +393,12 @@ func TestRestartAuditsAsLive(t *testing.T) {
 		}
 		snap := mustProgress(t, coord, id)
 		lives = append(lives, durableProjection(coord))
+		var scrape bytes.Buffer
+		coord.Metrics().WritePrometheus(&scrape)
 		coord.Close()
+		if opened := fmt.Sprintf("\ngrid_audits_opened_total %d\n", snap.Total); !strings.Contains(scrape.String(), opened) {
+			t.Fatalf("life %d: /metrics does not count %d audits opened:\n%s", life, snap.Total, scrape.String())
+		}
 		if life == 0 && (snap.CacheTasks == 0 || snap.CacheTasks == snap.Total) {
 			t.Fatalf("the cache served %d of %d tasks, want the ones the shard left", snap.CacheTasks, snap.Total)
 		}

@@ -789,7 +789,7 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 		for i, st := range j.tasks {
 			done[i] = st.values
 		}
-		j.scores, j.scoresErr = j.x.Assemble(done)
+		j.scores, j.scoresErr = j.x.Scores(done)
 		if j.scoresErr != nil {
 			c.log.Error("job assembly failed", "job", j.id, "err", j.scoresErr)
 		} else {

@@ -247,7 +247,7 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 		return nil, fmt.Errorf("%w: %d of %d tasks done (merge after the remaining shards finish)",
 			ErrIncomplete, have, len(tasks))
 	}
-	return x.Assemble(results)
+	return x.Scores(results)
 }
 
 // countDone is the number of done tasks in results.
@@ -607,7 +607,7 @@ func execUnit(spec Spec, unit []Task, opponents []core.Point, cfg dsa.Config, ke
 	return nil
 }
 
-// AssembleScores is TaskIndex.Assemble for a caller that holds per-task
+// AssembleScores is TaskIndex.Scores for a caller that holds per-task
 // value slices by task ID.
 func (s Spec) AssembleScores(results map[string][]float64) (*dsa.Scores, error) {
 	x := NewTaskIndex(s)
@@ -615,14 +615,14 @@ func (s Spec) AssembleScores(results map[string][]float64) (*dsa.Scores, error) 
 	for i, t := range x.tasks {
 		done[i] = results[t.ID()]
 	}
-	return x.Assemble(done)
+	return x.Scores(done)
 }
 
-// Assemble stitches per-task value slices — done[i] the values of
+// Scores stitches per-task value slices — done[i] the values of
 // Tasks()[i] — into the spec's merged Scores, handing the domain the
 // whole-set post-processing last: the assembly of Run, Load and the grid
 // coordinator, so their sweeps merge byte-identically.
-func (x TaskIndex) Assemble(done [][]float64) (*dsa.Scores, error) {
+func (x TaskIndex) Scores(done [][]float64) (*dsa.Scores, error) {
 	spec := x.spec
 	raw := make(map[string][]float64, len(x.measures))
 	for _, m := range x.measures {
@@ -660,5 +660,5 @@ func Load(dir string) (*dsa.Scores, error) {
 	if n := countDone(done); n < len(x.tasks) {
 		return nil, fmt.Errorf("%w: %d of %d tasks done in %s", ErrIncomplete, n, len(x.tasks), dir)
 	}
-	return x.Assemble(done)
+	return x.Scores(done)
 }

@@ -15,9 +15,9 @@ func FilledCells(d Domain) int {
 	if !ok {
 		return 0
 	}
-	n := 0
-	for i := range t.(*CellTable).cells {
-		if t.(*CellTable).cells[i].Load() != nil {
+	cells, n := t.(*CellTable).cells, 0
+	for i := range cells {
+		if cells[i].Load() != nil {
 			n++
 		}
 	}

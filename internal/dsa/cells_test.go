@@ -12,10 +12,10 @@ import (
 
 // writeCSVPerCell is the per-cell encoder the cell table replaced, kept as
 // its oracle: every cell of every row rendered afresh, in the generic
-// layout or, for swarming, in that domain's own.
+// layout or, for the swarming domain's CSVLayout, in that layout.
 func writeCSVPerCell(w io.Writer, d dsa.Domain, s *dsa.Scores) error {
 	enc := dsa.NewCSVEncoder(w)
-	if d.Name() == pra.DomainName {
+	if _, ok := d.(dsa.CSVLayout); ok {
 		for _, h := range []string{"id", "protocol", "stranger", "h", "candidates", "ranking", "k", "allocation",
 			"raw_kbps", "performance", "robustness", "aggressiveness"} {
 			enc.Text(h)
@@ -86,11 +86,17 @@ func writeCSVPerCell(w io.Writer, d dsa.Domain, s *dsa.Scores) error {
 	return enc.Flush()
 }
 
+// genericLayout wraps a domain without forwarding its CSVLayout, as a
+// tracing or counting wrapper does: it writes the generic layout.
+type genericLayout struct{ dsa.Domain }
+
 // TestCellTableParity renders every registered domain's whole space, and
 // the quoting-hostile quirk domain's, through the cell table from several
 // goroutines at once — cold, every writer racing to fill the table, then
 // warm — and holds every file to the per-cell encoder byte for byte. A
 // strided subset written cold fills the table for its own points alone.
+// The swarming domain's own layout and the generic layout of a wrapper
+// that hides it keep apart, whichever is written first.
 func TestCellTableParity(t *testing.T) {
 	const writers = 4
 	for _, d := range append(dsa.Registered(), dsa.Domain(newQuirkDomain(t))) {
@@ -137,5 +143,40 @@ func TestCellTableParity(t *testing.T) {
 		if n := dsa.FilledCells(d); n != len(sub) {
 			t.Fatalf("%s: %d points written filled %d points' cells", d.Name(), len(sub), n)
 		}
+	}
+
+	dsa.ForgetCellTables()
+	sw := pra.Domain()
+	s := syntheticScores(sw, sw.Space().Enumerate())
+	for _, d := range []dsa.Domain{sw, genericLayout{sw}, sw} {
+		var want, got bytes.Buffer
+		if err := writeCSVPerCell(&want, d, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := dsa.WriteCSV(&got, d, s); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			_, own := d.(dsa.CSVLayout)
+			t.Fatalf("swarming, own layout %v: wrote %d bytes (%v) that are not the per-cell encoder's %d",
+				own, got.Len(), err, want.Len())
+		}
+	}
+}
+
+// BenchmarkWriteCSVCold writes every point of each registered domain into
+// an empty cell table, as the first write of a process does: each point's
+// fixed cells are rendered and published before they are copied.
+func BenchmarkWriteCSVCold(b *testing.B) {
+	for _, d := range dsa.Registered() {
+		pts := d.Space().Enumerate()
+		s := syntheticScores(d, pts)
+		b.Run(d.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				dsa.ForgetCellTables()
+				if err := dsa.WriteCSV(io.Discard, d, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/row")
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,7 +144,17 @@ const digitPairs = "000102030405060708091011121314151617181920212223242526272829
 type CSVEncoder struct {
 	w   *bufio.Writer
 	row []byte
+	// fixed and refs hold the fixed cells this encoder rendered cold and
+	// published, and their slice headers, in chunks that are only
+	// appended to: what is published never moves, and a file's cold
+	// points cost a few allocations, not one or two each.
+	fixed []byte
+	refs  [][]byte
 }
+
+// cellChunk is the size in bytes of an encoder's chunk of published
+// fixed cells; a chunk of slice headers holds cellChunk/64 of them.
+const cellChunk = 8 << 10
 
 // NewCSVEncoder returns an encoder writing to w. Flush ends the file.
 func NewCSVEncoder(w io.Writer) *CSVEncoder {
@@ -211,32 +220,37 @@ func (c *CSVEncoder) EndRow() error {
 // Flush writes any buffered rows to the underlying writer.
 func (c *CSVEncoder) Flush() error { return c.w.Flush() }
 
-// CellTable holds a domain's fixed CSV cells: the cells of a row that
-// depend on its point alone — in the generic layout its domain, id, label
-// and dimension values. Each point's are rendered once per process, by
-// point ID, and copied into every row after that. The table fills per
-// point on first use, so a file of a few points renders those alone, and
-// it is safe for concurrent writers: a point two writers render at once
-// is the same bytes, published twice.
+// CellTable holds a set of fixed CSV cells of a domain: the cells of a
+// row that depend on its point alone — in the generic layout its domain,
+// id, label and dimension values. Each point's are rendered once per
+// process, by point ID, and copied into every row after that. The table
+// fills per point on first use, so a file of a few points renders those
+// alone, and it is safe for concurrent writers: a point two writers
+// render at once is the same bytes, published twice.
 type CellTable struct {
 	render func(c *CSVEncoder, id int, p core.Point) error
 	cells  []atomic.Pointer[[]byte] // by point ID
 }
 
-// cellTables holds the table of each domain written so far, by name and
-// space: a domain has one layout, so the two name its table.
+// cellTables holds each cell table made so far, by domain name, space and
+// layout.
 var cellTables sync.Map // cellKey → *CellTable
 
 type cellKey struct {
-	name  string
-	space *core.Space
+	name   string
+	space  *core.Space
+	layout string
 }
 
-// Cells is domain d's cell table, made the first time it is asked for
-// with render, which appends the fixed cells of point p, whose ID is id,
-// to c's row. Every later call gets that table, whatever its render.
-func Cells(d Domain, render func(c *CSVEncoder, id int, p core.Point) error) *CellTable {
-	key := cellKey{d.Name(), d.Space()}
+// Cells is the cell table of domain d for layout, made the first time it
+// is asked for with render, which appends the fixed cells of point p,
+// whose ID is id, to c's row. layout names the cells render appends: ""
+// is the generic layout's, and a CSVLayout names its own, so a wrapper of
+// a domain that does not forward its CSVLayout writes the generic cells.
+// Every later call for the same domain name, space and layout gets that
+// table, whatever its render.
+func Cells(d Domain, layout string, render func(c *CSVEncoder, id int, p core.Point) error) *CellTable {
+	key := cellKey{d.Name(), d.Space(), layout}
 	if t, ok := cellTables.Load(key); ok {
 		return t.(*CellTable)
 	}
@@ -258,8 +272,17 @@ func (c *CSVEncoder) Fixed(t *CellTable, id int, p core.Point) error {
 	if err := t.render(c, id, p); err != nil {
 		return err
 	}
-	cells := slices.Clone(c.row[start:])
-	t.cells[id].Store(&cells)
+	cells := c.row[start:]
+	if len(c.fixed)+len(cells) > cap(c.fixed) {
+		c.fixed = make([]byte, 0, max(cellChunk, len(cells)))
+	}
+	if len(c.refs) == cap(c.refs) {
+		c.refs = make([][]byte, 0, cellChunk/64)
+	}
+	n := len(c.fixed)
+	c.fixed = append(c.fixed, cells...)
+	c.refs = append(c.refs, c.fixed[n:len(c.fixed):len(c.fixed)])
+	t.cells[id].Store(&c.refs[len(c.refs)-1])
 	return nil
 }
 
@@ -289,7 +312,7 @@ func WriteCSV(w io.Writer, d Domain, s *Scores) error {
 	if err := enc.EndRow(); err != nil {
 		return err
 	}
-	cells := Cells(d, func(c *CSVEncoder, id int, p core.Point) error {
+	cells := Cells(d, "", func(c *CSVEncoder, id int, p core.Point) error {
 		c.Text(d.Name())
 		c.Int(id)
 		c.Text(d.Label(p))

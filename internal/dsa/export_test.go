@@ -9,17 +9,21 @@ func ForgetCellTables() {
 	})
 }
 
-// FilledCells is how many points of d's cell table hold their cells.
+// FilledCells is how many points hold their cells, over every layout's
+// cell table of d.
 func FilledCells(d Domain) int {
-	t, ok := cellTables.Load(cellKey{d.Name(), d.Space()})
-	if !ok {
-		return 0
-	}
-	cells, n := t.(*CellTable).cells, 0
-	for i := range cells {
-		if cells[i].Load() != nil {
-			n++
+	n := 0
+	cellTables.Range(func(key, t any) bool {
+		if k := key.(cellKey); k.name != d.Name() || k.space != d.Space() {
+			return true
 		}
-	}
+		cells := t.(*CellTable).cells
+		for i := range cells {
+			if cells[i].Load() != nil {
+				n++
+			}
+		}
+		return true
+	})
 	return n
 }

@@ -360,7 +360,9 @@ func TestRestoreAdoptsLocalShard(t *testing.T) {
 // selected for an audit like any other value on record, live, and a
 // restart on what the live process left must stand where it stood
 // (FuzzSchedule's invariant 2): the same audits open, no more. Honest
-// workers then verify them and the job completes as job.Run.
+// workers then verify them and the job completes as job.Run, which at
+// AuditRate 1 recomputes every task, the cache-served ones too: the cache
+// saves grid compute only on tasks no audit selects.
 func TestRestartAuditsAsLive(t *testing.T) {
 	spec := gossipSpec(t)
 	ctx := context.Background()
@@ -385,13 +387,17 @@ func TestRestartAuditsAsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := CoordinatorOptions{Dir: dir, Cache: store, AuditRate: 1, LeaseTTL: time.Minute}
-	var lives []string
+	var (
+		lives  []string
+		snap   ProgressSnapshot
+		cached int // tasks the cache served the live process
+	)
 	for life := range 2 {
 		coord := NewCoordinator(opts)
 		if _, err := coord.AddJob(spec); err != nil {
 			t.Fatal(err)
 		}
-		snap := mustProgress(t, coord, id)
+		snap = mustProgress(t, coord, id)
 		lives = append(lives, durableProjection(coord))
 		var scrape bytes.Buffer
 		coord.Metrics().WritePrometheus(&scrape)
@@ -399,8 +405,10 @@ func TestRestartAuditsAsLive(t *testing.T) {
 		if opened := fmt.Sprintf("\ngrid_audits_opened_total %d\n", snap.Total); !strings.Contains(scrape.String(), opened) {
 			t.Fatalf("life %d: /metrics does not count %d audits opened:\n%s", life, snap.Total, scrape.String())
 		}
-		if life == 0 && (snap.CacheTasks == 0 || snap.CacheTasks == snap.Total) {
-			t.Fatalf("the cache served %d of %d tasks, want the ones the shard left", snap.CacheTasks, snap.Total)
+		if life == 0 {
+			if cached = snap.CacheTasks; cached == 0 || cached == snap.Total {
+				t.Fatalf("the cache served %d of %d tasks, want the ones the shard left", cached, snap.Total)
+			}
 		}
 		if snap.Done != snap.Total || snap.Audits != snap.Total {
 			t.Fatalf("life %d: %d of %d tasks done, %d audits open, want every task done and on audit", life, snap.Done, snap.Total, snap.Audits)
@@ -425,5 +433,10 @@ func TestRestartAuditsAsLive(t *testing.T) {
 	}
 	if csvOf(t, spec.Domain, scores) != csvOf(t, spec.Domain, want) {
 		t.Fatal("the job's CSV is not job.Run's")
+	}
+	var scrape bytes.Buffer
+	coord.Metrics().WritePrometheus(&scrape)
+	if passed := fmt.Sprintf("\ngrid_audits_passed_total %d\n", snap.Total); !strings.Contains(scrape.String(), passed) {
+		t.Fatalf("the worker did not re-check all %d tasks, %d of them cache-served:\n%s", snap.Total, cached, scrape.String())
 	}
 }

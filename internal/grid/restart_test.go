@@ -2,6 +2,8 @@ package grid
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/delivery"
@@ -69,5 +71,27 @@ func BenchmarkRestartFinishedJob(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		restartFinished(b, dir, spec)
+	}
+}
+
+// BenchmarkResultsCSV serves a finished job's CSV over and over, as a
+// coordinator answers repeated GET /v1/jobs/{id}/results?format=csv: the
+// first answer renders every point's fixed cells, the rest copy them.
+func BenchmarkResultsCSV(b *testing.B) {
+	dir, spec := finishedDeliveryJob(b)
+	c := NewCoordinator(CoordinatorOptions{Dir: dir})
+	defer c.Close()
+	id, err := c.AddJob(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, req := c.Handler(), httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/results?format=csv", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		w := httptest.NewRecorder()
+		if h.ServeHTTP(w, req); w.Code != http.StatusOK {
+			b.Fatalf("results: HTTP %d", w.Code)
+		}
 	}
 }

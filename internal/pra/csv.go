@@ -21,6 +21,9 @@ var (
 		csvScoreColumns...)
 )
 
+// csvLayout names the cell table of csvCells.
+const csvLayout = "pra.csvCells"
+
 // csvCells appends a row's fixed cells: id to allocation.
 func csvCells(c *dsa.CSVEncoder, id int, pt core.Point) error {
 	p, err := FromPoint(pt)
@@ -46,7 +49,7 @@ func (d swarmingDomain) WriteCSV(w io.Writer, s *dsa.Scores) error {
 	if err := enc.EndRow(); err != nil {
 		return err
 	}
-	cells := dsa.Cells(d, csvCells)
+	cells := dsa.Cells(d, csvLayout, csvCells)
 	raw, measures := s.Raw[MeasurePerformance], base.Measures()
 	for i, p := range s.Points {
 		id, err := base.PointID(p)

@@ -7,8 +7,7 @@
 //
 //	dsa-grid serve -addr :8437 [sweep flags as dsa-sweep] [-checkpoint-dir DIR]
 //	               [-cache-dir DIR] [-lease-ttl 30s] [-out results.csv] [-once]
-//	               [-priority N] [-auth-token SECRET] [-rate-limit N]
-//	               [-audit-rate F] [-pprof]
+//	               [-auth-token SECRET] [-rate-limit N] [-audit-rate F] [-pprof]
 //	dsa-grid work  -coordinator http://host:8437 [-job ID] [-name ID] [-workers N]
 //	               [-tasks-per-lease N] [-cache-dir DIR] [-auth-token SECRET]
 //	               [-trace-dir DIR] [-metrics-addr :9090] [-ship-traces]
@@ -79,7 +78,6 @@ func runServe(sigCtx context.Context, args []string) {
 		once      = fs.Bool("once", false, "exit once the job completes instead of keeping the results API up")
 		authToken = fs.String("auth-token", "", "shared secret workers must present as a bearer token (empty = open grid)")
 		rateLimit = fs.Float64("rate-limit", 0, "per-client requests/second against the /v1 API, bursting one second's worth (0 = unlimited)")
-		priority  = fs.Int("priority", 1, "fair-share weight of this job against other jobs on the coordinator")
 		pprofOn   = fs.Bool("pprof", false, "mount /debug/pprof/ on the API mux (auth-gated when -auth-token is set)")
 		auditRate = fs.Float64("audit-rate", 0, "fraction of completed tasks silently re-verified on a second worker (0 = off); mismatches quarantine the liar")
 	)
@@ -113,7 +111,7 @@ func runServe(sigCtx context.Context, args []string) {
 	}
 	coord := grid.NewCoordinator(coordOpts)
 	defer coord.Close()
-	id, err := coord.AddJobPriority(spec, *priority)
+	id, err := coord.AddJob(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

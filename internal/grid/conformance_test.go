@@ -320,7 +320,7 @@ func TestWorkerScoringCapsGrants(t *testing.T) {
 }
 
 // TestGridMultiJobFaultInjection is the headline fault drill: two
-// concurrent jobs at different priorities, three multi-job workers on
+// concurrent jobs, three multi-job workers on
 // an authenticated grid, one worker SIGKILLed mid-lease. Both jobs
 // must complete with results byte-identical to single-process job.Run
 // — as JSON scores and as rendered CSV — and the scheduler's per-job
@@ -337,11 +337,11 @@ func TestGridMultiJobFaultInjection(t *testing.T) {
 	var logs logSink
 	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: 2 * time.Second, AuthToken: token, Logger: logs.logger()})
 	defer coord.Close()
-	idA, err := coord.AddJobPriority(specA, 1)
+	idA, err := coord.AddJob(specA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idB, err := coord.AddJobPriority(specB, 2)
+	idB, err := coord.AddJob(specB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestGridMultiJobFaultInjection(t *testing.T) {
 	// Scheduler accounting: every task of both jobs was granted at
 	// least once (re-leases after the kill can only add), the killed
 	// worker's leases actually ended (moved to a healthy worker past half
-	// a TTL, or expired), and the priorities stuck.
+	// a TTL, or expired).
 	snapA, err := coord.Progress(idA)
 	if err != nil {
 		t.Fatal(err)
@@ -425,9 +425,6 @@ func TestGridMultiJobFaultInjection(t *testing.T) {
 	}
 	if leasesEnded(logs.String(), "fleet-2") == 0 {
 		t.Fatal("killed worker's leases never moved or re-queued — the fault was not injected")
-	}
-	if snapA.Priority != 1 || snapB.Priority != 2 {
-		t.Fatalf("priorities = %d, %d, want 1, 2", snapA.Priority, snapB.Priority)
 	}
 
 	// The metrics endpoint must reflect the run: grants, ingest

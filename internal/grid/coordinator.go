@@ -175,7 +175,6 @@ type gridJob struct {
 	id      string
 	spec    job.Spec
 	specRaw json.RawMessage
-	weight  int // fair-share priority weight, >= 1
 	// tasks is the task table in job.Spec.Tasks order (chunk-major) — the
 	// grant order, and the order of every scan; x finds a task by name.
 	tasks     []*taskState
@@ -281,13 +280,13 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// journal appends a decision's lines as one write, durably if asked: to
-// j's file its value lines and tombstones, then its scheduler records;
-// with j nil a quarantine verdict to the quarantine journal.
+// journal appends a decision's lines as one write: to j's file its value
+// lines and tombstones, then its scheduler records, durably if asked; with
+// j nil a quarantine verdict to the quarantine journal, durably.
 func (c *Coordinator) journal(j *gridJob, results []job.Result, recs []walRecord, durable bool) error {
 	switch {
 	case j == nil && c.wal != nil:
-		err := c.wal.append(durable, recs...)
+		err := c.wal.append(recs...)
 		if err == nil {
 			c.metrics.walRecords.Add(float64(len(recs)))
 		}
@@ -320,16 +319,12 @@ func appendJob(cp *job.Checkpoint, lines []byte, durable bool) (err error) {
 // commit is the one place a decision becomes state. The live paths look
 // at the task table, decide and build its lines — value lines and
 // tombstones (results), scheduler records (recs) — and commit journals
-// them as one write, fsynced if a value, a tombstone or a verdict (verify,
-// quarantine: not to be re-litigated after a power loss) is among them,
-// and settles them. With j nil recs is a quarantine verdict. A failed
-// journal is logged, not fatal: it degrades a future restart, not the run.
+// them as one fsynced write (each is a value, a tombstone or a verdict:
+// not to be re-litigated after a power loss) and settles them. With j nil
+// recs is a quarantine verdict. A failed journal is logged, not fatal: it
+// degrades a future restart, not the run.
 func (c *Coordinator) commit(j *gridJob, now time.Time, results []job.Result, recs []walRecord, rid, msg string, attrs ...any) {
-	durable := len(results) > 0
-	for _, r := range recs {
-		durable = durable || r.T == walVerify || r.T == walQuarantine
-	}
-	if err := c.journal(j, results, recs, durable); err != nil {
+	if err := c.journal(j, results, recs, true); err != nil {
 		c.log.Error("journal append failed", "err", err)
 	}
 	c.settle(j, now, results, recs, rid, msg, attrs...)
@@ -386,23 +381,11 @@ func jobID(domain string, specRaw []byte) string {
 	return fmt.Sprintf("%s-%012x", domain, h.Sum64()&0xffffffffffff)
 }
 
-// AddJob registers a sweep at the default priority. Adding a spec that
-// is already registered returns the existing job's ID. With a
-// checkpoint dir configured, completed tasks are restored from disk
-// before any lease is granted.
+// AddJob registers a sweep. Adding a spec that is already registered
+// returns the existing job's ID and writes nothing. With a checkpoint dir
+// configured, completed tasks are restored from disk before any lease is
+// granted.
 func (c *Coordinator) AddJob(spec job.Spec) (string, error) {
-	return c.AddJobPriority(spec, 1)
-}
-
-// AddJobPriority registers a sweep with a fair-share weight: against
-// other concurrent jobs, this job receives leased tasks in proportion
-// to its priority (a priority-3 job gets ~3x the grant share of a
-// priority-1 job while both have pending work). priority < 1 is
-// treated as 1. Re-adding an existing job updates its priority.
-func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error) {
-	if priority < 1 {
-		priority = 1
-	}
 	if err := spec.Cfg.Validate(); err != nil {
 		return "", err
 	}
@@ -416,7 +399,7 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 	id := jobID(spec.Domain.Name(), specRaw)
 
 	c.mu.Lock()
-	j, err := c.registerLocked(id, spec, specRaw, priority)
+	j, err := c.registerLocked(id, spec, specRaw)
 	c.mu.Unlock()
 	if err != nil {
 		return "", err
@@ -431,22 +414,17 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 }
 
 // registerLocked adds the job, restored from its file; for one already
-// registered it only updates the priority and returns nil.
-func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, priority int) (*gridJob, error) {
-	now := c.now()
-	if j, ok := c.jobs[id]; ok {
-		if j.weight != priority {
-			c.commit(j, now, nil, []walRecord{{T: walPriority, Weight: priority}}, "",
-				"job priority set", "job", id, "priority", priority)
-		}
+// registered it returns nil.
+func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte) (*gridJob, error) {
+	if _, ok := c.jobs[id]; ok {
 		return nil, nil
 	}
+	now := c.now()
 	x := job.NewTaskIndex(spec)
 	j := &gridJob{
 		id:      id,
 		spec:    spec,
 		specRaw: specRaw,
-		weight:  priority,
 		tasks:   make([]*taskState, len(x.Tasks())),
 		x:       x,
 		group:   len(spec.Domain.Measures()),
@@ -474,8 +452,8 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	// Replay: the job's file, read once, line by line through the live
 	// transitions — a value line is an ingest by its worker, a tombstone
 	// an invalidation, a scheduler line its own transition. An older
-	// coordinator's lease lines are counted and skipped: every task not
-	// done starts pending.
+	// coordinator's lease and priority lines are counted and skipped:
+	// every task not done starts pending, every job has an equal share.
 	replayed, retired := 0, 0
 	if c.opts.Dir != "" {
 		cp, err := job.OpenCheckpoint(filepath.Join(c.opts.Dir, id), spec, func(line []byte, i int, r job.Result, ok bool) {
@@ -495,7 +473,7 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 			return nil, err
 		}
 		if retired > 0 {
-			c.log.Warn("job file holds lease records of an older coordinator, skipped: its unfinished tasks start pending", "job", id, "records", retired)
+			c.log.Warn("job file holds scheduler records of an older coordinator (leases, priorities), skipped: its unfinished tasks start pending", "job", id, "records", retired)
 		}
 		j.cp = cp
 		c.restoreLocked(j, cp.Values(), now)
@@ -508,7 +486,7 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte, p
 	c.wakeLocked(j)
 	c.jobs[id] = j
 	c.log.Info("job registered", "job", id, "tasks", len(j.tasks), "restored", j.restored,
-		"replayed", replayed, "priority", j.weight)
+		"replayed", replayed)
 	return j, nil
 }
 
@@ -837,7 +815,7 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, most int, fair bool
 	j.leasesGranted += len(granted)
 	attrs := []any{"job", j.id, "worker", worker, "tasks", len(granted) + len(moved), "pending", pending, "live", live}
 	if fair {
-		attrs = append(attrs, "fair_share", j.leasesGranted, "weight", j.weight)
+		attrs = append(attrs, "fair_share", j.leasesGranted)
 	}
 	c.logHolders(moved, "lease moved", "rid", rid, "job", j.id, "to", worker)
 	var tasks []LeaseTask
@@ -855,13 +833,13 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, most int, fair bool
 }
 
 // Lease grants worker up to max tasks of one job: job id, or with id ""
-// whichever the fair scheduler picks — the eligible job with the lowest
-// granted-per-weight share (pickJobLocked). What the cache already knows
-// is served before anything is handed out (overlapping jobs ingested
-// since the last scan may have made whole pending tasks free, and an
-// absorbed job may complete without ever dispatching work); the
-// quarantined are refused; while the coordinator drains no tasks are
-// granted and the response says so.
+// whichever the fair scheduler picks — the eligible job with the fewest
+// grants (pickJobLocked). What the cache already knows is served before
+// anything is handed out (overlapping jobs ingested since the last scan
+// may have made whole pending tasks free, and an absorbed job may
+// complete without ever dispatching work); the quarantined are refused;
+// while the coordinator drains no tasks are granted and the response
+// says so.
 func (c *Coordinator) Lease(ctx context.Context, id, worker string, max int) (LeaseResponse, error) {
 	if worker == "" {
 		return LeaseResponse{}, errNoWorker

@@ -122,10 +122,10 @@ th { background: #f0f0f0; }
 <h2>Jobs</h2>
 {{if .Jobs}}
 <table>
-<tr><th>job</th><th>domain</th><th>priority</th><th>progress</th><th>done</th><th>pending</th><th>leased</th><th>requeues</th><th>cache-served</th><th>granted</th><th>audits</th><th>ETA</th></tr>
+<tr><th>job</th><th>domain</th><th>progress</th><th>done</th><th>pending</th><th>leased</th><th>requeues</th><th>cache-served</th><th>granted</th><th>audits</th><th>ETA</th></tr>
 {{range .Jobs}}
 <tr{{if .Complete}} class="done"{{end}}>
-<td><code>{{.JobID}}</code></td><td>{{.Domain}}</td><td>{{.Priority}}</td>
+<td><code>{{.JobID}}</code></td><td>{{.Domain}}</td>
 {{$p := share .Done .Total}}<td><span class="bar"><i style="width:{{printf "%.1f" $p}}%"></i></span> {{printf "%.1f" $p}}%</td>
 <td>{{.Done}}/{{.Total}}</td><td>{{.Pending}}</td><td>{{.Leased}}</td><td>{{.Requeues}}</td><td>{{.CacheTasks}}</td><td>{{.LeasesGranted}}</td><td>{{.Audits}}</td><td>{{eta .}}</td>
 </tr>

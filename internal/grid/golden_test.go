@@ -2,7 +2,7 @@ package grid
 
 // The commit pin: seeded, fake-clock runs of the whole coordinator —
 // three honest workers, a straggler, a liar, full auditing, hedging, two
-// jobs at different priorities, a priority change and a drain — driven
+// jobs, a re-post of one and a drain — driven
 // through the HTTP handler only, and compared byte for byte with what the
 // same runs left behind when the golden was recorded: the WAL, both
 // manifests, how the bytes were grouped into writes, the final counters
@@ -137,12 +137,12 @@ func goldenRun(t *testing.T, seed uint64) string {
 	g.h = g.coord.Handler()
 
 	var ids []string
-	create := func(spec job.Spec, priority int) string {
+	create := func(spec job.Spec) string {
 		raw, err := job.EncodeSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		code, body := g.do("POST", "/v1/jobs", CreateJobRequest{Spec: raw, Priority: priority})
+		code, body := g.do("POST", "/v1/jobs", CreateJobRequest{Spec: raw})
 		var sum JobSummary
 		if code != 200 || json.Unmarshal(body, &sum) != nil || sum.ID == "" {
 			t.Fatalf("POST /v1/jobs: %d %s", code, body)
@@ -150,7 +150,7 @@ func goldenRun(t *testing.T, seed uint64) string {
 		return sum.ID
 	}
 	for _, spec := range specs {
-		ids = append(ids, create(spec, 1))
+		ids = append(ids, create(spec))
 	}
 
 	lying := func(lt LeaseTask) []float64 {
@@ -166,7 +166,7 @@ func goldenRun(t *testing.T, seed uint64) string {
 			t.Fatalf("the jobs did not complete in %d steps", step)
 		}
 		if step == 40 {
-			create(specs[1], 3) // a priority change mid-run
+			create(specs[1]) // a re-post mid-run: it writes nothing
 		}
 		now = now.Add(time.Second)
 		w := workers[rng.IntN(len(workers))]
@@ -282,15 +282,15 @@ func TestCommitGolden(t *testing.T) {
 		fmt.Fprintf(&sb, "==== seed %d\n%s", seed, goldenRun(t, seed))
 	}
 	got := sb.String()
-	for _, want := range []string{`"t":"quarantine"`, `"t":"verify"`, `"t":"priority"`, `msg="lease moved"`, `msg="leases expired, tasks re-queued"`,
+	for _, want := range []string{`"t":"quarantine"`, `"t":"verify"`, `msg="lease moved"`, `msg="leases expired, tasks re-queued"`,
 		"QUARANTINED", "revoked=4", "AUDIT MISMATCH", "audit split unresolved", "fair_share=", "drained"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("the runs never produced %s; they are too tame to pin the commit path", want)
 		}
 	}
-	for _, retired := range []string{`"t":"lease"`, `"t":"hedge"`, `"t":"expire"`} {
+	for _, retired := range []string{`"t":"lease"`, `"t":"hedge"`, `"t":"expire"`, `"t":"priority"`} {
 		if strings.Contains(got, retired) {
-			t.Errorf("the runs journalled a %s record: a lease lives in memory only", retired)
+			t.Errorf("the runs journalled a %s record: a lease lives in memory only, and every job has an equal share", retired)
 		}
 	}
 

@@ -85,7 +85,6 @@ type JobSummary struct {
 	Domain     string `json:"domain"`
 	TotalTasks int    `json:"total_tasks"`
 	DoneTasks  int    `json:"done_tasks"`
-	Priority   int    `json:"priority"`
 	Complete   bool   `json:"complete"`
 }
 
@@ -103,14 +102,10 @@ type jobsResponse struct {
 // CreateJobRequest registers a sweep with the coordinator. Spec is a
 // job.EncodeSpec payload; job creation is idempotent — the job ID
 // derives from the spec bytes, so re-POSTing the same sweep returns
-// the existing job.
+// the existing job and writes nothing. Every job gets an equal share of
+// the fleet's grants.
 type CreateJobRequest struct {
 	Spec json.RawMessage `json:"spec"`
-	// Priority is the job's fair-share scheduling weight: against other
-	// concurrent jobs it receives leased tasks in proportion to this
-	// weight. 0 (or absent) means 1. Re-posting an existing job with a
-	// different priority updates the weight.
-	Priority int `json:"priority,omitempty"`
 }
 
 // LeaseRequest asks for the coordinator's sized grant — at most MaxTasks
@@ -270,7 +265,6 @@ type ProgressSnapshot struct {
 	Workers       int    `json:"workers"`          // workers holding a live lease
 	CacheTasks    int    `json:"cache_tasks"`      // tasks served from the score cache, never dispatched
 	LeasesGranted int    `json:"leases_granted"`   // tasks handed out on leases, re-leases included
-	Priority      int    `json:"priority"`         // fair-share weight
 	Audits        int    `json:"audits,omitempty"` // open result audits still gating completion
 	Complete      bool   `json:"complete"`
 }

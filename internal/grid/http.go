@@ -409,7 +409,7 @@ func (c *Coordinator) createJob(_ *http.Request, req CreateJobRequest) (JobSumma
 	if err != nil {
 		return JobSummary{}, err
 	}
-	id, err := c.AddJobPriority(spec, max(req.Priority, 1))
+	id, err := c.AddJob(spec)
 	if err != nil {
 		return JobSummary{}, err
 	}

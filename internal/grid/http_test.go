@@ -105,6 +105,37 @@ func TestRequestWrapper(t *testing.T) {
 	logged(fmt.Sprintf("level=INFO msg=request rid=nope-1 method=GET path=/v1/nope status=404 bytes=%d ", rec.Body.Len()))
 }
 
+// TestCreateJobOldClient: a body an older client sends, a job priority
+// in it, registers the job; sent again it answers the same ID and writes
+// nothing to the job's file.
+func TestCreateJobOldClient(t *testing.T) {
+	dir := t.TempDir()
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir})
+	defer coord.Close()
+	raw, err := job.EncodeSpec(gossipSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"spec":` + string(raw) + `,"priority":3}`
+	var ids, files []string
+	for range 2 {
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathJobs, strings.NewReader(body)))
+		var sum JobSummary
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &sum) != nil || sum.ID == "" {
+			t.Fatalf("POST %s: %d %s", pathJobs, rec.Code, rec.Body.Bytes())
+		}
+		data, err := os.ReadFile(filepath.Join(dir, sum.ID, "manifest-grid.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, files = append(ids, sum.ID), append(files, string(data))
+	}
+	if ids[0] != ids[1] || files[0] != files[1] {
+		t.Fatalf("the re-post answered %s for %s, and the job's file went from %q to %q", ids[1], ids[0], files[0], files[1])
+	}
+}
+
 // FuzzRouteBodies throws arbitrary bytes at every body-reading POST route
 // of the table — lease (both paths), heartbeat, results, create-job, trace
 // upload — with the checksum header absent, right or wrong. Whatever the
@@ -137,8 +168,8 @@ func FuzzRouteBodies(f *testing.F) {
 				fmt.Fprintf(&sb, "%s %d %q %q %v %v %v\n", st.task.ID(), st.status, st.worker,
 					st.producer, st.verified, st.audit != nil, st.values)
 			}
-			fmt.Fprintf(&sb, "%s done=%d audits=%d requeues=%d granted=%d weight=%d\n",
-				j.id, j.done, j.audits, j.requeues, j.leasesGranted, j.weight)
+			fmt.Fprintf(&sb, "%s done=%d audits=%d requeues=%d granted=%d\n",
+				j.id, j.done, j.audits, j.requeues, j.leasesGranted)
 		}
 		fmt.Fprintf(&sb, "quarantined=%d\n", len(coord.quarantined))
 		coord.mu.Unlock()
@@ -167,7 +198,7 @@ func FuzzRouteBodies(f *testing.F) {
 		HeartbeatRequest{Worker: "seed", Tasks: []string{lease.Tasks[0].Task, "no-such-task"}},
 		ResultsUpload{Worker: "seed", Results: results(lease.Tasks, honestVals)},
 		ResultsUpload{Worker: "other", Results: results(lease.Tasks[:1], lyingVals)},
-		CreateJobRequest{Spec: specRaw, Priority: 2},
+		CreateJobRequest{Spec: specRaw},
 		TraceUpload{Writer: "w", Job: id, Data: []byte("{\"name\":\"task\"}\n")},
 		TraceUpload{Writer: "w", Offset: -1},
 	} {

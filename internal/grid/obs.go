@@ -63,7 +63,6 @@ type gridMetrics struct {
 
 	jobTasks      *gridobs.GaugeVec // job, state
 	jobETA        *gridobs.GaugeVec // job
-	jobPriority   *gridobs.GaugeVec // job
 	workerLive    *gridobs.GaugeVec // worker
 	workerLatency *gridobs.GaugeVec // worker
 	workerFailure *gridobs.GaugeVec // worker
@@ -126,7 +125,6 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 
 		jobTasks:      r.NewGaugeVec("grid_job_tasks", "Per-job task counts by state — pending is the queue depth.", "job", "state"),
 		jobETA:        r.NewGaugeVec("grid_job_eta_seconds", "Estimated seconds until the job completes, from its observed completion rate. NaN before any progress.", "job"),
-		jobPriority:   r.NewGaugeVec("grid_job_priority", "Fair-share scheduling weight.", "job"),
 		workerLive:    r.NewGaugeVec("grid_worker_live", "1 if the worker was heard from within the liveness window.", "worker"),
 		workerLatency: r.NewGaugeVec("grid_worker_latency_seconds", "EWMA of the worker's per-task wall time.", "worker"),
 		workerFailure: r.NewGaugeVec("grid_worker_failure_ratio", "EWMA of the worker's lease-expiry rate (0 reliable, 1 failing).", "worker"),
@@ -153,7 +151,6 @@ func (c *Coordinator) collectGauges(m *gridMetrics) {
 
 	m.jobTasks.Reset()
 	m.jobETA.Reset()
-	m.jobPriority.Reset()
 	complete := 0
 	for _, jv := range v.Jobs {
 		m.jobTasks.With(jv.JobID, "pending").Set(float64(jv.Pending))
@@ -161,7 +158,6 @@ func (c *Coordinator) collectGauges(m *gridMetrics) {
 		m.jobTasks.With(jv.JobID, "done").Set(float64(jv.Done))
 		m.jobTasks.With(jv.JobID, "total").Set(float64(jv.Total))
 		m.jobETA.With(jv.JobID).Set(jv.ETA)
-		m.jobPriority.With(jv.JobID).Set(float64(jv.Priority))
 		if jv.Complete {
 			complete++
 		}

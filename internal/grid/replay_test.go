@@ -44,8 +44,8 @@ var notDurable = []struct{ field, why string }{
 
 // durableProjection renders what the jobs' files and the quarantine
 // journal own of c's state: per task whether it is done, its producer,
-// verified and whether an audit is open; each job's done and audit counts
-// and weight; the quarantined set; every worker's count of tasks done, and
+// verified and whether an audit is open; each job's done and audit
+// counts; the quarantined set; every worker's count of tasks done, and
 // with a single job its latency EWMA.
 func durableProjection(c *Coordinator) string {
 	c.mu.Lock()
@@ -56,7 +56,7 @@ func durableProjection(c *Coordinator) string {
 			fmt.Fprintf(&sb, "%s done=%v producer=%q verified=%v audit=%v\n",
 				st.task.ID(), st.status == taskDone, st.producer, st.verified, st.audit != nil)
 		}
-		fmt.Fprintf(&sb, "%s done=%d audits=%d weight=%d\n", j.id, j.done, j.audits, j.weight)
+		fmt.Fprintf(&sb, "%s done=%d audits=%d\n", j.id, j.done, j.audits)
 	}
 	quarantined := make([]string, 0, len(c.quarantined))
 	for name := range c.quarantined {
@@ -117,7 +117,7 @@ func walBytes(t testing.TB, recs []walRecord) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(false, recs...); err != nil {
+	if err := w.append(recs...); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -279,14 +279,14 @@ func TestRestartReadsOneJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fmt.Sprintf("replayed=%d ", bytes.Count(data, []byte("\n")))
+		want := fmt.Sprintf(" replayed=%d", bytes.Count(data, []byte("\n")))
 		registered := ""
 		for _, line := range strings.Split(logs.String(), "\n") {
 			if strings.Contains(line, `msg="job registered"`) {
 				registered = line
 			}
 		}
-		if !strings.Contains(registered, want) {
+		if !strings.HasSuffix(registered, want) {
 			t.Fatalf("%d jobs: %q, want %s — the job's own lines", jobs, registered, want)
 		}
 		replayed = append(replayed, want)

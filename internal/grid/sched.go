@@ -7,18 +7,17 @@ import (
 )
 
 // This file is the coordinator's scheduling brain: fair-share lease
-// scheduling across concurrent jobs (weighted by per-job priority) and
+// scheduling across concurrent jobs, an equal share each, and
 // one rule, leaseSizeLocked, for how much work a lease call hands out:
 // a share of the pending work sized by the live fleet and bounded by the
 // worker's own scores (EWMA of task latency and failure rate).
 //
 // Fairness model. Workers pull; the coordinator cannot push work to
 // anyone. What it can choose is *which job* a pulling worker serves
-// next. PickJob grants from the eligible job with the lowest
-// granted-tasks-per-weight ratio, so over any window the granted task
-// counts converge to the priority-weight ratios — a deficit round
-// robin in units of tasks, not lease calls, which keeps the shares
-// fair even when grant sizes differ per worker.
+// next. pickJobLocked grants from the eligible job with the fewest
+// granted tasks, so over any window the jobs' granted task counts stay
+// level — a deficit round robin in units of tasks, not lease calls,
+// which keeps the shares fair even when grant sizes differ per worker.
 //
 // Worker scoring. debswarm ranks download peers by latency, throughput
 // and reliability before routing requests at them; the grid applies
@@ -194,21 +193,19 @@ func (c *Coordinator) jobsLocked() []*gridJob {
 
 // pickJobLocked chooses which job a pulling worker serves next: among
 // eligible jobs (pending tasks after lazy expiry, open audits, or a
-// straggling lease worker could take over), the one with the
-// lowest granted-per-weight ratio; ties break by job ID so the
-// schedule is deterministic. Returns nil when nothing is eligible.
+// straggling lease worker could take over), the one with the fewest
+// leasesGranted; ties break by job ID so the schedule is deterministic.
+// Returns nil when nothing is eligible.
 func (c *Coordinator) pickJobLocked(worker string) *gridJob {
 	var best *gridJob
-	var bestShare float64
 	now := c.now()
 	for _, j := range c.jobsLocked() {
 		c.expireLocked(j)
 		if !j.hasPendingLocked() && j.audits == 0 && len(c.stragglersLocked(j, worker, 1, now)) == 0 {
 			continue
 		}
-		share := float64(j.leasesGranted) / float64(j.weight)
-		if best == nil || share < bestShare {
-			best, bestShare = j, share
+		if best == nil || j.leasesGranted < best.leasesGranted {
+			best = j
 		}
 	}
 	return best

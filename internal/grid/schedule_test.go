@@ -140,7 +140,6 @@ type world struct {
 
 	opts    CoordinatorOptions
 	refs    []scheduleRef
-	prio    []int // creation priorities: what a restart registers the jobs with
 	ids     []string
 	workers []*simWorker
 
@@ -173,8 +172,8 @@ type world struct {
 // missing — and keeps the rest as steps. Byte 0: AuditRate 0 or 1 (bit 0),
 // 1–3 jobs (bits 2-3), 2–5 workers (bits 4-5); bit 1 is not read. Byte 1: the
 // kind of workers 1.. (two bits each: 1 hung, 2 a liar — one at most —, 3
-// silent, else honest; worker 0 is always honest). Byte 2: each job's priority 1–3
-// (two bits each). A worker's byte: its TasksPerLease leaseSizes[b&7%5],
+// silent, else honest; worker 0 is always honest). Byte 2 is not read. A
+// worker's byte: its TasksPerLease leaseSizes[b&7%5],
 // and with bits 3-4 set to j > 0 it serves job (j-1)%jobs alone — worker
 // 0 always serves every job, so an honest worker can finish them all.
 func newWorld(t testing.TB, in []byte, split bool) *world {
@@ -192,7 +191,6 @@ func newWorld(t testing.TB, in []byte, split bool) *world {
 	}
 	for jx := range 1 + int(hdr[0]>>2&3)%3 {
 		w.refs = append(w.refs, refs[jx])
-		w.prio = append(w.prio, 1+int(hdr[2]>>(2*jx)&3)%3)
 	}
 	w.vouched = make([]bool, len(w.refs))
 	w.clock.Store(time.Unix(1000, 0).UnixNano())
@@ -365,13 +363,12 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 			}
 		}
 		if w.fairOnly = w.fairOnly && !hedged && (fair || len(resp.Tasks) == 0); w.fairOnly && len(resp.Tasks) > 0 {
-			lo, hi := math.Inf(1), math.Inf(-1)
+			lo, hi := math.MaxInt, math.MinInt
 			for _, j := range c.jobs {
-				share := float64(j.leasesGranted) / float64(j.weight)
-				lo, hi = min(lo, share), max(hi, share)
+				lo, hi = min(lo, j.leasesGranted), max(hi, j.leasesGranted)
 			}
 			if hi-lo > 1 {
-				w.violate(&grants, "single-task grants left granted-per-weight shares from %v to %v", lo, hi)
+				w.violate(&grants, "single-task grants left the jobs' grants from %d to %d", lo, hi)
 			}
 		}
 	case strings.HasSuffix(path, "/heartbeat"):
@@ -422,8 +419,8 @@ func (w *world) open(dir string) {
 	w.c.now = w.now
 	w.h = w.c.Handler()
 	w.ids = w.ids[:0]
-	for jx, ref := range w.refs {
-		id, err := w.c.AddJobPriority(ref.spec, w.prio[jx])
+	for _, ref := range w.refs {
+		id, err := w.c.AddJob(ref.spec)
 		if err != nil {
 			w.t.Fatal(err)
 		}
@@ -506,7 +503,7 @@ const (
 	_
 	opStray    // worker a posts one result of job k nobody asked it for
 	opNetwork  // the next step's requests are dropped, lost, refused or unreachable (a%4)
-	opOperator // k 0: quarantine worker a (never worker 0); 1: job a%3 to priority 1+a/3; else drain
+	opOperator // k 0: quarantine worker a (never worker 0); 1: re-post job a%3; else drain
 	opKill     // kill -9 and restart on what it left; see kill
 )
 
@@ -536,7 +533,7 @@ func (w *world) take(b byte) {
 			quarantine(w.c, wk.name)
 			wk.banned = true
 		case k == 1:
-			w.prioritize(a%3%len(w.ids), 1+a/3)
+			w.repost(a % 3 % len(w.ids))
 		case k > 1:
 			w.drain()
 		}
@@ -699,17 +696,15 @@ func (w *world) drain() {
 	}
 }
 
-func (w *world) prioritize(jx, p int) {
+func (w *world) repost(jx int) {
 	var sum JobSummary
-	if err := w.call(http.MethodPost, pathJobs, "", CreateJobRequest{Spec: w.refs[jx].raw, Priority: p}, &sum); err != nil {
+	writes := len(w.writes)
+	if err := w.call(http.MethodPost, pathJobs, "", CreateJobRequest{Spec: w.refs[jx].raw}, &sum); err != nil {
 		w.t.Fatal(err)
 	}
-	w.locked(func(c *Coordinator) {
-		if weight := c.jobs[w.ids[jx]].weight; sum.ID != w.ids[jx] || weight != p {
-			w.violate(&grants, "re-posting job %s at priority %d registered %s at %d", w.ids[jx], p, sum.ID, weight)
-		}
-	})
-	w.fairOnly = false
+	if sum.ID != w.ids[jx] || len(w.writes) != writes {
+		w.violate(&grants, "re-posting job %s registered %s and made %d writes", w.ids[jx], sum.ID, len(w.writes)-writes)
+	}
 }
 
 // kill is a coordinator kill -9 and a restart on what it left on disk,
@@ -1097,12 +1092,12 @@ var audited = invariant{"6 audited jobs complete verified", func(w *world) error
 // 7. Per job, leasesGranted is the grants the coordinator has answered
 // since it started — tasks and audit re-checks; a move never counts.
 // (Also judged on the spot: a re-posted job keeps its
-// ID and takes the new priority; no grant while draining, none past the
+// ID and journals nothing; no grant while draining, none past the
 // request's cap, none past one chunk group to a worker with no ingested
 // task, none outside its job; every grant leaves its worker the holder; a
 // held lease moves only to another worker, past the straggler threshold; and until the first such move, while every
 // grant is a single task of the scheduler's pick with every job pending,
-// granted-per-weight shares stay within 1 of each other.)
+// the jobs' grant counts stay within 1 of each other.)
 var grants = invariant{"7 grants", func(w *world) error {
 	c := w.c
 	c.mu.Lock()
@@ -1161,22 +1156,19 @@ func firstDiff(a, b string) error {
 type spell []byte
 
 // schedule starts a spell: kinds names every worker ('h' honest, 'u' hung,
-// 'l' the liar, 's' silent; worker 0 is honest), prios every job's priority. Every
-// worker leases from every job, as many tasks as the coordinator grants,
-// until tasks or bind says otherwise.
-func schedule(audit bool, kinds string, prios ...int) spell {
-	var h0, h1, h2 byte
+// 'l' the liar, 's' silent; worker 0 is honest) and jobs runs the first
+// 1–3 jobs. Every worker leases from every job, as many tasks as the
+// coordinator grants, until tasks or bind says otherwise.
+func schedule(audit bool, kinds string, jobs int) spell {
+	var h0, h1 byte
 	if audit {
 		h0 |= 1
 	}
-	h0 |= byte(len(prios)-1)<<2 | byte(len(kinds)-2)<<4
+	h0 |= byte(jobs-1)<<2 | byte(len(kinds)-2)<<4
 	for i, k := range kinds[1:] {
 		h1 |= byte(strings.IndexRune("huls", k)) << (2 * i)
 	}
-	for j, p := range prios {
-		h2 |= byte(p-1) << (2 * j)
-	}
-	return append(spell{h0, h1, h2}, make(spell, len(kinds))...)
+	return append(spell{h0, h1, 0}, make(spell, len(kinds))...)
 }
 
 // tasks sets worker wk's TasksPerLease and, given a job, has it serve
@@ -1204,7 +1196,7 @@ func (s spell) drop() spell             { return s.op(opNetwork, 0, 0) }
 func (s spell) lose() spell             { return s.op(opNetwork, 1, 0) }
 func (s spell) refuse() spell           { return s.op(opNetwork, 2, 0) }
 func (s spell) quarantine(wk int) spell { return s.op(opOperator, wk, 0) }
-func (s spell) priority(j, p int) spell { return s.op(opOperator, j+3*(p-1), 1) } // j < 3, and j < 2 for p 3
+func (s spell) repost(j int) spell      { return s.op(opOperator, j, 1) }
 func (s spell) drain() spell            { return s.op(opOperator, 0, 2) }
 func (s spell) kill() spell             { return s.add(byte(opKill | 30<<3)) }
 func (s spell) started(wk int) spell    { return s.step(wk).step(wk).step(wk) } // leased, joined, computing
@@ -1278,19 +1270,19 @@ func scheduleCorpus() []spell {
 		schedule(false, "hh", 1).tasks(0, 2).started(0).unit(0).step(0).unit(0).drop().step(0).kill().clock(9),
 		// Expired leases, then a kill -9: the restart starts their tasks pending.
 		schedule(false, "hhs", 1).tasks(0, 2).step(2).clock(9).step(0).kill(),
-		// 1:3 fair share over single-task global grants.
-		schedule(false, "hh", 1, 3).tasks(0, 1).tasks(1, 1).step(0).step(1).batch(0).batch(1).batch(0).batch(1).batch(0).batch(1),
+		// An equal share over single-task global grants.
+		schedule(false, "hh", 2).tasks(0, 1).tasks(1, 1).step(0).step(1).batch(0).batch(1).batch(0).batch(1).batch(0).batch(1),
 		// A drain with leases in flight: no grants, uploads settle it, a graceful restart.
 		schedule(false, "hh", 1).tasks(0, 2).tasks(1, 0, 0).step(0).drain().step(1).step(1).step(1).batch(0).clock(2),
 		// A quarantine revokes leases and voids unaudited work in two jobs; an expiry sweeps both.
-		schedule(false, "hhs", 1, 2).tasks(1, 4).step(1).batch(1).step(2).step(0).batch(0).quarantine(1).clock(12).batch(0).
-			clock(1).batch(0).priority(1, 3).kill(),
+		schedule(false, "hhs", 2).tasks(1, 4).step(1).batch(1).step(2).step(0).batch(0).quarantine(1).clock(12).batch(0).
+			clock(1).batch(0).repost(1).kill(),
 		// A kill -9 after a quarantine's verdict, before its last tombstone.
 		schedule(false, "hh", 1).tasks(1, 4).step(1).batch(1).quarantine(1).cut(true, 0, 0),
 		// ... and before the verdict itself.
 		schedule(false, "hh", 1).tasks(1, 4).step(1).batch(1).quarantine(1).cut(false, 0, 0),
-		// Every priority, three jobs, a crash while draining.
-		schedule(true, "hhls", 1, 2, 3).step(0).step(2).step(3).batch(0).batch(2).priority(2, 1).drain().batch(2).kill().
+		// Three jobs, a re-post, a crash while draining.
+		schedule(true, "hhls", 3).step(0).step(2).step(3).batch(0).batch(2).repost(2).drain().batch(2).kill().
 			step(1).batch(1),
 		// A probe grant (one chunk group), renewed by a heartbeat, expired and re-leased to another
 		// worker, whose holder's next heartbeat finds it lost; the late uploads race.

@@ -4,13 +4,14 @@ package grid
 // so a job's file holds value lines, tombstones and verdicts, a restart
 // starts every task not done pending — at the price of re-running what
 // live workers held at the crash — and a directory an older coordinator
-// wrote, lease records and all, still loads.
+// wrote, lease and priority records and all, still loads.
 
 import (
 	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -167,11 +168,11 @@ func TestLeaseRecordsDirectory(t *testing.T) {
 	}
 	var skipped []string
 	for _, line := range strings.Split(logs.String(), "\n") {
-		if strings.Contains(line, "lease records of an older coordinator") {
+		if strings.Contains(line, "scheduler records of an older coordinator") {
 			skipped = append(skipped, line)
 		}
 	}
-	if len(skipped) != 1 || !strings.Contains(skipped[0], "records=342") || !strings.Contains(logs.String(), "replayed=270 ") {
+	if len(skipped) != 1 || !strings.Contains(skipped[0], "records=342") || !strings.Contains(logs.String(), " replayed=270\n") {
 		t.Fatalf("the older coordinator's 342 lease records were logged as %q, want one line counting them and 270 lines replayed:\n%s", skipped, logs.String())
 	}
 	if snap := mustProgress(t, coord, id); snap.Done != 138 || snap.Leased != 0 || snap.Pending != 6 {
@@ -191,6 +192,73 @@ func TestLeaseRecordsDirectory(t *testing.T) {
 			if _, err := coord.IngestResults(ctx, id, ResultsUpload{Worker: worker, Results: results(lease.Tasks, vals)}); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	scores, ok, err := coord.Scores(id)
+	if err != nil || !ok || csvOf(t, spec.Domain, scores) != csvOf(t, spec.Domain, wantScores(t, spec)) {
+		t.Fatalf("the finished job's CSV is not job.Run's (%v, %v)", ok, err)
+	}
+}
+
+// TestPriorityRecordDirectory: a job file an older coordinator wrote with
+// a job priority among its value lines — the line a priority-3 re-post
+// journalled — loads. The line is counted with the retired records and
+// skipped, the values beside it restore, and honest workers finish the
+// job byte-identical to job.Run.
+func TestPriorityRecordDirectory(t *testing.T) {
+	dir, spec := t.TempDir(), gossipSpec(t)
+	ctx, vals := context.Background(), truthVals(t, spec)
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute})
+	id, err := coord.AddJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := leaseUpTo(t, coord, id, "w", 4)
+	if _, err := coord.IngestResults(ctx, id, ResultsUpload{Worker: "w", Results: results(lease, vals)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, id, "manifest-grid.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(data, '\n') + 1
+	data = slices.Concat(data[:first], []byte(`{"crc":3779048582,"rec":{"t":"priority","weight":3}}`+"\n"), data[first:])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs logSink
+	coord = NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, Logger: logs.logger()})
+	defer coord.Close()
+	if _, err := coord.AddJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	var skipped []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "scheduler records of an older coordinator") {
+			skipped = append(skipped, line)
+		}
+	}
+	if len(skipped) != 1 || !strings.Contains(skipped[0], "records=1") {
+		t.Fatalf("the priority line was logged as %q, want one line counting it:\n%s", skipped, logs.String())
+	}
+	if snap := mustProgress(t, coord, id); snap.Done != len(lease) {
+		t.Fatalf("restored %+v, want the file's %d values", snap, len(lease))
+	}
+	for round := 0; !mustProgress(t, coord, id).Complete; round++ {
+		if round == 100 {
+			t.Fatalf("the job did not complete: %+v", mustProgress(t, coord, id))
+		}
+		lease, err := coord.Lease(ctx, id, "v", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coord.IngestResults(ctx, id, ResultsUpload{Worker: "v", Results: results(lease.Tasks, vals)}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	scores, ok, err := coord.Scores(id)

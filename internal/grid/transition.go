@@ -30,10 +30,6 @@ func (c *Coordinator) apply(j *gridJob, r walRecord, now time.Time) {
 	case r.T == walQuarantine:
 		c.quarantined[r.Worker] = true
 	case j == nil:
-	case r.T == walPriority:
-		if r.Weight >= 1 {
-			j.weight = r.Weight
-		}
 	case r.T == walVerify:
 		if st := j.task(r.Task); st != nil {
 			c.applyVerify(j, st, r.Worker, time.Duration(r.ElapsedMS)*time.Millisecond, now)

@@ -36,8 +36,7 @@ type jobView struct {
 }
 
 func (jv jobView) summary() JobSummary {
-	return JobSummary{ID: jv.JobID, Domain: jv.Domain, TotalTasks: jv.Total, DoneTasks: jv.Done,
-		Priority: jv.Priority, Complete: jv.Complete}
+	return JobSummary{ID: jv.JobID, Domain: jv.Domain, TotalTasks: jv.Total, DoneTasks: jv.Done, Complete: jv.Complete}
 }
 
 // workerView is one worker's scorecard row. A quarantined worker the
@@ -70,7 +69,7 @@ func (v view) HitRatio() float64 {
 func (c *Coordinator) jobViewLocked(j *gridJob, now time.Time, held map[string]int) jobView {
 	jv := jobView{Domain: j.spec.Domain.Name(), ProgressSnapshot: ProgressSnapshot{
 		JobID: j.id, Total: len(j.tasks), Done: j.done, Pending: j.pending, Requeues: j.requeues,
-		CacheTasks: j.cacheServed, LeasesGranted: j.leasesGranted, Priority: j.weight,
+		CacheTasks: j.cacheServed, LeasesGranted: j.leasesGranted,
 		Audits: j.audits, Complete: j.completeLocked(),
 	}}
 	holders := map[string]bool{}

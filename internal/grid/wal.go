@@ -12,36 +12,34 @@ import (
 )
 
 // A scheduler record is a verdict the values cannot reconstruct — an
-// audit verify, a priority change, a quarantine — and the argument of the
+// audit verify or a quarantine — and the argument of the
 // transition that made it live (transition.go). A job's records are
 // lines of its own file, beside its value lines and tombstones; a
 // quarantine spans jobs and is the one record of the quarantine journal,
 // coordinator.wal (an older coordinator's also held every job's records,
 // which a restart counts and leaves alone). Leases are not records: a
 // grant, a move and an expiry change memory only, and a restart starts
-// every unfinished task pending. An older coordinator journalled them
-// (retiredRecord), and replay skips those lines.
+// every unfinished task pending. An older coordinator journalled them,
+// and job priorities (retiredRecord); replay skips those lines.
 //
 // Format: `{"crc":<ieee>,"rec":{...}}`, the CRC32 taken over the raw rec
 // bytes; a line whose CRC fails is skipped. The bytes are json.Marshal's
 // for the envelope and walRecord, written and read by internal/jsonline;
-// a record in a job's file names no job. Verdicts (quarantine, verify)
-// are appended durably; a priority must survive a kill -9, which a plain
-// write does, not power loss.
+// a record in a job's file names no job. Every record is a verdict, and
+// is appended durably.
 const walFileName = "coordinator.wal"
 
 // walRecord event types.
 const (
-	walPriority   = "priority"   // job fair-share weight changed
 	walVerify     = "verify"     // task's recorded value audit-confirmed by worker
 	walQuarantine = "quarantine" // worker quarantined (names no job)
 )
 
 // retiredRecord reports whether t is a record type only an older
-// coordinator wrote: a lease granted, moved or ended, or the result
-// record the value line replaced.
+// coordinator wrote: a lease granted, moved or ended, the result record
+// the value line replaced, or a job's fair-share weight.
 func retiredRecord(t string) bool {
-	return t == "lease" || t == "hedge" || t == "expire" || t == "ingest"
+	return t == "lease" || t == "hedge" || t == "expire" || t == "ingest" || t == "priority"
 }
 
 // walRecord is one journalled state change. appendWALLine and
@@ -52,13 +50,12 @@ type walRecord struct {
 	Job       string `json:"job,omitempty"`
 	Task      string `json:"task,omitempty"`
 	Worker    string `json:"worker,omitempty"`
-	Weight    int    `json:"weight,omitempty"`     // priority records
 	ElapsedMS int64  `json:"elapsed_ms,omitempty"` // verify records: feeds the latency EWMA on replay
 }
 
 var (
 	walLineKeys   = []string{"crc", "rec"}
-	walRecordKeys = []string{"t", "job", "task", "worker", "weight", "elapsed_ms"}
+	walRecordKeys = []string{"t", "job", "task", "worker", "elapsed_ms"}
 )
 
 // appendWALLine appends r's line, newline included.
@@ -74,9 +71,6 @@ func appendWALLine(b []byte, r walRecord) []byte {
 	}
 	if r.Worker != "" {
 		rec = jsonline.AppendString(append(rec, `,"worker":`...), r.Worker)
-	}
-	if r.Weight != 0 {
-		rec = strconv.AppendInt(append(rec, `,"weight":`...), int64(r.Weight), 10)
 	}
 	if r.ElapsedMS != 0 {
 		rec = strconv.AppendInt(append(rec, `,"elapsed_ms":`...), r.ElapsedMS, 10)
@@ -119,8 +113,6 @@ func decodeWALLine(line []byte) (r walRecord, ok bool) {
 			r.Task = o.String()
 		case "worker":
 			r.Worker = o.String()
-		case "weight":
-			r.Weight = int(o.Int(strconv.IntSize))
 		case "elapsed_ms":
 			r.ElapsedMS = o.Int(64)
 		default:
@@ -158,13 +150,13 @@ func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 	return &wal{log}, recs, skipped, nil
 }
 
-// append journals recs as one write, durably when sync is set.
-func (w *wal) append(sync bool, recs ...walRecord) error {
+// append journals recs as one durable write.
+func (w *wal) append(recs ...walRecord) error {
 	var buf []byte
 	for _, r := range recs {
 		buf = appendWALLine(buf, r)
 	}
-	return w.log.Append(buf, sync)
+	return w.log.Append(buf, true)
 }
 
 func (w *wal) Close() error { return w.log.Close() }

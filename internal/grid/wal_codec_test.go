@@ -134,7 +134,8 @@ func foldedKey(m map[string]json.RawMessage, keys []string) bool {
 
 // parentWAL is what testdata/parent.wal holds: these records written by
 // the reflection codec, the first five in one plain append and the rest
-// in one durable one.
+// in one durable one. The priority line also held a weight, a key no
+// record has now: it reads as the retired record below, CRC-checked.
 var parentWAL = []walRecord{
 	{T: walLease, Job: "gossip-11d6ed87d6dc", Task: "coverage-00000-00001", Worker: "plain"},
 	{T: walIngest, Job: "j", Task: "t", Worker: `quote"back\slash`, ElapsedMS: 42},
@@ -142,7 +143,7 @@ var parentWAL = []walRecord{
 	{T: walExpire, Job: "j", Task: "t", Worker: "ctl\x00\x01\b\f\n\r\t\x1f\x7f"},
 	{T: walVerify, Job: "j", Task: "t", Worker: "sep\u2028par\u2029"},
 	{T: walQuarantine, Worker: "bad\xffutf8\xc3"},
-	{T: walPriority, Job: "jöb-名前", Weight: 3},
+	{T: walPriority, Job: "jöb-名前"},
 	{T: walIngest, Job: "j", Task: "t", Worker: "w", ElapsedMS: -5},
 }
 
@@ -155,7 +156,8 @@ func validUTF8(r walRecord) walRecord {
 }
 
 // TestParentWAL: a WAL the reflection codec wrote replays to the records
-// it was given, and the hand codec writes it again byte for byte.
+// it was given, and the hand codec writes it again byte for byte — but
+// the retired priority line, which it reads without its weight.
 func TestParentWAL(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
 	if err != nil {
@@ -171,9 +173,17 @@ func TestParentWAL(t *testing.T) {
 	}
 	w.Close()
 	var got []byte
+	lines := bytes.SplitAfter(want, []byte("\n"))
 	for i, r := range parentWAL {
 		if recs[i] != validUTF8(r) {
 			t.Errorf("record %d = %+v, want %+v", i, recs[i], validUTF8(r))
+		}
+		if r.T == walPriority {
+			if !retiredRecord(recs[i].T) {
+				t.Errorf("record %d, a job priority, is not a retired record", i)
+			}
+			got = append(got, lines[i]...)
+			continue
 		}
 		got = appendWALLine(got, r)
 	}
@@ -270,17 +280,17 @@ func FuzzWALLine(f *testing.F) {
 	}
 	for _, line := range bytes.SplitAfter(slices.Concat(golden, parent, parentDir, leaseRecords), []byte("\n")) {
 		if bytes.HasPrefix(line, []byte(`{"crc":`)) {
-			f.Add(bytes.TrimSuffix(line, []byte("\n")), "", "", "", "", 0, int64(0))
+			f.Add(bytes.TrimSuffix(line, []byte("\n")), "", "", "", "", int64(0))
 		}
 	}
 	for _, r := range parentWAL {
-		f.Add([]byte(`{"crc":0,"rec":{}}`), r.T, r.Job, r.Task, r.Worker, r.Weight, r.ElapsedMS)
+		f.Add([]byte(`{"crc":0,"rec":{}}`), r.T, r.Job, r.Task, r.Worker, r.ElapsedMS)
 	}
 	for _, row := range walRefusedForms {
-		f.Add(row.line, "", "", "", "", 0, int64(0))
+		f.Add(row.line, "", "", "", "", int64(0))
 	}
-	f.Add(walLineOf(` {"rec" : `, `{"t":"lease" ,"x":[{}], "job":"j"}`, `}`), "expire", "", "", "", -1, int64(-1))
-	f.Fuzz(func(t *testing.T, line []byte, typ, job, task, worker string, weight int, elapsed int64) {
+	f.Add(walLineOf(` {"rec" : `, `{"t":"lease" ,"x":[{}], "job":"j"}`, `}`), "expire", "", "", "", int64(-1))
+	f.Fuzz(func(t *testing.T, line []byte, typ, job, task, worker string, elapsed int64) {
 		got, ok := decodeWALLine(line)
 		want, wantOK := oracleWALLine(line)
 		switch {
@@ -296,7 +306,7 @@ func FuzzWALLine(f *testing.F) {
 			}
 		}
 
-		r := walRecord{T: typ, Job: job, Task: task, Worker: worker, Weight: weight, ElapsedMS: elapsed}
+		r := walRecord{T: typ, Job: job, Task: task, Worker: worker, ElapsedMS: elapsed}
 		written := oracleWALWrite(t, r)
 		if mine := appendWALLine(nil, r); !bytes.Equal(mine, written) {
 			t.Fatalf("%+v: the codec writes %q, the oracle %q", r, mine, written)
@@ -319,7 +329,7 @@ func TestWALReplayHealthOnMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(false, walRecord{T: walQuarantine, Worker: "evil"}, walRecord{T: walPriority, Job: "j", Weight: 2}); err != nil {
+	if err := w.append(walRecord{T: walQuarantine, Worker: "evil"}, walRecord{T: walPriority, Job: "j"}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

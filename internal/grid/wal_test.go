@@ -23,10 +23,11 @@ import (
 // The record types only an older coordinator wrote (retiredRecord): the
 // codec still reads and writes them, replay skips them.
 const (
-	walLease  = "lease"
-	walHedge  = "hedge"
-	walExpire = "expire"
-	walIngest = "ingest"
+	walLease    = "lease"
+	walHedge    = "hedge"
+	walExpire   = "expire"
+	walIngest   = "ingest"
+	walPriority = "priority"
 )
 
 // TestWALRoundTrip pins the on-disk format: append, close, reopen,
@@ -45,10 +46,10 @@ func TestWALRoundTrip(t *testing.T) {
 		{T: walIngest, Job: "j", Task: "t1", Worker: "w1", ElapsedMS: 42},
 		{T: walQuarantine, Worker: "evil"},
 	}
-	if err := w.append(false, want[0], want[1]); err != nil {
+	if err := w.append(want[0], want[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(true, want[2]); err != nil { // verdict-grade: fsynced
+	if err := w.append(want[2]); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -91,7 +92,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if len(recs) != len(want) || skipped != 1 {
 		t.Fatalf("after corruption: %d records (%d skipped), want %d (1 skipped)", len(recs), skipped, len(want))
 	}
-	if err := w3.append(false, walRecord{T: walExpire, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
+	if err := w3.append(walRecord{T: walExpire, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	w3.Close()
@@ -124,13 +125,13 @@ func TestWALWriteErrorTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.append(false, walRecord{T: walLease, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
+	if err := w.append(walRecord{T: walLease, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 
 	faults := chaos.NewFileFaults(1, 0, 1.0, walFileName) // every WAL write: ENOSPC
 	restore := job.SetWriterSeam(faults.Wrap)
-	err = w.append(false, walRecord{T: walIngest, Job: "j", Task: "t1", Worker: "w1"})
+	err = w.append(walRecord{T: walIngest, Job: "j", Task: "t1", Worker: "w1"})
 	restore()
 	var werr *job.WriteError
 	if !errors.As(err, &werr) {
@@ -145,7 +146,7 @@ func TestWALWriteErrorTyped(t *testing.T) {
 
 	// The journal is still healthy: the failed record never landed, the
 	// next append does.
-	if err := w.append(false, walRecord{T: walExpire, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
+	if err := w.append(walRecord{T: walExpire, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -91,8 +91,8 @@ func (o WorkerOptions) name() string {
 // With an explicit jobID the worker serves that one job. With jobID ""
 // it runs in multi-job mode: every lease request leaves the job open and
 // the coordinator's fair scheduler decides which job each batch serves,
-// so one fleet of workers drains any mix of concurrent jobs in proportion
-// to their priorities.
+// so one fleet of workers drains any mix of concurrent jobs, an equal
+// share each.
 //
 // A worker holds no durable state: killing it at any instant loses at
 // most its in-flight leases, which expire on the coordinator and are

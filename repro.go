@@ -177,9 +177,6 @@ type GridOptions struct {
 	// RateLimit applies per-client token-bucket admission to the /v1
 	// API in requests/second, with a one-second burst; 0 disables.
 	RateLimit float64
-	// Priority is the job's fair-share scheduling weight against other
-	// jobs on the same coordinator; 0 means 1.
-	Priority int
 }
 
 // ServeGrid starts a grid coordinator on addr serving the sweep of d
@@ -198,11 +195,7 @@ func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, 
 	}
 	coord := grid.NewCoordinator(coordOpts)
 	defer coord.Close()
-	priority := opts.Priority
-	if priority == 0 {
-		priority = 1
-	}
-	id, err := coord.AddJobPriority(job.Spec{Domain: d, Points: points, Cfg: cfg, Chunk: opts.Chunk}, priority)
+	id, err := coord.AddJob(job.Spec{Domain: d, Points: points, Cfg: cfg, Chunk: opts.Chunk})
 	if err != nil {
 		return nil, err
 	}

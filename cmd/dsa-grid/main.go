@@ -7,12 +7,12 @@
 //
 //	dsa-grid serve -addr :8437 [sweep flags as dsa-sweep] [-checkpoint-dir DIR]
 //	               [-cache-dir DIR] [-lease-ttl 30s] [-out results.csv] [-once]
-//	               [-auth-token SECRET] [-rate-limit N] [-audit-rate F] [-pprof]
+//	               [-auth-token SECRET] [-audit-rate F]
 //	dsa-grid work  -coordinator http://host:8437 [-job ID] [-name ID] [-workers N]
 //	               [-tasks-per-lease N] [-cache-dir DIR] [-auth-token SECRET]
 //	               [-trace-dir DIR] [-metrics-addr :9090] [-ship-traces]
 //	               [-ship-interval 2s] [-reconnect 30s] [-chaos-transport SPEC]
-//	               [-chaos-byzantine] [-pprof] [-cpuprofile FILE] [-memprofile FILE]
+//	               [-chaos-byzantine] [-cpuprofile FILE] [-memprofile FILE]
 //
 // `dsa-grid serve -h` and `dsa-grid work -h` give each flag's meaning and
 // default. The first SIGTERM or ^C drains the coordinator, a second
@@ -77,8 +77,6 @@ func runServe(sigCtx context.Context, args []string) {
 		out       = fs.String("out", "", "write the assembled CSV here when the job completes")
 		once      = fs.Bool("once", false, "exit once the job completes instead of keeping the results API up")
 		authToken = fs.String("auth-token", "", "shared secret workers must present as a bearer token (empty = open grid)")
-		rateLimit = fs.Float64("rate-limit", 0, "per-client requests/second against the /v1 API, bursting one second's worth (0 = unlimited)")
-		pprofOn   = fs.Bool("pprof", false, "mount /debug/pprof/ on the API mux (auth-gated when -auth-token is set)")
 		auditRate = fs.Float64("audit-rate", 0, "fraction of completed tasks silently re-verified on a second worker (0 = off); mismatches quarantine the liar")
 	)
 	fs.Parse(args)
@@ -96,8 +94,7 @@ func runServe(sigCtx context.Context, args []string) {
 
 	coordOpts := grid.CoordinatorOptions{
 		Dir: *ckptDir, LeaseTTL: *leaseTTL, Logger: slog.Default(),
-		AuthToken: *authToken, RateLimit: *rateLimit,
-		Pprof: *pprofOn, AuditRate: *auditRate,
+		AuthToken: *authToken, AuditRate: *auditRate,
 	}
 	if *cacheDir != "" {
 		store, err := cache.Open(cache.Options{Dir: *cacheDir})
@@ -216,7 +213,6 @@ func runWork(ctx context.Context, args []string) {
 		metricsAddr = fs.String("metrics-addr", "", "serve worker Prometheus counters on this address at GET /metrics")
 		shipTraces  = fs.Bool("ship-traces", false, "stream the span journal to the coordinator, whose /metrics then carries this worker's series (needs -trace-dir)")
 		shipEvery   = fs.Duration("ship-interval", grid.DefaultShipInterval, "incremental trace shipping cadence")
-		pprofOn     = fs.Bool("pprof", false, "mount /debug/pprof/ on the -metrics-addr mux (auth-gated when -auth-token is set)")
 		cpuProf     = fs.String("cpuprofile", "", "write a pprof CPU profile of this worker to this file")
 		memProf     = fs.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on completion")
 		reconnect   = fs.Duration("reconnect", 0, "ride out coordinator outages up to this long instead of exiting on the first unreachable call")
@@ -229,9 +225,6 @@ func runWork(ctx context.Context, args []string) {
 	}
 	if *shipTraces && *traceDir == "" {
 		log.Fatal("-ship-traces needs -trace-dir (the journal being shipped)")
-	}
-	if *pprofOn && *metricsAddr == "" {
-		log.Fatal("-pprof needs -metrics-addr (the mux it mounts on)")
 	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -292,11 +285,6 @@ func runWork(ctx context.Context, args []string) {
 		defer ln.Close()
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", metrics.Handler())
-		if *pprofOn {
-			mux.Handle("/debug/pprof/", profiling.Handler(*authToken))
-			log.Printf("serving /debug/pprof/ on %s (auth %s)", ln.Addr(),
-				map[bool]string{true: "on", false: "off"}[*authToken != ""])
-		}
 		go http.Serve(ln, mux) //nolint:errcheck — dies with the process
 		log.Printf("serving /metrics on %s", ln.Addr())
 	}

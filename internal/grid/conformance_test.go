@@ -2,12 +2,11 @@ package grid
 
 // HTTP API conformance suite: every /v1 endpoint (plus /metrics, the
 // dashboard and drain) hit with wrong methods, malformed JSON,
-// oversized bodies, missing and bad auth tokens, and rate-limit
-// exhaustion — pinning status codes, content types, and the structured
-// JSON error contract. The suite runs against one live coordinator and
-// then proves the abuse never corrupted the lease state machine by
-// completing the job and comparing scores with the single-process
-// reference.
+// oversized bodies, and missing and bad auth tokens — pinning status
+// codes, content types, and the structured JSON error contract. The
+// suite runs against one live coordinator and then proves the abuse
+// never corrupted the lease state machine by completing the job and
+// comparing scores with the single-process reference.
 
 import (
 	"bytes"
@@ -218,57 +217,6 @@ func TestOversizedBodyRejected(t *testing.T) {
 		if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
 			t.Fatalf("POST %s: 413 body not structured JSON: %q", path, raw)
 		}
-	}
-}
-
-func TestRateLimitExhaustion(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{RateLimit: 3})
-	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	var ok, limited int
-	for i := 0; i < 12; i++ {
-		resp := doRaw(t, "GET", srv.URL+"/v1/jobs", "", "")
-		switch resp.StatusCode {
-		case 200:
-			ok++
-		case 429:
-			limited++
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("429 missing Retry-After")
-			}
-			var eb errorBody
-			raw, _ := io.ReadAll(resp.Body)
-			if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
-				t.Errorf("429 body not structured JSON: %q", raw)
-			}
-		default:
-			t.Fatalf("unexpected status %d", resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-	if ok == 0 || limited == 0 {
-		t.Fatalf("want both admitted and limited requests, got ok=%d limited=%d", ok, limited)
-	}
-
-	// Metrics scrapes must survive the very overload they observe.
-	resp := doRaw(t, "GET", srv.URL+"/metrics", "", "")
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/metrics rate-limited: status %d", resp.StatusCode)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(raw), "grid_ratelimited_total") {
-		t.Fatal("metrics missing grid_ratelimited_total")
-	}
-
-	// So must trace shipping: a worker draining under overload would
-	// otherwise lose its final journal flush to a 429.
-	traceResp := doRaw(t, "POST", srv.URL+"/v1/trace", "", `{"writer":"w","offset":0}`)
-	defer traceResp.Body.Close()
-	if traceResp.StatusCode != 200 {
-		t.Fatalf("POST /v1/trace rate-limited after exhaustion: status %d", traceResp.StatusCode)
 	}
 }
 

@@ -66,15 +66,6 @@ type CoordinatorOptions struct {
 	// metrics, the dashboard — stay open so operators can observe a
 	// grid they cannot drive.
 	AuthToken string
-	// RateLimit is the per-client admission rate in requests/second
-	// against the /v1 API (metrics scrapes are never limited); 0
-	// disables limiting. Clients are keyed by remote IP; each may burst
-	// one second's worth of requests.
-	RateLimit float64
-	// Pprof, when set, mounts net/http/pprof under /debug/pprof/ on
-	// the coordinator mux, behind the same bearer auth as the write
-	// endpoints when AuthToken is set.
-	Pprof bool
 
 	// AuditRate is the fraction (0..1) of completed tasks silently
 	// re-leased to a different worker for byte-exact verification (see
@@ -105,7 +96,6 @@ type Coordinator struct {
 	now     func() time.Time // injectable clock for tests
 	started time.Time
 	metrics *gridMetrics
-	limiter *gridobs.Limiter
 	traces  *traceCollector // collected worker journals
 
 	mu      sync.Mutex
@@ -241,7 +231,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		cacheEpoch:  1,
 		drainDone:   make(chan struct{}),
 	}
-	c.limiter = gridobs.NewLimiter(opts.RateLimit, 0)
 	c.metrics = newGridMetrics(c)
 	c.traces = newTraceCollector(opts.Dir, c.metrics.observeSpans)
 	if opts.Dir != "" {
@@ -254,13 +243,17 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 			c.log.Error("WAL unavailable, coordinator runs WITHOUT crash recovery", "err", err)
 		} else {
 			// A quarantine stands from now on; what it did to a job is in
-			// that job's file. An older coordinator's job records are not
-			// replayed: such a job restores from its manifests alone.
+			// that job's file. Each is logged again: a crash between
+			// commit's fsync and settle's record leaves the journal as
+			// the verdict's only trace. An older coordinator's job records
+			// are not replayed: such a job restores from its manifests
+			// alone.
 			c.wal = w
 			legacy := 0
 			for _, r := range recs {
 				if r.T == walQuarantine {
 					c.apply(nil, r, c.now())
+					c.log.Info("worker QUARANTINED", "worker", r.Worker, "replayed", true)
 				} else {
 					legacy++
 				}

@@ -19,10 +19,9 @@ import (
 
 type dashboardData struct {
 	view
-	Uptime    time.Duration
-	AuthOn    bool
-	RateLimit float64
-	Traces    []tracePanel
+	Uptime time.Duration
+	AuthOn bool
+	Traces []tracePanel
 }
 
 // tracePanel is one collected-trace scope's timeline: the digest
@@ -36,7 +35,7 @@ type tracePanel struct {
 func (c *Coordinator) serveDashboard(w http.ResponseWriter, r *http.Request) {
 	data := dashboardData{
 		view: c.liveView(), Uptime: time.Since(c.started),
-		AuthOn: c.opts.AuthToken != "", RateLimit: c.opts.RateLimit,
+		AuthOn: c.opts.AuthToken != "",
 	}
 	// Trace panels read collected journal files (memoised by collected
 	// bytes), so they are built outside c.mu.
@@ -116,7 +115,7 @@ th { background: #f0f0f0; }
 </head>
 <body>
 <h1>dsa-grid coordinator</h1>
-<p class="meta">up {{sec .Uptime}} · {{.Now.Format "2006-01-02T15:04:05Z07:00"}} · auth {{if .AuthOn}}on{{else}}off{{end}} · rate limit {{if .RateLimit}}{{.RateLimit}}/s per client{{else}}off{{end}} · <a href="/metrics">/metrics</a></p>
+<p class="meta">up {{sec .Uptime}} · {{.Now.Format "2006-01-02T15:04:05Z07:00"}} · auth {{if .AuthOn}}on{{else}}off{{end}} · <a href="/metrics">/metrics</a></p>
 {{if .Draining}}<div class="drain">Draining: no new leases; the coordinator exits once in-flight leases settle.</div>{{end}}
 
 <h2>Jobs</h2>

@@ -35,9 +35,8 @@
 // Production hardening: every error (wrong path, wrong method, bad
 // body, unknown job) is structured JSON; request bodies are bounded
 // (413 past the cap); an optional shared-secret bearer token guards the
-// mutating endpoints; optional per-client token-bucket rate limiting
-// answers 429 + Retry-After; and every response carries an
-// X-Request-ID that the coordinator's log records repeat as rid.
+// mutating endpoints; and every response carries an X-Request-ID that
+// the coordinator's log records repeat as rid.
 //
 // With CoordinatorOptions.Cache set, the coordinator also memoizes:
 // every ingested result feeds a cross-job content-addressed score
@@ -302,7 +301,7 @@ const (
 	// as sent was fine, resending it is the fix.
 	HeaderCorruptBody = "X-Grid-Corrupt-Body"
 	// HeaderQuarantined marks a 429 as a quarantine verdict rather than
-	// rate limiting: retrying is pointless, the worker should exit.
+	// an overload answer: retrying is pointless, the worker should exit.
 	HeaderQuarantined = "X-Grid-Quarantined"
 )
 
@@ -509,12 +508,12 @@ func (e unreachableError) Unwrap() error { return e.error }
 func unreachable(err error) bool { return errors.As(err, new(unreachableError)) }
 
 // decodeResponse reads and decodes one response, classifying failures:
-// 5xx, 429 (rate limited), and checksum-rejected bodies (transport
-// corruption — resending re-rolls the dice) are transient (retryable),
-// with any Retry-After seconds the server sent passed back as the
-// pacing to honor; a quarantine-marked 429 is a verdict, surfaced as
-// ErrWorkerQuarantined and never retried; other 4xx and
-// malformed-success bodies are not retryable either.
+// 5xx, an unmarked 429 (a proxy's overload answer), and checksum-rejected
+// bodies (transport corruption — resending re-rolls the dice) are
+// transient (retryable), with any Retry-After seconds the server sent
+// passed back as the pacing to honor; a quarantine-marked 429 is a
+// verdict, surfaced as ErrWorkerQuarantined and never retried; other 4xx
+// and malformed-success bodies are not retryable either.
 func decodeResponse(resp *http.Response, url string, out any) (retryable bool, retryAfter time.Duration, err error) {
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -22,14 +21,13 @@ import (
 	"repro/internal/gridobs"
 	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/profiling"
 )
 
 // The HTTP surface: every route is declared once, in routes below, and
 // the client half (grid.go's call, the worker, the trace shipper) builds
 // its URLs from the same path constants. A JSON route is a typed call
 // behind jsonCall; the handful of non-JSON answers (CSV, NDJSON streams,
-// the dashboard, /metrics, pprof) write their own bodies.
+// the dashboard, /metrics) write their own bodies.
 const (
 	pathJobs      = "/v1/jobs"
 	pathJob       = "/v1/jobs/{id}"
@@ -43,7 +41,6 @@ const (
 	pathTrace     = "/v1/trace"
 	pathDashboard = "/v1/dashboard"
 	pathMetrics   = "/metrics"
-	pathPprof     = "/debug/pprof/"
 )
 
 // routeURL is the client's address of a route: base plus the path
@@ -73,7 +70,7 @@ func (c *Coordinator) routes() []route {
 		}
 		return c.Lease(r.Context(), req.Job, req.Worker, req.MaxTasks)
 	})
-	rs := []route{
+	return []route{
 		// Jobs: list (summaries), create from an encoded spec (idempotent —
 		// the ID derives from the spec bytes), detail incl. the spec payload.
 		{"GET", pathJobs, false, jsonCall(c, func(*http.Request, noBody) (jobsResponse, error) {
@@ -123,11 +120,6 @@ func (c *Coordinator) routes() []route {
 			c.metrics.reg.WritePrometheus(w)
 		}},
 	}
-	if c.opts.Pprof {
-		// Any method, behind the coordinator's auth instead of pprof's own.
-		rs = append(rs, route{"", pathPprof, true, profiling.Handler("").ServeHTTP})
-	}
-	return rs
 }
 
 // Handler returns the full API: the routes, each request passed through
@@ -139,7 +131,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if rt.guarded {
 			serve = c.authed(serve)
 		}
-		mux.Handle(strings.TrimSpace(rt.method+" "+rt.path), serve)
+		mux.Handle(rt.method+" "+rt.path, serve)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { c.serve(mux, w, r) })
 }
@@ -148,10 +140,10 @@ func (c *Coordinator) Handler() http.Handler {
 // request ID if it is a plain name of at most 64 bytes (a space, a quote
 // or an = would be echoed into the response and forge fields in the
 // log), else mints one, and puts it on the response and in the context;
-// admits the request through the per-client rate limiter; answers it
-// through a responseWriter; and then counts it by status, times it, and
-// writes its access record — at Debug for the successful GETs and
-// /metrics scrapes that dashboards and progress streams poll with.
+// answers the request through a responseWriter; and then counts it by
+// status, times it, and writes its access record — at Debug for the
+// successful GETs and /metrics scrapes that dashboards and progress
+// streams poll with.
 func (c *Coordinator) serve(mux http.Handler, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := r.Header.Get(HeaderRequestID)
@@ -160,9 +152,7 @@ func (c *Coordinator) serve(mux http.Handler, w http.ResponseWriter, r *http.Req
 	}
 	w.Header().Set(HeaderRequestID, id)
 	rw := &responseWriter{ResponseWriter: w}
-	if c.admit(rw, r) {
-		mux.ServeHTTP(rw, r.WithContext(context.WithValue(r.Context(), ridKey{}, id)))
-	}
+	mux.ServeHTTP(rw, r.WithContext(context.WithValue(r.Context(), ridKey{}, id)))
 	if rw.status == 0 {
 		rw.status = http.StatusOK
 	}
@@ -246,29 +236,6 @@ func bearerToken(r *http.Request) string {
 		return auth[len(prefix):]
 	}
 	return ""
-}
-
-// admit applies per-client token-bucket admission to the /v1 API,
-// answering 429 itself when it refuses. Clients are keyed by remote IP.
-// Metrics scrapes and trace shipping are never limited: throttling the
-// observability plane during an overload would blind exactly the tools
-// needed to diagnose it (and a 429'd chunk just re-ships later anyway).
-func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) bool {
-	if !c.limiter.Enabled() || !strings.HasPrefix(r.URL.Path, "/v1/") || r.URL.Path == pathTrace {
-		return true
-	}
-	key := r.RemoteAddr
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		key = host
-	}
-	if c.limiter.Allow(key) {
-		return true
-	}
-	c.metrics.rateLimited.Inc()
-	after := max(1, int(math.Ceil(c.limiter.RetryAfter(key).Seconds())))
-	w.Header().Set("Retry-After", strconv.Itoa(after))
-	writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "grid: rate limit exceeded, retry later"})
-	return false
 }
 
 // responseWriter is the one wrapper around a response. It records the
@@ -363,9 +330,9 @@ func writeError(w http.ResponseWriter, err error) {
 			Progress ProgressSnapshot `json:"progress"`
 		}{errorBody{Error: err.Error()}, incomplete.snap}
 	case errors.Is(err, errQuarantined):
-		// 429 like the rate limiter, but with the quarantine marker so
-		// clients know retrying is pointless; the long Retry-After tells
-		// generic HTTP clients the same thing.
+		// 429 with the quarantine marker, so clients know retrying is
+		// pointless; the long Retry-After tells generic HTTP clients the
+		// same thing.
 		w.Header().Set("Retry-After", "3600")
 		w.Header().Set(HeaderQuarantined, "1")
 		status = http.StatusTooManyRequests

@@ -24,7 +24,6 @@ type gridMetrics struct {
 	requeues       *gridobs.Counter
 	cacheServed    *gridobs.Counter
 	authFailures   *gridobs.Counter
-	rateLimited    *gridobs.Counter
 	httpRequests   *gridobs.CounterVec // code
 	leaseLatency   *gridobs.Histogram
 	httpDuration   *gridobs.Histogram
@@ -89,7 +88,6 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 		requeues:       r.NewCounter("grid_lease_expiries_total", "Leases that expired and re-queued their task."),
 		cacheServed:    r.NewCounter("grid_cache_served_tasks_total", "Tasks served from the cross-job score cache without being leased."),
 		authFailures:   r.NewCounter("grid_auth_failures_total", "Requests rejected for a missing or wrong auth token."),
-		rateLimited:    r.NewCounter("grid_ratelimited_total", "Requests rejected by per-client rate limiting."),
 		httpRequests:   r.NewCounterVec("grid_http_requests_total", "HTTP requests served, by status code.", "code"),
 		leaseLatency: r.NewHistogram("grid_lease_latency_seconds",
 			"Per-task lease latency: lease grant to result ingest.", gridobs.DefBuckets),

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -111,6 +112,34 @@ func TestWALRoundTrip(t *testing.T) {
 	defer w4.Close()
 	if len(recs) != len(want)+1 || skipped != 1 {
 		t.Fatalf("final reopen: %d records (%d skipped), want %d (1 skipped)", len(recs), skipped, len(want)+1)
+	}
+}
+
+// TestReplayedQuarantineLogged: a verdict the quarantine journal holds
+// is named in the restarted coordinator's log, one record per verdict. A
+// kill -9 between commit's fsync and settle's record leaves the journal
+// as the verdict's only trace, so the restart is the one log that can
+// say which worker stands banned.
+func TestReplayedQuarantineLogged(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _, err := openWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(walRecord{T: walQuarantine, Worker: "byz"}, walRecord{T: walQuarantine, Worker: "liar"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var logs logSink
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, Logger: logs.logger()})
+	coord.Close()
+	for _, name := range []string{"byz", "liar"} {
+		want := `msg="worker QUARANTINED" worker=` + name + " replayed=true\n"
+		if n := strings.Count(logs.String(), want); n != 1 {
+			t.Errorf("the restart logged %d records naming %s's verdict, want 1:\n%s", n, name, logs.String())
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func gather(r *Registry) string {
@@ -129,57 +128,5 @@ func TestMetricsRace(t *testing.T) {
 	}
 	if g.Value() != 4000 {
 		t.Errorf("gauge lost updates: %v", g.Value())
-	}
-}
-
-func TestLimiter(t *testing.T) {
-	l := NewLimiter(1, 3) // 1 token/s, burst 3
-	now := time.Unix(1000, 0)
-	l.now = func() time.Time { return now }
-
-	for i := 0; i < 3; i++ {
-		if !l.Allow("a") {
-			t.Fatalf("burst request %d should be admitted", i)
-		}
-	}
-	if l.Allow("a") {
-		t.Fatal("4th immediate request should be limited")
-	}
-	if ra := l.RetryAfter("a"); ra <= 0 || ra > time.Second {
-		t.Fatalf("RetryAfter = %v, want (0, 1s]", ra)
-	}
-	// Other keys are independent.
-	if !l.Allow("b") {
-		t.Fatal("fresh key must have its own bucket")
-	}
-	// Refill at 1/s.
-	now = now.Add(2 * time.Second)
-	if !l.Allow("a") || !l.Allow("a") {
-		t.Fatal("2s should refill 2 tokens")
-	}
-	if l.Allow("a") {
-		t.Fatal("3rd request after 2s refill should be limited")
-	}
-	// Disabled limiter admits everything.
-	var nilL *Limiter
-	if !nilL.Allow("x") || !NewLimiter(0, 0).Allow("x") {
-		t.Fatal("nil/disabled limiter must admit")
-	}
-}
-
-func TestLimiterPrune(t *testing.T) {
-	l := NewLimiter(10, 10)
-	now := time.Unix(1000, 0)
-	l.now = func() time.Time { return now }
-	for i := 0; i < pruneAbove+1; i++ {
-		l.Allow(strings.Repeat("k", 1+i%7) + string(rune('a'+i%26)) + time.Duration(i).String())
-	}
-	now = now.Add(time.Hour)
-	l.Allow("trigger") // table over threshold + everyone idle => prune
-	l.mu.Lock()
-	n := len(l.buckets)
-	l.mu.Unlock()
-	if n > 2 {
-		t.Fatalf("idle buckets survived the prune: %d left", n)
 	}
 }

@@ -1,6 +1,5 @@
 // Package gridobs is the grid's observability layer: a dependency-free
-// metrics registry with Prometheus text-format exposition and a
-// token-bucket rate limiter for per-client admission control.
+// metrics registry with Prometheus text-format exposition.
 //
 // The registry deliberately implements the small subset of the
 // Prometheus data model the grid needs — counters, gauges, histograms,

@@ -174,9 +174,6 @@ type GridOptions struct {
 	// AuthToken, when non-empty, requires workers to present the same
 	// shared secret as a bearer token on every mutating endpoint.
 	AuthToken string
-	// RateLimit applies per-client token-bucket admission to the /v1
-	// API in requests/second, with a one-second burst; 0 disables.
-	RateLimit float64
 }
 
 // ServeGrid starts a grid coordinator on addr serving the sweep of d
@@ -188,7 +185,7 @@ type GridOptions struct {
 func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, cfg Config, opts GridOptions) (*Scores, error) {
 	coordOpts := grid.CoordinatorOptions{
 		Dir: opts.Dir, LeaseTTL: opts.LeaseTTL, Logger: opts.Logger,
-		AuthToken: opts.AuthToken, RateLimit: opts.RateLimit,
+		AuthToken: opts.AuthToken,
 	}
 	if opts.Cache != nil {
 		coordOpts.Cache = opts.Cache

@@ -153,8 +153,8 @@ func runServe(sigCtx context.Context, args []string) {
 			}
 		}
 		if *once {
-			// Give the workers' final lease polls a chance to see the
-			// Complete flag before the listener goes away.
+			// Answer the calls still in flight (a worker computing a moved
+			// lease, a late upload) before the listener goes away.
 			select {
 			case <-time.After(grid.Linger):
 			case <-ctx.Done():

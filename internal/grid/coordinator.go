@@ -22,8 +22,10 @@ import (
 const DefaultLeaseTTL = 30 * time.Second
 
 // Linger is how long a coordinator serving one job keeps its API up
-// after the job completes, so the workers' last polls see it complete
-// and can fetch the assembled scores before the server goes away.
+// after the job completes. Idle workers hear it complete at once, on a
+// held lease call or their last upload's ack; Linger is for the rest —
+// a worker still computing a moved lease, a client fetching the
+// assembled scores — to be answered before the server goes away.
 const Linger = 2 * time.Second
 
 // DefaultMaxBody caps request bodies, rejected with 413 before any
@@ -120,6 +122,33 @@ type Coordinator struct {
 	draining    bool
 	drainClosed bool
 	drainDone   chan struct{}
+
+	// A held lease call (leaseHeld) waits on hold, holdFor unless a test
+	// injects it beside now. One without a job waits on changed, fired by
+	// every job's state change, a new job, a drain and Close, which sets
+	// closed.
+	hold    func(ctx context.Context, wake <-chan struct{}, d time.Duration) bool
+	changed signal
+	closed  bool
+}
+
+// signal is a channel closed on the next change: made when someone waits
+// on it, so a change nobody waits for costs nothing.
+type signal struct{ ch chan struct{} }
+
+// wait is the channel the next fire closes.
+func (s *signal) wait() <-chan struct{} {
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	return s.ch
+}
+
+func (s *signal) fire() {
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
+	}
 }
 
 type taskStatus int
@@ -183,7 +212,7 @@ type gridJob struct {
 	leasesGranted int
 	scores        *dsa.Scores // assembled once complete
 	scoresErr     error
-	changed       chan struct{} // closed and replaced on every state change
+	changed       signal // fired on every state change
 
 	// next is the grant cursor: no task of tasks[:next] is pending, so a
 	// grant scans from here, not from 0 (requeue moves it back).
@@ -230,6 +259,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		quarantined: map[string]bool{},
 		cacheEpoch:  1,
 		drainDone:   make(chan struct{}),
+		hold:        holdFor,
 	}
 	c.metrics = newGridMetrics(c)
 	c.traces = newTraceCollector(opts.Dir, c.metrics.observeSpans)
@@ -351,6 +381,7 @@ func (c *Coordinator) settle(j *gridJob, now time.Time, results []job.Result, re
 		for _, each := range c.jobsLocked() {
 			c.wakeLocked(each)
 		}
+		c.wakeLocked(nil)
 	case c.jobs[j.id] == j:
 		c.wakeLocked(j)
 	default:
@@ -421,7 +452,6 @@ func (c *Coordinator) registerLocked(id string, spec job.Spec, specRaw []byte) (
 		tasks:   make([]*taskState, len(x.Tasks())),
 		x:       x,
 		group:   len(spec.Domain.Measures()),
-		changed: make(chan struct{}),
 	}
 	slab := make([]taskState, len(j.tasks))
 	for i, t := range x.Tasks() {
@@ -629,10 +659,16 @@ func (c *Coordinator) recordLocked(j *gridJob, sts []*taskState, results []job.R
 	return err
 }
 
-// Close releases every job's file and the quarantine journal.
+// Close releases every job's file and the quarantine journal, and answers
+// every held lease call.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
+	c.changed.fire()
+	for _, j := range c.jobs {
+		j.changed.fire()
+	}
 	var first error
 	for _, j := range c.jobs {
 		if j.cp != nil {
@@ -750,11 +786,16 @@ func (c *Coordinator) expireAllLocked() {
 	}
 }
 
-// wakeLocked tells whoever waits on j that its state changed. If the
-// change was its last task done or its last audit settled, the scores are
-// assembled first — once per completion; an invalidation (quarantine)
-// clears the result and reopens it.
+// wakeLocked tells whoever waits on j that its state changed, and every
+// held lease call without a job that some job's did (j nil: that alone).
+// If the change was j's last task done or its last audit settled, the
+// scores are assembled first — once per completion; an invalidation
+// (quarantine) clears the result and reopens it.
 func (c *Coordinator) wakeLocked(j *gridJob) {
+	c.changed.fire()
+	if j == nil {
+		return
+	}
 	if j.completeLocked() && j.scores == nil && j.scoresErr == nil {
 		done := make([][]float64, len(j.tasks))
 		for i, st := range j.tasks {
@@ -767,8 +808,7 @@ func (c *Coordinator) wakeLocked(j *gridJob) {
 			c.log.Info("job complete", "job", j.id, "tasks", len(j.tasks), "requeues", j.requeues)
 		}
 	}
-	close(j.changed)
-	j.changed = make(chan struct{})
+	j.changed.fire()
 }
 
 // grantLocked hands out up to leaseSizeLocked tasks of j to worker, most
@@ -1059,6 +1099,7 @@ func (c *Coordinator) Drain(ctx context.Context) {
 	for _, j := range c.jobs {
 		c.wakeLocked(j)
 	}
+	c.wakeLocked(nil)
 	c.log.Info("draining: no new leases", "rid", requestID(ctx), "tasks", c.inflightLocked())
 	c.checkDrainedLocked()
 	c.mu.Unlock()

@@ -113,10 +113,14 @@ type CreateJobRequest struct {
 // Job scopes the request: one job's tasks, or with "" the tasks of
 // whichever job the fair scheduler picks (POST /v1/jobs/{id}/lease is the
 // same request with the scope in the path).
+// WaitMS, when > 0, lets the coordinator hold a call it would answer
+// nothing — no task, the scope not complete, no drain — for up to that
+// long, until something changes (see leaseHeld).
 type LeaseRequest struct {
-	Worker   string `json:"worker"`
+	Worker   string `json:"worker,omitempty"`
 	MaxTasks int    `json:"max_tasks"`
 	Job      string `json:"job,omitempty"`
+	WaitMS   int64  `json:"wait_ms,omitempty"`
 }
 
 // LeaseTask is one leased task: the job.Task coordinates plus the
@@ -184,16 +188,22 @@ type TaskResult struct {
 // joint call — and whatever else landed while an earlier body was in
 // flight. The coordinator checkpoints and journals the body's tasks
 // together and answers one ResultAck per entry, in order; a malformed
-// entry refuses the whole body.
+// entry refuses the whole body. Lease, on a batch's last body, asks for
+// Worker's next grant in the same call (its MaxTasks and Job; the upload
+// names the worker, and the ack never holds).
 type ResultsUpload struct {
-	Worker  string       `json:"worker"`
-	Results []TaskResult `json:"results"`
+	Worker  string        `json:"worker"`
+	Results []TaskResult  `json:"results"`
+	Lease   *LeaseRequest `json:"lease,omitempty"`
 }
 
 // ResultsAck answers a ResultsUpload: Acks[i] is the verdict on
-// Results[i].
+// Results[i]. Grant answers the upload's Lease once the body is ingested,
+// as a lease call would; it is absent when the upload asked for none or
+// the lease was refused (the worker's next lease call hears why).
 type ResultsAck struct {
-	Acks []ResultAck `json:"acks"`
+	Acks  []ResultAck    `json:"acks"`
+	Grant *LeaseResponse `json:"grant,omitempty"`
 }
 
 // ResultUpload is one task's result from one worker: the argument of

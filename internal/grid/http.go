@@ -68,7 +68,7 @@ func (c *Coordinator) routes() []route {
 		if id := r.PathValue("id"); id != "" {
 			req.Job = id
 		}
-		return c.Lease(r.Context(), req.Job, req.Worker, req.MaxTasks)
+		return c.leaseHeld(r.Context(), req)
 	})
 	return []route{
 		// Jobs: list (summaries), create from an encoded spec (idempotent —
@@ -83,7 +83,8 @@ func (c *Coordinator) routes() []route {
 		// The worker loop: lease a sized grant of tasks — of one job, or of
 		// whichever the fair scheduler picks — extend the leases and learn
 		// which were lost, upload finished tasks' values (one ack each,
-		// idempotent per task).
+		// idempotent per task), a batch's last body asking for the next
+		// grant: ingested first, then granted by Lease, as a lease call is.
 		{"POST", pathLease, true, lease},
 		{"POST", pathJobLease, true, lease},
 		{"POST", pathHeartbeat, true, jsonCall(c, func(r *http.Request, req HeartbeatRequest) (HeartbeatResponse, error) {
@@ -91,7 +92,13 @@ func (c *Coordinator) routes() []route {
 		})},
 		{"POST", pathResults, true, jsonCall(c, func(r *http.Request, up ResultsUpload) (ResultsAck, error) {
 			acks, err := c.IngestResults(r.Context(), r.PathValue("id"), up)
-			return ResultsAck{Acks: acks}, err
+			ack := ResultsAck{Acks: acks}
+			if err == nil && up.Lease != nil {
+				if grant, err := c.Lease(r.Context(), up.Lease.Job, up.Worker, up.Lease.MaxTasks); err == nil {
+					ack.Grant = &grant
+				}
+			}
+			return ack, err
 		})},
 		// Reads: assembled scores (JSON, or ?format=csv), a progress snapshot
 		// (or ?stream=1 for NDJSON snapshots until the job completes), the
@@ -120,6 +127,57 @@ func (c *Coordinator) routes() []route {
 			c.metrics.reg.WritePrometheus(w)
 		}},
 	}
+}
+
+// leaseHeld answers a lease call. One that carries a wait bound and would
+// be answered nothing — no task, its scope not complete, no drain — is
+// held, and asked again of Lease whenever something may have changed
+// that: a state change of its job (of any job, or a new one, for a call
+// without one), the job's next lease deadline (expireAt), a drain or
+// Close (or a quarantine of the caller, which then hears its verdict).
+// The caller going away or the bound ends it with the empty answer.
+// Lease itself never waits: bench and the upload's grant call it direct.
+func (c *Coordinator) leaseHeld(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
+	bound := time.Now().Add(time.Duration(req.WaitMS) * time.Millisecond)
+	for {
+		c.mu.Lock()
+		var wake <-chan struct{}
+		if j := c.jobs[req.Job]; j != nil {
+			wake = j.changed.wait()
+		} else {
+			wake = c.changed.wait()
+		}
+		closed := c.closed
+		c.mu.Unlock()
+		resp, err := c.Lease(ctx, req.Job, req.Worker, req.MaxTasks)
+		wait := time.Until(bound)
+		if err != nil || len(resp.Tasks) > 0 || resp.Complete || resp.Draining || wait <= 0 || closed {
+			return resp, err
+		}
+		c.mu.Lock()
+		for _, j := range c.jobs {
+			if d := j.expireAt.Sub(c.now()); d > 0 && (req.Job == "" || req.Job == j.id) {
+				wait = min(wait, d)
+			}
+		}
+		c.mu.Unlock()
+		if !c.hold(ctx, wake, wait) {
+			return resp, nil
+		}
+	}
+}
+
+// holdFor is the wall-clock hold.
+func holdFor(ctx context.Context, wake <-chan struct{}, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-wake:
+	case <-t.C:
+	case <-ctx.Done():
+		return false
+	}
+	return true
 }
 
 // Handler returns the full API: the routes, each request passed through
@@ -438,7 +496,7 @@ func (c *Coordinator) serveProgress(w http.ResponseWriter, r *http.Request) {
 			c.mu.Unlock()
 			return
 		}
-		changed := j.changed
+		changed := j.changed.wait()
 		c.mu.Unlock()
 		select {
 		case <-changed:

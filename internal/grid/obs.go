@@ -80,7 +80,7 @@ func newGridMetrics(c *Coordinator) *gridMetrics {
 	m := &gridMetrics{
 		reg: r,
 
-		leaseRequests:  r.NewCounter("grid_lease_requests_total", "Lease calls received (including empty grants)."),
+		leaseRequests:  r.NewCounter("grid_lease_requests_total", "Grant decisions, empty ones included: a lease call, an upload asking the next grant, a held call asking again."),
 		leasesGranted:  r.NewCounter("grid_leases_granted_total", "Tasks handed out on leases (re-leases included)."),
 		tasksIngested:  r.NewCounter("grid_tasks_ingested_total", "Task results accepted and journalled."),
 		valuesIngested: r.NewCounter("grid_values_ingested_total", "Individual point scores ingested — the ingest throughput counter."),

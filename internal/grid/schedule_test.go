@@ -259,17 +259,21 @@ func (w *world) roundTrip(req *http.Request) (*http.Response, error) {
 		req.Body = io.NopCloser(bytes.NewReader(body))
 		json.Unmarshal(body, &in)
 	}
-	fair := req.URL.Path == pathLease && in.MaxTasks == 1 && w.fault == 0
+	asks := in.Lease != nil // an upload that asks for the next grant
+	fair := w.fault == 0 && (req.URL.Path == pathLease && in.MaxTasks == 1 || asks && in.Lease.Job == "" && in.Lease.MaxTasks == 1)
 	if fair {
 		w.locked(func(c *Coordinator) {
 			for _, j := range c.jobs {
-				fair = fair && slices.ContainsFunc(j.tasks, func(st *taskState) bool { return st.status == taskPending })
+				// A task the body uploads may be done when the grant is made.
+				fair = fair && slices.ContainsFunc(j.tasks, func(st *taskState) bool {
+					return st.status == taskPending && !slices.ContainsFunc(in.Results, func(r TaskResult) bool { return r.Task == st.task.ID() })
+				})
 			}
 		})
 	}
 	var held map[string]taskState // a lease request's view of the leases it may move
 	probe := false                // the asker has no ingested task: its grant is one chunk group at most
-	if strings.HasSuffix(req.URL.Path, "/lease") {
+	if strings.HasSuffix(req.URL.Path, "/lease") || asks {
 		held = map[string]taskState{}
 		w.locked(func(c *Coordinator) {
 			ws := c.workers[in.Worker]
@@ -299,13 +303,14 @@ type workerRequest struct {
 	MaxTasks int `json:"max_tasks"`
 	Tasks    []string
 	Results  []TaskResult
+	Lease    *LeaseRequest
 }
 
 // judge holds a worker's request to its answer: a quarantined worker is
-// refused on every route, nobody else is; a grant, a renewal, an ack is
-// what the coordinator's state says it must be. held is a lease
-// request's leases as they stood before it, by job/task; probe says its
-// worker had no ingested task then.
+// refused on every route, nobody else is; a grant — a lease call's or an
+// upload's —, a renewal, an ack is what the coordinator's state says it
+// must be. held is a grant request's leases as they stood before it, by
+// job/task; probe says a lease call's worker had no ingested task then.
 func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecorder, held map[string]taskState, probe, fair, lost bool, writes int) {
 	var out struct {
 		LeaseResponse
@@ -323,54 +328,7 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 	switch {
 	case rec.Code != http.StatusOK:
 	case strings.HasSuffix(path, "/lease"):
-		most, resp := math.MaxInt, out.LeaseResponse
-		if in.MaxTasks > 0 {
-			most = in.MaxTasks
-		}
-		if j := c.jobs[resp.Job]; probe && j != nil {
-			most = min(most, j.group)
-		}
-		switch {
-		case c.draining && (len(resp.Tasks) > 0 || !resp.Draining):
-			w.violate(&grants, "a lease while draining answered %+v", resp)
-		case len(resp.Tasks) > most || id != "" && resp.Job != id:
-			w.violate(&grants, "asked for %d tasks of job %q, granted %+v", in.MaxTasks, id, resp)
-		}
-		j, now, hedged := c.jobs[resp.Job], c.now(), false
-		for _, lt := range resp.Tasks {
-			st := j.task(lt.Task)
-			if st.worker != who {
-				w.violate(&grants, "%s was granted %s, whose holder is %q", who, lt.Task, st.worker)
-			}
-			// A live lease — a task computing or an audit re-check — moves
-			// only from another worker, and only past the straggler
-			// threshold (never under half a TTL): a hedge. (A re-check whose
-			// value the request invalidated is granted afresh.)
-			if was := held[j.id+"/"+lt.Task]; was.worker != "" && !was.deadline.Before(now) && was.status == st.status {
-				age := now.Sub(was.leasedAt)
-				if was.worker == who || age < scheduleTTL/2 || age < c.hedgeThresholdLocked() {
-					w.violate(&grants, "%s took %s (status %d) from %q, who got it %v ago", who, lt.Task, was.status, was.worker, age)
-				}
-				hedged = true
-			} else {
-				w.granted[j.id]++
-			}
-			if st.status == taskDone && st.producer == who && st.audit != nil {
-				if now.Before(st.audit.relaxAt) {
-					w.violate(&audited, "%s was handed the re-check of its own %s before the relaxation", who, lt.Task)
-				}
-				w.selfGrant[j.id+"/"+lt.Task+"/"+who] = true
-			}
-		}
-		if w.fairOnly = w.fairOnly && !hedged && (fair || len(resp.Tasks) == 0); w.fairOnly && len(resp.Tasks) > 0 {
-			lo, hi := math.MaxInt, math.MinInt
-			for _, j := range c.jobs {
-				lo, hi = min(lo, j.leasesGranted), max(hi, j.leasesGranted)
-			}
-			if hi-lo > 1 {
-				w.violate(&grants, "single-task grants left the jobs' grants from %d to %d", lo, hi)
-			}
-		}
+		w.judgeGrant(who, id, in.MaxTasks, out.LeaseResponse, held, probe, fair)
 	case strings.HasSuffix(path, "/heartbeat"):
 		// A heartbeat renews exactly the leases the worker holds — tasks
 		// computing and audit re-checks alike — to a TTL from now.
@@ -390,6 +348,67 @@ func (w *world) judge(path string, in workerRequest, rec *httptest.ResponseRecor
 			if writes > 0 || !a.Duplicate {
 				w.violate(&uploadsAreEntries, "the re-sent %s of %s was acked %+v and made %d writes", in.Results[i].Task, who, a, writes)
 			}
+		}
+	}
+	if rec.Code == http.StatusOK && out.Grant != nil {
+		// Granted after the body's ingest: a probe only if that left the
+		// worker with no ingested task.
+		ws := c.workers[who]
+		w.judgeGrant(who, in.Lease.Job, in.Lease.MaxTasks, *out.Grant, held, ws == nil || ws.done == 0, fair)
+	}
+}
+
+// judgeGrant holds one grant to the request for it, asked of scope ("":
+// the scheduler's pick) for at most maxTasks, under the coordinator's
+// lock.
+func (w *world) judgeGrant(who, scope string, maxTasks int, resp LeaseResponse, held map[string]taskState, probe, fair bool) {
+	c, most := w.c, math.MaxInt
+	if maxTasks > 0 {
+		most = maxTasks
+	}
+	if j := c.jobs[resp.Job]; probe && j != nil {
+		most = min(most, j.group)
+	}
+	switch {
+	case c.draining && (len(resp.Tasks) > 0 || !resp.Draining):
+		w.violate(&grants, "a lease while draining answered %+v", resp)
+	case len(resp.Tasks) > most || scope != "" && resp.Job != scope:
+		w.violate(&grants, "asked for %d tasks of job %q, granted %+v", maxTasks, scope, resp)
+	}
+	j, now, hedged := c.jobs[resp.Job], c.now(), false
+	for _, lt := range resp.Tasks {
+		st := j.task(lt.Task)
+		if st.worker != who {
+			w.violate(&grants, "%s was granted %s, whose holder is %q", who, lt.Task, st.worker)
+		}
+		// A live lease — a task computing or an audit re-check — moves
+		// only from another worker, and only past the straggler
+		// threshold (never under half a TTL): a hedge. (A re-check whose
+		// value the request invalidated, and a lease an upload's audit
+		// verdict revoked from its quarantined holder, are granted afresh.)
+		if was := held[j.id+"/"+lt.Task]; was.worker != "" && !c.quarantined[was.worker] && !was.deadline.Before(now) && was.status == st.status {
+			age := now.Sub(was.leasedAt)
+			if was.worker == who || age < scheduleTTL/2 || age < c.hedgeThresholdLocked() {
+				w.violate(&grants, "%s took %s (status %d) from %q, who got it %v ago", who, lt.Task, was.status, was.worker, age)
+			}
+			hedged = true
+		} else {
+			w.granted[j.id]++
+		}
+		if st.status == taskDone && st.producer == who && st.audit != nil {
+			if now.Before(st.audit.relaxAt) {
+				w.violate(&audited, "%s was handed the re-check of its own %s before the relaxation", who, lt.Task)
+			}
+			w.selfGrant[j.id+"/"+lt.Task+"/"+who] = true
+		}
+	}
+	if w.fairOnly = w.fairOnly && !hedged && (fair || len(resp.Tasks) == 0); w.fairOnly && len(resp.Tasks) > 0 {
+		lo, hi := math.MaxInt, math.MinInt
+		for _, j := range c.jobs {
+			lo, hi = min(lo, j.leasesGranted), max(hi, j.leasesGranted)
+		}
+		if hi-lo > 1 {
+			w.violate(&grants, "single-task grants left the jobs' grants from %d to %d", lo, hi)
 		}
 	}
 }
@@ -417,6 +436,7 @@ func (w *world) open(dir string) {
 	w.dir, w.writes, w.parsed, w.selfGrant, w.granted = dir, nil, 0, map[string]bool{}, map[string]int{}
 	w.c = NewCoordinator(opts)
 	w.c.now = w.now
+	w.c.hold = func(context.Context, <-chan struct{}, time.Duration) bool { return false } // every hold ends at once, empty
 	w.h = w.c.Handler()
 	w.ids = w.ids[:0]
 	for _, ref := range w.refs {
@@ -523,7 +543,7 @@ func (w *world) take(b byte) {
 		if wk.opts.Corrupt != nil {
 			vals = wk.opts.Corrupt(t, vals)
 		}
-		w.post(wk, w.ids[jx], []TaskResult{{Task: t.ID(), Values: vals, ElapsedMS: 5}})
+		w.post(wk, w.ids[jx], []TaskResult{{Task: t.ID(), Values: vals, ElapsedMS: 5}}, nil)
 	case opNetwork:
 		w.fault = faultDrop + a%4
 	case opOperator:
@@ -623,7 +643,10 @@ func (w *world) deliver(wk *simWorker, ev workMsg) {
 				wk.leases++
 			}
 		case msgUpload:
-			wk.queue = append(wk.queue, w.post(wk, a.job, a.body))
+			wk.queue = append(wk.queue, w.post(wk, a.job, a.body, a.ask))
+			if a.ask != nil {
+				wk.leases++
+			}
 		case msgCompute:
 			wk.units, wk.jx = a.tasks, w.jobIndex(a.job)
 		case msgStop:
@@ -637,11 +660,12 @@ func (w *world) deliver(wk *simWorker, ev workMsg) {
 	}
 }
 
-// post sends body as wk — with split, each entry alone, in the order the
-// coordinator takes a body's entries: those for tasks done on arrival
-// (duplicates, audit evidence) as they come, then the fresh ones,
-// journalled last — and notes every entry's verdict.
-func (w *world) post(wk *simWorker, id string, body []TaskResult) workMsg {
+// post sends body as wk, asking ask with its last part — with split, each
+// entry alone, in the order the coordinator takes a body's entries: those
+// for tasks done on arrival (duplicates, audit evidence) as they come,
+// then the fresh ones, journalled last — notes every entry's verdict, and
+// returns the answer with the grant it brought back.
+func (w *world) post(wk *simWorker, id string, body []TaskResult, ask *LeaseRequest) workMsg {
 	sends := [][]TaskResult{body}
 	if w.split {
 		sends = nil
@@ -657,9 +681,17 @@ func (w *world) post(wk *simWorker, id string, body []TaskResult) workMsg {
 	}
 	verdict := map[string]string{}
 	var err error
-	for _, rs := range sends {
+	var grant LeaseResponse
+	for n, rs := range sends {
+		up := ResultsUpload{Worker: wk.name, Results: rs}
+		if n == len(sends)-1 {
+			up.Lease = ask
+		}
 		var ack ResultsAck
-		e := w.call(http.MethodPost, pathResults, id, ResultsUpload{Worker: wk.name, Results: rs}, &ack)
+		e := w.call(http.MethodPost, pathResults, id, up, &ack)
+		if e == nil && ack.Grant != nil {
+			grant = *ack.Grant
+		}
 		w.expect(e)
 		for n, r := range rs {
 			verdict[r.Task] = "refused"
@@ -672,7 +704,7 @@ func (w *world) post(wk *simWorker, id string, body []TaskResult) workMsg {
 	for _, r := range body {
 		w.acks = append(w.acks, wk.name+" "+r.Task+" "+verdict[r.Task])
 	}
-	return workMsg{kind: msgUpload, job: id, err: err}
+	return workMsg{kind: msgUpload, job: id, err: err, lease: grant}
 }
 
 // advance moves the virtual clock. While draining it also ticks the drain

@@ -207,7 +207,7 @@ func (c *Coordinator) WaitComplete(ctx context.Context, id string) (*dsa.Scores,
 			c.mu.Unlock()
 			return s, serr
 		}
-		changed := j.changed
+		changed := j.changed.wait()
 		c.mu.Unlock()
 		select {
 		case <-changed:

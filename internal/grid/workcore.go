@@ -23,7 +23,7 @@ const (
 	msgLease                   // action: lease from job, every job if ""; event: its answer, lease or err
 	msgJob                     // action: fetch job's spec; event: spec or err
 	msgBeat                    // action: heartbeat ids of job; event: the ids lost, or err
-	msgUpload                  // action: post body to job's results; event: err
+	msgUpload                  // action: post body to job's results, asking ask; event: err, or the grant in lease
 	msgCompute                 // action: compute tasks of job's spec
 	msgResult                  // event: task's result landed, body[0]
 	msgUnit                    // event: an execution unit's last result landed
@@ -41,6 +41,7 @@ type workMsg struct {
 	err      error
 	job, why string
 	lease    LeaseResponse
+	ask      *LeaseRequest // the next lease, asked with a batch's last body
 	spec     job.Spec
 	tasks    []job.Task
 	task     job.Task
@@ -57,10 +58,11 @@ type workCore struct {
 	granted LeaseResponse       // a grant waiting for its job's spec
 	b       *workBatch          // the lease batch in hand
 	// When the coordinator stopped answering (zero while it answers), the
-	// end of a poll wait, and the wake last asked for.
-	outage, sleep, wake time.Time
-	exited              bool
-	out                 []workMsg
+	// last lease call's send, the end of a poll wait, and the wake last
+	// asked for.
+	outage, asked, sleep, wake time.Time
+	exited                     bool
+	out                        []workMsg
 }
 
 // workBatch is one lease batch: its compute, its heartbeats, and its
@@ -73,6 +75,7 @@ type workBatch struct {
 	beatAt       time.Time
 	beating      bool // a heartbeat is in flight
 	computing    bool
+	left         int // results not landed yet
 	landed, sent []TaskResult
 	err          error // the batch failed: it stops, then is ridden out
 }
@@ -98,20 +101,10 @@ func (c *workCore) step(ev workMsg) []workMsg {
 	case msgStart:
 		c.next(now)
 	case msgLease:
-		switch {
-		case ev.err != nil:
+		if ev.err != nil {
 			c.rideOut(now, ev.err)
-		case l.Draining:
-			c.exit(nil, "coordinator draining, exiting")
-		case len(l.Tasks) == 0 && l.Complete:
-			c.exit(nil, "work complete")
-		case len(l.Tasks) == 0:
-			// No jobs yet, or everything pending is leased to other workers:
-			// wait for completion or an expiry to free tasks up.
-			c.outage, c.sleep = time.Time{}, now.Add(cmp.Or(c.opts.Poll, 500*time.Millisecond))
-		default:
-			c.outage, c.granted = time.Time{}, l
-			c.next(now)
+		} else {
+			c.take(now, l, true)
 		}
 	case msgJob:
 		if ev.err != nil {
@@ -140,7 +133,7 @@ func (c *workCore) step(ev workMsg) []workMsg {
 			if c.opts.Corrupt != nil {
 				r.Values = c.opts.Corrupt(ev.task, r.Values)
 			}
-			b.landed = append(b.landed, r)
+			b.landed, b.left = append(b.landed, r), b.left-1
 		}
 	case msgUnit:
 		c.send()
@@ -152,6 +145,7 @@ func (c *workCore) step(ev workMsg) []workMsg {
 			}
 			b.sent = nil
 			c.send()
+			c.take(now, l, false)
 		case c.tolerate(now, ev.err):
 			b.err, b.sent, b.landed = ev.err, nil, nil
 			c.stop()
@@ -196,11 +190,12 @@ func (c *workCore) next(now time.Time) {
 	case id != "" && !joined:
 		c.do(workMsg{kind: msgJob, job: id})
 	case c.granted.Job == "":
+		c.asked = now
 		c.do(workMsg{kind: msgLease, job: c.jobID})
 	default:
 		// The batch: compute it, heartbeat it every third of its TTL.
 		l := c.granted
-		b := &workBatch{job: l.Job, computing: true}
+		b := &workBatch{job: l.Job, computing: true, left: len(l.Tasks)}
 		tasks := make([]job.Task, len(l.Tasks))
 		ttl := DefaultLeaseTTL
 		for i, lt := range l.Tasks {
@@ -215,11 +210,39 @@ func (c *workCore) next(now time.Time) {
 	}
 }
 
-// send puts what has landed on the wire unless a body is still in flight.
+// take acts on a lease answer: a lease call's (call), or the grant a
+// batch's last upload brought back. It exits on a drain or on completion,
+// keeps a grant for when no batch is in hand, and after a lease call
+// answered nothing waits out the rest of a Poll from the call's send —
+// none at all if the coordinator held the call that long, a Poll if it
+// answered at once. An upload's empty grant (or none, from a coordinator
+// that grants none on an ack) leads straight to a lease call, held.
+func (c *workCore) take(now time.Time, l LeaseResponse, call bool) {
+	switch {
+	case l.Draining:
+		c.exit(nil, "coordinator draining, exiting")
+	case len(l.Tasks) == 0 && l.Complete:
+		c.exit(nil, "work complete")
+	case len(l.Tasks) > 0:
+		c.outage, c.granted = time.Time{}, l
+		if c.b == nil {
+			c.next(now)
+		}
+	case call:
+		c.outage, c.sleep = time.Time{}, c.asked.Add(c.opts.poll())
+	}
+}
+
+// send puts what has landed on the wire unless a body is still in flight;
+// the batch's last body asks for the next grant.
 func (c *workCore) send() {
 	if b := c.b; b.sent == nil && b.err == nil && len(b.landed) > 0 {
 		b.sent, b.landed = b.landed, nil
-		c.do(workMsg{kind: msgUpload, job: b.job, body: b.sent})
+		up := workMsg{kind: msgUpload, job: b.job, body: b.sent}
+		if b.left == 0 {
+			up.ask = &LeaseRequest{MaxTasks: c.opts.TasksPerLease, Job: c.jobID}
+		}
+		c.do(up)
 	}
 }
 
@@ -255,7 +278,7 @@ func (c *workCore) rideOut(now time.Time, err error) {
 		c.exit(err, "")
 		return
 	}
-	c.sleep = now.Add(cmp.Or(c.opts.Poll, 500*time.Millisecond))
+	c.sleep = now.Add(c.opts.poll())
 }
 
 func (c *workCore) stop() {

@@ -29,8 +29,10 @@ type WorkerOptions struct {
 	// TasksPerLease caps the tasks of one lease call: 0 = the
 	// coordinator's sized grant; N caps it.
 	TasksPerLease int
-	// Poll is the idle wait when no task is available but the job is
-	// not complete (everything is leased to other workers). 0 = 500ms.
+	// Poll bounds an idle lease's wait at the coordinator: a lease call
+	// that finds no task while the job is not complete (everything is
+	// leased to other workers) is held there until something changes, at
+	// most this long, and the next is sent a Poll after it. 0 = 500ms.
 	Poll time.Duration
 	// Client is the HTTP client; nil = NewClient(""), a client with
 	// DefaultHTTPTimeout and no token, so a hung coordinator can never
@@ -72,6 +74,8 @@ type WorkerOptions struct {
 }
 
 var workerSeq atomic.Int64
+
+func (o WorkerOptions) poll() time.Duration { return cmp.Or(o.Poll, 500*time.Millisecond) }
 
 func (o WorkerOptions) name() string {
 	if o.Name != "" {
@@ -126,7 +130,7 @@ func Work(ctx context.Context, baseURL, jobID string, opts WorkerOptions) error 
 			x.log.Warn("coordinator unreachable", "err", ev.err)
 		}
 		for _, a := range core.step(ev) {
-			if a.kind == msgLease || a.kind == msgJob || a.kind == msgExit {
+			if a.kind == msgLease || a.kind == msgJob || a.kind == msgCompute || a.kind == msgExit {
 				batch.End()
 				batch = nil
 			}
@@ -180,7 +184,7 @@ func (x *workerIO) request(ctx context.Context, a workMsg, parent obs.SpanID) wo
 	method, url, out := http.MethodPost, routeURL(x.base, pathResults, a.job), any(&ack)
 	switch a.kind {
 	case msgLease:
-		url, in, out = routeURL(x.base, pathLease, ""), LeaseRequest{Worker: x.name, MaxTasks: x.opts.TasksPerLease}, &a.lease
+		url, in, out = routeURL(x.base, pathLease, ""), LeaseRequest{Worker: x.name, MaxTasks: x.opts.TasksPerLease, WaitMS: x.opts.poll().Milliseconds()}, &a.lease
 		if a.job != "" {
 			url = routeURL(x.base, pathJobLease, a.job)
 		}
@@ -190,7 +194,7 @@ func (x *workerIO) request(ctx context.Context, a workMsg, parent obs.SpanID) wo
 	case msgBeat:
 		url, in, out = routeURL(x.base, pathHeartbeat, a.job), HeartbeatRequest{Worker: x.name, Tasks: a.ids}, &beat
 	case msgUpload:
-		in = ResultsUpload{Worker: x.name, Results: a.body}
+		in = ResultsUpload{Worker: x.name, Results: a.body, Lease: a.ask}
 		span = x.opts.Trace.Start(parent, "upload").Int("tasks", int64(len(a.body)))
 	}
 	info, err := call(ctx, x.client, method, url, in, out)
@@ -213,6 +217,11 @@ func (x *workerIO) request(ctx context.Context, a workMsg, parent obs.SpanID) wo
 	default:
 		span.Str("rid", info.requestID).Int("attempts", int64(info.attempts))
 		x.opts.Metrics.ObserveUploads(len(a.body), info.attempts-1)
+		if ack.Grant != nil {
+			a.lease = *ack.Grant
+			span.Int("granted", int64(len(a.lease.Tasks)))
+			x.opts.Metrics.ObserveLease(len(a.lease.Tasks))
+		}
 	}
 	if a.err = err; err != nil {
 		span.Drop()

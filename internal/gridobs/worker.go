@@ -44,9 +44,9 @@ func NewWorkerMetrics(r *Registry) *WorkerMetrics {
 		pointsCached: r.NewCounter("worker_points_cache_served_total",
 			"Design points served from the score cache."),
 		leases: r.NewCounter("worker_lease_requests_total",
-			"Lease requests issued to the coordinator."),
+			"Grants received: lease calls answered, and uploads whose ack carried the next grant."),
 		leasedTasks: r.NewCounter("worker_leased_tasks_total",
-			"Tasks granted across all lease responses."),
+			"Tasks granted across all grants received."),
 		uploads: r.NewCounter("worker_uploads_total",
 			"Task results acknowledged by the coordinator (one upload request may carry several)."),
 		uploadRetries: r.NewCounter("worker_upload_retries_total",
@@ -61,7 +61,8 @@ func NewWorkerMetrics(r *Registry) *WorkerMetrics {
 	return m
 }
 
-// ObserveLease counts one lease round trip and the tasks it granted.
+// ObserveLease counts one grant received — a lease call's answer or an
+// upload ack's — and the tasks it granted.
 func (m *WorkerMetrics) ObserveLease(granted int) {
 	if m == nil {
 		return

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -316,12 +315,20 @@ func appendManifestLine(b []byte, e manifestEntry) []byte {
 
 // decodeManifestLine reads one manifest line; ok is false for anything
 // but a well-formed entry.
-func decodeManifestLine(line []byte) (e manifestEntry, ok bool) {
+func decodeManifestLine(line []byte) (manifestEntry, bool) {
+	e, task, ok := scanManifestLine(line)
+	e.Task = string(task)
+	return e, ok
+}
+
+// scanManifestLine is decodeManifestLine leaving the task's name out of
+// the entry: its bytes, in place in line unless it was written escaped.
+func scanManifestLine(line []byte) (e manifestEntry, task []byte, ok bool) {
 	o := jsonline.NewObject(line)
 	for o.Next() {
 		switch string(o.Key()) {
 		case "task":
-			e.Task = o.String()
+			task = o.Bytes()
 		case "values":
 			e.Values = o.Floats()
 		case "elapsed_ms":
@@ -334,7 +341,7 @@ func decodeManifestLine(line []byte) (e manifestEntry, ok bool) {
 			o.Skip(manifestKeys...)
 		}
 	}
-	return e, o.End()
+	return e, task, o.End()
 }
 
 // Checkpoint is one process's open handle on a checkpoint directory.
@@ -503,15 +510,25 @@ func (x TaskIndex) Of(t Task) int {
 // the names Task.ID formats for the spec's tasks: "measure-lo-hi", split
 // at the last two dashes (a measure may hold dashes, a number cannot),
 // each number as %05d prints it.
-func (x TaskIndex) Parse(name string) (int, bool) {
-	j := strings.LastIndexByte(name, '-')
-	k := strings.LastIndexByte(name[:max(j, 0)], '-')
+func (x TaskIndex) Parse(name string) (int, bool) { return parseTask(x, name) }
+
+// parseTask is Parse of a name's string or of its bytes, which a restore
+// reads in place.
+func parseTask[S string | []byte](x TaskIndex, name S) (int, bool) {
+	j := lastDash(name)
+	k := lastDash(name[:max(j, 0)])
 	if k < 0 {
 		return 0, false
 	}
 	lo, loOK := parsePad5(name[k+1 : j])
 	hi, hiOK := parsePad5(name[j+1:])
-	m, chunk := slices.Index(x.measures, name[:k]), x.spec.chunk()
+	m, chunk := -1, x.spec.chunk()
+	for i, measure := range x.measures {
+		if string(name[:k]) == measure {
+			m = i
+			break
+		}
+	}
 	if !loOK || !hiOK || m < 0 || lo%chunk != 0 || lo/chunk >= len(x.tasks)/len(x.measures) {
 		return 0, false
 	}
@@ -519,11 +536,31 @@ func (x TaskIndex) Parse(name string) (int, bool) {
 	return i, x.tasks[i].Hi == hi
 }
 
-// parsePad5 reads a non-negative number as appendPad5 writes it.
-func parsePad5(s string) (int, bool) {
-	n, err := strconv.Atoi(s)
-	var buf [24]byte
-	return n, err == nil && n >= 0 && string(appendPad5(buf[:0], n)) == s
+// lastDash is the index of s's last '-', or -1.
+func lastDash[S string | []byte](s S) int {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == '-' {
+			return i
+		}
+	}
+	return -1
+}
+
+// parsePad5 reads a non-negative number as appendPad5 writes it: digits,
+// zero-padded to five and unpadded past that. More than 18 are refused:
+// so large a number is no task's bound.
+func parsePad5[S string | []byte](s S) (int, bool) {
+	if len(s) < 5 || len(s) > 18 || len(s) > 5 && s[0] == '0' {
+		return 0, false
+	}
+	n := 0
+	for i := range len(s) {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		n = n*10 + int(s[i]-'0')
+	}
+	return n, true
 }
 
 // readCompleted merges every manifest in dir into per-task values, by
@@ -567,8 +604,8 @@ func readCompleted(dir string, x TaskIndex, own string, replay ...func(line []by
 // task of this spec — a tombstone, or a value with exactly the task's
 // number of values — leaves done untouched and is not ok.
 func foldManifestLine(done [][]float64, x TaskIndex, line []byte) (int, Result, bool) {
-	e, ok := decodeManifestLine(line)
-	i, known := x.Parse(e.Task)
+	e, task, ok := scanManifestLine(line)
+	i, known := parseTask(x, task)
 	if !ok || !known {
 		return 0, Result{}, false // corrupt, or not one of the spec's tasks
 	}

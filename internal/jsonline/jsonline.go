@@ -253,6 +253,22 @@ func (o *Object) String() string {
 	return string(s)
 }
 
+// Bytes reads a string value as String does, without a copy where it
+// can: a slice of the object's data when the string holds no escape and
+// only valid UTF-8, a copy of its unescaped bytes otherwise.
+func (o *Object) Bytes() []byte {
+	start := o.i
+	s, ok := o.str()
+	if !ok {
+		o.fail()
+		return nil
+	}
+	if len(s) > 0 && &s[0] != &o.data[start+1] {
+		s = bytes.Clone(s)
+	}
+	return s
+}
+
 // Int reads an integer value that fits bitSize bits: a JSON number with
 // no fraction and no exponent, as encoding/json reads one into an int.
 func (o *Object) Int(bitSize int) int64 {

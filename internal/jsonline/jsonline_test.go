@@ -111,10 +111,11 @@ type fields struct {
 	Is   []int
 	Ss   []string
 	Raw  []byte
+	By   []byte
 	Keys int
 }
 
-var testKeys = []string{"s", "i", "u", "b", "f", "n", "is", "ss", "raw"}
+var testKeys = []string{"s", "i", "u", "b", "f", "n", "is", "ss", "raw", "by"}
 
 func scanFields(line []byte) (f fields, ok bool) {
 	o := NewObject(line)
@@ -139,6 +140,8 @@ func scanFields(line []byte) (f fields, ok bool) {
 			f.Ss = o.Strings()
 		case "raw":
 			f.Raw = o.Raw()
+		case "by":
+			f.By = o.Bytes()
 		default:
 			o.Skip(testKeys...)
 		}
@@ -197,6 +200,10 @@ func TestObjectScanner(t *testing.T) {
 		{"trailing comma in a list", `{"is":[1,]}`, false, fields{}},
 		{"a number beyond float64", `{"n":-1e309}`, false, fields{}},
 		{"a string for a number", `{"n":"1"}`, false, fields{}},
+		{"bytes in place", `{"by":"m-00000-00004","s":"x"}`, true, fields{By: []byte("m-00000-00004"), S: "x", Keys: 2}},
+		// The escaped value is a copy: the next escaped string reuses the scratch.
+		{"escaped bytes, then an escaped string", `{"by":"m\u002d0","s":"\u00e9"}`, true, fields{By: []byte("m-0"), S: "\u00e9", Keys: 2}},
+		{"a number for bytes", `{"by":1}`, false, fields{}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			got, ok := scanFields([]byte(row.line))
@@ -213,7 +220,7 @@ func TestObjectScanner(t *testing.T) {
 			}
 			if got.S != row.want.S || got.I != row.want.I || got.U != row.want.U || got.B != row.want.B ||
 				got.N != row.want.N || !reflect.DeepEqual(got.Is, row.want.Is) || !reflect.DeepEqual(got.Ss, row.want.Ss) ||
-				!bytes.Equal(got.Raw, row.want.Raw) || got.Keys != row.want.Keys || len(got.F) != len(row.want.F) {
+				!bytes.Equal(got.Raw, row.want.Raw) || !bytes.Equal(got.By, row.want.By) || got.Keys != row.want.Keys || len(got.F) != len(row.want.F) {
 				t.Fatalf("scan(%q) = %+v, want %+v", row.line, got, row.want)
 			}
 			for i := range got.F {

@@ -81,6 +81,8 @@ if [ "${done_tasks:-0}" -lt 4 ] || [ "${done_tasks:-0}" -ge 60 ]; then
   exit 1
 fi
 kill -9 "$coord_pid"
+# Reap it: until it has exited, its listening socket may still hold the port.
+wait "$coord_pid" 2>/dev/null || true
 echo "coordinator killed at $done_tasks/72 tasks"
 
 echo "== restarting the coordinator over the same WAL + checkpoints"
@@ -91,7 +93,11 @@ for _ in $(seq 1 50); do
   curl -sf "$url/v1/jobs" >/dev/null 2>&1 && break
   sleep 0.2
 done
-job_id2=$(curl -sf "$url/v1/jobs" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)
+if ! job_id2=$(curl -sf "$url/v1/jobs" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4); then
+  echo "the restarted coordinator lists no job; coordinator2.log ends:" >&2
+  tail -n 20 "$workdir/coordinator2.log" >&2
+  exit 1
+fi
 if [ "$job_id2" != "$job_id" ]; then
   echo "job ID changed across the crash: $job_id vs $job_id2" >&2
   exit 1

@@ -8,7 +8,7 @@
 //	dsa-grid serve -addr :8437 [sweep flags as dsa-sweep] [-checkpoint-dir DIR]
 //	               [-cache-dir DIR] [-lease-ttl 30s] [-out results.csv] [-once]
 //	               [-auth-token SECRET] [-audit-rate F]
-//	dsa-grid work  -coordinator http://host:8437 [-job ID] [-name ID] [-workers N]
+//	dsa-grid work  -coordinator http://host:8437 [-name ID] [-workers N]
 //	               [-tasks-per-lease N] [-cache-dir DIR] [-auth-token SECRET]
 //	               [-trace-dir DIR] [-metrics-addr :9090] [-ship-traces]
 //	               [-ship-interval 2s] [-reconnect 30s] [-chaos-transport SPEC]
@@ -203,7 +203,6 @@ func runWork(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("work", flag.ExitOnError)
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (e.g. http://host:8437)")
-		jobID       = fs.String("job", "", "job to work on (default: serve all jobs, fair-scheduled by the coordinator)")
 		name        = fs.String("name", "", "worker identity (default: host-pid-N)")
 		workers     = fs.Int("workers", 0, "parallel tasks (0 = all cores)")
 		perLease    = fs.Int("tasks-per-lease", 0, "tasks per lease call (0 = the coordinator's sized grant; N caps it)")
@@ -300,8 +299,7 @@ func runWork(ctx context.Context, args []string) {
 	if *shipTraces {
 		shipper = grid.NewTraceShipper(*coordinator, workOpts.Trace,
 			obs.JournalPath(*traceDir, *name), grid.TraceShipperOptions{
-				Job: *jobID, Client: client,
-				Interval: *shipEvery, Logger: slog.Default(),
+				Client: client, Interval: *shipEvery, Logger: slog.Default(),
 			})
 		go shipper.Run(ctx)
 		log.Printf("shipping trace to %s every %s", *coordinator, *shipEvery)
@@ -320,7 +318,7 @@ func runWork(ctx context.Context, args []string) {
 			log.Printf("final trace ship: %v", err)
 		}
 	}
-	err = grid.Work(ctx, *coordinator, *jobID, workOpts)
+	err = grid.Work(ctx, *coordinator, "", workOpts)
 	switch {
 	case err == nil:
 		finalShip()

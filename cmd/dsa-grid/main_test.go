@@ -54,6 +54,7 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		{"-rate-limit", []string{"serve", "-addr", "127.0.0.1:0", "-rate-limit", "5"}},
 		{"-pprof", []string{"serve", "-addr", "127.0.0.1:0", "-pprof"}},
 		{"-pprof", []string{"work", "-coordinator", "http://x", "-pprof"}},
+		{"-job", []string{"work", "-coordinator", "http://x", "-job", "j"}},
 	} {
 		// The deadline only matters if the flag were accepted: the
 		// command would then run instead of exiting.

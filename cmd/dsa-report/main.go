@@ -1,6 +1,7 @@
 // Command dsa-report renders sweep reports for any registered domain:
 // the paper's figures and tables for the swarming domain (Figures 2-8,
-// Table 3, the 90-10 validation and churn checks), the generic top and
+// Table 3, the 90-10 validation and churn checks, and the fidelity
+// ledger of the paper's claims over ten seeds), the generic top and
 // scatter reports for every domain, the sweep-free analyses of Section
 // 2 (nash) and Section 5 (fig9a|fig9b|fig9c|fig10, fig9 = the three
 // Figure 9 panels), score-cache counters and span-journal analysis.
@@ -11,7 +12,7 @@
 //	dsa-report -checkpoint DIR fig2|...|top
 //	dsa-report -checkpoint DIR -out results.csv merge
 //	dsa-report -coordinator http://host:8437 [-job ID] fig2|...|top|merge
-//	dsa-report [-preset quick] [-stride N] validate|churn
+//	dsa-report [-preset quick] [-stride N] validate|churn|fidelity
 //	dsa-report -domain gossip|delivery [-in results.csv | -checkpoint DIR | -coordinator URL] top|scatter
 //	dsa-report -domain gossip|delivery -checkpoint DIR -out results.csv merge
 //	dsa-report -cache-dir DIR cache
@@ -48,6 +49,7 @@ import (
 	"repro/internal/profiling"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/swarm"
 
 	// Register the domains this tool can report on.
 	_ "repro/internal/delivery"
@@ -63,8 +65,8 @@ func main() {
 	// preset", which for -opponents is -1, not 0.
 	sweep := job.SweepFlags{Opponents: -1}
 	flag.StringVar(&sweep.Domain, "domain", pra.DomainName, "design space the input covers, one of: "+strings.Join(dsa.Names(), ", "))
-	flag.StringVar(&sweep.Preset, "preset", "quick", "quick or paper (validate/churn)")
-	flag.IntVar(&sweep.Stride, "stride", 30, "protocol stride for validate/churn")
+	flag.StringVar(&sweep.Preset, "preset", "quick", "quick or paper (validate/churn/fidelity)")
+	flag.IntVar(&sweep.Stride, "stride", 30, "protocol stride for validate/churn/fidelity")
 	flag.Int64Var(&sweep.Seed, "seed", 1, "master seed for validate/churn")
 	var (
 		in      = flag.String("in", "results.csv", "CSV produced by dsa-sweep")
@@ -79,7 +81,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
-		log.Fatal("usage: dsa-report [flags] fig2|fig3|fig4|fig5|fig6|fig7|fig8|table3|top|merge|validate|churn (swarming), top|scatter|merge (-domain others), cache, trace DIR, nash [flags], or fig9a|fig9b|fig9c|fig10|fig9 [flags]")
+		log.Fatal("usage: dsa-report [flags] fig2|fig3|fig4|fig5|fig6|fig7|fig8|table3|top|merge|validate|churn|fidelity (swarming), top|scatter|merge (-domain others), cache, trace DIR, nash [flags], or fig9a|fig9b|fig9c|fig10|fig9 [flags]")
 	}
 	what, args := flag.Arg(0), flag.Args()[1:]
 	stopProf, profErr := profiling.Start(*cpuProf, *memProf)
@@ -103,7 +105,7 @@ func main() {
 		err = fmt.Errorf("report %q takes no argument", what)
 	case what == "cache":
 		err = runCacheReport(os.Stdout, *cacheD, *coord)
-	case sweep.Domain == pra.DomainName && (what == "validate" || what == "churn"):
+	case sweep.Domain == pra.DomainName && (what == "validate" || what == "churn" || what == "fidelity"):
 		err = runSimBacked(os.Stdout, what, &sweep)
 	default:
 		err = runScores(os.Stdout, what, sweep.Domain, *in, *ckpt, *coord, *jobID, *out)
@@ -431,7 +433,8 @@ func renderGeneric(w io.Writer, what string, d dsa.Domain, s *dsa.Scores) error 
 }
 
 // runSimBacked handles the reports that need fresh simulation: the
-// 90-10 robustness validation and the churn sensitivity check.
+// 90-10 robustness validation, the churn sensitivity check and the
+// fidelity ledger.
 func runSimBacked(w io.Writer, what string, sweep *job.SweepFlags) error {
 	spec, err := sweep.Spec()
 	if err != nil {
@@ -442,7 +445,16 @@ func runSimBacked(w io.Writer, what string, sweep *job.SweepFlags) error {
 	if err != nil {
 		return err
 	}
-	if what == "validate" {
+	switch what {
+	case "fidelity":
+		return runFidelity(w, exp.LedgerScale{
+			Label:     fmt.Sprintf("%s preset, stride %d", sweep.Preset, sweep.Stride),
+			Protocols: protos, Cfg: cfg,
+			// The Figure 9/10 row runs at those reports' defaults.
+			Swarm: swarm.Default(), Leechers: 50, Runs: 10,
+			Seeds: exp.FidelitySeeds,
+		})
+	case "validate":
 		res, err := exp.Sweep(protos, cfg)
 		if err != nil {
 			return err

@@ -110,7 +110,7 @@ func TestSweepFreeReportsGolden(t *testing.T) {
 // simulation.
 func TestSimBackedRejectsStrideBelowOne(t *testing.T) {
 	for _, stride := range []int{0, -2} {
-		for _, what := range []string{"validate", "churn"} {
+		for _, what := range []string{"validate", "churn", "fidelity"} {
 			flags := &job.SweepFlags{Domain: pra.DomainName, Preset: "quick", Stride: stride, Seed: 1, Opponents: -1}
 			var buf bytes.Buffer
 			err := runSimBacked(&buf, what, flags)

@@ -9,7 +9,8 @@ package cyclesim
 // Steady-state allocation pins for the round loop. These are
 // in-package (they drive world.step directly); the byte-identity
 // parity suite lives in parity_test.go in the external test package,
-// because refsim imports this package's types.
+// because the frozen reference (reference_test.go) imports this
+// package's types.
 
 import (
 	"testing"

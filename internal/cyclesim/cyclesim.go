@@ -71,7 +71,7 @@
 //
 // The contract for all of this is byte-identity: same RNG draw order,
 // same float operation order, bit-equal Results versus the frozen seed
-// implementation in internal/cyclesim/refsim. The golden-parity suite
+// implementation in reference_test.go. The golden-parity suite
 // enforces it; it is what keeps PR 4's content-addressed cache entries
 // and the committed CSVs valid across perf work without a
 // ScoreVersioned bump.

@@ -1,9 +1,10 @@
 package cyclesim_test
 
 // Golden-parity suite: proves the optimized cyclesim.Run is
-// byte-identical to the frozen seed implementation (refsim) across a
-// committed matrix of protocols × churn rates × population mixes, and
-// that pooling never leaks state between runs.
+// byte-identical to the frozen seed implementation (refsim, in
+// reference_test.go) across a committed matrix of protocols × churn
+// rates × population mixes, and that pooling never leaks state between
+// runs.
 //
 // The golden fixtures in testdata/golden_cyclesim.json hold the exact
 // float64 bit patterns refsim produced at freeze time; regenerate with
@@ -29,7 +30,6 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/cyclesim"
-	"repro/internal/cyclesim/refsim"
 	"repro/internal/design"
 	"repro/internal/pra"
 )
@@ -228,7 +228,7 @@ func TestGoldenParity(t *testing.T) {
 	cases := goldenCases()
 	if *update {
 		for i := range cases {
-			res, err := refsim.Run(cases[i].specs(t), cases[i].options())
+			res, err := Run(cases[i].specs(t), cases[i].options())
 			if err != nil {
 				t.Fatalf("case %s: %v", cases[i].Name, err)
 			}
@@ -270,7 +270,7 @@ func TestGoldenParity(t *testing.T) {
 			}
 			specs := c.specs(t)
 
-			ref, err := refsim.Run(specs, c.options())
+			ref, err := Run(specs, c.options())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +346,7 @@ func TestRandomizedRefsimParity(t *testing.T) {
 // optimized Run and reports the first peer whose Utility or Spent bits
 // differ.
 func matchesRefsim(specs []cyclesim.PeerSpec, opt cyclesim.Options) error {
-	ref, err := refsim.Run(specs, opt)
+	ref, err := Run(specs, opt)
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@
 // code, allocation patterns and all; the only edits since the freeze
 // are the package clause and the import of the public cyclesim types
 // (PeerSpec, Options, Result), which carry no behaviour.
-package refsim
+package cyclesim_test
 
 import (
 	"fmt"

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
@@ -146,7 +147,16 @@ func (r *SweepResult) Fig8() (xs, ys []float64, pearson float64, err error) {
 // standardised logs of k and h (log1p, since both include 0), dummy
 // variables for B2, B3 (baseline B1/none), C2 (baseline C1), I2-I6
 // (baseline I1) and R2, R3 (baseline R1).
+//
+// A design dimension that every protocol shares (at stride 30 every
+// sampled protocol has one allocation) leaves its regressors constant;
+// the error then names the dimension and its columns instead of a bare
+// stats.ErrRankDeficient, which it wraps.
 func (r *SweepResult) Table3() (performance, robustness, aggressiveness *stats.OLSResult, err error) {
+	if held := heldDimensions(r.Scores.Points); len(held) > 0 {
+		return nil, nil, nil, fmt.Errorf("exp: Table3: all %d protocols share one %s, so those columns are constant; sample a set where every dimension varies: %w",
+			len(r.Protocols), strings.Join(held, " and one "), stats.ErrRankDeficient)
+	}
 	n := len(r.Protocols)
 	logK := make([]float64, n)
 	logH := make([]float64, n)
@@ -189,6 +199,32 @@ func (r *SweepResult) Table3() (performance, robustness, aggressiveness *stats.O
 		return nil, nil, nil, fmt.Errorf("exp: Table3 aggressiveness: %w", err)
 	}
 	return performance, robustness, aggressiveness, nil
+}
+
+// table3Columns names the Table 3 regressors each swarming dimension
+// contributes.
+var table3Columns = map[string]string{
+	"stranger": "B2, B3", "h": "log(h~)", "candidates": "C2",
+	"ranking": "I2-I6", "k": "log(k~)", "allocation": "R2, R3",
+}
+
+// heldDimensions lists each dimension that takes one value over pts, as
+// "name (value; columns ...)".
+func heldDimensions(pts []core.Point) []string {
+	if len(pts) == 0 {
+		return nil
+	}
+	var held []string
+	for d, dim := range pra.Domain().Space().Dimensions {
+		same := true
+		for _, p := range pts[1:] {
+			same = same && p[d] == pts[0][d]
+		}
+		if same {
+			held = append(held, fmt.Sprintf("%s (%s; columns %s)", dim.Name, dim.Values[pts[0][d]], table3Columns[dim.Name]))
+		}
+	}
+	return held
 }
 
 func dummy(b bool) float64 {

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/design"
@@ -216,5 +218,35 @@ func TestNash(t *testing.T) {
 	}
 	if rep.Example.Validate() != nil {
 		t.Error("example params invalid")
+	}
+}
+
+// TestTable3NamesHeldDimension: at stride 30 every sampled protocol has
+// the same allocation, and Table3 says so (naming the dimension and its
+// constant columns) instead of a bare rank-deficient matrix. Stride 29
+// varies every dimension and fits.
+func TestTable3NamesHeldDimension(t *testing.T) {
+	scores := func(stride int) *SweepResult {
+		pts := dsa.StridePoints(pra.Domain(), stride)
+		s := &dsa.Scores{Domain: pra.DomainName, Points: pts, Raw: map[string][]float64{}, Values: map[string][]float64{}}
+		for j, m := range pra.Domain().Measures() {
+			vals := make([]float64, len(pts))
+			for i := range vals {
+				vals[i] = math.Mod(float64((i+1)*(j+7)*2654435761%1000), 997) / 997
+			}
+			s.Raw[m], s.Values[m] = vals, vals
+		}
+		r, err := NewSweepResult(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	_, _, _, err := scores(30).Table3()
+	if !errors.Is(err, stats.ErrRankDeficient) || !strings.Contains(err.Error(), "allocation (EqualSplit; columns R2, R3)") {
+		t.Fatalf("stride 30: Table3 error = %v, want one naming the held allocation", err)
+	}
+	if _, _, _, err := scores(29).Table3(); err != nil {
+		t.Fatalf("stride 29: %v", err)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dsa"
+	"repro/internal/gossip"
 	"repro/internal/obs"
 	"repro/internal/pra"
 )
@@ -105,4 +107,53 @@ func BenchmarkCheckpointRecordParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchExploreCfg is the explorer workload of the cache benchmarks:
+// small enough to iterate, big enough that real simulation dominates a
+// cold run.
+func benchExploreCfg() dsa.Config {
+	return dsa.Config{Peers: 10, Rounds: 60, PerfRuns: 1, EncounterRuns: 1, Opponents: 4, Seed: 1}
+}
+
+func benchExplore(b *testing.B, store *cache.Store) {
+	b.Helper()
+	var sc dsa.ScoreCache
+	if store != nil {
+		sc = store
+	}
+	_, _, err := HillClimb(context.Background(), gossip.Domain(), Weights{gossip.MeasureCoverage: 1},
+		benchExploreCfg(), HillClimbConfig{Restarts: 2, MaxSteps: 15, Seed: 3}, sc, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkExplorerColdCache is the baseline of the score cache's
+// headline claim: each iteration is a full Section 7 hill climb with
+// every score simulated (no cache). Compare against
+// BenchmarkExplorerWarmCache — the warm/cold ns/op ratio is the
+// measured speedup (CI asserts >= 5x in scripts/cache_smoke.sh).
+func BenchmarkExplorerColdCache(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchExplore(b, nil)
+	}
+}
+
+// BenchmarkExplorerWarmCache runs the identical hill climb against a
+// pre-warmed content-addressed score cache: every evaluation is a key
+// derivation plus a map hit, no simulation at all. Results are
+// byte-identical to the cold run (asserted by the dsa and job parity
+// tests); only the cost changes.
+func BenchmarkExplorerWarmCache(b *testing.B) {
+	store, err := cache.Open(cache.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	benchExplore(b, store) // warm every score the search will touch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchExplore(b, store)
+	}
 }

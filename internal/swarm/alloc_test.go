@@ -9,7 +9,7 @@ package swarm
 // Steady-state allocation pins for the transfer loop. In-package (they
 // drive state.transfer/rechoke directly); the byte-identity parity
 // suite lives in parity_test.go in the external test package, because
-// refswarm imports this package's types.
+// the frozen reference (reference_test.go) imports this package's types.
 
 import (
 	"testing"

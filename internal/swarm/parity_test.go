@@ -1,11 +1,11 @@
 package swarm_test
 
 // Golden-parity suite: proves the optimized swarm.Run is
-// byte-identical to the frozen seed implementation (refswarm) across a
-// committed matrix of client mixes and configurations, and that
-// pooling never leaks state between runs. Fixtures hold exact float64
-// bit patterns; regenerate (from refswarm, never from the optimized
-// code) with
+// byte-identical to the frozen seed implementation (refswarm, in
+// reference_test.go) across a committed matrix of client mixes and
+// configurations, and that pooling never leaks state between runs.
+// Fixtures hold exact float64 bit patterns; regenerate (from refswarm,
+// never from the optimized code) with
 //
 //	go test ./internal/swarm -run TestSwarmGoldenParity -update
 
@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/swarm"
-	"repro/internal/swarm/refswarm"
 )
 
 var update = flag.Bool("update", false, "regenerate golden fixtures from the frozen reference implementation")
@@ -125,7 +124,7 @@ func TestSwarmGoldenParity(t *testing.T) {
 	if *update {
 		for i := range cases {
 			cfg, clients := cases[i].config()
-			res, err := refswarm.Run(clients, cfg)
+			res, err := Run(clients, cfg)
 			if err != nil {
 				t.Fatalf("case %s: %v", cases[i].Name, err)
 			}
@@ -170,7 +169,7 @@ func TestSwarmGoldenParity(t *testing.T) {
 			}
 			cfg, clients := c.config()
 
-			ref, err := refswarm.Run(clients, cfg)
+			ref, err := Run(clients, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +216,7 @@ func TestRandomizedRefswarmParity(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			cfg.Dist = flat
 		}
-		ref, err := refswarm.Run(clients, cfg)
+		ref, err := Run(clients, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

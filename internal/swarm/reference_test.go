@@ -12,7 +12,7 @@
 // those types carried (slots, optimistic, pieces), and the removal of
 // the per-second trace hook along with swarm.Config's; none carry
 // behaviour.
-package refswarm
+package swarm_test
 
 import (
 	"fmt"

@@ -29,7 +29,7 @@
 //
 // The transfer loop is engineered to be allocation-free and scan-free
 // in steady state, byte-identical to the frozen seed implementation in
-// internal/swarm/refswarm (same RNG draw order, same float operation
+// reference_test.go (same RNG draw order, same float operation
 // order — the golden-parity suite pins it):
 //
 //   - Piece assignments carry a per-second epoch instead of being

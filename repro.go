@@ -164,7 +164,6 @@ func OpenScoreCache(dir string) (*ScoreCache, error) {
 type GridOptions struct {
 	Dir      string            // checkpoint root; "" keeps results in memory only
 	Chunk    int               // points per task; 0 = the engine default
-	LeaseTTL time.Duration     // task lease duration; 0 = the grid default
 	OnListen func(addr string) // called with the bound address (useful with ":0")
 	Logger   *slog.Logger      // coordinator records; nil = silent
 	// Cache, if non-nil, is the coordinator's cross-job score cache:
@@ -184,7 +183,7 @@ type GridOptions struct {
 // mid-sweep, their expired leases are re-run elsewhere.
 func ServeGrid(ctx context.Context, addr string, d Domain, points []SpacePoint, cfg Config, opts GridOptions) (*Scores, error) {
 	coordOpts := grid.CoordinatorOptions{
-		Dir: opts.Dir, LeaseTTL: opts.LeaseTTL, Logger: opts.Logger,
+		Dir: opts.Dir, Logger: opts.Logger,
 		AuthToken: opts.AuthToken,
 	}
 	if opts.Cache != nil {

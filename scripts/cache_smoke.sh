@@ -75,7 +75,7 @@ echo "== cache stats view"
 "$workdir/dsa-report" -cache-dir "$workdir/cache" cache
 
 echo "== warm-vs-cold explorer benchmark (headline: >= 5x)"
-go test -run '^$' -bench 'BenchmarkExplorer(Cold|Warm)Cache$' -benchtime=3x . \
+go test -run '^$' -bench 'BenchmarkExplorer(Cold|Warm)Cache$' -benchtime=3x ./internal/job \
   | tee "$workdir/bench.txt"
 cold=$(awk '/BenchmarkExplorerColdCache/ {print $3}' "$workdir/bench.txt")
 warm=$(awk '/BenchmarkExplorerWarmCache/ {print $3}' "$workdir/bench.txt")

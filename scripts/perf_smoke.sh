@@ -3,11 +3,11 @@
 #
 # Runs the paired cold tournament-sweep benchmarks (optimized
 # cyclesim vs the frozen pre-optimization reference in
-# internal/cyclesim/refsim) and requires the optimized implementation
-# to be at least MIN_SPEEDUP times faster. Byte-identity of the two is
-# enforced separately by the golden-parity suites; this script only
-# guards the speed claim so it is re-measured on every push instead of
-# decaying into a stale README number.
+# internal/cyclesim/reference_test.go) and requires the optimized
+# implementation to be at least MIN_SPEEDUP times faster. Byte-identity
+# of the two is enforced separately by the golden-parity suites; this
+# script only guards the speed claim so it is re-measured on every push
+# instead of decaying into a stale README number.
 #
 # Also re-runs the steady-state allocation pins (0 allocs/round for
 # the cyclesim round loop, 0 allocs/second for the swarm transfer
@@ -44,7 +44,7 @@ go test ./internal/gossip -run 'TestRunAllocs' -count=1
 echo "== cold tournament sweep: optimized vs frozen reference =="
 go test -run '^$' \
   -bench 'BenchmarkTournamentCold$|BenchmarkTournamentColdReference$|BenchmarkSwarmRun$|BenchmarkSwarmRunReference$' \
-  -benchtime="$BENCHTIME" -count="$COUNT" . | tee "$OUT"
+  -benchtime="$BENCHTIME" -count="$COUNT" ./internal/cyclesim ./internal/swarm | tee "$OUT"
 
 # Best (minimum) ns/op per benchmark: CI machines are noisy upward,
 # never downward.
@@ -80,7 +80,7 @@ floor "cold tournament" "$RATIO" "$MIN_SPEEDUP"
 echo "== delivery sweep: four measures jointly vs one ScoreSlice per measure =="
 go test -run '^$' \
   -bench 'BenchmarkDeliverySweepJoint$|BenchmarkDeliverySweepPerMeasure$' \
-  -benchtime="$BENCHTIME" -count="$COUNT" . | tee "$OUT"
+  -benchtime="$BENCHTIME" -count="$COUNT" ./internal/delivery | tee "$OUT"
 
 JOINT=$(min_ns BenchmarkDeliverySweepJoint)
 PER=$(min_ns BenchmarkDeliverySweepPerMeasure)
